@@ -1,28 +1,19 @@
 //! Tiles × load scalability bench for the online serving runtime — the
 //! "fig5-style" sweep for the *host-side* event loop.
 //!
-//! For every (tiles, load, policy) corner the same trace is served twice:
-//!
-//! * **indexed** — the current hot path: the trace is served by value
-//!   (no ingest channel, no per-request clone), placement answers from the
-//!   pool's residency index, queues pop from per-tile ordered structures,
-//!   and repeated (kernel, workload) simulations come from the memo;
-//! * **linear** — the pre-index runtime, reproduced faithfully: the trace
-//!   streams through the bounded ingest channel with one deep `Request`
-//!   clone per submission (what the old `serve` shim did),
-//!   `ScanMode::LinearReference` restores the O(tiles) placement scan, the
-//!   O(depth) queue scan-and-remove and the O(tiles) `total_waiting`
-//!   recomputation per event, and the simulation memo is disabled so every
-//!   request simulates.
-//!
-//! Both sides produce identical modeled results (the scan-mode half of that
-//! claim is proved by `tests/runtime_equivalence.rs`); what differs is the
-//! host nanoseconds per event, which is exactly what this bench records.
+//! For every (tiles, load, policy) corner the same trace is served by value
+//! (no ingest channel, no per-request clone) on a warm runtime — placement
+//! answers from the pool's residency index, queues pop from per-tile ordered
+//! structures, repeated (kernel, workload) simulations come from the memo —
+//! three ways: plain, with span tracing, and with windowed telemetry + an SLO
+//! objective. All three produce identical modeled results; what differs is
+//! the host nanoseconds per event, which is what this bench records, plus
+//! the two instrumentation overheads it holds under a 5% ceiling.
 //!
 //! Output: a human-readable table on stdout and a machine-readable
-//! `BENCH_runtime.json` at the repository root (modeled req/s, host ns/event,
-//! host events/s, indexed-vs-linear speedup per corner) to seed the
-//! performance trajectory across PRs.
+//! `BENCH_runtime.json` at the repository root (modeled req/s, host ns/event
+//! and host events/s per corner) to seed the performance trajectory across
+//! PRs.
 //!
 //! Environment:
 //! * `BENCH_FAST=1` — CI mode: fewer requests and repetitions (same grid).
@@ -32,8 +23,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use tm_overlay::{
-    Benchmark, DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, ScanMode, SloClass,
-    SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
+    Benchmark, DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, SloClass, SloConfig,
+    SloObjective, TelemetryConfig, TraceConfig, Workload,
 };
 
 const TILE_COUNTS: [usize; 4] = [4, 16, 64, 256];
@@ -48,7 +39,6 @@ struct Corner {
     events: u64,
     modeled_req_per_sec: f64,
     indexed_ns_per_event: f64,
-    linear_ns_per_event: f64,
     /// The indexed hot path rerun with span tracing enabled — the
     /// observability overhead the acceptance bound caps at 5%.
     traced_ns_per_event: f64,
@@ -59,16 +49,8 @@ struct Corner {
 }
 
 impl Corner {
-    fn speedup(&self) -> f64 {
-        self.linear_ns_per_event / self.indexed_ns_per_event
-    }
-
     fn indexed_events_per_sec(&self) -> f64 {
         1.0e9 / self.indexed_ns_per_event
-    }
-
-    fn linear_events_per_sec(&self) -> f64 {
-        1.0e9 / self.linear_ns_per_event
     }
 }
 
@@ -103,68 +85,6 @@ fn trace(count: usize, spacing_us: f64, budget_us: f64) -> Vec<Request> {
                 .with_deadline(arrival + budget_us)
         })
         .collect()
-}
-
-/// Serves `requests` `reps` times on one runtime (after a warm-up serve
-/// that fills the compile cache — and, on the indexed side, the sim memo),
-/// returning the best per-event wall time, the event count and the modeled
-/// request rate.
-fn measure(
-    tiles: usize,
-    policy: DispatchPolicy,
-    scan: ScanMode,
-    requests: &[Request],
-    reps: usize,
-) -> (f64, u64, f64) {
-    let mut runtime = Runtime::new(VARIANT, tiles)
-        .unwrap()
-        .with_policy(policy)
-        .with_scan_mode(scan);
-    if scan == ScanMode::LinearReference {
-        // The pre-index runtime had no simulation memo.
-        runtime = runtime.with_sim_memo_capacity(0);
-    }
-    let mut best_ns = f64::INFINITY;
-    let mut events = 0u64;
-    let mut modeled = 0.0f64;
-    for rep in 0..=reps {
-        let report = match scan {
-            // The current hot path: batch serve, trace by value.
-            ScanMode::Indexed => {
-                let copy = requests.to_vec();
-                let start = Instant::now();
-                let report = runtime.serve(copy).expect("bench trace serves cleanly");
-                let wall_ns = start.elapsed().as_nanos() as f64;
-                if rep > 0 {
-                    best_ns = best_ns.min(wall_ns);
-                }
-                report
-            }
-            // The seed-faithful baseline: stream the trace through the
-            // ingest channel, deep-cloning each request on the way in,
-            // exactly as the pre-index `serve` shim did.
-            ScanMode::LinearReference => {
-                let start = Instant::now();
-                let report = runtime
-                    .serve_stream(|submitter| {
-                        for request in requests {
-                            if submitter.submit(request.clone()).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("bench trace serves cleanly");
-                let wall_ns = start.elapsed().as_nanos() as f64;
-                if rep > 0 {
-                    best_ns = best_ns.min(wall_ns);
-                }
-                report
-            }
-        };
-        events = report.metrics().events_fired;
-        modeled = report.metrics().requests_per_sec;
-    }
-    (best_ns / events as f64, events, modeled)
 }
 
 /// Measures the indexed hot path plain, traced, and with windowed
@@ -303,8 +223,8 @@ fn main() {
         if fast { "fast" } else { "full" }
     );
     println!(
-        "{:>5} {:>9} {:>15} {:>12} {:>12} {:>9}",
-        "tiles", "load", "policy", "indexed", "linear", "speedup"
+        "{:>5} {:>9} {:>15} {:>12} {:>12} {:>12}",
+        "tiles", "load", "policy", "indexed", "traced", "telemetry"
     );
     for &tiles in &TILE_COUNTS {
         for &(load, rho) in &LOADS {
@@ -322,12 +242,6 @@ fn main() {
                     4.0 * service_us,
                     &mut sweep_ratios,
                 );
-                let (linear_ns, linear_events, _) =
-                    measure(tiles, policy, ScanMode::LinearReference, &requests, reps);
-                assert_eq!(
-                    events, linear_events,
-                    "both modes must fire identical event sequences"
-                );
                 let corner = Corner {
                     tiles,
                     load,
@@ -336,71 +250,24 @@ fn main() {
                     events,
                     modeled_req_per_sec: modeled,
                     indexed_ns_per_event: indexed_ns,
-                    linear_ns_per_event: linear_ns,
                     traced_ns_per_event: traced_ns,
                     telemetry_ns_per_event: telemetry_ns,
                 };
                 println!(
-                    "{:>5} {:>9} {:>15} {:>9.0} ns {:>9.0} ns {:>8.1}x",
+                    "{:>5} {:>9} {:>15} {:>9.0} ns {:>9.0} ns {:>9.0} ns",
                     tiles,
                     load,
                     policy.to_string(),
                     corner.indexed_ns_per_event,
-                    corner.linear_ns_per_event,
-                    corner.speedup()
+                    corner.traced_ns_per_event,
+                    corner.telemetry_ns_per_event
                 );
                 corners.push(corner);
             }
         }
     }
 
-    // Two acceptance figures at the largest pool:
-    //
-    // * `min_speedup` — the slowest end-to-end corner ratio over the
-    //   earliest-completion policies (everything the serve does, including
-    //   costs both modes share);
-    // * `scan_speedup` — the *dispatcher-attributable* ratio: round-robin
-    //   placement is O(1) under both modes, so its corners measure exactly
-    //   the shared machinery. Differencing each scanning policy against the
-    //   round-robin control isolates what the linear placement scan cost
-    //   per event vs what the residency index costs — the before/after of
-    //   the indexed-dispatch change itself.
     let biggest = *TILE_COUNTS.last().unwrap();
-    let at_biggest: Vec<&Corner> = corners.iter().filter(|c| c.tiles == biggest).collect();
-    let min_speedup = at_biggest
-        .iter()
-        .filter(|c| c.policy != DispatchPolicy::RoundRobin)
-        .map(|c| c.speedup())
-        .fold(f64::INFINITY, f64::min);
-    let control = |load: &str, pick: fn(&Corner) -> f64| {
-        at_biggest
-            .iter()
-            .find(|c| c.load == load && c.policy == DispatchPolicy::RoundRobin)
-            .map(|c| pick(c))
-            .expect("round-robin control corner exists")
-    };
-    let (mut scan_cost_linear, mut scan_cost_indexed, mut samples) = (0.0, 0.0, 0usize);
-    for corner in at_biggest
-        .iter()
-        .filter(|c| c.policy != DispatchPolicy::RoundRobin)
-    {
-        scan_cost_linear +=
-            corner.linear_ns_per_event - control(corner.load, |c| c.linear_ns_per_event);
-        scan_cost_indexed +=
-            corner.indexed_ns_per_event - control(corner.load, |c| c.indexed_ns_per_event);
-        samples += 1;
-    }
-    scan_cost_linear /= samples as f64;
-    // The index's own marginal cost can be below the timer noise floor;
-    // clamp so the ratio stays finite and conservative.
-    scan_cost_indexed = (scan_cost_indexed / samples as f64).max(1.0);
-    let scan_speedup = scan_cost_linear / scan_cost_indexed;
-    println!(
-        "at {biggest} tiles: min end-to-end speedup {min_speedup:.1}x; \
-         linear placement scan costs {scan_cost_linear:.0} ns/event vs \
-         {scan_cost_indexed:.0} ns/event indexed -> {scan_speedup:.1}x \
-         dispatcher speedup (target >= 5x)"
-    );
 
     // Instrumentation overhead over the whole sweep: the median of every
     // per-rep paired instrumented/plain wall-time ratio across all corners
@@ -481,10 +348,8 @@ fn main() {
             json,
             "    {{\"tiles\": {}, \"load\": \"{}\", \"policy\": \"{}\", \"requests\": {}, \
              \"events\": {}, \"modeled_req_per_sec\": {:.0}, \
-             \"indexed_ns_per_event\": {:.1}, \"linear_ns_per_event\": {:.1}, \
-             \"traced_ns_per_event\": {:.1}, \"telemetry_ns_per_event\": {:.1}, \
-             \"indexed_events_per_sec\": {:.0}, \"linear_events_per_sec\": {:.0}, \
-             \"speedup\": {:.2}}}{}",
+             \"indexed_ns_per_event\": {:.1}, \"traced_ns_per_event\": {:.1}, \
+             \"telemetry_ns_per_event\": {:.1}, \"indexed_events_per_sec\": {:.0}}}{}",
             c.tiles,
             c.load,
             c.policy,
@@ -492,25 +357,13 @@ fn main() {
             c.events,
             c.modeled_req_per_sec,
             c.indexed_ns_per_event,
-            c.linear_ns_per_event,
             c.traced_ns_per_event,
             c.telemetry_ns_per_event,
             c.indexed_events_per_sec(),
-            c.linear_events_per_sec(),
-            c.speedup(),
             comma
         );
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"acceptance\": {{\"tiles\": {biggest}, \"min_end_to_end_speedup\": \
-         {min_speedup:.2}, \"scan_ns_per_event_linear\": {scan_cost_linear:.1}, \
-         \"scan_ns_per_event_indexed\": {scan_cost_indexed:.1}, \
-         \"dispatcher_speedup\": {scan_speedup:.2}, \"target\": 5.0, \"pass\": {}}}",
-        scan_speedup >= 5.0
-    );
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
 
     // The profile section: per-stage host-time attribution plus the
     // tracing-overhead acceptance, spliced alongside the sweep's section.

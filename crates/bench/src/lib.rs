@@ -333,10 +333,10 @@ pub enum SpliceError {
         section: String,
     },
     /// The existing document already holds this section under a *newer*
-    /// declared `"schema"` version than the incoming payload (or under a
-    /// versioned one where the incoming payload has none) — splicing would
-    /// silently downgrade data a different reader expects. Same-version
-    /// replacement and upgrades to a newer schema are allowed.
+    /// declared `"schema"` version than the incoming payload (a payload
+    /// declaring none counts as oldest) — splicing would silently downgrade
+    /// data a different reader expects. Same-version replacement and
+    /// upgrades to a newer schema are allowed.
     SchemaMismatch {
         /// The section being spliced.
         section: String,
@@ -377,19 +377,16 @@ impl std::error::Error for SpliceError {}
 /// every other known section of `existing` verbatim.
 ///
 /// The combined document is one object with a top-level key per bench.
-/// A legacy document whose *root* is a single bench payload (it carries a
-/// root-level `"bench": "runtime_scalability"` marker) is migrated into the
-/// sectioned layout on the first splice. Returns the new document text.
+/// Returns the new document text.
 ///
 /// # Errors
 ///
 /// Refuses — instead of silently overwriting the existing section — when
 /// the section is unknown, when the payload does not carry its own
 /// `"bench": "<section>"` marker, or when the existing section declares a
-/// `"schema"` version *newer* than the incoming payload's (or the incoming
-/// payload declares none). Same-version replacement and schema upgrades
-/// pass; an existing section *without* a schema marker accepts any payload:
-/// that is the legacy-to-versioned upgrade path.
+/// `"schema"` version *newer* than the incoming payload's (a payload
+/// declaring none counts as oldest). Same-version replacement and schema
+/// upgrades pass.
 pub fn splice_bench_json(
     existing: Option<&str>,
     section: &str,
@@ -410,12 +407,8 @@ pub fn splice_bench_json(
     if let Some(kept) = existing.and_then(|doc| extract_json_section(doc, section)) {
         let existing_schema = section_schema(&kept);
         let incoming_schema = section_schema(payload);
-        let compatible = match (existing_schema, incoming_schema) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            (Some(old), Some(new)) => new >= old,
-        };
-        if !compatible {
+        // `None < Some(_)`: an undeclared schema is older than any declared.
+        if incoming_schema < existing_schema {
             return Err(SpliceError::SchemaMismatch {
                 section: section.to_owned(),
                 existing: existing_schema,
@@ -503,17 +496,10 @@ fn section_schema(payload: &str) -> Option<u64> {
 }
 
 /// Extracts the balanced-brace object stored under top-level `key` in the
-/// combined document — or, for the legacy single-bench layout, the whole
-/// root object when its `"bench"` marker names `key`.
+/// combined document.
 fn extract_json_section(doc: &str, key: &str) -> Option<String> {
     let marker = format!("\"{key}\":");
-    let body = if let Some(position) = doc.find(&marker) {
-        &doc[position + marker.len()..]
-    } else if doc.contains(&format!("\"bench\": \"{key}\"")) {
-        doc // legacy: the root object *is* this section's payload
-    } else {
-        return None;
-    };
+    let body = &doc[doc.find(&marker)? + marker.len()..];
     let start = body.find('{')?;
     let mut depth = 0usize;
     for (offset, ch) in body[start..].char_indices() {
@@ -584,19 +570,6 @@ mod tests {
         assert!(doc.contains("\"batching_replication\": {"));
     }
 
-    #[test]
-    fn bench_json_migrates_the_legacy_single_bench_layout() {
-        // The pre-cluster BENCH_runtime.json was the runtime payload at the
-        // root; splicing the cluster section must adopt it as a section.
-        let legacy = "{\n  \"bench\": \"runtime_scalability\",\n  \"reps\": 3,\n  \
-                      \"entries\": [{\"tiles\": 4}]\n}\n";
-        let cluster = "{\"bench\": \"cluster_scalability\"}";
-        let doc = splice_bench_json(Some(legacy), "cluster_scalability", cluster).unwrap();
-        assert!(doc.contains("\"runtime_scalability\": {"));
-        assert!(doc.contains("\"entries\": [{\"tiles\": 4}]"));
-        assert!(doc.contains("\"cluster_scalability\": {\"bench\": \"cluster_scalability\"}"));
-    }
-
     /// The splice guard: a payload whose schema version or shape does not
     /// match what the combined file already holds is refused instead of
     /// silently overwriting the existing section.
@@ -649,10 +622,6 @@ mod tests {
             "{\"bench\": \"runtime_scalability\", \"schema\": 2, \"entries\": [{\"a\": 9}]}";
         let doc = splice_bench_json(Some(&doc), "runtime_scalability", v2_again).unwrap();
         assert!(doc.contains("[{\"a\": 9}]"));
-        // A legacy (unversioned) existing section accepts a versioned
-        // upgrade — that is the migration path.
-        let legacy_doc = splice_bench_json(None, "runtime_scalability", unversioned).unwrap();
-        assert!(splice_bench_json(Some(&legacy_doc), "runtime_scalability", v1).is_ok());
         // Errors render a readable reason.
         assert!(SpliceError::UnknownSection {
             section: "x".into()

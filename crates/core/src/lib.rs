@@ -126,8 +126,8 @@ pub use overlay_runtime::{
     Cluster, ClusterReport, DeviceMetrics, DispatchPolicy, FaultEvent, FaultKind, FaultPlan,
     FlashCrowd, KernelSpec, LogHistogram, PipelineOutcome, PipelineReport, PipelineRequest,
     PipelineStage, ProfileStats, ReplicationConfig, ReplicationStats, Request, RoutePolicy,
-    Runtime, RuntimeMetrics, ScanMode, Scenario, ScenarioArrival, ScenarioConfig, ServeReport,
-    Session, SloClass, SloConfig, SloObjective, SloReport, StageMetrics, SubmitError, Submitter,
+    Runtime, RuntimeMetrics, Scenario, ScenarioArrival, ScenarioConfig, ServeReport, Session,
+    SloClass, SloConfig, SloObjective, SloReport, StageMetrics, SubmitError, Submitter,
     TelemetryConfig, TimeSeries, Trace, TraceConfig, TransferModel,
 };
 pub use overlay_scheduler::CompiledKernel;

@@ -5,10 +5,10 @@
 //! wraps its own [`TilePool`] (with its PR 3 residency index), its own
 //! [`KernelCache`] acting as the device-local kernel-image store, and its
 //! own [`Dispatcher`]. Every arrival is **routed** to a device by a
-//! [`RoutePolicy`] (stable kernel-hash sharding, an O(log devices)
-//! least-loaded index, or power-of-two-choices over completion estimates)
-//! and then **placed** on a tile by that device's dispatcher, exactly as a
-//! single [`Runtime`] would place it.
+//! [`RoutePolicy`] (stable kernel-hash sharding, least-loaded by live
+//! per-device load summaries, or power-of-two-choices over completion
+//! estimates) and then **placed** on a tile by that device's dispatcher,
+//! exactly as a single [`Runtime`] would place it.
 //!
 //! Moving a kernel to a device that has never hosted it is not free: the
 //! [`TransferModel`] charges either a host load (the "local cold load") or
@@ -17,9 +17,7 @@
 //! into the completion estimates routing and placement compare, and into
 //! the switch phase the winning tile actually charges. Per-device
 //! [`DeviceMetrics`] report utilization, queue depth, cache hit rate and
-//! the transfer traffic; cluster totals reuse [`RuntimeMetrics`], with
-//! latency percentiles rolled up through the sorted-run merge path
-//! ([`metrics::percentile_from_sorted_parts`]) instead of re-sorting.
+//! the transfer traffic; cluster totals reuse [`RuntimeMetrics`].
 //!
 //! A 1-device cluster is the degenerate case and reproduces [`Runtime`]'s
 //! outcomes **bitwise** (`tests/runtime_equivalence.rs` proves it on
@@ -60,9 +58,10 @@
 
 mod shard;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Instant;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
@@ -102,7 +101,7 @@ pub struct Device {
     cache: KernelCache,
     dispatcher: Dispatcher,
     /// Tiles currently executing a request — the busy component of the
-    /// cluster load index's per-device summary.
+    /// device's load summary.
     busy_tiles: usize,
 }
 
@@ -122,8 +121,8 @@ impl Device {
         &self.cache
     }
 
-    /// The cluster load index's summary key for this device:
-    /// `(waiting requests, busy tiles, id)` — least-loaded is the minimum.
+    /// The device's load summary: `(waiting requests, busy tiles, id)` —
+    /// least-loaded is the minimum.
     fn load_key(&self) -> (usize, usize, usize) {
         (self.pool.total_waiting(), self.busy_tiles, self.id)
     }
@@ -416,10 +415,6 @@ pub struct Cluster {
     trace_scratch: obs::TraceRecorder,
     profiling: bool,
     tiles_per_device: usize,
-    /// Ordered `(waiting, busy, device)` summaries — `first()` is the
-    /// least-loaded device, the device-tier mirror of the pool residency
-    /// index's per-kernel "best" entries.
-    load_index: BTreeSet<(usize, usize, usize)>,
     /// Host-thread budget for sharded batch serves
     /// ([`Cluster::with_threads`]); 1 keeps the serial loop.
     threads: usize,
@@ -481,7 +476,7 @@ impl Cluster {
                 })
             })
             .collect::<Result<_, RuntimeError>>()?;
-        let mut cluster = Cluster {
+        Ok(Cluster {
             devices,
             route: RoutePolicy::default(),
             transfer: TransferModel::default(),
@@ -496,7 +491,6 @@ impl Cluster {
             trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
             profiling: false,
             tiles_per_device,
-            load_index: BTreeSet::new(),
             threads: 1,
             cross_shard_images: false,
             fault_plan: None,
@@ -505,9 +499,7 @@ impl Cluster {
             session_driver: None,
             telemetry: obs::TelemetryConfig::disabled(),
             slo: obs::SloConfig::disabled(),
-        };
-        cluster.rebuild_load_index();
-        Ok(cluster)
+        })
     }
 
     /// Sets the tile-dispatch policy used inside every device.
@@ -995,26 +987,18 @@ impl Cluster {
         self.devices.iter().map(|d| d.pool.total_waiting()).sum()
     }
 
-    fn rebuild_load_index(&mut self) {
-        self.load_index = self.devices.iter().map(Device::load_key).collect();
+    /// Whether load-driven choices may pick `device`: always on a
+    /// fault-free serve, otherwise only while it is alive and admitting.
+    fn routable(&self, device: usize) -> bool {
+        self.fault
+            .as_ref()
+            .is_none_or(|fault| fault.available(device))
     }
 
-    /// Applies `mutate` to one device, keeping the cluster load index
-    /// coherent around the transition — the device-tier mirror of the
-    /// pool's `transition`.
-    fn with_load_update<R>(&mut self, device: usize, mutate: impl FnOnce(&mut Device) -> R) -> R {
-        let before = self.devices[device].load_key();
-        let result = mutate(&mut self.devices[device]);
-        let after = self.devices[device].load_key();
-        if before != after {
-            // A dead or draining device was already pulled from the index
-            // (fault injection); its transitions — e.g. a draining tile
-            // finishing resident work — must not re-insert it.
-            if self.load_index.remove(&before) {
-                self.load_index.insert(after);
-            }
-        }
-        result
+    /// The least-loaded device `eligible` accepts — O(devices) over the
+    /// live per-device load summaries.
+    fn least_loaded(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        least_loaded_eligible(self.devices.iter().map(Device::load_key), eligible)
     }
 
     /// The transfer model in force right now: the configured one, slowed by
@@ -1123,13 +1107,14 @@ impl Cluster {
             return;
         }
         let fanout = replicator.config().fanout;
-        let targets: Vec<usize> = self
-            .load_index
+        let mut by_load: Vec<(usize, usize, usize)> = self
+            .devices
             .iter()
-            .take(fanout)
-            .map(|&(_, _, device)| device)
+            .filter(|device| self.routable(device.id))
+            .map(Device::load_key)
             .collect();
-        for device in targets {
+        by_load.sort_unstable();
+        for (_, _, device) in by_load.into_iter().take(fanout) {
             if self.devices[device].cache.contains(&key) {
                 continue;
             }
@@ -1228,10 +1213,8 @@ impl Cluster {
                 }
                 RoutePolicy::LeastLoaded => {
                     let device = self
-                        .load_index
-                        .first()
-                        .expect("a non-empty cluster always has a least-loaded device")
-                        .2;
+                        .least_loaded(|_| true)
+                        .expect("a non-empty cluster always has a least-loaded device");
                     (
                         device,
                         self.peek_acquisition(device, info.view.key, info.image_bytes),
@@ -1351,14 +1334,12 @@ impl Cluster {
                     )
                 })
             }
-            RoutePolicy::LeastLoaded => {
-                least_loaded_eligible(self.load_index.iter().copied(), eligible).map(|device| {
-                    (
-                        device,
-                        self.peek_acquisition(device, info.view.key, info.image_bytes),
-                    )
-                })
-            }
+            RoutePolicy::LeastLoaded => self.least_loaded(eligible).map(|device| {
+                (
+                    device,
+                    self.peek_acquisition(device, info.view.key, info.image_bytes),
+                )
+            }),
             RoutePolicy::PowerOfTwoChoices => power_of_two_pair_eligible(
                 info.view.key.fingerprint,
                 info.request.id,
@@ -1582,7 +1563,7 @@ impl Cluster {
 
     /// Applies scheduled fault `fault_index` at `now_us`: flips the fleet
     /// flags, records the fault span, and performs the structural reaction
-    /// (evacuation, requeues, index surgery, replica re-homing).
+    /// (evacuation, requeues, replica re-homing).
     fn apply_fault(
         &mut self,
         fault_index: usize,
@@ -1619,18 +1600,18 @@ impl Cluster {
         match kind {
             FaultKind::Kill { device } => self.kill_device(device, now_us, intake, state),
             FaultKind::Drain { device } => self.drain_cluster_device(device, now_us, intake, state),
-            FaultKind::Revive { device } | FaultKind::Undrain { device } => {
-                self.rejoin_device(device)
-            }
-            FaultKind::DegradeLinks { .. } => {} // pricing reads the flag live
+            // Routing and pricing read the fleet flags live.
+            FaultKind::Revive { .. }
+            | FaultKind::Undrain { .. }
+            | FaultKind::DegradeLinks { .. } => {}
         }
     }
 
-    /// The abrupt-death reaction: the device leaves the routing index, its
-    /// running request is abandoned (progress counted as lost work, outcome
-    /// withdrawn, simulation restored for the retry), every queued request
-    /// is displaced, tile timelines rewind, the kernel store is wiped, and
-    /// the replication layer's pushed replicas re-home to survivors.
+    /// The abrupt-death reaction: the device's running request is abandoned
+    /// (progress counted as lost work, outcome withdrawn, simulation
+    /// restored for the retry), every queued request is displaced, tile
+    /// timelines rewind, the kernel store is wiped, and the replication
+    /// layer's pushed replicas re-home to survivors.
     fn kill_device(
         &mut self,
         device: usize,
@@ -1638,7 +1619,6 @@ impl Cluster {
         intake: &[InFlight],
         state: &mut ClusterState<'_>,
     ) {
-        self.load_index.remove(&self.devices[device].load_key());
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
             let tile = base + local;
@@ -1669,10 +1649,9 @@ impl Cluster {
         self.rehome_replicas(device, now_us, state);
     }
 
-    /// The graceful-drain reaction: the device leaves the routing index
-    /// and its queued-but-not-started requests are displaced, but resident
-    /// running work finishes normally and the kernel store stays warm for
-    /// the undrain.
+    /// The graceful-drain reaction: the device's queued-but-not-started
+    /// requests are displaced, but resident running work finishes normally
+    /// and the kernel store stays warm for the undrain.
     fn drain_cluster_device(
         &mut self,
         device: usize,
@@ -1680,7 +1659,6 @@ impl Cluster {
         intake: &[InFlight],
         state: &mut ClusterState<'_>,
     ) {
-        self.load_index.remove(&self.devices[device].load_key());
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
             let tile = base + local;
@@ -1695,20 +1673,6 @@ impl Cluster {
             }
         }
         self.devices[device].pool.evacuate_queues();
-    }
-
-    /// A revive or undrain: the device rejoins the routing index — if it is
-    /// actually serviceable (undraining a still-dead device rejoins
-    /// nothing).
-    fn rejoin_device(&mut self, device: usize) {
-        let available = self
-            .fault
-            .as_ref()
-            .expect("rejoin fires under a fault plan")
-            .available(device);
-        if available {
-            self.load_index.insert(self.devices[device].load_key());
-        }
     }
 
     /// Displacement bookkeeping shared by kill and drain: the losing
@@ -1756,8 +1720,9 @@ impl Cluster {
             else {
                 continue; // no surviving holder to source the image from
             };
-            let Some(target) = self.load_index.iter().map(|&(_, _, id)| id).find(|&id| {
-                !self.devices[id].cache.contains(&key)
+            let Some(target) = self.least_loaded(|id| {
+                self.routable(id)
+                    && !self.devices[id].cache.contains(&key)
                     && self.devices[id].cache.len() < self.devices[id].cache.capacity()
             }) else {
                 continue; // everyone holds it or no store has a free slot
@@ -1825,7 +1790,6 @@ impl Cluster {
             device.dispatcher.reset();
             device.busy_tiles = 0;
         }
-        self.rebuild_load_index();
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
@@ -2061,11 +2025,9 @@ impl Cluster {
                             }
                         }
                     }
-                    // 0. Feed the control plane's rate estimate and push hot
-                    // kernel images ahead of demand; 1. route to a device;
-                    // 2. resolve how the device gets the kernel image;
-                    // 3. place on a tile with the acquisition-adjusted
-                    // switch cost.
+                    // Feed the control plane's rate estimate and push hot
+                    // kernel images ahead of demand, then route to a device
+                    // (resolving how it gets the kernel image).
                     self.replicate(info, now_us, &mut state);
                     let route = state.profiler.begin();
                     let routed = if self.fault.is_some() {
@@ -2078,132 +2040,7 @@ impl Cluster {
                     } else {
                         Some(self.route_device(info, now_us, &mut state.recorder))
                     };
-                    let Some((device, acquisition)) = routed else {
-                        // Every device is dead or draining: nothing can
-                        // admit the arrival. Shed it like an admission
-                        // reject (it is one — the cluster has no capacity).
-                        state.profiler.end(obs::Stage::Route, route);
-                        self.reject_unroutable(index, info, now_us, &mut state);
-                        self.cascade_stage_reject(index, now_us, &intake, &mut state);
-                        continue;
-                    };
-                    // Stage affinity may override the load-driven choice
-                    // with the producer of the heaviest input, and the
-                    // inter-stage activation bill for the final device is
-                    // priced here (both no-ops without a session driver).
-                    let (device, acquisition) =
-                        self.apply_stage_affinity(index, device, acquisition, info, &mut state);
-                    let adjusted = DispatchRequest {
-                        switch_us: info.view.switch_us
-                            + acquisition.cost_us()
-                            + state.activation_us[index],
-                        ..info.view
-                    };
-                    let routed_device = &mut self.devices[device];
-                    let local_tile =
-                        routed_device
-                            .dispatcher
-                            .place(&adjusted, now_us, &routed_device.pool);
-                    state.profiler.end(obs::Stage::Route, route);
-                    let tile = device * self.tiles_per_device + local_tile;
-                    let starts_now = !self.devices[device].pool.states()[local_tile].running;
-                    // The session tier tightens admission to the session's
-                    // weighted-fair share of the limit; `fair` is always
-                    // true on a plain serve, leaving the predicate
-                    // untouched.
-                    let fair = match &state.session {
-                        Some(driver) => driver.fair_admit(index, self.admission_limit),
-                        None => true,
-                    };
-                    let admitted =
-                        starts_now || (self.waiting_count() < self.admission_limit && fair);
-                    if state.recorder.enabled() {
-                        state.recorder.record(obs::TraceEvent {
-                            time_us: now_us,
-                            dur_us: 0.0,
-                            request_id: Some(info.request.id),
-                            device,
-                            tile: None,
-                            kind: obs::SpanKind::Admission { admitted },
-                        });
-                        if let Some(driver) = &state.session {
-                            state.recorder.record(obs::TraceEvent {
-                                time_us: now_us,
-                                dur_us: 0.0,
-                                request_id: Some(info.request.id),
-                                device,
-                                tile: None,
-                                kind: obs::SpanKind::SloAdmit {
-                                    class: driver.slo_of(index),
-                                    admitted,
-                                },
-                            });
-                        }
-                    }
-                    if !admitted {
-                        if state.recorder.enabled() {
-                            state.recorder.record(obs::TraceEvent {
-                                time_us: now_us,
-                                dur_us: 0.0,
-                                request_id: Some(info.request.id),
-                                device,
-                                tile: None,
-                                kind: obs::SpanKind::Reject,
-                            });
-                        }
-                        state.rejected.push(RejectedRequest {
-                            id: info.request.id,
-                            kernel: info.request.kernel.shared_name(),
-                            arrival_us: info.request.arrival_us,
-                            deadline_us: info.request.deadline_us,
-                        });
-                        state.device_rejects[device] += 1;
-                        state.lane_series[device].note_reject(
-                            state
-                                .session
-                                .as_ref()
-                                .map_or(SloClass::Standard, |driver| driver.slo_of(index)),
-                            now_us,
-                        );
-                        self.cascade_stage_reject(index, now_us, &intake, &mut state);
-                        continue;
-                    }
-                    state.acquire_src[index] = (acquisition.label(), acquisition.bytes());
-                    state.acquire_us[index] =
-                        self.commit_acquisition(device, info, acquisition, &mut state);
-                    self.commit_stage_activation(index, device, info, now_us, &mut state);
-                    let memo = state.profiler.begin();
-                    let sourced = state.sim.source(index, info, &mut self.sim_memo, &jobs);
-                    state.profiler.end(obs::Stage::Memo, memo);
-                    match sourced {
-                        SimSourced::Joined => {
-                            state
-                                .recorder
-                                .counter(now_us, device, obs::CounterName::MemoJoin);
-                        }
-                        SimSourced::MemoHit => {
-                            state
-                                .recorder
-                                .counter(now_us, device, obs::CounterName::MemoHit);
-                        }
-                        SimSourced::Spawned => {}
-                    }
-                    if starts_now {
-                        self.start_request(device, local_tile, index, &intake, &mut state, None)?;
-                    } else {
-                        let scan = state.profiler.begin();
-                        self.with_load_update(device, |d| {
-                            d.enqueue(local_tile, info.view.key, info.view.est_exec_us)
-                        });
-                        state.queues[tile].push(index, &info.view);
-                        if let Some(driver) = &mut state.session {
-                            driver.note_enqueued(index);
-                        }
-                        state.profiler.end(obs::Stage::Scan, scan);
-                        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count());
-                        state.device_peak_queue[device] = state.device_peak_queue[device]
-                            .max(self.devices[device].pool.total_waiting());
-                    }
+                    self.place_routed(index, routed, route, Some(&jobs), &intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
                     let device = tile / self.tiles_per_device;
@@ -2229,7 +2066,7 @@ impl Cluster {
                             self.note_stage_complete(index, device, now_us, &intake, &mut state);
                         }
                     }
-                    self.with_load_update(device, |d| d.release(local_tile));
+                    self.devices[device].release(local_tile);
                     if !state.queues[tile].is_empty() {
                         self.start_next(device, local_tile, &intake, &mut state)?;
                     }
@@ -2242,62 +2079,14 @@ impl Cluster {
                     // admitted (and its simulation sourced) at its arrival,
                     // so neither is repeated; only the placement is redone,
                     // avoiding the devices it was displaced off.
-                    let info = &intake[index];
                     let route = state.profiler.begin();
                     let routed = self.route_device_excluding(
-                        info,
+                        &intake[index],
                         now_us,
                         &state.exclusions[index],
                         &mut state.recorder,
                     );
-                    let Some((device, acquisition)) = routed else {
-                        state.profiler.end(obs::Stage::Route, route);
-                        self.reject_unroutable(index, info, now_us, &mut state);
-                        self.cascade_stage_reject(index, now_us, &intake, &mut state);
-                        continue;
-                    };
-                    // A displaced stage re-prices its activations against
-                    // the new device — and against its producers' current
-                    // liveness: inputs whose producer died restore from
-                    // the host checkpoint instead of the link.
-                    let (device, acquisition) =
-                        self.apply_stage_affinity(index, device, acquisition, info, &mut state);
-                    let adjusted = DispatchRequest {
-                        switch_us: info.view.switch_us
-                            + acquisition.cost_us()
-                            + state.activation_us[index],
-                        ..info.view
-                    };
-                    let routed_device = &mut self.devices[device];
-                    let local_tile =
-                        routed_device
-                            .dispatcher
-                            .place(&adjusted, now_us, &routed_device.pool);
-                    state.profiler.end(obs::Stage::Route, route);
-                    let tile = device * self.tiles_per_device + local_tile;
-                    let starts_now = !self.devices[device].pool.states()[local_tile].running;
-                    state.acquire_src[index] = (acquisition.label(), acquisition.bytes());
-                    state.acquire_us[index] =
-                        self.commit_acquisition(device, info, acquisition, &mut state);
-                    self.commit_stage_activation(index, device, info, now_us, &mut state);
-                    // A started-then-killed request may still carry the
-                    // taken flag from its first life; clear it so the new
-                    // queue entry is live.
-                    state.taken[index] = false;
-                    if starts_now {
-                        self.start_request(device, local_tile, index, &intake, &mut state, None)?;
-                    } else {
-                        self.with_load_update(device, |d| {
-                            d.enqueue(local_tile, info.view.key, info.view.est_exec_us)
-                        });
-                        state.queues[tile].push(index, &info.view);
-                        if let Some(driver) = &mut state.session {
-                            driver.note_enqueued(index);
-                        }
-                        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count());
-                        state.device_peak_queue[device] = state.device_peak_queue[device]
-                            .max(self.devices[device].pool.total_waiting());
-                    }
+                    self.place_routed(index, routed, route, None, &intake, &mut state)?;
                 }
             }
         }
@@ -2355,6 +2144,177 @@ impl Cluster {
             telemetry,
             slo,
         })
+    }
+
+    /// What happens to a request once routing has answered — the tail a
+    /// fresh arrival and a displaced requeue share: 1. stage affinity may
+    /// override the device; 2. the device's dispatcher places the request
+    /// on a tile with the acquisition-adjusted switch cost; 3. the
+    /// acquisition and activation are committed; 4. the request starts, or
+    /// joins the tile's queue. `jobs` carries the sim worker channels of a
+    /// *fresh* arrival, which on the way must also pass admission control
+    /// and source its simulation; a requeued request (`None`) did both at
+    /// its first arrival and repeats neither. `route` is the caller's open
+    /// `Route` profiler probe, closed here once the tile is known.
+    fn place_routed(
+        &mut self,
+        index: usize,
+        routed: Option<(usize, Acquisition)>,
+        route: Option<Instant>,
+        jobs: Option<&[mpsc::Sender<SimJob>]>,
+        intake: &[InFlight],
+        state: &mut ClusterState<'_>,
+    ) -> Result<(), RuntimeError> {
+        let now_us = state.events.now_us();
+        let info = &intake[index];
+        let Some((device, acquisition)) = routed else {
+            // Every device is dead or draining: nothing can take the
+            // request. Shed it like an admission reject (it is one — the
+            // cluster has no capacity).
+            state.profiler.end(obs::Stage::Route, route);
+            self.reject_unroutable(index, info, now_us, state);
+            self.cascade_stage_reject(index, now_us, intake, state);
+            return Ok(());
+        };
+        // Stage affinity may override the load-driven choice with the
+        // producer of the heaviest input, and the inter-stage activation
+        // bill for the final device is priced here (both no-ops without a
+        // session driver). A displaced stage re-prices against its
+        // producers' current liveness: inputs whose producer died restore
+        // from the host checkpoint instead of the link.
+        let (device, acquisition) =
+            self.apply_stage_affinity(index, device, acquisition, info, state);
+        let adjusted = DispatchRequest {
+            switch_us: info.view.switch_us + acquisition.cost_us() + state.activation_us[index],
+            ..info.view
+        };
+        let routed_device = &mut self.devices[device];
+        let local_tile = routed_device
+            .dispatcher
+            .place(&adjusted, now_us, &routed_device.pool);
+        state.profiler.end(obs::Stage::Route, route);
+        let tile = device * self.tiles_per_device + local_tile;
+        let starts_now = !self.devices[device].pool.states()[local_tile].running;
+        if jobs.is_some() && !self.admit(index, device, starts_now, intake, state) {
+            return Ok(());
+        }
+        state.acquire_src[index] = (acquisition.label(), acquisition.bytes());
+        state.acquire_us[index] = self.commit_acquisition(device, info, acquisition, state);
+        self.commit_stage_activation(index, device, info, now_us, state);
+        match jobs {
+            Some(jobs) => {
+                let memo = state.profiler.begin();
+                let sourced = state.sim.source(index, info, &mut self.sim_memo, jobs);
+                state.profiler.end(obs::Stage::Memo, memo);
+                match sourced {
+                    SimSourced::Joined => {
+                        state
+                            .recorder
+                            .counter(now_us, device, obs::CounterName::MemoJoin);
+                    }
+                    SimSourced::MemoHit => {
+                        state
+                            .recorder
+                            .counter(now_us, device, obs::CounterName::MemoHit);
+                    }
+                    SimSourced::Spawned => {}
+                }
+            }
+            // A started-then-killed request may still carry the taken flag
+            // from its first life; clear it so the new queue entry is live.
+            None => state.taken[index] = false,
+        }
+        if starts_now {
+            return self.start_request(device, local_tile, index, intake, state, None);
+        }
+        let scan = state.profiler.begin();
+        self.devices[device].enqueue(local_tile, info.view.key, info.view.est_exec_us);
+        state.queues[tile].push(index, &info.view);
+        if let Some(driver) = &mut state.session {
+            driver.note_enqueued(index);
+        }
+        state.profiler.end(obs::Stage::Scan, scan);
+        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count());
+        state.device_peak_queue[device] =
+            state.device_peak_queue[device].max(self.devices[device].pool.total_waiting());
+        Ok(())
+    }
+
+    /// Admission control for a fresh arrival placed on `device`: a request
+    /// that starts at once is always admitted; one that would queue is
+    /// admitted while the cluster-wide waiting count is under the limit —
+    /// tightened, on a pipeline serve, to the session's weighted-fair share
+    /// of it. Records the decision, and on a refusal the reject itself
+    /// (with the session tier's cascade). Returns whether it was admitted.
+    fn admit(
+        &self,
+        index: usize,
+        device: usize,
+        starts_now: bool,
+        intake: &[InFlight],
+        state: &mut ClusterState<'_>,
+    ) -> bool {
+        let now_us = state.events.now_us();
+        let info = &intake[index];
+        // `fair` is always true on a plain serve, leaving the predicate
+        // untouched.
+        let fair = match &state.session {
+            Some(driver) => driver.fair_admit(index, self.admission_limit),
+            None => true,
+        };
+        let admitted = starts_now || (self.waiting_count() < self.admission_limit && fair);
+        if state.recorder.enabled() {
+            state.recorder.record(obs::TraceEvent {
+                time_us: now_us,
+                dur_us: 0.0,
+                request_id: Some(info.request.id),
+                device,
+                tile: None,
+                kind: obs::SpanKind::Admission { admitted },
+            });
+            if let Some(driver) = &state.session {
+                state.recorder.record(obs::TraceEvent {
+                    time_us: now_us,
+                    dur_us: 0.0,
+                    request_id: Some(info.request.id),
+                    device,
+                    tile: None,
+                    kind: obs::SpanKind::SloAdmit {
+                        class: driver.slo_of(index),
+                        admitted,
+                    },
+                });
+            }
+        }
+        if admitted {
+            return true;
+        }
+        if state.recorder.enabled() {
+            state.recorder.record(obs::TraceEvent {
+                time_us: now_us,
+                dur_us: 0.0,
+                request_id: Some(info.request.id),
+                device,
+                tile: None,
+                kind: obs::SpanKind::Reject,
+            });
+        }
+        state.rejected.push(RejectedRequest {
+            id: info.request.id,
+            kernel: info.request.kernel.shared_name(),
+            arrival_us: info.request.arrival_us,
+            deadline_us: info.request.deadline_us,
+        });
+        state.device_rejects[device] += 1;
+        state.lane_series[device].note_reject(
+            state
+                .session
+                .as_ref()
+                .map_or(SloClass::Standard, |driver| driver.slo_of(index)),
+            now_us,
+        );
+        self.cascade_stage_reject(index, now_us, intake, state);
+        false
     }
 
     /// Pulls the next queued request off a freed tile's queue and starts it
@@ -2445,20 +2405,18 @@ impl Cluster {
         // serve; a request whose tile does not switch pays none of them.
         let switch_us = info.view.switch_us + state.acquire_us[index] + state.activation_us[index];
         let charged = match from_queue {
-            Some((est_us, remaining_tail)) => self.with_load_update(device, |d| {
-                d.start_queued(
-                    local_tile,
-                    est_us,
-                    remaining_tail,
-                    info.view.key,
-                    now_us,
-                    switch_us,
-                    exec_us,
-                )
-            }),
-            None => self.with_load_update(device, |d| {
-                d.charge(local_tile, info.view.key, now_us, switch_us, exec_us)
-            }),
+            Some((est_us, remaining_tail)) => self.devices[device].start_queued(
+                local_tile,
+                est_us,
+                remaining_tail,
+                info.view.key,
+                now_us,
+                switch_us,
+                exec_us,
+            ),
+            None => {
+                self.devices[device].charge(local_tile, info.view.key, now_us, switch_us, exec_us)
+            }
         };
         state.batcher.note_start(
             device * self.tiles_per_device + local_tile,
@@ -2538,9 +2496,8 @@ impl Cluster {
     /// Folds the loop output into cluster totals plus the per-device
     /// breakdown. Counters and sums are one pass over the outcomes in
     /// submission order (bitwise-matching `Runtime::aggregate` for one
-    /// device); the cluster latency percentiles are rolled up from the
-    /// per-device sorted runs through the merge path — no re-sort of the
-    /// union.
+    /// device); cluster and per-device latency percentiles both come from
+    /// selection, not a sort.
     fn aggregate(
         &self,
         output: &ClusterLoopOutput,
@@ -2556,6 +2513,7 @@ impl Cluster {
         let mut max_latency_us = 0.0_f64;
         let mut deadline_misses = 0usize;
         let mut deadline_requests = 0usize;
+        let mut latencies: Vec<f64> = Vec::with_capacity(requests);
         let mut device_latencies: Vec<Vec<f64>> = vec![Vec::new(); devices];
         let mut device_latency_sum = vec![0.0_f64; devices];
         let mut device_max_latency = vec![0.0_f64; devices];
@@ -2568,6 +2526,7 @@ impl Cluster {
             max_latency_us = max_latency_us.max(outcome.latency_us);
             deadline_misses += usize::from(outcome.missed_deadline);
             deadline_requests += usize::from(outcome.deadline_us.is_some());
+            latencies.push(outcome.latency_us);
             let device = outcome.device;
             device_latencies[device].push(outcome.latency_us);
             device_latency_sum[device] += outcome.latency_us;
@@ -2575,12 +2534,8 @@ impl Cluster {
             device_deadline_misses[device] += usize::from(outcome.missed_deadline);
             device_deadline_requests[device] += usize::from(outcome.deadline_us.is_some());
         }
-        for latencies in &mut device_latencies {
-            latencies.sort_by(f64::total_cmp);
-        }
-        let sorted_parts: Vec<&[f64]> = device_latencies.iter().map(Vec::as_slice).collect();
-        let p50_latency_us = metrics::percentile_from_sorted_parts(&sorted_parts, 0.50);
-        let p99_latency_us = metrics::percentile_from_sorted_parts(&sorted_parts, 0.99);
+        let p50_latency_us = metrics::percentile_by_selection(&mut latencies, 0.50);
+        let p99_latency_us = metrics::percentile_by_selection(&mut latencies, 0.99);
         let mean_latency_us = latency_sum / requests.max(1) as f64;
         let per_second = if makespan_us > 0.0 {
             1.0e6 / makespan_us
@@ -2598,17 +2553,17 @@ impl Cluster {
         let device_metrics: Vec<DeviceMetrics> = self
             .devices
             .iter()
-            .enumerate()
-            .map(|(id, device)| {
+            .zip(&mut device_latencies)
+            .map(|(device, latencies)| {
+                let id = device.id;
                 let states = device.pool.states();
-                let served = device_latencies[id].len();
-                let part: &[f64] = &device_latencies[id];
+                let served = latencies.len();
                 DeviceMetrics {
                     device: id,
                     requests: served,
                     mean_latency_us: device_latency_sum[id] / served.max(1) as f64,
-                    p50_latency_us: metrics::percentile_from_sorted_parts(&[part], 0.50),
-                    p99_latency_us: metrics::percentile_from_sorted_parts(&[part], 0.99),
+                    p50_latency_us: metrics::percentile_by_selection(latencies, 0.50),
+                    p99_latency_us: metrics::percentile_by_selection(latencies, 0.99),
                     max_latency_us: device_max_latency[id],
                     switch_count: states.iter().map(|s| s.switches).sum(),
                     total_switch_us: states.iter().map(|s| s.switch_us).sum(),

@@ -159,7 +159,6 @@ impl Cluster {
             device.dispatcher.reset();
             device.busy_tiles = 0;
         }
-        self.rebuild_load_index();
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
@@ -314,7 +313,6 @@ impl Cluster {
                 .map(|lane| std::mem::replace(&mut lane.memo, SimMemo::new(0)))
                 .collect(),
         );
-        self.rebuild_load_index();
 
         let lane_error = lanes
             .iter_mut()

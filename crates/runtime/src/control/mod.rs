@@ -16,7 +16,7 @@
 //!   capped at `max_batch` and bypassed requests are protected by a
 //!   staleness bound and (for deadline carriers) a feasibility check — EDF
 //!   deadlines still win when slack runs out. Composes with all four
-//!   dispatch policies and both scan modes.
+//!   dispatch policies.
 //! * **[`Replicator`](replicator::Replicator)** ([`ReplicationConfig`]) —
 //!   driven by a per-kernel request-rate EWMA ([`RateEstimator`]) fed from
 //!   the cluster routing tier (which sees every submission): a kernel whose

@@ -20,31 +20,24 @@
 //!    switch) is correctly seen as less urgent than one that must pay a
 //!    reload first.
 //!
-//! # Indexed vs linear-reference scanning
+//! # Indexed decisions, linear references
 //!
-//! Both decisions have two interchangeable implementations selected by
-//! [`ScanMode`]:
+//! Placement is answered from the [`TilePool`]'s residency index in
+//! O(log n), and tile queues drain through [`TileQueue`] — a per-policy
+//! ordered structure (FIFO deque, deadline min-heap, or per-kernel slack
+//! buckets) that pops in O(log depth) instead of an O(depth)
+//! scan-and-remove. The event loops have no other path.
 //!
-//! * [`ScanMode::Indexed`] (the default) answers placement from the
-//!   [`TilePool`]'s residency index in O(log n) and drains tile queues
-//!   through [`TileQueue`] — a per-policy ordered structure (FIFO deque,
-//!   deadline min-heap, or per-kernel slack buckets) that replaces the
-//!   per-event O(depth) scan-and-remove;
-//! * [`ScanMode::LinearReference`] retains the original O(tiles)-per-arrival
-//!   and O(depth)-per-free-event scans as the equivalence oracle for the
-//!   property tests and the *before* cost model of the scalability
-//!   benchmark. Its costs are the pre-index runtime's; its decisions match
-//!   today's semantics — which differ from the pre-index runtime in exactly
-//!   one deliberate way: [`SlackAware`](DispatchPolicy::SlackAware) ties on
-//!   *exactly* equal adjusted slack now prefer the request needing no
-//!   switch over pure FIFO order (both paths compare the same
-//!   `(adjusted, base, position)` key, which keeps the scan and the
-//!   incremental heaps bit-for-bit agreed without floating-point
-//!   re-association hazards).
+//! The original linear scans survive only as decision-level references the
+//! unit tests compare against, one decision at a time:
+//! `Dispatcher::earliest_completion_linear` (test-only) for placement and
+//! [`Dispatcher::select_next`] for queue ordering. [`SlackAware`] ties on
+//! *exactly* equal adjusted slack prefer the request needing no switch over
+//! pure FIFO order; the reference and the incremental heaps compare the
+//! same `(adjusted, base, position)` key, which keeps them bit-for-bit
+//! agreed without floating-point re-association hazards.
 //!
-//! Both modes make identical decisions on every trace; the property suite
-//! (`tests/runtime_equivalence.rs`) proves it on randomized traces across
-//! all four policies.
+//! [`SlackAware`]: DispatchPolicy::SlackAware
 //!
 //! During a pipeline serve ([`Cluster::serve_pipelines`]) each stage of a
 //! [`PipelineRequest`](crate::PipelineRequest) flows through these same two
@@ -63,7 +56,7 @@
 //! in the request's span timeline — the queue it joined as `QueueWait`, the
 //! switch it paid as `ContextSwitch` — so the per-policy cost *and* effect
 //! are both visible in one trace. `tests/observability.rs` pins that the
-//! instrumentation never perturbs a decision in either scan mode.
+//! instrumentation never perturbs a decision.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -125,29 +118,6 @@ impl fmt::Display for DispatchPolicy {
     }
 }
 
-/// Which implementation answers the dispatcher's per-event queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanMode {
-    /// Incremental indexes: O(log n) placement against the pool's residency
-    /// index, O(log depth) queue pops through [`TileQueue`].
-    #[default]
-    Indexed,
-    /// The retained pre-index implementation: O(tiles) linear scan per
-    /// placement, O(depth) queue scan and remove per tile-free event, and
-    /// O(tiles) `total_waiting` recomputation per event. Kept as the
-    /// equivalence oracle and benchmark baseline.
-    LinearReference,
-}
-
-impl fmt::Display for ScanMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScanMode::Indexed => f.write_str("indexed"),
-            ScanMode::LinearReference => f.write_str("linear"),
-        }
-    }
-}
-
 /// One admitted request as the dispatcher sees it at an event: its kernel
 /// identity plus the modeled cost estimates decisions are made from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,39 +174,25 @@ impl DispatchRequest {
 }
 
 /// Makes per-event placement and queue-ordering decisions under a
-/// [`DispatchPolicy`], via the [`ScanMode`] implementation.
+/// [`DispatchPolicy`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dispatcher {
     policy: DispatchPolicy,
-    scan: ScanMode,
     next_tile: usize,
 }
 
 impl Dispatcher {
-    /// A dispatcher using `policy` with indexed scanning.
+    /// A dispatcher using `policy`.
     pub fn new(policy: DispatchPolicy) -> Self {
         Dispatcher {
             policy,
-            scan: ScanMode::default(),
             next_tile: 0,
         }
-    }
-
-    /// Sets the scan mode.
-    #[must_use]
-    pub fn with_scan_mode(mut self, scan: ScanMode) -> Self {
-        self.scan = scan;
-        self
     }
 
     /// The active policy.
     pub fn policy(&self) -> DispatchPolicy {
         self.policy
-    }
-
-    /// The active scan mode.
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan
     }
 
     /// Clears per-serve state (the round-robin cursor).
@@ -256,21 +212,16 @@ impl Dispatcher {
             }
             DispatchPolicy::KernelAffinity
             | DispatchPolicy::EarliestDeadlineFirst
-            | DispatchPolicy::SlackAware => match self.scan {
-                ScanMode::Indexed => pool.place_earliest_indexed(
-                    request.key,
-                    request.est_exec_us,
-                    request.switch_us,
-                    now_us,
-                ),
-                ScanMode::LinearReference => {
-                    Self::earliest_completion_linear(request, now_us, pool)
-                }
-            },
+            | DispatchPolicy::SlackAware => pool.place_earliest_indexed(
+                request.key,
+                request.est_exec_us,
+                request.switch_us,
+                now_us,
+            ),
         }
     }
 
-    /// The retained linear-scan reference for earliest-completion placement:
+    /// The linear-scan reference for earliest-completion placement:
     /// every tile's completion for `request` is estimated as its backlog
     /// (running + queued work) plus any required context switch against the
     /// kernel the tile will be hosting once that backlog drains. Completion
@@ -280,8 +231,9 @@ impl Dispatcher {
     /// gratuitously, and decisions stay deterministic.
     ///
     /// [`TilePool::place_earliest_indexed`] answers the same query from the
-    /// residency index in O(log n); the equivalence property tests hold the
-    /// two to identical answers.
+    /// residency index in O(log n); the unit tests hold the two to identical
+    /// answers on every decision.
+    #[cfg(test)]
     pub(crate) fn earliest_completion_linear(
         request: &DispatchRequest,
         now_us: f64,
@@ -303,16 +255,16 @@ impl Dispatcher {
         best.3
     }
 
-    /// The retained linear-scan queue-ordering reference, used by the
-    /// [`ScanMode::LinearReference`] event loop: the position in `queue`
+    /// The linear-scan queue-ordering reference: the position in `queue`
     /// (held in submission order) of the request `tile` should run next.
     ///
     /// Returns 0 (FIFO) for the deadline-blind policies and for an empty
     /// queue; EDF picks the tightest deadline, slack-aware the least
     /// [`slack`](DispatchRequest::slack_us) (ties prefer the request whose
     /// kernel is already resident). Exact ties fall back to FIFO.
-    /// [`TileQueue`] answers the same query from an incrementally-ordered
-    /// structure.
+    /// The event loops answer the same query from `TileQueue`'s
+    /// incrementally-ordered structure; the unit tests hold the two to
+    /// identical answers.
     pub fn select_next(&self, tile: &TileState, queue: &[DispatchRequest]) -> usize {
         match self.policy {
             DispatchPolicy::KernelAffinity | DispatchPolicy::RoundRobin => 0,
@@ -342,7 +294,7 @@ impl Dispatcher {
     }
 }
 
-/// One tile's waiting queue under [`ScanMode::Indexed`]: an
+/// One tile's waiting queue: an
 /// insertion-ordered deque (for FIFO draining and the residency-projection
 /// tail query) plus a policy-specific ordered structure so the next request
 /// pops in O(log depth) instead of an O(depth) scan-and-remove.
@@ -615,6 +567,25 @@ mod tests {
         TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, tiles).unwrap()
     }
 
+    /// `dispatcher`'s placement of `request` — checked, for the
+    /// earliest-completion policies, against the linear reference on the way.
+    fn place_checked(
+        dispatcher: &mut Dispatcher,
+        request: &DispatchRequest,
+        now_us: f64,
+        pool: &TilePool,
+    ) -> usize {
+        let tile = dispatcher.place(request, now_us, pool);
+        if dispatcher.policy() != DispatchPolicy::RoundRobin {
+            assert_eq!(
+                tile,
+                Dispatcher::earliest_completion_linear(request, now_us, pool),
+                "indexed placement diverged from the linear reference"
+            );
+        }
+        tile
+    }
+
     /// Replays a trace through place + charge + release, as the event loop
     /// would with every tile draining instantly (no queueing).
     fn place_all(
@@ -629,7 +600,7 @@ mod tests {
                     p.release(tile);
                 }
             }
-            let tile = dispatcher.place(req, *arrival, &p);
+            let tile = place_checked(dispatcher, req, *arrival, &p);
             p.charge(tile, req.key, *arrival, req.switch_us, req.est_exec_us);
             tiles.push(tile);
         }
@@ -666,27 +637,22 @@ mod tests {
 
     /// With arrivals spaced out (no queueing pressure), affinity placement
     /// settles into one tile per kernel and only ever pays the cold-start
-    /// switches — under both scan modes.
+    /// switches.
     #[test]
     fn affinity_pins_kernels_when_tiles_are_not_contended() {
         let trace: Vec<(f64, DispatchRequest)> = (0..16u64)
             .map(|i| (i as f64 * 50.0, request(i % 2)))
             .collect();
-        for scan in [ScanMode::Indexed, ScanMode::LinearReference] {
-            let mut dispatcher =
-                Dispatcher::new(DispatchPolicy::KernelAffinity).with_scan_mode(scan);
-            let (p, tiles) = place_all(&mut dispatcher, &trace);
-            let switches: usize = p.states().iter().map(|s| s.switches).sum();
-            assert_eq!(
-                switches, 2,
-                "{scan}: one cold start per kernel, then pinned"
-            );
-            assert_eq!(tiles[0], 0, "{scan}: first kernel takes the lowest index");
-        }
+        let mut dispatcher = Dispatcher::new(DispatchPolicy::KernelAffinity);
+        let (p, tiles) = place_all(&mut dispatcher, &trace);
+        let switches: usize = p.states().iter().map(|s| s.switches).sum();
+        assert_eq!(switches, 2, "one cold start per kernel, then pinned");
+        assert_eq!(tiles[0], 0, "first kernel takes the lowest index");
     }
 
     /// Indexed and linear placement agree on every decision of an
-    /// interleaved, contended trace.
+    /// interleaved, contended trace (switch costs at both the instruction-
+    /// reload and the PCAP scale).
     #[test]
     fn scan_modes_place_identically() {
         let trace: Vec<(f64, DispatchRequest)> = (0..64u64)
@@ -697,13 +663,8 @@ mod tests {
                 (i as f64 * 3.0, req)
             })
             .collect();
-        let (_, indexed) = place_all(&mut Dispatcher::new(DispatchPolicy::KernelAffinity), &trace);
-        let (_, linear) = place_all(
-            &mut Dispatcher::new(DispatchPolicy::KernelAffinity)
-                .with_scan_mode(ScanMode::LinearReference),
-            &trace,
-        );
-        assert_eq!(indexed, linear);
+        // `place_all` holds every decision to the linear reference.
+        place_all(&mut Dispatcher::new(DispatchPolicy::KernelAffinity), &trace);
     }
 
     #[test]
@@ -716,14 +677,10 @@ mod tests {
             switch_us: 1000.0,
             deadline_us: None,
         };
-        for scan in [ScanMode::Indexed, ScanMode::LinearReference] {
-            let mut p = pool(2);
-            p.charge(0, key(1), 0.0, 0.0, 5.0);
-            let tile = Dispatcher::new(DispatchPolicy::KernelAffinity)
-                .with_scan_mode(scan)
-                .place(&expensive, 0.0, &p);
-            assert_eq!(tile, 0, "{scan}");
-        }
+        let mut p = pool(2);
+        p.charge(0, key(1), 0.0, 0.0, 5.0);
+        let mut dispatcher = Dispatcher::new(DispatchPolicy::KernelAffinity);
+        assert_eq!(place_checked(&mut dispatcher, &expensive, 0.0, &p), 0);
     }
 
     #[test]
@@ -732,17 +689,17 @@ mod tests {
         // with kernel 2 last in line; tile 1 is idle and cold. The queue
         // makes tile 1's cold start the earlier completion, and tile 0's
         // projected resident (kernel 2) means kernel 1 would switch anyway.
-        for scan in [ScanMode::Indexed, ScanMode::LinearReference] {
-            let mut p = pool(2);
-            p.charge(0, key(1), 0.0, 0.0, 1.0);
-            for fp in [1, 1, 2] {
-                p.enqueue(0, key(fp), 10.0);
-            }
-            let tile = Dispatcher::new(DispatchPolicy::KernelAffinity)
-                .with_scan_mode(scan)
-                .place(&request(1), 0.0, &p);
-            assert_eq!(tile, 1, "{scan}: queued backlog outweighs residency");
+        let mut p = pool(2);
+        p.charge(0, key(1), 0.0, 0.0, 1.0);
+        for fp in [1, 1, 2] {
+            p.enqueue(0, key(fp), 10.0);
         }
+        let mut dispatcher = Dispatcher::new(DispatchPolicy::KernelAffinity);
+        assert_eq!(
+            place_checked(&mut dispatcher, &request(1), 0.0, &p),
+            1,
+            "queued backlog outweighs residency"
+        );
     }
 
     #[test]
@@ -839,7 +796,9 @@ mod tests {
     }
 
     /// The indexed tile queue pops the same request the linear argmin picks,
-    /// across policies, including after mid-queue removals.
+    /// across policies, including after mid-queue removals — and its
+    /// per-kernel FIFO (the batcher's divert candidate) names the first
+    /// linear position holding that kernel, however the `take`s interleave.
     #[test]
     fn tile_queue_matches_the_linear_selection_reference() {
         let mut p = pool(1);
@@ -863,19 +822,43 @@ mod tests {
             // Mirror of the linear queue: (intake index, view), FIFO order.
             let mut linear: Vec<(usize, DispatchRequest)> =
                 views.iter().copied().enumerate().collect();
+            let mut step = 0;
             while !queue.is_empty() {
-                let linear_views: Vec<DispatchRequest> =
-                    linear.iter().map(|&(_, view)| view).collect();
-                let position = dispatcher.select_next(&p.states()[0], &linear_views);
-                let (expected, _) = linear.remove(position);
-                let got = queue.pop_next(p.states()[0].resident, &mut taken);
-                assert_eq!(got, expected, "{policy} diverged");
+                for fingerprint in 0..5 {
+                    let oldest = linear
+                        .iter()
+                        .find(|(_, view)| view.key == key(fingerprint))
+                        .map(|&(index, _)| index);
+                    assert_eq!(
+                        queue.oldest_for_kernel(key(fingerprint), &taken),
+                        oldest,
+                        "{policy} oldest waiter of kernel {fingerprint} diverged"
+                    );
+                }
+                // Every other step is a batching divert: the oldest waiter
+                // of the resident kernel jumps the policy's choice.
+                let diverted = (step % 2 == 1)
+                    .then(|| linear.iter().position(|(_, view)| view.key == key(2)))
+                    .flatten();
+                step += 1;
+                if let Some(position) = diverted {
+                    let (index, _) = linear.remove(position);
+                    queue.take(index, &mut taken);
+                } else {
+                    let linear_views: Vec<DispatchRequest> =
+                        linear.iter().map(|&(_, view)| view).collect();
+                    let position = dispatcher.select_next(&p.states()[0], &linear_views);
+                    let (expected, _) = linear.remove(position);
+                    let got = queue.pop_next(p.states()[0].resident, &mut taken);
+                    assert_eq!(got, expected, "{policy} diverged");
+                }
                 assert_eq!(
                     queue.tail_key(&taken),
                     linear.last().map(|&(_, view)| view.key),
                     "{policy} tail projection diverged"
                 );
             }
+            assert_eq!(queue.oldest_for_kernel(key(2), &taken), None);
         }
     }
 
@@ -891,8 +874,5 @@ mod tests {
             Dispatcher::default().policy(),
             DispatchPolicy::KernelAffinity
         );
-        assert_eq!(Dispatcher::default().scan_mode(), ScanMode::Indexed);
-        assert_eq!(ScanMode::Indexed.to_string(), "indexed");
-        assert_eq!(ScanMode::LinearReference.to_string(), "linear");
     }
 }

@@ -17,7 +17,7 @@
 //!   [`Replicator`](crate::ReplicationConfig)'s replicas re-home to a
 //!   surviving holder.
 //! * **[`Drain`](FaultKind::Drain)** — graceful: the device stops admitting
-//!   (it leaves the routing load index and every policy skips it) but
+//!   (every routing policy skips it) but
 //!   running work finishes; queued-but-not-started requests requeue
 //!   elsewhere. The rolling-upgrade primitive.
 //! * **[`Revive`](FaultKind::Revive)** / **[`Undrain`](FaultKind::Undrain)**
@@ -294,7 +294,7 @@ impl FaultState {
     /// Applies fault `index` of the schedule at virtual time `now_us`,
     /// flipping the fleet flags and the availability accounting. The caller
     /// (the cluster loop) performs the structural reaction — requeues,
-    /// store wipes, load-index surgery — based on the returned kind.
+    /// store wipes — based on the returned kind.
     pub(crate) fn apply(&mut self, index: usize, now_us: f64) -> FaultKind {
         let kind = self.events[index].kind;
         match kind {

@@ -24,9 +24,7 @@
 //!   [`DispatchPolicy::SlackAware`] drain tile queues by deadline urgency.
 //!   Placement consults the [`TilePool`]'s **residency index** in O(log n)
 //!   instead of scanning every tile, and queue draining pops from per-tile
-//!   ordered structures instead of scanning every waiter — with
-//!   [`ScanMode::LinearReference`] retaining the original scans as an
-//!   equivalence oracle and benchmark baseline;
+//!   ordered structures instead of scanning every waiter;
 //! * [`TilePool`] — N replicated tiles (from [`overlay_arch::Tile`] /
 //!   [`overlay_arch::NocConfig`]), each hosting one resident kernel plus a
 //!   live queue, indexed by residency and backlog;
@@ -119,7 +117,7 @@ pub use obs::{
 use cache::FnvHashMap;
 pub use cluster::{Cluster, ClusterReport, Device};
 pub use control::{BatchConfig, RateEstimator, ReplicationConfig};
-pub use dispatch::{DispatchPolicy, DispatchRequest, Dispatcher, ScanMode};
+pub use dispatch::{DispatchPolicy, DispatchRequest, Dispatcher};
 pub use error::RuntimeError;
 pub use fault::scenario::{FlashCrowd, Scenario, ScenarioArrival, ScenarioConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
@@ -135,7 +133,6 @@ pub use session::{
 };
 pub use submit::{SubmitError, Submitter};
 
-use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
 use std::thread;
 
@@ -770,27 +767,11 @@ impl SubmissionPull {
     }
 }
 
-/// The per-tile waiting queues, in the shape the active [`ScanMode`] needs:
-/// ordered index structures, or the plain FIFO deques the linear-reference
-/// scan-and-remove path works over.
-enum TileQueues {
-    Indexed(Vec<TileQueue>),
-    Linear(Vec<VecDeque<usize>>),
-}
-
-impl TileQueues {
-    fn is_empty(&self, tile: usize) -> bool {
-        match self {
-            TileQueues::Indexed(queues) => queues[tile].is_empty(),
-            TileQueues::Linear(queues) => queues[tile].is_empty(),
-        }
-    }
-}
-
 /// Mutable event-loop state, separate from the `Runtime` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint.
 struct OnlineState<'a> {
-    queues: TileQueues,
+    /// The per-tile waiting queues, ordered for the dispatch policy.
+    queues: Vec<TileQueue>,
     /// Per intake index: logically removed from its tile queue (the ordered
     /// structures drop flagged entries lazily).
     taken: Vec<bool>,
@@ -911,20 +892,7 @@ impl Runtime {
     /// Sets the dispatch policy.
     #[must_use]
     pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        let scan = self.dispatcher.scan_mode();
-        self.dispatcher = Dispatcher::new(policy).with_scan_mode(scan);
-        self
-    }
-
-    /// Sets the scan mode: [`ScanMode::Indexed`] (the default) answers
-    /// placement and queue ordering from incremental indexes;
-    /// [`ScanMode::LinearReference`] retains the original per-event scans as
-    /// an equivalence oracle and benchmark baseline. Both modes make
-    /// identical decisions on every trace.
-    #[must_use]
-    pub fn with_scan_mode(mut self, scan: ScanMode) -> Self {
-        self.dispatcher = self.dispatcher.with_scan_mode(scan);
-        self.pool.set_indexing(scan == ScanMode::Indexed);
+        self.dispatcher = Dispatcher::new(policy);
         self
     }
 
@@ -1056,11 +1024,6 @@ impl Runtime {
     /// The active dispatch policy.
     pub fn policy(&self) -> DispatchPolicy {
         self.dispatcher.policy()
-    }
-
-    /// The active scan mode.
-    pub fn scan_mode(&self) -> ScanMode {
-        self.dispatcher.scan_mode()
     }
 
     /// The bound of the streaming ingest channel.
@@ -1216,17 +1179,6 @@ impl Runtime {
         })
     }
 
-    /// The pool-wide waiting count (admission control's bound and the
-    /// queue-area integrand), via the O(1) maintained counter under
-    /// [`ScanMode::Indexed`] or the retained O(tiles) recomputation under
-    /// [`ScanMode::LinearReference`].
-    fn waiting_count(&self) -> usize {
-        match self.dispatcher.scan_mode() {
-            ScanMode::Indexed => self.pool.total_waiting(),
-            ScanMode::LinearReference => self.pool.total_waiting_scan(),
-        }
-    }
-
     /// The discrete-event core: pulls submissions from `ingest`, fires
     /// arrival/tile-free events in virtual-time order, and returns the
     /// per-request outcomes.
@@ -1246,14 +1198,9 @@ impl Runtime {
         let tiles = self.pool.num_tiles();
         let mut intake: Vec<InFlight> = Vec::new();
         let mut state = OnlineState {
-            queues: match self.dispatcher.scan_mode() {
-                ScanMode::Indexed => TileQueues::Indexed(
-                    (0..tiles)
-                        .map(|_| TileQueue::new(self.dispatcher.policy(), self.batching.enabled()))
-                        .collect(),
-                ),
-                ScanMode::LinearReference => TileQueues::Linear(vec![VecDeque::new(); tiles]),
-            },
+            queues: (0..tiles)
+                .map(|_| TileQueue::new(self.dispatcher.policy(), self.batching.enabled()))
+                .collect(),
             taken: Vec::new(),
             events: EventQueue::new(),
             outcome_slots: Vec::new(),
@@ -1332,7 +1279,7 @@ impl Runtime {
             };
             let now_us = event.time_us;
             let bookkeeping = state.profiler.begin();
-            let waiting = self.waiting_count();
+            let waiting = self.pool.total_waiting();
             state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
             state.queue_depth_hist.record(waiting as f64);
             state
@@ -1352,7 +1299,7 @@ impl Runtime {
                     // admitted, one that would join a queue already holding
                     // `admission_limit` waiters pool-wide is rejected.
                     let starts_now = !self.pool.states()[tile].running;
-                    let admitted = starts_now || self.waiting_count() < self.admission_limit;
+                    let admitted = starts_now || self.pool.total_waiting() < self.admission_limit;
                     if state.recorder.enabled() {
                         state.recorder.record(obs::TraceEvent {
                             time_us: now_us,
@@ -1410,17 +1357,15 @@ impl Runtime {
                         let scan = state.profiler.begin();
                         self.pool
                             .enqueue(tile, info.view.key, info.view.est_exec_us);
-                        match &mut state.queues {
-                            TileQueues::Indexed(queues) => queues[tile].push(index, &info.view),
-                            TileQueues::Linear(queues) => queues[tile].push_back(index),
-                        }
+                        state.queues[tile].push(index, &info.view);
                         state.profiler.end(obs::Stage::Scan, scan);
-                        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count());
+                        state.peak_queue_depth =
+                            state.peak_queue_depth.max(self.pool.total_waiting());
                     }
                 }
                 EventKind::TileFree { tile } => {
                     self.pool.release(tile);
-                    if !state.queues.is_empty(tile) {
+                    if !state.queues[tile].is_empty() {
                         self.start_next(tile, &intake, &mut state)?;
                     }
                 }
@@ -1484,10 +1429,8 @@ impl Runtime {
     }
 
     /// Pulls the next queued request off a free `tile`'s queue and starts
-    /// it. Under [`ScanMode::Indexed`] the per-tile ordered queue pops the
-    /// policy's choice in O(log depth); the linear reference materializes
-    /// the dispatch views and scans, exactly as the pre-index runtime did.
-    /// In both modes the [`Batcher`] sits over the policy's choice: it may
+    /// it: the per-tile ordered queue pops the policy's choice in
+    /// O(log depth). The [`Batcher`] sits over the policy's choice: it may
     /// run the oldest same-kernel waiter instead, amortizing the context
     /// switch the choice would have paid.
     fn start_next(
@@ -1506,59 +1449,24 @@ impl Runtime {
             ..
         } = state;
         let scan = profiler.begin();
-        let (index, remaining_tail) = match queues {
-            TileQueues::Indexed(queues) => {
-                let queue = &mut queues[tile];
-                let choice = queue.peek_next(resident, taken);
-                let index = batcher
-                    .divert(
-                        tile,
-                        now_us,
-                        resident,
-                        &intake[choice].view,
-                        intake[choice].request.arrival_us,
-                        |key| {
-                            queue
-                                .oldest_for_kernel(key, taken)
-                                .map(|i| (i, intake[i].view.est_exec_us))
-                        },
-                    )
-                    .unwrap_or(choice);
-                queue.take(index, taken);
-                (index, queue.tail_key(taken))
-            }
-            TileQueues::Linear(queues) => {
-                let queue = &mut queues[tile];
-                let position = if self.dispatcher.policy().is_deadline_aware() {
-                    let views: Vec<DispatchRequest> =
-                        queue.iter().map(|&index| intake[index].view).collect();
-                    self.dispatcher
-                        .select_next(&self.pool.states()[tile], &views)
-                } else {
-                    0
-                };
-                let choice = queue[position];
-                let position = batcher
-                    .divert(
-                        tile,
-                        now_us,
-                        resident,
-                        &intake[choice].view,
-                        intake[choice].request.arrival_us,
-                        |key| {
-                            queue
-                                .iter()
-                                .position(|&i| intake[i].view.key == key)
-                                .map(|p| (p, intake[queue[p]].view.est_exec_us))
-                        },
-                    )
-                    .unwrap_or(position);
-                let index = queue
-                    .remove(position)
-                    .expect("selection returns a position inside the queue");
-                (index, queue.back().map(|&i| intake[i].view.key))
-            }
-        };
+        let queue = &mut queues[tile];
+        let choice = queue.peek_next(resident, taken);
+        let index = batcher
+            .divert(
+                tile,
+                now_us,
+                resident,
+                &intake[choice].view,
+                intake[choice].request.arrival_us,
+                |key| {
+                    queue
+                        .oldest_for_kernel(key, taken)
+                        .map(|i| (i, intake[i].view.est_exec_us))
+                },
+            )
+            .unwrap_or(choice);
+        queue.take(index, taken);
+        let remaining_tail = queue.tail_key(taken);
         state.profiler.end(obs::Stage::Scan, scan);
         // Deadline-aware removal may have taken the queue tail; tell the
         // pool what the queue ends in now so residency projection stays

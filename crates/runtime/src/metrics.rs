@@ -1,8 +1,6 @@
 //! Aggregate serving metrics over one request trace — and the per-device
-//! dimension plus the sorted-run merge path a [`Cluster`](crate::Cluster)
-//! rolls its devices up through.
+//! dimension a [`Cluster`](crate::Cluster) breaks its totals down by.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::cache::CacheStats;
@@ -81,8 +79,7 @@ pub struct RuntimeMetrics {
     /// histogram is the constant-memory view an exporter can stream, within
     /// one bucket width of the exact answer. A cluster rolls per-device
     /// histograms up by bucket-count addition
-    /// ([`LogHistogram::merged`](crate::obs::LogHistogram::merged)),
-    /// mirroring [`percentile_from_sorted_parts`].
+    /// ([`LogHistogram::merged`](crate::obs::LogHistogram::merged)).
     pub latency_hist: LogHistogram,
     /// Log-bucketed histogram of the total waiting count, sampled at every
     /// event-loop step (event-weighted, unlike the time-weighted
@@ -408,9 +405,8 @@ impl fmt::Display for ReplicationStats {
 /// [`TransferModel`](crate::TransferModel) charged.
 ///
 /// Latency percentiles are per-device; the cluster-wide percentiles in the
-/// report's [`RuntimeMetrics`] totals are produced by *merging* the per-
-/// device sorted samples through [`percentile_from_sorted_parts`], never by
-/// re-sorting the union.
+/// report's [`RuntimeMetrics`] totals are taken over every outcome. Both
+/// come from [`percentile_by_selection`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceMetrics {
     /// The device id (index into the cluster).
@@ -507,95 +503,6 @@ impl fmt::Display for DeviceMetrics {
     }
 }
 
-/// Linear-interpolated percentile (`p` in 0..=1) over several **pre-sorted**
-/// sample runs — the merge path per-device latency populations roll up
-/// through without the union ever being concatenated or re-sorted. A lone
-/// non-empty run is indexed directly (the per-device case); otherwise the
-/// order statistics come from a k-way cursor walk that starts at whichever
-/// end of the order is nearer — O(min(rank, len − rank) · runs). The
-/// interpolation is identical to [`percentile_by_selection`], so merging
-/// one run reproduces the single-pool result bit for bit.
-///
-/// Runs must each be sorted ascending (by [`f64::total_cmp`]); empty runs
-/// are fine. Returns 0 when every run is empty.
-pub fn percentile_from_sorted_parts(parts: &[&[f64]], p: f64) -> f64 {
-    let len: usize = parts.iter().map(|part| part.len()).sum();
-    match len {
-        0 => 0.0,
-        1 => parts
-            .iter()
-            .find(|part| !part.is_empty())
-            .expect("len is 1")[0],
-        len => {
-            let rank = p.clamp(0.0, 1.0) * (len - 1) as f64;
-            let low = rank.floor() as usize;
-            let high = rank.ceil() as usize;
-            let weight = rank - low as f64;
-            let (low_value, high_value) = order_statistic_pair(parts, len, low, high);
-            low_value * (1.0 - weight) + high_value * weight
-        }
-    }
-}
-
-/// The `low`-th and `high`-th order statistics (0-indexed, `low <= high`)
-/// across pre-sorted runs of total length `len`: direct indexing for a
-/// lone non-empty run, else a k-way cursor walk from the nearer end of the
-/// order (the k-th smallest is the (len − 1 − k)-th largest, so high ranks
-/// walk descending and come back swapped).
-fn order_statistic_pair(parts: &[&[f64]], len: usize, low: usize, high: usize) -> (f64, f64) {
-    let mut non_empty = parts.iter().filter(|part| !part.is_empty());
-    if let (Some(only), None) = (non_empty.next(), non_empty.next()) {
-        return (only[low], only[high]);
-    }
-    if high <= len - 1 - low {
-        merge_walk(parts, low, high, false)
-    } else {
-        let (high_value, low_value) = merge_walk(parts, len - 1 - high, len - 1 - low, true);
-        (low_value, high_value)
-    }
-}
-
-/// Cursor-walks the runs in ascending (or, with `descending`, descending)
-/// order, returning the values at walk ranks `first <= second`.
-fn merge_walk(parts: &[&[f64]], first: usize, second: usize, descending: bool) -> (f64, f64) {
-    let wins = |value: f64, current: f64| {
-        let ordering = value.total_cmp(&current);
-        if descending {
-            ordering == Ordering::Greater
-        } else {
-            ordering == Ordering::Less
-        }
-    };
-    let mut taken = vec![0usize; parts.len()];
-    let mut first_value = 0.0;
-    for rank in 0..=second {
-        let mut best: Option<(f64, usize)> = None;
-        for (part_index, part) in parts.iter().enumerate() {
-            let next = if descending {
-                part.len()
-                    .checked_sub(taken[part_index] + 1)
-                    .map(|i| part[i])
-            } else {
-                part.get(taken[part_index]).copied()
-            };
-            if let Some(value) = next {
-                if best.is_none_or(|(current, _)| wins(value, current)) {
-                    best = Some((value, part_index));
-                }
-            }
-        }
-        let (value, part_index) = best.expect("rank stays within the total length");
-        taken[part_index] += 1;
-        if rank == first {
-            first_value = value;
-        }
-        if rank == second {
-            return (first_value, value);
-        }
-    }
-    unreachable!("the walk returns at the second rank")
-}
-
 /// Linear-interpolated percentile (`p` in 0..=1) by partial selection:
 /// `select_nth_unstable` partitions out the two neighboring order statistics
 /// in O(n) expected time instead of an O(n log n) full sort. The slice is
@@ -636,6 +543,9 @@ mod tests {
         assert_eq!(percentile_by_selection(&mut values, 0.5), 2.5);
         assert_eq!(percentile_by_selection(&mut [], 0.5), 0.0);
         assert_eq!(percentile_by_selection(&mut [7.0], 0.99), 7.0);
+        // Out-of-range p clamps to the extremes.
+        assert_eq!(percentile_by_selection(&mut values, -1.0), 1.0);
+        assert_eq!(percentile_by_selection(&mut values, 2.0), 4.0);
     }
 
     #[test]
@@ -661,90 +571,6 @@ mod tests {
             let mut scratch = values.clone();
             assert_eq!(percentile_by_selection(&mut scratch, p), expected, "p={p}");
         }
-    }
-
-    /// The merge path over pre-sorted runs must reproduce the selection
-    /// path over the union exactly — that identity is what lets the cluster
-    /// roll per-device samples into cluster percentiles without re-sorting.
-    #[test]
-    fn merged_percentiles_match_selection_over_the_union() {
-        let mut seed = 0xC0FFEEu64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        // Uneven split across 4 "devices", device 0 kept empty.
-        let mut parts: Vec<Vec<f64>> = vec![Vec::new(); 4];
-        for _ in 0..301 {
-            let value = (next() % 10_000) as f64 * 0.25;
-            let part = (next() % 3) as usize + 1;
-            parts[part].push(value);
-        }
-        let union: Vec<f64> = parts.iter().flatten().copied().collect();
-        for part in &mut parts {
-            part.sort_by(f64::total_cmp);
-        }
-        let views: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let mut scratch = union.clone();
-            let expected = percentile_by_selection(&mut scratch, p);
-            assert_eq!(percentile_from_sorted_parts(&views, p), expected, "p={p}");
-        }
-        // Degenerate shapes mirror the selection path.
-        assert_eq!(percentile_from_sorted_parts(&[], 0.5), 0.0);
-        assert_eq!(percentile_from_sorted_parts(&[&[], &[]], 0.5), 0.0);
-        assert_eq!(percentile_from_sorted_parts(&[&[], &[7.0]], 0.99), 7.0);
-        let single: &[f64] = &[1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_from_sorted_parts(&[single], 0.5), 2.5);
-    }
-
-    /// The merge path's edge cases, each held to the selection path over
-    /// the same union: empty runs interleaved among non-empty parts,
-    /// single-element runs, all-equal values (total_cmp ties), and the rank
-    /// pinned at both extremes of the order.
-    #[test]
-    fn merged_percentile_edge_cases_match_selection() {
-        let check = |parts: &[&[f64]], p: f64| {
-            let mut union: Vec<f64> = parts.iter().flat_map(|part| part.iter().copied()).collect();
-            let expected = percentile_by_selection(&mut union, p);
-            assert_eq!(
-                percentile_from_sorted_parts(parts, p),
-                expected,
-                "parts {parts:?}, p={p}"
-            );
-        };
-        // Empty runs scattered among the parts, including leading/trailing.
-        let shapes: &[&[&[f64]]] = &[
-            &[&[], &[1.0, 3.0], &[], &[2.0], &[]],
-            &[&[], &[], &[5.0]],
-            &[&[0.5], &[], &[0.25, 4.0], &[]],
-        ];
-        // Single-element runs only.
-        let singles: &[f64] = &[9.0, 1.0, 4.0];
-        let single_parts: Vec<&[f64]> = singles.chunks(1).collect();
-        // All-equal values across runs: interpolation between equal order
-        // statistics must stay exact.
-        let equal: &[&[f64]] = &[&[7.0, 7.0], &[7.0], &[7.0, 7.0, 7.0]];
-        for p in [0.0, 0.01, 0.37, 0.5, 0.99, 1.0] {
-            for parts in shapes {
-                check(parts, p);
-            }
-            check(&single_parts, p);
-            check(equal, p);
-            // The lerp between two equal order statistics is 7 up to float
-            // rounding of `7(1-w) + 7w` (and exactly 7 whenever w is 0 or 1).
-            assert!((percentile_from_sorted_parts(equal, p) - 7.0).abs() < 1e-12);
-        }
-        // Rank pinned at both extremes: p=0 is the global minimum, p=1 the
-        // global maximum, regardless of which run holds it.
-        let parts: &[&[f64]] = &[&[2.0, 8.0], &[], &[1.0, 9.0], &[5.0]];
-        assert_eq!(percentile_from_sorted_parts(parts, 0.0), 1.0);
-        assert_eq!(percentile_from_sorted_parts(parts, 1.0), 9.0);
-        // Out-of-range p clamps to the extremes.
-        assert_eq!(percentile_from_sorted_parts(parts, -1.0), 1.0);
-        assert_eq!(percentile_from_sorted_parts(parts, 2.0), 9.0);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! answer over the same samples.
 //!
 //! Cluster roll-ups merge per-device histograms by bucket-count addition
-//! ([`LogHistogram::merged`] / [`percentile_from_parts`]), mirroring how
-//! exact per-device latency runs roll up through
-//! [`percentile_from_sorted_parts`](crate::metrics::percentile_from_sorted_parts):
+//! ([`LogHistogram::merged`] / [`percentile_from_parts`]):
 //! the merged histogram is *identical* to one recorded from the union, so a
 //! one-device cluster reproduces the single-runtime histogram bit for bit.
 
@@ -218,9 +216,8 @@ impl LogHistogram {
 }
 
 /// Percentile (`p` in 0..=1) over several histograms *without materializing
-/// the merge* — a cumulative walk over the shared bucket grid, mirroring
-/// [`percentile_from_sorted_parts`](crate::metrics::percentile_from_sorted_parts)
-/// over exact sorted runs. `percentile_from_parts(&[h], p)` equals
+/// the merge* — a cumulative walk over the shared bucket grid.
+/// `percentile_from_parts(&[h], p)` equals
 /// `h.percentile(p)`, and the walk over many parts equals
 /// `LogHistogram::merged(parts).percentile(p)` by construction (bucket
 /// counts add).
@@ -283,7 +280,7 @@ pub fn percentile_from_parts(parts: &[&LogHistogram], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{percentile_by_selection, percentile_from_sorted_parts};
+    use crate::metrics::percentile_by_selection;
 
     #[test]
     fn empty_and_degenerate_histograms_match_the_exact_paths() {
@@ -354,7 +351,7 @@ mod tests {
         let mut seed = 0xFEEDu64;
         let mut parts = vec![LogHistogram::new(); 3];
         let mut union = LogHistogram::new();
-        let mut exact_parts: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        let mut exact: Vec<f64> = Vec::new();
         for _ in 0..300 {
             seed ^= seed << 13;
             seed ^= seed >> 7;
@@ -363,7 +360,7 @@ mod tests {
             let part = (seed % 3) as usize;
             parts[part].record(value);
             union.record(value);
-            exact_parts[part].push(value);
+            exact.push(value);
         }
         let views: Vec<&LogHistogram> = parts.iter().collect();
         let merged = LogHistogram::merged(&views);
@@ -372,14 +369,10 @@ mod tests {
         assert_eq!(merged.min, union.min);
         assert_eq!(merged.max, union.max);
         // The walk-without-materializing path agrees with the merge, and
-        // both sit within a bucket width of the exact k-way merge.
-        for part in &mut exact_parts {
-            part.sort_by(f64::total_cmp);
-        }
-        let exact_views: Vec<&[f64]> = exact_parts.iter().map(Vec::as_slice).collect();
+        // both sit within a bucket width of exact selection over the union.
         for p in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(percentile_from_parts(&views, p), merged.percentile(p));
-            let exact = percentile_from_sorted_parts(&exact_views, p);
+            let exact = percentile_by_selection(&mut exact, p);
             let width = LogHistogram::bucket_width_at(exact);
             assert!((merged.percentile(p) - exact).abs() <= width, "p={p}");
         }

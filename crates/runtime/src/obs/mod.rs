@@ -15,8 +15,7 @@
 //!   histograms, recorded online in
 //!   [`RuntimeMetrics`](crate::RuntimeMetrics) (always on; pure function of
 //!   the modeled serve), with a cluster merge path
-//!   ([`percentile_from_parts`]) mirroring
-//!   [`percentile_from_sorted_parts`](crate::metrics::percentile_from_sorted_parts).
+//!   ([`percentile_from_parts`]).
 //! * [`perfetto_trace_json`] / [`prometheus_text`] — exporters; the former
 //!   is validated by [`validate_chrome_trace`] in CI.
 //! * [`StageProfiler`] / [`ProfileStats`] — opt-in host-time stage timers

@@ -359,7 +359,6 @@ pub struct TilePool {
     noc: NocConfig,
     states: Vec<TileState>,
     index: ResidencyIndex,
-    indexing: bool,
     waiting: usize,
 }
 
@@ -373,7 +372,6 @@ impl TilePool {
             noc,
             states,
             index: ResidencyIndex::default(),
-            indexing: true,
             waiting: 0,
         };
         pool.rebuild_index();
@@ -464,36 +462,16 @@ impl TilePool {
         self.waiting
     }
 
-    /// The linear-scan recomputation of [`total_waiting`](Self::total_waiting),
-    /// retained as the reference (and the cost model) the pre-index runtime
-    /// paid per event.
+    /// The linear-scan recomputation of [`total_waiting`](Self::total_waiting):
+    /// the reference the maintained counter is checked against.
     pub fn total_waiting_scan(&self) -> usize {
         self.states.iter().map(|s| s.queue_depth).sum()
     }
 
-    /// Whether the residency index is maintained. Disabled by the
-    /// linear-reference scan mode so the baseline measured in benchmarks
-    /// pays neither the index's cost nor enjoys its speedup.
-    pub fn indexing(&self) -> bool {
-        self.indexing
-    }
-
-    /// Enables or disables residency-index maintenance, rebuilding the index
-    /// from the current states when turning it on.
-    pub(crate) fn set_indexing(&mut self, enabled: bool) {
-        if self.indexing == enabled {
-            return;
-        }
-        self.indexing = enabled;
-        self.rebuild_index();
-    }
-
     fn rebuild_index(&mut self) {
         self.index.clear();
-        if self.indexing {
-            for state in &self.states {
-                self.index.insert_class(classify(state), state.index);
-            }
+        for state in &self.states {
+            self.index.insert_class(classify(state), state.index);
         }
     }
 
@@ -502,9 +480,6 @@ impl TilePool {
     /// class unchanged (e.g. releasing a tile whose queue immediately keeps
     /// it busy at the same backlog) skips the index churn.
     fn transition<R>(&mut self, tile: usize, mutate: impl FnOnce(&mut TileState) -> R) -> R {
-        if !self.indexing {
-            return mutate(&mut self.states[tile]);
-        }
         let before = classify(&self.states[tile]);
         let result = mutate(&mut self.states[tile]);
         let after = classify(&self.states[tile]);
@@ -576,11 +551,6 @@ impl TilePool {
     /// completion ties broken by preferring no-switch over cold over
     /// evicting a warm kernel, then the lowest tile index — exactly the
     /// linear scan's ordering, found in O(log n) index lookups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if index maintenance is disabled (the linear reference mode
-    /// must use the scan) — that is a runtime-internal wiring bug.
     pub fn place_earliest_indexed(
         &self,
         key: KernelKey,
@@ -606,7 +576,6 @@ impl TilePool {
         switch_us: f64,
         now_us: f64,
     ) -> (f64, bool, bool, usize) {
-        assert!(self.indexing, "indexed placement without index maintenance");
         let mut best = (f64::INFINITY, true, true, usize::MAX);
         let mut consider = |candidate: (f64, bool, bool, usize)| {
             if candidate < best {
@@ -984,22 +953,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn indexing_can_be_disabled_for_the_linear_reference() {
-        let mut pool = TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, 2).unwrap();
-        pool.set_indexing(false);
-        assert!(!pool.indexing());
-        pool.charge(0, key(1), 0.0, 0.25, 10.0);
-        pool.enqueue(0, key(1), 10.0);
-        assert_eq!(pool.total_waiting(), 1);
-        assert_eq!(pool.total_waiting_scan(), 1);
-        // Re-enabling rebuilds the index from the live states.
-        pool.set_indexing(true);
-        assert_eq!(
-            pool.place_earliest_indexed(key(1), 10.0, 0.25, 0.0),
-            place_linear(&pool, key(1), 10.0, 0.25, 0.0),
-        );
     }
 }

@@ -11,9 +11,8 @@
 //!   only ever hosts its own kernel subset (maximum residency, zero
 //!   balancing);
 //! * [`RoutePolicy::LeastLoaded`] — the device with the fewest waiting
-//!   requests (ties: fewest busy tiles, then lowest id), answered in
-//!   O(log devices) from the cluster's load index — the device-tier mirror
-//!   of the pool's residency-index "best" summaries;
+//!   requests (ties: fewest busy tiles, then lowest id), a minimum over
+//!   the devices' live load summaries;
 //! * [`RoutePolicy::PowerOfTwoChoices`] — two deterministically-hashed
 //!   candidate devices, compared by *estimated completion* (each answered
 //!   from that device's residency index, with the transfer-adjusted switch
@@ -67,7 +66,7 @@ pub enum RoutePolicy {
     #[default]
     KernelHash,
     /// The device with the fewest waiting requests (ties: fewest busy
-    /// tiles, then lowest id), from the O(log devices) cluster load index.
+    /// tiles, then lowest id).
     LeastLoaded,
     /// Two hash-sampled candidate devices, compared by estimated completion
     /// (transfer cost included); the better one wins.
@@ -378,17 +377,17 @@ pub(crate) fn power_of_two_pair_eligible(
     }
 }
 
-/// The least-loaded eligible device: the first eligible entry of the
-/// ordered `(waiting, busy_tiles, id)` load-index keys. With every device
-/// eligible this is the index head — the exact no-fault choice. `None`
-/// when no indexed device is eligible.
+/// The least-loaded eligible device: the minimum `(waiting, busy_tiles,
+/// id)` load key among the eligible devices, in whatever order the keys
+/// come. `None` when no device is eligible.
 pub(crate) fn least_loaded_eligible(
     load_keys: impl Iterator<Item = (usize, usize, usize)>,
     eligible: impl Fn(usize) -> bool,
 ) -> Option<usize> {
     load_keys
+        .filter(|&(_, _, id)| eligible(id))
+        .min()
         .map(|(_, _, id)| id)
-        .find(|&device| eligible(device))
 }
 
 #[cfg(test)]
@@ -545,13 +544,14 @@ mod tests {
 
     #[test]
     fn least_loaded_eligible_skips_to_the_first_eligible_key() {
-        let keys = [(0usize, 0usize, 2usize), (1, 0, 0), (3, 1, 1)];
-        // Everything eligible: the index head wins, as without faults.
+        // Device-id order, as the cluster hands the keys over.
+        let keys = [(1usize, 0usize, 0usize), (3, 1, 1), (0, 0, 2)];
+        // Everything eligible: the overall minimum wins, as without faults.
         assert_eq!(
             least_loaded_eligible(keys.iter().copied(), |_| true),
             Some(2)
         );
-        // Head excluded: skip-scan to the next ordered key.
+        // Minimum excluded: the next-least-loaded key.
         assert_eq!(
             least_loaded_eligible(keys.iter().copied(), |d| d != 2),
             Some(0)
@@ -560,7 +560,7 @@ mod tests {
             least_loaded_eligible(keys.iter().copied(), |d| d == 1),
             Some(1)
         );
-        // Nothing eligible (or an empty index): the all-excluded path.
+        // Nothing eligible (or no devices): the all-excluded path.
         assert_eq!(least_loaded_eligible(keys.iter().copied(), |_| false), None);
         assert_eq!(least_loaded_eligible(std::iter::empty(), |_| true), None);
     }

@@ -31,8 +31,6 @@ import sys
 
 # (section, dotted path within section, direction)
 HEADLINES = [
-    ("runtime_scalability", "acceptance.min_end_to_end_speedup", "higher"),
-    ("runtime_scalability", "acceptance.dispatcher_speedup", "higher"),
     ("cluster_scalability", "acceptance.end_to_end_ratio", "higher"),
     ("parallel_cluster", "acceptance.opt_in_overhead_ratio", "lower"),
     ("batching_replication", "acceptance.events_ratio", "higher"),

@@ -5,7 +5,7 @@
 //!   explicit observability knobs serves **bitwise identically** to one
 //!   built without them — outcomes, modeled timestamps, rejects and the
 //!   full metrics struct (including the new latency/queue-depth
-//!   histograms), under both scan modes and on the 1-device cluster.
+//!   histograms), on the runtime and on the 1-device cluster.
 //! * With tracing *enabled*, the serve is still bitwise identical; the
 //!   trace rides alongside. Per request, the recorded lifecycle spans
 //!   (queue-wait → acquire → context-switch → run) tile the interval
@@ -33,9 +33,8 @@ use tm_overlay::runtime::obs::{
 use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
     explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, LogHistogram,
-    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Runtime, ScanMode,
-    ServeReport, Session, SloClass, SloConfig, SloObjective, TelemetryConfig, Trace, TraceConfig,
-    Workload,
+    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport,
+    Session, SloClass, SloConfig, SloObjective, TelemetryConfig, Trace, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -145,23 +144,20 @@ proptest! {
 
     /// Tracing and profiling — off *or on* — never change a serve: the
     /// default-built runtime, the explicitly-disabled one and the
-    /// fully-instrumented one agree bitwise under both scan modes; the
+    /// fully-instrumented one agree bitwise; the
     /// instrumented 1-device cluster reproduces the runtime's totals.
     #[test]
     fn observability_is_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0usize..4,
-        scan_pick in 0usize..2,
         limit_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let scan = [ScanMode::Indexed, ScanMode::LinearReference][scan_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
         let build = || Runtime::new(FuVariant::V4, tiles)
             .unwrap()
             .with_policy(policy)
-            .with_scan_mode(scan)
             .with_admission_limit(limit);
         let baseline = build().serve(requests.clone()).unwrap();
         let disabled = build()
@@ -197,20 +193,17 @@ proptest! {
 
     /// Per-request span audit on the runtime: queue-wait, acquire,
     /// context-switch and run durations sum to the modeled latency for
-    /// every served request, under every policy and both scan modes.
+    /// every served request, under every policy.
     #[test]
     fn runtime_spans_reconcile_with_modeled_latency(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0usize..4,
-        scan_pick in 0usize..2,
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let scan = [ScanMode::Indexed, ScanMode::LinearReference][scan_pick];
         let report = Runtime::new(FuVariant::V4, tiles)
             .unwrap()
             .with_policy(policy)
-            .with_scan_mode(scan)
             .with_tracing(TraceConfig::enabled())
             .serve(requests)
             .unwrap();

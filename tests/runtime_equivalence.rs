@@ -1,19 +1,14 @@
-//! Index/scan equivalence property suite: the indexed dispatcher (residency
-//! index placement + per-tile ordered queues + O(1) waiting counters) must
-//! produce **identical** decisions to the retained linear-scan reference
-//! implementation on every trace — same tile choices, same outcomes (to the
-//! bit, including modeled timestamps), same rejects, same metrics — across
-//! all four `DispatchPolicy` variants, with and without admission pressure.
+//! Cross-loop equivalence property suite: wherever two event loops serve
+//! the same configuration they must produce **identical** results on every
+//! trace — same tile choices, same outcomes (to the bit, including modeled
+//! timestamps), same rejects, same metrics — across all four
+//! `DispatchPolicy` variants, with and without admission pressure. Any
+//! divergence is a bug, not a tolerable approximation.
 //!
-//! This is the safety net under the hot-path work: any divergence between
-//! `ScanMode::Indexed` and `ScanMode::LinearReference` is a bug in the
-//! index, not a tolerable approximation.
-
-//! The cluster tier rides on the same safety net: a **1-device
-//! [`Cluster`]** must reproduce [`Runtime`]'s outcomes bitwise on the same
-//! randomized traces (routing collapses, no image is ever acquired), and
-//! `RoutePolicy::KernelHash` must assign every request of a kernel to the
-//! same device on every resubmission.
+//! A **1-device [`Cluster`]** must reproduce [`Runtime`]'s outcomes bitwise
+//! on the same randomized traces (routing collapses, no image is ever
+//! acquired), and `RoutePolicy::KernelHash` must assign every request of a
+//! kernel to the same device on every resubmission.
 //!
 //! The sharded (parallel) cluster loop extends the net one more tier:
 //! `Cluster::with_threads(n)` on an eligible configuration must reproduce
@@ -27,7 +22,7 @@ use rand::prelude::*;
 
 use tm_overlay::{
     BatchConfig, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
-    ReplicationConfig, Request, RoutePolicy, Runtime, ScanMode, ServeReport, TraceConfig, Workload,
+    ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -68,12 +63,9 @@ fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request>
 }
 
 /// Every observable of the two serves must match exactly.
-fn assert_reports_identical(
-    indexed: &ServeReport,
-    linear: &ServeReport,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(indexed.outcomes().len(), linear.outcomes().len());
-    for (lhs, rhs) in indexed.outcomes().iter().zip(linear.outcomes()) {
+fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.outcomes().len(), b.outcomes().len());
+    for (lhs, rhs) in a.outcomes().iter().zip(b.outcomes()) {
         prop_assert_eq!(lhs.request_id, rhs.request_id);
         prop_assert_eq!(lhs.tile, rhs.tile);
         prop_assert_eq!(lhs.start_us, rhs.start_us);
@@ -84,55 +76,37 @@ fn assert_reports_identical(
         prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
         prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
     }
-    prop_assert_eq!(indexed.rejected(), linear.rejected());
+    prop_assert_eq!(a.rejected(), b.rejected());
     // The full metrics struct — counters, rates, depths, per-tile vectors,
     // event counts and memo stats — must agree field for field.
-    prop_assert_eq!(indexed.metrics(), linear.metrics());
+    prop_assert_eq!(a.metrics(), b.metrics());
     Ok(())
 }
 
-fn runtimes(
+/// A [`Runtime`] and the 1-device [`Cluster`] configured like it.
+fn runtime_and_one_device_cluster(
+    variant: FuVariant,
     tiles: usize,
     policy: DispatchPolicy,
     limit: usize,
-    variant: FuVariant,
-) -> (Runtime, Runtime) {
-    let indexed = Runtime::new(variant, tiles)
+) -> (Runtime, Cluster) {
+    let runtime = Runtime::new(variant, tiles)
         .unwrap()
         .with_policy(policy)
         .with_admission_limit(limit);
-    let linear = Runtime::new(variant, tiles)
+    let cluster = Cluster::new(variant, 1, tiles)
         .unwrap()
         .with_policy(policy)
-        .with_admission_limit(limit)
-        .with_scan_mode(ScanMode::LinearReference);
-    (indexed, linear)
+        .with_admission_limit(limit);
+    (runtime, cluster)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Unconstrained admission: placements, timelines, metrics identical
-    /// under every policy.
-    #[test]
-    fn indexed_and_linear_scans_serve_identically(
-        (seed, count, tiles) in (any::<u64>(), 4usize..24, 1usize..6),
-        policy_pick in 0usize..4,
-        deadline_scale in 1u64..8,
-    ) {
-        let requests = random_trace(seed, count, deadline_scale as f64);
-        let policy = DispatchPolicy::ALL[policy_pick];
-        let (mut indexed, mut linear) = runtimes(tiles, policy, usize::MAX, FuVariant::V4);
-        prop_assert_eq!(indexed.scan_mode(), ScanMode::Indexed);
-        prop_assert_eq!(linear.scan_mode(), ScanMode::LinearReference);
-        let a = indexed.serve(requests.clone()).unwrap();
-        let b = linear.serve(requests).unwrap();
-        assert_reports_identical(&a, &b)?;
-    }
-
-    /// Admission pressure: the reject decisions depend on the O(1) waiting
-    /// counter vs the O(tiles) recomputation — they must agree request for
-    /// request.
+    /// Admission pressure: the two loops bound the same waiting count, so
+    /// the reject decisions must agree request for request at every limit —
+    /// including 0, where only a request that starts at once is admitted.
     #[test]
     fn admission_rejects_are_identical_under_pressure(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
@@ -141,15 +115,16 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 2.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let (mut indexed, mut linear) = runtimes(tiles, policy, limit, FuVariant::V4);
-        let a = indexed.serve(requests.clone()).unwrap();
-        let b = linear.serve(requests).unwrap();
-        prop_assert!(a.metrics().rejects + a.outcomes().len() == count);
-        assert_reports_identical(&a, &b)?;
+        let (mut runtime, mut cluster) =
+            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, limit);
+        let reference = runtime.serve(requests.clone()).unwrap();
+        let report = cluster.serve(requests).unwrap();
+        prop_assert!(reference.metrics().rejects + reference.outcomes().len() == count);
+        assert_cluster_matches_runtime(&report, &reference)?;
     }
 
     /// The feed-forward variants flip the switch-cost scale to PCAP
-    /// milliseconds, changing which placements tie — the index must track
+    /// milliseconds, changing which placements tie — both loops must track
     /// that too.
     #[test]
     fn equivalence_holds_on_pcap_pools(
@@ -158,10 +133,11 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 50.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let (mut indexed, mut linear) = runtimes(tiles, policy, usize::MAX, FuVariant::V1);
-        let a = indexed.serve(requests.clone()).unwrap();
-        let b = linear.serve(requests).unwrap();
-        assert_reports_identical(&a, &b)?;
+        let (mut runtime, mut cluster) =
+            runtime_and_one_device_cluster(FuVariant::V1, tiles, policy, usize::MAX);
+        let reference = runtime.serve(requests.clone()).unwrap();
+        let report = cluster.serve(requests).unwrap();
+        assert_cluster_matches_runtime(&report, &reference)?;
     }
 
     /// A 1-device cluster is `Runtime` — bit for bit: same tiles, same
@@ -179,15 +155,9 @@ proptest! {
         let policy = DispatchPolicy::ALL[policy_pick];
         let route = RoutePolicy::ALL[route_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
-        let mut runtime = Runtime::new(FuVariant::V4, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_admission_limit(limit);
-        let mut cluster = Cluster::new(FuVariant::V4, 1, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_route_policy(route)
-            .with_admission_limit(limit);
+        let (mut runtime, cluster) =
+            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, limit);
+        let mut cluster = cluster.with_route_policy(route);
         let reference = runtime.serve(requests.clone()).unwrap();
         let report = cluster.serve(requests).unwrap();
         assert_cluster_matches_runtime(&report, &reference)?;
@@ -199,28 +169,24 @@ proptest! {
     /// `ReplicationConfig` must reproduce the default-built `Runtime` and
     /// the 1-device `Cluster` exactly — outcomes, timestamps, rejects and
     /// the full metrics struct (including all-zero batch counters) — under
-    /// every policy, both scan modes and admission pressure.
+    /// every policy and admission pressure.
     #[test]
     fn disabled_control_plane_is_bitwise_identical_to_the_baseline(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0usize..4,
-        scan_pick in 0usize..2,
         limit_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let scan = [ScanMode::Indexed, ScanMode::LinearReference][scan_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
         let mut plain = Runtime::new(FuVariant::V4, tiles)
             .unwrap()
             .with_policy(policy)
-            .with_admission_limit(limit)
-            .with_scan_mode(scan);
+            .with_admission_limit(limit);
         let mut pinned = Runtime::new(FuVariant::V4, tiles)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit)
-            .with_scan_mode(scan)
             .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
         let baseline = plain.serve(requests.clone()).unwrap();
         let disabled = pinned.serve(requests.clone()).unwrap();
@@ -247,12 +213,11 @@ proptest! {
         prop_assert_eq!(report.replication().bytes_prefetched, 0);
     }
 
-    /// Batching composes with both scan modes: the indexed per-kernel FIFO
-    /// deques and the linear queue scan must name the same same-kernel
-    /// candidate at every diversion, so batched serves stay bitwise
-    /// identical across `ScanMode`s under every dispatch policy.
+    /// A batched 1-device cluster mirrors the batched runtime — the two
+    /// drain paths share one batching layer, so they must name the same
+    /// same-kernel candidate at every diversion under every dispatch policy.
     #[test]
-    fn batched_serves_are_scan_mode_invariant(
+    fn a_batched_one_device_cluster_reproduces_the_batched_runtime(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
         policy_pick in 0usize..4,
         max_batch in 2usize..6,
@@ -262,23 +227,11 @@ proptest! {
         let policy = DispatchPolicy::ALL[policy_pick];
         let hold_us = [f64::INFINITY, 50.0, 2.0][hold_pick];
         let config = BatchConfig::with_max_batch(max_batch).with_max_hold_us(hold_us);
-        let build = |scan| Runtime::new(FuVariant::V4, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_scan_mode(scan)
-            .with_batching(config);
-        let a = build(ScanMode::Indexed).serve(requests.clone()).unwrap();
-        let b = build(ScanMode::LinearReference).serve(requests.clone()).unwrap();
-        assert_reports_identical(&a, &b)?;
-
-        // A batched 1-device cluster mirrors the batched runtime too — the
-        // cluster's drain path shares the same batching layer.
-        let mut cluster = Cluster::new(FuVariant::V4, 1, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_batching(config);
-        let report = cluster.serve(requests).unwrap();
-        assert_cluster_matches_runtime(&report, &a)?;
+        let (runtime, cluster) =
+            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, usize::MAX);
+        let reference = runtime.with_batching(config).serve(requests.clone()).unwrap();
+        let report = cluster.with_batching(config).serve(requests).unwrap();
+        assert_cluster_matches_runtime(&report, &reference)?;
     }
 
     /// Batching reorders *when* requests run, never *what* they compute:
@@ -366,8 +319,7 @@ fn assert_cluster_matches_runtime(
         prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
     }
     prop_assert_eq!(cluster.rejected(), runtime.rejected());
-    // Cluster totals — including the merge-path latency percentiles — must
-    // equal the runtime's selection-path metrics field for field.
+    // Cluster totals must equal the runtime's metrics field for field.
     prop_assert_eq!(cluster.metrics(), runtime.metrics());
     // The single device's breakdown is the whole story: no transfers, no
     // host loads, every request.
