@@ -57,6 +57,10 @@ pub enum Op {
     /// Arithmetic shift right (`a >> (b & 31)`).
     Shr,
     /// Multiply-accumulate (`a * b + c`): three-operand DSP operation.
+    ///
+    /// Graph-level only: the kernel DSL never emits it, and the 32-bit `EXEC`
+    /// word has no third source field, so instruction generation rejects a
+    /// graph that holds one (`ScheduleError::UnsupportedArity`).
     MulAdd,
     /// Pass-through / copy (`a`); used for forwarding values across stages.
     Mov,

@@ -52,7 +52,9 @@ impl CompiledKernel {
 ///   32-entry register file,
 /// * [`ScheduleError::OperandUnavailable`] if the schedule is inconsistent
 ///   (an operand neither arrives, is constant, nor is produced earlier in the
-///   same stage).
+///   same stage),
+/// * [`ScheduleError::UnsupportedArity`] if an operation takes more than the
+///   two operands an `EXEC` word can name ([`overlay_dfg::Op::MulAdd`]).
 ///
 /// # Example
 ///
@@ -163,6 +165,13 @@ pub fn generate_program(
                     let node = dfg.node(*op_id)?;
                     let op = node.op().expect("slot ops are operation nodes");
                     let operands = node.operands();
+                    if op.arity() > 2 {
+                        return Err(ScheduleError::UnsupportedArity {
+                            node: *op_id,
+                            op,
+                            arity: op.arity(),
+                        });
+                    }
                     let src1 = lookup(operands[0], &issued).map_err(|_| {
                         ScheduleError::OperandUnavailable {
                             node: *op_id,
@@ -349,5 +358,31 @@ mod tests {
             .map(|p| p.num_nops())
             .sum();
         assert_eq!(total_nops, schedule.total_nops());
+    }
+
+    #[test]
+    fn three_operand_operations_are_rejected_with_a_typed_error() {
+        // The EXEC word names two sources, so a MAC must not compile into a
+        // word that silently drops its addend.
+        let mut builder = overlay_dfg::DfgBuilder::new("mac");
+        let x = builder.input("x");
+        let y = builder.input("y");
+        let z = builder.input("z");
+        let sum = builder.op(overlay_dfg::Op::Add, &[x, y]).unwrap();
+        let mac = builder.op(overlay_dfg::Op::MulAdd, &[sum, y, z]).unwrap();
+        builder.output("out", mac);
+        let dfg = builder.build().unwrap();
+        for variant in FuVariant::ALL {
+            let schedule = crate::schedule(&dfg, variant, Some(8)).unwrap();
+            assert_eq!(
+                generate_program(&dfg, &schedule, variant).unwrap_err(),
+                ScheduleError::UnsupportedArity {
+                    node: mac,
+                    op: overlay_dfg::Op::MulAdd,
+                    arity: 3,
+                },
+                "{variant}"
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use overlay_dfg::{DfgError, NodeId};
+use overlay_dfg::{DfgError, NodeId, Op};
 use overlay_isa::IsaError;
 
 /// Errors produced while scheduling a kernel or generating its instructions.
@@ -34,6 +34,16 @@ pub enum ScheduleError {
         /// The stage where the consumer was scheduled.
         stage: usize,
     },
+    /// An operation takes more operands than the 32-bit `EXEC` word has
+    /// source-register fields (two), so no instruction can encode it.
+    UnsupportedArity {
+        /// The operation node.
+        node: NodeId,
+        /// Its operation.
+        op: Op,
+        /// The operation's operand count.
+        arity: usize,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -54,6 +64,10 @@ impl fmt::Display for ScheduleError {
             } => write!(
                 f,
                 "operand {operand} of {node} is not available at stage {stage}"
+            ),
+            ScheduleError::UnsupportedArity { node, op, arity } => write!(
+                f,
+                "{node} is a {arity}-operand {op}, but the EXEC word has two source fields"
             ),
         }
     }

@@ -15,12 +15,33 @@
 //! The `[14]` baseline has a single-port register file, so its loads and
 //! executions serialise through one issue slot — which is exactly why its II
 //! is `#load + #op + 2`.
+//!
+//! # Decode once, step per block
+//!
+//! A run lowers the per-FU programs once into a [`DecodedProgram`]: two flat
+//! vectors, one of load entries `(dst, fwd)` and one of issue slots (`NOP`,
+//! or an `EXEC` with its operand count and flags already worked out), with
+//! each FU owning a range of both, plus the FU's constant image (a
+//! [`RegisterFile`] with the preloaded constants). The decoded program is
+//! immutable and shared by every datapath lane.
+//!
+//! A [`FuEngine`] is one FU on one lane: borrowed views of its ranges and
+//! image, and the only state that survives a block, the cycles at which the
+//! previous block's last load and last issue slot happened.
+//! [`FuEngine::process_block`] is the single step function. It reads the
+//! upstream words from a slice, overwrites a caller-owned buffer with the
+//! words it forwards, and keeps the block's registers on the stack: the block
+//! context starts as a copy of the constant image (so block-local writes
+//! shadow constants, see [`crate::regfile`]) and a fixed 32-entry table
+//! remembers which slot wrote each register back, for the IWP spacing check.
+//! Nothing in the step allocates, and a trace event is only built if the
+//! trace will keep it.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use overlay_arch::FuVariant;
-use overlay_dfg::Value;
-use overlay_isa::{FuProgram, Instruction};
+use overlay_dfg::{Op, Value};
+use overlay_isa::{FuProgram, Instruction, RegIndex, REGISTER_FILE_SIZE};
 
 use crate::error::SimError;
 use crate::regfile::RegisterFile;
@@ -44,48 +65,165 @@ impl TimedWord {
     }
 }
 
-/// Persistent state of one FU across blocks.
-#[derive(Debug, Clone)]
-pub struct FuEngine {
-    index: usize,
-    variant: FuVariant,
-    program: FuProgram,
-    constants: RegisterFile,
-    last_load_end: usize,
-    last_exec_end: usize,
+/// One word the input controller takes from the upstream stream.
+#[derive(Debug, Clone, Copy)]
+struct LoadEntry {
+    dst: RegIndex,
+    fwd: bool,
 }
 
-impl FuEngine {
-    /// Creates the engine for FU `index` running `program` on `variant`.
-    pub fn new(index: usize, variant: FuVariant, program: FuProgram) -> Self {
-        let mut constants = RegisterFile::new();
-        for (reg, value) in program.constant_init() {
-            constants.write(*reg, *value);
+/// One issue slot of the execution engine.
+#[derive(Debug, Clone, Copy)]
+enum IssueSlot {
+    Nop,
+    Exec {
+        op: Op,
+        dst: RegIndex,
+        src1: RegIndex,
+        src2: RegIndex,
+        /// The operation reads `src1` only.
+        unary: bool,
+        wb: bool,
+        ndf: bool,
+    },
+}
+
+#[derive(Debug)]
+struct DecodedFu {
+    loads: Range<usize>,
+    slots: Range<usize>,
+    constants: RegisterFile,
+}
+
+/// The per-FU programs of one kernel, lowered once per run into the flat
+/// form the engines step over. See the [module documentation](self).
+#[derive(Debug)]
+pub struct DecodedProgram {
+    variant: FuVariant,
+    loads: Vec<LoadEntry>,
+    slots: Vec<IssueSlot>,
+    fus: Vec<DecodedFu>,
+    stream_width: usize,
+}
+
+impl DecodedProgram {
+    /// Lowers `programs` (in chain order) for an overlay built from
+    /// `variant`.
+    pub fn decode(variant: FuVariant, programs: &[FuProgram]) -> Self {
+        let words: usize = programs.iter().map(FuProgram::len).sum();
+        let mut loads = Vec::with_capacity(words);
+        let mut slots = Vec::with_capacity(words);
+        let mut fus = Vec::with_capacity(programs.len());
+        let mut stream_width = 0;
+        for program in programs {
+            let (first_load, first_slot) = (loads.len(), slots.len());
+            let mut forwarded = 0;
+            for instruction in program.instructions() {
+                match *instruction {
+                    Instruction::Load { dst, fwd } => {
+                        forwarded += usize::from(fwd);
+                        loads.push(LoadEntry { dst, fwd });
+                    }
+                    Instruction::Nop => slots.push(IssueSlot::Nop),
+                    Instruction::Exec {
+                        op,
+                        dst,
+                        src1,
+                        src2,
+                        wb,
+                        ndf,
+                    } => {
+                        forwarded += usize::from(!ndf);
+                        slots.push(IssueSlot::Exec {
+                            op,
+                            dst,
+                            src1,
+                            src2,
+                            unary: op.arity() == 1,
+                            wb,
+                            ndf,
+                        });
+                    }
+                }
+            }
+            stream_width = stream_width.max(forwarded);
+            let mut constants = RegisterFile::new();
+            for &(reg, value) in program.constant_init() {
+                constants.write(reg, value);
+            }
+            fus.push(DecodedFu {
+                loads: first_load..loads.len(),
+                slots: first_slot..slots.len(),
+                constants,
+            });
         }
+        DecodedProgram {
+            variant,
+            loads,
+            slots,
+            fus,
+            stream_width,
+        }
+    }
+
+    /// Number of FUs along the chain.
+    pub fn num_fus(&self) -> usize {
+        self.fus.len()
+    }
+
+    /// Trace events one block emits on its way down the chain: one per load
+    /// and one per issue slot.
+    pub fn events_per_block(&self) -> usize {
+        self.loads.len() + self.slots.len()
+    }
+
+    /// The most words any FU forwards downstream per block.
+    pub fn stream_width(&self) -> usize {
+        self.stream_width
+    }
+
+    /// The engine of FU `index`, with its inter-block timing state at rest.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not below [`DecodedProgram::num_fus`].
+    pub fn engine(&self, index: usize) -> FuEngine<'_> {
+        let fu = &self.fus[index];
         FuEngine {
             index,
-            variant,
-            program,
-            constants,
+            serialized: matches!(self.variant, FuVariant::Baseline),
+            pipeline_depth: self.variant.dsp_pipeline_depth(),
+            iwp: self.variant.iwp().unwrap_or(0).max(1),
+            loads: &self.loads[fu.loads.clone()],
+            slots: &self.slots[fu.slots.clone()],
+            constants: &fu.constants,
             last_load_end: 0,
             last_exec_end: 0,
         }
     }
+}
 
-    /// The FU index along the chain.
-    pub fn index(&self) -> usize {
-        self.index
-    }
+/// One FU on one datapath lane: views into the [`DecodedProgram`] plus the
+/// timing state that persists across blocks.
+#[derive(Debug)]
+pub struct FuEngine<'p> {
+    index: usize,
+    serialized: bool,
+    pipeline_depth: usize,
+    /// Issue slots a consumer must trail the producer of a written-back
+    /// register by.
+    iwp: usize,
+    loads: &'p [LoadEntry],
+    slots: &'p [IssueSlot],
+    constants: &'p RegisterFile,
+    last_load_end: usize,
+    last_exec_end: usize,
+}
 
-    /// Resets the inter-block timing state (used when reusing an engine for
-    /// a fresh run).
-    pub fn reset(&mut self) {
-        self.last_load_end = 0;
-        self.last_exec_end = 0;
-    }
-
-    /// Processes one kernel invocation (`block`), consuming the words
-    /// arriving from upstream and producing the words forwarded downstream.
+impl FuEngine<'_> {
+    /// Processes one kernel invocation (`block`): consumes the words arriving
+    /// from upstream in `incoming` and overwrites `outgoing` with the words
+    /// forwarded downstream.
     ///
     /// # Errors
     ///
@@ -95,157 +233,131 @@ impl FuEngine {
         &mut self,
         block: usize,
         incoming: &[TimedWord],
+        outgoing: &mut Vec<TimedWord>,
         trace: &mut Trace,
-    ) -> Result<Vec<TimedWord>, SimError> {
-        let serialized = matches!(self.variant, FuVariant::Baseline);
-        let mut context = RegisterFile::new();
-        let mut outgoing: Vec<TimedWord> = Vec::new();
+    ) -> Result<(), SimError> {
+        let fu = self.index;
+        outgoing.clear();
 
         // ---- input phase ---------------------------------------------------
-        let load_instrs: Vec<&Instruction> = self
-            .program
-            .instructions()
-            .iter()
-            .filter(|i| i.is_load())
-            .collect();
-        if load_instrs.len() > incoming.len() {
-            return Err(SimError::StreamUnderflow {
-                fu: self.index,
-                block,
-            });
+        if self.loads.len() > incoming.len() {
+            return Err(SimError::StreamUnderflow { fu, block });
         }
+        let mut context = *self.constants;
         let mut cursor = self.last_load_end + 2; // one idle separator cycle
-        if serialized {
+        if self.serialized {
             // The single-port baseline cannot start a new block's loads until
             // the previous block's execution (and flush) has finished.
             cursor = cursor.max(self.last_exec_end + 3);
         }
         let mut last_load_time = self.last_load_end;
-        for (j, instr) in load_instrs.iter().enumerate() {
-            let Instruction::Load { dst, fwd } = instr else {
-                unreachable!("filtered to loads");
-            };
-            let time = cursor.max(incoming[j].arrival());
+        for (load, word) in self.loads.iter().zip(incoming) {
+            let time = cursor.max(word.arrival());
             cursor = time + 1;
             last_load_time = time;
-            context.write(*dst, incoming[j].value);
-            if *fwd {
+            context.write(load.dst, word.value);
+            if load.fwd {
                 outgoing.push(TimedWord {
-                    value: incoming[j].value,
+                    value: word.value,
                     depart: time,
                 });
             }
-            trace.record(Event {
+            trace.record_with(|| Event {
                 cycle: time,
-                fu: self.index,
+                fu,
                 block,
                 kind: EventKind::Load {
-                    register: dst.index(),
-                    value: incoming[j].value,
-                    forwarded: *fwd,
+                    register: load.dst.index(),
+                    value: word.value,
+                    forwarded: load.fwd,
                 },
             });
         }
-        if load_instrs.is_empty() {
-            last_load_time = self.last_load_end;
-        }
 
         // ---- execution phase -----------------------------------------------
-        let exec_slots: Vec<&Instruction> = self
-            .program
-            .instructions()
-            .iter()
-            .filter(|i| !i.is_load())
-            .collect();
         // Execution starts once the block's data is resident and the previous
         // block has drained the DSP pipeline (two flush cycles).
         let mut exec_time = (last_load_time + 1).max(self.last_exec_end + 3);
-        if serialized {
+        if self.serialized {
             exec_time = exec_time.max(cursor);
         }
-        let pipeline_depth = self.variant.dsp_pipeline_depth();
-        let iwp = self.variant.iwp().unwrap_or(0);
         // Slot index at which each register was produced by a write-back, to
-        // check the IWP spacing.
-        let mut wb_slot_of_reg: HashMap<usize, usize> = HashMap::new();
+        // check the IWP spacing; a bit of `written_back` says the entry is set.
+        let mut producer_slot = [0usize; REGISTER_FILE_SIZE];
+        let mut written_back = 0u32;
         let mut last_exec_time = self.last_exec_end;
 
-        for (slot_index, instr) in exec_slots.iter().enumerate() {
+        for (slot_index, slot) in self.slots.iter().enumerate() {
             let time = exec_time + slot_index;
             last_exec_time = time;
-            match instr {
-                Instruction::Nop => {
-                    trace.record(Event {
-                        cycle: time,
-                        fu: self.index,
-                        block,
-                        kind: EventKind::Nop,
-                    });
-                }
-                Instruction::Exec {
+            match *slot {
+                IssueSlot::Nop => trace.record_with(|| Event {
+                    cycle: time,
+                    fu,
+                    block,
+                    kind: EventKind::Nop,
+                }),
+                IssueSlot::Exec {
                     op,
                     dst,
                     src1,
                     src2,
+                    unary,
                     wb,
                     ndf,
                 } => {
-                    let read = |reg: overlay_isa::RegIndex| -> Result<Value, SimError> {
-                        if let Some(&producer_slot) = wb_slot_of_reg.get(&reg.index()) {
-                            if slot_index < producer_slot + iwp.max(1) {
+                    let read = |reg: RegIndex| -> Result<Value, SimError> {
+                        if written_back & (1 << reg.index()) != 0 {
+                            let observed = slot_index - producer_slot[reg.index()];
+                            if observed < self.iwp {
                                 return Err(SimError::WritebackHazard {
-                                    fu: self.index,
+                                    fu,
                                     block,
-                                    observed: slot_index - producer_slot,
-                                    required: iwp.max(1),
+                                    observed,
+                                    required: self.iwp,
                                 });
                             }
                         }
-                        context
-                            .read(reg)
-                            .or_else(|| self.constants.read(reg))
-                            .ok_or(SimError::UninitializedRegister {
-                                fu: self.index,
-                                register: reg.index(),
-                                block,
-                            })
+                        context.read(reg).ok_or(SimError::UninitializedRegister {
+                            fu,
+                            register: reg.index(),
+                            block,
+                        })
                     };
-                    let a = read(*src1)?;
-                    let operands = if op.arity() == 1 {
-                        vec![a]
-                    } else {
-                        vec![a, read(*src2)?]
-                    };
-                    let result = op.apply(&operands).map_err(SimError::Dfg)?;
-                    if *wb {
-                        context.write(*dst, result);
-                        wb_slot_of_reg.insert(dst.index(), slot_index);
+                    let a = read(src1)?;
+                    let operands = [a, if unary { a } else { read(src2)? }];
+                    let result = op
+                        .apply(&operands[..if unary { 1 } else { 2 }])
+                        .map_err(SimError::Dfg)?;
+                    if wb {
+                        context.write(dst, result);
+                        producer_slot[dst.index()] = slot_index;
+                        written_back |= 1 << dst.index();
                     }
-                    if !*ndf {
+                    if !ndf {
                         outgoing.push(TimedWord {
                             value: result,
-                            depart: time + pipeline_depth,
+                            depart: time + self.pipeline_depth,
                         });
                     }
-                    trace.record(Event {
+                    trace.record_with(|| Event {
                         cycle: time,
-                        fu: self.index,
+                        fu,
                         block,
                         kind: EventKind::Exec {
                             mnemonic: op.mnemonic(),
                             value: result,
-                            writeback: *wb,
-                            forwarded: !*ndf,
+                            writeback: wb,
+                            forwarded: !ndf,
                         },
                     });
                 }
-                Instruction::Load { .. } => unreachable!("loads were filtered out"),
             }
         }
 
         self.last_load_end = last_load_time;
         self.last_exec_end = last_exec_time;
-        Ok(outgoing)
+        Ok(())
     }
 }
 
@@ -274,13 +386,24 @@ mod tests {
         p
     }
 
+    /// Steps `engine` through one block and returns the forwarded words.
+    fn step(
+        engine: &mut FuEngine<'_>,
+        block: usize,
+        incoming: &[TimedWord],
+        trace: &mut Trace,
+    ) -> Result<Vec<TimedWord>, SimError> {
+        let mut outgoing = Vec::new();
+        engine.process_block(block, incoming, &mut outgoing, trace)?;
+        Ok(outgoing)
+    }
+
     #[test]
     fn single_fu_adds_two_words() {
-        let mut engine = FuEngine::new(0, FuVariant::V1, adder_program());
+        let decoded = DecodedProgram::decode(FuVariant::V1, &[adder_program()]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::with_capacity(16);
-        let out = engine
-            .process_block(0, &[word(3), word(4)], &mut trace)
-            .unwrap();
+        let out = step(&mut engine, 0, &[word(3), word(4)], &mut trace).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, Value::new(7));
         // loads at cycles 2 and 3, exec at cycle 4, result departs at 4 + 3.
@@ -291,13 +414,12 @@ mod tests {
     #[test]
     fn v1_steady_state_period_matches_eq2() {
         // 2 loads, 1 op: II = max(2 + 1, 1 + 2) = 3.
-        let mut engine = FuEngine::new(0, FuVariant::V1, adder_program());
+        let decoded = DecodedProgram::decode(FuVariant::V1, &[adder_program()]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
         let mut departs = Vec::new();
         for block in 0..6 {
-            let out = engine
-                .process_block(block, &[word(1), word(2)], &mut trace)
-                .unwrap();
+            let out = step(&mut engine, block, &[word(1), word(2)], &mut trace).unwrap();
             departs.push(out[0].depart);
         }
         let deltas: Vec<usize> = departs.windows(2).map(|w| w[1] - w[0]).collect();
@@ -307,13 +429,12 @@ mod tests {
     #[test]
     fn baseline_serialises_loads_and_execs() {
         // Same program on [14]: II = 2 + 1 + 2 = 5.
-        let mut engine = FuEngine::new(0, FuVariant::Baseline, adder_program());
+        let decoded = DecodedProgram::decode(FuVariant::Baseline, &[adder_program()]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
         let mut departs = Vec::new();
         for block in 0..6 {
-            let out = engine
-                .process_block(block, &[word(1), word(2)], &mut trace)
-                .unwrap();
+            let out = step(&mut engine, block, &[word(1), word(2)], &mut trace).unwrap();
             departs.push(out[0].depart);
         }
         let deltas: Vec<usize> = departs.windows(2).map(|w| w[1] - w[0]).collect();
@@ -326,11 +447,10 @@ mod tests {
         p.push(Instruction::load_forward(r(0)));
         p.push(Instruction::load(r(1)));
         p.push(Instruction::exec(Op::Mul, r(2), r(0), r(1)));
-        let mut engine = FuEngine::new(0, FuVariant::V1, p);
+        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
-        let out = engine
-            .process_block(0, &[word(5), word(6)], &mut trace)
-            .unwrap();
+        let out = step(&mut engine, 0, &[word(5), word(6)], &mut trace).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].value, Value::new(5)); // the bypassed word first
         assert_eq!(out[1].value, Value::new(30));
@@ -339,9 +459,11 @@ mod tests {
 
     #[test]
     fn stream_underflow_is_detected() {
-        let mut engine = FuEngine::new(2, FuVariant::V1, adder_program());
+        let programs = [FuProgram::new(), FuProgram::new(), adder_program()];
+        let decoded = DecodedProgram::decode(FuVariant::V1, &programs);
+        let mut engine = decoded.engine(2);
         let mut trace = Trace::disabled();
-        let err = engine.process_block(0, &[word(1)], &mut trace).unwrap_err();
+        let err = step(&mut engine, 0, &[word(1)], &mut trace).unwrap_err();
         assert!(matches!(err, SimError::StreamUnderflow { fu: 2, block: 0 }));
     }
 
@@ -350,9 +472,10 @@ mod tests {
         let mut p = FuProgram::new();
         p.push(Instruction::load(r(0)));
         p.push(Instruction::exec(Op::Add, r(2), r(0), r(9)));
-        let mut engine = FuEngine::new(0, FuVariant::V1, p);
+        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
-        let err = engine.process_block(0, &[word(1)], &mut trace).unwrap_err();
+        let err = step(&mut engine, 0, &[word(1)], &mut trace).unwrap_err();
         assert!(matches!(
             err,
             SimError::UninitializedRegister { register: 9, .. }
@@ -374,9 +497,10 @@ mod tests {
             true,
         ));
         p.push(Instruction::exec(Op::Add, r(2), r(1), r(0)));
-        let mut engine = FuEngine::new(0, FuVariant::V3, p);
+        let decoded = DecodedProgram::decode(FuVariant::V3, &[p]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
-        let err = engine.process_block(0, &[word(2)], &mut trace).unwrap_err();
+        let err = step(&mut engine, 0, &[word(2)], &mut trace).unwrap_err();
         assert!(matches!(err, SimError::WritebackHazard { required: 5, .. }));
     }
 
@@ -396,9 +520,10 @@ mod tests {
             p.push(Instruction::Nop);
         }
         p.push(Instruction::exec(Op::Add, r(2), r(1), r(0)));
-        let mut engine = FuEngine::new(0, FuVariant::V3, p);
+        let decoded = DecodedProgram::decode(FuVariant::V3, &[p]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
-        let out = engine.process_block(0, &[word(3)], &mut trace).unwrap();
+        let out = step(&mut engine, 0, &[word(3)], &mut trace).unwrap();
         // 3^2 + 3 = 12
         assert_eq!(out.last().unwrap().value, Value::new(12));
     }
@@ -409,9 +534,10 @@ mod tests {
         p.preload_constant(r(31), Value::new(10));
         p.push(Instruction::load(r(0)));
         p.push(Instruction::exec(Op::Mul, r(1), r(0), r(31)));
-        let mut engine = FuEngine::new(0, FuVariant::V1, p);
+        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
+        let mut engine = decoded.engine(0);
         let mut trace = Trace::disabled();
-        let out = engine.process_block(0, &[word(7)], &mut trace).unwrap();
+        let out = step(&mut engine, 0, &[word(7)], &mut trace).unwrap();
         assert_eq!(out[0].value, Value::new(70));
     }
 }

@@ -18,6 +18,27 @@
 //! * the V2 variant's replicated datapath is modelled as two lanes that
 //!   process alternate kernel invocations.
 //!
+//! # How a run executes
+//!
+//! [`OverlaySimulator::run`] decodes the kernel's program **once** into a
+//! flat form ([`engine::DecodedProgram`]: load entries, issue slots and a
+//! constant register image per FU) that every lane shares; a lane owns only
+//! the two timing counters each of its FUs carries from block to block.
+//! Each block then goes down the chain through one step function,
+//! [`engine::FuEngine::process_block`], between two stream buffers that swap
+//! roles at every FU and are reused by every block.
+//!
+//! A block's registers are a [`RegisterFile`] on the stack that starts as a
+//! copy of the FU's constant image, so **the block context shadows the
+//! constants**: a load or write-back to a constant's register wins for the
+//! rest of that block and the constant is back for the next one.
+//!
+//! The [`Trace`] is reserved once, for `min(capacity, events the run will
+//! emit)`, and the engine builds an [`Event`] only if the trace will keep it;
+//! past the capacity it just counts, so [`Trace::dropped`] and
+//! [`Trace::total`] stay exact. What remains per block is a single
+//! allocation, the block's record in [`SimRun::outputs`].
+//!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
 //! interval and latency are compared with the analytical models of

@@ -4,7 +4,7 @@ use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_scheduler::CompiledKernel;
 
-use crate::engine::{FuEngine, TimedWord};
+use crate::engine::{DecodedProgram, TimedWord};
 use crate::error::SimError;
 use crate::metrics::SimMetrics;
 use crate::trace::{Event, EventKind, Trace};
@@ -91,21 +91,29 @@ impl OverlaySimulator {
             }
         }
 
-        let mut trace = Trace::with_capacity(self.trace_capacity);
-        let lanes = self.variant.datapath_lanes();
-        // One chain of FU engines per datapath lane; the V2 variant processes
+        // Decode once; every lane steps over the same decoded program and
+        // keeps only its own engines' timing state. The V2 variant processes
         // alternate invocations on alternate lanes.
-        let mut chains: Vec<Vec<FuEngine>> = (0..lanes)
-            .map(|_| {
-                compiled
-                    .program
-                    .fu_programs()
-                    .iter()
-                    .enumerate()
-                    .map(|(index, program)| FuEngine::new(index, self.variant, program.clone()))
-                    .collect()
-            })
-            .collect();
+        let decoded = DecodedProgram::decode(self.variant, compiled.program.fu_programs());
+        let num_fus = decoded.num_fus();
+        let lanes = self.variant.datapath_lanes();
+        let mut engines = Vec::with_capacity(lanes * num_fus);
+        for _ in 0..lanes {
+            engines.extend((0..num_fus).map(|index| decoded.engine(index)));
+        }
+
+        let outputs_per_block = compiled.output_stream_index.len();
+        let mut trace = Trace::with_capacity(self.trace_capacity);
+        trace.reserve(
+            workload
+                .len()
+                .saturating_mul(decoded.events_per_block() + outputs_per_block),
+        );
+
+        // Two stream buffers ping-pong down the chain, reused by every block.
+        let stream_width = decoded.stream_width().max(num_inputs);
+        let mut words: Vec<TimedWord> = Vec::with_capacity(stream_width);
+        let mut forwarded: Vec<TimedWord> = Vec::with_capacity(stream_width);
 
         let mut outputs: Vec<Vec<Value>> = Vec::with_capacity(workload.len());
         let mut completion_cycles: Vec<usize> = Vec::with_capacity(workload.len());
@@ -114,26 +122,24 @@ impl OverlaySimulator {
             let lane = block % lanes;
             // Input FIFO words for this invocation are all resident from
             // cycle 0 (streaming DMA keeps the FIFO ahead of the overlay).
-            let mut words: Vec<TimedWord> = record
-                .iter()
-                .map(|&value| TimedWord { value, depart: 0 })
-                .collect();
-            for engine in chains[lane].iter_mut() {
-                words = engine.process_block(block, &words, &mut trace)?;
+            words.clear();
+            words.extend(record.iter().map(|&value| TimedWord { value, depart: 0 }));
+            for engine in &mut engines[lane * num_fus..][..num_fus] {
+                engine.process_block(block, &words, &mut forwarded, &mut trace)?;
+                std::mem::swap(&mut words, &mut forwarded);
             }
             // Map the final forwarded stream to the kernel outputs.
-            let mut record_outputs = Vec::with_capacity(compiled.output_stream_index.len());
+            let mut record_outputs = Vec::with_capacity(outputs_per_block);
             let mut completion = 0usize;
             for (position, &stream_index) in compiled.output_stream_index.iter().enumerate() {
-                let word = words.get(stream_index).ok_or(SimError::StreamUnderflow {
-                    fu: compiled.num_fus(),
-                    block,
-                })?;
+                let word = words
+                    .get(stream_index)
+                    .ok_or(SimError::StreamUnderflow { fu: num_fus, block })?;
                 record_outputs.push(word.value);
                 completion = completion.max(word.arrival());
-                trace.record(Event {
+                trace.record_with(|| Event {
                     cycle: word.arrival(),
-                    fu: compiled.num_fus(),
+                    fu: num_fus,
                     block,
                     kind: EventKind::Output {
                         position,

@@ -1,20 +1,33 @@
 //! Register-file model.
+//!
+//! One [`RegisterFile`] value is one register *context*: the 32 words an FU
+//! can address plus a bit per word saying whether it has been written. The
+//! engine keeps two kinds of context per FU:
+//!
+//! * the **constant image**, built once when the program is decoded, holding
+//!   the constants the configuration preloads;
+//! * the **block context**, which starts every block as a copy of the
+//!   constant image and then takes the block's loads and write-backs.
+//!
+//! Because the block context starts from the image, a register written
+//! during the block *shadows* the constant preloaded at the same index for
+//! the rest of that block, and the constant is back for the next block. A
+//! register that neither the image nor the block has written reads as
+//! `None`, which the engine reports as an uninitialised-register error.
 
 use overlay_dfg::Value;
 use overlay_isa::{RegIndex, REGISTER_FILE_SIZE};
 
-/// The lowest register index of the *static* region used for preloaded
-/// constants. Registers below this boundary belong to the rotating window
-/// used for streamed data and results.
-pub const STATIC_REGION_START: usize = 24;
+// One valid bit per register.
+const _: () = assert!(REGISTER_FILE_SIZE <= u32::BITS as usize);
 
 /// Software model of the FU's RAM32M register file.
 ///
 /// The rotating-register-file mechanism of the V1+ variants writes each
 /// invocation's data into a fresh window (the offset counter of Fig. 3) so
 /// that loading the next block can overlap with executing the current one.
-/// The simulator models this by keeping one register *context* per in-flight
-/// block; constants live in the static region shared by all contexts.
+/// The simulator models this by giving every block its own register
+/// *context*, a plain `Copy` value: 32 words and a 32-bit valid mask.
 ///
 /// # Example
 ///
@@ -31,9 +44,10 @@ pub const STATIC_REGION_START: usize = 24;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegisterFile {
-    slots: [Option<Value>; REGISTER_FILE_SIZE],
+    values: [Value; REGISTER_FILE_SIZE],
+    valid: u32,
 }
 
 impl Default for RegisterFile {
@@ -46,37 +60,20 @@ impl RegisterFile {
     /// Creates an empty register file (every entry uninitialised).
     pub fn new() -> Self {
         RegisterFile {
-            slots: [None; REGISTER_FILE_SIZE],
+            values: [Value::ZERO; REGISTER_FILE_SIZE],
+            valid: 0,
         }
     }
 
     /// Writes `value` into `reg`.
     pub fn write(&mut self, reg: RegIndex, value: Value) {
-        self.slots[reg.index()] = Some(value);
+        self.values[reg.index()] = value;
+        self.valid |= 1 << reg.index();
     }
 
     /// Reads `reg`, returning `None` if it was never written.
     pub fn read(&self, reg: RegIndex) -> Option<Value> {
-        self.slots[reg.index()]
-    }
-
-    /// Clears the rotating window (streamed data and results) while keeping
-    /// the static constant region — what happens conceptually when the
-    /// offset counter advances to a fresh window for the next block.
-    pub fn clear_window(&mut self) {
-        for slot in self.slots.iter_mut().take(STATIC_REGION_START) {
-            *slot = None;
-        }
-    }
-
-    /// Number of registers currently holding a value.
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.is_some()).count()
-    }
-
-    /// Whether `reg` lies in the static (constant) region.
-    pub fn is_static(reg: RegIndex) -> bool {
-        reg.index() >= STATIC_REGION_START
+        (self.valid & (1 << reg.index()) != 0).then(|| self.values[reg.index()])
     }
 }
 
@@ -94,24 +91,18 @@ mod tests {
         assert_eq!(rf.read(r(0)), None);
         rf.write(r(0), Value::new(-7));
         assert_eq!(rf.read(r(0)), Some(Value::new(-7)));
-        assert_eq!(rf.occupancy(), 1);
+        assert_eq!(rf.read(r(1)), None);
     }
 
     #[test]
-    fn clear_window_preserves_the_static_region() {
-        let mut rf = RegisterFile::new();
-        rf.write(r(2), Value::new(1));
-        rf.write(r(31), Value::new(99));
-        rf.clear_window();
-        assert_eq!(rf.read(r(2)), None);
-        assert_eq!(rf.read(r(31)), Some(Value::new(99)));
-    }
-
-    #[test]
-    fn static_region_classification() {
-        assert!(!RegisterFile::is_static(r(0)));
-        assert!(!RegisterFile::is_static(r(23)));
-        assert!(RegisterFile::is_static(r(24)));
-        assert!(RegisterFile::is_static(r(31)));
+    fn a_copied_context_shadows_the_image_without_changing_it() {
+        let mut image = RegisterFile::new();
+        image.write(r(31), Value::new(99));
+        let mut context = image;
+        context.write(r(31), Value::new(5));
+        context.write(r(2), Value::new(1));
+        assert_eq!(context.read(r(31)), Some(Value::new(5)));
+        assert_eq!(image.read(r(31)), Some(Value::new(99)));
+        assert_eq!(image.read(r(2)), None);
     }
 }

@@ -108,7 +108,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates a trace that keeps at most `capacity` events.
+    /// Creates a trace that keeps at most `capacity` events. Nothing is
+    /// allocated until [`Trace::reserve`] or the first recorded event.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
             events: Vec::new(),
@@ -122,11 +123,25 @@ impl Trace {
         Self::with_capacity(0)
     }
 
+    /// Allocates, once, the storage for a run known to emit `expected` more
+    /// events: room for `min(capacity, expected)` of them, so the event
+    /// vector never regrows while the run records.
+    pub fn reserve(&mut self, expected: usize) {
+        let room = self.capacity.saturating_sub(self.events.len());
+        self.events.reserve_exact(expected.min(room));
+    }
+
     /// Records an event (or counts it as dropped once the capacity is
     /// reached).
     pub fn record(&mut self, event: Event) {
+        self.record_with(|| event);
+    }
+
+    /// Like [`Trace::record`], but builds the event only if it will be kept:
+    /// a full or disabled trace counts the drop and never calls `event`.
+    pub fn record_with(&mut self, event: impl FnOnce() -> Event) {
         if self.events.len() < self.capacity {
-            self.events.push(event);
+            self.events.push(event());
         } else {
             self.dropped += 1;
         }
@@ -178,6 +193,28 @@ mod tests {
         trace.record(event(1));
         assert!(trace.events().is_empty());
         assert_eq!(trace.total(), 1);
+    }
+
+    #[test]
+    fn a_full_trace_counts_drops_without_building_the_event() {
+        let mut trace = Trace::with_capacity(1);
+        trace.record_with(|| event(1));
+        trace.record_with(|| unreachable!("the trace is full"));
+        assert_eq!(trace.events().len(), 1);
+        assert_eq!(trace.dropped(), 1);
+    }
+
+    #[test]
+    fn reserve_allocates_no_more_than_the_capacity_or_the_expected_events() {
+        let mut trace = Trace::with_capacity(8);
+        trace.reserve(3);
+        assert!((3..8).contains(&trace.events.capacity()));
+        let mut trace = Trace::with_capacity(8);
+        trace.reserve(usize::MAX);
+        assert!((8..16).contains(&trace.events.capacity()));
+        let mut trace = Trace::disabled();
+        trace.reserve(100);
+        assert_eq!(trace.events.capacity(), 0);
     }
 
     #[test]

@@ -44,6 +44,35 @@ fn custom_kernels_simulate_correctly_on_every_variant() {
 }
 
 #[test]
+fn three_operand_graphs_are_rejected_by_the_compiler_not_the_simulator() {
+    // The DSL never emits `MulAdd`, but a hand-built graph can hold one. The
+    // 32-bit EXEC word has no third source field, so the tool flow must say
+    // so with a typed error instead of emitting a word that drops the addend.
+    use tm_overlay::dfg::{DfgBuilder, Op};
+    use tm_overlay::scheduler::ScheduleError;
+
+    let mut builder = DfgBuilder::new("mac");
+    let [x, y, z] = ["x", "y", "z"].map(|name| builder.input(name));
+    let mac = builder.op(Op::MulAdd, &[x, y, z]).unwrap();
+    builder.output("out", mac);
+    let dfg = builder.build().unwrap();
+    for variant in FuVariant::ALL {
+        let error = Compiler::new(variant).compile_dfg(&dfg).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                tm_overlay::Error::Schedule(ScheduleError::UnsupportedArity {
+                    node,
+                    op: Op::MulAdd,
+                    arity: 3,
+                }) if node == mac
+            ),
+            "{variant}: {error}"
+        );
+    }
+}
+
+#[test]
 fn benchmark_suite_simulates_correctly_with_optimized_lowering() {
     // Re-lower the DSL benchmarks with CSE enabled and make sure the whole
     // flow still produces correct results (fewer ops, same semantics).
