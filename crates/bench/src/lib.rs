@@ -307,10 +307,9 @@ pub fn iwp_ablation() -> String {
 }
 
 /// The known top-level sections of `BENCH_runtime.json`, in emission order.
-const BENCH_JSON_SECTIONS: [&str; 7] = [
+const BENCH_JSON_SECTIONS: [&str; 6] = [
     "runtime_scalability",
     "cluster_scalability",
-    "parallel_cluster",
     "batching_replication",
     "fault_recovery",
     "dag_pipeline",

@@ -113,6 +113,16 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// The counters accumulated since the earlier snapshot `before` — one
+    /// serve's share of a cache's lifetime counters.
+    pub(crate) fn since(self, before: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            evictions: self.evictions - before.evictions,
+        }
+    }
 }
 
 impl fmt::Display for CacheStats {
@@ -395,62 +405,6 @@ impl SimMemo {
                 last_used: self.clock,
             },
         );
-    }
-
-    /// Splits the memo into per-lane partitions for the sharded cluster:
-    /// the entry for key `K` moves to partition `home(&K)`. Every partition
-    /// keeps the full capacity and the *relative* recency order of its
-    /// entries (reinserted in ascending `last_used`, each under a fresh
-    /// lane clock); partition stats start at zero so the lanes' deltas can
-    /// be summed back by [`merge_from_lanes`](Self::merge_from_lanes). The
-    /// shared memo keeps its cumulative stats and is left empty.
-    ///
-    /// Kernel-hash routing sends every request for a kernel to that
-    /// kernel's home device, and a [`SimKey`] embeds the kernel identity,
-    /// so this partition is exact: no two lanes can ever look up the same
-    /// key.
-    pub(crate) fn split_by_home<F>(&mut self, lanes: usize, home: F) -> Vec<SimMemo>
-    where
-        F: Fn(&SimKey) -> usize,
-    {
-        let mut parts: Vec<SimMemo> = (0..lanes).map(|_| SimMemo::new(self.capacity)).collect();
-        let mut entries: Vec<(SimKey, MemoEntry)> = self.entries.drain().collect();
-        // FnvHashMap iteration order is meaningless; the LRU order lives in
-        // `last_used`.
-        entries.sort_by_key(|(_, entry)| entry.last_used);
-        for (key, entry) in entries {
-            let part = &mut parts[home(&key)];
-            part.clock += 1;
-            part.entries.insert(
-                key,
-                MemoEntry {
-                    run: entry.run,
-                    last_used: part.clock,
-                },
-            );
-        }
-        self.clock = 0;
-        parts
-    }
-
-    /// Re-adopts the per-lane partitions after a sharded serve: each lane's
-    /// entries come back in that lane's recency order and the lanes'
-    /// hit/miss/eviction deltas are added to the shared cumulative stats.
-    /// When the union exceeds capacity the normal LRU insert path evicts —
-    /// a behavior (and stats) divergence from a serial serve that is only
-    /// reachable when the working set overflows the memo, which the
-    /// equivalence suites keep well clear of.
-    pub(crate) fn merge_from_lanes(&mut self, lanes: Vec<SimMemo>) {
-        for lane in lanes {
-            self.stats.hits += lane.stats.hits;
-            self.stats.misses += lane.stats.misses;
-            self.stats.evictions += lane.stats.evictions;
-            let mut entries: Vec<(SimKey, MemoEntry)> = lane.entries.into_iter().collect();
-            entries.sort_by_key(|(_, entry)| entry.last_used);
-            for (key, entry) in entries {
-                self.insert(key, entry.run);
-            }
-        }
     }
 
     /// Whether `key` is currently memoized (does not touch LRU order).

@@ -56,16 +56,13 @@
 //! # }
 //! ```
 
-mod shard;
-
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
-use overlay_sim::{OverlaySimulator, SimError, SimRun};
+use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::{Batcher, Replicator};
@@ -85,10 +82,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    prepare_request, record_request_spans, BatchConfig, DispatchPolicy, DispatchRequest,
-    Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext, RejectedRequest,
-    ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob, SimMemo, SimResults,
-    SimSourced, Submitter, TilePool,
+    prepare_request, record_request_spans, with_sim_workers, BatchConfig, DispatchPolicy,
+    DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
+    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob,
+    SimMemo, SimResults, SimSourced, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -361,11 +358,10 @@ struct ClusterState<'a> {
     activation_us: Vec<f64>,
     /// Per device: the windowed-telemetry lane partition (inert at the
     /// default disabled config). Request commits accumulate in per-device
-    /// serial order — identical between this loop and the device's shard
-    /// lane, the bitwise sharded-equivalence property.
+    /// commit order — the order this loop on one device shares with
+    /// [`Runtime`]'s, which is what keeps the two bitwise equal.
     lane_series: Vec<obs::LaneSeries>,
-    /// The cross-device queue-depth integral, accumulated in serial event
-    /// order (the sharded loop replays it in its commit stage).
+    /// The cross-device queue-depth integral, accumulated in event order.
     global_series: obs::GlobalSeries,
 }
 
@@ -415,15 +411,6 @@ pub struct Cluster {
     trace_scratch: obs::TraceRecorder,
     profiling: bool,
     tiles_per_device: usize,
-    /// Host-thread budget for sharded batch serves
-    /// ([`Cluster::with_threads`]); 1 keeps the serial loop.
-    threads: usize,
-    /// Whether a past serve may have adopted a kernel image into a store
-    /// other than the kernel's home shard (dynamic routing or replication
-    /// on a multi-device cluster). The sharded loop assumes images live
-    /// only on their home shards, so this poisons its eligibility until
-    /// the stores are rebuilt.
-    cross_shard_images: bool,
     /// The installed fault schedule, if any ([`Cluster::with_fault_plan`]).
     fault_plan: Option<FaultPlan>,
     /// Per-serve fault state (fleet flags + availability accounting),
@@ -491,8 +478,6 @@ impl Cluster {
             trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
             profiling: false,
             tiles_per_device,
-            threads: 1,
-            cross_shard_images: false,
             fault_plan: None,
             fault: None,
             stage_affinity: true,
@@ -534,8 +519,6 @@ impl Cluster {
         for device in &mut self.devices {
             device.cache = KernelCache::new(capacity)?;
         }
-        // Fresh stores hold no cross-shard images.
-        self.cross_shard_images = false;
         Ok(self)
     }
 
@@ -612,8 +595,7 @@ impl Cluster {
     /// Configures windowed telemetry (same semantics as
     /// [`Runtime::with_telemetry`]): disabled by default, and disabled is
     /// bitwise-free. The [`TimeSeries`](obs::TimeSeries) comes back on
-    /// [`ClusterReport::telemetry`], accumulated identically by the serial
-    /// and sharded ([`Cluster::with_threads`]) loops.
+    /// [`ClusterReport::telemetry`].
     #[must_use]
     pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
         self.telemetry = config;
@@ -668,21 +650,10 @@ impl Cluster {
         self.stage_affinity
     }
 
-    /// Shards batch serves across up to `threads` host threads, one event
-    /// lane per device, with a serial commit stage merging the lanes back
-    /// into the exact single-threaded event order (see [`shard`](self)'s
-    /// module notes). `threads = 1` — the default — keeps the serial loop.
-    ///
-    /// The sharded loop engages only when it can prove the lanes are
-    /// independent: more than one device, static kernel-hash routing, no
-    /// admission limit, replication off, and no store holding another
-    /// shard's image from an earlier dynamically-routed serve. Any other
-    /// configuration (and every streaming serve) falls back to the serial
-    /// loop, so results are identical either way; the output is also
-    /// deterministic across runs and across `threads` values.
+    // Identity stub kept for the frozen `benchmark/src/workloads/serve/surge.rs:224`.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -696,8 +667,6 @@ impl Cluster {
             device.cache.clear();
         }
         self.sim_memo.clear();
-        // Cleared stores hold no cross-shard images.
-        self.cross_shard_images = false;
         self
     }
 
@@ -761,11 +730,6 @@ impl Cluster {
         self.profiling
     }
 
-    /// The configured host-thread budget for sharded batch serves.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The devices (holding the state left by the last serve).
     pub fn devices(&self) -> &[Device] {
         &self.devices
@@ -789,31 +753,10 @@ impl Cluster {
         I: IntoIterator<Item = Request>,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        if self.sharded_eligible() {
-            return self.serve_sharded(requests);
-        }
         self.run_serve(
             Ingest::Batch(requests.into_iter()),
             None::<(fn(Submitter), _)>,
         )
-    }
-
-    /// Whether a batch serve takes the sharded (parallel) event loop: a
-    /// thread budget above 1 and a configuration where device lanes are
-    /// provably independent — several devices, static kernel-hash routing
-    /// (the only cross-shard edge is then the submission schedule),
-    /// unlimited admission (admission reads the cluster-wide waiting
-    /// count), replication off (a push writes a foreign store mid-serve),
-    /// and no store poisoned with another shard's image by an earlier
-    /// dynamically-routed serve.
-    fn sharded_eligible(&self) -> bool {
-        self.threads > 1
-            && self.num_devices() > 1
-            && self.route.is_statically_sharded()
-            && self.admission_limit == usize::MAX
-            && !self.replication.enabled()
-            && !self.cross_shard_images
-            && self.fault_plan.is_none()
     }
 
     /// Serves a live request stream through a [`Submitter`] (same contract
@@ -900,9 +843,9 @@ impl Cluster {
     /// The all-single-stage, all-standard fast path of
     /// [`serve_pipelines`](Cluster::serve_pipelines): lowers each pipeline
     /// to its plain [`Request`] and runs the unchanged
-    /// [`serve`](Cluster::serve) — including its sharded loop — then
-    /// rebuilds the pipeline-level view from the plain report. This is the
-    /// path the equivalence proptests pin bitwise against PR-8 serving.
+    /// [`serve`](Cluster::serve), then rebuilds the pipeline-level view
+    /// from the plain report. This is the path the equivalence proptests
+    /// pin bitwise against PR-8 serving.
     fn serve_single_stage_pipelines(
         &mut self,
         pipelines: &[PipelineRequest],
@@ -1763,17 +1706,6 @@ impl Cluster {
     where
         F: FnOnce(Submitter) + Send,
     {
-        // A dynamically-routed, replicated or fault-injected serve can adopt
-        // images into non-home stores (requeues land anywhere); remember
-        // that so the sharded loop (which assumes home-only residency)
-        // stays off until the stores are rebuilt.
-        if self.num_devices() > 1
-            && (!self.route.is_statically_sharded()
-                || self.replication.enabled()
-                || self.fault_plan.is_some())
-        {
-            self.cross_shard_images = true;
-        }
         // Validate and arm the fault schedule before anything is spawned.
         // An installed-but-empty plan still builds a `FaultState`, so the
         // fault code path itself is exercised (and pinned bitwise-identical
@@ -1793,44 +1725,18 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<SimRun, SimError>)>();
-        let workers = self.total_tiles().clamp(1, Runtime::MAX_SIM_WORKERS);
-        let variant = self.variant();
-        let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
-
-        let output = thread::scope(|scope| {
-            if let Some((feed, ingest_tx)) = feed {
-                scope.spawn(move || feed(Submitter::new(ingest_tx)));
-            }
-            for job_rx in job_rxs {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                    while let Ok(job) = job_rx.recv() {
-                        let run = simulator.run(&job.compiled, &job.request.workload);
-                        if result_tx.send((job.index, run)).is_err() {
-                            break; // loop is gone (it failed); stop working
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // workers hold the clones that matter
-            self.event_loop(ingest, job_txs, &result_rx)
+        let (variant, tiles) = (self.variant(), self.total_tiles());
+        let output = with_sim_workers(variant, tiles, feed, |jobs, results| {
+            self.event_loop(ingest, jobs, results)
         })?;
 
-        let delta = |after: CacheStats, before: CacheStats| CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            evictions: after.evictions - before.evictions,
-        };
         let cache_deltas: Vec<CacheStats> = self
             .devices
             .iter()
             .zip(&cache_before)
-            .map(|(device, &before)| delta(device.cache.stats(), before))
+            .map(|(device, &before)| device.cache.stats().since(before))
             .collect();
-        let sim_memo = delta(self.sim_memo.stats(), memo_before);
+        let sim_memo = self.sim_memo.stats().since(memo_before);
         let (metrics, devices) = self.aggregate(&output, &cache_deltas, sim_memo);
         Ok(ClusterReport {
             policy: self.policy(),
@@ -1881,20 +1787,7 @@ impl Cluster {
             device_rejects: vec![0; devices],
             device_transfers: vec![(0, 0); devices],
             device_host_loads: vec![0; devices],
-            recorder: {
-                // Reuse the drained recorder from the previous serve (warm
-                // ring allocation); rebuild only if the config changed or a
-                // prior error path lost it.
-                let scratch = std::mem::replace(
-                    &mut self.trace_scratch,
-                    obs::TraceRecorder::new(obs::TraceConfig::disabled()),
-                );
-                if scratch.capacity() == self.tracing.capacity() {
-                    scratch
-                } else {
-                    obs::TraceRecorder::new(self.tracing)
-                }
-            },
+            recorder: self.trace_scratch.take_warm(self.tracing),
             profiler: obs::StageProfiler::new(self.profiling),
             queue_depth_hist: obs::LogHistogram::new(),
             device_latency_hists: vec![obs::LogHistogram::new(); devices],

@@ -15,14 +15,6 @@
 //! Ties are broken by insertion order, which keeps the whole loop
 //! deterministic for a given submission order.
 //!
-//! The sharded cluster loop ([`Cluster::with_threads`](crate::Cluster::with_threads))
-//! runs one private `EventQueue` per device lane — each lane advances its
-//! own virtual clock over the same invariants — and then a commit stage
-//! replays the recorded per-lane events through a fresh queue, which
-//! reproduces the exact `(time, insertion)` total order the serial loop
-//! would have popped. Determinism of the merge is inherited from the same
-//! two invariants above, not re-proved.
-//!
 //! The event pop is also the observability sampling point: both serve loops
 //! record the pre-update waiting count into the queue-depth
 //! [`LogHistogram`](crate::obs::LogHistogram) and attribute the queue-area

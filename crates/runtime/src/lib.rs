@@ -491,6 +491,51 @@ pub(crate) struct SimJob {
     pub(crate) request: Arc<Request>,
 }
 
+/// Runs `event_loop` beside a serve's helper threads: the feeder of a
+/// streaming serve and one simulation worker per tile, at most
+/// [`Runtime::MAX_SIM_WORKERS`]. Each worker owns a job channel — the loop
+/// deals jobs to them, so workers never contend on a shared receiver lock —
+/// and all answer on the one result channel. The job senders (and the
+/// ingest the caller's closure holds) move into `event_loop`, so returning,
+/// success or error, disconnects the feeder and the workers and lets the
+/// scope join them.
+pub(crate) fn with_sim_workers<F, R>(
+    variant: FuVariant,
+    tiles: usize,
+    feed: Option<(F, mpsc::SyncSender<Arc<Request>>)>,
+    event_loop: impl FnOnce(
+        Vec<mpsc::Sender<SimJob>>,
+        &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+    ) -> R,
+) -> R
+where
+    F: FnOnce(Submitter) + Send,
+{
+    let (result_tx, result_rx) = mpsc::channel();
+    let workers = tiles.clamp(1, Runtime::MAX_SIM_WORKERS);
+    let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
+        (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
+    thread::scope(|scope| {
+        if let Some((feed, ingest_tx)) = feed {
+            scope.spawn(move || feed(Submitter::new(ingest_tx)));
+        }
+        for job_rx in job_rxs {
+            let result_tx = result_tx.clone();
+            scope.spawn(move || {
+                let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+                while let Ok(job) = job_rx.recv() {
+                    let run = simulator.run(&job.compiled, &job.request.workload);
+                    if result_tx.send((job.index, run)).is_err() {
+                        break; // loop is gone (it failed); stop working
+                    }
+                }
+            });
+        }
+        drop(result_tx); // workers hold the clones that matter
+        event_loop(job_txs, &result_rx)
+    })
+}
+
 /// Sim results as the event loop consumes them: jobs are spawned eagerly at
 /// admission (deduplicated by [`SimKey`] against in-flight runs while
 /// memoization is enabled), dealt to the least-loaded worker, returned in
@@ -851,7 +896,7 @@ impl Runtime {
     pub const DEFAULT_INGEST_CAPACITY: usize = 64;
 
     /// Host worker threads running functional simulations are capped here.
-    pub(crate) const MAX_SIM_WORKERS: usize = 8;
+    const MAX_SIM_WORKERS: usize = 8;
 
     /// A runtime of `tiles` parallel-composition tiles of `variant` on a
     /// single-row NoC, using kernel-affinity dispatch.
@@ -1127,45 +1172,13 @@ impl Runtime {
         let cache_before = self.cache.stats();
         let memo_before = self.sim_memo.stats();
 
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<SimRun, SimError>)>();
-        let workers = self.pool.num_tiles().clamp(1, Self::MAX_SIM_WORKERS);
-        let variant = self.pool.variant();
-        // One job channel per worker: the event loop deals jobs round-robin,
-        // so workers never contend on a shared receiver lock.
-        let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
-
-        let output = thread::scope(|scope| {
-            if let Some((feed, ingest_tx)) = feed {
-                scope.spawn(move || feed(Submitter::new(ingest_tx)));
-            }
-            for job_rx in job_rxs {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                    while let Ok(job) = job_rx.recv() {
-                        let run = simulator.run(&job.compiled, &job.request.workload);
-                        if result_tx.send((job.index, run)).is_err() {
-                            break; // loop is gone (it failed); stop working
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // workers hold the clones that matter
-                             // `ingest` and the job senders move into the
-                             // loop so that returning (success or error)
-                             // disconnects the feeder and the workers and
-                             // lets the scope join them.
-            self.event_loop(ingest, job_txs, &result_rx)
+        let (variant, tiles) = (self.pool.variant(), self.pool.num_tiles());
+        let output = with_sim_workers(variant, tiles, feed, |jobs, results| {
+            self.event_loop(ingest, jobs, results)
         })?;
 
-        let delta = |after: CacheStats, before: CacheStats| CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            evictions: after.evictions - before.evictions,
-        };
-        let cache = delta(self.cache.stats(), cache_before);
-        let sim_memo = delta(self.sim_memo.stats(), memo_before);
+        let cache = self.cache.stats().since(cache_before);
+        let sim_memo = self.sim_memo.stats().since(memo_before);
         let metrics = self.aggregate(&output, cache, sim_memo);
         Ok(ServeReport {
             policy: self.dispatcher.policy(),
@@ -1210,20 +1223,7 @@ impl Runtime {
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
-            recorder: {
-                // Reuse the drained recorder from the previous serve (warm
-                // ring allocation); rebuild only if the config changed or a
-                // prior error path lost it.
-                let scratch = std::mem::replace(
-                    &mut self.trace_scratch,
-                    obs::TraceRecorder::new(obs::TraceConfig::disabled()),
-                );
-                if scratch.capacity() == self.tracing.capacity() {
-                    scratch
-                } else {
-                    obs::TraceRecorder::new(self.tracing)
-                }
-            },
+            recorder: self.trace_scratch.take_warm(self.tracing),
             profiler: obs::StageProfiler::new(self.profiling),
             latency_hist: obs::LogHistogram::new(),
             queue_depth_hist: obs::LogHistogram::new(),

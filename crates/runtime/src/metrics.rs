@@ -196,18 +196,6 @@ pub struct BatchStats {
     pub stage_batched: usize,
 }
 
-impl BatchStats {
-    /// Adds another serve's (or, on the sharded cluster, another device
-    /// lane's) counters into this one. Batching state is per tile, so the
-    /// lane counters partition the serial loop's and summing is exact.
-    pub fn absorb(&mut self, other: &BatchStats) {
-        self.batches_formed += other.batches_formed;
-        self.batched_requests += other.batched_requests;
-        self.switches_avoided += other.switches_avoided;
-        self.stage_batched += other.stage_batched;
-    }
-}
-
 impl fmt::Display for BatchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -161,18 +161,6 @@ impl ProfileStats {
         self.nanos.iter().sum()
     }
 
-    /// Adds another profile's attribution into this one. The sharded
-    /// cluster merges its per-lane profiles through this: host-time
-    /// attribution is additive across lanes (it never feeds the
-    /// bitwise-pinned model state, so summing is exact for the counters
-    /// and the right roll-up for the nanoseconds).
-    pub fn absorb(&mut self, other: &ProfileStats) {
-        for slot in 0..STAGE_COUNT {
-            self.nanos[slot] += other.nanos[slot];
-            self.counts[slot] += other.counts[slot];
-        }
-    }
-
     /// `(stage, total ns, probes)` rows in export order.
     pub fn rows(&self) -> [(Stage, u64, u64); STAGE_COUNT] {
         let mut rows = [(Stage::Scan, 0, 0); STAGE_COUNT];

@@ -17,9 +17,10 @@
 //! and — with tracing on — emitted as typed [`SloBurn`](SpanKind::SloBurn) /
 //! [`SloClear`](SpanKind::SloClear) trace spans on the virtual timeline.
 //!
-//! Everything here is a pure function of the time-series, so the sharded
-//! event loop (whose series is bitwise-identical to the serial one)
-//! reproduces the serial burn samples, alerts and spans bitwise.
+//! Everything here is a pure function of the time-series, so a
+//! [`Runtime`](crate::Runtime) and a 1-device [`Cluster`](crate::Cluster)
+//! (whose series are bitwise-identical) report the same burn samples,
+//! alerts and spans bitwise.
 
 use crate::obs::timeline::TimeSeries;
 use crate::obs::trace::{SpanKind, TraceEvent, TraceRecorder};
@@ -205,8 +206,7 @@ fn trailing_miss_rate(series: &TimeSeries, slot: usize, end: usize, span: usize)
 }
 
 /// Evaluates the configured objectives against a completed time-series — a
-/// pure function, called identically by the serial loop and the sharded
-/// commit stage.
+/// pure function, called identically by both event loops.
 pub(crate) fn evaluate_slo(series: &TimeSeries, config: &SloConfig) -> SloReport {
     let mut classes = Vec::with_capacity(config.objectives().len());
     for &objective in config.objectives() {
@@ -276,7 +276,7 @@ pub(crate) fn evaluate_slo(series: &TimeSeries, config: &SloConfig) -> SloReport
 /// Records every alert's fire and clear as typed instants on the trace's
 /// virtual timeline (fleet-wide, device 0), in (class, fire) order — called
 /// just before the recorder drains, by both event loops, so the spans land
-/// identically in the serial and sharded traces.
+/// identically in a `Runtime` trace and a 1-device `Cluster` trace.
 pub(crate) fn record_burn_spans(recorder: &mut TraceRecorder, report: &SloReport) {
     if !recorder.enabled() {
         return;

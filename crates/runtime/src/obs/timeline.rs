@@ -13,11 +13,10 @@
 //! commits land in a per-device [`LaneSeries`]; only the global queue-depth
 //! integral (a cross-device quantity) lives in the [`GlobalSeries`] the
 //! serial commit order owns. [`TimeSeries::assemble`] then absorbs the lanes
-//! in device order. The sharded event loop gives each lane thread its own
-//! `LaneSeries` and replays the queue integral in its serial-order commit
-//! stage, so a `with_threads` serve reproduces the serial time-series
-//! bitwise — the same partition-then-absorb shape that makes the sharded
-//! per-device latency histograms exact.
+//! in device order. Floating-point sums depend on accumulation order, and
+//! per-device commit order is the one order a [`Runtime`](crate::Runtime)
+//! and a 1-device [`Cluster`](crate::Cluster) share, so partitioning by
+//! device is what keeps their time-series bitwise equal.
 //!
 //! Everything is off by default ([`TelemetryConfig::disabled`]) and
 //! proptest-pinned bitwise-inert when off.
@@ -111,9 +110,9 @@ pub(crate) struct LaneWindow {
 }
 
 /// One device's partition of the time-series: every request commit on that
-/// device accumulates here, in the device's serial commit order — which is
-/// identical between the serial loop and that device's shard lane, the
-/// property the bitwise sharded-equivalence tests pin.
+/// device accumulates here, in the device's commit order — the order a
+/// [`Runtime`](crate::Runtime) and a 1-device [`Cluster`](crate::Cluster)
+/// share, which the bitwise equivalence tests pin.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneSeries {
     window_us: f64,
@@ -249,11 +248,9 @@ struct GlobalWindow {
     peak_queue_depth: usize,
 }
 
-/// The serial-commit-order partition of the time-series: the pool-wide
-/// waiting count is a cross-device quantity only the serial event order can
-/// integrate, so it accumulates here — in the serial loop directly, and in
-/// the sharded loop's serial-order commit stage (which replays the same
-/// event order bitwise).
+/// The event-order partition of the time-series: the pool-wide waiting
+/// count is a cross-device quantity only the event order can integrate, so
+/// it accumulates here, sampled at every event.
 #[derive(Debug, Clone)]
 pub(crate) struct GlobalSeries {
     window_us: f64,
@@ -449,8 +446,8 @@ pub struct TimeSeries {
 impl TimeSeries {
     /// Assembles the final series by absorbing the per-device lane
     /// partitions (in device order) over the global queue integral. Both
-    /// event loops call exactly this, so the serial and sharded paths agree
-    /// bitwise whenever their partitions do.
+    /// event loops call exactly this, so `Runtime` and a 1-device `Cluster`
+    /// agree bitwise whenever their partitions do.
     pub(crate) fn assemble(
         config: TelemetryConfig,
         makespan_us: f64,

@@ -402,8 +402,7 @@ pub(crate) enum SpanTag {
     /// `f64::to_bits` of the commit timestamp (`time + dur` can differ from
     /// the modeled completion by an ulp).
     RunCommit = 13,
-    // Fault-injection spans — all instants with no side-table payloads, so
-    // they pass through lane absorption verbatim.
+    // Fault-injection spans — all instants with no side-table payloads.
     DeviceDown = 14,
     DeviceUp = 15,
     /// Payload is 1 at drain begin, 0 when the device rejoins warm.
@@ -411,8 +410,7 @@ pub(crate) enum SpanTag {
     Requeue = 17,
     /// Payload is the link multiplier's `f64::to_bits`.
     LinkDegrade = 18,
-    // Session-tier spans — instants with no side-table payloads, so they
-    // too pass through lane absorption verbatim.
+    // Session-tier spans — instants with no side-table payloads.
     /// Payload is the number of producer stages that fed this stage.
     StageReady = 19,
     /// Payload is `from_device | bytes << 16` (activation transfer).
@@ -421,8 +419,7 @@ pub(crate) enum SpanTag {
     SloAdmit = 21,
     /// A request-level activation-transfer span on the start critical path.
     Activation = 22,
-    // Telemetry burn-alert spans — instants with no side-table payloads, so
-    // they pass through lane absorption verbatim.
+    // Telemetry burn-alert spans — instants with no side-table payloads.
     /// Payload is `class_index | window << 2`.
     SloBurn = 23,
     /// Payload is `class_index | window << 2`.
@@ -570,11 +567,17 @@ impl TraceRecorder {
         self.capacity > 0
     }
 
-    /// The ring capacity this recorder was built with (0 when disabled).
-    /// Lets a holder check whether a drained recorder can be reused for a
-    /// given [`TraceConfig`] or must be rebuilt.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Takes this recorder — the drained one a holder kept from its
+    /// previous serve, with its warm ring allocation — leaving a disabled
+    /// one in its place; rebuilds only if the config changed since or a
+    /// prior error path lost it.
+    pub(crate) fn take_warm(&mut self, config: TraceConfig) -> TraceRecorder {
+        let warm = std::mem::replace(self, TraceRecorder::new(TraceConfig::disabled()));
+        if warm.capacity == config.capacity() {
+            warm
+        } else {
+            TraceRecorder::new(config)
+        }
     }
 
     /// Interns an acquire-source label, returning its payload index. The
@@ -598,69 +601,6 @@ impl TraceRecorder {
         }
         self.sources.push(source);
         (self.sources.len() - 1) as u64
-    }
-
-    /// How many packed records the ring currently holds. The sharded
-    /// cluster's lanes record into unbounded recorders and log this cursor
-    /// after every event so the commit stage can absorb exactly the records
-    /// each event produced.
-    pub(crate) fn recorded(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Re-records one packed record out of a lane recorder's drained
-    /// [`Trace`] into this (merged) recorder, translating lane-local
-    /// side-table references — route slots and interned source indices —
-    /// and recomputing the global counter running totals in merge order.
-    /// Everything else is pushed verbatim; the bounded ring's drop-oldest
-    /// and route-slot recycling then behave exactly as if this recorder had
-    /// captured the span live, which is what lets the sharded cluster's
-    /// commit stage rebuild the serial loop's trace byte-for-byte.
-    pub(crate) fn absorb_lane_record(&mut self, lane: &Trace, index: usize) {
-        if self.capacity == 0 {
-            return;
-        }
-        let packed = lane.packed[index];
-        match SpanTag::from_byte(packed.meta & 0xff) {
-            Some(SpanTag::Route) => {
-                let choice = lane.routes[packed.payload as usize].clone();
-                let slot = self.route_seq % self.capacity;
-                self.route_seq += 1;
-                if slot < self.routes.len() {
-                    self.routes[slot] = choice;
-                } else {
-                    self.routes.push(choice);
-                }
-                self.push(Packed {
-                    payload: slot as u64,
-                    ..packed
-                });
-            }
-            Some(SpanTag::Acquire) => {
-                let source = lane
-                    .sources
-                    .get((packed.payload & ACQUIRE_INDEX_MASK) as usize)
-                    .copied()
-                    .unwrap_or(ACQUIRE_SOURCE_OVERFLOW);
-                let index = self.intern_source(source);
-                let bytes = packed.payload >> ACQUIRE_INDEX_BITS;
-                self.push(Packed {
-                    payload: index | (bytes << ACQUIRE_INDEX_BITS),
-                    ..packed
-                });
-            }
-            Some(SpanTag::Counter) => {
-                // `counter()` bumps by exactly one per record, so replaying
-                // the bump in merge order rebuilds the serial running total.
-                let slot = (packed.payload & 0xff) as usize;
-                self.counters[slot] += 1;
-                self.push(Packed {
-                    payload: (slot as u64) | (self.counters[slot] << 8),
-                    ..packed
-                });
-            }
-            _ => self.push(packed),
-        }
     }
 
     #[inline]
@@ -1356,44 +1296,13 @@ mod tests {
         }
     }
 
-    /// Session spans carry no side-table payloads, so lane absorption must
-    /// pass them through verbatim — the property that lets the sharded
-    /// cluster's merge stage handle them with no special casing.
-    #[test]
-    fn session_spans_absorb_verbatim_from_lane_traces() {
-        let mut lane = TraceRecorder::new(TraceConfig::with_capacity(usize::MAX));
-        lane.record(TraceEvent {
-            time_us: 1.0,
-            dur_us: 0.0,
-            request_id: Some(5),
-            device: 1,
-            tile: None,
-            kind: SpanKind::StageTransfer { from: 0, bytes: 64 },
-        });
-        lane.record(TraceEvent {
-            time_us: 2.0,
-            dur_us: 0.0,
-            request_id: Some(5),
-            device: 1,
-            tile: None,
-            kind: SpanKind::StageReady { deps: 1 },
-        });
-        let lane_trace = lane.finish().unwrap();
-        let mut merged = TraceRecorder::new(TraceConfig::enabled());
-        merged.absorb_lane_record(&lane_trace, 0);
-        merged.absorb_lane_record(&lane_trace, 1);
-        let trace = merged.finish().unwrap();
-        assert_eq!(trace.events(), lane_trace.events());
-    }
-
     /// Telemetry spans (activation, burn alerts) round trip through the
-    /// packed ring and, carrying no side-table payloads, absorb verbatim
-    /// from lane traces like the fault and session instants do.
+    /// packed ring.
     #[test]
-    fn telemetry_spans_round_trip_and_absorb_verbatim() {
+    fn telemetry_spans_round_trip() {
         use crate::session::SloClass;
-        let mut lane = TraceRecorder::new(TraceConfig::with_capacity(usize::MAX));
-        lane.record(TraceEvent {
+        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
+        recorder.record(TraceEvent {
             time_us: 1.0,
             dur_us: 0.5,
             request_id: Some(7),
@@ -1401,7 +1310,7 @@ mod tests {
             tile: Some(2),
             kind: SpanKind::Activation,
         });
-        lane.record(TraceEvent {
+        recorder.record(TraceEvent {
             time_us: 3.0,
             dur_us: 0.0,
             request_id: None,
@@ -1412,7 +1321,7 @@ mod tests {
                 window: 17,
             },
         });
-        lane.record(TraceEvent {
+        recorder.record(TraceEvent {
             time_us: 5.0,
             dur_us: 0.0,
             request_id: None,
@@ -1423,8 +1332,8 @@ mod tests {
                 window: 21,
             },
         });
-        let lane_trace = lane.finish().unwrap();
-        let events = lane_trace.events();
+        let trace = recorder.finish().unwrap();
+        let events = trace.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind.label(), "activation");
         assert_eq!(events[0].kind, SpanKind::Activation);
@@ -1445,91 +1354,5 @@ mod tests {
                 window: 21,
             }
         );
-        let mut merged = TraceRecorder::new(TraceConfig::enabled());
-        merged.absorb_lane_record(&lane_trace, 0);
-        merged.absorb_lane_record(&lane_trace, 1);
-        merged.absorb_lane_record(&lane_trace, 2);
-        let trace = merged.finish().unwrap();
-        assert_eq!(trace.events(), lane_trace.events());
-    }
-
-    #[test]
-    fn absorbing_lane_records_translates_side_tables_and_counters() {
-        // Two "lane" recorders capture disjoint streams; absorbing them
-        // interleaved must re-intern sources, re-slot route choices, and
-        // rebuild counter running totals exactly as a live recorder would.
-        let mut lane_a = TraceRecorder::new(TraceConfig::with_capacity(usize::MAX));
-        let mut lane_b = TraceRecorder::new(TraceConfig::with_capacity(usize::MAX));
-        lane_a.record(acquire(1.0, "host", 10));
-        lane_a.counter(2.0, 0, CounterName::MemoHit);
-        lane_b.record(acquire(1.5, "transfer", 20));
-        lane_b.counter(2.5, 1, CounterName::MemoHit);
-        lane_b.record(TraceEvent {
-            time_us: 3.0,
-            dur_us: 0.0,
-            request_id: Some(9),
-            device: 1,
-            tile: None,
-            kind: SpanKind::RouteChoice(Box::new(RouteChoice {
-                policy: "kernel-hash",
-                chosen: 1,
-                candidates: Vec::new(),
-            })),
-        });
-        let trace_a = lane_a.finish().unwrap();
-        let trace_b = lane_b.finish().unwrap();
-
-        let mut merged = TraceRecorder::new(TraceConfig::enabled());
-        merged.absorb_lane_record(&trace_a, 0);
-        merged.absorb_lane_record(&trace_b, 0);
-        merged.absorb_lane_record(&trace_b, 1);
-        merged.absorb_lane_record(&trace_a, 1);
-        merged.absorb_lane_record(&trace_b, 2);
-        let trace = merged.finish().unwrap();
-
-        let events = trace.events();
-        assert_eq!(events.len(), 5);
-        assert!(
-            matches!(
-                events[0].kind,
-                SpanKind::Acquire {
-                    source: "host",
-                    bytes: 10
-                }
-            ),
-            "got {:?}",
-            events[0].kind
-        );
-        assert!(
-            matches!(
-                events[1].kind,
-                SpanKind::Acquire {
-                    source: "transfer",
-                    bytes: 20
-                }
-            ),
-            "got {:?}",
-            events[1].kind
-        );
-        // Lane-local counter totals were 1 apiece; the merge order makes
-        // them the global running total 1, 2.
-        assert!(matches!(
-            events[2].kind,
-            SpanKind::Counter {
-                name: CounterName::MemoHit,
-                value: 1
-            }
-        ));
-        assert!(matches!(
-            events[3].kind,
-            SpanKind::Counter {
-                name: CounterName::MemoHit,
-                value: 2
-            }
-        ));
-        match &events[4].kind {
-            SpanKind::RouteChoice(choice) => assert_eq!(choice.chosen, 1),
-            other => panic!("expected a route choice, got {other:?}"),
-        }
     }
 }

@@ -89,19 +89,6 @@ impl RoutePolicy {
             RoutePolicy::PowerOfTwoChoices => "power-of-two",
         }
     }
-
-    /// True when the policy is a *static* shard map: the routed device is a
-    /// pure function of the kernel, independent of any runtime state. This
-    /// is what lets the sharded cluster loop
-    /// ([`Cluster::with_threads`](crate::Cluster::with_threads)) run device
-    /// lanes independently — with a static map, routing never reads
-    /// another device's load or cache, so the submission schedule is the
-    /// only cross-shard edge. The dynamic policies (least-loaded,
-    /// power-of-two-choices) compare live device state at each arrival and
-    /// pin the serial loop.
-    pub fn is_statically_sharded(&self) -> bool {
-        matches!(self, RoutePolicy::KernelHash)
-    }
 }
 
 impl fmt::Display for RoutePolicy {

@@ -21,11 +21,6 @@
 //! retires pipelines through a
 //! [`ReorderBuffer`](crate::ReorderBuffer) in exactly the order they were
 //! submitted, however far out of order their stages complete.
-//! Submission order is also the sequence number the sharded cluster loop
-//! keys its deterministic merge on — though streaming serves themselves
-//! always run the serial loop: [`Cluster::serve_stream`](crate::Cluster::serve_stream)
-//! ignores the [`Cluster::with_threads`](crate::Cluster::with_threads)
-//! budget, since a live feeder can race the virtual clock.
 //!
 //! When tracing is on ([`Runtime::with_tracing`](crate::Runtime::with_tracing)
 //! with an enabled [`TraceConfig`](crate::obs::TraceConfig)), the loop marks

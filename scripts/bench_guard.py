@@ -32,7 +32,6 @@ import sys
 # (section, dotted path within section, direction)
 HEADLINES = [
     ("cluster_scalability", "acceptance.end_to_end_ratio", "higher"),
-    ("parallel_cluster", "acceptance.opt_in_overhead_ratio", "lower"),
     ("batching_replication", "acceptance.events_ratio", "higher"),
     ("batching_replication", "acceptance.switch_ratio", "higher"),
     ("fault_recovery", "steady_miss_rate", "lower"),

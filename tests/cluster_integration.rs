@@ -4,12 +4,14 @@
 //! per-device metrics rolled up against the cluster totals.
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 use tm_overlay::dfg::evaluate_stream;
 use tm_overlay::frontend::LowerOptions;
+use tm_overlay::runtime::RuntimeError;
 use tm_overlay::{
     Benchmark, Cluster, ClusterReport, DispatchPolicy, FuVariant, KernelSpec, Request, RoutePolicy,
-    TransferModel, Workload,
+    TraceConfig, TransferModel, Workload,
 };
 
 /// A mixed-kernel trace over the paper's benchmark suite: `count` requests,
@@ -296,73 +298,134 @@ fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
 }
 
 #[test]
-fn sharded_serves_pass_the_full_cluster_audit() {
-    let requests = benchmark_trace(48, 6, 1.0, 5_000.0);
-    for threads in [2, 4, 16] {
-        let mut cluster = Cluster::new(FuVariant::V4, 4, 2)
-            .unwrap()
-            .with_policy(DispatchPolicy::KernelAffinity)
-            .with_route_policy(RoutePolicy::KernelHash)
-            .with_threads(threads);
-        assert_eq!(cluster.threads(), threads);
-        let report = cluster.serve(requests.clone()).unwrap();
-        verify_report(&requests, &report, 4);
-    }
-}
-
-#[test]
-fn thread_budget_defaults_to_one_and_clamps_at_one() {
-    assert_eq!(Cluster::new(FuVariant::V4, 2, 2).unwrap().threads(), 1);
-    let clamped = Cluster::new(FuVariant::V4, 2, 2).unwrap().with_threads(0);
-    assert_eq!(clamped.threads(), 1);
-}
-
-#[test]
-fn ineligible_shapes_still_serve_under_a_thread_budget() {
-    // Single device, dynamic routing, and bounded admission all fall back
-    // to the serial loop; a thread budget must never change what they serve.
-    let requests = benchmark_trace(24, 6, 1.0, 5_000.0);
-    let mut single = Cluster::new(FuVariant::V4, 1, 3).unwrap().with_threads(4);
-    let report = single.serve(requests.clone()).unwrap();
-    verify_report(&requests, &report, 1);
-    for route in [RoutePolicy::LeastLoaded, RoutePolicy::PowerOfTwoChoices] {
-        let mut cluster = Cluster::new(FuVariant::V4, 3, 2)
-            .unwrap()
-            .with_route_policy(route)
-            .with_threads(4);
-        let report = cluster.serve(requests.clone()).unwrap();
-        verify_report(&requests, &report, 3);
-    }
-    let mut limited = Cluster::new(FuVariant::V4, 3, 2)
-        .unwrap()
-        .with_route_policy(RoutePolicy::KernelHash)
-        .with_admission_limit(2)
-        .with_threads(4);
-    let report = limited.serve(requests.clone()).unwrap();
-    verify_report(&requests, &report, 3);
-}
-
-#[test]
-fn sharded_and_serial_loops_reject_bad_arrivals_identically() {
-    // The sharded pre-pass validates arrivals in submission order, so both
-    // loops must surface the same error for the same malformed trace.
-    let build = |threads: usize| {
+fn cluster_serves_reject_bad_arrivals_with_typed_errors() {
+    let build = || {
         Cluster::new(FuVariant::V4, 3, 2)
             .unwrap()
             .with_route_policy(RoutePolicy::KernelHash)
-            .with_threads(threads)
     };
     let mut invalid = benchmark_trace(8, 4, 1.0, 5_000.0);
     invalid[5] = invalid[5].clone().at(f64::NAN);
-    let serial = build(1).serve(invalid.clone()).unwrap_err();
-    let sharded = build(4).serve(invalid).unwrap_err();
-    // Compare the rendered errors: the payload carries the NaN arrival, and
-    // NaN != NaN under `PartialEq`.
-    assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
+    assert!(matches!(
+        build().serve(invalid),
+        Err(RuntimeError::InvalidArrival { request: 5, .. })
+    ));
 
     let mut regressing = benchmark_trace(8, 4, 1.0, 5_000.0);
     regressing[6] = regressing[6].clone().at(0.5);
-    let serial = build(1).serve(regressing.clone()).unwrap_err();
-    let sharded = build(4).serve(regressing).unwrap_err();
-    assert_eq!(serial, sharded);
+    assert!(matches!(
+        build().serve(regressing),
+        Err(RuntimeError::OutOfOrderArrival { request: 6, .. })
+    ));
+}
+
+/// Stable 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Renders a report as a canonical byte dump: every f64 as its raw bit
+/// pattern, so "identical" means bitwise, and the bulky sections (outputs,
+/// metrics, trace events) as FNV-1a digests of their `Debug` rendering.
+fn canonical_dump(report: &ClusterReport) -> String {
+    let mut out = format!(
+        "outcomes={} rejected={}\n",
+        report.outcomes().len(),
+        report.rejected().len()
+    );
+    for outcome in report.outcomes() {
+        let _ = writeln!(
+            out,
+            "req={} kernel={} device={} tile={} start={:016x} queued={:016x} \
+             completion={:016x} latency={:016x} switched={} deadline={:?} missed={} \
+             outputs_fnv={:016x}",
+            outcome.request_id,
+            outcome.kernel,
+            outcome.device,
+            outcome.tile,
+            outcome.start_us.to_bits(),
+            outcome.queued_us.to_bits(),
+            outcome.completion_us.to_bits(),
+            outcome.latency_us.to_bits(),
+            outcome.switched,
+            outcome.deadline_us.map(f64::to_bits),
+            outcome.missed_deadline,
+            fnv1a(format!("{:?}", outcome.outputs()).as_bytes()),
+        );
+    }
+    let _ = writeln!(
+        out,
+        "metrics_fnv={:016x}",
+        fnv1a(format!("{:?}", report.metrics()).as_bytes())
+    );
+    for device in report.device_metrics() {
+        let _ = writeln!(
+            out,
+            "device={} fnv={:016x}",
+            device.device,
+            fnv1a(format!("{device:?}").as_bytes())
+        );
+    }
+    let trace = report.trace().expect("tracing was enabled");
+    let events = trace.events();
+    let _ = writeln!(
+        out,
+        "trace events={} dropped={} fnv={:016x}",
+        events.len(),
+        trace.dropped(),
+        fnv1a(format!("{events:?}").as_bytes())
+    );
+    out
+}
+
+/// Cross-run determinism of a batch cluster serve, pinned to the bytes the
+/// cluster loop produced before the sharded executor was deleted (PR 17):
+/// a fixed 8-device x 2-tile, 60-request kernel-hash trace — six tenants,
+/// ten rounds, staggered arrivals, a sometimes-tight deadline on every
+/// third request. Never edit the constant to make this pass; a mismatch
+/// prints the dump the loop computes now.
+#[test]
+fn batch_cluster_serve_matches_its_golden_digest() {
+    const GOLDEN_DUMP_FNV: u64 = 0xeb0f_67f1_ef0d_dab9;
+    const TENANTS: [(Benchmark, usize); 6] = [
+        (Benchmark::Gradient, 12),
+        (Benchmark::Chebyshev, 8),
+        (Benchmark::Mibench, 6),
+        (Benchmark::Qspline, 10),
+        (Benchmark::Poly5, 4),
+        (Benchmark::Sgfilter, 8),
+    ];
+    let mut requests = Vec::new();
+    for round in 0..10 {
+        for (tenant, &(benchmark, blocks)) in TENANTS.iter().enumerate() {
+            let id = requests.len() as u64;
+            let spec = KernelSpec::from_benchmark(benchmark).unwrap();
+            let inputs = benchmark.dfg().unwrap().num_inputs();
+            let workload = Workload::random(inputs, blocks, id ^ 0xD1CE);
+            let arrival = round as f64 * 40.0 + tenant as f64 * 3.5;
+            let mut request = Request::new(id, spec, workload).at(arrival);
+            if id.is_multiple_of(3) {
+                request = request.with_deadline(arrival + 120.0);
+            }
+            requests.push(request);
+        }
+    }
+    let serve = || {
+        let mut cluster = Cluster::new(FuVariant::V4, 8, 2)
+            .unwrap()
+            .with_policy(DispatchPolicy::KernelAffinity)
+            .with_route_policy(RoutePolicy::KernelHash)
+            .with_tracing(TraceConfig::enabled());
+        canonical_dump(&cluster.serve(requests.clone()).unwrap())
+    };
+    let dump = serve();
+    assert_eq!(dump, serve(), "two fresh clusters diverged");
+    assert_eq!(
+        fnv1a(dump.as_bytes()),
+        GOLDEN_DUMP_FNV,
+        "digest {:#018x} of the dump below is not the golden one\n{dump}",
+        fnv1a(dump.as_bytes())
+    );
 }

@@ -18,10 +18,10 @@
 //! * The same lens discipline extends to the continuous-telemetry tier:
 //!   windowed time-series and SLO burn-rate tracking change no outcome and
 //!   no trace byte (beyond the burn/clear instants appended after the last
-//!   serve event), the sharded loop reproduces the serial series bitwise,
-//!   and [`explain`] decodes every served request's spans back into an
-//!   additive latency breakdown that reconciles with its modeled latency —
-//!   including through fault displacement and pipeline activations.
+//!   serve event), and [`explain`] decodes every served request's spans
+//!   back into an additive latency breakdown that reconciles with its
+//!   modeled latency — including through fault displacement and pipeline
+//!   activations.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -240,35 +240,6 @@ proptest! {
         }
     }
 
-    /// The sharded loop's commit stage merges per-lane trace rings back
-    /// into one timeline; the result must be indistinguishable from the
-    /// serial recorder — span-for-span equal — and the per-request
-    /// reconciliation audit must still hold on the merged trace.
-    #[test]
-    fn sharded_traces_match_serial_span_for_span(
-        (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
-        threads_pick in 0usize..2,
-    ) {
-        let requests = random_trace(seed, count, 4.0);
-        let policy = DispatchPolicy::ALL[policy_pick];
-        let threads = [2usize, 4][threads_pick];
-        let build = || Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_route_policy(RoutePolicy::KernelHash)
-            .with_tracing(TraceConfig::enabled());
-        let serial = build().serve(requests.clone()).unwrap();
-        let sharded = build().with_threads(threads).serve(requests).unwrap();
-        let serial_trace = serial.trace().expect("tracing was enabled");
-        let sharded_trace = sharded.trace().expect("tracing was enabled");
-        prop_assert_eq!(serial_trace, sharded_trace);
-        prop_assert_eq!(sharded_trace.dropped(), 0);
-        for outcome in sharded.outcomes() {
-            assert_spans_reconcile(sharded_trace, outcome.request_id, outcome.latency_us)?;
-        }
-    }
-
     /// Histogram parity: the log-bucketed percentile lands within one
     /// bucket width of the exact selection-path percentile, and splitting
     /// the samples across shards then merging changes nothing.
@@ -371,30 +342,6 @@ proptest! {
         for window in &series.windows {
             prop_assert!(window.utilization >= 0.0 && window.utilization <= 1.0 + 1e-12);
         }
-    }
-
-    /// The sharded loop's lane-partitioned accumulation plus the serial
-    /// replay of the queue integral reproduce the serial loop's time-series,
-    /// burn-rate report and burn events bitwise, at any thread count.
-    #[test]
-    fn sharded_telemetry_matches_serial_bitwise(
-        (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
-        threads_pick in 0usize..2,
-    ) {
-        let requests = random_trace(seed, count, 4.0);
-        let threads = [2usize, 4][threads_pick];
-        let build = || Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_route_policy(RoutePolicy::KernelHash)
-            .with_tracing(TraceConfig::enabled())
-            .with_telemetry(TelemetryConfig::windowed(1.0))
-            .with_slo(slo_objectives());
-        let serial = build().serve(requests.clone()).unwrap();
-        let sharded = build().with_threads(threads).serve(requests).unwrap();
-        prop_assert!(serial.telemetry().is_some());
-        prop_assert_eq!(serial.telemetry(), sharded.telemetry());
-        prop_assert_eq!(serial.slo(), sharded.slo());
-        prop_assert_eq!(serial.trace(), sharded.trace());
     }
 
     /// [`explain`] decodes the trace back into one additive row per served

@@ -9,13 +9,6 @@
 //! on the same randomized traces (routing collapses, no image is ever
 //! acquired), and `RoutePolicy::KernelHash` must assign every request of a
 //! kernel to the same device on every resubmission.
-//!
-//! The sharded (parallel) cluster loop extends the net one more tier:
-//! `Cluster::with_threads(n)` on an eligible configuration must reproduce
-//! the serial loop **bitwise** — outcomes, modeled timestamps, the full
-//! metrics struct, the per-device breakdown and the recorded trace — for
-//! every thread budget, across repeated runs, and on warm resubmission;
-//! ineligible configurations must fall back to the serial loop unchanged.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -363,49 +356,6 @@ fn assert_cluster_reports_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sharded loop's contract, pinned three ways on every random
-    /// trace: `with_threads(1)` (the default) is the serial loop;
-    /// `with_threads(n > 1)` on an eligible configuration reproduces it
-    /// bitwise (outcomes, metrics, device breakdown, trace); and the
-    /// parallel bytes are identical across repeated runs, across thread
-    /// budgets, and on warm resubmission (stores and memo carried over).
-    #[test]
-    fn sharded_serves_match_the_serial_loop_bitwise(
-        (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
-        threads_pick in 0usize..3,
-        batch_pick in 0usize..2,
-    ) {
-        let requests = random_trace(seed, count, 4.0);
-        let policy = DispatchPolicy::ALL[policy_pick];
-        let threads = [2usize, 4, 7][threads_pick];
-        let batching = [
-            BatchConfig::disabled(),
-            BatchConfig::with_max_batch(3),
-        ][batch_pick];
-        let build = || Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_batching(batching)
-            .with_tracing(TraceConfig::enabled());
-        let mut serial = build();
-        let mut sharded = build().with_threads(threads);
-        prop_assert_eq!(serial.threads(), 1);
-        prop_assert_eq!(sharded.threads(), threads);
-        let a = serial.serve(requests.clone()).unwrap();
-        let b = sharded.serve(requests.clone()).unwrap();
-        assert_cluster_reports_identical(&a, &b)?;
-        // Determinism: same bytes on a fresh run and at another budget.
-        let again = build().with_threads(threads).serve(requests.clone()).unwrap();
-        assert_cluster_reports_identical(&b, &again)?;
-        let other = build().with_threads(threads + 1).serve(requests.clone()).unwrap();
-        assert_cluster_reports_identical(&b, &other)?;
-        // Warm resubmission: both loops carry stores and memo forward.
-        let a2 = serial.serve(requests.clone()).unwrap();
-        let b2 = sharded.serve(requests).unwrap();
-        assert_cluster_reports_identical(&a2, &b2)?;
-    }
-
     /// An installed-but-empty [`FaultPlan`] must be bitwise identical to no
     /// plan at all: the fault machinery (eligibility-aware routing,
     /// per-tile run bookkeeping, completion staleness guards) engages on
@@ -447,27 +397,5 @@ proptest! {
         let a2 = plain.serve(requests.clone()).unwrap();
         let b2 = pinned.serve(requests).unwrap();
         assert_cluster_reports_identical(&a2, &b2)?;
-    }
-
-    /// A thread budget on an *ineligible* configuration — one device, a
-    /// dynamic route policy, or an admission limit — must fall back to the
-    /// serial loop and serve identically.
-    #[test]
-    fn ineligible_configs_fall_back_to_the_serial_loop(
-        (seed, count, devices, tiles) in (any::<u64>(), 6usize..16, 1usize..4, 1usize..3),
-        route_pick in 0usize..3,
-        limit_pick in 0usize..2,
-    ) {
-        let requests = random_trace(seed, count, 4.0);
-        let route = RoutePolicy::ALL[route_pick];
-        let limit = [usize::MAX, 3][limit_pick];
-        let build = || Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_route_policy(route)
-            .with_admission_limit(limit)
-            .with_tracing(TraceConfig::enabled());
-        let a = build().serve(requests.clone()).unwrap();
-        let b = build().with_threads(4).serve(requests).unwrap();
-        assert_cluster_reports_identical(&a, &b)?;
     }
 }
