@@ -7,8 +7,6 @@
 //! depth those variants require. The ALAP levels and per-node slack are used
 //! by the fixed-depth greedy scheduler for the write-back variants (V3–V5).
 
-use std::collections::HashMap;
-
 use crate::graph::Dfg;
 use crate::node::NodeId;
 
@@ -19,8 +17,10 @@ use crate::node::NodeId;
 /// ASAP level (the paper's `Depth` column in Table III).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DfgAnalysis {
-    asap: HashMap<NodeId, usize>,
-    alap: HashMap<NodeId, usize>,
+    /// ASAP and ALAP level per node, addressed by [`NodeId::index`]; 0 marks a
+    /// node that is not an operation (levels are 1-based).
+    asap: Vec<usize>,
+    alap: Vec<usize>,
     depth: usize,
     critical_path: CriticalPath,
     levels: Vec<Vec<NodeId>>,
@@ -76,35 +76,47 @@ impl DfgAnalysis {
     /// This is equivalent to [`Dfg::analysis`]; the free constructor exists so
     /// the analysis can also be run on borrowed graphs in generic code.
     pub fn new(dfg: &Dfg) -> Self {
-        let mut asap: HashMap<NodeId, usize> = HashMap::new();
+        let operations = || dfg.nodes().iter().filter(|n| n.kind().is_operation());
+        let mut asap = vec![0usize; dfg.num_nodes()];
+        let mut level_sizes: Vec<usize> = Vec::new();
         // Creation order is topological, so a single forward sweep suffices.
-        for node in dfg.nodes().iter().filter(|n| n.kind().is_operation()) {
+        for node in operations() {
             let level = node
                 .operands()
                 .iter()
-                .filter_map(|operand| asap.get(operand).copied())
+                .map(|operand| asap[operand.index()])
                 .max()
                 .unwrap_or(0)
                 + 1;
-            asap.insert(node.id(), level);
+            asap[node.id().index()] = level;
+            if level > level_sizes.len() {
+                level_sizes.resize(level, 0);
+            }
+            level_sizes[level - 1] += 1;
         }
-        let depth = asap.values().copied().max().unwrap_or(0);
+        let depth = level_sizes.len();
 
-        // ALAP: backward sweep over the reverse topological order.
-        let mut alap: HashMap<NodeId, usize> = HashMap::new();
-        for node in dfg.nodes().iter().rev().filter(|n| n.kind().is_operation()) {
-            let consumer_min = dfg
-                .consumers(node.id())
-                .into_iter()
-                .filter_map(|c| alap.get(&c).copied())
-                .map(|l| l - 1)
-                .min();
-            alap.insert(node.id(), consumer_min.unwrap_or(depth));
+        // ALAP: one backward sweep. Every consumer of a node comes after it,
+        // so a node's own level is final by the time the sweep reaches it and
+        // can be pushed down onto its operands.
+        let mut alap: Vec<usize> = asap
+            .iter()
+            .map(|&level| if level > 0 { depth } else { 0 })
+            .collect();
+        for node in operations().rev() {
+            let latest = alap[node.id().index()] - 1;
+            for operand in node.operands() {
+                let slot = &mut alap[operand.index()];
+                *slot = (*slot).min(latest);
+            }
         }
 
-        let mut levels = vec![Vec::new(); depth];
-        for node in dfg.nodes().iter().filter(|n| n.kind().is_operation()) {
-            levels[asap[&node.id()] - 1].push(node.id());
+        let mut levels: Vec<Vec<NodeId>> = level_sizes
+            .iter()
+            .map(|&size| Vec::with_capacity(size))
+            .collect();
+        for node in operations() {
+            levels[asap[node.id().index()] - 1].push(node.id());
         }
 
         let critical_path = Self::extract_critical_path(dfg, &asap, depth);
@@ -118,21 +130,17 @@ impl DfgAnalysis {
         }
     }
 
-    fn extract_critical_path(
-        dfg: &Dfg,
-        asap: &HashMap<NodeId, usize>,
-        depth: usize,
-    ) -> CriticalPath {
+    fn extract_critical_path(dfg: &Dfg, asap: &[usize], depth: usize) -> CriticalPath {
         if depth == 0 {
             return CriticalPath::default();
         }
-        // Start from any deepest node and walk backwards through an operand
-        // whose level is exactly one less.
-        let mut current = *asap
+        // Start from the lowest-numbered deepest node and walk backwards
+        // through the first operand whose level is exactly one less.
+        let deepest = asap
             .iter()
-            .find(|(_, &level)| level == depth)
-            .map(|(id, _)| id)
+            .position(|&level| level == depth)
             .expect("a node exists at the maximum level");
+        let mut current = dfg.nodes()[deepest].id();
         let mut path = vec![current];
         for level in (1..depth).rev() {
             let parent = dfg
@@ -140,7 +148,7 @@ impl DfgAnalysis {
                 .operands()
                 .iter()
                 .copied()
-                .find(|operand| asap.get(operand) == Some(&level))
+                .find(|operand| asap[operand.index()] == level)
                 .expect("critical path parent exists at each level");
             path.push(parent);
             current = parent;
@@ -152,13 +160,19 @@ impl DfgAnalysis {
     /// ASAP level of an operation node (1-based), or `None` for non-operation
     /// nodes.
     pub fn asap_level(&self, id: NodeId) -> Option<usize> {
-        self.asap.get(&id).copied()
+        self.asap
+            .get(id.index())
+            .copied()
+            .filter(|&level| level > 0)
     }
 
     /// ALAP level of an operation node (1-based), or `None` for non-operation
     /// nodes.
     pub fn alap_level(&self, id: NodeId) -> Option<usize> {
-        self.alap.get(&id).copied()
+        self.alap
+            .get(id.index())
+            .copied()
+            .filter(|&level| level > 0)
     }
 
     /// Scheduling slack of an operation node (`alap − asap`), or `None` for
@@ -196,14 +210,10 @@ impl DfgAnalysis {
     /// Nodes whose slack is zero — every one of them lies on *some* longest
     /// path, so moving them between scheduling stages changes the depth.
     pub fn zero_slack_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .asap
-            .keys()
-            .copied()
-            .filter(|&id| self.slack(id) == Some(0))
-            .collect();
-        nodes.sort_by_key(|id| id.index());
-        nodes
+        (0..self.asap.len())
+            .filter(|&index| self.asap[index] > 0 && self.alap[index] == self.asap[index])
+            .map(|index| NodeId(index as u32))
+            .collect()
     }
 
     /// Computes the summary statistics for `dfg` (which must be the graph the
@@ -274,6 +284,32 @@ mod tests {
             let (parent, child) = (window[0], window[1]);
             assert!(dfg.node_unchecked(child).operands().contains(&parent));
         }
+    }
+
+    #[test]
+    fn critical_path_ends_at_the_lowest_numbered_deepest_node() {
+        // Two depth-3 sinks: the path must end at the first one created and
+        // be the same in every process (it used to follow hash order).
+        let mut b = DfgBuilder::new("two-sinks");
+        let x = b.input("x");
+        let y = b.input("y");
+        let a = b.op(Op::Add, &[x, y]).unwrap();
+        let m = b.op(Op::Mul, &[x, y]).unwrap();
+        let a2 = b.op(Op::Square, &[a]).unwrap();
+        let m2 = b.op(Op::Square, &[m]).unwrap();
+        let first = b.op(Op::Sub, &[m2, a2]).unwrap();
+        let second = b.op(Op::Add, &[a2, m2]).unwrap();
+        b.output("p", first);
+        b.output("q", second);
+        let dfg = b.build().unwrap();
+        let analysis = dfg.analysis();
+        assert_eq!(analysis.asap_level(first), analysis.asap_level(second));
+        assert_eq!(analysis.critical_path().nodes(), &[m, m2, first]);
+        assert_eq!(analysis, dfg.analysis());
+        assert_eq!(
+            analysis.zero_slack_nodes(),
+            vec![a, m, a2, m2, first, second]
+        );
     }
 
     #[test]

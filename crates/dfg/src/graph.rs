@@ -169,44 +169,41 @@ impl Dfg {
     ///
     /// Returns [`DfgError::CyclicDependency`] if the graph contains a cycle.
     pub fn topological_ops(&self) -> Result<Vec<NodeId>, DfgError> {
-        let mut in_degree: HashMap<NodeId, usize> = HashMap::new();
-        let mut ready: Vec<NodeId> = Vec::new();
-        for node in self.nodes.iter().filter(|n| n.kind.is_operation()) {
-            // Count *distinct* operation operands: a node that uses the same
-            // producer twice still only waits for it once.
-            let mut producers: Vec<NodeId> = node
-                .operands()
-                .iter()
-                .copied()
-                .filter(|&o| self.node_unchecked(o).kind.is_operation())
-                .collect();
-            producers.sort_unstable();
-            producers.dedup();
-            let degree = producers.len();
-            if degree == 0 {
-                ready.push(node.id);
-            } else {
-                in_degree.insert(node.id, degree);
+        // Depth-first over the operand edges, roots in index order: a root
+        // whose walk meets a node still on the stack depends on a cycle, and
+        // every lower-numbered operation has already been cleared.
+        const NEW: u8 = 0;
+        const ON_STACK: u8 = 1;
+        const DONE: u8 = 2;
+        let mut state = vec![NEW; self.nodes.len()];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in self.nodes.iter().filter(|n| n.kind.is_operation()) {
+            if state[root.id.index()] != NEW {
+                continue;
             }
-        }
-        let mut order = Vec::with_capacity(self.num_ops());
-        while let Some(id) = ready.pop() {
-            order.push(id);
-            for consumer in self.consumers(id) {
-                if let Some(degree) = in_degree.get_mut(&consumer) {
-                    *degree -= 1;
-                    if *degree == 0 {
-                        in_degree.remove(&consumer);
-                        ready.push(consumer);
+            state[root.id.index()] = ON_STACK;
+            stack.push((root.id.index(), 0));
+            while let Some((index, next)) = stack.last_mut() {
+                let Some(&operand) = self.nodes[*index].operands().get(*next) else {
+                    state[*index] = DONE;
+                    stack.pop();
+                    continue;
+                };
+                *next += 1;
+                if !self.node_unchecked(operand).kind.is_operation() {
+                    continue;
+                }
+                match state[operand.index()] {
+                    NEW => {
+                        state[operand.index()] = ON_STACK;
+                        stack.push((operand.index(), 0));
                     }
+                    ON_STACK => return Err(DfgError::CyclicDependency(root.id)),
+                    _ => {}
                 }
             }
         }
-        if let Some((&stuck, _)) = in_degree.iter().next() {
-            return Err(DfgError::CyclicDependency(stuck));
-        }
-        order.sort_by_key(|id| id.index());
-        Ok(order)
+        Ok(self.op_ids())
     }
 
     /// Validates structural invariants: operand ids exist, arities match,
@@ -217,12 +214,14 @@ impl Dfg {
     ///
     /// Returns the first violated invariant as a [`DfgError`].
     pub fn validate(&self) -> Result<(), DfgError> {
+        let mut consumed = vec![false; self.nodes.len()];
         for node in &self.nodes {
             for &operand in node.operands() {
                 let operand_node = self.node(operand)?;
                 if operand_node.kind.is_output() {
                     return Err(DfgError::OperandIsOutput(operand));
                 }
+                consumed[operand.index()] = true;
             }
             match &node.kind {
                 NodeKind::Operation { op, operands } if operands.len() != op.arity() => {
@@ -241,10 +240,8 @@ impl Dfg {
         if self.outputs.is_empty() {
             return Err(DfgError::NoOutputs);
         }
-        for &input in &self.inputs {
-            if self.fanout(input) == 0 {
-                return Err(DfgError::UnusedInput(input));
-            }
+        if let Some(&unused) = self.inputs.iter().find(|input| !consumed[input.index()]) {
+            return Err(DfgError::UnusedInput(unused));
         }
         self.topological_ops()?;
         Ok(())
@@ -316,6 +313,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_cycle_is_reported_at_its_lowest_numbered_dependant() {
+        let mut dfg = diamond();
+        let ops = dfg.op_ids();
+        // s = x + y, p = x * y, d = s - p; make p consume d: p and d form the
+        // cycle, s stays clear of it.
+        if let NodeKind::Operation { operands, .. } = &mut dfg.nodes[ops[1].index()].kind {
+            operands[0] = ops[2];
+        }
+        assert_eq!(
+            dfg.topological_ops(),
+            Err(DfgError::CyclicDependency(ops[1]))
+        );
+        assert_eq!(dfg.validate(), Err(DfgError::CyclicDependency(ops[1])));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! NOPs are needed because dependent operations always sit in different
 //! stages.
 
-use overlay_dfg::Dfg;
+use overlay_dfg::{Dfg, DfgAnalysis};
 
 use crate::error::ScheduleError;
-use crate::liveness::StageLiveness;
-use crate::stage::{Slot, Stage, StageSchedule, Strategy};
+use crate::stage::{Slot, StageSchedule, Strategy};
 
 /// Schedules `dfg` with one ASAP level per functional unit.
 ///
@@ -34,35 +33,25 @@ use crate::stage::{Slot, Stage, StageSchedule, Strategy};
 /// ```
 pub fn asap_schedule(dfg: &Dfg) -> Result<StageSchedule, ScheduleError> {
     let analysis = dfg.analysis();
-    let depth = analysis.depth();
-    if depth == 0 {
+    if analysis.depth() == 0 {
         return Err(ScheduleError::EmptyKernel);
     }
+    Ok(level_schedule(dfg, &analysis, Strategy::Asap))
+}
 
-    let stage_ops: Vec<Vec<_>> = (1..=depth)
-        .map(|level| analysis.level(level).to_vec())
+/// One stage per ASAP level of `analysis`, which must be `dfg`'s; the
+/// fixed-depth scheduler maps kernels that already fit its overlay this way.
+pub(crate) fn level_schedule(
+    dfg: &Dfg,
+    analysis: &DfgAnalysis,
+    strategy: Strategy,
+) -> StageSchedule {
+    let stage_slots = analysis
+        .levels()
+        .iter()
+        .map(|level| level.iter().map(|&op| Slot::Op(op)).collect())
         .collect();
-    let liveness = StageLiveness::compute(dfg, &stage_ops);
-
-    let mut stages = Vec::with_capacity(depth);
-    let mut placement = Vec::with_capacity(dfg.num_ops());
-    for (index, ops) in stage_ops.iter().enumerate() {
-        for &op in ops {
-            placement.push((op, index));
-        }
-        stages.push(Stage {
-            index,
-            loads: liveness.loads(index).to_vec(),
-            slots: ops.iter().map(|&op| Slot::Op(op)).collect(),
-        });
-    }
-
-    Ok(StageSchedule {
-        kernel: dfg.name().to_owned(),
-        strategy: Strategy::Asap,
-        stages,
-        placement,
-    })
+    StageSchedule::assemble(dfg, strategy, stage_slots)
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 //! the upstream stage forwards values defines the downstream arrival (and
 //! register allocation) order.
 
-use std::collections::HashMap;
-
 use overlay_dfg::{Dfg, NodeId};
 
 /// Per-stage load sets, forwarding decisions and the final output stream
@@ -39,35 +37,26 @@ impl StageLiveness {
     /// case).
     pub fn compute(dfg: &Dfg, stage_ops: &[Vec<NodeId>]) -> Self {
         let num_stages = stage_ops.len();
-        let mut producer_stage: HashMap<NodeId, isize> = HashMap::new();
-        for &input in dfg.inputs() {
-            producer_stage.insert(input, -1);
-        }
+        // Per node, addressed by `NodeId::index`: the last stage at which
+        // the value is still needed — the last stage consuming it as an
+        // operand, `num_stages` (the output FIFO, after the last stage) if
+        // it drives a kernel output, -1 if nothing needs it.
+        let mut needed_until = vec![-1isize; dfg.num_nodes()];
         for (stage, ops) in stage_ops.iter().enumerate() {
             for &op in ops {
-                producer_stage.insert(op, stage as isize);
-            }
-        }
-
-        // Last stage that consumes each value as an operand, and whether the
-        // value drives a kernel output.
-        let mut last_use: HashMap<NodeId, isize> = HashMap::new();
-        for (stage, ops) in stage_ops.iter().enumerate() {
-            for &op in ops {
-                for &operand in dfg.node_unchecked(op).operands() {
-                    if producer_stage.contains_key(&operand) {
-                        let entry = last_use.entry(operand).or_insert(-1);
-                        *entry = (*entry).max(stage as isize);
-                    }
+                for operand in dfg.node_unchecked(op).operands() {
+                    let last = &mut needed_until[operand.index()];
+                    *last = (*last).max(stage as isize);
                 }
             }
         }
-        let feeds_output = |value: NodeId| dfg.feeds_output(value);
-        // A value is needed at stage `k` or beyond if some consumer lives at
-        // stage >= k, or it must reach the output FIFO after the last stage.
-        let needed_at_or_after = |value: NodeId, k: isize| -> bool {
-            feeds_output(value) || last_use.get(&value).copied().unwrap_or(-1) >= k
-        };
+        for &output in dfg.outputs() {
+            for operand in dfg.node_unchecked(output).operands() {
+                needed_until[operand.index()] = num_stages as isize;
+            }
+        }
+        let needed_at_or_after =
+            |value: NodeId, k: isize| -> bool { needed_until[value.index()] >= k };
 
         let mut loads: Vec<Vec<NodeId>> = Vec::with_capacity(num_stages);
         let mut load_forward: Vec<Vec<bool>> = Vec::with_capacity(num_stages);
@@ -83,10 +72,9 @@ impl StageLiveness {
 
         for (stage, ops) in stage_ops.iter().enumerate() {
             let k = stage as isize;
-            let stage_loads = incoming.clone();
             // A loaded value is forwarded if it is still needed beyond this
             // stage.
-            let forwards: Vec<bool> = stage_loads
+            let forwards: Vec<bool> = incoming
                 .iter()
                 .map(|&value| needed_at_or_after(value, k + 1))
                 .collect();
@@ -99,7 +87,7 @@ impl StageLiveness {
             // order), then forwarded results (in issue order). This matches
             // the FU timeline, where incoming words are bypassed as they
             // arrive and computed results follow as they complete.
-            let mut next: Vec<NodeId> = stage_loads
+            let mut next: Vec<NodeId> = incoming
                 .iter()
                 .zip(&forwards)
                 .filter(|(_, &fwd)| fwd)
@@ -112,10 +100,9 @@ impl StageLiveness {
                     .map(|(&op, _)| op),
             );
 
-            loads.push(stage_loads);
+            loads.push(std::mem::replace(&mut incoming, next));
             load_forward.push(forwards);
             result_forward.push(results);
-            incoming = next;
         }
 
         StageLiveness {
@@ -124,6 +111,11 @@ impl StageLiveness {
             result_forward,
             final_stream: incoming,
         }
+    }
+
+    /// The per-stage arrival lists themselves, for a schedule to keep.
+    pub(crate) fn into_loads(self) -> Vec<Vec<NodeId>> {
+        self.loads
     }
 
     /// The values arriving at stage `k`, in arrival order.

@@ -4,6 +4,8 @@ use std::fmt;
 
 use overlay_dfg::{Dfg, NodeId};
 
+use crate::liveness::StageLiveness;
+
 /// One issue slot of a stage's execution window: either a DFG operation or an
 /// idle cycle inserted to respect the internal write-back path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,6 +95,38 @@ pub struct StageSchedule {
 }
 
 impl StageSchedule {
+    /// Builds the schedule whose stage `k` issues `stage_slots[k]`: runs the
+    /// liveness analysis over that assignment for the per-stage loads and
+    /// records the placement in issue order.
+    pub(crate) fn assemble(dfg: &Dfg, strategy: Strategy, stage_slots: Vec<Vec<Slot>>) -> Self {
+        let stage_ops: Vec<Vec<NodeId>> = stage_slots
+            .iter()
+            .map(|slots| slots.iter().filter_map(|slot| slot.op()).collect())
+            .collect();
+        let placement = stage_ops
+            .iter()
+            .enumerate()
+            .flat_map(|(index, ops)| ops.iter().map(move |&op| (op, index)))
+            .collect();
+        let stages = StageLiveness::compute(dfg, &stage_ops)
+            .into_loads()
+            .into_iter()
+            .zip(stage_slots)
+            .enumerate()
+            .map(|(index, (loads, slots))| Stage {
+                index,
+                loads,
+                slots,
+            })
+            .collect();
+        StageSchedule {
+            kernel: dfg.name().to_owned(),
+            strategy,
+            stages,
+            placement,
+        }
+    }
+
     /// The kernel name.
     pub fn kernel(&self) -> &str {
         &self.kernel
