@@ -58,11 +58,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
-use overlay_sim::{SimError, SimRun};
 
 use crate::cache::CacheStats;
 use crate::control::{Batcher, Replicator};
@@ -84,8 +84,8 @@ use crate::session::{
 use crate::{
     prepare_request, record_request_spans, with_sim_workers, BatchConfig, DispatchPolicy,
     DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
-    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimJob,
-    SimMemo, SimResults, SimSourced, Submitter, TilePool,
+    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimMemo,
+    SimResults, SimSourced, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -295,7 +295,7 @@ impl ClusterReport {
 /// Mutable event-loop state (the cluster mirror of the runtime's
 /// `OnlineState`), separate from the `Cluster` so placement and bookkeeping
 /// borrows stay disjoint.
-struct ClusterState<'a> {
+struct ClusterState<'scope, 'env> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
@@ -303,7 +303,7 @@ struct ClusterState<'a> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'a>,
+    sim: SimResults<'scope, 'env>,
     /// The same-kernel batching layer, indexed by global tile id (a no-op
     /// at the default `max_batch = 1`).
     batcher: Batcher,
@@ -995,7 +995,7 @@ impl Cluster {
         device: usize,
         info: &InFlight,
         acquisition: Acquisition,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) -> f64 {
         match acquisition {
             Acquisition::Resident => {
@@ -1036,7 +1036,7 @@ impl Cluster {
     /// replicas instead of letting LRU evict blindly. The modeled prefetch
     /// cost (the cheapest [`TransferModel`] source) is accounted as
     /// off-critical-path traffic in [`ReplicationStats`].
-    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState<'_>) {
+    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState<'_, '_>) {
         let ClusterState {
             replicator,
             recorder,
@@ -1317,7 +1317,7 @@ impl Cluster {
         index: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         if state.recorder.enabled() {
             state.recorder.record(obs::TraceEvent {
@@ -1354,7 +1354,7 @@ impl Cluster {
         index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let shed = match &mut state.session {
             Some(driver) => driver.note_rejected(index, now_us),
@@ -1379,7 +1379,7 @@ impl Cluster {
         routed: usize,
         acquisition: Acquisition,
         info: &InFlight,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) -> (usize, Acquisition) {
         let ClusterState {
             session,
@@ -1439,7 +1439,7 @@ impl Cluster {
         device: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let ClusterState {
             session, recorder, ..
@@ -1478,7 +1478,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let ClusterState {
             session,
@@ -1512,7 +1512,7 @@ impl Cluster {
         fault_index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let kind = self
             .fault
@@ -1560,7 +1560,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
@@ -1600,7 +1600,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
@@ -1629,7 +1629,7 @@ impl Cluster {
         from_device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) {
         state.exclusions[index].insert(from_device);
         self.fault
@@ -1653,7 +1653,7 @@ impl Cluster {
     /// each orphaned image still held by a surviving store is pushed onto
     /// the least-loaded live device with a free slot that does not hold it
     /// — the same adoption path and accounting as a rate-driven push.
-    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState<'_>) {
+    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState<'_, '_>) {
         for key in state.replicator.drain_device(dead) {
             let Some(artifact) = self
                 .devices
@@ -1725,10 +1725,7 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
-        let (variant, tiles) = (self.variant(), self.total_tiles());
-        let output = with_sim_workers(variant, tiles, feed, |jobs, results| {
-            self.event_loop(ingest, jobs, results)
-        })?;
+        let mut output = with_sim_workers(feed, |scope| self.event_loop(ingest, scope))?;
 
         let cache_deltas: Vec<CacheStats> = self
             .devices
@@ -1737,7 +1734,7 @@ impl Cluster {
             .map(|(device, &before)| device.cache.stats().since(before))
             .collect();
         let sim_memo = self.sim_memo.stats().since(memo_before);
-        let (metrics, devices) = self.aggregate(&output, &cache_deltas, sim_memo);
+        let (metrics, devices) = self.aggregate(&mut output, &cache_deltas, sim_memo);
         Ok(ClusterReport {
             policy: self.policy(),
             route: self.route,
@@ -1757,32 +1754,38 @@ impl Cluster {
     /// device-routing step (and the acquisition charge) spliced between
     /// arrival and tile placement. Decision order is identical, which is
     /// what makes the 1-device cluster bitwise equivalent.
-    fn event_loop(
+    fn event_loop<'scope, 'env>(
         &mut self,
         mut ingest: Ingest,
-        jobs: Vec<mpsc::Sender<SimJob>>,
-        results: &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+        scope: &'scope thread::Scope<'scope, 'env>,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
         let mut ctx = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
         let policy = self.policy();
-        let mut intake: Vec<InFlight> = Vec::new();
+        let expected = ingest.expected();
+        let mut intake: Vec<InFlight> = Vec::with_capacity(expected);
         let mut state = ClusterState {
             queues: (0..total_tiles)
                 .map(|_| TileQueue::new(policy, self.batching.enabled()))
                 .collect(),
-            taken: Vec::new(),
+            taken: Vec::with_capacity(expected),
             events: EventQueue::new(),
-            outcome_slots: Vec::new(),
+            outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(results, jobs.len(), self.sim_memo.capacity() > 0),
+            sim: SimResults::new(
+                scope,
+                self.variant(),
+                total_tiles,
+                expected,
+                self.sim_memo.capacity() > 0,
+            ),
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
-            acquire_us: Vec::new(),
+            acquire_us: Vec::with_capacity(expected),
             device_peak_queue: vec![0; devices],
             device_rejects: vec![0; devices],
             device_transfers: vec![(0, 0); devices],
@@ -1791,12 +1794,12 @@ impl Cluster {
             profiler: obs::StageProfiler::new(self.profiling),
             queue_depth_hist: obs::LogHistogram::new(),
             device_latency_hists: vec![obs::LogHistogram::new(); devices],
-            acquire_src: Vec::new(),
-            exclusions: Vec::new(),
+            acquire_src: Vec::with_capacity(expected),
+            exclusions: Vec::with_capacity(expected),
             running_index: vec![None; total_tiles],
             pending_free: vec![None; total_tiles],
             session: self.session_driver.take(),
-            activation_us: Vec::new(),
+            activation_us: Vec::with_capacity(expected),
             lane_series: (0..devices)
                 .map(|_| obs::LaneSeries::new(self.telemetry))
                 .collect(),
@@ -1933,7 +1936,7 @@ impl Cluster {
                     } else {
                         Some(self.route_device(info, now_us, &mut state.recorder))
                     };
-                    self.place_routed(index, routed, route, Some(&jobs), &intake, &mut state)?;
+                    self.place_routed(index, routed, route, true, &intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
                     let device = tile / self.tiles_per_device;
@@ -1979,7 +1982,7 @@ impl Cluster {
                         &state.exclusions[index],
                         &mut state.recorder,
                     );
-                    self.place_routed(index, routed, route, None, &intake, &mut state)?;
+                    self.place_routed(index, routed, route, false, &intake, &mut state)?;
                 }
             }
         }
@@ -2044,19 +2047,18 @@ impl Cluster {
     /// override the device; 2. the device's dispatcher places the request
     /// on a tile with the acquisition-adjusted switch cost; 3. the
     /// acquisition and activation are committed; 4. the request starts, or
-    /// joins the tile's queue. `jobs` carries the sim worker channels of a
-    /// *fresh* arrival, which on the way must also pass admission control
-    /// and source its simulation; a requeued request (`None`) did both at
-    /// its first arrival and repeats neither. `route` is the caller's open
+    /// joins the tile's queue. A `fresh` arrival must on the way also pass
+    /// admission control and source its simulation; a requeued request did
+    /// both at its first arrival and repeats neither. `route` is the caller's open
     /// `Route` profiler probe, closed here once the tile is known.
     fn place_routed(
         &mut self,
         index: usize,
         routed: Option<(usize, Acquisition)>,
         route: Option<Instant>,
-        jobs: Option<&[mpsc::Sender<SimJob>]>,
+        fresh: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let info = &intake[index];
@@ -2088,34 +2090,33 @@ impl Cluster {
         state.profiler.end(obs::Stage::Route, route);
         let tile = device * self.tiles_per_device + local_tile;
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
-        if jobs.is_some() && !self.admit(index, device, starts_now, intake, state) {
+        if fresh && !self.admit(index, device, starts_now, intake, state) {
             return Ok(());
         }
         state.acquire_src[index] = (acquisition.label(), acquisition.bytes());
         state.acquire_us[index] = self.commit_acquisition(device, info, acquisition, state);
         self.commit_stage_activation(index, device, info, now_us, state);
-        match jobs {
-            Some(jobs) => {
-                let memo = state.profiler.begin();
-                let sourced = state.sim.source(index, info, &mut self.sim_memo, jobs);
-                state.profiler.end(obs::Stage::Memo, memo);
-                match sourced {
-                    SimSourced::Joined => {
-                        state
-                            .recorder
-                            .counter(now_us, device, obs::CounterName::MemoJoin);
-                    }
-                    SimSourced::MemoHit => {
-                        state
-                            .recorder
-                            .counter(now_us, device, obs::CounterName::MemoHit);
-                    }
-                    SimSourced::Spawned => {}
+        if fresh {
+            let memo = state.profiler.begin();
+            let sourced = state.sim.source(index, info, &mut self.sim_memo);
+            state.profiler.end(obs::Stage::Memo, memo);
+            match sourced {
+                SimSourced::Joined => {
+                    state
+                        .recorder
+                        .counter(now_us, device, obs::CounterName::MemoJoin);
                 }
+                SimSourced::MemoHit => {
+                    state
+                        .recorder
+                        .counter(now_us, device, obs::CounterName::MemoHit);
+                }
+                SimSourced::Spawned => {}
             }
+        } else {
             // A started-then-killed request may still carry the taken flag
             // from its first life; clear it so the new queue entry is live.
-            None => state.taken[index] = false,
+            state.taken[index] = false;
         }
         if starts_now {
             return self.start_request(device, local_tile, index, intake, state, None);
@@ -2145,7 +2146,7 @@ impl Cluster {
         device: usize,
         starts_now: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) -> bool {
         let now_us = state.events.now_us();
         let info = &intake[index];
@@ -2218,7 +2219,7 @@ impl Cluster {
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
     ) -> Result<(), RuntimeError> {
         let tile = device * self.tiles_per_device + local_tile;
         let now_us = state.events.now_us();
@@ -2281,7 +2282,7 @@ impl Cluster {
         local_tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_>,
+        state: &mut ClusterState<'_, '_>,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
@@ -2393,7 +2394,7 @@ impl Cluster {
     /// selection, not a sort.
     fn aggregate(
         &self,
-        output: &ClusterLoopOutput,
+        output: &mut ClusterLoopOutput,
         cache_deltas: &[CacheStats],
         sim_memo: CacheStats,
     ) -> (RuntimeMetrics, Vec<DeviceMetrics>) {
@@ -2525,7 +2526,7 @@ impl Cluster {
             latency_hist: obs::LogHistogram::merged(
                 &output.device_latency_hists.iter().collect::<Vec<_>>(),
             ),
-            queue_depth_hist: output.queue_depth_hist.clone(),
+            queue_depth_hist: std::mem::take(&mut output.queue_depth_hist),
         };
         (totals, device_metrics)
     }

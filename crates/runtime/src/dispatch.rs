@@ -22,8 +22,8 @@
 //!
 //! # Indexed decisions, linear references
 //!
-//! Placement is answered from the [`TilePool`]'s residency index in
-//! O(log n), and tile queues drain through [`TileQueue`] — a per-policy
+//! Placement is answered from the [`TilePool`]'s residency index in a
+//! handful of first-entry lookups, and tile queues drain through [`TileQueue`] — a per-policy
 //! ordered structure (FIFO deque, deadline min-heap, or per-kernel slack
 //! buckets) that pops in O(log depth) instead of an O(depth)
 //! scan-and-remove. The event loops have no other path.
@@ -231,8 +231,8 @@ impl Dispatcher {
     /// gratuitously, and decisions stay deterministic.
     ///
     /// [`TilePool::place_earliest_indexed`] answers the same query from the
-    /// residency index in O(log n); the unit tests hold the two to identical
-    /// answers on every decision.
+    /// residency index without the scan; the unit tests hold the two to
+    /// identical answers on every decision.
     #[cfg(test)]
     pub(crate) fn earliest_completion_linear(
         request: &DispatchRequest,

@@ -5,8 +5,8 @@
 //! ~0.25 µs hardware context switch (instruction reload) against ~1 ms of
 //! PCAP partial reconfiguration for the feed-forward overlays. This crate
 //! turns those models into an **online, event-driven** serving system whose
-//! host-side hot path stays O(log n) per event as the pool and the queues
-//! grow:
+//! host-side hot path never scans the tiles or a queue per event as the pool
+//! and the queues grow:
 //!
 //! * [`Submitter`] — streaming request ingestion over a bounded channel:
 //!   [`Runtime::serve_stream`] accepts requests as they are produced, with
@@ -22,9 +22,9 @@
 //!   V3–V5, ms PCAP for `[14]`/V1/V2) whenever a tile must change kernels;
 //!   [`DispatchPolicy::EarliestDeadlineFirst`] and
 //!   [`DispatchPolicy::SlackAware`] drain tile queues by deadline urgency.
-//!   Placement consults the [`TilePool`]'s **residency index** in O(log n)
-//!   instead of scanning every tile, and queue draining pops from per-tile
-//!   ordered structures instead of scanning every waiter;
+//!   Placement consults the [`TilePool`]'s **residency index** (bitsets
+//!   and sorted lanes) instead of scanning every tile, and queue draining
+//!   pops from per-tile ordered structures instead of scanning every waiter;
 //! * [`TilePool`] — N replicated tiles (from [`overlay_arch::Tile`] /
 //!   [`overlay_arch::NocConfig`]), each hosting one resident kernel plus a
 //!   live queue, indexed by residency and backlog;
@@ -35,8 +35,9 @@
 //!   simulation entirely;
 //! * parallel functional execution — cycle-accurate simulations run on a
 //!   pool of host worker threads wrapping [`overlay_sim::OverlaySimulator`],
-//!   each fed by its own job channel (no contended receiver lock), with
-//!   identical in-flight requests deduplicated onto one run;
+//!   each started by the first job dealt to it and fed by its own job
+//!   channel (no contended receiver lock), with identical in-flight requests
+//!   deduplicated onto one run;
 //! * [`RuntimeMetrics`] — requests/s, p50/p99 modeled latency, per-tile
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
@@ -491,48 +492,24 @@ pub(crate) struct SimJob {
     pub(crate) request: Arc<Request>,
 }
 
-/// Runs `event_loop` beside a serve's helper threads: the feeder of a
-/// streaming serve and one simulation worker per tile, at most
-/// [`Runtime::MAX_SIM_WORKERS`]. Each worker owns a job channel — the loop
-/// deals jobs to them, so workers never contend on a shared receiver lock —
-/// and all answer on the one result channel. The job senders (and the
-/// ingest the caller's closure holds) move into `event_loop`, so returning,
-/// success or error, disconnects the feeder and the workers and lets the
-/// scope join them.
-pub(crate) fn with_sim_workers<F, R>(
-    variant: FuVariant,
-    tiles: usize,
+/// Runs `event_loop` inside the thread scope of a serve's helper threads:
+/// the feeder of a streaming serve, spawned here, and the simulation workers
+/// [`SimResults`] spawns into the scope as jobs call for them. The job
+/// senders (and the ingest the caller's closure holds) live in `event_loop`,
+/// so returning, success or error, disconnects the feeder and the workers
+/// and lets the scope join them.
+pub(crate) fn with_sim_workers<'env, F, R>(
     feed: Option<(F, mpsc::SyncSender<Arc<Request>>)>,
-    event_loop: impl FnOnce(
-        Vec<mpsc::Sender<SimJob>>,
-        &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
-    ) -> R,
+    event_loop: impl for<'scope> FnOnce(&'scope thread::Scope<'scope, 'env>) -> R,
 ) -> R
 where
-    F: FnOnce(Submitter) + Send,
+    F: FnOnce(Submitter) + Send + 'env,
 {
-    let (result_tx, result_rx) = mpsc::channel();
-    let workers = tiles.clamp(1, Runtime::MAX_SIM_WORKERS);
-    let (job_txs, job_rxs): (Vec<_>, Vec<_>) =
-        (0..workers).map(|_| mpsc::channel::<SimJob>()).unzip();
     thread::scope(|scope| {
         if let Some((feed, ingest_tx)) = feed {
             scope.spawn(move || feed(Submitter::new(ingest_tx)));
         }
-        for job_rx in job_rxs {
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-                while let Ok(job) = job_rx.recv() {
-                    let run = simulator.run(&job.compiled, &job.request.workload);
-                    if result_tx.send((job.index, run)).is_err() {
-                        break; // loop is gone (it failed); stop working
-                    }
-                }
-            });
-        }
-        drop(result_tx); // workers hold the clones that matter
-        event_loop(job_txs, &result_rx)
+        event_loop(scope)
     })
 }
 
@@ -541,8 +518,19 @@ where
 /// memoization is enabled), dealt to the least-loaded worker, returned in
 /// any order, and the loop blocks for a specific index only when a tile is
 /// about to execute that request.
-pub(crate) struct SimResults<'a> {
-    rx: &'a mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+///
+/// The workers — one per tile, at most [`Runtime::MAX_SIM_WORKERS`] — are
+/// threads of the serve's scope, each spawned when the dealing rule first
+/// picks it, so a serve the memo answers entirely never starts one. Each
+/// owns a job channel (no contention on a shared receiver lock) and all
+/// answer on the one result channel.
+pub(crate) struct SimResults<'scope, 'env> {
+    scope: &'scope thread::Scope<'scope, 'env>,
+    variant: FuVariant,
+    /// The job channels of the workers spawned so far, by worker id.
+    jobs: Vec<mpsc::Sender<SimJob>>,
+    result_tx: mpsc::Sender<(usize, Result<SimRun, SimError>)>,
+    rx: mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
     /// One slot per intake index — no hashing on the hot path.
     ready: Vec<Option<Result<Arc<SimRun>, SimError>>>,
     /// Intake indices awaiting each in-flight simulation; the first entry is
@@ -551,27 +539,35 @@ pub(crate) struct SimResults<'a> {
     /// Whether identical in-flight requests join one simulation. Follows the
     /// memo: a disabled memo (capacity 0) means *every* request simulates.
     dedup: bool,
-    /// Jobs dispatched to and not yet returned by each worker — new jobs go
-    /// to the least-loaded worker so one long simulation does not pin
-    /// later jobs behind it on a single channel.
+    /// Jobs dispatched to and not yet returned by each worker, spawned or
+    /// not — new jobs go to the least-loaded worker so one long simulation
+    /// does not pin later jobs behind it on a single channel.
     outstanding: Vec<u32>,
     /// Which worker each spawned intake index was dealt to.
     worker_of: FnvHashMap<usize, usize>,
 }
 
-impl<'a> SimResults<'a> {
-    /// A fresh result tracker over `workers` job channels draining `rx`.
+impl<'scope, 'env> SimResults<'scope, 'env> {
+    /// A fresh result tracker for a serve of `expected` requests (0 when
+    /// unknown) on `tiles` tiles of `variant`, spawning workers into `scope`.
     pub(crate) fn new(
-        rx: &'a mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
-        workers: usize,
+        scope: &'scope thread::Scope<'scope, 'env>,
+        variant: FuVariant,
+        tiles: usize,
+        expected: usize,
         dedup: bool,
     ) -> Self {
+        let (result_tx, rx) = mpsc::channel();
         SimResults {
+            scope,
+            variant,
+            jobs: Vec::new(),
+            result_tx,
             rx,
-            ready: Vec::new(),
+            ready: Vec::with_capacity(expected),
             pending: FnvHashMap::default(),
             dedup,
-            outstanding: vec![0; workers],
+            outstanding: vec![0; tiles.clamp(1, Runtime::MAX_SIM_WORKERS)],
             worker_of: FnvHashMap::default(),
         }
     }
@@ -591,9 +587,9 @@ impl<'a> SimResults<'a> {
         index: usize,
         info: &InFlight,
         memo: &mut SimMemo,
-        jobs: &[mpsc::Sender<SimJob>],
     ) -> SimSourced {
         let joined = self.dedup
+            && !self.pending.is_empty()
             && match self.pending.get_mut(&info.sim_key) {
                 Some(waiters) => {
                     waiters.push(index);
@@ -614,8 +610,11 @@ impl<'a> SimResults<'a> {
             }
             memo.note_miss();
             let worker = self.least_loaded();
+            if worker == self.jobs.len() {
+                self.spawn_worker();
+            }
             self.note_dispatched(worker, index);
-            jobs[worker]
+            self.jobs[worker]
                 .send(SimJob {
                     index,
                     compiled: Arc::clone(&info.compiled),
@@ -633,7 +632,25 @@ impl<'a> SimResults<'a> {
         self.ready[index] = Some(Ok(run));
     }
 
-    /// The worker with the fewest outstanding jobs (ties to the lowest id).
+    /// Starts the next worker: a scoped thread simulating the jobs sent down
+    /// its own channel until the loop drops the sender.
+    fn spawn_worker(&mut self) {
+        let (job_tx, job_rx) = mpsc::channel::<SimJob>();
+        let (variant, result_tx) = (self.variant, self.result_tx.clone());
+        self.scope.spawn(move || {
+            let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+            while let Ok(job) = job_rx.recv() {
+                let run = simulator.run(&job.compiled, &job.request.workload);
+                if result_tx.send((job.index, run)).is_err() {
+                    break; // loop is gone (it failed); stop working
+                }
+            }
+        });
+        self.jobs.push(job_tx);
+    }
+
+    /// The worker with the fewest outstanding jobs (ties to the lowest id,
+    /// so an unspawned worker is only ever picked as the next to spawn).
     fn least_loaded(&self) -> usize {
         self.outstanding
             .iter()
@@ -662,10 +679,7 @@ impl<'a> SimResults<'a> {
             if let Some(result) = self.ready[index].take() {
                 return result.map_err(RuntimeError::from);
             }
-            let (done, run) = self
-                .rx
-                .recv()
-                .expect("sim worker pool terminated while results were outstanding");
+            let (done, run) = self.rx.recv().expect("the loop holds a result sender");
             let worker = self
                 .worker_of
                 .remove(&done)
@@ -707,6 +721,15 @@ pub(crate) enum Ingest {
 }
 
 impl Ingest {
+    /// How many submissions are known to be coming: the rest of a batch, 0
+    /// for a live stream. Sizes the per-intake tables once up front.
+    pub(crate) fn expected(&self) -> usize {
+        match self {
+            Ingest::Stream(_) => 0,
+            Ingest::Batch(iter) => iter.len(),
+        }
+    }
+
     /// Blocking pull of the next submission; `None` means the trace is
     /// complete.
     pub(crate) fn recv(&mut self) -> Option<Arc<Request>> {
@@ -814,7 +837,7 @@ impl SubmissionPull {
 
 /// Mutable event-loop state, separate from the `Runtime` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint.
-struct OnlineState<'a> {
+struct OnlineState<'scope, 'env> {
     /// The per-tile waiting queues, ordered for the dispatch policy.
     queues: Vec<TileQueue>,
     /// Per intake index: logically removed from its tile queue (the ordered
@@ -823,7 +846,7 @@ struct OnlineState<'a> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'a>,
+    sim: SimResults<'scope, 'env>,
     /// The same-kernel batching layer over the tile-free queue drain (a
     /// no-op at the default `max_batch = 1`).
     batcher: Batcher,
@@ -1172,14 +1195,11 @@ impl Runtime {
         let cache_before = self.cache.stats();
         let memo_before = self.sim_memo.stats();
 
-        let (variant, tiles) = (self.pool.variant(), self.pool.num_tiles());
-        let output = with_sim_workers(variant, tiles, feed, |jobs, results| {
-            self.event_loop(ingest, jobs, results)
-        })?;
+        let mut output = with_sim_workers(feed, |scope| self.event_loop(ingest, scope))?;
 
         let cache = self.cache.stats().since(cache_before);
         let sim_memo = self.sim_memo.stats().since(memo_before);
-        let metrics = self.aggregate(&output, cache, sim_memo);
+        let metrics = self.aggregate(&mut output, cache, sim_memo);
         Ok(ServeReport {
             policy: self.dispatcher.policy(),
             outcomes: output.outcomes,
@@ -1201,24 +1221,30 @@ impl Runtime {
     /// been received (or the channel has closed, `h = ∞`), every pending
     /// event at time ≤ `h` can fire without being preempted by a
     /// still-unseen arrival.
-    fn event_loop(
+    fn event_loop<'scope, 'env>(
         &mut self,
         mut ingest: Ingest,
-        jobs: Vec<mpsc::Sender<SimJob>>,
-        results: &mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+        scope: &'scope thread::Scope<'scope, 'env>,
     ) -> Result<LoopOutput, RuntimeError> {
         let mut ctx = self.prep_context()?;
         let tiles = self.pool.num_tiles();
-        let mut intake: Vec<InFlight> = Vec::new();
+        let expected = ingest.expected();
+        let mut intake: Vec<InFlight> = Vec::with_capacity(expected);
         let mut state = OnlineState {
             queues: (0..tiles)
                 .map(|_| TileQueue::new(self.dispatcher.policy(), self.batching.enabled()))
                 .collect(),
-            taken: Vec::new(),
+            taken: Vec::with_capacity(expected),
             events: EventQueue::new(),
-            outcome_slots: Vec::new(),
+            outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(results, jobs.len(), self.sim_memo.capacity() > 0),
+            sim: SimResults::new(
+                scope,
+                self.pool.variant(),
+                tiles,
+                expected,
+                self.sim_memo.capacity() > 0,
+            ),
             batcher: Batcher::new(self.batching, tiles),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
@@ -1336,7 +1362,7 @@ impl Runtime {
                     // spawning a job on the worker pool. The loop blocks for
                     // the cycle count only when a tile is about to run it.
                     let memo = state.profiler.begin();
-                    let sourced = state.sim.source(index, info, &mut self.sim_memo, &jobs);
+                    let sourced = state.sim.source(index, info, &mut self.sim_memo);
                     state.profiler.end(obs::Stage::Memo, memo);
                     if state.recorder.enabled() {
                         match sourced {
@@ -1437,7 +1463,7 @@ impl Runtime {
         &mut self,
         tile: usize,
         intake: &[InFlight],
-        state: &mut OnlineState<'_>,
+        state: &mut OnlineState<'_, '_>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let resident = self.pool.states()[tile].resident;
@@ -1485,7 +1511,7 @@ impl Runtime {
         tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut OnlineState<'_>,
+        state: &mut OnlineState<'_, '_>,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
@@ -1568,7 +1594,7 @@ impl Runtime {
     /// a full sort) for the latency percentiles.
     fn aggregate(
         &self,
-        output: &LoopOutput,
+        output: &mut LoopOutput,
         cache: CacheStats,
         sim_memo: CacheStats,
     ) -> RuntimeMetrics {
@@ -1641,8 +1667,8 @@ impl Runtime {
                 0.0
             },
             tile_peak_queue: states.iter().map(|s| s.peak_queue_depth).collect(),
-            latency_hist: output.latency_hist.clone(),
-            queue_depth_hist: output.queue_depth_hist.clone(),
+            latency_hist: std::mem::take(&mut output.latency_hist),
+            queue_depth_hist: std::mem::take(&mut output.queue_depth_hist),
         }
     }
 }

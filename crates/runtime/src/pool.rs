@@ -1,6 +1,7 @@
 //! The tile pool: N replicated overlay tiles on the Sec. III-A.3 NoC, each
 //! hosting one resident kernel at a time — plus the **residency index** that
-//! makes placement O(log n) instead of an O(tiles) scan per arrival.
+//! answers placement from a few first-entry lookups instead of an O(tiles)
+//! scan per arrival.
 //!
 //! # The residency index
 //!
@@ -12,18 +13,31 @@
 //!   kernel `k` once its backlog drains, with a *backlog-done* timestamp
 //!   `available_us + queued_est_us` that is static between transitions.
 //!
-//! [`TilePool`] maintains ordered sets over these classes (a min-index set of
-//! cold tiles, per-kernel min-index sets of warm idle tiles, per-kernel
-//! backlog-ordered sets of busy tiles) plus one-entry-per-kernel "best"
-//! summaries, so the dispatcher's earliest-completion query reduces to a
-//! constant number of `first()` lookups — see
-//! [`TilePool::place_earliest_indexed`]. The class transitions are driven by
-//! the pool-level [`enqueue`](TilePool::enqueue) /
-//! [`dequeue`](TilePool::dequeue) / [`charge`](TilePool::charge) /
-//! [`release`](TilePool::release) calls the event loop makes, each an
-//! O(log n) index update.
+//! [`TilePool`] keeps the classes in flat storage, allocated once per tile
+//! and once per kernel and reused from then on. Kernels are interned to
+//! dense ids on first sight (forgotten by [`reset`](TilePool::reset)). The
+//! idle classes are `u64`-word bitsets — the cold tiles, each kernel's warm
+//! tiles, and the union of those — so "lowest tile" is a first-set-bit scan
+//! and "lowest warm tile of *another* kernel" that scan over `union & !own`.
+//! The busy class is a sorted `(backlog-done, tile)` lane per kernel plus
+//! one lane of every kernel's earliest entry, which the evict query walks
+//! for at most two steps.
+//!
+//! A transition ([`enqueue`](TilePool::enqueue), [`charge`](TilePool::charge),
+//! [`release`](TilePool::release), …) sets or clears two bits or
+//! binary-searches one or two lanes: no allocation, and a hash probe only
+//! when the tile changes kernel. A query
+//! ([`TilePool::place_earliest_indexed`]) is one probe for the arriving
+//! kernel's id, three scans of `tiles / 64` words and two lane fronts.
+//!
+//! The lanes are sorted `Vec`s: a binary search and a `memmove`. At 64 tiles
+//! and 8 kernels a transition takes ~40 ns where the B-tree sets this
+//! replaced took ~145 ns; at 1024 tiles on one kernel (a 16 KiB lane) or on
+//! 1024 (a 16 KiB `busy_best`) ~130–150 ns against ~180–210 ns, and there
+//! the query's scans cost ~35–50 ns against ~18 ns. A ring buffer halved the
+//! lanes' worst case but cost small lanes ~14 ns per operation; a
+//! lazily-cleaned heap would not bound its stale entries.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use overlay_arch::{
@@ -34,7 +48,7 @@ use crate::cache::{FnvHashMap, KernelKey};
 use crate::error::RuntimeError;
 
 /// A totally-ordered wrapper over a finite `f64` timestamp, so virtual-time
-/// keys can live in `BTreeSet`/`BTreeMap` index structures.
+/// keys can live in sorted index structures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TimeKey(pub(crate) f64);
 
@@ -223,15 +237,25 @@ impl TileState {
     }
 }
 
-/// A tile's class in the residency index, derived from its state.
+/// A tile's class in the residency index: derived from its state with the
+/// kernel named by `K = KernelKey`, held in the index by the kernel's dense id.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum TileClass {
+enum TileClass<K = KernelKey> {
     /// Free and never charged: any kernel is a cold start.
     IdleCold,
     /// Free with this kernel resident.
-    IdleWarm(KernelKey),
+    IdleWarm(K),
     /// Running (or mid-transition): projected kernel + backlog-done time.
-    Busy(KernelKey, TimeKey),
+    Busy(K, TimeKey),
+}
+
+impl<K: Copy> TileClass<K> {
+    fn kernel(&self) -> Option<K> {
+        match *self {
+            TileClass::IdleCold => None,
+            TileClass::IdleWarm(kernel) | TileClass::Busy(kernel, _) => Some(kernel),
+        }
+    }
 }
 
 fn classify(state: &TileState) -> TileClass {
@@ -248,102 +272,158 @@ fn classify(state: &TileState) -> TileClass {
     }
 }
 
-/// Incrementally-maintained ordered views over the tile classes, so
-/// placement is a constant number of `first()` lookups. The `*_best` maps
-/// hold exactly one entry per kernel (that kernel's best tile), which is
-/// what lets the evict-candidate query skip the arriving request's own
-/// kernel in at most two steps.
-#[derive(Debug, Clone, Default)]
+/// A `(backlog-done, tile)` lane kept sorted, earliest first.
+type BusyLane = Vec<(TimeKey, usize)>;
+
+/// Inserts `entry` into a sorted lane; true when it became the first.
+fn lane_insert(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
+    let at = lane.partition_point(|&held| held < entry);
+    lane.insert(at, entry);
+    at == 0
+}
+
+/// Removes `entry` from a sorted lane; true when it was the first.
+fn lane_remove(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
+    let at = lane.binary_search(&entry).expect("indexed busy entry");
+    lane.remove(at);
+    at == 0
+}
+
+fn set_bit(bits: &mut [u64], tile: usize, member: bool) {
+    let (word, bit) = (&mut bits[tile / 64], tile % 64);
+    *word = (*word & !(1 << bit)) | (u64::from(member) << bit);
+}
+
+/// The lowest tile in `bits` that is not in `except` (which may be shorter:
+/// the empty slice excludes nothing).
+fn first_set(bits: &[u64], except: &[u64]) -> Option<usize> {
+    for (at, &word) in bits.iter().enumerate() {
+        let word = word & !except.get(at).copied().unwrap_or(0);
+        if word != 0 {
+            return Some(at * 64 + word.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// Incrementally-maintained flat views over the tile classes (see the
+/// module docs). All storage is sized by the pool's tile and kernel counts
+/// and reused across transitions and resets.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ResidencyIndex {
-    /// Idle tiles with no resident kernel, ordered by tile index.
-    idle_cold: BTreeSet<usize>,
-    /// Idle tiles by resident kernel, each set ordered by tile index.
-    idle_warm: FnvHashMap<KernelKey, BTreeSet<usize>>,
-    /// One entry per kernel: its lowest-index idle-warm tile.
-    idle_warm_best: BTreeMap<usize, KernelKey>,
-    /// Busy tiles by projected kernel, ordered by (backlog-done, index).
-    busy: FnvHashMap<KernelKey, BTreeSet<(TimeKey, usize)>>,
-    /// One entry per kernel: its earliest-backlog busy tile.
-    busy_best: BTreeMap<(TimeKey, usize), KernelKey>,
+    /// `u64` words per tile bitset.
+    words: usize,
+    /// The kernels seen since the last reset, by dense id, and the ids back.
+    kernels: Vec<KernelKey>,
+    ids: FnvHashMap<KernelKey, usize>,
+    /// Each tile's class as indexed — what its next transition removes.
+    classes: Vec<TileClass<usize>>,
+    /// Idle tiles with no resident kernel.
+    idle_cold: Vec<u64>,
+    /// Idle tiles with any kernel resident: the union of `idle_warm`.
+    idle_warm_all: Vec<u64>,
+    /// Idle tiles by resident kernel: `words` words per kernel id.
+    idle_warm: Vec<u64>,
+    /// Busy tiles by projected kernel id.
+    busy: Vec<BusyLane>,
+    /// One entry per kernel with busy tiles: its earliest-backlog one.
+    busy_best: BusyLane,
 }
 
 impl ResidencyIndex {
-    fn insert_class(&mut self, class: TileClass, tile: usize) {
-        match class {
-            TileClass::IdleCold => {
-                self.idle_cold.insert(tile);
-            }
-            TileClass::IdleWarm(key) => {
-                let set = self.idle_warm.entry(key).or_default();
-                if let Some(&first) = set.first() {
-                    if tile < first {
-                        self.idle_warm_best.remove(&first);
-                        self.idle_warm_best.insert(tile, key);
-                    }
-                } else {
-                    self.idle_warm_best.insert(tile, key);
-                }
-                set.insert(tile);
-            }
-            TileClass::Busy(key, backlog) => {
-                let entry = (backlog, tile);
-                let set = self.busy.entry(key).or_default();
-                if let Some(&first) = set.first() {
-                    if entry < first {
-                        self.busy_best.remove(&first);
-                        self.busy_best.insert(entry, key);
-                    }
-                } else {
-                    self.busy_best.insert(entry, key);
-                }
-                set.insert(entry);
-            }
-        }
+    fn idle_warm(&self, kernel: usize) -> &[u64] {
+        &self.idle_warm[kernel * self.words..][..self.words]
     }
 
-    fn remove_class(&mut self, class: TileClass, tile: usize) {
+    /// The dense id of `key`, interning it on first sight. `hint` — the
+    /// kernel the tile was indexed under — answers the warm case (same
+    /// kernel before and after) without a hash probe.
+    fn intern(&mut self, key: KernelKey, hint: Option<usize>) -> usize {
+        if let Some(id) = hint.filter(|&id| self.kernels[id] == key) {
+            return id;
+        }
+        let id = *self.ids.entry(key).or_insert(self.kernels.len());
+        if id == self.kernels.len() {
+            self.kernels.push(key);
+            if self.busy.len() <= id {
+                self.busy.push(BusyLane::new());
+                self.idle_warm.resize((id + 1) * self.words, 0);
+            }
+        }
+        id
+    }
+
+    /// Adds `tile` to (`member`) or removes it from the views of `class`.
+    fn set_member(&mut self, class: TileClass<usize>, tile: usize, member: bool) {
         match class {
-            TileClass::IdleCold => {
-                self.idle_cold.remove(&tile);
+            TileClass::IdleCold => set_bit(&mut self.idle_cold, tile, member),
+            TileClass::IdleWarm(kernel) => {
+                set_bit(&mut self.idle_warm_all, tile, member);
+                set_bit(&mut self.idle_warm[kernel * self.words..], tile, member);
             }
-            TileClass::IdleWarm(key) => {
-                let set = self.idle_warm.get_mut(&key).expect("indexed warm set");
-                let was_best = set.first() == Some(&tile);
-                set.remove(&tile);
-                if was_best {
-                    self.idle_warm_best.remove(&tile);
-                    if let Some(&next) = set.first() {
-                        self.idle_warm_best.insert(next, key);
+            TileClass::Busy(kernel, backlog) => {
+                let (entry, lane) = ((backlog, tile), &mut self.busy[kernel]);
+                if member {
+                    if lane_insert(lane, entry) {
+                        if let Some(&displaced) = lane.get(1) {
+                            lane_remove(&mut self.busy_best, displaced);
+                        }
+                        lane_insert(&mut self.busy_best, entry);
                     }
-                }
-                if set.is_empty() {
-                    self.idle_warm.remove(&key);
-                }
-            }
-            TileClass::Busy(key, backlog) => {
-                let entry = (backlog, tile);
-                let set = self.busy.get_mut(&key).expect("indexed busy set");
-                let was_best = set.first() == Some(&entry);
-                set.remove(&entry);
-                if was_best {
-                    self.busy_best.remove(&entry);
-                    if let Some(&next) = set.first() {
-                        self.busy_best.insert(next, key);
+                } else if lane_remove(lane, entry) {
+                    lane_remove(&mut self.busy_best, entry);
+                    if let Some(&next) = lane.first() {
+                        lane_insert(&mut self.busy_best, next);
                     }
-                }
-                if set.is_empty() {
-                    self.busy.remove(&key);
                 }
             }
         }
     }
 
-    fn clear(&mut self) {
-        self.idle_cold.clear();
-        self.idle_warm.clear();
-        self.idle_warm_best.clear();
-        self.busy.clear();
+    /// Moves `tile` to `class` if that differs from the class it is indexed
+    /// under (releasing a tile whose queue keeps it busy at the same
+    /// backlog, say, does not).
+    fn update(&mut self, tile: usize, class: TileClass) {
+        let before = self.classes[tile];
+        let after = match class {
+            TileClass::IdleCold => TileClass::IdleCold,
+            TileClass::IdleWarm(key) => TileClass::IdleWarm(self.intern(key, before.kernel())),
+            TileClass::Busy(key, backlog) => {
+                TileClass::Busy(self.intern(key, before.kernel()), backlog)
+            }
+        };
+        if before != after {
+            self.set_member(before, tile, false);
+            self.set_member(after, tile, true);
+            self.classes[tile] = after;
+        }
+    }
+
+    /// Empties every view and re-derives it from `states`, keeping the
+    /// interned kernels (and every allocation).
+    fn rebuild(&mut self, states: &[TileState]) {
+        self.words = states.len().div_ceil(64);
+        for bits in [&mut self.idle_cold, &mut self.idle_warm_all] {
+            bits.clear();
+            bits.resize(self.words, 0);
+        }
+        self.idle_warm.fill(0);
+        self.busy.iter_mut().for_each(BusyLane::clear);
         self.busy_best.clear();
+        self.classes.clear();
+        self.classes.resize(states.len(), TileClass::IdleCold);
+        for state in states {
+            set_bit(&mut self.idle_cold, state.index, true);
+            self.update(state.index, classify(state));
+        }
+    }
+
+    /// Panics unless the index is exactly what `states` rebuild to.
+    #[cfg(debug_assertions)]
+    fn check(&self, states: &[TileState]) {
+        let mut rebuilt = self.clone();
+        rebuilt.rebuild(states);
+        assert!(rebuilt == *self, "the index diverged from the tile states");
     }
 }
 
@@ -358,6 +438,8 @@ impl ResidencyIndex {
 pub struct TilePool {
     noc: NocConfig,
     states: Vec<TileState>,
+    /// Per tile: NoC round trip to the ingress corner, fixed by the layout.
+    roundtrip: Vec<usize>,
     index: ResidencyIndex,
     waiting: usize,
 }
@@ -368,14 +450,19 @@ impl TilePool {
         let states: Vec<TileState> = (0..noc.num_tiles())
             .map(|index| TileState::new(index, (index / noc.cols, index % noc.cols)))
             .collect();
-        let mut pool = TilePool {
+        let roundtrip = states
+            .iter()
+            .map(|s| noc.route_latency((0, 0), s.coords) + noc.route_latency(s.coords, (0, 0)))
+            .collect();
+        let mut index = ResidencyIndex::default();
+        index.rebuild(&states);
+        TilePool {
             noc,
             states,
-            index: ResidencyIndex::default(),
+            roundtrip,
+            index,
             waiting: 0,
-        };
-        pool.rebuild_index();
-        pool
+        }
     }
 
     /// A pool of `tiles` tiles of `variant` in one NoC row.
@@ -445,8 +532,7 @@ impl TilePool {
     /// Round-trip NoC latency in cycles between the array's ingress corner
     /// `(0, 0)` and tile `index`: request words route in, results route back.
     pub fn roundtrip_cycles(&self, index: usize) -> usize {
-        let coords = self.states[index].coords;
-        self.noc.route_latency((0, 0), coords) + self.noc.route_latency(coords, (0, 0))
+        self.roundtrip[index]
     }
 
     /// The per-tile serving states.
@@ -468,25 +554,11 @@ impl TilePool {
         self.states.iter().map(|s| s.queue_depth).sum()
     }
 
-    fn rebuild_index(&mut self) {
-        self.index.clear();
-        for state in &self.states {
-            self.index.insert_class(classify(state), state.index);
-        }
-    }
-
     /// Applies `mutate` to one tile's state, keeping the residency index
-    /// coherent around the transition. A transition that leaves the tile's
-    /// class unchanged (e.g. releasing a tile whose queue immediately keeps
-    /// it busy at the same backlog) skips the index churn.
+    /// coherent around the transition.
     fn transition<R>(&mut self, tile: usize, mutate: impl FnOnce(&mut TileState) -> R) -> R {
-        let before = classify(&self.states[tile]);
         let result = mutate(&mut self.states[tile]);
-        let after = classify(&self.states[tile]);
-        if before != after {
-            self.index.remove_class(before, tile);
-            self.index.insert_class(after, tile);
-        }
+        self.index.update(tile, classify(&self.states[tile]));
         result
     }
 
@@ -550,7 +622,8 @@ impl TilePool {
     /// `switch_us` on a kernel swap) at virtual time `now_us`, with
     /// completion ties broken by preferring no-switch over cold over
     /// evicting a warm kernel, then the lowest tile index — exactly the
-    /// linear scan's ordering, found in O(log n) index lookups.
+    /// linear scan's ordering, found in one id probe and five first-entry
+    /// lookups.
     pub fn place_earliest_indexed(
         &self,
         key: KernelKey,
@@ -582,34 +655,32 @@ impl TilePool {
                 best = candidate;
             }
         };
+        let index = &self.index;
+        // A kernel the pool has never seen has no warm tile anywhere.
+        let kernel = index.ids.get(&key).copied();
+        let own_idle = kernel.map_or(&[][..], |kernel| index.idle_warm(kernel));
         // Warm candidates: no switch, no eviction.
-        if let Some(&(backlog, tile)) = self.index.busy.get(&key).and_then(BTreeSet::first) {
+        if let Some(&(backlog, tile)) = kernel.and_then(|kernel| index.busy[kernel].first()) {
             consider(((backlog.0 + 0.0) + est_us, false, false, tile));
         }
-        if let Some(&tile) = self.index.idle_warm.get(&key).and_then(BTreeSet::first) {
+        if let Some(tile) = first_set(own_idle, &[]) {
             consider(((now_us + 0.0) + est_us, false, false, tile));
         }
         // Cold start: switch, but nothing warm is evicted.
-        if let Some(&tile) = self.index.idle_cold.first() {
+        if let Some(tile) = first_set(&index.idle_cold, &[]) {
             consider(((now_us + switch_us) + est_us, true, false, tile));
         }
         // Evict candidates: the best tile projected to a *different* kernel.
-        // The best maps hold one entry per kernel, so the arriving kernel's
+        // `busy_best` holds one entry per kernel, so the arriving kernel's
         // own entry is skipped in at most two steps.
-        if let Some((&(backlog, tile), _)) = self
-            .index
+        if let Some(&(backlog, tile)) = index
             .busy_best
             .iter()
-            .find(|(_, &kernel)| kernel != key)
+            .find(|&&(_, tile)| index.classes[tile].kernel() != kernel)
         {
             consider(((backlog.0 + switch_us) + est_us, true, true, tile));
         }
-        if let Some((&tile, _)) = self
-            .index
-            .idle_warm_best
-            .iter()
-            .find(|(_, &kernel)| kernel != key)
-        {
+        if let Some(tile) = first_set(&index.idle_warm_all, own_idle) {
             consider(((now_us + switch_us) + est_us, true, true, tile));
         }
         debug_assert!(best.3 != usize::MAX, "a non-empty pool always has a tile");
@@ -632,6 +703,8 @@ impl TilePool {
             });
             self.waiting -= drained;
         }
+        #[cfg(debug_assertions)]
+        self.index.check(&self.states);
     }
 
     /// Evacuates every tile outright — fault injection's device kill. On
@@ -655,6 +728,8 @@ impl TilePool {
             });
             self.waiting -= drained;
         }
+        #[cfg(debug_assertions)]
+        self.index.check(&self.states);
     }
 
     /// Mutable access for unit tests. Mutations made through this bypass the
@@ -672,7 +747,9 @@ impl TilePool {
             *state = TileState::new(state.index, state.coords);
         }
         self.waiting = 0;
-        self.rebuild_index();
+        self.index.ids.clear();
+        self.index.kernels.clear();
+        self.index.rebuild(&self.states);
     }
 }
 
@@ -685,6 +762,7 @@ impl fmt::Display for TilePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn key(fingerprint: u64) -> KernelKey {
         KernelKey {
@@ -864,13 +942,13 @@ mod tests {
 
     /// The linear earliest-completion reference the indexed query must match
     /// bit-for-bit (mirrors `Dispatcher::earliest_completion_linear`).
-    fn place_linear(
+    fn candidate_linear(
         pool: &TilePool,
         key: KernelKey,
         est_us: f64,
         switch_us: f64,
         now_us: f64,
-    ) -> usize {
+    ) -> (f64, bool, bool, usize) {
         let mut best = (f64::INFINITY, true, true, usize::MAX);
         for state in pool.states() {
             let projected = state.projected_resident();
@@ -884,22 +962,32 @@ mod tests {
                 best = candidate;
             }
         }
-        best.3
+        best
     }
 
-    /// Drives a pool through a pseudo-random but loop-shaped transition
-    /// schedule (queues only form on running tiles; virtual time never
-    /// passes a running tile's completion without a release firing) and
-    /// checks the indexed placement against the linear reference at every
-    /// step, for every kernel.
+    /// Drives pools on both sides of the bitset word boundaries, with fewer
+    /// and with more kernels than tiles, through a pseudo-random but
+    /// loop-shaped transition schedule (queues only form on running tiles;
+    /// virtual time never passes a running tile's completion without a
+    /// release firing) that also drains queues, kills the device and resets
+    /// mid-run. After every step the index must be what the states rebuild
+    /// to, and the indexed query must return the linear reference's whole
+    /// candidate tuple for warm, cold and never-seen kernels alike.
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn indexed_placement_matches_the_linear_scan_under_churn() {
-        const TILES: usize = 7;
+        for tiles in [1, 7, 64, 65, 130] {
+            for kernels in [4, 200] {
+                churn(tiles, kernels);
+            }
+        }
+    }
+
+    fn churn(tiles: usize, kernels: u64) {
+        const STEPS: usize = 600;
         let mut pool =
-            TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, TILES).unwrap();
+            TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, tiles).unwrap();
         let mut now = 0.0_f64;
-        let mut seed = 0x1234_5678_9ABC_DEFFu64;
+        let mut seed = 0x1234_5678_9ABC_DEFFu64 ^ (tiles as u64) << 32 ^ kernels;
         let mut rng = move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
@@ -907,49 +995,65 @@ mod tests {
             seed
         };
         // Mirror of each tile's queue, oldest first, so dequeues stay paired.
-        let mut queues: Vec<Vec<(f64, KernelKey)>> = vec![Vec::new(); TILES];
-        for step in 0..800 {
+        let mut queues: Vec<VecDeque<(f64, KernelKey)>> = vec![VecDeque::new(); tiles];
+        for step in 0..STEPS {
             // Advance virtual time, firing any tile-free transitions it
             // passes (exactly what the event loop's TileFree events do).
             now += (rng() % 8) as f64 * 0.5;
-            for tile in 0..TILES {
+            for (tile, queue) in queues.iter_mut().enumerate() {
                 while pool.states()[tile].running && pool.states()[tile].available_us <= now {
                     pool.release(tile);
-                    if let Some((est, _)) = {
-                        let q = &mut queues[tile];
-                        if q.is_empty() {
-                            None
+                    if let Some((est, _)) = queue.pop_front() {
+                        let tail = queue.back().map(|&(_, k)| k);
+                        let kernel = key(rng() % kernels);
+                        // Both start paths: the split dequeue + charge and
+                        // the combined transition.
+                        if rng() % 2 == 0 {
+                            pool.dequeue(tile, est, tail);
+                            pool.charge(tile, kernel, now, 0.25, est);
                         } else {
-                            Some(q.remove(0))
+                            pool.start_queued(tile, est, tail, kernel, now, 0.25, est);
                         }
-                    } {
-                        let tail = queues[tile].last().map(|&(_, k)| k);
-                        pool.dequeue(tile, est, tail);
-                        let kernel = key(rng() % 4);
-                        pool.charge(tile, kernel, now, 0.25, est);
                     }
                 }
             }
             // A new arrival: either start it on an idle tile or queue it
             // behind a running one.
-            let kernel = key(rng() % 4);
+            let kernel = key(rng() % kernels);
             let est = (rng() % 50) as f64 * 0.5 + 1.0;
             let switch = (rng() % 3) as f64 * 0.25;
-            let tile = (rng() % TILES as u64) as usize;
+            let tile = (rng() % tiles as u64) as usize;
             if !pool.states()[tile].running {
                 pool.charge(tile, kernel, now, switch, est);
             } else {
                 pool.enqueue(tile, kernel, est);
-                queues[tile].push((est, kernel));
+                queues[tile].push_back((est, kernel));
             }
-            // The indexed query must match the scan for every kernel, warm
-            // or not, at every step.
-            for probe in 0..5 {
-                let probe_key = key(probe);
+            // The bulk transitions: a graceful drain, a device kill, and a
+            // mid-run reset that forgets every interned kernel.
+            if step % 97 == 96 {
+                pool.evacuate_queues();
+                queues.iter_mut().for_each(VecDeque::clear);
+            } else if step % 211 == 210 {
+                pool.evacuate(now);
+                queues.iter_mut().for_each(VecDeque::clear);
+            } else if step == STEPS / 2 {
+                pool.reset();
+                queues.iter_mut().for_each(VecDeque::clear);
+            }
+            #[cfg(debug_assertions)]
+            pool.index.check(&pool.states);
+            assert_eq!(pool.total_waiting(), pool.total_waiting_scan());
+            // The arriving kernel, a handful of others (warm or not) and one
+            // the pool has never seen.
+            let probes = [kernel, key(u64::MAX)]
+                .into_iter()
+                .chain((0..4).map(|p| key((rng() % kernels + p) % kernels)));
+            for probe in probes {
                 assert_eq!(
-                    pool.place_earliest_indexed(probe_key, est, switch, now),
-                    place_linear(&pool, probe_key, est, switch, now),
-                    "step {step}: index diverged from the linear scan"
+                    pool.earliest_candidate_indexed(probe, est, switch, now),
+                    candidate_linear(&pool, probe, est, switch, now),
+                    "{tiles} tiles, {kernels} kernels, step {step}: index diverged from the scan"
                 );
             }
         }

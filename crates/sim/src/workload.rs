@@ -1,5 +1,7 @@
 //! Input workloads for simulation runs.
 
+use std::sync::Arc;
+
 use overlay_dfg::Value;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -22,36 +24,36 @@ use rand::rngs::StdRng;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
-    records: Vec<Vec<Value>>,
+    records: Arc<[Vec<Value>]>,
 }
 
 impl Workload {
     /// Wraps explicit records.
     pub fn from_records(records: Vec<Vec<Value>>) -> Self {
-        Workload { records }
+        Workload {
+            records: records.into(),
+        }
     }
 
     /// Generates `blocks` random records of `inputs` words each, with values
     /// in a small range so squaring chains stay within 32 bits.
     pub fn random(inputs: usize, blocks: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let records = (0..blocks)
+        (0..blocks)
             .map(|_| {
                 (0..inputs)
                     .map(|_| Value::new(rng.gen_range(-8..=8)))
                     .collect()
             })
-            .collect();
-        Workload { records }
+            .collect()
     }
 
     /// A simple ramp workload (record `b` holds `b, b+1, …`), useful for
     /// deterministic examples.
     pub fn ramp(inputs: usize, blocks: usize) -> Self {
-        let records = (0..blocks)
+        (0..blocks)
             .map(|b| (0..inputs).map(|i| Value::new((b + i) as i32)).collect())
-            .collect();
-        Workload { records }
+            .collect()
     }
 
     /// The invocation records.
