@@ -14,7 +14,7 @@
 //! * [`sim`] — the cycle-accurate overlay simulator,
 //! * [`runtime`] — the online multi-tile serving runtime (streaming
 //!   ingestion, virtual-time event loop, kernel cache, context-switch- and
-//!   deadline-aware dispatch, parallel simulation workers),
+//!   deadline-aware dispatch, memoized functional simulation),
 //!
 //! behind four entry points: [`Compiler`] (kernel source →
 //! [`CompiledKernel`]), [`Overlay`] (a configured overlay instance that

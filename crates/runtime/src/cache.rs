@@ -353,11 +353,9 @@ impl SimMemo {
 
     /// Returns the memoized run for `key`, counting a hit when found.
     ///
-    /// A `None` is *not* yet a miss: the event loop may still join the
-    /// request onto an identical in-flight simulation
-    /// ([`note_shared_hit`](Self::note_shared_hit)) — only an actually
-    /// spawned simulation is a [`note_miss`](Self::note_miss). The invariant
-    /// is `hits + misses == admitted requests`.
+    /// A `None` counts nothing: the event loop counts the simulation it then
+    /// runs as a [`note_miss`](Self::note_miss). The invariant is
+    /// `hits + misses == admitted requests`.
     pub fn get(&mut self, key: &SimKey) -> Option<Arc<SimRun>> {
         self.clock += 1;
         let entry = self.entries.get_mut(key)?;
@@ -366,13 +364,7 @@ impl SimMemo {
         Some(Arc::clone(&entry.run))
     }
 
-    /// Counts a hit that skipped a simulation without a lookup — the event
-    /// loop joins an arrival onto an identical already-in-flight simulation.
-    pub fn note_shared_hit(&mut self) {
-        self.stats.hits += 1;
-    }
-
-    /// Counts a simulation actually spawned (a memo miss).
+    /// Counts a simulation actually run (a memo miss).
     pub fn note_miss(&mut self) {
         self.stats.misses += 1;
     }
@@ -488,14 +480,15 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    /// The online runtime's sim workers hold compiled kernels as `Arc`s
-    /// while the event loop keeps compiling new arrivals through the cache:
-    /// an eviction must never invalidate a kernel a tile is still executing.
+    /// The online runtime's in-flight requests hold compiled kernels as
+    /// `Arc`s while the event loop keeps compiling new arrivals through the
+    /// cache (and callers may hold one on any thread): an eviction must
+    /// never invalidate a kernel a tile is still executing.
     #[test]
     fn eviction_under_concurrent_pin_keeps_the_artifact_alive() {
         let mut cache = KernelCache::new(1).unwrap();
         let pinned = cache.get_or_compile(key(1), compile_saxpy).unwrap();
-        let worker = std::thread::spawn({
+        let holder = std::thread::spawn({
             let pinned = Arc::clone(&pinned);
             move || {
                 // A tile "executing" the kernel while the cache churns.
@@ -507,7 +500,7 @@ mod tests {
             }
         });
         // Churn the 1-entry cache so key 1 is evicted and recompiled while
-        // the worker still holds the original artifact.
+        // the other thread still holds the original artifact.
         for fingerprint in 2..10 {
             cache
                 .get_or_compile(key(fingerprint), compile_saxpy)
@@ -515,7 +508,7 @@ mod tests {
         }
         assert!(!cache.contains(&key(1)));
         assert_eq!(cache.stats().evictions, 8);
-        assert!(worker.join().unwrap() >= 1);
+        assert!(holder.join().unwrap() >= 1);
         // The evicted pin still works and a fresh lookup recompiles rather
         // than resurrecting the dropped entry.
         assert!(pinned.ii > 0.0);
@@ -611,10 +604,9 @@ mod tests {
         memo.insert(sim_key(1), Arc::clone(&run));
         let hit = memo.get(&sim_key(1)).expect("memoized run");
         assert!(Arc::ptr_eq(&hit, &run), "hits share the run, not a copy");
-        memo.note_shared_hit();
         let stats = memo.stats();
-        assert_eq!(stats.hits, 2, "one lookup hit + one in-flight join");
-        assert_eq!(stats.misses, 1, "only the spawned simulation is a miss");
+        assert_eq!(stats.hits, 1, "the cold lookup counted nothing");
+        assert_eq!(stats.misses, 1, "only the simulation run is a miss");
         assert_eq!(memo.len(), 1);
     }
 

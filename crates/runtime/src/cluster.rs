@@ -57,8 +57,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
@@ -82,10 +80,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    prepare_request, record_request_spans, with_sim_workers, BatchConfig, DispatchPolicy,
+    prepare_request, record_request_spans, with_feeder, BatchConfig, DispatchPolicy,
     DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
     RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimMemo,
-    SimResults, SimSourced, Submitter, TilePool,
+    SimResults, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -295,7 +293,7 @@ impl ClusterReport {
 /// Mutable event-loop state (the cluster mirror of the runtime's
 /// `OnlineState`), separate from the `Cluster` so placement and bookkeeping
 /// borrows stay disjoint.
-struct ClusterState<'scope, 'env> {
+struct ClusterState {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
@@ -303,7 +301,7 @@ struct ClusterState<'scope, 'env> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'scope, 'env>,
+    sim: SimResults,
     /// The same-kernel batching layer, indexed by global tile id (a no-op
     /// at the default `max_batch = 1`).
     batcher: Batcher,
@@ -523,8 +521,8 @@ impl Cluster {
     }
 
     /// Replaces the (cluster-shared) simulation memo with one of `capacity`
-    /// entries. A capacity of 0 disables memoization *and* in-flight
-    /// deduplication — every request simulates.
+    /// entries. A capacity of 0 disables memoization — every request
+    /// simulates.
     #[must_use]
     pub fn with_sim_memo_capacity(mut self, capacity: usize) -> Self {
         self.sim_memo = SimMemo::new(capacity);
@@ -753,10 +751,7 @@ impl Cluster {
         I: IntoIterator<Item = Request>,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        self.run_serve(
-            Ingest::Batch(requests.into_iter()),
-            None::<(fn(Submitter), _)>,
-        )
+        self.run_serve(Ingest::Batch(requests.into_iter()))
     }
 
     /// Serves a live request stream through a [`Submitter`] (same contract
@@ -772,8 +767,7 @@ impl Cluster {
     where
         F: FnOnce(Submitter) + Send,
     {
-        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Arc<Request>>(self.ingest_capacity);
-        self.run_serve(Ingest::Stream(ingest_rx), Some((feed, ingest_tx)))
+        with_feeder(self.ingest_capacity, feed, |ingest| self.run_serve(ingest))
     }
 
     /// Serves a batch of multi-kernel [`PipelineRequest`]s under tenant
@@ -821,10 +815,7 @@ impl Cluster {
         let (driver, requests) =
             SessionDriver::build(&pipelines, &topos, &slo_of, self.stage_affinity);
         self.session_driver = Some(driver);
-        let result = self.run_serve(
-            Ingest::Batch(requests.into_iter()),
-            None::<(fn(Submitter), _)>,
-        );
+        let result = self.run_serve(Ingest::Batch(requests.into_iter()));
         // The loop hands the driver back through `self` on success; an
         // error drops it (there is no report to build).
         let driver = self.session_driver.take();
@@ -988,14 +979,14 @@ impl Cluster {
     /// now, and the requester that triggered the fetch carries its delay in
     /// its own switch phase; later arrivals for the same kernel find the
     /// image resident and ride the same fetch for free — the image-store
-    /// analogue of the in-flight simulation joins. A 1-device cluster
+    /// analogue of a simulation-memo hit. A 1-device cluster
     /// never commits anything (see `peek_acquisition`).
     fn commit_acquisition(
         &mut self,
         device: usize,
         info: &InFlight,
         acquisition: Acquisition,
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) -> f64 {
         match acquisition {
             Acquisition::Resident => {
@@ -1036,7 +1027,7 @@ impl Cluster {
     /// replicas instead of letting LRU evict blindly. The modeled prefetch
     /// cost (the cheapest [`TransferModel`] source) is accounted as
     /// off-critical-path traffic in [`ReplicationStats`].
-    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState<'_, '_>) {
+    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState) {
         let ClusterState {
             replicator,
             recorder,
@@ -1317,7 +1308,7 @@ impl Cluster {
         index: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         if state.recorder.enabled() {
             state.recorder.record(obs::TraceEvent {
@@ -1354,7 +1345,7 @@ impl Cluster {
         index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let shed = match &mut state.session {
             Some(driver) => driver.note_rejected(index, now_us),
@@ -1379,7 +1370,7 @@ impl Cluster {
         routed: usize,
         acquisition: Acquisition,
         info: &InFlight,
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) -> (usize, Acquisition) {
         let ClusterState {
             session,
@@ -1439,7 +1430,7 @@ impl Cluster {
         device: usize,
         info: &InFlight,
         now_us: f64,
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let ClusterState {
             session, recorder, ..
@@ -1478,7 +1469,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let ClusterState {
             session,
@@ -1512,7 +1503,7 @@ impl Cluster {
         fault_index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let kind = self
             .fault
@@ -1551,8 +1542,8 @@ impl Cluster {
     }
 
     /// The abrupt-death reaction: the device's running request is abandoned
-    /// (progress counted as lost work, outcome withdrawn, simulation
-    /// restored for the retry), every queued request is displaced, tile
+    /// (progress counted as lost work, outcome withdrawn — its simulation
+    /// stays sourced for the retry), every queued request is displaced, tile
     /// timelines rewind, the kernel store is wiped, and the replication
     /// layer's pushed replicas re-home to survivors.
     fn kill_device(
@@ -1560,7 +1551,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
@@ -1571,7 +1562,6 @@ impl Cluster {
                     .expect("a running request has an outcome slot");
                 let fault = self.fault.as_mut().expect("kill fires under a fault plan");
                 fault.lost_work_us[device] += (now_us - outcome.start_us).max(0.0);
-                state.sim.restore(index, outcome.run);
                 self.displace(index, device, now_us, intake, state);
             }
             for index in state.queues[tile].drain_live(&state.taken) {
@@ -1600,7 +1590,7 @@ impl Cluster {
         device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
@@ -1629,7 +1619,7 @@ impl Cluster {
         from_device: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) {
         state.exclusions[index].insert(from_device);
         self.fault
@@ -1653,7 +1643,7 @@ impl Cluster {
     /// each orphaned image still held by a surviving store is pushed onto
     /// the least-loaded live device with a free slot that does not hold it
     /// — the same adoption path and accounting as a rate-driven push.
-    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState<'_, '_>) {
+    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState) {
         for key in state.replicator.drain_device(dead) {
             let Some(artifact) = self
                 .devices
@@ -1694,19 +1684,10 @@ impl Cluster {
         }
     }
 
-    /// The shared serve body: resets per-serve state, spins up the shared
-    /// sim worker pool (and the feeder thread for streaming serves), runs
-    /// the cluster event loop over `ingest` and folds the output into a
-    /// report.
-    fn run_serve<F>(
-        &mut self,
-        ingest: Ingest,
-        feed: Option<(F, mpsc::SyncSender<Arc<Request>>)>,
-    ) -> Result<ClusterReport, RuntimeError>
-    where
-        F: FnOnce(Submitter) + Send,
-    {
-        // Validate and arm the fault schedule before anything is spawned.
+    /// The shared serve body: resets per-serve state, runs the cluster
+    /// event loop over `ingest` and folds the output into a report.
+    fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
+        // Validate and arm the fault schedule before the loop starts.
         // An installed-but-empty plan still builds a `FaultState`, so the
         // fault code path itself is exercised (and pinned bitwise-identical
         // to a plan-free serve by the equivalence proptests).
@@ -1725,7 +1706,7 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
 
-        let mut output = with_sim_workers(feed, |scope| self.event_loop(ingest, scope))?;
+        let mut output = self.event_loop(ingest)?;
 
         let cache_deltas: Vec<CacheStats> = self
             .devices
@@ -1754,11 +1735,7 @@ impl Cluster {
     /// device-routing step (and the acquisition charge) spliced between
     /// arrival and tile placement. Decision order is identical, which is
     /// what makes the 1-device cluster bitwise equivalent.
-    fn event_loop<'scope, 'env>(
-        &mut self,
-        mut ingest: Ingest,
-        scope: &'scope thread::Scope<'scope, 'env>,
-    ) -> Result<ClusterLoopOutput, RuntimeError> {
+    fn event_loop(&mut self, mut ingest: Ingest) -> Result<ClusterLoopOutput, RuntimeError> {
         let mut ctx = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
@@ -1773,13 +1750,7 @@ impl Cluster {
             events: EventQueue::new(),
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(
-                scope,
-                self.variant(),
-                total_tiles,
-                expected,
-                self.sim_memo.capacity() > 0,
-            ),
+            sim: SimResults::new(self.variant(), expected),
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
             peak_queue_depth: 0,
@@ -1964,7 +1935,7 @@ impl Cluster {
                     }
                     self.devices[device].release(local_tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next(device, local_tile, &intake, &mut state)?;
+                        self.start_next(device, local_tile, &intake, &mut state);
                     }
                 }
                 EventKind::Fault { fault } => {
@@ -2058,7 +2029,7 @@ impl Cluster {
         route: Option<Instant>,
         fresh: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let info = &intake[index];
@@ -2097,21 +2068,14 @@ impl Cluster {
         state.acquire_us[index] = self.commit_acquisition(device, info, acquisition, state);
         self.commit_stage_activation(index, device, info, now_us, state);
         if fresh {
-            let memo = state.profiler.begin();
-            let sourced = state.sim.source(index, info, &mut self.sim_memo);
-            state.profiler.end(obs::Stage::Memo, memo);
-            match sourced {
-                SimSourced::Joined => {
-                    state
-                        .recorder
-                        .counter(now_us, device, obs::CounterName::MemoJoin);
-                }
-                SimSourced::MemoHit => {
-                    state
-                        .recorder
-                        .counter(now_us, device, obs::CounterName::MemoHit);
-                }
-                SimSourced::Spawned => {}
+            let memo_hit =
+                state
+                    .sim
+                    .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
+            if memo_hit {
+                state
+                    .recorder
+                    .counter(now_us, device, obs::CounterName::MemoHit);
             }
         } else {
             // A started-then-killed request may still carry the taken flag
@@ -2119,7 +2083,8 @@ impl Cluster {
             state.taken[index] = false;
         }
         if starts_now {
-            return self.start_request(device, local_tile, index, intake, state, None);
+            self.start_request(device, local_tile, index, intake, state, None);
+            return Ok(());
         }
         let scan = state.profiler.begin();
         self.devices[device].enqueue(local_tile, info.view.key, info.view.est_exec_us);
@@ -2146,7 +2111,7 @@ impl Cluster {
         device: usize,
         starts_now: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
     ) -> bool {
         let now_us = state.events.now_us();
         let info = &intake[index];
@@ -2219,8 +2184,8 @@ impl Cluster {
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
-    ) -> Result<(), RuntimeError> {
+        state: &mut ClusterState,
+    ) {
         let tile = device * self.tiles_per_device + local_tile;
         let now_us = state.events.now_us();
         let scan = state.profiler.begin();
@@ -2270,7 +2235,7 @@ impl Cluster {
             intake,
             state,
             Some((est_us, remaining_tail)),
-        )
+        );
     }
 
     /// Commits request `index` to its routed device's tile at the current
@@ -2282,14 +2247,12 @@ impl Cluster {
         local_tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<'_, '_>,
+        state: &mut ClusterState,
         from_queue: Option<(f64, Option<KernelKey>)>,
-    ) -> Result<(), RuntimeError> {
+    ) {
         let now_us = state.events.now_us();
         let info = &intake[index];
-        let sim_probe = state.profiler.begin();
-        let run = state.sim.take(index, intake, &mut self.sim_memo)?;
-        state.profiler.end(obs::Stage::Sim, sim_probe);
+        let run = state.sim.run(index);
         let exec_cycles =
             run.metrics().total_cycles + self.devices[device].pool.roundtrip_cycles(local_tile);
         let exec_us = exec_cycles as f64 / info.fmax_mhz;
@@ -2384,7 +2347,6 @@ impl Cluster {
                 tile: device * self.tiles_per_device + local_tile,
             },
         );
-        Ok(())
     }
 
     /// Folds the loop output into cluster totals plus the per-device

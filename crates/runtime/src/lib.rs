@@ -33,11 +33,10 @@
 //!   a [`SimMemo`] over finished simulation runs keyed by (kernel,
 //!   workload digest), so a repeated tenant request skips the functional
 //!   simulation entirely;
-//! * parallel functional execution — cycle-accurate simulations run on a
-//!   pool of host worker threads wrapping [`overlay_sim::OverlaySimulator`],
-//!   each started by the first job dealt to it and fed by its own job
-//!   channel (no contended receiver lock), with identical in-flight requests
-//!   deduplicated onto one run;
+//! * functional execution — an admitted request the memo cannot answer is
+//!   run through the cycle-accurate [`overlay_sim::OverlaySimulator`] on the
+//!   event loop's own thread, at its admission; a batch serve starts no
+//!   thread at all;
 //! * [`RuntimeMetrics`] — requests/s, p50/p99 modeled latency, per-tile
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
@@ -405,18 +404,6 @@ pub(crate) struct InFlight {
     pub(crate) view: DispatchRequest,
 }
 
-/// How [`SimResults::source`] satisfied a request's simulation — the memo
-/// counter events tracing records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimSourced {
-    /// Joined an identical in-flight run.
-    Joined,
-    /// Answered from the memo.
-    MemoHit,
-    /// Spawned a fresh simulation job.
-    Spawned,
-}
-
 /// Records the lifecycle spans of one started request onto its tile track:
 /// queue wait (arrival → start), image acquisition and context switch when
 /// paid, the run itself, batch membership and the commit instant. The span
@@ -485,90 +472,39 @@ pub(crate) fn record_request_spans(
     );
 }
 
-/// A functional-simulation job handed to a worker.
-pub(crate) struct SimJob {
-    pub(crate) index: usize,
-    pub(crate) compiled: Arc<CompiledKernel>,
-    pub(crate) request: Arc<Request>,
-}
-
-/// Runs `event_loop` inside the thread scope of a serve's helper threads:
-/// the feeder of a streaming serve, spawned here, and the simulation workers
-/// [`SimResults`] spawns into the scope as jobs call for them. The job
-/// senders (and the ingest the caller's closure holds) live in `event_loop`,
-/// so returning, success or error, disconnects the feeder and the workers
-/// and lets the scope join them.
-pub(crate) fn with_sim_workers<'env, F, R>(
-    feed: Option<(F, mpsc::SyncSender<Arc<Request>>)>,
-    event_loop: impl for<'scope> FnOnce(&'scope thread::Scope<'scope, 'env>) -> R,
-) -> R
+/// Runs `serve` over a live ingest beside the streaming serve's feeder
+/// thread — the only thread a serve ever starts (a batch serve starts none).
+/// The ingest receiver moves into `serve`'s event loop, so the loop
+/// returning, success or error, disconnects the feeder and lets the scope
+/// join it.
+pub(crate) fn with_feeder<F, R>(capacity: usize, feed: F, serve: impl FnOnce(Ingest) -> R) -> R
 where
-    F: FnOnce(Submitter) + Send + 'env,
+    F: FnOnce(Submitter) + Send,
 {
+    let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Arc<Request>>(capacity);
     thread::scope(|scope| {
-        if let Some((feed, ingest_tx)) = feed {
-            scope.spawn(move || feed(Submitter::new(ingest_tx)));
-        }
-        event_loop(scope)
+        scope.spawn(move || feed(Submitter::new(ingest_tx)));
+        serve(Ingest::Stream(ingest_rx))
     })
 }
 
-/// Sim results as the event loop consumes them: jobs are spawned eagerly at
-/// admission (deduplicated by [`SimKey`] against in-flight runs while
-/// memoization is enabled), dealt to the least-loaded worker, returned in
-/// any order, and the loop blocks for a specific index only when a tile is
-/// about to execute that request.
-///
-/// The workers — one per tile, at most [`Runtime::MAX_SIM_WORKERS`] — are
-/// threads of the serve's scope, each spawned when the dealing rule first
-/// picks it, so a serve the memo answers entirely never starts one. Each
-/// owns a job channel (no contention on a shared receiver lock) and all
-/// answer on the one result channel.
-pub(crate) struct SimResults<'scope, 'env> {
-    scope: &'scope thread::Scope<'scope, 'env>,
-    variant: FuVariant,
-    /// The job channels of the workers spawned so far, by worker id.
-    jobs: Vec<mpsc::Sender<SimJob>>,
-    result_tx: mpsc::Sender<(usize, Result<SimRun, SimError>)>,
-    rx: mpsc::Receiver<(usize, Result<SimRun, SimError>)>,
+/// Sim results as the event loop consumes them: an admitted request's
+/// (placement-independent) simulation is sourced at admission — answered
+/// from the memo or run there and then on the loop's own thread — and parked
+/// in the request's slot until a tile is about to execute it.
+pub(crate) struct SimResults {
+    simulator: OverlaySimulator,
     /// One slot per intake index — no hashing on the hot path.
-    ready: Vec<Option<Result<Arc<SimRun>, SimError>>>,
-    /// Intake indices awaiting each in-flight simulation; the first entry is
-    /// the index the job was spawned under. Unused when `dedup` is off.
-    pending: FnvHashMap<SimKey, Vec<usize>>,
-    /// Whether identical in-flight requests join one simulation. Follows the
-    /// memo: a disabled memo (capacity 0) means *every* request simulates.
-    dedup: bool,
-    /// Jobs dispatched to and not yet returned by each worker, spawned or
-    /// not — new jobs go to the least-loaded worker so one long simulation
-    /// does not pin later jobs behind it on a single channel.
-    outstanding: Vec<u32>,
-    /// Which worker each spawned intake index was dealt to.
-    worker_of: FnvHashMap<usize, usize>,
+    ready: Vec<Option<Arc<SimRun>>>,
 }
 
-impl<'scope, 'env> SimResults<'scope, 'env> {
+impl SimResults {
     /// A fresh result tracker for a serve of `expected` requests (0 when
-    /// unknown) on `tiles` tiles of `variant`, spawning workers into `scope`.
-    pub(crate) fn new(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        variant: FuVariant,
-        tiles: usize,
-        expected: usize,
-        dedup: bool,
-    ) -> Self {
-        let (result_tx, rx) = mpsc::channel();
+    /// unknown) on tiles of `variant`.
+    pub(crate) fn new(variant: FuVariant, expected: usize) -> Self {
         SimResults {
-            scope,
-            variant,
-            jobs: Vec::new(),
-            result_tx,
-            rx,
+            simulator: OverlaySimulator::new(variant).with_trace_capacity(0),
             ready: Vec::with_capacity(expected),
-            pending: FnvHashMap::default(),
-            dedup,
-            outstanding: vec![0; tiles.clamp(1, Runtime::MAX_SIM_WORKERS)],
-            worker_of: FnvHashMap::default(),
         }
     }
 
@@ -577,138 +513,54 @@ impl<'scope, 'env> SimResults<'scope, 'env> {
         self.ready.push(None);
     }
 
-    /// Sources the (placement-independent) simulation for an admitted
-    /// request `index`: joins an identical in-flight run, answers from the
-    /// memo, or spawns a job on the least-loaded worker — exactly one of
-    /// the three, with the memo counters tracking which. Returns which path
-    /// satisfied the request so tracing can emit the matching counter event.
+    /// Sources the simulation for an admitted request `index`: answers from
+    /// the memo, or simulates and memoizes the run — with the memo counters
+    /// tracking which (a disabled memo never answers, so every request
+    /// simulates). The lookup and insert are profiled as [`obs::Stage::Memo`],
+    /// the simulation as [`obs::Stage::Sim`]. Returns whether the memo
+    /// answered, so tracing can emit the matching counter event.
+    ///
+    /// # Errors
+    ///
+    /// The simulator's error for this request's kernel and workload.
     pub(crate) fn source(
         &mut self,
         index: usize,
         info: &InFlight,
         memo: &mut SimMemo,
-    ) -> SimSourced {
-        let joined = self.dedup
-            && !self.pending.is_empty()
-            && match self.pending.get_mut(&info.sim_key) {
-                Some(waiters) => {
-                    waiters.push(index);
-                    memo.note_shared_hit();
-                    true
-                }
-                None => false,
-            };
-        if joined {
-            // An identical simulation is already in flight.
-            SimSourced::Joined
-        } else if let Some(run) = memo.get(&info.sim_key) {
-            self.ready[index] = Some(Ok(run));
-            SimSourced::MemoHit
-        } else {
-            if self.dedup {
-                self.pending.insert(info.sim_key, vec![index]);
+        profiler: &mut obs::StageProfiler,
+    ) -> Result<bool, SimError> {
+        let lookup = profiler.begin();
+        let hit = memo.get(&info.sim_key);
+        profiler.end(obs::Stage::Memo, lookup);
+        let memo_hit = hit.is_some();
+        let run = match hit {
+            Some(run) => run,
+            None => {
+                memo.note_miss();
+                let sim = profiler.begin();
+                let run = self.simulator.run(&info.compiled, &info.request.workload);
+                profiler.end(obs::Stage::Sim, sim);
+                let run = Arc::new(run?);
+                let insert = profiler.begin();
+                memo.insert(info.sim_key, Arc::clone(&run));
+                profiler.end(obs::Stage::Memo, insert);
+                run
             }
-            memo.note_miss();
-            let worker = self.least_loaded();
-            if worker == self.jobs.len() {
-                self.spawn_worker();
-            }
-            self.note_dispatched(worker, index);
-            self.jobs[worker]
-                .send(SimJob {
-                    index,
-                    compiled: Arc::clone(&info.compiled),
-                    request: Arc::clone(&info.request),
-                })
-                .expect("sim workers outlive the event loop");
-            SimSourced::Spawned
-        }
+        };
+        self.ready[index] = Some(run);
+        Ok(memo_hit)
     }
 
-    /// Puts a consumed run back into `index`'s slot — fault injection
-    /// abandons a started request and requeues it, and the simulation
-    /// (placement-independent) must be waiting when the retry starts.
-    pub(crate) fn restore(&mut self, index: usize, run: Arc<SimRun>) {
-        self.ready[index] = Some(Ok(run));
-    }
-
-    /// Starts the next worker: a scoped thread simulating the jobs sent down
-    /// its own channel until the loop drops the sender.
-    fn spawn_worker(&mut self) {
-        let (job_tx, job_rx) = mpsc::channel::<SimJob>();
-        let (variant, result_tx) = (self.variant, self.result_tx.clone());
-        self.scope.spawn(move || {
-            let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-            while let Ok(job) = job_rx.recv() {
-                let run = simulator.run(&job.compiled, &job.request.workload);
-                if result_tx.send((job.index, run)).is_err() {
-                    break; // loop is gone (it failed); stop working
-                }
-            }
-        });
-        self.jobs.push(job_tx);
-    }
-
-    /// The worker with the fewest outstanding jobs (ties to the lowest id,
-    /// so an unspawned worker is only ever picked as the next to spawn).
-    fn least_loaded(&self) -> usize {
-        self.outstanding
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &load)| load)
-            .map(|(worker, _)| worker)
-            .expect("at least one sim worker exists")
-    }
-
-    /// Records that `index`'s job was dealt to `worker`.
-    fn note_dispatched(&mut self, worker: usize, index: usize) {
-        self.outstanding[worker] += 1;
-        self.worker_of.insert(index, worker);
-    }
-
-    /// Blocks until the run for `index` is available, fanning every received
-    /// result out to all requests awaiting the same simulation and memoizing
-    /// successful runs.
-    pub(crate) fn take(
-        &mut self,
-        index: usize,
-        intake: &[InFlight],
-        memo: &mut SimMemo,
-    ) -> Result<Arc<SimRun>, RuntimeError> {
-        loop {
-            if let Some(result) = self.ready[index].take() {
-                return result.map_err(RuntimeError::from);
-            }
-            let (done, run) = self.rx.recv().expect("the loop holds a result sender");
-            let worker = self
-                .worker_of
-                .remove(&done)
-                .expect("every result matches a dispatched job");
-            self.outstanding[worker] -= 1;
-            if !self.dedup {
-                self.ready[done] = Some(run.map(Arc::new));
-                continue;
-            }
-            let key = intake[done].sim_key;
-            let waiters = self
-                .pending
-                .remove(&key)
-                .expect("every spawned job has waiters");
-            match run {
-                Ok(run) => {
-                    let run = Arc::new(run);
-                    memo.insert(key, Arc::clone(&run));
-                    for waiter in waiters {
-                        self.ready[waiter] = Some(Ok(Arc::clone(&run)));
-                    }
-                }
-                Err(err) => {
-                    for waiter in waiters {
-                        self.ready[waiter] = Some(Err(err.clone()));
-                    }
-                }
-            }
-        }
+    /// The run sourced for `index` at its admission. The slot keeps its
+    /// share, so a request fault injection abandons and requeues finds its
+    /// simulation still waiting when the retry starts.
+    pub(crate) fn run(&self, index: usize) -> Arc<SimRun> {
+        Arc::clone(
+            self.ready[index]
+                .as_ref()
+                .expect("an admitted request's simulation was sourced"),
+        )
     }
 }
 
@@ -837,7 +689,7 @@ impl SubmissionPull {
 
 /// Mutable event-loop state, separate from the `Runtime` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint.
-struct OnlineState<'scope, 'env> {
+struct OnlineState {
     /// The per-tile waiting queues, ordered for the dispatch policy.
     queues: Vec<TileQueue>,
     /// Per intake index: logically removed from its tile queue (the ordered
@@ -846,7 +698,7 @@ struct OnlineState<'scope, 'env> {
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults<'scope, 'env>,
+    sim: SimResults,
     /// The same-kernel batching layer over the tile-free queue drain (a
     /// no-op at the default `max_batch = 1`).
     batcher: Batcher,
@@ -918,9 +770,6 @@ impl Runtime {
     /// Default bound of the streaming ingest channel.
     pub const DEFAULT_INGEST_CAPACITY: usize = 64;
 
-    /// Host worker threads running functional simulations are capped here.
-    const MAX_SIM_WORKERS: usize = 8;
-
     /// A runtime of `tiles` parallel-composition tiles of `variant` on a
     /// single-row NoC, using kernel-affinity dispatch.
     ///
@@ -975,8 +824,7 @@ impl Runtime {
     }
 
     /// Replaces the simulation memo with one of `capacity` entries.
-    /// A capacity of 0 disables memoization *and* in-flight deduplication —
-    /// every request simulates.
+    /// A capacity of 0 disables memoization — every request simulates.
     #[must_use]
     pub fn with_sim_memo_capacity(mut self, capacity: usize) -> Self {
         self.sim_memo = SimMemo::new(capacity);
@@ -1150,10 +998,7 @@ impl Runtime {
         I: IntoIterator<Item = Request>,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        self.run_serve(
-            Ingest::Batch(requests.into_iter()),
-            None::<(fn(Submitter), _)>,
-        )
+        self.run_serve(Ingest::Batch(requests.into_iter()))
     }
 
     /// Serves a live request stream: `feed` runs on its own thread and
@@ -1169,33 +1014,26 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] when nothing was submitted, for invalid or
-    /// out-of-order arrival times, or for any compile/simulation failure
-    /// (reported for the first failing request on the virtual timeline).
+    /// out-of-order arrival times, or for any compile/simulation failure: a
+    /// compile failure when the failing request is pulled off the stream, a
+    /// simulation failure at the failing request's admission (a request
+    /// admission control rejects is never simulated).
     pub fn serve_stream<F>(&mut self, feed: F) -> Result<ServeReport, RuntimeError>
     where
         F: FnOnce(Submitter) + Send,
     {
-        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Arc<Request>>(self.ingest_capacity);
-        self.run_serve(Ingest::Stream(ingest_rx), Some((feed, ingest_tx)))
+        with_feeder(self.ingest_capacity, feed, |ingest| self.run_serve(ingest))
     }
 
-    /// The shared serve body: resets per-serve state, spins up the sim
-    /// worker pool (and the feeder thread for streaming serves), runs the
-    /// event loop over `ingest` and folds the output into a report.
-    fn run_serve<F>(
-        &mut self,
-        ingest: Ingest,
-        feed: Option<(F, mpsc::SyncSender<Arc<Request>>)>,
-    ) -> Result<ServeReport, RuntimeError>
-    where
-        F: FnOnce(Submitter) + Send,
-    {
+    /// The shared serve body: resets per-serve state, runs the event loop
+    /// over `ingest` and folds the output into a report.
+    fn run_serve(&mut self, ingest: Ingest) -> Result<ServeReport, RuntimeError> {
         self.pool.reset();
         self.dispatcher.reset();
         let cache_before = self.cache.stats();
         let memo_before = self.sim_memo.stats();
 
-        let mut output = with_sim_workers(feed, |scope| self.event_loop(ingest, scope))?;
+        let mut output = self.event_loop(ingest)?;
 
         let cache = self.cache.stats().since(cache_before);
         let sim_memo = self.sim_memo.stats().since(memo_before);
@@ -1221,11 +1059,7 @@ impl Runtime {
     /// been received (or the channel has closed, `h = ∞`), every pending
     /// event at time ≤ `h` can fire without being preempted by a
     /// still-unseen arrival.
-    fn event_loop<'scope, 'env>(
-        &mut self,
-        mut ingest: Ingest,
-        scope: &'scope thread::Scope<'scope, 'env>,
-    ) -> Result<LoopOutput, RuntimeError> {
+    fn event_loop(&mut self, mut ingest: Ingest) -> Result<LoopOutput, RuntimeError> {
         let mut ctx = self.prep_context()?;
         let tiles = self.pool.num_tiles();
         let expected = ingest.expected();
@@ -1238,13 +1072,7 @@ impl Runtime {
             events: EventQueue::new(),
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(
-                scope,
-                self.pool.variant(),
-                tiles,
-                expected,
-                self.sim_memo.capacity() > 0,
-            ),
+            sim: SimResults::new(self.pool.variant(), expected),
             batcher: Batcher::new(self.batching, tiles),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
@@ -1358,27 +1186,17 @@ impl Runtime {
                     }
                     // Functional execution is placement-independent, so an
                     // admitted request's simulation is sourced right away:
-                    // from the memo, from an identical in-flight run, or by
-                    // spawning a job on the worker pool. The loop blocks for
-                    // the cycle count only when a tile is about to run it.
-                    let memo = state.profiler.begin();
-                    let sourced = state.sim.source(index, info, &mut self.sim_memo);
-                    state.profiler.end(obs::Stage::Memo, memo);
-                    if state.recorder.enabled() {
-                        match sourced {
-                            SimSourced::Joined => {
-                                state
-                                    .recorder
-                                    .counter(now_us, 0, obs::CounterName::MemoJoin)
-                            }
-                            SimSourced::MemoHit => {
-                                state.recorder.counter(now_us, 0, obs::CounterName::MemoHit)
-                            }
-                            SimSourced::Spawned => {}
-                        }
+                    // from the memo, or by running it here. A request
+                    // admission control turned away is never simulated.
+                    let memo_hit =
+                        state
+                            .sim
+                            .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
+                    if memo_hit {
+                        state.recorder.counter(now_us, 0, obs::CounterName::MemoHit);
                     }
                     if starts_now {
-                        self.start_request(tile, index, &intake, &mut state, None)?;
+                        self.start_request(tile, index, &intake, &mut state, None);
                     } else {
                         let scan = state.profiler.begin();
                         self.pool
@@ -1392,7 +1210,7 @@ impl Runtime {
                 EventKind::TileFree { tile } => {
                     self.pool.release(tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next(tile, &intake, &mut state)?;
+                        self.start_next(tile, &intake, &mut state);
                     }
                 }
                 // Fault injection is a cluster-tier feature; the
@@ -1459,12 +1277,7 @@ impl Runtime {
     /// O(log depth). The [`Batcher`] sits over the policy's choice: it may
     /// run the oldest same-kernel waiter instead, amortizing the context
     /// switch the choice would have paid.
-    fn start_next(
-        &mut self,
-        tile: usize,
-        intake: &[InFlight],
-        state: &mut OnlineState<'_, '_>,
-    ) -> Result<(), RuntimeError> {
+    fn start_next(&mut self, tile: usize, intake: &[InFlight], state: &mut OnlineState) {
         let now_us = state.events.now_us();
         let resident = self.pool.states()[tile].resident;
         let OnlineState {
@@ -1499,11 +1312,11 @@ impl Runtime {
         // honest for later placements. The dequeue and the charge are one
         // combined pool transition (a single index update).
         let est_us = intake[index].view.est_exec_us;
-        self.start_request(tile, index, intake, state, Some((est_us, remaining_tail)))
+        self.start_request(tile, index, intake, state, Some((est_us, remaining_tail)));
     }
 
-    /// Commits request `index` to `tile` at the current virtual time: blocks
-    /// for its measured cycle count, charges the tile's timeline with the
+    /// Commits request `index` to `tile` at the current virtual time: reads
+    /// its measured cycle count, charges the tile's timeline with the
     /// switch + execution, records the outcome and schedules the tile-free
     /// event at the completion.
     fn start_request(
@@ -1511,14 +1324,12 @@ impl Runtime {
         tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut OnlineState<'_, '_>,
+        state: &mut OnlineState,
         from_queue: Option<(f64, Option<KernelKey>)>,
-    ) -> Result<(), RuntimeError> {
+    ) {
         let now_us = state.events.now_us();
         let info = &intake[index];
-        let sim = state.profiler.begin();
-        let run = state.sim.take(index, intake, &mut self.sim_memo)?;
-        state.profiler.end(obs::Stage::Sim, sim);
+        let run = state.sim.run(index);
         let exec_cycles = run.metrics().total_cycles + self.pool.roundtrip_cycles(tile);
         let exec_us = exec_cycles as f64 / info.fmax_mhz;
         let charged = match from_queue {
@@ -1581,7 +1392,6 @@ impl Runtime {
         state
             .events
             .push(charged.completion_us, EventKind::TileFree { tile });
-        Ok(())
     }
 
     /// The per-serve facts every request's preparation shares.
@@ -1837,8 +1647,8 @@ mod tests {
         let mut unmemoized = Runtime::new(FuVariant::V4, 2)
             .unwrap()
             .with_sim_memo_capacity(0);
-        // A disabled memo also disables in-flight joins: a simultaneous
-        // burst of identical requests must still simulate one per request.
+        // With the memo disabled a simultaneous burst of identical
+        // requests must still simulate one per request.
         let burst: Vec<Request> = (0..6)
             .map(|i| {
                 Request::new(
@@ -1870,12 +1680,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn identical_in_flight_requests_join_one_simulation() {
-        // A blocker occupies the single tile, then a burst of identical
-        // requests queues behind it: the first spawns a simulation that is
-        // still in flight when the rest arrive, so they must join it (one
-        // job, fanned out) rather than each spawning their own.
+    /// A blocker on the single tile, then 8 identical requests queued behind
+    /// it at the same instant.
+    fn blocked_identical_burst() -> Vec<Request> {
         let blocker = Request::new(
             0,
             KernelSpec::from_benchmark(Benchmark::Gradient).unwrap(),
@@ -1886,15 +1693,52 @@ mod tests {
         let workload = Workload::random(1, 16, 7);
         let mut requests = vec![blocker];
         requests.extend((1..=8).map(|i| Request::new(i, spec.clone(), workload.clone()).at(0.0)));
+        requests
+    }
+
+    #[test]
+    fn the_memo_answers_a_burst_of_identical_queued_requests() {
+        // The first of the burst simulates at its admission and memoizes
+        // the run, so the seven queued behind it never simulate — although
+        // none of the eight has started on the tile yet.
         let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap();
-        let report = runtime.serve(requests).unwrap();
+        let report = runtime.serve(blocked_identical_burst()).unwrap();
         // Two real simulations: the blocker and one shared chebyshev run.
         assert_eq!(report.metrics().sim_memo.misses, 2);
-        assert_eq!(report.metrics().sim_memo.hits, 7, "7 in-flight joins");
+        assert_eq!(report.metrics().sim_memo.hits, 7, "7 memo hits");
         let reference = &report.outcomes()[1].outputs();
         for outcome in &report.outcomes()[1..] {
             assert_eq!(&outcome.outputs(), reference);
         }
+    }
+
+    #[test]
+    fn memo_counter_tracks_are_a_function_of_the_input() {
+        // Which counter a repeat lands on depends on nothing but the trace:
+        // two fresh traced serves of the burst record identical counter
+        // tracks, all seven repeats as `sim_memo_hits`.
+        let counter_track = || {
+            let mut runtime = Runtime::new(FuVariant::V4, 1)
+                .unwrap()
+                .with_tracing(TraceConfig::with_capacity(4096));
+            let report = runtime.serve(blocked_identical_burst()).unwrap();
+            let trace = report.trace().expect("tracing was enabled");
+            trace
+                .events()
+                .iter()
+                .filter_map(|event| match event.kind {
+                    SpanKind::Counter { name, value } => {
+                        Some((event.time_us.to_bits(), name.label(), value))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = counter_track();
+        assert_eq!(first, counter_track());
+        assert_eq!(first.len(), 7, "one counter event per repeat");
+        assert!(first.iter().all(|&(_, label, _)| label == "sim_memo_hits"));
+        assert_eq!(first.last().unwrap().2, 7, "the running total ends at 7");
     }
 
     #[test]
@@ -1919,7 +1763,7 @@ mod tests {
         assert_eq!(
             metrics.sim_memo.hits + metrics.sim_memo.misses,
             20,
-            "every admitted request is a memo hit or a spawned simulation"
+            "every admitted request is a memo hit or a simulation run"
         );
         assert!(
             metrics.events_fired >= 40,
@@ -2107,11 +1951,35 @@ mod tests {
         let good = Request::new(0, spec.clone(), Workload::ramp(5, 4));
         // Gradient takes 5 inputs; a 2-wide record is malformed.
         let bad = Request::new(1, spec, Workload::ramp(2, 4));
+        let trace = vec![good, bad];
         let mut runtime = Runtime::new(FuVariant::V4, 2).unwrap();
         assert!(matches!(
-            runtime.serve(vec![good, bad]),
+            runtime.serve(trace.clone()),
             Err(RuntimeError::Sim(_))
         ));
+        let mut cluster = Cluster::new(FuVariant::V4, 2, 2).unwrap();
+        assert!(matches!(
+            cluster.serve(trace.clone()),
+            Err(RuntimeError::Sim(_))
+        ));
+        // The failure belongs to the admission that caused it: with the one
+        // tile busy and no room to wait, admission control turns the
+        // malformed request away, it is never simulated, and the serve
+        // succeeds — on both tiers.
+        let mut runtime = Runtime::new(FuVariant::V4, 1)
+            .unwrap()
+            .with_admission_limit(0);
+        let report = runtime.serve(trace.clone()).unwrap();
+        assert_eq!(report.outcomes().len(), 1);
+        assert_eq!(report.rejected()[0].id, 1);
+        assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
+        let mut cluster = Cluster::new(FuVariant::V4, 1, 1)
+            .unwrap()
+            .with_admission_limit(0);
+        let report = cluster.serve(trace).unwrap();
+        assert_eq!(report.outcomes().len(), 1);
+        assert_eq!(report.rejected()[0].id, 1);
+        assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
     }
 
     #[test]

@@ -46,9 +46,8 @@ pub struct RuntimeMetrics {
     /// Kernel-cache counters for the serve call.
     pub cache: CacheStats,
     /// Simulation-memo counters for the serve call: hits are requests whose
-    /// functional simulation was skipped entirely (answered from the memo or
-    /// joined onto an identical in-flight run), misses are simulations
-    /// actually executed.
+    /// functional simulation was skipped entirely (answered from the memo),
+    /// misses are simulations actually executed.
     pub sim_memo: CacheStats,
     /// Discrete events (arrivals + tile-free) the event loop fired — the
     /// host-side denominator for ns/event throughput figures.

@@ -452,7 +452,7 @@ pub fn prometheus_text(metrics: &RuntimeMetrics) -> String {
     scalar(
         "tm_sim_memo_hits_total",
         "counter",
-        "Simulations answered from the memo or joined in flight.",
+        "Simulations answered from the memo.",
         metrics.sim_memo.hits.to_string(),
     );
     scalar(

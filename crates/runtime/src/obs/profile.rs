@@ -13,10 +13,10 @@
 //!   candidate selection;
 //! * **route** — placement decisions: [`Dispatcher::place`](crate::dispatch)
 //!   and, on a cluster, device routing;
-//! * **sim** — collecting finished functional simulations out of the
-//!   worker pool;
-//! * **memo** — sourcing a request's simulation (memo lookup, in-flight
-//!   join, or spawn);
+//! * **sim** — running a request's functional simulation on the loop
+//!   thread (memo misses only);
+//! * **memo** — the simulation memo: the lookup at admission and, after a
+//!   miss, the insert;
 //! * **bookkeeping** — everything charged per event around the above:
 //!   outcome recording, queue-depth integration, histogram updates.
 
@@ -30,9 +30,9 @@ pub enum Stage {
     Scan,
     /// Placement and device-routing decisions.
     Route,
-    /// Collecting finished simulations.
+    /// Running functional simulations (memo misses).
     Sim,
-    /// Sourcing simulations (memo lookup / join / spawn).
+    /// Simulation-memo lookups and inserts.
     Memo,
     /// Per-event accounting around the hot path.
     Bookkeeping,

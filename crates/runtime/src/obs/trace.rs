@@ -13,7 +13,7 @@
 //! choice (with the losing candidate's completion estimate), queue wait,
 //! image acquisition/prefetch, context switch, batch membership, run,
 //! commit/reject — plus control-plane counters (replica push/demote, memo
-//! hit/join). Times are virtual microseconds, the same clock the
+//! hit). Times are virtual microseconds, the same clock the
 //! [`EventQueue`](crate::event) runs on.
 
 /// Whether — and how much — the serve records spans.
@@ -72,8 +72,6 @@ pub enum CounterName {
     ReplicaDemoted,
     /// A request's simulation was answered from the memo.
     MemoHit,
-    /// A request joined an identical in-flight simulation.
-    MemoJoin,
 }
 
 impl CounterName {
@@ -83,7 +81,6 @@ impl CounterName {
             CounterName::ReplicaPushed => "replicas_pushed",
             CounterName::ReplicaDemoted => "replicas_demoted",
             CounterName::MemoHit => "sim_memo_hits",
-            CounterName::MemoJoin => "sim_memo_joins",
         }
     }
 
@@ -92,7 +89,6 @@ impl CounterName {
             CounterName::ReplicaPushed => 0,
             CounterName::ReplicaDemoted => 1,
             CounterName::MemoHit => 2,
-            CounterName::MemoJoin => 3,
         }
     }
 }
@@ -539,7 +535,7 @@ pub struct TraceRecorder {
     /// [`ACQUIRE_SOURCE_OVERFLOW`] sentinel).
     sources: Vec<&'static str>,
     dropped: u64,
-    counters: [u64; 4],
+    counters: [u64; 3],
 }
 
 impl TraceRecorder {
@@ -556,7 +552,7 @@ impl TraceRecorder {
             route_seq: 0,
             sources: Vec::new(),
             dropped: 0,
-            counters: [0; 4],
+            counters: [0; 3],
         }
     }
 
@@ -774,7 +770,7 @@ impl TraceRecorder {
         let packed: Vec<Packed> = self.events.iter().copied().collect();
         self.events.clear();
         self.route_seq = 0;
-        self.counters = [0; 4];
+        self.counters = [0; 3];
         Some(Trace {
             packed,
             routes: std::mem::take(&mut self.routes),
@@ -900,8 +896,7 @@ fn unpack_into(
             let name = match payload & 0xff {
                 0 => CounterName::ReplicaPushed,
                 1 => CounterName::ReplicaDemoted,
-                2 => CounterName::MemoHit,
-                _ => CounterName::MemoJoin,
+                _ => CounterName::MemoHit,
             };
             SpanKind::Counter {
                 name,

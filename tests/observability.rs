@@ -42,8 +42,8 @@ const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
 const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
 
 /// Same shape as the equivalence suite's generator: non-decreasing arrivals
-/// with bursts, a small workload pool (memo + in-flight joins engage), and
-/// coin-flip deadlines.
+/// with bursts, a small workload pool (the sim memo engages), and coin-flip
+/// deadlines.
 fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     let specs = [

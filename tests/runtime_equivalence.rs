@@ -23,8 +23,8 @@ const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
 const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
 
 /// A random mixed-kernel trace: non-decreasing arrivals (with simultaneous
-/// bursts), a small workload pool so the sim memo and in-flight dedup paths
-/// both engage, and a coin-flip deadline per request.
+/// bursts), a small workload pool so the sim memo engages (also for
+/// repeats still queued), and a coin-flip deadline per request.
 fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     let specs = [
@@ -43,7 +43,7 @@ fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request>
             let (spec, inputs) = &specs[rng.gen_range(0..specs.len())];
             let blocks = rng.gen_range(1..=3usize);
             // Draw workloads from a pool of 4 seeds per kernel so repeats
-            // are common enough to hit the memo and the in-flight joins.
+            // are common enough to hit the memo.
             let workload = Workload::random(*inputs, blocks, seed ^ rng.gen_range(0..4u64));
             let mut request = Request::new(i as u64, spec.clone(), workload).at(clock_us);
             if rng.gen_bool(0.5) {
