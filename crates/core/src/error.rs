@@ -23,6 +23,13 @@ pub enum Error {
     Arch(ArchError),
     /// Simulation failed.
     Sim(SimError),
+    /// The kernel occupies more FUs than the overlay it was given to has.
+    KernelTooDeep {
+        /// FUs the kernel's program occupies.
+        fus: usize,
+        /// Depth of the overlay.
+        depth: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -33,6 +40,10 @@ impl fmt::Display for Error {
             Error::Schedule(err) => write!(f, "scheduling error: {err}"),
             Error::Arch(err) => write!(f, "architecture error: {err}"),
             Error::Sim(err) => write!(f, "simulation error: {err}"),
+            Error::KernelTooDeep { fus, depth } => write!(
+                f,
+                "kernel occupies {fus} FUs but the overlay has only {depth}"
+            ),
         }
     }
 }
@@ -45,6 +56,7 @@ impl std::error::Error for Error {
             Error::Schedule(err) => Some(err),
             Error::Arch(err) => Some(err),
             Error::Sim(err) => Some(err),
+            Error::KernelTooDeep { .. } => None,
         }
     }
 }

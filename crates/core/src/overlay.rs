@@ -121,9 +121,18 @@ impl Overlay {
     ///
     /// # Errors
     ///
-    /// Returns an [`Error`] for malformed workloads or hardware-constraint
-    /// violations detected during simulation.
+    /// Returns an [`Error`] for malformed workloads, for a kernel compiled
+    /// for another variant or occupying more FUs than this overlay has
+    /// ([`Error::KernelTooDeep`]), and for hardware-constraint violations
+    /// detected during simulation — whichever comes first in that order.
     pub fn execute(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, Error> {
+        self.simulator.validate(compiled, workload)?;
+        if compiled.num_fus() > self.config.depth() {
+            return Err(Error::KernelTooDeep {
+                fus: compiled.num_fus(),
+                depth: self.config.depth(),
+            });
+        }
         Ok(self.simulator.run(compiled, workload)?)
     }
 
@@ -176,6 +185,29 @@ mod tests {
         assert!(report.throughput_gops > 0.3);
         assert!(report.latency_ns > 0.0);
         assert!(report.to_string().contains("GOPS"));
+    }
+
+    #[test]
+    fn a_kernel_deeper_than_the_overlay_is_refused() {
+        // Poly7 is 13 stages deep on a feed-forward variant.
+        let compiled = Compiler::new(FuVariant::V1)
+            .compile_benchmark(Benchmark::Poly7)
+            .unwrap();
+        let overlay = Overlay::new(FuVariant::V1, 8).unwrap();
+        let workload = Workload::random(compiled.program.num_inputs(), 4, 1);
+        assert_eq!(
+            overlay.execute(&compiled, &workload).unwrap_err(),
+            Error::KernelTooDeep { fus: 13, depth: 8 }
+        );
+        // A malformed workload is still the first thing reported.
+        assert_eq!(
+            overlay
+                .execute(&compiled, &Workload::from_records(vec![]))
+                .unwrap_err(),
+            Error::Sim(overlay_sim::SimError::EmptyWorkload)
+        );
+        let fitting = Overlay::for_kernel(FuVariant::V1, &compiled).unwrap();
+        assert!(fitting.execute(&compiled, &workload).is_ok());
     }
 
     #[test]

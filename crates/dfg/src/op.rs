@@ -135,6 +135,38 @@ impl Op {
         }
     }
 
+    /// The datapath's result for operands `a`, `b` and `c`; an operation reads
+    /// only the operands its arity counts. This is the one table of datapath
+    /// semantics: [`Op::apply`] and [`Op::apply_columns`] both evaluate it.
+    #[inline(always)]
+    fn kernel(self, a: Value, b: Value, c: Value) -> Value {
+        match self {
+            Op::Add => a.wrapping_add(b),
+            Op::Sub => a.wrapping_sub(b),
+            Op::Mul => a.wrapping_mul(b),
+            Op::Square => a.wrapping_mul(a),
+            Op::Neg => a.wrapping_neg(),
+            Op::Abs => a.wrapping_abs(),
+            Op::Min => a.min(b),
+            Op::Max => a.max(b),
+            Op::And => a.and(b),
+            Op::Or => a.or(b),
+            Op::Xor => a.xor(b),
+            Op::Shl => a.shl(b),
+            Op::Shr => a.shr(b),
+            Op::MulAdd => a.wrapping_mul(b).wrapping_add(c),
+            Op::Mov => a,
+        }
+    }
+
+    fn arity_mismatch(self, found: usize) -> DfgError {
+        DfgError::ArityMismatch {
+            op: self,
+            expected: self.arity(),
+            found,
+        }
+    }
+
     /// Applies the operation to a slice of operand values.
     ///
     /// # Errors
@@ -143,30 +175,61 @@ impl Op {
     /// [`Op::arity`].
     pub fn apply(self, operands: &[Value]) -> Result<Value, DfgError> {
         if operands.len() != self.arity() {
-            return Err(DfgError::ArityMismatch {
-                op: self,
-                expected: self.arity(),
-                found: operands.len(),
-            });
+            return Err(self.arity_mismatch(operands.len()));
         }
-        let a = operands[0];
-        Ok(match self {
-            Op::Add => a.wrapping_add(operands[1]),
-            Op::Sub => a.wrapping_sub(operands[1]),
-            Op::Mul => a.wrapping_mul(operands[1]),
-            Op::Square => a.wrapping_mul(a),
-            Op::Neg => a.wrapping_neg(),
-            Op::Abs => a.wrapping_abs(),
-            Op::Min => a.min(operands[1]),
-            Op::Max => a.max(operands[1]),
-            Op::And => a.and(operands[1]),
-            Op::Or => a.or(operands[1]),
-            Op::Xor => a.xor(operands[1]),
-            Op::Shl => a.shl(operands[1]),
-            Op::Shr => a.shr(operands[1]),
-            Op::MulAdd => a.wrapping_mul(operands[1]).wrapping_add(operands[2]),
-            Op::Mov => a,
-        })
+        let operand = |index: usize| operands.get(index).copied().unwrap_or(Value::ZERO);
+        Ok(self.kernel(operand(0), operand(1), operand(2)))
+    }
+
+    /// Applies the operation element-wise to two operand columns:
+    /// `out[i] = op(a[i], b[i])` up to the shortest of the three slices. A
+    /// unary operation reads `a` only.
+    ///
+    /// The operation is matched once, outside the loop, so each loop is a
+    /// single expression over three slices and vectorises in optimised
+    /// builds; this is how the simulator evaluates one `EXEC` over a column
+    /// of blocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DfgError::ArityMismatch`] for an operation of more than two
+    /// operands ([`Op::MulAdd`]), which two columns cannot feed.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use overlay_dfg::{Op, Value};
+    ///
+    /// let a = [1, 2, 3].map(Value::new);
+    /// let b = [10, 20, 30].map(Value::new);
+    /// let mut out = [Value::ZERO; 3];
+    /// Op::Sub.apply_columns(&a, &b, &mut out).unwrap();
+    /// assert_eq!(out, [-9, -18, -27].map(Value::new));
+    /// ```
+    pub fn apply_columns(
+        self,
+        a: &[Value],
+        b: &[Value],
+        out: &mut [Value],
+    ) -> Result<(), DfgError> {
+        if self.arity() > 2 {
+            return Err(self.arity_mismatch(2));
+        }
+        // One arm per operation: inside an arm `kernel` is called on a
+        // constant, so it folds to that operation's expression.
+        macro_rules! columns {
+            ($($op:ident)*) => {
+                match self {
+                    $(Op::$op => {
+                        for ((out, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                            *out = Op::$op.kernel(a, b, Value::ZERO);
+                        }
+                    })*
+                }
+            };
+        }
+        columns!(Add Sub Mul Square Neg Abs Min Max And Or Xor Shl Shr MulAdd Mov);
+        Ok(())
     }
 }
 
@@ -238,6 +301,37 @@ mod tests {
             .apply(&[Value::new(3), Value::new(4), Value::new(5)])
             .unwrap();
         assert_eq!(result, Value::new(17));
+    }
+
+    #[test]
+    fn columns_equal_apply_element_wise_on_edge_values() {
+        // Wrapping extremes and shift counts on both sides of the 5-bit mask.
+        let edges = [i32::MIN, i32::MAX, -1, 0, 1, 7, -13, 31, 32, 33].map(Value::new);
+        let a: Vec<Value> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |_| a))
+            .collect();
+        let b: Vec<Value> = edges.iter().flat_map(|_| edges).collect();
+        for op in Op::ALL {
+            let mut out = vec![Value::new(0x5A5A); a.len()];
+            if op.arity() > 2 {
+                assert_eq!(
+                    op.apply_columns(&a, &b, &mut out),
+                    Err(DfgError::ArityMismatch {
+                        op,
+                        expected: 3,
+                        found: 2
+                    })
+                );
+                continue;
+            }
+            op.apply_columns(&a, &b, &mut out).unwrap();
+            for ((&a, &b), &got) in a.iter().zip(&b).zip(&out) {
+                let operands = [a, b];
+                let expected = op.apply(&operands[..op.arity()]).unwrap();
+                assert_eq!(got, expected, "{op} {a} {b}");
+            }
+        }
     }
 
     #[test]

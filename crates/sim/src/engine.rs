@@ -1,4 +1,4 @@
-//! Per-FU execution engine.
+//! The execution engine: one decode walk, a timing pass and a data pass.
 //!
 //! Each functional unit is modelled as two cooperating machines, following
 //! the V1+ microarchitecture of Fig. 3:
@@ -16,115 +16,323 @@
 //! executions serialise through one issue slot — which is exactly why its II
 //! is `#load + #op + 2`.
 //!
-//! # Decode once, step per block
+//! The FU programs have no branches and the datapath cannot fault, so
+//! neither *when* something happens nor *whether it is legal* depends on the
+//! data. A run is therefore three passes, each over what it alone needs.
 //!
-//! A run lowers the per-FU programs once into a [`DecodedProgram`]: two flat
-//! vectors, one of load entries `(dst, fwd)` and one of issue slots (`NOP`,
-//! or an `EXEC` with its operand count and flags already worked out), with
-//! each FU owning a range of both, plus the FU's constant image (a
-//! [`RegisterFile`] with the preloaded constants). The decoded program is
-//! immutable and shared by every datapath lane.
+//! # 1. The decode walk ([`Program::decode`])
 //!
-//! A [`FuEngine`] is one FU on one lane: borrowed views of its ranges and
-//! image, and the only state that survives a block, the cycles at which the
-//! previous block's last load and last issue slot happened.
-//! [`FuEngine::process_block`] is the single step function. It reads the
-//! upstream words from a slice, overwrites a caller-owned buffer with the
-//! words it forwards, and keeps the block's registers on the stack: the block
-//! context starts as a copy of the constant image (so block-local writes
-//! shadow constants, see [`crate::regfile`]) and a fixed 32-entry table
-//! remembers which slot wrote each register back, for the IWP spacing check.
-//! Nothing in the step allocates, and a trace event is only built if the
-//! trace will keep it.
+//! One walk down the chain checks the program and renames it. Every block
+//! runs the same instructions, so the checks are made once, for block 0, in
+//! the order a block meets them: FU by FU, a load the upstream stream cannot
+//! feed (underflow), then slot by slot and operand by operand a read inside
+//! the write-back delay (IWP hazard), a read of a register nothing wrote, an
+//! operation the `EXEC` word cannot feed; last, an output the final stream
+//! does not carry.
+//!
+//! The same walk value-numbers the chain. Every kernel input, preloaded
+//! constant and `EXEC` result gets a *column*; a 32-entry rename table per FU
+//! says which column each register currently names (and, for a write-back,
+//! from which slot on it may be read). The table starts from the FU's
+//! constants, so a load or write-back to a constant's register shadows the
+//! constant for the rest of the block. Loads, forwards and write-backs only
+//! move names around, so they disappear: what is left is a straight-line
+//! tape of `(op, a, b) -> result` columns, plus, for every load, slot and
+//! output, the column the trace will print and the event that sends the word
+//! downstream.
+//!
+//! # 2. The timing pass ([`Program::time`])
+//!
+//! A block's events are *cells* of one row, in trace order. A cell's cycle
+//! is built from constants, `+ c`, `max`, earlier cells of the same block
+//! (the event that sent the word a load waits for) and two cells of the FU's
+//! own previous block (its last load and last issue slot). The pass steps
+//! the row in place, block after block; the datapath lanes of V2 run
+//! identical programs from identical state, so one row sequence serves both
+//! and block `b` reads row `b / lanes`.
+//!
+//! **Closing in O(1).** The model has no back-pressure, so the cells advance
+//! by different amounts per block and "everything moved by one period" never
+//! holds. The pass instead notes both arguments of every `max` it evaluates
+//! and, over blocks `j-2`, `j-1`, `j`, asks of each `max`: did its *result*
+//! advance by the same amount over both steps, did the same argument win at
+//! `j-1` and `j`, and did the winner advance at least as much as the loser?
+//! If so for all of them, write `Δτ = τ(j) - τ(j-1)` for every term `τ`; then
+//! `τ(i) = τ(j) + (i-j)·Δτ` for all `i ≥ j`, by induction over blocks and,
+//! within a block, evaluation order: a constant has `Δ = 0`; `σ + c` inherits
+//! from `σ`; a term read from the previous block is a `max` result plus a
+//! constant, whose equal advance over both steps makes `Δ` of the reader
+//! equal `Δ` of the cell read; and at a `max` the winner stays ahead because
+//! it leads at `j` and gains at least as fast, so the result keeps the
+//! winner's `Δ`. From there a block's completion is `completion(j) +
+//! (i-j)·Δ`, and stepping stops — unless the trace still wants the cycles.
+//!
+//! # 3. The data pass ([`Program::evaluate`])
+//!
+//! The tape runs over columns of up to [`LANE_WIDTH`] blocks in one flat
+//! buffer: inputs are scattered in, each `EXEC` is one
+//! [`Op::apply_columns`] call (one dispatch per chunk, loops the compiler
+//! vectorises), outputs are gathered out. For the blocks the trace keeps,
+//! events are built from the timing pass's rows and the columns, in the
+//! order the hardware would produce them.
 
 use std::ops::Range;
 
 use overlay_arch::FuVariant;
-use overlay_dfg::{Op, Value};
+use overlay_dfg::{DfgError, Op, Value};
 use overlay_isa::{FuProgram, Instruction, RegIndex, REGISTER_FILE_SIZE};
 
 use crate::error::SimError;
-use crate::regfile::RegisterFile;
 use crate::trace::{Event, EventKind, Trace};
 
-/// A stream word travelling between stages: its value and the cycle it
-/// leaves the producing stage (it becomes visible downstream one cycle
-/// later).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimedWord {
-    /// The 32-bit payload.
-    pub value: Value,
-    /// Cycle at which the word departs the producing stage.
-    pub depart: usize,
-}
+/// Blocks the data pass evaluates per column.
+const LANE_WIDTH: usize = 64;
 
-impl TimedWord {
-    /// The cycle at which the word is available to the consuming stage.
-    pub fn arrival(&self) -> usize {
-        self.depart + 1
-    }
-}
+/// Lane-blocks at or below which the timing pass does not look for the
+/// fixed point: stepping them all is cheaper than the bookkeeping.
+const ALWAYS_STEPPED: usize = 4;
 
-/// One word the input controller takes from the upstream stream.
+/// A stream word as the walk sees it.
 #[derive(Debug, Clone, Copy)]
-struct LoadEntry {
-    dst: RegIndex,
-    fwd: bool,
+struct Word {
+    /// Column holding the word's value for every block.
+    column: usize,
+    /// Cell of the event that sends the word downstream; the cell past the
+    /// last event, always cycle 0, stands for the input FIFO, which holds a
+    /// block's words from the start.
+    sender: usize,
+    /// Cycles from the sender's event to the word's arrival: 1 off a
+    /// bypassing load or the FIFO, the DSP pipeline more off an `EXEC`.
+    lag: usize,
 }
 
-/// One issue slot of the execution engine.
+/// One load or issue slot: a trace event per block and, for an `EXEC`, an
+/// entry of the tape.
 #[derive(Debug, Clone, Copy)]
-enum IssueSlot {
+enum Step {
+    Load {
+        register: RegIndex,
+        forwarded: bool,
+        word: Word,
+    },
     Nop,
     Exec {
         op: Op,
-        dst: RegIndex,
-        src1: RegIndex,
-        src2: RegIndex,
-        /// The operation reads `src1` only.
-        unary: bool,
-        wb: bool,
-        ndf: bool,
+        writeback: bool,
+        forwarded: bool,
+        a: usize,
+        b: usize,
+        result: usize,
     },
 }
 
+/// The stream leaving one stage of the chain, read off the steps already
+/// decoded: forwarded loads first, then forwarded results, as the hardware
+/// emits them.
+#[derive(Debug, Clone)]
+enum Stream {
+    /// The kernel inputs not yet taken, and the FIFO's cell.
+    Inputs(Range<usize>, usize),
+    /// The cells of the upstream FU not yet looked at, and the lag of an
+    /// `EXEC` result.
+    Stage(Range<usize>, usize),
+}
+
+impl Stream {
+    fn next(&mut self, steps: &[Step]) -> Option<Word> {
+        match self {
+            Stream::Inputs(inputs, fifo) => inputs.next().map(|column| Word {
+                column,
+                sender: *fifo,
+                lag: 1,
+            }),
+            Stream::Stage(cells, piped) => cells.find_map(|sender| match steps[sender] {
+                Step::Load {
+                    forwarded: true,
+                    word,
+                    ..
+                } => Some(Word {
+                    column: word.column,
+                    sender,
+                    lag: 1,
+                }),
+                Step::Exec {
+                    forwarded: true,
+                    result,
+                    ..
+                } => Some(Word {
+                    column: result,
+                    sender,
+                    lag: *piped,
+                }),
+                _ => None,
+            }),
+        }
+    }
+
+    /// The word `index` places further on.
+    fn nth(mut self, steps: &[Step], index: usize) -> Option<Word> {
+        for _ in 0..index {
+            self.next(steps)?;
+        }
+        self.next(steps)
+    }
+}
+
+/// What each register names while the walk is inside one FU.
+struct Rename {
+    bound: u32,
+    column: [usize; REGISTER_FILE_SIZE],
+    /// First issue slot that may read the register: past the write-back
+    /// delay for a written-back result, 0 for loads and constants.
+    ready: [usize; REGISTER_FILE_SIZE],
+}
+
+// One `bound` bit per register.
+const _: () = assert!(REGISTER_FILE_SIZE <= u32::BITS as usize);
+
+impl Rename {
+    fn bind(&mut self, register: RegIndex, column: usize, ready: usize) {
+        self.bound |= 1 << register.index();
+        self.column[register.index()] = column;
+        self.ready[register.index()] = ready;
+    }
+}
+
+/// One FU's cells: its loads, then its issue slots.
 #[derive(Debug)]
-struct DecodedFu {
+struct Stage {
     loads: Range<usize>,
     slots: Range<usize>,
-    constants: RegisterFile,
 }
 
-/// The per-FU programs of one kernel, lowered once per run into the flat
-/// form the engines step over. See the [module documentation](self).
+/// A kernel's per-FU programs, checked and renamed. See the
+/// [module documentation](self).
 #[derive(Debug)]
-pub struct DecodedProgram {
-    variant: FuVariant,
-    loads: Vec<LoadEntry>,
-    slots: Vec<IssueSlot>,
-    fus: Vec<DecodedFu>,
-    stream_width: usize,
+pub(crate) struct Program<'k> {
+    programs: &'k [FuProgram],
+    /// Every FU's loads and slots, in chain order.
+    steps: Vec<Step>,
+    stages: Vec<Stage>,
+    /// The kernel outputs by position; their cells follow the steps'.
+    outputs: Vec<Word>,
+    inputs: usize,
+    /// Inputs, then constants, then `EXEC` results.
+    columns: usize,
+    lanes: usize,
+    serialized: bool,
 }
 
-impl DecodedProgram {
-    /// Lowers `programs` (in chain order) for an overlay built from
-    /// `variant`.
-    pub fn decode(variant: FuVariant, programs: &[FuProgram]) -> Self {
+/// Completion cycles and traced rows from [`Program::time`].
+#[derive(Debug)]
+pub(crate) struct Timeline {
+    /// The row the pass steps in place (every event's cell, then the
+    /// FIFO's), then the finished event cells of each lane-block of the
+    /// traced prefix.
+    cycles: Vec<usize>,
+    cells: usize,
+    /// Blocks, from block 0, with at least one event among the traced ones.
+    traced_blocks: usize,
+    /// Completion cycle of each block asked for.
+    pub(crate) sampled: [usize; 3],
+    /// Completion cycle of the last block to finish.
+    pub(crate) total: usize,
+    /// The lane-block at which the fixed point was proven, if it was.
+    #[cfg(test)]
+    closed_at: Option<usize>,
+}
+
+impl Timeline {
+    fn row(&self, lane_block: usize) -> &[usize] {
+        &self.cycles[self.cells + 1 + lane_block * self.cells..][..self.cells]
+    }
+}
+
+/// Evaluates `max` and, while the fixed point is being looked for, notes
+/// both arguments.
+struct Maxes<'a> {
+    log: Option<&'a mut [[usize; 2]]>,
+    next: usize,
+}
+
+impl Maxes<'_> {
+    fn max(&mut self, a: usize, b: usize) -> usize {
+        if let Some(log) = &mut self.log {
+            log[self.next] = [a, b];
+            self.next += 1;
+        }
+        a.max(b)
+    }
+}
+
+/// The fixed-point test over one `max` at blocks `j-2`, `j-1`, `j`. Written
+/// without subtractions: the cycles only grow, but nothing here relies on it.
+fn settled(old: [usize; 2], mid: [usize; 2], new: [usize; 2]) -> bool {
+    let result = |[a, b]: [usize; 2]| a.max(b);
+    let stays_ahead = |w: usize, l: usize| {
+        mid[w] >= mid[l] && new[w] >= new[l] && new[w] + mid[l] >= new[l] + mid[w]
+    };
+    result(new) + result(old) == 2 * result(mid) && (stays_ahead(0, 1) || stays_ahead(1, 0))
+}
+
+impl<'k> Program<'k> {
+    /// Walks `programs` (in chain order) for an overlay built from `variant`
+    /// fed `inputs` words per block, whose output `p` is word
+    /// `output_stream_index[p]` of the stream leaving the last FU.
+    ///
+    /// # Errors
+    ///
+    /// The first hardware constraint a block would violate, as block 0's.
+    pub(crate) fn decode(
+        variant: FuVariant,
+        programs: &'k [FuProgram],
+        inputs: usize,
+        output_stream_index: &[usize],
+    ) -> Result<Self, SimError> {
+        let iwp = variant.iwp().unwrap_or(0).max(1);
+        let piped = variant.dsp_pipeline_depth() + 1;
+        let constants: usize = programs.iter().map(|p| p.constant_init().len()).sum();
         let words: usize = programs.iter().map(FuProgram::len).sum();
-        let mut loads = Vec::with_capacity(words);
-        let mut slots = Vec::with_capacity(words);
-        let mut fus = Vec::with_capacity(programs.len());
-        let mut stream_width = 0;
-        for program in programs {
-            let (first_load, first_slot) = (loads.len(), slots.len());
-            let mut forwarded = 0;
+        let mut steps = Vec::with_capacity(words);
+        let mut stages = Vec::with_capacity(programs.len());
+        let mut next_constant = inputs;
+        let mut next_result = inputs + constants;
+        let mut stream = Stream::Inputs(0..inputs, words + output_stream_index.len());
+        let mut rename = Rename {
+            bound: 0,
+            column: [0; REGISTER_FILE_SIZE],
+            ready: [0; REGISTER_FILE_SIZE],
+        };
+
+        for (fu, program) in programs.iter().enumerate() {
+            rename.bound = 0;
+            for &(register, _) in program.constant_init() {
+                rename.bind(register, next_constant, 0);
+                next_constant += 1;
+            }
+
+            let first = steps.len();
             for instruction in program.instructions() {
+                let Instruction::Load { dst, fwd } = *instruction else {
+                    continue;
+                };
+                let word = stream
+                    .next(&steps)
+                    .ok_or(SimError::StreamUnderflow { fu, block: 0 })?;
+                rename.bind(dst, word.column, 0);
+                steps.push(Step::Load {
+                    register: dst,
+                    forwarded: fwd,
+                    word,
+                });
+            }
+
+            let first_slot = steps.len();
+            for instruction in program.instructions() {
+                let slot = steps.len() - first_slot;
                 match *instruction {
-                    Instruction::Load { dst, fwd } => {
-                        forwarded += usize::from(fwd);
-                        loads.push(LoadEntry { dst, fwd });
-                    }
-                    Instruction::Nop => slots.push(IssueSlot::Nop),
+                    Instruction::Load { .. } => {}
+                    Instruction::Nop => steps.push(Step::Nop),
                     Instruction::Exec {
                         op,
                         dst,
@@ -133,249 +341,336 @@ impl DecodedProgram {
                         wb,
                         ndf,
                     } => {
-                        forwarded += usize::from(!ndf);
-                        slots.push(IssueSlot::Exec {
+                        let read = |register: RegIndex| {
+                            let index = register.index();
+                            if rename.bound & (1 << index) == 0 {
+                                Err(SimError::UninitializedRegister {
+                                    fu,
+                                    register: index,
+                                    block: 0,
+                                })
+                            } else if slot < rename.ready[index] {
+                                Err(SimError::WritebackHazard {
+                                    fu,
+                                    block: 0,
+                                    observed: slot + iwp - rename.ready[index],
+                                    required: iwp,
+                                })
+                            } else {
+                                Ok(rename.column[index])
+                            }
+                        };
+                        let arity = op.arity();
+                        let a = read(src1)?;
+                        let b = if arity == 1 { a } else { read(src2)? };
+                        if arity > 2 {
+                            // The word has two source fields.
+                            return Err(SimError::Dfg(DfgError::ArityMismatch {
+                                op,
+                                expected: arity,
+                                found: 2,
+                            }));
+                        }
+                        let result = next_result;
+                        next_result += 1;
+                        if wb {
+                            rename.bind(dst, result, slot + iwp);
+                        }
+                        steps.push(Step::Exec {
                             op,
-                            dst,
-                            src1,
-                            src2,
-                            unary: op.arity() == 1,
-                            wb,
-                            ndf,
+                            writeback: wb,
+                            forwarded: !ndf,
+                            a,
+                            b,
+                            result,
                         });
                     }
                 }
             }
-            stream_width = stream_width.max(forwarded);
-            let mut constants = RegisterFile::new();
-            for &(reg, value) in program.constant_init() {
-                constants.write(reg, value);
-            }
-            fus.push(DecodedFu {
-                loads: first_load..loads.len(),
-                slots: first_slot..slots.len(),
-                constants,
+            stages.push(Stage {
+                loads: first..first_slot,
+                slots: first_slot..steps.len(),
             });
+            stream = Stream::Stage(first..steps.len(), piped);
         }
-        DecodedProgram {
-            variant,
-            loads,
-            slots,
-            fus,
-            stream_width,
+
+        let mut outputs = Vec::with_capacity(output_stream_index.len());
+        for &index in output_stream_index {
+            let word = stream
+                .clone()
+                .nth(&steps, index)
+                .ok_or(SimError::StreamUnderflow {
+                    fu: programs.len(),
+                    block: 0,
+                })?;
+            outputs.push(word);
+        }
+
+        Ok(Program {
+            programs,
+            steps,
+            stages,
+            outputs,
+            inputs,
+            columns: next_result,
+            lanes: variant.datapath_lanes(),
+            serialized: matches!(variant, FuVariant::Baseline),
+        })
+    }
+
+    /// Trace events one block emits on its way down the chain: one per load,
+    /// per issue slot and per output.
+    pub(crate) fn events_per_block(&self) -> usize {
+        self.steps.len() + self.outputs.len()
+    }
+
+    /// Steps one lane-block: overwrites `row`, which holds the lane's
+    /// previous block, cell by cell and returns the block's completion cycle.
+    fn step(&self, row: &mut [usize], maxes: &mut Maxes<'_>) -> usize {
+        for stage in &self.stages {
+            // Both still hold the previous block's cycles (0 before block 0).
+            let last_load_end = stage.loads.clone().last().map_or(0, |cell| row[cell]);
+            let last_exec_end = stage.slots.clone().last().map_or(0, |cell| row[cell]);
+
+            let mut cursor = last_load_end + 2; // one idle separator cycle
+            if self.serialized {
+                // The single-port baseline cannot start a new block's loads
+                // until the previous block's execution (and flush) is over.
+                cursor = maxes.max(cursor, last_exec_end + 3);
+            }
+            let mut last_load = last_load_end;
+            for (cell, step) in stage.loads.clone().zip(&self.steps[stage.loads.clone()]) {
+                let Step::Load { word, .. } = step else {
+                    continue;
+                };
+                last_load = maxes.max(cursor, row[word.sender] + word.lag);
+                row[cell] = last_load;
+                cursor = last_load + 1;
+            }
+
+            // Execution starts once the block's data is resident and the
+            // previous block has drained the DSP pipeline (two flush cycles).
+            let mut start = maxes.max(last_load + 1, last_exec_end + 3);
+            if self.serialized {
+                start = maxes.max(start, cursor);
+            }
+            for (slot, cycle) in row[stage.slots.clone()].iter_mut().enumerate() {
+                *cycle = start + slot;
+            }
+        }
+        let mut completion = 0;
+        for (cell, word) in (self.steps.len()..).zip(&self.outputs) {
+            let arrival = row[word.sender] + word.lag;
+            row[cell] = arrival;
+            completion = maxes.max(completion, arrival);
+        }
+        completion
+    }
+
+    /// `max` evaluations in one [`Program::step`].
+    fn maxes_per_step(&self) -> usize {
+        let per_stage = if self.serialized { 3 } else { 1 };
+        let loads: usize = self.stages.iter().map(|stage| stage.loads.len()).sum();
+        loads + per_stage * self.stages.len() + self.outputs.len()
+    }
+
+    /// The timing pass over `blocks` blocks: the completion cycle of each
+    /// block in `sample` and of the last to finish, and a row of event
+    /// cycles for every lane-block the first `traced_events` events touch.
+    pub(crate) fn time(&self, blocks: usize, traced_events: usize, sample: [usize; 3]) -> Timeline {
+        let cells = self.events_per_block();
+        let lane_blocks = blocks.div_ceil(self.lanes);
+        let traced_blocks = match cells {
+            0 => 0,
+            _ => traced_events.div_ceil(cells),
+        };
+        let traced_rows = traced_blocks.div_ceil(self.lanes);
+        let mut cycles = Vec::with_capacity(cells + 1 + traced_rows * cells);
+        cycles.resize(cells + 1, 0);
+
+        // A ring of the last three steps' `max` arguments.
+        let maxes = self.maxes_per_step();
+        let mut log = match lane_blocks > ALWAYS_STEPPED {
+            true => vec![[0; 2]; 3 * maxes],
+            false => Vec::new(),
+        };
+        let mut closed_at = None;
+
+        let sample = sample.map(|block| block / self.lanes);
+        let mut sampled = [0; 3];
+        let mut total = 0;
+        let (mut previous, mut completion) = (0, 0);
+        let mut stepped = 0;
+        while stepped < lane_blocks && (stepped < traced_rows || closed_at.is_none()) {
+            let searching = !log.is_empty() && closed_at.is_none();
+            let mut noted = Maxes {
+                log: searching.then(|| &mut log[stepped % 3 * maxes..][..maxes]),
+                next: 0,
+            };
+            previous = completion;
+            completion = self.step(&mut cycles[..=cells], &mut noted);
+            if stepped < traced_rows {
+                cycles.extend_from_within(..cells);
+            }
+            for (wanted, sampled) in sample.iter().zip(&mut sampled) {
+                if *wanted == stepped {
+                    *sampled = completion;
+                }
+            }
+            total = total.max(completion);
+            if searching && stepped >= 2 {
+                let at = |age: usize| &log[(stepped - age) % 3 * maxes..][..maxes];
+                let (old, mid, new) = (at(2), at(1), at(0));
+                if (0..maxes).all(|i| settled(old[i], mid[i], new[i])) {
+                    closed_at = Some(stepped);
+                }
+            }
+            stepped += 1;
+        }
+
+        // Past the last stepped lane-block every completion is one more
+        // period on; with nothing left to close, `period` goes unused.
+        let period = completion - previous;
+        for (wanted, sampled) in sample.iter().zip(&mut sampled) {
+            if *wanted >= stepped {
+                *sampled = completion + (wanted + 1 - stepped) * period;
+            }
+        }
+        if stepped < lane_blocks {
+            total = total.max(completion + (lane_blocks - stepped) * period);
+        }
+        Timeline {
+            cycles,
+            cells,
+            traced_blocks,
+            sampled,
+            total,
+            #[cfg(test)]
+            closed_at,
         }
     }
 
-    /// Number of FUs along the chain.
-    pub fn num_fus(&self) -> usize {
-        self.fus.len()
-    }
-
-    /// Trace events one block emits on its way down the chain: one per load
-    /// and one per issue slot.
-    pub fn events_per_block(&self) -> usize {
-        self.loads.len() + self.slots.len()
-    }
-
-    /// The most words any FU forwards downstream per block.
-    pub fn stream_width(&self) -> usize {
-        self.stream_width
-    }
-
-    /// The engine of FU `index`, with its inter-block timing state at rest.
-    ///
-    /// # Panics
-    ///
-    /// If `index` is not below [`DecodedProgram::num_fus`].
-    pub fn engine(&self, index: usize) -> FuEngine<'_> {
-        let fu = &self.fus[index];
-        FuEngine {
-            index,
-            serialized: matches!(self.variant, FuVariant::Baseline),
-            pipeline_depth: self.variant.dsp_pipeline_depth(),
-            iwp: self.variant.iwp().unwrap_or(0).max(1),
-            loads: &self.loads[fu.loads.clone()],
-            slots: &self.slots[fu.slots.clone()],
-            constants: &fu.constants,
-            last_load_end: 0,
-            last_exec_end: 0,
-        }
-    }
-}
-
-/// One FU on one datapath lane: views into the [`DecodedProgram`] plus the
-/// timing state that persists across blocks.
-#[derive(Debug)]
-pub struct FuEngine<'p> {
-    index: usize,
-    serialized: bool,
-    pipeline_depth: usize,
-    /// Issue slots a consumer must trail the producer of a written-back
-    /// register by.
-    iwp: usize,
-    loads: &'p [LoadEntry],
-    slots: &'p [IssueSlot],
-    constants: &'p RegisterFile,
-    last_load_end: usize,
-    last_exec_end: usize,
-}
-
-impl FuEngine<'_> {
-    /// Processes one kernel invocation (`block`): consumes the words arriving
-    /// from upstream in `incoming` and overwrites `outgoing` with the words
-    /// forwarded downstream.
+    /// The data pass: evaluates the tape over `records` (at least one),
+    /// returns one output record per block and records the events of the
+    /// blocks `timeline` holds rows for, then counts the rest as dropped.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on stream underflow, uninitialised register
-    /// reads or write-back hazards.
-    pub fn process_block(
-        &mut self,
-        block: usize,
-        incoming: &[TimedWord],
-        outgoing: &mut Vec<TimedWord>,
+    /// None that [`Program::decode`] has not already ruled out.
+    pub(crate) fn evaluate(
+        &self,
+        records: &[Vec<Value>],
+        timeline: &Timeline,
         trace: &mut Trace,
-    ) -> Result<(), SimError> {
-        let fu = self.index;
-        outgoing.clear();
-
-        // ---- input phase ---------------------------------------------------
-        if self.loads.len() > incoming.len() {
-            return Err(SimError::StreamUnderflow { fu, block });
-        }
-        let mut context = *self.constants;
-        let mut cursor = self.last_load_end + 2; // one idle separator cycle
-        if self.serialized {
-            // The single-port baseline cannot start a new block's loads until
-            // the previous block's execution (and flush) has finished.
-            cursor = cursor.max(self.last_exec_end + 3);
-        }
-        let mut last_load_time = self.last_load_end;
-        for (load, word) in self.loads.iter().zip(incoming) {
-            let time = cursor.max(word.arrival());
-            cursor = time + 1;
-            last_load_time = time;
-            context.write(load.dst, word.value);
-            if load.fwd {
-                outgoing.push(TimedWord {
-                    value: word.value,
-                    depart: time,
-                });
-            }
-            trace.record_with(|| Event {
-                cycle: time,
-                fu,
-                block,
-                kind: EventKind::Load {
-                    register: load.dst.index(),
-                    value: word.value,
-                    forwarded: load.fwd,
-                },
-            });
+    ) -> Result<Vec<Vec<Value>>, SimError> {
+        let width = LANE_WIDTH.min(records.len());
+        let mut columns = vec![Value::ZERO; self.columns * width];
+        let constants = self.programs.iter().flat_map(FuProgram::constant_init);
+        for (column, &(_, value)) in (self.inputs..).zip(constants) {
+            columns[column * width..][..width].fill(value);
         }
 
-        // ---- execution phase -----------------------------------------------
-        // Execution starts once the block's data is resident and the previous
-        // block has drained the DSP pipeline (two flush cycles).
-        let mut exec_time = (last_load_time + 1).max(self.last_exec_end + 3);
-        if self.serialized {
-            exec_time = exec_time.max(cursor);
-        }
-        // Slot index at which each register was produced by a write-back, to
-        // check the IWP spacing; a bit of `written_back` says the entry is set.
-        let mut producer_slot = [0usize; REGISTER_FILE_SIZE];
-        let mut written_back = 0u32;
-        let mut last_exec_time = self.last_exec_end;
-
-        for (slot_index, slot) in self.slots.iter().enumerate() {
-            let time = exec_time + slot_index;
-            last_exec_time = time;
-            match *slot {
-                IssueSlot::Nop => trace.record_with(|| Event {
-                    cycle: time,
-                    fu,
-                    block,
-                    kind: EventKind::Nop,
-                }),
-                IssueSlot::Exec {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                    unary,
-                    wb,
-                    ndf,
-                } => {
-                    let read = |reg: RegIndex| -> Result<Value, SimError> {
-                        if written_back & (1 << reg.index()) != 0 {
-                            let observed = slot_index - producer_slot[reg.index()];
-                            if observed < self.iwp {
-                                return Err(SimError::WritebackHazard {
-                                    fu,
-                                    block,
-                                    observed,
-                                    required: self.iwp,
-                                });
-                            }
-                        }
-                        context.read(reg).ok_or(SimError::UninitializedRegister {
-                            fu,
-                            register: reg.index(),
-                            block,
-                        })
-                    };
-                    let a = read(src1)?;
-                    let operands = [a, if unary { a } else { read(src2)? }];
-                    let result = op
-                        .apply(&operands[..if unary { 1 } else { 2 }])
-                        .map_err(SimError::Dfg)?;
-                    if wb {
-                        context.write(dst, result);
-                        producer_slot[dst.index()] = slot_index;
-                        written_back |= 1 << dst.index();
-                    }
-                    if !ndf {
-                        outgoing.push(TimedWord {
-                            value: result,
-                            depart: time + self.pipeline_depth,
-                        });
-                    }
-                    trace.record_with(|| Event {
-                        cycle: time,
-                        fu,
-                        block,
-                        kind: EventKind::Exec {
-                            mnemonic: op.mnemonic(),
-                            value: result,
-                            writeback: wb,
-                            forwarded: !ndf,
-                        },
-                    });
+        let mut outputs = Vec::with_capacity(records.len());
+        let mut first_block = 0;
+        for chunk in records.chunks(width) {
+            let blocks = chunk.len();
+            for (lane, record) in chunk.iter().enumerate() {
+                for (input, &value) in record.iter().enumerate() {
+                    columns[input * width + lane] = value;
                 }
             }
+            for step in &self.steps {
+                if let Step::Exec {
+                    op, a, b, result, ..
+                } = *step
+                {
+                    let (operands, results) = columns.split_at_mut(result * width);
+                    op.apply_columns(
+                        &operands[a * width..][..blocks],
+                        &operands[b * width..][..blocks],
+                        &mut results[..blocks],
+                    )
+                    .map_err(SimError::Dfg)?;
+                }
+            }
+            let columns = columns.as_slice();
+            for lane in 0..blocks {
+                let value = move |column: usize| columns[column * width + lane];
+                outputs.push(self.outputs.iter().map(|word| value(word.column)).collect());
+                let block = first_block + lane;
+                if block < timeline.traced_blocks {
+                    self.trace_block(block, timeline.row(block / self.lanes), value, trace);
+                }
+            }
+            first_block += blocks;
         }
+        trace.count_dropped((records.len() - timeline.traced_blocks) * timeline.cells);
+        Ok(outputs)
+    }
 
-        self.last_load_end = last_load_time;
-        self.last_exec_end = last_exec_time;
-        Ok(())
+    /// Records `block`'s events in the order the parts of the overlay
+    /// produce them: FU by FU, loads before issue slots, then the output
+    /// FIFO. `row` holds the cycles, `value` reads the block's columns.
+    fn trace_block(
+        &self,
+        block: usize,
+        row: &[usize],
+        value: impl Fn(usize) -> Value + Copy,
+        trace: &mut Trace,
+    ) {
+        for (fu, stage) in self.stages.iter().enumerate() {
+            let cells = stage.loads.start..stage.slots.end;
+            let steps = self.steps[cells.clone()].iter().zip(&row[cells]);
+            trace.record_all(steps.map(|(step, &cycle)| Event {
+                cycle,
+                fu,
+                block,
+                kind: match *step {
+                    Step::Load {
+                        register,
+                        forwarded,
+                        word,
+                    } => EventKind::Load {
+                        register: register.index(),
+                        value: value(word.column),
+                        forwarded,
+                    },
+                    Step::Nop => EventKind::Nop,
+                    Step::Exec {
+                        op,
+                        writeback,
+                        forwarded,
+                        result,
+                        ..
+                    } => EventKind::Exec {
+                        mnemonic: op.mnemonic(),
+                        value: value(result),
+                        writeback,
+                        forwarded,
+                    },
+                },
+            }));
+        }
+        let outputs = self.outputs.iter().zip(&row[self.steps.len()..]);
+        let fu = self.stages.len();
+        trace.record_all(outputs.enumerate().map(|(position, (word, &cycle))| Event {
+            cycle,
+            fu,
+            block,
+            kind: EventKind::Output {
+                position,
+                value: value(word.column),
+            },
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlay_dfg::Op;
-    use overlay_isa::RegIndex;
 
     fn r(i: u32) -> RegIndex {
         RegIndex::new(i).unwrap()
-    }
-
-    fn word(value: i32) -> TimedWord {
-        TimedWord {
-            value: Value::new(value),
-            depart: 0,
-        }
     }
 
     fn adder_program() -> FuProgram {
@@ -386,58 +681,70 @@ mod tests {
         p
     }
 
-    /// Steps `engine` through one block and returns the forwarded words.
-    fn step(
-        engine: &mut FuEngine<'_>,
-        block: usize,
-        incoming: &[TimedWord],
-        trace: &mut Trace,
-    ) -> Result<Vec<TimedWord>, SimError> {
-        let mut outgoing = Vec::new();
-        engine.process_block(block, incoming, &mut outgoing, trace)?;
-        Ok(outgoing)
+    /// Runs `programs` over `records` with every event traced; output `p`
+    /// is word `outputs[p]` of the final stream.
+    fn run(
+        variant: FuVariant,
+        programs: &[FuProgram],
+        records: &[Vec<i32>],
+        outputs: &[usize],
+    ) -> Result<(Vec<Vec<Value>>, Timeline, Trace), SimError> {
+        let records: Vec<Vec<Value>> = records
+            .iter()
+            .map(|record| record.iter().copied().map(Value::new).collect())
+            .collect();
+        let program = Program::decode(variant, programs, records[0].len(), outputs)?;
+        let events = records.len() * program.events_per_block();
+        let timeline = program.time(records.len(), events, [0, 0, records.len() - 1]);
+        let mut trace = Trace::with_capacity(events);
+        let outputs = program.evaluate(&records, &timeline, &mut trace)?;
+        Ok((outputs, timeline, trace))
+    }
+
+    /// Cycle of each block's (only) output event.
+    fn output_cycles(trace: &Trace) -> Vec<usize> {
+        trace
+            .events()
+            .iter()
+            .filter(|event| matches!(event.kind, EventKind::Output { .. }))
+            .map(|event| event.cycle)
+            .collect()
     }
 
     #[test]
     fn single_fu_adds_two_words() {
-        let decoded = DecodedProgram::decode(FuVariant::V1, &[adder_program()]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::with_capacity(16);
-        let out = step(&mut engine, 0, &[word(3), word(4)], &mut trace).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].value, Value::new(7));
-        // loads at cycles 2 and 3, exec at cycle 4, result departs at 4 + 3.
-        assert_eq!(out[0].depart, 7);
-        assert_eq!(trace.events().len(), 3);
+        let (outputs, _, trace) =
+            run(FuVariant::V1, &[adder_program()], &[vec![3, 4]], &[0]).unwrap();
+        assert_eq!(outputs, [[Value::new(7)]]);
+        // loads at cycles 2 and 3, exec at cycle 4, the result departs at
+        // 4 + 3 and reaches the output FIFO a cycle later.
+        let cycles: Vec<usize> = trace.events().iter().map(|event| event.cycle).collect();
+        assert_eq!(cycles, [2, 3, 4, 8]);
     }
 
     #[test]
     fn v1_steady_state_period_matches_eq2() {
         // 2 loads, 1 op: II = max(2 + 1, 1 + 2) = 3.
-        let decoded = DecodedProgram::decode(FuVariant::V1, &[adder_program()]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let mut departs = Vec::new();
-        for block in 0..6 {
-            let out = step(&mut engine, block, &[word(1), word(2)], &mut trace).unwrap();
-            departs.push(out[0].depart);
-        }
-        let deltas: Vec<usize> = departs.windows(2).map(|w| w[1] - w[0]).collect();
+        let records = vec![vec![1, 2]; 6];
+        let (_, _, trace) = run(FuVariant::V1, &[adder_program()], &records, &[0]).unwrap();
+        let deltas: Vec<usize> = output_cycles(&trace)
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
+        assert_eq!(deltas.len(), 5);
         assert!(deltas[2..].iter().all(|&d| d == 3), "got {deltas:?}");
     }
 
     #[test]
     fn baseline_serialises_loads_and_execs() {
         // Same program on [14]: II = 2 + 1 + 2 = 5.
-        let decoded = DecodedProgram::decode(FuVariant::Baseline, &[adder_program()]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let mut departs = Vec::new();
-        for block in 0..6 {
-            let out = step(&mut engine, block, &[word(1), word(2)], &mut trace).unwrap();
-            departs.push(out[0].depart);
-        }
-        let deltas: Vec<usize> = departs.windows(2).map(|w| w[1] - w[0]).collect();
+        let records = vec![vec![1, 2]; 6];
+        let (_, _, trace) = run(FuVariant::Baseline, &[adder_program()], &records, &[0]).unwrap();
+        let deltas: Vec<usize> = output_cycles(&trace)
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
+        assert_eq!(deltas.len(), 5);
         assert!(deltas[2..].iter().all(|&d| d == 5), "got {deltas:?}");
     }
 
@@ -447,24 +754,19 @@ mod tests {
         p.push(Instruction::load_forward(r(0)));
         p.push(Instruction::load(r(1)));
         p.push(Instruction::exec(Op::Mul, r(2), r(0), r(1)));
-        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let out = step(&mut engine, 0, &[word(5), word(6)], &mut trace).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].value, Value::new(5)); // the bypassed word first
-        assert_eq!(out[1].value, Value::new(30));
-        assert!(out[0].depart < out[1].depart);
+        let (outputs, _, trace) = run(FuVariant::V1, &[p], &[vec![5, 6]], &[0, 1]).unwrap();
+        // The bypassed word first, then the product.
+        assert_eq!(outputs, [[Value::new(5), Value::new(30)]]);
+        let cycles = output_cycles(&trace);
+        assert!(cycles[0] < cycles[1], "got {cycles:?}");
     }
 
     #[test]
     fn stream_underflow_is_detected() {
+        // The empty FUs forward nothing, so the adder's loads find no words.
         let programs = [FuProgram::new(), FuProgram::new(), adder_program()];
-        let decoded = DecodedProgram::decode(FuVariant::V1, &programs);
-        let mut engine = decoded.engine(2);
-        let mut trace = Trace::disabled();
-        let err = step(&mut engine, 0, &[word(1)], &mut trace).unwrap_err();
-        assert!(matches!(err, SimError::StreamUnderflow { fu: 2, block: 0 }));
+        let err = run(FuVariant::V1, &programs, &[vec![1]], &[0]).unwrap_err();
+        assert_eq!(err, SimError::StreamUnderflow { fu: 2, block: 0 });
     }
 
     #[test]
@@ -472,60 +774,66 @@ mod tests {
         let mut p = FuProgram::new();
         p.push(Instruction::load(r(0)));
         p.push(Instruction::exec(Op::Add, r(2), r(0), r(9)));
-        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let err = step(&mut engine, 0, &[word(1)], &mut trace).unwrap_err();
+        let err = run(FuVariant::V1, &[p], &[vec![1]], &[0]).unwrap_err();
         assert!(matches!(
             err,
             SimError::UninitializedRegister { register: 9, .. }
         ));
     }
 
+    /// A square written back to `r1`, `gap` NOPs, then `r1 + r0`.
+    fn dependent_pair(gap: usize) -> FuProgram {
+        let mut p = FuProgram::new();
+        p.push(Instruction::load(r(0)));
+        p.push(Instruction::exec_flags(
+            Op::Square,
+            r(1),
+            r(0),
+            r(0),
+            true,
+            true,
+        ));
+        for _ in 0..gap {
+            p.push(Instruction::Nop);
+        }
+        p.push(Instruction::exec(Op::Add, r(2), r(1), r(0)));
+        p
+    }
+
     #[test]
     fn writeback_hazard_is_detected_when_dependents_are_too_close() {
         // Two dependent execs back to back on a V3 FU (IWP = 5) violate the
         // write-back spacing and must be flagged.
-        let mut p = FuProgram::new();
-        p.push(Instruction::load(r(0)));
-        p.push(Instruction::exec_flags(
-            Op::Square,
-            r(1),
-            r(0),
-            r(0),
-            true,
-            true,
+        let err = run(FuVariant::V3, &[dependent_pair(0)], &[vec![2]], &[0]).unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::WritebackHazard {
+                observed: 1,
+                required: 5,
+                ..
+            }
         ));
-        p.push(Instruction::exec(Op::Add, r(2), r(1), r(0)));
-        let decoded = DecodedProgram::decode(FuVariant::V3, &[p]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let err = step(&mut engine, 0, &[word(2)], &mut trace).unwrap_err();
-        assert!(matches!(err, SimError::WritebackHazard { required: 5, .. }));
     }
 
     #[test]
     fn writeback_read_succeeds_after_the_iwp_delay() {
-        let mut p = FuProgram::new();
-        p.push(Instruction::load(r(0)));
-        p.push(Instruction::exec_flags(
-            Op::Square,
-            r(1),
-            r(0),
-            r(0),
-            true,
-            true,
-        ));
-        for _ in 0..4 {
-            p.push(Instruction::Nop);
-        }
-        p.push(Instruction::exec(Op::Add, r(2), r(1), r(0)));
-        let decoded = DecodedProgram::decode(FuVariant::V3, &[p]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let out = step(&mut engine, 0, &[word(3)], &mut trace).unwrap();
+        let (outputs, ..) = run(FuVariant::V3, &[dependent_pair(4)], &[vec![3]], &[0]).unwrap();
         // 3^2 + 3 = 12
-        assert_eq!(out.last().unwrap().value, Value::new(12));
+        assert_eq!(outputs, [[Value::new(12)]]);
+    }
+
+    #[test]
+    fn a_chain_without_fus_passes_its_inputs_through() {
+        let (outputs, _, trace) =
+            run(FuVariant::V1, &[], &[vec![1, 2], vec![3, 4]], &[1, 0]).unwrap();
+        assert_eq!(outputs, [[2, 1].map(Value::new), [4, 3].map(Value::new)]);
+        // The FIFO holds every block's words from cycle 0.
+        assert_eq!(output_cycles(&trace), [1; 4]);
+
+        // Nothing in, nothing out: no columns and no events at all.
+        let (outputs, _, trace) = run(FuVariant::V1, &[], &[vec![], vec![], vec![]], &[]).unwrap();
+        assert_eq!(outputs, [[], [], []]);
+        assert_eq!(trace.total(), 0);
     }
 
     #[test]
@@ -534,10 +842,149 @@ mod tests {
         p.preload_constant(r(31), Value::new(10));
         p.push(Instruction::load(r(0)));
         p.push(Instruction::exec(Op::Mul, r(1), r(0), r(31)));
-        let decoded = DecodedProgram::decode(FuVariant::V1, &[p]);
-        let mut engine = decoded.engine(0);
-        let mut trace = Trace::disabled();
-        let out = step(&mut engine, 0, &[word(7)], &mut trace).unwrap();
-        assert_eq!(out[0].value, Value::new(70));
+        let (outputs, ..) = run(FuVariant::V1, &[p], &[vec![7]], &[0]).unwrap();
+        assert_eq!(outputs, [[Value::new(70)]]);
+    }
+
+    #[test]
+    fn a_block_shadows_a_constant_and_the_next_block_gets_it_back() {
+        // r31 = 10 by configuration. Each block reads it (x * 10), writes a
+        // result back over it, then reads it again (x * 10 + x * 10): the
+        // write-back wins for the rest of the block only.
+        let mut p = FuProgram::new();
+        p.preload_constant(r(31), Value::new(10));
+        p.push(Instruction::load(r(0)));
+        p.push(Instruction::exec_flags(
+            Op::Mul,
+            r(31),
+            r(0),
+            r(31),
+            true,
+            false,
+        ));
+        p.push(Instruction::exec(Op::Add, r(2), r(31), r(31)));
+        let (outputs, ..) = run(FuVariant::V1, &[p], &[vec![2], vec![3]], &[0, 1]).unwrap();
+        assert_eq!(
+            outputs,
+            [[20, 40].map(Value::new), [30, 60].map(Value::new)]
+        );
+
+        // A load over a constant's register shadows it the same way.
+        let mut p = FuProgram::new();
+        p.preload_constant(r(0), Value::new(10));
+        p.push(Instruction::load(r(0)));
+        p.push(Instruction::exec(Op::Mov, r(1), r(0), r(0)));
+        let (outputs, ..) = run(FuVariant::V1, &[p], &[vec![4], vec![5]], &[0]).unwrap();
+        assert_eq!(outputs, [[Value::new(4)], [Value::new(5)]]);
+    }
+
+    /// Completions of blocks 0, `blocks / 2` and `blocks - 1` and of the
+    /// last to finish, stopping at the fixed point (if `close`) or with every
+    /// block stepped because every block is traced.
+    fn completions(program: &Program<'_>, blocks: usize, close: bool) -> ([usize; 3], usize) {
+        let traced = if close {
+            0
+        } else {
+            blocks * program.events_per_block()
+        };
+        let timeline = program.time(blocks, traced, [0, blocks / 2, blocks - 1]);
+        (timeline.sampled, timeline.total)
+    }
+
+    /// One FU from a sketch: `L` a load, `F` a forwarded load, `n` a NOP,
+    /// `x` an `EXEC` whose result is forwarded.
+    fn sketch(pattern: &str) -> FuProgram {
+        let mut loads = 0;
+        pattern
+            .chars()
+            .map(|c| match c {
+                'L' | 'F' => {
+                    loads += 1;
+                    Instruction::Load {
+                        dst: r(loads - 1),
+                        fwd: c == 'F',
+                    }
+                }
+                'n' => Instruction::Nop,
+                _ => Instruction::exec(Op::Neg, r(20), r(0), r(0)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn winners_that_flip_late_close_late_and_match_stepping() {
+        // FU 0 runs 16 cycles per block and FU 1 17, both sending results at
+        // uneven slots. FU 1's bypassed word keeps FU 0's pace while its
+        // results fall behind a cycle per block, so at FU 2 the gaps between
+        // arrivals close one after another, and until the last has closed
+        // some `max` is still changing hands.
+        let programs = ["Lnnxnxnxnnnxxx", "Fnxnxnxnnxnxnxn", "FFx"].map(sketch);
+        let program = Program::decode(FuVariant::V1, &programs, 1, &[2]).unwrap();
+
+        let closed_at = program.time(300, 0, [0; 3]).closed_at.unwrap();
+        assert!((8..100).contains(&closed_at), "closed at {closed_at}");
+        for blocks in [5, closed_at, closed_at + 1, closed_at + 2, 299, 300] {
+            assert_eq!(
+                completions(&program, blocks, true),
+                completions(&program, blocks, false),
+                "{blocks} blocks"
+            );
+        }
+    }
+
+    #[test]
+    fn closing_matches_stepping_on_random_chains() {
+        // xorshift: irregular hand-made chains, which compiled kernels are not.
+        let mut state = 0x1234_5678_9abc_def0_u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut latest = 0;
+        for _ in 0..1500 {
+            let variant = [FuVariant::Baseline, FuVariant::V1, FuVariant::V2][below(3)];
+            let inputs = 1 + below(4);
+            let mut arriving = inputs;
+            let programs: Vec<FuProgram> = (0..2 + below(3))
+                .map(|_| {
+                    let mut program = FuProgram::new();
+                    let mut forwarded = 1;
+                    for register in 0..1 + below(arriving) {
+                        let forward = below(2) == 0;
+                        forwarded += usize::from(forward);
+                        program.push(Instruction::Load {
+                            dst: r(register as u32),
+                            fwd: forward,
+                        });
+                    }
+                    for _ in 0..below(24) {
+                        program.push(match below(3) {
+                            0 => Instruction::Nop,
+                            _ => {
+                                let forward = below(2) == 0;
+                                forwarded += usize::from(forward);
+                                Instruction::exec_flags(Op::Neg, r(20), r(0), r(0), false, !forward)
+                            }
+                        });
+                    }
+                    program.push(Instruction::exec(Op::Neg, r(20), r(0), r(0)));
+                    arriving = forwarded;
+                    program
+                })
+                .collect();
+            let program = Program::decode(variant, &programs, inputs, &[0, arriving - 1]).unwrap();
+            let blocks = 5 + below(200);
+            let closing = program.time(blocks, 0, [0, blocks / 2, blocks - 1]);
+            latest = latest.max(closing.closed_at.unwrap_or(0));
+            assert_eq!(
+                (closing.sampled, closing.total),
+                completions(&program, blocks, false),
+                "{variant}, {blocks} blocks: {programs:?}"
+            );
+        }
+        // Some of the chains must have closed late, or this tested nothing.
+        assert!(latest > 8, "latest closure at {latest}");
     }
 }

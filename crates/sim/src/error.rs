@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use overlay_arch::FuVariant;
 use overlay_dfg::DfgError;
 use overlay_isa::IsaError;
 
@@ -20,6 +21,15 @@ pub enum SimError {
     },
     /// The workload is empty.
     EmptyWorkload,
+    /// The kernel was compiled for another FU variant than the simulator
+    /// models: its schedule assumes a different pipeline depth, write-back
+    /// delay and lane count, so the cycles and hazard checks would be wrong.
+    VariantMismatch {
+        /// The variant the kernel was compiled for.
+        compiled: FuVariant,
+        /// The variant the simulator models.
+        simulator: FuVariant,
+    },
     /// An instruction read a register that was never written in the current
     /// block context.
     UninitializedRegister {
@@ -67,6 +77,13 @@ impl fmt::Display for SimError {
                 "workload record {record} has {found} word(s) but the kernel expects {expected}"
             ),
             SimError::EmptyWorkload => write!(f, "workload contains no records"),
+            SimError::VariantMismatch {
+                compiled,
+                simulator,
+            } => write!(
+                f,
+                "kernel compiled for {compiled} cannot run on a simulator of {simulator}"
+            ),
             SimError::UninitializedRegister {
                 fu,
                 register,

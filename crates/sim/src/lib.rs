@@ -20,24 +20,33 @@
 //!
 //! # How a run executes
 //!
-//! [`OverlaySimulator::run`] decodes the kernel's program **once** into a
-//! flat form ([`engine::DecodedProgram`]: load entries, issue slots and a
-//! constant register image per FU) that every lane shares; a lane owns only
-//! the two timing counters each of its FUs carries from block to block.
-//! Each block then goes down the chain through one step function,
-//! [`engine::FuEngine::process_block`], between two stream buffers that swap
-//! roles at every FU and are reused by every block.
+//! The overlay is a feed-forward chain running branch-free programs on a
+//! datapath that cannot fault, so nothing about time or legality depends on
+//! the data. [`OverlaySimulator::run`] therefore makes three passes (the
+//! private `engine` module documents each, with the argument for the second):
 //!
-//! A block's registers are a [`RegisterFile`] on the stack that starts as a
-//! copy of the FU's constant image, so **the block context shadows the
-//! constants**: a load or write-back to a constant's register wins for the
-//! rest of that block and the constant is back for the next one.
+//! 1. **One decode walk** checks the program once, for block 0 — every block
+//!    runs the same instructions — and renames it: kernel inputs, constants
+//!    and `EXEC` results get a *column* each, and a 32-entry rename table per
+//!    FU says which column a register currently names. The table starts from
+//!    the FU's constants, so **a load or write-back shadows a constant** for
+//!    the rest of the block and the constant is back for the next one.
+//!    Loads, forwards and write-backs only move names, so what is left is a
+//!    straight-line tape of `(op, a, b) -> result`.
+//! 2. **A timing pass** steps the cycle recurrences without values and stops
+//!    stepping once it has proven that every later block is exactly one
+//!    period after the one before; from there completions are a closed
+//!    form. Blocks whose events the trace keeps are always stepped.
+//! 3. **A data pass** evaluates the tape over columns of up to 64 blocks in
+//!    one flat buffer, one [`overlay_dfg::Op::apply_columns`] call per `EXEC`
+//!    per column, and gathers [`SimRun::outputs`].
 //!
 //! The [`Trace`] is reserved once, for `min(capacity, events the run will
-//! emit)`, and the engine builds an [`Event`] only if the trace will keep it;
-//! past the capacity it just counts, so [`Trace::dropped`] and
-//! [`Trace::total`] stay exact. What remains per block is a single
-//! allocation, the block's record in [`SimRun::outputs`].
+//! emit)`, and the data pass builds an [`Event`] — from the timing pass's
+//! cycles and its own columns — only if the trace will keep it; past the
+//! capacity it just counts, so [`Trace::dropped`] and [`Trace::total`] stay
+//! exact. What remains per block is a single allocation, the block's record
+//! in [`SimRun::outputs`].
 //!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
@@ -73,17 +82,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod metrics;
 pub mod overlay;
-pub mod regfile;
 pub mod trace;
 pub mod workload;
 
 pub use error::SimError;
 pub use metrics::SimMetrics;
 pub use overlay::{OverlaySimulator, SimRun};
-pub use regfile::RegisterFile;
 pub use trace::{Event, EventKind, Trace};
 pub use workload::Workload;

@@ -4,10 +4,10 @@ use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_scheduler::CompiledKernel;
 
-use crate::engine::{DecodedProgram, TimedWord};
+use crate::engine::Program;
 use crate::error::SimError;
 use crate::metrics::SimMetrics;
-use crate::trace::{Event, EventKind, Trace};
+use crate::trace::Trace;
 use crate::workload::Workload;
 
 /// Simulator for a linear overlay running one compiled kernel over a
@@ -69,14 +69,16 @@ impl OverlaySimulator {
         self.variant
     }
 
-    /// Runs `compiled` over `workload`.
+    /// The checks [`OverlaySimulator::run`] makes before it looks at the
+    /// program: a workload of at least one record, every record as wide as
+    /// the kernel's inputs, and a kernel compiled for this simulator's
+    /// variant.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] for malformed workloads (wrong record width,
-    /// empty workload) or if the program violates a hardware constraint
-    /// (uninitialised register, write-back hazard, stream underflow).
-    pub fn run(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, SimError> {
+    /// [`SimError::EmptyWorkload`], [`SimError::InputWidthMismatch`] or
+    /// [`SimError::VariantMismatch`], in that order.
+    pub fn validate(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<(), SimError> {
         if workload.is_empty() {
             return Err(SimError::EmptyWorkload);
         }
@@ -90,102 +92,70 @@ impl OverlaySimulator {
                 });
             }
         }
-
-        // Decode once; every lane steps over the same decoded program and
-        // keeps only its own engines' timing state. The V2 variant processes
-        // alternate invocations on alternate lanes.
-        let decoded = DecodedProgram::decode(self.variant, compiled.program.fu_programs());
-        let num_fus = decoded.num_fus();
-        let lanes = self.variant.datapath_lanes();
-        let mut engines = Vec::with_capacity(lanes * num_fus);
-        for _ in 0..lanes {
-            engines.extend((0..num_fus).map(|index| decoded.engine(index)));
+        if compiled.variant != self.variant {
+            return Err(SimError::VariantMismatch {
+                compiled: compiled.variant,
+                simulator: self.variant,
+            });
         }
+        Ok(())
+    }
 
-        let outputs_per_block = compiled.output_stream_index.len();
-        let mut trace = Trace::with_capacity(self.trace_capacity);
-        trace.reserve(
-            workload
-                .len()
-                .saturating_mul(decoded.events_per_block() + outputs_per_block),
+    /// Runs `compiled` over `workload`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] for malformed workloads (wrong record width,
+    /// empty workload), for a kernel compiled for another variant, or if the
+    /// program violates a hardware constraint (uninitialised register,
+    /// write-back hazard, stream underflow).
+    pub fn run(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, SimError> {
+        self.validate(compiled, workload)?;
+        let program = Program::decode(
+            self.variant,
+            compiled.program.fu_programs(),
+            compiled.program.num_inputs(),
+            &compiled.output_stream_index,
+        )?;
+
+        let blocks = workload.len();
+        let events = blocks.saturating_mul(program.events_per_block());
+        // Skip the pipeline-fill blocks when measuring the steady-state II.
+        let warmup = compiled.num_fus().min(blocks.saturating_sub(2));
+        let timeline = program.time(
+            blocks,
+            events.min(self.trace_capacity),
+            [0, warmup, blocks - 1],
         );
+        let [first, warm, last] = timeline.sampled;
+        let steady_state_ii = if blocks >= 2 {
+            (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
+        } else {
+            first as f64
+        };
+        let metrics = SimMetrics {
+            blocks,
+            ops_per_block: compiled.schedule.total_ops(),
+            latency_cycles: first,
+            steady_state_ii,
+            total_cycles: timeline.total,
+        };
 
-        // Two stream buffers ping-pong down the chain, reused by every block.
-        let stream_width = decoded.stream_width().max(num_inputs);
-        let mut words: Vec<TimedWord> = Vec::with_capacity(stream_width);
-        let mut forwarded: Vec<TimedWord> = Vec::with_capacity(stream_width);
-
-        let mut outputs: Vec<Vec<Value>> = Vec::with_capacity(workload.len());
-        let mut completion_cycles: Vec<usize> = Vec::with_capacity(workload.len());
-
-        for (block, record) in workload.records().iter().enumerate() {
-            let lane = block % lanes;
-            // Input FIFO words for this invocation are all resident from
-            // cycle 0 (streaming DMA keeps the FIFO ahead of the overlay).
-            words.clear();
-            words.extend(record.iter().map(|&value| TimedWord { value, depart: 0 }));
-            for engine in &mut engines[lane * num_fus..][..num_fus] {
-                engine.process_block(block, &words, &mut forwarded, &mut trace)?;
-                std::mem::swap(&mut words, &mut forwarded);
-            }
-            // Map the final forwarded stream to the kernel outputs.
-            let mut record_outputs = Vec::with_capacity(outputs_per_block);
-            let mut completion = 0usize;
-            for (position, &stream_index) in compiled.output_stream_index.iter().enumerate() {
-                let word = words
-                    .get(stream_index)
-                    .ok_or(SimError::StreamUnderflow { fu: num_fus, block })?;
-                record_outputs.push(word.value);
-                completion = completion.max(word.arrival());
-                trace.record_with(|| Event {
-                    cycle: word.arrival(),
-                    fu: num_fus,
-                    block,
-                    kind: EventKind::Output {
-                        position,
-                        value: word.value,
-                    },
-                });
-            }
-            outputs.push(record_outputs);
-            completion_cycles.push(completion);
-        }
-
-        let metrics = Self::measure(compiled, &completion_cycles);
+        let mut trace = Trace::with_capacity(self.trace_capacity);
+        trace.reserve(events);
+        let outputs = program.evaluate(workload.records(), &timeline, &mut trace)?;
         Ok(SimRun {
             outputs,
             metrics,
             trace,
         })
     }
-
-    fn measure(compiled: &CompiledKernel, completions: &[usize]) -> SimMetrics {
-        let blocks = completions.len();
-        let latency_cycles = completions.first().copied().unwrap_or(0);
-        let total_cycles = completions.iter().copied().max().unwrap_or(0);
-        // Skip the pipeline-fill blocks when measuring the steady-state II.
-        let warmup = compiled.num_fus().min(blocks.saturating_sub(2));
-        let steady_state_ii = if blocks > warmup + 1 {
-            let span = completions[blocks - 1] as f64 - completions[warmup] as f64;
-            span / (blocks - warmup - 1) as f64
-        } else if blocks >= 2 {
-            (completions[blocks - 1] - completions[0]) as f64 / (blocks - 1) as f64
-        } else {
-            completions.first().copied().unwrap_or(0) as f64
-        };
-        SimMetrics {
-            blocks,
-            ops_per_block: compiled.schedule.total_ops(),
-            latency_cycles,
-            steady_state_ii,
-            total_cycles,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
     use overlay_dfg::evaluate_stream;
     use overlay_frontend::Benchmark;
     use overlay_scheduler::{generate_program, schedule};
@@ -316,6 +286,30 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_kernel_compiled_for_another_variant_is_refused() {
+        // V3 code on a V1 simulator would run with the wrong write-back
+        // delay; V2 code on it with one lane instead of two.
+        let workload = Workload::random(5, 4, 1);
+        for compiled_for in [FuVariant::V3, FuVariant::V2] {
+            let compiled = compile(Benchmark::Gradient, compiled_for);
+            let sim = OverlaySimulator::new(FuVariant::V1);
+            assert_eq!(
+                sim.run(&compiled, &workload).unwrap_err(),
+                SimError::VariantMismatch {
+                    compiled: compiled_for,
+                    simulator: FuVariant::V1
+                }
+            );
+            // A malformed workload is still the first thing reported.
+            assert_eq!(
+                sim.run(&compiled, &Workload::from_records(vec![]))
+                    .unwrap_err(),
+                SimError::EmptyWorkload
+            );
+        }
     }
 
     #[test]

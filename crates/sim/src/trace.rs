@@ -147,6 +147,19 @@ impl Trace {
         }
     }
 
+    /// Records `events`, in order, building only those the trace keeps and
+    /// counting the rest as dropped.
+    pub(crate) fn record_all(&mut self, events: impl ExactSizeIterator<Item = Event>) {
+        let room = self.capacity.saturating_sub(self.events.len());
+        self.dropped += events.len().saturating_sub(room);
+        self.events.extend(events.take(room));
+    }
+
+    /// Counts `events` events nobody built because the trace is full.
+    pub(crate) fn count_dropped(&mut self, events: usize) {
+        self.dropped += events;
+    }
+
     /// The recorded events.
     pub fn events(&self) -> &[Event] {
         &self.events

@@ -126,3 +126,24 @@ fn a_run_allocates_one_record_per_block_plus_a_constant() {
         );
     }
 }
+
+#[test]
+fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
+    // Every serve workload sends 2-block requests, so a run's fixed cost is
+    // what a cold serve sees. The per-block interpreter this engine replaced
+    // made 10 allocations for a 2-block untraced run (measured at its last
+    // commit, the same for all three programs).
+    for (name, variant, compiled, workload) in kernels() {
+        let short = Workload::from_records(workload.records()[..2].to_vec());
+        let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+        let before = ALLOCATIONS.with(Cell::get);
+        let run = simulator.run(&compiled, &short);
+        let after = ALLOCATIONS.with(Cell::get);
+        assert_eq!(run.unwrap().outputs().len(), 2);
+        assert!(
+            after - before <= 10,
+            "{name}: {} allocations for 2 blocks",
+            after - before
+        );
+    }
+}
