@@ -4,7 +4,7 @@
 use overlay_arch::FuVariant;
 use overlay_dfg::Dfg;
 use overlay_frontend::{compile_kernel_with, Benchmark, LowerOptions};
-use overlay_scheduler::{generate_program, schedule, CompiledKernel};
+use overlay_scheduler::{generate_program_owned, schedule, CompiledKernel};
 
 use crate::error::Error;
 
@@ -83,7 +83,7 @@ impl Compiler {
     /// Returns an [`Error`] if scheduling or code generation fails.
     pub fn compile_dfg(&self, dfg: &Dfg) -> Result<CompiledKernel, Error> {
         let stages = schedule(dfg, self.variant, self.fixed_depth)?;
-        Ok(generate_program(dfg, &stages, self.variant)?)
+        Ok(generate_program_owned(dfg, stages, self.variant)?)
     }
 
     /// Compiles one of the paper's benchmark kernels.

@@ -1,52 +1,34 @@
-//! Structural analyses over a [`Dfg`]: dependence levels, depth, critical
-//! path and slack.
+//! Structural analyses over a [`Dfg`]: dependence levels and depth, and on
+//! demand ALAP levels, slack and a critical path.
 //!
 //! The ASAP level assignment is the basis of the paper's scheduling for the
 //! `[14]`, V1 and V2 overlays ("nodes at the same (horizontal) level [are]
-//! allocated to a single FU"), and the critical path length is the overlay
-//! depth those variants require. The ALAP levels and per-node slack are used
-//! by the fixed-depth greedy scheduler for the write-back variants (V3–V5).
+//! allocated to a single FU"), and the depth is the overlay depth those
+//! variants require; the fixed-depth scheduler for the write-back variants
+//! (V3–V5) clusters the same levels. Both read [`DfgAnalysis::depth`],
+//! [`DfgAnalysis::asap_level`] and the level lists, which is all
+//! [`DfgAnalysis::new`] computes. Nothing in the mapping flow reads ALAP
+//! levels, slack or the critical path: they are reporting aids, computed by
+//! the call that asks for them.
 
 use crate::graph::Dfg;
 use crate::node::NodeId;
 
-/// Result of running the level/critical-path analyses over a graph.
+/// Result of running the level analysis over a graph.
 ///
 /// Levels are 1-based over *operation* nodes: an operation whose operands are
 /// all inputs or constants has ASAP level 1; the graph depth is the maximum
 /// ASAP level (the paper's `Depth` column in Table III).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DfgAnalysis {
-    /// ASAP and ALAP level per node, addressed by [`NodeId::index`]; 0 marks a
-    /// node that is not an operation (levels are 1-based).
+    /// ASAP level per node, addressed by [`NodeId::index`]; 0 marks a node
+    /// that is not an operation (levels are 1-based).
     asap: Vec<usize>,
-    alap: Vec<usize>,
-    depth: usize,
-    critical_path: CriticalPath,
-    levels: Vec<Vec<NodeId>>,
-}
-
-/// A longest dependence chain through the operation nodes of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CriticalPath {
-    nodes: Vec<NodeId>,
-}
-
-impl CriticalPath {
-    /// The nodes on the path, from the earliest operation to the latest.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Path length in operations (equal to the graph depth).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the path is empty (a graph with no operations).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
+    /// The operations sorted by level, creation order within a level.
+    by_level: Vec<NodeId>,
+    /// `bounds[k]`: how many operations sit at level `k` or below, so level
+    /// `k` is `by_level[bounds[k - 1]..bounds[k]]`; `depth + 1` entries.
+    bounds: Vec<usize>,
 }
 
 /// Summary statistics of a DFG, matching the columns the paper reports for
@@ -71,14 +53,16 @@ pub struct DfgStats {
 }
 
 impl DfgAnalysis {
-    /// Runs the analyses over `dfg`.
+    /// Runs the level analysis over `dfg`.
     ///
     /// This is equivalent to [`Dfg::analysis`]; the free constructor exists so
     /// the analysis can also be run on borrowed graphs in generic code.
     pub fn new(dfg: &Dfg) -> Self {
         let operations = || dfg.nodes().iter().filter(|n| n.kind().is_operation());
         let mut asap = vec![0usize; dfg.num_nodes()];
-        let mut level_sizes: Vec<usize> = Vec::new();
+        // First the size of each level at `bounds[level]`.
+        let mut bounds: Vec<usize> = Vec::with_capacity(16);
+        bounds.push(0);
         // Creation order is topological, so a single forward sweep suffices.
         for node in operations() {
             let level = node
@@ -89,54 +73,46 @@ impl DfgAnalysis {
                 .unwrap_or(0)
                 + 1;
             asap[node.id().index()] = level;
-            if level > level_sizes.len() {
-                level_sizes.resize(level, 0);
+            if level >= bounds.len() {
+                bounds.resize(level + 1, 0);
             }
-            level_sizes[level - 1] += 1;
+            bounds[level] += 1;
         }
-        let depth = level_sizes.len();
-
-        // ALAP: one backward sweep. Every consumer of a node comes after it,
-        // so a node's own level is final by the time the sweep reaches it and
-        // can be pushed down onto its operands.
-        let mut alap: Vec<usize> = asap
-            .iter()
-            .map(|&level| if level > 0 { depth } else { 0 })
-            .collect();
-        for node in operations().rev() {
-            let latest = alap[node.id().index()] - 1;
-            for operand in node.operands() {
-                let slot = &mut alap[operand.index()];
-                *slot = (*slot).min(latest);
-            }
+        let mut total = 0;
+        for bound in &mut bounds {
+            total += *bound;
+            *bound = total;
         }
 
-        let mut levels: Vec<Vec<NodeId>> = level_sizes
-            .iter()
-            .map(|&size| Vec::with_capacity(size))
-            .collect();
+        // Counting sort: `bounds[level - 1]` is where the level's next
+        // operation goes, which leaves every bound one entry early.
+        let mut by_level = vec![NodeId(0); total];
         for node in operations() {
-            levels[asap[node.id().index()] - 1].push(node.id());
+            let next = &mut bounds[asap[node.id().index()] - 1];
+            by_level[*next] = node.id();
+            *next += 1;
         }
-
-        let critical_path = Self::extract_critical_path(dfg, &asap, depth);
+        bounds.rotate_right(1);
+        bounds[0] = 0;
 
         DfgAnalysis {
             asap,
-            alap,
-            depth,
-            critical_path,
-            levels,
+            by_level,
+            bounds,
         }
     }
 
-    fn extract_critical_path(dfg: &Dfg, asap: &[usize], depth: usize) -> CriticalPath {
+    /// One longest dependence chain through `dfg` (which must be the graph
+    /// the analysis was built from), earliest operation first: it ends at the
+    /// lowest-numbered deepest operation and follows, level by level, the
+    /// first operand one level up.
+    pub fn critical_path(&self, dfg: &Dfg) -> Vec<NodeId> {
+        let depth = self.depth();
         if depth == 0 {
-            return CriticalPath::default();
+            return Vec::new();
         }
-        // Start from the lowest-numbered deepest node and walk backwards
-        // through the first operand whose level is exactly one less.
-        let deepest = asap
+        let deepest = self
+            .asap
             .iter()
             .position(|&level| level == depth)
             .expect("a node exists at the maximum level");
@@ -148,13 +124,40 @@ impl DfgAnalysis {
                 .operands()
                 .iter()
                 .copied()
-                .find(|operand| asap[operand.index()] == level)
+                .find(|operand| self.asap[operand.index()] == level)
                 .expect("critical path parent exists at each level");
             path.push(parent);
             current = parent;
         }
         path.reverse();
-        CriticalPath { nodes: path }
+        path
+    }
+
+    /// ALAP level per node of `dfg` (which must be the graph the analysis was
+    /// built from), addressed by [`NodeId::index`]; 0 for a node that is not
+    /// an operation. An operation's slack is its ALAP level minus its
+    /// [`DfgAnalysis::asap_level`].
+    pub fn alap_levels(&self, dfg: &Dfg) -> Vec<usize> {
+        let depth = self.depth();
+        // One backward sweep. Every consumer of a node comes after it, so a
+        // node's own level is final by the time the sweep reaches it and can
+        // be pushed down onto its operands.
+        let mut alap: Vec<usize> = self
+            .asap
+            .iter()
+            .map(|&level| if level > 0 { depth } else { 0 })
+            .collect();
+        for node in dfg.nodes().iter().rev() {
+            if !node.kind().is_operation() {
+                continue;
+            }
+            let latest = alap[node.id().index()] - 1;
+            for operand in node.operands() {
+                let slot = &mut alap[operand.index()];
+                *slot = (*slot).min(latest);
+            }
+        }
+        alap
     }
 
     /// ASAP level of an operation node (1-based), or `None` for non-operation
@@ -166,54 +169,42 @@ impl DfgAnalysis {
             .filter(|&level| level > 0)
     }
 
-    /// ALAP level of an operation node (1-based), or `None` for non-operation
-    /// nodes.
-    pub fn alap_level(&self, id: NodeId) -> Option<usize> {
-        self.alap
-            .get(id.index())
-            .copied()
-            .filter(|&level| level > 0)
-    }
-
-    /// Scheduling slack of an operation node (`alap − asap`), or `None` for
-    /// non-operation nodes.
-    pub fn slack(&self, id: NodeId) -> Option<usize> {
-        Some(self.alap_level(id)? - self.asap_level(id)?)
-    }
-
     /// Graph depth: the number of ASAP levels, equal to the critical path
     /// length. This is the paper's `Depth` column and the number of FUs the
     /// non-write-back overlays need.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.bounds.len() - 1
     }
 
-    /// The operation nodes grouped by ASAP level; `levels()[k]` holds the
-    /// nodes of level `k + 1`.
-    pub fn levels(&self) -> &[Vec<NodeId>] {
-        &self.levels
+    /// The operation nodes grouped by ASAP level, level 1 first.
+    pub fn levels(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + Clone {
+        self.bounds
+            .windows(2)
+            .map(|bound| &self.by_level[bound[0]..bound[1]])
     }
 
     /// Operation nodes at a given 1-based level.
     pub fn level(&self, level: usize) -> &[NodeId] {
-        self.levels
-            .get(level.wrapping_sub(1))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let level = level
+            .checked_sub(1)
+            .and_then(|below| self.levels().nth(below));
+        level.unwrap_or(&[])
     }
 
-    /// One longest dependence chain through the graph.
-    pub fn critical_path(&self) -> &CriticalPath {
-        &self.critical_path
+    /// The operations of levels `below + 1..=last`, by level and in creation
+    /// order within one.
+    ///
+    /// # Panics
+    ///
+    /// If `below > last` or `last` exceeds the depth.
+    pub fn level_span(&self, below: usize, last: usize) -> &[NodeId] {
+        &self.by_level[self.bounds[below]..self.bounds[last]]
     }
 
-    /// Nodes whose slack is zero — every one of them lies on *some* longest
-    /// path, so moving them between scheduling stages changes the depth.
-    pub fn zero_slack_nodes(&self) -> Vec<NodeId> {
-        (0..self.asap.len())
-            .filter(|&index| self.asap[index] > 0 && self.alap[index] == self.asap[index])
-            .map(|index| NodeId(index as u32))
-            .collect()
+    /// `level_bounds()[k]`: how many operations sit at level `k` or below
+    /// (`depth + 1` entries, the first 0, the last the operation count).
+    pub fn level_bounds(&self) -> &[usize] {
+        &self.bounds
     }
 
     /// Computes the summary statistics for `dfg` (which must be the graph the
@@ -226,8 +217,8 @@ impl DfgAnalysis {
             inputs: dfg.num_inputs(),
             outputs: dfg.num_outputs(),
             ops: op_ids.len(),
-            depth: self.depth,
-            max_level_width: self.levels.iter().map(Vec::len).max().unwrap_or(0),
+            depth: self.depth(),
+            max_level_width: self.levels().map(<[NodeId]>::len).max().unwrap_or(0),
             avg_fanout: if op_ids.is_empty() {
                 0.0
             } else {
@@ -268,6 +259,9 @@ mod tests {
         let analysis = dfg.analysis();
         assert_eq!(analysis.depth(), 4);
         assert_eq!(analysis.levels().len(), 4);
+        assert_eq!(analysis.level_bounds(), &[0, 4, 8, 10, 11]);
+        assert_eq!(analysis.level_span(1, 3), &dfg.op_ids()[4..10]);
+        assert!(analysis.level(0).is_empty() && analysis.level(5).is_empty());
         assert_eq!(analysis.level(1).len(), 4); // 4 SUB
         assert_eq!(analysis.level(2).len(), 4); // 4 SQR
         assert_eq!(analysis.level(3).len(), 2); // 2 ADD
@@ -278,9 +272,9 @@ mod tests {
     fn critical_path_has_depth_length_and_is_a_chain() {
         let dfg = gradient();
         let analysis = dfg.analysis();
-        let path = analysis.critical_path();
+        let path = analysis.critical_path(&dfg);
         assert_eq!(path.len(), 4);
-        for window in path.nodes().windows(2) {
+        for window in path.windows(2) {
             let (parent, child) = (window[0], window[1]);
             assert!(dfg.node_unchecked(child).operands().contains(&parent));
         }
@@ -304,20 +298,22 @@ mod tests {
         let dfg = b.build().unwrap();
         let analysis = dfg.analysis();
         assert_eq!(analysis.asap_level(first), analysis.asap_level(second));
-        assert_eq!(analysis.critical_path().nodes(), &[m, m2, first]);
+        assert_eq!(analysis.critical_path(&dfg), [m, m2, first]);
         assert_eq!(analysis, dfg.analysis());
-        assert_eq!(
-            analysis.zero_slack_nodes(),
-            vec![a, m, a2, m2, first, second]
-        );
+        // Every operation has zero slack.
+        let alap = analysis.alap_levels(&dfg);
+        for op in [a, m, a2, m2, first, second] {
+            assert_eq!(Some(alap[op.index()]), analysis.asap_level(op));
+        }
     }
 
     #[test]
     fn slack_is_zero_on_critical_path_nodes() {
         let dfg = gradient();
         let analysis = dfg.analysis();
-        for &id in analysis.critical_path().nodes() {
-            assert_eq!(analysis.slack(id), Some(0));
+        let alap = analysis.alap_levels(&dfg);
+        for id in analysis.critical_path(&dfg) {
+            assert_eq!(Some(alap[id.index()]), analysis.asap_level(id));
         }
     }
 
@@ -325,8 +321,9 @@ mod tests {
     fn alap_never_precedes_asap() {
         let dfg = gradient();
         let analysis = dfg.analysis();
+        let alap = analysis.alap_levels(&dfg);
         for id in dfg.op_ids() {
-            assert!(analysis.alap_level(id).unwrap() >= analysis.asap_level(id).unwrap());
+            assert!(alap[id.index()] >= analysis.asap_level(id).unwrap());
         }
     }
 
@@ -354,7 +351,10 @@ mod tests {
         let dfg = b.build().unwrap();
         let analysis = dfg.analysis();
         assert_eq!(analysis.depth(), 7);
-        assert_eq!(analysis.zero_slack_nodes().len(), 7);
+        let alap = analysis.alap_levels(&dfg);
+        for op in dfg.op_ids() {
+            assert_eq!(Some(alap[op.index()]), analysis.asap_level(op));
+        }
     }
 
     #[test]
@@ -363,6 +363,6 @@ mod tests {
         let analysis = dfg.analysis();
         let input = dfg.inputs()[0];
         assert_eq!(analysis.asap_level(input), None);
-        assert_eq!(analysis.slack(input), None);
+        assert_eq!(analysis.alap_levels(&dfg)[input.index()], 0);
     }
 }

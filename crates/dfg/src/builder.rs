@@ -1,10 +1,12 @@
 //! Incremental construction of [`Dfg`] graphs.
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
+use std::hash::BuildHasher;
 
 use crate::error::DfgError;
 use crate::graph::Dfg;
-use crate::node::{Node, NodeId, NodeKind};
+use crate::node::{Node, NodeId, NodeKind, Operands};
 use crate::op::Op;
 use crate::value::Value;
 
@@ -38,18 +40,27 @@ pub struct DfgBuilder {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    used_names: HashSet<String>,
+    /// The keyed hash of every name in use, not the names: a hash that is
+    /// absent proves a name new, one that is present is confirmed against the
+    /// nodes.
+    used_names: HashSet<u64>,
 }
 
 impl DfgBuilder {
     /// Starts building a graph for the kernel called `name`.
     pub fn new(name: impl Into<String>) -> Self {
+        DfgBuilder::with_capacity(name, 0)
+    }
+
+    /// Like [`DfgBuilder::new`], with room for `nodes` nodes (inputs,
+    /// constants, operations and outputs together) before anything regrows.
+    pub fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
         DfgBuilder {
             name: name.into(),
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            used_names: HashSet::new(),
+            used_names: HashSet::with_capacity(nodes),
         }
     }
 
@@ -57,14 +68,20 @@ impl DfgBuilder {
         NodeId(self.nodes.len() as u32)
     }
 
+    /// Claims `name`; `false` if a node already carries it.
+    fn claim(&mut self, name: &str) -> bool {
+        let hash = self.used_names.hasher().hash_one(name);
+        self.used_names.insert(hash) || !self.nodes.iter().any(|node| node.name == name)
+    }
+
     fn unique_name(&mut self, requested: String) -> String {
-        if self.used_names.insert(requested.clone()) {
+        if self.claim(&requested) {
             return requested;
         }
         let mut counter = 1usize;
         loop {
             let candidate = format!("{requested}_{counter}");
-            if self.used_names.insert(candidate.clone()) {
+            if self.claim(&candidate) {
                 return candidate;
             }
             counter += 1;
@@ -93,7 +110,9 @@ impl DfgBuilder {
     /// Constants become instruction immediates rather than streamed data.
     pub fn constant(&mut self, value: Value) -> NodeId {
         let id = self.next_id();
-        let name = self.unique_name(format!("c{}", value.get()));
+        let mut name = String::with_capacity(12);
+        let _ = write!(name, "c{}", value.get());
+        let name = self.unique_name(name);
         self.nodes.push(Node {
             id,
             name,
@@ -112,7 +131,10 @@ impl DfgBuilder {
     ///   builder.
     /// * [`DfgError::OperandIsOutput`] if an operand refers to an output node.
     pub fn op(&mut self, op: Op, operands: &[NodeId]) -> Result<NodeId, DfgError> {
-        let name = format!("{}_N{}", op.mnemonic(), self.nodes.len());
+        // Sized for the longest mnemonic and a five-digit index, so the name
+        // is one allocation.
+        let mut name = String::with_capacity(10);
+        let _ = write!(name, "{}_N{}", op.mnemonic(), self.nodes.len());
         self.named_op(name, op, operands)
     }
 
@@ -151,7 +173,7 @@ impl DfgBuilder {
             name,
             kind: NodeKind::Operation {
                 op,
-                operands: operands.to_vec(),
+                operands: Operands::new(operands).expect("no operation takes more than three"),
             },
         });
         Ok(id)
@@ -173,6 +195,12 @@ impl DfgBuilder {
         });
         self.outputs.push(id);
         id
+    }
+
+    /// A node created so far, or `None` for an id this builder did not hand
+    /// out.
+    pub fn node(&self, id: NodeId) -> Option<&Node> {
+        self.nodes.get(id.index())
     }
 
     /// Number of nodes created so far.

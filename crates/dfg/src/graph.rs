@@ -215,13 +215,17 @@ impl Dfg {
     /// Returns the first violated invariant as a [`DfgError`].
     pub fn validate(&self) -> Result<(), DfgError> {
         let mut consumed = vec![false; self.nodes.len()];
-        for node in &self.nodes {
+        // Whether every operand was created before its consumer, as the
+        // builder guarantees: creation order is then a topological order.
+        let mut feed_forward = true;
+        for (index, node) in self.nodes.iter().enumerate() {
             for &operand in node.operands() {
                 let operand_node = self.node(operand)?;
                 if operand_node.kind.is_output() {
                     return Err(DfgError::OperandIsOutput(operand));
                 }
                 consumed[operand.index()] = true;
+                feed_forward &= operand.index() < index;
             }
             match &node.kind {
                 NodeKind::Operation { op, operands } if operands.len() != op.arity() => {
@@ -243,12 +247,14 @@ impl Dfg {
         if let Some(&unused) = self.inputs.iter().find(|input| !consumed[input.index()]) {
             return Err(DfgError::UnusedInput(unused));
         }
-        self.topological_ops()?;
+        if !feed_forward {
+            self.topological_ops()?;
+        }
         Ok(())
     }
 
-    /// Runs the standard analyses (levels, depth, critical path) over the
-    /// graph. See [`DfgAnalysis`].
+    /// Runs the level analysis (ASAP levels, depth) over the graph. See
+    /// [`DfgAnalysis`].
     pub fn analysis(&self) -> DfgAnalysis {
         DfgAnalysis::new(self)
     }
@@ -258,6 +264,7 @@ impl Dfg {
 mod tests {
     use super::*;
     use crate::builder::DfgBuilder;
+    use crate::node::Operands;
     use crate::value::Value;
 
     fn diamond() -> Dfg {
@@ -322,7 +329,7 @@ mod tests {
         // s = x + y, p = x * y, d = s - p; make p consume d: p and d form the
         // cycle, s stays clear of it.
         if let NodeKind::Operation { operands, .. } = &mut dfg.nodes[ops[1].index()].kind {
-            operands[0] = ops[2];
+            *operands = Operands::new(&[ops[2], operands[1]]).unwrap();
         }
         assert_eq!(
             dfg.topological_ops(),

@@ -10,7 +10,8 @@
 //!
 //! * [`Dfg`] — the graph itself (inputs, constants, operations, outputs),
 //! * [`DfgBuilder`] — an ergonomic way to construct graphs by hand,
-//! * [`analysis`] — level assignment (ASAP/ALAP), depth, critical path,
+//! * [`analysis`] — ASAP levels and depth; ALAP levels and a critical path on
+//!   demand,
 //! * [`eval`] — a reference evaluator used to check the cycle-accurate
 //!   simulator for functional correctness,
 //! * [`generate`] — synthetic DFG generation for stress and property tests,
@@ -63,12 +64,12 @@ pub mod node;
 pub mod op;
 pub mod value;
 
-pub use analysis::{CriticalPath, DfgAnalysis, DfgStats};
+pub use analysis::{DfgAnalysis, DfgStats};
 pub use builder::DfgBuilder;
 pub use error::DfgError;
 pub use eval::{evaluate, evaluate_stream, EvalContext};
 pub use generate::{DfgGenerator, GeneratorConfig};
 pub use graph::Dfg;
-pub use node::{Node, NodeId, NodeKind};
+pub use node::{Node, NodeId, NodeKind, Operands};
 pub use op::Op;
 pub use value::Value;

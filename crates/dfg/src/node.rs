@@ -1,6 +1,7 @@
 //! Nodes of the data flow graph.
 
 use std::fmt;
+use std::ops::Deref;
 
 use crate::op::Op;
 use crate::value::Value;
@@ -34,6 +35,48 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The operand ids of an operation node, in operand order, stored inline: no
+/// operation takes more than [`Operands::MAX`] ([`Op::MulAdd`]). Reads as a
+/// `[NodeId]` slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct Operands {
+    len: u8,
+    /// Slots past `len` stay `NodeId(0)`, so the derived equality is the
+    /// slices' equality.
+    ids: [NodeId; Operands::MAX],
+}
+
+impl Operands {
+    /// The largest operand count of any [`Op`].
+    pub const MAX: usize = 3;
+
+    /// Copies `ids`, or returns `None` for more than [`Operands::MAX`] of
+    /// them.
+    pub fn new(ids: &[NodeId]) -> Option<Self> {
+        let mut operands = Operands {
+            len: ids.len() as u8,
+            ids: [NodeId(0); Operands::MAX],
+        };
+        operands.ids.get_mut(..ids.len())?.copy_from_slice(ids);
+        Some(operands)
+    }
+}
+
+impl Deref for Operands {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The role a node plays in the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -54,7 +97,7 @@ pub enum NodeKind {
         /// The operation.
         op: Op,
         /// Operand node ids, in operand order.
-        operands: Vec<NodeId>,
+        operands: Operands,
     },
     /// A kernel output, written to the output FIFO.
     Output {
@@ -173,7 +216,7 @@ mod tests {
             },
             NodeKind::Operation {
                 op: Op::Add,
-                operands: vec![NodeId::from_raw(0), NodeId::from_raw(1)],
+                operands: Operands::new(&[NodeId::from_raw(0), NodeId::from_raw(1)]).unwrap(),
             },
             NodeKind::Output {
                 position: 0,
@@ -193,13 +236,26 @@ mod tests {
     }
 
     #[test]
+    fn operands_hold_up_to_three_ids_inline() {
+        let ids = [3, 1, 2, 0].map(NodeId::from_raw);
+        assert_eq!(&*Operands::new(&ids[..3]).unwrap(), &ids[..3]);
+        assert!(Operands::new(&[]).unwrap().is_empty());
+        assert_eq!(Operands::new(&ids), None);
+        assert_ne!(Operands::new(&ids[..1]), Operands::new(&ids[..2]));
+        assert_eq!(
+            format!("{:?}", Operands::new(&ids[..1]).unwrap()),
+            "[NodeId(3)]"
+        );
+    }
+
+    #[test]
     fn node_display_shows_structure() {
         let node = Node {
             id: NodeId::from_raw(3),
             name: "SUB_N6".into(),
             kind: NodeKind::Operation {
                 op: Op::Sub,
-                operands: vec![NodeId::from_raw(0), NodeId::from_raw(2)],
+                operands: Operands::new(&[NodeId::from_raw(0), NodeId::from_raw(2)]).unwrap(),
             },
         };
         assert_eq!(node.to_string(), "SUB_N6: SUB(n0, n2)");

@@ -244,11 +244,10 @@ impl FromStr for Op {
 
     /// Parses a mnemonic (case-insensitive), e.g. `"sub"` or `"SQR"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let upper = s.to_ascii_uppercase();
         Op::ALL
             .iter()
             .copied()
-            .find(|op| op.mnemonic() == upper)
+            .find(|op| op.mnemonic().eq_ignore_ascii_case(s))
             .ok_or_else(|| DfgError::UnknownOp(s.to_owned()))
     }
 }

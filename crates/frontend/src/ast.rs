@@ -3,46 +3,110 @@
 use std::fmt;
 
 /// A parsed kernel: a name, ordered parameters (the stream inputs) and a body
-/// of `let`/`out` statements.
+/// of `let`/`out` statements. Names borrow from the source text, and every
+/// expression of the body lives in one arena owned by the kernel, addressed by
+/// [`ExprId`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Kernel {
+pub struct Kernel<'src> {
     /// Kernel name.
-    pub name: String,
+    pub name: &'src str,
     /// Input parameter names, in stream order.
-    pub params: Vec<String>,
+    pub params: Vec<&'src str>,
     /// Body statements, in source order.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
+    pub(crate) exprs: Vec<Expr<'src>>,
 }
 
-impl Kernel {
+/// An expression of one [`Kernel`], as an index into that kernel's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(u32);
+
+impl<'src> Kernel<'src> {
+    /// A kernel without parameters, statements or expressions, for `exprs`
+    /// expressions.
+    pub fn new(name: &'src str, exprs: usize) -> Self {
+        Kernel {
+            name,
+            params: Vec::new(),
+            body: Vec::new(),
+            exprs: Vec::with_capacity(exprs),
+        }
+    }
+
+    /// Adds `expr`, whose operands must already be in this kernel, and
+    /// returns its id.
+    pub fn add(&mut self, expr: Expr<'src>) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    /// The expression `id` names.
+    ///
+    /// # Panics
+    ///
+    /// If `id` came from another kernel and is out of range here.
+    pub fn expr(&self, id: ExprId) -> Expr<'src> {
+        self.exprs[id.0 as usize]
+    }
+
+    pub(crate) fn expr_mut(&mut self, id: ExprId) -> &mut Expr<'src> {
+        &mut self.exprs[id.0 as usize]
+    }
+
     /// Names of the kernel outputs, in stream order.
-    pub fn output_names(&self) -> Vec<&str> {
+    pub fn output_names(&self) -> Vec<&'src str> {
         self.body
             .iter()
             .filter_map(|stmt| match stmt {
-                Stmt::Out { name, .. } => Some(name.as_str()),
+                Stmt::Out { name, .. } => Some(*name),
                 Stmt::Let { .. } => None,
             })
             .collect()
     }
+
+    /// Number of operation nodes a direct (no CSE, no folding) lowering of
+    /// `expr` produces.
+    pub fn op_count(&self, expr: ExprId) -> usize {
+        let operands = self.expr(expr).operands();
+        let own = usize::from(operands.len() > 0);
+        own + operands
+            .map(|operand| self.op_count(operand))
+            .sum::<usize>()
+    }
+
+    /// Free variables referenced by `expr`, in first-appearance order.
+    pub fn free_vars(&self, expr: ExprId) -> Vec<&'src str> {
+        let mut vars = Vec::new();
+        self.collect_vars(expr, &mut vars);
+        vars
+    }
+
+    fn collect_vars(&self, expr: ExprId, vars: &mut Vec<&'src str>) {
+        match self.expr(expr) {
+            Expr::Var(name) if !vars.contains(&name) => vars.push(name),
+            expr => expr
+                .operands()
+                .for_each(|operand| self.collect_vars(operand, vars)),
+        }
+    }
 }
 
 /// A statement in a kernel body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stmt {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stmt<'src> {
     /// `let name = expr;` — binds an intermediate value.
     Let {
         /// Bound name.
-        name: String,
+        name: &'src str,
         /// Right-hand side.
-        expr: Expr,
+        expr: ExprId,
     },
     /// `out name = expr;` — defines a kernel output.
     Out {
         /// Output name.
-        name: String,
+        name: &'src str,
         /// Right-hand side.
-        expr: Expr,
+        expr: ExprId,
     },
 }
 
@@ -127,11 +191,11 @@ impl UnaryFn {
     }
 }
 
-/// An expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expr {
+/// An expression; its operands are ids into the owning [`Kernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expr<'src> {
     /// A reference to a parameter or `let` binding.
-    Var(String),
+    Var(&'src str),
     /// An integer literal.
     Literal(i32),
     /// A binary operation.
@@ -139,59 +203,31 @@ pub enum Expr {
         /// The operator.
         op: BinaryOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
     },
     /// Unary negation (`-x`).
-    Neg(Box<Expr>),
+    Neg(ExprId),
     /// An intrinsic function call.
     Call {
         /// The intrinsic.
         function: UnaryFn,
-        /// The arguments, in order.
-        args: Vec<Expr>,
+        /// The arguments, in order; only the first `function.arity()` count.
+        args: [ExprId; 2],
     },
 }
 
-impl Expr {
-    /// Number of operation nodes a direct (no CSE, no folding) lowering of
-    /// this expression produces.
-    pub fn op_count(&self) -> usize {
-        match self {
-            Expr::Var(_) | Expr::Literal(_) => 0,
-            Expr::Binary { lhs, rhs, .. } => 1 + lhs.op_count() + rhs.op_count(),
-            Expr::Neg(inner) => 1 + inner.op_count(),
-            Expr::Call { args, .. } => 1 + args.iter().map(Expr::op_count).sum::<usize>(),
-        }
-    }
-
-    /// Free variables referenced by the expression, in first-appearance order.
-    pub fn free_vars(&self) -> Vec<&str> {
-        let mut vars = Vec::new();
-        self.collect_vars(&mut vars);
-        vars
-    }
-
-    fn collect_vars<'a>(&'a self, vars: &mut Vec<&'a str>) {
-        match self {
-            Expr::Var(name) => {
-                if !vars.contains(&name.as_str()) {
-                    vars.push(name);
-                }
-            }
-            Expr::Literal(_) => {}
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_vars(vars);
-                rhs.collect_vars(vars);
-            }
-            Expr::Neg(inner) => inner.collect_vars(vars),
-            Expr::Call { args, .. } => {
-                for arg in args {
-                    arg.collect_vars(vars);
-                }
-            }
-        }
+impl Expr<'_> {
+    /// The expressions this one reads, in evaluation order.
+    pub fn operands(self) -> impl ExactSizeIterator<Item = ExprId> {
+        let (ids, len) = match self {
+            Expr::Var(_) | Expr::Literal(_) => ([ExprId(0); 2], 0),
+            Expr::Neg(inner) => ([inner; 2], 1),
+            Expr::Binary { lhs, rhs, .. } => ([lhs, rhs], 2),
+            Expr::Call { function, args } => (args, function.arity()),
+        };
+        ids.into_iter().take(len)
     }
 }
 
@@ -199,39 +235,44 @@ impl Expr {
 mod tests {
     use super::*;
 
-    fn var(name: &str) -> Expr {
-        Expr::Var(name.into())
-    }
-
     #[test]
     fn op_count_counts_every_operator() {
-        let expr = Expr::Binary {
+        let mut kernel = Kernel::new("k", 6);
+        let [a, b, c] = ["a", "b", "c"].map(|name| kernel.add(Expr::Var(name)));
+        let product = kernel.add(Expr::Binary {
+            op: BinaryOp::Mul,
+            lhs: a,
+            rhs: b,
+        });
+        let square = kernel.add(Expr::Call {
+            function: UnaryFn::Sqr,
+            args: [c, c],
+        });
+        let sum = kernel.add(Expr::Binary {
             op: BinaryOp::Add,
-            lhs: Box::new(Expr::Binary {
-                op: BinaryOp::Mul,
-                lhs: Box::new(var("a")),
-                rhs: Box::new(var("b")),
-            }),
-            rhs: Box::new(Expr::Call {
-                function: UnaryFn::Sqr,
-                args: vec![var("c")],
-            }),
-        };
-        assert_eq!(expr.op_count(), 3);
+            lhs: product,
+            rhs: square,
+        });
+        assert_eq!(kernel.op_count(sum), 3);
     }
 
     #[test]
     fn free_vars_are_deduplicated_in_order() {
-        let expr = Expr::Binary {
+        let mut kernel = Kernel::new("k", 5);
+        let x = kernel.add(Expr::Var("x"));
+        let y = kernel.add(Expr::Var("y"));
+        let sum = kernel.add(Expr::Binary {
+            op: BinaryOp::Add,
+            lhs: x,
+            rhs: y,
+        });
+        let x_again = kernel.add(Expr::Var("x"));
+        let difference = kernel.add(Expr::Binary {
             op: BinaryOp::Sub,
-            lhs: Box::new(Expr::Binary {
-                op: BinaryOp::Add,
-                lhs: Box::new(var("x")),
-                rhs: Box::new(var("y")),
-            }),
-            rhs: Box::new(var("x")),
-        };
-        assert_eq!(expr.free_vars(), vec!["x", "y"]);
+            lhs: sum,
+            rhs: x_again,
+        });
+        assert_eq!(kernel.free_vars(difference), vec!["x", "y"]);
     }
 
     #[test]
@@ -244,20 +285,17 @@ mod tests {
 
     #[test]
     fn kernel_output_names_preserve_order() {
-        let kernel = Kernel {
-            name: "two-out".into(),
-            params: vec!["a".into()],
-            body: vec![
-                Stmt::Out {
-                    name: "first".into(),
-                    expr: var("a"),
-                },
-                Stmt::Out {
-                    name: "second".into(),
-                    expr: var("a"),
-                },
-            ],
-        };
+        let mut kernel = Kernel::new("two-out", 1);
+        kernel.params.push("a");
+        let expr = kernel.add(Expr::Var("a"));
+        kernel.body.push(Stmt::Out {
+            name: "first",
+            expr,
+        });
+        kernel.body.push(Stmt::Out {
+            name: "second",
+            expr,
+        });
         assert_eq!(kernel.output_names(), vec!["first", "second"]);
     }
 }

@@ -292,33 +292,32 @@ fn layered_kernel(
     widths: &[usize],
     add_tail: usize,
 ) -> Result<Dfg, overlay_dfg::DfgError> {
-    let mut builder = DfgBuilder::new(name);
-    let inputs: Vec<NodeId> = (0..num_inputs)
-        .map(|i| builder.input(format!("i{i}")))
-        .collect();
+    let ops: usize = widths.iter().sum();
+    let mut builder = DfgBuilder::with_capacity(name, num_inputs + ops + 1);
+    // Every value so far, inputs first; the previous level is its tail.
+    let mut earlier: Vec<NodeId> = Vec::with_capacity(num_inputs + ops);
+    for i in 0..num_inputs {
+        earlier.push(builder.input(format!("i{i}")));
+    }
 
     let depth = widths.len();
-    let mut earlier: Vec<NodeId> = inputs.clone();
-    let mut previous: Vec<NodeId> = inputs.clone();
-    let mut last = None;
+    let mut previous = 0..num_inputs;
     let mut rotation = 0usize;
     for (level_index, &width) in widths.iter().enumerate() {
         let level = level_index + 1;
         let use_add = level > depth - add_tail;
-        let mut this_level = Vec::with_capacity(width);
+        let level_start = earlier.len();
         for slot in 0..width {
-            let first = previous[slot % previous.len()];
-            let second = earlier[rotation % earlier.len()];
+            let first = earlier[previous.start + slot % previous.len()];
+            // The rotation runs over the values of the levels before this one.
+            let second = earlier[rotation % level_start];
             rotation = rotation.wrapping_add(3);
             let op = if use_add { Op::Add } else { Op::Mul };
-            let id = builder.op(op, &[first, second])?;
-            this_level.push(id);
-            last = Some(id);
+            earlier.push(builder.op(op, &[first, second])?);
         }
-        earlier.extend(this_level.iter().copied());
-        previous = this_level;
+        previous = level_start..earlier.len();
     }
-    builder.output("y", last.expect("at least one level"));
+    builder.output("y", *earlier.last().expect("at least one level"));
     builder.build()
 }
 

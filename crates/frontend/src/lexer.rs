@@ -2,9 +2,10 @@
 
 use crate::error::{FrontendError, Span};
 
-/// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// The kind of a lexical token. An identifier borrows its text from the
+/// source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     /// The `kernel` keyword.
     Kernel,
     /// The `let` keyword.
@@ -12,9 +13,10 @@ pub enum TokenKind {
     /// The `out` keyword.
     Out,
     /// An identifier (variable, kernel or function name).
-    Ident(String),
-    /// An integer literal (fits in `i32`).
-    Number(i32),
+    Ident(&'src str),
+    /// The magnitude of an integer literal, at most 2^31: the sign is the
+    /// parser's, and only a negated literal may reach 2^31.
+    Number(u32),
     /// `+`
     Plus,
     /// `-`
@@ -49,7 +51,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short human-readable description used in error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -79,15 +81,15 @@ impl TokenKind {
 }
 
 /// A token together with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where the token starts.
     pub span: Span,
 }
 
-/// A hand-written lexer producing a flat token vector.
+/// A hand-written lexer, read a token at a time or all at once.
 ///
 /// Comments start with `#` and run to the end of the line. Whitespace is
 /// insignificant.
@@ -107,18 +109,21 @@ pub struct Token {
 #[derive(Debug)]
 pub struct Lexer<'src> {
     source: &'src str,
-    chars: Vec<char>,
+    /// Byte offset of the next unread character.
     index: usize,
     line: usize,
+    /// 1-based, in characters.
     column: usize,
 }
+
+/// The largest literal magnitude: `-2147483648` is an `i32`.
+pub(crate) const MAX_MAGNITUDE: u32 = 1 << 31;
 
 impl<'src> Lexer<'src> {
     /// Creates a lexer over `source`.
     pub fn new(source: &'src str) -> Self {
         Lexer {
             source,
-            chars: source.chars().collect(),
             index: 0,
             line: 1,
             column: 1,
@@ -137,20 +142,52 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.index).copied()
+    fn peek_byte(&self) -> Option<u8> {
+        self.source.as_bytes().get(self.index).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let ch = self.peek()?;
-        self.index += 1;
-        if ch == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
+    /// The character at the cursor; the cursor is always on a boundary.
+    fn peek_char(&self) -> Option<char> {
+        self.source[self.index..].chars().next()
+    }
+
+    /// Steps over `bytes` bytes holding `chars` characters, none a newline.
+    fn advance(&mut self, bytes: usize, chars: usize) {
+        self.index += bytes;
+        self.column += chars;
+    }
+
+    /// Consumes the run of ASCII bytes `accepted` holds for and returns it.
+    fn take_while(&mut self, accepted: impl Fn(u8) -> bool) -> &'src str {
+        let rest = &self.source.as_bytes()[self.index..];
+        let len = rest.iter().take_while(|&&byte| accepted(byte)).count();
+        let run = &self.source[self.index..self.index + len];
+        self.advance(len, len);
+        run
+    }
+
+    fn skip_whitespace_and_comments(&mut self) {
+        while let Some(byte) = self.peek_byte() {
+            match byte {
+                b'\n' => {
+                    self.index += 1;
+                    self.line += 1;
+                    self.column = 1;
+                }
+                b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' ' => self.advance(1, 1),
+                b'#' => {
+                    let rest = &self.source[self.index..];
+                    let comment = &rest[..rest.find('\n').unwrap_or(rest.len())];
+                    self.advance(comment.len(), comment.chars().count());
+                }
+                // Whitespace beyond ASCII is still whitespace.
+                0x80.. => match self.peek_char() {
+                    Some(ch) if ch.is_whitespace() => self.advance(ch.len_utf8(), 1),
+                    _ => return,
+                },
+                _ => return,
+            }
         }
-        Some(ch)
     }
 
     /// Consumes the whole input and returns the token stream, ending with an
@@ -159,99 +196,75 @@ impl<'src> Lexer<'src> {
     /// # Errors
     ///
     /// Returns [`FrontendError::UnexpectedChar`] for characters outside the
-    /// language and [`FrontendError::LiteralOutOfRange`] for oversized
-    /// numeric literals.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, FrontendError> {
-        let mut tokens = Vec::new();
+    /// language and [`FrontendError::LiteralOutOfRange`] for numeric literals
+    /// above 2^31.
+    pub fn tokenize(mut self) -> Result<Vec<Token<'src>>, FrontendError> {
+        // A token and the space after it rarely take fewer than two bytes.
+        let mut tokens = Vec::with_capacity(self.source.len() / 2 + 1);
         loop {
-            // Skip whitespace and comments.
-            while let Some(ch) = self.peek() {
-                if ch.is_whitespace() {
-                    self.bump();
-                } else if ch == '#' {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                } else {
-                    break;
-                }
-            }
-            let span = self.span();
-            let Some(ch) = self.peek() else {
-                tokens.push(Token {
-                    kind: TokenKind::Eof,
-                    span,
-                });
+            let token = self.next_token()?;
+            tokens.push(token);
+            if token.kind == TokenKind::Eof {
                 return Ok(tokens);
-            };
-            let kind = if ch.is_ascii_alphabetic() || ch == '_' {
-                let mut ident = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        ident.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                match ident.as_str() {
-                    "kernel" => TokenKind::Kernel,
-                    "let" => TokenKind::Let,
-                    "out" => TokenKind::Out,
-                    _ => TokenKind::Ident(ident),
-                }
-            } else if ch.is_ascii_digit() {
-                let mut text = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let value: i64 = text.parse().map_err(|_| FrontendError::LiteralOutOfRange {
-                    text: text.clone(),
-                    span,
-                })?;
-                // Accept up to 2^31 so that `-2147483648` written as a
-                // negated literal still lexes; the parser applies negation.
-                if value > i64::from(i32::MAX) + 1 {
-                    return Err(FrontendError::LiteralOutOfRange { text, span });
-                }
-                TokenKind::Number(value.min(i64::from(i32::MAX)) as i32)
-            } else {
-                self.bump();
-                match ch {
-                    '+' => TokenKind::Plus,
-                    '-' => TokenKind::Minus,
-                    '*' => TokenKind::Star,
-                    '&' => TokenKind::Ampersand,
-                    '|' => TokenKind::Pipe,
-                    '^' => TokenKind::Caret,
-                    '=' => TokenKind::Equals,
-                    '(' => TokenKind::LParen,
-                    ')' => TokenKind::RParen,
-                    '{' => TokenKind::LBrace,
-                    '}' => TokenKind::RBrace,
-                    ',' => TokenKind::Comma,
-                    ';' => TokenKind::Semicolon,
-                    '<' if self.peek() == Some('<') => {
-                        self.bump();
-                        TokenKind::ShiftLeft
-                    }
-                    '>' if self.peek() == Some('>') => {
-                        self.bump();
-                        TokenKind::ShiftRight
-                    }
-                    other => return Err(FrontendError::UnexpectedChar { ch: other, span }),
-                }
-            };
-            tokens.push(Token { kind, span });
+            }
         }
+    }
+
+    /// Consumes and returns the next token; [`TokenKind::Eof`] at the end of
+    /// the input, again on every later call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lexer::tokenize`], for the token in hand.
+    pub fn next_token(&mut self) -> Result<Token<'src>, FrontendError> {
+        self.skip_whitespace_and_comments();
+        let span = self.span();
+        let Some(byte) = self.peek_byte() else {
+            let kind = TokenKind::Eof;
+            return Ok(Token { kind, span });
+        };
+        let kind = if byte.is_ascii_alphabetic() || byte == b'_' {
+            match self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_') {
+                "kernel" => TokenKind::Kernel,
+                "let" => TokenKind::Let,
+                "out" => TokenKind::Out,
+                ident => TokenKind::Ident(ident),
+            }
+        } else if byte.is_ascii_digit() {
+            let text = self.take_while(|b| b.is_ascii_digit());
+            let magnitude = text.parse().ok().filter(|&m: &u32| m <= MAX_MAGNITUDE);
+            TokenKind::Number(magnitude.ok_or_else(|| FrontendError::LiteralOutOfRange {
+                text: text.to_owned(),
+                span,
+            })?)
+        } else {
+            let second = self.source.as_bytes().get(self.index + 1);
+            let kind = match byte {
+                b'+' => TokenKind::Plus,
+                b'-' => TokenKind::Minus,
+                b'*' => TokenKind::Star,
+                b'&' => TokenKind::Ampersand,
+                b'|' => TokenKind::Pipe,
+                b'^' => TokenKind::Caret,
+                b'=' => TokenKind::Equals,
+                b'(' => TokenKind::LParen,
+                b')' => TokenKind::RParen,
+                b'{' => TokenKind::LBrace,
+                b'}' => TokenKind::RBrace,
+                b',' => TokenKind::Comma,
+                b';' => TokenKind::Semicolon,
+                b'<' if second == Some(&b'<') => TokenKind::ShiftLeft,
+                b'>' if second == Some(&b'>') => TokenKind::ShiftRight,
+                _ => {
+                    let ch = self.peek_char().expect("a byte is left");
+                    return Err(FrontendError::UnexpectedChar { ch, span });
+                }
+            };
+            let len = if matches!(byte, b'<' | b'>') { 2 } else { 1 };
+            self.advance(len, len);
+            kind
+        };
+        Ok(Token { kind, span })
     }
 }
 
@@ -259,7 +272,7 @@ impl<'src> Lexer<'src> {
 mod tests {
     use super::*;
 
-    fn kinds(source: &str) -> Vec<TokenKind> {
+    fn kinds(source: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(source)
             .tokenize()
             .unwrap()
@@ -272,7 +285,7 @@ mod tests {
     fn keywords_identifiers_and_numbers() {
         let kinds = kinds("kernel foo(x) { let y = x * 42; out z = y; }");
         assert_eq!(kinds[0], TokenKind::Kernel);
-        assert_eq!(kinds[1], TokenKind::Ident("foo".into()));
+        assert_eq!(kinds[1], TokenKind::Ident("foo"));
         assert!(kinds.contains(&TokenKind::Number(42)));
         assert!(kinds.contains(&TokenKind::Out));
         assert_eq!(*kinds.last().unwrap(), TokenKind::Eof);
@@ -285,7 +298,7 @@ mod tests {
             kinds,
             vec![
                 TokenKind::Let,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Equals,
                 TokenKind::Number(1),
                 TokenKind::Semicolon,
@@ -318,6 +331,27 @@ mod tests {
     fn oversized_literal_is_rejected() {
         let err = Lexer::new("let x = 99999999999;").tokenize().unwrap_err();
         assert!(matches!(err, FrontendError::LiteralOutOfRange { .. }));
+    }
+
+    #[test]
+    fn the_largest_magnitude_is_two_to_the_31() {
+        assert_eq!(kinds("2147483648")[0], TokenKind::Number(1 << 31));
+        for text in ["2147483649", "4294967296", "18446744073709551616"] {
+            let err = Lexer::new(text).tokenize().unwrap_err();
+            let span = Span { line: 1, column: 1 };
+            let text = text.to_owned();
+            assert_eq!(err, FrontendError::LiteralOutOfRange { text, span });
+        }
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let tokens = Lexer::new("# \u{3bb}\u{2003}\n\u{a0}x # \u{3bb}\u{3bb}")
+            .tokenize()
+            .unwrap();
+        assert_eq!(tokens[0].span, Span { line: 2, column: 2 });
+        assert_eq!(tokens[1].span, Span { line: 2, column: 8 });
+        assert_eq!(tokens[1].kind, TokenKind::Eof);
     }
 
     #[test]

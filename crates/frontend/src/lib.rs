@@ -46,7 +46,7 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-pub use ast::{BinaryOp, Expr, Kernel, Stmt, UnaryFn};
+pub use ast::{BinaryOp, Expr, ExprId, Kernel, Stmt, UnaryFn};
 pub use error::FrontendError;
 pub use kernels::{Benchmark, PaperRecord};
 pub use lexer::{Lexer, Token, TokenKind};

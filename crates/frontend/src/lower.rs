@@ -2,9 +2,9 @@
 
 use std::collections::HashMap;
 
-use overlay_dfg::{Dfg, DfgBuilder, NodeId, Op, Value};
+use overlay_dfg::{Dfg, DfgBuilder, NodeId, NodeKind, Op, Value};
 
-use crate::ast::{BinaryOp, Expr, Kernel, Stmt, UnaryFn};
+use crate::ast::{BinaryOp, Expr, ExprId, Kernel, Stmt, UnaryFn};
 use crate::error::FrontendError;
 
 /// Options controlling the lowering of kernel ASTs to DFGs.
@@ -78,156 +78,169 @@ impl LowerOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub fn lower_kernel(kernel: &Kernel, options: &LowerOptions) -> Result<Dfg, FrontendError> {
+pub fn lower_kernel(kernel: &Kernel<'_>, options: &LowerOptions) -> Result<Dfg, FrontendError> {
     Lowerer::new(kernel, *options).lower()
 }
 
-struct Lowerer<'k> {
-    kernel: &'k Kernel,
+struct Lowerer<'k, 'src> {
+    kernel: &'k Kernel<'src>,
     options: LowerOptions,
+    /// Also the record of what each node is: its kind tells a literal or a
+    /// parameter from an operation.
     builder: DfgBuilder,
-    env: HashMap<String, NodeId>,
-    input_ids: Vec<NodeId>,
-    constants: HashMap<i32, NodeId>,
-    literal_values: HashMap<NodeId, i32>,
-    cse_cache: HashMap<(Op, Vec<NodeId>), NodeId>,
+    /// Parameters and `let` bindings in definition order, searched linearly:
+    /// a kernel that fits an overlay binds a few dozen names.
+    scope: Vec<(&'src str, NodeId)>,
+    /// The constant node of each literal value in use, searched linearly.
+    constants: Vec<(i32, NodeId)>,
+    /// `(op, operands)` to the node computing it, with one operand repeated
+    /// for a unary operation and a commutative pair sorted; filled only under
+    /// [`LowerOptions::cse`].
+    cse_cache: HashMap<(Op, [NodeId; 2]), NodeId>,
 }
 
-impl<'k> Lowerer<'k> {
-    fn new(kernel: &'k Kernel, options: LowerOptions) -> Self {
+impl<'k, 'src> Lowerer<'k, 'src> {
+    fn new(kernel: &'k Kernel<'src>, options: LowerOptions) -> Self {
+        // Every expression is at most one node, every output one more.
+        let nodes = kernel.params.len() + kernel.exprs.len() + kernel.body.len();
         Lowerer {
             kernel,
             options,
-            builder: DfgBuilder::new(kernel.name.clone()),
-            env: HashMap::new(),
-            input_ids: Vec::new(),
-            constants: HashMap::new(),
-            literal_values: HashMap::new(),
+            builder: DfgBuilder::with_capacity(kernel.name, nodes),
+            scope: Vec::with_capacity(kernel.params.len() + kernel.body.len()),
+            constants: Vec::new(),
             cse_cache: HashMap::new(),
         }
     }
 
+    fn lookup(&self, name: &str) -> Option<NodeId> {
+        let binding = self.scope.iter().find(|(bound, _)| *bound == name);
+        binding.map(|&(_, id)| id)
+    }
+
+    fn check_undefined(&self, name: &str) -> Result<(), FrontendError> {
+        match self.lookup(name) {
+            Some(_) => Err(FrontendError::DuplicateDefinition {
+                name: name.to_owned(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn lower(mut self) -> Result<Dfg, FrontendError> {
-        for param in &self.kernel.params {
-            if self.env.contains_key(param) {
-                return Err(FrontendError::DuplicateDefinition {
-                    name: param.clone(),
-                });
-            }
-            let id = self.builder.input(param.clone());
-            self.input_ids.push(id);
-            self.env.insert(param.clone(), id);
+        for &param in &self.kernel.params {
+            self.check_undefined(param)?;
+            let id = self.builder.input(param);
+            self.scope.push((param, id));
         }
 
         let mut has_output = false;
         for stmt in &self.kernel.body {
-            match stmt {
+            match *stmt {
                 Stmt::Let { name, expr } => {
-                    if self.env.contains_key(name) {
-                        return Err(FrontendError::DuplicateDefinition { name: name.clone() });
-                    }
+                    self.check_undefined(name)?;
                     let id = self.lower_expr(expr)?;
-                    self.env.insert(name.clone(), id);
+                    self.scope.push((name, id));
                 }
                 Stmt::Out { name, expr } => {
                     has_output = true;
                     let id = self.lower_expr(expr)?;
                     // Outputs must be driven by an operation node; wrap bare
                     // inputs/constants in a MOV so the FU forwards them.
-                    let source = if self.builder_node_is_op(id) {
+                    let is_operation = self.builder.node(id).and_then(|node| node.op()).is_some();
+                    let source = if is_operation {
                         id
                     } else {
-                        self.emit(Op::Mov, vec![id])?
+                        self.emit(Op::Mov, &[id])?
                     };
-                    self.builder.output(name.clone(), source);
+                    self.builder.output(name, source);
                 }
             }
         }
         if !has_output {
             return Err(FrontendError::NoOutputs {
-                kernel: self.kernel.name.clone(),
+                kernel: self.kernel.name.to_owned(),
             });
         }
         Ok(self.builder.build()?)
     }
 
-    fn builder_node_is_op(&self, id: NodeId) -> bool {
-        // Inputs and constants are the only non-operation value nodes the
-        // lowerer creates, and it tracks both.
-        !self.input_ids.contains(&id) && !self.literal_values.contains_key(&id)
+    /// The value of a node that is a literal.
+    fn literal(&self, id: NodeId) -> Option<Value> {
+        match self.builder.node(id)?.kind() {
+            NodeKind::Const { value } => Some(*value),
+            _ => None,
+        }
     }
 
     fn constant(&mut self, value: i32) -> NodeId {
-        if let Some(&id) = self.constants.get(&value) {
+        if let Some(&(_, id)) = self.constants.iter().find(|(known, _)| *known == value) {
             return id;
         }
         let id = self.builder.constant(Value::new(value));
-        self.constants.insert(value, id);
-        self.literal_values.insert(id, value);
+        self.constants.push((value, id));
         id
     }
 
-    fn emit(&mut self, op: Op, operands: Vec<NodeId>) -> Result<NodeId, FrontendError> {
+    /// The node computing `op` over `operands` (one or two of them).
+    fn emit(&mut self, op: Op, operands: &[NodeId]) -> Result<NodeId, FrontendError> {
+        // A unary operation's one operand stands twice.
+        let pair = [operands[0], operands[operands.len() - 1]];
         // Constant folding.
         if self.options.fold_constants {
-            let literal_operands: Option<Vec<i32>> = operands
-                .iter()
-                .map(|id| self.literal_values.get(id).copied())
-                .collect();
-            if let Some(literals) = literal_operands {
-                let values: Vec<Value> = literals.into_iter().map(Value::new).collect();
-                if let Ok(folded) = op.apply(&values) {
+            if let [Some(first), Some(second)] = pair.map(|id| self.literal(id)) {
+                if let Ok(folded) = op.apply(&[first, second][..operands.len()]) {
                     return Ok(self.constant(folded.get()));
                 }
             }
         }
         // Common subexpression elimination.
         if self.options.cse {
-            let mut key_operands = operands.clone();
+            let mut key = (op, pair);
             if op.is_commutative() {
-                key_operands.sort();
+                key.1.sort();
             }
-            let key = (op, key_operands);
             if let Some(&existing) = self.cse_cache.get(&key) {
                 return Ok(existing);
             }
-            let id = self.builder.op(op, &operands)?;
+            let id = self.builder.op(op, operands)?;
             self.cse_cache.insert(key, id);
             return Ok(id);
         }
-        Ok(self.builder.op(op, &operands)?)
+        Ok(self.builder.op(op, operands)?)
     }
 
-    fn lower_expr(&mut self, expr: &Expr) -> Result<NodeId, FrontendError> {
-        match expr {
+    fn lower_expr(&mut self, expr: ExprId) -> Result<NodeId, FrontendError> {
+        match self.kernel.expr(expr) {
             Expr::Var(name) => self
-                .env
-                .get(name)
-                .copied()
-                .ok_or_else(|| FrontendError::UndefinedVariable { name: name.clone() }),
-            Expr::Literal(value) => Ok(self.constant(*value)),
+                .lookup(name)
+                .ok_or_else(|| FrontendError::UndefinedVariable {
+                    name: name.to_owned(),
+                }),
+            Expr::Literal(value) => Ok(self.constant(value)),
             Expr::Neg(inner) => {
                 let operand = self.lower_expr(inner)?;
-                self.emit(Op::Neg, vec![operand])
+                self.emit(Op::Neg, &[operand])
             }
             Expr::Call { function, args } => {
-                let operands: Vec<NodeId> = args
-                    .iter()
-                    .map(|arg| self.lower_expr(arg))
-                    .collect::<Result<_, _>>()?;
+                let mut operands = [NodeId::from_raw(0); 2];
+                let arity = function.arity();
+                for (operand, &arg) in operands.iter_mut().zip(&args[..arity]) {
+                    *operand = self.lower_expr(arg)?;
+                }
                 let op = match function {
                     UnaryFn::Sqr => Op::Square,
                     UnaryFn::Abs => Op::Abs,
                     UnaryFn::Min => Op::Min,
                     UnaryFn::Max => Op::Max,
                 };
-                self.emit(op, operands)
+                self.emit(op, &operands[..arity])
             }
             Expr::Binary { op, lhs, rhs } => {
                 let lhs_id = self.lower_expr(lhs)?;
                 let rhs_id = self.lower_expr(rhs)?;
-                if self.options.detect_squares && *op == BinaryOp::Mul && lhs_id == rhs_id {
-                    return self.emit(Op::Square, vec![lhs_id]);
+                if self.options.detect_squares && op == BinaryOp::Mul && lhs_id == rhs_id {
+                    return self.emit(Op::Square, &[lhs_id]);
                 }
                 let op = match op {
                     BinaryOp::Add => Op::Add,
@@ -239,7 +252,7 @@ impl<'k> Lowerer<'k> {
                     BinaryOp::Or => Op::Or,
                     BinaryOp::Xor => Op::Xor,
                 };
-                self.emit(op, vec![lhs_id, rhs_id])
+                self.emit(op, &[lhs_id, rhs_id])
             }
         }
     }
@@ -358,6 +371,21 @@ mod tests {
         assert_eq!(
             evaluate(&dfg, &[Value::new(5)]).unwrap(),
             vec![Value::new(-15)]
+        );
+    }
+
+    #[test]
+    fn the_most_negative_literal_lowers_to_itself() {
+        let options = LowerOptions::default();
+        let dfg = lower("kernel k(a) { out y = a + (-2147483648); }", options).unwrap();
+        assert_eq!(
+            evaluate(&dfg, &[Value::new(5)]).unwrap(),
+            vec![Value::new(i32::MIN + 5)]
+        );
+        let dfg = lower("kernel k(a) { out y = a * - 2147483648 * 1; }", options).unwrap();
+        assert_eq!(
+            evaluate(&dfg, &[Value::new(1)]).unwrap(),
+            vec![Value::new(i32::MIN)]
         );
     }
 

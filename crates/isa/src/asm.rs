@@ -41,7 +41,8 @@ use crate::reg::RegIndex;
 /// # }
 /// ```
 pub fn assemble(text: &str) -> Result<FuProgram, IsaError> {
-    let mut program = FuProgram::new();
+    // `NOP` is the shortest line; most take three times its four bytes.
+    let mut program = FuProgram::with_capacity(text.len() / 8, 0);
     for (index, raw_line) in text.lines().enumerate() {
         let line_no = index + 1;
         let line = raw_line.trim();
@@ -100,67 +101,59 @@ fn parse_const(rest: &str, line: usize) -> Result<(RegIndex, Value), IsaError> {
     Ok((reg, Value::new(value)))
 }
 
+/// The flag annotations, which may stand anywhere on a line.
+const FLAGS: [&str; 3] = ["[wb]", "[ndf]", "[fwd]"];
+
 fn parse_instruction(line: &str, line_no: usize) -> Result<Instruction, IsaError> {
-    // Split off the flag annotations first.
-    let wb = line.contains("[wb]");
-    let ndf = line.contains("[ndf]");
-    let fwd = line.contains("[fwd]");
-    let body = line
-        .replace("[wb]", "")
-        .replace("[ndf]", "")
-        .replace("[fwd]", "");
-    let mut tokens = body.split_whitespace();
+    let flagged = line.contains('[');
+    let [wb, ndf, fwd] = FLAGS.map(|flag| flagged && line.contains(flag));
+    // What is left of the line without its flags, word by word.
+    let mut tokens = line.split_whitespace().filter_map(|mut token| {
+        if flagged {
+            while let Some(rest) = FLAGS.iter().find_map(|flag| token.strip_suffix(flag)) {
+                token = rest;
+            }
+        }
+        (!token.is_empty()).then_some(token)
+    });
     let mnemonic = tokens
         .next()
-        .ok_or_else(|| parse_error(line_no, "empty instruction"))?
-        .to_ascii_uppercase();
-    match mnemonic.as_str() {
-        "NOP" => Ok(Instruction::Nop),
-        "LOAD" => {
-            let dst = parse_reg(
-                tokens
-                    .next()
-                    .ok_or_else(|| parse_error(line_no, "LOAD needs a destination register"))?,
-                line_no,
-            )?;
-            Ok(Instruction::Load { dst, fwd })
-        }
-        _ => {
-            let op: Op = mnemonic
-                .parse()
-                .map_err(|_| parse_error(line_no, format!("unknown mnemonic `{mnemonic}`")))?;
-            let dst = parse_reg(
-                tokens
-                    .next()
-                    .ok_or_else(|| parse_error(line_no, "missing destination register"))?,
-                line_no,
-            )?;
-            let src1 = parse_reg(
-                tokens
-                    .next()
-                    .ok_or_else(|| parse_error(line_no, "missing first source register"))?,
-                line_no,
-            )?;
-            let src2 = match tokens.next() {
-                Some(token) => parse_reg(token, line_no)?,
-                None if op.arity() == 1 => src1,
-                None => {
-                    return Err(parse_error(
-                        line_no,
-                        format!("{op} needs a second source register"),
-                    ))
-                }
-            };
-            Ok(Instruction::Exec {
-                op,
-                dst,
-                src1,
-                src2,
-                wb,
-                ndf,
-            })
-        }
+        .ok_or_else(|| parse_error(line_no, "empty instruction"))?;
+    if mnemonic.eq_ignore_ascii_case("NOP") {
+        return Ok(Instruction::Nop);
     }
+    let mut reg = |missing: &str| {
+        let token = tokens.next().ok_or_else(|| parse_error(line_no, missing))?;
+        parse_reg(token, line_no)
+    };
+    if mnemonic.eq_ignore_ascii_case("LOAD") {
+        let dst = reg("LOAD needs a destination register")?;
+        return Ok(Instruction::Load { dst, fwd });
+    }
+    let op: Op = mnemonic.parse().map_err(|_| {
+        let mnemonic = mnemonic.to_ascii_uppercase();
+        parse_error(line_no, format!("unknown mnemonic `{mnemonic}`"))
+    })?;
+    let dst = reg("missing destination register")?;
+    let src1 = reg("missing first source register")?;
+    let src2 = match tokens.next() {
+        Some(token) => parse_reg(token, line_no)?,
+        None if op.arity() == 1 => src1,
+        None => {
+            return Err(parse_error(
+                line_no,
+                format!("{op} needs a second source register"),
+            ))
+        }
+    };
+    Ok(Instruction::Exec {
+        op,
+        dst,
+        src1,
+        src2,
+        wb,
+        ndf,
+    })
 }
 
 #[cfg(test)]
@@ -211,6 +204,36 @@ NOP
         match err {
             IsaError::ParseAsm { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mnemonics_ignore_case_and_flags_may_stand_anywhere() {
+        let program = assemble("load r0 [fwd]\nadd [wb] r2, r0, r0[ndf]\nnop\n").unwrap();
+        assert_eq!(
+            disassemble(&program),
+            "LOAD r0 [fwd]\nADD r2, r0, r0 [wb] [ndf]\nNOP\n"
+        );
+    }
+
+    #[test]
+    fn error_messages_name_what_is_missing() {
+        for (text, expected) in [
+            ("frob r1, r2, r3", "unknown mnemonic `FROB`"),
+            ("LOAD [fwd]", "LOAD needs a destination register"),
+            ("[wb]", "empty instruction"),
+            ("add", "missing destination register"),
+            ("add r1", "missing first source register"),
+            ("add r1, r2", "ADD needs a second source register"),
+            ("ADD r1, q2, r3", "expected a register, found `q2`"),
+            ("ADD r1, r2 [fwd] [zz]", "expected a register, found `[zz]`"),
+            ("ADD r1, r2, r32", "register `r32` out of range"),
+            ("LOAD rx", "invalid register `rx`"),
+        ] {
+            let text = format!("NOP\n{text}\n");
+            let message = expected.to_owned();
+            let line = 2;
+            assert_eq!(assemble(&text), Err(IsaError::ParseAsm { line, message }));
         }
     }
 

@@ -50,6 +50,15 @@ impl FuProgram {
         FuProgram::default()
     }
 
+    /// Creates an empty program with room for `instructions` instructions
+    /// and `constants` preloaded constants.
+    pub fn with_capacity(instructions: usize, constants: usize) -> Self {
+        FuProgram {
+            instructions: Vec::with_capacity(instructions),
+            constant_init: Vec::with_capacity(constants),
+        }
+    }
+
     /// Appends an instruction.
     pub fn push(&mut self, instruction: Instruction) {
         self.instructions.push(instruction);

@@ -48,7 +48,6 @@ pub(crate) fn level_schedule(
 ) -> StageSchedule {
     let stage_slots = analysis
         .levels()
-        .iter()
         .map(|level| level.iter().map(|&op| Slot::Op(op)).collect())
         .collect();
     StageSchedule::assemble(dfg, strategy, stage_slots)

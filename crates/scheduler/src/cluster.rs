@@ -110,8 +110,7 @@ pub fn cluster_schedule(
     //    balancing the operation count (linear-partition DP), then
     //    iteratively improve by shifting cluster boundaries while it lowers
     //    the worst per-cluster cost.
-    let level_sizes: Vec<usize> = analysis.levels().iter().map(Vec::len).collect();
-    let mut boundaries = balanced_partition(&level_sizes, options.depth);
+    let mut boundaries = balanced_partition(analysis.level_bounds(), options.depth);
     let mut search = PartitionCost::new(dfg, &analysis, options.iwp);
     let mut best_cost = search.cost(&boundaries);
     let mut improved = true;
@@ -147,33 +146,27 @@ pub fn cluster_schedule(
     Ok(StageSchedule::assemble(dfg, strategy, stage_slots))
 }
 
-/// Splits `sizes` into `groups` contiguous groups minimising the maximum
-/// group sum (classic linear partition); returns the exclusive end index of
-/// each group except the last.
-fn balanced_partition(sizes: &[usize], groups: usize) -> Vec<usize> {
-    let n = sizes.len();
+/// Splits `n` sizes, given as their prefix sums (`prefix[i]` the sum of the
+/// first `i`, so `n + 1` entries), into `groups` contiguous groups minimising
+/// the maximum group sum (classic linear partition); returns the exclusive
+/// end index of each group except the last.
+fn balanced_partition(prefix: &[usize], groups: usize) -> Vec<usize> {
+    let n = prefix.len() - 1;
     let groups = groups.min(n);
-    // prefix[i] = sum of sizes[..i]
-    let mut prefix = vec![0usize; n + 1];
-    for (i, &s) in sizes.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + s;
-    }
     let sum = |a: usize, b: usize| prefix[b] - prefix[a];
 
-    // dp[at(g, i)] = minimal possible maximum group sum splitting sizes[..i]
-    // into g groups; split[at(g, i)] = where the last of them starts.
+    // dp[at(g, i)] = (minimal possible maximum group sum splitting the first
+    // i sizes into g groups, where the last of them starts).
     let inf = usize::MAX / 2;
     let at = |g: usize, i: usize| g * (n + 1) + i;
-    let mut dp = vec![inf; (groups + 1) * (n + 1)];
-    let mut split = vec![0usize; (groups + 1) * (n + 1)];
-    dp[at(0, 0)] = 0;
+    let mut dp = vec![(inf, 0usize); (groups + 1) * (n + 1)];
+    dp[at(0, 0)].0 = 0;
     for g in 1..=groups {
         for i in g..=n {
             for j in (g - 1)..i {
-                let candidate = dp[at(g - 1, j)].max(sum(j, i));
-                if candidate < dp[at(g, i)] {
-                    dp[at(g, i)] = candidate;
-                    split[at(g, i)] = j;
+                let candidate = dp[at(g - 1, j)].0.max(sum(j, i));
+                if candidate < dp[at(g, i)].0 {
+                    dp[at(g, i)] = (candidate, j);
                 }
             }
         }
@@ -182,7 +175,7 @@ fn balanced_partition(sizes: &[usize], groups: usize) -> Vec<usize> {
     let mut boundaries = Vec::with_capacity(groups.saturating_sub(1));
     let mut i = n;
     for g in (1..=groups).rev() {
-        let j = split[at(g, i)];
+        let j = dp[at(g, i)].1;
         if g > 1 {
             boundaries.push(j);
         }
@@ -214,9 +207,11 @@ struct PartitionCost<'a> {
     /// `crossing[b]`: how many values are alive across boundary `b`, i.e. the
     /// `#load` of a stage starting there (`b = 0`: the input stream).
     crossing: Vec<usize>,
-    /// The issue list of cluster `(start, end]` at `start * depth + end - 1`;
-    /// empty until first asked for (an ordered cluster has at least one op).
+    /// The issue lists ordered so far, and for cluster `(start, end]`, at
+    /// `start * depth + end - 1`, one past its index among them (0 until
+    /// first asked for).
     ordered: Vec<Vec<Slot>>,
+    ordered_at: Vec<u32>,
     // `order_cluster`'s working state, addressed by `NodeId::index` and
     // valid for the cluster in hand only.
     consumers: Vec<usize>,
@@ -250,7 +245,8 @@ impl<'a> PartitionCost<'a> {
             analysis,
             iwp,
             crossing,
-            ordered: vec![Vec::new(); depth * depth],
+            ordered: Vec::with_capacity(4 * depth),
+            ordered_at: vec![0; depth * depth],
             consumers: vec![0; dfg.num_nodes()],
             placed: vec![0; dfg.num_nodes()],
             remaining: Vec::new(),
@@ -274,10 +270,12 @@ impl<'a> PartitionCost<'a> {
     /// The issue list of cluster `(start, end]`, ordered on first use.
     fn cluster(&mut self, start: usize, end: usize) -> &mut Vec<Slot> {
         let key = start * self.analysis.depth() + end - 1;
-        if self.ordered[key].is_empty() {
-            self.ordered[key] = self.order_cluster(start, end);
+        if self.ordered_at[key] == 0 {
+            let slots = self.order_cluster(start, end);
+            self.ordered.push(slots);
+            self.ordered_at[key] = self.ordered.len() as u32;
         }
-        &mut self.ordered[key]
+        &mut self.ordered[self.ordered_at[key] as usize - 1]
     }
 
     /// Orders the operations of cluster `(start, end]` with greedy list
@@ -291,9 +289,8 @@ impl<'a> PartitionCost<'a> {
                 .is_some_and(|level| level > start && level <= end)
         };
         self.remaining.clear();
-        for level in &analysis.levels()[start..end] {
-            self.remaining.extend_from_slice(level);
-        }
+        self.remaining
+            .extend_from_slice(analysis.level_span(start, end));
         for &op in &self.remaining {
             self.consumers[op.index()] = 0;
             self.placed[op.index()] = usize::MAX;
@@ -417,7 +414,7 @@ mod tests {
         let stage_slots = cluster_ranges(boundaries, analysis.depth())
             .into_iter()
             .map(|(start, end)| {
-                order_cluster_by_rescanning(dfg, &analysis.levels()[start..end].concat(), iwp)
+                order_cluster_by_rescanning(dfg, analysis.level_span(start, end), iwp)
             })
             .collect();
         StageSchedule::assemble(dfg, Strategy::Asap, stage_slots)
@@ -446,8 +443,7 @@ mod tests {
         let levels = analysis.depth();
         prop_assume!(levels > depth);
 
-        let sizes: Vec<usize> = analysis.levels().iter().map(Vec::len).collect();
-        let initial = balanced_partition(&sizes, depth);
+        let initial = balanced_partition(analysis.level_bounds(), depth);
         let mut partitions = vec![initial.clone()];
         for b in 0..initial.len() {
             for moved in [initial[b] - 1, initial[b] + 1] {
@@ -606,8 +602,12 @@ mod tests {
 
     #[test]
     fn balanced_partition_minimises_the_maximum_group() {
-        let sizes = vec![5, 4, 4, 3, 3, 3, 2, 2, 1];
-        let boundaries = balanced_partition(&sizes, 3);
+        let sizes = [5, 4, 4, 3, 3, 3, 2, 2, 1];
+        let mut prefix = vec![0];
+        for size in sizes {
+            prefix.push(prefix[prefix.len() - 1] + size);
+        }
+        let boundaries = balanced_partition(&prefix, 3);
         assert_eq!(boundaries.len(), 2);
         let ranges = cluster_ranges(&boundaries, sizes.len());
         let max_group: usize = ranges

@@ -1,14 +1,11 @@
 //! Instruction generation: turning a stage schedule into per-FU programs.
 
-use std::collections::HashMap;
-
 use overlay_arch::FuVariant;
 use overlay_dfg::{Dfg, NodeId, NodeKind};
 use overlay_isa::{FuProgram, Instruction, OverlayProgram, RegIndex, REGISTER_FILE_SIZE};
 
 use crate::error::ScheduleError;
 use crate::ii::ii_for_variant;
-use crate::liveness::StageLiveness;
 use crate::stage::{Slot, StageSchedule};
 
 /// A kernel compiled for a specific overlay variant: the per-FU instruction
@@ -43,8 +40,11 @@ impl CompiledKernel {
 ///
 /// Register allocation per FU is straightforward because programs are small:
 /// arriving values take `r0, r1, …` in arrival order, operation results take
-/// the following registers in issue order, and constants are preloaded from
-/// `r31` downwards.
+/// the following registers in issue order, and the constants the stage reads
+/// are preloaded from `r31` downwards in order of first use. Which register
+/// holds a value in the stage in hand is one table addressed by
+/// [`NodeId::index`], wiped between stages; the `fwd`/`ndf` flags are the
+/// forwarding decisions the schedule was assembled with.
 ///
 /// # Errors
 ///
@@ -77,149 +77,132 @@ pub fn generate_program(
     schedule: &StageSchedule,
     variant: FuVariant,
 ) -> Result<CompiledKernel, ScheduleError> {
-    let stage_ops: Vec<Vec<NodeId>> = schedule.stages().iter().map(|s| s.ops()).collect();
-    let liveness = StageLiveness::compute(dfg, &stage_ops);
+    generate_program_owned(dfg, schedule.clone(), variant)
+}
+
+/// [`generate_program`] for a caller that is done with `schedule`: it becomes
+/// the compiled kernel's, without a copy.
+///
+/// # Errors
+///
+/// As [`generate_program`].
+pub fn generate_program_owned(
+    dfg: &Dfg,
+    schedule: StageSchedule,
+    variant: FuVariant,
+) -> Result<CompiledKernel, ScheduleError> {
+    /// No register: the value is not in this stage's register file.
+    const ABSENT: u8 = u8::MAX;
+    let mut reg_of = vec![ABSENT; dfg.num_nodes()];
+    // Whether an operation of the stage in hand reads the node.
+    let mut read_here = vec![false; dfg.num_nodes()];
+    let mut constants: Vec<NodeId> = Vec::new();
 
     let mut fu_programs = Vec::with_capacity(schedule.num_stages());
     for (stage_index, stage) in schedule.stages().iter().enumerate() {
-        let loads = liveness.loads(stage_index);
-        let load_forward = liveness.load_forward(stage_index);
-        let result_forward = liveness.result_forward(stage_index);
+        let loads = &stage.loads;
+        let (load_forward, result_forward) = schedule.forwarding.stage(stage_index, loads.len());
 
         // --- register allocation -----------------------------------------
-        let ops = stage.ops();
-        // Constants used by this stage (allocated from the top of the file
-        // once the pressure check has passed).
-        let mut constant_ids: Vec<NodeId> = Vec::new();
-        for &op in &ops {
+        read_here.fill(false);
+        // Constants used by this stage, in order of first use (allocated
+        // from the top of the file once the pressure check has passed).
+        constants.clear();
+        for op in stage.ops() {
             for &operand in dfg.node(op)?.operands() {
-                if dfg.node(operand)?.kind().is_const() && !constant_ids.contains(&operand) {
-                    constant_ids.push(operand);
+                let is_const = dfg.node(operand)?.kind().is_const();
+                read_here[operand.index()] = true;
+                if is_const && !constants.contains(&operand) {
+                    constants.push(operand);
                 }
             }
         }
-        let registers_needed = loads.len() + ops.len() + constant_ids.len();
+        let num_ops = result_forward.len();
+        let registers_needed = loads.len() + num_ops + constants.len();
         if registers_needed > REGISTER_FILE_SIZE {
             return Err(ScheduleError::RegisterPressure {
                 stage: stage_index,
                 needed: registers_needed,
             });
         }
-        let mut reg_of: HashMap<NodeId, RegIndex> = HashMap::new();
+
+        reg_of.fill(ABSENT);
         for (slot, &value) in loads.iter().enumerate() {
-            reg_of.insert(value, RegIndex::new(slot as u32)?);
+            reg_of[value.index()] = slot as u8;
         }
-        let mut result_reg: HashMap<NodeId, RegIndex> = HashMap::new();
-        for (offset, &op) in ops.iter().enumerate() {
-            result_reg.insert(op, RegIndex::new((loads.len() + offset) as u32)?);
-        }
-        let constants: Vec<(NodeId, RegIndex)> = constant_ids
-            .iter()
-            .enumerate()
-            .map(|(offset, &id)| {
-                RegIndex::new((REGISTER_FILE_SIZE - 1 - offset) as u32).map(|reg| (id, reg))
-            })
-            .collect::<Result<_, _>>()?;
 
         // --- instruction emission -----------------------------------------
-        let mut program = FuProgram::new();
-        for (value, reg) in &constants {
-            if let NodeKind::Const { value: constant } = dfg.node(*value)?.kind() {
-                program.preload_constant(*reg, *constant);
+        let mut program =
+            FuProgram::with_capacity(loads.len() + stage.slots.len(), constants.len());
+        for (offset, &id) in constants.iter().enumerate() {
+            let reg = REGISTER_FILE_SIZE - 1 - offset;
+            reg_of[id.index()] = reg as u8;
+            if let NodeKind::Const { value } = dfg.node(id)?.kind() {
+                program.preload_constant(RegIndex::new(reg as u32)?, *value);
             }
         }
-        for (slot, &value) in loads.iter().enumerate() {
-            let dst = reg_of[&value];
-            program.push(if load_forward[slot] {
+        for (slot, &forward) in load_forward.iter().enumerate() {
+            let dst = RegIndex::new(slot as u32)?;
+            program.push(if forward {
                 Instruction::load_forward(dst)
             } else {
                 Instruction::load(dst)
             });
         }
 
-        let lookup = |value: NodeId,
-                      issued: &HashMap<NodeId, RegIndex>|
-         -> Result<RegIndex, ScheduleError> {
-            if let Some(&reg) = reg_of.get(&value) {
-                return Ok(reg);
-            }
-            if let Some(&(_, reg)) = constants.iter().find(|(id, _)| *id == value) {
-                return Ok(reg);
-            }
-            if let Some(&reg) = issued.get(&value) {
-                return Ok(reg);
-            }
-            Err(ScheduleError::OperandUnavailable {
-                node: value,
-                operand: value,
-                stage: stage_index,
-            })
-        };
-
-        let mut issued: HashMap<NodeId, RegIndex> = HashMap::new();
         let mut exec_index = 0usize;
         for slot in &stage.slots {
-            match slot {
-                Slot::Nop => program.push(Instruction::Nop),
-                Slot::Op(op_id) => {
-                    let node = dfg.node(*op_id)?;
-                    let op = node.op().expect("slot ops are operation nodes");
-                    let operands = node.operands();
-                    if op.arity() > 2 {
-                        return Err(ScheduleError::UnsupportedArity {
-                            node: *op_id,
-                            op,
-                            arity: op.arity(),
-                        });
-                    }
-                    let src1 = lookup(operands[0], &issued).map_err(|_| {
-                        ScheduleError::OperandUnavailable {
-                            node: *op_id,
-                            operand: operands[0],
-                            stage: stage_index,
-                        }
-                    })?;
-                    let src2 = if operands.len() > 1 {
-                        lookup(operands[1], &issued).map_err(|_| {
-                            ScheduleError::OperandUnavailable {
-                                node: *op_id,
-                                operand: operands[1],
-                                stage: stage_index,
-                            }
-                        })?
-                    } else {
-                        src1
-                    };
-                    let dst = result_reg[op_id];
-                    // Write back when a later op in this stage consumes the
-                    // result through the register file.
-                    let consumed_locally = stage
-                        .ops()
-                        .iter()
-                        .any(|&other| dfg.node_unchecked(other).operands().contains(op_id));
-                    let forwarded = result_forward.get(exec_index).copied().unwrap_or(true);
-                    debug_assert!(
-                        !consumed_locally || variant.has_writeback(),
-                        "same-stage dependencies require a write-back variant"
-                    );
-                    program.push(Instruction::exec_flags(
-                        op,
-                        dst,
-                        src1,
-                        src2,
-                        consumed_locally,
-                        !forwarded,
-                    ));
-                    issued.insert(*op_id, dst);
-                    exec_index += 1;
-                }
+            let Slot::Op(op_id) = *slot else {
+                program.push(Instruction::Nop);
+                continue;
+            };
+            let node = dfg.node(op_id)?;
+            let op = node.op().expect("slot ops are operation nodes");
+            let operands = node.operands();
+            if op.arity() > 2 {
+                return Err(ScheduleError::UnsupportedArity {
+                    node: op_id,
+                    op,
+                    arity: op.arity(),
+                });
             }
+            let lookup = |operand: NodeId| match reg_of[operand.index()] {
+                ABSENT => Err(ScheduleError::OperandUnavailable {
+                    node: op_id,
+                    operand,
+                    stage: stage_index,
+                }),
+                reg => Ok(RegIndex::new(u32::from(reg))?),
+            };
+            let src1 = lookup(operands[0])?;
+            let src2 = match operands.get(1) {
+                Some(&second) => lookup(second)?,
+                None => src1,
+            };
+            let dst = RegIndex::new((loads.len() + exec_index) as u32)?;
+            // Write back when an op of this stage consumes the result
+            // through the register file.
+            let consumed_locally = read_here[op_id.index()];
+            debug_assert!(
+                !consumed_locally || variant.has_writeback(),
+                "same-stage dependencies require a write-back variant"
+            );
+            program.push(Instruction::exec_flags(
+                op,
+                dst,
+                src1,
+                src2,
+                consumed_locally,
+                !result_forward[exec_index],
+            ));
+            reg_of[op_id.index()] = dst.index() as u8;
+            exec_index += 1;
         }
         fu_programs.push(program);
     }
 
-    let ii = ii_for_variant(schedule, variant);
-    let final_stream: Vec<NodeId> = liveness.final_stream().to_vec();
+    let ii = ii_for_variant(&schedule, variant);
+    let final_stream: Vec<NodeId> = schedule.forwarding.final_stream.clone();
     let mut output_stream_index = Vec::with_capacity(dfg.num_outputs());
     for &output in dfg.outputs() {
         let source = dfg.node(output)?.operands()[0];
@@ -243,7 +226,7 @@ pub fn generate_program(
     );
     Ok(CompiledKernel {
         program,
-        schedule: schedule.clone(),
+        schedule,
         variant,
         final_stream,
         output_stream_index,

@@ -46,7 +46,7 @@ pub mod table;
 
 pub use asap::asap_schedule;
 pub use cluster::{cluster_schedule, ClusterOptions};
-pub use codegen::{generate_program, CompiledKernel};
+pub use codegen::{generate_program, generate_program_owned, CompiledKernel};
 pub use error::ScheduleError;
 pub use ii::{ii_baseline, ii_for_variant, ii_v1, ii_v2, ii_writeback, IiBreakdown};
 pub use liveness::StageLiveness;

@@ -10,40 +10,58 @@
 
 use overlay_dfg::{Dfg, NodeId};
 
+use crate::stage::Slot;
+
+/// Which values each stage sends on, and what leaves the last one: the half
+/// of the liveness result a schedule keeps beside its stages' load lists, so
+/// that instruction generation reads the `fwd`/`ndf` flags off it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Forwarding {
+    /// Stage after stage: one flag per arriving value (bypass it onwards?),
+    /// then one per operation in issue order (forward its result?).
+    flags: Vec<bool>,
+    /// Where each stage's flags start in `flags`, and where the last end.
+    starts: Vec<usize>,
+    /// The values emerging after the last stage, in arrival order at the
+    /// output FIFO.
+    pub(crate) final_stream: Vec<NodeId>,
+}
+
+impl Forwarding {
+    /// The flags of stage `stage`, which loads `num_loads` values: those of
+    /// its loads, then those of its results.
+    pub(crate) fn stage(&self, stage: usize, num_loads: usize) -> (&[bool], &[bool]) {
+        self.flags[self.starts[stage]..self.starts[stage + 1]].split_at(num_loads)
+    }
+}
+
 /// Per-stage load sets, forwarding decisions and the final output stream
 /// order implied by a stage assignment of the operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLiveness {
     /// For each stage: the values arriving per invocation, in arrival order.
     loads: Vec<Vec<NodeId>>,
-    /// For each stage: whether each arriving value (same indexing as
-    /// `loads`) must be bypassed onwards to the next stage.
-    load_forward: Vec<Vec<bool>>,
-    /// For each stage: for each executed operation (in issue order), whether
-    /// its result is forwarded downstream.
-    result_forward: Vec<Vec<bool>>,
-    /// The values emerging after the last stage, in arrival order at the
-    /// output FIFO. Every entry feeds at least one kernel output.
-    final_stream: Vec<NodeId>,
+    forwarding: Forwarding,
 }
 
 impl StageLiveness {
     /// Computes the liveness information for a stage assignment.
     ///
-    /// `stage_ops[k]` lists the operation nodes executed by stage `k` in
-    /// issue order; every operation of `dfg` must appear exactly once across
+    /// `stages[k]` lists what stage `k` issues, in issue order (its NOPs do
+    /// not count); every operation of `dfg` must appear exactly once across
     /// all stages, and operands must never be produced at a *later* stage
     /// than their consumer (same stage is allowed — that is the write-back
     /// case).
-    pub fn compute(dfg: &Dfg, stage_ops: &[Vec<NodeId>]) -> Self {
-        let num_stages = stage_ops.len();
+    pub fn compute(dfg: &Dfg, stages: &[Vec<Slot>]) -> Self {
+        let num_stages = stages.len();
+        let ops = |stage: usize| stages[stage].iter().filter_map(|slot| slot.op());
         // Per node, addressed by `NodeId::index`: the last stage at which
         // the value is still needed — the last stage consuming it as an
         // operand, `num_stages` (the output FIFO, after the last stage) if
         // it drives a kernel output, -1 if nothing needs it.
         let mut needed_until = vec![-1isize; dfg.num_nodes()];
-        for (stage, ops) in stage_ops.iter().enumerate() {
-            for &op in ops {
+        for stage in 0..num_stages {
+            for op in ops(stage) {
                 for operand in dfg.node_unchecked(op).operands() {
                     let last = &mut needed_until[operand.index()];
                     *last = (*last).max(stage as isize);
@@ -55,67 +73,61 @@ impl StageLiveness {
                 needed_until[operand.index()] = num_stages as isize;
             }
         }
-        let needed_at_or_after =
-            |value: NodeId, k: isize| -> bool { needed_until[value.index()] >= k };
+        let needed_after =
+            |value: NodeId, stage: usize| -> bool { needed_until[value.index()] > stage as isize };
 
         let mut loads: Vec<Vec<NodeId>> = Vec::with_capacity(num_stages);
-        let mut load_forward: Vec<Vec<bool>> = Vec::with_capacity(num_stages);
-        let mut result_forward: Vec<Vec<bool>> = Vec::with_capacity(num_stages);
+        let mut flags: Vec<bool> = Vec::with_capacity(2 * dfg.num_nodes());
+        let mut starts: Vec<usize> = Vec::with_capacity(num_stages + 1);
 
         // Arrival order at stage 0 is the input stream order.
         let mut incoming: Vec<NodeId> = dfg
             .inputs()
             .iter()
             .copied()
-            .filter(|&input| needed_at_or_after(input, 0))
+            .filter(|&input| needed_until[input.index()] >= 0)
             .collect();
 
-        for (stage, ops) in stage_ops.iter().enumerate() {
-            let k = stage as isize;
-            // A loaded value is forwarded if it is still needed beyond this
-            // stage.
-            let forwards: Vec<bool> = incoming
-                .iter()
-                .map(|&value| needed_at_or_after(value, k + 1))
-                .collect();
-            let results: Vec<bool> = ops
-                .iter()
-                .map(|&op| needed_at_or_after(op, k + 1))
-                .collect();
+        for stage in 0..num_stages {
+            let start = flags.len();
+            starts.push(start);
+            // A loaded value or a result is forwarded if it is still needed
+            // beyond this stage.
+            flags.extend(incoming.iter().map(|&value| needed_after(value, stage)));
+            flags.extend(ops(stage).map(|op| needed_after(op, stage)));
 
             // The next stage's arrival order: bypassed loads first (in load
             // order), then forwarded results (in issue order). This matches
             // the FU timeline, where incoming words are bypassed as they
             // arrive and computed results follow as they complete.
-            let mut next: Vec<NodeId> = incoming
-                .iter()
-                .zip(&forwards)
-                .filter(|(_, &fwd)| fwd)
-                .map(|(&value, _)| value)
-                .collect();
+            let sent = &flags[start..];
+            let mut next = Vec::with_capacity(sent.iter().filter(|&&flag| flag).count());
+            let values = incoming.iter().copied().chain(ops(stage));
             next.extend(
-                ops.iter()
-                    .zip(&results)
-                    .filter(|(_, &fwd)| fwd)
-                    .map(|(&op, _)| op),
+                values
+                    .zip(sent)
+                    .filter(|(_, &flag)| flag)
+                    .map(|(value, _)| value),
             );
 
             loads.push(std::mem::replace(&mut incoming, next));
-            load_forward.push(forwards);
-            result_forward.push(results);
         }
+        starts.push(flags.len());
 
         StageLiveness {
             loads,
-            load_forward,
-            result_forward,
-            final_stream: incoming,
+            forwarding: Forwarding {
+                flags,
+                starts,
+                final_stream: incoming,
+            },
         }
     }
 
-    /// The per-stage arrival lists themselves, for a schedule to keep.
-    pub(crate) fn into_loads(self) -> Vec<Vec<NodeId>> {
-        self.loads
+    /// The per-stage arrival lists and the forwarding decisions, for a
+    /// schedule to keep.
+    pub(crate) fn into_parts(self) -> (Vec<Vec<NodeId>>, Forwarding) {
+        (self.loads, self.forwarding)
     }
 
     /// The values arriving at stage `k`, in arrival order.
@@ -125,19 +137,19 @@ impl StageLiveness {
 
     /// Whether each arriving value of stage `k` is bypassed onwards.
     pub fn load_forward(&self, stage: usize) -> &[bool] {
-        &self.load_forward[stage]
+        self.forwarding.stage(stage, self.loads[stage].len()).0
     }
 
     /// Whether each operation result of stage `k` (in issue order) is
     /// forwarded downstream.
     pub fn result_forward(&self, stage: usize) -> &[bool] {
-        &self.result_forward[stage]
+        self.forwarding.stage(stage, self.loads[stage].len()).1
     }
 
     /// The stream emerging after the last stage, in arrival order at the
     /// output FIFO.
     pub fn final_stream(&self) -> &[NodeId] {
-        &self.final_stream
+        &self.forwarding.final_stream
     }
 
     /// Number of stages analysed.
@@ -158,7 +170,12 @@ mod tests {
 
     /// x is consumed at stage 0 and again at stage 2, so it must be carried
     /// through stage 1.
-    fn pass_through_graph() -> (Dfg, Vec<Vec<NodeId>>) {
+    fn slots(stages: &[&[NodeId]]) -> Vec<Vec<Slot>> {
+        let issue = |ops: &&[NodeId]| ops.iter().map(|&op| Slot::Op(op)).collect();
+        stages.iter().map(issue).collect()
+    }
+
+    fn pass_through_graph() -> (Dfg, Vec<Vec<Slot>>) {
         let mut b = DfgBuilder::new("pass");
         let x = b.input("x");
         let y = b.input("y");
@@ -167,8 +184,7 @@ mod tests {
         let m = b.op(Op::Mul, &[s, x]).unwrap(); // stage 2, uses x again
         b.output("o", m);
         let dfg = b.build().unwrap();
-        let stages = vec![vec![a], vec![s], vec![m]];
-        (dfg, stages)
+        (dfg, slots(&[&[a], &[s], &[m]]))
     }
 
     #[test]
@@ -192,7 +208,7 @@ mod tests {
     fn final_stream_contains_exactly_the_output_values() {
         let (dfg, stages) = pass_through_graph();
         let liveness = StageLiveness::compute(&dfg, &stages);
-        let m = stages[2][0];
+        let m = stages[2][0].op().unwrap();
         assert_eq!(liveness.final_stream(), &[m]);
         // The MUL result is marked as forwarded out of the last stage.
         assert_eq!(liveness.result_forward(2), &[true]);
@@ -217,7 +233,7 @@ mod tests {
         let a2 = b.op(Op::Add, &[a0, a1]).unwrap();
         b.output("o0", a2);
         let dfg = b.build().unwrap();
-        let stages = vec![vec![s0, s1, s2, s3], q.clone(), vec![a0, a1], vec![a2]];
+        let stages = slots(&[&[s0, s1, s2, s3], &q, &[a0, a1], &[a2]]);
         let liveness = StageLiveness::compute(&dfg, &stages);
         assert_eq!(liveness.load_counts(), vec![5, 4, 4, 2]);
         assert_eq!(liveness.final_stream().len(), 1);
@@ -234,7 +250,7 @@ mod tests {
         let s = b.op(Op::Square, &[a]).unwrap();
         b.output("o", s);
         let dfg = b.build().unwrap();
-        let liveness = StageLiveness::compute(&dfg, &[vec![a, s]]);
+        let liveness = StageLiveness::compute(&dfg, &slots(&[&[a, s]]));
         assert_eq!(liveness.load_counts(), vec![2]);
         // The ADD result is not forwarded (consumed locally); SQR is.
         assert_eq!(liveness.result_forward(0), &[false, true]);

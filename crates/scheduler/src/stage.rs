@@ -4,7 +4,7 @@ use std::fmt;
 
 use overlay_dfg::{Dfg, NodeId};
 
-use crate::liveness::StageLiveness;
+use crate::liveness::{Forwarding, StageLiveness};
 
 /// One issue slot of a stage's execution window: either a DFG operation or an
 /// idle cycle inserted to respect the internal write-back path.
@@ -41,13 +41,13 @@ pub struct Stage {
 
 impl Stage {
     /// The operation nodes executed by this stage, in issue order.
-    pub fn ops(&self) -> Vec<NodeId> {
-        self.slots.iter().filter_map(|slot| slot.op()).collect()
+    pub fn ops(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.slots.iter().filter_map(|slot| slot.op())
     }
 
     /// Number of operations (excluding NOPs).
     pub fn num_ops(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.op().is_some()).count()
+        self.ops().count()
     }
 
     /// Number of inserted NOPs.
@@ -90,26 +90,18 @@ pub struct StageSchedule {
     pub(crate) kernel: String,
     pub(crate) strategy: Strategy,
     pub(crate) stages: Vec<Stage>,
-    /// For every operation node: the stage it is assigned to.
-    pub(crate) placement: Vec<(NodeId, usize)>,
+    /// What the liveness pass that derived the stages' `loads` decided about
+    /// forwarding.
+    pub(crate) forwarding: Forwarding,
 }
 
 impl StageSchedule {
     /// Builds the schedule whose stage `k` issues `stage_slots[k]`: runs the
-    /// liveness analysis over that assignment for the per-stage loads and
-    /// records the placement in issue order.
+    /// liveness analysis over that assignment, once, for the per-stage loads
+    /// and the forwarding decisions.
     pub(crate) fn assemble(dfg: &Dfg, strategy: Strategy, stage_slots: Vec<Vec<Slot>>) -> Self {
-        let stage_ops: Vec<Vec<NodeId>> = stage_slots
-            .iter()
-            .map(|slots| slots.iter().filter_map(|slot| slot.op()).collect())
-            .collect();
-        let placement = stage_ops
-            .iter()
-            .enumerate()
-            .flat_map(|(index, ops)| ops.iter().map(move |&op| (op, index)))
-            .collect();
-        let stages = StageLiveness::compute(dfg, &stage_ops)
-            .into_loads()
+        let (loads, forwarding) = StageLiveness::compute(dfg, &stage_slots).into_parts();
+        let stages = loads
             .into_iter()
             .zip(stage_slots)
             .enumerate()
@@ -123,7 +115,7 @@ impl StageSchedule {
             kernel: dfg.name().to_owned(),
             strategy,
             stages,
-            placement,
+            forwarding,
         }
     }
 
@@ -149,10 +141,8 @@ impl StageSchedule {
 
     /// The stage index an operation node was assigned to, if it was placed.
     pub fn stage_of(&self, node: NodeId) -> Option<usize> {
-        self.placement
-            .iter()
-            .find(|(id, _)| *id == node)
-            .map(|(_, stage)| *stage)
+        let holds = |stage: &&Stage| stage.ops().any(|op| op == node);
+        self.stages.iter().find(holds).map(|stage| stage.index)
     }
 
     /// Total number of operations across all stages.
@@ -252,7 +242,7 @@ mod tests {
         assert_eq!(stage.num_ops(), 2);
         assert_eq!(stage.num_nops(), 1);
         assert_eq!(stage.num_slots(), 3);
-        assert_eq!(stage.ops().len(), 2);
+        assert_eq!(stage.ops().count(), 2);
         assert_eq!(Slot::Nop.op(), None);
     }
 
@@ -266,23 +256,10 @@ mod tests {
         b.output("o", q);
         let dfg = b.build().unwrap();
 
-        let good = StageSchedule {
-            kernel: "t".into(),
-            strategy: Strategy::Asap,
-            stages: vec![
-                Stage {
-                    index: 0,
-                    loads: vec![x, y],
-                    slots: vec![Slot::Op(s)],
-                },
-                Stage {
-                    index: 1,
-                    loads: vec![s],
-                    slots: vec![Slot::Op(q)],
-                },
-            ],
-            placement: vec![(s, 0), (q, 1)],
-        };
+        let stage_slots = vec![vec![Slot::Op(s)], vec![Slot::Op(q)]];
+        let good = StageSchedule::assemble(&dfg, Strategy::Asap, stage_slots);
+        assert_eq!(good.stages[0].loads, [x, y]);
+        assert_eq!(good.stages[1].loads, [s]);
         assert!(good.is_consistent_with(&dfg));
         assert_eq!(good.stage_of(q), Some(1));
         assert_eq!(good.total_ops(), 2);

@@ -9,7 +9,6 @@
 
 use overlay_dfg::{Dfg, NodeId};
 
-use crate::liveness::StageLiveness;
 use crate::stage::{Slot, StageSchedule};
 
 /// A rendered steady-state schedule table.
@@ -81,8 +80,6 @@ pub fn schedule_table(
     num_blocks: usize,
     max_cycles: usize,
 ) -> ScheduleTable {
-    let stage_ops: Vec<Vec<NodeId>> = schedule.stages().iter().map(|s| s.ops()).collect();
-    let liveness = StageLiveness::compute(dfg, &stage_ops);
     let num_stages = schedule.num_stages();
 
     // Cycle at which the first word of block 0 reaches each stage: each
@@ -90,7 +87,7 @@ pub fn schedule_table(
     // has finished forwarding after `#load + 1` cycles.
     let mut offsets = vec![0usize; num_stages];
     for k in 1..num_stages {
-        offsets[k] = offsets[k - 1] + liveness.loads(k - 1).len() + 1;
+        offsets[k] = offsets[k - 1] + schedule.stages()[k - 1].num_loads() + 1;
     }
 
     let mut rows: Vec<Vec<Option<String>>> = vec![vec![None; num_stages]; max_cycles];
@@ -109,13 +106,13 @@ pub fn schedule_table(
         for (stage_index, stage) in schedule.stages().iter().enumerate() {
             let base = offsets[stage_index] + block * ii;
             // Data transfers performed by the input controller.
-            for (j, _value) in liveness.loads(stage_index).iter().enumerate() {
+            for (j, _value) in stage.loads.iter().enumerate() {
                 put(base + 1 + j, stage_index, format!("Load R{j}"));
             }
             // Execution slots start once the block's data is in the register
             // file.
-            let exec_base = base + liveness.loads(stage_index).len() + 1;
-            let mut result_reg = liveness.loads(stage_index).len();
+            let exec_base = base + stage.num_loads() + 1;
+            let mut result_reg = stage.num_loads();
             let mut issued: std::collections::HashMap<NodeId, usize> =
                 std::collections::HashMap::new();
             for (s, slot) in stage.slots.iter().enumerate() {
@@ -128,10 +125,8 @@ pub fn schedule_table(
                             .operands()
                             .iter()
                             .map(|operand| {
-                                if let Some(position) = liveness
-                                    .loads(stage_index)
-                                    .iter()
-                                    .position(|v| v == operand)
+                                if let Some(position) =
+                                    stage.loads.iter().position(|v| v == operand)
                                 {
                                     format!("R{position}")
                                 } else if let Some(&reg) = issued.get(operand) {
