@@ -80,10 +80,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    prepare_request, record_request_spans, with_feeder, BatchConfig, DispatchPolicy,
-    DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, PrepContext,
-    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, SimMemo,
-    SimResults, Submitter, TilePool,
+    compact_outcomes, prepare_request, record_request_spans, with_feeder, BatchConfig,
+    DispatchPolicy, DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey,
+    LoopTables, PrepContext, RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime,
+    RuntimeError, SimMemo, SimResults, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -293,15 +293,17 @@ impl ClusterReport {
 /// Mutable event-loop state (the cluster mirror of the runtime's
 /// `OnlineState`), separate from the `Cluster` so placement and bookkeeping
 /// borrows stay disjoint.
-struct ClusterState {
+struct ClusterState<'t> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
-    taken: Vec<bool>,
+    /// On loan from [`LoopTables`] for the serve, like `acquire_us`,
+    /// `acquire_src`, `exclusions` and `activation_us` below.
+    taken: &'t mut Vec<bool>,
     events: EventQueue,
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults,
+    sim: SimResults<'t>,
     /// The same-kernel batching layer, indexed by global tile id (a no-op
     /// at the default `max_batch = 1`).
     batcher: Batcher,
@@ -310,9 +312,7 @@ struct ClusterState {
     peak_queue_depth: usize,
     queue_area_us: f64,
     last_event_us: f64,
-    /// Per intake index: the acquisition delay resolved at the arrival
-    /// event, charged ahead of the context switch at start.
-    acquire_us: Vec<f64>,
+    acquire_us: &'t mut Vec<f64>,
     /// Per device: high-water mark of that device's waiting count.
     device_peak_queue: Vec<usize>,
     /// Per device: requests routed here but shed by admission control.
@@ -321,8 +321,9 @@ struct ClusterState {
     device_transfers: Vec<(usize, u64)>,
     /// Per device: host image loads.
     device_host_loads: Vec<usize>,
-    /// The span recorder (inert at the default disabled config).
-    recorder: obs::TraceRecorder,
+    /// The span recorder (inert at the default disabled config), on loan
+    /// from `Cluster::trace_scratch` for the serve.
+    recorder: &'t mut obs::TraceRecorder,
     /// The host-time stage profiler (inert unless profiling is on).
     profiler: obs::StageProfiler,
     /// Cluster-wide queue depth sampled at every event pop.
@@ -330,13 +331,8 @@ struct ClusterState {
     /// Per device: latency histogram recorded at charge time, merged into
     /// the cluster total through the histogram merge path.
     device_latency_hists: Vec<obs::LogHistogram>,
-    /// Per intake index: the committed acquisition's `(source, bytes)`,
-    /// carried to the start event for the trace's acquire span.
-    acquire_src: Vec<(&'static str, u64)>,
-    /// Per intake index: devices this request was displaced off by a fault
-    /// — routing avoids them while any other serviceable device exists.
-    /// Empty (and never consulted) on a fault-free serve.
-    exclusions: Vec<ExclusionSet>,
+    acquire_src: &'t mut Vec<(&'static str, u64)>,
+    exclusions: &'t mut Vec<ExclusionSet>,
     /// Per global tile: the intake index currently running there.
     /// Maintained only under a fault plan (kills must know what to
     /// abandon).
@@ -349,11 +345,7 @@ struct ClusterState {
     /// [`Cluster::serve_pipelines`] multi-stage path. `None` — every other
     /// serve — keeps each session branch off the hot path.
     session: Option<SessionDriver>,
-    /// Per intake index: the inter-stage activation delay priced at the
-    /// routing commit, charged ahead of the context switch at start. All
-    /// zero (and bitwise-free at the charge sites) without a session
-    /// driver.
-    activation_us: Vec<f64>,
+    activation_us: &'t mut Vec<f64>,
     /// Per device: the windowed-telemetry lane partition (inert at the
     /// default disabled config). Request commits accumulate in per-device
     /// commit order — the order this loop on one device shares with
@@ -407,6 +399,8 @@ pub struct Cluster {
     /// its warmed pages) amortize instead of being re-faulted per serve —
     /// same idiom as `Runtime::trace_scratch`.
     trace_scratch: obs::TraceRecorder,
+    /// The per-intake tables, kept likewise and empty between serves.
+    tables: LoopTables,
     profiling: bool,
     tiles_per_device: usize,
     /// The installed fault schedule, if any ([`Cluster::with_fault_plan`]).
@@ -474,6 +468,7 @@ impl Cluster {
             replication: ReplicationConfig::disabled(),
             tracing: obs::TraceConfig::disabled(),
             trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
+            tables: LoopTables::default(),
             profiling: false,
             tiles_per_device,
             fault_plan: None,
@@ -740,7 +735,8 @@ impl Cluster {
 
     /// Serves a pre-collected trace, exactly as
     /// [`serve_stream`](Cluster::serve_stream) would serve it live (same
-    /// semantics as [`Runtime::serve`]).
+    /// semantics as [`Runtime::serve`], including the per-intake tables
+    /// kept, emptied, between serves under the same 4× rule).
     ///
     /// # Errors
     ///
@@ -1564,7 +1560,7 @@ impl Cluster {
                 fault.lost_work_us[device] += (now_us - outcome.start_us).max(0.0);
                 self.displace(index, device, now_us, intake, state);
             }
-            for index in state.queues[tile].drain_live(&state.taken) {
+            for index in state.queues[tile].drain_live(state.taken) {
                 if let Some(driver) = &mut state.session {
                     // The displaced stage leaves the queue; its session's
                     // fair-admission share frees up until the requeue
@@ -1595,7 +1591,7 @@ impl Cluster {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
             let tile = base + local;
-            for index in state.queues[tile].drain_live(&state.taken) {
+            for index in state.queues[tile].drain_live(state.taken) {
                 if let Some(driver) = &mut state.session {
                     // The displaced stage leaves the queue; its session's
                     // fair-admission share frees up until the requeue
@@ -1684,8 +1680,9 @@ impl Cluster {
         }
     }
 
-    /// The shared serve body: resets per-serve state, runs the cluster
-    /// event loop over `ingest` and folds the output into a report.
+    /// The shared serve body: resets per-serve state, lends the recycled
+    /// tables and the warm trace recorder to the cluster event loop, folds
+    /// its output into a report and takes both back on every exit path.
     fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
         // Validate and arm the fault schedule before the loop starts.
         // An installed-but-empty plan still builds a `FaultState`, so the
@@ -1705,72 +1702,91 @@ impl Cluster {
         }
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
+        let mut tables = std::mem::take(&mut self.tables);
+        let mut recorder = self.trace_scratch.take_warm(self.tracing);
 
-        let mut output = self.event_loop(ingest)?;
+        let output = self.event_loop(ingest, &mut tables, &mut recorder);
+        let report = output.map(|mut output| {
+            let cache_deltas: Vec<CacheStats> = self
+                .devices
+                .iter()
+                .zip(&cache_before)
+                .map(|(device, &before)| device.cache.stats().since(before))
+                .collect();
+            let sim_memo = self.sim_memo.stats().since(memo_before);
+            let (metrics, devices) =
+                self.aggregate(&mut output, &mut tables.latencies, &cache_deltas, sim_memo);
+            ClusterReport {
+                policy: self.policy(),
+                route: self.route,
+                replication: output.replication,
+                trace: output.trace,
+                profile: output.profile,
+                telemetry: output.telemetry,
+                slo: output.slo,
+                outcomes: output.outcomes,
+                rejected: output.rejected,
+                metrics,
+                devices,
+            }
+        });
 
-        let cache_deltas: Vec<CacheStats> = self
-            .devices
-            .iter()
-            .zip(&cache_before)
-            .map(|(device, &before)| device.cache.stats().since(before))
-            .collect();
-        let sim_memo = self.sim_memo.stats().since(memo_before);
-        let (metrics, devices) = self.aggregate(&mut output, &cache_deltas, sim_memo);
-        Ok(ClusterReport {
-            policy: self.policy(),
-            route: self.route,
-            replication: output.replication,
-            trace: output.trace,
-            profile: output.profile,
-            telemetry: output.telemetry,
-            slo: output.slo,
-            outcomes: output.outcomes,
-            rejected: output.rejected,
-            metrics,
-            devices,
-        })
+        tables.release(report.is_ok());
+        self.tables = tables;
+        self.trace_scratch = recorder;
+        report
     }
 
     /// The cluster's discrete-event core — [`Runtime`]'s event loop with a
     /// device-routing step (and the acquisition charge) spliced between
     /// arrival and tile placement. Decision order is identical, which is
     /// what makes the 1-device cluster bitwise equivalent.
-    fn event_loop(&mut self, mut ingest: Ingest) -> Result<ClusterLoopOutput, RuntimeError> {
+    fn event_loop(
+        &mut self,
+        mut ingest: Ingest,
+        tables: &mut LoopTables,
+        recorder: &mut obs::TraceRecorder,
+    ) -> Result<ClusterLoopOutput, RuntimeError> {
         let mut ctx = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
         let policy = self.policy();
         let expected = ingest.expected();
-        let mut intake: Vec<InFlight> = Vec::with_capacity(expected);
+        tables.reserve(expected);
+        tables.acquire_us.reserve(expected);
+        tables.acquire_src.reserve(expected);
+        tables.exclusions.reserve(expected);
+        tables.activation_us.reserve(expected);
+        let intake = &mut tables.intake;
         let mut state = ClusterState {
             queues: (0..total_tiles)
                 .map(|_| TileQueue::new(policy, self.batching.enabled()))
                 .collect(),
-            taken: Vec::with_capacity(expected),
+            taken: &mut tables.taken,
             events: EventQueue::new(),
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(self.variant(), expected),
+            sim: SimResults::new(self.variant(), &mut tables.ready),
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
-            acquire_us: Vec::with_capacity(expected),
+            acquire_us: &mut tables.acquire_us,
             device_peak_queue: vec![0; devices],
             device_rejects: vec![0; devices],
             device_transfers: vec![(0, 0); devices],
             device_host_loads: vec![0; devices],
-            recorder: self.trace_scratch.take_warm(self.tracing),
+            recorder,
             profiler: obs::StageProfiler::new(self.profiling),
             queue_depth_hist: obs::LogHistogram::new(),
             device_latency_hists: vec![obs::LogHistogram::new(); devices],
-            acquire_src: Vec::with_capacity(expected),
-            exclusions: Vec::with_capacity(expected),
+            acquire_src: &mut tables.acquire_src,
+            exclusions: &mut tables.exclusions,
             running_index: vec![None; total_tiles],
             pending_free: vec![None; total_tiles],
             session: self.session_driver.take(),
-            activation_us: Vec::with_capacity(expected),
+            activation_us: &mut tables.activation_us,
             lane_series: (0..devices)
                 .map(|_| obs::LaneSeries::new(self.telemetry))
                 .collect(),
@@ -1809,7 +1825,7 @@ impl Cluster {
                 pull.pull(
                     &mut ingest,
                     events,
-                    &mut intake,
+                    intake,
                     |request| {
                         // The kernel's home shard is its compile authority:
                         // the artifact is built (or found) in the home
@@ -1887,7 +1903,7 @@ impl Cluster {
                             ArrivalAction::Park => continue,
                             ArrivalAction::Reject => {
                                 self.reject_unroutable(index, info, now_us, &mut state);
-                                self.cascade_stage_reject(index, now_us, &intake, &mut state);
+                                self.cascade_stage_reject(index, now_us, intake, &mut state);
                                 continue;
                             }
                         }
@@ -1902,12 +1918,12 @@ impl Cluster {
                             info,
                             now_us,
                             &state.exclusions[index],
-                            &mut state.recorder,
+                            state.recorder,
                         )
                     } else {
-                        Some(self.route_device(info, now_us, &mut state.recorder))
+                        Some(self.route_device(info, now_us, state.recorder))
                     };
-                    self.place_routed(index, routed, route, true, &intake, &mut state)?;
+                    self.place_routed(index, routed, route, true, intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
                     let device = tile / self.tiles_per_device;
@@ -1930,16 +1946,16 @@ impl Cluster {
                             // The stage-completion edge: record the
                             // producer and re-arrive any successors whose
                             // inputs are now all ready.
-                            self.note_stage_complete(index, device, now_us, &intake, &mut state);
+                            self.note_stage_complete(index, device, now_us, intake, &mut state);
                         }
                     }
                     self.devices[device].release(local_tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next(device, local_tile, &intake, &mut state);
+                        self.start_next(device, local_tile, intake, &mut state);
                     }
                 }
                 EventKind::Fault { fault } => {
-                    self.apply_fault(fault, now_us, &intake, &mut state);
+                    self.apply_fault(fault, now_us, intake, &mut state);
                 }
                 EventKind::Requeue { index } => {
                     // A displaced request re-enters routing. It was already
@@ -1951,9 +1967,9 @@ impl Cluster {
                         &intake[index],
                         now_us,
                         &state.exclusions[index],
-                        &mut state.recorder,
+                        state.recorder,
                     );
-                    self.place_routed(index, routed, route, false, &intake, &mut state)?;
+                    self.place_routed(index, routed, route, false, intake, &mut state)?;
                 }
             }
         }
@@ -1962,7 +1978,7 @@ impl Cluster {
             return Err(RuntimeError::NoRequests);
         }
         let events_fired = state.events.fired();
-        let outcomes: Vec<RequestOutcome> = state.outcome_slots.into_iter().flatten().collect();
+        let outcomes = compact_outcomes(state.outcome_slots);
         debug_assert_eq!(
             outcomes.len() + state.rejected.len(),
             intake.len(),
@@ -1977,20 +1993,18 @@ impl Cluster {
                 &state.lane_series,
             )
         });
-        let mut recorder = state.recorder;
+        let recorder = state.recorder;
         let slo = match (&telemetry, self.slo.is_enabled()) {
             (Some(series), true) => {
                 let report = obs::evaluate_slo(series, &self.slo);
-                obs::record_burn_spans(&mut recorder, &report);
+                obs::record_burn_spans(recorder, &report);
                 Some(report)
             }
             _ => None,
         };
         let trace = recorder.finish();
-        // Hand the drained recorder (and its warm ring allocation) back to
-        // the cluster for the next serve, and the session driver back to
-        // `serve_pipelines` for the pipeline-level report.
-        self.trace_scratch = recorder;
+        // Hand the session driver back to `serve_pipelines` for the
+        // pipeline-level report.
         self.session_driver = state.session.take();
         Ok(ClusterLoopOutput {
             outcomes,
@@ -2191,7 +2205,7 @@ impl Cluster {
         let scan = state.profiler.begin();
         let queue = &mut state.queues[tile];
         let resident = self.devices[device].pool.states()[local_tile].resident;
-        let choice = queue.peek_next(resident, &state.taken);
+        let choice = queue.peek_next(resident, state.taken);
         // The deadline-feasibility guard must see what the choice will
         // actually be charged: its switch *plus* the image-acquisition and
         // activation-transfer delays committed at its arrival (both always
@@ -2210,7 +2224,7 @@ impl Cluster {
             intake[choice].request.arrival_us,
             |key| {
                 queue
-                    .oldest_for_kernel(key, &state.taken)
+                    .oldest_for_kernel(key, state.taken)
                     .map(|i| (i, intake[i].view.est_exec_us))
             },
         );
@@ -2221,11 +2235,11 @@ impl Cluster {
             state.batcher.note_stage_batched();
         }
         let index = diverted.unwrap_or(choice);
-        queue.take(index, &mut state.taken);
+        queue.take(index, state.taken);
         if let Some(driver) = &mut state.session {
             driver.note_dequeued(index);
         }
-        let remaining_tail = queue.tail_key(&state.taken);
+        let remaining_tail = queue.tail_key(state.taken);
         let est_us = intake[index].view.est_exec_us;
         state.profiler.end(obs::Stage::Scan, scan);
         self.start_request(
@@ -2289,7 +2303,7 @@ impl Cluster {
                 None
             };
             record_request_spans(
-                &mut state.recorder,
+                state.recorder,
                 (device, local_tile),
                 info,
                 &charged,
@@ -2357,6 +2371,7 @@ impl Cluster {
     fn aggregate(
         &self,
         output: &mut ClusterLoopOutput,
+        latencies: &mut Vec<f64>,
         cache_deltas: &[CacheStats],
         sim_memo: CacheStats,
     ) -> (RuntimeMetrics, Vec<DeviceMetrics>) {
@@ -2369,7 +2384,7 @@ impl Cluster {
         let mut max_latency_us = 0.0_f64;
         let mut deadline_misses = 0usize;
         let mut deadline_requests = 0usize;
-        let mut latencies: Vec<f64> = Vec::with_capacity(requests);
+        latencies.reserve(requests);
         let mut device_latencies: Vec<Vec<f64>> = vec![Vec::new(); devices];
         let mut device_latency_sum = vec![0.0_f64; devices];
         let mut device_max_latency = vec![0.0_f64; devices];
@@ -2390,8 +2405,8 @@ impl Cluster {
             device_deadline_misses[device] += usize::from(outcome.missed_deadline);
             device_deadline_requests[device] += usize::from(outcome.deadline_us.is_some());
         }
-        let p50_latency_us = metrics::percentile_by_selection(&mut latencies, 0.50);
-        let p99_latency_us = metrics::percentile_by_selection(&mut latencies, 0.99);
+        let p50_latency_us = metrics::percentile_by_selection(latencies, 0.50);
+        let p99_latency_us = metrics::percentile_by_selection(latencies, 0.99);
         let mean_latency_us = latency_sum / requests.max(1) as f64;
         let per_second = if makespan_us > 0.0 {
             1.0e6 / makespan_us
@@ -2501,6 +2516,7 @@ mod tests {
     use crate::{KernelSpec, Request};
     use overlay_frontend::Benchmark;
     use overlay_sim::Workload;
+    use std::sync::Arc;
 
     fn benchmark_trace(count: usize, blocks: usize) -> Vec<Request> {
         let suite = [
@@ -3007,5 +3023,200 @@ mod tests {
             cluster.serve_pipelines(vec![cyclic], &[]),
             Err(RuntimeError::InvalidPipeline { pipeline: 3, .. })
         ));
+    }
+
+    /// A warm-able trace: four kernels, three workloads each, arrivals far
+    /// closer than a run lasts (so queues form), a deadline on every fifth.
+    fn repeating_trace(count: usize) -> Vec<Request> {
+        let suite = [
+            Benchmark::Gradient,
+            Benchmark::Chebyshev,
+            Benchmark::Qspline,
+            Benchmark::Poly5,
+        ]
+        .map(|benchmark| {
+            let inputs = benchmark.dfg().unwrap().num_inputs();
+            let workloads = [1, 2, 3].map(|seed| Workload::random(inputs, 2, seed));
+            (KernelSpec::from_benchmark(benchmark).unwrap(), workloads)
+        });
+        (0..count)
+            .map(|i| {
+                let (kernel, workloads) = &suite[i % suite.len()];
+                let arrival_us = i as f64 * 0.02;
+                let request = Request::new(i as u64, kernel.clone(), workloads[i % 3].clone());
+                match i % 5 {
+                    0 => request.at(arrival_us).with_deadline(arrival_us + 2.0),
+                    _ => request.at(arrival_us),
+                }
+            })
+            .collect()
+    }
+
+    /// Everything a serve decided and computed: outcomes (with their
+    /// outputs) and rejects in report order, and the metrics.
+    fn decided(
+        outcomes: &[RequestOutcome],
+        rejected: &[RejectedRequest],
+        metrics: &RuntimeMetrics,
+    ) -> (String, RuntimeMetrics) {
+        (format!("{outcomes:?}\n{rejected:?}"), metrics.clone())
+    }
+
+    fn runtime_decided(report: &crate::ServeReport) -> (String, RuntimeMetrics) {
+        decided(report.outcomes(), report.rejected(), report.metrics())
+    }
+
+    /// [`decided`] plus the per-device breakdown — minus the per-device
+    /// split of compile-cache lookups, which on a streamed serve follows
+    /// ingest timing (the totals do not).
+    fn cluster_decided(report: &ClusterReport) -> (String, RuntimeMetrics, Vec<DeviceMetrics>) {
+        let (requests, metrics) = decided(report.outcomes(), report.rejected(), report.metrics());
+        let devices = report
+            .device_metrics()
+            .iter()
+            .map(|device| DeviceMetrics {
+                cache: CacheStats::default(),
+                ..device.clone()
+            })
+            .collect();
+        (requests, metrics, devices)
+    }
+
+    /// The admitted ids of `trace`, in intake order.
+    fn admitted_ids(trace: &[Request], rejected: &[RejectedRequest]) -> Vec<u64> {
+        trace
+            .iter()
+            .map(|request| request.id)
+            .filter(|id| rejected.iter().all(|reject| reject.id != *id))
+            .collect()
+    }
+
+    /// Serves a long trace, a short one, the long one under a tight
+    /// admission limit (so the in-place compaction meets `None` slots) and
+    /// a stream of doubly-submitted shared requests on one `$build`, each
+    /// report held to the one a twin returns that lives through the same
+    /// serves (its kernel-image stores and memo are as warm) but has its
+    /// tables thrown away before each.
+    macro_rules! reused_tables_match_fresh_ones {
+        ($build:expr, $decided:ident) => {{
+            let long = repeating_trace(2_000);
+            let short = repeating_trace(300);
+            let (mut reused, mut twin) = ($build, $build);
+            for trace in [&long, &short] {
+                let report = reused.serve(trace.clone()).unwrap();
+                twin.tables = LoopTables::default();
+                assert_eq!(
+                    $decided(&report),
+                    $decided(&twin.serve(trace.clone()).unwrap())
+                );
+                assert!(report.rejected().is_empty());
+                let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+                assert_eq!(ids, admitted_ids(trace, &[]), "intake order");
+            }
+
+            let mut reused = reused.with_admission_limit(4);
+            let mut twin = twin.with_admission_limit(4);
+            let report = reused.serve(long.clone()).unwrap();
+            twin.tables = LoopTables::default();
+            assert_eq!(
+                $decided(&report),
+                $decided(&twin.serve(long.clone()).unwrap())
+            );
+            assert!(!report.rejected().is_empty() && !report.outcomes().is_empty());
+            let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+            assert_eq!(ids, admitted_ids(&long, report.rejected()), "intake order");
+
+            // The producer keeps its share of every request and submits
+            // each twice: the loop has to copy out of the `Arc`.
+            let shared: Vec<Arc<Request>> = short.iter().cloned().map(Arc::new).collect();
+            let feed = |submitter: Submitter| {
+                for request in &shared {
+                    submitter.submit(Arc::clone(request)).unwrap();
+                    submitter.submit(Arc::clone(request)).unwrap();
+                }
+            };
+            let mut reused = reused.with_admission_limit(usize::MAX);
+            let mut twin = twin.with_admission_limit(usize::MAX);
+            let report = reused.serve_stream(feed).unwrap();
+            twin.tables = LoopTables::default();
+            assert_eq!(
+                $decided(&report),
+                $decided(&twin.serve_stream(feed).unwrap())
+            );
+            let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+            let twice: Vec<u64> = short.iter().flat_map(|r| [r.id, r.id]).collect();
+            assert_eq!(ids, twice, "intake order");
+            assert!(
+                shared.iter().all(|request| Arc::strong_count(request) == 1),
+                "nothing of a request outlives its serve"
+            );
+        }};
+    }
+
+    #[test]
+    fn recycled_tables_carry_nothing_from_one_serve_to_the_next() {
+        reused_tables_match_fresh_ones!(Runtime::new(FuVariant::V4, 3).unwrap(), runtime_decided);
+        reused_tables_match_fresh_ones!(
+            Cluster::new(FuVariant::V4, 1, 3).unwrap(),
+            cluster_decided
+        );
+        reused_tables_match_fresh_ones!(
+            Cluster::new(FuVariant::V4, 4, 2)
+                .unwrap()
+                .with_route_policy(RoutePolicy::LeastLoaded),
+            cluster_decided
+        );
+    }
+
+    #[test]
+    fn retained_table_capacity_follows_the_four_times_rule() {
+        const BIG: usize = 50_000;
+        const SMALL: usize = 100;
+        let capacities = |t: &LoopTables| {
+            [
+                t.intake.capacity(),
+                t.taken.capacity(),
+                t.ready.capacity(),
+                t.latencies.capacity(),
+                t.acquire_us.capacity(),
+                t.acquire_src.capacity(),
+                t.exclusions.capacity(),
+                t.activation_us.capacity(),
+            ]
+        };
+        let mut runtime = Runtime::new(FuVariant::V4, 8).unwrap();
+        let mut cluster = Cluster::new(FuVariant::V4, 2, 4).unwrap();
+        assert_eq!(capacities(&runtime.tables), [0; 8], "nothing up front");
+        assert_eq!(capacities(&cluster.tables), [0; 8], "nothing up front");
+
+        runtime.serve(repeating_trace(BIG)).unwrap();
+        cluster.serve(repeating_trace(BIG)).unwrap();
+        let kept = capacities(&runtime.tables);
+        assert!(
+            kept[..4].iter().all(|&capacity| capacity >= BIG),
+            "{kept:?}"
+        );
+        assert_eq!(kept[4..], [0; 4], "a runtime never touches the cluster's");
+        let kept = capacities(&cluster.tables);
+        assert!(kept.iter().all(|&capacity| capacity >= BIG), "{kept:?}");
+
+        for _ in 0..2 {
+            runtime.serve(repeating_trace(SMALL)).unwrap();
+            cluster.serve(repeating_trace(SMALL)).unwrap();
+            for kept in [capacities(&runtime.tables), capacities(&cluster.tables)] {
+                assert!(
+                    kept.iter().all(|&capacity| capacity <= 4 * SMALL),
+                    "{kept:?}"
+                );
+            }
+        }
+        // Within the slack nothing is given back: a serve of a third the
+        // size keeps the tables the larger one grew.
+        let before = capacities(&cluster.tables);
+        cluster.serve(repeating_trace(SMALL / 3)).unwrap();
+        assert_eq!(capacities(&cluster.tables), before);
+        // A failed serve says nothing about what is worth keeping.
+        assert!(cluster.serve(Vec::new()).is_err());
+        assert_eq!(capacities(&cluster.tables), before);
     }
 }

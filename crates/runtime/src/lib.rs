@@ -12,7 +12,9 @@
 //!   [`Runtime::serve_stream`] accepts requests as they are produced, with
 //!   backpressure when the ingest buffer fills and an admission-control
 //!   reject path when tile queues overflow. Requests stream as
-//!   [`Arc<Request>`] — no workload is ever deep-cloned on the way in;
+//!   [`Arc<Request>`] — no workload is ever deep-cloned on the way in — and
+//!   reach the loop by value (a batch [`Runtime::serve`] moves them straight
+//!   off the trace);
 //! * a virtual-time **event loop** ([`event`]) — every dispatch decision
 //!   happens at an arrival or tile-free event against live per-tile queue
 //!   state, never with knowledge of the future trace;
@@ -317,7 +319,7 @@ pub(crate) fn prepare_request(
     lower: &LowerOptions,
     reconfig: &ReconfigModel,
     ctx: &mut PrepContext,
-    request: Arc<Request>,
+    request: Request,
 ) -> Result<InFlight, RuntimeError> {
     let key = KernelKey {
         fingerprint: request.kernel.fingerprint(),
@@ -392,9 +394,12 @@ pub(crate) fn prepare_request(
 
 /// Everything the loop derives for a request when it is streamed in: the
 /// dispatch view (kernel identity + modeled costs) is computed once here and
-/// reused at every event the request participates in.
+/// reused at every event the request participates in. The request is held
+/// by value — moved off the batch or out of the stream's `Arc` — so a record
+/// is one row of the intake table with no allocation of its own.
+#[derive(Debug)]
 pub(crate) struct InFlight {
-    pub(crate) request: Arc<Request>,
+    pub(crate) request: Request,
     pub(crate) sim_key: SimKey,
     pub(crate) compiled: Arc<CompiledKernel>,
     pub(crate) fmax_mhz: f64,
@@ -488,23 +493,99 @@ where
     })
 }
 
+/// How far above what a serve used a recycled table's capacity may end
+/// before it is cut back to that: serves of similar size never reallocate,
+/// one outsized serve does not pin its footprint for the instance's life.
+const RETAINED_SLACK: usize = 4;
+
+/// Empties `table` for the next serve, keeping its storage unless the serve
+/// that just `completed` used under a quarter of it.
+fn recycle<T>(table: &mut Vec<T>, completed: bool) {
+    let used = table.len();
+    table.clear();
+    if completed && table.capacity() > RETAINED_SLACK * used {
+        table.shrink_to(used);
+    }
+}
+
+/// The tables a serve indexes by intake position (and the latency scratch
+/// its aggregation sorts). They belong to the [`Runtime`]/[`Cluster`], not
+/// to the serve: a serve takes them, reserves room for the submissions it
+/// knows are coming and hands them back emptied on every exit path, so a
+/// warm serve neither allocates them nor first-touches their pages again.
+/// A plain [`Runtime`] leaves the cluster-only ones unallocated.
+#[derive(Debug, Default)]
+pub(crate) struct LoopTables {
+    pub(crate) intake: Vec<InFlight>,
+    /// Per intake index: logically removed from its tile queue (the ordered
+    /// structures drop flagged entries lazily).
+    pub(crate) taken: Vec<bool>,
+    /// Per intake index: the simulation sourced at admission ([`SimResults`]).
+    pub(crate) ready: Vec<Option<Arc<SimRun>>>,
+    /// Per outcome: the latencies `aggregate` selects percentiles from.
+    pub(crate) latencies: Vec<f64>,
+    /// Cluster only, per intake index: the image-acquisition delay resolved
+    /// at arrival and its `(source, bytes)` for the acquire span.
+    pub(crate) acquire_us: Vec<f64>,
+    pub(crate) acquire_src: Vec<(&'static str, u64)>,
+    /// Cluster only, per intake index: devices a fault displaced the request
+    /// off — routing avoids them while any other serviceable device exists.
+    pub(crate) exclusions: Vec<route::ExclusionSet>,
+    /// Cluster only, per intake index: the inter-stage activation delay
+    /// priced at the routing commit (all zero without a session driver).
+    pub(crate) activation_us: Vec<f64>,
+}
+
+impl LoopTables {
+    /// Room for `expected` submissions in the tables both loops index.
+    pub(crate) fn reserve(&mut self, expected: usize) {
+        self.intake.reserve(expected);
+        self.taken.reserve(expected);
+        self.ready.reserve(expected);
+    }
+
+    /// Drops what the serve left in the tables and keeps their storage for
+    /// the next one; only a serve that `completed` says how much of it is
+    /// worth keeping ([`RETAINED_SLACK`]), a failed one stopped short.
+    pub(crate) fn release(&mut self, completed: bool) {
+        recycle(&mut self.intake, completed);
+        recycle(&mut self.taken, completed);
+        recycle(&mut self.ready, completed);
+        recycle(&mut self.latencies, completed);
+        recycle(&mut self.acquire_us, completed);
+        recycle(&mut self.acquire_src, completed);
+        recycle(&mut self.exclusions, completed);
+        recycle(&mut self.activation_us, completed);
+    }
+}
+
+/// Compacts the per-intake outcome slots (a rejected request left its slot
+/// `None`) into the report's outcomes inside the slots' own allocation:
+/// each outcome is written once, into the table that leaves with the report.
+pub(crate) fn compact_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<RequestOutcome> {
+    // `filter_map`, not `flatten`: only the former collects in place (both
+    // element types are 144 bytes; `tests/allocs.rs` pins the reuse).
+    #[allow(clippy::filter_map_identity)]
+    slots.into_iter().filter_map(|slot| slot).collect()
+}
+
 /// Sim results as the event loop consumes them: an admitted request's
 /// (placement-independent) simulation is sourced at admission — answered
 /// from the memo or run there and then on the loop's own thread — and parked
 /// in the request's slot until a tile is about to execute it.
-pub(crate) struct SimResults {
+pub(crate) struct SimResults<'t> {
     simulator: OverlaySimulator,
     /// One slot per intake index — no hashing on the hot path.
-    ready: Vec<Option<Arc<SimRun>>>,
+    ready: &'t mut Vec<Option<Arc<SimRun>>>,
 }
 
-impl SimResults {
-    /// A fresh result tracker for a serve of `expected` requests (0 when
-    /// unknown) on tiles of `variant`.
-    pub(crate) fn new(variant: FuVariant, expected: usize) -> Self {
+impl<'t> SimResults<'t> {
+    /// A result tracker over the (empty) recycled slot table `ready`, for a
+    /// serve on tiles of `variant`.
+    pub(crate) fn new(variant: FuVariant, ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
         SimResults {
             simulator: OverlaySimulator::new(variant).with_trace_capacity(0),
-            ready: Vec::with_capacity(expected),
+            ready,
         }
     }
 
@@ -566,7 +647,10 @@ impl SimResults {
 
 /// Where the event loop pulls submissions from: a live bounded channel
 /// (streaming serves) or the pre-collected trace itself (batch serves skip
-/// the channel and its per-request synchronization entirely).
+/// the channel and its per-request synchronization entirely). Either way
+/// the loop receives each [`Request`] by value: a batch request moves off
+/// the trace, a streamed one out of its `Arc` — or, when the submitter kept
+/// a share, is cloned shallowly (three reference-count bumps).
 pub(crate) enum Ingest {
     Stream(mpsc::Receiver<Arc<Request>>),
     Batch(std::vec::IntoIter<Request>),
@@ -584,10 +668,10 @@ impl Ingest {
 
     /// Blocking pull of the next submission; `None` means the trace is
     /// complete.
-    pub(crate) fn recv(&mut self) -> Option<Arc<Request>> {
+    pub(crate) fn recv(&mut self) -> Option<Request> {
         match self {
-            Ingest::Stream(rx) => rx.recv().ok(),
-            Ingest::Batch(iter) => iter.next().map(Arc::new),
+            Ingest::Stream(rx) => rx.recv().ok().map(Arc::unwrap_or_clone),
+            Ingest::Batch(iter) => iter.next(),
         }
     }
 
@@ -596,9 +680,9 @@ impl Ingest {
     /// channel synchronization per request. Batch ingest always answers
     /// `None`: with no channel to amortize, pulling strictly by the horizon
     /// rule keeps the event heap small.
-    pub(crate) fn try_recv(&mut self) -> Option<Arc<Request>> {
+    pub(crate) fn try_recv(&mut self) -> Option<Request> {
         match self {
-            Ingest::Stream(rx) => rx.try_recv().ok(),
+            Ingest::Stream(rx) => rx.try_recv().ok().map(Arc::unwrap_or_clone),
             Ingest::Batch(_) => None,
         }
     }
@@ -642,7 +726,7 @@ impl SubmissionPull {
         mut grow_slots: G,
     ) -> Result<(), RuntimeError>
     where
-        P: FnMut(Arc<Request>) -> Result<InFlight, RuntimeError>,
+        P: FnMut(Request) -> Result<InFlight, RuntimeError>,
         G: FnMut(&InFlight),
     {
         while self.ingest_open
@@ -689,24 +773,26 @@ impl SubmissionPull {
 
 /// Mutable event-loop state, separate from the `Runtime` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint.
-struct OnlineState {
+struct OnlineState<'t> {
     /// The per-tile waiting queues, ordered for the dispatch policy.
     queues: Vec<TileQueue>,
-    /// Per intake index: logically removed from its tile queue (the ordered
-    /// structures drop flagged entries lazily).
-    taken: Vec<bool>,
+    /// [`LoopTables::taken`], on loan for the serve.
+    taken: &'t mut Vec<bool>,
     events: EventQueue,
+    /// Per intake index: the outcome written at the request's start. The one
+    /// table a serve allocates: it leaves with the report ([`compact_outcomes`]).
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
-    sim: SimResults,
+    sim: SimResults<'t>,
     /// The same-kernel batching layer over the tile-free queue drain (a
     /// no-op at the default `max_batch = 1`).
     batcher: Batcher,
     peak_queue_depth: usize,
     queue_area_us: f64,
     last_event_us: f64,
-    /// Request-span recorder (inert under the default disabled config).
-    recorder: obs::TraceRecorder,
+    /// Request-span recorder (inert under the default disabled config), on
+    /// loan from [`Runtime::trace_scratch`] for the serve.
+    recorder: &'t mut obs::TraceRecorder,
     /// Host-time stage timers (inert unless profiling was enabled).
     profiler: obs::StageProfiler,
     /// Online latency histogram, recorded as requests complete.
@@ -753,8 +839,10 @@ pub struct Runtime {
     tracing: obs::TraceConfig,
     /// Recorder kept across serves so the ring's backing allocation (and
     /// its warmed pages) amortize instead of being re-faulted per serve.
-    /// Swapped into the event loop's state and back out at serve end.
+    /// Lent to the event loop's state and handed back at serve end.
     trace_scratch: obs::TraceRecorder,
+    /// The per-intake tables, kept likewise and empty between serves.
+    tables: LoopTables,
     profiling: bool,
     telemetry: obs::TelemetryConfig,
     slo: obs::SloConfig,
@@ -800,6 +888,7 @@ impl Runtime {
             batching: BatchConfig::disabled(),
             tracing: obs::TraceConfig::disabled(),
             trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
+            tables: LoopTables::default(),
             profiling: false,
             telemetry: obs::TelemetryConfig::disabled(),
             slo: obs::SloConfig::disabled(),
@@ -989,10 +1078,22 @@ impl Runtime {
     /// but straight off the trace, with no ingest channel or feeder thread
     /// in between. Pass `trace.clone()` to keep a trace for a later replay.
     ///
+    /// Each request moves, by value, into a row of the runtime's intake
+    /// table. That table and the others indexed by intake position belong
+    /// to the runtime, not to the serve: they come back empty — nothing a
+    /// request carried outlives its serve, on success or error — but keep
+    /// their storage, so the one allocation of a warm serve that grows with
+    /// the trace is the report's outcomes. A table that ends a completed
+    /// serve with over four times the capacity the serve used is cut back
+    /// to that: serves of similar size never reallocate, one outsized serve
+    /// pins its footprint only until the next ordinary one, and since
+    /// nothing about a caller changes that trade the factor is not a knob.
+    ///
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] for an empty trace, invalid or
-    /// out-of-order arrival times, or any compile/simulation failure.
+    /// out-of-order arrival times, or any compile/simulation failure. A
+    /// failed serve leaves the runtime as warm as it found it.
     pub fn serve<I>(&mut self, requests: I) -> Result<ServeReport, RuntimeError>
     where
         I: IntoIterator<Item = Request>,
@@ -1025,29 +1126,39 @@ impl Runtime {
         with_feeder(self.ingest_capacity, feed, |ingest| self.run_serve(ingest))
     }
 
-    /// The shared serve body: resets per-serve state, runs the event loop
-    /// over `ingest` and folds the output into a report.
+    /// The shared serve body: resets per-serve state, lends the recycled
+    /// tables and the warm trace recorder to the event loop, folds its output
+    /// into a report and takes both back on every exit path — a serve that
+    /// fails costs the next one nothing.
     fn run_serve(&mut self, ingest: Ingest) -> Result<ServeReport, RuntimeError> {
         self.pool.reset();
         self.dispatcher.reset();
         let cache_before = self.cache.stats();
         let memo_before = self.sim_memo.stats();
+        let mut tables = std::mem::take(&mut self.tables);
+        let mut recorder = self.trace_scratch.take_warm(self.tracing);
 
-        let mut output = self.event_loop(ingest)?;
+        let output = self.event_loop(ingest, &mut tables, &mut recorder);
+        let report = output.map(|mut output| {
+            let cache = self.cache.stats().since(cache_before);
+            let sim_memo = self.sim_memo.stats().since(memo_before);
+            let metrics = self.aggregate(&mut output, &mut tables.latencies, cache, sim_memo);
+            ServeReport {
+                policy: self.dispatcher.policy(),
+                outcomes: output.outcomes,
+                rejected: output.rejected,
+                metrics,
+                trace: output.trace,
+                profile: output.profile,
+                telemetry: output.telemetry,
+                slo: output.slo,
+            }
+        });
 
-        let cache = self.cache.stats().since(cache_before);
-        let sim_memo = self.sim_memo.stats().since(memo_before);
-        let metrics = self.aggregate(&mut output, cache, sim_memo);
-        Ok(ServeReport {
-            policy: self.dispatcher.policy(),
-            outcomes: output.outcomes,
-            rejected: output.rejected,
-            metrics,
-            trace: output.trace,
-            profile: output.profile,
-            telemetry: output.telemetry,
-            slo: output.slo,
-        })
+        tables.release(report.is_ok());
+        self.tables = tables;
+        self.trace_scratch = recorder;
+        report
     }
 
     /// The discrete-event core: pulls submissions from `ingest`, fires
@@ -1059,25 +1170,31 @@ impl Runtime {
     /// been received (or the channel has closed, `h = ∞`), every pending
     /// event at time ≤ `h` can fire without being preempted by a
     /// still-unseen arrival.
-    fn event_loop(&mut self, mut ingest: Ingest) -> Result<LoopOutput, RuntimeError> {
+    fn event_loop(
+        &mut self,
+        mut ingest: Ingest,
+        tables: &mut LoopTables,
+        recorder: &mut obs::TraceRecorder,
+    ) -> Result<LoopOutput, RuntimeError> {
         let mut ctx = self.prep_context()?;
         let tiles = self.pool.num_tiles();
         let expected = ingest.expected();
-        let mut intake: Vec<InFlight> = Vec::with_capacity(expected);
+        tables.reserve(expected);
+        let intake = &mut tables.intake;
         let mut state = OnlineState {
             queues: (0..tiles)
                 .map(|_| TileQueue::new(self.dispatcher.policy(), self.batching.enabled()))
                 .collect(),
-            taken: Vec::with_capacity(expected),
+            taken: &mut tables.taken,
             events: EventQueue::new(),
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
-            sim: SimResults::new(self.pool.variant(), expected),
+            sim: SimResults::new(self.pool.variant(), &mut tables.ready),
             batcher: Batcher::new(self.batching, tiles),
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
-            recorder: self.trace_scratch.take_warm(self.tracing),
+            recorder,
             profiler: obs::StageProfiler::new(self.profiling),
             latency_hist: obs::LogHistogram::new(),
             queue_depth_hist: obs::LogHistogram::new(),
@@ -1102,7 +1219,7 @@ impl Runtime {
                 pull.pull(
                     &mut ingest,
                     events,
-                    &mut intake,
+                    intake,
                     |request| prepare_request(cache, lower, reconfig, &mut ctx, request),
                     |inflight| {
                         outcome_slots.push(None);
@@ -1196,7 +1313,7 @@ impl Runtime {
                         state.recorder.counter(now_us, 0, obs::CounterName::MemoHit);
                     }
                     if starts_now {
-                        self.start_request(tile, index, &intake, &mut state, None);
+                        self.start_request(tile, index, intake, &mut state, None);
                     } else {
                         let scan = state.profiler.begin();
                         self.pool
@@ -1210,7 +1327,7 @@ impl Runtime {
                 EventKind::TileFree { tile } => {
                     self.pool.release(tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next(tile, &intake, &mut state);
+                        self.start_next(tile, intake, &mut state);
                     }
                 }
                 // Fault injection is a cluster-tier feature; the
@@ -1225,13 +1342,13 @@ impl Runtime {
             return Err(RuntimeError::NoRequests);
         }
         let events_fired = state.events.fired();
-        let outcomes: Vec<RequestOutcome> = state.outcome_slots.into_iter().flatten().collect();
+        let outcomes = compact_outcomes(state.outcome_slots);
         debug_assert_eq!(
             outcomes.len() + state.rejected.len(),
             intake.len(),
             "every submitted request is either served or rejected"
         );
-        let mut recorder = state.recorder;
+        let recorder = state.recorder;
         // Assemble the windowed series (the makespan is the last event's
         // time — the final tile-free) and evaluate SLO burn against it, with
         // the burn alerts recorded as spans before the recorder drains.
@@ -1247,15 +1364,12 @@ impl Runtime {
         let slo = match (&telemetry, self.slo.is_enabled()) {
             (Some(series), true) => {
                 let report = obs::evaluate_slo(series, &self.slo);
-                obs::record_burn_spans(&mut recorder, &report);
+                obs::record_burn_spans(recorder, &report);
                 Some(report)
             }
             _ => None,
         };
         let trace = recorder.finish();
-        // Hand the drained recorder (and its warm ring allocation) back to
-        // the runtime for the next serve.
-        self.trace_scratch = recorder;
         Ok(LoopOutput {
             outcomes,
             rejected: state.rejected,
@@ -1349,7 +1463,7 @@ impl Runtime {
         state.batcher.note_start(tile, charged.switched);
         if state.recorder.enabled() {
             record_request_spans(
-                &mut state.recorder,
+                state.recorder,
                 (0, tile),
                 info,
                 &charged,
@@ -1405,6 +1519,7 @@ impl Runtime {
     fn aggregate(
         &self,
         output: &mut LoopOutput,
+        latencies: &mut Vec<f64>,
         cache: CacheStats,
         sim_memo: CacheStats,
     ) -> RuntimeMetrics {
@@ -1416,7 +1531,7 @@ impl Runtime {
         let mut max_latency_us = 0.0_f64;
         let mut deadline_misses = 0usize;
         let mut deadline_requests = 0usize;
-        let mut latencies: Vec<f64> = Vec::with_capacity(requests);
+        latencies.reserve(requests);
         for outcome in outcomes {
             invocations += outcome.sim.blocks;
             makespan_us = makespan_us.max(outcome.completion_us);
@@ -1427,8 +1542,8 @@ impl Runtime {
             latencies.push(outcome.latency_us);
         }
         let mean_latency_us = latency_sum / requests.max(1) as f64;
-        let p50_latency_us = metrics::percentile_by_selection(&mut latencies, 0.50);
-        let p99_latency_us = metrics::percentile_by_selection(&mut latencies, 0.99);
+        let p50_latency_us = metrics::percentile_by_selection(latencies, 0.50);
+        let p99_latency_us = metrics::percentile_by_selection(latencies, 0.99);
         let per_second = if makespan_us > 0.0 {
             1.0e6 / makespan_us
         } else {

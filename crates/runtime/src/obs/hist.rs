@@ -28,14 +28,39 @@ const LOWEST_TRACKED: f64 = 1e-3;
 /// far beyond any modeled microsecond quantity.
 const MAX_BUCKET: usize = 1 + 80 * SUB_BUCKETS_PER_OCTAVE;
 
+/// Explicit mantissa bits of an `f64`, its exponent bias and the biased
+/// exponent of ∞/NaN.
+const MANTISSA_BITS: u32 = 52;
+const EXPONENT_BIAS: usize = 1023;
+const EXPONENT_INFINITE: usize = 2047;
+
+/// `2^(j/8)`, `j = 0..=8`: where a mantissa in `[1, 2)` enters the next
+/// sub-bucket (2.0 is only ever approached from below).
+const SUB_BUCKET_EDGES: [f64; SUB_BUCKETS_PER_OCTAVE + 1] = [
+    1.0,
+    1.090_507_732_665_257_7,
+    1.189_207_115_002_721,
+    1.296_839_554_651_009_6,
+    std::f64::consts::SQRT_2,
+    1.542_210_825_407_940_7,
+    1.681_792_830_507_429,
+    1.834_008_086_409_342_4,
+    2.0,
+];
+
+/// How close to an edge a mantissa is sent to `log2`: its rounding moves
+/// `8·log2` by ≈1e-13 over the tracked range, four orders of magnitude less.
+const EDGE_GUARD: f64 = 1e-9;
+
 /// An online log-bucketed histogram of non-negative `f64` samples
 /// (latencies in microseconds, queue depths).
 ///
-/// Recording is O(1) (a log2 and a vector bump, growing the bucket vector on
-/// demand); memory is bounded by [`MAX_BUCKET`]. Equality is structural —
-/// two histograms are equal exactly when they saw the same multiset of
-/// samples at bucket resolution *and* the same floating-point sum, which is
-/// what the cluster-vs-runtime equivalence tests compare.
+/// Recording is O(1) (a few compares on the value's bits and a vector bump,
+/// growing the bucket vector on demand); memory is bounded by
+/// [`MAX_BUCKET`]. Equality is structural — two histograms are equal exactly
+/// when they saw the same multiset of samples at bucket resolution *and* the
+/// same floating-point sum, which is what the cluster-vs-runtime equivalence
+/// tests compare.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// `counts[0]` is the underflow bucket (< [`LOWEST_TRACKED`]); bucket
@@ -65,16 +90,44 @@ impl LogHistogram {
         }
     }
 
-    /// The bucket index a value lands in.
+    /// The bucket index a value lands in: `1 + ⌊8·log2(value / floor)⌋`,
+    /// read off the ratio's bits — eight sub-buckets per exponent step, the
+    /// sub-bucket being how many `2^(j/8)` edges the mantissa has reached. A
+    /// mantissa within [`EDGE_GUARD`] of an edge (where `log2`'s own rounding
+    /// decides) asks [`Self::bucket_by_log2`], so every index is that formula's.
     fn bucket_of(value: f64) -> usize {
         // NaN and sub-floor values (the comparison is false for NaN) both
         // land in the underflow bucket.
         if value.is_nan() || value < LOWEST_TRACKED {
             return 0;
         }
+        let bits = (value / LOWEST_TRACKED).to_bits();
+        let exponent = (bits >> MANTISSA_BITS) as usize;
+        // The ratio is at least 1; an infinite one has no mantissa to read.
+        if !(EXPONENT_BIAS..EXPONENT_INFINITE).contains(&exponent) {
+            return Self::bucket_by_log2(value);
+        }
+        let mantissa_field = bits & ((1 << MANTISSA_BITS) - 1);
+        let mantissa = f64::from_bits(mantissa_field | (EXPONENT_BIAS as u64) << MANTISSA_BITS);
+        let mut reached = 0;
+        let mut near_edge = false;
+        for edge in SUB_BUCKET_EDGES {
+            reached += usize::from(edge <= mantissa);
+            near_edge |= (mantissa - edge).abs() < EDGE_GUARD;
+        }
+        if near_edge {
+            return Self::bucket_by_log2(value);
+        }
+        // `reached` counts the edge at 1.0, which is the `1 +` of the formula.
+        ((exponent - EXPONENT_BIAS) * SUB_BUCKETS_PER_OCTAVE + reached).min(MAX_BUCKET)
+    }
+
+    /// [`Self::bucket_of`] for a value at or above the floor by the formula
+    /// itself: what the bits must agree with, and fall back on near an edge.
+    fn bucket_by_log2(value: f64) -> usize {
         let octaves = (value / LOWEST_TRACKED).log2();
-        let index = 1 + (octaves * SUB_BUCKETS_PER_OCTAVE as f64).floor() as usize;
-        index.min(MAX_BUCKET)
+        let sub_buckets = (octaves * SUB_BUCKETS_PER_OCTAVE as f64).floor() as usize;
+        sub_buckets.saturating_add(1).min(MAX_BUCKET)
     }
 
     /// The lower edge of bucket `index` (0 for the underflow bucket).
@@ -385,6 +438,75 @@ mod tests {
             hist.record(value);
         }
         assert_eq!(LogHistogram::merged(&[&hist]), hist);
+    }
+
+    #[test]
+    fn reading_the_bits_gives_the_log2_formulas_bucket_everywhere() {
+        let mut checked = 0usize;
+        let mut check = |value: f64| {
+            let by_formula = if value.is_nan() || value < LOWEST_TRACKED {
+                0
+            } else {
+                LogHistogram::bucket_by_log2(value)
+            };
+            assert_eq!(
+                LogHistogram::bucket_of(value),
+                by_formula,
+                "value {value:e} (bits {:#018x})",
+                value.to_bits()
+            );
+            checked += 1;
+        };
+        let ulps = |value: f64, steps: i64| f64::from_bits((value.to_bits() as i64 + steps) as u64);
+
+        for special in [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 8.0,
+            f64::from_bits(1),
+        ] {
+            check(special);
+        }
+        // Every sub-bucket edge of every octave — past `MAX_BUCKET`'s, where
+        // the index saturates — stepped over ulp by ulp (inside the guard
+        // band, where the formula itself answers) and across the band's own
+        // border (where the bits must agree with it unaided).
+        for octave in 0..=84 {
+            for sub in 0..SUB_BUCKETS_PER_OCTAVE {
+                let edge = LOWEST_TRACKED
+                    * (octave as f64 + sub as f64 / SUB_BUCKETS_PER_OCTAVE as f64).exp2();
+                for steps in -4..=4 {
+                    check(ulps(edge, steps));
+                }
+                for band in [0.5e-9, 0.999_999e-9, 1.000_001e-9, 2e-9, 1e-6] {
+                    check(edge * (1.0 - band));
+                    check(edge * (1.0 + band));
+                }
+            }
+            // Exact powers of two times the floor.
+            check(LOWEST_TRACKED * f64::from(octave).exp2());
+        }
+        assert_eq!(LogHistogram::bucket_of(1e30), MAX_BUCKET);
+        assert_eq!(LogHistogram::bucket_of(f64::INFINITY), MAX_BUCKET);
+
+        // A million values with random mantissas, exponents from a decade
+        // under the floor to past the last bucket.
+        let mut seed = 0x0B5E_55EDu64;
+        for _ in 0..1_000_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let exponent = EXPONENT_BIAS as u64 - 14 + (seed >> MANTISSA_BITS) % 90;
+            let mantissa = seed & ((1 << MANTISSA_BITS) - 1);
+            check(f64::from_bits(exponent << MANTISSA_BITS | mantissa));
+        }
+        assert!(checked > 1_000_000);
     }
 
     #[test]

@@ -565,11 +565,13 @@ impl TraceRecorder {
 
     /// Takes this recorder — the drained one a holder kept from its
     /// previous serve, with its warm ring allocation — leaving a disabled
-    /// one in its place; rebuilds only if the config changed since or a
-    /// prior error path lost it.
+    /// one in its place; rebuilds only if the config changed since. A serve
+    /// that failed handed it back with its spans still in it: they are
+    /// dropped here (a no-op after a serve that finished).
     pub(crate) fn take_warm(&mut self, config: TraceConfig) -> TraceRecorder {
-        let warm = std::mem::replace(self, TraceRecorder::new(TraceConfig::disabled()));
+        let mut warm = std::mem::replace(self, TraceRecorder::new(TraceConfig::disabled()));
         if warm.capacity == config.capacity() {
+            warm.reset();
             warm
         } else {
             TraceRecorder::new(config)
@@ -767,17 +769,25 @@ impl TraceRecorder {
         if self.capacity == 0 {
             return None;
         }
-        let packed: Vec<Packed> = self.events.iter().copied().collect();
-        self.events.clear();
-        self.route_seq = 0;
-        self.counters = [0; 3];
-        Some(Trace {
-            packed,
+        let trace = Trace {
+            packed: self.events.iter().copied().collect(),
             routes: std::mem::take(&mut self.routes),
             sources: std::mem::take(&mut self.sources),
-            dropped: std::mem::take(&mut self.dropped),
+            dropped: self.dropped,
             decoded: std::sync::OnceLock::new(),
-        })
+        };
+        self.reset();
+        Some(trace)
+    }
+
+    /// Forgets everything recorded, keeping the ring's allocation.
+    fn reset(&mut self) {
+        self.events.clear();
+        self.routes.clear();
+        self.sources.clear();
+        self.route_seq = 0;
+        self.counters = [0; 3];
+        self.dropped = 0;
     }
 }
 
