@@ -7,8 +7,7 @@
 //! own [`Dispatcher`]. Every arrival is **routed** to a device by a
 //! [`RoutePolicy`] (stable kernel-hash sharding, least-loaded by live
 //! per-device load summaries, or power-of-two-choices over completion
-//! estimates) and then **placed** on a tile by that device's dispatcher,
-//! exactly as a single [`Runtime`] would place it.
+//! estimates) and then **placed** on a tile by that device's dispatcher.
 //!
 //! Moving a kernel to a device that has never hosted it is not free: the
 //! [`TransferModel`] charges either a host load (the "local cold load") or
@@ -19,11 +18,15 @@
 //! [`DeviceMetrics`] report utilization, queue depth, cache hit rate and
 //! the transfer traffic; cluster totals reuse [`RuntimeMetrics`].
 //!
-//! A 1-device cluster is the degenerate case and reproduces [`Runtime`]'s
-//! outcomes **bitwise** (`tests/runtime_equivalence.rs` proves it on
-//! randomized traces): routing collapses to device 0, no image is ever
-//! acquired (they enter the store at compile time), and the event loop
-//! mirrors `Runtime`'s decision order exactly.
+//! A 1-device cluster is the degenerate case, and it is what a [`Runtime`]
+//! is: routing collapses to device 0 and no image is ever acquired (they
+//! enter the store at compile time). The one event loop here is compiled in
+//! two tiers — `plain` for one device with no fault plan, no session driver
+//! and replication off, where every routing, fault and session step folds
+//! away at compile time; `fleet` for everything else — and a serve picks its
+//! tier once, from what it can observe. `tests/runtime_equivalence.rs` holds
+//! a one-device cluster forced onto the fleet tier to the plain tier
+//! **bitwise** on randomized traces.
 //!
 //! # Example
 //!
@@ -69,11 +72,10 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::metrics::{self, BatchStats, DeviceMetrics, ReplicationStats, RuntimeMetrics};
 use crate::obs;
-use crate::pool::ChargeOutcome;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
-    power_of_two_pair, power_of_two_pair_eligible, Acquisition, ExclusionSet, RoutePolicy,
-    TransferModel,
+    power_of_two_pair, power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet,
+    RoutePolicy, Routed, TransferModel,
 };
 use crate::session::driver::{class_metrics_from, ArrivalAction, SessionDriver};
 use crate::session::{
@@ -81,9 +83,9 @@ use crate::session::{
 };
 use crate::{
     compact_outcomes, prepare_request, record_request_spans, with_feeder, BatchConfig,
-    DispatchPolicy, DispatchRequest, Dispatcher, InFlight, Ingest, KernelCache, KernelKey,
-    LoopTables, PrepContext, RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime,
-    RuntimeError, SimMemo, SimResults, Submitter, TilePool,
+    DispatchPolicy, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, LoopTables, PrepContext,
+    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError,
+    ServeReport, SimMemo, SimResults, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -121,50 +123,6 @@ impl Device {
     fn load_key(&self) -> (usize, usize, usize) {
         (self.pool.total_waiting(), self.busy_tiles, self.id)
     }
-
-    fn enqueue(&mut self, tile: usize, key: KernelKey, est_us: f64) {
-        self.pool.enqueue(tile, key, est_us);
-    }
-
-    fn charge(
-        &mut self,
-        tile: usize,
-        key: KernelKey,
-        arrival_us: f64,
-        switch_us: f64,
-        exec_us: f64,
-    ) -> ChargeOutcome {
-        self.busy_tiles += 1;
-        self.pool.charge(tile, key, arrival_us, switch_us, exec_us)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_queued(
-        &mut self,
-        tile: usize,
-        est_us: f64,
-        remaining_tail: Option<KernelKey>,
-        key: KernelKey,
-        arrival_us: f64,
-        switch_us: f64,
-        exec_us: f64,
-    ) -> ChargeOutcome {
-        self.busy_tiles += 1;
-        self.pool.start_queued(
-            tile,
-            est_us,
-            remaining_tail,
-            key,
-            arrival_us,
-            switch_us,
-            exec_us,
-        )
-    }
-
-    fn release(&mut self, tile: usize) {
-        self.busy_tiles -= 1;
-        self.pool.release(tile);
-    }
 }
 
 /// The result of one cluster serve: per-request outcomes (with their device
@@ -172,17 +130,11 @@ impl Device {
 /// [`RuntimeMetrics`] and the per-device [`DeviceMetrics`] breakdown.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    policy: DispatchPolicy,
+    /// Everything a [`Runtime`] reports; its serve hands back just this.
+    pub(crate) serve: ServeReport,
     route: RoutePolicy,
-    outcomes: Vec<RequestOutcome>,
-    rejected: Vec<RejectedRequest>,
-    metrics: RuntimeMetrics,
     devices: Vec<DeviceMetrics>,
     replication: ReplicationStats,
-    trace: Option<obs::Trace>,
-    profile: Option<obs::ProfileStats>,
-    telemetry: Option<obs::TimeSeries>,
-    slo: Option<obs::SloReport>,
 }
 
 impl ClusterReport {
@@ -190,18 +142,18 @@ impl ClusterReport {
     /// order. Each outcome's [`device`](RequestOutcome::device) records the
     /// routing decision; [`tile`](RequestOutcome::tile) is device-local.
     pub fn outcomes(&self) -> &[RequestOutcome] {
-        &self.outcomes
+        self.serve.outcomes()
     }
 
     /// Requests rejected by admission control, in submission order.
     pub fn rejected(&self) -> &[RejectedRequest] {
-        &self.rejected
+        self.serve.rejected()
     }
 
     /// Cluster-total serving metrics (per-tile vectors are device-major
     /// concatenations across the cluster).
     pub fn metrics(&self) -> &RuntimeMetrics {
-        &self.metrics
+        self.serve.metrics()
     }
 
     /// The per-device metrics breakdown, indexed by device id.
@@ -211,7 +163,7 @@ impl ClusterReport {
 
     /// The tile-dispatch policy that produced this report.
     pub fn policy(&self) -> DispatchPolicy {
-        self.policy
+        self.serve.policy()
     }
 
     /// The device-routing policy that produced this report.
@@ -267,40 +219,57 @@ impl ClusterReport {
     /// The recorded trace, when the serve ran with
     /// [`Cluster::with_tracing`] enabled.
     pub fn trace(&self) -> Option<&obs::Trace> {
-        self.trace.as_ref()
+        self.serve.trace()
     }
 
     /// Per-stage host-time attribution, when the serve ran with
     /// [`Cluster::with_profiling`] enabled.
     pub fn profile(&self) -> Option<&obs::ProfileStats> {
-        self.profile.as_ref()
+        self.serve.profile()
     }
 
     /// The windowed time-series over the serve's virtual timeline, when the
     /// serve ran with [`Cluster::with_telemetry`] enabled.
     pub fn telemetry(&self) -> Option<&obs::TimeSeries> {
-        self.telemetry.as_ref()
+        self.serve.telemetry()
     }
 
     /// SLO burn-rate evaluation of the telemetry series, when the serve ran
     /// with both [`Cluster::with_telemetry`] and [`Cluster::with_slo`]
     /// enabled.
     pub fn slo(&self) -> Option<&obs::SloReport> {
-        self.slo.as_ref()
+        self.serve.slo()
     }
 }
 
-/// Mutable event-loop state (the cluster mirror of the runtime's
-/// `OnlineState`), separate from the `Cluster` so placement and bookkeeping
-/// borrows stay disjoint.
+/// Per-device counters the loop keeps as it runs, one row per device.
+#[derive(Debug, Clone, Default)]
+struct DeviceTally {
+    /// High-water mark of the device's waiting count.
+    peak_queue: usize,
+    /// Requests routed here but shed by admission control.
+    rejects: usize,
+    /// Inter-device image transfers in, and their bytes.
+    transfers: usize,
+    transfer_bytes: u64,
+    /// Host image loads.
+    host_loads: usize,
+    /// Latencies recorded at charge time, merged into the cluster total
+    /// through the histogram merge path.
+    latency_hist: obs::LogHistogram,
+}
+
+/// Mutable event-loop state, separate from the `Cluster` so placement (on
+/// `self`) and bookkeeping borrows stay disjoint.
 struct ClusterState<'t> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
-    /// On loan from [`LoopTables`] for the serve, like `acquire_us`,
-    /// `acquire_src`, `exclusions` and `activation_us` below.
+    /// On loan from [`LoopTables`] for the serve, like `routed` below.
     taken: &'t mut Vec<bool>,
     events: EventQueue,
+    /// Per intake index: the outcome written at the request's start. The one
+    /// table a serve allocates: it leaves with the report ([`compact_outcomes`]).
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
     sim: SimResults<'t>,
@@ -312,15 +281,9 @@ struct ClusterState<'t> {
     peak_queue_depth: usize,
     queue_area_us: f64,
     last_event_us: f64,
-    acquire_us: &'t mut Vec<f64>,
-    /// Per device: high-water mark of that device's waiting count.
-    device_peak_queue: Vec<usize>,
-    /// Per device: requests routed here but shed by admission control.
-    device_rejects: Vec<usize>,
-    /// Per device: inter-device image transfers in (count, bytes).
-    device_transfers: Vec<(usize, u64)>,
-    /// Per device: host image loads.
-    device_host_loads: Vec<usize>,
+    /// Per intake index, fleet tier only: what routing decided.
+    routed: &'t mut Vec<Routed>,
+    tallies: Vec<DeviceTally>,
     /// The span recorder (inert at the default disabled config), on loan
     /// from `Cluster::trace_scratch` for the serve.
     recorder: &'t mut obs::TraceRecorder,
@@ -328,28 +291,19 @@ struct ClusterState<'t> {
     profiler: obs::StageProfiler,
     /// Cluster-wide queue depth sampled at every event pop.
     queue_depth_hist: obs::LogHistogram,
-    /// Per device: latency histogram recorded at charge time, merged into
-    /// the cluster total through the histogram merge path.
-    device_latency_hists: Vec<obs::LogHistogram>,
-    acquire_src: &'t mut Vec<(&'static str, u64)>,
-    exclusions: &'t mut Vec<ExclusionSet>,
     /// Per global tile: the intake index currently running there.
     /// Maintained only under a fault plan (kills must know what to
-    /// abandon).
+    /// abandon) or a session driver.
     running_index: Vec<Option<usize>>,
     /// Per global tile: the completion time of the run the tile is waiting
     /// on. Under a fault plan, a tile-free event that does not match is a
     /// stale completion of evacuated work and is dropped.
     pending_free: Vec<Option<f64>>,
     /// The session tier's driver, present only on the
-    /// [`Cluster::serve_pipelines`] multi-stage path. `None` — every other
-    /// serve — keeps each session branch off the hot path.
+    /// [`Cluster::serve_pipelines`] multi-stage path.
     session: Option<SessionDriver>,
-    activation_us: &'t mut Vec<f64>,
     /// Per device: the windowed-telemetry lane partition (inert at the
-    /// default disabled config). Request commits accumulate in per-device
-    /// commit order — the order this loop on one device shares with
-    /// [`Runtime`]'s, which is what keeps the two bitwise equal.
+    /// default disabled config), accumulated in per-device commit order.
     lane_series: Vec<obs::LaneSeries>,
     /// The cross-device queue-depth integral, accumulated in event order.
     global_series: obs::GlobalSeries,
@@ -364,14 +318,10 @@ struct ClusterLoopOutput {
     events_fired: u64,
     batch: BatchStats,
     replication: ReplicationStats,
-    device_peak_queue: Vec<usize>,
-    device_rejects: Vec<usize>,
-    device_transfers: Vec<(usize, u64)>,
-    device_host_loads: Vec<usize>,
+    tallies: Vec<DeviceTally>,
     trace: Option<obs::Trace>,
     profile: Option<obs::ProfileStats>,
     queue_depth_hist: obs::LogHistogram,
-    device_latency_hists: Vec<obs::LogHistogram>,
     telemetry: Option<obs::TimeSeries>,
     slo: Option<obs::SloReport>,
 }
@@ -379,9 +329,8 @@ struct ClusterLoopOutput {
 /// A multi-device serving cluster over one overlay variant.
 ///
 /// See the [module-level documentation](self) for the moving parts and an
-/// end-to-end example. The builder methods mirror [`Runtime`]'s; a
-/// 1-device cluster behaves bitwise identically to the equivalent
-/// `Runtime`.
+/// end-to-end example. A [`Runtime`] is a 1-device cluster: its builders
+/// and accessors delegate to the ones here.
 #[derive(Debug)]
 pub struct Cluster {
     devices: Vec<Device>,
@@ -390,14 +339,14 @@ pub struct Cluster {
     sim_memo: SimMemo,
     reconfig: ReconfigModel,
     lower: LowerOptions,
-    ingest_capacity: usize,
+    pub(crate) ingest_capacity: usize,
     admission_limit: usize,
     batching: BatchConfig,
     replication: ReplicationConfig,
     tracing: obs::TraceConfig,
     /// Recorder kept across serves so the ring's backing allocation (and
-    /// its warmed pages) amortize instead of being re-faulted per serve —
-    /// same idiom as `Runtime::trace_scratch`.
+    /// its warmed pages) amortize instead of being re-faulted per serve.
+    /// Lent to the event loop's state and handed back at serve end.
     trace_scratch: obs::TraceRecorder,
     /// The per-intake tables, kept likewise and empty between serves.
     tables: LoopTables,
@@ -439,23 +388,29 @@ impl Cluster {
         if devices == 0 {
             return Err(RuntimeError::EmptyCluster);
         }
-        let devices: Vec<Device> = (0..devices)
-            .map(|id| {
-                Ok(Device {
-                    id,
-                    pool: TilePool::with_tiles(
-                        variant,
-                        TileComposition::Parallel,
-                        tiles_per_device,
-                    )?,
-                    cache: KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY)
-                        .expect("default capacity is non-zero"),
-                    dispatcher: Dispatcher::default(),
-                    busy_tiles: 0,
-                })
-            })
+        let pools = (0..devices)
+            .map(|_| TilePool::with_tiles(variant, TileComposition::Parallel, tiles_per_device))
             .collect::<Result<_, RuntimeError>>()?;
-        Ok(Cluster {
+        Ok(Self::from_pools(pools))
+    }
+
+    /// A cluster of one device per pool; the pools are alike and at least
+    /// one ([`Runtime::from_noc`] brings its own).
+    pub(crate) fn from_pools(pools: Vec<TilePool>) -> Self {
+        let tiles_per_device = pools[0].num_tiles();
+        let devices = pools
+            .into_iter()
+            .enumerate()
+            .map(|(id, pool)| Device {
+                id,
+                pool,
+                cache: KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY)
+                    .expect("default capacity is non-zero"),
+                dispatcher: Dispatcher::default(),
+                busy_tiles: 0,
+            })
+            .collect();
+        Cluster {
             devices,
             route: RoutePolicy::default(),
             transfer: TransferModel::default(),
@@ -477,7 +432,7 @@ impl Cluster {
             session_driver: None,
             telemetry: obs::TelemetryConfig::disabled(),
             slo: obs::SloConfig::disabled(),
-        })
+        }
     }
 
     /// Sets the tile-dispatch policy used inside every device.
@@ -910,13 +865,6 @@ impl Cluster {
         })
     }
 
-    /// The cluster-wide waiting count (what admission control bounds and
-    /// the queue-area integrand): O(devices) over the per-pool O(1)
-    /// counters.
-    fn waiting_count(&self) -> usize {
-        self.devices.iter().map(|d| d.pool.total_waiting()).sum()
-    }
-
     /// Whether load-driven choices may pick `device`: always on a
     /// fault-free serve, otherwise only while it is alive and admitting.
     fn routable(&self, device: usize) -> bool {
@@ -948,9 +896,9 @@ impl Cluster {
     /// nearest peer holding the image — whichever is cheaper. The rule is
     /// uniform across devices (a home shard whose store evicted the image
     /// pays to re-acquire it like anyone else); only a 1-device cluster is
-    /// exempt, because it has no peers and [`Runtime`] — which it must
-    /// match bitwise — models no separate host image path (the
-    /// `ReconfigModel` switch *is* the whole load there).
+    /// exempt, because it has no peers and models no separate host image
+    /// path (the `ReconfigModel` switch *is* the whole load there) — on the
+    /// loop's plain tier, which asks nothing here, and its fleet tier alike.
     fn peek_acquisition(&self, device: usize, key: KernelKey, bytes: usize) -> Acquisition {
         if self.num_devices() == 1 || self.devices[device].cache.contains(&key) {
             return Acquisition::Resident;
@@ -997,16 +945,15 @@ impl Cluster {
                 self.devices[device]
                     .cache
                     .get_or_share(info.view.key, &info.compiled);
-                state.device_host_loads[device] += 1;
+                state.tallies[device].host_loads += 1;
                 cost_us
             }
             Acquisition::Transfer { cost_us, bytes, .. } => {
                 self.devices[device]
                     .cache
                     .get_or_share(info.view.key, &info.compiled);
-                let (count, total_bytes) = &mut state.device_transfers[device];
-                *count += 1;
-                *total_bytes += bytes as u64;
+                state.tallies[device].transfers += 1;
+                state.tallies[device].transfer_bytes += bytes as u64;
                 cost_us
             }
         }
@@ -1358,7 +1305,7 @@ impl Cluster {
     /// of the stage's heaviest input, the producer wins if the activation
     /// savings of staying put outweigh the estimated extra queueing there.
     /// Either way the final device's activation bill is priced into
-    /// `activation_us[index]`, charged ahead of the context switch at
+    /// the request's [`Routed`] row, charged ahead of the context switch at
     /// start.
     fn apply_stage_affinity(
         &self,
@@ -1370,8 +1317,7 @@ impl Cluster {
     ) -> (usize, Acquisition) {
         let ClusterState {
             session,
-            exclusions,
-            activation_us,
+            routed: rows,
             ..
         } = state;
         let Some(driver) = session else {
@@ -1388,7 +1334,7 @@ impl Cluster {
             if let Some(target) = driver.affinity_target(index) {
                 let eligible = target != routed
                     && target < self.num_devices()
-                    && !exclusions[index].contains(target)
+                    && !rows[index].exclusions.contains(target)
                     && match &self.fault {
                         Some(fault) => fault.available(target),
                         None => true,
@@ -1411,7 +1357,7 @@ impl Cluster {
                 }
             }
         }
-        activation_us[index] = driver.activation_plan(index, device, &transfer, alive).0;
+        rows[index].activation_us = driver.activation_plan(index, device, &transfer, alive).0;
         (device, acquisition)
     }
 
@@ -1617,7 +1563,7 @@ impl Cluster {
         intake: &[InFlight],
         state: &mut ClusterState,
     ) {
-        state.exclusions[index].insert(from_device);
+        state.routed[index].exclusions.insert(from_device);
         self.fault
             .as_mut()
             .expect("displacement only happens under faults")
@@ -1680,9 +1626,10 @@ impl Cluster {
         }
     }
 
-    /// The shared serve body: resets per-serve state, lends the recycled
-    /// tables and the warm trace recorder to the cluster event loop, folds
-    /// its output into a report and takes both back on every exit path.
+    /// The shared serve body: resets per-serve state, picks the loop's tier,
+    /// lends the recycled tables and the warm trace recorder to the event
+    /// loop, folds its output into a report and takes both back on every
+    /// exit path — a serve that fails costs the next one nothing.
     fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
         // Validate and arm the fault schedule before the loop starts.
         // An installed-but-empty plan still builds a `FaultState`, so the
@@ -1705,29 +1652,35 @@ impl Cluster {
         let mut tables = std::mem::take(&mut self.tables);
         let mut recorder = self.trace_scratch.take_warm(self.tracing);
 
-        let output = self.event_loop(ingest, &mut tables, &mut recorder);
+        // One device with nothing to route around, no stage to park and no
+        // image to push serves on the plain tier; everything else is a fleet.
+        let fleet = self.num_devices() > 1
+            || self.fault.is_some()
+            || self.session_driver.is_some()
+            || self.replication.enabled();
+        let output = if fleet {
+            self.event_loop::<true>(ingest, &mut tables, &mut recorder)
+        } else {
+            self.event_loop::<false>(ingest, &mut tables, &mut recorder)
+        };
         let report = output.map(|mut output| {
-            let cache_deltas: Vec<CacheStats> = self
-                .devices
-                .iter()
-                .zip(&cache_before)
-                .map(|(device, &before)| device.cache.stats().since(before))
-                .collect();
             let sim_memo = self.sim_memo.stats().since(memo_before);
             let (metrics, devices) =
-                self.aggregate(&mut output, &mut tables.latencies, &cache_deltas, sim_memo);
+                self.aggregate(&mut output, &mut tables.latencies, &cache_before, sim_memo);
             ClusterReport {
-                policy: self.policy(),
+                serve: ServeReport {
+                    policy: self.policy(),
+                    outcomes: output.outcomes,
+                    rejected: output.rejected,
+                    metrics,
+                    trace: output.trace,
+                    profile: output.profile,
+                    telemetry: output.telemetry,
+                    slo: output.slo,
+                },
                 route: self.route,
-                replication: output.replication,
-                trace: output.trace,
-                profile: output.profile,
-                telemetry: output.telemetry,
-                slo: output.slo,
-                outcomes: output.outcomes,
-                rejected: output.rejected,
-                metrics,
                 devices,
+                replication: output.replication,
             }
         });
 
@@ -1737,11 +1690,47 @@ impl Cluster {
         report
     }
 
-    /// The cluster's discrete-event core — [`Runtime`]'s event loop with a
-    /// device-routing step (and the acquisition charge) spliced between
-    /// arrival and tile placement. Decision order is identical, which is
-    /// what makes the 1-device cluster bitwise equivalent.
-    fn event_loop(
+    /// The global id of `device`'s tile `local`. The plain tier's one
+    /// device's tiles are the cluster's.
+    #[inline(always)]
+    fn global_tile<const FLEET: bool>(&self, device: usize, local: usize) -> usize {
+        if FLEET {
+            device * self.tiles_per_device + local
+        } else {
+            local
+        }
+    }
+
+    /// The cluster-wide waiting count (what admission control bounds and
+    /// the queue-area integrand): O(devices) over the per-pool O(1)
+    /// counters.
+    #[inline(always)]
+    fn waiting_count<const FLEET: bool>(&self) -> usize {
+        if FLEET {
+            self.devices.iter().map(|d| d.pool.total_waiting()).sum()
+        } else {
+            self.devices[0].pool.total_waiting()
+        }
+    }
+
+    /// The discrete-event core: pulls submissions from `ingest`, fires
+    /// arrival/tile-free (and, on a fleet, fault/requeue) events in
+    /// virtual-time order, and returns the per-request outcomes. Between an
+    /// arrival and its tile placement sits the device-routing step with its
+    /// acquisition charge.
+    ///
+    /// `FLEET` is the serve's tier ([`run_serve`](Cluster::run_serve) picks
+    /// it): off, every session, fault and replication guard below is a
+    /// constant, device and tile arithmetic folds to device 0, no routing
+    /// decision is taken (or spanned) and the [`Routed`] rows are neither
+    /// grown nor read.
+    ///
+    /// The horizon rule makes laziness sound: submissions arrive in
+    /// non-decreasing arrival order, so once a request with arrival `h` has
+    /// been received (or the channel has closed, `h = ∞`), every pending
+    /// event at time ≤ `h` can fire without being preempted by a
+    /// still-unseen arrival.
+    fn event_loop<const FLEET: bool>(
         &mut self,
         mut ingest: Ingest,
         tables: &mut LoopTables,
@@ -1752,11 +1741,17 @@ impl Cluster {
         let total_tiles = self.total_tiles();
         let policy = self.policy();
         let expected = ingest.expected();
-        tables.reserve(expected);
-        tables.acquire_us.reserve(expected);
-        tables.acquire_src.reserve(expected);
-        tables.exclusions.reserve(expected);
-        tables.activation_us.reserve(expected);
+        tables.intake.reserve(expected);
+        tables.taken.reserve(expected);
+        tables.ready.reserve(expected);
+        if FLEET {
+            tables.routed.reserve(expected);
+        }
+        let session = self.session_driver.take();
+        // Kills must know what to abandon, and the session tier which stage
+        // a tile-free event commits; nobody else tracks runs per tile.
+        let tracks_runs = FLEET && (self.fault.is_some() || session.is_some());
+        let run_slots = if tracks_runs { total_tiles } else { 0 };
         let intake = &mut tables.intake;
         let mut state = ClusterState {
             queues: (0..total_tiles)
@@ -1772,21 +1767,14 @@ impl Cluster {
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
-            acquire_us: &mut tables.acquire_us,
-            device_peak_queue: vec![0; devices],
-            device_rejects: vec![0; devices],
-            device_transfers: vec![(0, 0); devices],
-            device_host_loads: vec![0; devices],
+            routed: &mut tables.routed,
+            tallies: vec![DeviceTally::default(); devices],
             recorder,
             profiler: obs::StageProfiler::new(self.profiling),
             queue_depth_hist: obs::LogHistogram::new(),
-            device_latency_hists: vec![obs::LogHistogram::new(); devices],
-            acquire_src: &mut tables.acquire_src,
-            exclusions: &mut tables.exclusions,
-            running_index: vec![None; total_tiles],
-            pending_free: vec![None; total_tiles],
-            session: self.session_driver.take(),
-            activation_us: &mut tables.activation_us,
+            running_index: vec![None; run_slots],
+            pending_free: vec![None; run_slots],
+            session,
             lane_series: (0..devices)
                 .map(|_| obs::LaneSeries::new(self.telemetry))
                 .collect(),
@@ -1795,92 +1783,116 @@ impl Cluster {
         // Arm the fault schedule: pre-pushed at virtual time zero, the
         // fault events hold the lowest sequence numbers and therefore fire
         // ahead of arrivals and completions at the same instant.
-        if let Some(fault) = &self.fault {
+        if let (true, Some(fault)) = (FLEET, &self.fault) {
             for (index, event) in fault.events.iter().enumerate() {
                 state
                     .events
                     .push(event.time_us, EventKind::Fault { fault: index });
             }
         }
-        let mut pull = crate::SubmissionPull::new();
+        let mut horizon_us = 0.0_f64;
+        let mut ingest_open = true;
 
         loop {
+            // The horizon-ruled submission pull: requests are pulled (and
+            // prepared) until the earliest pending event is at or before
+            // the horizon and therefore safe to fire. After each blocking
+            // pull, whatever else is already buffered is drained in the
+            // same pass — pulling ahead of the horizon is always sound (it
+            // only schedules future arrival events) and amortizes the
+            // channel synchronization across a whole burst.
+            while ingest_open
+                && state
+                    .events
+                    .peek_time_us()
+                    .is_none_or(|time| time > horizon_us)
             {
-                let ClusterState {
-                    events,
-                    outcome_slots,
-                    taken,
-                    sim,
-                    acquire_us,
-                    acquire_src,
-                    exclusions,
-                    activation_us,
-                    recorder,
-                    ..
-                } = &mut state;
-                let device_slots = &mut self.devices;
-                let lower = &self.lower;
-                let reconfig = &self.reconfig;
-                let fault = &self.fault;
-                pull.pull(
-                    &mut ingest,
-                    events,
-                    intake,
-                    |request| {
-                        // The kernel's home shard is its compile authority:
-                        // the artifact is built (or found) in the home
-                        // device's store; other devices adopt the image
-                        // when routing first sends the kernel their way.
-                        // Under faults a dead home must not hold the image
-                        // (its store is conceptually gone), so authority
-                        // walks to the next living device — or stays put
-                        // when the whole fleet is down.
+                let Some(mut request) = ingest.recv() else {
+                    // Every submitter is gone: the trace is complete.
+                    ingest_open = false;
+                    horizon_us = f64::INFINITY;
+                    break;
+                };
+                loop {
+                    let arrival_us = request.arrival_us;
+                    if !arrival_us.is_finite() || arrival_us < 0.0 {
+                        return Err(RuntimeError::InvalidArrival {
+                            request: request.id,
+                            arrival_us,
+                        });
+                    }
+                    if arrival_us < horizon_us {
+                        return Err(RuntimeError::OutOfOrderArrival {
+                            request: request.id,
+                            arrival_us,
+                            horizon_us,
+                        });
+                    }
+                    horizon_us = arrival_us;
+                    // The kernel's home shard is its compile authority:
+                    // the artifact is built (or found) in the home
+                    // device's store; other devices adopt the image
+                    // when routing first sends the kernel their way.
+                    // Under faults a dead home must not hold the image
+                    // (its store is conceptually gone), so authority
+                    // walks to the next living device — or stays put
+                    // when the whole fleet is down.
+                    let home = if FLEET {
                         let fingerprint = request.kernel.fingerprint();
                         let home = kernel_home(fingerprint, devices);
-                        let home = match fault {
+                        match &self.fault {
                             Some(f) => kernel_home_eligible(fingerprint, devices, |d| f.alive[d])
                                 .unwrap_or(home),
                             None => home,
-                        };
-                        prepare_request(
-                            &mut device_slots[home].cache,
-                            lower,
-                            reconfig,
-                            &mut ctx,
-                            request,
-                        )
-                    },
-                    |inflight| {
-                        outcome_slots.push(None);
-                        taken.push(false);
-                        sim.push_slot();
-                        acquire_us.push(0.0);
-                        acquire_src.push(("resident", 0));
-                        exclusions.push(ExclusionSet::default());
-                        activation_us.push(0.0);
-                        if recorder.enabled() {
-                            recorder.record(obs::TraceEvent {
-                                time_us: inflight.request.arrival_us,
-                                dur_us: 0.0,
-                                request_id: Some(inflight.request.id),
-                                device: 0,
-                                tile: None,
-                                kind: obs::SpanKind::Submit,
-                            });
                         }
-                    },
-                )?;
+                    } else {
+                        0
+                    };
+                    let index = intake.len();
+                    intake.push(prepare_request(
+                        &mut self.devices[home].cache,
+                        &self.lower,
+                        &self.reconfig,
+                        &mut ctx,
+                        request,
+                    )?);
+                    // Arrivals enter in non-decreasing time order: the
+                    // monotone lane appends instead of heap-sifting.
+                    state
+                        .events
+                        .push_monotone(arrival_us, EventKind::Arrival { index });
+                    state.outcome_slots.push(None);
+                    state.taken.push(false);
+                    state.sim.push_slot();
+                    if FLEET {
+                        state.routed.push(Routed::default());
+                    }
+                    if state.recorder.enabled() {
+                        state.recorder.record(obs::TraceEvent {
+                            time_us: arrival_us,
+                            dur_us: 0.0,
+                            request_id: Some(intake[index].request.id),
+                            device: 0,
+                            tile: None,
+                            kind: obs::SpanKind::Submit,
+                        });
+                    }
+                    match ingest.try_recv() {
+                        Some(buffered) => request = buffered,
+                        None => break,
+                    }
+                }
             }
             let Some(event) = state.events.pop() else {
-                debug_assert!(
-                    !pull.ingest_open,
-                    "event queue drained while ingest is open"
-                );
+                // The pull loop only exits with the ingest open when an
+                // event at or before the horizon is pending, so an empty
+                // queue here means the trace is complete.
+                debug_assert!(!ingest_open, "event queue drained while ingest is open");
                 break;
             };
             let now_us = event.time_us;
             let bookkeeping = state.profiler.begin();
-            let waiting = self.waiting_count();
+            let waiting = self.waiting_count::<FLEET>();
             state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
             state.queue_depth_hist.record(waiting as f64);
             state
@@ -1897,7 +1909,7 @@ impl Cluster {
                     // dependency's completion re-arrives it), and a stage
                     // of an already-failed pipeline is shed. Absent a
                     // session driver every arrival proceeds untouched.
-                    if let Some(driver) = &mut state.session {
+                    if let (true, Some(driver)) = (FLEET, &mut state.session) {
                         match driver.on_arrival(index) {
                             ArrivalAction::Proceed => {}
                             ArrivalAction::Park => continue,
@@ -1910,25 +1922,33 @@ impl Cluster {
                     }
                     // Feed the control plane's rate estimate and push hot
                     // kernel images ahead of demand, then route to a device
-                    // (resolving how it gets the kernel image).
-                    self.replicate(info, now_us, &mut state);
+                    // (resolving how it gets the kernel image). One plain
+                    // device holds every image it compiles: nothing to decide.
+                    if FLEET {
+                        self.replicate(info, now_us, &mut state);
+                    }
                     let route = state.profiler.begin();
-                    let routed = if self.fault.is_some() {
+                    let routed = if !FLEET {
+                        Some((0, Acquisition::Resident))
+                    } else if self.fault.is_some() {
                         self.route_device_excluding(
                             info,
                             now_us,
-                            &state.exclusions[index],
+                            &state.routed[index].exclusions,
                             state.recorder,
                         )
                     } else {
                         Some(self.route_device(info, now_us, state.recorder))
                     };
-                    self.place_routed(index, routed, route, true, intake, &mut state)?;
+                    self.place_routed::<FLEET>(index, routed, route, true, intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
-                    let device = tile / self.tiles_per_device;
-                    let local_tile = tile % self.tiles_per_device;
-                    if self.fault.is_some() || state.session.is_some() {
+                    let (device, local_tile) = if FLEET {
+                        (tile / self.tiles_per_device, tile % self.tiles_per_device)
+                    } else {
+                        (0, tile)
+                    };
+                    if FLEET && (self.fault.is_some() || state.session.is_some()) {
                         // A kill evacuated this tile after the completion
                         // event was scheduled: the event is a stale echo of
                         // abandoned work, and releasing on it would free a
@@ -1949,15 +1969,16 @@ impl Cluster {
                             self.note_stage_complete(index, device, now_us, intake, &mut state);
                         }
                     }
-                    self.devices[device].release(local_tile);
+                    self.devices[device].busy_tiles -= 1;
+                    self.devices[device].pool.release(local_tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next(device, local_tile, intake, &mut state);
+                        self.start_next::<FLEET>(device, local_tile, intake, &mut state);
                     }
                 }
-                EventKind::Fault { fault } => {
+                EventKind::Fault { fault } if FLEET => {
                     self.apply_fault(fault, now_us, intake, &mut state);
                 }
-                EventKind::Requeue { index } => {
+                EventKind::Requeue { index } if FLEET => {
                     // A displaced request re-enters routing. It was already
                     // admitted (and its simulation sourced) at its arrival,
                     // so neither is repeated; only the placement is redone,
@@ -1966,10 +1987,13 @@ impl Cluster {
                     let routed = self.route_device_excluding(
                         &intake[index],
                         now_us,
-                        &state.exclusions[index],
+                        &state.routed[index].exclusions,
                         state.recorder,
                     );
-                    self.place_routed(index, routed, route, false, intake, &mut state)?;
+                    self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
+                }
+                EventKind::Fault { .. } | EventKind::Requeue { .. } => {
+                    unreachable!("only the fleet tier schedules fault and requeue events")
                 }
             }
         }
@@ -1984,11 +2008,14 @@ impl Cluster {
             intake.len(),
             "every submitted request is either served or rejected"
         );
+        // Assemble the windowed series (the makespan is the last event's
+        // time — the final tile-free) and evaluate SLO burn against it, with
+        // the burn alerts recorded as spans before the recorder drains.
         let telemetry = self.telemetry.is_enabled().then(|| {
             obs::TimeSeries::assemble(
                 self.telemetry,
                 state.last_event_us,
-                self.devices.len() * self.tiles_per_device,
+                total_tiles,
                 &state.global_series,
                 &state.lane_series,
             )
@@ -2014,14 +2041,10 @@ impl Cluster {
             events_fired,
             batch: state.batcher.stats(),
             replication: state.replicator.stats(),
-            device_peak_queue: state.device_peak_queue,
-            device_rejects: state.device_rejects,
-            device_transfers: state.device_transfers,
-            device_host_loads: state.device_host_loads,
+            tallies: state.tallies,
             trace,
             profile: state.profiler.finish(),
             queue_depth_hist: state.queue_depth_hist,
-            device_latency_hists: state.device_latency_hists,
             telemetry,
             slo,
         })
@@ -2035,8 +2058,11 @@ impl Cluster {
     /// joins the tile's queue. A `fresh` arrival must on the way also pass
     /// admission control and source its simulation; a requeued request did
     /// both at its first arrival and repeats neither. `route` is the caller's open
-    /// `Route` profiler probe, closed here once the tile is known.
-    fn place_routed(
+    /// `Route` profiler probe, closed here once the tile is known. Steps 1
+    /// and 3 are the fleet tier's: one plain device has no other device to
+    /// prefer and acquires nothing.
+    #[inline(always)]
+    fn place_routed<const FLEET: bool>(
         &mut self,
         index: usize,
         routed: Option<(usize, Acquisition)>,
@@ -2047,7 +2073,7 @@ impl Cluster {
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let info = &intake[index];
-        let Some((device, acquisition)) = routed else {
+        let Some((mut device, mut acquisition)) = routed else {
             // Every device is dead or draining: nothing can take the
             // request. Shed it like an admission reject (it is one — the
             // cluster has no capacity).
@@ -2056,31 +2082,37 @@ impl Cluster {
             self.cascade_stage_reject(index, now_us, intake, state);
             return Ok(());
         };
-        // Stage affinity may override the load-driven choice with the
-        // producer of the heaviest input, and the inter-stage activation
-        // bill for the final device is priced here (both no-ops without a
-        // session driver). A displaced stage re-prices against its
-        // producers' current liveness: inputs whose producer died restore
-        // from the host checkpoint instead of the link.
-        let (device, acquisition) =
-            self.apply_stage_affinity(index, device, acquisition, info, state);
-        let adjusted = DispatchRequest {
-            switch_us: info.view.switch_us + acquisition.cost_us() + state.activation_us[index],
-            ..info.view
-        };
+        let mut view = info.view;
+        if FLEET {
+            // Stage affinity may override the load-driven choice with the
+            // producer of the heaviest input, and the inter-stage activation
+            // bill for the final device is priced here (both no-ops without
+            // a session driver). A displaced stage re-prices against its
+            // producers' current liveness: inputs whose producer died
+            // restore from the host checkpoint instead of the link.
+            (device, acquisition) =
+                self.apply_stage_affinity(index, device, acquisition, info, state);
+            view.switch_us =
+                view.switch_us + acquisition.cost_us() + state.routed[index].activation_us;
+        }
         let routed_device = &mut self.devices[device];
         let local_tile = routed_device
             .dispatcher
-            .place(&adjusted, now_us, &routed_device.pool);
+            .place(&view, now_us, &routed_device.pool);
         state.profiler.end(obs::Stage::Route, route);
-        let tile = device * self.tiles_per_device + local_tile;
+        let tile = self.global_tile::<FLEET>(device, local_tile);
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
-        if fresh && !self.admit(index, device, starts_now, intake, state) {
+        if fresh && !self.admit::<FLEET>(index, device, starts_now, intake, state) {
             return Ok(());
         }
-        state.acquire_src[index] = (acquisition.label(), acquisition.bytes());
-        state.acquire_us[index] = self.commit_acquisition(device, info, acquisition, state);
-        self.commit_stage_activation(index, device, info, now_us, state);
+        if FLEET {
+            let acquire_us = self.commit_acquisition(device, info, acquisition, state);
+            let row = &mut state.routed[index];
+            row.acquire_us = acquire_us;
+            row.acquire_src = acquisition.source();
+            row.acquire_bytes = acquisition.bytes();
+            self.commit_stage_activation(index, device, info, now_us, state);
+        }
         if fresh {
             let memo_hit =
                 state
@@ -2097,19 +2129,23 @@ impl Cluster {
             state.taken[index] = false;
         }
         if starts_now {
-            self.start_request(device, local_tile, index, intake, state, None);
+            self.start_request::<FLEET>(device, local_tile, index, intake, state, None);
             return Ok(());
         }
         let scan = state.profiler.begin();
-        self.devices[device].enqueue(local_tile, info.view.key, info.view.est_exec_us);
+        self.devices[device]
+            .pool
+            .enqueue(local_tile, info.view.key, info.view.est_exec_us);
         state.queues[tile].push(index, &info.view);
-        if let Some(driver) = &mut state.session {
+        if let (true, Some(driver)) = (FLEET, &mut state.session) {
             driver.note_enqueued(index);
         }
         state.profiler.end(obs::Stage::Scan, scan);
-        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count());
-        state.device_peak_queue[device] =
-            state.device_peak_queue[device].max(self.devices[device].pool.total_waiting());
+        state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count::<FLEET>());
+        let tally = &mut state.tallies[device];
+        tally.peak_queue = tally
+            .peak_queue
+            .max(self.devices[device].pool.total_waiting());
         Ok(())
     }
 
@@ -2119,7 +2155,8 @@ impl Cluster {
     /// tightened, on a pipeline serve, to the session's weighted-fair share
     /// of it. Records the decision, and on a refusal the reject itself
     /// (with the session tier's cascade). Returns whether it was admitted.
-    fn admit(
+    #[inline(always)]
+    fn admit<const FLEET: bool>(
         &self,
         index: usize,
         device: usize,
@@ -2129,13 +2166,12 @@ impl Cluster {
     ) -> bool {
         let now_us = state.events.now_us();
         let info = &intake[index];
+        let session = state.session.as_ref().filter(|_| FLEET);
         // `fair` is always true on a plain serve, leaving the predicate
         // untouched.
-        let fair = match &state.session {
-            Some(driver) => driver.fair_admit(index, self.admission_limit),
-            None => true,
-        };
-        let admitted = starts_now || (self.waiting_count() < self.admission_limit && fair);
+        let fair = session.is_none_or(|driver| driver.fair_admit(index, self.admission_limit));
+        let admitted = starts_now || (self.waiting_count::<FLEET>() < self.admission_limit && fair);
+        let class = session.map_or(SloClass::Standard, |driver| driver.slo_of(index));
         if state.recorder.enabled() {
             state.recorder.record(obs::TraceEvent {
                 time_us: now_us,
@@ -2145,17 +2181,14 @@ impl Cluster {
                 tile: None,
                 kind: obs::SpanKind::Admission { admitted },
             });
-            if let Some(driver) = &state.session {
+            if session.is_some() {
                 state.recorder.record(obs::TraceEvent {
                     time_us: now_us,
                     dur_us: 0.0,
                     request_id: Some(info.request.id),
                     device,
                     tile: None,
-                    kind: obs::SpanKind::SloAdmit {
-                        class: driver.slo_of(index),
-                        admitted,
-                    },
+                    kind: obs::SpanKind::SloAdmit { class, admitted },
                 });
             }
         }
@@ -2178,29 +2211,28 @@ impl Cluster {
             arrival_us: info.request.arrival_us,
             deadline_us: info.request.deadline_us,
         });
-        state.device_rejects[device] += 1;
-        state.lane_series[device].note_reject(
-            state
-                .session
-                .as_ref()
-                .map_or(SloClass::Standard, |driver| driver.slo_of(index)),
-            now_us,
-        );
-        self.cascade_stage_reject(index, now_us, intake, state);
+        state.tallies[device].rejects += 1;
+        state.lane_series[device].note_reject(class, now_us);
+        if FLEET {
+            self.cascade_stage_reject(index, now_us, intake, state);
+        }
         false
     }
 
-    /// Pulls the next queued request off a freed tile's queue and starts it
-    /// (the indexed pop, exactly as `Runtime::start_next` does it —
-    /// including the batching layer over the policy's choice).
-    fn start_next(
+    /// Pulls the next queued request off a freed tile's queue and starts
+    /// it: the per-tile ordered queue pops the policy's choice in
+    /// O(log depth). The [`Batcher`] sits over the policy's choice: it may
+    /// run the oldest same-kernel waiter instead, amortizing the context
+    /// switch the choice would have paid.
+    #[inline(always)]
+    fn start_next<const FLEET: bool>(
         &mut self,
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
         state: &mut ClusterState,
     ) {
-        let tile = device * self.tiles_per_device + local_tile;
+        let tile = self.global_tile::<FLEET>(device, local_tile);
         let now_us = state.events.now_us();
         let scan = state.profiler.begin();
         let queue = &mut state.queues[tile];
@@ -2208,14 +2240,12 @@ impl Cluster {
         let choice = queue.peek_next(resident, state.taken);
         // The deadline-feasibility guard must see what the choice will
         // actually be charged: its switch *plus* the image-acquisition and
-        // activation-transfer delays committed at its arrival (both always
-        // 0 on one device with no session driver).
-        let choice_view = DispatchRequest {
-            switch_us: intake[choice].view.switch_us
-                + state.acquire_us[choice]
-                + state.activation_us[choice],
-            ..intake[choice].view
-        };
+        // activation-transfer delays committed at its arrival.
+        let mut choice_view = intake[choice].view;
+        if FLEET {
+            let row = &state.routed[choice];
+            choice_view.switch_us = choice_view.switch_us + row.acquire_us + row.activation_us;
+        }
         let diverted = state.batcher.divert(
             tile,
             now_us,
@@ -2228,21 +2258,25 @@ impl Cluster {
                     .map(|i| (i, intake[i].view.est_exec_us))
             },
         );
-        if state.session.is_some() && diverted.is_some_and(|diverted| diverted != choice) {
-            // The batching layer pulled a same-kernel sibling ahead of the
-            // policy's choice during a pipeline serve — the cross-pipeline
-            // stage-batching the session report surfaces.
-            state.batcher.note_stage_batched();
-        }
         let index = diverted.unwrap_or(choice);
         queue.take(index, state.taken);
-        if let Some(driver) = &mut state.session {
+        if let (true, Some(driver)) = (FLEET, &mut state.session) {
+            if index != choice {
+                // The batching layer pulled a same-kernel sibling ahead of
+                // the policy's choice during a pipeline serve — the
+                // cross-pipeline stage-batching the session report surfaces.
+                state.batcher.note_stage_batched();
+            }
             driver.note_dequeued(index);
         }
+        // Deadline-aware removal may have taken the queue tail; tell the
+        // pool what the queue ends in now so residency projection stays
+        // honest for later placements. The dequeue and the charge are one
+        // combined pool transition (a single index update).
         let remaining_tail = queue.tail_key(state.taken);
         let est_us = intake[index].view.est_exec_us;
         state.profiler.end(obs::Stage::Scan, scan);
-        self.start_request(
+        self.start_request::<FLEET>(
             device,
             local_tile,
             index,
@@ -2253,9 +2287,11 @@ impl Cluster {
     }
 
     /// Commits request `index` to its routed device's tile at the current
-    /// virtual time, charging acquisition + switch + execution and
-    /// scheduling the tile-free event.
-    fn start_request(
+    /// virtual time: reads its measured cycle count, charges the tile's
+    /// timeline with acquisition + switch + execution, records the outcome
+    /// and schedules the tile-free event at the completion.
+    #[inline(always)]
+    fn start_request<const FLEET: bool>(
         &mut self,
         device: usize,
         local_tile: usize,
@@ -2265,18 +2301,24 @@ impl Cluster {
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) {
         let now_us = state.events.now_us();
+        let tile = self.global_tile::<FLEET>(device, local_tile);
         let info = &intake[index];
         let run = state.sim.run(index);
-        let exec_cycles =
-            run.metrics().total_cycles + self.devices[device].pool.roundtrip_cycles(local_tile);
+        let serving = &mut self.devices[device];
+        let exec_cycles = run.metrics().total_cycles + serving.pool.roundtrip_cycles(local_tile);
         let exec_us = exec_cycles as f64 / info.fmax_mhz;
         // The image acquisition (inter-device transfer or host load)
         // resolved at the arrival event is charged ahead of the context
         // switch, as is the inter-stage activation transfer on a pipeline
         // serve; a request whose tile does not switch pays none of them.
-        let switch_us = info.view.switch_us + state.acquire_us[index] + state.activation_us[index];
+        let mut switch_us = info.view.switch_us;
+        if FLEET {
+            let row = &state.routed[index];
+            switch_us = switch_us + row.acquire_us + row.activation_us;
+        }
+        serving.busy_tiles += 1;
         let charged = match from_queue {
-            Some((est_us, remaining_tail)) => self.devices[device].start_queued(
+            Some((est_us, remaining_tail)) => serving.pool.start_queued(
                 local_tile,
                 est_us,
                 remaining_tail,
@@ -2285,52 +2327,41 @@ impl Cluster {
                 switch_us,
                 exec_us,
             ),
-            None => {
-                self.devices[device].charge(local_tile, info.view.key, now_us, switch_us, exec_us)
-            }
+            None => serving
+                .pool
+                .charge(local_tile, info.view.key, now_us, switch_us, exec_us),
         };
-        state.batcher.note_start(
-            device * self.tiles_per_device + local_tile,
-            charged.switched,
-        );
+        state.batcher.note_start(tile, charged.switched);
+        // The acquisition is only paid (and only spanned) as part of a
+        // context switch — a warm tile rides the resident image free.
+        let row = if FLEET {
+            Some(&state.routed[index])
+        } else {
+            None
+        };
+        let transferred =
+            charged.switched && row.is_some_and(|row| row.acquire_src == AcquireSource::Transfer);
         if state.recorder.enabled() {
-            let (source, bytes) = state.acquire_src[index];
-            // The acquisition is only paid (and only spanned) as part of a
-            // context switch — a warm tile rides the resident image free.
-            let acquire = if charged.switched {
-                Some((state.acquire_us[index], source, bytes))
-            } else {
-                None
-            };
-            record_request_spans(
-                state.recorder,
-                (device, local_tile),
-                info,
-                &charged,
-                acquire,
-                state.activation_us[index],
-                state
-                    .batcher
-                    .run_len(device * self.tiles_per_device + local_tile),
-            );
+            let run_len = state.batcher.run_len(tile);
+            let place = (device, local_tile);
+            record_request_spans(state.recorder, place, info, &charged, row, run_len);
         }
-        state.device_latency_hists[device].record(charged.completion_us - info.request.arrival_us);
-        let missed_deadline = info
-            .request
+        let request = &info.request;
+        let latency_us = charged.completion_us - request.arrival_us;
+        state.tallies[device].latency_hist.record(latency_us);
+        let missed_deadline = request
             .deadline_us
             .is_some_and(|deadline| charged.completion_us > deadline);
+        let session = state.session.as_ref().filter(|_| FLEET);
+        let class = session.map_or(SloClass::Standard, |driver| driver.slo_of(index));
         state.lane_series[device].note_start(
-            state
-                .session
-                .as_ref()
-                .map_or(SloClass::Standard, |driver| driver.slo_of(index)),
+            class,
             charged.start_us,
             charged.completion_us,
-            charged.completion_us - info.request.arrival_us,
+            latency_us,
             missed_deadline,
-            charged.switched && state.acquire_src[index].0 == "transfer",
+            transferred,
         );
-        let request = &info.request;
         state.outcome_slots[index] = Some(RequestOutcome {
             request_id: request.id,
             kernel: request.kernel.shared_name(),
@@ -2341,73 +2372,84 @@ impl Cluster {
             start_us: charged.start_us,
             queued_us: charged.start_us - request.arrival_us,
             completion_us: charged.completion_us,
-            latency_us: charged.completion_us - request.arrival_us,
+            latency_us,
             switched: charged.switched,
             deadline_us: request.deadline_us,
             missed_deadline,
         });
-        if self.fault.is_some() || state.session.is_some() {
+        if FLEET && (self.fault.is_some() || state.session.is_some()) {
             // Kills must know what to abandon, and stale completions of
             // abandoned work must be told apart from this run's. The
             // session tier reads the same bookkeeping to learn which stage
             // a tile-free event just committed.
-            let tile = device * self.tiles_per_device + local_tile;
             state.running_index[tile] = Some(index);
             state.pending_free[tile] = Some(charged.completion_us);
         }
-        state.events.push(
-            charged.completion_us,
-            EventKind::TileFree {
-                tile: device * self.tiles_per_device + local_tile,
-            },
-        );
+        state
+            .events
+            .push(charged.completion_us, EventKind::TileFree { tile });
     }
 
     /// Folds the loop output into cluster totals plus the per-device
-    /// breakdown. Counters and sums are one pass over the outcomes in
-    /// submission order (bitwise-matching `Runtime::aggregate` for one
-    /// device); cluster and per-device latency percentiles both come from
-    /// selection, not a sort.
+    /// breakdown — one pass over the outcomes in submission order for the
+    /// counters and sums, with their latencies going into the recycled
+    /// `latencies` table (and on several devices a second to scatter them
+    /// device-major), then selection (not a sort) for the percentiles: each
+    /// device's on its own sub-range, the cluster's on the whole.
     fn aggregate(
         &self,
         output: &mut ClusterLoopOutput,
         latencies: &mut Vec<f64>,
-        cache_deltas: &[CacheStats],
+        cache_before: &[CacheStats],
         sim_memo: CacheStats,
     ) -> (RuntimeMetrics, Vec<DeviceMetrics>) {
-        let devices = self.num_devices();
+        /// One device's share of the outcomes; `end` is where its latencies
+        /// stop in the table once it is device-major.
+        #[derive(Clone, Copy, Default)]
+        struct DeviceSums {
+            requests: usize,
+            end: usize,
+            latency_sum: f64,
+            max_latency_us: f64,
+            deadline_misses: usize,
+            deadline_requests: usize,
+        }
         let outcomes = &output.outcomes;
         let requests = outcomes.len();
+        let mut sums = vec![DeviceSums::default(); self.num_devices()];
         let mut invocations = 0usize;
         let mut makespan_us = 0.0_f64;
         let mut latency_sum = 0.0_f64;
-        let mut max_latency_us = 0.0_f64;
-        let mut deadline_misses = 0usize;
-        let mut deadline_requests = 0usize;
         latencies.reserve(requests);
-        let mut device_latencies: Vec<Vec<f64>> = vec![Vec::new(); devices];
-        let mut device_latency_sum = vec![0.0_f64; devices];
-        let mut device_max_latency = vec![0.0_f64; devices];
-        let mut device_deadline_misses = vec![0usize; devices];
-        let mut device_deadline_requests = vec![0usize; devices];
         for outcome in outcomes {
             invocations += outcome.sim.blocks;
             makespan_us = makespan_us.max(outcome.completion_us);
             latency_sum += outcome.latency_us;
-            max_latency_us = max_latency_us.max(outcome.latency_us);
-            deadline_misses += usize::from(outcome.missed_deadline);
-            deadline_requests += usize::from(outcome.deadline_us.is_some());
             latencies.push(outcome.latency_us);
-            let device = outcome.device;
-            device_latencies[device].push(outcome.latency_us);
-            device_latency_sum[device] += outcome.latency_us;
-            device_max_latency[device] = device_max_latency[device].max(outcome.latency_us);
-            device_deadline_misses[device] += usize::from(outcome.missed_deadline);
-            device_deadline_requests[device] += usize::from(outcome.deadline_us.is_some());
+            let device = &mut sums[outcome.device];
+            device.requests += 1;
+            device.latency_sum += outcome.latency_us;
+            device.max_latency_us = device.max_latency_us.max(outcome.latency_us);
+            device.deadline_misses += usize::from(outcome.missed_deadline);
+            device.deadline_requests += usize::from(outcome.deadline_us.is_some());
         }
-        let p50_latency_us = metrics::percentile_by_selection(latencies, 0.50);
-        let p99_latency_us = metrics::percentile_by_selection(latencies, 0.99);
-        let mean_latency_us = latency_sum / requests.max(1) as f64;
+        if let [only] = sums.as_mut_slice() {
+            // One device: submission order is device-major already.
+            only.end = requests;
+        } else {
+            // `end` walks up from the device's first slot as the scatter
+            // fills it.
+            let mut first = 0;
+            for device in &mut sums {
+                device.end = first;
+                first += device.requests;
+            }
+            for outcome in outcomes {
+                let device = &mut sums[outcome.device];
+                latencies[device.end] = outcome.latency_us;
+                device.end += 1;
+            }
+        }
         let per_second = if makespan_us > 0.0 {
             1.0e6 / makespan_us
         } else {
@@ -2424,30 +2466,31 @@ impl Cluster {
         let device_metrics: Vec<DeviceMetrics> = self
             .devices
             .iter()
-            .zip(&mut device_latencies)
-            .map(|(device, latencies)| {
+            .zip(&sums)
+            .zip(&output.tallies)
+            .map(|((device, sums), tally)| {
                 let id = device.id;
                 let states = device.pool.states();
-                let served = latencies.len();
+                let latencies = &mut latencies[sums.end - sums.requests..sums.end];
                 DeviceMetrics {
                     device: id,
-                    requests: served,
-                    mean_latency_us: device_latency_sum[id] / served.max(1) as f64,
+                    requests: sums.requests,
+                    mean_latency_us: sums.latency_sum / sums.requests.max(1) as f64,
                     p50_latency_us: metrics::percentile_by_selection(latencies, 0.50),
                     p99_latency_us: metrics::percentile_by_selection(latencies, 0.99),
-                    max_latency_us: device_max_latency[id],
+                    max_latency_us: sums.max_latency_us,
                     switch_count: states.iter().map(|s| s.switches).sum(),
                     total_switch_us: states.iter().map(|s| s.switch_us).sum(),
                     tile_utilization: states.iter().map(|s| utilization(s.busy_us)).collect(),
                     tile_requests: states.iter().map(|s| s.served).collect(),
-                    cache: cache_deltas[id],
-                    deadline_misses: device_deadline_misses[id],
-                    deadline_requests: device_deadline_requests[id],
-                    rejects: output.device_rejects[id],
-                    peak_queue_depth: output.device_peak_queue[id],
-                    transfers_in: output.device_transfers[id].0,
-                    transfer_bytes_in: output.device_transfers[id].1,
-                    host_loads: output.device_host_loads[id],
+                    cache: device.cache.stats().since(cache_before[id]),
+                    deadline_misses: sums.deadline_misses,
+                    deadline_requests: sums.deadline_requests,
+                    rejects: tally.rejects,
+                    peak_queue_depth: tally.peak_queue,
+                    transfers_in: tally.transfers,
+                    transfer_bytes_in: tally.transfer_bytes,
+                    host_loads: tally.host_loads,
                     availability: self
                         .fault
                         .as_ref()
@@ -2458,14 +2501,22 @@ impl Cluster {
                 }
             })
             .collect();
+        // One device's percentiles are the cluster's.
+        let (p50_latency_us, p99_latency_us) = match device_metrics.as_slice() {
+            [only] => (only.p50_latency_us, only.p99_latency_us),
+            _ => (
+                metrics::percentile_by_selection(latencies, 0.50),
+                metrics::percentile_by_selection(latencies, 0.99),
+            ),
+        };
 
         let all_states = || self.devices.iter().flat_map(|d| d.pool.states());
-        let cache_total = cache_deltas
+        let cache_total = device_metrics
             .iter()
             .fold(CacheStats::default(), |acc, d| CacheStats {
-                hits: acc.hits + d.hits,
-                misses: acc.misses + d.misses,
-                evictions: acc.evictions + d.evictions,
+                hits: acc.hits + d.cache.hits,
+                misses: acc.misses + d.cache.misses,
+                evictions: acc.evictions + d.cache.evictions,
             });
         let totals = RuntimeMetrics {
             requests,
@@ -2473,10 +2524,10 @@ impl Cluster {
             makespan_us,
             requests_per_sec: requests as f64 * per_second,
             invocations_per_sec: invocations as f64 * per_second,
-            mean_latency_us,
+            mean_latency_us: latency_sum / requests.max(1) as f64,
             p50_latency_us,
             p99_latency_us,
-            max_latency_us,
+            max_latency_us: sums.iter().fold(0.0, |max, d| max.max(d.max_latency_us)),
             switch_count: all_states().map(|s| s.switches).sum(),
             total_switch_us: all_states().map(|s| s.switch_us).sum(),
             tile_utilization: all_states().map(|s| utilization(s.busy_us)).collect(),
@@ -2484,8 +2535,8 @@ impl Cluster {
             cache: cache_total,
             sim_memo,
             events_fired: output.events_fired,
-            deadline_misses,
-            deadline_requests,
+            deadline_misses: sums.iter().map(|d| d.deadline_misses).sum(),
+            deadline_requests: sums.iter().map(|d| d.deadline_requests).sum(),
             batch: output.batch,
             rejects: output.rejected.len(),
             rejected_deadlines: output
@@ -2501,7 +2552,11 @@ impl Cluster {
             },
             tile_peak_queue: all_states().map(|s| s.peak_queue_depth).collect(),
             latency_hist: obs::LogHistogram::merged(
-                &output.device_latency_hists.iter().collect::<Vec<_>>(),
+                &output
+                    .tallies
+                    .iter()
+                    .map(|tally| &tally.latency_hist)
+                    .collect::<Vec<_>>(),
             ),
             queue_depth_hist: std::mem::take(&mut output.queue_depth_hist),
         };
@@ -2698,8 +2753,9 @@ mod tests {
     /// Acquisition rules are uniform under store eviction: a device whose
     /// capacity-1 store thrashes between kernels pays to re-acquire evicted
     /// images (home shard included), while a 1-device cluster under the
-    /// same eviction pressure still never acquires — it must stay bitwise
-    /// `Runtime`-equivalent.
+    /// same eviction pressure still never acquires — the fleet tier (an
+    /// empty fault plan puts `single` there) stays bitwise equivalent to
+    /// the plain one a `Runtime` serves on.
     #[test]
     fn tiny_stores_reacquire_evicted_images_and_one_device_stays_exempt() {
         let trace = benchmark_trace(16, 4);
@@ -2719,6 +2775,7 @@ mod tests {
 
         let mut single = Cluster::new(FuVariant::V4, 1, 2)
             .unwrap()
+            .with_fault_plan(FaultPlan::new())
             .with_cache_capacity(1)
             .unwrap();
         let mut runtime = Runtime::new(FuVariant::V4, 2)
@@ -3053,24 +3110,11 @@ mod tests {
     }
 
     /// Everything a serve decided and computed: outcomes (with their
-    /// outputs) and rejects in report order, and the metrics.
-    fn decided(
-        outcomes: &[RequestOutcome],
-        rejected: &[RejectedRequest],
-        metrics: &RuntimeMetrics,
-    ) -> (String, RuntimeMetrics) {
-        (format!("{outcomes:?}\n{rejected:?}"), metrics.clone())
-    }
-
-    fn runtime_decided(report: &crate::ServeReport) -> (String, RuntimeMetrics) {
-        decided(report.outcomes(), report.rejected(), report.metrics())
-    }
-
-    /// [`decided`] plus the per-device breakdown — minus the per-device
-    /// split of compile-cache lookups, which on a streamed serve follows
-    /// ingest timing (the totals do not).
-    fn cluster_decided(report: &ClusterReport) -> (String, RuntimeMetrics, Vec<DeviceMetrics>) {
-        let (requests, metrics) = decided(report.outcomes(), report.rejected(), report.metrics());
+    /// outputs) and rejects in report order, the metrics and the per-device
+    /// breakdown — minus the per-device split of compile-cache lookups,
+    /// which on a streamed serve follows ingest timing (the totals do not).
+    fn decided(report: &ClusterReport) -> (String, RuntimeMetrics, Vec<DeviceMetrics>) {
+        let requests = format!("{:?}\n{:?}", report.outcomes(), report.rejected());
         let devices = report
             .device_metrics()
             .iter()
@@ -3079,7 +3123,7 @@ mod tests {
                 ..device.clone()
             })
             .collect();
-        (requests, metrics, devices)
+        (requests, report.metrics().clone(), devices)
     }
 
     /// The admitted ids of `trace`, in intake order.
@@ -3093,79 +3137,70 @@ mod tests {
 
     /// Serves a long trace, a short one, the long one under a tight
     /// admission limit (so the in-place compaction meets `None` slots) and
-    /// a stream of doubly-submitted shared requests on one `$build`, each
+    /// a stream of doubly-submitted shared requests on one cluster, each
     /// report held to the one a twin returns that lives through the same
     /// serves (its kernel-image stores and memo are as warm) but has its
     /// tables thrown away before each.
-    macro_rules! reused_tables_match_fresh_ones {
-        ($build:expr, $decided:ident) => {{
-            let long = repeating_trace(2_000);
-            let short = repeating_trace(300);
-            let (mut reused, mut twin) = ($build, $build);
-            for trace in [&long, &short] {
-                let report = reused.serve(trace.clone()).unwrap();
-                twin.tables = LoopTables::default();
-                assert_eq!(
-                    $decided(&report),
-                    $decided(&twin.serve(trace.clone()).unwrap())
-                );
-                assert!(report.rejected().is_empty());
-                let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
-                assert_eq!(ids, admitted_ids(trace, &[]), "intake order");
+    fn reused_tables_match_fresh_ones(build: impl Fn() -> Cluster) {
+        let long = repeating_trace(2_000);
+        let short = repeating_trace(300);
+        let (mut reused, mut twin) = (build(), build());
+        for trace in [&long, &short] {
+            let report = reused.serve(trace.clone()).unwrap();
+            twin.tables = LoopTables::default();
+            assert_eq!(
+                decided(&report),
+                decided(&twin.serve(trace.clone()).unwrap())
+            );
+            assert!(report.rejected().is_empty());
+            let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+            assert_eq!(ids, admitted_ids(trace, &[]), "intake order");
+        }
+
+        let mut reused = reused.with_admission_limit(4);
+        let mut twin = twin.with_admission_limit(4);
+        let report = reused.serve(long.clone()).unwrap();
+        twin.tables = LoopTables::default();
+        assert_eq!(
+            decided(&report),
+            decided(&twin.serve(long.clone()).unwrap())
+        );
+        assert!(!report.rejected().is_empty() && !report.outcomes().is_empty());
+        let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+        assert_eq!(ids, admitted_ids(&long, report.rejected()), "intake order");
+
+        // The producer keeps its share of every request and submits
+        // each twice: the loop has to copy out of the `Arc`.
+        let shared: Vec<Arc<Request>> = short.iter().cloned().map(Arc::new).collect();
+        let feed = |submitter: Submitter| {
+            for request in &shared {
+                submitter.submit(Arc::clone(request)).unwrap();
+                submitter.submit(Arc::clone(request)).unwrap();
             }
-
-            let mut reused = reused.with_admission_limit(4);
-            let mut twin = twin.with_admission_limit(4);
-            let report = reused.serve(long.clone()).unwrap();
-            twin.tables = LoopTables::default();
-            assert_eq!(
-                $decided(&report),
-                $decided(&twin.serve(long.clone()).unwrap())
-            );
-            assert!(!report.rejected().is_empty() && !report.outcomes().is_empty());
-            let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
-            assert_eq!(ids, admitted_ids(&long, report.rejected()), "intake order");
-
-            // The producer keeps its share of every request and submits
-            // each twice: the loop has to copy out of the `Arc`.
-            let shared: Vec<Arc<Request>> = short.iter().cloned().map(Arc::new).collect();
-            let feed = |submitter: Submitter| {
-                for request in &shared {
-                    submitter.submit(Arc::clone(request)).unwrap();
-                    submitter.submit(Arc::clone(request)).unwrap();
-                }
-            };
-            let mut reused = reused.with_admission_limit(usize::MAX);
-            let mut twin = twin.with_admission_limit(usize::MAX);
-            let report = reused.serve_stream(feed).unwrap();
-            twin.tables = LoopTables::default();
-            assert_eq!(
-                $decided(&report),
-                $decided(&twin.serve_stream(feed).unwrap())
-            );
-            let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
-            let twice: Vec<u64> = short.iter().flat_map(|r| [r.id, r.id]).collect();
-            assert_eq!(ids, twice, "intake order");
-            assert!(
-                shared.iter().all(|request| Arc::strong_count(request) == 1),
-                "nothing of a request outlives its serve"
-            );
-        }};
+        };
+        let mut reused = reused.with_admission_limit(usize::MAX);
+        let mut twin = twin.with_admission_limit(usize::MAX);
+        let report = reused.serve_stream(feed).unwrap();
+        twin.tables = LoopTables::default();
+        assert_eq!(decided(&report), decided(&twin.serve_stream(feed).unwrap()));
+        let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
+        let twice: Vec<u64> = short.iter().flat_map(|r| [r.id, r.id]).collect();
+        assert_eq!(ids, twice, "intake order");
+        assert!(
+            shared.iter().all(|request| Arc::strong_count(request) == 1),
+            "nothing of a request outlives its serve"
+        );
     }
 
     #[test]
     fn recycled_tables_carry_nothing_from_one_serve_to_the_next() {
-        reused_tables_match_fresh_ones!(Runtime::new(FuVariant::V4, 3).unwrap(), runtime_decided);
-        reused_tables_match_fresh_ones!(
-            Cluster::new(FuVariant::V4, 1, 3).unwrap(),
-            cluster_decided
-        );
-        reused_tables_match_fresh_ones!(
+        // Once per tier of the loop: a `Runtime` is the first of these.
+        reused_tables_match_fresh_ones(|| Cluster::new(FuVariant::V4, 1, 3).unwrap());
+        reused_tables_match_fresh_ones(|| {
             Cluster::new(FuVariant::V4, 4, 2)
                 .unwrap()
-                .with_route_policy(RoutePolicy::LeastLoaded),
-            cluster_decided
-        );
+                .with_route_policy(RoutePolicy::LeastLoaded)
+        });
     }
 
     #[test]
@@ -3178,32 +3213,36 @@ mod tests {
                 t.taken.capacity(),
                 t.ready.capacity(),
                 t.latencies.capacity(),
-                t.acquire_us.capacity(),
-                t.acquire_src.capacity(),
-                t.exclusions.capacity(),
-                t.activation_us.capacity(),
+                t.routed.capacity(),
             ]
         };
         let mut runtime = Runtime::new(FuVariant::V4, 8).unwrap();
         let mut cluster = Cluster::new(FuVariant::V4, 2, 4).unwrap();
-        assert_eq!(capacities(&runtime.tables), [0; 8], "nothing up front");
-        assert_eq!(capacities(&cluster.tables), [0; 8], "nothing up front");
+        assert_eq!(
+            capacities(&runtime.cluster.tables),
+            [0; 5],
+            "nothing up front"
+        );
+        assert_eq!(capacities(&cluster.tables), [0; 5], "nothing up front");
 
         runtime.serve(repeating_trace(BIG)).unwrap();
         cluster.serve(repeating_trace(BIG)).unwrap();
-        let kept = capacities(&runtime.tables);
+        let kept = capacities(&runtime.cluster.tables);
         assert!(
             kept[..4].iter().all(|&capacity| capacity >= BIG),
             "{kept:?}"
         );
-        assert_eq!(kept[4..], [0; 4], "a runtime never touches the cluster's");
+        assert_eq!(kept[4], 0, "the plain tier never touches the fleet's");
         let kept = capacities(&cluster.tables);
         assert!(kept.iter().all(|&capacity| capacity >= BIG), "{kept:?}");
 
         for _ in 0..2 {
             runtime.serve(repeating_trace(SMALL)).unwrap();
             cluster.serve(repeating_trace(SMALL)).unwrap();
-            for kept in [capacities(&runtime.tables), capacities(&cluster.tables)] {
+            for kept in [
+                capacities(&runtime.cluster.tables),
+                capacities(&cluster.tables),
+            ] {
                 assert!(
                     kept.iter().all(|&capacity| capacity <= 4 * SMALL),
                     "{kept:?}"

@@ -80,7 +80,7 @@ impl Default for BatchConfig {
 }
 
 /// Per-serve batching state: the per-tile same-kernel run lengths and the
-/// formed-batch counters. Driven by the event loops at every tile-free
+/// formed-batch counters. Driven by the event loop at every tile-free
 /// drain ([`divert`](Batcher::divert)) and every dispatch commit
 /// ([`note_start`](Batcher::note_start)).
 #[derive(Debug)]

@@ -53,7 +53,7 @@ impl RateEstimator {
 
     /// Records one arrival of `key` at virtual time `now_us` and returns the
     /// updated decayed weight. Observations must be fed in non-decreasing
-    /// time order (the event loops guarantee this).
+    /// time order (the event loop guarantees this).
     pub fn observe(&mut self, key: KernelKey, now_us: f64) -> f64 {
         let entry = self.entries.entry(key).or_insert(RateEntry {
             weight: 0.0,

@@ -1,5 +1,5 @@
 //! The control-plane subsystem: same-kernel batching and rate-driven kernel
-//! replication, layered over the data-plane event loops.
+//! replication, layered over the data-plane event loop.
 //!
 //! The serving runtime's dispatch policies *price* a context switch (the
 //! modeled bitstream/overlay swap from [`overlay_arch::ReconfigModel`]) but

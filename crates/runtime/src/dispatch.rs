@@ -26,7 +26,7 @@
 //! handful of first-entry lookups, and tile queues drain through [`TileQueue`] — a per-policy
 //! ordered structure (FIFO deque, deadline min-heap, or per-kernel slack
 //! buckets) that pops in O(log depth) instead of an O(depth)
-//! scan-and-remove. The event loops have no other path.
+//! scan-and-remove. The event loop has no other path.
 //!
 //! The original linear scans survive only as decision-level references the
 //! unit tests compare against, one decision at a time:
@@ -262,7 +262,7 @@ impl Dispatcher {
     /// queue; EDF picks the tightest deadline, slack-aware the least
     /// [`slack`](DispatchRequest::slack_us) (ties prefer the request whose
     /// kernel is already resident). Exact ties fall back to FIFO.
-    /// The event loops answer the same query from `TileQueue`'s
+    /// The event loop answers the same query from `TileQueue`'s
     /// incrementally-ordered structure; the unit tests hold the two to
     /// identical answers.
     pub fn select_next(&self, tile: &TileState, queue: &[DispatchRequest]) -> usize {

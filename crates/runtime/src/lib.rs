@@ -138,10 +138,7 @@ pub use submit::{SubmitError, Submitter};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use control::Batcher;
-use dispatch::TileQueue;
-use event::{EventKind, EventQueue};
-use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel, TileComposition};
+use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
 use overlay_dfg::Value;
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
@@ -311,9 +308,8 @@ struct DerivedTiming {
 /// before it can be dispatched — including the [`DispatchRequest`] view
 /// every later event reuses and the [`SimKey`] the memo answers.
 /// Kernel-dependent timing (frequency, switch cost, II, image size) is
-/// computed once per distinct kernel and reused from the context. Shared by
-/// [`Runtime`] and [`Cluster`] (where `cache` is the kernel's home-device
-/// store).
+/// computed once per distinct kernel and reused from the context. `cache`
+/// is the kernel's home-device store.
 pub(crate) fn prepare_request(
     cache: &mut KernelCache,
     lower: &LowerOptions,
@@ -413,16 +409,15 @@ pub(crate) struct InFlight {
 /// queue wait (arrival → start), image acquisition and context switch when
 /// paid, the run itself, batch membership and the commit instant. The span
 /// durations sum to the request's reported `latency_us` by construction —
-/// the reconciliation the observability test suite audits. Shared by the
-/// [`Runtime`] and [`Cluster`] start paths (`acquire` is the cluster's
-/// image-acquisition charge: duration, source label, bytes).
+/// the reconciliation the observability test suite audits. `routed` is the
+/// fleet tier's row for the request: the image acquisition and activation
+/// transfer a switching tile pays ahead of the switch itself.
 pub(crate) fn record_request_spans(
     recorder: &mut obs::TraceRecorder,
     place: (usize, usize),
     info: &InFlight,
     charged: &ChargeOutcome,
-    acquire: Option<(f64, &'static str, u64)>,
-    activation_us: f64,
+    routed: Option<&route::Routed>,
     run_len: usize,
 ) {
     let (device, tile) = place;
@@ -448,20 +443,18 @@ pub(crate) fn record_request_spans(
         run_len as u64,
     );
     let mut cursor = start;
-    if let Some((acquire_us, source, bytes)) = acquire {
-        if acquire_us > 0.0 {
-            recorder.record(span(
-                cursor,
-                acquire_us,
-                obs::SpanKind::Acquire { source, bytes },
-            ));
-            cursor += acquire_us;
-        }
-    }
     if charged.switched {
-        if activation_us > 0.0 {
-            recorder.record(span(cursor, activation_us, obs::SpanKind::Activation));
-            cursor += activation_us;
+        if let Some(row) = routed {
+            if row.acquire_us > 0.0 {
+                let (source, bytes) = (row.acquire_src.label(), row.acquire_bytes);
+                let acquire = obs::SpanKind::Acquire { source, bytes };
+                recorder.record(span(cursor, row.acquire_us, acquire));
+                cursor += row.acquire_us;
+            }
+            if row.activation_us > 0.0 {
+                recorder.record(span(cursor, row.activation_us, obs::SpanKind::Activation));
+                cursor += row.activation_us;
+            }
         }
         let switch_us = info.view.switch_us;
         recorder.record(span(cursor, switch_us, obs::SpanKind::ContextSwitch));
@@ -513,7 +506,6 @@ fn recycle<T>(table: &mut Vec<T>, completed: bool) {
 /// to the serve: a serve takes them, reserves room for the submissions it
 /// knows are coming and hands them back emptied on every exit path, so a
 /// warm serve neither allocates them nor first-touches their pages again.
-/// A plain [`Runtime`] leaves the cluster-only ones unallocated.
 #[derive(Debug, Default)]
 pub(crate) struct LoopTables {
     pub(crate) intake: Vec<InFlight>,
@@ -524,26 +516,12 @@ pub(crate) struct LoopTables {
     pub(crate) ready: Vec<Option<Arc<SimRun>>>,
     /// Per outcome: the latencies `aggregate` selects percentiles from.
     pub(crate) latencies: Vec<f64>,
-    /// Cluster only, per intake index: the image-acquisition delay resolved
-    /// at arrival and its `(source, bytes)` for the acquire span.
-    pub(crate) acquire_us: Vec<f64>,
-    pub(crate) acquire_src: Vec<(&'static str, u64)>,
-    /// Cluster only, per intake index: devices a fault displaced the request
-    /// off — routing avoids them while any other serviceable device exists.
-    pub(crate) exclusions: Vec<route::ExclusionSet>,
-    /// Cluster only, per intake index: the inter-stage activation delay
-    /// priced at the routing commit (all zero without a session driver).
-    pub(crate) activation_us: Vec<f64>,
+    /// Per intake index, on the event loop's fleet tier only: what routing
+    /// decided. The plain tier never grows it.
+    pub(crate) routed: Vec<route::Routed>,
 }
 
 impl LoopTables {
-    /// Room for `expected` submissions in the tables both loops index.
-    pub(crate) fn reserve(&mut self, expected: usize) {
-        self.intake.reserve(expected);
-        self.taken.reserve(expected);
-        self.ready.reserve(expected);
-    }
-
     /// Drops what the serve left in the tables and keeps their storage for
     /// the next one; only a serve that `completed` says how much of it is
     /// worth keeping ([`RETAINED_SLACK`]), a failed one stopped short.
@@ -552,10 +530,7 @@ impl LoopTables {
         recycle(&mut self.taken, completed);
         recycle(&mut self.ready, completed);
         recycle(&mut self.latencies, completed);
-        recycle(&mut self.acquire_us, completed);
-        recycle(&mut self.acquire_src, completed);
-        recycle(&mut self.exclusions, completed);
-        recycle(&mut self.activation_us, completed);
+        recycle(&mut self.routed, completed);
     }
 }
 
@@ -688,164 +663,15 @@ impl Ingest {
     }
 }
 
-/// The horizon-ruled submission pull shared by the [`Runtime`] and
-/// [`Cluster`] event loops: requests are pulled (and prepared) until the
-/// earliest pending event is at or before the horizon and therefore safe to
-/// fire. After each blocking pull, whatever else is already buffered is
-/// drained in the same pass — pulling ahead of the horizon is always sound
-/// (it only schedules future arrival events) and amortizes the channel
-/// synchronization across a whole burst.
-///
-/// Arrival validation (finite, non-negative, non-decreasing) lives here, in
-/// exactly one place.
-pub(crate) struct SubmissionPull {
-    pub(crate) horizon_us: f64,
-    pub(crate) ingest_open: bool,
-}
-
-impl SubmissionPull {
-    pub(crate) fn new() -> Self {
-        SubmissionPull {
-            horizon_us: 0.0,
-            ingest_open: true,
-        }
-    }
-
-    /// Pulls until an event at or before the horizon is pending (or the
-    /// ingest closes, setting the horizon to ∞). `prepare` compiles one
-    /// submission into its [`InFlight`] record; `grow_slots` extends the
-    /// caller's per-intake side tables by one before the record is pushed
-    /// (and, with tracing on, records the submission span — which is why it
-    /// sees the prepared record).
-    pub(crate) fn pull<P, G>(
-        &mut self,
-        ingest: &mut Ingest,
-        events: &mut EventQueue,
-        intake: &mut Vec<InFlight>,
-        mut prepare: P,
-        mut grow_slots: G,
-    ) -> Result<(), RuntimeError>
-    where
-        P: FnMut(Request) -> Result<InFlight, RuntimeError>,
-        G: FnMut(&InFlight),
-    {
-        while self.ingest_open
-            && events
-                .peek_time_us()
-                .is_none_or(|time| time > self.horizon_us)
-        {
-            let Some(request) = ingest.recv() else {
-                // Every submitter is gone: the trace is complete.
-                self.ingest_open = false;
-                self.horizon_us = f64::INFINITY;
-                break;
-            };
-            let mut next = Some(request);
-            while let Some(request) = next.take() {
-                let arrival_us = request.arrival_us;
-                if !arrival_us.is_finite() || arrival_us < 0.0 {
-                    return Err(RuntimeError::InvalidArrival {
-                        request: request.id,
-                        arrival_us,
-                    });
-                }
-                if arrival_us < self.horizon_us {
-                    return Err(RuntimeError::OutOfOrderArrival {
-                        request: request.id,
-                        arrival_us,
-                        horizon_us: self.horizon_us,
-                    });
-                }
-                self.horizon_us = arrival_us;
-                let inflight = prepare(request)?;
-                let index = intake.len();
-                // Arrivals enter in non-decreasing time order: the
-                // monotone lane appends instead of heap-sifting.
-                events.push_monotone(arrival_us, EventKind::Arrival { index });
-                grow_slots(&inflight);
-                intake.push(inflight);
-                next = ingest.try_recv();
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Mutable event-loop state, separate from the `Runtime` so placement (on
-/// `self`) and bookkeeping borrows stay disjoint.
-struct OnlineState<'t> {
-    /// The per-tile waiting queues, ordered for the dispatch policy.
-    queues: Vec<TileQueue>,
-    /// [`LoopTables::taken`], on loan for the serve.
-    taken: &'t mut Vec<bool>,
-    events: EventQueue,
-    /// Per intake index: the outcome written at the request's start. The one
-    /// table a serve allocates: it leaves with the report ([`compact_outcomes`]).
-    outcome_slots: Vec<Option<RequestOutcome>>,
-    rejected: Vec<RejectedRequest>,
-    sim: SimResults<'t>,
-    /// The same-kernel batching layer over the tile-free queue drain (a
-    /// no-op at the default `max_batch = 1`).
-    batcher: Batcher,
-    peak_queue_depth: usize,
-    queue_area_us: f64,
-    last_event_us: f64,
-    /// Request-span recorder (inert under the default disabled config), on
-    /// loan from [`Runtime::trace_scratch`] for the serve.
-    recorder: &'t mut obs::TraceRecorder,
-    /// Host-time stage timers (inert unless profiling was enabled).
-    profiler: obs::StageProfiler,
-    /// Online latency histogram, recorded as requests complete.
-    latency_hist: obs::LogHistogram,
-    /// Online queue-depth histogram, sampled at every event-loop step.
-    queue_depth_hist: obs::LogHistogram,
-    /// Windowed telemetry partitions (inert under the default disabled
-    /// config): the single device lane and the queue-integral series.
-    lane_series: obs::LaneSeries,
-    global_series: obs::GlobalSeries,
-}
-
-/// What the event loop hands back for aggregation.
-struct LoopOutput {
-    outcomes: Vec<RequestOutcome>,
-    rejected: Vec<RejectedRequest>,
-    peak_queue_depth: usize,
-    queue_area_us: f64,
-    events_fired: u64,
-    batch: metrics::BatchStats,
-    trace: Option<obs::Trace>,
-    profile: Option<obs::ProfileStats>,
-    latency_hist: obs::LogHistogram,
-    queue_depth_hist: obs::LogHistogram,
-    telemetry: Option<obs::TimeSeries>,
-    slo: Option<obs::SloReport>,
-}
-
 /// An online multi-tile serving runtime over one overlay variant.
 ///
 /// See the [crate-level documentation](crate) for the moving parts and an
 /// end-to-end example.
 #[derive(Debug)]
 pub struct Runtime {
-    pool: TilePool,
-    dispatcher: Dispatcher,
-    cache: KernelCache,
-    sim_memo: SimMemo,
-    reconfig: ReconfigModel,
-    lower: LowerOptions,
-    ingest_capacity: usize,
-    admission_limit: usize,
-    batching: BatchConfig,
-    tracing: obs::TraceConfig,
-    /// Recorder kept across serves so the ring's backing allocation (and
-    /// its warmed pages) amortize instead of being re-faulted per serve.
-    /// Lent to the event loop's state and handed back at serve end.
-    trace_scratch: obs::TraceRecorder,
-    /// The per-intake tables, kept likewise and empty between serves.
-    tables: LoopTables,
-    profiling: bool,
-    telemetry: obs::TelemetryConfig,
-    slo: obs::SloConfig,
+    /// A runtime is a one-device cluster: every builder, accessor and serve
+    /// below delegates to it, and its event loop is the only one there is.
+    cluster: Cluster,
 }
 
 impl Runtime {
@@ -865,40 +691,20 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::EmptyPool`] when `tiles` is 0.
     pub fn new(variant: FuVariant, tiles: usize) -> Result<Self, RuntimeError> {
-        let pool = TilePool::with_tiles(variant, TileComposition::Parallel, tiles)?;
-        Ok(Self::from_pool(pool))
+        let cluster = Cluster::new(variant, 1, tiles)?;
+        Ok(Runtime { cluster })
     }
 
     /// A runtime over an explicit NoC layout (rows × cols of a chosen tile).
     pub fn from_noc(noc: NocConfig) -> Self {
-        Self::from_pool(TilePool::new(noc))
-    }
-
-    fn from_pool(pool: TilePool) -> Self {
-        Runtime {
-            pool,
-            dispatcher: Dispatcher::default(),
-            cache: KernelCache::new(Self::DEFAULT_CACHE_CAPACITY)
-                .expect("default capacity is non-zero"),
-            sim_memo: SimMemo::new(Self::DEFAULT_SIM_MEMO_CAPACITY),
-            reconfig: ReconfigModel::new(),
-            lower: LowerOptions::default(),
-            ingest_capacity: Self::DEFAULT_INGEST_CAPACITY,
-            admission_limit: usize::MAX,
-            batching: BatchConfig::disabled(),
-            tracing: obs::TraceConfig::disabled(),
-            trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
-            tables: LoopTables::default(),
-            profiling: false,
-            telemetry: obs::TelemetryConfig::disabled(),
-            slo: obs::SloConfig::disabled(),
-        }
+        let cluster = Cluster::from_pools(vec![TilePool::new(noc)]);
+        Runtime { cluster }
     }
 
     /// Sets the dispatch policy.
     #[must_use]
     pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.dispatcher = Dispatcher::new(policy);
+        self.cluster = self.cluster.with_policy(policy);
         self
     }
 
@@ -908,7 +714,7 @@ impl Runtime {
     ///
     /// Returns [`RuntimeError::ZeroCacheCapacity`] when `capacity` is 0.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Result<Self, RuntimeError> {
-        self.cache = KernelCache::new(capacity)?;
+        self.cluster = self.cluster.with_cache_capacity(capacity)?;
         Ok(self)
     }
 
@@ -916,7 +722,7 @@ impl Runtime {
     /// A capacity of 0 disables memoization — every request simulates.
     #[must_use]
     pub fn with_sim_memo_capacity(mut self, capacity: usize) -> Self {
-        self.sim_memo = SimMemo::new(capacity);
+        self.cluster = self.cluster.with_sim_memo_capacity(capacity);
         self
     }
 
@@ -924,7 +730,7 @@ impl Runtime {
     /// [`Submitter::submit`] rendezvous with the event loop).
     #[must_use]
     pub fn with_ingest_capacity(mut self, capacity: usize) -> Self {
-        self.ingest_capacity = capacity;
+        self.cluster = self.cluster.with_ingest_capacity(capacity);
         self
     }
 
@@ -938,14 +744,14 @@ impl Runtime {
     /// sits idle. Defaults to unlimited.
     #[must_use]
     pub fn with_admission_limit(mut self, limit: usize) -> Self {
-        self.admission_limit = limit;
+        self.cluster = self.cluster.with_admission_limit(limit);
         self
     }
 
     /// Overrides the reconfiguration timing model.
     #[must_use]
     pub fn with_reconfig(mut self, model: ReconfigModel) -> Self {
-        self.reconfig = model;
+        self.cluster = self.cluster.with_reconfig(model);
         self
     }
 
@@ -957,7 +763,7 @@ impl Runtime {
     /// dispatch policy — bitwise identical to the un-batched runtime.
     #[must_use]
     pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        self.batching = config;
+        self.cluster = self.cluster.with_batching(config);
         self
     }
 
@@ -968,8 +774,7 @@ impl Runtime {
     /// and leaves the serve bitwise identical to an untraced one.
     #[must_use]
     pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
-        self.tracing = config;
-        self.trace_scratch = obs::TraceRecorder::new(config);
+        self.cluster = self.cluster.with_tracing(config);
         self
     }
 
@@ -979,7 +784,7 @@ impl Runtime {
     /// clock is ever read on the hot path.
     #[must_use]
     pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.profiling = enabled;
+        self.cluster = self.cluster.with_profiling(enabled);
         self
     }
 
@@ -991,7 +796,7 @@ impl Runtime {
     /// accumulates nothing and leaves the serve bitwise identical.
     #[must_use]
     pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
-        self.telemetry = config;
+        self.cluster = self.cluster.with_telemetry(config);
         self
     }
 
@@ -1004,7 +809,7 @@ impl Runtime {
     /// [`SloConfig::disabled`](obs::SloConfig::disabled) tracks nothing.
     #[must_use]
     pub fn with_slo(mut self, config: obs::SloConfig) -> Self {
-        self.slo = config;
+        self.cluster = self.cluster.with_slo(config);
         self
     }
 
@@ -1015,60 +820,58 @@ impl Runtime {
     /// encode lowering options.
     #[must_use]
     pub fn with_lower_options(mut self, options: LowerOptions) -> Self {
-        self.lower = options;
-        self.cache.clear();
-        self.sim_memo.clear();
+        self.cluster = self.cluster.with_lower_options(options);
         self
     }
 
     /// The overlay variant all tiles are built from.
     pub fn variant(&self) -> FuVariant {
-        self.pool.variant()
+        self.cluster.variant()
     }
 
     /// The active dispatch policy.
     pub fn policy(&self) -> DispatchPolicy {
-        self.dispatcher.policy()
+        self.cluster.policy()
     }
 
     /// The bound of the streaming ingest channel.
     pub fn ingest_capacity(&self) -> usize {
-        self.ingest_capacity
+        self.cluster.ingest_capacity
     }
 
     /// The admission-control limit on waiting requests.
     pub fn admission_limit(&self) -> usize {
-        self.admission_limit
+        self.cluster.admission_limit()
     }
 
     /// The active same-kernel batching configuration.
     pub fn batching(&self) -> BatchConfig {
-        self.batching
+        self.cluster.batching()
     }
 
     /// The active tracing configuration.
     pub fn tracing(&self) -> obs::TraceConfig {
-        self.tracing
+        self.cluster.tracing()
     }
 
     /// Whether host-time stage profiling is enabled.
     pub fn profiling(&self) -> bool {
-        self.profiling
+        self.cluster.profiling()
     }
 
     /// The tile pool (holding the state left by the last serve).
     pub fn pool(&self) -> &TilePool {
-        &self.pool
+        self.cluster.devices()[0].pool()
     }
 
     /// The kernel cache (counters accumulate across serves).
     pub fn cache(&self) -> &KernelCache {
-        &self.cache
+        self.cluster.devices()[0].cache()
     }
 
     /// The simulation memo (counters accumulate across serves).
     pub fn sim_memo(&self) -> &SimMemo {
-        &self.sim_memo
+        self.cluster.sim_memo()
     }
 
     /// Serves a pre-collected trace, taken by value so streaming it through
@@ -1098,8 +901,7 @@ impl Runtime {
     where
         I: IntoIterator<Item = Request>,
     {
-        let requests: Vec<Request> = requests.into_iter().collect();
-        self.run_serve(Ingest::Batch(requests.into_iter()))
+        self.cluster.serve(requests).map(|report| report.serve)
     }
 
     /// Serves a live request stream: `feed` runs on its own thread and
@@ -1123,478 +925,7 @@ impl Runtime {
     where
         F: FnOnce(Submitter) + Send,
     {
-        with_feeder(self.ingest_capacity, feed, |ingest| self.run_serve(ingest))
-    }
-
-    /// The shared serve body: resets per-serve state, lends the recycled
-    /// tables and the warm trace recorder to the event loop, folds its output
-    /// into a report and takes both back on every exit path — a serve that
-    /// fails costs the next one nothing.
-    fn run_serve(&mut self, ingest: Ingest) -> Result<ServeReport, RuntimeError> {
-        self.pool.reset();
-        self.dispatcher.reset();
-        let cache_before = self.cache.stats();
-        let memo_before = self.sim_memo.stats();
-        let mut tables = std::mem::take(&mut self.tables);
-        let mut recorder = self.trace_scratch.take_warm(self.tracing);
-
-        let output = self.event_loop(ingest, &mut tables, &mut recorder);
-        let report = output.map(|mut output| {
-            let cache = self.cache.stats().since(cache_before);
-            let sim_memo = self.sim_memo.stats().since(memo_before);
-            let metrics = self.aggregate(&mut output, &mut tables.latencies, cache, sim_memo);
-            ServeReport {
-                policy: self.dispatcher.policy(),
-                outcomes: output.outcomes,
-                rejected: output.rejected,
-                metrics,
-                trace: output.trace,
-                profile: output.profile,
-                telemetry: output.telemetry,
-                slo: output.slo,
-            }
-        });
-
-        tables.release(report.is_ok());
-        self.tables = tables;
-        self.trace_scratch = recorder;
-        report
-    }
-
-    /// The discrete-event core: pulls submissions from `ingest`, fires
-    /// arrival/tile-free events in virtual-time order, and returns the
-    /// per-request outcomes.
-    ///
-    /// The horizon rule makes laziness sound: submissions arrive in
-    /// non-decreasing arrival order, so once a request with arrival `h` has
-    /// been received (or the channel has closed, `h = ∞`), every pending
-    /// event at time ≤ `h` can fire without being preempted by a
-    /// still-unseen arrival.
-    fn event_loop(
-        &mut self,
-        mut ingest: Ingest,
-        tables: &mut LoopTables,
-        recorder: &mut obs::TraceRecorder,
-    ) -> Result<LoopOutput, RuntimeError> {
-        let mut ctx = self.prep_context()?;
-        let tiles = self.pool.num_tiles();
-        let expected = ingest.expected();
-        tables.reserve(expected);
-        let intake = &mut tables.intake;
-        let mut state = OnlineState {
-            queues: (0..tiles)
-                .map(|_| TileQueue::new(self.dispatcher.policy(), self.batching.enabled()))
-                .collect(),
-            taken: &mut tables.taken,
-            events: EventQueue::new(),
-            outcome_slots: Vec::with_capacity(expected),
-            rejected: Vec::new(),
-            sim: SimResults::new(self.pool.variant(), &mut tables.ready),
-            batcher: Batcher::new(self.batching, tiles),
-            peak_queue_depth: 0,
-            queue_area_us: 0.0,
-            last_event_us: 0.0,
-            recorder,
-            profiler: obs::StageProfiler::new(self.profiling),
-            latency_hist: obs::LogHistogram::new(),
-            queue_depth_hist: obs::LogHistogram::new(),
-            lane_series: obs::LaneSeries::new(self.telemetry),
-            global_series: obs::GlobalSeries::new(self.telemetry),
-        };
-        let mut pull = SubmissionPull::new();
-
-        loop {
-            {
-                let OnlineState {
-                    events,
-                    outcome_slots,
-                    taken,
-                    sim,
-                    recorder,
-                    ..
-                } = &mut state;
-                let cache = &mut self.cache;
-                let lower = &self.lower;
-                let reconfig = &self.reconfig;
-                pull.pull(
-                    &mut ingest,
-                    events,
-                    intake,
-                    |request| prepare_request(cache, lower, reconfig, &mut ctx, request),
-                    |inflight| {
-                        outcome_slots.push(None);
-                        taken.push(false);
-                        sim.push_slot();
-                        if recorder.enabled() {
-                            recorder.record(obs::TraceEvent {
-                                time_us: inflight.request.arrival_us,
-                                dur_us: 0.0,
-                                request_id: Some(inflight.request.id),
-                                device: 0,
-                                tile: None,
-                                kind: obs::SpanKind::Submit,
-                            });
-                        }
-                    },
-                )?;
-            }
-            let Some(event) = state.events.pop() else {
-                // The pull loop only exits with the ingest open when an
-                // event at or before the horizon is pending, so an empty
-                // queue here means the trace is complete.
-                debug_assert!(
-                    !pull.ingest_open,
-                    "event queue drained while ingest is open"
-                );
-                break;
-            };
-            let now_us = event.time_us;
-            let bookkeeping = state.profiler.begin();
-            let waiting = self.pool.total_waiting();
-            state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
-            state.queue_depth_hist.record(waiting as f64);
-            state
-                .global_series
-                .note_queue(state.last_event_us, now_us, waiting);
-            state.last_event_us = now_us;
-            state.profiler.end(obs::Stage::Bookkeeping, bookkeeping);
-
-            match event.kind {
-                EventKind::Arrival { index } => {
-                    let info = &intake[index];
-                    let route = state.profiler.begin();
-                    let tile = self.dispatcher.place(&info.view, now_us, &self.pool);
-                    state.profiler.end(obs::Stage::Route, route);
-                    // Admission control bounds *waiters*: a request that can
-                    // start immediately on its (idle) tile is always
-                    // admitted, one that would join a queue already holding
-                    // `admission_limit` waiters pool-wide is rejected.
-                    let starts_now = !self.pool.states()[tile].running;
-                    let admitted = starts_now || self.pool.total_waiting() < self.admission_limit;
-                    if state.recorder.enabled() {
-                        state.recorder.record(obs::TraceEvent {
-                            time_us: now_us,
-                            dur_us: 0.0,
-                            request_id: Some(info.request.id),
-                            device: 0,
-                            tile: None,
-                            kind: obs::SpanKind::Admission { admitted },
-                        });
-                    }
-                    if !admitted {
-                        if state.recorder.enabled() {
-                            state.recorder.record(obs::TraceEvent {
-                                time_us: now_us,
-                                dur_us: 0.0,
-                                request_id: Some(info.request.id),
-                                device: 0,
-                                tile: None,
-                                kind: obs::SpanKind::Reject,
-                            });
-                        }
-                        state.rejected.push(RejectedRequest {
-                            id: info.request.id,
-                            kernel: info.request.kernel.shared_name(),
-                            arrival_us: info.request.arrival_us,
-                            deadline_us: info.request.deadline_us,
-                        });
-                        state.lane_series.note_reject(SloClass::Standard, now_us);
-                        continue;
-                    }
-                    // Functional execution is placement-independent, so an
-                    // admitted request's simulation is sourced right away:
-                    // from the memo, or by running it here. A request
-                    // admission control turned away is never simulated.
-                    let memo_hit =
-                        state
-                            .sim
-                            .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
-                    if memo_hit {
-                        state.recorder.counter(now_us, 0, obs::CounterName::MemoHit);
-                    }
-                    if starts_now {
-                        self.start_request(tile, index, intake, &mut state, None);
-                    } else {
-                        let scan = state.profiler.begin();
-                        self.pool
-                            .enqueue(tile, info.view.key, info.view.est_exec_us);
-                        state.queues[tile].push(index, &info.view);
-                        state.profiler.end(obs::Stage::Scan, scan);
-                        state.peak_queue_depth =
-                            state.peak_queue_depth.max(self.pool.total_waiting());
-                    }
-                }
-                EventKind::TileFree { tile } => {
-                    self.pool.release(tile);
-                    if !state.queues[tile].is_empty() {
-                        self.start_next(tile, intake, &mut state);
-                    }
-                }
-                // Fault injection is a cluster-tier feature; the
-                // single-device runtime never schedules these.
-                EventKind::Fault { .. } | EventKind::Requeue { .. } => {
-                    unreachable!("fault events never reach the single-device loop")
-                }
-            }
-        }
-
-        if intake.is_empty() {
-            return Err(RuntimeError::NoRequests);
-        }
-        let events_fired = state.events.fired();
-        let outcomes = compact_outcomes(state.outcome_slots);
-        debug_assert_eq!(
-            outcomes.len() + state.rejected.len(),
-            intake.len(),
-            "every submitted request is either served or rejected"
-        );
-        let recorder = state.recorder;
-        // Assemble the windowed series (the makespan is the last event's
-        // time — the final tile-free) and evaluate SLO burn against it, with
-        // the burn alerts recorded as spans before the recorder drains.
-        let telemetry = self.telemetry.is_enabled().then(|| {
-            obs::TimeSeries::assemble(
-                self.telemetry,
-                state.last_event_us,
-                self.pool.num_tiles(),
-                &state.global_series,
-                std::slice::from_ref(&state.lane_series),
-            )
-        });
-        let slo = match (&telemetry, self.slo.is_enabled()) {
-            (Some(series), true) => {
-                let report = obs::evaluate_slo(series, &self.slo);
-                obs::record_burn_spans(recorder, &report);
-                Some(report)
-            }
-            _ => None,
-        };
-        let trace = recorder.finish();
-        Ok(LoopOutput {
-            outcomes,
-            rejected: state.rejected,
-            peak_queue_depth: state.peak_queue_depth,
-            queue_area_us: state.queue_area_us,
-            events_fired,
-            batch: state.batcher.stats(),
-            trace,
-            profile: state.profiler.finish(),
-            latency_hist: state.latency_hist,
-            queue_depth_hist: state.queue_depth_hist,
-            telemetry,
-            slo,
-        })
-    }
-
-    /// Pulls the next queued request off a free `tile`'s queue and starts
-    /// it: the per-tile ordered queue pops the policy's choice in
-    /// O(log depth). The [`Batcher`] sits over the policy's choice: it may
-    /// run the oldest same-kernel waiter instead, amortizing the context
-    /// switch the choice would have paid.
-    fn start_next(&mut self, tile: usize, intake: &[InFlight], state: &mut OnlineState) {
-        let now_us = state.events.now_us();
-        let resident = self.pool.states()[tile].resident;
-        let OnlineState {
-            queues,
-            taken,
-            batcher,
-            profiler,
-            ..
-        } = state;
-        let scan = profiler.begin();
-        let queue = &mut queues[tile];
-        let choice = queue.peek_next(resident, taken);
-        let index = batcher
-            .divert(
-                tile,
-                now_us,
-                resident,
-                &intake[choice].view,
-                intake[choice].request.arrival_us,
-                |key| {
-                    queue
-                        .oldest_for_kernel(key, taken)
-                        .map(|i| (i, intake[i].view.est_exec_us))
-                },
-            )
-            .unwrap_or(choice);
-        queue.take(index, taken);
-        let remaining_tail = queue.tail_key(taken);
-        state.profiler.end(obs::Stage::Scan, scan);
-        // Deadline-aware removal may have taken the queue tail; tell the
-        // pool what the queue ends in now so residency projection stays
-        // honest for later placements. The dequeue and the charge are one
-        // combined pool transition (a single index update).
-        let est_us = intake[index].view.est_exec_us;
-        self.start_request(tile, index, intake, state, Some((est_us, remaining_tail)));
-    }
-
-    /// Commits request `index` to `tile` at the current virtual time: reads
-    /// its measured cycle count, charges the tile's timeline with the
-    /// switch + execution, records the outcome and schedules the tile-free
-    /// event at the completion.
-    fn start_request(
-        &mut self,
-        tile: usize,
-        index: usize,
-        intake: &[InFlight],
-        state: &mut OnlineState,
-        from_queue: Option<(f64, Option<KernelKey>)>,
-    ) {
-        let now_us = state.events.now_us();
-        let info = &intake[index];
-        let run = state.sim.run(index);
-        let exec_cycles = run.metrics().total_cycles + self.pool.roundtrip_cycles(tile);
-        let exec_us = exec_cycles as f64 / info.fmax_mhz;
-        let charged = match from_queue {
-            Some((est_us, remaining_tail)) => self.pool.start_queued(
-                tile,
-                est_us,
-                remaining_tail,
-                info.view.key,
-                now_us,
-                info.view.switch_us,
-                exec_us,
-            ),
-            None => self
-                .pool
-                .charge(tile, info.view.key, now_us, info.view.switch_us, exec_us),
-        };
-        state.batcher.note_start(tile, charged.switched);
-        if state.recorder.enabled() {
-            record_request_spans(
-                state.recorder,
-                (0, tile),
-                info,
-                &charged,
-                None,
-                0.0,
-                state.batcher.run_len(tile),
-            );
-        }
-        state
-            .latency_hist
-            .record(charged.completion_us - info.request.arrival_us);
-        state.lane_series.note_start(
-            SloClass::Standard,
-            charged.start_us,
-            charged.completion_us,
-            charged.completion_us - info.request.arrival_us,
-            info.request
-                .deadline_us
-                .is_some_and(|deadline| charged.completion_us > deadline),
-            false,
-        );
-        let request = &info.request;
-        state.outcome_slots[index] = Some(RequestOutcome {
-            request_id: request.id,
-            kernel: request.kernel.shared_name(),
-            device: 0,
-            tile,
-            sim: *run.metrics(),
-            run,
-            start_us: charged.start_us,
-            queued_us: charged.start_us - request.arrival_us,
-            completion_us: charged.completion_us,
-            latency_us: charged.completion_us - request.arrival_us,
-            switched: charged.switched,
-            deadline_us: request.deadline_us,
-            missed_deadline: request
-                .deadline_us
-                .is_some_and(|deadline| charged.completion_us > deadline),
-        });
-        state
-            .events
-            .push(charged.completion_us, EventKind::TileFree { tile });
-    }
-
-    /// The per-serve facts every request's preparation shares.
-    fn prep_context(&self) -> Result<PrepContext, RuntimeError> {
-        PrepContext::for_pool(&self.pool)
-    }
-
-    /// Folds per-request outcomes and pool state into [`RuntimeMetrics`] —
-    /// one pass over the outcomes for the counters and sums, selection (not
-    /// a full sort) for the latency percentiles.
-    fn aggregate(
-        &self,
-        output: &mut LoopOutput,
-        latencies: &mut Vec<f64>,
-        cache: CacheStats,
-        sim_memo: CacheStats,
-    ) -> RuntimeMetrics {
-        let outcomes = &output.outcomes;
-        let requests = outcomes.len();
-        let mut invocations = 0usize;
-        let mut makespan_us = 0.0_f64;
-        let mut latency_sum = 0.0_f64;
-        let mut max_latency_us = 0.0_f64;
-        let mut deadline_misses = 0usize;
-        let mut deadline_requests = 0usize;
-        latencies.reserve(requests);
-        for outcome in outcomes {
-            invocations += outcome.sim.blocks;
-            makespan_us = makespan_us.max(outcome.completion_us);
-            latency_sum += outcome.latency_us;
-            max_latency_us = max_latency_us.max(outcome.latency_us);
-            deadline_misses += usize::from(outcome.missed_deadline);
-            deadline_requests += usize::from(outcome.deadline_us.is_some());
-            latencies.push(outcome.latency_us);
-        }
-        let mean_latency_us = latency_sum / requests.max(1) as f64;
-        let p50_latency_us = metrics::percentile_by_selection(latencies, 0.50);
-        let p99_latency_us = metrics::percentile_by_selection(latencies, 0.99);
-        let per_second = if makespan_us > 0.0 {
-            1.0e6 / makespan_us
-        } else {
-            0.0
-        };
-        let states = self.pool.states();
-        RuntimeMetrics {
-            requests,
-            invocations,
-            makespan_us,
-            requests_per_sec: requests as f64 * per_second,
-            invocations_per_sec: invocations as f64 * per_second,
-            mean_latency_us,
-            p50_latency_us,
-            p99_latency_us,
-            max_latency_us,
-            switch_count: states.iter().map(|s| s.switches).sum(),
-            total_switch_us: states.iter().map(|s| s.switch_us).sum(),
-            tile_utilization: states
-                .iter()
-                .map(|s| {
-                    if makespan_us > 0.0 {
-                        s.busy_us / makespan_us
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-            tile_requests: states.iter().map(|s| s.served).collect(),
-            cache,
-            sim_memo,
-            events_fired: output.events_fired,
-            deadline_misses,
-            deadline_requests,
-            batch: output.batch,
-            rejects: output.rejected.len(),
-            rejected_deadlines: output
-                .rejected
-                .iter()
-                .filter(|r| r.deadline_us.is_some())
-                .count(),
-            peak_queue_depth: output.peak_queue_depth,
-            mean_queue_depth: if makespan_us > 0.0 {
-                output.queue_area_us / makespan_us
-            } else {
-                0.0
-            },
-            tile_peak_queue: states.iter().map(|s| s.peak_queue_depth).collect(),
-            latency_hist: std::mem::take(&mut output.latency_hist),
-            queue_depth_hist: std::mem::take(&mut output.queue_depth_hist),
-        }
+        self.cluster.serve_stream(feed).map(|report| report.serve)
     }
 }
 
@@ -2080,7 +1411,8 @@ mod tests {
         // The failure belongs to the admission that caused it: with the one
         // tile busy and no room to wait, admission control turns the
         // malformed request away, it is never simulated, and the serve
-        // succeeds — on both tiers.
+        // succeeds — on both tiers (kernel-hash routing sends the two, one
+        // kernel, to one of the cluster's single-tile devices).
         let mut runtime = Runtime::new(FuVariant::V4, 1)
             .unwrap()
             .with_admission_limit(0);
@@ -2088,13 +1420,63 @@ mod tests {
         assert_eq!(report.outcomes().len(), 1);
         assert_eq!(report.rejected()[0].id, 1);
         assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
-        let mut cluster = Cluster::new(FuVariant::V4, 1, 1)
+        let mut cluster = Cluster::new(FuVariant::V4, 2, 1)
             .unwrap()
             .with_admission_limit(0);
         let report = cluster.serve(trace).unwrap();
         assert_eq!(report.outcomes().len(), 1);
         assert_eq!(report.rejected()[0].id, 1);
         assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
+    }
+
+    /// A serve over an explicit NoC — two rows, so round trips differ by
+    /// row, of series-composed depth-16 tiles — under slack-aware dispatch,
+    /// admission pressure and batching, pinned to the bytes `Runtime`'s own
+    /// event loop produced before it became a one-device [`Cluster`] (whose
+    /// constructor only ever built single-row parallel pools). Never edit
+    /// the constant to make this pass.
+    #[test]
+    fn a_from_noc_serve_matches_its_golden_digest() {
+        use std::hash::Hasher;
+        const GOLDEN_FNV: u64 = 0xebeb_368e_9f92_d6ee;
+        let tile = overlay_arch::Tile::new(FuVariant::V4, overlay_arch::TileComposition::Series);
+        let noc = NocConfig::new(2, 3, tile).unwrap();
+        let requests: Vec<Request> = benchmark_trace(60, 24)
+            .into_iter()
+            .enumerate()
+            .map(|(i, request)| {
+                let arrival_us = i as f64 * 0.05;
+                let request = request.at(arrival_us);
+                match i % 3 {
+                    0 => request.with_deadline(arrival_us + 3.0),
+                    _ => request,
+                }
+            })
+            .collect();
+        let mut runtime = Runtime::from_noc(noc)
+            .with_policy(DispatchPolicy::SlackAware)
+            .with_admission_limit(16)
+            .with_batching(BatchConfig::with_max_batch(4))
+            .with_tracing(TraceConfig::enabled());
+        let report = runtime.serve(requests).unwrap();
+        let metrics = report.metrics();
+        assert!(metrics.rejects > 0 && metrics.deadline_misses > 0);
+        assert!(metrics.batch.switches_avoided > 0);
+        let dump = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}",
+            report.outcomes(),
+            report.rejected(),
+            metrics,
+            report.trace().expect("tracing was enabled").events()
+        );
+        let mut hasher = cache::FnvHasher::default();
+        hasher.write(dump.as_bytes());
+        assert_eq!(
+            hasher.finish(),
+            GOLDEN_FNV,
+            "digest {:#018x} is not the golden one",
+            hasher.finish()
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Host-time hot-path profiling for the event loops.
+//! Host-time hot-path profiling for the event loop.
 //!
 //! A [`StageProfiler`] attributes the loop's host nanoseconds to five
 //! stages — the denominator behind the ns/event figures the benches report.

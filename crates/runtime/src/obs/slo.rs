@@ -206,7 +206,7 @@ fn trailing_miss_rate(series: &TimeSeries, slot: usize, end: usize, span: usize)
 }
 
 /// Evaluates the configured objectives against a completed time-series — a
-/// pure function, called identically by both event loops.
+/// pure function.
 pub(crate) fn evaluate_slo(series: &TimeSeries, config: &SloConfig) -> SloReport {
     let mut classes = Vec::with_capacity(config.objectives().len());
     for &objective in config.objectives() {
@@ -275,8 +275,7 @@ pub(crate) fn evaluate_slo(series: &TimeSeries, config: &SloConfig) -> SloReport
 
 /// Records every alert's fire and clear as typed instants on the trace's
 /// virtual timeline (fleet-wide, device 0), in (class, fire) order — called
-/// just before the recorder drains, by both event loops, so the spans land
-/// identically in a `Runtime` trace and a 1-device `Cluster` trace.
+/// just before the recorder drains.
 pub(crate) fn record_burn_spans(recorder: &mut TraceRecorder, report: &SloReport) {
     if !recorder.enabled() {
         return;

@@ -445,9 +445,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Assembles the final series by absorbing the per-device lane
-    /// partitions (in device order) over the global queue integral. Both
-    /// event loops call exactly this, so `Runtime` and a 1-device `Cluster`
-    /// agree bitwise whenever their partitions do.
+    /// partitions (in device order) over the global queue integral.
     pub(crate) fn assemble(
         config: TelemetryConfig,
         makespan_us: f64,
@@ -493,8 +491,8 @@ impl TimeSeries {
                 classes: Default::default(),
             };
             let mut busy_us = 0.0;
-            // Absorb the lane partitions in device order — the fixed merge
-            // order both loops share.
+            // Absorb the lane partitions in device order — a fixed merge
+            // order.
             for lane in lanes {
                 let Some(window) = lane.windows.get(index) else {
                     continue;

@@ -1,7 +1,7 @@
 //! Request-span tracing on the virtual timeline.
 //!
 //! A [`TraceRecorder`] is a bounded, drop-oldest ring buffer of typed
-//! [`TraceEvent`]s. The event loops own exactly one recorder each and run on
+//! [`TraceEvent`]s. The event loop owns exactly one recorder per serve and runs on
 //! a single thread, so recording is a plain (lock-free) ring push — no
 //! atomics, no allocation per span beyond what the span itself carries — and
 //! with the default [`TraceConfig::disabled`] every hook is one branch on

@@ -37,10 +37,9 @@
 //! crucially — into the completion *estimates* routing and placement
 //! compare, so sending a kernel to a device where it is cold correctly
 //! weighs the transfer (or host load) against queueing behind the device
-//! where it is warm. A single-device cluster never acquires anything
-//! (images enter the store at compile time), which is what keeps the
-//! 1-device [`Cluster`](crate::Cluster) bitwise identical to
-//! [`Runtime`](crate::Runtime).
+//! where it is warm. A single-device cluster — a
+//! [`Runtime`](crate::Runtime) is one — never acquires anything (images
+//! enter the store at compile time).
 //!
 //! The same [`TransferModel`] prices the session tier's *activation*
 //! transfers: when consecutive stages of a
@@ -201,13 +200,12 @@ impl Acquisition {
         }
     }
 
-    /// The acquisition source's export label (what trace acquire spans
-    /// carry).
-    pub(crate) fn label(&self) -> &'static str {
+    /// Where the image comes from.
+    pub(crate) fn source(&self) -> AcquireSource {
         match self {
-            Acquisition::Resident => "resident",
-            Acquisition::HostLoad { .. } => "host",
-            Acquisition::Transfer { .. } => "transfer",
+            Acquisition::Resident => AcquireSource::Resident,
+            Acquisition::HostLoad { .. } => AcquireSource::Host,
+            Acquisition::Transfer { .. } => AcquireSource::Transfer,
         }
     }
 
@@ -218,6 +216,44 @@ impl Acquisition {
             _ => 0,
         }
     }
+}
+
+/// Where a routed request's kernel image comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum AcquireSource {
+    #[default]
+    Resident,
+    Host,
+    Transfer,
+}
+
+impl AcquireSource {
+    /// The source's export label (what trace acquire spans carry).
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            AcquireSource::Resident => "resident",
+            AcquireSource::Host => "host",
+            AcquireSource::Transfer => "transfer",
+        }
+    }
+}
+
+/// What routing decided for one request — a row of the fleet tier's
+/// per-intake table ([`LoopTables::routed`](crate::LoopTables)); the plain
+/// tier routes nothing and keeps none.
+#[derive(Debug, Default)]
+pub(crate) struct Routed {
+    /// The image-acquisition delay resolved at arrival, with where the image
+    /// comes from and the bytes it moves over the link for the acquire span.
+    pub(crate) acquire_us: f64,
+    pub(crate) acquire_src: AcquireSource,
+    pub(crate) acquire_bytes: u64,
+    /// Devices a fault displaced the request off — routing avoids them
+    /// while any other serviceable device exists.
+    pub(crate) exclusions: ExclusionSet,
+    /// The inter-stage activation delay priced at the routing commit (zero
+    /// without a session driver).
+    pub(crate) activation_us: f64,
 }
 
 /// The cheapest way for `target` to acquire a `bytes`-sized kernel image,

@@ -152,20 +152,34 @@ fn warm_trace(requests: usize) -> Vec<Request> {
 /// the per-tile queues and histograms — and nothing per request. The
 /// tables indexed by intake position are the instance's and were sized by
 /// the serve before; a request moves into its intake row by value. When
-/// written: 94 allocations and 175 bytes per request on the 64-tile runtime,
-/// 27 and 153 on the 4-device cluster. The parent of this test's commit made
-/// 2041 and 2112 allocations (an `Arc` per request, every table afresh, the
-/// outcomes copied into a second table).
+/// written: 37 allocations and 154 bytes per request on the 64-tile runtime,
+/// 51 and 158 on the 4-device cluster, whose aggregation used to grow a
+/// latency table per device by doubling (94, and 102 for four times the
+/// trace). Before the tables were the instance's the two made 2041 and 2112
+/// (an `Arc` per request, every table afresh, the outcomes copied into a
+/// second table).
 const WARM_SERVE_REQUESTS: usize = 2_000;
-const WARM_SERVE_ALLOCATIONS: u64 = 160;
+const WARM_SERVE_ALLOCATIONS: u64 = 80;
 const WARM_SERVE_BYTES_PER_REQUEST: u64 = 200;
 
 /// Holds the second of two serves of one warm trace — `serve` answers with
-/// the requests it served and the memo misses it took — to that budget.
+/// the requests it served and the memo misses it took — to that budget, and
+/// the second of two serves of a trace four times as long to the very same
+/// count: nothing but the size of the report follows the trace's length, not
+/// per request and not per doubling.
 fn a_warm_serve_stays_in_budget(mut serve: impl FnMut(Vec<Request>) -> (usize, usize)) {
     let trace = warm_trace(WARM_SERVE_REQUESTS);
     serve(trace.clone());
     let ((served, memo_misses), allocations, bytes) = counted(|| serve(trace));
+    let long = warm_trace(4 * WARM_SERVE_REQUESTS);
+    serve(long.clone());
+    let (_, long_allocations, _) = counted(|| serve(long));
+    assert_eq!(
+        long_allocations,
+        allocations,
+        "allocations for {} and for {WARM_SERVE_REQUESTS} requests",
+        4 * WARM_SERVE_REQUESTS
+    );
     assert_eq!(served, WARM_SERVE_REQUESTS);
     assert_eq!(memo_misses, 0, "the serve was warm");
     assert!(

@@ -176,19 +176,6 @@ proptest! {
         prop_assert!(instrumented.profile().is_some());
         assert_reports_identical(&disabled, &baseline)?;
         assert_reports_identical(&instrumented, &baseline)?;
-
-        // A traced 1-device cluster still matches the untraced runtime's
-        // aggregate metrics — including the merged histogram fields, which
-        // must be bitwise equal to the runtime's single-device ones.
-        let mut cluster = Cluster::new(FuVariant::V4, 1, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_admission_limit(limit)
-            .with_tracing(TraceConfig::enabled())
-            .with_profiling(true);
-        let report = cluster.serve(requests).unwrap();
-        prop_assert!(report.trace().is_some());
-        prop_assert_eq!(report.metrics(), baseline.metrics());
     }
 
     /// Per-request span audit on the runtime: queue-wait, acquire,

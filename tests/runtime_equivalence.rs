@@ -1,18 +1,23 @@
-//! Cross-loop equivalence property suite: wherever two event loops serve
-//! the same configuration they must produce **identical** results on every
-//! trace — same tile choices, same outcomes (to the bit, including modeled
-//! timestamps), same rejects, same metrics — across all four
-//! `DispatchPolicy` variants, with and without admission pressure. Any
-//! divergence is a bug, not a tolerable approximation.
+//! Cross-tier equivalence property suite. There is one event loop, compiled
+//! in two tiers: `plain` (one device, no fault plan, no session driver,
+//! replication off — what a [`Runtime`] always runs) and `fleet`. Wherever
+//! both can serve the same configuration they must produce **identical**
+//! results on every trace — same tile choices, same outcomes (to the bit,
+//! including modeled timestamps), same rejects, same metrics, the same trace
+//! but for the fleet's route-choice spans — across all four `DispatchPolicy`
+//! variants, with and without admission pressure, batching and PCAP pools.
+//! Any divergence is a bug, not a tolerable approximation.
 //!
-//! A **1-device [`Cluster`]** must reproduce [`Runtime`]'s outcomes bitwise
-//! on the same randomized traces (routing collapses, no image is ever
-//! acquired), and `RoutePolicy::KernelHash` must assign every request of a
+//! A **1-device [`Cluster`] carrying an empty [`FaultPlan`]** is forced onto
+//! the fleet tier (routing collapses, no image is ever acquired, no fault
+//! ever fires) and must reproduce [`Runtime`] bitwise on the same randomized
+//! traces; and `RoutePolicy::KernelHash` must assign every request of a
 //! kernel to the same device on every resubmission.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use tm_overlay::runtime::{RequestOutcome, SpanKind, Trace, TraceEvent};
 use tm_overlay::{
     BatchConfig, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
     ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport, TraceConfig, Workload,
@@ -55,11 +60,16 @@ fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request>
         .collect()
 }
 
-/// Every observable of the two serves must match exactly.
-fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.outcomes().len(), b.outcomes().len());
-    for (lhs, rhs) in a.outcomes().iter().zip(b.outcomes()) {
+/// Outcome for outcome, everything two serves decided and computed (a
+/// `Runtime` stamps device 0, like the 1-device cluster it is held to).
+fn assert_outcomes_identical(
+    a: &[RequestOutcome],
+    b: &[RequestOutcome],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (lhs, rhs) in a.iter().zip(b) {
         prop_assert_eq!(lhs.request_id, rhs.request_id);
+        prop_assert_eq!(lhs.device, rhs.device);
         prop_assert_eq!(lhs.tile, rhs.tile);
         prop_assert_eq!(lhs.start_us, rhs.start_us);
         prop_assert_eq!(lhs.completion_us, rhs.completion_us);
@@ -69,6 +79,12 @@ fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), Test
         prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
         prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
     }
+    Ok(())
+}
+
+/// Every observable of the two serves must match exactly.
+fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
+    assert_outcomes_identical(a.outcomes(), b.outcomes())?;
     prop_assert_eq!(a.rejected(), b.rejected());
     // The full metrics struct — counters, rates, depths, per-tile vectors,
     // event counts and memo stats — must agree field for field.
@@ -76,8 +92,9 @@ fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), Test
     Ok(())
 }
 
-/// A [`Runtime`] and the 1-device [`Cluster`] configured like it.
-fn runtime_and_one_device_cluster(
+/// A traced [`Runtime`] — the plain tier — and the 1-device [`Cluster`]
+/// configured like it that an empty fault plan forces onto the fleet tier.
+fn runtime_and_one_device_fleet(
     variant: FuVariant,
     tiles: usize,
     policy: DispatchPolicy,
@@ -86,18 +103,21 @@ fn runtime_and_one_device_cluster(
     let runtime = Runtime::new(variant, tiles)
         .unwrap()
         .with_policy(policy)
-        .with_admission_limit(limit);
+        .with_admission_limit(limit)
+        .with_tracing(TraceConfig::enabled());
     let cluster = Cluster::new(variant, 1, tiles)
         .unwrap()
         .with_policy(policy)
-        .with_admission_limit(limit);
+        .with_admission_limit(limit)
+        .with_tracing(TraceConfig::enabled())
+        .with_fault_plan(FaultPlan::new());
     (runtime, cluster)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Admission pressure: the two loops bound the same waiting count, so
+    /// Admission pressure: the two tiers bound the same waiting count, so
     /// the reject decisions must agree request for request at every limit —
     /// including 0, where only a request that starts at once is admitted.
     #[test]
@@ -109,7 +129,7 @@ proptest! {
         let requests = random_trace(seed, count, 2.0);
         let policy = DispatchPolicy::ALL[policy_pick];
         let (mut runtime, mut cluster) =
-            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, limit);
+            runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
         let reference = runtime.serve(requests.clone()).unwrap();
         let report = cluster.serve(requests).unwrap();
         prop_assert!(reference.metrics().rejects + reference.outcomes().len() == count);
@@ -117,7 +137,7 @@ proptest! {
     }
 
     /// The feed-forward variants flip the switch-cost scale to PCAP
-    /// milliseconds, changing which placements tie — both loops must track
+    /// milliseconds, changing which placements tie — both tiers must track
     /// that too.
     #[test]
     fn equivalence_holds_on_pcap_pools(
@@ -127,13 +147,13 @@ proptest! {
         let requests = random_trace(seed, count, 50.0);
         let policy = DispatchPolicy::ALL[policy_pick];
         let (mut runtime, mut cluster) =
-            runtime_and_one_device_cluster(FuVariant::V1, tiles, policy, usize::MAX);
+            runtime_and_one_device_fleet(FuVariant::V1, tiles, policy, usize::MAX);
         let reference = runtime.serve(requests.clone()).unwrap();
         let report = cluster.serve(requests).unwrap();
         assert_cluster_matches_runtime(&report, &reference)?;
     }
 
-    /// A 1-device cluster is `Runtime` — bit for bit: same tiles, same
+    /// A 1-device fleet is `Runtime` — bit for bit: same tiles, same
     /// modeled timestamps, same rejects, same metrics — under every
     /// (dispatch policy × routing policy) combination and admission limit,
     /// with device 0 stamped on every outcome and zero transfer traffic.
@@ -149,7 +169,7 @@ proptest! {
         let route = RoutePolicy::ALL[route_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
         let (mut runtime, cluster) =
-            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, limit);
+            runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
         let mut cluster = cluster.with_route_policy(route);
         let reference = runtime.serve(requests.clone()).unwrap();
         let report = cluster.serve(requests).unwrap();
@@ -159,10 +179,10 @@ proptest! {
     /// The control plane at its disabled settings (`max_batch = 1`,
     /// replication off) is bitwise identical to the pre-control-plane
     /// runtime: explicitly configuring the disabled `BatchConfig` /
-    /// `ReplicationConfig` must reproduce the default-built `Runtime` and
-    /// the 1-device `Cluster` exactly — outcomes, timestamps, rejects and
-    /// the full metrics struct (including all-zero batch counters) — under
-    /// every policy and admission pressure.
+    /// `ReplicationConfig` must reproduce the default-built `Runtime` on
+    /// either tier exactly — outcomes, timestamps, rejects and the full
+    /// metrics struct (including all-zero batch counters) — under every
+    /// policy and admission pressure.
     #[test]
     fn disabled_control_plane_is_bitwise_identical_to_the_baseline(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
@@ -187,18 +207,13 @@ proptest! {
         prop_assert_eq!(disabled.metrics().batch.batches_formed, 0);
         prop_assert_eq!(disabled.metrics().batch.switches_avoided, 0);
 
-        // And the 1-device cluster with the disabled control plane pinned
+        // And the 1-device fleet with the disabled control plane pinned
         // explicitly still reproduces the runtime bit for bit.
-        let mut cluster = Cluster::new(FuVariant::V4, 1, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_admission_limit(limit)
+        let (mut reference, cluster) =
+            runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
+        let mut cluster = cluster
             .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 })
             .with_replication(ReplicationConfig::disabled());
-        let mut reference = Runtime::new(FuVariant::V4, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_admission_limit(limit);
         let report = cluster.serve(requests.clone()).unwrap();
         let runtime_report = reference.serve(requests).unwrap();
         assert_cluster_matches_runtime(&report, &runtime_report)?;
@@ -206,9 +221,10 @@ proptest! {
         prop_assert_eq!(report.replication().bytes_prefetched, 0);
     }
 
-    /// A batched 1-device cluster mirrors the batched runtime — the two
-    /// drain paths share one batching layer, so they must name the same
-    /// same-kernel candidate at every diversion under every dispatch policy.
+    /// A batched 1-device fleet mirrors the batched runtime — on the fleet
+    /// tier the batching guard also weighs the (zero) acquisition and
+    /// activation delays, so both tiers must name the same same-kernel
+    /// candidate at every diversion under every dispatch policy.
     #[test]
     fn a_batched_one_device_cluster_reproduces_the_batched_runtime(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
@@ -221,7 +237,7 @@ proptest! {
         let hold_us = [f64::INFINITY, 50.0, 2.0][hold_pick];
         let config = BatchConfig::with_max_batch(max_batch).with_max_hold_us(hold_us);
         let (runtime, cluster) =
-            runtime_and_one_device_cluster(FuVariant::V4, tiles, policy, usize::MAX);
+            runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, usize::MAX);
         let reference = runtime.with_batching(config).serve(requests.clone()).unwrap();
         let report = cluster.with_batching(config).serve(requests).unwrap();
         assert_cluster_matches_runtime(&report, &reference)?;
@@ -293,24 +309,23 @@ proptest! {
     }
 }
 
-/// Every observable of a 1-device cluster serve must match the runtime's.
+/// A trace's spans without the routing decisions only the fleet tier takes.
+fn spans_but_routes(trace: Option<&Trace>) -> Vec<&TraceEvent> {
+    let trace = trace.expect("tracing was enabled");
+    assert_eq!(trace.dropped(), 0);
+    trace
+        .events()
+        .iter()
+        .filter(|event| !matches!(event.kind, SpanKind::RouteChoice(_)))
+        .collect()
+}
+
+/// Every observable of a 1-device fleet serve must match the runtime's.
 fn assert_cluster_matches_runtime(
     cluster: &ClusterReport,
     runtime: &ServeReport,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(cluster.outcomes().len(), runtime.outcomes().len());
-    for (lhs, rhs) in cluster.outcomes().iter().zip(runtime.outcomes()) {
-        prop_assert_eq!(lhs.request_id, rhs.request_id);
-        prop_assert_eq!(lhs.device, 0);
-        prop_assert_eq!(lhs.tile, rhs.tile);
-        prop_assert_eq!(lhs.start_us, rhs.start_us);
-        prop_assert_eq!(lhs.completion_us, rhs.completion_us);
-        prop_assert_eq!(lhs.queued_us, rhs.queued_us);
-        prop_assert_eq!(lhs.latency_us, rhs.latency_us);
-        prop_assert_eq!(lhs.switched, rhs.switched);
-        prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
-        prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
-    }
+    assert_outcomes_identical(cluster.outcomes(), runtime.outcomes())?;
     prop_assert_eq!(cluster.rejected(), runtime.rejected());
     // Cluster totals must equal the runtime's metrics field for field.
     prop_assert_eq!(cluster.metrics(), runtime.metrics());
@@ -322,6 +337,11 @@ fn assert_cluster_matches_runtime(
     prop_assert_eq!(device.transfers_in, 0);
     prop_assert_eq!(device.host_loads, 0);
     prop_assert_eq!(device.p99_latency_us, runtime.metrics().p99_latency_us);
+    // The fleet tier routed every arrival (to device 0); nothing else differs.
+    let spans = spans_but_routes(cluster.trace());
+    prop_assert_eq!(&spans, &spans_but_routes(runtime.trace()));
+    prop_assert!(spans.len() < cluster.trace().unwrap().events().len());
+    prop_assert_eq!(spans.len(), runtime.trace().unwrap().events().len());
     Ok(())
 }
 
@@ -332,19 +352,7 @@ fn assert_cluster_reports_identical(
     a: &ClusterReport,
     b: &ClusterReport,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.outcomes().len(), b.outcomes().len());
-    for (lhs, rhs) in a.outcomes().iter().zip(b.outcomes()) {
-        prop_assert_eq!(lhs.request_id, rhs.request_id);
-        prop_assert_eq!(lhs.device, rhs.device);
-        prop_assert_eq!(lhs.tile, rhs.tile);
-        prop_assert_eq!(lhs.start_us, rhs.start_us);
-        prop_assert_eq!(lhs.completion_us, rhs.completion_us);
-        prop_assert_eq!(lhs.queued_us, rhs.queued_us);
-        prop_assert_eq!(lhs.latency_us, rhs.latency_us);
-        prop_assert_eq!(lhs.switched, rhs.switched);
-        prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
-        prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
-    }
+    assert_outcomes_identical(a.outcomes(), b.outcomes())?;
     prop_assert_eq!(a.rejected(), b.rejected());
     prop_assert_eq!(a.metrics(), b.metrics());
     prop_assert_eq!(a.device_metrics(), b.device_metrics());
@@ -362,10 +370,11 @@ proptest! {
     /// the empty-plan serve, yet with every device permanently eligible it
     /// must reduce exactly to the legacy path — outcomes, timestamps,
     /// rejects, metrics, the per-device breakdown (availability pinned at
-    /// 1.0) and the recorded trace.
+    /// 1.0) and the recorded trace. (From two devices up, where both serves
+    /// run the fleet tier; one device is the tier properties above.)
     #[test]
     fn an_empty_fault_plan_is_bitwise_identical_to_no_plan(
-        (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 1usize..5, 1usize..3),
+        (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
         policy_pick in 0usize..4,
         route_pick in 0usize..3,
         limit_pick in 0usize..3,
