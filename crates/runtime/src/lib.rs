@@ -139,10 +139,9 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
-use overlay_dfg::Value;
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
-use overlay_sim::{OverlaySimulator, SimError, SimMetrics, SimRun};
+use overlay_sim::{OverlaySimulator, Records, SimError, SimMetrics, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
@@ -183,9 +182,9 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
-    /// Functional outputs, one record per invocation — a view into the
-    /// shared simulation run.
-    pub fn outputs(&self) -> &[Vec<Value>] {
+    /// Functional outputs, one record per invocation — a view into the one
+    /// output buffer of the shared simulation run.
+    pub fn outputs(&self) -> Records<'_> {
         self.run.outputs()
     }
 }

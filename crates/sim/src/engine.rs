@@ -65,16 +65,30 @@
 //! equal `Δ` of the cell read; and at a `max` the winner stays ahead because
 //! it leads at `j` and gains at least as fast, so the result keeps the
 //! winner's `Δ`. From there a block's completion is `completion(j) +
-//! (i-j)·Δ`, and stepping stops — unless the trace still wants the cycles.
+//! (i-j)·Δ`, and stepping stops, traced or not: the law holds for every
+//! cell, so the trace needs no row past `j` (§4).
 //!
 //! # 3. The data pass ([`Program::evaluate`])
 //!
 //! The tape runs over columns of up to [`LANE_WIDTH`] blocks in one flat
 //! buffer: inputs are scattered in, each `EXEC` is one
 //! [`Op::apply_columns`] call (one dispatch per chunk, loops the compiler
-//! vectorises), outputs are gathered out. For the blocks the trace keeps,
-//! events are built from the timing pass's rows and the columns, in the
-//! order the hardware would produce them.
+//! vectorises), and every block's outputs are written into one buffer,
+//! record after record. For the blocks the trace keeps, the chunk copies
+//! out its columns, the kept lanes of each: every value an event prints,
+//! once (a load or an output prints a column another event wrote, so a
+//! compiled kernel's block has fewer columns than events: at most 0.82 of
+//! them on the paper suite and 300 generated kernels), in one copy when the
+//! whole chunk is kept.
+//!
+//! # 4. The packed trace ([`PackedTrace`])
+//!
+//! A traced run keeps the program, the lane-block `j` the timing pass
+//! closed at and those columns. [`PackedTrace::unpack`], called on the
+//! first read of the events, steps the kept rows up to `j` again and writes
+//! every later one as `row(r) = row(j) + (r-j)·(row(j) - row(j-1))`, cell
+//! by cell — §2's induction, which covers every cell, not only completions
+//! — then builds the events in the order the hardware produces them.
 
 use std::ops::Range;
 
@@ -106,8 +120,8 @@ struct Word {
     lag: usize,
 }
 
-/// One load or issue slot: a trace event per block and, for an `EXEC`, an
-/// entry of the tape.
+/// One cell: a load, an issue slot or a kernel output. A trace event per
+/// block and, for an `EXEC`, an entry of the tape.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Load {
@@ -123,6 +137,9 @@ enum Step {
         a: usize,
         b: usize,
         result: usize,
+    },
+    Output {
+        word: Word,
     },
 }
 
@@ -200,7 +217,7 @@ impl Rename {
 }
 
 /// One FU's cells: its loads, then its issue slots.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Stage {
     loads: Range<usize>,
     slots: Range<usize>,
@@ -208,14 +225,13 @@ struct Stage {
 
 /// A kernel's per-FU programs, checked and renamed. See the
 /// [module documentation](self).
-#[derive(Debug)]
-pub(crate) struct Program<'k> {
-    programs: &'k [FuProgram],
+#[derive(Debug, Clone)]
+pub(crate) struct Program {
     /// Every FU's loads and slots, in chain order.
     steps: Vec<Step>,
     stages: Vec<Stage>,
-    /// The kernel outputs by position; their cells follow the steps'.
-    outputs: Vec<Word>,
+    /// The kernel outputs' cells, by position, after every FU's.
+    outputs: Range<usize>,
     inputs: usize,
     /// Inputs, then constants, then `EXEC` results.
     columns: usize,
@@ -223,43 +239,43 @@ pub(crate) struct Program<'k> {
     serialized: bool,
 }
 
-/// Completion cycles and traced rows from [`Program::time`].
+/// Completion cycles from [`Program::time`].
 #[derive(Debug)]
 pub(crate) struct Timeline {
-    /// The row the pass steps in place (every event's cell, then the
-    /// FIFO's), then the finished event cells of each lane-block of the
-    /// traced prefix.
-    cycles: Vec<usize>,
-    cells: usize,
-    /// Blocks, from block 0, with at least one event among the traced ones.
-    traced_blocks: usize,
     /// Completion cycle of each block asked for.
     pub(crate) sampled: [usize; 3],
     /// Completion cycle of the last block to finish.
     pub(crate) total: usize,
-    /// The lane-block at which the fixed point was proven, if it was.
-    #[cfg(test)]
+    /// The lane-block at which the fixed point was proven, if it was;
+    /// otherwise every lane-block was stepped.
     closed_at: Option<usize>,
 }
 
-impl Timeline {
-    fn row(&self, lane_block: usize) -> &[usize] {
-        &self.cycles[self.cells + 1 + lane_block * self.cells..][..self.cells]
-    }
+/// What a traced run keeps: see the [module documentation](self), §4.
+#[derive(Debug, Clone)]
+pub(crate) struct PackedTrace {
+    program: Program,
+    closed_at: Option<usize>,
+    /// The data pass's column width: the values come chunk by chunk, and
+    /// within a chunk column by column, one per kept lane.
+    width: usize,
+    values: Vec<Value>,
+    kept: usize,
 }
 
 /// Evaluates `max` and, while the fixed point is being looked for, notes
 /// both arguments.
 struct Maxes<'a> {
-    log: Option<&'a mut [[usize; 2]]>,
+    /// Both arguments of each `max`, one after the other.
+    log: Option<&'a mut [usize]>,
     next: usize,
 }
 
 impl Maxes<'_> {
     fn max(&mut self, a: usize, b: usize) -> usize {
         if let Some(log) = &mut self.log {
-            log[self.next] = [a, b];
-            self.next += 1;
+            log[self.next..][..2].copy_from_slice(&[a, b]);
+            self.next += 2;
         }
         a.max(b)
     }
@@ -267,15 +283,15 @@ impl Maxes<'_> {
 
 /// The fixed-point test over one `max` at blocks `j-2`, `j-1`, `j`. Written
 /// without subtractions: the cycles only grow, but nothing here relies on it.
-fn settled(old: [usize; 2], mid: [usize; 2], new: [usize; 2]) -> bool {
-    let result = |[a, b]: [usize; 2]| a.max(b);
+fn settled(old: &[usize], mid: &[usize], new: &[usize]) -> bool {
+    let result = |arguments: &[usize]| arguments[0].max(arguments[1]);
     let stays_ahead = |w: usize, l: usize| {
         mid[w] >= mid[l] && new[w] >= new[l] && new[w] + mid[l] >= new[l] + mid[w]
     };
     result(new) + result(old) == 2 * result(mid) && (stays_ahead(0, 1) || stays_ahead(1, 0))
 }
 
-impl<'k> Program<'k> {
+impl Program {
     /// Walks `programs` (in chain order) for an overlay built from `variant`
     /// fed `inputs` words per block, whose output `p` is word
     /// `output_stream_index[p]` of the stream leaving the last FU.
@@ -285,7 +301,7 @@ impl<'k> Program<'k> {
     /// The first hardware constraint a block would violate, as block 0's.
     pub(crate) fn decode(
         variant: FuVariant,
-        programs: &'k [FuProgram],
+        programs: &[FuProgram],
         inputs: usize,
         output_stream_index: &[usize],
     ) -> Result<Self, SimError> {
@@ -293,7 +309,7 @@ impl<'k> Program<'k> {
         let piped = variant.dsp_pipeline_depth() + 1;
         let constants: usize = programs.iter().map(|p| p.constant_init().len()).sum();
         let words: usize = programs.iter().map(FuProgram::len).sum();
-        let mut steps = Vec::with_capacity(words);
+        let mut steps = Vec::with_capacity(words + output_stream_index.len());
         let mut stages = Vec::with_capacity(programs.len());
         let mut next_constant = inputs;
         let mut next_result = inputs + constants;
@@ -394,7 +410,7 @@ impl<'k> Program<'k> {
             stream = Stream::Stage(first..steps.len(), piped);
         }
 
-        let mut outputs = Vec::with_capacity(output_stream_index.len());
+        let first_output = steps.len();
         for &index in output_stream_index {
             let word = stream
                 .clone()
@@ -403,14 +419,13 @@ impl<'k> Program<'k> {
                     fu: programs.len(),
                     block: 0,
                 })?;
-            outputs.push(word);
+            steps.push(Step::Output { word });
         }
 
         Ok(Program {
-            programs,
+            outputs: first_output..steps.len(),
             steps,
             stages,
-            outputs,
             inputs,
             columns: next_result,
             lanes: variant.datapath_lanes(),
@@ -421,7 +436,19 @@ impl<'k> Program<'k> {
     /// Trace events one block emits on its way down the chain: one per load,
     /// per issue slot and per output.
     pub(crate) fn events_per_block(&self) -> usize {
-        self.steps.len() + self.outputs.len()
+        self.steps.len()
+    }
+
+    /// The word each kernel output is, by position, and its cell.
+    fn output_words(&self) -> impl Iterator<Item = (usize, Word)> + '_ {
+        let steps = &self.steps[self.outputs.clone()];
+        self.outputs
+            .clone()
+            .zip(steps)
+            .filter_map(|(cell, step)| match *step {
+                Step::Output { word } => Some((cell, word)),
+                _ => None,
+            })
     }
 
     /// Steps one lane-block: overwrites `row`, which holds the lane's
@@ -459,7 +486,7 @@ impl<'k> Program<'k> {
             }
         }
         let mut completion = 0;
-        for (cell, word) in (self.steps.len()..).zip(&self.outputs) {
+        for (cell, word) in self.output_words() {
             let arrival = row[word.sender] + word.lag;
             row[cell] = arrival;
             completion = maxes.max(completion, arrival);
@@ -475,25 +502,22 @@ impl<'k> Program<'k> {
     }
 
     /// The timing pass over `blocks` blocks: the completion cycle of each
-    /// block in `sample` and of the last to finish, and a row of event
-    /// cycles for every lane-block the first `traced_events` events touch.
-    pub(crate) fn time(&self, blocks: usize, traced_events: usize, sample: [usize; 3]) -> Timeline {
+    /// block in `sample` and of the last to finish.
+    pub(crate) fn time(&self, blocks: usize, sample: [usize; 3]) -> Timeline {
         let cells = self.events_per_block();
         let lane_blocks = blocks.div_ceil(self.lanes);
-        let traced_blocks = match cells {
-            0 => 0,
-            _ => traced_events.div_ceil(cells),
+        // One allocation: the row the pass steps in place (every event's
+        // cell, then the FIFO's) and, when there are blocks enough to look
+        // for the fixed point, a ring of the last three steps' `max`
+        // arguments. Filled, not zeroed: a zeroed allocation costs a short
+        // run more than the fill.
+        let logged = 2 * self.maxes_per_step();
+        let ring = match lane_blocks > ALWAYS_STEPPED {
+            true => 3 * logged,
+            false => 0,
         };
-        let traced_rows = traced_blocks.div_ceil(self.lanes);
-        let mut cycles = Vec::with_capacity(cells + 1 + traced_rows * cells);
-        cycles.resize(cells + 1, 0);
-
-        // A ring of the last three steps' `max` arguments.
-        let maxes = self.maxes_per_step();
-        let mut log = match lane_blocks > ALWAYS_STEPPED {
-            true => vec![[0; 2]; 3 * maxes],
-            false => Vec::new(),
-        };
+        let mut scratch: Vec<usize> = std::iter::repeat_n(0, cells + 1 + ring).collect();
+        let (row, log) = scratch.split_at_mut(cells + 1);
         let mut closed_at = None;
 
         let sample = sample.map(|block| block / self.lanes);
@@ -501,17 +525,14 @@ impl<'k> Program<'k> {
         let mut total = 0;
         let (mut previous, mut completion) = (0, 0);
         let mut stepped = 0;
-        while stepped < lane_blocks && (stepped < traced_rows || closed_at.is_none()) {
-            let searching = !log.is_empty() && closed_at.is_none();
+        while stepped < lane_blocks && closed_at.is_none() {
+            let searching = !log.is_empty();
             let mut noted = Maxes {
-                log: searching.then(|| &mut log[stepped % 3 * maxes..][..maxes]),
+                log: searching.then(|| &mut log[stepped % 3 * logged..][..logged]),
                 next: 0,
             };
             previous = completion;
-            completion = self.step(&mut cycles[..=cells], &mut noted);
-            if stepped < traced_rows {
-                cycles.extend_from_within(..cells);
-            }
+            completion = self.step(row, &mut noted);
             for (wanted, sampled) in sample.iter().zip(&mut sampled) {
                 if *wanted == stepped {
                     *sampled = completion;
@@ -519,9 +540,13 @@ impl<'k> Program<'k> {
             }
             total = total.max(completion);
             if searching && stepped >= 2 {
-                let at = |age: usize| &log[(stepped - age) % 3 * maxes..][..maxes];
+                let at = |age: usize| log[(stepped - age) % 3 * logged..][..logged].chunks_exact(2);
                 let (old, mid, new) = (at(2), at(1), at(0));
-                if (0..maxes).all(|i| settled(old[i], mid[i], new[i])) {
+                if old
+                    .zip(mid)
+                    .zip(new)
+                    .all(|((old, mid), new)| settled(old, mid, new))
+                {
                     closed_at = Some(stepped);
                 }
             }
@@ -540,39 +565,45 @@ impl<'k> Program<'k> {
             total = total.max(completion + (lane_blocks - stepped) * period);
         }
         Timeline {
-            cycles,
-            cells,
-            traced_blocks,
             sampled,
             total,
-            #[cfg(test)]
             closed_at,
         }
     }
 
-    /// The data pass: evaluates the tape over `records` (at least one),
-    /// returns one output record per block and records the events of the
-    /// blocks `timeline` holds rows for, then counts the rest as dropped.
+    /// The data pass: evaluates the tape over `records` (at least one) and
+    /// returns every block's outputs, record after record, in one buffer,
+    /// and a trace that keeps the first `capacity` events and counts the
+    /// rest.
     ///
     /// # Errors
     ///
     /// None that [`Program::decode`] has not already ruled out.
     pub(crate) fn evaluate(
-        &self,
+        self,
+        programs: &[FuProgram],
         records: &[Vec<Value>],
         timeline: &Timeline,
-        trace: &mut Trace,
-    ) -> Result<Vec<Vec<Value>>, SimError> {
+        capacity: usize,
+    ) -> Result<(Vec<Value>, Trace), SimError> {
         let width = LANE_WIDTH.min(records.len());
         let mut columns = vec![Value::ZERO; self.columns * width];
-        let constants = self.programs.iter().flat_map(FuProgram::constant_init);
+        let constants = programs.iter().flat_map(FuProgram::constant_init);
         for (column, &(_, value)) in (self.inputs..).zip(constants) {
             columns[column * width..][..width].fill(value);
         }
 
-        let mut outputs = Vec::with_capacity(records.len());
-        let mut first_block = 0;
-        for chunk in records.chunks(width) {
+        let cells = self.events_per_block();
+        let events = records.len().saturating_mul(cells);
+        let kept = events.min(capacity);
+        let traced_blocks = match kept {
+            0 => 0,
+            _ => kept.div_ceil(cells),
+        };
+        let mut values = Vec::with_capacity(traced_blocks * self.columns);
+        let record = self.outputs.len();
+        let mut outputs = vec![Value::ZERO; records.len() * record];
+        for (chunk, first_block) in records.chunks(width).zip((0..).step_by(width)) {
             let blocks = chunk.len();
             for (lane, record) in chunk.iter().enumerate() {
                 for (input, &value) in record.iter().enumerate() {
@@ -593,39 +624,56 @@ impl<'k> Program<'k> {
                     .map_err(SimError::Dfg)?;
                 }
             }
-            let columns = columns.as_slice();
-            for lane in 0..blocks {
-                let value = move |column: usize| columns[column * width + lane];
-                outputs.push(self.outputs.iter().map(|word| value(word.column)).collect());
-                let block = first_block + lane;
-                if block < timeline.traced_blocks {
-                    self.trace_block(block, timeline.row(block / self.lanes), value, trace);
+            let written = &mut outputs[first_block * record..][..blocks * record];
+            for (position, (_, word)) in self.output_words().enumerate() {
+                let column = &columns[word.column * width..][..blocks];
+                let slots = written[position..].iter_mut().step_by(record);
+                for (slot, &value) in slots.zip(column) {
+                    *slot = value;
                 }
             }
-            first_block += blocks;
+            let traced = traced_blocks.saturating_sub(first_block).min(blocks);
+            if traced == width {
+                values.extend_from_slice(&columns);
+            } else if traced > 0 {
+                for column in columns.chunks_exact(width) {
+                    values.extend_from_slice(&column[..traced]);
+                }
+            }
         }
-        trace.count_dropped((records.len() - timeline.traced_blocks) * timeline.cells);
-        Ok(outputs)
+
+        let dropped = events - kept;
+        let packed = match kept {
+            0 => None,
+            _ => Some(Box::new(PackedTrace {
+                program: self,
+                closed_at: timeline.closed_at,
+                width,
+                values,
+                kept,
+            })),
+        };
+        Ok((outputs, Trace::new(packed, capacity, dropped)))
     }
 
-    /// Records `block`'s events in the order the parts of the overlay
+    /// Appends `block`'s events in the order the parts of the overlay
     /// produce them: FU by FU, loads before issue slots, then the output
-    /// FIFO. `row` holds the cycles, `value` reads the block's columns.
-    fn trace_block(
+    /// FIFO (the index past the last FU). `row` holds the cycles, `value`
+    /// reads the block's columns.
+    fn unpack_block(
         &self,
         block: usize,
         row: &[usize],
-        value: impl Fn(usize) -> Value + Copy,
-        trace: &mut Trace,
+        value: impl Fn(usize) -> Value,
+        events: &mut Vec<Event>,
     ) {
-        for (fu, stage) in self.stages.iter().enumerate() {
-            let cells = stage.loads.start..stage.slots.end;
-            let steps = self.steps[cells.clone()].iter().zip(&row[cells]);
-            trace.record_all(steps.map(|(step, &cycle)| Event {
-                cycle,
-                fu,
-                block,
-                kind: match *step {
+        let stages = self
+            .stages
+            .iter()
+            .map(|stage| stage.loads.start..stage.slots.end);
+        for (fu, cells) in stages.chain([self.outputs.clone()]).enumerate() {
+            for (cell, step) in cells.clone().zip(&self.steps[cells]) {
+                let kind = match *step {
                     Step::Load {
                         register,
                         forwarded,
@@ -648,20 +696,63 @@ impl<'k> Program<'k> {
                         writeback,
                         forwarded,
                     },
-                },
-            }));
+                    Step::Output { word } => EventKind::Output {
+                        position: cell - self.outputs.start,
+                        value: value(word.column),
+                    },
+                };
+                events.push(Event {
+                    cycle: row[cell],
+                    fu,
+                    block,
+                    kind,
+                });
+            }
         }
-        let outputs = self.outputs.iter().zip(&row[self.steps.len()..]);
-        let fu = self.stages.len();
-        trace.record_all(outputs.enumerate().map(|(position, (word, &cycle))| Event {
-            cycle,
-            fu,
-            block,
-            kind: EventKind::Output {
-                position,
-                value: value(word.column),
-            },
-        }));
+    }
+}
+
+impl PackedTrace {
+    /// How many events the trace keeps.
+    pub(crate) fn kept(&self) -> usize {
+        self.kept
+    }
+
+    /// The kept events, block by block: see the
+    /// [module documentation](self), §4.
+    pub(crate) fn unpack(&self) -> Vec<Event> {
+        let program = &self.program;
+        let cells = program.events_per_block();
+        let blocks = self.kept.div_ceil(cells);
+        let mut events = Vec::with_capacity(blocks * cells);
+        let mut row = vec![0; cells + 1];
+        // Cell by cell, the last stepped row minus the one before it.
+        let mut period = vec![0; cells];
+        for lane_block in 0..blocks.div_ceil(program.lanes) {
+            if self.closed_at.is_some_and(|closed| lane_block > closed) {
+                for (cycle, period) in row.iter_mut().zip(&period) {
+                    *cycle += period;
+                }
+            } else {
+                period.copy_from_slice(&row[..cells]);
+                program.step(&mut row, &mut Maxes { log: None, next: 0 });
+                for (period, cycle) in period.iter_mut().zip(&row) {
+                    *period = cycle - *period;
+                }
+            }
+            let first = lane_block * program.lanes;
+            for block in first..blocks.min(first + program.lanes) {
+                // Every chunk before this block's is full.
+                let chunk = block - block % self.width;
+                let kept_lanes = self.width.min(blocks - chunk);
+                let values = &self.values[chunk * program.columns..];
+                let lane = block - chunk;
+                let value = |column: usize| values[column * kept_lanes + lane];
+                program.unpack_block(block, &row, value, &mut events);
+            }
+        }
+        events.truncate(self.kept);
+        events
     }
 }
 
@@ -688,17 +779,19 @@ mod tests {
         programs: &[FuProgram],
         records: &[Vec<i32>],
         outputs: &[usize],
-    ) -> Result<(Vec<Vec<Value>>, Timeline, Trace), SimError> {
+    ) -> Result<(Vec<Vec<Value>>, Trace), SimError> {
         let records: Vec<Vec<Value>> = records
             .iter()
             .map(|record| record.iter().copied().map(Value::new).collect())
             .collect();
         let program = Program::decode(variant, programs, records[0].len(), outputs)?;
-        let events = records.len() * program.events_per_block();
-        let timeline = program.time(records.len(), events, [0, 0, records.len() - 1]);
-        let mut trace = Trace::with_capacity(events);
-        let outputs = program.evaluate(&records, &timeline, &mut trace)?;
-        Ok((outputs, timeline, trace))
+        let timeline = program.time(records.len(), [0, 0, records.len() - 1]);
+        let (flat, trace) = program.evaluate(programs, &records, &timeline, usize::MAX)?;
+        let width = outputs.len();
+        let outputs = (0..records.len())
+            .map(|block| flat[block * width..][..width].to_vec())
+            .collect();
+        Ok((outputs, trace))
     }
 
     /// Cycle of each block's (only) output event.
@@ -713,8 +806,7 @@ mod tests {
 
     #[test]
     fn single_fu_adds_two_words() {
-        let (outputs, _, trace) =
-            run(FuVariant::V1, &[adder_program()], &[vec![3, 4]], &[0]).unwrap();
+        let (outputs, trace) = run(FuVariant::V1, &[adder_program()], &[vec![3, 4]], &[0]).unwrap();
         assert_eq!(outputs, [[Value::new(7)]]);
         // loads at cycles 2 and 3, exec at cycle 4, the result departs at
         // 4 + 3 and reaches the output FIFO a cycle later.
@@ -726,7 +818,7 @@ mod tests {
     fn v1_steady_state_period_matches_eq2() {
         // 2 loads, 1 op: II = max(2 + 1, 1 + 2) = 3.
         let records = vec![vec![1, 2]; 6];
-        let (_, _, trace) = run(FuVariant::V1, &[adder_program()], &records, &[0]).unwrap();
+        let (_, trace) = run(FuVariant::V1, &[adder_program()], &records, &[0]).unwrap();
         let deltas: Vec<usize> = output_cycles(&trace)
             .windows(2)
             .map(|w| w[1] - w[0])
@@ -739,7 +831,7 @@ mod tests {
     fn baseline_serialises_loads_and_execs() {
         // Same program on [14]: II = 2 + 1 + 2 = 5.
         let records = vec![vec![1, 2]; 6];
-        let (_, _, trace) = run(FuVariant::Baseline, &[adder_program()], &records, &[0]).unwrap();
+        let (_, trace) = run(FuVariant::Baseline, &[adder_program()], &records, &[0]).unwrap();
         let deltas: Vec<usize> = output_cycles(&trace)
             .windows(2)
             .map(|w| w[1] - w[0])
@@ -754,7 +846,7 @@ mod tests {
         p.push(Instruction::load_forward(r(0)));
         p.push(Instruction::load(r(1)));
         p.push(Instruction::exec(Op::Mul, r(2), r(0), r(1)));
-        let (outputs, _, trace) = run(FuVariant::V1, &[p], &[vec![5, 6]], &[0, 1]).unwrap();
+        let (outputs, trace) = run(FuVariant::V1, &[p], &[vec![5, 6]], &[0, 1]).unwrap();
         // The bypassed word first, then the product.
         assert_eq!(outputs, [[Value::new(5), Value::new(30)]]);
         let cycles = output_cycles(&trace);
@@ -824,14 +916,13 @@ mod tests {
 
     #[test]
     fn a_chain_without_fus_passes_its_inputs_through() {
-        let (outputs, _, trace) =
-            run(FuVariant::V1, &[], &[vec![1, 2], vec![3, 4]], &[1, 0]).unwrap();
+        let (outputs, trace) = run(FuVariant::V1, &[], &[vec![1, 2], vec![3, 4]], &[1, 0]).unwrap();
         assert_eq!(outputs, [[2, 1].map(Value::new), [4, 3].map(Value::new)]);
         // The FIFO holds every block's words from cycle 0.
         assert_eq!(output_cycles(&trace), [1; 4]);
 
         // Nothing in, nothing out: no columns and no events at all.
-        let (outputs, _, trace) = run(FuVariant::V1, &[], &[vec![], vec![], vec![]], &[]).unwrap();
+        let (outputs, trace) = run(FuVariant::V1, &[], &[vec![], vec![], vec![]], &[]).unwrap();
         assert_eq!(outputs, [[], [], []]);
         assert_eq!(trace.total(), 0);
     }
@@ -880,15 +971,19 @@ mod tests {
 
     /// Completions of blocks 0, `blocks / 2` and `blocks - 1` and of the
     /// last to finish, stopping at the fixed point (if `close`) or with every
-    /// block stepped because every block is traced.
-    fn completions(program: &Program<'_>, blocks: usize, close: bool) -> ([usize; 3], usize) {
-        let traced = if close {
-            0
-        } else {
-            blocks * program.events_per_block()
-        };
-        let timeline = program.time(blocks, traced, [0, blocks / 2, blocks - 1]);
-        (timeline.sampled, timeline.total)
+    /// lane-block stepped.
+    fn completions(program: &Program, blocks: usize, close: bool) -> ([usize; 3], usize) {
+        let sample = [0, blocks / 2, blocks - 1];
+        if close {
+            let timeline = program.time(blocks, sample);
+            return (timeline.sampled, timeline.total);
+        }
+        let mut row = vec![0; program.events_per_block() + 1];
+        let stepped: Vec<usize> = (0..blocks.div_ceil(program.lanes))
+            .map(|_| program.step(&mut row, &mut Maxes { log: None, next: 0 }))
+            .collect();
+        let total = stepped.iter().copied().max().unwrap_or(0);
+        (sample.map(|block| stepped[block / program.lanes]), total)
     }
 
     /// One FU from a sketch: `L` a load, `F` a forwarded load, `n` a NOP,
@@ -921,7 +1016,7 @@ mod tests {
         let programs = ["Lnnxnxnxnnnxxx", "Fnxnxnxnnxnxnxn", "FFx"].map(sketch);
         let program = Program::decode(FuVariant::V1, &programs, 1, &[2]).unwrap();
 
-        let closed_at = program.time(300, 0, [0; 3]).closed_at.unwrap();
+        let closed_at = program.time(300, [0; 3]).closed_at.unwrap();
         assert!((8..100).contains(&closed_at), "closed at {closed_at}");
         for blocks in [5, closed_at, closed_at + 1, closed_at + 2, 299, 300] {
             assert_eq!(
@@ -976,7 +1071,7 @@ mod tests {
                 .collect();
             let program = Program::decode(variant, &programs, inputs, &[0, arriving - 1]).unwrap();
             let blocks = 5 + below(200);
-            let closing = program.time(blocks, 0, [0, blocks / 2, blocks - 1]);
+            let closing = program.time(blocks, [0, blocks / 2, blocks - 1]);
             latest = latest.max(closing.closed_at.unwrap_or(0));
             assert_eq!(
                 (closing.sampled, closing.total),

@@ -36,17 +36,21 @@
 //! 2. **A timing pass** steps the cycle recurrences without values and stops
 //!    stepping once it has proven that every later block is exactly one
 //!    period after the one before; from there completions are a closed
-//!    form. Blocks whose events the trace keeps are always stepped.
+//!    form, traced or not.
 //! 3. **A data pass** evaluates the tape over columns of up to 64 blocks in
 //!    one flat buffer, one [`overlay_dfg::Op::apply_columns`] call per `EXEC`
-//!    per column, and gathers [`SimRun::outputs`].
+//!    per column, and writes every block's outputs into one buffer, which
+//!    [`SimRun::outputs`] views as [`Records`].
 //!
-//! The [`Trace`] is reserved once, for `min(capacity, events the run will
-//! emit)`, and the data pass builds an [`Event`] — from the timing pass's
-//! cycles and its own columns — only if the trace will keep it; past the
-//! capacity it just counts, so [`Trace::dropped`] and [`Trace::total`] stay
-//! exact. What remains per block is a single allocation, the block's record
-//! in [`SimRun::outputs`].
+//! The [`Trace`] is packed: the data pass copies out the columns of the
+//! blocks it keeps (every value an event prints, once), a chunk of blocks
+//! at a time, and the run hands the trace the
+//! decoded program and the block the timing pass closed at.
+//! [`Trace::events`] builds the [`Event`]s from those on its first call,
+//! writing the rows past the fixed point in the same closed form;
+//! [`Trace::dropped`] and [`Trace::total`] are exact without it. A run
+//! makes the same five allocations for one block as for a thousand, and
+//! two more when it keeps events.
 //!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
@@ -91,6 +95,6 @@ pub mod workload;
 
 pub use error::SimError;
 pub use metrics::SimMetrics;
-pub use overlay::{OverlaySimulator, SimRun};
+pub use overlay::{OverlaySimulator, RecordIter, Records, SimRun};
 pub use trace::{Event, EventKind, Trace};
 pub use workload::Workload;

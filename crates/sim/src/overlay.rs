@@ -1,5 +1,8 @@
 //! The whole-overlay simulator.
 
+use std::fmt;
+use std::ops::{Index, Range};
+
 use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_scheduler::CompiledKernel;
@@ -23,17 +26,24 @@ pub struct OverlaySimulator {
 
 /// The outcome of a simulation run: functional outputs, measured metrics and
 /// a bounded event trace.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SimRun {
-    outputs: Vec<Vec<Value>>,
+    /// Every block's outputs, record after record.
+    outputs: Vec<Value>,
+    /// Values per output record: the kernel's outputs.
+    record: usize,
     metrics: SimMetrics,
     trace: Trace,
 }
 
 impl SimRun {
     /// The kernel outputs, one record per invocation, in invocation order.
-    pub fn outputs(&self) -> &[Vec<Value>] {
-        &self.outputs
+    pub fn outputs(&self) -> Records<'_> {
+        Records {
+            values: &self.outputs,
+            width: self.record,
+            len: self.metrics.blocks,
+        }
     }
 
     /// The measured metrics.
@@ -46,6 +56,148 @@ impl SimRun {
         &self.trace
     }
 }
+
+/// Formats the outputs as the nested records they are read as.
+impl fmt::Debug for SimRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimRun")
+            .field("outputs", &self.outputs())
+            .field("metrics", &self.metrics)
+            .field("trace", &self.trace)
+            .finish()
+    }
+}
+
+/// A run's output records, one per invocation, each as wide as the kernel
+/// has outputs: a view into the one buffer the simulator wrote them to.
+///
+/// A record reads as a `&[Value]`. The view compares equal to another view
+/// and to `[Vec<Value>]`, `&[Vec<Value>]` and `Vec<Vec<Value>>` holding the
+/// same records.
+#[derive(Clone, Copy)]
+pub struct Records<'a> {
+    values: &'a [Value],
+    width: usize,
+    /// Kept apart from `width`, so zero-width records still count.
+    len: usize,
+}
+
+impl<'a> Records<'a> {
+    /// The number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Record `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<&'a [Value]> {
+        (index < self.len).then(|| &self.values[index * self.width..][..self.width])
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> RecordIter<'a> {
+        RecordIter {
+            values: self.values,
+            width: self.width,
+            indices: 0..self.len,
+        }
+    }
+
+    /// The records copied out, one `Vec` each.
+    pub fn to_vec(&self) -> Vec<Vec<Value>> {
+        self.iter().map(<[Value]>::to_vec).collect()
+    }
+}
+
+impl Index<usize> for Records<'_> {
+    type Output = [Value];
+
+    fn index(&self, index: usize) -> &[Value] {
+        self.get(index)
+            .unwrap_or_else(|| panic!("record index {index} out of range for {} records", self.len))
+    }
+}
+
+impl fmt::Debug for Records<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for Records<'a> {
+    type Item = &'a [Value];
+    type IntoIter = RecordIter<'a>;
+
+    fn into_iter(self) -> RecordIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Records<'a> {
+    type Item = &'a [Value];
+    type IntoIter = RecordIter<'a>;
+
+    fn into_iter(self) -> RecordIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq<Records<'_>> for Records<'_> {
+    fn eq(&self, other: &Records<'_>) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Records<'_> {}
+
+impl PartialEq<[Vec<Value>]> for Records<'_> {
+    fn eq(&self, other: &[Vec<Value>]) -> bool {
+        self.len == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|(lhs, rhs)| lhs == rhs.as_slice())
+    }
+}
+
+impl PartialEq<&[Vec<Value>]> for Records<'_> {
+    fn eq(&self, other: &&[Vec<Value>]) -> bool {
+        *self == **other
+    }
+}
+
+impl PartialEq<Vec<Vec<Value>>> for Records<'_> {
+    fn eq(&self, other: &Vec<Vec<Value>>) -> bool {
+        *self == **other
+    }
+}
+
+/// The iterator over [`Records`].
+#[derive(Debug, Clone)]
+pub struct RecordIter<'a> {
+    values: &'a [Value],
+    width: usize,
+    indices: Range<usize>,
+}
+
+impl<'a> Iterator for RecordIter<'a> {
+    type Item = &'a [Value];
+
+    fn next(&mut self) -> Option<&'a [Value]> {
+        let index = self.indices.next()?;
+        Some(&self.values[index * self.width..][..self.width])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.indices.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RecordIter<'_> {}
 
 impl OverlaySimulator {
     /// Creates a simulator for overlays built from `variant`, recording up to
@@ -111,22 +263,18 @@ impl OverlaySimulator {
     /// write-back hazard, stream underflow).
     pub fn run(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, SimError> {
         self.validate(compiled, workload)?;
+        let programs = compiled.program.fu_programs();
         let program = Program::decode(
             self.variant,
-            compiled.program.fu_programs(),
+            programs,
             compiled.program.num_inputs(),
             &compiled.output_stream_index,
         )?;
 
         let blocks = workload.len();
-        let events = blocks.saturating_mul(program.events_per_block());
         // Skip the pipeline-fill blocks when measuring the steady-state II.
         let warmup = compiled.num_fus().min(blocks.saturating_sub(2));
-        let timeline = program.time(
-            blocks,
-            events.min(self.trace_capacity),
-            [0, warmup, blocks - 1],
-        );
+        let timeline = program.time(blocks, [0, warmup, blocks - 1]);
         let [first, warm, last] = timeline.sampled;
         let steady_state_ii = if blocks >= 2 {
             (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
@@ -141,11 +289,12 @@ impl OverlaySimulator {
             total_cycles: timeline.total,
         };
 
-        let mut trace = Trace::with_capacity(self.trace_capacity);
-        trace.reserve(events);
-        let outputs = program.evaluate(workload.records(), &timeline, &mut trace)?;
+        let record = compiled.output_stream_index.len();
+        let (outputs, trace) =
+            program.evaluate(programs, workload.records(), &timeline, self.trace_capacity)?;
         Ok(SimRun {
             outputs,
+            record,
             metrics,
             trace,
         })
@@ -310,6 +459,40 @@ mod tests {
                 SimError::EmptyWorkload
             );
         }
+    }
+
+    #[test]
+    fn records_read_like_the_nested_vectors_they_replace() {
+        let nested = vec![
+            [1, 2].map(Value::new).to_vec(),
+            [3, 4].map(Value::new).to_vec(),
+        ];
+        let flat = [1, 2, 3, 4].map(Value::new);
+        let records = Records {
+            values: &flat,
+            width: 2,
+            len: 2,
+        };
+        assert_eq!(records, nested);
+        assert_eq!(records, nested.as_slice());
+        assert_ne!(records, nested[..1]);
+        assert_eq!(records.to_vec(), nested);
+        assert_eq!(format!("{records:?}"), format!("{nested:?}"));
+        assert_eq!(format!("{records:#?}"), format!("{nested:#?}"));
+        assert_eq!(records[1], flat[2..]);
+        assert_eq!(records.get(2), None);
+        assert_eq!(records.iter().last(), Some(&flat[2..]));
+
+        // Zero-width records still count.
+        let empty = Records {
+            values: &[],
+            width: 0,
+            len: 3,
+        };
+        assert_eq!((empty.len(), empty.is_empty()), (3, false));
+        assert_eq!(empty, vec![Vec::new(); 3]);
+        assert_ne!(empty, Records { len: 2, ..empty });
+        assert_eq!(empty.iter().len(), 3);
     }
 
     #[test]

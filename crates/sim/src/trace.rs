@@ -1,8 +1,11 @@
 //! Execution traces.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use overlay_dfg::Value;
+
+use crate::engine::PackedTrace;
 
 /// What happened in one traced event.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,73 +99,43 @@ impl fmt::Display for Event {
     }
 }
 
-/// A bounded event trace.
+/// A run's bounded event trace: the first events of the run, up to the
+/// simulator's trace capacity, and a count of the rest.
 ///
-/// Tracing every cycle of a long simulation would dominate memory, so the
-/// trace stores at most `capacity` events and counts the rest.
-#[derive(Debug, Clone, PartialEq)]
+/// Only the simulator builds one. It keeps the values the kept blocks
+/// computed beside the program and the timing the events are read off; the
+/// typed [`Event`]s are built once, on the first call to [`Trace::events`].
+/// [`Trace::dropped`] and [`Trace::total`] never build them.
+#[derive(Clone)]
 pub struct Trace {
-    events: Vec<Event>,
+    /// Boxed: a run is moved whole, and most runs keep no events.
+    packed: Option<Box<PackedTrace>>,
+    /// Read by `Debug` alone, which prints what the trace was given.
     capacity: usize,
     dropped: usize,
+    events: OnceLock<Vec<Event>>,
 }
 
 impl Trace {
-    /// Creates a trace that keeps at most `capacity` events. Nothing is
-    /// allocated until [`Trace::reserve`] or the first recorded event.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// A trace of at most `capacity` events that keeps those of `packed`
+    /// (none if `None`) and counts `dropped` more.
+    pub(crate) fn new(packed: Option<Box<PackedTrace>>, capacity: usize, dropped: usize) -> Self {
         Trace {
-            events: Vec::new(),
+            packed,
             capacity,
-            dropped: 0,
+            dropped,
+            events: OnceLock::new(),
         }
     }
 
-    /// A trace that records nothing (used for performance runs).
-    pub fn disabled() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Allocates, once, the storage for a run known to emit `expected` more
-    /// events: room for `min(capacity, expected)` of them, so the event
-    /// vector never regrows while the run records.
-    pub fn reserve(&mut self, expected: usize) {
-        let room = self.capacity.saturating_sub(self.events.len());
-        self.events.reserve_exact(expected.min(room));
-    }
-
-    /// Records an event (or counts it as dropped once the capacity is
-    /// reached).
-    pub fn record(&mut self, event: Event) {
-        self.record_with(|| event);
-    }
-
-    /// Like [`Trace::record`], but builds the event only if it will be kept:
-    /// a full or disabled trace counts the drop and never calls `event`.
-    pub fn record_with(&mut self, event: impl FnOnce() -> Event) {
-        if self.events.len() < self.capacity {
-            self.events.push(event());
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Records `events`, in order, building only those the trace keeps and
-    /// counting the rest as dropped.
-    pub(crate) fn record_all(&mut self, events: impl ExactSizeIterator<Item = Event>) {
-        let room = self.capacity.saturating_sub(self.events.len());
-        self.dropped += events.len().saturating_sub(room);
-        self.events.extend(events.take(room));
-    }
-
-    /// Counts `events` events nobody built because the trace is full.
-    pub(crate) fn count_dropped(&mut self, events: usize) {
-        self.dropped += events;
-    }
-
-    /// The recorded events.
+    /// The kept events, in the order the overlay produces them. The first
+    /// call builds them; later calls return the same slice.
     pub fn events(&self) -> &[Event] {
-        &self.events
+        self.events.get_or_init(|| {
+            self.packed
+                .as_ref()
+                .map_or_else(Vec::new, |packed| packed.unpack())
+        })
     }
 
     /// How many events did not fit in the capacity.
@@ -170,64 +143,86 @@ impl Trace {
         self.dropped
     }
 
-    /// Total events observed (recorded + dropped).
+    /// Total events observed (kept + dropped).
     pub fn total(&self) -> usize {
-        self.events.len() + self.dropped
+        self.packed.as_ref().map_or(0, |packed| packed.kept()) + self.dropped
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.dropped == other.dropped && self.events() == other.events()
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("events", &self.events())
+            .field("capacity", &self.capacity)
+            .field("dropped", &self.dropped)
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OverlaySimulator, SimRun, Workload};
+    use overlay_arch::FuVariant;
+    use overlay_frontend::Benchmark;
+    use overlay_scheduler::{generate_program, schedule};
 
-    fn event(cycle: usize) -> Event {
-        Event {
-            cycle,
-            fu: 0,
-            block: 0,
-            kind: EventKind::Nop,
-        }
+    const BLOCKS: usize = 5;
+
+    /// Gradient on V1 over [`BLOCKS`] blocks, keeping `capacity` events, and
+    /// the events one block emits.
+    fn gradient(capacity: usize) -> (SimRun, usize) {
+        let dfg = Benchmark::Gradient.dfg().unwrap();
+        let stages = schedule(&dfg, FuVariant::V1, None).unwrap();
+        let compiled = generate_program(&dfg, &stages, FuVariant::V1).unwrap();
+        let run = OverlaySimulator::new(FuVariant::V1)
+            .with_trace_capacity(capacity)
+            .run(&compiled, &Workload::ramp(dfg.num_inputs(), BLOCKS))
+            .unwrap();
+        let per_block = compiled.program.total_instructions() + compiled.output_stream_index.len();
+        (run, per_block)
     }
 
     #[test]
-    fn trace_respects_its_capacity() {
-        let mut trace = Trace::with_capacity(2);
-        for cycle in 1..=5 {
-            trace.record(event(cycle));
-        }
+    fn a_run_keeps_its_capacity_and_counts_the_rest() {
+        let (run, per_block) = gradient(2);
+        let trace = run.trace();
         assert_eq!(trace.events().len(), 2);
-        assert_eq!(trace.dropped(), 3);
-        assert_eq!(trace.total(), 5);
+        assert_eq!(trace.total(), BLOCKS * per_block);
+        assert_eq!(trace.dropped(), trace.total() - 2);
     }
 
     #[test]
-    fn disabled_trace_records_nothing() {
-        let mut trace = Trace::disabled();
-        trace.record(event(1));
+    fn a_disabled_trace_keeps_nothing_but_counts_every_event() {
+        let (run, per_block) = gradient(0);
+        let trace = run.trace();
+        assert!(trace.packed.is_none());
         assert!(trace.events().is_empty());
-        assert_eq!(trace.total(), 1);
+        assert_eq!(trace.total(), BLOCKS * per_block);
+        assert_eq!(trace.dropped(), trace.total());
     }
 
     #[test]
-    fn a_full_trace_counts_drops_without_building_the_event() {
-        let mut trace = Trace::with_capacity(1);
-        trace.record_with(|| event(1));
-        trace.record_with(|| unreachable!("the trace is full"));
-        assert_eq!(trace.events().len(), 1);
-        assert_eq!(trace.dropped(), 1);
-    }
-
-    #[test]
-    fn reserve_allocates_no_more_than_the_capacity_or_the_expected_events() {
-        let mut trace = Trace::with_capacity(8);
-        trace.reserve(3);
-        assert!((3..8).contains(&trace.events.capacity()));
-        let mut trace = Trace::with_capacity(8);
-        trace.reserve(usize::MAX);
-        assert!((8..16).contains(&trace.events.capacity()));
-        let mut trace = Trace::disabled();
-        trace.reserve(100);
-        assert_eq!(trace.events.capacity(), 0);
+    fn counting_the_events_does_not_build_them() {
+        let per_block = gradient(0).1;
+        let (run, _) = gradient(per_block + 1);
+        let trace = run.trace();
+        assert_eq!(trace.dropped(), (BLOCKS - 1) * per_block - 1);
+        assert_eq!(trace.total(), BLOCKS * per_block);
+        assert!(trace.events.get().is_none());
+        // Built once, on the first read.
+        let events = trace.events();
+        assert_eq!(events.len(), per_block + 1);
+        assert!(std::ptr::eq(events, trace.events()));
+        // Clones and comparisons go by the events, not by the packing.
+        assert_eq!(trace.clone(), *trace);
+        assert_ne!(gradient(per_block + 2).0.trace(), trace);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Allocation regression test for `OverlaySimulator::run`.
 //!
-//! The engine decodes the program once and steps every block through
-//! reused buffers, so the only allocation left per block is the block's
-//! output record. This file pins that with a counting allocator; it is an
-//! integration-test crate so that the library keeps `#![forbid(unsafe_code)]`.
+//! A run allocates the same handful of buffers whatever it simulates: the
+//! decoded program, the timing pass's row, the data pass's columns and the
+//! one buffer every block's outputs go to, plus, when it keeps events, the
+//! buffer of their values. This file pins that with a counting allocator; it
+//! is an integration-test crate so that the library keeps
+//! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use overlay_arch::FuVariant;
+use overlay_dfg::Value;
 use overlay_frontend::Benchmark;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
 use overlay_sim::{OverlaySimulator, Workload};
@@ -16,23 +19,26 @@ use overlay_sim::{OverlaySimulator, Workload};
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count() {
+    fn count(bytes: usize) {
         // `try_with`: the allocator also runs while a thread is torn down.
         let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        let _ = BYTES.try_with(|count| count.set(count.get() + bytes));
     }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` with a const
-// initialiser, so touching it neither allocates nor re-enters the allocator.
+// `GlobalAlloc` contract; the counters are thread-local `Cell`s with const
+// initialisers, so touching them neither allocates nor re-enters the
+// allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's layout obligations pass through to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: `ptr` came from `System`; the caller vouches for `layout`
         // and `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -53,7 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const BLOCKS: usize = 256;
+/// Block counts on both sides of every threshold the engine has: the runs
+/// it never tries to close, one column, one column plus one.
+const BLOCKS: [usize; 5] = [1, 2, 64, 65, 256];
 
 /// A 4-FU feed-forward kernel, an 8-FU clustered kernel with over twice the
 /// instruction words, and V2's two lanes. Each has one output per block.
@@ -69,29 +77,32 @@ fn kernels() -> Vec<(&'static str, FuVariant, CompiledKernel, Workload)> {
         let stages = schedule(&dfg, variant, Some(8)).unwrap();
         let compiled = generate_program(&dfg, &stages, variant).unwrap();
         assert_eq!(compiled.output_stream_index.len(), 1, "{name}");
-        let workload = Workload::random(dfg.num_inputs(), BLOCKS, 0xA110C);
+        let workload = Workload::random(dfg.num_inputs(), 256, 0xA110C);
         (name, variant, compiled, workload)
     })
     .collect()
 }
 
-/// Allocations (and reallocations) one run performs at `capacity`.
+/// Allocations (and reallocations) one run of the first `blocks` records
+/// of `workload` performs at `capacity`, and the bytes they ask for.
 fn allocations(
     variant: FuVariant,
     compiled: &CompiledKernel,
     workload: &Workload,
+    blocks: usize,
     capacity: usize,
-) -> u64 {
+) -> (u64, usize) {
+    let workload = Workload::from_records(workload.records()[..blocks].to_vec());
     let simulator = OverlaySimulator::new(variant).with_trace_capacity(capacity);
-    let before = ALLOCATIONS.with(Cell::get);
-    let run = simulator.run(compiled, workload);
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(run.unwrap().outputs().len(), BLOCKS);
-    after - before
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let run = simulator.run(compiled, &workload);
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    assert_eq!(run.unwrap().outputs().len(), blocks);
+    (after.0 - before.0, after.1 - before.1)
 }
 
 #[test]
-fn a_run_allocates_one_record_per_block_plus_a_constant() {
+fn a_run_allocates_the_same_few_buffers_whatever_it_simulates() {
     let kernels = kernels();
     assert_eq!(kernels[0].2.num_fus(), 4);
     assert_eq!(kernels[1].2.num_fus(), 8);
@@ -101,29 +112,31 @@ fn a_run_allocates_one_record_per_block_plus_a_constant() {
         .collect();
     assert!(words[1] >= 2 * words[0], "{words:?}");
 
-    let untraced: Vec<u64> = kernels
-        .iter()
-        .map(|(_, variant, compiled, workload)| allocations(*variant, compiled, workload, 0))
-        .collect();
-    for ((name, ..), &count) in kernels.iter().zip(&untraced) {
-        assert!(
-            count <= BLOCKS as u64 + 16,
-            "{name}: {count} allocations for {BLOCKS} blocks"
-        );
+    // Neither the block count, the FU count, the words per FU nor the lane
+    // count shows up.
+    let mut untraced = Vec::new();
+    for (name, variant, compiled, workload) in &kernels {
+        for blocks in BLOCKS {
+            let (count, _) = allocations(*variant, compiled, workload, blocks, 0);
+            untraced.push(count);
+            assert_eq!(count, untraced[0], "{name}, {blocks} blocks: {untraced:?}");
+        }
     }
-    // Neither the FU count, the words per FU nor the lane count shows up.
-    assert!(
-        untraced.iter().all(|&count| count == untraced[0]),
-        "allocations vary with the program: {untraced:?}"
-    );
 
-    // The default trace is one up-front reservation, never a regrowth.
-    for ((name, variant, compiled, workload), &base) in kernels.iter().zip(&untraced) {
-        let traced = allocations(*variant, compiled, workload, 4096);
-        assert!(
-            traced <= base + 1,
-            "{name}: {traced} allocations traced, {base} untraced"
-        );
+    // A trace is two more, however much of the run it keeps: the boxed
+    // program and counts, and the kept blocks' values.
+    for (name, variant, compiled, workload) in &kernels {
+        for blocks in BLOCKS {
+            for capacity in [1, 4096, usize::MAX] {
+                let (traced, _) = allocations(*variant, compiled, workload, blocks, capacity);
+                assert!(
+                    traced <= untraced[0] + 2,
+                    "{name}, {blocks} blocks at capacity {capacity}: {traced} allocations \
+                     traced, {} untraced",
+                    untraced[0]
+                );
+            }
+        }
     }
 }
 
@@ -132,18 +145,36 @@ fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
     // Every serve workload sends 2-block requests, so a run's fixed cost is
     // what a cold serve sees. The per-block interpreter this engine replaced
     // made 10 allocations for a 2-block untraced run (measured at its last
-    // commit, the same for all three programs).
+    // commit, the same for all three programs); this engine makes 5: the
+    // decoded steps and stages, the timing pass's row, the data pass's
+    // columns and the output buffer.
     for (name, variant, compiled, workload) in kernels() {
-        let short = Workload::from_records(workload.records()[..2].to_vec());
-        let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
-        let before = ALLOCATIONS.with(Cell::get);
-        let run = simulator.run(&compiled, &short);
-        let after = ALLOCATIONS.with(Cell::get);
-        assert_eq!(run.unwrap().outputs().len(), 2);
-        assert!(
-            after - before <= 10,
-            "{name}: {} allocations for 2 blocks",
-            after - before
-        );
+        let (count, _) = allocations(variant, &compiled, &workload, 2, 0);
+        assert_eq!(count, 5, "{name}: {count} allocations for 2 blocks");
+    }
+}
+
+#[test]
+fn a_trace_holds_one_value_per_kept_event_and_no_event() {
+    // Before the trace was packed, a kept event cost a 56-byte `Event` from
+    // the moment the run recorded it. Now a trace costs a fixed header and,
+    // per kept block, its column table: one value per input, constant and
+    // result, which re-read by the block's loads and outputs is never more
+    // than one per event — until somebody reads the events, however long
+    // the run and the capacity.
+    for (name, variant, compiled, workload) in kernels() {
+        let per_block = compiled.program.total_instructions() + 1;
+        let (_, first_block) = allocations(variant, &compiled, &workload, 256, 1);
+        for capacity in [per_block + 1, 4096, usize::MAX] {
+            let (_, traced) = allocations(variant, &compiled, &workload, 256, capacity);
+            // Whole blocks: a capacity that cuts a block keeps its values.
+            let blocks = capacity.min(256 * per_block).div_ceil(per_block);
+            let values = (blocks - 1) * per_block * size_of::<Value>();
+            assert!(
+                traced - first_block <= values,
+                "{name} at capacity {capacity}: {} bytes past the first of {blocks} blocks",
+                traced - first_block
+            );
+        }
     }
 }
