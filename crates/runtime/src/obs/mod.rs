@@ -20,8 +20,8 @@
 //!   is validated by [`validate_chrome_trace`] in CI.
 //! * [`StageProfiler`] / [`ProfileStats`] — opt-in host-time stage timers
 //!   (scan / route / sim / memo / bookkeeping) behind
-//!   [`Runtime::with_profiling`](crate::Runtime::with_profiling), feeding
-//!   the `profile` section of `BENCH_runtime.json`.
+//!   [`Runtime::with_profiling`](crate::Runtime::with_profiling), read by
+//!   the benchmark's `runtime.profile.*` rows.
 //! * [`TelemetryConfig`] / [`TimeSeries`] — windowed time-series aggregation
 //!   on the virtual timeline (throughput, miss-rate, queue depth,
 //!   utilization, per-class latency percentiles per window), behind

@@ -127,8 +127,7 @@ impl StageProfiler {
 }
 
 /// Per-stage host-time attribution for one serve, reported when profiling
-/// was on and spliced into `BENCH_runtime.json`'s `profile` section by the
-/// scalability bench.
+/// was on; the benchmark's `runtime.profile.*` rows are read from it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProfileStats {
     nanos: [u64; STAGE_COUNT],

@@ -479,7 +479,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = traced.trace().expect("tracing was enabled");
 
     // Export the Perfetto/Chrome trace (virtual-time lanes per device ×
-    // tile), validate it, and write it next to BENCH_runtime.json.
+    // tile), validate it, and write it under target/.
     let trace_json = perfetto_trace_json(trace, None, "serving act 6: controlled cluster");
     let validation = validate_chrome_trace(&trace_json).map_err(std::io::Error::other)?;
     // Write under target/ — generated artifacts never belong in the repo.

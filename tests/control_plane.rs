@@ -299,6 +299,97 @@ fn cold_replicas_are_demoted_under_store_pressure() {
     assert_eq!(report.outcomes().len(), 24);
 }
 
+/// The full control plane on a skewed-tenant ρ = 2 overload of a 4 × 4
+/// least-loaded fleet: one hot tenant takes ~70 % of 1 024 requests after
+/// sitting out the first tenth, three cold tenants share the rest, and
+/// block counts cycling 1–3 × 4 keep every tile's queue kernel-interleaved.
+/// On V4 tiles (cheap, frequent instruction reloads) batching plus
+/// replication cuts context switches ≥ 3×; on V1 tiles every switch is a
+/// millisecond PCAP reload, so switches are already rare and stay put.
+/// Each fleet serves an 8-request warm-up first.
+#[test]
+fn batching_and_replication_cut_switches_on_a_skewed_overload() {
+    let suite = [
+        Benchmark::Gradient, // hot
+        Benchmark::Chebyshev,
+        Benchmark::Qspline,
+        Benchmark::Poly5,
+    ];
+    let trace = |count: usize, spacing_us: f64, budget_us: f64| -> Vec<Request> {
+        let mut cold_cursor = 0usize;
+        (0..count)
+            .map(|i| {
+                // A deterministic 70/10/10/10 interleave via a mixed index.
+                let roll = (i.wrapping_mul(0x9E37_79B9) >> 4) % 1000;
+                let tenant = if i >= count / 10 && roll < 700 {
+                    0
+                } else {
+                    cold_cursor += 1;
+                    1 + cold_cursor % 3
+                };
+                let (kernel, inputs) = spec(suite[tenant]);
+                let workload =
+                    Workload::random(inputs, 4 * (1 + i % 3), (tenant * 4 + i % 4) as u64);
+                let arrival = i as f64 * spacing_us;
+                Request::new(i as u64, kernel, workload)
+                    .at(arrival)
+                    .with_deadline(arrival + budget_us)
+            })
+            .collect()
+    };
+    // (variant, [baseline, batch, batch+repl] switches, replicas pushed)
+    let expected = [
+        (FuVariant::V4, [388, 118, 111], 3),
+        (FuVariant::V1, [16, 16, 16], 2),
+    ];
+    for (variant, switches, pushed) in expected {
+        let service_us = serve(&mut Runtime::new(variant, 1).unwrap(), &trace(1, 1.0, 1e9))
+            .outcomes()[0]
+            .completion_us;
+        let spacing_us = service_us / 32.0;
+        let requests = trace(1024, spacing_us, 8.0 * service_us);
+        let run = |batch: bool, replicate: bool| {
+            let mut cluster = Cluster::new(variant, 4, 4)
+                .unwrap()
+                .with_route_policy(RoutePolicy::LeastLoaded);
+            if batch {
+                cluster = cluster.with_batching(BatchConfig::with_max_batch(32));
+            }
+            if replicate {
+                // Push hot images to every other device; the EWMA window
+                // spans ~64 arrivals, so only the hot tenant turns hot.
+                cluster =
+                    cluster.with_replication(ReplicationConfig::new(3, 3.0, 64.0 * spacing_us));
+            }
+            cluster.serve(requests[..8].to_vec()).unwrap();
+            let report = cluster.serve(requests.clone()).unwrap();
+            (
+                report.metrics().switch_count,
+                report.replication().replicas_pushed,
+            )
+        };
+        let baseline = run(false, false);
+        let batched = run(true, false);
+        let controlled = run(true, true);
+        assert_eq!(
+            [baseline.0, batched.0, controlled.0],
+            switches,
+            "{variant} switches"
+        );
+        assert_eq!(
+            [baseline.1, batched.1, controlled.1],
+            [0, 0, pushed],
+            "{variant} pushes"
+        );
+        if variant == FuVariant::V4 {
+            assert!(
+                baseline.0 >= 3 * controlled.0,
+                "the control plane must cut V4 switches >= 3x"
+            );
+        }
+    }
+}
+
 #[test]
 fn replication_with_an_unreachable_threshold_never_pushes() {
     let (hot, inputs) = spec(Benchmark::Gradient);

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use tm_overlay::{
-    Cluster, ClusterReport, FaultPlan, FuVariant, KernelSpec, Request, RoutePolicy, Scenario,
-    ScenarioConfig, Workload,
+    Benchmark, Cluster, ClusterReport, FaultPlan, FuVariant, KernelSpec, Request, RoutePolicy,
+    Scenario, ScenarioConfig, SloClass, SloConfig, SloObjective, TelemetryConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -298,6 +298,142 @@ fn scenario_traffic_survives_a_rolling_upgrade() {
             "device {device} never went down in the rolling sweep"
         );
     }
+}
+
+/// Elastic recovery after losing a quarter of the fleet. 3 072 deadline
+/// requests over six suite kernels arrive at ρ = 0.6 against an 8 × 16
+/// least-loaded fleet; devices 0 and 1 die 40 % into the healthy makespan
+/// and come back at 70 %. Nothing is lost. The deadline-miss rate, bucketed
+/// into 64 completion windows and smoothed over three, returns within ten
+/// points of the healthy steady rate no later than a quarter of the
+/// makespan after the revive (windows past the last arrival are drain-phase
+/// stragglers and do not count). On the telemetry lens (four-service-time
+/// windows, a Standard-class 10.5 % objective) the burn alert fires within
+/// one window of the kill and clears only after the revive.
+#[test]
+fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
+    const COUNT: usize = 3072;
+    const WINDOWS: usize = 64;
+    let suite = [
+        Benchmark::Gradient,
+        Benchmark::Chebyshev,
+        Benchmark::Mibench,
+        Benchmark::Qspline,
+        Benchmark::Poly5,
+        Benchmark::Sgfilter,
+    ];
+    let trace = |count: usize, spacing_us: f64, budget_us: f64| -> Vec<Request> {
+        (0..count)
+            .map(|i| {
+                let benchmark = suite[i % suite.len()];
+                let spec = KernelSpec::from_benchmark(benchmark).unwrap();
+                let inputs = benchmark.dfg().unwrap().num_inputs();
+                let arrival = i as f64 * spacing_us;
+                Request::new(i as u64, spec, Workload::random(inputs, 1, (i % 8) as u64))
+                    .at(arrival)
+                    .with_deadline(arrival + budget_us)
+            })
+            .collect()
+    };
+    let service_us = cluster(1, 1, RoutePolicy::LeastLoaded)
+        .serve(trace(1, 1.0, 1e9))
+        .unwrap()
+        .outcomes()[0]
+        .completion_us;
+    let spacing_us = service_us / (128.0 * 0.6);
+    let requests = trace(COUNT, spacing_us, 2.0 * service_us);
+    let last_arrival_us = (COUNT - 1) as f64 * spacing_us;
+
+    // The healthy steady rate: past the cold-store warm-up, before arrivals stop.
+    let healthy = cluster(8, 16, RoutePolicy::LeastLoaded)
+        .serve(requests.clone())
+        .unwrap();
+    let healthy_makespan_us = healthy.metrics().makespan_us;
+    let steady: Vec<bool> = healthy
+        .outcomes()
+        .iter()
+        .filter(|o| (0.25 * healthy_makespan_us..last_arrival_us).contains(&o.completion_us))
+        .map(|o| o.missed_deadline)
+        .collect();
+    let steady_rate = steady.iter().filter(|&&missed| missed).count() as f64 / steady.len() as f64;
+    let kill_at = 0.4 * healthy_makespan_us;
+    let revive_at = 0.7 * healthy_makespan_us;
+    let report = cluster(8, 16, RoutePolicy::LeastLoaded)
+        .with_fault_plan(
+            FaultPlan::new()
+                .kill(kill_at, 0)
+                .kill(kill_at, 1)
+                .revive(revive_at, 0)
+                .revive(revive_at, 1),
+        )
+        .with_telemetry(TelemetryConfig::windowed(4.0 * service_us))
+        .with_slo(
+            SloConfig::disabled()
+                .with_objective(SloObjective::new(SloClass::Standard, 0.105).with_windows(1, 2)),
+        )
+        .serve(requests)
+        .unwrap();
+    assert_zero_loss(&report, COUNT);
+    assert_eq!(report.requeues(), 24);
+
+    // Recovery: the first window from the revive on after which every
+    // loaded window's smoothed miss rate stays within 10 points of steady.
+    let makespan_us = report.metrics().makespan_us;
+    let width_us = makespan_us / WINDOWS as f64;
+    let mut buckets = [(0usize, 0usize); WINDOWS];
+    for outcome in report.outcomes() {
+        let bucket = &mut buckets[((outcome.completion_us / width_us) as usize).min(WINDOWS - 1)];
+        bucket.0 += 1;
+        bucket.1 += outcome.missed_deadline as usize;
+    }
+    let curve: Vec<Option<f64>> = buckets
+        .iter()
+        .map(|&(total, missed)| (total > 0).then(|| missed as f64 / total as f64))
+        .collect();
+    let smoothed: Vec<Option<f64>> = (0..WINDOWS)
+        .map(|w| {
+            let near: Vec<f64> = curve[w.saturating_sub(1)..(w + 2).min(WINDOWS)]
+                .iter()
+                .flatten()
+                .copied()
+                .collect();
+            (!near.is_empty()).then(|| near.iter().sum::<f64>() / near.len() as f64)
+        })
+        .collect();
+    let loaded_windows = ((last_arrival_us / width_us) as usize).min(WINDOWS);
+    let revive_window = ((revive_at / width_us) as usize).min(WINDOWS - 1);
+    let recovered_window = (revive_window..loaded_windows)
+        .find(|&w| {
+            smoothed[w..loaded_windows]
+                .iter()
+                .flatten()
+                .all(|&rate| rate <= steady_rate + 0.10)
+        })
+        .expect("the miss rate never recovered");
+    let recovery_us = (recovered_window as f64 * width_us - revive_at).max(0.0);
+    assert!(
+        recovery_us <= 0.25 * makespan_us,
+        "recovered {recovery_us:.2} us after the revive, bound {:.2} us",
+        0.25 * makespan_us
+    );
+
+    let series = report.telemetry().expect("telemetry was enabled");
+    let status = report
+        .slo()
+        .expect("an SLO objective was configured")
+        .class(SloClass::Standard)
+        .expect("the standard class is tracked");
+    // The cold-store warm-up may fire and clear an alert of its own; the
+    // outage's is the first one at or after the kill.
+    let alert = status
+        .alerts
+        .iter()
+        .find(|alert| alert.fired_us >= kill_at)
+        .expect("the kill must burn the error budget");
+    let kill_window = (kill_at / series.window_us) as usize;
+    assert!(alert.fired_window <= kill_window + 1);
+    assert!(alert.cleared_us.expect("the outage alert never cleared") > revive_at);
+    assert_eq!((alert.fired_window, alert.cleared_window), (5, Some(9)));
 }
 
 /// A lean randomized trace for the property tests (mirrors the equivalence

@@ -1,7 +1,7 @@
 //! Checks of the headline claims and published numbers of the paper, as far
-//! as the reproduction supports them. EXPERIMENTS.md records the full
-//! paper-vs-measured comparison; these tests pin the values that must not
-//! drift.
+//! as the reproduction supports them. `cargo run --release --bin repro`
+//! prints the full paper-vs-measured comparison; these tests pin the values
+//! that must not drift.
 
 use tm_overlay::arch::{FpgaDevice, OverlayConfig, ReconfigModel};
 use tm_overlay::scheduler::{asap_schedule, ii_baseline, ii_v1, ii_v2};

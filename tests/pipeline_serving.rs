@@ -22,9 +22,9 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use tm_overlay::{
-    BatchConfig, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
-    PipelineReport, PipelineRequest, PipelineStage, RoutePolicy, Session, SloClass, TraceConfig,
-    Workload,
+    BatchConfig, Benchmark, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant,
+    KernelSpec, PipelineReport, PipelineRequest, PipelineStage, Request, RoutePolicy, Session,
+    SloClass, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -377,6 +377,108 @@ fn the_latency_tier_is_shielded_under_admission_pressure() {
         best_effort.rejected > 0,
         "best effort absorbs the shed load"
     );
+}
+
+/// Stage affinity and SLO admission at fleet scale, on an 8 × 4 V4 fleet.
+/// (A) 384 4-stage chains through four suite kernels, 256 KiB activations
+/// per edge, stage load ρ ≈ 0.5 under kernel-hash routing: affinity keeps
+/// every successor next to its producer, the blind serve moves every one of
+/// the 3 × 384 edges. (B) A best-effort flood of 384 chains at 1.5× the
+/// fleet against a paced latency tier of 48 with a 24-service-time budget,
+/// through a bounded, slack-aware, least-loaded admission queue: the tier
+/// is served in full and on time, and the flood takes the shedding.
+#[test]
+fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
+    const STAGES: usize = 4;
+    let kernels: Vec<(KernelSpec, usize)> = [
+        Benchmark::Gradient,
+        Benchmark::Chebyshev,
+        Benchmark::Qspline,
+        Benchmark::Poly5,
+    ]
+    .iter()
+    .map(|&b| {
+        (
+            KernelSpec::from_benchmark(b).unwrap(),
+            b.dfg().unwrap().num_inputs(),
+        )
+    })
+    .collect();
+    // Pipeline `i`'s stages start at kernel `i`, so every edge changes kernel.
+    let chain = |i: usize, id: u64, session: u64| {
+        (0..STAGES).fold(PipelineRequest::new(id, session), |pipeline, stage| {
+            let (spec, inputs) = &kernels[(i + stage) % kernels.len()];
+            let workload = Workload::random(*inputs, 1, (i % 8) as u64 ^ (stage as u64) << 8);
+            let built = PipelineStage::new(spec.clone(), workload).emits(256 * 1024);
+            pipeline.stage(if stage > 0 {
+                built.after(&[stage - 1])
+            } else {
+                built
+            })
+        })
+    };
+    let (gradient, gradient_inputs) = &kernels[0];
+    let service_us = cluster(1, 1, RoutePolicy::LeastLoaded)
+        .serve(vec![Request::new(
+            0,
+            gradient.clone(),
+            Workload::random(*gradient_inputs, 1, 0),
+        )])
+        .unwrap()
+        .outcomes()[0]
+        .completion_us;
+    let spacing_us = STAGES as f64 * service_us / (32.0 * 0.5);
+
+    let pipelines: Vec<PipelineRequest> = (0..384)
+        .map(|i| chain(i, i as u64 + 1, i as u64 % 4).at(i as f64 * spacing_us))
+        .collect();
+    let sessions: Vec<Session> = (0..4).map(Session::new).collect();
+    let serve = |affinity: bool| {
+        cluster(8, 4, RoutePolicy::KernelHash)
+            .with_stage_affinity(affinity)
+            .serve_pipelines(pipelines.clone(), &sessions)
+            .unwrap()
+    };
+    let (affine, blind) = (serve(true), serve(false));
+    assert_eq!((affine.completed(), blind.completed()), (384, 384));
+    assert_eq!(
+        (affine.activation_transfers(), blind.activation_transfers()),
+        (0, 1152)
+    );
+
+    let budget_us = 24.0 * service_us;
+    let (flood_gap_us, latency_gap_us) = (spacing_us / 3.0, 4.0 * spacing_us);
+    let mut mix: Vec<PipelineRequest> = (0..384u64)
+        .map(|i| chain(0, i + 1, 100).at(i as f64 * flood_gap_us))
+        .chain((0..48u64).map(|i| {
+            let arrival = i as f64 * latency_gap_us;
+            chain(0, 100_000 + i, 200)
+                .at(arrival)
+                .with_deadline(arrival + budget_us)
+        }))
+        .collect();
+    mix.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
+    let slo_sessions = [
+        Session::new(100).with_slo(SloClass::BestEffort),
+        Session::new(200).with_slo(SloClass::Latency),
+    ];
+    let report = cluster(8, 4, RoutePolicy::LeastLoaded)
+        .with_policy(DispatchPolicy::SlackAware)
+        .with_admission_limit(32)
+        .serve_pipelines(mix, &slo_sessions)
+        .unwrap();
+    let latency = report.class(SloClass::Latency).expect("latency tier ran");
+    let best_effort = report.class(SloClass::BestEffort).expect("best effort ran");
+    assert_eq!(
+        (latency.pipelines, latency.rejected, latency.deadline_misses),
+        (48, 0, 0)
+    );
+    assert!(
+        latency.p99_latency_us <= budget_us,
+        "latency p99 {:.2} us over its {budget_us:.2} us budget",
+        latency.p99_latency_us
+    );
+    assert_eq!((best_effort.rejected, best_effort.pipelines), (245, 384));
 }
 
 #[test]
