@@ -35,10 +35,11 @@
 //!   a [`SimMemo`] over finished simulation runs keyed by (kernel,
 //!   workload digest), so a repeated tenant request skips the functional
 //!   simulation entirely;
-//! * functional execution — an admitted request the memo cannot answer is
-//!   run through the cycle-accurate [`overlay_sim::OverlaySimulator`] on the
-//!   event loop's own thread, at its admission; a batch serve starts no
-//!   thread at all;
+//! * functional execution — an admitted request the memo cannot answer runs
+//!   its kernel's [`overlay_sim::SimPlan`] on the event loop's own thread, at
+//!   its admission: each distinct kernel is decoded and timed once per serve,
+//!   at its first memo miss, so every miss pays only the data pass, in one
+//!   column buffer the serve keeps; a batch serve starts no thread at all;
 //! * [`RuntimeMetrics`] — requests/s, p50/p99 modeled latency, per-tile
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
@@ -141,7 +142,7 @@ use std::thread;
 use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
-use overlay_sim::{OverlaySimulator, Records, SimError, SimMetrics, SimRun};
+use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimPlan, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
@@ -549,6 +550,13 @@ pub(crate) fn compact_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<Reques
 /// in the request's slot until a tile is about to execute it.
 pub(crate) struct SimResults<'t> {
     simulator: OverlaySimulator,
+    /// Per distinct kernel that missed the memo: its [`SimPlan`], decoded
+    /// and timed at its first miss — or why it has none — keyed like
+    /// [`PrepContext`]'s derived timing, so every later miss runs only the
+    /// data pass.
+    plans: FnvHashMap<KernelKey, Result<SimPlan, SimError>>,
+    /// The data pass's working columns, shared by every run of the serve.
+    columns: ColumnBuffer,
     /// One slot per intake index — no hashing on the hot path.
     ready: &'t mut Vec<Option<Arc<SimRun>>>,
 }
@@ -559,6 +567,8 @@ impl<'t> SimResults<'t> {
     pub(crate) fn new(variant: FuVariant, ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
         SimResults {
             simulator: OverlaySimulator::new(variant).with_trace_capacity(0),
+            plans: FnvHashMap::default(),
+            columns: ColumnBuffer::default(),
             ready,
         }
     }
@@ -569,15 +579,17 @@ impl<'t> SimResults<'t> {
     }
 
     /// Sources the simulation for an admitted request `index`: answers from
-    /// the memo, or simulates and memoizes the run — with the memo counters
-    /// tracking which (a disabled memo never answers, so every request
-    /// simulates). The lookup and insert are profiled as [`obs::Stage::Memo`],
-    /// the simulation as [`obs::Stage::Sim`]. Returns whether the memo
-    /// answered, so tracing can emit the matching counter event.
+    /// the memo, or runs the kernel's plan (planning it first, at its first
+    /// miss) and memoizes the run — with the memo counters tracking which (a
+    /// disabled memo never answers, so every request simulates). The lookup
+    /// and insert are profiled as [`obs::Stage::Memo`], planning and the run
+    /// as [`obs::Stage::Sim`]. Returns whether the memo answered, so tracing
+    /// can emit the matching counter event.
     ///
     /// # Errors
     ///
-    /// The simulator's error for this request's kernel and workload.
+    /// The simulator's error for this request's kernel and workload: the
+    /// workload's own, else the plan's.
     pub(crate) fn source(
         &mut self,
         index: usize,
@@ -594,7 +606,7 @@ impl<'t> SimResults<'t> {
             None => {
                 memo.note_miss();
                 let sim = profiler.begin();
-                let run = self.simulator.run(&info.compiled, &info.request.workload);
+                let run = self.simulate(info);
                 profiler.end(obs::Stage::Sim, sim);
                 let run = Arc::new(run?);
                 let insert = profiler.begin();
@@ -605,6 +617,26 @@ impl<'t> SimResults<'t> {
         };
         self.ready[index] = Some(run);
         Ok(memo_hit)
+    }
+
+    /// Runs `info`'s kernel over its workload with the kernel's plan,
+    /// planning it at its first miss. Kept out of line: a memo hit, which is
+    /// all a warm serve sees, never comes here.
+    #[inline(never)]
+    fn simulate(&mut self, info: &InFlight) -> Result<SimRun, SimError> {
+        let (compiled, workload) = (&info.compiled, &info.request.workload);
+        let plan = self
+            .plans
+            .entry(info.view.key)
+            .or_insert_with(|| self.simulator.plan(compiled));
+        match plan {
+            Ok(plan) => plan.run_in(workload, &mut self.columns),
+            // A malformed workload is still reported first.
+            Err(error) => self
+                .simulator
+                .validate(compiled, workload)
+                .and(Err(error.clone())),
+        }
     }
 
     /// The run sourced for `index` at its admission. The slot keeps its

@@ -41,7 +41,7 @@
 //! output, the column the trace will print and the event that sends the word
 //! downstream.
 //!
-//! # 2. The timing pass ([`Program::time`])
+//! # 2. The timing pass ([`Program::law`])
 //!
 //! A block's events are *cells* of one row, in trace order. A cell's cycle
 //! is built from constants, `+ c`, `max`, earlier cells of the same block
@@ -68,10 +68,25 @@
 //! (i-j)·Δ`, and stepping stops, traced or not: the law holds for every
 //! cell, so the trace needs no row past `j` (§4).
 //!
+//! **Once per kernel.** Nothing above depends on the block count either, so
+//! the pass runs once per compiled kernel, when its plan
+//! ([`crate::SimPlan`]) is built, and returns a [`TimingLaw`]: it steps
+//! lane-blocks until the test closes, at most [`PLAN_CAP`] of them, and
+//! keeps each stepped lane-block's completion, their running maximum and
+//! `Δ`. A run of any length reads its latency, II samples and total cycles
+//! off the law in O(1). A law still open at the cap keeps its last row
+//! instead, and each longer run steps the lane-blocks past it, with the same
+//! [`Program::step`]. Compiled kernels close at lane-block 2 or 3. A plan
+//! made for one run alone is capped at the run's own lane-blocks, and below
+//! five it does not look for the fixed point at all: stepping them all is
+//! cheaper than the bookkeeping.
+//!
 //! # 3. The data pass ([`Program::evaluate`])
 //!
 //! The tape runs over columns of up to [`LANE_WIDTH`] blocks in one flat
-//! buffer: inputs are scattered in, each `EXEC` is one
+//! buffer, which the caller may keep between runs (every lane a chunk reads
+//! is written first, so what an earlier run left there never shows): inputs
+//! are scattered in, each `EXEC` is one
 //! [`Op::apply_columns`] call (one dispatch per chunk, loops the compiler
 //! vectorises), and every block's outputs are written into one buffer,
 //! record after record. For the blocks the trace keeps, the chunk copies
@@ -83,14 +98,15 @@
 //!
 //! # 4. The packed trace ([`PackedTrace`])
 //!
-//! A traced run keeps the program, the lane-block `j` the timing pass
-//! closed at and those columns. [`PackedTrace::unpack`], called on the
+//! A traced run keeps the program (shared with its plan), the lane-block
+//! `j` the timing law closed at and those columns. [`PackedTrace::unpack`], called on the
 //! first read of the events, steps the kept rows up to `j` again and writes
 //! every later one as `row(r) = row(j) + (r-j)·(row(j) - row(j-1))`, cell
 //! by cell — §2's induction, which covers every cell, not only completions
 //! — then builds the events in the order the hardware produces them.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use overlay_arch::FuVariant;
 use overlay_dfg::{DfgError, Op, Value};
@@ -102,8 +118,13 @@ use crate::trace::{Event, EventKind, Trace};
 /// Blocks the data pass evaluates per column.
 const LANE_WIDTH: usize = 64;
 
-/// Lane-blocks at or below which the timing pass does not look for the
-/// fixed point: stepping them all is cheaper than the bookkeeping.
+/// Lane-blocks the timing pass steps, at most, looking for the fixed point
+/// (§2). Far past where compiled kernels close, and few enough that a chain
+/// which never does costs a plan little.
+pub(crate) const PLAN_CAP: usize = 64;
+
+/// Caps at or below which the timing pass does not look for the fixed
+/// point: stepping them all is cheaper than the bookkeeping.
 const ALWAYS_STEPPED: usize = 4;
 
 /// A stream word as the walk sees it.
@@ -233,28 +254,39 @@ pub(crate) struct Program {
     /// The kernel outputs' cells, by position, after every FU's.
     outputs: Range<usize>,
     inputs: usize,
+    /// The preloaded constants' values, in column order.
+    constants: Vec<Value>,
     /// Inputs, then constants, then `EXEC` results.
     columns: usize,
     lanes: usize,
     serialized: bool,
 }
 
-/// Completion cycles from [`Program::time`].
-#[derive(Debug)]
-pub(crate) struct Timeline {
-    /// Completion cycle of each block asked for.
-    pub(crate) sampled: [usize; 3],
-    /// Completion cycle of the last block to finish.
-    pub(crate) total: usize,
-    /// The lane-block at which the fixed point was proven, if it was;
-    /// otherwise every lane-block was stepped.
-    closed_at: Option<usize>,
+/// A kernel's completion cycles at every block count, from one timing pass:
+/// see the [module documentation](self), §2.
+#[derive(Debug, Clone)]
+pub(crate) struct TimingLaw {
+    /// Per stepped lane-block: its completion cycle and the latest
+    /// completion up to and including it.
+    stepped: Vec<[usize; 2]>,
+    past: Past,
+}
+
+/// What a [`TimingLaw`] knows past its last stepped lane-block.
+#[derive(Debug, Clone)]
+enum Past {
+    /// The fixed point was proven there: every later lane-block completes
+    /// one `period` after the one before.
+    Closed { period: usize },
+    /// Not proven by the cap: the row after the last stepped lane-block,
+    /// from which later ones are stepped.
+    Open { row: Vec<usize> },
 }
 
 /// What a traced run keeps: see the [module documentation](self), §4.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedTrace {
-    program: Program,
+    program: Arc<Program>,
     closed_at: Option<usize>,
     /// The data pass's column width: the values come chunk by chunk, and
     /// within a chunk column by column, one per kept lane.
@@ -311,6 +343,7 @@ impl Program {
         let words: usize = programs.iter().map(FuProgram::len).sum();
         let mut steps = Vec::with_capacity(words + output_stream_index.len());
         let mut stages = Vec::with_capacity(programs.len());
+        let mut constant_values = Vec::with_capacity(constants);
         let mut next_constant = inputs;
         let mut next_result = inputs + constants;
         let mut stream = Stream::Inputs(0..inputs, words + output_stream_index.len());
@@ -322,8 +355,9 @@ impl Program {
 
         for (fu, program) in programs.iter().enumerate() {
             rename.bound = 0;
-            for &(register, _) in program.constant_init() {
+            for &(register, value) in program.constant_init() {
                 rename.bind(register, next_constant, 0);
+                constant_values.push(value);
                 next_constant += 1;
             }
 
@@ -427,6 +461,7 @@ impl Program {
             steps,
             stages,
             inputs,
+            constants: constant_values,
             columns: next_result,
             lanes: variant.datapath_lanes(),
             serialized: matches!(variant, FuVariant::Baseline),
@@ -437,6 +472,16 @@ impl Program {
     /// per issue slot and per output.
     pub(crate) fn events_per_block(&self) -> usize {
         self.steps.len()
+    }
+
+    /// Words per block in.
+    pub(crate) fn inputs(&self) -> usize {
+        self.inputs
+    }
+
+    /// Kernel outputs per block out.
+    pub(crate) fn record(&self) -> usize {
+        self.outputs.len()
     }
 
     /// The word each kernel output is, by position, and its cell.
@@ -501,95 +546,78 @@ impl Program {
         loads + per_stage * self.stages.len() + self.outputs.len()
     }
 
-    /// The timing pass over `blocks` blocks: the completion cycle of each
-    /// block in `sample` and of the last to finish.
-    pub(crate) fn time(&self, blocks: usize, sample: [usize; 3]) -> Timeline {
+    /// The timing pass, once for every block count: steps lane-blocks until
+    /// the fixed point is proven or `cap` of them have been stepped.
+    pub(crate) fn law(&self, cap: usize) -> TimingLaw {
         let cells = self.events_per_block();
-        let lane_blocks = blocks.div_ceil(self.lanes);
         // One allocation: the row the pass steps in place (every event's
-        // cell, then the FIFO's) and, when there are blocks enough to look
-        // for the fixed point, a ring of the last three steps' `max`
-        // arguments. Filled, not zeroed: a zeroed allocation costs a short
-        // run more than the fill.
+        // cell, then the FIFO's) and, when the cap leaves room to look for
+        // the fixed point, a ring of the last three steps' `max` arguments.
+        // Filled, not zeroed: a zeroed allocation costs a short run more
+        // than the fill.
         let logged = 2 * self.maxes_per_step();
-        let ring = match lane_blocks > ALWAYS_STEPPED {
-            true => 3 * logged,
-            false => 0,
-        };
+        let searching = cap > ALWAYS_STEPPED;
+        let ring = if searching { 3 * logged } else { 0 };
         let mut scratch: Vec<usize> = std::iter::repeat_n(0, cells + 1 + ring).collect();
         let (row, log) = scratch.split_at_mut(cells + 1);
-        let mut closed_at = None;
-
-        let sample = sample.map(|block| block / self.lanes);
-        let mut sampled = [0; 3];
-        let mut total = 0;
-        let (mut previous, mut completion) = (0, 0);
-        let mut stepped = 0;
-        while stepped < lane_blocks && closed_at.is_none() {
-            let searching = !log.is_empty();
+        let mut stepped: Vec<[usize; 2]> = Vec::new();
+        let mut peak = 0;
+        while stepped.len() < cap {
+            let lane_block = stepped.len();
             let mut noted = Maxes {
-                log: searching.then(|| &mut log[stepped % 3 * logged..][..logged]),
+                log: searching.then(|| &mut log[lane_block % 3 * logged..][..logged]),
                 next: 0,
             };
-            previous = completion;
-            completion = self.step(row, &mut noted);
-            for (wanted, sampled) in sample.iter().zip(&mut sampled) {
-                if *wanted == stepped {
-                    *sampled = completion;
-                }
-            }
-            total = total.max(completion);
-            if searching && stepped >= 2 {
-                let at = |age: usize| log[(stepped - age) % 3 * logged..][..logged].chunks_exact(2);
+            let completion = self.step(row, &mut noted);
+            peak = peak.max(completion);
+            stepped.push([completion, peak]);
+            if searching && lane_block >= 2 {
+                let at =
+                    |age: usize| log[(lane_block - age) % 3 * logged..][..logged].chunks_exact(2);
                 let (old, mid, new) = (at(2), at(1), at(0));
                 if old
                     .zip(mid)
                     .zip(new)
                     .all(|((old, mid), new)| settled(old, mid, new))
                 {
-                    closed_at = Some(stepped);
+                    let period = completion - stepped[lane_block - 1][0];
+                    return TimingLaw {
+                        stepped,
+                        past: Past::Closed { period },
+                    };
                 }
             }
-            stepped += 1;
         }
-
-        // Past the last stepped lane-block every completion is one more
-        // period on; with nothing left to close, `period` goes unused.
-        let period = completion - previous;
-        for (wanted, sampled) in sample.iter().zip(&mut sampled) {
-            if *wanted >= stepped {
-                *sampled = completion + (wanted + 1 - stepped) * period;
-            }
-        }
-        if stepped < lane_blocks {
-            total = total.max(completion + (lane_blocks - stepped) * period);
-        }
-        Timeline {
-            sampled,
-            total,
-            closed_at,
+        scratch.truncate(cells + 1);
+        TimingLaw {
+            stepped,
+            past: Past::Open { row: scratch },
         }
     }
 
     /// The data pass: evaluates the tape over `records` (at least one) and
     /// returns every block's outputs, record after record, in one buffer,
     /// and a trace that keeps the first `capacity` events and counts the
-    /// rest.
+    /// rest; `closed_at` is the timing law's. `columns` is the working
+    /// buffer, grown to one chunk's columns if it is short.
     ///
     /// # Errors
     ///
     /// None that [`Program::decode`] has not already ruled out.
     pub(crate) fn evaluate(
-        self,
-        programs: &[FuProgram],
+        self: &Arc<Self>,
         records: &[Vec<Value>],
-        timeline: &Timeline,
+        closed_at: Option<usize>,
         capacity: usize,
+        columns: &mut Vec<Value>,
     ) -> Result<(Vec<Value>, Trace), SimError> {
         let width = LANE_WIDTH.min(records.len());
-        let mut columns = vec![Value::ZERO; self.columns * width];
-        let constants = programs.iter().flat_map(FuProgram::constant_init);
-        for (column, &(_, value)) in (self.inputs..).zip(constants) {
+        let size = self.columns * width;
+        if columns.len() < size {
+            columns.resize(size, Value::ZERO);
+        }
+        let columns = &mut columns[..size];
+        for (column, &value) in (self.inputs..).zip(&self.constants) {
             columns[column * width..][..width].fill(value);
         }
 
@@ -634,7 +662,7 @@ impl Program {
             }
             let traced = traced_blocks.saturating_sub(first_block).min(blocks);
             if traced == width {
-                values.extend_from_slice(&columns);
+                values.extend_from_slice(columns);
             } else if traced > 0 {
                 for column in columns.chunks_exact(width) {
                     values.extend_from_slice(&column[..traced]);
@@ -646,8 +674,8 @@ impl Program {
         let packed = match kept {
             0 => None,
             _ => Some(Box::new(PackedTrace {
-                program: self,
-                closed_at: timeline.closed_at,
+                program: Arc::clone(self),
+                closed_at,
                 width,
                 values,
                 kept,
@@ -712,6 +740,64 @@ impl Program {
     }
 }
 
+impl TimingLaw {
+    /// The lane-block at which the fixed point was proven, if it was.
+    pub(crate) fn closed_at(&self) -> Option<usize> {
+        match self.past {
+            Past::Closed { .. } => Some(self.stepped.len() - 1),
+            Past::Open { .. } => None,
+        }
+    }
+
+    /// The completion cycle of each block in `sample` and of the last of
+    /// `blocks` blocks (at least one, and more than any sampled) to finish,
+    /// for `program`, the law's own.
+    pub(crate) fn completions(
+        &self,
+        program: &Program,
+        blocks: usize,
+        sample: [usize; 3],
+    ) -> ([usize; 3], usize) {
+        let last = (blocks - 1) / program.lanes;
+        let sample = sample.map(|block| block / program.lanes);
+        let known = self.stepped.len();
+        match &self.past {
+            Past::Closed { period } => {
+                let closed = known - 1;
+                let [closing, peak] = self.stepped[closed];
+                let at = |lane_block: usize| match self.stepped.get(lane_block) {
+                    Some(&[completion, _]) => completion,
+                    None => closing + (lane_block - closed) * period,
+                };
+                let total = match self.stepped.get(last) {
+                    Some(&[_, peak]) => peak,
+                    None => peak.max(at(last)),
+                };
+                (sample.map(at), total)
+            }
+            Past::Open { .. } if last < known => {
+                (sample.map(|b| self.stepped[b][0]), self.stepped[last][1])
+            }
+            Past::Open { row } => {
+                // Step on from where the law stopped, as the pass would have.
+                let mut row = row.clone();
+                let mut sampled = sample.map(|b| self.stepped.get(b).map_or(0, |s| s[0]));
+                let mut total = self.stepped.last().map_or(0, |s| s[1]);
+                for lane_block in known..=last {
+                    let completion = program.step(&mut row, &mut Maxes { log: None, next: 0 });
+                    total = total.max(completion);
+                    for (wanted, sampled) in sample.iter().zip(&mut sampled) {
+                        if *wanted == lane_block {
+                            *sampled = completion;
+                        }
+                    }
+                }
+                (sampled, total)
+            }
+        }
+    }
+}
+
 impl PackedTrace {
     /// How many events the trace keeps.
     pub(crate) fn kept(&self) -> usize {
@@ -721,7 +807,7 @@ impl PackedTrace {
     /// The kept events, block by block: see the
     /// [module documentation](self), §4.
     pub(crate) fn unpack(&self) -> Vec<Event> {
-        let program = &self.program;
+        let program = &*self.program;
         let cells = program.events_per_block();
         let blocks = self.kept.div_ceil(cells);
         let mut events = Vec::with_capacity(blocks * cells);
@@ -784,9 +870,14 @@ mod tests {
             .iter()
             .map(|record| record.iter().copied().map(Value::new).collect())
             .collect();
-        let program = Program::decode(variant, programs, records[0].len(), outputs)?;
-        let timeline = program.time(records.len(), [0, 0, records.len() - 1]);
-        let (flat, trace) = program.evaluate(programs, &records, &timeline, usize::MAX)?;
+        let program = Arc::new(Program::decode(
+            variant,
+            programs,
+            records[0].len(),
+            outputs,
+        )?);
+        let closed_at = program.law(PLAN_CAP).closed_at();
+        let (flat, trace) = program.evaluate(&records, closed_at, usize::MAX, &mut Vec::new())?;
         let width = outputs.len();
         let outputs = (0..records.len())
             .map(|block| flat[block * width..][..width].to_vec())
@@ -970,13 +1061,12 @@ mod tests {
     }
 
     /// Completions of blocks 0, `blocks / 2` and `blocks - 1` and of the
-    /// last to finish, stopping at the fixed point (if `close`) or with every
-    /// lane-block stepped.
-    fn completions(program: &Program, blocks: usize, close: bool) -> ([usize; 3], usize) {
+    /// last to finish, read off the law with the given cap (if `Some`) or
+    /// with every lane-block stepped.
+    fn completions(program: &Program, blocks: usize, cap: Option<usize>) -> ([usize; 3], usize) {
         let sample = [0, blocks / 2, blocks - 1];
-        if close {
-            let timeline = program.time(blocks, sample);
-            return (timeline.sampled, timeline.total);
+        if let Some(cap) = cap {
+            return program.law(cap).completions(program, blocks, sample);
         }
         let mut row = vec![0; program.events_per_block() + 1];
         let stepped: Vec<usize> = (0..blocks.div_ceil(program.lanes))
@@ -1016,14 +1106,58 @@ mod tests {
         let programs = ["Lnnxnxnxnnnxxx", "Fnxnxnxnnxnxnxn", "FFx"].map(sketch);
         let program = Program::decode(FuVariant::V1, &programs, 1, &[2]).unwrap();
 
-        let closed_at = program.time(300, [0; 3]).closed_at.unwrap();
-        assert!((8..100).contains(&closed_at), "closed at {closed_at}");
+        let closed_at = program.law(PLAN_CAP).closed_at().unwrap();
+        assert!((8..PLAN_CAP).contains(&closed_at), "closed at {closed_at}");
         for blocks in [5, closed_at, closed_at + 1, closed_at + 2, 299, 300] {
             assert_eq!(
-                completions(&program, blocks, true),
-                completions(&program, blocks, false),
+                completions(&program, blocks, Some(PLAN_CAP)),
+                completions(&program, blocks, None),
                 "{blocks} blocks"
             );
+        }
+    }
+
+    #[test]
+    fn a_law_left_open_at_its_cap_steps_the_rest_and_matches_stepping() {
+        // The late closer above and a plain adder on one and on two lanes.
+        // Capped before (or at 0, without) any step, or, for the late
+        // closer, before its fixed point, each law stays open, and every
+        // answer past the cap is stepped from the row it kept.
+        let late = ["Lnnxnxnxnnnxxx", "Fnxnxnxnnxnxnxn", "FFx"].map(sketch);
+        let adder = [adder_program()];
+        let cases = [
+            (FuVariant::V1, &late[..], 1, 2, 7),
+            (FuVariant::V1, &adder[..], 2, 0, 2),
+            (FuVariant::V2, &adder[..], 2, 0, 2),
+            (FuVariant::Baseline, &adder[..], 2, 0, 2),
+        ];
+        for (variant, programs, inputs, output, open_cap) in cases {
+            let program = Program::decode(variant, programs, inputs, &[output]).unwrap();
+            for cap in 0..=open_cap {
+                let law = program.law(cap);
+                assert_eq!(law.closed_at(), None, "{variant} at cap {cap}");
+                for blocks in [1, 2, 3, 4, 5, 64, 65, 300] {
+                    assert_eq!(
+                        completions(&program, blocks, Some(cap)),
+                        completions(&program, blocks, None),
+                        "{variant} at cap {cap}, {blocks} blocks"
+                    );
+                }
+            }
+
+            // An open law's trace steps every kept row, a closed one's
+            // extrapolates them: the same events either way.
+            let program = Arc::new(program);
+            let records = vec![vec![Value::new(3); inputs]; 40];
+            let closed = program.law(PLAN_CAP).closed_at();
+            assert!(closed.is_some(), "{variant}");
+            let traced = |closed_at| {
+                let (_, trace) = program
+                    .evaluate(&records, closed_at, usize::MAX, &mut Vec::new())
+                    .unwrap();
+                trace.events().to_vec()
+            };
+            assert_eq!(traced(None), traced(closed), "{variant}");
         }
     }
 
@@ -1071,11 +1205,10 @@ mod tests {
                 .collect();
             let program = Program::decode(variant, &programs, inputs, &[0, arriving - 1]).unwrap();
             let blocks = 5 + below(200);
-            let closing = program.time(blocks, [0, blocks / 2, blocks - 1]);
-            latest = latest.max(closing.closed_at.unwrap_or(0));
+            latest = latest.max(program.law(PLAN_CAP).closed_at().unwrap_or(0));
             assert_eq!(
-                (closing.sampled, closing.total),
-                completions(&program, blocks, false),
+                completions(&program, blocks, Some(PLAN_CAP)),
+                completions(&program, blocks, None),
                 "{variant}, {blocks} blocks: {programs:?}"
             );
         }

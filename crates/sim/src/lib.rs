@@ -22,8 +22,9 @@
 //!
 //! The overlay is a feed-forward chain running branch-free programs on a
 //! datapath that cannot fault, so nothing about time or legality depends on
-//! the data. [`OverlaySimulator::run`] therefore makes three passes (the
-//! private `engine` module documents each, with the argument for the second):
+//! the data — nor on how many blocks a run has. A run is therefore three
+//! passes, and only the last looks at the workload (the private `engine`
+//! module documents each, with the argument for the second):
 //!
 //! 1. **One decode walk** checks the program once, for block 0 — every block
 //!    runs the same instructions — and renames it: kernel inputs, constants
@@ -35,22 +36,31 @@
 //!    straight-line tape of `(op, a, b) -> result`.
 //! 2. **A timing pass** steps the cycle recurrences without values and stops
 //!    stepping once it has proven that every later block is exactly one
-//!    period after the one before; from there completions are a closed
-//!    form, traced or not.
+//!    period after the one before (compiled kernels prove it by their third
+//!    or fourth block); from there completions are a closed form, traced or
+//!    not.
 //! 3. **A data pass** evaluates the tape over columns of up to 64 blocks in
 //!    one flat buffer, one [`overlay_dfg::Op::apply_columns`] call per `EXEC`
 //!    per column, and writes every block's outputs into one buffer, which
 //!    [`SimRun::outputs`] views as [`Records`].
 //!
+//! The first two make a [`SimPlan`], built once per compiled kernel by
+//! [`OverlaySimulator::plan`]: the tape and a timing law that answers
+//! [`SimPlan::metrics`] for any block count in O(1). [`SimPlan::run`] checks
+//! the workload and makes the data pass alone; [`SimPlan::run_in`] makes it
+//! in a [`ColumnBuffer`] the caller keeps between runs, so a planned run
+//! allocates only its outputs. [`OverlaySimulator::run`] is a plan run once.
+//!
 //! The [`Trace`] is packed: the data pass copies out the columns of the
 //! blocks it keeps (every value an event prints, once), a chunk of blocks
-//! at a time, and the run hands the trace the
-//! decoded program and the block the timing pass closed at.
-//! [`Trace::events`] builds the [`Event`]s from those on its first call,
-//! writing the rows past the fixed point in the same closed form;
-//! [`Trace::dropped`] and [`Trace::total`] are exact without it. A run
-//! makes the same five allocations for one block as for a thousand, and
-//! two more when it keeps events.
+//! at a time, and the run hands the trace the plan's program (shared, not
+//! copied) and the block the timing pass closed at. [`Trace::events`]
+//! builds the [`Event`]s from those on its first call, writing the rows past
+//! the fixed point in the same closed form; [`Trace::dropped`] and
+//! [`Trace::total`] are exact without it. A one-shot run makes the same
+//! allocations for one block as for a thousand — seven, one more for a
+//! kernel with preloaded constants — a planned one makes one, and either
+//! makes two more when it keeps events.
 //!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
@@ -95,6 +105,6 @@ pub mod workload;
 
 pub use error::SimError;
 pub use metrics::SimMetrics;
-pub use overlay::{OverlaySimulator, RecordIter, Records, SimRun};
+pub use overlay::{ColumnBuffer, OverlaySimulator, RecordIter, Records, SimPlan, SimRun};
 pub use trace::{Event, EventKind, Trace};
 pub use workload::Workload;

@@ -2,12 +2,13 @@
 
 use std::fmt;
 use std::ops::{Index, Range};
+use std::sync::Arc;
 
 use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_scheduler::CompiledKernel;
 
-use crate::engine::Program;
+use crate::engine::{Program, TimingLaw, PLAN_CAP};
 use crate::error::SimError;
 use crate::metrics::SimMetrics;
 use crate::trace::Trace;
@@ -22,6 +23,113 @@ use crate::workload::Workload;
 pub struct OverlaySimulator {
     variant: FuVariant,
     trace_capacity: usize,
+}
+
+/// A compiled kernel decoded and timed once, ready to run any workload:
+/// built by [`OverlaySimulator::plan`].
+///
+/// Neither the legality nor the timing of a run depends on its data, so a
+/// plan makes the decode walk and the timing pass once, and each
+/// [`SimPlan::run`] makes only the data pass. [`SimPlan::metrics`] answers
+/// any block count in O(1), bit for bit what a run of that many blocks
+/// measures.
+#[derive(Debug, Clone)]
+pub struct SimPlan {
+    /// Shared with the trace of every run that keeps events.
+    program: Arc<Program>,
+    law: TimingLaw,
+    /// The kernel's FUs: the pipeline-fill blocks the II skips.
+    fus: usize,
+    ops_per_block: usize,
+    trace_capacity: usize,
+}
+
+impl SimPlan {
+    /// The metrics a run of `blocks` blocks measures, without running it.
+    /// Zero blocks measure nothing: every cycle count and the II are 0.
+    pub fn metrics(&self, blocks: usize) -> SimMetrics {
+        let mut metrics = SimMetrics {
+            blocks,
+            ops_per_block: self.ops_per_block,
+            latency_cycles: 0,
+            steady_state_ii: 0.0,
+            total_cycles: 0,
+        };
+        if blocks == 0 {
+            return metrics;
+        }
+        // Skip the pipeline-fill blocks when measuring the steady-state II.
+        let warmup = self.fus.min(blocks.saturating_sub(2));
+        let sample = [0, warmup, blocks - 1];
+        let ([first, warm, last], total) = self.law.completions(&self.program, blocks, sample);
+        metrics.latency_cycles = first;
+        metrics.total_cycles = total;
+        metrics.steady_state_ii = if blocks >= 2 {
+            (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
+        } else {
+            first as f64
+        };
+        metrics
+    }
+
+    /// The lane-block (a block, or on V2 a pair of blocks) at which the
+    /// timing pass proved that every later one completes one period after
+    /// the one before, if it did within the lane-blocks a plan steps looking
+    /// for it. A plan without one steps each longer run past those.
+    pub fn closed_at(&self) -> Option<usize> {
+        self.law.closed_at()
+    }
+
+    /// Runs the plan's kernel over `workload`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptyWorkload`] or [`SimError::InputWidthMismatch`], in
+    /// that order; the kernel's own checks were made by the plan.
+    pub fn run(&self, workload: &Workload) -> Result<SimRun, SimError> {
+        self.run_in(workload, &mut ColumnBuffer::default())
+    }
+
+    /// [`SimPlan::run`], in `buffer`'s working columns: a caller running
+    /// many plans keeps one buffer, and a run then allocates only its
+    /// outputs (and, if it keeps events, its trace).
+    ///
+    /// # Errors
+    ///
+    /// As [`SimPlan::run`].
+    pub fn run_in(
+        &self,
+        workload: &Workload,
+        buffer: &mut ColumnBuffer,
+    ) -> Result<SimRun, SimError> {
+        check_workload(self.program.inputs(), workload)?;
+        self.execute(workload, buffer)
+    }
+
+    /// The data pass over a checked `workload`.
+    fn execute(&self, workload: &Workload, buffer: &mut ColumnBuffer) -> Result<SimRun, SimError> {
+        let metrics = self.metrics(workload.len());
+        let (outputs, trace) = self.program.evaluate(
+            workload.records(),
+            self.law.closed_at(),
+            self.trace_capacity,
+            &mut buffer.values,
+        )?;
+        Ok(SimRun {
+            outputs,
+            record: self.program.record(),
+            metrics,
+            trace,
+        })
+    }
+}
+
+/// The data pass's working columns, kept between runs: see
+/// [`SimPlan::run_in`]. They grow to the widest run's size; what one run
+/// leaves in them never shows in another's outputs or trace.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnBuffer {
+    values: Vec<Value>,
 }
 
 /// The outcome of a simulation run: functional outputs, measured metrics and
@@ -231,19 +339,11 @@ impl OverlaySimulator {
     /// [`SimError::EmptyWorkload`], [`SimError::InputWidthMismatch`] or
     /// [`SimError::VariantMismatch`], in that order.
     pub fn validate(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<(), SimError> {
-        if workload.is_empty() {
-            return Err(SimError::EmptyWorkload);
-        }
-        let num_inputs = compiled.program.num_inputs();
-        for (index, record) in workload.records().iter().enumerate() {
-            if record.len() != num_inputs {
-                return Err(SimError::InputWidthMismatch {
-                    expected: num_inputs,
-                    found: record.len(),
-                    record: index,
-                });
-            }
-        }
+        check_workload(compiled.program.num_inputs(), workload)?;
+        self.check_variant(compiled)
+    }
+
+    fn check_variant(&self, compiled: &CompiledKernel) -> Result<(), SimError> {
         if compiled.variant != self.variant {
             return Err(SimError::VariantMismatch {
                 compiled: compiled.variant,
@@ -253,52 +353,72 @@ impl OverlaySimulator {
         Ok(())
     }
 
-    /// Runs `compiled` over `workload`.
+    /// Decodes and times `compiled` once, for runs of any workload: see
+    /// [`SimPlan`]. Its runs keep this simulator's trace capacity.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::VariantMismatch`] for a kernel compiled for another
+    /// variant, then the first hardware constraint the program violates
+    /// (uninitialised register, write-back hazard, stream underflow).
+    pub fn plan(&self, compiled: &CompiledKernel) -> Result<SimPlan, SimError> {
+        self.plan_up_to(compiled, PLAN_CAP)
+    }
+
+    /// [`OverlaySimulator::plan`], stepping at most `cap` lane-blocks.
+    fn plan_up_to(&self, compiled: &CompiledKernel, cap: usize) -> Result<SimPlan, SimError> {
+        self.check_variant(compiled)?;
+        let program = Program::decode(
+            self.variant,
+            compiled.program.fu_programs(),
+            compiled.program.num_inputs(),
+            &compiled.output_stream_index,
+        )?;
+        let law = program.law(cap);
+        Ok(SimPlan {
+            program: Arc::new(program),
+            law,
+            fus: compiled.num_fus(),
+            ops_per_block: compiled.schedule.total_ops(),
+            trace_capacity: self.trace_capacity,
+        })
+    }
+
+    /// Runs `compiled` over `workload`: its [`plan`](Self::plan), run once.
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] for malformed workloads (wrong record width,
     /// empty workload), for a kernel compiled for another variant, or if the
     /// program violates a hardware constraint (uninitialised register,
-    /// write-back hazard, stream underflow).
+    /// write-back hazard, stream underflow) — the first in that order.
     pub fn run(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, SimError> {
-        self.validate(compiled, workload)?;
-        let programs = compiled.program.fu_programs();
-        let program = Program::decode(
-            self.variant,
-            programs,
-            compiled.program.num_inputs(),
-            &compiled.output_stream_index,
-        )?;
-
-        let blocks = workload.len();
-        // Skip the pipeline-fill blocks when measuring the steady-state II.
-        let warmup = compiled.num_fus().min(blocks.saturating_sub(2));
-        let timeline = program.time(blocks, [0, warmup, blocks - 1]);
-        let [first, warm, last] = timeline.sampled;
-        let steady_state_ii = if blocks >= 2 {
-            (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
-        } else {
-            first as f64
-        };
-        let metrics = SimMetrics {
-            blocks,
-            ops_per_block: compiled.schedule.total_ops(),
-            latency_cycles: first,
-            steady_state_ii,
-            total_cycles: timeline.total,
-        };
-
-        let record = compiled.output_stream_index.len();
-        let (outputs, trace) =
-            program.evaluate(programs, workload.records(), &timeline, self.trace_capacity)?;
-        Ok(SimRun {
-            outputs,
-            record,
-            metrics,
-            trace,
-        })
+        // The workload is checked ahead of the kernel, as `validate` does.
+        check_workload(compiled.program.num_inputs(), workload)?;
+        // A plan for this run alone times no lane-block the run does not
+        // have.
+        let lane_blocks = workload.len().div_ceil(self.variant.datapath_lanes());
+        self.plan_up_to(compiled, lane_blocks.min(PLAN_CAP))?
+            .execute(workload, &mut ColumnBuffer::default())
     }
+}
+
+/// The workload checks, in the order every run makes them: at least one
+/// record, each `inputs` words wide.
+fn check_workload(inputs: usize, workload: &Workload) -> Result<(), SimError> {
+    if workload.is_empty() {
+        return Err(SimError::EmptyWorkload);
+    }
+    for (index, record) in workload.records().iter().enumerate() {
+        if record.len() != inputs {
+            return Err(SimError::InputWidthMismatch {
+                expected: inputs,
+                found: record.len(),
+                record: index,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
-//! Allocation regression test for `OverlaySimulator::run`.
+//! Allocation regression tests for `OverlaySimulator::run` and `SimPlan`.
 //!
 //! A run allocates the same handful of buffers whatever it simulates: the
-//! decoded program, the timing pass's row, the data pass's columns and the
-//! one buffer every block's outputs go to, plus, when it keeps events, the
-//! buffer of their values. This file pins that with a counting allocator; it
+//! plan (the decoded program, the timing pass's row and law), the data
+//! pass's columns and the one buffer every block's outputs go to, plus,
+//! when it keeps events, the buffer of their values. A planned run with a
+//! kept column buffer allocates its outputs alone. This file pins that with
+//! a counting allocator; it
 //! is an integration-test crate so that the library keeps
 //! `#![forbid(unsafe_code)]`.
 
@@ -14,7 +16,7 @@ use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_frontend::Benchmark;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
-use overlay_sim::{OverlaySimulator, Workload};
+use overlay_sim::{ColumnBuffer, OverlaySimulator, Workload};
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
@@ -142,15 +144,48 @@ fn a_run_allocates_the_same_few_buffers_whatever_it_simulates() {
 
 #[test]
 fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
-    // Every serve workload sends 2-block requests, so a run's fixed cost is
-    // what a cold serve sees. The per-block interpreter this engine replaced
-    // made 10 allocations for a 2-block untraced run (measured at its last
-    // commit, the same for all three programs); this engine makes 5: the
-    // decoded steps and stages, the timing pass's row, the data pass's
-    // columns and the output buffer.
+    // The per-block interpreter this engine replaced made 10 allocations
+    // for a 2-block untraced run (measured at its last commit, the same for
+    // all three programs). A one-shot run makes 7: its plan's shared
+    // program, decoded steps and stages, the timing pass's row and the law's
+    // table, then the data pass's columns and the output buffer (none of
+    // the three kernels preloads constants, whose values would be one
+    // more). It made 5 while the timing pass ran per run and the program
+    // moved into the trace.
     for (name, variant, compiled, workload) in kernels() {
         let (count, _) = allocations(variant, &compiled, &workload, 2, 0);
-        assert_eq!(count, 5, "{name}: {count} allocations for 2 blocks");
+        assert_eq!(count, 7, "{name}: {count} allocations for 2 blocks");
+    }
+}
+
+#[test]
+fn a_planned_run_allocates_only_its_outputs() {
+    // Every serve workload sends 2-block requests, so what a planned run
+    // costs is what a cold serve pays per request: once the kernel is
+    // planned and the caller's column buffer is as wide as the run, the
+    // output buffer alone, at any length.
+    for (name, variant, compiled, workload) in kernels() {
+        let plan = OverlaySimulator::new(variant)
+            .with_trace_capacity(0)
+            .plan(&compiled)
+            .unwrap();
+        let mut buffer = ColumnBuffer::default();
+        plan.run_in(&workload, &mut buffer).unwrap();
+        for blocks in BLOCKS {
+            let workload = Workload::from_records(workload.records()[..blocks].to_vec());
+            let before = ALLOCATIONS.with(Cell::get);
+            let run = plan.run_in(&workload, &mut buffer);
+            let count = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(run.unwrap().outputs().len(), blocks);
+            assert_eq!(count, 1, "{name}, {blocks} blocks: {count} allocations");
+
+            // Without a buffer of its own, the run allocates its columns too.
+            let before = ALLOCATIONS.with(Cell::get);
+            let run = plan.run(&workload);
+            let count = ALLOCATIONS.with(Cell::get) - before;
+            assert!(run.is_ok());
+            assert_eq!(count, 2, "{name}, {blocks} blocks: {count} allocations");
+        }
     }
 }
 

@@ -1,18 +1,20 @@
-//! The timing pass against an oracle.
+//! The timing pass, and the plans built on it, against an oracle.
 //!
 //! The oracle is a value-free transcription of the per-block interpreter
 //! the three-pass engine replaced: every block goes down the chain FU by FU,
 //! each lane keeps its own pair of clocks per FU, and nothing is ever closed
 //! early. It lives here, not in the crate, so the engine cannot share a
-//! mistake with it.
+//! mistake with it. A plan's runs are further held to fresh one-shot runs:
+//! outputs, metrics and trace.
 
 use proptest::prelude::*;
 
 use overlay_arch::FuVariant;
 use overlay_dfg::{Dfg, DfgGenerator, GeneratorConfig};
+use overlay_frontend::Benchmark;
 use overlay_isa::Instruction;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel, ScheduleError};
-use overlay_sim::{OverlaySimulator, Workload};
+use overlay_sim::{ColumnBuffer, OverlaySimulator, SimMetrics, SimPlan, Workload};
 
 const BLOCKS: [usize; 8] = [1, 2, 3, 5, 17, 64, 65, 300];
 
@@ -122,36 +124,127 @@ fn compilations(dfg: &Dfg) -> Vec<(FuVariant, CompiledKernel)> {
     compiled
 }
 
+/// `(latency_cycles, total_cycles, steady_state_ii bits)` as measured.
+fn measured(metrics: &SimMetrics) -> (usize, usize, u64) {
+    (
+        metrics.latency_cycles,
+        metrics.total_cycles,
+        metrics.steady_state_ii.to_bits(),
+    )
+}
+
+/// Holds one answer of `plan` (built by `simulator` for `compiled`) to the
+/// oracle's `completions` and to a fresh one-shot run of `workload`:
+/// metrics, outputs and the trace's `Debug` bytes. The planned run works in
+/// `buffer`, which the caller shares across kernels and block counts, so a
+/// run that read what another left there would show.
+fn check_answer(
+    simulator: &OverlaySimulator,
+    compiled: &CompiledKernel,
+    plan: &SimPlan,
+    completions: &[usize],
+    workload: &Workload,
+    buffer: &mut ColumnBuffer,
+) -> Result<(), String> {
+    let blocks = workload.len();
+    let expected = metrics(compiled, &completions[..blocks]);
+    let answered = measured(&plan.metrics(blocks));
+    if answered != expected {
+        return Err(format!("metrics({blocks}): {answered:?} != {expected:?}"));
+    }
+    let planned = plan.run_in(workload, buffer).map_err(|e| e.to_string())?;
+    let fresh = simulator
+        .run(compiled, workload)
+        .map_err(|e| e.to_string())?;
+    if measured(planned.metrics()) != expected || planned.metrics() != fresh.metrics() {
+        return Err(format!(
+            "{blocks} blocks: planned {:?}, fresh {:?}",
+            planned.metrics(),
+            fresh.metrics()
+        ));
+    }
+    if planned.outputs() != fresh.outputs() {
+        return Err(format!("{blocks} blocks: the outputs differ"));
+    }
+    if format!("{:?}", planned.trace()) != format!("{:?}", fresh.trace()) {
+        return Err(format!("{blocks} blocks: the traces differ"));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Latency, total cycles and steady-state II are the oracle's, bit for
     /// bit, at block counts below, at and past every threshold the engine
-    /// has: the runs it never tries to close, one column, one column plus
-    /// one, and long enough that nearly every block is closed, not stepped.
+    /// has: the runs before the timing pass can close, one column, one
+    /// column plus one, and long enough that nearly every block is closed,
+    /// not stepped. One plan per kernel answers them all, and each of its
+    /// runs equals a fresh one-shot run, trace included.
     #[test]
     fn metrics_equal_the_per_block_oracle(
-        (seed, inputs, ops, depth) in (any::<u64>(), 2usize..6, 8usize..=72, 2usize..=16)
+        (seed, inputs, ops, depth) in (any::<u64>(), 2usize..6, 8usize..=72, 2usize..=16),
+        capacity in 0usize..400,
     ) {
         let dfg = kernel(seed, inputs, ops, depth.min(ops));
+        let mut buffer = ColumnBuffer::default();
         for (variant, compiled) in compilations(&dfg) {
-            let simulator = OverlaySimulator::new(variant).with_trace_capacity(0);
+            let simulator = OverlaySimulator::new(variant).with_trace_capacity(capacity);
+            let plan = simulator.plan(&compiled).unwrap();
             let oracle = completions(variant, &compiled, 300);
             for blocks in BLOCKS {
                 let workload = Workload::random(inputs, blocks, seed);
-                let run = simulator.run(&compiled, &workload).unwrap();
-                let measured = run.metrics();
-                let measured = (
-                    measured.latency_cycles,
-                    measured.total_cycles,
-                    measured.steady_state_ii.to_bits(),
-                );
-                let expected = metrics(&compiled, &oracle[..blocks]);
+                let checked =
+                    check_answer(&simulator, &compiled, &plan, &oracle, &workload, &mut buffer);
                 prop_assert!(
-                    measured == expected,
-                    "{ops} ops on {variant}, {} FUs, {blocks} blocks: {measured:?} != {expected:?}",
-                    compiled.num_fus()
+                    checked.is_ok(),
+                    "{ops} ops on {variant}, {} FUs, capacity {capacity}: {}",
+                    compiled.num_fus(),
+                    checked.unwrap_err()
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_plan_per_suite_kernel_answers_every_block_count() {
+    // The paper suite on all six variants (the write-back ones at the
+    // paper's depth of 8), every block count from 1 to 300, through one
+    // column buffer; the traces keep 64 events, which cuts a block of most
+    // kernels.
+    let mut buffer = ColumnBuffer::default();
+    for benchmark in Benchmark::ALL {
+        let dfg = benchmark.dfg().unwrap();
+        for variant in FuVariant::ALL {
+            let stages = schedule(&dfg, variant, Some(8)).unwrap();
+            let compiled = generate_program(&dfg, &stages, variant).unwrap();
+            let simulator = OverlaySimulator::new(variant).with_trace_capacity(64);
+            let plan = simulator.plan(&compiled).unwrap();
+            // Compiled kernels close early: a plan steps each run past
+            // where it could not, so a late closure is a cost to notice.
+            let closed_at = plan.closed_at();
+            assert!(
+                closed_at.is_some_and(|block| block <= 3),
+                "{benchmark} on {variant}: closed at {closed_at:?}"
+            );
+            let oracle = completions(variant, &compiled, 300);
+            let records = Workload::random(dfg.num_inputs(), 300, 0x51_3A);
+            for blocks in 1..=300 {
+                let workload = Workload::from_records(records.records()[..blocks].to_vec());
+                if let Err(message) = check_answer(
+                    &simulator,
+                    &compiled,
+                    &plan,
+                    &oracle,
+                    &workload,
+                    &mut buffer,
+                ) {
+                    panic!(
+                        "{benchmark} on {variant}, {} FUs: {message}",
+                        compiled.num_fus()
+                    );
+                }
             }
         }
     }
