@@ -409,6 +409,9 @@ fn check_workload(inputs: usize, workload: &Workload) -> Result<(), SimError> {
     if workload.is_empty() {
         return Err(SimError::EmptyWorkload);
     }
+    if workload.width() == Some(inputs) {
+        return Ok(());
+    }
     for (index, record) in workload.records().iter().enumerate() {
         if record.len() != inputs {
             return Err(SimError::InputWidthMismatch {
