@@ -72,14 +72,6 @@ impl SimPlan {
         metrics
     }
 
-    /// The lane-block (a block, or on V2 a pair of blocks) at which the
-    /// timing pass proved that every later one completes one period after
-    /// the one before, if it did within the lane-blocks a plan steps looking
-    /// for it. A plan without one steps each longer run past those.
-    pub fn closed_at(&self) -> Option<usize> {
-        self.law.closed_at()
-    }
-
     /// Runs the plan's kernel over `workload`.
     ///
     /// # Errors
@@ -127,7 +119,7 @@ impl SimPlan {
 /// The data pass's working columns, kept between runs: see
 /// [`SimPlan::run_in`]. They grow to the widest run's size; what one run
 /// leaves in them never shows in another's outputs or trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ColumnBuffer {
     values: Vec<Value>,
 }
@@ -454,6 +446,25 @@ mod tests {
                     run.outputs(),
                     reference.as_slice(),
                     "{benchmark} on {variant}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_suite_kernel_closes_its_timing_law_early() {
+        // A plan steps each run past where its law is still open, so a late
+        // closure would cost every long run: compiled kernels close by
+        // their fourth lane-block.
+        for benchmark in Benchmark::ALL {
+            for variant in FuVariant::ALL {
+                let plan = OverlaySimulator::new(variant)
+                    .plan(&compile(benchmark, variant))
+                    .unwrap();
+                let closed_at = plan.law.closed_at();
+                assert!(
+                    closed_at.is_some_and(|lane_block| lane_block <= 3),
+                    "{benchmark} on {variant}: closed at {closed_at:?}"
                 );
             }
         }
