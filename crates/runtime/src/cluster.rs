@@ -272,6 +272,9 @@ struct ClusterState<'t> {
     /// table a serve allocates: it leaves with the report ([`compact_outcomes`]).
     outcome_slots: Vec<Option<RequestOutcome>>,
     rejected: Vec<RejectedRequest>,
+    /// What the serve derives once per kernel, from preparation to
+    /// simulation.
+    prep: PrepContext,
     sim: SimResults<'t>,
     /// The same-kernel batching layer, indexed by global tile id (a no-op
     /// at the default `max_batch = 1`).
@@ -1736,7 +1739,7 @@ impl Cluster {
         tables: &mut LoopTables,
         recorder: &mut obs::TraceRecorder,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
-        let mut ctx = PrepContext::for_pool(&self.devices[0].pool)?;
+        let prep = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
         let policy = self.policy();
@@ -1761,6 +1764,7 @@ impl Cluster {
             events: EventQueue::new(),
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
+            prep,
             sim: SimResults::new(self.variant(), &mut tables.ready),
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
@@ -1853,7 +1857,7 @@ impl Cluster {
                         &mut self.devices[home].cache,
                         &self.lower,
                         &self.reconfig,
-                        &mut ctx,
+                        &mut state.prep,
                         request,
                     )?);
                     // Arrivals enter in non-decreasing time order: the
@@ -2114,10 +2118,13 @@ impl Cluster {
             self.commit_stage_activation(index, device, info, now_us, state);
         }
         if fresh {
-            let memo_hit =
-                state
-                    .sim
-                    .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
+            let memo_hit = state.sim.source(
+                index,
+                info,
+                &mut state.prep,
+                &mut self.sim_memo,
+                &mut state.profiler,
+            )?;
             if memo_hit {
                 state
                     .recorder

@@ -265,16 +265,17 @@ impl ServeReport {
     }
 }
 
-/// Per-serve context shared by every request's preparation, including the
-/// per-kernel derived timing figures (operating frequency, switch cost,
-/// steady-state II) so they are computed once per distinct kernel rather
-/// than once per request.
+/// Per-serve context shared by every request's preparation and simulation,
+/// including what is derived once per distinct kernel rather than once per
+/// request: the timing figures (operating frequency, switch cost,
+/// steady-state II) and, at the kernel's first memo miss, its simulation
+/// plan.
 pub(crate) struct PrepContext {
     variant: FuVariant,
     writeback: bool,
     depth: usize,
     tile_overlay: Option<OverlayConfig>,
-    derived: FnvHashMap<KernelKey, DerivedTiming>,
+    derived: FnvHashMap<KernelKey, Derived>,
 }
 
 impl PrepContext {
@@ -291,6 +292,15 @@ impl PrepContext {
             derived: FnvHashMap::default(),
         })
     }
+}
+
+/// What one serve derives once for a kernel.
+struct Derived {
+    timing: DerivedTiming,
+    /// The kernel's [`SimPlan`], or why it has none: made at its first memo
+    /// miss ([`SimResults::source`]), so a kernel the memo always answers is
+    /// never planned.
+    plan: Option<Result<SimPlan, SimError>>,
 }
 
 /// Kernel-dependent timing facts reused across every request for that
@@ -332,7 +342,7 @@ pub(crate) fn prepare_request(
         Ok(generate_program(&dfg, &stages, ctx.variant)?)
     })?;
     let timing = match ctx.derived.get(&key) {
-        Some(&timing) => timing,
+        Some(derived) => derived.timing,
         None => {
             let config_bits = compiled.program.config_bits();
             let (fmax_mhz, switch_us) = match &ctx.tile_overlay {
@@ -360,7 +370,7 @@ pub(crate) fn prepare_request(
                 fill_cycles: (4 * compiled.num_fus()) as f64,
                 image_bytes: compiled.program.config_bytes(),
             };
-            ctx.derived.insert(key, timing);
+            ctx.derived.insert(key, Derived { timing, plan: None });
             timing
         }
     };
@@ -550,11 +560,6 @@ pub(crate) fn compact_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<Reques
 /// in the request's slot until a tile is about to execute it.
 pub(crate) struct SimResults<'t> {
     simulator: OverlaySimulator,
-    /// Per distinct kernel that missed the memo: its [`SimPlan`], decoded
-    /// and timed at its first miss — or why it has none — keyed like
-    /// [`PrepContext`]'s derived timing, so every later miss runs only the
-    /// data pass.
-    plans: FnvHashMap<KernelKey, Result<SimPlan, SimError>>,
     /// The data pass's working columns, shared by every run of the serve.
     columns: ColumnBuffer,
     /// One slot per intake index — no hashing on the hot path.
@@ -567,7 +572,6 @@ impl<'t> SimResults<'t> {
     pub(crate) fn new(variant: FuVariant, ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
         SimResults {
             simulator: OverlaySimulator::new(variant).with_trace_capacity(0),
-            plans: FnvHashMap::default(),
             columns: ColumnBuffer::default(),
             ready,
         }
@@ -579,12 +583,13 @@ impl<'t> SimResults<'t> {
     }
 
     /// Sources the simulation for an admitted request `index`: answers from
-    /// the memo, or runs the kernel's plan (planning it first, at its first
-    /// miss) and memoizes the run — with the memo counters tracking which (a
-    /// disabled memo never answers, so every request simulates). The lookup
-    /// and insert are profiled as [`obs::Stage::Memo`], planning and the run
-    /// as [`obs::Stage::Sim`]. Returns whether the memo answered, so tracing
-    /// can emit the matching counter event.
+    /// the memo, or runs the kernel's plan (planning it first, into `ctx`, at
+    /// its first miss) and memoizes the run — with the memo counters
+    /// tracking which (a disabled memo never answers, so every request
+    /// simulates). The lookup and insert are profiled as
+    /// [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`].
+    /// Returns whether the memo answered, so tracing can emit the matching
+    /// counter event.
     ///
     /// # Errors
     ///
@@ -594,6 +599,7 @@ impl<'t> SimResults<'t> {
         &mut self,
         index: usize,
         info: &InFlight,
+        ctx: &mut PrepContext,
         memo: &mut SimMemo,
         profiler: &mut obs::StageProfiler,
     ) -> Result<bool, SimError> {
@@ -606,7 +612,7 @@ impl<'t> SimResults<'t> {
             None => {
                 memo.note_miss();
                 let sim = profiler.begin();
-                let run = self.simulate(info);
+                let run = self.simulate(info, ctx);
                 profiler.end(obs::Stage::Sim, sim);
                 let run = Arc::new(run?);
                 let insert = profiler.begin();
@@ -623,12 +629,15 @@ impl<'t> SimResults<'t> {
     /// planning it at its first miss. Kept out of line: a memo hit, which is
     /// all a warm serve sees, never comes here.
     #[inline(never)]
-    fn simulate(&mut self, info: &InFlight) -> Result<SimRun, SimError> {
+    fn simulate(&mut self, info: &InFlight, ctx: &mut PrepContext) -> Result<SimRun, SimError> {
         let (compiled, workload) = (&info.compiled, &info.request.workload);
-        let plan = self
-            .plans
-            .entry(info.view.key)
-            .or_insert_with(|| self.simulator.plan(compiled));
+        let derived = ctx
+            .derived
+            .get_mut(&info.view.key)
+            .expect("an admitted request's kernel was prepared in this serve");
+        let plan = derived
+            .plan
+            .get_or_insert_with(|| self.simulator.plan(compiled));
         match plan {
             Ok(plan) => plan.run_in(workload, &mut self.columns),
             // A malformed workload is still reported first.

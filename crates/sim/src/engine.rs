@@ -73,15 +73,16 @@
 //! ([`crate::SimPlan`]) is built, and returns a [`TimingLaw`]: it steps
 //! lane-blocks until the test closes, at most [`PLAN_CAP`] of them, and
 //! keeps each stepped lane-block's completion, their running maximum and
-//! `Δ`. A run of any length reads its latency, II samples and total cycles
-//! off the law in O(1). A law still open at the cap keeps its last row
-//! instead, and each longer run steps the lane-blocks past it, with the same
-//! [`Program::step`]. Compiled kernels close at lane-block 2 or 3. A plan
-//! made for one run alone is capped at the run's own lane-blocks, and below
-//! five it does not look for the fixed point at all: stepping them all is
-//! cheaper than the bookkeeping.
+//! `Δ`, all in the one allocation the pass steps in. A run of any length
+//! reads its latency, II samples and total cycles off the law in O(1)
+//! (saturating at `usize::MAX` cycles). A law still open at the cap keeps its
+//! last row instead, and each longer run steps the lane-blocks past it, with
+//! the same [`Program::step`]. Compiled kernels close at lane-block 2 or 3.
+//! A plan made for one run alone is capped at the run's own lane-blocks, and
+//! below five it does not look for the fixed point at all: stepping them all
+//! is cheaper than the bookkeeping.
 //!
-//! # 3. The data pass ([`Program::evaluate`])
+//! # 3. The data pass ([`HeldProgram::evaluate`])
 //!
 //! The tape runs over columns of up to [`LANE_WIDTH`] blocks in one flat
 //! buffer, which the caller may keep between runs (every lane a chunk reads
@@ -98,8 +99,9 @@
 //!
 //! # 4. The packed trace ([`PackedTrace`])
 //!
-//! A traced run keeps the program (shared with its plan), the lane-block
-//! `j` the timing law closed at and those columns. [`PackedTrace::unpack`], called on the
+//! A traced run keeps the program (shared with its plan, or moved in by a
+//! run made alone: [`HeldProgram`]), the lane-block `j` the timing law
+//! closed at and those columns. [`PackedTrace::unpack`], called on the
 //! first read of the events, steps the kept rows up to `j` again and writes
 //! every later one as `row(r) = row(j) + (r-j)·(row(j) - row(j-1))`, cell
 //! by cell — §2's induction, which covers every cell, not only completions
@@ -266,27 +268,40 @@ pub(crate) struct Program {
 /// see the [module documentation](self), §2.
 #[derive(Debug, Clone)]
 pub(crate) struct TimingLaw {
-    /// Per stepped lane-block: its completion cycle and the latest
-    /// completion up to and including it.
-    stepped: Vec<[usize; 2]>,
-    past: Past,
+    /// Per stepped lane-block, its completion cycle and the latest
+    /// completion up to and including it, pair after pair; an open law's
+    /// row follows them.
+    table: Vec<usize>,
+    stepped: usize,
+    /// Proven at the last stepped lane-block: each later one completes one
+    /// period after the one before. `None` if the cap came first, and
+    /// later lane-blocks are stepped from the row.
+    period: Option<usize>,
 }
 
-/// What a [`TimingLaw`] knows past its last stepped lane-block.
+/// A program as a run holds it: shared with the plan it came from, or owned
+/// by a run made alone.
 #[derive(Debug, Clone)]
-enum Past {
-    /// The fixed point was proven there: every later lane-block completes
-    /// one `period` after the one before.
-    Closed { period: usize },
-    /// Not proven by the cap: the row after the last stepped lane-block,
-    /// from which later ones are stepped.
-    Open { row: Vec<usize> },
+pub(crate) enum HeldProgram {
+    Shared(Arc<Program>),
+    Owned(Program),
+}
+
+impl std::ops::Deref for HeldProgram {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        match self {
+            HeldProgram::Shared(program) => program,
+            HeldProgram::Owned(program) => program,
+        }
+    }
 }
 
 /// What a traced run keeps: see the [module documentation](self), §4.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedTrace {
-    program: Arc<Program>,
+    program: HeldProgram,
     closed_at: Option<usize>,
     /// The data pass's column width: the values come chunk by chunk, and
     /// within a chunk column by column, one per kept lane.
@@ -455,13 +470,12 @@ impl Program {
                 })?;
             steps.push(Step::Output { word });
         }
-
         Ok(Program {
             outputs: first_output..steps.len(),
+            constants: constant_values,
             steps,
             stages,
             inputs,
-            constants: constant_values,
             columns: next_result,
             lanes: variant.datapath_lanes(),
             serialized: matches!(variant, FuVariant::Baseline),
@@ -471,7 +485,7 @@ impl Program {
     /// Trace events one block emits on its way down the chain: one per load,
     /// per issue slot and per output.
     pub(crate) fn events_per_block(&self) -> usize {
-        self.steps.len()
+        self.outputs.end
     }
 
     /// Words per block in.
@@ -550,27 +564,28 @@ impl Program {
     /// the fixed point is proven or `cap` of them have been stepped.
     pub(crate) fn law(&self, cap: usize) -> TimingLaw {
         let cells = self.events_per_block();
-        // One allocation: the row the pass steps in place (every event's
-        // cell, then the FIFO's) and, when the cap leaves room to look for
-        // the fixed point, a ring of the last three steps' `max` arguments.
-        // Filled, not zeroed: a zeroed allocation costs a short run more
-        // than the fill.
+        // One allocation: the law's table, with room for every lane-block
+        // the cap allows, then the row the pass steps in place (every
+        // event's cell, then the FIFO's) and, when the cap leaves room to
+        // look for the fixed point, a ring of the last three steps' `max`
+        // arguments. Whichever way the pass ends, what the law keeps is a
+        // prefix. Filled, not zeroed: a zeroed allocation costs a short run
+        // more than the fill.
         let logged = 2 * self.maxes_per_step();
         let searching = cap > ALWAYS_STEPPED;
         let ring = if searching { 3 * logged } else { 0 };
-        let mut scratch: Vec<usize> = std::iter::repeat_n(0, cells + 1 + ring).collect();
+        let mut table: Vec<usize> = std::iter::repeat_n(0, 2 * cap + cells + 1 + ring).collect();
+        let (pairs, scratch) = table.split_at_mut(2 * cap);
         let (row, log) = scratch.split_at_mut(cells + 1);
-        let mut stepped: Vec<[usize; 2]> = Vec::new();
         let mut peak = 0;
-        while stepped.len() < cap {
-            let lane_block = stepped.len();
+        for lane_block in 0..cap {
             let mut noted = Maxes {
                 log: searching.then(|| &mut log[lane_block % 3 * logged..][..logged]),
                 next: 0,
             };
             let completion = self.step(row, &mut noted);
             peak = peak.max(completion);
-            stepped.push([completion, peak]);
+            pairs[2 * lane_block..][..2].copy_from_slice(&[completion, peak]);
             if searching && lane_block >= 2 {
                 let at =
                     |age: usize| log[(lane_block - age) % 3 * logged..][..logged].chunks_exact(2);
@@ -580,56 +595,67 @@ impl Program {
                     .zip(new)
                     .all(|((old, mid), new)| settled(old, mid, new))
                 {
-                    let period = completion - stepped[lane_block - 1][0];
+                    let period = completion - pairs[2 * (lane_block - 1)];
+                    table.truncate(2 * (lane_block + 1));
                     return TimingLaw {
-                        stepped,
-                        past: Past::Closed { period },
+                        table,
+                        stepped: lane_block + 1,
+                        period: Some(period),
                     };
                 }
             }
         }
-        scratch.truncate(cells + 1);
+        // Every pair is filled, so the row follows the last.
+        table.truncate(2 * cap + cells + 1);
         TimingLaw {
-            stepped,
-            past: Past::Open { row: scratch },
+            table,
+            stepped: cap,
+            period: None,
         }
     }
+}
 
+impl HeldProgram {
     /// The data pass: evaluates the tape over `records` (at least one) and
     /// returns every block's outputs, record after record, in one buffer,
-    /// and a trace that keeps the first `capacity` events and counts the
-    /// rest; `closed_at` is the timing law's. `columns` is the working
-    /// buffer, grown to one chunk's columns if it is short.
+    /// and a trace that keeps the first `capacity` events, and the program
+    /// to read them with, and counts the rest; `closed_at` is the timing
+    /// law's. `columns` is the working buffer, grown to one chunk's columns
+    /// if it is short.
     ///
     /// # Errors
     ///
     /// None that [`Program::decode`] has not already ruled out.
     pub(crate) fn evaluate(
-        self: &Arc<Self>,
+        self,
         records: &[Vec<Value>],
         closed_at: Option<usize>,
         capacity: usize,
         columns: &mut Vec<Value>,
     ) -> Result<(Vec<Value>, Trace), SimError> {
+        let program = &*self;
         let width = LANE_WIDTH.min(records.len());
-        let size = self.columns * width;
+        let size = program.columns * width;
         if columns.len() < size {
-            columns.resize(size, Value::ZERO);
+            // Replaced, not resized: nothing in it is read before it is
+            // written, and a one-shot run, which always starts from an
+            // empty buffer, measured slower growing one.
+            *columns = vec![Value::ZERO; size];
         }
         let columns = &mut columns[..size];
-        for (column, &value) in (self.inputs..).zip(&self.constants) {
+        for (column, &value) in (program.inputs..).zip(&program.constants) {
             columns[column * width..][..width].fill(value);
         }
 
-        let cells = self.events_per_block();
+        let cells = program.events_per_block();
         let events = records.len().saturating_mul(cells);
         let kept = events.min(capacity);
         let traced_blocks = match kept {
             0 => 0,
             _ => kept.div_ceil(cells),
         };
-        let mut values = Vec::with_capacity(traced_blocks * self.columns);
-        let record = self.outputs.len();
+        let mut values = Vec::with_capacity(traced_blocks * program.columns);
+        let record = program.outputs.len();
         let mut outputs = vec![Value::ZERO; records.len() * record];
         for (chunk, first_block) in records.chunks(width).zip((0..).step_by(width)) {
             let blocks = chunk.len();
@@ -638,7 +664,7 @@ impl Program {
                     columns[input * width + lane] = value;
                 }
             }
-            for step in &self.steps {
+            for step in &program.steps {
                 if let Step::Exec {
                     op, a, b, result, ..
                 } = *step
@@ -653,7 +679,7 @@ impl Program {
                 }
             }
             let written = &mut outputs[first_block * record..][..blocks * record];
-            for (position, (_, word)) in self.output_words().enumerate() {
+            for (position, (_, word)) in program.output_words().enumerate() {
                 let column = &columns[word.column * width..][..blocks];
                 let slots = written[position..].iter_mut().step_by(record);
                 for (slot, &value) in slots.zip(column) {
@@ -674,7 +700,7 @@ impl Program {
         let packed = match kept {
             0 => None,
             _ => Some(Box::new(PackedTrace {
-                program: Arc::clone(self),
+                program: self,
                 closed_at,
                 width,
                 values,
@@ -683,7 +709,9 @@ impl Program {
         };
         Ok((outputs, Trace::new(packed, capacity, dropped)))
     }
+}
 
+impl Program {
     /// Appends `block`'s events in the order the parts of the overlay
     /// produce them: FU by FU, loads before issue slots, then the output
     /// FIFO (the index past the last FU). `row` holds the cycles, `value`
@@ -743,15 +771,21 @@ impl Program {
 impl TimingLaw {
     /// The lane-block at which the fixed point was proven, if it was.
     pub(crate) fn closed_at(&self) -> Option<usize> {
-        match self.past {
-            Past::Closed { .. } => Some(self.stepped.len() - 1),
-            Past::Open { .. } => None,
-        }
+        self.period.map(|_| self.stepped - 1)
+    }
+
+    /// A stepped lane-block's completion cycle and the latest completion up
+    /// to and including it.
+    fn pair(&self, lane_block: usize) -> Option<[usize; 2]> {
+        (lane_block < self.stepped)
+            .then(|| [self.table[2 * lane_block], self.table[2 * lane_block + 1]])
     }
 
     /// The completion cycle of each block in `sample` and of the last of
     /// `blocks` blocks (at least one, and more than any sampled) to finish,
-    /// for `program`, the law's own.
+    /// for `program`, the law's own. Past a closed law's table the cycles
+    /// saturate at `usize::MAX`: a block count no workload could hold still
+    /// gets an answer.
     pub(crate) fn completions(
         &self,
         program: &Program,
@@ -760,29 +794,29 @@ impl TimingLaw {
     ) -> ([usize; 3], usize) {
         let last = (blocks - 1) / program.lanes;
         let sample = sample.map(|block| block / program.lanes);
-        let known = self.stepped.len();
-        match &self.past {
-            Past::Closed { period } => {
+        let known = self.stepped;
+        match self.period {
+            Some(period) => {
                 let closed = known - 1;
-                let [closing, peak] = self.stepped[closed];
-                let at = |lane_block: usize| match self.stepped.get(lane_block) {
-                    Some(&[completion, _]) => completion,
-                    None => closing + (lane_block - closed) * period,
+                let [closing, peak] = [self.table[2 * closed], self.table[2 * closed + 1]];
+                let at = |lane_block: usize| match self.pair(lane_block) {
+                    Some([completion, _]) => completion,
+                    None => (lane_block - closed)
+                        .saturating_mul(period)
+                        .saturating_add(closing),
                 };
-                let total = match self.stepped.get(last) {
-                    Some(&[_, peak]) => peak,
+                let total = match self.pair(last) {
+                    Some([_, peak]) => peak,
                     None => peak.max(at(last)),
                 };
                 (sample.map(at), total)
             }
-            Past::Open { .. } if last < known => {
-                (sample.map(|b| self.stepped[b][0]), self.stepped[last][1])
-            }
-            Past::Open { row } => {
+            None if last < known => (sample.map(|b| self.table[2 * b]), self.table[2 * last + 1]),
+            None => {
                 // Step on from where the law stopped, as the pass would have.
-                let mut row = row.clone();
-                let mut sampled = sample.map(|b| self.stepped.get(b).map_or(0, |s| s[0]));
-                let mut total = self.stepped.last().map_or(0, |s| s[1]);
+                let mut row = self.table[2 * known..].to_vec();
+                let mut sampled = sample.map(|b| self.pair(b).map_or(0, |s| s[0]));
+                let mut total = known.checked_sub(1).map_or(0, |b| self.table[2 * b + 1]);
                 for lane_block in known..=last {
                     let completion = program.step(&mut row, &mut Maxes { log: None, next: 0 });
                     total = total.max(completion);
@@ -870,14 +904,14 @@ mod tests {
             .iter()
             .map(|record| record.iter().copied().map(Value::new).collect())
             .collect();
-        let program = Arc::new(Program::decode(
-            variant,
-            programs,
-            records[0].len(),
-            outputs,
-        )?);
+        let program = Program::decode(variant, programs, records[0].len(), outputs)?;
         let closed_at = program.law(PLAN_CAP).closed_at();
-        let (flat, trace) = program.evaluate(&records, closed_at, usize::MAX, &mut Vec::new())?;
+        let (flat, trace) = HeldProgram::Owned(program).evaluate(
+            &records,
+            closed_at,
+            usize::MAX,
+            &mut Vec::new(),
+        )?;
         let width = outputs.len();
         let outputs = (0..records.len())
             .map(|block| flat[block * width..][..width].to_vec())
@@ -1152,7 +1186,7 @@ mod tests {
             let closed = program.law(PLAN_CAP).closed_at();
             assert!(closed.is_some(), "{variant}");
             let traced = |closed_at| {
-                let (_, trace) = program
+                let (_, trace) = HeldProgram::Shared(Arc::clone(&program))
                     .evaluate(&records, closed_at, usize::MAX, &mut Vec::new())
                     .unwrap();
                 trace.events().to_vec()

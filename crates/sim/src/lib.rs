@@ -49,18 +49,20 @@
 //! [`SimPlan::metrics`] for any block count in O(1). [`SimPlan::run`] checks
 //! the workload and makes the data pass alone; [`SimPlan::run_in`] makes it
 //! in a [`ColumnBuffer`] the caller keeps between runs, so a planned run
-//! allocates only its outputs. [`OverlaySimulator::run`] is a plan run once.
+//! allocates only its outputs. [`OverlaySimulator::run`] makes the same
+//! passes for one run alone: its timing pass stops at the run's own blocks,
+//! and its program goes to the run's trace instead of being shared.
 //!
 //! The [`Trace`] is packed: the data pass copies out the columns of the
 //! blocks it keeps (every value an event prints, once), a chunk of blocks
-//! at a time, and the run hands the trace the plan's program (shared, not
-//! copied) and the block the timing pass closed at. [`Trace::events`]
-//! builds the [`Event`]s from those on its first call, writing the rows past
-//! the fixed point in the same closed form; [`Trace::dropped`] and
-//! [`Trace::total`] are exact without it. A one-shot run makes the same
-//! allocations for one block as for a thousand — seven, one more for a
-//! kernel with preloaded constants — a planned one makes one, and either
-//! makes two more when it keeps events.
+//! at a time, and the run hands the trace the program (a planned run shares
+//! its plan's, not copied) and the block the timing pass closed at.
+//! [`Trace::events`] builds the [`Event`]s from those on its first call,
+//! writing the rows past the fixed point in the same closed form;
+//! [`Trace::dropped`] and [`Trace::total`] are exact without it. A one-shot
+//! run makes the same allocations for one block as for a thousand — five,
+//! one more for a kernel with preloaded constants — a planned one makes
+//! one, and either makes two more when it keeps events.
 //!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation

@@ -8,7 +8,7 @@ use overlay_arch::FuVariant;
 use overlay_dfg::Value;
 use overlay_scheduler::CompiledKernel;
 
-use crate::engine::{Program, TimingLaw, PLAN_CAP};
+use crate::engine::{HeldProgram, Program, TimingLaw, PLAN_CAP};
 use crate::error::SimError;
 use crate::metrics::SimMetrics;
 use crate::trace::Trace;
@@ -37,6 +37,13 @@ pub struct OverlaySimulator {
 pub struct SimPlan {
     /// Shared with the trace of every run that keeps events.
     program: Arc<Program>,
+    timing: Timing,
+}
+
+/// All of a plan but its program: what a run reads its metrics off and how
+/// many events it keeps.
+#[derive(Debug, Clone)]
+struct Timing {
     law: TimingLaw,
     /// The kernel's FUs: the pipeline-fill blocks the II skips.
     fus: usize,
@@ -47,29 +54,9 @@ pub struct SimPlan {
 impl SimPlan {
     /// The metrics a run of `blocks` blocks measures, without running it.
     /// Zero blocks measure nothing: every cycle count and the II are 0.
+    /// Cycle counts too large for a `usize` saturate at `usize::MAX`.
     pub fn metrics(&self, blocks: usize) -> SimMetrics {
-        let mut metrics = SimMetrics {
-            blocks,
-            ops_per_block: self.ops_per_block,
-            latency_cycles: 0,
-            steady_state_ii: 0.0,
-            total_cycles: 0,
-        };
-        if blocks == 0 {
-            return metrics;
-        }
-        // Skip the pipeline-fill blocks when measuring the steady-state II.
-        let warmup = self.fus.min(blocks.saturating_sub(2));
-        let sample = [0, warmup, blocks - 1];
-        let ([first, warm, last], total) = self.law.completions(&self.program, blocks, sample);
-        metrics.latency_cycles = first;
-        metrics.total_cycles = total;
-        metrics.steady_state_ii = if blocks >= 2 {
-            (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
-        } else {
-            first as f64
-        };
-        metrics
+        self.timing.metrics(&self.program, blocks)
     }
 
     /// Runs the plan's kernel over `workload`.
@@ -95,13 +82,49 @@ impl SimPlan {
         buffer: &mut ColumnBuffer,
     ) -> Result<SimRun, SimError> {
         check_workload(self.program.inputs(), workload)?;
-        self.execute(workload, buffer)
+        let program = HeldProgram::Shared(Arc::clone(&self.program));
+        self.timing.execute(program, workload, buffer)
+    }
+}
+
+impl Timing {
+    /// [`SimPlan::metrics`], for `program`, the one this was timed from.
+    fn metrics(&self, program: &Program, blocks: usize) -> SimMetrics {
+        let mut metrics = SimMetrics {
+            blocks,
+            ops_per_block: self.ops_per_block,
+            latency_cycles: 0,
+            steady_state_ii: 0.0,
+            total_cycles: 0,
+        };
+        if blocks == 0 {
+            return metrics;
+        }
+        // Skip the pipeline-fill blocks when measuring the steady-state II.
+        let warmup = self.fus.min(blocks.saturating_sub(2));
+        let sample = [0, warmup, blocks - 1];
+        let ([first, warm, last], total) = self.law.completions(program, blocks, sample);
+        metrics.latency_cycles = first;
+        metrics.total_cycles = total;
+        metrics.steady_state_ii = if blocks >= 2 {
+            (last as f64 - warm as f64) / (blocks - warmup - 1) as f64
+        } else {
+            first as f64
+        };
+        metrics
     }
 
-    /// The data pass over a checked `workload`.
-    fn execute(&self, workload: &Workload, buffer: &mut ColumnBuffer) -> Result<SimRun, SimError> {
-        let metrics = self.metrics(workload.len());
-        let (outputs, trace) = self.program.evaluate(
+    /// The data pass over a checked `workload`, with `program`, the one
+    /// this was timed from.
+    fn execute(
+        &self,
+        program: HeldProgram,
+        workload: &Workload,
+        buffer: &mut ColumnBuffer,
+    ) -> Result<SimRun, SimError> {
+        let metrics = self.metrics(&program, workload.len());
+        let record = program.record();
+        let (outputs, trace) = program.evaluate(
             workload.records(),
             self.law.closed_at(),
             self.trace_capacity,
@@ -109,7 +132,7 @@ impl SimPlan {
         )?;
         Ok(SimRun {
             outputs,
-            record: self.program.record(),
+            record,
             metrics,
             trace,
         })
@@ -354,11 +377,19 @@ impl OverlaySimulator {
     /// variant, then the first hardware constraint the program violates
     /// (uninitialised register, write-back hazard, stream underflow).
     pub fn plan(&self, compiled: &CompiledKernel) -> Result<SimPlan, SimError> {
-        self.plan_up_to(compiled, PLAN_CAP)
+        let (program, timing) = self.decode_and_time(compiled, PLAN_CAP)?;
+        Ok(SimPlan {
+            program: Arc::new(program),
+            timing,
+        })
     }
 
-    /// [`OverlaySimulator::plan`], stepping at most `cap` lane-blocks.
-    fn plan_up_to(&self, compiled: &CompiledKernel, cap: usize) -> Result<SimPlan, SimError> {
+    /// The two passes a plan makes, stepping at most `cap` lane-blocks.
+    fn decode_and_time(
+        &self,
+        compiled: &CompiledKernel,
+        cap: usize,
+    ) -> Result<(Program, Timing), SimError> {
         self.check_variant(compiled)?;
         let program = Program::decode(
             self.variant,
@@ -366,17 +397,17 @@ impl OverlaySimulator {
             compiled.program.num_inputs(),
             &compiled.output_stream_index,
         )?;
-        let law = program.law(cap);
-        Ok(SimPlan {
-            program: Arc::new(program),
-            law,
+        let timing = Timing {
+            law: program.law(cap),
             fus: compiled.num_fus(),
             ops_per_block: compiled.schedule.total_ops(),
             trace_capacity: self.trace_capacity,
-        })
+        };
+        Ok((program, timing))
     }
 
-    /// Runs `compiled` over `workload`: its [`plan`](Self::plan), run once.
+    /// Runs `compiled` over `workload`: what its [`plan`](Self::plan) would
+    /// run, planned for this run alone.
     ///
     /// # Errors
     ///
@@ -388,10 +419,15 @@ impl OverlaySimulator {
         // The workload is checked ahead of the kernel, as `validate` does.
         check_workload(compiled.program.num_inputs(), workload)?;
         // A plan for this run alone times no lane-block the run does not
-        // have.
+        // have, and hands its program to the run's trace rather than
+        // sharing it.
         let lane_blocks = workload.len().div_ceil(self.variant.datapath_lanes());
-        self.plan_up_to(compiled, lane_blocks.min(PLAN_CAP))?
-            .execute(workload, &mut ColumnBuffer::default())
+        let (program, timing) = self.decode_and_time(compiled, lane_blocks.min(PLAN_CAP))?;
+        timing.execute(
+            HeldProgram::Owned(program),
+            workload,
+            &mut ColumnBuffer::default(),
+        )
     }
 }
 
@@ -400,9 +436,6 @@ impl OverlaySimulator {
 fn check_workload(inputs: usize, workload: &Workload) -> Result<(), SimError> {
     if workload.is_empty() {
         return Err(SimError::EmptyWorkload);
-    }
-    if workload.width() == Some(inputs) {
-        return Ok(());
     }
     for (index, record) in workload.records().iter().enumerate() {
         if record.len() != inputs {
@@ -461,7 +494,7 @@ mod tests {
                 let plan = OverlaySimulator::new(variant)
                     .plan(&compile(benchmark, variant))
                     .unwrap();
-                let closed_at = plan.law.closed_at();
+                let closed_at = plan.timing.law.closed_at();
                 assert!(
                     closed_at.is_some_and(|lane_block| lane_block <= 3),
                     "{benchmark} on {variant}: closed at {closed_at:?}"

@@ -1,6 +1,5 @@
 //! Input workloads for simulation runs.
 
-use std::fmt;
 use std::sync::Arc;
 
 use overlay_dfg::Value;
@@ -23,29 +22,16 @@ use rand::rngs::StdRng;
 /// let explicit = Workload::from_records(vec![vec![Value::new(1), Value::new(2)]]);
 /// assert_eq!(explicit.len(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
-    /// One pointer, so a request that holds its workload stays small.
-    shared: Arc<Shared>,
-}
-
-#[derive(PartialEq, Eq)]
-struct Shared {
-    records: Vec<Vec<Value>>,
-    /// The width of every record, when they all have the same one: what
-    /// lets a run check the workload without reading every record again.
-    width: Option<usize>,
+    records: Arc<[Vec<Value>]>,
 }
 
 impl Workload {
     /// Wraps explicit records.
     pub fn from_records(records: Vec<Vec<Value>>) -> Self {
-        let width = records
-            .first()
-            .map(Vec::len)
-            .filter(|&width| records.iter().all(|record| record.len() == width));
         Workload {
-            shared: Arc::new(Shared { records, width }),
+            records: records.into(),
         }
     }
 
@@ -72,38 +58,25 @@ impl Workload {
 
     /// The invocation records.
     pub fn records(&self) -> &[Vec<Value>] {
-        &self.shared.records
+        &self.records
     }
 
     /// Number of invocations.
     pub fn len(&self) -> usize {
-        self.shared.records.len()
+        self.records.len()
     }
 
     /// Whether the workload is empty.
     pub fn is_empty(&self) -> bool {
-        self.shared.records.is_empty()
-    }
-
-    /// The number of words in every record, if there is at least one record
-    /// and they all have the same number.
-    pub(crate) fn width(&self) -> Option<usize> {
-        self.shared.width
+        self.records.is_empty()
     }
 }
 
 impl FromIterator<Vec<Value>> for Workload {
     fn from_iter<T: IntoIterator<Item = Vec<Value>>>(iter: T) -> Self {
-        Workload::from_records(iter.into_iter().collect())
-    }
-}
-
-/// Formats the records alone, as a workload always has.
-impl fmt::Debug for Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Workload")
-            .field("records", &self.shared.records)
-            .finish()
+        Workload {
+            records: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -130,20 +103,5 @@ mod tests {
     fn collects_from_iterator() {
         let w: Workload = (0..4).map(|i| vec![Value::new(i)]).collect();
         assert_eq!(w.len(), 4);
-    }
-
-    #[test]
-    fn a_workload_knows_its_width_only_when_every_record_shares_it() {
-        assert_eq!(Workload::ramp(3, 5).width(), Some(3));
-        assert_eq!(Workload::ramp(0, 2).width(), Some(0));
-        assert_eq!(Workload::from_records(vec![]).width(), None);
-        let ragged = Workload::from_records(vec![vec![Value::new(1); 2], vec![Value::new(1); 3]]);
-        assert_eq!(ragged.width(), None);
-        assert_eq!(size_of::<Workload>(), size_of::<usize>());
-        // The width is not part of what a workload prints.
-        assert_eq!(
-            format!("{:?}", Workload::ramp(1, 1)),
-            "Workload { records: [[Value(0)]] }"
-        );
     }
 }

@@ -1,12 +1,11 @@
 //! Allocation regression tests for `OverlaySimulator::run` and `SimPlan`.
 //!
-//! A run allocates the same handful of buffers whatever it simulates: the
-//! plan (the decoded program, the timing pass's row and law), the data
-//! pass's columns and the one buffer every block's outputs go to, plus,
-//! when it keeps events, the buffer of their values. A planned run with a
-//! kept column buffer allocates its outputs alone. This file pins that with
-//! a counting allocator; it
-//! is an integration-test crate so that the library keeps
+//! A run allocates the same handful of buffers whatever it simulates: its
+//! plan (the decoded program and the timing law), the data pass's columns
+//! and the one buffer every block's outputs go to, plus, when it keeps
+//! events, the buffer of their values. A planned run with a kept column
+//! buffer allocates its outputs alone. This file pins that with a counting
+//! allocator; it is an integration-test crate so that the library keeps
 //! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -146,15 +145,15 @@ fn a_run_allocates_the_same_few_buffers_whatever_it_simulates() {
 fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
     // The per-block interpreter this engine replaced made 10 allocations
     // for a 2-block untraced run (measured at its last commit, the same for
-    // all three programs). A one-shot run makes 7: its plan's shared
-    // program, decoded steps and stages, the timing pass's row and the law's
-    // table, then the data pass's columns and the output buffer (none of
-    // the three kernels preloads constants, whose values would be one
-    // more). It made 5 while the timing pass ran per run and the program
-    // moved into the trace.
+    // all three programs). A one-shot run makes 5: the decoded steps and
+    // stages, the timing law (its table, the row the pass steps and the
+    // ring of `max` arguments are one allocation), the data pass's columns
+    // and the output buffer (none of the three kernels preloads constants,
+    // whose values would be one more). Its program is never shared, so it
+    // is not put in an `Arc`: a trace takes it by move.
     for (name, variant, compiled, workload) in kernels() {
         let (count, _) = allocations(variant, &compiled, &workload, 2, 0);
-        assert_eq!(count, 7, "{name}: {count} allocations for 2 blocks");
+        assert_eq!(count, 5, "{name}: {count} allocations for 2 blocks");
     }
 }
 

@@ -137,3 +137,33 @@ fn random_programs_end_in_a_typed_error_or_a_trace_that_unpacks() {
     assert!(runs >= CASES / 20, "{runs} runs, {errors} errors");
     assert!(kinds.len() >= 3, "{} kinds of error", kinds.len());
 }
+
+#[test]
+fn a_plan_answers_block_counts_no_workload_could_hold() {
+    // A run's block count is bounded by a workload in memory, a plan's
+    // metrics query by nothing: past what a `usize` holds, cycle counts
+    // saturate rather than wrap.
+    for benchmark in Benchmark::ALL {
+        let dfg = benchmark.dfg().unwrap();
+        for variant in FuVariant::ALL {
+            let stages = schedule(&dfg, variant, Some(8)).unwrap();
+            let compiled = generate_program(&dfg, &stages, variant).unwrap();
+            let plan = OverlaySimulator::new(variant).plan(&compiled).unwrap();
+            let mut previous = plan.metrics(1 << 20);
+            for blocks in [1 << 40, usize::MAX / 2, usize::MAX - 1, usize::MAX] {
+                let metrics = plan.metrics(blocks);
+                let case = format!("{benchmark} on {variant}, {blocks} blocks");
+                assert_eq!(metrics.blocks, blocks, "{case}");
+                assert_eq!(metrics.latency_cycles, previous.latency_cycles, "{case}");
+                assert!(metrics.total_cycles >= previous.total_cycles, "{case}");
+                assert!(metrics.steady_state_ii.is_finite(), "{case}");
+                previous = metrics;
+            }
+            assert_eq!(
+                previous.total_cycles,
+                usize::MAX,
+                "{benchmark} on {variant}"
+            );
+        }
+    }
+}
