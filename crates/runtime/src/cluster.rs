@@ -21,12 +21,16 @@
 //! A 1-device cluster is the degenerate case, and it is what a [`Runtime`]
 //! is: routing collapses to device 0 and no image is ever acquired (they
 //! enter the store at compile time). The one event loop here is compiled in
-//! two tiers — `plain` for one device with no fault plan, no session driver
-//! and replication off, where every routing, fault and session step folds
-//! away at compile time; `fleet` for everything else — and a serve picks its
-//! tier once, from what it can observe. `tests/runtime_equivalence.rs` holds
-//! a one-device cluster forced onto the fleet tier to the plain tier
-//! **bitwise** on randomized traces.
+//! two tiers — `plain` for one device with no fault plan installed, no
+//! session driver and replication off, where every routing, fault and
+//! session step folds away at compile time; `fleet` for everything else —
+//! and a serve picks its tier once, from what it can observe. Every fleet
+//! serve arms the fault state, from no events when no plan is installed, so
+//! a fault-free fleet serve *is* the empty-plan serve and routing, transfer
+//! pricing and fault accounting each have one implementation.
+//! `tests/runtime_equivalence.rs` holds a one-device cluster forced onto the
+//! fleet tier (by an empty plan) to the plain tier **bitwise** on randomized
+//! traces.
 //!
 //! # Example
 //!
@@ -74,8 +78,8 @@ use crate::metrics::{self, BatchStats, DeviceMetrics, ReplicationStats, RuntimeM
 use crate::obs;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
-    power_of_two_pair, power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet,
-    RoutePolicy, Routed, TransferModel,
+    power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet, RoutePolicy, Routed,
+    TransferModel,
 };
 use crate::session::driver::{class_metrics_from, ArrivalAction, SessionDriver};
 use crate::session::{
@@ -294,13 +298,13 @@ struct ClusterState<'t> {
     profiler: obs::StageProfiler,
     /// Cluster-wide queue depth sampled at every event pop.
     queue_depth_hist: obs::LogHistogram,
-    /// Per global tile: the intake index currently running there.
-    /// Maintained only under a fault plan (kills must know what to
-    /// abandon) or a session driver.
+    /// Per global tile, fleet tier only: the intake index currently running
+    /// there (kills must know what to abandon, and the session tier which
+    /// stage a tile-free event commits).
     running_index: Vec<Option<usize>>,
-    /// Per global tile: the completion time of the run the tile is waiting
-    /// on. Under a fault plan, a tile-free event that does not match is a
-    /// stale completion of evacuated work and is dropped.
+    /// Per global tile, fleet tier only: the completion time of the run the
+    /// tile is waiting on. A tile-free event that does not match is a stale
+    /// completion of work a kill evacuated and is dropped.
     pending_free: Vec<Option<f64>>,
     /// The session tier's driver, present only on the
     /// [`Cluster::serve_pipelines`] multi-stage path.
@@ -358,9 +362,9 @@ pub struct Cluster {
     /// The installed fault schedule, if any ([`Cluster::with_fault_plan`]).
     fault_plan: Option<FaultPlan>,
     /// Per-serve fault state (fleet flags + availability accounting),
-    /// rebuilt from the plan at the start of every serve. `None` — the
-    /// default — keeps every fault branch off the hot path.
-    fault: Option<FaultState>,
+    /// re-armed in place on every fleet serve; a plain-tier serve never
+    /// touches it.
+    fault: FaultState,
     /// Whether pipeline routing may keep a stage near its producer's
     /// output ([`Cluster::with_stage_affinity`]). Only consulted on the
     /// [`Cluster::serve_pipelines`] multi-stage path.
@@ -430,7 +434,7 @@ impl Cluster {
             profiling: false,
             tiles_per_device,
             fault_plan: None,
-            fault: None,
+            fault: FaultState::new(),
             stage_affinity: true,
             session_driver: None,
             telemetry: obs::TelemetryConfig::disabled(),
@@ -868,14 +872,6 @@ impl Cluster {
         })
     }
 
-    /// Whether load-driven choices may pick `device`: always on a
-    /// fault-free serve, otherwise only while it is alive and admitting.
-    fn routable(&self, device: usize) -> bool {
-        self.fault
-            .as_ref()
-            .is_none_or(|fault| fault.available(device))
-    }
-
     /// The least-loaded device `eligible` accepts — O(devices) over the
     /// live per-device load summaries.
     fn least_loaded(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
@@ -886,11 +882,10 @@ impl Cluster {
     /// the fault tier's fleet-wide link multiplier when degradation is
     /// active.
     fn active_transfer(&self) -> TransferModel {
-        match &self.fault {
-            Some(fault) if fault.link_multiplier != 1.0 => {
-                self.transfer.degraded(fault.link_multiplier)
-            }
-            _ => self.transfer,
+        if self.fault.link_multiplier == 1.0 {
+            self.transfer
+        } else {
+            self.transfer.degraded(self.fault.link_multiplier)
         }
     }
 
@@ -990,7 +985,7 @@ impl Cluster {
         let mut by_load: Vec<(usize, usize, usize)> = self
             .devices
             .iter()
-            .filter(|device| self.routable(device.id))
+            .filter(|device| self.fault.available(device.id))
             .map(Device::load_key)
             .collect();
         by_load.sort_unstable();
@@ -1067,87 +1062,18 @@ impl Cluster {
         ((completion, needs_switch, evicts_warm, device), acquisition)
     }
 
-    /// The routing decision at an arrival event: the chosen device plus how
-    /// it will acquire the kernel image (computed once, here). When tracing
-    /// is on, the decision is recorded as a route-choice span carrying every
-    /// candidate's completion estimate — under power-of-two-choices that
-    /// exposes the losing device's estimate next to the winner's.
-    fn route_device(
-        &self,
-        info: &InFlight,
-        now_us: f64,
-        recorder: &mut obs::TraceRecorder,
-    ) -> (usize, Acquisition) {
-        let devices = self.num_devices();
-        let mut candidates: Vec<(usize, f64)> = Vec::new();
-        let (device, acquisition) = if devices == 1 {
-            (0, Acquisition::Resident)
-        } else {
-            match self.route {
-                RoutePolicy::KernelHash => {
-                    let device = kernel_home(info.view.key.fingerprint, devices);
-                    (
-                        device,
-                        self.peek_acquisition(device, info.view.key, info.image_bytes),
-                    )
-                }
-                RoutePolicy::LeastLoaded => {
-                    let device = self
-                        .least_loaded(|_| true)
-                        .expect("a non-empty cluster always has a least-loaded device");
-                    (
-                        device,
-                        self.peek_acquisition(device, info.view.key, info.image_bytes),
-                    )
-                }
-                RoutePolicy::PowerOfTwoChoices => {
-                    let (first, second) =
-                        power_of_two_pair(info.view.key.fingerprint, info.request.id, devices);
-                    let (a, a_acquisition) = self.completion_estimate(first, info, now_us);
-                    let (b, b_acquisition) = self.completion_estimate(second, info, now_us);
-                    if recorder.enabled() {
-                        candidates.push((a.3, a.0));
-                        candidates.push((b.3, b.0));
-                    }
-                    if b < a {
-                        (b.3, b_acquisition)
-                    } else {
-                        (a.3, a_acquisition)
-                    }
-                }
-            }
-        };
-        if recorder.enabled() {
-            recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(info.request.id),
-                device,
-                tile: None,
-                kind: obs::SpanKind::RouteChoice(Box::new(obs::RouteChoice {
-                    policy: self.route.label(),
-                    chosen: device,
-                    candidates,
-                })),
-            });
-        }
-        (device, acquisition)
-    }
-
-    /// The fault-aware routing decision: like [`route_device`]
-    /// (same policies, same comparison keys, the same route-choice span)
-    /// but restricted to devices that can actually serve. Devices the
-    /// request was already displaced off are avoided while any other
-    /// serviceable device exists; if only they remain (e.g. the device
+    /// The fleet tier's router, run at every arrival and requeue: the
+    /// chosen device plus how it will acquire the kernel image (computed
+    /// once, here). Only devices that are alive and admitting are eligible.
+    /// Devices the request was already displaced off are avoided while any
+    /// other eligible device exists; if only they remain (e.g. the device
     /// revived), they become eligible again rather than shedding the
-    /// request spuriously. Returns `None` only when no device in the
-    /// fleet is alive and admitting.
-    ///
-    /// With every device available and no exclusions the selectors reduce
-    /// exactly to the fault-free ones, which is what pins an empty
-    /// [`FaultPlan`] bitwise-identical to no plan at all.
-    ///
-    /// [`route_device`]: Cluster::route_device
+    /// request spuriously. Returns `None` only when no device in the fleet
+    /// is alive and admitting — never on a fault-free serve, where every
+    /// device is eligible and no request carries exclusions. When tracing
+    /// is on, the decision is recorded as a route-choice span carrying
+    /// every candidate's completion estimate — under power-of-two-choices
+    /// that exposes the losing device's estimate next to the winner's.
     fn route_device_excluding(
         &self,
         info: &InFlight,
@@ -1155,14 +1081,10 @@ impl Cluster {
         exclusions: &ExclusionSet,
         recorder: &mut obs::TraceRecorder,
     ) -> Option<(usize, Acquisition)> {
-        let fault = self
-            .fault
-            .as_ref()
-            .expect("exclusion routing only runs under a fault plan");
         let mut candidates: Vec<(usize, f64)> = Vec::new();
         let want_candidates = recorder.enabled();
-        let strict = |device: usize| fault.available(device) && !exclusions.contains(device);
-        let relaxed = |device: usize| fault.available(device);
+        let strict = |device: usize| self.fault.available(device) && !exclusions.contains(device);
+        let relaxed = |device: usize| self.fault.available(device);
         let picked = self
             .pick_eligible(info, now_us, strict, want_candidates, &mut candidates)
             .or_else(|| {
@@ -1327,10 +1249,7 @@ impl Cluster {
             return (routed, acquisition);
         };
         let transfer = self.active_transfer();
-        let alive = |device: usize| match &self.fault {
-            Some(fault) => fault.alive[device],
-            None => true,
-        };
+        let alive = |device: usize| self.fault.alive(device);
         let mut device = routed;
         let mut acquisition = acquisition;
         if driver.affinity {
@@ -1338,10 +1257,7 @@ impl Cluster {
                 let eligible = target != routed
                     && target < self.num_devices()
                     && !rows[index].exclusions.contains(target)
-                    && match &self.fault {
-                        Some(fault) => fault.available(target),
-                        None => true,
-                    };
+                    && self.fault.available(target);
                 if eligible {
                     let (cost_routed, _) = driver.activation_plan(index, routed, &transfer, alive);
                     let (cost_target, _) = driver.activation_plan(index, target, &transfer, alive);
@@ -1382,10 +1298,7 @@ impl Cluster {
         } = state;
         let Some(driver) = session else { return };
         let transfer = self.active_transfer();
-        let alive = |device: usize| match &self.fault {
-            Some(fault) => fault.alive[device],
-            None => true,
-        };
+        let alive = |device: usize| self.fault.alive(device);
         let (cost_us, moved) = driver.activation_plan(index, device, &transfer, alive);
         driver.commit_activation(index, cost_us, moved.len());
         if recorder.enabled() {
@@ -1450,11 +1363,7 @@ impl Cluster {
         intake: &[InFlight],
         state: &mut ClusterState,
     ) {
-        let kind = self
-            .fault
-            .as_mut()
-            .expect("fault events only fire under a fault plan")
-            .apply(fault_index, now_us);
+        let kind = self.fault.apply(fault_index, now_us);
         if state.recorder.enabled() {
             let (device, span) = match kind {
                 FaultKind::Kill { device } => (device, obs::SpanKind::DeviceDown),
@@ -1505,8 +1414,7 @@ impl Cluster {
                 let outcome = state.outcome_slots[index]
                     .take()
                     .expect("a running request has an outcome slot");
-                let fault = self.fault.as_mut().expect("kill fires under a fault plan");
-                fault.lost_work_us[device] += (now_us - outcome.start_us).max(0.0);
+                self.fault.device_mut(device).lost_work_us += (now_us - outcome.start_us).max(0.0);
                 self.displace(index, device, now_us, intake, state);
             }
             for index in state.queues[tile].drain_live(state.taken) {
@@ -1567,10 +1475,7 @@ impl Cluster {
         state: &mut ClusterState,
     ) {
         state.routed[index].exclusions.insert(from_device);
-        self.fault
-            .as_mut()
-            .expect("displacement only happens under faults")
-            .requeues[from_device] += 1;
+        self.fault.device_mut(from_device).requeues += 1;
         state.events.push(now_us, EventKind::Requeue { index });
         if state.recorder.enabled() {
             state.recorder.record(obs::TraceEvent {
@@ -1599,7 +1504,7 @@ impl Cluster {
                 continue; // no surviving holder to source the image from
             };
             let Some(target) = self.least_loaded(|id| {
-                self.routable(id)
+                self.fault.available(id)
                     && !self.devices[id].cache.contains(&key)
                     && self.devices[id].cache.len() < self.devices[id].cache.capacity()
             }) else {
@@ -1634,17 +1539,19 @@ impl Cluster {
     /// loop, folds its output into a report and takes both back on every
     /// exit path — a serve that fails costs the next one nothing.
     fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
-        // Validate and arm the fault schedule before the loop starts.
-        // An installed-but-empty plan still builds a `FaultState`, so the
-        // fault code path itself is exercised (and pinned bitwise-identical
-        // to a plan-free serve by the equivalence proptests).
-        self.fault = match &self.fault_plan {
-            Some(plan) => Some(FaultState::new(
-                plan.validated(self.num_devices())?,
-                self.num_devices(),
-            )),
-            None => None,
-        };
+        // One device with nothing to route around, no stage to park and no
+        // image to push serves on the plain tier; everything else is a
+        // fleet. An installed plan, even an empty one, makes a fleet.
+        let fleet = self.num_devices() > 1
+            || self.fault_plan.is_some()
+            || self.session_driver.is_some()
+            || self.replication.enabled();
+        // Every fleet serve validates and arms the fault schedule before the
+        // loop starts — from no events when no plan is installed.
+        if fleet {
+            self.fault
+                .arm(self.fault_plan.as_ref(), self.num_devices())?;
+        }
         for device in &mut self.devices {
             device.pool.reset();
             device.dispatcher.reset();
@@ -1654,13 +1561,6 @@ impl Cluster {
         let memo_before = self.sim_memo.stats();
         let mut tables = std::mem::take(&mut self.tables);
         let mut recorder = self.trace_scratch.take_warm(self.tracing);
-
-        // One device with nothing to route around, no stage to park and no
-        // image to push serves on the plain tier; everything else is a fleet.
-        let fleet = self.num_devices() > 1
-            || self.fault.is_some()
-            || self.session_driver.is_some()
-            || self.replication.enabled();
         let output = if fleet {
             self.event_loop::<true>(ingest, &mut tables, &mut recorder)
         } else {
@@ -1752,9 +1652,8 @@ impl Cluster {
         }
         let session = self.session_driver.take();
         // Kills must know what to abandon, and the session tier which stage
-        // a tile-free event commits; nobody else tracks runs per tile.
-        let tracks_runs = FLEET && (self.fault.is_some() || session.is_some());
-        let run_slots = if tracks_runs { total_tiles } else { 0 };
+        // a tile-free event commits; the plain tier has neither.
+        let run_slots = if FLEET { total_tiles } else { 0 };
         let intake = &mut tables.intake;
         let mut state = ClusterState {
             queues: (0..total_tiles)
@@ -1787,8 +1686,8 @@ impl Cluster {
         // Arm the fault schedule: pre-pushed at virtual time zero, the
         // fault events hold the lowest sequence numbers and therefore fire
         // ahead of arrivals and completions at the same instant.
-        if let (true, Some(fault)) = (FLEET, &self.fault) {
-            for (index, event) in fault.events.iter().enumerate() {
+        if FLEET {
+            for (index, event) in self.fault.events.iter().enumerate() {
                 state
                     .events
                     .push(event.time_us, EventKind::Fault { fault: index });
@@ -1837,18 +1736,14 @@ impl Cluster {
                     // the artifact is built (or found) in the home
                     // device's store; other devices adopt the image
                     // when routing first sends the kernel their way.
-                    // Under faults a dead home must not hold the image
-                    // (its store is conceptually gone), so authority
-                    // walks to the next living device — or stays put
-                    // when the whole fleet is down.
+                    // A dead home must not hold the image (its store is
+                    // conceptually gone), so authority walks to the next
+                    // living device — or stays put when the whole fleet
+                    // is down.
                     let home = if FLEET {
                         let fingerprint = request.kernel.fingerprint();
-                        let home = kernel_home(fingerprint, devices);
-                        match &self.fault {
-                            Some(f) => kernel_home_eligible(fingerprint, devices, |d| f.alive[d])
-                                .unwrap_or(home),
-                            None => home,
-                        }
+                        kernel_home_eligible(fingerprint, devices, |d| self.fault.alive(d))
+                            .unwrap_or_else(|| kernel_home(fingerprint, devices))
                     } else {
                         0
                     };
@@ -1932,9 +1827,7 @@ impl Cluster {
                         self.replicate(info, now_us, &mut state);
                     }
                     let route = state.profiler.begin();
-                    let routed = if !FLEET {
-                        Some((0, Acquisition::Resident))
-                    } else if self.fault.is_some() {
+                    let routed = if FLEET {
                         self.route_device_excluding(
                             info,
                             now_us,
@@ -1942,7 +1835,7 @@ impl Cluster {
                             state.recorder,
                         )
                     } else {
-                        Some(self.route_device(info, now_us, state.recorder))
+                        Some((0, Acquisition::Resident))
                     };
                     self.place_routed::<FLEET>(index, routed, route, true, intake, &mut state)?;
                 }
@@ -1952,7 +1845,7 @@ impl Cluster {
                     } else {
                         (0, tile)
                     };
-                    if FLEET && (self.fault.is_some() || state.session.is_some()) {
+                    if FLEET {
                         // A kill evacuated this tile after the completion
                         // event was scheduled: the event is a stale echo of
                         // abandoned work, and releasing on it would free a
@@ -2384,7 +2277,7 @@ impl Cluster {
             deadline_us: request.deadline_us,
             missed_deadline,
         });
-        if FLEET && (self.fault.is_some() || state.session.is_some()) {
+        if FLEET {
             // Kills must know what to abandon, and stale completions of
             // abandoned work must be told apart from this run's. The
             // session tier reads the same bookkeeping to learn which stage
@@ -2478,6 +2371,7 @@ impl Cluster {
             .map(|((device, sums), tally)| {
                 let id = device.id;
                 let states = device.pool.states();
+                let faults = self.fault.device(id);
                 let latencies = &mut latencies[sums.end - sums.requests..sums.end];
                 DeviceMetrics {
                     device: id,
@@ -2498,13 +2392,10 @@ impl Cluster {
                     transfers_in: tally.transfers,
                     transfer_bytes_in: tally.transfer_bytes,
                     host_loads: tally.host_loads,
-                    availability: self
-                        .fault
-                        .as_ref()
-                        .map_or(1.0, |f| f.availability(id, makespan_us)),
-                    faults: self.fault.as_ref().map_or(0, |f| f.faults[id]),
-                    requeues_out: self.fault.as_ref().map_or(0, |f| f.requeues[id]),
-                    lost_work_us: self.fault.as_ref().map_or(0.0, |f| f.lost_work_us[id]),
+                    availability: faults.availability(makespan_us),
+                    faults: faults.faults,
+                    requeues_out: faults.requeues,
+                    lost_work_us: faults.lost_work_us,
                 }
             })
             .collect();

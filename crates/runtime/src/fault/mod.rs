@@ -29,9 +29,11 @@
 //!   transfers get pricier and acquisition shifts toward host loads, in
 //!   both the charged costs and the completion estimates routing compares.
 //!
-//! With no plan installed (the default) none of this code runs and the
-//! cluster is bitwise identical to the pre-fault runtime — pinned by the
-//! `tests/runtime_equivalence.rs` proptests. The zero-loss invariant under
+//! With no plan installed (the default) nothing is scheduled: a fleet serve
+//! arms its fault state from no events and every device stays available,
+//! so the serve is bitwise identical to one under an empty plan — pinned
+//! across all three routing policies by the `tests/runtime_equivalence.rs`
+//! proptests. The zero-loss invariant under
 //! faults — every admitted request appears exactly once in outcomes or
 //! rejects as long as one device survives — is pinned by
 //! `tests/fault_tolerance.rs`.
@@ -207,11 +209,10 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Validates the plan against a fleet of `devices` and returns its
-    /// events sorted by time (stable: same-instant faults keep insertion
-    /// order). Rejects non-finite or negative times, device targets outside
-    /// the fleet, and non-positive or non-finite link multipliers.
-    pub(crate) fn validated(&self, devices: usize) -> Result<Vec<FaultEvent>, RuntimeError> {
+    /// Validates the plan against a fleet of `devices`: rejects non-finite
+    /// or negative times, device targets outside the fleet, and
+    /// non-positive or non-finite link multipliers.
+    fn validate(&self, devices: usize) -> Result<(), RuntimeError> {
         for event in &self.events {
             if !event.time_us.is_finite() || event.time_us < 0.0 {
                 return Err(RuntimeError::InvalidFaultPlan {
@@ -240,55 +241,147 @@ impl FaultPlan {
                 }
             }
         }
-        let mut events = self.events.clone();
-        events.sort_by(|a, b| a.time_us.total_cmp(&b.time_us));
-        Ok(events)
+        Ok(())
+    }
+}
+
+/// One device's fault flags and accounting.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeviceFaults {
+    /// Not currently killed.
+    pub(crate) alive: bool,
+    /// Currently draining (alive but not admitting).
+    draining: bool,
+    /// When the current unavailability window opened.
+    down_since: Option<f64>,
+    /// Accumulated closed unavailability windows, microseconds.
+    unavailable_us: f64,
+    /// Kills + drains that hit it.
+    pub(crate) faults: usize,
+    /// Requests displaced off it (queued or running).
+    pub(crate) requeues: usize,
+    /// Virtual microseconds of started-but-abandoned work.
+    pub(crate) lost_work_us: f64,
+}
+
+impl DeviceFaults {
+    /// A device no fault has touched.
+    const PRISTINE: DeviceFaults = DeviceFaults {
+        alive: true,
+        draining: false,
+        down_since: None,
+        unavailable_us: 0.0,
+        faults: 0,
+        requeues: 0,
+        lost_work_us: 0.0,
+    };
+
+    /// Whether the device currently admits routed work.
+    fn available(&self) -> bool {
+        self.alive && !self.draining
+    }
+
+    /// Opens or closes the device's unavailability window after a flag
+    /// flip. Idempotent for same-state repeats (killing a dead device or
+    /// draining a drained one extends the same window).
+    fn note_transition(&mut self, now_us: f64) {
+        if self.available() {
+            if let Some(since) = self.down_since.take() {
+                self.unavailable_us += (now_us - since).max(0.0);
+            }
+        } else if self.down_since.is_none() {
+            self.down_since = Some(now_us);
+        }
+    }
+
+    /// The device's total unavailable time by the end of a serve spanning
+    /// `makespan_us` (closing any still-open window).
+    fn unavailable_total_us(&self, makespan_us: f64) -> f64 {
+        let open = self
+            .down_since
+            .map_or(0.0, |since| (makespan_us - since).max(0.0));
+        self.unavailable_us + open
+    }
+
+    /// The fraction of the serve's makespan the device was admitting work
+    /// (1.0 for a zero-length serve, clamped to [0, 1]).
+    pub(crate) fn availability(&self, makespan_us: f64) -> f64 {
+        if makespan_us <= 0.0 {
+            return 1.0;
+        }
+        (1.0 - self.unavailable_total_us(makespan_us) / makespan_us).clamp(0.0, 1.0)
     }
 }
 
 /// Per-serve fault state: the validated schedule, the live fleet flags, and
 /// the availability/requeue accounting the cluster loop maintains as faults
-/// fire. Rebuilt at the start of every faulty serve.
+/// fire. Re-armed on every fleet serve — from the installed plan, or from no
+/// events when none is installed — in place, so a warm serve allocates
+/// nothing for it. Until its first arming it has no device rows and every
+/// device reads as untouched: a plain-tier serve never arms it.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     /// The validated, time-sorted schedule.
     pub(crate) events: Vec<FaultEvent>,
-    /// Per device: not currently killed.
-    pub(crate) alive: Vec<bool>,
-    /// Per device: currently draining (alive but not admitting).
-    pub(crate) draining: Vec<bool>,
     /// Fleet-wide link slowdown currently in force.
     pub(crate) link_multiplier: f64,
-    /// Per device: when the current unavailability window opened.
-    down_since: Vec<Option<f64>>,
-    /// Per device: accumulated closed unavailability windows, microseconds.
-    unavailable_us: Vec<f64>,
-    /// Per device: kills + drains that hit it.
-    pub(crate) faults: Vec<usize>,
-    /// Per device: requests displaced off it (queued or running).
-    pub(crate) requeues: Vec<usize>,
-    /// Per device: virtual microseconds of started-but-abandoned work.
-    pub(crate) lost_work_us: Vec<f64>,
+    /// Per device: flags and accounting.
+    devices: Vec<DeviceFaults>,
 }
 
 impl FaultState {
-    pub(crate) fn new(events: Vec<FaultEvent>, devices: usize) -> Self {
+    /// An unarmed state: no schedule, no device rows, full-speed links.
+    pub(crate) const fn new() -> Self {
         FaultState {
-            events,
-            alive: vec![true; devices],
-            draining: vec![false; devices],
+            events: Vec::new(),
             link_multiplier: 1.0,
-            down_since: vec![None; devices],
-            unavailable_us: vec![0.0; devices],
-            faults: vec![0; devices],
-            requeues: vec![0; devices],
-            lost_work_us: vec![0.0; devices],
+            devices: Vec::new(),
         }
+    }
+
+    /// Arms the state for a serve on `devices` devices: validates `plan`
+    /// (no plan schedules nothing), takes its events sorted by time
+    /// (stable: same-instant faults keep insertion order) and resets every
+    /// flag and counter. On an invalid plan the state is left as it was.
+    pub(crate) fn arm(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        devices: usize,
+    ) -> Result<(), RuntimeError> {
+        let events: &[FaultEvent] = match plan {
+            Some(plan) => {
+                plan.validate(devices)?;
+                plan.events()
+            }
+            None => &[],
+        };
+        self.events.clear();
+        self.events.extend_from_slice(events);
+        self.events.sort_by(|a, b| a.time_us.total_cmp(&b.time_us));
+        self.link_multiplier = 1.0;
+        self.devices.clear();
+        self.devices.resize(devices, DeviceFaults::PRISTINE);
+        Ok(())
+    }
+
+    /// `device`'s flags and accounting (untouched before the first arming).
+    pub(crate) fn device(&self, device: usize) -> &DeviceFaults {
+        self.devices.get(device).unwrap_or(&DeviceFaults::PRISTINE)
+    }
+
+    /// `device`'s row, to account a requeue or lost work on an armed state.
+    pub(crate) fn device_mut(&mut self, device: usize) -> &mut DeviceFaults {
+        &mut self.devices[device]
+    }
+
+    /// Whether `device` is not currently killed.
+    pub(crate) fn alive(&self, device: usize) -> bool {
+        self.device(device).alive
     }
 
     /// Whether `device` currently admits routed work.
     pub(crate) fn available(&self, device: usize) -> bool {
-        self.alive[device] && !self.draining[device]
+        self.device(device).available()
     }
 
     /// Applies fault `index` of the schedule at virtual time `now_us`,
@@ -299,65 +392,41 @@ impl FaultState {
         let kind = self.events[index].kind;
         match kind {
             FaultKind::Kill { device } => {
-                self.alive[device] = false;
-                self.faults[device] += 1;
+                self.devices[device].alive = false;
+                self.devices[device].faults += 1;
             }
             FaultKind::Revive { device } => {
-                self.alive[device] = true;
-                self.draining[device] = false;
+                self.devices[device].alive = true;
+                self.devices[device].draining = false;
             }
             FaultKind::Drain { device } => {
-                self.draining[device] = true;
-                self.faults[device] += 1;
+                self.devices[device].draining = true;
+                self.devices[device].faults += 1;
             }
             FaultKind::Undrain { device } => {
-                self.draining[device] = false;
+                self.devices[device].draining = false;
             }
             FaultKind::DegradeLinks { multiplier } => {
                 self.link_multiplier = multiplier;
             }
         }
         if let Some(device) = kind.device() {
-            self.note_transition(device, now_us);
+            self.devices[device].note_transition(now_us);
         }
         kind
-    }
-
-    /// Opens or closes the device's unavailability window after a flag
-    /// flip. Idempotent for same-state repeats (killing a dead device or
-    /// draining a drained one extends the same window).
-    fn note_transition(&mut self, device: usize, now_us: f64) {
-        if self.available(device) {
-            if let Some(since) = self.down_since[device].take() {
-                self.unavailable_us[device] += (now_us - since).max(0.0);
-            }
-        } else if self.down_since[device].is_none() {
-            self.down_since[device] = Some(now_us);
-        }
-    }
-
-    /// The device's total unavailable time by the end of a serve spanning
-    /// `makespan_us` (closing any still-open window).
-    pub(crate) fn unavailable_total_us(&self, device: usize, makespan_us: f64) -> f64 {
-        let open = self.down_since[device]
-            .map(|since| (makespan_us - since).max(0.0))
-            .unwrap_or(0.0);
-        self.unavailable_us[device] + open
-    }
-
-    /// The fraction of the serve's makespan the device was admitting work
-    /// (1.0 for a zero-length serve, clamped to [0, 1]).
-    pub(crate) fn availability(&self, device: usize, makespan_us: f64) -> f64 {
-        if makespan_us <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - self.unavailable_total_us(device, makespan_us) / makespan_us).clamp(0.0, 1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A state armed with `plan` for a fleet of `devices`.
+    fn armed(plan: &FaultPlan, devices: usize) -> Result<FaultState, RuntimeError> {
+        let mut state = FaultState::new();
+        state.arm(Some(plan), devices)?;
+        Ok(state)
+    }
 
     #[test]
     fn plans_build_fluently_and_validate_sorted() {
@@ -367,7 +436,7 @@ mod tests {
             .degrade_links(400.0, 8.0);
         assert_eq!(plan.events().len(), 3);
         assert!(!plan.is_empty());
-        let events = plan.validated(2).expect("valid plan");
+        let events = armed(&plan, 2).expect("valid plan").events;
         assert!((events[0].time_us, events[1].time_us, events[2].time_us) == (100.0, 400.0, 900.0));
         assert!(matches!(events[0].kind, FaultKind::Kill { device: 1 }));
         assert!(FaultPlan::new().is_empty());
@@ -385,16 +454,20 @@ mod tests {
                 "multiplier",
             ),
         ] {
-            let err = plan.validated(4).expect_err("must reject");
+            let err = armed(&plan, 4).expect_err("must reject");
             assert!(err.to_string().contains(needle), "{err} lacks {needle:?}");
         }
+        // A rejected plan leaves an armed state as it was.
+        let mut state = armed(&FaultPlan::new().kill(5.0, 1), 2).unwrap();
+        assert!(state.arm(Some(&FaultPlan::new().drain(5.0, 9)), 2).is_err());
+        assert_eq!(state.events.len(), 1);
     }
 
     #[test]
     fn scripts_compose_rolling_upgrades_and_blips() {
         let upgrade = FaultPlan::rolling_upgrade(3, 100.0, 50.0, 200.0);
         assert_eq!(upgrade.events().len(), 6);
-        let events = upgrade.validated(3).unwrap();
+        let events = armed(&upgrade, 3).unwrap().events;
         // Drain/undrain alternate and at most one device is out at a time.
         assert!(matches!(events[0].kind, FaultKind::Drain { device: 0 }));
         assert!(matches!(events[1].kind, FaultKind::Undrain { device: 0 }));
@@ -402,7 +475,7 @@ mod tests {
         let blip = FaultPlan::blip(2, 300.0, 75.0);
         let merged = upgrade.merged(blip);
         assert_eq!(merged.events().len(), 8);
-        assert!(merged.validated(2).is_err(), "blip device out of range");
+        assert!(armed(&merged, 2).is_err(), "blip device out of range");
     }
 
     #[test]
@@ -413,8 +486,7 @@ mod tests {
             .revive(300.0, 0)
             .undrain(250.0, 1)
             .degrade_links(150.0, 4.0);
-        let events = plan.validated(2).unwrap();
-        let mut state = FaultState::new(events, 2);
+        let mut state = armed(&plan, 2).unwrap();
         assert!(state.available(0) && state.available(1));
         assert_eq!(state.link_multiplier, 1.0);
 
@@ -427,7 +499,7 @@ mod tests {
             FaultKind::Drain { device: 1 }
         ));
         assert!(!state.available(0) && !state.available(1));
-        assert!(!state.alive[0] && state.alive[1]);
+        assert!(!state.alive(0) && state.alive(1));
 
         assert!(matches!(
             state.apply(2, 150.0),
@@ -438,24 +510,38 @@ mod tests {
         state.apply(3, 250.0); // undrain device 1
         state.apply(4, 300.0); // revive device 0
         assert!(state.available(0) && state.available(1));
-        assert_eq!(state.unavailable_total_us(0, 1000.0), 200.0);
-        assert_eq!(state.unavailable_total_us(1, 1000.0), 150.0);
-        assert_eq!(state.availability(0, 1000.0), 0.8);
-        assert_eq!(state.availability(1, 1000.0), 0.85);
-        assert_eq!(state.faults, vec![1, 1]);
+        let (zero, one) = (state.device(0), state.device(1));
+        assert_eq!(zero.unavailable_total_us(1000.0), 200.0);
+        assert_eq!(one.unavailable_total_us(1000.0), 150.0);
+        assert_eq!(zero.availability(1000.0), 0.8);
+        assert_eq!(one.availability(1000.0), 0.85);
+        assert_eq!((zero.faults, one.faults), (1, 1));
+
+        // Re-arming resets every flag and counter in place.
+        state.apply(0, 1100.0);
+        state.arm(None, 2).unwrap();
+        assert!(state.events.is_empty() && state.link_multiplier == 1.0);
+        assert!(state.available(0) && state.device(0).faults == 0);
+        assert_eq!(state.device(0).availability(1000.0), 1.0);
     }
 
     #[test]
     fn open_windows_close_at_makespan_and_degenerate_serves_are_full() {
-        let events = FaultPlan::new().kill(400.0, 0).validated(1).unwrap();
-        let mut state = FaultState::new(events, 1);
+        let mut state = armed(&FaultPlan::new().kill(400.0, 0), 1).unwrap();
         state.apply(0, 400.0);
-        assert_eq!(state.unavailable_total_us(0, 1000.0), 600.0);
-        assert_eq!(state.availability(0, 1000.0), 0.4);
+        assert_eq!(state.device(0).unavailable_total_us(1000.0), 600.0);
+        assert_eq!(state.device(0).availability(1000.0), 0.4);
         // Makespan before the fault: nothing lost, clamped sane.
-        assert_eq!(state.availability(0, 0.0), 1.0);
-        let fresh = FaultState::new(Vec::new(), 1);
-        assert_eq!(fresh.availability(0, 0.0), 1.0);
-        assert_eq!(fresh.availability(0, 500.0), 1.0);
+        assert_eq!(state.device(0).availability(0.0), 1.0);
+        // Armed from no plan, or never armed at all: every device is whole.
+        let mut fresh = FaultState::new();
+        for armed in [false, true] {
+            if armed {
+                fresh.arm(None, 1).unwrap();
+            }
+            assert!(fresh.available(0));
+            assert_eq!(fresh.device(0).availability(0.0), 1.0);
+            assert_eq!(fresh.device(0).availability(500.0), 1.0);
+        }
     }
 }

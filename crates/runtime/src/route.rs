@@ -307,29 +307,6 @@ pub(crate) fn kernel_home(fingerprint: u64, devices: usize) -> usize {
     (splitmix64(fingerprint) % devices as u64) as usize
 }
 
-/// The two distinct candidate devices power-of-two-choices probes for a
-/// request: hashed from the kernel fingerprint *and* the request id, so a
-/// kernel's stream of requests spreads its probes while staying a pure
-/// (deterministic) function of the request. With one device both
-/// candidates are device 0.
-pub(crate) fn power_of_two_pair(
-    fingerprint: u64,
-    request_id: u64,
-    devices: usize,
-) -> (usize, usize) {
-    debug_assert!(devices > 0);
-    if devices == 1 {
-        return (0, 0);
-    }
-    let hash = splitmix64(fingerprint ^ splitmix64(request_id));
-    let first = (hash % devices as u64) as usize;
-    let mut second = ((hash >> 32) % (devices as u64 - 1)) as usize;
-    if second >= first {
-        second += 1;
-    }
-    (first, second)
-}
-
 /// A per-request set of devices the router must not pick again — built up
 /// as a request requeues off dead or draining devices, so a retry never
 /// lands back on the device that just failed it. A word-packed bitmask:
@@ -374,20 +351,24 @@ pub(crate) fn kernel_home_eligible(
         .find(|&device| eligible(device))
 }
 
-/// The power-of-two-choices probe pair drawn from the eligible devices
-/// only: the same hash indexes into the (sorted) eligible list, so with
-/// every device eligible this reproduces [`power_of_two_pair`] bit for bit.
-/// A single eligible device probes itself twice; `None` when none is.
+/// The two candidate devices power-of-two-choices probes for a request,
+/// drawn from the eligible devices: hashed from the kernel fingerprint
+/// *and* the request id, so a kernel's stream of requests spreads its
+/// probes while staying a pure (deterministic) function of the request.
+/// The hash picks two distinct ranks among the eligible devices in id
+/// order, and a scan finds each, so nothing is collected; with every
+/// device eligible a rank is the device id. A single eligible device
+/// probes itself twice; `None` when none is.
 pub(crate) fn power_of_two_pair_eligible(
     fingerprint: u64,
     request_id: u64,
     devices: usize,
     eligible: impl Fn(usize) -> bool,
 ) -> Option<(usize, usize)> {
-    let pool: Vec<usize> = (0..devices).filter(|&device| eligible(device)).collect();
-    match pool.len() {
+    let eligible_devices = || (0..devices).filter(|&device| eligible(device));
+    match eligible_devices().count() {
         0 => None,
-        1 => Some((pool[0], pool[0])),
+        1 => eligible_devices().next().map(|only| (only, only)),
         n => {
             let hash = splitmix64(fingerprint ^ splitmix64(request_id));
             let first = (hash % n as u64) as usize;
@@ -395,7 +376,10 @@ pub(crate) fn power_of_two_pair_eligible(
             if second >= first {
                 second += 1;
             }
-            Some((pool[first], pool[second]))
+            Some((
+                eligible_devices().nth(first)?,
+                eligible_devices().nth(second)?,
+            ))
         }
     }
 }
@@ -437,18 +421,22 @@ mod tests {
 
     #[test]
     fn power_of_two_pairs_are_distinct_and_deterministic() {
+        // Every device eligible: the plain probe pair.
+        let pair = |fingerprint: u64, id: u64, devices: usize| {
+            power_of_two_pair_eligible(fingerprint, id, devices, |_| true).unwrap()
+        };
         for devices in 2..=8usize {
             for id in 0..32u64 {
-                let (a, b) = power_of_two_pair(0xFEED, id, devices);
+                let (a, b) = pair(0xFEED, id, devices);
                 assert!(a < devices && b < devices);
                 assert_ne!(a, b, "candidates must differ");
-                assert_eq!((a, b), power_of_two_pair(0xFEED, id, devices));
+                assert_eq!((a, b), pair(0xFEED, id, devices));
             }
         }
-        assert_eq!(power_of_two_pair(7, 7, 1), (0, 0));
+        assert_eq!(pair(7, 7, 1), (0, 0));
         // Different request ids probe different pairs at least sometimes.
         let pairs: std::collections::HashSet<(usize, usize)> =
-            (0..16u64).map(|id| power_of_two_pair(1, id, 8)).collect();
+            (0..16u64).map(|id| pair(1, id, 8)).collect();
         assert!(pairs.len() > 1, "probes must spread across requests");
     }
 
@@ -536,33 +524,45 @@ mod tests {
 
     #[test]
     fn power_of_two_pair_eligible_reduces_and_respects_exclusions() {
+        // The oracle: the pair formula from before eligibility filtering,
+        // the hash's two distinct ranks among `n` candidates (both 0 for one).
+        let ranks = |id: u64, n: usize| {
+            if n == 1 {
+                return (0, 0);
+            }
+            let hash = splitmix64(0xFEED ^ splitmix64(id));
+            let first = (hash % n as u64) as usize;
+            let mut second = ((hash >> 32) % (n as u64 - 1)) as usize;
+            if second >= first {
+                second += 1;
+            }
+            (first, second)
+        };
         for devices in 1..=8usize {
             for id in 0..32u64 {
-                // Everything eligible: exactly the legacy probe pair.
+                // Everything eligible: the ranks are the devices.
                 assert_eq!(
                     power_of_two_pair_eligible(0xFEED, id, devices, |_| true),
-                    Some(power_of_two_pair(0xFEED, id, devices))
+                    Some(ranks(id, devices))
                 );
-                // Nothing eligible: the all-excluded error path.
-                assert_eq!(
-                    power_of_two_pair_eligible(0xFEED, id, devices, |_| false),
-                    None
-                );
+                // Any eligible subset, none included: the ranks index the
+                // eligible devices in id order, so an excluded device is
+                // never probed and a single survivor probes itself twice.
+                for mask in 0..1u32 << devices {
+                    let eligible = |device: usize| mask & (1 << device) != 0;
+                    let pool: Vec<usize> = (0..devices).filter(|&d| eligible(d)).collect();
+                    let expected = (!pool.is_empty()).then(|| {
+                        let (a, b) = ranks(id, pool.len());
+                        (pool[a], pool[b])
+                    });
+                    assert_eq!(
+                        power_of_two_pair_eligible(0xFEED, id, devices, eligible),
+                        expected,
+                        "{devices} devices, mask {mask:#b}, request {id}"
+                    );
+                }
             }
         }
-        // An excluded device is never probed, and the pair stays distinct.
-        for id in 0..64u64 {
-            let (a, b) = power_of_two_pair_eligible(0xBEEF, id, 8, |d| d != 5).unwrap();
-            assert_ne!(a, 5);
-            assert_ne!(b, 5);
-            assert_ne!(a, b);
-            assert!(a < 8 && b < 8);
-        }
-        // A single survivor probes itself twice.
-        assert_eq!(
-            power_of_two_pair_eligible(1, 2, 8, |d| d == 6),
-            Some((6, 6))
-        );
     }
 
     #[test]

@@ -19,8 +19,9 @@ use overlay_arch::{FuVariant, TileComposition};
 use overlay_dfg::Value;
 use overlay_frontend::Benchmark;
 use overlay_runtime::{
-    Cluster, DeviceMetrics, KernelKey, KernelSpec, RejectedRequest, Request, RequestOutcome,
-    Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace, TraceConfig,
+    Cluster, DeviceMetrics, FaultPlan, KernelKey, KernelSpec, RejectedRequest, Request,
+    RequestOutcome, RoutePolicy, Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace,
+    TraceConfig,
 };
 use overlay_sim::Workload;
 
@@ -205,6 +206,22 @@ fn a_warm_serve_allocates_its_report_and_little_else() {
 #[test]
 fn a_warm_cluster_serve_allocates_its_report_and_little_else() {
     let mut cluster = Cluster::new(FuVariant::V4, 4, TILES / 4).unwrap();
+    a_warm_serve_stays_in_budget(|trace| {
+        let report = cluster.serve(trace).unwrap();
+        (report.outcomes().len(), report.metrics().sim_memo.misses)
+    });
+}
+
+#[test]
+fn a_warm_fleet_serve_routes_without_allocating() {
+    // Every fleet serve routes among the eligible devices, and
+    // power-of-two-choices draws its probe pair from them: a pick that
+    // collects them would allocate per routed arrival, and this serve's
+    // count would grow with its trace.
+    let mut cluster = Cluster::new(FuVariant::V4, 4, TILES / 4)
+        .unwrap()
+        .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+        .with_fault_plan(FaultPlan::new());
     a_warm_serve_stays_in_budget(|trace| {
         let report = cluster.serve(trace).unwrap();
         (report.outcomes().len(), report.metrics().sim_memo.misses)
