@@ -32,10 +32,37 @@
 //! cost function, the visiting order and the strict-improvement rule are the
 //! ones the search has always used; a test below holds the cost to the value
 //! a full rebuild of the candidate's schedule gives.
+//!
+//! # Which moves are costed, and why a skipped one could not have won
+//!
+//! The search keeps each cluster's cost for the current partition, whose
+//! maximum is the best cost so far. A move changes only the two clusters
+//! beside the boundary, and is kept only if the new maximum is strictly
+//! below the best cost. It therefore cannot win, and is skipped without
+//! ordering anything, when
+//!
+//! * a cluster it leaves alone already costs the best cost (the maximum
+//!   cannot fall below it), or
+//! * one of the two new ranges has a floor at or above the best cost. The
+//!   floor is `max(#load + 1, #ops + 2)`: `#load` is a table lookup, `#ops`
+//!   a difference of [`DfgAnalysis::level_bounds`], and a range issues at
+//!   least one slot per operation, so its cost is never below the floor.
+//!
+//! Otherwise the lower range is ordered, and the upper one only if the lower
+//! one still costs less than the best. Every move is decided as the
+//! exhaustive search decides it; the tests below hold the two searches to
+//! each other on the paper suite and on generated graphs.
+//!
+//! Ordering a range is event-driven: an op becomes ready `iwp` slots after
+//! its last in-range operand is placed, so the ops wait in a FIFO in the
+//! order they become ready, and a run of NOPs is written at once up to the
+//! next ready time. The tests hold it to the slot-by-slot rescan it replaced
+//! on every range of every graph they try.
 
 use std::cmp::Reverse;
 
 use overlay_dfg::{Dfg, DfgAnalysis, NodeId};
+use overlay_isa::program::DEFAULT_IMEM_CAPACITY;
 
 use crate::asap::level_schedule;
 use crate::error::ScheduleError;
@@ -68,8 +95,10 @@ impl Default for ClusterOptions {
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::ZeroDepth`] for a zero overlay depth and
-/// [`ScheduleError::EmptyKernel`] for graphs without operations.
+/// Returns [`ScheduleError::ZeroDepth`] for a zero overlay depth,
+/// [`ScheduleError::EmptyKernel`] for graphs without operations and
+/// [`ScheduleError::IwpTooLong`] for a kernel that needs clustering under an
+/// IWP no instruction memory of [`DEFAULT_IMEM_CAPACITY`] words can hold.
 ///
 /// # Example
 ///
@@ -105,6 +134,14 @@ pub fn cluster_schedule(
     if kernel_depth <= options.depth {
         return Ok(level_schedule(dfg, &analysis, strategy));
     }
+    // Some cluster now holds two adjacent levels, so a dependent pair at
+    // least `iwp` slots apart: more than `iwp` instruction words on one FU.
+    if options.iwp > DEFAULT_IMEM_CAPACITY {
+        return Err(ScheduleError::IwpTooLong {
+            iwp: options.iwp,
+            capacity: DEFAULT_IMEM_CAPACITY,
+        });
+    }
 
     // 1. Partition the level sequence into `depth` contiguous groups,
     //    balancing the operation count (linear-partition DP), then
@@ -112,28 +149,51 @@ pub fn cluster_schedule(
     //    the worst per-cluster cost.
     let mut boundaries = balanced_partition(analysis.level_bounds(), options.depth);
     let mut search = PartitionCost::new(dfg, &analysis, options.iwp);
-    let mut best_cost = search.cost(&boundaries);
+    let mut costs = Vec::with_capacity(boundaries.len() + 1);
+    let mut start = 0usize;
+    for &end in boundaries.iter().chain([&kernel_depth]) {
+        costs.push(search.range_cost(start, end));
+        start = end;
+    }
+    let mut best_cost = costs.iter().copied().max().unwrap_or(0);
     let mut improved = true;
     while improved {
         improved = false;
         for b in 0..boundaries.len() {
             for delta in [-1isize, 1] {
-                let current = boundaries[b];
-                let moved = current.wrapping_add_signed(delta);
+                let moved = boundaries[b].wrapping_add_signed(delta);
                 // The neighbours fence the move: clusters stay non-empty.
                 let lower = if b == 0 { 0 } else { boundaries[b - 1] };
                 let upper = boundaries.get(b + 1).copied().unwrap_or(kernel_depth);
                 if moved <= lower || moved >= upper {
                     continue;
                 }
-                boundaries[b] = moved;
-                let cost = search.cost(&boundaries);
-                if cost < best_cost {
-                    best_cost = cost;
-                    improved = true;
-                } else {
-                    boundaries[b] = current;
+                // Clusters `b` and `b + 1` become `(lower, moved]` and
+                // `(moved, upper]`; a move that cannot bring the maximum
+                // below `best_cost` is skipped (see the module docs).
+                let unchanged = costs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != b && k != b + 1);
+                let others = unchanged.map(|(_, &cost)| cost).max().unwrap_or(0);
+                if others >= best_cost
+                    || search.floor(lower, moved) >= best_cost
+                    || search.floor(moved, upper) >= best_cost
+                {
+                    continue;
                 }
+                let below = search.range_cost(lower, moved);
+                if below >= best_cost {
+                    continue;
+                }
+                let above = search.range_cost(moved, upper);
+                if above >= best_cost {
+                    continue;
+                }
+                boundaries[b] = moved;
+                (costs[b], costs[b + 1]) = (below, above);
+                best_cost = others.max(below).max(above);
+                improved = true;
             }
         }
     }
@@ -156,19 +216,30 @@ fn balanced_partition(prefix: &[usize], groups: usize) -> Vec<usize> {
     let sum = |a: usize, b: usize| prefix[b] - prefix[a];
 
     // dp[at(g, i)] = (minimal possible maximum group sum splitting the first
-    // i sizes into g groups, where the last of them starts).
+    // i sizes into g groups, where the last of them starts — the earliest
+    // such start on a tie). Only the `i` that leave each later group a size
+    // of its own are ever read back.
     let inf = usize::MAX / 2;
     let at = |g: usize, i: usize| g * (n + 1) + i;
     let mut dp = vec![(inf, 0usize); (groups + 1) * (n + 1)];
     dp[at(0, 0)].0 = 0;
     for g in 1..=groups {
-        for i in g..=n {
-            for j in (g - 1)..i {
-                let candidate = dp[at(g - 1, j)].0.max(sum(j, i));
-                if candidate < dp[at(g, i)].0 {
-                    dp[at(g, i)] = (candidate, j);
+        for i in g..=n - (groups - g) {
+            // The last group's sum only grows as its start moves down, so
+            // once it passes the best maximum no earlier start can reach
+            // that maximum; `<=` keeps the earliest start of a tie.
+            let mut best = (inf, 0);
+            for j in (g - 1..i).rev() {
+                let last = sum(j, i);
+                if last > best.0 {
+                    break;
+                }
+                let candidate = dp[at(g - 1, j)].0.max(last);
+                if candidate <= best.0 {
+                    best = (candidate, j);
                 }
             }
+            dp[at(g, i)] = best;
         }
     }
     // Recover boundaries (exclusive end level index of each group but the last).
@@ -212,11 +283,26 @@ struct PartitionCost<'a> {
     /// first asked for).
     ordered: Vec<Vec<Slot>>,
     ordered_at: Vec<u32>,
-    // `order_cluster`'s working state, addressed by `NodeId::index` and
-    // valid for the cluster in hand only.
-    consumers: Vec<usize>,
-    placed: Vec<usize>,
-    remaining: Vec<NodeId>,
+    // `order_cluster`'s working state, valid for the cluster in hand only:
+    // each op's entry (by `NodeId::index`), and the in-cluster successor
+    // lists back to back, followed by the ops whose in-cluster operands are
+    // all placed, in the order that happened.
+    waiting: Vec<Waiting>,
+    queue: Vec<NodeId>,
+}
+
+/// An op's state while its cluster is ordered.
+#[derive(Clone, Copy, Default)]
+struct Waiting {
+    /// Distinct in-cluster consumers: the pick's priority, and the length of
+    /// the op's successor list.
+    consumers: usize,
+    /// Distinct in-cluster operands not placed yet.
+    operands: usize,
+    /// The first slot the op may issue in, once `operands` is 0.
+    ready_at: usize,
+    /// One past the op's successor list in `queue`.
+    successors_end: usize,
 }
 
 impl<'a> PartitionCost<'a> {
@@ -225,8 +311,10 @@ impl<'a> PartitionCost<'a> {
         // The last level consuming each value; an output node reads its
         // source past every boundary, which `depth` stands for.
         let mut last_use = vec![0usize; dfg.num_nodes()];
+        let mut edges = 0usize;
         for node in dfg.nodes() {
             let level = analysis.asap_level(node.id()).unwrap_or(depth);
+            edges += node.operands().len();
             for operand in node.operands() {
                 let last = &mut last_use[operand.index()];
                 *last = (*last).max(level);
@@ -247,24 +335,38 @@ impl<'a> PartitionCost<'a> {
             crossing,
             ordered: Vec::with_capacity(4 * depth),
             ordered_at: vec![0; depth * depth],
-            consumers: vec![0; dfg.num_nodes()],
-            placed: vec![0; dfg.num_nodes()],
-            remaining: Vec::new(),
+            waiting: vec![Waiting::default(); dfg.num_nodes()],
+            // Every cluster's successor lists and queue fit: one entry per
+            // operand reference and one per node.
+            queue: Vec::with_capacity(edges + dfg.num_nodes()),
         }
     }
 
     /// The cost used to balance cluster boundaries: the maximum per-cluster
     /// II contribution `max(#load + 1, #slots + 2)`.
+    #[cfg(test)]
     fn cost(&mut self, boundaries: &[usize]) -> usize {
         let depth = self.analysis.depth();
         let mut start = 0usize;
         let mut worst = 0usize;
         for &end in boundaries.iter().chain(std::iter::once(&depth)) {
-            let slots = self.cluster(start, end).len();
-            worst = worst.max((self.crossing[start] + 1).max(slots + 2));
+            worst = worst.max(self.range_cost(start, end));
             start = end;
         }
         worst
+    }
+
+    /// Cluster `(start, end]`'s II contribution `max(#load + 1, #slots + 2)`.
+    fn range_cost(&mut self, start: usize, end: usize) -> usize {
+        let slots = self.cluster(start, end).len();
+        (self.crossing[start] + 1).max(slots + 2)
+    }
+
+    /// A bound `range_cost` never goes below, found without ordering: the
+    /// cluster issues at least one slot per operation.
+    fn floor(&self, start: usize, end: usize) -> usize {
+        let bounds = self.analysis.level_bounds();
+        (self.crossing[start] + 1).max(bounds[end] - bounds[start] + 2)
     }
 
     /// The issue list of cluster `(start, end]`, ordered on first use.
@@ -283,58 +385,92 @@ impl<'a> PartitionCost<'a> {
     /// nothing is ready.
     fn order_cluster(&mut self, start: usize, end: usize) -> Vec<Slot> {
         let (dfg, analysis, iwp) = (self.dfg, self.analysis, self.iwp);
-        let inside = |id: NodeId| {
-            analysis
-                .asap_level(id)
-                .is_some_and(|level| level > start && level <= end)
-        };
-        self.remaining.clear();
-        self.remaining
-            .extend_from_slice(analysis.level_span(start, end));
-        for &op in &self.remaining {
-            self.consumers[op.index()] = 0;
-            self.placed[op.index()] = usize::MAX;
-        }
-        // Count in-cluster consumers as a priority hint (direct consumers
-        // are enough of a signal for these small clusters); a consumer
-        // naming a value twice still counts once.
-        for &op in &self.remaining {
+        let ops = analysis.level_span(start, end);
+        // The distinct operands of `op` inside the cluster: a consumer
+        // naming a value twice waits for it, and counts for it, once.
+        let operands_inside = |op: NodeId| {
             let operands = dfg.node_unchecked(op).operands();
-            for (position, &operand) in operands.iter().enumerate() {
-                if inside(operand) && !operands[..position].contains(&operand) {
-                    self.consumers[operand.index()] += 1;
-                }
-            }
-        }
-
-        let mut slots = Vec::with_capacity(self.remaining.len());
-        while !self.remaining.is_empty() {
-            let t = slots.len();
-            // An op is ready if all in-cluster predecessors are placed at
-            // least `iwp` slots earlier (the write-back latency). Prefer ops
-            // with more in-cluster consumers (they unlock later work sooner),
-            // then earlier creation order for determinism.
-            let chosen = self
-                .remaining
+            let level_inside = |level| level > start && level <= end;
+            operands
                 .iter()
                 .enumerate()
-                .filter(|&(_, &op)| {
-                    dfg.node_unchecked(op).operands().iter().all(|&operand| {
-                        !inside(operand)
-                            || self.placed[operand.index()]
-                                .checked_add(iwp)
-                                .is_some_and(|ready_at| t >= ready_at)
-                    })
+                .filter_map(move |(position, &operand)| {
+                    let inside = analysis.asap_level(operand).is_some_and(level_inside);
+                    (inside && !operands[..position].contains(&operand)).then_some(operand)
                 })
-                .map(|(position, &op)| (position, op))
-                .min_by_key(|&(_, op)| (Reverse(self.consumers[op.index()]), op.index()));
-            match chosen {
-                Some((position, op)) => {
-                    self.placed[op.index()] = t;
-                    slots.push(Slot::Op(op));
-                    self.remaining.swap_remove(position);
+        };
+        for &op in ops {
+            self.waiting[op.index()] = Waiting::default();
+        }
+        // Count in-cluster consumers as a priority hint (direct consumers
+        // are enough of a signal for these small clusters).
+        for &op in ops {
+            for operand in operands_inside(op) {
+                self.waiting[operand.index()].consumers += 1;
+                self.waiting[op.index()].operands += 1;
+            }
+        }
+        // Lay the successor lists out back to back, then fill them.
+        let mut edges = 0;
+        for &op in ops {
+            let entry = &mut self.waiting[op.index()];
+            entry.successors_end = edges;
+            edges += entry.consumers;
+        }
+        self.queue.clear();
+        self.queue.resize(edges, ops[0]);
+        for &op in ops {
+            for operand in operands_inside(op) {
+                let end = &mut self.waiting[operand.index()].successors_end;
+                self.queue[*end] = op;
+                *end += 1;
+            }
+        }
+        let ready_now = ops
+            .iter()
+            .filter(|op| self.waiting[op.index()].operands == 0);
+        self.queue.extend(ready_now);
+
+        // `queue[head..cut]` is ready at slot `t`; behind it the ops wait in
+        // the order of their ready times, which never decrease.
+        let (mut head, mut cut) = (edges, edges);
+        let mut slots = Vec::with_capacity(ops.len());
+        while head < self.queue.len() {
+            let t = slots.len();
+            let ready_at = |at: usize| self.waiting[self.queue[at].index()].ready_at;
+            while cut < self.queue.len() && ready_at(cut) <= t {
+                cut += 1;
+            }
+            if head == cut {
+                slots.resize(ready_at(cut), Slot::Nop);
+                continue;
+            }
+            // Prefer ops with more in-cluster consumers (they unlock later
+            // work sooner), then earlier creation order for determinism.
+            let priority = |at: usize| {
+                let op = self.queue[at];
+                (Reverse(self.waiting[op.index()].consumers), op.index())
+            };
+            let chosen = (head..cut).min_by_key(|&at| priority(at)).unwrap_or(head);
+            self.queue.swap(head, chosen);
+            let op = self.queue[head];
+            head += 1;
+            slots.push(Slot::Op(op));
+            // A successor is ready `iwp` slots after its last in-cluster
+            // operand (the write-back latency).
+            let Waiting {
+                consumers,
+                successors_end,
+                ..
+            } = self.waiting[op.index()];
+            for at in successors_end - consumers..successors_end {
+                let successor = self.queue[at];
+                let entry = &mut self.waiting[successor.index()];
+                entry.operands -= 1;
+                if entry.operands == 0 {
+                    entry.ready_at = t + iwp;
+                    self.queue.push(successor);
                 }
-                None => slots.push(Slot::Nop),
             }
         }
         slots
@@ -401,6 +537,160 @@ mod tests {
             remaining.retain(|&op| op != chosen);
         }
         slots
+    }
+
+    /// The boundary search as it was before it skipped moves: every ±1 move
+    /// costed over every cluster, each range ordered by rescanning. `ordered`
+    /// holds the issue lists already ordered for `options.iwp`, by range.
+    fn cluster_schedule_exhaustively(
+        dfg: &Dfg,
+        options: &ClusterOptions,
+        ordered: &mut HashMap<(usize, usize), Vec<Slot>>,
+    ) -> StageSchedule {
+        let analysis = dfg.analysis();
+        let levels = analysis.depth();
+        let strategy = Strategy::FixedDepth {
+            depth: options.depth,
+            iwp: options.iwp,
+        };
+        if levels <= options.depth {
+            return level_schedule(dfg, &analysis, strategy);
+        }
+        let crossing = PartitionCost::new(dfg, &analysis, options.iwp).crossing;
+        let mut cost = |boundaries: &[usize]| {
+            let ranges = cluster_ranges(boundaries, levels).into_iter();
+            ranges
+                .map(|(start, end)| {
+                    let slots = ordered.entry((start, end)).or_insert_with(|| {
+                        order_cluster_by_rescanning(
+                            dfg,
+                            analysis.level_span(start, end),
+                            options.iwp,
+                        )
+                    });
+                    (crossing[start] + 1).max(slots.len() + 2)
+                })
+                .max()
+                .unwrap()
+        };
+        let mut boundaries = balanced_partition(analysis.level_bounds(), options.depth);
+        let mut best_cost = cost(&boundaries);
+        let mut improved = true;
+        while improved {
+            improved = false;
+            for b in 0..boundaries.len() {
+                for delta in [-1isize, 1] {
+                    let current = boundaries[b];
+                    let moved = current.wrapping_add_signed(delta);
+                    let lower = if b == 0 { 0 } else { boundaries[b - 1] };
+                    let upper = boundaries.get(b + 1).copied().unwrap_or(levels);
+                    if moved <= lower || moved >= upper {
+                        continue;
+                    }
+                    boundaries[b] = moved;
+                    let cost = cost(&boundaries);
+                    if cost < best_cost {
+                        best_cost = cost;
+                        improved = true;
+                    } else {
+                        boundaries[b] = current;
+                    }
+                }
+            }
+        }
+        let stage_slots = cluster_ranges(&boundaries, levels)
+            .into_iter()
+            .map(|range| ordered[&range].clone())
+            .collect();
+        StageSchedule::assemble(dfg, strategy, stage_slots)
+    }
+
+    /// Holds the pruned search to the exhaustive one for each depth, and
+    /// the event-driven ordering to the rescan on every level range of
+    /// `dfg` — whether or not a search visits it.
+    fn check_against_the_exhaustive_search(
+        dfg: &Dfg,
+        depths: impl Iterator<Item = usize> + Clone,
+        iwps: impl Iterator<Item = usize>,
+    ) -> Result<(), TestCaseError> {
+        let analysis = dfg.analysis();
+        let levels = analysis.depth();
+        for iwp in iwps {
+            let mut search = PartitionCost::new(dfg, &analysis, iwp);
+            let mut ordered = HashMap::new();
+            for start in 0..levels {
+                for end in start + 1..=levels {
+                    let rescanned =
+                        order_cluster_by_rescanning(dfg, analysis.level_span(start, end), iwp);
+                    let event_driven = search.cluster(start, end);
+                    prop_assert!(
+                        *event_driven == rescanned,
+                        "({start}, {end}] at iwp {iwp}: {event_driven:?} != {rescanned:?}"
+                    );
+                    ordered.insert((start, end), rescanned);
+                }
+            }
+            for depth in depths.clone() {
+                let options = ClusterOptions { depth, iwp };
+                let pruned = cluster_schedule(dfg, &options).unwrap();
+                let exhaustive = cluster_schedule_exhaustively(dfg, &options, &mut ordered);
+                prop_assert!(
+                    pruned == exhaustive,
+                    "depth {depth} iwp {iwp}: {pruned:?} != {exhaustive:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn the_pruned_search_is_the_exhaustive_search(
+            (seed, ops, target_depth) in (any::<u64>(), 16usize..=128, 6usize..=16),
+            iwp in 1usize..=6,
+        ) {
+            let config = GeneratorConfig {
+                inputs: 3 + ops / 32,
+                ops,
+                target_depth,
+                ..GeneratorConfig::default()
+            };
+            let dfg = DfgGenerator::new(seed).generate(&config).unwrap();
+            check_against_the_exhaustive_search(&dfg, [2, 4, 8].into_iter(), iwp..=iwp)?;
+        }
+    }
+
+    #[test]
+    fn the_pruned_search_is_the_exhaustive_search_on_the_paper_suite() {
+        for benchmark in Benchmark::ALL {
+            let dfg = benchmark.dfg().unwrap();
+            check_against_the_exhaustive_search(&dfg, 1..=12, 1..=6).unwrap();
+        }
+    }
+
+    #[test]
+    fn an_iwp_past_the_instruction_memory_is_an_error() {
+        let deep = Benchmark::Poly6.dfg().unwrap();
+        let shallow = Benchmark::Gradient.dfg().unwrap();
+        for iwp in [DEFAULT_IMEM_CAPACITY + 1, 1 << 20, usize::MAX] {
+            let options = ClusterOptions { depth: 8, iwp };
+            assert_eq!(
+                cluster_schedule(&deep, &options),
+                Err(ScheduleError::IwpTooLong {
+                    iwp,
+                    capacity: DEFAULT_IMEM_CAPACITY
+                })
+            );
+            let strategy = Strategy::FixedDepth { depth: 8, iwp };
+            let asap = level_schedule(&shallow, &shallow.analysis(), strategy);
+            assert_eq!(cluster_schedule(&shallow, &options), Ok(asap));
+        }
+        // The largest IWP that may still fit is scheduled.
+        let options = ClusterOptions {
+            depth: 8,
+            iwp: DEFAULT_IMEM_CAPACITY,
+        };
+        assert!(cluster_schedule(&deep, &options).is_ok());
     }
 
     /// A candidate partition as the search used to cost it: every cluster
@@ -617,5 +907,60 @@ mod tests {
             .unwrap();
         // Total is 27 over 3 groups, so the best possible maximum is 9..=10.
         assert!(max_group <= 10, "got {max_group}");
+    }
+
+    /// `balanced_partition` as it was before it scanned only the reachable
+    /// states and only the starts that can tie: every state, every start.
+    fn balanced_partition_by_full_table(prefix: &[usize], groups: usize) -> Vec<usize> {
+        let n = prefix.len() - 1;
+        let groups = groups.min(n);
+        let inf = usize::MAX / 2;
+        let at = |g: usize, i: usize| g * (n + 1) + i;
+        let mut dp = vec![(inf, 0usize); (groups + 1) * (n + 1)];
+        dp[at(0, 0)].0 = 0;
+        for g in 1..=groups {
+            for i in g..=n {
+                for j in (g - 1)..i {
+                    let candidate = dp[at(g - 1, j)].0.max(prefix[i] - prefix[j]);
+                    if candidate < dp[at(g, i)].0 {
+                        dp[at(g, i)] = (candidate, j);
+                    }
+                }
+            }
+        }
+        let mut boundaries = Vec::new();
+        let mut i = n;
+        for g in (1..=groups).rev() {
+            let j = dp[at(g, i)].1;
+            if g > 1 {
+                boundaries.push(j);
+            }
+            i = j;
+        }
+        boundaries.reverse();
+        boundaries
+    }
+
+    proptest! {
+        #[test]
+        fn balanced_partition_is_the_full_table_partition(
+            (seed, n, groups) in (any::<u64>(), 1usize..=40, 1usize..=12),
+            largest in 0usize..=8,
+        ) {
+            // Sizes from 0 to `largest`, ties and empty levels included.
+            let mut state = seed | 1;
+            let mut prefix = vec![0];
+            for _ in 0..n {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let size = (state % (largest as u64 + 1)) as usize;
+                prefix.push(prefix[prefix.len() - 1] + size);
+            }
+            prop_assert_eq!(
+                balanced_partition(&prefix, groups),
+                balanced_partition_by_full_table(&prefix, groups)
+            );
+        }
     }
 }

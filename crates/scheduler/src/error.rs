@@ -44,6 +44,15 @@ pub enum ScheduleError {
         /// The operation's operand count.
         arity: usize,
     },
+    /// A kernel deeper than the overlay must share a stage between two
+    /// dependent levels, whose ops issue at least `iwp` slots apart; an IWP
+    /// past the instruction-memory capacity leaves no such stage that fits.
+    IwpTooLong {
+        /// The requested internal write-back path, in cycles.
+        iwp: usize,
+        /// The FU instruction-memory capacity, in words.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -68,6 +77,11 @@ impl fmt::Display for ScheduleError {
             ScheduleError::UnsupportedArity { node, op, arity } => write!(
                 f,
                 "{node} is a {arity}-operand {op}, but the EXEC word has two source fields"
+            ),
+            ScheduleError::IwpTooLong { iwp, capacity } => write!(
+                f,
+                "an internal write-back path of {iwp} cycles spaces a clustered stage \
+                 past the {capacity}-word instruction memory"
             ),
         }
     }
