@@ -1,16 +1,17 @@
 //! LRU caches over the expensive per-request work: compiled kernels (so each
-//! distinct kernel is compiled once no matter how many requests reference
-//! it) and functional simulation runs (so repeated tenant requests — same
-//! kernel, same workload — skip the cycle-accurate simulation entirely).
+//! distinct kernel is compiled, and planned for simulation, once no matter
+//! how many requests reference it) and functional simulation runs (so
+//! repeated tenant requests — same kernel, same workload — skip the
+//! cycle-accurate simulation entirely).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use overlay_arch::FuVariant;
 use overlay_scheduler::CompiledKernel;
-use overlay_sim::SimRun;
+use overlay_sim::{OverlaySimulator, SimError, SimPlan, SimRun};
 
 use crate::error::RuntimeError;
 
@@ -138,22 +139,99 @@ impl fmt::Display for CacheStats {
     }
 }
 
+/// A compiled kernel as the [`KernelCache`] holds it: the program and, from
+/// the first time a run needs it, the program's [`SimPlan`]. The plan lives
+/// as long as the kernel, so a kernel is decoded and timed at most once
+/// however many serves, devices and memo misses it sees.
 #[derive(Debug)]
-struct Entry {
-    kernel: Arc<CompiledKernel>,
-    last_used: u64,
+pub struct Kernel {
+    /// The compiled program.
+    pub compiled: CompiledKernel,
+    plan: OnceLock<Result<SimPlan, SimError>>,
+}
+
+impl Kernel {
+    /// The kernel's plan for an untraced simulator of its own variant, made
+    /// at the first call; a plan that cannot be made is kept as its error.
+    ///
+    /// # Errors
+    ///
+    /// The first hardware constraint the program violates, as
+    /// [`OverlaySimulator::plan`] reports it.
+    pub fn plan(&self) -> Result<&SimPlan, &SimError> {
+        self.plan
+            .get_or_init(|| {
+                OverlaySimulator::new(self.compiled.variant)
+                    .with_trace_capacity(0)
+                    .plan(&self.compiled)
+            })
+            .as_ref()
+    }
+}
+
+/// The least-recently-used bookkeeping the kernel cache and the simulation
+/// memo share: a logical clock, each entry's last use and the counters.
+#[derive(Debug)]
+struct Lru<K, V> {
+    capacity: usize,
+    clock: u64,
+    entries: FnvHashMap<K, (V, u64)>,
+    stats: CacheStats,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            clock: 0,
+            entries: FnvHashMap::default(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Ticks the clock and returns `key`'s value, counting a hit, when
+    /// resident.
+    fn get(&mut self, key: &K) -> Option<&V> {
+        self.clock += 1;
+        let (value, last_used) = self.entries.get_mut(key)?;
+        *last_used = self.clock;
+        self.stats.hits += 1;
+        Some(value)
+    }
+
+    /// Stores `value` as used now, first evicting the least-recently-used
+    /// entry when a new key finds the map full. The O(n) scan is the
+    /// trade-off: insertions are rare next to lookups.
+    fn insert(&mut self, key: K, value: V) {
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            if let Some(&victim) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(key, _)| key)
+            {
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+        self.entries.insert(key, (value, self.clock));
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.stats = CacheStats::default();
+        self.clock = 0;
+    }
 }
 
 /// An LRU cache mapping [`KernelKey`]s to compiled kernels.
 ///
-/// Compiled kernels are shared as [`Arc`]s, so a cached kernel stays valid on
-/// the tiles executing it even if it is evicted mid-trace.
+/// Kernels are shared as [`Arc`]s, so a cached kernel stays valid on the
+/// tiles executing it even if it is evicted mid-trace, and its plan travels
+/// with it.
 #[derive(Debug)]
 pub struct KernelCache {
-    capacity: usize,
-    clock: u64,
-    entries: FnvHashMap<KernelKey, Entry>,
-    stats: CacheStats,
+    lru: Lru<KernelKey, Arc<Kernel>>,
 }
 
 impl KernelCache {
@@ -167,15 +245,13 @@ impl KernelCache {
             return Err(RuntimeError::ZeroCacheCapacity);
         }
         Ok(KernelCache {
-            capacity,
-            clock: 0,
-            entries: FnvHashMap::default(),
-            stats: CacheStats::default(),
+            lru: Lru::new(capacity),
         })
     }
 
     /// Returns the cached kernel for `key`, or compiles it via `compile`,
     /// caching the result (evicting the least-recently-used entry if full).
+    /// Compiling does not plan the kernel; its first [`Kernel::plan`] does.
     ///
     /// # Errors
     ///
@@ -184,81 +260,57 @@ impl KernelCache {
         &mut self,
         key: KernelKey,
         compile: F,
-    ) -> Result<Arc<CompiledKernel>, RuntimeError>
+    ) -> Result<Arc<Kernel>, RuntimeError>
     where
         F: FnOnce() -> Result<CompiledKernel, RuntimeError>,
     {
-        self.clock += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.last_used = self.clock;
-            self.stats.hits += 1;
-            return Ok(Arc::clone(&entry.kernel));
+        if let Some(kernel) = self.lru.get(&key) {
+            return Ok(Arc::clone(kernel));
         }
-        self.stats.misses += 1;
-        let kernel = Arc::new(compile()?);
-        self.insert_evicting(key, Arc::clone(&kernel));
+        self.lru.stats.misses += 1;
+        let kernel = Arc::new(Kernel {
+            compiled: compile()?,
+            plan: OnceLock::new(),
+        });
+        self.lru.insert(key, Arc::clone(&kernel));
         Ok(kernel)
     }
 
-    /// Returns the cached kernel for `key`, or adopts `artifact` (sharing
-    /// the `Arc`, evicting the least-recently-used entry if full) and
-    /// counts a miss. This is how a cluster device acquires a kernel image
-    /// compiled on another device's store: the artifact is shared, never
-    /// recompiled — only the modeled transfer is charged by the caller.
-    pub fn get_or_share(&mut self, key: KernelKey, artifact: &Arc<CompiledKernel>) -> bool {
-        self.clock += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.last_used = self.clock;
-            self.stats.hits += 1;
+    /// Returns whether `key` is cached, or adopts `artifact` (sharing the
+    /// `Arc`, evicting the least-recently-used entry if full) and counts a
+    /// miss. This is how a cluster device acquires a kernel image compiled
+    /// on another device's store: the artifact is shared, never recompiled
+    /// nor re-planned — only the modeled transfer is charged by the caller.
+    pub fn get_or_share(&mut self, key: KernelKey, artifact: &Arc<Kernel>) -> bool {
+        if self.lru.get(&key).is_some() {
             return true;
         }
-        self.stats.misses += 1;
-        self.insert_evicting(key, Arc::clone(artifact));
+        self.lru.stats.misses += 1;
+        self.lru.insert(key, Arc::clone(artifact));
         false
-    }
-
-    /// Inserts `kernel` under `key`, evicting the least-recently-used entry
-    /// when the cache is full.
-    fn insert_evicting(&mut self, key: KernelKey, kernel: Arc<CompiledKernel>) {
-        if self.entries.len() >= self.capacity {
-            // O(n) LRU scan: the cache holds at most a few dozen kernels.
-            if let Some(&victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key)
-            {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                kernel,
-                last_used: self.clock,
-            },
-        );
     }
 
     /// Whether `key` is currently resident (does not touch LRU order).
     pub fn contains(&self, key: &KernelKey) -> bool {
-        self.entries.contains_key(key)
+        self.lru.entries.contains_key(key)
     }
 
     /// Returns the cached artifact for `key` without touching the LRU
     /// order or the hit/miss counters — the replication layer's way to
     /// read a surviving holder's store when re-homing replicas off a dead
     /// device.
-    pub fn peek(&self, key: &KernelKey) -> Option<Arc<CompiledKernel>> {
-        self.entries.get(key).map(|entry| Arc::clone(&entry.kernel))
+    pub fn peek(&self, key: &KernelKey) -> Option<Arc<Kernel>> {
+        self.lru
+            .entries
+            .get(key)
+            .map(|(kernel, _)| Arc::clone(kernel))
     }
 
     /// Drops every entry but preserves the accumulated counters — a device
     /// kill wipes the store mid-serve, and the hits and misses recorded so
     /// far still happened.
     pub fn wipe(&mut self) {
-        self.entries.clear();
+        self.lru.entries.clear();
     }
 
     /// Removes `key`'s entry, if resident. This is a *policy* removal (the
@@ -266,34 +318,32 @@ impl KernelCache {
     /// it does not count in [`CacheStats::evictions`]. Shared `Arc`s held
     /// elsewhere stay valid.
     pub fn remove(&mut self, key: &KernelKey) -> bool {
-        self.entries.remove(key).is_some()
+        self.lru.entries.remove(key).is_some()
     }
 
     /// Number of resident compiled kernels.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.entries.is_empty()
     }
 
     /// Maximum number of resident kernels.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity
     }
 
     /// The accumulated hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.lru.stats
     }
 
     /// Drops every entry and resets the counters.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.stats = CacheStats::default();
-        self.clock = 0;
+        self.lru.clear();
     }
 }
 
@@ -318,12 +368,6 @@ impl fmt::Display for SimKey {
     }
 }
 
-#[derive(Debug)]
-struct MemoEntry {
-    run: Arc<SimRun>,
-    last_used: u64,
-}
-
 /// An LRU memo of completed simulation runs keyed by [`SimKey`], so a
 /// repeated tenant request (same kernel, same workload) is answered without
 /// re-running the functional simulator.
@@ -334,20 +378,14 @@ struct MemoEntry {
 /// nothing is stored).
 #[derive(Debug)]
 pub struct SimMemo {
-    capacity: usize,
-    clock: u64,
-    entries: FnvHashMap<SimKey, MemoEntry>,
-    stats: CacheStats,
+    lru: Lru<SimKey, Arc<SimRun>>,
 }
 
 impl SimMemo {
     /// A memo holding at most `capacity` simulation runs (0 disables it).
     pub fn new(capacity: usize) -> Self {
         SimMemo {
-            capacity,
-            clock: 0,
-            entries: FnvHashMap::default(),
-            stats: CacheStats::default(),
+            lru: Lru::new(capacity),
         }
     }
 
@@ -357,78 +395,52 @@ impl SimMemo {
     /// runs as a [`note_miss`](Self::note_miss). The invariant is
     /// `hits + misses == admitted requests`.
     pub fn get(&mut self, key: &SimKey) -> Option<Arc<SimRun>> {
-        self.clock += 1;
-        let entry = self.entries.get_mut(key)?;
-        entry.last_used = self.clock;
-        self.stats.hits += 1;
-        Some(Arc::clone(&entry.run))
+        self.lru.get(key).map(Arc::clone)
     }
 
     /// Counts a simulation actually run (a memo miss).
     pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
+        self.lru.stats.misses += 1;
     }
 
     /// Stores a completed run, evicting the least-recently-used entry when
     /// full. A no-op when the memo is disabled (capacity 0).
     pub fn insert(&mut self, key: SimKey, run: Arc<SimRun>) {
-        if self.capacity == 0 {
+        if self.lru.capacity == 0 {
             return;
         }
-        self.clock += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            // O(n) LRU scan, same trade-off as the kernel cache: the memo
-            // holds at most a few thousand entries and insertions are rare
-            // next to lookups.
-            if let Some(&victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key)
-            {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            key,
-            MemoEntry {
-                run,
-                last_used: self.clock,
-            },
-        );
+        self.lru.clock += 1;
+        self.lru.insert(key, run);
     }
 
     /// Whether `key` is currently memoized (does not touch LRU order).
     pub fn contains(&self, key: &SimKey) -> bool {
-        self.entries.contains_key(key)
+        self.lru.entries.contains_key(key)
     }
 
     /// Number of memoized runs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.entries.len()
     }
 
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.entries.is_empty()
     }
 
     /// Maximum number of memoized runs (0 = disabled).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity
     }
 
     /// The accumulated hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.lru.stats
     }
 
     /// Drops every entry and resets the counters.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.stats = CacheStats::default();
-        self.clock = 0;
+        self.lru.clear();
     }
 }
 
@@ -493,8 +505,8 @@ mod tests {
             move || {
                 // A tile "executing" the kernel while the cache churns.
                 for _ in 0..100 {
-                    assert!(pinned.ii > 0.0);
-                    assert!(pinned.num_fus() > 0);
+                    assert!(pinned.compiled.ii > 0.0);
+                    assert!(pinned.compiled.num_fus() > 0);
                 }
                 Arc::strong_count(&pinned)
             }
@@ -511,7 +523,7 @@ mod tests {
         assert!(holder.join().unwrap() >= 1);
         // The evicted pin still works and a fresh lookup recompiles rather
         // than resurrecting the dropped entry.
-        assert!(pinned.ii > 0.0);
+        assert!(pinned.compiled.ii > 0.0);
         let recompiled = cache.get_or_compile(key(1), compile_saxpy).unwrap();
         assert!(
             !Arc::ptr_eq(&pinned, &recompiled),
@@ -540,6 +552,23 @@ mod tests {
         assert!(!peer.get_or_share(key(2), &other));
         assert_eq!(peer.stats().evictions, 1);
         assert!(!peer.contains(&key(1)));
+    }
+
+    /// A compile does not plan; the first `plan` does, once, and the plan
+    /// travels with the shared `Arc` to a store that adopts the image. It
+    /// proves the compiled II.
+    #[test]
+    fn a_shared_kernel_brings_its_plan() {
+        let mut home = KernelCache::new(2).unwrap();
+        let kernel = home.get_or_compile(key(1), compile_saxpy).unwrap();
+        assert!(kernel.plan.get().is_none(), "a compile does not plan");
+        let plan = kernel.plan().unwrap();
+        assert!(std::ptr::eq(plan, kernel.plan().unwrap()), "planned once");
+        assert_eq!(plan.steady_ii(), Some(kernel.compiled.ii));
+        let mut peer = KernelCache::new(1).unwrap();
+        assert!(!peer.get_or_share(key(1), &kernel));
+        let adopted = peer.peek(&key(1)).unwrap();
+        assert!(std::ptr::eq(adopted.plan().unwrap(), plan));
     }
 
     #[test]

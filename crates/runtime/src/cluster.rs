@@ -411,6 +411,7 @@ impl Cluster {
             .map(|(id, pool)| Device {
                 id,
                 pool,
+                // The only error is a zero capacity, and the default is 64.
                 cache: KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY)
                     .expect("default capacity is non-zero"),
                 dispatcher: Dispatcher::default(),
@@ -778,6 +779,7 @@ impl Cluster {
         // error drops it (there is no report to build).
         let driver = self.session_driver.take();
         let cluster = result?;
+        // Set above; only an error (returned just now) leaves it taken.
         let driver = driver.expect("a completed pipeline serve hands its driver back");
         debug_assert_eq!(driver.in_flight(), 0, "every pipeline's fate is sealed");
         let (pipelines, stages, classes) = driver.into_report();
@@ -935,21 +937,21 @@ impl Cluster {
                 if self.num_devices() > 1 {
                     self.devices[device]
                         .cache
-                        .get_or_share(info.view.key, &info.compiled);
+                        .get_or_share(info.view.key, &info.kernel);
                 }
                 0.0
             }
             Acquisition::HostLoad { cost_us } => {
                 self.devices[device]
                     .cache
-                    .get_or_share(info.view.key, &info.compiled);
+                    .get_or_share(info.view.key, &info.kernel);
                 state.tallies[device].host_loads += 1;
                 cost_us
             }
             Acquisition::Transfer { cost_us, bytes, .. } => {
                 self.devices[device]
                     .cache
-                    .get_or_share(info.view.key, &info.compiled);
+                    .get_or_share(info.view.key, &info.kernel);
                 state.tallies[device].transfers += 1;
                 state.tallies[device].transfer_bytes += bytes as u64;
                 cost_us
@@ -1023,7 +1025,7 @@ impl Cluster {
                 info.image_bytes,
             )
             .cost_us();
-            self.devices[device].cache.get_or_share(key, &info.compiled);
+            self.devices[device].cache.get_or_share(key, &info.kernel);
             replicator.note_pushed(device, key, info.image_bytes, cost_us);
             if recorder.enabled() {
                 recorder.record(obs::TraceEvent {
@@ -1411,6 +1413,7 @@ impl Cluster {
         for local in 0..self.tiles_per_device {
             let tile = base + local;
             if let Some(index) = state.running_index[tile].take() {
+                // `start_request` fills the slot as it sets `running_index`.
                 let outcome = state.outcome_slots[index]
                     .take()
                     .expect("a running request has an outcome slot");
@@ -1510,7 +1513,7 @@ impl Cluster {
             }) else {
                 continue; // everyone holds it or no store has a free slot
             };
-            let bytes = artifact.program.config_bytes();
+            let bytes = artifact.compiled.program.config_bytes();
             let cost_us =
                 cheapest_acquisition(&self.active_transfer(), self.holders(key), target, bytes)
                     .cost_us();
@@ -1664,7 +1667,7 @@ impl Cluster {
             outcome_slots: Vec::with_capacity(expected),
             rejected: Vec::new(),
             prep,
-            sim: SimResults::new(self.variant(), &mut tables.ready),
+            sim: SimResults::new(&mut tables.ready),
             batcher: Batcher::new(self.batching, total_tiles),
             replicator: Replicator::new(self.replication, devices),
             peak_queue_depth: 0,
@@ -1890,6 +1893,7 @@ impl Cluster {
                     self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
                 }
                 EventKind::Fault { .. } | EventKind::Requeue { .. } => {
+                    // Faults are armed only `if FLEET`; requeues come only from faults.
                     unreachable!("only the fleet tier schedules fault and requeue events")
                 }
             }
@@ -2011,13 +2015,10 @@ impl Cluster {
             self.commit_stage_activation(index, device, info, now_us, state);
         }
         if fresh {
-            let memo_hit = state.sim.source(
-                index,
-                info,
-                &mut state.prep,
-                &mut self.sim_memo,
-                &mut state.profiler,
-            )?;
+            let memo_hit =
+                state
+                    .sim
+                    .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
             if memo_hit {
                 state
                     .recorder

@@ -41,7 +41,8 @@ pub struct ScenarioConfig {
     /// Number of tenants arrivals are attributed to (min 1).
     pub tenants: usize,
     /// Weight of the currently-hot tenant relative to each other tenant's
-    /// weight of 1 (≤ 1 makes every tenant equal).
+    /// weight of 1 (≤ 1 makes every tenant equal, ∞ sends every arrival to
+    /// the hot tenant).
     pub hot_tenant_weight: f64,
     /// How often the hot tenant rotates, microseconds (≤ 0 pins tenant 0).
     pub churn_period_us: f64,
@@ -82,7 +83,7 @@ pub struct FlashCrowd {
     pub start_us: f64,
     /// How long it stays, microseconds.
     pub duration_us: f64,
-    /// Rate multiplier while it lasts.
+    /// Rate multiplier while it lasts (a non-finite one is ignored).
     pub multiplier: f64,
 }
 
@@ -109,18 +110,24 @@ pub struct Scenario {
 
 impl Scenario {
     /// A generator over `config`, with degenerate fields sanitized (at
-    /// least one tenant, non-negative rate and duration, amplitude in
-    /// [0, 1)).
+    /// least one tenant, a finite non-negative rate and duration — a
+    /// non-finite one is 0, so the schedule is empty — amplitude in [0, 1),
+    /// and an infinite hot weight the largest finite one, which every draw
+    /// falls under).
     pub fn new(mut config: ScenarioConfig) -> Self {
-        config.base_rate_per_ms = config.base_rate_per_ms.max(0.0);
-        config.duration_us = if config.duration_us.is_finite() {
-            config.duration_us.max(0.0)
-        } else {
-            0.0
+        let finite_or_zero = |value: f64| {
+            if value.is_finite() {
+                value.max(0.0)
+            } else {
+                0.0
+            }
         };
+        config.base_rate_per_ms = finite_or_zero(config.base_rate_per_ms);
+        config.duration_us = finite_or_zero(config.duration_us);
         config.diurnal_amplitude = config.diurnal_amplitude.clamp(0.0, 0.999);
         config.tenants = config.tenants.max(1);
-        config.hot_tenant_weight = config.hot_tenant_weight.max(1.0);
+        let weight = config.hot_tenant_weight.max(1.0);
+        config.hot_tenant_weight = if weight.is_finite() { weight } else { f64::MAX };
         config.pipeline_depth = config.pipeline_depth.max(1);
         Scenario {
             config,
@@ -128,10 +135,13 @@ impl Scenario {
         }
     }
 
-    /// Adds a flash crowd (overlapping crowds stack multiplicatively).
+    /// Adds a flash crowd (overlapping crowds stack multiplicatively); one
+    /// whose multiplier is not finite is ignored.
     #[must_use]
     pub fn with_flash_crowd(mut self, crowd: FlashCrowd) -> Self {
-        self.crowds.push(crowd);
+        if crowd.multiplier.is_finite() {
+            self.crowds.push(crowd);
+        }
         self
     }
 
@@ -407,5 +417,28 @@ mod tests {
         assert_eq!(weird.config().hot_tenant_weight, 1.0);
         assert_eq!(weird.config().duration_us, 0.0);
         assert!(weird.arrivals().is_empty());
+        for rate in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let scenario = Scenario::new(ScenarioConfig::steady(rate, 10.0));
+            assert_eq!(scenario.config().base_rate_per_ms, 0.0);
+            assert!(scenario.arrivals().is_empty());
+        }
+        let steady = Scenario::new(ScenarioConfig::steady(5.0, 10_000.0));
+        for multiplier in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let crowd = FlashCrowd {
+                start_us: 1_000.0,
+                duration_us: 1_000.0,
+                multiplier,
+            };
+            let crowded = steady.clone().with_flash_crowd(crowd);
+            assert_eq!(crowded, steady, "a non-finite crowd is ignored");
+        }
+        let hot = Scenario::new(ScenarioConfig {
+            tenants: 4,
+            hot_tenant_weight: f64::INFINITY,
+            ..ScenarioConfig::steady(5.0, 10_000.0)
+        });
+        let arrivals = hot.arrivals();
+        assert_eq!(arrivals.len(), 50);
+        assert!(arrivals.iter().all(|arrival| arrival.tenant == 0));
     }
 }

@@ -37,9 +37,10 @@
 //!   simulation entirely;
 //! * functional execution — an admitted request the memo cannot answer runs
 //!   its kernel's [`overlay_sim::SimPlan`] on the event loop's own thread, at
-//!   its admission: each distinct kernel is decoded and timed once per serve,
-//!   at its first memo miss, so every miss pays only the data pass, in one
-//!   column buffer the serve keeps; a batch serve starts no thread at all;
+//!   its admission: the plan is the cached [`Kernel`]'s, made at the kernel's
+//!   first memo miss and kept for as long as the kernel, so every miss pays
+//!   only the data pass, in one column buffer the serve keeps; a batch serve
+//!   starts no thread at all;
 //! * [`RuntimeMetrics`] — requests/s, p50/p99 modeled latency, per-tile
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
@@ -110,7 +111,7 @@ pub mod route;
 pub mod session;
 pub mod submit;
 
-pub use cache::{CacheStats, KernelCache, KernelKey, SimKey, SimMemo};
+pub use cache::{CacheStats, Kernel, KernelCache, KernelKey, SimKey, SimMemo};
 pub use obs::{
     explain, Attribution, AttributionReport, BurnAlert, BurnSample, ClassWindow, LogHistogram,
     ProfileStats, SloConfig, SloObjective, SloReport, SloStatus, SpanKind, TelemetryConfig,
@@ -141,8 +142,8 @@ use std::thread;
 
 use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
-use overlay_scheduler::{generate_program, schedule, CompiledKernel};
-use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimPlan, SimRun};
+use overlay_scheduler::{generate_program, schedule};
+use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
@@ -265,17 +266,17 @@ impl ServeReport {
     }
 }
 
-/// Per-serve context shared by every request's preparation and simulation,
-/// including what is derived once per distinct kernel rather than once per
-/// request: the timing figures (operating frequency, switch cost,
-/// steady-state II) and, at the kernel's first memo miss, its simulation
-/// plan.
+/// Per-serve context shared by every request's preparation, including the
+/// timing figures derived once per distinct kernel rather than once per
+/// request (operating frequency and switch cost depend on the tile and the
+/// reconfiguration model, so they are the serve's; the kernel's simulation
+/// plan is the [`Kernel`]'s own).
 pub(crate) struct PrepContext {
     variant: FuVariant,
     writeback: bool,
     depth: usize,
     tile_overlay: Option<OverlayConfig>,
-    derived: FnvHashMap<KernelKey, Derived>,
+    derived: FnvHashMap<KernelKey, DerivedTiming>,
 }
 
 impl PrepContext {
@@ -294,32 +295,21 @@ impl PrepContext {
     }
 }
 
-/// What one serve derives once for a kernel.
-struct Derived {
-    timing: DerivedTiming,
-    /// The kernel's [`SimPlan`], or why it has none: made at its first memo
-    /// miss ([`SimResults::source`]), so a kernel the memo always answers is
-    /// never planned.
-    plan: Option<Result<SimPlan, SimError>>,
-}
-
-/// Kernel-dependent timing facts reused across every request for that
-/// kernel within one serve.
+/// Kernel-dependent facts reused across every request for that kernel
+/// within one serve.
 #[derive(Clone, Copy)]
 struct DerivedTiming {
     fmax_mhz: f64,
     switch_us: f64,
-    ii: f64,
-    fill_cycles: f64,
     image_bytes: usize,
 }
 
 /// Compiles (via `cache`) and derives the timing figures one request needs
 /// before it can be dispatched — including the [`DispatchRequest`] view
 /// every later event reuses and the [`SimKey`] the memo answers.
-/// Kernel-dependent timing (frequency, switch cost, II, image size) is
-/// computed once per distinct kernel and reused from the context. `cache`
-/// is the kernel's home-device store.
+/// Kernel-dependent timing (frequency, switch cost, image size) is computed
+/// once per distinct kernel and reused from the context. `cache` is the
+/// kernel's home-device store.
 pub(crate) fn prepare_request(
     cache: &mut KernelCache,
     lower: &LowerOptions,
@@ -332,17 +322,14 @@ pub(crate) fn prepare_request(
         variant: ctx.variant,
         depth: ctx.depth,
     };
-    let spec = &request.kernel;
-    let writeback = ctx.writeback;
-    let depth = ctx.depth;
-    let compiled = cache.get_or_compile(key, || {
-        let dfg = spec.dfg(lower)?;
-        let fixed_depth = writeback.then_some(depth);
-        let stages = schedule(&dfg, ctx.variant, fixed_depth)?;
+    let kernel = cache.get_or_compile(key, || {
+        let dfg = request.kernel.dfg(lower)?;
+        let stages = schedule(&dfg, ctx.variant, ctx.writeback.then_some(ctx.depth))?;
         Ok(generate_program(&dfg, &stages, ctx.variant)?)
     })?;
+    let compiled = &kernel.compiled;
     let timing = match ctx.derived.get(&key) {
-        Some(derived) => derived.timing,
+        Some(&timing) => timing,
         None => {
             let config_bits = compiled.program.config_bits();
             let (fmax_mhz, switch_us) = match &ctx.tile_overlay {
@@ -366,18 +353,16 @@ pub(crate) fn prepare_request(
             let timing = DerivedTiming {
                 fmax_mhz,
                 switch_us,
-                ii: compiled.ii,
-                fill_cycles: (4 * compiled.num_fus()) as f64,
                 image_bytes: compiled.program.config_bytes(),
             };
-            ctx.derived.insert(key, Derived { timing, plan: None });
+            ctx.derived.insert(key, timing);
             timing
         }
     };
     // Planning estimate: steady-state II per invocation plus a
     // pipeline-fill allowance, at the overlay's operating frequency.
-    let est_exec_us =
-        (timing.ii * request.workload.len() as f64 + timing.fill_cycles) / timing.fmax_mhz;
+    let fill_cycles = (4 * compiled.num_fus()) as f64;
+    let est_exec_us = (compiled.ii * request.workload.len() as f64 + fill_cycles) / timing.fmax_mhz;
     let sim_key = SimKey {
         kernel: key,
         workload: request.workload_digest(),
@@ -391,7 +376,7 @@ pub(crate) fn prepare_request(
     Ok(InFlight {
         request,
         sim_key,
-        compiled,
+        kernel,
         fmax_mhz: timing.fmax_mhz,
         image_bytes: timing.image_bytes,
         view,
@@ -407,7 +392,7 @@ pub(crate) fn prepare_request(
 pub(crate) struct InFlight {
     pub(crate) request: Request,
     pub(crate) sim_key: SimKey,
-    pub(crate) compiled: Arc<CompiledKernel>,
+    pub(crate) kernel: Arc<Kernel>,
     pub(crate) fmax_mhz: f64,
     /// The compiled image size the transfer model charges for moving this
     /// kernel between devices.
@@ -559,7 +544,6 @@ pub(crate) fn compact_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<Reques
 /// from the memo or run there and then on the loop's own thread — and parked
 /// in the request's slot until a tile is about to execute it.
 pub(crate) struct SimResults<'t> {
-    simulator: OverlaySimulator,
     /// The data pass's working columns, shared by every run of the serve.
     columns: ColumnBuffer,
     /// One slot per intake index — no hashing on the hot path.
@@ -567,11 +551,9 @@ pub(crate) struct SimResults<'t> {
 }
 
 impl<'t> SimResults<'t> {
-    /// A result tracker over the (empty) recycled slot table `ready`, for a
-    /// serve on tiles of `variant`.
-    pub(crate) fn new(variant: FuVariant, ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
+    /// A result tracker over the (empty) recycled slot table `ready`.
+    pub(crate) fn new(ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
         SimResults {
-            simulator: OverlaySimulator::new(variant).with_trace_capacity(0),
             columns: ColumnBuffer::default(),
             ready,
         }
@@ -583,8 +565,8 @@ impl<'t> SimResults<'t> {
     }
 
     /// Sources the simulation for an admitted request `index`: answers from
-    /// the memo, or runs the kernel's plan (planning it first, into `ctx`, at
-    /// its first miss) and memoizes the run — with the memo counters
+    /// the memo, or runs the kernel's plan (which the kernel makes at its
+    /// first miss) and memoizes the run — with the memo counters
     /// tracking which (a disabled memo never answers, so every request
     /// simulates). The lookup and insert are profiled as
     /// [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`].
@@ -599,7 +581,6 @@ impl<'t> SimResults<'t> {
         &mut self,
         index: usize,
         info: &InFlight,
-        ctx: &mut PrepContext,
         memo: &mut SimMemo,
         profiler: &mut obs::StageProfiler,
     ) -> Result<bool, SimError> {
@@ -612,7 +593,7 @@ impl<'t> SimResults<'t> {
             None => {
                 memo.note_miss();
                 let sim = profiler.begin();
-                let run = self.simulate(info, ctx);
+                let run = self.simulate(info);
                 profiler.end(obs::Stage::Sim, sim);
                 let run = Arc::new(run?);
                 let insert = profiler.begin();
@@ -625,25 +606,17 @@ impl<'t> SimResults<'t> {
         Ok(memo_hit)
     }
 
-    /// Runs `info`'s kernel over its workload with the kernel's plan,
-    /// planning it at its first miss. Kept out of line: a memo hit, which is
-    /// all a warm serve sees, never comes here.
+    /// Runs `info`'s kernel over its workload with the kernel's plan. Kept
+    /// out of line: a memo hit, which is all a warm serve sees, never comes
+    /// here.
     #[inline(never)]
-    fn simulate(&mut self, info: &InFlight, ctx: &mut PrepContext) -> Result<SimRun, SimError> {
-        let (compiled, workload) = (&info.compiled, &info.request.workload);
-        let derived = ctx
-            .derived
-            .get_mut(&info.view.key)
-            .expect("an admitted request's kernel was prepared in this serve");
-        let plan = derived
-            .plan
-            .get_or_insert_with(|| self.simulator.plan(compiled));
-        match plan {
+    fn simulate(&mut self, info: &InFlight) -> Result<SimRun, SimError> {
+        let (kernel, workload) = (&info.kernel, &info.request.workload);
+        match kernel.plan() {
             Ok(plan) => plan.run_in(workload, &mut self.columns),
             // A malformed workload is still reported first.
-            Err(error) => self
-                .simulator
-                .validate(compiled, workload)
+            Err(error) => OverlaySimulator::new(kernel.compiled.variant)
+                .validate(&kernel.compiled, workload)
                 .and(Err(error.clone())),
         }
     }
@@ -655,6 +628,7 @@ impl<'t> SimResults<'t> {
         Arc::clone(
             self.ready[index]
                 .as_ref()
+                // `source` fills the slot at admission, before any start.
                 .expect("an admitted request's simulation was sourced"),
         )
     }

@@ -6,8 +6,9 @@
 //! serves and moves requests into them by value, so a warm serve allocates
 //! its report, its per-tile queues and little else — also right after a
 //! serve that failed; and a batch serve simulates on the calling thread,
-//! planning each kernel once, so the thread-local count of a cold serve is
-//! complete too. This file pins
+//! planning each kernel once for as long as the kernel store holds it, so
+//! the thread-local count of a cold serve is complete too, and a later serve
+//! of the same kernels plans nothing. This file pins
 //! all of it with a counting allocator; it is an integration-test crate so
 //! that the library keeps `#![forbid(unsafe_code)]`.
 
@@ -17,13 +18,14 @@ use std::hint::black_box;
 
 use overlay_arch::{FuVariant, TileComposition};
 use overlay_dfg::Value;
-use overlay_frontend::Benchmark;
+use overlay_frontend::{Benchmark, LowerOptions};
 use overlay_runtime::{
-    Cluster, DeviceMetrics, FaultPlan, KernelKey, KernelSpec, RejectedRequest, Request,
-    RequestOutcome, RoutePolicy, Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace,
+    Cluster, DeviceMetrics, FaultPlan, KernelCache, KernelKey, KernelSpec, RejectedRequest,
+    Request, RequestOutcome, RoutePolicy, Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace,
     TraceConfig,
 };
-use overlay_sim::Workload;
+use overlay_scheduler::{generate_program, schedule};
+use overlay_sim::{OverlaySimulator, Workload};
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
@@ -396,5 +398,86 @@ fn a_cold_serve_allocates_only_on_the_calling_thread() {
     assert!(
         allocations <= 1028,
         "{allocations} allocations for {REQUESTS} cold requests"
+    );
+}
+
+/// A kernel is decoded and timed once for as long as the kernel store holds
+/// it, not once per serve. On a runtime with the memo off, so that every
+/// request simulates, the serve that compiles the suite into a fresh store
+/// also plans it; the next serve of the suite does neither. Its allocation
+/// count is the first serve's less exactly what the nine compiles and the
+/// nine plans allocate, each counted here on its own. (While every serve
+/// planned its kernels afresh, the second serve made the nine plans too.)
+#[test]
+fn a_second_serve_of_a_warm_kernel_does_not_plan_it() {
+    let specs: Vec<(KernelSpec, usize)> = Benchmark::ALL
+        .iter()
+        .map(|&benchmark| {
+            (
+                KernelSpec::from_benchmark(benchmark).unwrap(),
+                benchmark.dfg().unwrap().num_inputs(),
+            )
+        })
+        .collect();
+    let trace: Vec<Request> = (0..2 * specs.len())
+        .map(|id| {
+            let (kernel, inputs) = &specs[id % specs.len()];
+            let workload = Workload::random(*inputs, 2, id as u64);
+            Request::new(id as u64, kernel.clone(), workload).at(id as f64 * 0.01)
+        })
+        .collect();
+    let serve = |runtime: &mut Runtime, trace: Vec<Request>| {
+        let report = runtime.serve(trace).unwrap();
+        assert_eq!(report.metrics().sim_memo.misses, 2 * specs.len());
+        report
+    };
+
+    // Warm what a serve keeps (its tables, the residency index), then give
+    // the runtime a fresh kernel store: no kernel compiled, none planned.
+    let mut runtime = Runtime::new(FuVariant::V4, 16)
+        .unwrap()
+        .with_sim_memo_capacity(0);
+    serve(&mut runtime, trace.clone());
+    let mut runtime = runtime
+        .with_cache_capacity(Runtime::DEFAULT_CACHE_CAPACITY)
+        .unwrap();
+    let (first_trace, second_trace) = (trace.clone(), trace);
+    let (_, first, _) = counted(|| serve(&mut runtime, first_trace));
+    let (_, second, _) = counted(|| serve(&mut runtime, second_trace));
+
+    // What the first serve's compiles and plans allocate: the same compiles
+    // into a fresh store, then one plan per compiled kernel.
+    let depth = runtime.pool().logical_depth();
+    let compile = |spec: &KernelSpec| -> Result<_, RuntimeError> {
+        let dfg = spec.dfg(&LowerOptions::default())?;
+        let stages = schedule(&dfg, FuVariant::V4, Some(depth))?;
+        Ok(generate_program(&dfg, &stages, FuVariant::V4)?)
+    };
+    let mut store = KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY).unwrap();
+    let ((), compiles, _) = counted(|| {
+        for (spec, _) in &specs {
+            let key = KernelKey {
+                fingerprint: spec.fingerprint(),
+                variant: FuVariant::V4,
+                depth,
+            };
+            black_box(store.get_or_compile(key, || compile(spec)).unwrap());
+        }
+    });
+    let kernels: Vec<_> = specs
+        .iter()
+        .map(|(spec, _)| compile(spec).unwrap())
+        .collect();
+    let simulator = OverlaySimulator::new(FuVariant::V4).with_trace_capacity(0);
+    let ((), plans, _) = counted(|| {
+        for kernel in &kernels {
+            black_box(simulator.plan(kernel).unwrap());
+        }
+    });
+    assert!(plans > 0);
+    assert_eq!(
+        second,
+        first - compiles - plans,
+        "first serve {first} = {compiles} compiling + {plans} planning + the rest"
     );
 }

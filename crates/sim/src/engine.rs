@@ -774,6 +774,13 @@ impl TimingLaw {
         self.period.map(|_| self.stepped - 1)
     }
 
+    /// The proven period per block, for `program`, the law's own: cycles
+    /// per lane-block over the lanes that share one.
+    pub(crate) fn steady_ii(&self, program: &Program) -> Option<f64> {
+        self.period
+            .map(|period| period as f64 / program.lanes as f64)
+    }
+
     /// A stepped lane-block's completion cycle and the latest completion up
     /// to and including it.
     fn pair(&self, lane_block: usize) -> Option<[usize; 2]> {

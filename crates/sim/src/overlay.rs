@@ -59,6 +59,14 @@ impl SimPlan {
         self.timing.metrics(&self.program, blocks)
     }
 
+    /// The steady-state initiation interval the timing pass proved, in
+    /// cycles per block: every lane-block past the fixed point completes
+    /// one period after the one before. `None` when the pass reached its
+    /// cap first, with later lane-blocks stepped rather than known.
+    pub fn steady_ii(&self) -> Option<f64> {
+        self.timing.law.steady_ii(&self.program)
+    }
+
     /// Runs the plan's kernel over `workload`.
     ///
     /// # Errors

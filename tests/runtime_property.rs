@@ -2,11 +2,17 @@
 //! `proptest` shim): arbitrary arrival/deadline traces never lose or
 //! duplicate a request id, the virtual timeline stays monotone and
 //! physically consistent per tile, and EDF dominates FIFO on feasible
-//! single-tenant traces.
+//! single-tenant traces. A scenario generator over any configuration,
+//! infinite and NaN fields included, returns a well-formed schedule.
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use tm_overlay::runtime::{FlashCrowd, Scenario, ScenarioArrival, ScenarioConfig};
 use tm_overlay::{DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, ServeReport, Workload};
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -195,6 +201,75 @@ proptest! {
             // Overloaded trace: EDF carries no feasibility guarantee, but
             // the serve must still be complete and consistent.
             prop_assert!(edf_report.metrics().deadline_misses <= count);
+        }
+    }
+}
+
+/// One of +∞, −∞, NaN, zero or a value in `[-bound, bound]`, half the time
+/// the last.
+fn edge_f64(rng: &mut StdRng, bound: f64) -> f64 {
+    match rng.gen_range(0..8u32) {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => f64::NAN,
+        3 => 0.0,
+        _ => (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * bound - bound,
+    }
+}
+
+/// `scenario`'s schedule, computed on a thread of its own, or why it did
+/// not come back within ten seconds.
+fn arrivals_in_time(scenario: &Scenario) -> Result<Vec<ScenarioArrival>, &'static str> {
+    let (tx, rx) = mpsc::channel();
+    let scenario = scenario.clone();
+    thread::spawn(move || tx.send(scenario.arrivals()));
+    rx.recv_timeout(Duration::from_secs(10))
+        .map_err(|error| match error {
+            RecvTimeoutError::Timeout => "arrivals() did not return",
+            RecvTimeoutError::Disconnected => "arrivals() panicked",
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every `ScenarioConfig` and `FlashCrowd` field, finite or not, gives
+    /// a generator whose schedule comes back, in order, inside the
+    /// sanitized duration and over the sanitized tenants.
+    #[test]
+    fn any_scenario_returns_a_well_formed_schedule(seed in any::<u64>(), crowds in 0usize..=2) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ScenarioConfig {
+            base_rate_per_ms: edge_f64(&mut rng, 10.0),
+            duration_us: edge_f64(&mut rng, 1_000.0),
+            diurnal_amplitude: edge_f64(&mut rng, 2.0),
+            diurnal_period_us: edge_f64(&mut rng, 1_000.0),
+            tenants: rng.gen_range(0..=5usize),
+            hot_tenant_weight: edge_f64(&mut rng, 10.0),
+            churn_period_us: edge_f64(&mut rng, 1_000.0),
+            pipeline_depth: rng.gen_range(0..=5usize),
+            seed: rng.next_u64(),
+        };
+        let mut scenario = Scenario::new(config);
+        for _ in 0..crowds {
+            scenario = scenario.with_flash_crowd(FlashCrowd {
+                start_us: edge_f64(&mut rng, 1_000.0),
+                duration_us: edge_f64(&mut rng, 1_000.0),
+                multiplier: edge_f64(&mut rng, 10.0),
+            });
+        }
+        let arrivals = arrivals_in_time(&scenario);
+        prop_assert!(arrivals.is_ok(), "{config:?}: {}", arrivals.unwrap_err());
+        let sanitized = scenario.config();
+        let mut last_us = 0.0;
+        for arrival in arrivals.unwrap() {
+            prop_assert!(
+                arrival.arrival_us >= last_us && arrival.arrival_us <= sanitized.duration_us,
+                "{config:?}: arrival at {} after {last_us}",
+                arrival.arrival_us
+            );
+            prop_assert!(arrival.tenant < sanitized.tenants);
+            last_us = arrival.arrival_us;
         }
     }
 }
