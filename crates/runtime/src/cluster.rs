@@ -86,10 +86,10 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    compact_outcomes, prepare_request, record_request_spans, with_feeder, BatchConfig,
-    DispatchPolicy, Dispatcher, InFlight, Ingest, KernelCache, KernelKey, LoopTables, PrepContext,
-    RejectedRequest, ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError,
-    ServeReport, SimMemo, SimResults, Submitter, TilePool,
+    compact_outcomes, prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher,
+    InFlight, Ingest, KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest,
+    ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, ServeReport, SimMemo,
+    SimResults, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -220,8 +220,8 @@ impl ClusterReport {
         self.replication
     }
 
-    /// The recorded trace, when the serve ran with
-    /// [`Cluster::with_tracing`] enabled.
+    /// Every request's lifecycle spans, when the serve ran with
+    /// [`Cluster::with_tracing`] enabled (see [`ServeReport::trace`]).
     pub fn trace(&self) -> Option<&obs::Trace> {
         self.serve.trace()
     }
@@ -291,9 +291,8 @@ struct ClusterState<'t> {
     /// Per intake index, fleet tier only: what routing decided.
     routed: &'t mut Vec<Routed>,
     tallies: Vec<DeviceTally>,
-    /// The span recorder (inert at the default disabled config), on loan
-    /// from `Cluster::trace_scratch` for the serve.
-    recorder: &'t mut obs::TraceRecorder,
+    /// The rows the trace is built from, present only on a traced serve.
+    trace: Option<obs::Trace>,
     /// The host-time stage profiler (inert unless profiling is on).
     profiler: obs::StageProfiler,
     /// Cluster-wide queue depth sampled at every event pop.
@@ -351,11 +350,8 @@ pub struct Cluster {
     batching: BatchConfig,
     replication: ReplicationConfig,
     tracing: obs::TraceConfig,
-    /// Recorder kept across serves so the ring's backing allocation (and
-    /// its warmed pages) amortize instead of being re-faulted per serve.
-    /// Lent to the event loop's state and handed back at serve end.
-    trace_scratch: obs::TraceRecorder,
-    /// The per-intake tables, kept likewise and empty between serves.
+    /// The per-intake tables, kept across serves so their storage (and its
+    /// warmed pages) amortizes, and empty between serves.
     tables: LoopTables,
     profiling: bool,
     tiles_per_device: usize,
@@ -430,7 +426,6 @@ impl Cluster {
             batching: BatchConfig::disabled(),
             replication: ReplicationConfig::disabled(),
             tracing: obs::TraceConfig::disabled(),
-            trace_scratch: obs::TraceRecorder::new(obs::TraceConfig::disabled()),
             tables: LoopTables::default(),
             profiling: false,
             tiles_per_device,
@@ -530,12 +525,11 @@ impl Cluster {
 
     /// Configures request-span tracing (same semantics as
     /// [`Runtime::with_tracing`]): disabled by default, and disabled is
-    /// bitwise-free. The recorded [`Trace`](obs::Trace) comes back on
+    /// bitwise-free. The [`Trace`](obs::Trace) comes back on
     /// [`ClusterReport::trace`].
     #[must_use]
     pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
         self.tracing = config;
-        self.trace_scratch = obs::TraceRecorder::new(config);
         self
     }
 
@@ -972,9 +966,7 @@ impl Cluster {
     /// off-critical-path traffic in [`ReplicationStats`].
     fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState) {
         let ClusterState {
-            replicator,
-            recorder,
-            ..
+            replicator, trace, ..
         } = state;
         if !replicator.enabled() {
             return;
@@ -1007,7 +999,9 @@ impl Cluster {
                 };
                 if self.devices[device].cache.remove(&victim) {
                     replicator.note_demoted(device, victim);
-                    recorder.counter(now_us, device, obs::CounterName::ReplicaDemoted);
+                    if let Some(trace) = trace {
+                        trace.replica_demoted(now_us, device);
+                    }
                     has_room = true;
                 } else {
                     // Demand LRU already evicted this replica; just stop
@@ -1027,18 +1021,8 @@ impl Cluster {
             .cost_us();
             self.devices[device].cache.get_or_share(key, &info.kernel);
             replicator.note_pushed(device, key, info.image_bytes, cost_us);
-            if recorder.enabled() {
-                recorder.record(obs::TraceEvent {
-                    time_us: now_us,
-                    dur_us: 0.0,
-                    request_id: None,
-                    device,
-                    tile: None,
-                    kind: obs::SpanKind::Prefetch {
-                        bytes: info.image_bytes as u64,
-                    },
-                });
-                recorder.counter(now_us, device, obs::CounterName::ReplicaPushed);
+            if let Some(trace) = trace {
+                trace.replica_pushed(now_us, device, info.image_bytes as u64);
             }
         }
     }
@@ -1072,44 +1056,33 @@ impl Cluster {
     /// revived), they become eligible again rather than shedding the
     /// request spuriously. Returns `None` only when no device in the fleet
     /// is alive and admitting — never on a fault-free serve, where every
-    /// device is eligible and no request carries exclusions. When tracing
-    /// is on, the decision is recorded as a route-choice span carrying
-    /// every candidate's completion estimate — under power-of-two-choices
-    /// that exposes the losing device's estimate next to the winner's.
+    /// device is eligible and no request carries exclusions. On a traced
+    /// serve the decision is noted for request `index` — with every
+    /// candidate's completion estimate, which under power-of-two choices
+    /// exposes the losing device's next to the winner's.
     fn route_device_excluding(
         &self,
+        index: usize,
         info: &InFlight,
         now_us: f64,
         exclusions: &ExclusionSet,
-        recorder: &mut obs::TraceRecorder,
+        trace: Option<&mut obs::Trace>,
     ) -> Option<(usize, Acquisition)> {
-        let mut candidates: Vec<(usize, f64)> = Vec::new();
-        let want_candidates = recorder.enabled();
+        let mut route = obs::RouteMark::default();
         let strict = |device: usize| self.fault.available(device) && !exclusions.contains(device);
         let relaxed = |device: usize| self.fault.available(device);
         let picked = self
-            .pick_eligible(info, now_us, strict, want_candidates, &mut candidates)
+            .pick_eligible(info, now_us, strict, &mut route)
             .or_else(|| {
                 if exclusions.is_empty() {
                     None // relaxed == strict; nothing new to try
                 } else {
-                    self.pick_eligible(info, now_us, relaxed, want_candidates, &mut candidates)
+                    self.pick_eligible(info, now_us, relaxed, &mut route)
                 }
             });
         let (device, acquisition) = picked?;
-        if recorder.enabled() {
-            recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(info.request.id),
-                device,
-                tile: None,
-                kind: obs::SpanKind::RouteChoice(Box::new(obs::RouteChoice {
-                    policy: self.route.label(),
-                    chosen: device,
-                    candidates,
-                })),
-            });
+        if let Some(trace) = trace {
+            trace.log(index, now_us, device, obs::Logged::Routed(route));
         }
         Some((device, acquisition))
     }
@@ -1122,8 +1095,7 @@ impl Cluster {
         info: &InFlight,
         now_us: f64,
         eligible: impl Fn(usize) -> bool + Copy,
-        want_candidates: bool,
-        candidates: &mut Vec<(usize, f64)>,
+        route: &mut obs::RouteMark,
     ) -> Option<(usize, Acquisition)> {
         let devices = self.num_devices();
         if devices == 1 {
@@ -1153,11 +1125,9 @@ impl Cluster {
             .map(|(first, second)| {
                 let (a, a_acquisition) = self.completion_estimate(first, info, now_us);
                 let (b, b_acquisition) = self.completion_estimate(second, info, now_us);
-                if want_candidates {
-                    candidates.push((a.3, a.0));
-                    if second != first {
-                        candidates.push((b.3, b.0));
-                    }
+                route.weigh(a.3, a.0);
+                if second != first {
+                    route.weigh(b.3, b.0);
                 }
                 if b < a {
                     (b.3, b_acquisition)
@@ -1180,15 +1150,8 @@ impl Cluster {
         now_us: f64,
         state: &mut ClusterState,
     ) {
-        if state.recorder.enabled() {
-            state.recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(info.request.id),
-                device: 0,
-                tile: None,
-                kind: obs::SpanKind::Reject,
-            });
+        if let Some(trace) = &mut state.trace {
+            trace.log(index, now_us, 0, obs::Logged::Shed);
         }
         // No device to blame, so the shed lands in lane 0 of the telemetry
         // series; window aggregates sum across lanes either way.
@@ -1291,28 +1254,23 @@ impl Cluster {
         &self,
         index: usize,
         device: usize,
-        info: &InFlight,
         now_us: f64,
         state: &mut ClusterState,
     ) {
-        let ClusterState {
-            session, recorder, ..
-        } = state;
+        let ClusterState { session, trace, .. } = state;
         let Some(driver) = session else { return };
         let transfer = self.active_transfer();
         let alive = |device: usize| self.fault.alive(device);
         let (cost_us, moved) = driver.activation_plan(index, device, &transfer, alive);
         driver.commit_activation(index, cost_us, moved.len());
-        if recorder.enabled() {
+        if let Some(trace) = trace {
             for (from, bytes) in moved {
-                recorder.record(obs::TraceEvent {
-                    time_us: now_us,
-                    dur_us: 0.0,
-                    request_id: Some(info.request.id),
+                trace.log(
+                    index,
+                    now_us,
                     device,
-                    tile: None,
-                    kind: obs::SpanKind::StageTransfer { from, bytes },
-                });
+                    obs::Logged::StageTransfer(from, bytes),
+                );
             }
         }
     }
@@ -1328,28 +1286,19 @@ impl Cluster {
         index: usize,
         device: usize,
         now_us: f64,
-        intake: &[InFlight],
         state: &mut ClusterState,
     ) {
         let ClusterState {
             session,
             events,
-            recorder,
+            trace,
             ..
         } = state;
         let Some(driver) = session else { return };
         for succ in driver.note_complete(index, device, now_us) {
-            if recorder.enabled() {
-                recorder.record(obs::TraceEvent {
-                    time_us: now_us,
-                    dur_us: 0.0,
-                    request_id: Some(intake[succ].request.id),
-                    device,
-                    tile: None,
-                    kind: obs::SpanKind::StageReady {
-                        deps: driver.dep_count(succ) as u32,
-                    },
-                });
+            if let Some(trace) = trace {
+                let deps = driver.dep_count(succ) as u32;
+                trace.log(succ, now_us, device, obs::Logged::StageReady(deps));
             }
             events.push(now_us, EventKind::Arrival { index: succ });
         }
@@ -1358,15 +1307,9 @@ impl Cluster {
     /// Applies scheduled fault `fault_index` at `now_us`: flips the fleet
     /// flags, records the fault span, and performs the structural reaction
     /// (evacuation, requeues, replica re-homing).
-    fn apply_fault(
-        &mut self,
-        fault_index: usize,
-        now_us: f64,
-        intake: &[InFlight],
-        state: &mut ClusterState,
-    ) {
+    fn apply_fault(&mut self, fault_index: usize, now_us: f64, state: &mut ClusterState) {
         let kind = self.fault.apply(fault_index, now_us);
-        if state.recorder.enabled() {
+        if let Some(trace) = &mut state.trace {
             let (device, span) = match kind {
                 FaultKind::Kill { device } => (device, obs::SpanKind::DeviceDown),
                 FaultKind::Revive { device } => (device, obs::SpanKind::DeviceUp),
@@ -1378,18 +1321,11 @@ impl Cluster {
                     (0, obs::SpanKind::LinkDegrade { multiplier })
                 }
             };
-            state.recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: None,
-                device,
-                tile: None,
-                kind: span,
-            });
+            trace.fault(now_us, device, span);
         }
         match kind {
-            FaultKind::Kill { device } => self.kill_device(device, now_us, intake, state),
-            FaultKind::Drain { device } => self.drain_cluster_device(device, now_us, intake, state),
+            FaultKind::Kill { device } => self.kill_device(device, now_us, state),
+            FaultKind::Drain { device } => self.drain_cluster_device(device, now_us, state),
             // Routing and pricing read the fleet flags live.
             FaultKind::Revive { .. }
             | FaultKind::Undrain { .. }
@@ -1402,13 +1338,7 @@ impl Cluster {
     /// stays sourced for the retry), every queued request is displaced, tile
     /// timelines rewind, the kernel store is wiped, and the replication
     /// layer's pushed replicas re-home to survivors.
-    fn kill_device(
-        &mut self,
-        device: usize,
-        now_us: f64,
-        intake: &[InFlight],
-        state: &mut ClusterState,
-    ) {
+    fn kill_device(&mut self, device: usize, now_us: f64, state: &mut ClusterState) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
             let tile = base + local;
@@ -1418,7 +1348,7 @@ impl Cluster {
                     .take()
                     .expect("a running request has an outcome slot");
                 self.fault.device_mut(device).lost_work_us += (now_us - outcome.start_us).max(0.0);
-                self.displace(index, device, now_us, intake, state);
+                self.displace(index, device, now_us, true, state);
             }
             for index in state.queues[tile].drain_live(state.taken) {
                 if let Some(driver) = &mut state.session {
@@ -1427,7 +1357,7 @@ impl Cluster {
                     // re-enqueues it somewhere alive.
                     driver.note_dequeued(index);
                 }
-                self.displace(index, device, now_us, intake, state);
+                self.displace(index, device, now_us, false, state);
             }
             state.pending_free[tile] = None;
             state.batcher.reset_tile(tile);
@@ -1441,13 +1371,7 @@ impl Cluster {
     /// The graceful-drain reaction: the device's queued-but-not-started
     /// requests are displaced, but resident running work finishes normally
     /// and the kernel store stays warm for the undrain.
-    fn drain_cluster_device(
-        &mut self,
-        device: usize,
-        now_us: f64,
-        intake: &[InFlight],
-        state: &mut ClusterState,
-    ) {
+    fn drain_cluster_device(&mut self, device: usize, now_us: f64, state: &mut ClusterState) {
         let base = device * self.tiles_per_device;
         for local in 0..self.tiles_per_device {
             let tile = base + local;
@@ -1458,7 +1382,7 @@ impl Cluster {
                     // re-enqueues it somewhere alive.
                     driver.note_dequeued(index);
                 }
-                self.displace(index, device, now_us, intake, state);
+                self.displace(index, device, now_us, false, state);
             }
         }
         self.devices[device].pool.evacuate_queues();
@@ -1468,27 +1392,21 @@ impl Cluster {
     /// device enters the request's exclusion set and a requeue event at
     /// the current instant sends it back through routing (after every
     /// same-instant fault, so a coordinated kill+revive script is seen in
-    /// its final state).
+    /// its final state). `ran` is whether the displaced attempt had
+    /// started.
     fn displace(
         &mut self,
         index: usize,
         from_device: usize,
         now_us: f64,
-        intake: &[InFlight],
+        ran: bool,
         state: &mut ClusterState,
     ) {
         state.routed[index].exclusions.insert(from_device);
         self.fault.device_mut(from_device).requeues += 1;
         state.events.push(now_us, EventKind::Requeue { index });
-        if state.recorder.enabled() {
-            state.recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(intake[index].request.id),
-                device: from_device,
-                tile: None,
-                kind: obs::SpanKind::Requeue,
-            });
+        if let Some(trace) = &mut state.trace {
+            trace.log(index, now_us, from_device, obs::Logged::Requeue(ran));
         }
     }
 
@@ -1519,28 +1437,16 @@ impl Cluster {
                     .cost_us();
             self.devices[target].cache.get_or_share(key, &artifact);
             state.replicator.note_pushed(target, key, bytes, cost_us);
-            if state.recorder.enabled() {
-                state.recorder.record(obs::TraceEvent {
-                    time_us: now_us,
-                    dur_us: 0.0,
-                    request_id: None,
-                    device: target,
-                    tile: None,
-                    kind: obs::SpanKind::Prefetch {
-                        bytes: bytes as u64,
-                    },
-                });
-                state
-                    .recorder
-                    .counter(now_us, target, obs::CounterName::ReplicaPushed);
+            if let Some(trace) = &mut state.trace {
+                trace.replica_pushed(now_us, target, bytes as u64);
             }
         }
     }
 
     /// The shared serve body: resets per-serve state, picks the loop's tier,
-    /// lends the recycled tables and the warm trace recorder to the event
-    /// loop, folds its output into a report and takes both back on every
-    /// exit path — a serve that fails costs the next one nothing.
+    /// lends the recycled tables to the event loop, folds its output into a
+    /// report and takes the tables back on every exit path — a serve that
+    /// fails costs the next one nothing.
     fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
         // One device with nothing to route around, no stage to park and no
         // image to push serves on the plain tier; everything else is a
@@ -1563,11 +1469,10 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
         let mut tables = std::mem::take(&mut self.tables);
-        let mut recorder = self.trace_scratch.take_warm(self.tracing);
         let output = if fleet {
-            self.event_loop::<true>(ingest, &mut tables, &mut recorder)
+            self.event_loop::<true>(ingest, &mut tables)
         } else {
-            self.event_loop::<false>(ingest, &mut tables, &mut recorder)
+            self.event_loop::<false>(ingest, &mut tables)
         };
         let report = output.map(|mut output| {
             let sim_memo = self.sim_memo.stats().since(memo_before);
@@ -1592,7 +1497,6 @@ impl Cluster {
 
         tables.release(report.is_ok());
         self.tables = tables;
-        self.trace_scratch = recorder;
         report
     }
 
@@ -1628,8 +1532,8 @@ impl Cluster {
     /// `FLEET` is the serve's tier ([`run_serve`](Cluster::run_serve) picks
     /// it): off, every session, fault and replication guard below is a
     /// constant, device and tile arithmetic folds to device 0, no routing
-    /// decision is taken (or spanned) and the [`Routed`] rows are neither
-    /// grown nor read.
+    /// decision is taken and the [`Routed`] rows are neither grown nor
+    /// read.
     ///
     /// The horizon rule makes laziness sound: submissions arrive in
     /// non-decreasing arrival order, so once a request with arrival `h` has
@@ -1640,7 +1544,6 @@ impl Cluster {
         &mut self,
         mut ingest: Ingest,
         tables: &mut LoopTables,
-        recorder: &mut obs::TraceRecorder,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
         let prep = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
@@ -1675,7 +1578,7 @@ impl Cluster {
             last_event_us: 0.0,
             routed: &mut tables.routed,
             tallies: vec![DeviceTally::default(); devices],
-            recorder,
+            trace: self.tracing.is_enabled().then(|| obs::Trace::new(expected)),
             profiler: obs::StageProfiler::new(self.profiling),
             queue_depth_hist: obs::LogHistogram::new(),
             running_index: vec![None; run_slots],
@@ -1769,16 +1672,6 @@ impl Cluster {
                     if FLEET {
                         state.routed.push(Routed::default());
                     }
-                    if state.recorder.enabled() {
-                        state.recorder.record(obs::TraceEvent {
-                            time_us: arrival_us,
-                            dur_us: 0.0,
-                            request_id: Some(intake[index].request.id),
-                            device: 0,
-                            tile: None,
-                            kind: obs::SpanKind::Submit,
-                        });
-                    }
                     match ingest.try_recv() {
                         Some(buffered) => request = buffered,
                         None => break,
@@ -1832,10 +1725,11 @@ impl Cluster {
                     let route = state.profiler.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
+                            index,
                             info,
                             now_us,
                             &state.routed[index].exclusions,
-                            state.recorder,
+                            state.trace.as_mut(),
                         )
                     } else {
                         Some((0, Acquisition::Resident))
@@ -1866,7 +1760,7 @@ impl Cluster {
                             // The stage-completion edge: record the
                             // producer and re-arrive any successors whose
                             // inputs are now all ready.
-                            self.note_stage_complete(index, device, now_us, intake, &mut state);
+                            self.note_stage_complete(index, device, now_us, &mut state);
                         }
                     }
                     self.devices[device].busy_tiles -= 1;
@@ -1876,7 +1770,7 @@ impl Cluster {
                     }
                 }
                 EventKind::Fault { fault } if FLEET => {
-                    self.apply_fault(fault, now_us, intake, &mut state);
+                    self.apply_fault(fault, now_us, &mut state);
                 }
                 EventKind::Requeue { index } if FLEET => {
                     // A displaced request re-enters routing. It was already
@@ -1885,10 +1779,11 @@ impl Cluster {
                     // avoiding the devices it was displaced off.
                     let route = state.profiler.begin();
                     let routed = self.route_device_excluding(
+                        index,
                         &intake[index],
                         now_us,
                         &state.routed[index].exclusions,
-                        state.recorder,
+                        state.trace.as_mut(),
                     );
                     self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
                 }
@@ -1910,8 +1805,8 @@ impl Cluster {
             "every submitted request is either served or rejected"
         );
         // Assemble the windowed series (the makespan is the last event's
-        // time — the final tile-free) and evaluate SLO burn against it, with
-        // the burn alerts recorded as spans before the recorder drains.
+        // time — the final tile-free) and evaluate SLO burn against it, the
+        // burn alerts joining the trace.
         let telemetry = self.telemetry.is_enabled().then(|| {
             obs::TimeSeries::assemble(
                 self.telemetry,
@@ -1921,16 +1816,21 @@ impl Cluster {
                 &state.lane_series,
             )
         });
-        let recorder = state.recorder;
         let slo = match (&telemetry, self.slo.is_enabled()) {
-            (Some(series), true) => {
-                let report = obs::evaluate_slo(series, &self.slo);
-                obs::record_burn_spans(recorder, &report);
-                Some(report)
-            }
+            (Some(series), true) => Some(obs::evaluate_slo(series, &self.slo)),
             _ => None,
         };
-        let trace = recorder.finish();
+        let trace = state.trace.map(|mut trace| {
+            let requests = intake.iter().map(|info| &info.request);
+            let policy = FLEET.then(|| self.route.label());
+            let alerts = slo.as_ref().map_or_else(Vec::new, obs::burn_spans);
+            trace.finish(
+                requests.map(|r| (r.id, r.arrival_us)).collect(),
+                policy,
+                alerts,
+            );
+            trace
+        });
         // Hand the session driver back to `serve_pipelines` for the
         // pipeline-level report.
         self.session_driver = state.session.take();
@@ -2012,17 +1912,15 @@ impl Cluster {
             row.acquire_us = acquire_us;
             row.acquire_src = acquisition.source();
             row.acquire_bytes = acquisition.bytes();
-            self.commit_stage_activation(index, device, info, now_us, state);
+            self.commit_stage_activation(index, device, now_us, state);
         }
         if fresh {
             let memo_hit =
                 state
                     .sim
                     .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
-            if memo_hit {
-                state
-                    .recorder
-                    .counter(now_us, device, obs::CounterName::MemoHit);
+            if let (true, Some(trace)) = (memo_hit, &mut state.trace) {
+                trace.memo_hit();
             }
         } else {
             // A started-then-killed request may still carry the taken flag
@@ -2072,39 +1970,12 @@ impl Cluster {
         // untouched.
         let fair = session.is_none_or(|driver| driver.fair_admit(index, self.admission_limit));
         let admitted = starts_now || (self.waiting_count::<FLEET>() < self.admission_limit && fair);
-        let class = session.map_or(SloClass::Standard, |driver| driver.slo_of(index));
-        if state.recorder.enabled() {
-            state.recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(info.request.id),
-                device,
-                tile: None,
-                kind: obs::SpanKind::Admission { admitted },
-            });
-            if session.is_some() {
-                state.recorder.record(obs::TraceEvent {
-                    time_us: now_us,
-                    dur_us: 0.0,
-                    request_id: Some(info.request.id),
-                    device,
-                    tile: None,
-                    kind: obs::SpanKind::SloAdmit { class, admitted },
-                });
-            }
+        let class = session.map(|driver| driver.slo_of(index));
+        if let Some(trace) = &mut state.trace {
+            trace.admit(index, device, now_us, admitted, class);
         }
         if admitted {
             return true;
-        }
-        if state.recorder.enabled() {
-            state.recorder.record(obs::TraceEvent {
-                time_us: now_us,
-                dur_us: 0.0,
-                request_id: Some(info.request.id),
-                device,
-                tile: None,
-                kind: obs::SpanKind::Reject,
-            });
         }
         state.rejected.push(RejectedRequest {
             id: info.request.id,
@@ -2113,6 +1984,7 @@ impl Cluster {
             deadline_us: info.request.deadline_us,
         });
         state.tallies[device].rejects += 1;
+        let class = class.unwrap_or(SloClass::Standard);
         state.lane_series[device].note_reject(class, now_us);
         if FLEET {
             self.cascade_stage_reject(index, now_us, intake, state);
@@ -2242,10 +2114,10 @@ impl Cluster {
         };
         let transferred =
             charged.switched && row.is_some_and(|row| row.acquire_src == AcquireSource::Transfer);
-        if state.recorder.enabled() {
+        if let Some(trace) = &mut state.trace {
             let run_len = state.batcher.run_len(tile);
             let place = (device, local_tile);
-            record_request_spans(state.recorder, place, info, &charged, row, run_len);
+            trace.start(index, place, run_len, &charged, info.view.switch_us, row);
         }
         let request = &info.request;
         let latency_us = charged.completion_us - request.arrival_us;

@@ -241,8 +241,9 @@ impl ServeReport {
         self.policy
     }
 
-    /// The recorded request-span trace, when the serve ran with
-    /// [`Runtime::with_tracing`] enabled.
+    /// Every request's lifecycle spans, when the serve ran with
+    /// [`Runtime::with_tracing`] enabled: the trace is built from the rows
+    /// the serve kept, on first access to [`events`](obs::Trace::events).
     pub fn trace(&self) -> Option<&obs::Trace> {
         self.trace.as_ref()
     }
@@ -398,71 +399,6 @@ pub(crate) struct InFlight {
     /// kernel between devices.
     pub(crate) image_bytes: usize,
     pub(crate) view: DispatchRequest,
-}
-
-/// Records the lifecycle spans of one started request onto its tile track:
-/// queue wait (arrival → start), image acquisition and context switch when
-/// paid, the run itself, batch membership and the commit instant. The span
-/// durations sum to the request's reported `latency_us` by construction —
-/// the reconciliation the observability test suite audits. `routed` is the
-/// fleet tier's row for the request: the image acquisition and activation
-/// transfer a switching tile pays ahead of the switch itself.
-pub(crate) fn record_request_spans(
-    recorder: &mut obs::TraceRecorder,
-    place: (usize, usize),
-    info: &InFlight,
-    charged: &ChargeOutcome,
-    routed: Option<&route::Routed>,
-    run_len: usize,
-) {
-    let (device, tile) = place;
-    let request = &info.request;
-    let span = |time_us: f64, dur_us: f64, kind: obs::SpanKind| obs::TraceEvent {
-        time_us,
-        dur_us,
-        request_id: Some(request.id),
-        device,
-        tile: Some(tile),
-        kind,
-    };
-    let start = charged.start_us;
-    // The always-adjacent pairs (queue wait + batch membership, run +
-    // commit) go through the recorder's fused capture paths: half the ring
-    // pushes for the per-request burst, split back apart at decode.
-    recorder.queue_wait_batch(
-        request.arrival_us,
-        start - request.arrival_us,
-        request.id,
-        device,
-        tile,
-        run_len as u64,
-    );
-    let mut cursor = start;
-    if charged.switched {
-        if let Some(row) = routed {
-            if row.acquire_us > 0.0 {
-                let (source, bytes) = (row.acquire_src.label(), row.acquire_bytes);
-                let acquire = obs::SpanKind::Acquire { source, bytes };
-                recorder.record(span(cursor, row.acquire_us, acquire));
-                cursor += row.acquire_us;
-            }
-            if row.activation_us > 0.0 {
-                recorder.record(span(cursor, row.activation_us, obs::SpanKind::Activation));
-                cursor += row.activation_us;
-            }
-        }
-        let switch_us = info.view.switch_us;
-        recorder.record(span(cursor, switch_us, obs::SpanKind::ContextSwitch));
-        cursor += switch_us;
-    }
-    recorder.run_commit(
-        cursor,
-        charged.completion_us - cursor,
-        charged.completion_us,
-        request.id,
-        device,
-        tile,
-    );
 }
 
 /// Runs `serve` over a live ingest beside the streaming serve's feeder
@@ -781,10 +717,10 @@ impl Runtime {
         self
     }
 
-    /// Configures request-span tracing: every serve records its lifecycle
-    /// spans into a bounded drop-oldest ring and hands the completed
-    /// [`Trace`](obs::Trace) back on the report. The default
-    /// [`TraceConfig::disabled`](obs::TraceConfig::disabled) records nothing
+    /// Configures request-span tracing: every serve keeps the rows its
+    /// spans are made from and hands the [`Trace`](obs::Trace) back on the
+    /// report, every request's lifecycle spans in it. The default
+    /// [`TraceConfig::disabled`](obs::TraceConfig::disabled) keeps nothing
     /// and leaves the serve bitwise identical to an untraced one.
     #[must_use]
     pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
@@ -1180,7 +1116,7 @@ mod tests {
         let counter_track = || {
             let mut runtime = Runtime::new(FuVariant::V4, 1)
                 .unwrap()
-                .with_tracing(TraceConfig::with_capacity(4096));
+                .with_tracing(TraceConfig::enabled());
             let report = runtime.serve(blocked_identical_burst()).unwrap();
             let trace = report.trace().expect("tracing was enabled");
             trace
@@ -1443,16 +1379,10 @@ mod tests {
         assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
     }
 
-    /// A serve over an explicit NoC — two rows, so round trips differ by
-    /// row, of series-composed depth-16 tiles — under slack-aware dispatch,
-    /// admission pressure and batching, pinned to the bytes `Runtime`'s own
-    /// event loop produced before it became a one-device [`Cluster`] (whose
-    /// constructor only ever built single-row parallel pools). Never edit
-    /// the constant to make this pass.
-    #[test]
-    fn a_from_noc_serve_matches_its_golden_digest() {
-        use std::hash::Hasher;
-        const GOLDEN_FNV: u64 = 0xebeb_368e_9f92_d6ee;
+    /// A traced serve over an explicit NoC — two rows, so round trips
+    /// differ by row, of series-composed depth-16 tiles — under slack-aware
+    /// dispatch, admission pressure and batching.
+    fn from_noc_serve() -> ServeReport {
         let tile = overlay_arch::Tile::new(FuVariant::V4, overlay_arch::TileComposition::Series);
         let noc = NocConfig::new(2, 3, tile).unwrap();
         let requests: Vec<Request> = benchmark_trace(60, 24)
@@ -1472,7 +1402,21 @@ mod tests {
             .with_admission_limit(16)
             .with_batching(BatchConfig::with_max_batch(4))
             .with_tracing(TraceConfig::enabled());
-        let report = runtime.serve(requests).unwrap();
+        runtime.serve(requests).unwrap()
+    }
+
+    /// [`from_noc_serve`] pinned to the bytes `Runtime`'s own event loop
+    /// produced before it became a one-device [`Cluster`] (whose
+    /// constructor only ever built single-row parallel pools), with the
+    /// trace in its request-major order: that earlier dump, its events
+    /// reordered by the rule [`Trace::events`](obs::Trace::events)
+    /// documents, digests to this constant. Never edit the constant to make
+    /// this pass.
+    #[test]
+    fn a_from_noc_serve_matches_its_golden_digest() {
+        use std::hash::Hasher;
+        const GOLDEN_FNV: u64 = 0xc706_495d_748b_c306;
+        let report = from_noc_serve();
         let metrics = report.metrics();
         assert!(metrics.rejects > 0 && metrics.deadline_misses > 0);
         assert!(metrics.batch.switches_avoided > 0);
@@ -1489,6 +1433,27 @@ mod tests {
             hasher.finish(),
             GOLDEN_FNV,
             "digest {:#018x} is not the golden one",
+            hasher.finish()
+        );
+    }
+
+    /// The Perfetto export of [`from_noc_serve`]'s trace, byte for byte.
+    /// Never edit the constant to make this pass; a mismatch prints the
+    /// JSON the exporter writes now.
+    #[test]
+    fn a_from_noc_serve_exports_its_golden_perfetto_json() {
+        use std::hash::Hasher;
+        const GOLDEN_FNV: u64 = 0xc3c9_b66b_b497_32ad;
+        let report = from_noc_serve();
+        let trace = report.trace().expect("tracing was enabled");
+        let json = obs::perfetto_trace_json(trace, None, "from_noc");
+        obs::validate_chrome_trace(&json).expect("the export validates");
+        let mut hasher = cache::FnvHasher::default();
+        hasher.write(json.as_bytes());
+        assert_eq!(
+            hasher.finish(),
+            GOLDEN_FNV,
+            "digest {:#018x} of the Perfetto JSON below is not the golden one\n{json}",
             hasher.finish()
         );
     }

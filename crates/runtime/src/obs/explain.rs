@@ -1,6 +1,6 @@
 //! Per-request latency attribution decoded from a serve's trace.
 //!
-//! The start path records every request's lifecycle as spans that tile the
+//! A trace holds every request's lifecycle as spans that tile the
 //! `[arrival, completion]` interval by construction: queue wait, then (when
 //! a context switch is paid) image acquisition, inter-stage activation
 //! transfer and the instruction-reload switch, then the run. [`explain`]
@@ -64,8 +64,7 @@ impl Attribution {
         self.queue_us + self.acquire_us + self.activation_us + self.switch_us + self.run_us
     }
 
-    /// `latency - attributed`: the float residue of the tiling (ulps on a
-    /// complete trace; large when the ring dropped this request's spans).
+    /// `latency - attributed`: the float residue of the tiling (ulps).
     pub fn residual_us(&self) -> f64 {
         self.latency_us - self.attributed_us()
     }
@@ -89,7 +88,7 @@ impl AttributionReport {
         &self.rows
     }
 
-    /// The row for one request, if its spans were retained.
+    /// The row for one request, if it ran.
     pub fn for_request(&self, request_id: u64) -> Option<&Attribution> {
         self.rows
             .binary_search_by_key(&request_id, |row| row.request_id)
@@ -134,7 +133,7 @@ impl AttributionReport {
     }
 }
 
-/// Accumulates one request's spans in ring order.
+/// Accumulates one request's spans in lifecycle order.
 #[derive(Debug, Clone, Copy, Default)]
 struct PendingAttribution {
     device: usize,
@@ -147,13 +146,11 @@ struct PendingAttribution {
     run_us: f64,
     displaced_us: f64,
     requeues: u32,
-    saw_queue: bool,
     saw_run: bool,
 }
 
-/// Decodes every request's retained spans into its additive latency
-/// breakdown. Requests whose start burst the bounded ring dropped (or that
-/// were rejected and never ran) produce no row.
+/// Decodes every request's spans into its additive latency breakdown: one
+/// row per served request. A rejected request never ran and has no row.
 pub fn explain(trace: &Trace) -> AttributionReport {
     let mut pending: BTreeMap<u64, PendingAttribution> = BTreeMap::new();
     for event in trace.events() {
@@ -177,7 +174,6 @@ pub fn explain(trace: &Trace) -> AttributionReport {
                 }
                 entry.arrival_us = event.time_us;
                 entry.queue_us = event.dur_us;
-                entry.saw_queue = true;
             }
             SpanKind::Acquire { .. } => entry.acquire_us += event.dur_us,
             SpanKind::Activation => entry.activation_us += event.dur_us,
@@ -194,7 +190,7 @@ pub fn explain(trace: &Trace) -> AttributionReport {
     }
     let rows = pending
         .into_iter()
-        .filter(|(_, entry)| entry.saw_queue && entry.saw_run)
+        .filter(|(_, entry)| entry.saw_run)
         .map(|(request_id, entry)| Attribution {
             request_id,
             device: entry.device,
@@ -216,36 +212,31 @@ pub fn explain(trace: &Trace) -> AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::trace::{TraceConfig, TraceEvent, TraceRecorder};
+    use crate::obs::Logged;
+    use crate::pool::ChargeOutcome;
+    use crate::route::{AcquireSource, Routed};
 
-    fn span(time_us: f64, dur_us: f64, request_id: u64, kind: SpanKind) -> TraceEvent {
-        TraceEvent {
-            time_us,
-            dur_us,
-            request_id: Some(request_id),
-            device: 1,
-            tile: Some(0),
-            kind,
+    fn charged(start_us: f64, completion_us: f64, switched: bool) -> ChargeOutcome {
+        ChargeOutcome {
+            start_us,
+            completion_us,
+            switched,
         }
     }
 
     #[test]
     fn a_full_lifecycle_reconciles_additively() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.queue_wait_batch(0.0, 2.0, 7, 1, 0, 1);
-        recorder.record(span(
-            2.0,
-            0.5,
-            7,
-            SpanKind::Acquire {
-                source: "transfer",
-                bytes: 64,
-            },
-        ));
-        recorder.record(span(2.5, 0.25, 7, SpanKind::Activation));
-        recorder.record(span(2.75, 0.25, 7, SpanKind::ContextSwitch));
-        recorder.run_commit(3.0, 4.0, 7.0, 7, 1, 0);
-        let trace = recorder.finish().unwrap();
+        let mut trace = Trace::default();
+        trace.admit(0, 1, 0.0, true, None);
+        let routed = Routed {
+            acquire_us: 0.5,
+            acquire_src: AcquireSource::Transfer,
+            acquire_bytes: 64,
+            activation_us: 0.25,
+            ..Routed::default()
+        };
+        trace.start(0, (1, 0), 1, &charged(2.0, 7.0, true), 0.25, Some(&routed));
+        trace.finish(vec![(7, 0.0)], None, Vec::new());
         let report = explain(&trace);
         assert_eq!(report.rows().len(), 1);
         let row = report.for_request(7).unwrap();
@@ -262,20 +253,14 @@ mod tests {
 
     #[test]
     fn displaced_attempts_fold_into_the_displacement_column() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        // First attempt: starts at 1, would have run to 6 — killed.
-        recorder.queue_wait_batch(0.0, 1.0, 3, 0, 0, 1);
-        recorder.record(TraceEvent {
-            device: 0,
-            ..span(1.0, 0.5, 3, SpanKind::ContextSwitch)
-        });
-        recorder.run_commit(1.5, 4.5, 6.0, 3, 0, 0);
-        // Displacement and the second, surviving attempt on device 1.
-        recorder.record(span(6.5, 0.0, 3, SpanKind::Requeue));
-        recorder.queue_wait_batch(0.0, 8.0, 3, 1, 0, 1);
-        recorder.record(span(8.0, 0.5, 3, SpanKind::ContextSwitch));
-        recorder.run_commit(8.5, 3.5, 12.0, 3, 1, 0);
-        let trace = recorder.finish().unwrap();
+        let mut trace = Trace::default();
+        trace.admit(0, 0, 0.0, true, None);
+        // First attempt: starts at 1, would have run to 6 — killed at 6.5.
+        trace.start(0, (0, 0), 1, &charged(1.0, 6.0, true), 0.5, None);
+        trace.log(0, 6.5, 0, Logged::Requeue(true));
+        // The second, surviving attempt on device 1.
+        trace.start(0, (1, 0), 1, &charged(8.0, 12.0, true), 0.5, None);
+        trace.finish(vec![(3, 0.0)], None, Vec::new());
         let report = explain(&trace);
         let row = report.for_request(3).unwrap();
         assert_eq!(row.device, 1);
@@ -291,25 +276,33 @@ mod tests {
 
     #[test]
     fn rejected_and_span_dropped_requests_produce_no_row() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(span(0.0, 0.0, 5, SpanKind::Submit));
-        recorder.record(span(0.0, 0.0, 5, SpanKind::Reject));
-        // A run whose queue-wait span the ring dropped: no row either.
-        recorder.run_commit(1.0, 2.0, 3.0, 6, 0, 0);
-        let trace = recorder.finish().unwrap();
+        // One request refused by admission control and one shed with no
+        // device to take it: neither ran, so neither has a row.
+        let mut trace = Trace::default();
+        trace.admit(0, 0, 0.0, false, None);
+        trace.log(1, 1.0, 0, Logged::Shed);
+        trace.finish(vec![(5, 0.0), (6, 1.0)], None, Vec::new());
         let report = explain(&trace);
         assert!(report.rows().is_empty());
         assert!(report.for_request(5).is_none());
+        assert!(report.for_request(6).is_none());
     }
 
     #[test]
     fn worst_offenders_rank_by_latency_and_render() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        for (id, run_us) in [(1u64, 2.0), (2, 9.0), (3, 5.0)] {
-            recorder.queue_wait_batch(0.0, 1.0, id, 0, 0, 1);
-            recorder.run_commit(1.0, run_us, 1.0 + run_us, id, 0, 0);
+        let mut trace = Trace::default();
+        for (index, run_us) in [2.0, 9.0, 5.0].into_iter().enumerate() {
+            trace.admit(index, 0, 0.0, true, None);
+            trace.start(
+                index,
+                (0, 0),
+                1,
+                &charged(1.0, 1.0 + run_us, false),
+                0.5,
+                None,
+            );
         }
-        let trace = recorder.finish().unwrap();
+        trace.finish(vec![(1, 0.0), (2, 0.0), (3, 0.0)], None, Vec::new());
         let report = explain(&trace);
         let worst = report.worst_offenders(2);
         assert_eq!(worst.len(), 2);

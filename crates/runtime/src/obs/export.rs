@@ -139,7 +139,8 @@ fn args_of(event: &TraceEvent) -> String {
 /// Chrome trace event format JSON, loadable by Perfetto.
 ///
 /// Layout: device *d*'s virtual-time lanes are process `d + 1` (track 0 =
-/// device-level decisions, track *t* + 1 = tile *t*); queue waits render as
+/// device-level decisions, track *t* + 1 = tile *t*), each track's events in
+/// time order (the trace lists them by request); queue waits render as
 /// async (`ph:"b"`/`"e"`) spans keyed by request id so overlapping waits
 /// stack; control-plane counters render as `ph:"C"` counter series. When
 /// `profile` is given, process 0 carries one host-time lane per stage —
@@ -164,7 +165,9 @@ pub fn perfetto_trace_json_with_telemetry(
     let mut named_processes = std::collections::BTreeSet::new();
     let mut named_tracks = std::collections::BTreeSet::new();
 
-    for event in trace.events() {
+    let mut timeline: Vec<&TraceEvent> = trace.events().iter().collect();
+    timeline.sort_by(|a, b| a.time_us.total_cmp(&b.time_us));
+    for event in timeline {
         let pid = event.device + 1;
         if named_processes.insert(pid) {
             let mut meta = String::new();
@@ -281,9 +284,8 @@ pub fn perfetto_trace_json_with_telemetry(
     let _ = writeln!(json, "  \"displayTimeUnit\": \"ms\",");
     let _ = writeln!(
         json,
-        "  \"otherData\": {{\"label\": \"{}\", \"dropped_events\": {}}}",
-        json_escape(label),
-        trace.dropped()
+        "  \"otherData\": {{\"label\": \"{}\"}}",
+        json_escape(label)
     );
     json.push_str("}\n");
     json
@@ -857,7 +859,7 @@ impl<'a> JsonReader<'a> {
                     // Multi-byte UTF-8 sequences pass through whole.
                     let rest = &self.bytes[self.pos..];
                     let text = std::str::from_utf8(rest).map_err(|_| self.error("bad utf-8"))?;
-                    let c = text.chars().next().expect("peeked a byte");
+                    let c = text.chars().next().ok_or_else(|| self.error("bad utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -1000,45 +1002,23 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceValidation, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::trace::{CounterName, TraceConfig, TraceRecorder};
     use super::*;
+    use crate::pool::ChargeOutcome;
 
+    /// One request: submitted and admitted at 0 with a memo hit, queued
+    /// for 2 µs, a 0.25 µs switch, then a 5 µs run.
     fn sample_trace() -> Trace {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            time_us: 0.0,
-            dur_us: 0.0,
-            request_id: Some(1),
-            device: 0,
-            tile: None,
-            kind: SpanKind::Submit,
-        });
-        recorder.record(TraceEvent {
-            time_us: 0.0,
-            dur_us: 2.0,
-            request_id: Some(1),
-            device: 0,
-            tile: Some(0),
-            kind: SpanKind::QueueWait,
-        });
-        recorder.record(TraceEvent {
-            time_us: 2.0,
-            dur_us: 0.25,
-            request_id: Some(1),
-            device: 0,
-            tile: Some(0),
-            kind: SpanKind::ContextSwitch,
-        });
-        recorder.record(TraceEvent {
-            time_us: 2.25,
-            dur_us: 5.0,
-            request_id: Some(1),
-            device: 0,
-            tile: Some(0),
-            kind: SpanKind::Run,
-        });
-        recorder.counter(2.25, 0, CounterName::MemoHit);
-        recorder.finish().expect("tracing was on")
+        let mut trace = Trace::default();
+        trace.admit(0, 0, 0.0, true, None);
+        trace.memo_hit();
+        let charged = ChargeOutcome {
+            start_us: 2.0,
+            completion_us: 7.25,
+            switched: true,
+        };
+        trace.start(0, (0, 0), 1, &charged, 0.25, None);
+        trace.finish(vec![(1, 0.0)], None, Vec::new());
+        trace
     }
 
     #[test]

@@ -290,18 +290,15 @@ pub fn percentile_from_parts(parts: &[&LogHistogram], p: f64) -> f64 {
         .unwrap_or(0);
     // Every sample sits at or above its part's minimum, and `bucket_of` is
     // monotone, so no part has a count below the smallest minimum's bucket —
-    // the walk can start there instead of scanning leading zeros. (A
-    // non-finite minimum would mean samples the comparison in `record`
-    // never tracked, e.g. NaN in the underflow bucket: start at 0.)
+    // the walk can start there instead of scanning leading zeros. NaN is the
+    // exception: `record` files it in the underflow bucket without touching
+    // the minimum, so a part with anything there starts the walk at 0.
     let start = parts
         .iter()
         .filter(|part| part.count > 0)
-        .map(|part| {
-            if part.min.is_finite() {
-                LogHistogram::bucket_of(part.min)
-            } else {
-                0
-            }
+        .map(|part| match part.counts.first() {
+            Some(0) if part.min.is_finite() => LogHistogram::bucket_of(part.min),
+            _ => 0,
         })
         .min()
         .unwrap_or(0);
@@ -323,10 +320,13 @@ pub fn percentile_from_parts(parts: &[&LogHistogram], p: f64) -> f64 {
         }
         if cumulative > high {
             let representative = LogHistogram::representative(index);
+            // `low <= high`, so the walk crossed `low` at or before here.
             let low_value = low_value.expect("low rank is at or before high rank");
             return low_value * (1.0 - weight) + representative * weight;
         }
     }
+    // The walk starts at or below every non-empty bucket, so it counts all
+    // `total` samples and crosses `high <= total - 1` before it ends.
     unreachable!("the cumulative walk covers every recorded sample")
 }
 
@@ -507,6 +507,20 @@ mod tests {
             check(f64::from_bits(exponent << MANTISSA_BITS | mantissa));
         }
         assert!(checked > 1_000_000);
+    }
+
+    #[test]
+    fn a_nan_sample_beside_finite_ones_does_not_panic_a_percentile() {
+        // NaN lands in the underflow bucket but not in the minimum; the walk
+        // used to start at the minimum's bucket, miss it and run off the end.
+        let mut hist = LogHistogram::new();
+        hist.record(f64::NAN);
+        hist.record(5.0);
+        assert_eq!(hist.percentile(0.0), LogHistogram::representative(0));
+        let top = hist.percentile(1.0);
+        assert!((top - 5.0).abs() <= LogHistogram::bucket_width_at(5.0));
+        let merged = percentile_from_parts(&[&LogHistogram::new(), &hist], 1.0);
+        assert_eq!(merged, top);
     }
 
     #[test]

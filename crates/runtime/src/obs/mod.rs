@@ -4,13 +4,16 @@
 //! Everything here is off by default and proptest-pinned free when off —
 //! the same idiom as the control plane ([`BatchConfig::disabled`](crate::BatchConfig::disabled)):
 //!
-//! * [`TraceConfig`] / [`TraceRecorder`] — a bounded drop-oldest ring of
-//!   typed [`TraceEvent`] spans on the virtual timeline, recording every
-//!   request's lifecycle (submit → admission → route → queue wait →
-//!   acquire/switch → run → commit/reject) plus control-plane counters.
-//!   Enable with [`Runtime::with_tracing`](crate::Runtime::with_tracing) /
-//!   [`Cluster::with_tracing`](crate::Cluster::with_tracing); the completed
-//!   [`Trace`] comes back on the serve report.
+//! * [`TraceConfig`] / [`Trace`] — every request's lifecycle (submit →
+//!   admission → route → queue wait → acquire/switch → run → commit/reject)
+//!   plus control-plane counters, as typed [`TraceEvent`] spans on the
+//!   virtual timeline. The serve keeps only the rows spans are made from —
+//!   one per routing decision, admission verdict and tile start, and a log
+//!   of rare events — and [`Trace::events`] builds the spans on first
+//!   read. Enable with
+//!   [`Runtime::with_tracing`](crate::Runtime::with_tracing) /
+//!   [`Cluster::with_tracing`](crate::Cluster::with_tracing); the trace
+//!   comes back on the serve report.
 //! * [`LogHistogram`] — HDR-style log-bucketed latency and queue-depth
 //!   histograms, recorded online in
 //!   [`RuntimeMetrics`](crate::RuntimeMetrics) (always on; pure function of
@@ -50,11 +53,9 @@ pub use export::{
 };
 pub use hist::{percentile_from_parts, LogHistogram, SUB_BUCKETS_PER_OCTAVE};
 pub use profile::{ProfileStats, Stage, StageProfiler, STAGE_COUNT};
-pub(crate) use slo::{evaluate_slo, record_burn_spans};
+pub(crate) use slo::{burn_spans, evaluate_slo};
 pub use slo::{BurnAlert, BurnSample, SloConfig, SloObjective, SloReport, SloStatus};
 pub use timeline::{ClassWindow, TelemetryConfig, TimeSeries, WindowStats};
 pub(crate) use timeline::{GlobalSeries, LaneSeries};
-pub use trace::{
-    CounterName, RouteChoice, SpanKind, Trace, TraceConfig, TraceEvent, TraceRecorder,
-    ACQUIRE_SOURCE_OVERFLOW, DEVICE_ID_OUT_OF_RANGE, TILE_ID_OUT_OF_RANGE,
-};
+pub use trace::{CounterName, RouteChoice, SpanKind, Trace, TraceConfig, TraceEvent};
+pub(crate) use trace::{Logged, RouteMark};

@@ -23,7 +23,7 @@
 //! alerts and spans bitwise.
 
 use crate::obs::timeline::TimeSeries;
-use crate::obs::trace::{SpanKind, TraceEvent, TraceRecorder};
+use crate::obs::trace::{device_event, SpanKind, TraceEvent};
 use crate::session::SloClass;
 
 /// One class's SLO: the deadline miss-rate budget and the burn-alert
@@ -273,48 +273,37 @@ pub(crate) fn evaluate_slo(series: &TimeSeries, config: &SloConfig) -> SloReport
     SloReport { classes }
 }
 
-/// Records every alert's fire and clear as typed instants on the trace's
-/// virtual timeline (fleet-wide, device 0), in (class, fire) order — called
-/// just before the recorder drains.
-pub(crate) fn record_burn_spans(recorder: &mut TraceRecorder, report: &SloReport) {
-    if !recorder.enabled() {
-        return;
-    }
+/// Every alert's fire and clear as typed instants on the trace's virtual
+/// timeline (fleet-wide, device 0), in (class, fire) order — the trace's
+/// last events.
+pub(crate) fn burn_spans(report: &SloReport) -> Vec<TraceEvent> {
+    let mut spans = Vec::new();
     for status in &report.classes {
         for alert in &status.alerts {
-            recorder.record(TraceEvent {
-                time_us: alert.fired_us,
-                dur_us: 0.0,
-                request_id: None,
-                device: 0,
-                tile: None,
-                kind: SpanKind::SloBurn {
-                    class: alert.class,
-                    window: alert.fired_window as u64,
-                },
-            });
+            let class = alert.class;
+            let window = alert.fired_window as u64;
+            spans.push(device_event(
+                alert.fired_us,
+                0,
+                SpanKind::SloBurn { class, window },
+            ));
             if let (Some(window), Some(time_us)) = (alert.cleared_window, alert.cleared_us) {
-                recorder.record(TraceEvent {
+                let window = window as u64;
+                spans.push(device_event(
                     time_us,
-                    dur_us: 0.0,
-                    request_id: None,
-                    device: 0,
-                    tile: None,
-                    kind: SpanKind::SloClear {
-                        class: alert.class,
-                        window: window as u64,
-                    },
-                });
+                    0,
+                    SpanKind::SloClear { class, window },
+                ));
             }
         }
     }
+    spans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::timeline::{GlobalSeries, LaneSeries, TelemetryConfig, TimeSeries};
-    use crate::obs::trace::TraceConfig;
 
     /// A series with the given per-window (served, missed) Standard-class
     /// counts, 10µs windows.
@@ -405,29 +394,26 @@ mod tests {
         let config = SloConfig::disabled()
             .with_objective(SloObjective::new(SloClass::Standard, 0.1).with_windows(1, 2));
         let report = evaluate_slo(&series, &config);
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        record_burn_spans(&mut recorder, &report);
-        let trace = recorder.finish().unwrap();
-        let labels: Vec<&str> = trace.events().iter().map(|e| e.kind.label()).collect();
+        let spans = burn_spans(&report);
+        let labels: Vec<&str> = spans.iter().map(|e| e.kind.label()).collect();
         assert_eq!(labels, vec!["slo-burn", "slo-clear"]);
         assert!(matches!(
-            trace.events()[0].kind,
+            spans[0].kind,
             SpanKind::SloBurn {
                 class: SloClass::Standard,
                 window: 1
             }
         ));
         assert!(matches!(
-            trace.events()[1].kind,
+            spans[1].kind,
             SpanKind::SloClear {
                 class: SloClass::Standard,
                 window: 2
             }
         ));
-        // A disabled recorder stays untouched (the bitwise-off pin).
-        let mut off = TraceRecorder::new(TraceConfig::disabled());
-        record_burn_spans(&mut off, &report);
-        assert!(off.finish().is_none());
+        // A quiet series raises no alert and adds no span.
+        let quiet = evaluate_slo(&series_of(&[(10, 0), (10, 0)]), &config);
+        assert!(burn_spans(&quiet).is_empty());
     }
 
     #[test]

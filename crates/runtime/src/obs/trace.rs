@@ -1,65 +1,56 @@
-//! Request-span tracing on the virtual timeline.
+//! Request-span tracing on the virtual timeline, derived after the serve.
 //!
-//! A [`TraceRecorder`] is a bounded, drop-oldest ring buffer of typed
-//! [`TraceEvent`]s. The event loop owns exactly one recorder per serve and runs on
-//! a single thread, so recording is a plain (lock-free) ring push — no
-//! atomics, no allocation per span beyond what the span itself carries — and
-//! with the default [`TraceConfig::disabled`] every hook is one branch on
-//! [`TraceRecorder::enabled`] and otherwise free. That zero-cost-off
-//! property is what lets the equivalence proptests pin tracing-off serves
-//! bitwise-identical to the pre-observability runtime.
+//! A traced serve records no spans while it runs. It keeps the few rows
+//! spans are made from, each written where the serve takes the decision
+//! anyway: one per routing decision on the fleet tier, one per admission
+//! verdict, one per tile start, and a time-stamped log of the rare events —
+//! fault transitions, displacements, sheds, replica pushes and demotions,
+//! stage readiness and activation transfers — plus the SLO burn alerts
+//! evaluated at serve end. An untraced serve keeps none of them. Nothing is
+//! bounded and nothing is dropped: every request's spans are in the trace.
 //!
-//! Spans cover the full request lifecycle — submit, admission verdict, route
-//! choice (with the losing candidate's completion estimate), queue wait,
-//! image acquisition/prefetch, context switch, batch membership, run,
-//! commit/reject — plus control-plane counters (replica push/demote, memo
-//! hit). Times are virtual microseconds, the same clock the
+//! [`Trace::events`] builds the typed [`TraceEvent`]s from those rows once,
+//! on first access, in one documented order: every request in intake order,
+//! each with its spans in lifecycle order (submit → [stage ready] → route →
+//! admission → [SLO admission] → [reject | activation transfers → queue wait
+//! → batch → acquire → activation → context switch → run → commit]), a
+//! displaced attempt's spans and its requeue ahead of the retry's; then the
+//! device-level events (memo hits, replica pushes and demotions with their
+//! prefetches, fault transitions) by time, ties by device and then span
+//! label; then the SLO burn alerts in the order the tracker raised them.
+//! Times are virtual microseconds, the same clock the
 //! [`EventQueue`](crate::event) runs on.
 
-/// Whether — and how much — the serve records spans.
+use std::sync::OnceLock;
+
+use crate::pool::ChargeOutcome;
+use crate::route::{AcquireSource, Routed};
+use crate::session::SloClass;
+
+/// Whether the serve keeps a [`Trace`].
 ///
 /// Follows the control-plane idiom ([`BatchConfig::disabled`](crate::BatchConfig::disabled)):
 /// the default is off, and off is proptest-pinned bitwise-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
-    capacity: usize,
+    enabled: bool,
 }
 
 impl TraceConfig {
-    /// Tracing off (the default): every hook short-circuits, no event is
-    /// ever stored, and the serve is bitwise-identical to one on a build
-    /// without observability.
+    /// Tracing off (the default): no row is kept and the serve is
+    /// bitwise-identical to one on a build without observability.
     pub fn disabled() -> Self {
-        TraceConfig { capacity: 0 }
+        TraceConfig { enabled: false }
     }
 
-    /// Tracing on with a bounded ring of `capacity` events; once full, the
-    /// oldest event is dropped (and counted) per new event. A capacity of 0
-    /// is [`disabled`](TraceConfig::disabled).
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig { capacity }
-    }
-
-    /// Tracing on with the default ring capacity (65 536 events — roughly
-    /// ten thousand requests of full lifecycle spans).
+    /// Tracing on: the serve report carries every request's spans.
     pub fn enabled() -> Self {
-        TraceConfig::with_capacity(65_536)
+        TraceConfig { enabled: true }
     }
 
-    /// True when spans will be recorded.
+    /// True when the serve keeps a trace.
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// The ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::disabled()
+        self.enabled
     }
 }
 
@@ -81,14 +72,6 @@ impl CounterName {
             CounterName::ReplicaPushed => "replicas_pushed",
             CounterName::ReplicaDemoted => "replicas_demoted",
             CounterName::MemoHit => "sim_memo_hits",
-        }
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            CounterName::ReplicaPushed => 0,
-            CounterName::ReplicaDemoted => 1,
-            CounterName::MemoHit => 2,
         }
     }
 }
@@ -118,8 +101,7 @@ pub enum SpanKind {
         admitted: bool,
     },
     /// The cluster router's pick (instant, device-level). Boxed to keep the
-    /// common lifecycle spans small in the ring — route choices are one
-    /// event per request, the rest are the hot path.
+    /// common lifecycle spans small.
     RouteChoice(Box<RouteChoice>),
     /// From arrival to tile start — the queueing portion of latency.
     QueueWait,
@@ -197,7 +179,7 @@ pub enum SpanKind {
     /// The weighted-fair SLO admission verdict for a stage (instant).
     SloAdmit {
         /// The session's SLO class.
-        class: crate::session::SloClass,
+        class: SloClass,
         /// False when the session's weighted-fair share was exhausted.
         admitted: bool,
     },
@@ -210,7 +192,7 @@ pub enum SpanKind {
     /// this window close (instant, device 0).
     SloBurn {
         /// The alerting SLO class.
-        class: crate::session::SloClass,
+        class: SloClass,
         /// The telemetry window index the alert fired at.
         window: u64,
     },
@@ -218,7 +200,7 @@ pub enum SpanKind {
     /// dropped back under threshold (instant, device 0).
     SloClear {
         /// The recovering SLO class.
-        class: crate::session::SloClass,
+        class: SloClass,
         /// The telemetry window index the alert cleared at.
         window: u64,
     },
@@ -255,7 +237,7 @@ impl SpanKind {
     }
 }
 
-/// One recorded span: a [`SpanKind`] anchored on the virtual timeline.
+/// One span: a [`SpanKind`] anchored on the virtual timeline.
 ///
 /// `dur_us` is 0 for instants. `device` is 0 for a plain
 /// [`Runtime`](crate::Runtime) serve; `tile` is `None` for device-level
@@ -276,1088 +258,792 @@ pub struct TraceEvent {
     pub kind: SpanKind,
 }
 
-/// The completed trace a serve report hands back when tracing was on.
-///
-/// Internally this still holds the packed binary records the ring captured;
-/// the typed [`TraceEvent`]s are decoded once, lazily, on first access to
-/// [`events`](Trace::events). Decoding off the serve's timed path is the
-/// other half of the sub-5%-overhead bargain: the serve only pays for the
-/// fixed-width capture, and whoever reads the trace pays the (one-time)
-/// expansion.
-#[derive(Debug)]
-pub struct Trace {
-    packed: Vec<Packed>,
-    routes: Vec<RouteChoice>,
-    sources: Vec<&'static str>,
-    dropped: u64,
-    decoded: std::sync::OnceLock<Vec<TraceEvent>>,
+/// What routing weighed for one attempt of a request: under power-of-two
+/// choices, each candidate's completion estimate.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct RouteMark {
+    weighed: usize,
+    candidates: [(usize, f64); 2],
 }
 
-impl Clone for Trace {
-    fn clone(&self) -> Self {
-        Trace {
-            packed: self.packed.clone(),
-            routes: self.routes.clone(),
-            sources: self.sources.clone(),
-            dropped: self.dropped,
-            decoded: std::sync::OnceLock::new(),
-        }
+impl RouteMark {
+    /// Notes one candidate's completion estimate (at most two are weighed).
+    pub(crate) fn weigh(&mut self, device: usize, estimate_us: f64) {
+        self.candidates[self.weighed] = (device, estimate_us);
+        self.weighed += 1;
     }
+}
+
+/// One tile start: what a request's lifecycle spans are made from. A
+/// request started more than once (a kill displaced its run) has one row
+/// per start, in start order.
+#[derive(Debug, Clone, Copy)]
+struct Start {
+    /// The request's intake index.
+    index: usize,
+    device: usize,
+    tile: usize,
+    /// The tile's same-kernel run length, this request included.
+    run_len: usize,
+    charged: ChargeOutcome,
+    /// The instruction-reload switch, which like the acquisition and
+    /// activation below is only paid (and spanned) when the tile switched.
+    switch_us: f64,
+    /// The image acquisition resolved at routing (fleet tier only).
+    acquire_us: f64,
+    acquire_source: AcquireSource,
+    acquire_bytes: u64,
+    /// The inter-stage activation transfer (pipeline serves only).
+    activation_us: f64,
+}
+
+/// One admission verdict, in the order the serve reached them.
+#[derive(Debug, Clone, Copy)]
+struct Admission {
+    index: usize,
+    device: usize,
+    time_us: f64,
+    admitted: bool,
+    memo_hit: bool,
+    /// The stage's class on a pipeline serve, which spans its SLO admission.
+    class: Option<SloClass>,
+}
+
+/// A request-level event, logged as it happens with its request, time and
+/// device ([`Trace::log`]). Only routing is not rare, and only the fleet
+/// tier routes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Logged {
+    /// The policy picked the device, having weighed these candidates.
+    Routed(RouteMark),
+    /// The stage's last input arrived from the device; it had this many.
+    StageReady(u32),
+    /// Activations moved to the device: `(from device, bytes)`.
+    StageTransfer(usize, u64),
+    /// A fault displaced the request off the device; true when the
+    /// displaced attempt had started.
+    Requeue(bool),
+    /// No device could take the request (a dead fleet or a failed
+    /// pipeline): it was rejected on device 0 without an admission verdict.
+    Shed,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    index: usize,
+    time_us: f64,
+    device: usize,
+    what: Logged,
+}
+
+/// The trace a serve report hands back when tracing was on: the rows the
+/// serve kept, and the [`TraceEvent`]s built from them on first access.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// `(id, arrival µs)` of every request, in intake order.
+    requests: Vec<(u64, f64)>,
+    /// The routing policy's label on the fleet tier; `None` on the plain
+    /// tier, which takes no routing decision.
+    policy: Option<&'static str>,
+    admissions: Vec<Admission>,
+    starts: Vec<Start>,
+    steps: Vec<Step>,
+    /// Device-level events as they happened, counters carrying their
+    /// running totals.
+    device_events: Vec<TraceEvent>,
+    replicas_pushed: u64,
+    replicas_demoted: u64,
+    /// SLO burn alerts, appended at serve end.
+    alerts: Vec<TraceEvent>,
+    events: OnceLock<Vec<TraceEvent>>,
 }
 
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
-        self.dropped == other.dropped && self.events() == other.events()
+        self.events() == other.events()
     }
 }
 
 impl Trace {
-    /// Every retained span, in recording order (monotone non-decreasing
-    /// `time_us` per device). The first call decodes the packed records;
-    /// later calls return the cached expansion.
+    /// Every span, built on the first call from the rows the serve kept:
+    /// each request's spans in intake order, each in lifecycle order (a
+    /// displaced attempt and its requeue ahead of the retry); then the
+    /// device-level events by time, ties by device and then label; then
+    /// the SLO burn alerts as they were raised.
     pub fn events(&self) -> &[TraceEvent] {
-        self.decoded.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.packed.len() * 2);
-            for p in &self.packed {
-                unpack_into(p, &self.routes, &self.sources, &mut out);
-            }
-            out
-        })
+        self.events.get_or_init(|| self.derive())
     }
 
-    /// How many spans the bounded ring dropped (oldest-first) to stay
-    /// within capacity.
+    /// Always 0: the trace keeps every span. Kept only because
+    /// `benchmark/` reports it as `runtime.obs.spans_dropped`.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        0
     }
 
-    /// The retained spans of one request, in recording order.
+    /// One request's spans, in lifecycle order.
     pub fn spans_for(&self, request_id: u64) -> Vec<&TraceEvent> {
         self.events()
             .iter()
             .filter(|event| event.request_id == Some(request_id))
             .collect()
     }
-}
 
-// ---------------------------------------------------------------------------
-// Packed ring storage.
-//
-// The ring does not store `TraceEvent`s: at ~88 bytes each (the `SpanKind`
-// enum alone is 32), a serve's worth of spans streams half a megabyte of
-// writes through the cache and the measured tracing overhead blows the ≤5%
-// budget. Instead the hot path packs every span into 40 fixed bytes — two
-// timestamps, a request id, a tag|device|tile word and one payload word —
-// and `finish()` expands back to the typed public `TraceEvent`s once, off
-// the timed path. Route choices (the one variant with real structure) park
-// their payload in a side ring indexed by the packed word; acquire-source
-// labels are interned. Sub-5%-overhead tracers (Perfetto's SDK, LTTng) use
-// exactly this shape: fixed-width binary records now, decode later.
-// ---------------------------------------------------------------------------
-
-/// One ring slot: `meta` is `tag | device << 8 | tile << 36` (28 bits each
-/// for device and tile, all-ones tile = none), `payload` is tag-specific.
-#[derive(Debug, Clone, Copy)]
-struct Packed {
-    time_us: f64,
-    dur_us: f64,
-    /// `u64::MAX` encodes "no request".
-    request_id: u64,
-    meta: u64,
-    payload: u64,
-}
-
-/// Every packed-record tag, in one exhaustive enum — the single registry a
-/// new span type must be added to, so tag bytes cannot collide the way
-/// scattered constants could. The discriminant *is* the on-ring byte
-/// (low 8 bits of `meta`); [`SpanTag::from_byte`] is its inverse, and the
-/// round-trip test pins the two agree on every variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u64)]
-pub(crate) enum SpanTag {
-    Submit = 0,
-    Admission = 1,
-    Route = 2,
-    QueueWait = 3,
-    Acquire = 4,
-    Prefetch = 5,
-    ContextSwitch = 6,
-    Batch = 7,
-    Run = 8,
-    Commit = 9,
-    Reject = 10,
-    Counter = 11,
-    // Fused lifecycle records — the event loop emits a request's spans in
-    // one burst at commit time, and every ring push is an in-situ cache
-    // touch, so always-adjacent pairs share one record and split back apart
-    // at decode.
-    /// Queue wait plus batch membership: the span is the wait, `payload` is
-    /// the same-kernel run length (a Batch instant decodes out when ≥ 2).
-    QueueBatch = 12,
-    /// Run plus the commit instant at its end; `payload` is the exact
-    /// `f64::to_bits` of the commit timestamp (`time + dur` can differ from
-    /// the modeled completion by an ulp).
-    RunCommit = 13,
-    // Fault-injection spans — all instants with no side-table payloads.
-    DeviceDown = 14,
-    DeviceUp = 15,
-    /// Payload is 1 at drain begin, 0 when the device rejoins warm.
-    Drain = 16,
-    Requeue = 17,
-    /// Payload is the link multiplier's `f64::to_bits`.
-    LinkDegrade = 18,
-    // Session-tier spans — instants with no side-table payloads.
-    /// Payload is the number of producer stages that fed this stage.
-    StageReady = 19,
-    /// Payload is `from_device | bytes << 16` (activation transfer).
-    StageTransfer = 20,
-    /// Payload is `admitted | class_index << 1`.
-    SloAdmit = 21,
-    /// A request-level activation-transfer span on the start critical path.
-    Activation = 22,
-    // Telemetry burn-alert spans — instants with no side-table payloads.
-    /// Payload is `class_index | window << 2`.
-    SloBurn = 23,
-    /// Payload is `class_index | window << 2`.
-    SloClear = 24,
-}
-
-impl SpanTag {
-    /// Every tag, in discriminant order.
-    pub(crate) const ALL: [SpanTag; 25] = [
-        SpanTag::Submit,
-        SpanTag::Admission,
-        SpanTag::Route,
-        SpanTag::QueueWait,
-        SpanTag::Acquire,
-        SpanTag::Prefetch,
-        SpanTag::ContextSwitch,
-        SpanTag::Batch,
-        SpanTag::Run,
-        SpanTag::Commit,
-        SpanTag::Reject,
-        SpanTag::Counter,
-        SpanTag::QueueBatch,
-        SpanTag::RunCommit,
-        SpanTag::DeviceDown,
-        SpanTag::DeviceUp,
-        SpanTag::Drain,
-        SpanTag::Requeue,
-        SpanTag::LinkDegrade,
-        SpanTag::StageReady,
-        SpanTag::StageTransfer,
-        SpanTag::SloAdmit,
-        SpanTag::Activation,
-        SpanTag::SloBurn,
-        SpanTag::SloClear,
-    ];
-
-    /// The inverse of the discriminant cast: the tag whose on-ring byte is
-    /// `byte`, or `None` for bytes no variant claims.
-    pub(crate) fn from_byte(byte: u64) -> Option<SpanTag> {
-        SpanTag::ALL.get(byte as usize).copied()
-    }
-}
-
-const FIELD_BITS: u64 = 28;
-const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
-const NO_TILE: u64 = FIELD_MASK;
-
-/// Decoded device id meaning "the real id exceeded the 28-bit meta field".
-///
-/// Ids at or above this value saturate to it at encode (with a debug
-/// assertion), so a decoded trace reports "out of range" instead of silently
-/// attributing spans to an aliased device.
-pub const DEVICE_ID_OUT_OF_RANGE: usize = FIELD_MASK as usize;
-
-/// Decoded tile id meaning "the real id exceeded the 28-bit meta field"
-/// (`FIELD_MASK` itself encodes "no tile", so the sentinel sits one below).
-pub const TILE_ID_OUT_OF_RANGE: usize = (FIELD_MASK - 1) as usize;
-
-/// Acquire-source label decoded when the interning table overflowed its
-/// 16-bit index field — the 65 536th and later distinct source strings all
-/// report as this sentinel instead of aliasing an earlier source.
-pub const ACQUIRE_SOURCE_OVERFLOW: &str = "source-overflow";
-
-/// Bits of the `Acquire` payload that hold the interned-source index; the
-/// remaining 48 hold the byte count.
-const ACQUIRE_INDEX_BITS: u64 = 16;
-const ACQUIRE_INDEX_MASK: u64 = (1 << ACQUIRE_INDEX_BITS) - 1;
-/// Largest byte count the 48-bit `Acquire` payload field can carry; larger
-/// counts saturate (with a debug assertion) instead of silently dropping
-/// their top bits.
-const ACQUIRE_BYTES_MAX: u64 = (1 << (64 - ACQUIRE_INDEX_BITS)) - 1;
-
-/// Bits of the `StageTransfer` payload that hold the producing device; the
-/// remaining 48 hold the activation byte count (same split as `Acquire`).
-const STAGE_FROM_BITS: u64 = 16;
-/// Largest activation byte count the `StageTransfer` payload can carry.
-const STAGE_BYTES_MAX: u64 = (1 << (64 - STAGE_FROM_BITS)) - 1;
-
-#[inline]
-fn pack_meta(tag: SpanTag, device: usize, tile: Option<usize>) -> u64 {
-    let tag = tag as u64;
-    debug_assert!(
-        (device as u64) < FIELD_MASK,
-        "device id {device} exceeds the 28-bit trace meta field"
-    );
-    let device = (device as u64).min(DEVICE_ID_OUT_OF_RANGE as u64);
-    let tile = tile.map_or(NO_TILE, |t| {
-        debug_assert!(
-            (t as u64) < TILE_ID_OUT_OF_RANGE as u64,
-            "tile id {t} exceeds the 28-bit trace meta field"
-        );
-        (t as u64).min(TILE_ID_OUT_OF_RANGE as u64)
-    });
-    tag | (device << 8) | (tile << (8 + FIELD_BITS))
-}
-
-/// The bounded drop-oldest ring the event loop records into.
-///
-/// Single-threaded and lock-free by construction: the loop owns it
-/// exclusively. All hooks no-op (one branch) when built from
-/// [`TraceConfig::disabled`]. Storage is the packed 40-byte-per-span ring
-/// described above; [`finish`](TraceRecorder::finish) pays the one-time
-/// expansion to [`TraceEvent`]s.
-#[derive(Debug)]
-pub struct TraceRecorder {
-    capacity: usize,
-    events: std::collections::VecDeque<Packed>,
-    /// Side ring of route-choice payloads, same capacity as the event ring
-    /// (`payload` holds the slot). A slot is only reused after `capacity`
-    /// further route events, by which point the packed event that pointed
-    /// at it has itself been dropped from the ring — so live events never
-    /// see a recycled slot.
-    routes: Vec<RouteChoice>,
-    route_seq: usize,
-    /// Interned acquire-source labels (`payload` holds the 16-bit `index`
-    /// plus `bytes << 16`; the table is capped at the index field with an
-    /// [`ACQUIRE_SOURCE_OVERFLOW`] sentinel).
-    sources: Vec<&'static str>,
-    dropped: u64,
-    counters: [u64; 3],
-}
-
-impl TraceRecorder {
-    /// A recorder for `config` — inert when the config is disabled. The
-    /// ring's backing store starts at a modest preallocation and grows
-    /// toward `capacity` on demand: preallocating multi-megabyte rings up
-    /// front costs fresh page faults per serve, which is exactly the
-    /// overhead the packed layout exists to avoid.
-    pub fn new(config: TraceConfig) -> Self {
-        TraceRecorder {
-            capacity: config.capacity(),
-            events: std::collections::VecDeque::with_capacity(config.capacity().min(8_192)),
-            routes: Vec::new(),
-            route_seq: 0,
-            sources: Vec::new(),
-            dropped: 0,
-            counters: [0; 3],
+    /// An empty trace with room for `requests` admissions and starts, so a
+    /// batch serve of that many fills its tables without regrowing them.
+    pub(crate) fn new(requests: usize) -> Self {
+        Trace {
+            admissions: Vec::with_capacity(requests),
+            starts: Vec::with_capacity(requests),
+            ..Trace::default()
         }
     }
 
-    /// True when spans are being recorded. Call sites guard any span whose
-    /// construction allocates (e.g. route candidates) behind this.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Takes this recorder — the drained one a holder kept from its
-    /// previous serve, with its warm ring allocation — leaving a disabled
-    /// one in its place; rebuilds only if the config changed since. A serve
-    /// that failed handed it back with its spans still in it: they are
-    /// dropped here (a no-op after a serve that finished).
-    pub(crate) fn take_warm(&mut self, config: TraceConfig) -> TraceRecorder {
-        let mut warm = std::mem::replace(self, TraceRecorder::new(TraceConfig::disabled()));
-        if warm.capacity == config.capacity() {
-            warm.reset();
-            warm
-        } else {
-            TraceRecorder::new(config)
-        }
-    }
-
-    /// Interns an acquire-source label, returning its payload index. The
-    /// table is capped at the 16-bit index field: the 65 536th and later
-    /// distinct sources all map to the [`ACQUIRE_SOURCE_OVERFLOW`] sentinel
-    /// index instead of aliasing an earlier entry.
-    fn intern_source(&mut self, source: &'static str) -> u64 {
-        if let Some(position) = self
-            .sources
-            .iter()
-            .position(|&s| std::ptr::eq(s, source) || s == source)
-        {
-            return position as u64;
-        }
-        if self.sources.len() as u64 >= ACQUIRE_INDEX_MASK {
-            debug_assert!(
-                false,
-                "acquire source interning table overflowed its 16-bit index field"
-            );
-            return ACQUIRE_INDEX_MASK;
-        }
-        self.sources.push(source);
-        (self.sources.len() - 1) as u64
-    }
-
-    #[inline]
-    fn push(&mut self, packed: Packed) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(packed);
-    }
-
-    /// Records one span, dropping (and counting) the oldest if the ring is
-    /// full. No-op when disabled.
-    #[inline]
-    pub fn record(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        let (tag, payload) = match event.kind {
-            SpanKind::Submit => (SpanTag::Submit, 0),
-            SpanKind::Admission { admitted } => (SpanTag::Admission, admitted as u64),
-            SpanKind::RouteChoice(choice) => {
-                let slot = self.route_seq % self.capacity;
-                self.route_seq += 1;
-                if slot < self.routes.len() {
-                    self.routes[slot] = *choice;
-                } else {
-                    self.routes.push(*choice);
-                }
-                (SpanTag::Route, slot as u64)
-            }
-            SpanKind::QueueWait => (SpanTag::QueueWait, 0),
-            SpanKind::Acquire { source, bytes } => {
-                let index = self.intern_source(source);
-                debug_assert!(
-                    bytes <= ACQUIRE_BYTES_MAX,
-                    "acquire byte count {bytes} exceeds the 48-bit trace payload field"
-                );
-                let bytes = bytes.min(ACQUIRE_BYTES_MAX);
-                (SpanTag::Acquire, index | (bytes << ACQUIRE_INDEX_BITS))
-            }
-            SpanKind::Prefetch { bytes } => (SpanTag::Prefetch, bytes),
-            SpanKind::ContextSwitch => (SpanTag::ContextSwitch, 0),
-            SpanKind::Batch { run_len } => (SpanTag::Batch, run_len as u64),
-            SpanKind::Run => (SpanTag::Run, 0),
-            SpanKind::Commit => (SpanTag::Commit, 0),
-            SpanKind::Reject => (SpanTag::Reject, 0),
-            SpanKind::Counter { name, value } => {
-                (SpanTag::Counter, (name.index() as u64) | (value << 8))
-            }
-            SpanKind::DeviceDown => (SpanTag::DeviceDown, 0),
-            SpanKind::DeviceUp => (SpanTag::DeviceUp, 0),
-            SpanKind::DrainPhase { begin } => (SpanTag::Drain, begin as u64),
-            SpanKind::Requeue => (SpanTag::Requeue, 0),
-            SpanKind::LinkDegrade { multiplier } => (SpanTag::LinkDegrade, multiplier.to_bits()),
-            SpanKind::StageReady { deps } => (SpanTag::StageReady, deps as u64),
-            SpanKind::StageTransfer { from, bytes } => {
-                debug_assert!(
-                    (from as u64) < (1 << STAGE_FROM_BITS),
-                    "producer device {from} exceeds the 16-bit stage-transfer field"
-                );
-                debug_assert!(
-                    bytes <= STAGE_BYTES_MAX,
-                    "activation byte count {bytes} exceeds the 48-bit trace payload field"
-                );
-                let from = (from as u64).min((1 << STAGE_FROM_BITS) - 1);
-                let bytes = bytes.min(STAGE_BYTES_MAX);
-                (SpanTag::StageTransfer, from | (bytes << STAGE_FROM_BITS))
-            }
-            SpanKind::SloAdmit { class, admitted } => (
-                SpanTag::SloAdmit,
-                (admitted as u64) | ((class.index() as u64) << 1),
-            ),
-            SpanKind::Activation => (SpanTag::Activation, 0),
-            SpanKind::SloBurn { class, window } => {
-                (SpanTag::SloBurn, (class.index() as u64) | (window << 2))
-            }
-            SpanKind::SloClear { class, window } => {
-                (SpanTag::SloClear, (class.index() as u64) | (window << 2))
-            }
-        };
-        self.push(Packed {
-            time_us: event.time_us,
-            dur_us: event.dur_us,
-            request_id: event.request_id.unwrap_or(u64::MAX),
-            meta: pack_meta(tag, event.device, event.tile),
-            payload,
-        });
-    }
-
-    /// Fused capture of a request's queue-wait span plus its batch
-    /// membership (`run_len`, a Batch instant at span end when ≥ 2) — one
-    /// ring push instead of two for the always-adjacent pair. No-op when
-    /// disabled.
-    #[inline]
-    pub(crate) fn queue_wait_batch(
+    /// Notes an admission verdict for request `index` on `device`.
+    pub(crate) fn admit(
         &mut self,
-        time_us: f64,
-        dur_us: f64,
-        request_id: u64,
+        index: usize,
         device: usize,
-        tile: usize,
-        run_len: u64,
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.push(Packed {
-            time_us,
-            dur_us,
-            request_id,
-            meta: pack_meta(SpanTag::QueueBatch, device, Some(tile)),
-            payload: run_len,
-        });
-    }
-
-    /// Fused capture of a request's run span plus the commit instant at its
-    /// exact modeled completion time. No-op when disabled.
-    #[inline]
-    pub(crate) fn run_commit(
-        &mut self,
         time_us: f64,
-        dur_us: f64,
-        completion_us: f64,
-        request_id: u64,
-        device: usize,
-        tile: usize,
+        admitted: bool,
+        class: Option<SloClass>,
     ) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.push(Packed {
+        let memo_hit = false;
+        let admission = Admission {
+            index,
+            device,
             time_us,
-            dur_us,
-            request_id,
-            meta: pack_meta(SpanTag::RunCommit, device, Some(tile)),
-            payload: completion_us.to_bits(),
-        });
-    }
-
-    /// Bumps a control-plane counter and records the sample. No-op when
-    /// disabled (the running totals are part of trace state, so they stay
-    /// untouched on the bitwise-pinned path).
-    pub fn counter(&mut self, time_us: f64, device: usize, name: CounterName) {
-        if self.capacity == 0 {
-            return;
-        }
-        let slot = name.index();
-        self.counters[slot] += 1;
-        let value = self.counters[slot];
-        self.push(Packed {
-            time_us,
-            dur_us: 0.0,
-            request_id: u64::MAX,
-            meta: pack_meta(SpanTag::Counter, device, None),
-            payload: (slot as u64) | (value << 8),
-        });
-    }
-
-    /// Drains the recorder into a [`Trace`], or `None` when tracing was
-    /// disabled. The packed records move out as a tight copy (the typed
-    /// expansion happens lazily, on first [`Trace::events`] access); the
-    /// ring's backing allocation is retained for the next serve — a fresh
-    /// multi-hundred-kilobyte ring per serve means a fresh `mmap` and a
-    /// stream of soft page faults on first touch, which measurement showed
-    /// dwarfs the per-span packing cost.
-    pub fn finish(&mut self) -> Option<Trace> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let trace = Trace {
-            packed: self.events.iter().copied().collect(),
-            routes: std::mem::take(&mut self.routes),
-            sources: std::mem::take(&mut self.sources),
-            dropped: self.dropped,
-            decoded: std::sync::OnceLock::new(),
+            admitted,
+            memo_hit,
+            class,
         };
-        self.reset();
-        Some(trace)
+        self.admissions.push(admission);
     }
 
-    /// Forgets everything recorded, keeping the ring's allocation.
-    fn reset(&mut self) {
-        self.events.clear();
-        self.routes.clear();
-        self.sources.clear();
-        self.route_seq = 0;
-        self.counters = [0; 3];
-        self.dropped = 0;
+    /// Notes that the memo answered the request admitted last.
+    pub(crate) fn memo_hit(&mut self) {
+        if let Some(admission) = self.admissions.last_mut() {
+            admission.memo_hit = true;
+        }
     }
-}
 
-/// Decodes a 2-bit packed SLO-class index back to the class.
-fn unpack_slo_class(index: u64) -> crate::session::SloClass {
-    match index {
-        0 => crate::session::SloClass::Latency,
-        1 => crate::session::SloClass::Standard,
-        _ => crate::session::SloClass::BestEffort,
+    /// Notes that request `index` started on `(device, tile)` as the
+    /// `run_len`-th of a same-kernel run, charged as `charged`; `switch_us`
+    /// is its instruction-reload cost and `routed` the fleet tier's routing
+    /// row, with the acquisition and activation a switch also pays.
+    pub(crate) fn start(
+        &mut self,
+        index: usize,
+        (device, tile): (usize, usize),
+        run_len: usize,
+        charged: &ChargeOutcome,
+        switch_us: f64,
+        routed: Option<&Routed>,
+    ) {
+        let resident = Routed::default();
+        let routed = routed.unwrap_or(&resident);
+        self.starts.push(Start {
+            index,
+            device,
+            tile,
+            run_len,
+            charged: *charged,
+            switch_us,
+            acquire_us: routed.acquire_us,
+            acquire_source: routed.acquire_src,
+            acquire_bytes: routed.acquire_bytes,
+            activation_us: routed.activation_us,
+        });
     }
-}
 
-/// Decodes one packed ring record back to typed public events — one for
-/// plain records, two for the fused lifecycle pairs.
-fn unpack_into(
-    packed: &Packed,
-    routes: &[RouteChoice],
-    sources: &[&'static str],
-    out: &mut Vec<TraceEvent>,
-) {
-    let tag = packed.meta & 0xff;
-    let device = ((packed.meta >> 8) & FIELD_MASK) as usize;
-    let tile_raw = (packed.meta >> (8 + FIELD_BITS)) & FIELD_MASK;
-    let tile = (tile_raw != NO_TILE).then_some(tile_raw as usize);
-    let request_id = (packed.request_id != u64::MAX).then_some(packed.request_id);
-    let payload = packed.payload;
-    let part = |time_us: f64, dur_us: f64, kind: SpanKind| TraceEvent {
-        time_us,
-        dur_us,
-        request_id,
-        device,
-        tile,
-        kind,
-    };
-    match SpanTag::from_byte(tag) {
-        Some(SpanTag::QueueBatch) => {
-            out.push(part(packed.time_us, packed.dur_us, SpanKind::QueueWait));
-            if payload >= 2 {
-                out.push(part(
-                    packed.time_us + packed.dur_us,
-                    0.0,
-                    SpanKind::Batch {
-                        run_len: payload as u32,
-                    },
+    /// Logs an event of request `index` at `time_us` on `device`.
+    pub(crate) fn log(&mut self, index: usize, time_us: f64, device: usize, what: Logged) {
+        let step = Step {
+            index,
+            time_us,
+            device,
+            what,
+        };
+        self.steps.push(step);
+    }
+
+    /// Notes a fault transition, a [`SpanKind::DeviceDown`],
+    /// [`DeviceUp`](SpanKind::DeviceUp), [`DrainPhase`](SpanKind::DrainPhase)
+    /// or [`LinkDegrade`](SpanKind::LinkDegrade).
+    pub(crate) fn fault(&mut self, time_us: f64, device: usize, kind: SpanKind) {
+        self.device_events.push(device_event(time_us, device, kind));
+    }
+
+    /// Notes a replica pushed onto `device` ahead of demand.
+    pub(crate) fn replica_pushed(&mut self, time_us: f64, device: usize, bytes: u64) {
+        self.replicas_pushed += 1;
+        let (name, value) = (CounterName::ReplicaPushed, self.replicas_pushed);
+        for kind in [
+            SpanKind::Prefetch { bytes },
+            SpanKind::Counter { name, value },
+        ] {
+            self.device_events.push(device_event(time_us, device, kind));
+        }
+    }
+
+    /// Notes a pushed replica demoted from `device`.
+    pub(crate) fn replica_demoted(&mut self, time_us: f64, device: usize) {
+        self.replicas_demoted += 1;
+        let (name, value) = (CounterName::ReplicaDemoted, self.replicas_demoted);
+        let kind = SpanKind::Counter { name, value };
+        self.device_events.push(device_event(time_us, device, kind));
+    }
+
+    /// Completes the rows at serve end: the requests in intake order, the
+    /// routing policy on the fleet tier, and the SLO burn alerts.
+    pub(crate) fn finish(
+        &mut self,
+        requests: Vec<(u64, f64)>,
+        policy: Option<&'static str>,
+        alerts: Vec<TraceEvent>,
+    ) {
+        self.requests = requests;
+        self.policy = policy;
+        self.alerts = alerts;
+    }
+
+    /// Builds the events in the documented order.
+    fn derive(&self) -> Vec<TraceEvent> {
+        let admissions = by_request(&self.admissions, |row| row.index);
+        let starts = by_request(&self.starts, |row| row.index);
+        let steps = by_request(&self.steps, |row| row.index);
+        let (mut admissions, mut starts, mut steps) = (&admissions[..], &starts[..], &steps[..]);
+        let mut out = Vec::with_capacity(8 * self.requests.len());
+        for index in 0..self.requests.len() {
+            let admission = split_request(&mut admissions, index, |row| row.index).first();
+            let own_starts = split_request(&mut starts, index, |row| row.index);
+            let own_steps = split_request(&mut steps, index, |row| row.index);
+            self.request_spans(index, admission.copied(), own_starts, own_steps, &mut out);
+        }
+
+        let device_level = out.len();
+        let memo_hits = self.admissions.iter().filter(|a| a.memo_hit);
+        for (value, admission) in (1..).zip(memo_hits) {
+            let name = CounterName::MemoHit;
+            let counter = SpanKind::Counter { name, value };
+            out.push(device_event(admission.time_us, admission.device, counter));
+        }
+        out.extend(self.device_events.iter().cloned());
+        out[device_level..].sort_by(|a, b| {
+            a.time_us
+                .total_cmp(&b.time_us)
+                .then(a.device.cmp(&b.device))
+                .then(a.kind.label().cmp(b.kind.label()))
+        });
+        out.extend(self.alerts.iter().cloned());
+        out
+    }
+
+    /// Request `index`'s spans, from its own rows in the order they were
+    /// kept: the logged steps in order, the admission right after the first
+    /// routing (or ahead of the run, on the plain tier, which routes
+    /// nothing), and each start's spans where it ran — ahead of the requeue
+    /// of a run a kill displaced, else last.
+    fn request_spans(
+        &self,
+        index: usize,
+        admission: Option<&Admission>,
+        starts: &[&Start],
+        steps: &[&Step],
+        out: &mut Vec<TraceEvent>,
+    ) {
+        let (id, arrival_us) = self.requests[index];
+        let instant = |time_us, device, kind| TraceEvent {
+            request_id: Some(id),
+            ..device_event(time_us, device, kind)
+        };
+        let mut admission = admission;
+        let mut admit = |out: &mut Vec<TraceEvent>| {
+            let Some(admission) = admission.take() else {
+                return;
+            };
+            let (time_us, device, admitted) =
+                (admission.time_us, admission.device, admission.admitted);
+            out.push(instant(time_us, device, SpanKind::Admission { admitted }));
+            if let Some(class) = admission.class {
+                out.push(instant(
+                    time_us,
+                    device,
+                    SpanKind::SloAdmit { class, admitted },
                 ));
             }
-            return;
-        }
-        Some(SpanTag::RunCommit) => {
-            out.push(part(packed.time_us, packed.dur_us, SpanKind::Run));
-            out.push(part(f64::from_bits(payload), 0.0, SpanKind::Commit));
-            return;
-        }
-        _ => {}
-    }
-    let kind = match SpanTag::from_byte(tag) {
-        Some(SpanTag::Submit) => SpanKind::Submit,
-        Some(SpanTag::Admission) => SpanKind::Admission {
-            admitted: payload != 0,
-        },
-        Some(SpanTag::Route) => SpanKind::RouteChoice(Box::new(routes[payload as usize].clone())),
-        Some(SpanTag::QueueWait) => SpanKind::QueueWait,
-        Some(SpanTag::Acquire) => SpanKind::Acquire {
-            source: sources
-                .get((payload & ACQUIRE_INDEX_MASK) as usize)
-                .copied()
-                .unwrap_or(ACQUIRE_SOURCE_OVERFLOW),
-            bytes: payload >> ACQUIRE_INDEX_BITS,
-        },
-        Some(SpanTag::Prefetch) => SpanKind::Prefetch { bytes: payload },
-        Some(SpanTag::ContextSwitch) => SpanKind::ContextSwitch,
-        Some(SpanTag::Batch) => SpanKind::Batch {
-            run_len: payload as u32,
-        },
-        Some(SpanTag::Run) => SpanKind::Run,
-        Some(SpanTag::Commit) => SpanKind::Commit,
-        Some(SpanTag::Reject) => SpanKind::Reject,
-        Some(SpanTag::DeviceDown) => SpanKind::DeviceDown,
-        Some(SpanTag::DeviceUp) => SpanKind::DeviceUp,
-        Some(SpanTag::Drain) => SpanKind::DrainPhase {
-            begin: payload != 0,
-        },
-        Some(SpanTag::Requeue) => SpanKind::Requeue,
-        Some(SpanTag::LinkDegrade) => SpanKind::LinkDegrade {
-            multiplier: f64::from_bits(payload),
-        },
-        Some(SpanTag::StageReady) => SpanKind::StageReady {
-            deps: payload as u32,
-        },
-        Some(SpanTag::StageTransfer) => SpanKind::StageTransfer {
-            from: (payload & ((1 << STAGE_FROM_BITS) - 1)) as usize,
-            bytes: payload >> STAGE_FROM_BITS,
-        },
-        Some(SpanTag::SloAdmit) => SpanKind::SloAdmit {
-            class: match payload >> 1 {
-                0 => crate::session::SloClass::Latency,
-                1 => crate::session::SloClass::Standard,
-                _ => crate::session::SloClass::BestEffort,
-            },
-            admitted: payload & 1 != 0,
-        },
-        Some(SpanTag::Activation) => SpanKind::Activation,
-        Some(SpanTag::SloBurn) => SpanKind::SloBurn {
-            class: unpack_slo_class(payload & 0x3),
-            window: payload >> 2,
-        },
-        Some(SpanTag::SloClear) => SpanKind::SloClear {
-            class: unpack_slo_class(payload & 0x3),
-            window: payload >> 2,
-        },
-        // QueueBatch/RunCommit returned above; Counter is the remaining
-        // claimed byte, and unclaimed bytes (impossible for a ring packed by
-        // this module) decode as counters for want of anything better —
-        // exactly the pre-enum fallback arm.
-        Some(SpanTag::Counter) | Some(SpanTag::QueueBatch) | Some(SpanTag::RunCommit) | None => {
-            let name = match payload & 0xff {
-                0 => CounterName::ReplicaPushed,
-                1 => CounterName::ReplicaDemoted,
-                _ => CounterName::MemoHit,
+            if !admitted {
+                out.push(instant(time_us, device, SpanKind::Reject));
+            }
+        };
+        let mut starts = starts.iter();
+        out.push(instant(arrival_us, 0, SpanKind::Submit));
+        for step in steps {
+            let (time_us, device) = (step.time_us, step.device);
+            let kind = match step.what {
+                Logged::Routed(route) => SpanKind::RouteChoice(Box::new(RouteChoice {
+                    policy: self.policy.unwrap_or_default(),
+                    chosen: device,
+                    candidates: route.candidates[..route.weighed].to_vec(),
+                })),
+                Logged::StageReady(deps) => SpanKind::StageReady { deps },
+                Logged::StageTransfer(from, bytes) => SpanKind::StageTransfer { from, bytes },
+                Logged::Requeue(ran) => {
+                    if ran {
+                        if let Some(start) = starts.next() {
+                            lifecycle(id, arrival_us, start, out);
+                        }
+                    }
+                    SpanKind::Requeue
+                }
+                Logged::Shed => SpanKind::Reject,
             };
-            SpanKind::Counter {
-                name,
-                value: payload >> 8,
+            out.push(instant(time_us, device, kind));
+            if let Logged::Routed(_) = step.what {
+                admit(out);
             }
         }
+        admit(out);
+        if let Some(start) = starts.next() {
+            lifecycle(id, arrival_us, start, out);
+        }
+    }
+}
+
+/// A device-level instant.
+pub(crate) fn device_event(time_us: f64, device: usize, kind: SpanKind) -> TraceEvent {
+    TraceEvent {
+        time_us,
+        dur_us: 0.0,
+        request_id: None,
+        device,
+        tile: None,
+        kind,
+    }
+}
+
+/// `rows` in request order, each request's in the order they were kept.
+fn by_request<T>(rows: &[T], index: impl Fn(&T) -> usize) -> Vec<&T> {
+    let mut sorted: Vec<&T> = rows.iter().collect();
+    sorted.sort_by_key(|row| index(row));
+    sorted
+}
+
+/// Splits request `request`'s rows off the front of `rows`.
+fn split_request<'a, T>(
+    rows: &mut &'a [&'a T],
+    request: usize,
+    index: impl Fn(&T) -> usize,
+) -> &'a [&'a T] {
+    let (own, rest) = rows.split_at(rows.partition_point(|row| index(row) == request));
+    *rows = rest;
+    own
+}
+
+/// One start's spans on its tile track. Their durations tile `[arrival,
+/// completion]`, so they sum to the request's latency.
+fn lifecycle(id: u64, arrival_us: f64, start: &Start, out: &mut Vec<TraceEvent>) {
+    let mut span = |time_us: f64, dur_us: f64, kind: SpanKind| {
+        out.push(TraceEvent {
+            time_us,
+            dur_us,
+            request_id: Some(id),
+            device: start.device,
+            tile: Some(start.tile),
+            kind,
+        });
     };
-    out.push(part(packed.time_us, packed.dur_us, kind));
+    let charged = start.charged;
+    let waited_us = charged.start_us - arrival_us;
+    span(arrival_us, waited_us, SpanKind::QueueWait);
+    if start.run_len >= 2 {
+        let run_len = start.run_len as u32;
+        span(arrival_us + waited_us, 0.0, SpanKind::Batch { run_len });
+    }
+    let mut cursor = charged.start_us;
+    if charged.switched {
+        if start.acquire_us > 0.0 {
+            let source = start.acquire_source.label();
+            let bytes = start.acquire_bytes;
+            span(
+                cursor,
+                start.acquire_us,
+                SpanKind::Acquire { source, bytes },
+            );
+            cursor += start.acquire_us;
+        }
+        if start.activation_us > 0.0 {
+            span(cursor, start.activation_us, SpanKind::Activation);
+            cursor += start.activation_us;
+        }
+        span(cursor, start.switch_us, SpanKind::ContextSwitch);
+        cursor += start.switch_us;
+    }
+    span(cursor, charged.completion_us - cursor, SpanKind::Run);
+    span(charged.completion_us, 0.0, SpanKind::Commit);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn instant(time_us: f64, kind: SpanKind) -> TraceEvent {
-        TraceEvent {
-            time_us,
-            dur_us: 0.0,
-            request_id: Some(1),
-            device: 0,
-            tile: None,
-            kind,
+    fn charged(start_us: f64, completion_us: f64, switched: bool) -> ChargeOutcome {
+        ChargeOutcome {
+            start_us,
+            completion_us,
+            switched,
         }
+    }
+
+    /// A plain-tier trace of requests `(id, arrival)`, each admitted on
+    /// device 0 at its arrival and then handed to `start`.
+    fn plain(requests: &[(u64, f64)], mut start: impl FnMut(&mut Trace, usize)) -> Trace {
+        let mut trace = Trace::default();
+        for (index, &(_, arrival_us)) in requests.iter().enumerate() {
+            trace.admit(index, 0, arrival_us, true, None);
+            start(&mut trace, index);
+        }
+        trace.finish(requests.to_vec(), None, Vec::new());
+        trace
+    }
+
+    /// The spans' labels, space-separated.
+    fn labels<'a>(spans: impl IntoIterator<Item = &'a TraceEvent>) -> String {
+        let labels: Vec<&str> = spans.into_iter().map(|e| e.kind.label()).collect();
+        labels.join(" ")
+    }
+
+    fn weighing(candidates: &[(usize, f64)]) -> Logged {
+        let mut route = RouteMark::default();
+        for &(device, estimate_us) in candidates {
+            route.weigh(device, estimate_us);
+        }
+        Logged::Routed(route)
     }
 
     #[test]
     fn disabled_recorder_stores_nothing_and_finishes_to_none() {
-        let mut recorder = TraceRecorder::new(TraceConfig::disabled());
-        assert!(!recorder.enabled());
-        recorder.record(instant(1.0, SpanKind::Submit));
-        recorder.counter(2.0, 0, CounterName::MemoHit);
-        assert!(recorder.finish().is_none());
+        use crate::{KernelSpec, Request, Runtime};
         assert!(!TraceConfig::default().is_enabled());
+        assert!(TraceConfig::enabled().is_enabled());
+        let spec = KernelSpec::from_source("poly", "kernel poly(x) { out y = x * x + 3; }");
+        let request = Request::new(1, spec, overlay_sim::Workload::ramp(1, 4));
+        let mut runtime = Runtime::new(overlay_arch::FuVariant::V4, 1).unwrap();
+        let untraced = runtime.serve(vec![request.clone()]).unwrap();
+        assert!(untraced.trace().is_none());
+        let mut runtime = runtime.with_tracing(TraceConfig::enabled());
+        let report = runtime.serve(vec![request]).unwrap();
+        let spans = report.trace().unwrap().spans_for(1);
+        let expected = "submit admission queue-wait context-switch run commit";
+        assert_eq!(labels(spans), expected);
     }
 
     #[test]
     fn the_ring_drops_oldest_and_counts_the_drops() {
-        let mut recorder = TraceRecorder::new(TraceConfig::with_capacity(2));
-        assert!(recorder.enabled());
-        for i in 0..5 {
-            recorder.record(instant(i as f64, SpanKind::Submit));
-        }
-        let trace = recorder.finish().expect("tracing was on");
-        assert_eq!(trace.dropped(), 3);
-        assert_eq!(trace.events().len(), 2);
-        assert_eq!(trace.events()[0].time_us, 3.0);
-        assert_eq!(trace.events()[1].time_us, 4.0);
+        // Far more spans than the 65 536-slot ring the trace once was: every
+        // one is kept and none is counted as dropped.
+        let requests: Vec<(u64, f64)> = (0..20_000).map(|id| (id, id as f64)).collect();
+        let trace = plain(&requests, |trace, index| {
+            let charge = charged(index as f64 + 1.0, index as f64 + 2.0, false);
+            trace.start(index, (0, 0), 1, &charge, 0.25, None);
+        });
+        assert_eq!(trace.dropped(), 0);
+        assert_eq!(trace.events().len(), 5 * requests.len());
+        assert_eq!(trace.spans_for(19_999)[0].time_us, 19_999.0);
     }
 
     #[test]
     fn counters_carry_running_totals() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.counter(1.0, 0, CounterName::MemoHit);
-        recorder.counter(2.0, 1, CounterName::MemoHit);
-        recorder.counter(3.0, 0, CounterName::ReplicaPushed);
-        let trace = recorder.finish().unwrap();
-        let values: Vec<u64> = trace
+        // Memo hits count in the order the serve admitted them, whatever
+        // their times; device-level events then come out by time.
+        let mut trace = Trace::default();
+        for (index, device, time_us) in [(0, 1, 2.0), (1, 0, 1.0)] {
+            trace.admit(index, device, time_us, true, None);
+            trace.memo_hit();
+        }
+        trace.admit(2, 0, 3.0, false, None);
+        trace.replica_pushed(0.5, 1, 64);
+        trace.replica_demoted(0.75, 1);
+        trace.replica_pushed(4.0, 0, 32);
+        trace.finish(vec![(7, 1.0), (8, 1.0), (9, 3.0)], None, Vec::new());
+        let counters: Vec<(f64, usize, &str, u64)> = trace
             .events()
             .iter()
             .filter_map(|event| match event.kind {
-                SpanKind::Counter {
-                    name: CounterName::MemoHit,
-                    value,
-                } => Some(value),
+                SpanKind::Counter { name, value } => {
+                    Some((event.time_us, event.device, name.label(), value))
+                }
                 _ => None,
             })
             .collect();
-        assert_eq!(values, vec![1, 2]);
-        assert_eq!(trace.spans_for(9).len(), 0);
+        let expected = [
+            (0.5, 1, "replicas_pushed", 1),
+            (0.75, 1, "replicas_demoted", 1),
+            (1.0, 0, "sim_memo_hits", 2),
+            (2.0, 1, "sim_memo_hits", 1),
+            (4.0, 0, "replicas_pushed", 2),
+        ];
+        assert_eq!(counters, expected);
     }
 
     #[test]
     fn spans_filter_by_request() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(instant(1.0, SpanKind::Submit));
-        recorder.record(TraceEvent {
-            request_id: Some(2),
-            ..instant(2.0, SpanKind::Commit)
+        let trace = plain(&[(1, 0.0), (2, 1.0)], |trace, index| {
+            let charge = charged(2.0 + index as f64, 3.0 + index as f64, false);
+            trace.start(index, (0, index), 1, &charge, 0.25, None);
         });
-        let trace = recorder.finish().unwrap();
-        assert_eq!(trace.spans_for(1).len(), 1);
-        assert_eq!(trace.spans_for(1)[0].kind.label(), "submit");
-        assert_eq!(trace.spans_for(2)[0].kind.label(), "commit");
+        assert_eq!(trace.spans_for(1)[0].kind, SpanKind::Submit);
+        assert!(trace.spans_for(2).iter().all(|e| e.request_id == Some(2)));
+        assert_eq!(trace.spans_for(1).len() + trace.spans_for(2).len(), 10);
+        assert!(trace.spans_for(3).is_empty());
     }
 
     #[test]
     fn fused_lifecycle_records_decode_to_their_span_pairs() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        // A batched request: the wait carries run_len 3, the run carries an
-        // exact commit timestamp that `time + dur` would miss by an ulp.
+        // A batched request on device 1, tile 2: the wait, the batch instant
+        // at its end, the run and a commit at the exact modeled completion,
+        // which `run start + run length` would miss by an ulp.
         let completion = 0.1 + 0.2; // 0.30000000000000004
-        recorder.queue_wait_batch(0.0, 0.1, 7, 1, 2, 3);
-        recorder.run_commit(0.1, completion - 0.1, completion, 7, 1, 2);
-        // An unbatched request decodes no Batch instant.
-        recorder.queue_wait_batch(5.0, 1.0, 8, 0, 0, 1);
-        let trace = recorder.finish().unwrap();
-
-        let batched = trace.spans_for(7);
-        let labels: Vec<&str> = batched.iter().map(|e| e.kind.label()).collect();
-        assert_eq!(labels, vec!["queue-wait", "batch", "run", "commit"]);
-        assert_eq!(batched[1].time_us, 0.1);
-        assert!(matches!(batched[1].kind, SpanKind::Batch { run_len: 3 }));
-        assert_eq!(batched[2].dur_us, completion - 0.1);
-        // The commit instant reproduces the modeled completion bitwise.
-        assert_eq!(batched[3].time_us.to_bits(), completion.to_bits());
-        assert!((batched.iter().map(|e| e.dur_us).sum::<f64>() - completion).abs() < 1e-12);
-        assert!(batched.iter().all(|e| e.device == 1 && e.tile == Some(2)));
-
-        let plain = trace.spans_for(8);
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].kind.label(), "queue-wait");
-    }
-
-    fn acquire(time_us: f64, source: &'static str, bytes: u64) -> TraceEvent {
-        TraceEvent {
-            time_us,
-            dur_us: 1.0,
-            request_id: Some(1),
-            device: 0,
-            tile: Some(0),
-            kind: SpanKind::Acquire { source, bytes },
-        }
+        let trace = plain(&[(7, 0.0)], |trace, index| {
+            trace.start(
+                index,
+                (1, 2),
+                3,
+                &charged(0.1, completion, false),
+                0.5,
+                None,
+            );
+        });
+        let spans = trace.spans_for(7);
+        let lifecycle = &spans[2..];
+        assert_eq!(
+            labels(lifecycle.iter().copied()),
+            "queue-wait batch run commit"
+        );
+        assert_eq!(lifecycle[1].kind, SpanKind::Batch { run_len: 3 });
+        assert_eq!(lifecycle[1].time_us, 0.1);
+        assert_eq!(lifecycle[2].dur_us, completion - 0.1);
+        assert_eq!(lifecycle[3].time_us.to_bits(), completion.to_bits());
+        assert!(lifecycle.iter().all(|e| e.device == 1 && e.tile == Some(2)));
     }
 
     #[test]
-    fn acquire_sources_beyond_256_round_trip_without_aliasing() {
-        // The old payload masked the interned index to 8 bits, so the 257th
-        // distinct source aliased back onto the first at decode.
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        let labels: Vec<&'static str> = (0..300)
-            .map(|i| &*format!("src-{i}").leak() as &'static str)
-            .collect();
-        for (i, &label) in labels.iter().enumerate() {
-            recorder.record(acquire(i as f64, label, i as u64));
-        }
-        let trace = recorder.finish().unwrap();
-        assert_eq!(trace.events().len(), labels.len());
-        for (i, event) in trace.events().iter().enumerate() {
-            match event.kind {
-                SpanKind::Acquire { source, bytes } => {
-                    assert_eq!(source, labels[i], "source {i} aliased");
-                    assert_eq!(bytes, i as u64);
-                }
-                ref other => panic!("expected an acquire span, got {other:?}"),
-            }
-        }
+    fn a_run_of_one_is_not_a_batch() {
+        // A request that started its own run was not batched with anything:
+        // a batch instant for it would be noise in every unbatched serve.
+        let trace = plain(&[(3, 0.0), (4, 5.0)], |trace, index| {
+            let charge = charged(6.0 * index as f64 + 2.0, 6.0 * index as f64 + 4.0, false);
+            trace.start(index, (0, 1), index + 1, &charge, 0.25, None);
+        });
+        let solo = labels(trace.spans_for(3).into_iter().skip(2));
+        assert_eq!(solo, "queue-wait run commit");
+        let paired = labels(trace.spans_for(4).into_iter().skip(2));
+        assert_eq!(paired, "queue-wait batch run commit");
     }
 
     #[test]
     fn acquire_bytes_round_trip_at_the_48_bit_field_boundary() {
-        // The old payload packed `bytes << 8`, silently dropping the top 8
-        // bits of counts ≥ 2^56; the boundary value must survive exactly.
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(acquire(0.0, "transfer", ACQUIRE_BYTES_MAX));
-        recorder.record(acquire(1.0, "host", 1 << 40));
-        let trace = recorder.finish().unwrap();
-        match trace.events()[0].kind {
-            SpanKind::Acquire { bytes, .. } => assert_eq!(bytes, ACQUIRE_BYTES_MAX),
-            ref other => panic!("expected an acquire span, got {other:?}"),
-        }
-        match trace.events()[1].kind {
-            SpanKind::Acquire { bytes, .. } => assert_eq!(bytes, 1 << 40),
-            ref other => panic!("expected an acquire span, got {other:?}"),
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "exceeds the 48-bit trace payload field")]
-    fn acquire_bytes_beyond_the_field_assert_in_debug() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(acquire(0.0, "transfer", ACQUIRE_BYTES_MAX + 1));
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn acquire_bytes_beyond_the_field_saturate_in_release() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(acquire(0.0, "transfer", u64::MAX));
-        let trace = recorder.finish().unwrap();
-        match trace.events()[0].kind {
-            SpanKind::Acquire { bytes, .. } => assert_eq!(bytes, ACQUIRE_BYTES_MAX),
-            ref other => panic!("expected an acquire span, got {other:?}"),
+        // Byte counts at and past the 48 bits a packed record once held
+        // reach the acquire span exactly, from either source.
+        let rows = [
+            (AcquireSource::Transfer, (1u64 << 48) - 1),
+            (AcquireSource::Host, 1 << 48),
+            (AcquireSource::Transfer, u64::MAX),
+        ];
+        let requests = [(0, 0.0), (1, 0.0), (2, 0.0)];
+        let trace = plain(&requests, |trace, index| {
+            let (acquire_src, acquire_bytes) = rows[index];
+            let routed = Routed {
+                acquire_us: 1.0,
+                acquire_src,
+                acquire_bytes,
+                ..Routed::default()
+            };
+            trace.start(
+                index,
+                (0, 0),
+                1,
+                &charged(1.0, 4.0, true),
+                0.5,
+                Some(&routed),
+            );
+        });
+        for (id, (source, bytes)) in rows.into_iter().enumerate() {
+            let acquire = trace.spans_for(id as u64)[3];
+            let source = source.label();
+            assert_eq!(acquire.kind, SpanKind::Acquire { source, bytes });
+            assert_eq!((acquire.time_us, acquire.dur_us), (1.0, 1.0));
         }
     }
 
     #[test]
     fn device_and_tile_ids_round_trip_at_the_28_bit_limit() {
-        let device = DEVICE_ID_OUT_OF_RANGE - 1;
-        let tile = TILE_ID_OUT_OF_RANGE - 1;
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            time_us: 0.0,
-            dur_us: 0.0,
-            request_id: Some(1),
-            device,
-            tile: Some(tile),
-            kind: SpanKind::Run,
-        });
-        let trace = recorder.finish().unwrap();
-        assert_eq!(trace.events()[0].device, device);
-        assert_eq!(trace.events()[0].tile, Some(tile));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "exceeds the 28-bit trace meta field")]
-    fn device_ids_beyond_the_field_assert_in_debug() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            device: DEVICE_ID_OUT_OF_RANGE,
-            ..instant(0.0, SpanKind::Run)
-        });
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn out_of_range_ids_decode_to_the_sentinels_in_release() {
-        // Release builds saturate instead of asserting, so a decoded trace
-        // reports "out of range" rather than attributing spans to the
-        // aliased device/tile the old truncation produced.
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            time_us: 0.0,
-            dur_us: 0.0,
-            request_id: Some(1),
-            device: usize::MAX,
-            tile: Some(usize::MAX),
-            kind: SpanKind::Run,
-        });
-        let trace = recorder.finish().unwrap();
-        assert_eq!(trace.events()[0].device, DEVICE_ID_OUT_OF_RANGE);
-        assert_eq!(trace.events()[0].tile, Some(TILE_ID_OUT_OF_RANGE));
-    }
-
-    #[test]
-    fn a_run_of_one_is_not_a_batch() {
-        // Pinned as intended: a fused QueueWait+Batch record with
-        // `run_len == 1` decodes to the wait span alone — a request that
-        // started its own run was not batched with anything, so emitting a
-        // Batch instant for it would be noise in every unbatched serve.
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.queue_wait_batch(0.0, 2.0, 3, 0, 1, 1);
-        recorder.queue_wait_batch(5.0, 2.0, 4, 0, 1, 2);
-        let trace = recorder.finish().unwrap();
-        let solo: Vec<&str> = trace.spans_for(3).iter().map(|e| e.kind.label()).collect();
-        assert_eq!(
-            solo,
-            vec!["queue-wait"],
-            "run_len == 1 must not decode a batch instant"
-        );
-        let paired: Vec<&str> = trace.spans_for(4).iter().map(|e| e.kind.label()).collect();
-        assert_eq!(paired, vec!["queue-wait", "batch"]);
+        // Ids at and past the 28 bits a packed record once held are kept
+        // whole.
+        for place in [((1 << 28) - 1, (1 << 28) - 2), (usize::MAX, usize::MAX - 1)] {
+            let trace = plain(&[(1, 0.0)], |trace, index| {
+                trace.start(index, place, 1, &charged(0.0, 1.0, false), 0.5, None);
+            });
+            let run = trace.spans_for(1)[3];
+            assert_eq!(run.kind, SpanKind::Run);
+            assert_eq!((run.device, run.tile), (place.0, Some(place.1)));
+        }
     }
 
     #[test]
     fn fault_spans_round_trip_through_the_packed_ring() {
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        let fleet_event = |time_us: f64, device: usize, kind: SpanKind| TraceEvent {
-            time_us,
-            dur_us: 0.0,
-            request_id: None,
-            device,
-            tile: None,
-            kind,
-        };
-        recorder.record(fleet_event(1.0, 3, SpanKind::DeviceDown));
-        recorder.record(fleet_event(2.0, 3, SpanKind::DrainPhase { begin: true }));
-        recorder.record(TraceEvent {
-            request_id: Some(42),
-            ..fleet_event(2.5, 3, SpanKind::Requeue)
-        });
-        recorder.record(fleet_event(
-            3.0,
-            0,
-            SpanKind::LinkDegrade { multiplier: 2.5 },
-        ));
-        recorder.record(fleet_event(4.0, 3, SpanKind::DrainPhase { begin: false }));
-        recorder.record(fleet_event(5.0, 3, SpanKind::DeviceUp));
-        let trace = recorder.finish().unwrap();
+        // Fault transitions come out by time, whatever order they were
+        // noted in. A displaced request's attempts come out in order, each
+        // routed ahead of what it did, a killed run before its requeue.
+        let mut trace = Trace::default();
+        trace.fault(5.0, 3, SpanKind::DeviceUp);
+        trace.fault(1.0, 3, SpanKind::DeviceDown);
+        trace.fault(2.0, 3, SpanKind::DrainPhase { begin: true });
+        trace.fault(3.0, 0, SpanKind::LinkDegrade { multiplier: 2.5 });
+        trace.fault(4.0, 3, SpanKind::DrainPhase { begin: false });
+        trace.log(0, 0.5, 3, weighing(&[(3, 9.0), (1, 11.0)]));
+        trace.admit(0, 3, 0.5, true, None);
+        trace.start(0, (3, 0), 1, &charged(0.5, 9.0, true), 0.25, None);
+        trace.log(0, 1.0, 3, Logged::Requeue(true));
+        trace.log(0, 1.0, 1, weighing(&[]));
+        trace.log(0, 2.0, 1, Logged::Requeue(false));
+        trace.log(0, 2.0, 2, weighing(&[]));
+        trace.start(0, (2, 1), 1, &charged(2.5, 6.0, false), 0.25, None);
+        trace.finish(vec![(42, 0.5)], Some("p2c"), Vec::new());
 
-        let labels: Vec<&str> = trace.events().iter().map(|e| e.kind.label()).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "device-down",
-                "drain",
-                "requeue",
-                "link-degrade",
-                "drain",
-                "device-up"
-            ]
+        let faults = labels(&trace.events()[14..]);
+        assert_eq!(faults, "device-down drain link-degrade drain device-up");
+        let spans = trace.spans_for(42);
+        let expected = "submit route admission queue-wait context-switch run commit \
+                        requeue route requeue route queue-wait run commit";
+        assert_eq!(labels(spans.iter().copied()), expected);
+        let routes: Vec<(f64, usize, usize)> = spans
+            .iter()
+            .filter_map(|e| match &e.kind {
+                SpanKind::RouteChoice(choice) => Some((e.time_us, e.device, choice.chosen)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(routes, [(0.5, 3, 3), (1.0, 1, 1), (2.0, 2, 2)]);
+        let weighed = [(3, 9.0), (1, 11.0)];
+        assert!(
+            matches!(&spans[1].kind, SpanKind::RouteChoice(choice) if choice.candidates == weighed)
         );
-        assert!(matches!(
-            trace.events()[1].kind,
-            SpanKind::DrainPhase { begin: true }
-        ));
-        assert_eq!(trace.events()[2].request_id, Some(42));
-        match trace.events()[3].kind {
-            SpanKind::LinkDegrade { multiplier } => {
-                assert_eq!(multiplier.to_bits(), 2.5f64.to_bits());
-            }
-            ref other => panic!("expected a link-degrade span, got {other:?}"),
-        }
-        assert!(matches!(
-            trace.events()[4].kind,
-            SpanKind::DrainPhase { begin: false }
-        ));
-        assert!(trace.events().iter().all(|e| e.tile.is_none()));
+        assert_eq!((spans[7].time_us, spans[7].device), (1.0, 3));
+        assert_eq!((spans[9].time_us, spans[9].device), (2.0, 1));
     }
 
-    /// The exhaustive-tag contract: every variant's discriminant is unique,
-    /// dense from 0, and survives the byte round trip — so a new span type
-    /// added anywhere but this enum cannot silently collide with an
-    /// existing tag.
     #[test]
     fn span_tags_are_unique_dense_and_round_trip() {
-        for (position, &tag) in SpanTag::ALL.iter().enumerate() {
-            assert_eq!(
-                tag as u64, position as u64,
-                "ALL must list tags in discriminant order with no gaps"
-            );
-            assert_eq!(SpanTag::from_byte(tag as u64), Some(tag));
-        }
-        // Bytes past the registry decode to nothing.
-        assert_eq!(SpanTag::from_byte(SpanTag::ALL.len() as u64), None);
-        assert_eq!(SpanTag::from_byte(0xff), None);
+        // Labels are what the device-level order breaks its ties by and
+        // what every exporter writes, so no two kinds may share one.
+        let class = SloClass::Standard;
+        let counter = |name| SpanKind::Counter { name, value: 1 };
+        let route = RouteChoice {
+            policy: "hash",
+            chosen: 0,
+            candidates: Vec::new(),
+        };
+        let kinds = [
+            SpanKind::Submit,
+            SpanKind::Admission { admitted: true },
+            SpanKind::RouteChoice(Box::new(route)),
+            SpanKind::QueueWait,
+            SpanKind::Acquire {
+                source: "host",
+                bytes: 0,
+            },
+            SpanKind::Prefetch { bytes: 0 },
+            SpanKind::ContextSwitch,
+            SpanKind::Batch { run_len: 2 },
+            SpanKind::Run,
+            SpanKind::Commit,
+            SpanKind::Reject,
+            counter(CounterName::ReplicaPushed),
+            counter(CounterName::ReplicaDemoted),
+            counter(CounterName::MemoHit),
+            SpanKind::DeviceDown,
+            SpanKind::DeviceUp,
+            SpanKind::DrainPhase { begin: true },
+            SpanKind::Requeue,
+            SpanKind::LinkDegrade { multiplier: 1.0 },
+            SpanKind::StageReady { deps: 1 },
+            SpanKind::StageTransfer { from: 0, bytes: 0 },
+            SpanKind::SloAdmit {
+                class,
+                admitted: true,
+            },
+            SpanKind::Activation,
+            SpanKind::SloBurn { class, window: 0 },
+            SpanKind::SloClear { class, window: 0 },
+        ];
+        let labels: std::collections::BTreeSet<&str> = kinds.iter().map(SpanKind::label).collect();
+        assert_eq!(labels.len(), kinds.len());
     }
 
     #[test]
     fn session_spans_round_trip_through_the_packed_ring() {
-        use crate::session::SloClass;
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            time_us: 1.0,
-            dur_us: 0.0,
-            request_id: Some(11),
-            device: 2,
-            tile: None,
-            kind: SpanKind::StageReady { deps: 3 },
-        });
-        recorder.record(TraceEvent {
-            time_us: 2.0,
-            dur_us: 0.0,
-            request_id: Some(11),
-            device: 4,
-            tile: None,
-            kind: SpanKind::StageTransfer {
-                from: 2,
-                bytes: 1 << 40,
-            },
-        });
-        for (class, admitted) in [
-            (SloClass::Latency, true),
-            (SloClass::Standard, true),
-            (SloClass::BestEffort, false),
-        ] {
-            recorder.record(TraceEvent {
-                time_us: 3.0,
-                dur_us: 0.0,
-                request_id: Some(12),
-                device: 0,
-                tile: None,
-                kind: SpanKind::SloAdmit { class, admitted },
-            });
-        }
-        let trace = recorder.finish().unwrap();
-        let events = trace.events();
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[0].kind.label(), "stage-ready");
-        assert!(matches!(events[0].kind, SpanKind::StageReady { deps: 3 }));
-        assert_eq!(events[0].device, 2);
-        assert_eq!(events[1].kind.label(), "stage-transfer");
-        match events[1].kind {
-            SpanKind::StageTransfer { from, bytes } => {
-                assert_eq!(from, 2);
-                assert_eq!(bytes, 1 << 40);
-            }
-            ref other => panic!("expected a stage transfer, got {other:?}"),
-        }
-        for (event, (class, admitted)) in events[2..].iter().zip([
-            (SloClass::Latency, true),
-            (SloClass::Standard, true),
-            (SloClass::BestEffort, false),
-        ]) {
-            assert_eq!(event.kind.label(), "slo-admit");
-            assert_eq!(
-                event.kind,
-                SpanKind::SloAdmit { class, admitted },
-                "class {class} round trip"
-            );
-        }
+        // A stage released by device 2, admitted under its session's class
+        // on device 4 with two inputs moved there, then run with an
+        // activation ahead of its switch; and a stage refused its share.
+        let mut trace = Trace::default();
+        trace.log(0, 1.0, 2, Logged::StageReady(3));
+        trace.log(0, 1.0, 4, weighing(&[]));
+        trace.admit(0, 4, 1.0, true, Some(SloClass::Latency));
+        trace.log(0, 1.0, 4, Logged::StageTransfer(2, 1 << 40));
+        trace.log(0, 1.0, 4, Logged::StageTransfer(3, 7));
+        let routed = Routed {
+            activation_us: 0.5,
+            ..Routed::default()
+        };
+        trace.start(0, (4, 0), 1, &charged(1.0, 3.0, true), 0.25, Some(&routed));
+        trace.log(1, 2.0, 0, weighing(&[]));
+        trace.admit(1, 0, 2.0, false, Some(SloClass::BestEffort));
+        trace.finish(vec![(11, 0.0), (12, 2.0)], Some("hash"), Vec::new());
+
+        let spans = trace.spans_for(11);
+        let expected = "submit stage-ready route admission slo-admit stage-transfer \
+                        stage-transfer queue-wait activation context-switch run commit";
+        assert_eq!(labels(spans.iter().copied()), expected);
+        assert_eq!(
+            (spans[1].device, &spans[1].kind),
+            (2, &SpanKind::StageReady { deps: 3 })
+        );
+        let (class, admitted) = (SloClass::Latency, true);
+        assert_eq!(spans[4].kind, SpanKind::SloAdmit { class, admitted });
+        let (from, bytes) = (2, 1 << 40);
+        let transfer = SpanKind::StageTransfer { from, bytes };
+        assert_eq!((spans[5].device, &spans[5].kind), (4, &transfer));
+        let refused = trace.spans_for(12);
+        let expected = "submit route admission slo-admit reject";
+        assert_eq!(labels(refused.iter().copied()), expected);
+        let (class, admitted) = (SloClass::BestEffort, false);
+        assert_eq!(refused[3].kind, SpanKind::SloAdmit { class, admitted });
     }
 
-    /// Telemetry spans (activation, burn alerts) round trip through the
-    /// packed ring.
     #[test]
     fn telemetry_spans_round_trip() {
-        use crate::session::SloClass;
-        let mut recorder = TraceRecorder::new(TraceConfig::enabled());
-        recorder.record(TraceEvent {
-            time_us: 1.0,
-            dur_us: 0.5,
-            request_id: Some(7),
-            device: 1,
-            tile: Some(2),
-            kind: SpanKind::Activation,
-        });
-        recorder.record(TraceEvent {
-            time_us: 3.0,
-            dur_us: 0.0,
-            request_id: None,
-            device: 0,
-            tile: None,
-            kind: SpanKind::SloBurn {
-                class: SloClass::Standard,
-                window: 17,
-            },
-        });
-        recorder.record(TraceEvent {
-            time_us: 5.0,
-            dur_us: 0.0,
-            request_id: None,
-            device: 0,
-            tile: None,
-            kind: SpanKind::SloClear {
-                class: SloClass::BestEffort,
-                window: 21,
-            },
-        });
-        let trace = recorder.finish().unwrap();
+        // The activation span sits ahead of the switch on its tile; burn
+        // alerts come last, as the tracker raised them, after every
+        // device-level event whatever their times.
+        let (class, window) = (SloClass::Standard, 17);
+        let burn = device_event(3.0, 0, SpanKind::SloBurn { class, window });
+        let clear = device_event(5.0, 0, SpanKind::SloClear { class, window });
+        let mut trace = Trace::default();
+        trace.admit(0, 1, 0.0, true, None);
+        trace.memo_hit();
+        let routed = Routed {
+            activation_us: 0.5,
+            ..Routed::default()
+        };
+        trace.start(0, (1, 2), 1, &charged(1.0, 4.0, true), 0.25, Some(&routed));
+        trace.replica_pushed(9.0, 0, 8);
+        trace.finish(vec![(7, 0.0)], None, vec![burn.clone(), clear.clone()]);
+        let activation = trace.spans_for(7)[3];
+        assert_eq!(activation.kind, SpanKind::Activation);
+        assert_eq!((activation.time_us, activation.dur_us), (1.0, 0.5));
         let events = trace.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind.label(), "activation");
-        assert_eq!(events[0].kind, SpanKind::Activation);
-        assert_eq!(events[0].dur_us, 0.5);
-        assert_eq!(events[1].kind.label(), "slo-burn");
-        assert_eq!(
-            events[1].kind,
-            SpanKind::SloBurn {
-                class: SloClass::Standard,
-                window: 17,
-            }
-        );
-        assert_eq!(events[2].kind.label(), "slo-clear");
-        assert_eq!(
-            events[2].kind,
-            SpanKind::SloClear {
-                class: SloClass::BestEffort,
-                window: 21,
-            }
-        );
+        let tail = "sim_memo_hits prefetch replicas_pushed slo-burn slo-clear";
+        assert_eq!(labels(&events[events.len() - 5..]), tail);
+        assert_eq!(events[events.len() - 2..], [burn, clear]);
     }
 }

@@ -265,6 +265,7 @@ fn classify(state: &TileState) -> TileClass {
             Some(key) => TileClass::IdleWarm(key),
         }
     } else {
+        // Running means charged with a kernel, and queued means enqueued one.
         let projected = state
             .projected_resident()
             .expect("a busy tile always projects a kernel");
@@ -284,6 +285,7 @@ fn lane_insert(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
 
 /// Removes `entry` from a sorted lane; true when it was the first.
 fn lane_remove(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
+    // The index removes only the entry it filed for the tile's current class.
     let at = lane.binary_search(&entry).expect("indexed busy entry");
     lane.remove(at);
     at == 0

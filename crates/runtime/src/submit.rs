@@ -23,10 +23,10 @@
 //! submitted, however far out of order their stages complete.
 //!
 //! When tracing is on ([`Runtime::with_tracing`](crate::Runtime::with_tracing)
-//! with an enabled [`TraceConfig`](crate::obs::TraceConfig)), the loop marks
-//! each request's intake with a `Submit` instant at its arrival timestamp —
-//! the anchor every later lifecycle span
-//! ([`SpanKind`](crate::obs::SpanKind)) of that request hangs off.
+//! with an enabled [`TraceConfig`](crate::obs::TraceConfig)), each request's
+//! spans open with a `Submit` instant at its arrival timestamp — the anchor
+//! every later lifecycle span ([`SpanKind`](crate::obs::SpanKind)) of that
+//! request hangs off.
 
 use std::fmt;
 use std::sync::mpsc::{SyncSender, TrySendError};

@@ -487,12 +487,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/target"))?;
     std::fs::write(trace_path, &trace_json)?;
     println!(
-        "wrote {trace_path}: {} events over {} track(s) ({} complete spans, {} dropped) — \
+        "wrote {trace_path}: {} events over {} track(s) ({} complete spans) — \
          load it at ui.perfetto.dev",
-        validation.events,
-        validation.tracks,
-        validation.complete_spans,
-        trace.dropped()
+        validation.events, validation.tracks, validation.complete_spans,
     );
 
     // The worst-p99 tenant, by kernel name (tenants map 1:1 onto kernels).

@@ -23,6 +23,8 @@
 //!   modeled latency — including through fault displacement and pipeline
 //!   activations.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -30,11 +32,11 @@ use tm_overlay::runtime::obs::{
     perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text,
     prometheus_text_labeled, validate_chrome_trace,
 };
-use tm_overlay::runtime::SpanKind;
+use tm_overlay::runtime::{SpanKind, TraceEvent};
 use tm_overlay::{
     explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, LogHistogram,
     PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport,
-    Session, SloClass, SloConfig, SloObjective, TelemetryConfig, Trace, TraceConfig, Workload,
+    Session, SloClass, SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -100,17 +102,16 @@ fn assert_reports_identical(
     Ok(())
 }
 
-/// Sums the lifecycle span durations per request and checks they reconcile
-/// with the modeled latency: the spans tile `[arrival, completion]`.
+/// Sums one request's lifecycle span durations and checks they reconcile
+/// with its modeled latency: the spans tile `[arrival, completion]`.
 fn assert_spans_reconcile(
-    trace: &Trace,
+    spans: &[&TraceEvent],
     request_id: u64,
     latency_us: f64,
 ) -> Result<(), TestCaseError> {
-    let spans = trace.spans_for(request_id);
     let mut staged = 0.0;
     let mut runs = 0usize;
-    for span in &spans {
+    for span in spans {
         match span.kind {
             SpanKind::QueueWait
             | SpanKind::Acquire { .. }
@@ -196,7 +197,8 @@ proptest! {
             .unwrap();
         let trace = report.trace().expect("tracing was enabled");
         for outcome in report.outcomes() {
-            assert_spans_reconcile(trace, outcome.request_id, outcome.latency_us)?;
+            let spans = trace.spans_for(outcome.request_id);
+            assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us)?;
         }
         prop_assert_eq!(trace.dropped(), 0);
     }
@@ -223,7 +225,8 @@ proptest! {
         let report = cluster.serve(requests).unwrap();
         let trace = report.trace().expect("tracing was enabled");
         for outcome in report.outcomes() {
-            assert_spans_reconcile(trace, outcome.request_id, outcome.latency_us)?;
+            let spans = trace.spans_for(outcome.request_id);
+            assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us)?;
         }
     }
 
@@ -443,6 +446,34 @@ fn exporters_emit_wellformed_output() {
     assert!(text.contains(&format!("tm_requests_total {}", report.metrics().requests)));
 }
 
+/// A traced serve of 20 000 requests — more spans than the 65 536 the
+/// trace once held before dropping the oldest — keeps every span: nothing
+/// is dropped, [`explain`] has a row for every outcome, and every outcome's
+/// spans tile its latency.
+#[test]
+fn a_long_traced_serve_keeps_every_span() {
+    let requests = random_trace(0x10c5, 20_000, 3.0);
+    let report = Runtime::new(FuVariant::V4, 4)
+        .unwrap()
+        .with_tracing(TraceConfig::enabled())
+        .serve(requests)
+        .unwrap();
+    let trace = report.trace().expect("tracing was enabled");
+    assert!(trace.events().len() > 65_536);
+    assert_eq!(trace.dropped(), 0);
+    assert_eq!(explain(trace).rows().len(), report.outcomes().len());
+    let mut spans: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
+    for event in trace.events() {
+        if let Some(id) = event.request_id {
+            spans.entry(id).or_default().push(event);
+        }
+    }
+    for outcome in report.outcomes() {
+        let id = outcome.request_id;
+        assert_spans_reconcile(&spans[&id], id, outcome.latency_us).unwrap();
+    }
+}
+
 /// Attribution through fault displacement: killed-then-relocated requests
 /// report their discarded work in `displaced_us` and their displacements in
 /// `requeues`, the surviving attempt still reconciles additively, the
@@ -574,7 +605,8 @@ fn pipeline_spans_export_and_reconcile() {
     );
     let trace = report.cluster.trace().expect("tracing was enabled");
     for outcome in report.cluster.outcomes() {
-        assert_spans_reconcile(trace, outcome.request_id, outcome.latency_us).unwrap();
+        let spans = trace.spans_for(outcome.request_id);
+        assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us).unwrap();
     }
     // The attribution engine surfaces the activation column.
     let attribution = explain(trace);

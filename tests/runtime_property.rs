@@ -3,7 +3,9 @@
 //! duplicate a request id, the virtual timeline stays monotone and
 //! physically consistent per tile, and EDF dominates FIFO on feasible
 //! single-tenant traces. A scenario generator over any configuration,
-//! infinite and NaN fields included, returns a well-formed schedule.
+//! infinite and NaN fields included, returns a well-formed schedule, and a
+//! cluster serve under any fault plan, or of any pipelines, returns its
+//! report or a typed error.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
@@ -12,8 +14,11 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::prelude::*;
 
-use tm_overlay::runtime::{FlashCrowd, Scenario, ScenarioArrival, ScenarioConfig};
-use tm_overlay::{DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, ServeReport, Workload};
+use tm_overlay::runtime::{FlashCrowd, Scenario, ScenarioConfig};
+use tm_overlay::{
+    Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, PipelineRequest, PipelineStage,
+    Request, RoutePolicy, Runtime, ServeReport, Session, SloClass, Workload,
+};
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
 const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
@@ -217,17 +222,41 @@ fn edge_f64(rng: &mut StdRng, bound: f64) -> f64 {
     }
 }
 
-/// `scenario`'s schedule, computed on a thread of its own, or why it did
-/// not come back within ten seconds.
-fn arrivals_in_time(scenario: &Scenario) -> Result<Vec<ScenarioArrival>, &'static str> {
+/// What `work` returns, computed on a thread of its own, or why it did not
+/// come back within ten seconds.
+fn in_time<T: Send + 'static>(
+    work: impl FnOnce() -> T + Send + 'static,
+) -> Result<T, &'static str> {
     let (tx, rx) = mpsc::channel();
-    let scenario = scenario.clone();
-    thread::spawn(move || tx.send(scenario.arrivals()));
+    thread::spawn(move || tx.send(work()));
     rx.recv_timeout(Duration::from_secs(10))
         .map_err(|error| match error {
-            RecvTimeoutError::Timeout => "arrivals() did not return",
-            RecvTimeoutError::Disconnected => "arrivals() panicked",
+            RecvTimeoutError::Timeout => "it did not return",
+            RecvTimeoutError::Disconnected => "it panicked",
         })
+}
+
+/// A fault plan of `events` random events on a `devices`-device fleet.
+/// Half the plans are `wild`: times anywhere, NaN and ±∞ included and in no
+/// order, and device ids up to two past the fleet.
+fn random_plan(rng: &mut StdRng, events: usize, devices: usize) -> FaultPlan {
+    let wild = rng.gen_bool(0.5);
+    (0..events).fold(FaultPlan::new(), |plan, _| {
+        let time_us = if wild {
+            edge_f64(rng, 200.0)
+        } else {
+            rng.gen_range(0..200u64) as f64
+        };
+        let device = rng.gen_range(0..devices + 2 * usize::from(wild));
+        match rng.gen_range(0..5u32) {
+            0 => plan.kill(time_us, device),
+            1 => plan.revive(time_us, device),
+            2 => plan.drain(time_us, device),
+            3 => plan.undrain(time_us, device),
+            _ if wild => plan.degrade_links(time_us, edge_f64(rng, 4.0)),
+            _ => plan.degrade_links(time_us, rng.gen_range(1..4u64) as f64),
+        }
+    })
 }
 
 proptest! {
@@ -258,8 +287,9 @@ proptest! {
                 multiplier: edge_f64(&mut rng, 10.0),
             });
         }
-        let arrivals = arrivals_in_time(&scenario);
-        prop_assert!(arrivals.is_ok(), "{config:?}: {}", arrivals.unwrap_err());
+        let schedule = scenario.clone();
+        let arrivals = in_time(move || schedule.arrivals());
+        prop_assert!(arrivals.is_ok(), "{config:?}: arrivals(): {}", arrivals.unwrap_err());
         let sanitized = scenario.config();
         let mut last_us = 0.0;
         for arrival in arrivals.unwrap() {
@@ -270,6 +300,97 @@ proptest! {
             );
             prop_assert!(arrival.tenant < sanitized.tenants);
             last_us = arrival.arrival_us;
+        }
+    }
+
+    /// Any fault plan — NaN, infinite and out-of-order times, devices past
+    /// the fleet — makes a cluster serve either fail with a typed error or
+    /// account for every request, served or rejected.
+    #[test]
+    fn any_fault_plan_serves_or_fails_with_a_typed_error(
+        seed in any::<u64>(),
+        events in 0usize..8,
+        devices in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = random_plan(&mut rng, events, devices);
+        let shown = format!("{plan:?}");
+        let requests = random_trace(seed, 12, 3.0);
+        let served = in_time(move || {
+            Cluster::new(FuVariant::V4, devices, 2)
+                .unwrap()
+                .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+                .with_fault_plan(plan)
+                .serve(requests)
+                .map(|report| report.outcomes().len() + report.rejected().len())
+        });
+        prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
+        if let Ok(Ok(accounted)) = served {
+            prop_assert!(accounted == 12, "{shown}: {accounted} of 12 requests accounted");
+        }
+    }
+
+    /// Any pipelines served through a cluster, with or without a fault
+    /// plan, give a report or a typed error. A fifth of them are wild:
+    /// empty stage lists, dependencies on themselves, on later stages or
+    /// past the end, NaN, infinite and out-of-order arrivals.
+    #[test]
+    fn any_pipelines_serve_or_fail_with_a_typed_error(
+        seed in any::<u64>(),
+        count in 0usize..6,
+        faults in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let saxpy = KernelSpec::from_source("saxpy", SAXPY);
+        let mut clock_us = 0.0;
+        let pipelines: Vec<PipelineRequest> = (0..count as u64)
+            .map(|id| {
+                let wild = rng.gen_bool(0.2);
+                clock_us += rng.gen_range(0..20u64) as f64;
+                let arrival_us = if wild { edge_f64(&mut rng, 50.0) } else { clock_us };
+                let mut pipeline = PipelineRequest::new(id, rng.gen_range(0..3u64)).at(arrival_us);
+                if rng.gen_bool(0.3) {
+                    let budget = edge_f64(&mut rng, 100.0);
+                    pipeline = pipeline.with_deadline(arrival_us + budget);
+                }
+                let stages = rng.gen_range(usize::from(!wild)..4usize);
+                for stage in 0..stages {
+                    let mut deps: Vec<usize> = (0..rng.gen_range(0..3usize))
+                        .map(|_| rng.gen_range(0..stages + 2))
+                        .collect();
+                    if !wild {
+                        deps.retain(|&dep| dep < stage);
+                        deps.sort_unstable();
+                        deps.dedup();
+                    }
+                    let workload = Workload::random(3, rng.gen_range(1..3usize), id);
+                    let stage = PipelineStage::new(saxpy.clone(), workload)
+                        .after(&deps)
+                        .emits(rng.gen_range(0..1u64 << 20));
+                    pipeline = pipeline.stage(stage);
+                }
+                pipeline
+            })
+            .collect();
+        let sessions = [
+            Session::new(0).with_slo(SloClass::Latency),
+            Session::new(1),
+            Session::new(2).with_slo(SloClass::BestEffort),
+        ];
+        let plan = random_plan(&mut rng, faults, 2);
+        let shown = format!("{pipelines:?} {plan:?}");
+        let served = in_time(move || {
+            let mut cluster = Cluster::new(FuVariant::V4, 2, 2).unwrap();
+            if !plan.is_empty() {
+                cluster = cluster.with_fault_plan(plan);
+            }
+            cluster
+                .serve_pipelines(pipelines, &sessions)
+                .map(|report| report.pipelines.len())
+        });
+        prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
+        if let Ok(Ok(pipelines)) = served {
+            prop_assert!(pipelines == count, "{shown}: {pipelines} of {count} pipelines reported");
         }
     }
 }
