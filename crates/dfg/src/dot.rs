@@ -3,6 +3,7 @@
 //! Useful to visually compare a constructed benchmark graph with the figures
 //! in the paper (Fig. 2b, Fig. 4).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::graph::Dfg;
@@ -35,20 +36,28 @@ pub fn to_dot(dfg: &Dfg) -> String {
     let _ = writeln!(out, "  rankdir=TB;");
     let _ = writeln!(out, "  node [fontname=\"Helvetica\"];");
     for node in dfg.nodes() {
-        let (shape, label) = match node.kind() {
-            NodeKind::Input { position } => ("ellipse", format!("I{position}\\n{}", node.name())),
-            NodeKind::Const { value } => ("diamond", format!("{value}")),
-            NodeKind::Operation { op, .. } => ("box", format!("{op}\\n{}", node.name())),
-            NodeKind::Output { position, .. } => {
-                ("doublecircle", format!("O{position}\\n{}", node.name()))
+        // Escaped before the label is composed, so the label's own `\n`
+        // line separator stays an escape.
+        let name = escape(node.name());
+        let id = node.id();
+        let _ = match node.kind() {
+            NodeKind::Input { position } => {
+                writeln!(
+                    out,
+                    "  {id} [shape=ellipse, label=\"I{position}\\n{name}\"];"
+                )
             }
+            NodeKind::Const { value } => {
+                writeln!(out, "  {id} [shape=diamond, label=\"{value}\"];")
+            }
+            NodeKind::Operation { op, .. } => {
+                writeln!(out, "  {id} [shape=box, label=\"{op}\\n{name}\"];")
+            }
+            NodeKind::Output { position, .. } => writeln!(
+                out,
+                "  {id} [shape=doublecircle, label=\"O{position}\\n{name}\"];"
+            ),
         };
-        let _ = writeln!(
-            out,
-            "  {} [shape={shape}, label=\"{}\"];",
-            node.id(),
-            escape(&label)
-        );
     }
     for node in dfg.nodes() {
         for operand in node.operands() {
@@ -59,8 +68,24 @@ pub fn to_dot(dfg: &Dfg) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    s.replace('"', "\\\"")
+/// `name` as the inside of a DOT quoted string: backslashes and quotes
+/// escaped, line breaks as `\n` and `\r` escapes, so no name can end the
+/// string or the line early.
+fn escape(name: &str) -> Cow<'_, str> {
+    if !name.contains(['\\', '"', '\n', '\r']) {
+        return Cow::Borrowed(name);
+    }
+    let mut escaped = String::with_capacity(name.len() + 4);
+    for c in name.chars() {
+        match c {
+            '\\' => escaped.push_str("\\\\"),
+            '"' => escaped.push_str("\\\""),
+            '\n' => escaped.push_str("\\n"),
+            '\r' => escaped.push_str("\\r"),
+            c => escaped.push(c),
+        }
+    }
+    Cow::Owned(escaped)
 }
 
 #[cfg(test)]
@@ -97,5 +122,39 @@ mod tests {
         b.output("o", q);
         let dot = to_dot(&b.build().unwrap());
         assert!(dot.contains("quote\\\"name"));
+    }
+
+    /// Each line of `dot`, checked to close every quoted string it opens.
+    fn balanced_lines(dot: &str) -> Vec<&str> {
+        let lines: Vec<&str> = dot.lines().collect();
+        for line in &lines {
+            let (mut quoted, mut escaped) = (false, false);
+            for c in line.chars() {
+                match (escaped, c) {
+                    (true, _) => escaped = false,
+                    (false, '\\') => escaped = true,
+                    (false, '"') => quoted = !quoted,
+                    _ => {}
+                }
+            }
+            assert!(!quoted && !escaped, "unterminated string in {line:?}");
+        }
+        lines
+    }
+
+    #[test]
+    fn backslashes_and_line_breaks_in_names_are_escaped() {
+        let mut b = DfgBuilder::new("k\\");
+        let x = b.input("a\\");
+        let q = b.op(Op::Square, &[x]).unwrap();
+        b.output("two\nlines\r\"", q);
+        let dfg = b.build().unwrap();
+        let dot = to_dot(&dfg);
+        let lines = balanced_lines(&dot);
+        // Header, one line per node and per edge, closing brace.
+        assert_eq!(lines.len(), 3 + dfg.num_nodes() + 2 + 1, "{dot}");
+        assert_eq!(lines[0], "digraph \"k\\\\\" {");
+        assert!(lines.contains(&"  n0 [shape=ellipse, label=\"I0\\na\\\\\"];"));
+        assert!(lines.contains(&"  n2 [shape=doublecircle, label=\"O0\\ntwo\\nlines\\r\\\"\"];"));
     }
 }

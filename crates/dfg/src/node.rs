@@ -130,13 +130,95 @@ impl NodeKind {
     }
 }
 
-/// A node of the data flow graph: its id, an optional user-facing name and
-/// its [`NodeKind`].
+/// A node's name, stored in place when it fits in [`NodeName::INLINE`] bytes
+/// and boxed otherwise. Every name the builder derives (`MAC_N4294967295`,
+/// `c-2147483648`) fits; only a long given name is boxed. A name that fits is
+/// always inline, so the derived equality is the strings' equality. It is as
+/// large as a `String`, so a [`Node`] is no larger than when it held one.
+#[derive(Clone, PartialEq, Eq)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(into = "String", from = "String")
+)]
+pub(crate) enum NodeName {
+    /// Bytes past `len` stay zero.
+    Inline {
+        len: u8,
+        bytes: [u8; NodeName::INLINE],
+    },
+    Boxed(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<NodeName>() == std::mem::size_of::<String>());
+
+impl NodeName {
+    /// The longest name stored in place.
+    pub(crate) const INLINE: usize = 22;
+
+    /// The concatenation of `parts`.
+    pub(crate) fn concat(parts: &[&str]) -> Self {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len > NodeName::INLINE {
+            return NodeName::Boxed(parts.concat().into_boxed_str());
+        }
+        let mut bytes = [0; NodeName::INLINE];
+        let mut end = 0;
+        for part in parts {
+            bytes[end..end + part.len()].copy_from_slice(part.as_bytes());
+            end += part.len();
+        }
+        NodeName::Inline {
+            len: len as u8,
+            bytes,
+        }
+    }
+
+    /// A copy of `name`.
+    pub(crate) fn new(name: &str) -> Self {
+        NodeName::concat(&[name])
+    }
+
+    /// The name as a string slice.
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            // The bytes are whole `str`s copied end to end, so they are
+            // UTF-8 and the check never falls back.
+            NodeName::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).unwrap_or_default()
+            }
+            NodeName::Boxed(name) => name,
+        }
+    }
+}
+
+impl fmt::Debug for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl From<String> for NodeName {
+    fn from(name: String) -> Self {
+        NodeName::new(&name)
+    }
+}
+
+impl From<NodeName> for String {
+    fn from(name: NodeName) -> Self {
+        name.as_str().to_owned()
+    }
+}
+
+/// A node of the data flow graph: its id, its name and its [`NodeKind`].
+///
+/// Every node has a name, unique within its graph: the one it was given, or
+/// one the builder derived (see [`crate::builder`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     pub(crate) id: NodeId,
-    pub(crate) name: String,
+    pub(crate) name: NodeName,
     pub(crate) kind: NodeKind,
 }
 
@@ -148,7 +230,7 @@ impl Node {
 
     /// The node's user-visible name (e.g. `SUB_N6` in the paper's figures).
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// The node's kind.
@@ -176,11 +258,12 @@ impl Node {
 
 impl fmt::Display for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name();
         match &self.kind {
-            NodeKind::Input { position } => write!(f, "{}: input[{position}]", self.name),
-            NodeKind::Const { value } => write!(f, "{}: const {value}", self.name),
+            NodeKind::Input { position } => write!(f, "{name}: input[{position}]"),
+            NodeKind::Const { value } => write!(f, "{name}: const {value}"),
             NodeKind::Operation { op, operands } => {
-                write!(f, "{}: {op}(", self.name)?;
+                write!(f, "{name}: {op}(")?;
                 for (i, operand) in operands.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -190,7 +273,7 @@ impl fmt::Display for Node {
                 write!(f, ")")
             }
             NodeKind::Output { position, source } => {
-                write!(f, "{}: output[{position}] <- {source}", self.name)
+                write!(f, "{name}: output[{position}] <- {source}")
             }
         }
     }
@@ -252,7 +335,7 @@ mod tests {
     fn node_display_shows_structure() {
         let node = Node {
             id: NodeId::from_raw(3),
-            name: "SUB_N6".into(),
+            name: NodeName::new("SUB_N6"),
             kind: NodeKind::Operation {
                 op: Op::Sub,
                 operands: Operands::new(&[NodeId::from_raw(0), NodeId::from_raw(2)]).unwrap(),
@@ -261,5 +344,24 @@ mod tests {
         assert_eq!(node.to_string(), "SUB_N6: SUB(n0, n2)");
         assert_eq!(node.operands(), &[NodeId::from_raw(0), NodeId::from_raw(2)]);
         assert_eq!(node.op(), Some(Op::Sub));
+    }
+
+    #[test]
+    fn names_up_to_the_inline_length_are_stored_in_place() {
+        let fits = "A".repeat(NodeName::INLINE);
+        let boxed = "A".repeat(NodeName::INLINE + 1);
+        assert!(matches!(NodeName::new(&fits), NodeName::Inline { .. }));
+        assert!(matches!(NodeName::new(&boxed), NodeName::Boxed(_)));
+        for name in ["", "x", "SUB_N6", "é€𝄞", fits.as_str(), boxed.as_str()] {
+            let stored = NodeName::new(name);
+            assert_eq!(stored.as_str(), name);
+            assert_eq!(format!("{stored:?}"), format!("{name:?}"));
+            assert_eq!(String::from(stored.clone()), name);
+            assert_eq!(NodeName::from(name.to_owned()), stored);
+        }
+        let split = NodeName::concat(&["MAC", "_N", "4294967295"]);
+        assert_eq!(split.as_str(), "MAC_N4294967295");
+        assert_eq!(split, NodeName::new("MAC_N4294967295"));
+        assert!(matches!(split, NodeName::Inline { .. }));
     }
 }

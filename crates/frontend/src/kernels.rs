@@ -16,6 +16,8 @@
 //! `poly5`–`poly8`) are built structurally with [`overlay_dfg::DfgBuilder`]
 //! using a layered construction that mirrors their published shape.
 
+use std::fmt::Write as _;
+
 use overlay_dfg::{Dfg, DfgBuilder, NodeId, Op};
 
 use crate::compile_kernel;
@@ -297,8 +299,12 @@ fn layered_kernel(
     let mut builder = DfgBuilder::with_capacity(name, num_inputs + ops + 1);
     // Every value so far, inputs first; the previous level is its tail.
     let mut earlier: Vec<NodeId> = Vec::with_capacity(num_inputs + ops);
+    // One buffer for every input's name: the builder copies it into the node.
+    let mut input_name = String::with_capacity(4);
     for i in 0..num_inputs {
-        earlier.push(builder.input(format!("i{i}")));
+        input_name.clear();
+        let _ = write!(input_name, "i{i}");
+        earlier.push(builder.input(&input_name));
     }
 
     let depth = widths.len();
