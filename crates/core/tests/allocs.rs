@@ -8,7 +8,9 @@
 //! the commit that set it measured, plus 15 %; the commit before it
 //! (`0d00bf0`) read 383, 435 and 546. The gradient and Poly8 bounds were set
 //! again when node names moved into the nodes; the commit before that
-//! (`2f1562b`) read 59 and 102, and 55 for building Poly6's graph alone.
+//! (`2f1562b`) read 59 and 102, and 55 for building Poly6's graph alone. All
+//! three were set again when the schedule became three flat arrays; the
+//! commit before that (`197a9cf`) read 41, 67 and 89.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,8 +85,8 @@ fn gradient_from_source_on_v1() {
     let compiler = Compiler::new(FuVariant::V1);
     let count = allocations_of(|| compiler.compile_source(source));
     assert!(
-        count <= 47,
-        "{count} allocations, 41 when the bound was set"
+        count <= 31,
+        "{count} allocations, 27 when the bound was set"
     );
 }
 
@@ -94,8 +96,8 @@ fn poly8_on_v4_at_depth_8() {
     let compiler = Compiler::new(FuVariant::V4).with_fixed_depth(8);
     let count = allocations_of(|| compiler.compile_benchmark(Benchmark::Poly8));
     assert!(
-        count <= 77,
-        "{count} allocations, 67 when the bound was set"
+        count <= 41,
+        "{count} allocations, 36 when the bound was set"
     );
 }
 
@@ -107,8 +109,8 @@ fn a_72_op_graph_on_v5_at_depth_8() {
     let compiler = Compiler::new(FuVariant::V5).with_fixed_depth(8);
     let count = allocations_of(|| compiler.compile_dfg(&dfg));
     assert!(
-        count <= 102,
-        "{count} allocations, 89 when the bound was set"
+        count <= 39,
+        "{count} allocations, 34 when the bound was set"
     );
 }
 

@@ -142,7 +142,7 @@ use std::thread;
 
 use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
-use overlay_scheduler::{generate_program, schedule};
+use overlay_scheduler::{generate_program_owned, schedule};
 use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
@@ -326,7 +326,7 @@ pub(crate) fn prepare_request(
     let kernel = cache.get_or_compile(key, || {
         let dfg = request.kernel.dfg(lower)?;
         let stages = schedule(&dfg, ctx.variant, ctx.writeback.then_some(ctx.depth))?;
-        Ok(generate_program(&dfg, &stages, ctx.variant)?)
+        Ok(generate_program_owned(&dfg, stages, ctx.variant)?)
     })?;
     let compiled = &kernel.compiled;
     let timing = match ctx.derived.get(&key) {

@@ -24,7 +24,7 @@ use overlay_runtime::{
     Request, RequestOutcome, RoutePolicy, Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace,
     TraceConfig,
 };
-use overlay_scheduler::{generate_program, schedule};
+use overlay_scheduler::{generate_program_owned, schedule};
 use overlay_sim::{OverlaySimulator, Workload};
 
 thread_local! {
@@ -451,7 +451,7 @@ fn a_second_serve_of_a_warm_kernel_does_not_plan_it() {
     let compile = |spec: &KernelSpec| -> Result<_, RuntimeError> {
         let dfg = spec.dfg(&LowerOptions::default())?;
         let stages = schedule(&dfg, FuVariant::V4, Some(depth))?;
-        Ok(generate_program(&dfg, &stages, FuVariant::V4)?)
+        Ok(generate_program_owned(&dfg, stages, FuVariant::V4)?)
     };
     let mut store = KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY).unwrap();
     let ((), compiles, _) = counted(|| {

@@ -9,7 +9,7 @@
 use overlay_dfg::{Dfg, DfgAnalysis};
 
 use crate::error::ScheduleError;
-use crate::stage::{Slot, StageSchedule, Strategy};
+use crate::stage::{Slot, StageBound, StageSchedule, Strategy};
 
 /// Schedules `dfg` with one ASAP level per functional unit.
 ///
@@ -27,7 +27,7 @@ use crate::stage::{Slot, StageSchedule, Strategy};
 /// let dfg = Benchmark::Gradient.dfg()?;
 /// let schedule = asap_schedule(&dfg)?;
 /// assert_eq!(schedule.num_stages(), 4); // gradient's depth
-/// assert_eq!(schedule.stages()[0].num_ops(), 4); // the four SUBs
+/// assert_eq!(schedule.stage(0).num_ops(), 4); // the four SUBs
 /// # Ok(())
 /// # }
 /// ```
@@ -46,11 +46,13 @@ pub(crate) fn level_schedule(
     analysis: &DfgAnalysis,
     strategy: Strategy,
 ) -> StageSchedule {
-    let stage_slots = analysis
-        .levels()
-        .map(|level| level.iter().map(|&op| Slot::Op(op)).collect())
+    let ops = analysis.level_span(0, analysis.depth()).iter();
+    let bounds = analysis.level_bounds().iter();
+    let bounds = bounds
+        .map(|&slots| StageBound { slots, loads: 0 })
         .collect();
-    StageSchedule::assemble(dfg, strategy, stage_slots)
+    let slots = ops.map(|&op| Slot::Op(op)).collect();
+    StageSchedule::assemble(dfg, strategy, slots, bounds)
 }
 
 #[cfg(test)]
@@ -77,7 +79,6 @@ mod tests {
         let schedule = asap_schedule(&dfg).unwrap();
         let shapes: Vec<(usize, usize)> = schedule
             .stages()
-            .iter()
             .map(|stage| (stage.num_loads(), stage.num_ops()))
             .collect();
         assert_eq!(shapes, vec![(5, 4), (4, 4), (4, 2), (2, 1)]);

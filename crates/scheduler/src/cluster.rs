@@ -17,9 +17,12 @@
 //! That cost depends on a partition only through two things:
 //!
 //! * `#slots` of a cluster is the length of its ordered, NOP-padded issue
-//!   list, a function of the cluster's level range alone. [`PartitionCost`]
-//!   orders each distinct `(start, end]` range once; moving a boundary
-//!   changes the two ranges next to it and leaves the others as hits.
+//!   list, a function of the cluster's level range alone. `PartitionCost`
+//!   puts each distinct `(start, end]` range's list once into one arena;
+//!   moving a boundary changes the two ranges next to it and leaves the
+//!   others as hits. A single level is copied, never ordered: no op of an
+//!   ASAP level reads another, so the pick (most in-cluster consumers, all 0,
+//!   then creation order) would issue it as it stands, at its floor (below).
 //! * `#load` of a stage is the number of values alive across the boundary
 //!   the stage starts at: produced at or before that level (or a kernel
 //!   input), consumed after it (or a kernel output). It depends on that one
@@ -27,11 +30,12 @@
 //!   from each value's producing and last consuming level.
 //!
 //! So a candidate is costed from table lookups, and only the winning
-//! partition is materialised — from the issue lists the search already
-//! ordered, through the same liveness analysis as every other schedule. The
-//! cost function, the visiting order and the strict-improvement rule are the
-//! ones the search has always used; a test below holds the cost to the value
-//! a full rebuild of the candidate's schedule gives.
+//! partition is materialised — its issue lists copied out of the arena into
+//! the schedule's one slot array, then through the same liveness analysis as
+//! every other schedule. The cost function, the visiting order and the
+//! strict-improvement rule are the ones the search has always used; tests
+//! below hold the cost to a full rebuild of the candidate's schedule, and
+//! every range's issue list, single levels included, to the rescan.
 //!
 //! # Which moves are costed, and why a skipped one could not have won
 //!
@@ -66,7 +70,7 @@ use overlay_isa::program::DEFAULT_IMEM_CAPACITY;
 
 use crate::asap::level_schedule;
 use crate::error::ScheduleError;
-use crate::stage::{Slot, StageSchedule, Strategy};
+use crate::stage::{Slot, StageBound, StageSchedule, Strategy};
 
 /// Options for the fixed-depth cluster scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,12 +153,9 @@ pub fn cluster_schedule(
     //    the worst per-cluster cost.
     let mut boundaries = balanced_partition(analysis.level_bounds(), options.depth);
     let mut search = PartitionCost::new(dfg, &analysis, options.iwp);
-    let mut costs = Vec::with_capacity(boundaries.len() + 1);
-    let mut start = 0usize;
-    for &end in boundaries.iter().chain([&kernel_depth]) {
-        costs.push(search.range_cost(start, end));
-        start = end;
-    }
+    let mut costs: Vec<usize> = cluster_ranges(&boundaries, kernel_depth)
+        .map(|(start, end)| search.range_cost(start, end))
+        .collect();
     let mut best_cost = costs.iter().copied().max().unwrap_or(0);
     let mut improved = true;
     while improved {
@@ -198,12 +199,21 @@ pub fn cluster_schedule(
         }
     }
 
-    // 2. Only the winner becomes a schedule.
-    let stage_slots = cluster_ranges(&boundaries, kernel_depth)
-        .into_iter()
-        .map(|(start, end)| std::mem::take(search.cluster(start, end)))
-        .collect();
-    Ok(StageSchedule::assemble(dfg, strategy, stage_slots))
+    // 2. Only the winner becomes a schedule, copied out of the search once.
+    let ranges = cluster_ranges(&boundaries, kernel_depth);
+    let total = ranges
+        .clone()
+        .map(|(a, b)| search.cluster(a, b).len())
+        .sum();
+    let mut slots = Vec::with_capacity(total);
+    let mut bounds = Vec::with_capacity(boundaries.len() + 2);
+    bounds.push(StageBound::default());
+    for (start, end) in ranges {
+        slots.extend_from_slice(search.cluster(start, end));
+        let slots = slots.len();
+        bounds.push(StageBound { slots, loads: 0 });
+    }
+    Ok(StageSchedule::assemble(dfg, strategy, slots, bounds))
 }
 
 /// Splits `n` sizes, given as their prefix sums (`prefix[i]` the sum of the
@@ -256,16 +266,13 @@ fn balanced_partition(prefix: &[usize], groups: usize) -> Vec<usize> {
     boundaries
 }
 
-/// Expands partition boundaries into the per-cluster level ranges.
-fn cluster_ranges(boundaries: &[usize], levels: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity(boundaries.len() + 1);
-    let mut start = 0usize;
-    for &b in boundaries {
-        ranges.push((start, b));
-        start = b;
-    }
-    ranges.push((start, levels));
-    ranges
+/// The level range `(start, end]` of each cluster the boundaries delimit.
+fn cluster_ranges(
+    boundaries: &[usize],
+    levels: usize,
+) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    let ends = boundaries.iter().copied().chain([levels]);
+    [0].into_iter().chain(boundaries.iter().copied()).zip(ends)
 }
 
 /// What any partition of one kernel's levels costs; see the module
@@ -276,13 +283,15 @@ struct PartitionCost<'a> {
     analysis: &'a DfgAnalysis,
     iwp: usize,
     /// `crossing[b]`: how many values are alive across boundary `b`, i.e. the
-    /// `#load` of a stage starting there (`b = 0`: the input stream).
+    /// `#load` of a stage starting there (`b = 0`: the input stream; the
+    /// spare `b = depth` is 0).
     crossing: Vec<usize>,
-    /// The issue lists ordered so far, and for cluster `(start, end]`, at
-    /// `start * depth + end - 1`, one past its index among them (0 until
-    /// first asked for).
-    ordered: Vec<Vec<Slot>>,
-    ordered_at: Vec<u32>,
+    /// The issue lists asked for so far, back to back; cluster
+    /// `(start, end]`'s is `arena[from..to]` for the `(from, to)` at
+    /// `start * depth + end - 1` of `ordered_at` (`to` is 0 until first asked
+    /// for: a list is never empty).
+    arena: Vec<Slot>,
+    ordered_at: Vec<(u32, u32)>,
     // `order_cluster`'s working state, valid for the cluster in hand only:
     // each op's entry (by `NodeId::index`), and the in-cluster successor
     // lists back to back, followed by the ops whose in-cluster operands are
@@ -291,7 +300,7 @@ struct PartitionCost<'a> {
     queue: Vec<NodeId>,
 }
 
-/// An op's state while its cluster is ordered.
+/// A node's state while its cluster is ordered, and two facts the search keeps.
 #[derive(Clone, Copy, Default)]
 struct Waiting {
     /// Distinct in-cluster consumers: the pick's priority, and the length of
@@ -303,39 +312,64 @@ struct Waiting {
     ready_at: usize,
     /// One past the op's successor list in `queue`.
     successors_end: usize,
+    /// The last level consuming the value; read only while `crossing` is
+    /// counted, before any cluster is ordered.
+    last_use: usize,
+    /// The op's ASAP level, 0 for any other node; kept from cluster to
+    /// cluster.
+    level: usize,
 }
 
 impl<'a> PartitionCost<'a> {
     fn new(dfg: &'a Dfg, analysis: &'a DfgAnalysis, iwp: usize) -> Self {
         let depth = analysis.depth();
-        // The last level consuming each value; an output node reads its
-        // source past every boundary, which `depth` stands for.
-        let mut last_use = vec![0usize; dfg.num_nodes()];
+        let mut waiting = vec![Waiting::default(); dfg.num_nodes()];
         let mut edges = 0usize;
-        for node in dfg.nodes() {
-            let level = analysis.asap_level(node.id()).unwrap_or(depth);
-            edges += node.operands().len();
-            for operand in node.operands() {
-                let last = &mut last_use[operand.index()];
-                *last = (*last).max(level);
+        // Readers come level by level, and an output node reads its source
+        // past every boundary, which `depth` stands for: the last write to
+        // each value's `last_use` is its last reading level.
+        let mut read = |reader: NodeId, level: usize| {
+            let operands = dfg.node_unchecked(reader).operands();
+            edges += operands.len();
+            for operand in operands {
+                waiting[operand.index()].last_use = level;
             }
+        };
+        for (ops, level) in analysis.levels().zip(1..) {
+            ops.iter().for_each(|&op| read(op, level));
         }
+        dfg.outputs().iter().for_each(|&output| read(output, depth));
         // A value is alive across every boundary from the level producing
         // it (0 for an input) up to its last use; constants are immediates.
-        let mut crossing = vec![0usize; depth];
-        for node in dfg.nodes().iter().filter(|n| !n.kind().is_const()) {
-            let produced = analysis.asap_level(node.id()).unwrap_or(0);
-            let alive = crossing.iter_mut().take(last_use[node.id().index()]);
-            alive.skip(produced).for_each(|count| *count += 1);
+        // Counted as one step up where each value is produced and one down
+        // where it dies (the spare last entry), then summed.
+        let mut crossing = vec![0usize; depth + 1];
+        let mut alive_from = |value: NodeId, produced: usize| {
+            let entry = &mut waiting[value.index()];
+            entry.level = produced;
+            let last_use = entry.last_use.max(produced);
+            crossing[produced] = crossing[produced].wrapping_add(1);
+            crossing[last_use] = crossing[last_use].wrapping_sub(1);
+        };
+        dfg.inputs().iter().for_each(|&input| alive_from(input, 0));
+        for (ops, level) in analysis.levels().zip(1..) {
+            ops.iter().for_each(|&op| alive_from(op, level));
+        }
+        let mut alive = 0usize;
+        for count in &mut crossing {
+            alive = alive.wrapping_add(*count);
+            *count = alive;
         }
         PartitionCost {
             dfg,
             analysis,
             iwp,
             crossing,
-            ordered: Vec::with_capacity(4 * depth),
-            ordered_at: vec![0; depth * depth],
-            waiting: vec![Waiting::default(); dfg.num_nodes()],
+            // What the search orders at depth 8 fits (1.3 slots per op and
+            // IWP cycle at most); it grows past that if it must.
+            arena: Vec::with_capacity(analysis.level_bounds()[depth] * (2 * iwp).min(16)),
+            ordered_at: vec![(0, 0); depth * depth],
+            waiting,
             // Every cluster's successor lists and queue fit: one entry per
             // operand reference and one per node.
             queue: Vec::with_capacity(edges + dfg.num_nodes()),
@@ -369,45 +403,51 @@ impl<'a> PartitionCost<'a> {
         (self.crossing[start] + 1).max(bounds[end] - bounds[start] + 2)
     }
 
-    /// The issue list of cluster `(start, end]`, ordered on first use.
-    fn cluster(&mut self, start: usize, end: usize) -> &mut Vec<Slot> {
+    /// The issue list of cluster `(start, end]`, put into the arena on first
+    /// use. A single level is never ordered: no op of a level reads another,
+    /// so it issues as it stands.
+    fn cluster(&mut self, start: usize, end: usize) -> &[Slot] {
         let key = start * self.analysis.depth() + end - 1;
-        if self.ordered_at[key] == 0 {
-            let slots = self.order_cluster(start, end);
-            self.ordered.push(slots);
-            self.ordered_at[key] = self.ordered.len() as u32;
+        if self.ordered_at[key].1 == 0 {
+            let from = self.arena.len();
+            match end - start {
+                1 => {
+                    let level = self.analysis.level_span(start, end).iter();
+                    self.arena.extend(level.map(|&op| Slot::Op(op)));
+                }
+                _ => self.order_cluster(start, end),
+            }
+            self.ordered_at[key] = (from as u32, self.arena.len() as u32);
         }
-        &mut self.ordered[self.ordered_at[key] as usize - 1]
+        let (from, to) = self.ordered_at[key];
+        &self.arena[from as usize..to as usize]
     }
 
     /// Orders the operations of cluster `(start, end]` with greedy list
     /// scheduling under the IWP spacing constraint, inserting NOPs when
-    /// nothing is ready.
-    fn order_cluster(&mut self, start: usize, end: usize) -> Vec<Slot> {
-        let (dfg, analysis, iwp) = (self.dfg, self.analysis, self.iwp);
-        let ops = analysis.level_span(start, end);
-        // The distinct operands of `op` inside the cluster: a consumer
-        // naming a value twice waits for it, and counts for it, once.
-        let operands_inside = |op: NodeId| {
-            let operands = dfg.node_unchecked(op).operands();
-            let level_inside = |level| level > start && level <= end;
-            operands
-                .iter()
-                .enumerate()
-                .filter_map(move |(position, &operand)| {
-                    let inside = analysis.asap_level(operand).is_some_and(level_inside);
-                    (inside && !operands[..position].contains(&operand)).then_some(operand)
-                })
+    /// nothing is ready, onto the end of the arena.
+    fn order_cluster(&mut self, start: usize, end: usize) {
+        let (dfg, iwp) = (self.dfg, self.iwp);
+        let ops = self.analysis.level_span(start, end);
+        // Whether `operands[at]` is a distinct operand inside the cluster: a
+        // consumer naming a value twice waits for it, and counts for it, once.
+        let inside = |waiting: &[Waiting], operands: &[NodeId], at: usize| {
+            let level = waiting[operands[at].index()].level;
+            level > start && level <= end && !operands[..at].contains(&operands[at])
         };
         for &op in ops {
-            self.waiting[op.index()] = Waiting::default();
+            let entry = &mut self.waiting[op.index()];
+            (entry.consumers, entry.operands, entry.ready_at) = (0, 0, 0);
         }
         // Count in-cluster consumers as a priority hint (direct consumers
         // are enough of a signal for these small clusters).
         for &op in ops {
-            for operand in operands_inside(op) {
-                self.waiting[operand.index()].consumers += 1;
-                self.waiting[op.index()].operands += 1;
+            let operands = dfg.node_unchecked(op).operands();
+            for at in 0..operands.len() {
+                if inside(&self.waiting, operands, at) {
+                    self.waiting[operands[at].index()].consumers += 1;
+                    self.waiting[op.index()].operands += 1;
+                }
             }
         }
         // Lay the successor lists out back to back, then fill them.
@@ -420,10 +460,13 @@ impl<'a> PartitionCost<'a> {
         self.queue.clear();
         self.queue.resize(edges, ops[0]);
         for &op in ops {
-            for operand in operands_inside(op) {
-                let end = &mut self.waiting[operand.index()].successors_end;
-                self.queue[*end] = op;
-                *end += 1;
+            let operands = dfg.node_unchecked(op).operands();
+            for at in 0..operands.len() {
+                if inside(&self.waiting, operands, at) {
+                    let end = &mut self.waiting[operands[at].index()].successors_end;
+                    self.queue[*end] = op;
+                    *end += 1;
+                }
             }
         }
         let ready_now = ops
@@ -434,15 +477,15 @@ impl<'a> PartitionCost<'a> {
         // `queue[head..cut]` is ready at slot `t`; behind it the ops wait in
         // the order of their ready times, which never decrease.
         let (mut head, mut cut) = (edges, edges);
-        let mut slots = Vec::with_capacity(ops.len());
+        let from = self.arena.len();
         while head < self.queue.len() {
-            let t = slots.len();
+            let t = self.arena.len() - from;
             let ready_at = |at: usize| self.waiting[self.queue[at].index()].ready_at;
             while cut < self.queue.len() && ready_at(cut) <= t {
                 cut += 1;
             }
             if head == cut {
-                slots.resize(ready_at(cut), Slot::Nop);
+                self.arena.resize(from + ready_at(cut), Slot::Nop);
                 continue;
             }
             // Prefer ops with more in-cluster consumers (they unlock later
@@ -455,7 +498,7 @@ impl<'a> PartitionCost<'a> {
             self.queue.swap(head, chosen);
             let op = self.queue[head];
             head += 1;
-            slots.push(Slot::Op(op));
+            self.arena.push(Slot::Op(op));
             // A successor is ready `iwp` slots after its last in-cluster
             // operand (the write-back latency).
             let Waiting {
@@ -473,7 +516,6 @@ impl<'a> PartitionCost<'a> {
                 }
             }
         }
-        slots
     }
 }
 
@@ -558,7 +600,7 @@ mod tests {
         }
         let crossing = PartitionCost::new(dfg, &analysis, options.iwp).crossing;
         let mut cost = |boundaries: &[usize]| {
-            let ranges = cluster_ranges(boundaries, levels).into_iter();
+            let ranges = cluster_ranges(boundaries, levels);
             ranges
                 .map(|(start, end)| {
                     let slots = ordered.entry((start, end)).or_insert_with(|| {
@@ -598,11 +640,8 @@ mod tests {
                 }
             }
         }
-        let stage_slots = cluster_ranges(&boundaries, levels)
-            .into_iter()
-            .map(|range| ordered[&range].clone())
-            .collect();
-        StageSchedule::assemble(dfg, strategy, stage_slots)
+        let stage_slots = cluster_ranges(&boundaries, levels).map(|range| &ordered[&range]);
+        StageSchedule::from_stages(dfg, strategy, stage_slots)
     }
 
     /// Holds the pruned search to the exhaustive one for each depth, and
@@ -701,18 +740,15 @@ mod tests {
         boundaries: &[usize],
         iwp: usize,
     ) -> StageSchedule {
-        let stage_slots = cluster_ranges(boundaries, analysis.depth())
-            .into_iter()
-            .map(|(start, end)| {
-                order_cluster_by_rescanning(dfg, analysis.level_span(start, end), iwp)
-            })
-            .collect();
-        StageSchedule::assemble(dfg, Strategy::Asap, stage_slots)
+        let stage_slots = cluster_ranges(boundaries, analysis.depth()).map(|(start, end)| {
+            order_cluster_by_rescanning(dfg, analysis.level_span(start, end), iwp)
+        });
+        StageSchedule::from_stages(dfg, Strategy::Asap, stage_slots)
     }
 
     /// ... and the two counts per stage it read off that schedule.
     fn cost_by_full_rebuild(rebuilt: &StageSchedule) -> usize {
-        let stages = rebuilt.stages().iter();
+        let stages = rebuilt.stages();
         stages
             .map(|stage| (stage.num_loads() + 1).max(stage.num_slots() + 2))
             .max()
@@ -751,9 +787,9 @@ mod tests {
             let rebuilt = full_rebuild(dfg, &analysis, boundaries, iwp);
             prop_assert_eq!(search.cost(boundaries), cost_by_full_rebuild(&rebuilt));
             let ranges = cluster_ranges(boundaries, levels);
-            for ((start, end), stage) in ranges.into_iter().zip(rebuilt.stages()) {
+            for ((start, end), stage) in ranges.zip(rebuilt.stages()) {
                 prop_assert_eq!(search.crossing[start], stage.num_loads());
-                prop_assert_eq!(&*search.cluster(start, end), &stage.slots);
+                prop_assert_eq!(search.cluster(start, end), stage.slots);
             }
         }
         Ok(())
@@ -900,11 +936,7 @@ mod tests {
         let boundaries = balanced_partition(&prefix, 3);
         assert_eq!(boundaries.len(), 2);
         let ranges = cluster_ranges(&boundaries, sizes.len());
-        let max_group: usize = ranges
-            .iter()
-            .map(|&(a, b)| sizes[a..b].iter().sum())
-            .max()
-            .unwrap();
+        let max_group: usize = ranges.map(|(a, b)| sizes[a..b].iter().sum()).max().unwrap();
         // Total is 27 over 3 groups, so the best possible maximum is 9..=10.
         assert!(max_group <= 10, "got {max_group}");
     }

@@ -18,11 +18,9 @@ pub struct CompiledKernel {
     pub schedule: StageSchedule,
     /// The overlay variant the program targets.
     pub variant: FuVariant,
-    /// The values emerging from the last FU, in arrival order at the output
-    /// FIFO.
-    pub final_stream: Vec<NodeId>,
-    /// For each kernel output position, the index within `final_stream` of
-    /// the word carrying that output.
+    /// For each kernel output position, the index within the schedule's
+    /// [`final_stream`](StageSchedule::final_stream) of the word carrying
+    /// that output.
     pub output_stream_index: Vec<usize>,
     /// The analytical initiation interval for this variant.
     pub ii: f64,
@@ -41,10 +39,11 @@ impl CompiledKernel {
 /// Register allocation per FU is straightforward because programs are small:
 /// arriving values take `r0, r1, …` in arrival order, operation results take
 /// the following registers in issue order, and the constants the stage reads
-/// are preloaded from `r31` downwards in order of first use. Which register
-/// holds a value in the stage in hand is one table addressed by
-/// [`NodeId::index`], wiped between stages; the `fwd`/`ndf` flags are the
-/// forwarding decisions the schedule was assembled with.
+/// are preloaded from `r31` downwards in order of first use. A value's register
+/// in the stage in hand, and whether the stage reads it, is one table addressed
+/// by [`NodeId::index`], wiped between stages. The `fwd`/`ndf` flags come from
+/// one walk along what arrives after the stage: the loads it bypasses, in load
+/// order, then the results it forwards, in issue order.
 ///
 /// # Errors
 ///
@@ -91,34 +90,51 @@ pub fn generate_program_owned(
     schedule: StageSchedule,
     variant: FuVariant,
 ) -> Result<CompiledKernel, ScheduleError> {
-    /// No register: the value is not in this stage's register file.
+    /// A value in the stage in hand: its register (`ABSENT` if none), and
+    /// whether an operation of the stage reads it.
+    #[derive(Clone, Copy)]
+    struct Held {
+        reg: u8,
+        read_here: bool,
+    }
     const ABSENT: u8 = u8::MAX;
-    let mut reg_of = vec![ABSENT; dfg.num_nodes()];
-    // Whether an operation of the stage in hand reads the node.
-    let mut read_here = vec![false; dfg.num_nodes()];
+    const UNKNOWN: Held = Held {
+        reg: ABSENT,
+        read_here: false,
+    };
+    let mut held = vec![UNKNOWN; dfg.num_nodes()];
     let mut constants: Vec<NodeId> = Vec::new();
 
     let mut fu_programs = Vec::with_capacity(schedule.num_stages());
-    for (stage_index, stage) in schedule.stages().iter().enumerate() {
-        let loads = &stage.loads;
-        let (load_forward, result_forward) = schedule.forwarding.stage(stage_index, loads.len());
+    let arrive_next = schedule.stages().skip(1).map(|next| next.loads);
+    let arrive_next = arrive_next.chain([schedule.final_stream()]);
+    for (stage, sent_on) in schedule.stages().zip(arrive_next) {
+        let (stage_index, loads) = (stage.index, stage.loads);
+        held.fill(UNKNOWN);
+        let mut sent_on = sent_on.iter().peekable();
+        let mut sends = |value: NodeId| sent_on.next_if_eq(&&value).is_some();
 
         // --- register allocation -----------------------------------------
-        read_here.fill(false);
+        for (slot, &value) in loads.iter().enumerate() {
+            held[value.index()].reg = slot as u8;
+        }
         // Constants used by this stage, in order of first use (allocated
-        // from the top of the file once the pressure check has passed).
+        // from the top of the file once the pressure check has passed); a
+        // load, already in a register, is none.
         constants.clear();
         for op in stage.ops() {
             for &operand in dfg.node(op)?.operands() {
-                let is_const = dfg.node(operand)?.kind().is_const();
-                read_here[operand.index()] = true;
-                if is_const && !constants.contains(&operand) {
+                let entry = &mut held[operand.index()];
+                entry.read_here = true;
+                if entry.reg == ABSENT
+                    && dfg.node(operand)?.kind().is_const()
+                    && !constants.contains(&operand)
+                {
                     constants.push(operand);
                 }
             }
         }
-        let num_ops = result_forward.len();
-        let registers_needed = loads.len() + num_ops + constants.len();
+        let registers_needed = loads.len() + stage.num_ops() + constants.len();
         if registers_needed > REGISTER_FILE_SIZE {
             return Err(ScheduleError::RegisterPressure {
                 stage: stage_index,
@@ -126,24 +142,19 @@ pub fn generate_program_owned(
             });
         }
 
-        reg_of.fill(ABSENT);
-        for (slot, &value) in loads.iter().enumerate() {
-            reg_of[value.index()] = slot as u8;
-        }
-
         // --- instruction emission -----------------------------------------
         let mut program =
             FuProgram::with_capacity(loads.len() + stage.slots.len(), constants.len());
         for (offset, &id) in constants.iter().enumerate() {
             let reg = REGISTER_FILE_SIZE - 1 - offset;
-            reg_of[id.index()] = reg as u8;
+            held[id.index()].reg = reg as u8;
             if let NodeKind::Const { value } = dfg.node(id)?.kind() {
                 program.preload_constant(RegIndex::new(reg as u32)?, *value);
             }
         }
-        for (slot, &forward) in load_forward.iter().enumerate() {
+        for (slot, &value) in loads.iter().enumerate() {
             let dst = RegIndex::new(slot as u32)?;
-            program.push(if forward {
+            program.push(if sends(value) {
                 Instruction::load_forward(dst)
             } else {
                 Instruction::load(dst)
@@ -151,7 +162,7 @@ pub fn generate_program_owned(
         }
 
         let mut exec_index = 0usize;
-        for slot in &stage.slots {
+        for slot in stage.slots {
             let Slot::Op(op_id) = *slot else {
                 program.push(Instruction::Nop);
                 continue;
@@ -166,7 +177,7 @@ pub fn generate_program_owned(
                     arity: op.arity(),
                 });
             }
-            let lookup = |operand: NodeId| match reg_of[operand.index()] {
+            let lookup = |operand: NodeId| match held[operand.index()].reg {
                 ABSENT => Err(ScheduleError::OperandUnavailable {
                     node: op_id,
                     operand,
@@ -182,7 +193,7 @@ pub fn generate_program_owned(
             let dst = RegIndex::new((loads.len() + exec_index) as u32)?;
             // Write back when an op of this stage consumes the result
             // through the register file.
-            let consumed_locally = read_here[op_id.index()];
+            let consumed_locally = held[op_id.index()].read_here;
             debug_assert!(
                 !consumed_locally || variant.has_writeback(),
                 "same-stage dependencies require a write-back variant"
@@ -193,20 +204,21 @@ pub fn generate_program_owned(
                 src1,
                 src2,
                 consumed_locally,
-                !result_forward[exec_index],
+                !sends(op_id),
             ));
-            reg_of[op_id.index()] = dst.index() as u8;
+            held[op_id.index()].reg = dst.index() as u8;
             exec_index += 1;
         }
+        debug_assert!(sent_on.next().is_none(), "every value sent on was met");
         fu_programs.push(program);
     }
 
     let ii = ii_for_variant(&schedule, variant);
-    let final_stream: Vec<NodeId> = schedule.forwarding.final_stream.clone();
     let mut output_stream_index = Vec::with_capacity(dfg.num_outputs());
     for &output in dfg.outputs() {
         let source = dfg.node(output)?.operands()[0];
-        let index = final_stream
+        let index = schedule
+            .final_stream()
             .iter()
             .position(|&value| value == source)
             .ok_or(ScheduleError::OperandUnavailable {
@@ -228,7 +240,6 @@ pub fn generate_program_owned(
         program,
         schedule,
         variant,
-        final_stream,
         output_stream_index,
         ii,
     })
@@ -325,7 +336,7 @@ mod tests {
         let compiled = generate_program(&dfg, &schedule, FuVariant::V1).unwrap();
         assert_eq!(compiled.output_stream_index.len(), 1);
         let index = compiled.output_stream_index[0];
-        let value = compiled.final_stream[index];
+        let value = compiled.schedule.final_stream()[index];
         assert!(dfg.feeds_output(value));
     }
 

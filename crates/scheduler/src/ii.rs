@@ -28,21 +28,17 @@ pub struct IiBreakdown {
     pub ii: f64,
 }
 
-fn stage_ii_baseline(stage: &Stage) -> f64 {
+fn stage_ii_baseline(stage: Stage) -> f64 {
     (stage.num_loads() + stage.num_ops() + 2) as f64
 }
 
-fn stage_ii_overlapped(stage: &Stage) -> f64 {
+fn stage_ii_overlapped(stage: Stage) -> f64 {
     ((stage.num_loads() + 1).max(stage.num_slots() + 2)) as f64
 }
 
 /// II of the `[14]` baseline overlay (Eq. 1) for the given stage schedule.
 pub fn ii_baseline(schedule: &StageSchedule) -> f64 {
-    schedule
-        .stages()
-        .iter()
-        .map(stage_ii_baseline)
-        .fold(0.0, f64::max)
+    schedule.stages().map(stage_ii_baseline).fold(0.0, f64::max)
 }
 
 /// II of the V1 overlay (Eq. 2): data loading overlaps execution thanks to
@@ -50,7 +46,6 @@ pub fn ii_baseline(schedule: &StageSchedule) -> f64 {
 pub fn ii_v1(schedule: &StageSchedule) -> f64 {
     schedule
         .stages()
-        .iter()
         .map(stage_ii_overlapped)
         .fold(0.0, f64::max)
 }
@@ -102,7 +97,6 @@ pub fn ii_for_variant(schedule: &StageSchedule, variant: FuVariant) -> f64 {
 pub fn breakdown(schedule: &StageSchedule, variant: FuVariant) -> IiBreakdown {
     let per_stage: Vec<(usize, usize, usize, f64)> = schedule
         .stages()
-        .iter()
         .map(|stage| {
             let stage_ii = match variant {
                 FuVariant::Baseline => stage_ii_baseline(stage),
@@ -184,7 +178,6 @@ mod tests {
         let with_nops = ii_writeback(&schedule);
         let ignore_nops = schedule
             .stages()
-            .iter()
             .map(|s| ((s.num_loads() + 1).max(s.num_ops() + 2)) as f64)
             .fold(0.0, f64::max);
         assert!(with_nops >= ignore_nops);

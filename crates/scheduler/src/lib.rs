@@ -40,7 +40,7 @@ pub mod cluster;
 pub mod codegen;
 pub mod error;
 pub mod ii;
-pub mod liveness;
+mod liveness;
 pub mod stage;
 pub mod table;
 
@@ -49,7 +49,6 @@ pub use cluster::{cluster_schedule, ClusterOptions};
 pub use codegen::{generate_program, generate_program_owned, CompiledKernel};
 pub use error::ScheduleError;
 pub use ii::{ii_baseline, ii_for_variant, ii_v1, ii_v2, ii_writeback, IiBreakdown};
-pub use liveness::StageLiveness;
 pub use stage::{Slot, Stage, StageSchedule, Strategy};
 pub use table::{schedule_table, ScheduleTable};
 

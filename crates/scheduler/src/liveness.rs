@@ -7,175 +7,107 @@
 //! that stage's `#load` in the paper's II equations, and the *order* in which
 //! the upstream stage forwards values defines the downstream arrival (and
 //! register allocation) order.
+//!
+//! It runs once per schedule, writing every stage's arrivals into the
+//! schedule's one `loads` array, sized first: a value produced at stage `p`
+//! (`-1` for an input) and needed until stage `u` (`N`, past the last stage,
+//! for an output) arrives at the `u - p` stages after `p`. A stage sends on
+//! exactly what arrives after it, so no `fwd`/`ndf` flag is stored.
 
 use overlay_dfg::{Dfg, NodeId};
 
-use crate::stage::Slot;
+use crate::stage::{Slot, StageBound};
 
-/// Which values each stage sends on, and what leaves the last one: the half
-/// of the liveness result a schedule keeps beside its stages' load lists, so
-/// that instruction generation reads the `fwd`/`ndf` flags off it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Forwarding {
-    /// Stage after stage: one flag per arriving value (bypass it onwards?),
-    /// then one per operation in issue order (forward its result?).
-    flags: Vec<bool>,
-    /// Where each stage's flags start in `flags`, and where the last end.
-    starts: Vec<usize>,
-    /// The values emerging after the last stage, in arrival order at the
-    /// output FIFO.
-    pub(crate) final_stream: Vec<NodeId>,
-}
-
-impl Forwarding {
-    /// The flags of stage `stage`, which loads `num_loads` values: those of
-    /// its loads, then those of its results.
-    pub(crate) fn stage(&self, stage: usize, num_loads: usize) -> (&[bool], &[bool]) {
-        self.flags[self.starts[stage]..self.starts[stage + 1]].split_at(num_loads)
+/// The arrivals of the stages that issue the `slots` between each two
+/// `bounds`, stage after stage and then the final stream, with the `loads` of
+/// every bound but the first (which is 0) set.
+///
+/// Every operation of `dfg` must appear exactly once in `slots`, and operands
+/// must never be produced at a *later* stage than their consumer (same stage
+/// is allowed — that is the write-back case — in an earlier slot).
+pub(crate) fn arrivals(dfg: &Dfg, slots: &[Slot], bounds: &mut [StageBound]) -> Vec<NodeId> {
+    let num_stages = bounds.len() - 1;
+    let ops = |bounds: &[StageBound], stage: usize| {
+        let issued = &slots[bounds[stage].slots..bounds[stage + 1].slots];
+        issued.iter().filter_map(|slot| slot.op())
+    };
+    // Per node, addressed by `NodeId::index`: the last stage at which the
+    // value is still needed — the last stage consuming it as an operand,
+    // `num_stages` (the output FIFO) if it drives a kernel output, -1 if
+    // nothing needs it.
+    let mut needed_until = vec![-1isize; dfg.num_nodes()];
+    for &output in dfg.outputs() {
+        for operand in dfg.node_unchecked(output).operands() {
+            needed_until[operand.index()] = num_stages as isize;
+        }
     }
-}
-
-/// Per-stage load sets, forwarding decisions and the final output stream
-/// order implied by a stage assignment of the operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageLiveness {
-    /// For each stage: the values arriving per invocation, in arrival order.
-    loads: Vec<Vec<NodeId>>,
-    forwarding: Forwarding,
-}
-
-impl StageLiveness {
-    /// Computes the liveness information for a stage assignment.
-    ///
-    /// `stages[k]` lists what stage `k` issues, in issue order (its NOPs do
-    /// not count); every operation of `dfg` must appear exactly once across
-    /// all stages, and operands must never be produced at a *later* stage
-    /// than their consumer (same stage is allowed — that is the write-back
-    /// case).
-    pub fn compute(dfg: &Dfg, stages: &[Vec<Slot>]) -> Self {
-        let num_stages = stages.len();
-        let ops = |stage: usize| stages[stage].iter().filter_map(|slot| slot.op());
-        // Per node, addressed by `NodeId::index`: the last stage at which
-        // the value is still needed — the last stage consuming it as an
-        // operand, `num_stages` (the output FIFO, after the last stage) if
-        // it drives a kernel output, -1 if nothing needs it.
-        let mut needed_until = vec![-1isize; dfg.num_nodes()];
-        for stage in 0..num_stages {
-            for op in ops(stage) {
-                for operand in dfg.node_unchecked(op).operands() {
-                    let last = &mut needed_until[operand.index()];
-                    *last = (*last).max(stage as isize);
-                }
+    // From the last slot back, every consumer of an operation is met before
+    // the operation itself, so its entry is final by its own slot: it arrives
+    // at every stage after its own up to that entry, which sizes `loads`.
+    let mut total = 0isize;
+    for stage in (0..num_stages).rev() {
+        for op in ops(bounds, stage).rev() {
+            total += (needed_until[op.index()] - stage as isize).max(0);
+            for operand in dfg.node_unchecked(op).operands() {
+                let last = &mut needed_until[operand.index()];
+                *last = (*last).max(stage as isize);
             }
         }
-        for &output in dfg.outputs() {
-            for operand in dfg.node_unchecked(output).operands() {
-                needed_until[operand.index()] = num_stages as isize;
+    }
+    let inputs = dfg.inputs().iter().copied();
+    total += inputs
+        .clone()
+        .map(|input| needed_until[input.index()] + 1)
+        .sum::<isize>();
+    let mut loads = Vec::with_capacity(total as usize);
+
+    // Arrival order at stage 0 is the input stream order. The next stage's
+    // arrival order: bypassed loads first (in load order), then forwarded
+    // results (in issue order). This matches the FU timeline, where incoming
+    // words are bypassed as they arrive and computed results follow as they
+    // complete.
+    loads.extend(inputs.filter(|&input| needed_until[input.index()] >= 0));
+    for stage in 0..num_stages {
+        let needed_after = |value: NodeId| needed_until[value.index()] > stage as isize;
+        let arrived = bounds[stage].loads..loads.len();
+        bounds[stage + 1].loads = loads.len();
+        for at in arrived {
+            let value = loads[at];
+            if needed_after(value) {
+                loads.push(value);
             }
         }
-        let needed_after =
-            |value: NodeId, stage: usize| -> bool { needed_until[value.index()] > stage as isize };
-
-        let mut loads: Vec<Vec<NodeId>> = Vec::with_capacity(num_stages);
-        let mut flags: Vec<bool> = Vec::with_capacity(2 * dfg.num_nodes());
-        let mut starts: Vec<usize> = Vec::with_capacity(num_stages + 1);
-
-        // Arrival order at stage 0 is the input stream order.
-        let mut incoming: Vec<NodeId> = dfg
-            .inputs()
-            .iter()
-            .copied()
-            .filter(|&input| needed_until[input.index()] >= 0)
-            .collect();
-
-        for stage in 0..num_stages {
-            let start = flags.len();
-            starts.push(start);
-            // A loaded value or a result is forwarded if it is still needed
-            // beyond this stage.
-            flags.extend(incoming.iter().map(|&value| needed_after(value, stage)));
-            flags.extend(ops(stage).map(|op| needed_after(op, stage)));
-
-            // The next stage's arrival order: bypassed loads first (in load
-            // order), then forwarded results (in issue order). This matches
-            // the FU timeline, where incoming words are bypassed as they
-            // arrive and computed results follow as they complete.
-            let sent = &flags[start..];
-            let mut next = Vec::with_capacity(sent.iter().filter(|&&flag| flag).count());
-            let values = incoming.iter().copied().chain(ops(stage));
-            next.extend(
-                values
-                    .zip(sent)
-                    .filter(|(_, &flag)| flag)
-                    .map(|(value, _)| value),
-            );
-
-            loads.push(std::mem::replace(&mut incoming, next));
-        }
-        starts.push(flags.len());
-
-        StageLiveness {
-            loads,
-            forwarding: Forwarding {
-                flags,
-                starts,
-                final_stream: incoming,
-            },
-        }
+        loads.extend(ops(bounds, stage).filter(|&op| needed_after(op)));
     }
-
-    /// The per-stage arrival lists and the forwarding decisions, for a
-    /// schedule to keep.
-    pub(crate) fn into_parts(self) -> (Vec<Vec<NodeId>>, Forwarding) {
-        (self.loads, self.forwarding)
-    }
-
-    /// The values arriving at stage `k`, in arrival order.
-    pub fn loads(&self, stage: usize) -> &[NodeId] {
-        &self.loads[stage]
-    }
-
-    /// Whether each arriving value of stage `k` is bypassed onwards.
-    pub fn load_forward(&self, stage: usize) -> &[bool] {
-        self.forwarding.stage(stage, self.loads[stage].len()).0
-    }
-
-    /// Whether each operation result of stage `k` (in issue order) is
-    /// forwarded downstream.
-    pub fn result_forward(&self, stage: usize) -> &[bool] {
-        self.forwarding.stage(stage, self.loads[stage].len()).1
-    }
-
-    /// The stream emerging after the last stage, in arrival order at the
-    /// output FIFO.
-    pub fn final_stream(&self) -> &[NodeId] {
-        &self.forwarding.final_stream
-    }
-
-    /// Number of stages analysed.
-    pub fn num_stages(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// The per-stage load counts (`#load` in the paper's II equations).
-    pub fn load_counts(&self) -> Vec<usize> {
-        self.loads.iter().map(Vec::len).collect()
-    }
+    debug_assert_eq!(loads.len(), total as usize);
+    loads
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use overlay_dfg::{DfgBuilder, Op};
+
+    use crate::stage::{Slot, StageSchedule, Strategy};
+
+    use super::*;
+
+    /// The schedule issuing `stages[k]`'s operations at stage `k`.
+    fn slots(dfg: &Dfg, stages: &[&[NodeId]]) -> StageSchedule {
+        let issue = |ops: &&[NodeId]| ops.iter().map(|&op| Slot::Op(op)).collect::<Vec<_>>();
+        let strategy = Strategy::FixedDepth {
+            depth: stages.len(),
+            iwp: 1,
+        };
+        StageSchedule::from_stages(dfg, strategy, stages.iter().map(issue))
+    }
+
+    fn load_counts(schedule: &StageSchedule) -> Vec<usize> {
+        schedule.stages().map(|stage| stage.num_loads()).collect()
+    }
 
     /// x is consumed at stage 0 and again at stage 2, so it must be carried
     /// through stage 1.
-    fn slots(stages: &[&[NodeId]]) -> Vec<Vec<Slot>> {
-        let issue = |ops: &&[NodeId]| ops.iter().map(|&op| Slot::Op(op)).collect();
-        stages.iter().map(issue).collect()
-    }
-
-    fn pass_through_graph() -> (Dfg, Vec<Vec<Slot>>) {
+    fn pass_through_graph() -> (Dfg, StageSchedule) {
         let mut b = DfgBuilder::new("pass");
         let x = b.input("x");
         let y = b.input("y");
@@ -184,34 +116,29 @@ mod tests {
         let m = b.op(Op::Mul, &[s, x]).unwrap(); // stage 2, uses x again
         b.output("o", m);
         let dfg = b.build().unwrap();
-        (dfg, slots(&[&[a], &[s], &[m]]))
+        let stages = slots(&dfg, &[&[a], &[s], &[m]]);
+        (dfg, stages)
     }
 
     #[test]
     fn pass_through_values_are_loaded_at_every_intermediate_stage() {
-        let (dfg, stages) = pass_through_graph();
+        let (dfg, liveness) = pass_through_graph();
         let x = dfg.inputs()[0];
-        let liveness = StageLiveness::compute(&dfg, &stages);
-        assert_eq!(liveness.load_counts(), vec![2, 2, 2]);
+        assert_eq!(load_counts(&liveness), vec![2, 2, 2]);
         // Stage 1 receives x (bypassed) and the ADD result.
-        assert!(liveness.loads(1).contains(&x));
+        assert!(liveness.stage(1).loads.contains(&x));
         // x is forwarded out of stage 0 and stage 1, but not out of stage 2.
-        let x_pos0 = liveness.loads(0).iter().position(|&v| v == x).unwrap();
-        assert!(liveness.load_forward(0)[x_pos0]);
-        let x_pos1 = liveness.loads(1).iter().position(|&v| v == x).unwrap();
-        assert!(liveness.load_forward(1)[x_pos1]);
-        let x_pos2 = liveness.loads(2).iter().position(|&v| v == x).unwrap();
-        assert!(!liveness.load_forward(2)[x_pos2]);
+        assert!(liveness.stage(1).loads.contains(&x));
+        assert!(liveness.stage(2).loads.contains(&x));
+        assert!(!liveness.final_stream().contains(&x));
     }
 
     #[test]
     fn final_stream_contains_exactly_the_output_values() {
-        let (dfg, stages) = pass_through_graph();
-        let liveness = StageLiveness::compute(&dfg, &stages);
-        let m = stages[2][0].op().unwrap();
+        let (_, liveness) = pass_through_graph();
+        let m = liveness.stage(2).slots[0].op().unwrap();
+        // The MUL result is forwarded out of the last stage, and nothing else.
         assert_eq!(liveness.final_stream(), &[m]);
-        // The MUL result is marked as forwarded out of the last stage.
-        assert_eq!(liveness.result_forward(2), &[true]);
     }
 
     #[test]
@@ -233,9 +160,8 @@ mod tests {
         let a2 = b.op(Op::Add, &[a0, a1]).unwrap();
         b.output("o0", a2);
         let dfg = b.build().unwrap();
-        let stages = slots(&[&[s0, s1, s2, s3], &q, &[a0, a1], &[a2]]);
-        let liveness = StageLiveness::compute(&dfg, &stages);
-        assert_eq!(liveness.load_counts(), vec![5, 4, 4, 2]);
+        let liveness = slots(&dfg, &[&[s0, s1, s2, s3], &q, &[a0, a1], &[a2]]);
+        assert_eq!(load_counts(&liveness), vec![5, 4, 4, 2]);
         assert_eq!(liveness.final_stream().len(), 1);
     }
 
@@ -250,9 +176,9 @@ mod tests {
         let s = b.op(Op::Square, &[a]).unwrap();
         b.output("o", s);
         let dfg = b.build().unwrap();
-        let liveness = StageLiveness::compute(&dfg, &slots(&[&[a, s]]));
-        assert_eq!(liveness.load_counts(), vec![2]);
+        let liveness = slots(&dfg, &[&[a, s]]);
+        assert_eq!(load_counts(&liveness), vec![2]);
         // The ADD result is not forwarded (consumed locally); SQR is.
-        assert_eq!(liveness.result_forward(0), &[false, true]);
+        assert_eq!(liveness.final_stream(), &[s]);
     }
 }

@@ -1,10 +1,16 @@
 //! Stage-level schedule representation.
+//!
+//! A schedule is three flat arrays: every stage's issue slots back to back,
+//! every stage's arriving values back to back (followed by the values leaving
+//! the last stage), and the bounds between the stages' shares of the two. A
+//! [`Stage`] is a view of one stage's share.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use overlay_dfg::{Dfg, NodeId};
 
-use crate::liveness::{Forwarding, StageLiveness};
+use crate::liveness;
 
 /// One issue slot of a stage's execution window: either a DFG operation or an
 /// idle cycle inserted to respect the internal write-back path.
@@ -26,42 +32,43 @@ impl Slot {
     }
 }
 
-/// The work assigned to one functional unit for one kernel invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stage {
+/// The work assigned to one functional unit for one kernel invocation: a
+/// view into the [`StageSchedule`] it belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stage<'a> {
     /// 0-based FU index along the chain (FU0 receives the input stream).
     pub index: usize,
     /// Values arriving at this stage per invocation, in arrival order. Each
     /// entry is the id of the producing node (an input node or an operation
     /// node from an earlier stage).
-    pub loads: Vec<NodeId>,
+    pub loads: &'a [NodeId],
     /// Issue slots, in order: operations plus any inserted NOPs.
-    pub slots: Vec<Slot>,
+    pub slots: &'a [Slot],
 }
 
-impl Stage {
+impl<'a> Stage<'a> {
     /// The operation nodes executed by this stage, in issue order.
-    pub fn ops(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn ops(self) -> impl Iterator<Item = NodeId> + 'a {
         self.slots.iter().filter_map(|slot| slot.op())
     }
 
     /// Number of operations (excluding NOPs).
-    pub fn num_ops(&self) -> usize {
+    pub fn num_ops(self) -> usize {
         self.ops().count()
     }
 
     /// Number of inserted NOPs.
-    pub fn num_nops(&self) -> usize {
+    pub fn num_nops(self) -> usize {
         self.slots.len() - self.num_ops()
     }
 
     /// Number of values loaded per invocation.
-    pub fn num_loads(&self) -> usize {
+    pub fn num_loads(self) -> usize {
         self.loads.len()
     }
 
     /// Total issue slots (operations + NOPs).
-    pub fn num_slots(&self) -> usize {
+    pub fn num_slots(self) -> usize {
         self.slots.len()
     }
 }
@@ -81,41 +88,48 @@ pub enum Strategy {
     },
 }
 
+/// A bound between stages in a [`StageSchedule`]'s flat arrays: how many
+/// slots, and how many arriving values, the stages before it hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StageBound {
+    pub(crate) slots: usize,
+    pub(crate) loads: usize,
+}
+
 /// A complete stage-level schedule of one kernel.
 ///
 /// Produced by [`crate::asap_schedule`] or [`crate::cluster_schedule`];
-/// consumed by the II models, the instruction generator and the simulator.
+/// consumed by the II models and the instruction generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSchedule {
     pub(crate) kernel: String,
     pub(crate) strategy: Strategy,
-    pub(crate) stages: Vec<Stage>,
-    /// What the liveness pass that derived the stages' `loads` decided about
-    /// forwarding.
-    pub(crate) forwarding: Forwarding,
+    /// Every stage's issue slots, stage after stage.
+    slots: Vec<Slot>,
+    /// Every stage's arriving values, stage after stage, then the values
+    /// leaving the last stage for the output FIFO.
+    loads: Vec<NodeId>,
+    /// Stage `k`'s share of both lies between `bounds[k]` and `bounds[k + 1]`.
+    bounds: Vec<StageBound>,
 }
 
 impl StageSchedule {
-    /// Builds the schedule whose stage `k` issues `stage_slots[k]`: runs the
-    /// liveness analysis over that assignment, once, for the per-stage loads
-    /// and the forwarding decisions.
-    pub(crate) fn assemble(dfg: &Dfg, strategy: Strategy, stage_slots: Vec<Vec<Slot>>) -> Self {
-        let (loads, forwarding) = StageLiveness::compute(dfg, &stage_slots).into_parts();
-        let stages = loads
-            .into_iter()
-            .zip(stage_slots)
-            .enumerate()
-            .map(|(index, (loads, slots))| Stage {
-                index,
-                loads,
-                slots,
-            })
-            .collect();
+    /// Builds the schedule whose stage `k` issues the slots between
+    /// `bounds[k].slots` and `bounds[k + 1].slots`: the liveness analysis
+    /// writes every stage's arrivals and their bounds, once.
+    pub(crate) fn assemble(
+        dfg: &Dfg,
+        strategy: Strategy,
+        slots: Vec<Slot>,
+        mut bounds: Vec<StageBound>,
+    ) -> Self {
+        let loads = liveness::arrivals(dfg, &slots, &mut bounds);
         StageSchedule {
             kernel: dfg.name().to_owned(),
             strategy,
-            stages,
-            forwarding,
+            slots,
+            loads,
+            bounds,
         }
     }
 
@@ -130,72 +144,82 @@ impl StageSchedule {
     }
 
     /// The stages in pipeline order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
+    pub fn stages(&self) -> impl ExactSizeIterator<Item = Stage<'_>> + Clone {
+        let view = |(index, pair): (usize, &[StageBound])| Stage {
+            index,
+            loads: &self.loads[pair[0].loads..pair[1].loads],
+            slots: &self.slots[pair[0].slots..pair[1].slots],
+        };
+        self.bounds.windows(2).enumerate().map(view)
+    }
+
+    /// Stage `index`, which must be below [`num_stages`](Self::num_stages).
+    pub fn stage(&self, index: usize) -> Stage<'_> {
+        self.stages()
+            .nth(index)
+            .expect("a stage index below `num_stages`")
     }
 
     /// Number of FUs the schedule occupies.
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.bounds.len() - 1
+    }
+
+    /// The values emerging after the last stage, in arrival order at the
+    /// output FIFO.
+    pub fn final_stream(&self) -> &[NodeId] {
+        &self.loads[self.bounds[self.num_stages()].loads..]
     }
 
     /// The stage index an operation node was assigned to, if it was placed.
     pub fn stage_of(&self, node: NodeId) -> Option<usize> {
-        let holds = |stage: &&Stage| stage.ops().any(|op| op == node);
-        self.stages.iter().find(holds).map(|stage| stage.index)
+        let at = self.slots.iter().position(|&slot| slot == Slot::Op(node))?;
+        Some(self.bounds.partition_point(|bound| bound.slots <= at) - 1)
     }
 
     /// Total number of operations across all stages.
     pub fn total_ops(&self) -> usize {
-        self.stages.iter().map(Stage::num_ops).sum()
+        self.slots.iter().filter_map(|slot| slot.op()).count()
     }
 
     /// Total number of inserted NOPs across all stages.
     pub fn total_nops(&self) -> usize {
-        self.stages.iter().map(Stage::num_nops).sum()
+        self.slots.len() - self.total_ops()
     }
 
-    /// Checks internal consistency against the kernel graph: every operation
-    /// is placed exactly once, and every operand of every operation is
-    /// produced at an earlier stage, arrives as a load, is a constant, or is
-    /// produced earlier within the same stage (write-back).
-    ///
-    /// This is used by tests and by the simulator as a precondition.
+    /// Checks the schedule against the kernel graph and the spacing its
+    /// [`Strategy`] promises: every operation is placed once, and each of its
+    /// operands is a constant, a load of its stage, or issued earlier in the
+    /// stage — never under [`Strategy::Asap`], at least `iwp` slots earlier
+    /// under [`Strategy::FixedDepth`]. Tests use it; no compile path does.
     pub fn is_consistent_with(&self, dfg: &Dfg) -> bool {
-        let mut placed = std::collections::HashSet::new();
-        for stage in &self.stages {
-            for op in stage.ops() {
-                if !placed.insert(op) {
-                    return false;
-                }
-            }
-        }
-        if placed.len() != dfg.num_ops() {
+        let mut placed = HashSet::new();
+        let mut ops = self.slots.iter().filter_map(|slot| slot.op());
+        if !ops.all(|op| placed.insert(op)) || placed.len() != dfg.num_ops() {
             return false;
         }
-        for stage in &self.stages {
-            let mut seen_in_stage: Vec<NodeId> = Vec::new();
-            for op in stage.ops() {
-                let node = match dfg.node(op) {
-                    Ok(node) => node,
-                    Err(_) => return false,
-                };
-                for &operand in node.operands() {
-                    let operand_node = match dfg.node(operand) {
-                        Ok(node) => node,
-                        Err(_) => return false,
-                    };
-                    let available = operand_node.kind().is_const()
-                        || stage.loads.contains(&operand)
-                        || seen_in_stage.contains(&operand);
-                    if !available {
-                        return false;
-                    }
-                }
-                seen_in_stage.push(op);
-            }
-        }
-        true
+        // Whether an operand issued at `from` is ready at `at` in the stage.
+        let spaced = |from: usize, at: usize| match self.strategy {
+            Strategy::Asap => false,
+            Strategy::FixedDepth { iwp, .. } => at - from >= iwp,
+        };
+        let available = |stage: Stage, at: usize, operand: NodeId| {
+            let issued = stage.slots[..at]
+                .iter()
+                .position(|&s| s == Slot::Op(operand));
+            dfg.node(operand).is_ok_and(|node| node.kind().is_const())
+                || stage.loads.contains(&operand)
+                || issued.is_some_and(|from| spaced(from, at))
+        };
+        self.stages().all(|stage| {
+            stage.slots.iter().enumerate().all(|(at, slot)| match slot {
+                Slot::Op(op) => dfg.node(*op).is_ok_and(|node| {
+                    let mut operands = node.operands().iter();
+                    operands.all(|&operand| available(stage, at, operand))
+                }),
+                Slot::Nop => true,
+            })
+        })
     }
 }
 
@@ -208,7 +232,7 @@ impl fmt::Display for StageSchedule {
             self.num_stages(),
             self.strategy
         )?;
-        for stage in &self.stages {
+        for stage in self.stages() {
             writeln!(
                 f,
                 "  FU{}: {} load(s), {} op(s), {} nop(s)",
@@ -223,6 +247,24 @@ impl fmt::Display for StageSchedule {
 }
 
 #[cfg(test)]
+impl StageSchedule {
+    /// The schedule whose stage `k` issues the `k`-th of `stages`.
+    pub(crate) fn from_stages<S: AsRef<[Slot]>>(
+        dfg: &Dfg,
+        strategy: Strategy,
+        stages: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let (mut slots, mut bounds) = (Vec::new(), vec![StageBound::default()]);
+        for stage in stages {
+            slots.extend_from_slice(stage.as_ref());
+            let slots = slots.len();
+            bounds.push(StageBound { slots, loads: 0 });
+        }
+        StageSchedule::assemble(dfg, strategy, slots, bounds)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use overlay_dfg::{DfgBuilder, Op};
@@ -231,8 +273,8 @@ mod tests {
     fn stage_counters() {
         let stage = Stage {
             index: 0,
-            loads: vec![NodeId::from_raw(0), NodeId::from_raw(1)],
-            slots: vec![
+            loads: &[NodeId::from_raw(0), NodeId::from_raw(1)],
+            slots: &[
                 Slot::Op(NodeId::from_raw(2)),
                 Slot::Nop,
                 Slot::Op(NodeId::from_raw(3)),
@@ -246,26 +288,55 @@ mod tests {
         assert_eq!(Slot::Nop.op(), None);
     }
 
-    #[test]
-    fn consistency_check_detects_missing_operand() {
+    /// `s = x + y`, then `q = s²`: `[x, y, s, q]`.
+    fn add_then_square() -> (Dfg, [NodeId; 4]) {
         let mut b = DfgBuilder::new("t");
         let x = b.input("x");
         let y = b.input("y");
         let s = b.op(Op::Add, &[x, y]).unwrap();
         let q = b.op(Op::Square, &[s]).unwrap();
         b.output("o", q);
-        let dfg = b.build().unwrap();
+        (b.build().unwrap(), [x, y, s, q])
+    }
 
-        let stage_slots = vec![vec![Slot::Op(s)], vec![Slot::Op(q)]];
-        let good = StageSchedule::assemble(&dfg, Strategy::Asap, stage_slots);
-        assert_eq!(good.stages[0].loads, [x, y]);
-        assert_eq!(good.stages[1].loads, [s]);
+    #[test]
+    fn consistency_check_detects_missing_operand() {
+        let (dfg, [x, y, s, q]) = add_then_square();
+
+        let stage_slots = [[Slot::Op(s)], [Slot::Op(q)]];
+        let good = StageSchedule::from_stages(&dfg, Strategy::Asap, stage_slots);
+        assert_eq!(good.stage(0).loads, [x, y]);
+        assert_eq!(good.stage(1).loads, [s]);
         assert!(good.is_consistent_with(&dfg));
         assert_eq!(good.stage_of(q), Some(1));
         assert_eq!(good.total_ops(), 2);
 
+        // Stage 1 loses its one arrival.
         let mut bad = good.clone();
-        bad.stages[1].loads.clear();
+        bad.loads.remove(bad.bounds[1].loads);
+        bad.bounds[2].loads -= 1;
+        assert!(bad.stage(1).loads.is_empty());
         assert!(!bad.is_consistent_with(&dfg));
+    }
+
+    #[test]
+    fn consistency_check_rejects_a_same_stage_operand_under_asap() {
+        let (dfg, [_, _, s, q]) = add_then_square();
+        let one_stage = [[Slot::Op(s), Slot::Op(q)]];
+        let asap = StageSchedule::from_stages(&dfg, Strategy::Asap, one_stage);
+        assert!(!asap.is_consistent_with(&dfg));
+        // The same slots keep their promise under a fixed depth with IWP 1.
+        let fixed = Strategy::FixedDepth { depth: 1, iwp: 1 };
+        assert!(StageSchedule::from_stages(&dfg, fixed, one_stage).is_consistent_with(&dfg));
+    }
+
+    #[test]
+    fn consistency_check_rejects_an_operand_closer_than_the_iwp() {
+        let (dfg, [_, _, s, q]) = add_then_square();
+        let fixed = Strategy::FixedDepth { depth: 1, iwp: 3 };
+        let close = [Slot::Op(s), Slot::Nop, Slot::Op(q)];
+        let spaced = [Slot::Op(s), Slot::Nop, Slot::Nop, Slot::Op(q)];
+        assert!(!StageSchedule::from_stages(&dfg, fixed, [close]).is_consistent_with(&dfg));
+        assert!(StageSchedule::from_stages(&dfg, fixed, [spaced]).is_consistent_with(&dfg));
     }
 }

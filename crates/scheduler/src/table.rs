@@ -20,16 +20,31 @@ pub struct ScheduleTable {
     pub ii: usize,
     /// Column headers (`FU0`, `FU1`, …).
     pub headers: Vec<String>,
-    /// One row per cycle: `rows[c][k]` is the action of FU `k` at cycle
-    /// `c + 1` (cycles are 1-based as in the paper), or `None` when idle.
-    pub rows: Vec<Vec<Option<String>>>,
+    /// The rows back to back, one cell per FU.
+    cells: Vec<Option<String>>,
 }
 
 impl ScheduleTable {
+    /// One row per cycle: `row(c)[k]` is the action of FU `k` at cycle
+    /// `c + 1` (cycles are 1-based as in the paper), or `None` when idle.
+    ///
+    /// # Panics
+    ///
+    /// If the table has no row `c`.
+    pub fn row(&self, c: usize) -> &[Option<String>] {
+        let width = self.headers.len();
+        &self.cells[c * width..(c + 1) * width]
+    }
+
+    /// The rows, first cycle first.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Option<String>]> {
+        self.cells.chunks(self.headers.len().max(1))
+    }
+
     /// Renders the table as fixed-width text.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in self.rows() {
             for (k, cell) in row.iter().enumerate() {
                 if let Some(text) = cell {
                     widths[k] = widths[k].max(text.len());
@@ -42,7 +57,7 @@ impl ScheduleTable {
             out.push_str(&format!("{header:<width$} | "));
         }
         out.push('\n');
-        for (cycle, row) in self.rows.iter().enumerate() {
+        for (cycle, row) in self.rows().enumerate() {
             out.push_str(&format!("{:>3} | ", cycle + 1));
             for (cell, width) in row.iter().zip(&widths) {
                 let text = cell.as_deref().unwrap_or("");
@@ -68,7 +83,7 @@ impl ScheduleTable {
 /// let dfg = Benchmark::Gradient.dfg()?;
 /// let schedule = asap_schedule(&dfg)?;
 /// let table = schedule_table(&dfg, &schedule, 6, 6, 32);
-/// assert_eq!(table.rows.len(), 32);
+/// assert_eq!(table.rows().len(), 32);
 /// assert!(table.to_text().contains("SUB"));
 /// # Ok(())
 /// # }
@@ -87,15 +102,15 @@ pub fn schedule_table(
     // has finished forwarding after `#load + 1` cycles.
     let mut offsets = vec![0usize; num_stages];
     for k in 1..num_stages {
-        offsets[k] = offsets[k - 1] + schedule.stages()[k - 1].num_loads() + 1;
+        offsets[k] = offsets[k - 1] + schedule.stage(k - 1).num_loads() + 1;
     }
 
-    let mut rows: Vec<Vec<Option<String>>> = vec![vec![None; num_stages]; max_cycles];
+    let mut cells = vec![None; max_cycles * num_stages];
     let mut put = |cycle: usize, stage: usize, text: String| {
         if cycle == 0 || cycle > max_cycles {
             return;
         }
-        let cell = &mut rows[cycle - 1][stage];
+        let cell: &mut Option<String> = &mut cells[(cycle - 1) * num_stages + stage];
         *cell = Some(match cell.take() {
             Some(existing) => format!("{existing} / {text}"),
             None => text,
@@ -103,7 +118,7 @@ pub fn schedule_table(
     };
 
     for block in 0..num_blocks {
-        for (stage_index, stage) in schedule.stages().iter().enumerate() {
+        for (stage_index, stage) in schedule.stages().enumerate() {
             let base = offsets[stage_index] + block * ii;
             // Data transfers performed by the input controller.
             for (j, _value) in stage.loads.iter().enumerate() {
@@ -159,7 +174,7 @@ pub fn schedule_table(
         kernel: schedule.kernel().to_owned(),
         ii,
         headers: (0..num_stages).map(|k| format!("FU{k}")).collect(),
-        rows,
+        cells,
     }
 }
 
@@ -174,15 +189,15 @@ mod tests {
         let dfg = Benchmark::Gradient.dfg().unwrap();
         let schedule = asap_schedule(&dfg).unwrap();
         let table = schedule_table(&dfg, &schedule, 6, 6, 32);
-        assert_eq!(table.rows.len(), 32);
+        assert_eq!(table.rows().len(), 32);
         assert_eq!(table.headers.len(), 4);
         // Cycle 1: FU0 loads its first word, everything else idle.
-        assert_eq!(table.rows[0][0].as_deref(), Some("Load R0"));
-        assert!(table.rows[0][1].is_none());
+        assert_eq!(table.row(0)[0].as_deref(), Some("Load R0"));
+        assert!(table.row(0)[1].is_none());
         // Every FU eventually has work in the first 32 cycles.
         for stage in 0..4 {
             assert!(
-                table.rows.iter().any(|row| row[stage].is_some()),
+                table.rows().any(|row| row[stage].is_some()),
                 "FU{stage} never active"
             );
         }
@@ -197,8 +212,8 @@ mod tests {
         // period II = 6 on FU0.
         for cycle in 12..36 {
             assert_eq!(
-                table.rows[cycle][0],
-                table.rows[cycle + 6][0],
+                table.row(cycle)[0],
+                table.row(cycle + 6)[0],
                 "FU0 not periodic at cycle {cycle}"
             );
         }

@@ -1,19 +1,21 @@
-//! Allocation regression test for one clustered compile.
+//! Allocation regression tests for scheduling and one clustered compile.
 //!
-//! The boundary search costs a candidate partition from cached per-range
-//! slot counts and per-boundary crossing counts, so only the winning
-//! partition is materialised as a schedule; the schedule keeps the one
-//! liveness pass's forwarding decisions, and instruction generation reads
-//! them and two per-node tables. This file pins that with a counting
-//! allocator; it is an integration-test crate so that the library
-//! keeps `#![forbid(unsafe_code)]`.
+//! A schedule is three flat arrays (every stage's slots, every stage's
+//! arrivals, and where each stage's share ends), each sized once. The
+//! boundary search costs a candidate partition from per-range slot counts
+//! and per-boundary crossing counts, ordering ranges into one arena, so only
+//! the winning partition is copied out as a schedule; instruction generation
+//! reads the schedule and one per-node table. This file pins that with a
+//! counting allocator; it is an integration-test crate so that the library
+//! keeps `#![forbid(unsafe_code)]`. Each bound is the count the commit that
+//! set it measured, plus 15 %.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use overlay_arch::FuVariant;
 use overlay_frontend::Benchmark;
-use overlay_scheduler::{generate_program, schedule};
+use overlay_scheduler::{asap_schedule, generate_program, schedule};
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
@@ -62,8 +64,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// for this body, and 295 before the compile path stopped hashing and
 /// recomputing (commit `0d00bf0`), and 87 before the boundary search stopped
 /// ordering ranges for moves that cannot win (commit `c4576f9`, 52 of them
-/// to schedule); it reads 81 now (46 to schedule, 35 to generate code, 21 of
-/// those the copy).
+/// to schedule), and 81 before the schedule became flat (commit `197a9cf`:
+/// 46 to schedule, 35 to generate code, 21 of those the copy); it reads 32
+/// now (16 to schedule, 16 to generate code, 4 of those the copy).
 #[test]
 fn a_clustered_compile_allocates_a_quarter_of_what_it_did() {
     let dfg = Benchmark::Poly8.dfg().unwrap();
@@ -79,8 +82,34 @@ fn a_clustered_compile_allocates_a_quarter_of_what_it_did() {
     assert_eq!(compiled.schedule, copied);
     let generated = count - scheduled;
     assert!(
-        count <= 89,
+        count <= 36,
         "{count} allocations for one clustered compile: {scheduled} in `schedule`, \
          {generated} in `generate_program`, {copy} of those copying the schedule"
+    );
+}
+
+/// A level schedule is a fixed set of buffers, each sized once, so every
+/// suite kernel — 4 to 13 stages deep — allocates the same count: 8 when
+/// written, where the nested schedule before it (commit `197a9cf`) read 11
+/// plus 2 per stage.
+#[test]
+fn a_level_schedule_allocates_the_same_at_every_depth() {
+    let counts: Vec<(Benchmark, usize, u64)> = Benchmark::ALL
+        .into_iter()
+        .map(|benchmark| {
+            let dfg = benchmark.dfg().unwrap();
+            let before = ALLOCATIONS.with(Cell::get);
+            let stages = asap_schedule(&dfg).unwrap();
+            let count = ALLOCATIONS.with(Cell::get) - before;
+            (benchmark, stages.num_stages(), count)
+        })
+        .collect();
+    let depths = counts.iter().map(|&(_, stages, _)| stages);
+    assert_eq!((depths.clone().min(), depths.max()), (Some(4), Some(13)));
+    assert!(
+        counts
+            .iter()
+            .all(|&(_, _, count)| count <= 9 && count == counts[0].2),
+        "(kernel, stages, allocations): {counts:?}"
     );
 }

@@ -48,14 +48,14 @@ fn digest(dfg: &Dfg, variant: FuVariant) -> u64 {
     for stage in stages.stages() {
         d.word(stage.index as u64);
         d.word(stage.slots.len() as u64);
-        for slot in &stage.slots {
+        for slot in stage.slots {
             match slot {
                 Slot::Op(op) => d.word(op.index() as u64),
                 Slot::Nop => d.word(u64::MAX),
             }
         }
         d.word(stage.loads.len() as u64);
-        for load in &stage.loads {
+        for load in stage.loads {
             d.word(load.index() as u64);
         }
     }
