@@ -7,20 +7,36 @@
 //! named `c{value}` (`c-3`), and an operation from [`DfgBuilder::op`]
 //! `{MNEMONIC}_N{index}` (`MUL_N12`), where the index is the node's own id.
 //! A name some node already carries gets the first free suffix `_1`, `_2`, …
-//! instead. Derived names are written by hand into the node, which holds up
-//! to 22 bytes in place.
+//! instead. A name is spelt once, byte by byte, into the node it names,
+//! which holds up to 22 bytes in place.
 //!
-//! The builder claims a name by inserting its FNV-1a hash into a set; a hash
-//! already there is confirmed by scanning the nodes. Every given name,
-//! constant name and suffixed candidate is claimed. A derived operation name
-//! is claimed only once some given name has had the shape `[A-Z]+_N[0-9]+`,
-//! and such a given name is checked against the nodes by a scan. Skipping the
-//! other claims is exact: no two derived operation names share an index; a
-//! constant name starts with a lowercase `c` and a suffixed name ends in
-//! `_<digits>`, which a derived operation name never does; so only a given
-//! name of that shape can equal one.
+//! The builder claims a name by entering its FNV-1a hash in a table, with
+//! the node that carries it. A hash already there is confirmed against that
+//! one node; only a hash two different names have claimed is confirmed by
+//! scanning the nodes. The entry of a name that has been suffixed remembers
+//! the next suffix to try, so the `k`-th duplicate of a name costs one claim,
+//! not `k`. Every given name, constant name and suffixed candidate is
+//! claimed. A derived operation name is claimed only once some given name
+//! has had the shape `[A-Z]+_N[0-9]+`, and such a given name is checked
+//! against the nodes by a scan. Skipping the other claims is exact: no two
+//! derived operation names share an index; a constant name starts with a
+//! lowercase `c` and a suffixed name ends in `_<digits>`, which a derived
+//! operation name never does; so only a given name of that shape can equal
+//! one.
+//!
+//! # Validation
+//!
+//! Each call checks what it adds: an operation's arity and operands at
+//! once, an output's source as it is recorded. The builder also notes which
+//! inputs have been read, so [`DfgBuilder::build`] checks three facts —
+//! every output's source was an operation node, there is an output, every
+//! input is read — instead of walking the graph again. An output added with
+//! a source that was not then an operation node (or a graph with more than
+//! 128 inputs) is left to [`Dfg::validate`], which reports exactly what is
+//! wrong.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::DfgError;
@@ -34,7 +50,8 @@ use crate::value::Value;
 /// Nodes are created in dependence order: an operation can only reference
 /// operands that already exist, which guarantees the resulting graph is
 /// acyclic (the feed-forward property the linear overlay relies on). How
-/// nodes are named is set out in the [module documentation](self).
+/// nodes are named and checked is set out in the
+/// [module documentation](self).
 ///
 /// # Example
 ///
@@ -60,17 +77,39 @@ pub struct DfgBuilder {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    /// The FNV-1a hash of every claimed name, not the names: a hash that is
-    /// absent proves a name new, one that is present is confirmed against the
-    /// nodes. The names come from kernel source, but a kernel that fits an
-    /// overlay has a few dozen nodes, so a crafted collision costs one scan.
-    claimed: HashSet<u64, BuildHasherDefault<PassThrough>>,
+    /// The FNV-1a hash of every claimed name, not the names, with the node
+    /// that carries it. The names come from kernel source, but a crafted
+    /// collision only costs a scan of the nodes for the names that share it.
+    claimed: HashMap<u64, Claim, BuildHasherDefault<PassThrough>>,
     /// Whether a given name has had the shape of a derived operation name;
     /// until one has, derived operation names are not claimed.
     claim_derived: bool,
+    /// Bit `p` is set once input `p` has been read by an operation.
+    consumed: u128,
+    /// Whether an output was given a source that was not then an operation
+    /// node: [`Dfg::validate`] then judges the graph.
+    irregular_output: bool,
 }
 
-/// Hashes a key to itself: the claimed set's keys are hashes already.
+/// The inputs whose reads [`DfgBuilder`] tracks itself.
+const TRACKED_INPUTS: usize = u128::BITS as usize;
+
+/// A claimed hash's entry.
+#[derive(Debug, Clone, Copy)]
+struct Claim {
+    /// The node whose name has this hash, or [`Claim::SHARED`] once two
+    /// different names have had it.
+    holder: u32,
+    /// The holder's name with suffixes `_1` up to `_{next_suffix - 1}` is
+    /// taken.
+    next_suffix: u32,
+}
+
+impl Claim {
+    const SHARED: u32 = u32::MAX;
+}
+
+/// Hashes a key to itself: the claimed table's keys are hashes already.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -101,33 +140,47 @@ fn fnv1a(name: &str) -> u64 {
 /// Whether `name` has the shape `[A-Z]+_N[0-9]+`, the only shape of a given
 /// name that can equal a derived operation name.
 fn has_derived_shape(name: &str) -> bool {
-    name.split_once("_N").is_some_and(|(mnemonic, index)| {
-        !mnemonic.is_empty()
-            && !index.is_empty()
-            && mnemonic.bytes().all(|byte| byte.is_ascii_uppercase())
-            && index.bytes().all(|byte| byte.is_ascii_digit())
-    })
+    let bytes = name.as_bytes();
+    let mnemonic = bytes
+        .iter()
+        .take_while(|byte| byte.is_ascii_uppercase())
+        .count();
+    match bytes[mnemonic..].strip_prefix(b"_N") {
+        Some(index) => mnemonic > 0 && !index.is_empty() && index.iter().all(u8::is_ascii_digit),
+        None => false,
+    }
 }
 
-/// The decimal digits of `value`, with a leading `-` when it is negative,
-/// written into `buffer` by hand rather than through `core::fmt`.
-fn decimal(value: i64, buffer: &mut [u8; 20]) -> &str {
-    let mut magnitude = value.unsigned_abs();
-    let mut start = buffer.len();
-    loop {
-        start -= 1;
-        buffer[start] = b'0' + (magnitude % 10) as u8;
-        magnitude /= 10;
-        if magnitude == 0 {
-            break;
+/// Claims `name` in `claimed` for the node `holder`; `false` if one of
+/// `before`, the nodes made before it, already carries the name.
+fn claim(
+    claimed: &mut HashMap<u64, Claim, BuildHasherDefault<PassThrough>>,
+    before: &[Node],
+    name: &str,
+    holder: NodeId,
+) -> bool {
+    match claimed.entry(fnv1a(name)) {
+        Entry::Vacant(entry) => {
+            entry.insert(Claim {
+                holder: holder.0,
+                next_suffix: 1,
+            });
+            true
+        }
+        Entry::Occupied(mut entry) => {
+            let entry = entry.get_mut();
+            if entry.holder == Claim::SHARED {
+                return !before.iter().any(|node| node.name() == name);
+            }
+            let holder = before.get(entry.holder as usize);
+            if holder.is_some_and(|node| node.name() == name) {
+                return false;
+            }
+            // Another name has this hash; from now on a scan decides.
+            entry.holder = Claim::SHARED;
+            true
         }
     }
-    if value < 0 {
-        start -= 1;
-        buffer[start] = b'-';
-    }
-    // ASCII digits and a sign: the check never falls back.
-    std::str::from_utf8(&buffer[start..]).unwrap_or_default()
 }
 
 impl DfgBuilder {
@@ -144,53 +197,70 @@ impl DfgBuilder {
             nodes: Vec::with_capacity(nodes),
             inputs: Vec::with_capacity(nodes),
             outputs: Vec::with_capacity(nodes),
-            claimed: HashSet::with_capacity_and_hasher(nodes, Default::default()),
+            claimed: HashMap::with_capacity_and_hasher(nodes, Default::default()),
             claim_derived: false,
+            consumed: 0,
+            irregular_output: false,
         }
     }
 
-    fn next_id(&self) -> NodeId {
-        NodeId(self.nodes.len() as u32)
+    /// Pushes a node of `kind` with the empty name, to be spelt in place.
+    fn push(&mut self, kind: NodeKind) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        let name = NodeName::EMPTY;
+        self.nodes.push(Node { id, name, kind });
+        id
     }
 
-    /// Whether a node already carries `name`.
-    fn in_use(&self, name: &str) -> bool {
-        self.nodes.iter().any(|node| node.name() == name)
-    }
-
-    /// Claims `name`; `false` if a node already carries it.
-    fn claim(&mut self, name: &str) -> bool {
-        self.claimed.insert(fnv1a(name)) || !self.in_use(name)
-    }
-
-    /// `name` if `claimed` says it was free, else the first suffixed
-    /// `name_k` that is, claimed.
-    fn unique(&mut self, name: NodeName, claimed: bool) -> NodeName {
-        if claimed {
-            return name;
+    /// Settles the name node `id` was spelt with: kept if it is free, else
+    /// replaced by the first free suffixed form.
+    fn settle(&mut self, id: NodeId) {
+        let (before, node) = self.nodes.split_at(id.index());
+        if claim(&mut self.claimed, before, node[0].name(), id) {
+            return;
         }
-        let mut digits = [0; 20];
-        let mut counter = 1;
+        let base = node[0].name.clone();
+        self.suffix(id, base.as_str());
+    }
+
+    /// Names node `id` with the first suffixed `base_k` no node before it
+    /// carries.
+    fn suffix(&mut self, id: NodeId, base: &str) {
+        let hash = fnv1a(base);
+        let remembered = self.claimed.get(&hash).and_then(|entry| {
+            let holder = self.nodes.get(entry.holder as usize);
+            let holds = holder.is_some_and(|node| node.name() == base);
+            holds.then_some(entry.next_suffix)
+        });
+        let mut counter = remembered.unwrap_or(1);
         loop {
-            let candidate = NodeName::concat(&[name.as_str(), "_", decimal(counter, &mut digits)]);
-            if self.claim(candidate.as_str()) {
-                return candidate;
+            let (before, node) = self.nodes.split_at_mut(id.index());
+            let name = &mut node[0].name;
+            name.spell(base, "_", Some(counter.into()));
+            if claim(&mut self.claimed, before, name.as_str(), id) {
+                break;
             }
             counter += 1;
         }
+        if let (Some(_), Some(entry)) = (remembered, self.claimed.get_mut(&hash)) {
+            entry.next_suffix = counter + 1;
+        }
     }
 
-    /// The unique name for a node given `name`.
-    fn given_name(&mut self, name: &str) -> NodeName {
-        let claimed = if has_derived_shape(name) {
+    /// Names node `id` `name`, or its first free suffixed form.
+    fn give(&mut self, id: NodeId, name: &str) {
+        if has_derived_shape(name) {
             // Derived operation names made before this one were not claimed.
             self.claim_derived = true;
-            self.claimed.insert(fnv1a(name));
-            !self.in_use(name)
-        } else {
-            self.claim(name)
-        };
-        self.unique(NodeName::new(name), claimed)
+            let before = &self.nodes[..id.index()];
+            if let Some(carrier) = before.iter().position(|node| node.name() == name) {
+                let carrier = NodeId(carrier as u32);
+                claim(&mut self.claimed, before, name, carrier);
+                return self.suffix(id, name);
+            }
+        }
+        self.nodes[id.index()].name.spell(name, "", None);
+        self.settle(id);
     }
 
     /// Adds a kernel input node and returns its id.
@@ -198,14 +268,9 @@ impl DfgBuilder {
     /// Inputs are delivered to the first functional unit in stream order, so
     /// the order of `input` calls defines the input stream layout.
     pub fn input(&mut self, name: impl AsRef<str>) -> NodeId {
-        let id = self.next_id();
         let position = self.inputs.len();
-        let name = self.given_name(name.as_ref());
-        self.nodes.push(Node {
-            id,
-            name,
-            kind: NodeKind::Input { position },
-        });
+        let id = self.push(NodeKind::Input { position });
+        self.give(id, name.as_ref());
         self.inputs.push(id);
         id
     }
@@ -214,16 +279,10 @@ impl DfgBuilder {
     ///
     /// Constants become instruction immediates rather than streamed data.
     pub fn constant(&mut self, value: Value) -> NodeId {
-        let id = self.next_id();
-        let mut digits = [0; 20];
-        let name = NodeName::concat(&["c", decimal(value.get().into(), &mut digits)]);
-        let claimed = self.claim(name.as_str());
-        let name = self.unique(name, claimed);
-        self.nodes.push(Node {
-            id,
-            name,
-            kind: NodeKind::Const { value },
-        });
+        let id = self.push(NodeKind::Const { value });
+        let name = &mut self.nodes[id.index()].name;
+        name.spell("c", "", Some(value.get().into()));
+        self.settle(id);
         id
     }
 
@@ -239,12 +298,13 @@ impl DfgBuilder {
     /// * [`DfgError::OperandIsOutput`] if an operand refers to an output node.
     pub fn op(&mut self, op: Op, operands: &[NodeId]) -> Result<NodeId, DfgError> {
         let operands = self.operands(op, operands)?;
-        let id = self.next_id();
-        let mut digits = [0; 20];
-        let name = NodeName::concat(&[op.mnemonic(), "_N", decimal(id.0.into(), &mut digits)]);
-        let claimed = !self.claim_derived || self.claim(name.as_str());
-        let name = self.unique(name, claimed);
-        Ok(self.push_op(name, op, operands))
+        let id = self.push(NodeKind::Operation { op, operands });
+        let name = &mut self.nodes[id.index()].name;
+        name.spell(op.mnemonic(), "_N", Some(id.0.into()));
+        if self.claim_derived {
+            self.settle(id);
+        }
+        Ok(id)
     }
 
     /// Adds an operation node with an explicit name (e.g. to mirror the
@@ -260,12 +320,13 @@ impl DfgBuilder {
         operands: &[NodeId],
     ) -> Result<NodeId, DfgError> {
         let operands = self.operands(op, operands)?;
-        let name = self.given_name(name.as_ref());
-        Ok(self.push_op(name, op, operands))
+        let id = self.push(NodeKind::Operation { op, operands });
+        self.give(id, name.as_ref());
+        Ok(id)
     }
 
-    /// `operands`, checked for `op`.
-    fn operands(&self, op: Op, operands: &[NodeId]) -> Result<Operands, DfgError> {
+    /// `operands`, checked for `op`; the inputs among them are marked read.
+    fn operands(&mut self, op: Op, operands: &[NodeId]) -> Result<Operands, DfgError> {
         if operands.len() != op.arity() {
             return Err(DfgError::ArityMismatch {
                 op,
@@ -273,26 +334,22 @@ impl DfgBuilder {
                 found: operands.len(),
             });
         }
+        let mut consumed = 0;
         for &operand in operands {
             let node = self
                 .nodes
                 .get(operand.index())
                 .ok_or(DfgError::UnknownNode(operand))?;
-            if node.kind.is_output() {
-                return Err(DfgError::OperandIsOutput(operand));
+            match node.kind {
+                NodeKind::Output { .. } => return Err(DfgError::OperandIsOutput(operand)),
+                NodeKind::Input { position } if position < TRACKED_INPUTS => {
+                    consumed |= 1 << position;
+                }
+                _ => {}
             }
         }
+        self.consumed |= consumed;
         Ok(Operands::new(operands).expect("no operation takes more than three"))
-    }
-
-    fn push_op(&mut self, name: NodeName, op: Op, operands: Operands) -> NodeId {
-        let id = self.next_id();
-        self.nodes.push(Node {
-            id,
-            name,
-            kind: NodeKind::Operation { op, operands },
-        });
-        id
     }
 
     /// Marks the value produced by `source` as a kernel output.
@@ -301,14 +358,14 @@ impl DfgBuilder {
     /// operation node the error is reported by [`DfgBuilder::build`] /
     /// [`Dfg::validate`].
     pub fn output(&mut self, name: impl AsRef<str>, source: NodeId) -> NodeId {
-        let id = self.next_id();
+        let is_operation = self
+            .nodes
+            .get(source.index())
+            .is_some_and(|node| node.kind.is_operation());
+        self.irregular_output |= !is_operation;
         let position = self.outputs.len();
-        let name = self.given_name(name.as_ref());
-        self.nodes.push(Node {
-            id,
-            name,
-            kind: NodeKind::Output { position, source },
-        });
+        let id = self.push(NodeKind::Output { position, source });
+        self.give(id, name.as_ref());
         self.outputs.push(id);
         id
     }
@@ -329,14 +386,24 @@ impl DfgBuilder {
         self.nodes.is_empty()
     }
 
-    /// Finishes construction, validating the graph.
+    /// Finishes construction, validating the graph: with the three checks
+    /// of the [module documentation](self#validation), which report what
+    /// [`Dfg::validate`] would.
     ///
     /// # Errors
     ///
     /// Returns any error reported by [`Dfg::validate`].
     pub fn build(self) -> Result<Dfg, DfgError> {
+        let tracked = !self.irregular_output && self.inputs.len() <= TRACKED_INPUTS;
+        let unread = !self.consumed;
         let dfg = self.build_unvalidated();
-        dfg.validate()?;
+        if !tracked {
+            dfg.validate()?;
+        } else if dfg.outputs.is_empty() {
+            return Err(DfgError::NoOutputs);
+        } else if let Some(&input) = dfg.inputs.get(unread.trailing_zeros() as usize) {
+            return Err(DfgError::UnusedInput(input));
+        }
         Ok(dfg)
     }
 
@@ -356,6 +423,8 @@ impl DfgBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -484,8 +553,81 @@ mod tests {
     }
 
     #[test]
+    fn build_reports_what_validate_reports() {
+        let mut cases = Vec::new();
+        let mut b = DfgBuilder::new("no-outputs");
+        let x = b.input("x");
+        b.op(Op::Square, &[x]).unwrap();
+        cases.push(b);
+        let mut b = DfgBuilder::new("unused");
+        let [x, _, z] = ["x", "y", "z"].map(|name| b.input(name));
+        let sum = b.op(Op::Add, &[x, z]).unwrap();
+        b.output("o", sum);
+        cases.push(b);
+        // A source that is not an operation, an output, or not made yet.
+        for source in [0, 2, 5, 4] {
+            let mut b = DfgBuilder::new("odd-output");
+            let x = b.input("x");
+            let sq = b.op(Op::Square, &[x]).unwrap();
+            b.output("o", sq);
+            b.output("p", NodeId(source));
+            if source == 4 {
+                b.op(Op::Neg, &[x]).unwrap();
+            }
+            cases.push(b);
+        }
+        // Past the inputs whose reads the builder tracks itself.
+        let mut b = DfgBuilder::new("wide");
+        let inputs: Vec<NodeId> = (0..200).map(|i| b.input(format!("i{i}"))).collect();
+        let mut sum = inputs[0];
+        for &input in inputs.iter().skip(1).filter(|input| input.index() != 150) {
+            sum = b.op(Op::Add, &[sum, input]).unwrap();
+        }
+        b.output("o", sum);
+        cases.push(b);
+        let mut outcomes = Vec::new();
+        for b in cases {
+            let expected = b.clone().build_unvalidated().validate();
+            outcomes.push(expected.clone().err());
+            assert_eq!(b.build().err(), expected.err());
+        }
+        // The cases reach every verdict the builder gives itself.
+        assert_eq!(
+            outcomes,
+            [
+                Some(DfgError::NoOutputs),
+                Some(DfgError::UnusedInput(NodeId(1))),
+                Some(DfgError::InvalidOutputSource(NodeId(0))),
+                Some(DfgError::OperandIsOutput(NodeId(2))),
+                Some(DfgError::UnknownNode(NodeId(5))),
+                None,
+                Some(DfgError::UnusedInput(NodeId(150))),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_hash_two_names_share_is_confirmed_by_a_scan() {
+        let mut b = DfgBuilder::new("collision");
+        let x = b.input("x");
+        // Forge a collision: the hash of `y` is claimed by the node of `x`.
+        b.claimed.insert(
+            fnv1a("y"),
+            Claim {
+                holder: x.0,
+                next_suffix: 1,
+            },
+        );
+        b.input("y");
+        assert_eq!(b.claimed[&fnv1a("y")].holder, Claim::SHARED);
+        b.input("y");
+        b.input("x");
+        b.input("x");
+        assert_eq!(names(b), ["x", "y", "y_1", "x_1", "x_2"]);
+    }
+
+    #[test]
     fn decimal_matches_display_at_the_extremes() {
-        let mut buffer = [0; 20];
         for value in [
             0,
             7,
@@ -497,7 +639,11 @@ mod tests {
             i64::MIN,
             i64::MAX,
         ] {
-            assert_eq!(decimal(value, &mut buffer), value.to_string());
+            for (head, tail) in [("c", ""), ("a_name_longer_than_the", "_")] {
+                let mut name = NodeName::EMPTY;
+                name.spell(head, tail, Some(value));
+                assert_eq!(name, NodeName::new(&format!("{head}{tail}{value}")));
+            }
         }
     }
 }

@@ -54,12 +54,20 @@ impl Operands {
     /// Copies `ids`, or returns `None` for more than [`Operands::MAX`] of
     /// them.
     pub fn new(ids: &[NodeId]) -> Option<Self> {
-        let mut operands = Operands {
-            len: ids.len() as u8,
-            ids: [NodeId(0); Operands::MAX],
+        let none = NodeId(0);
+        // Spelt out rather than copied: a call to copy three ids at most
+        // costs more than the ids, and the copy stalls the reads after it.
+        let slots = match *ids {
+            [] => [none; Operands::MAX],
+            [a] => [a, none, none],
+            [a, b] => [a, b, none],
+            [a, b, c] => [a, b, c],
+            _ => return None,
         };
-        operands.ids.get_mut(..ids.len())?.copy_from_slice(ids);
-        Some(operands)
+        Some(Operands {
+            len: ids.len() as u8,
+            ids: slots,
+        })
     }
 }
 
@@ -156,27 +164,74 @@ impl NodeName {
     /// The longest name stored in place.
     pub(crate) const INLINE: usize = 22;
 
-    /// The concatenation of `parts`.
-    pub(crate) fn concat(parts: &[&str]) -> Self {
-        let len: usize = parts.iter().map(|part| part.len()).sum();
-        if len > NodeName::INLINE {
-            return NodeName::Boxed(parts.concat().into_boxed_str());
-        }
-        let mut bytes = [0; NodeName::INLINE];
-        let mut end = 0;
-        for part in parts {
-            bytes[end..end + part.len()].copy_from_slice(part.as_bytes());
-            end += part.len();
-        }
-        NodeName::Inline {
-            len: len as u8,
-            bytes,
-        }
-    }
+    /// The empty name, which a node is pushed with before its name is spelt
+    /// into it.
+    pub(crate) const EMPTY: NodeName = NodeName::Inline {
+        len: 0,
+        bytes: [0; NodeName::INLINE],
+    };
 
     /// A copy of `name`.
     pub(crate) fn new(name: &str) -> Self {
-        NodeName::concat(&[name])
+        let mut copy = NodeName::EMPTY;
+        copy.spell(name, "", None);
+        copy
+    }
+
+    /// Overwrites this name with `head`, `tail` and the decimal digits of
+    /// `number`, if any (after a `-` when it is negative): a given name, a
+    /// derived one (`MUL_N12`), a constant's (`c-3`) or a suffixed one
+    /// (`x_2`). A name that fits is spelt byte by byte where it lies, not
+    /// through `core::fmt`.
+    #[inline]
+    pub(crate) fn spell(&mut self, head: &str, tail: &str, number: Option<i64>) {
+        let negative = number.is_some_and(|number| number < 0);
+        let mut rest = number.map_or(0, i64::unsigned_abs);
+        let digits = match number {
+            Some(_) => rest.checked_ilog10().unwrap_or(0) as usize + 1,
+            None => 0,
+        };
+        let prefix = head.len() + tail.len() + usize::from(negative);
+        let end = prefix + digits;
+        let NodeName::Inline { len, bytes } = self else {
+            return self.respell(head, tail, number);
+        };
+        if end > NodeName::INLINE {
+            return self.respell(head, tail, number);
+        }
+        let mut at = 0;
+        for part in [
+            head.as_bytes(),
+            tail.as_bytes(),
+            &b"-"[..usize::from(negative)],
+        ] {
+            for &byte in part {
+                bytes[at] = byte;
+                at += 1;
+            }
+        }
+        for slot in bytes[prefix..end].iter_mut().rev() {
+            *slot = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        // What a longer name overwritten leaves past the end.
+        if usize::from(*len) > end {
+            bytes[end..].fill(0);
+        }
+        *len = end as u8;
+    }
+
+    /// [`NodeName::spell`] for a name that is or becomes boxed.
+    #[cold]
+    fn respell(&mut self, head: &str, tail: &str, number: Option<i64>) {
+        let mut name = [head, tail].concat();
+        name.extend(number.map(|number| number.to_string()));
+        *self = NodeName::EMPTY;
+        if name.len() > NodeName::INLINE {
+            *self = NodeName::Boxed(name.into());
+        } else {
+            self.spell(&name, "", None);
+        }
     }
 
     /// The name as a string slice.
@@ -359,9 +414,12 @@ mod tests {
             assert_eq!(String::from(stored.clone()), name);
             assert_eq!(NodeName::from(name.to_owned()), stored);
         }
-        let split = NodeName::concat(&["MAC", "_N", "4294967295"]);
+        let mut split = NodeName::new("a longer name than the derived one");
+        split.spell("MAC", "_N", Some(4_294_967_295));
         assert_eq!(split.as_str(), "MAC_N4294967295");
         assert_eq!(split, NodeName::new("MAC_N4294967295"));
         assert!(matches!(split, NodeName::Inline { .. }));
+        split.spell("c", "", Some(-5));
+        assert_eq!(split, NodeName::new("c-5"));
     }
 }

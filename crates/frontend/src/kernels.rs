@@ -16,8 +16,6 @@
 //! `poly5`–`poly8`) are built structurally with [`overlay_dfg::DfgBuilder`]
 //! using a layered construction that mirrors their published shape.
 
-use std::fmt::Write as _;
-
 use overlay_dfg::{Dfg, DfgBuilder, NodeId, Op};
 
 use crate::compile_kernel;
@@ -297,35 +295,59 @@ fn layered_kernel(
 ) -> Result<Dfg, overlay_dfg::DfgError> {
     let ops: usize = widths.iter().sum();
     let mut builder = DfgBuilder::with_capacity(name, num_inputs + ops + 1);
-    // Every value so far, inputs first; the previous level is its tail.
-    let mut earlier: Vec<NodeId> = Vec::with_capacity(num_inputs + ops);
     // One buffer for every input's name: the builder copies it into the node.
-    let mut input_name = String::with_capacity(4);
+    let mut buffer = [0; 21];
     for i in 0..num_inputs {
-        input_name.clear();
-        let _ = write!(input_name, "i{i}");
-        earlier.push(builder.input(&input_name));
+        builder.input(input_name(i, &mut buffer));
     }
 
+    // Node `k` is the `k`-th value made, inputs first: the previous level is
+    // the tail of what has been made.
+    let value = |index: usize| NodeId::from_raw(index as u32);
     let depth = widths.len();
     let mut previous = 0..num_inputs;
-    let mut rotation = 0usize;
     for (level_index, &width) in widths.iter().enumerate() {
         let level = level_index + 1;
-        let use_add = level > depth - add_tail;
-        let level_start = earlier.len();
-        for slot in 0..width {
-            let first = earlier[previous.start + slot % previous.len()];
-            // The rotation runs over the values of the levels before this one.
-            let second = earlier[rotation % level_start];
-            rotation = rotation.wrapping_add(3);
-            let op = if use_add { Op::Add } else { Op::Mul };
-            earlier.push(builder.op(op, &[first, second])?);
+        let op = if level > depth - add_tail {
+            Op::Add
+        } else {
+            Op::Mul
+        };
+        let level_start = builder.len();
+        // The first operand cycles through the previous level. The second
+        // steps by three through the values of the levels before this one,
+        // from where the last level left off. Both wrap by subtraction, not
+        // by a division per operation.
+        let mut first = previous.start;
+        let mut second = 3 * (level_start - num_inputs) % level_start;
+        for _ in 0..width {
+            builder.op(op, &[value(first), value(second)])?;
+            first += 1;
+            if first == previous.end {
+                first = previous.start;
+            }
+            second += 3;
+            while second >= level_start {
+                second -= level_start;
+            }
         }
-        previous = level_start..earlier.len();
+        previous = level_start..builder.len();
     }
-    builder.output("y", *earlier.last().expect("at least one level"));
+    builder.output("y", value(builder.len() - 1));
     builder.build()
+}
+
+/// `i{index}`, spelt in `buffer` without `core::fmt`.
+fn input_name(index: usize, buffer: &mut [u8; 21]) -> &str {
+    let digits = index.checked_ilog10().map_or(1, |log| log as usize + 1);
+    buffer[0] = b'i';
+    let mut rest = index;
+    for byte in buffer[1..=digits].iter_mut().rev() {
+        *byte = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    // ASCII only: the check never falls back.
+    std::str::from_utf8(&buffer[..=digits]).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -402,6 +424,14 @@ mod tests {
                 (record.ii_v2 - record.ii_v1 / 2.0).abs() < f64::EPSILON,
                 "{benchmark}"
             );
+        }
+    }
+
+    #[test]
+    fn input_names_are_spelt_as_format_would() {
+        let mut buffer = [0; 21];
+        for index in [0, 7, 9, 10, 99, 100, 12_345, usize::MAX] {
+            assert_eq!(input_name(index, &mut buffer), format!("i{index}"));
         }
     }
 

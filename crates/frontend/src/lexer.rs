@@ -4,7 +4,7 @@ use crate::error::{FrontendError, Span};
 
 /// The kind of a lexical token. An identifier borrows its text from the
 /// source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TokenKind<'src> {
     /// The `kernel` keyword.
     Kernel,
@@ -48,6 +48,7 @@ pub enum TokenKind<'src> {
     /// `;`
     Semicolon,
     /// End of input.
+    #[default]
     Eof,
 }
 
@@ -81,7 +82,7 @@ impl TokenKind<'_> {
 }
 
 /// A token together with its source position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Token<'src> {
     /// The token kind and payload.
     pub kind: TokenKind<'src>,
@@ -112,8 +113,12 @@ pub struct Lexer<'src> {
     /// Byte offset of the next unread character.
     index: usize,
     line: usize,
-    /// 1-based, in characters.
-    column: usize,
+    /// Byte offset of the line's first character.
+    line_start: usize,
+    /// The line's bytes so far past each character's first: columns count characters.
+    wide: usize,
+    /// The first lexical error, where the stream ends with [`TokenKind::Eof`].
+    pub(crate) error: Option<FrontendError>,
 }
 
 /// The largest literal magnitude: `-2147483648` is an `i32`.
@@ -126,24 +131,17 @@ impl<'src> Lexer<'src> {
             source,
             index: 0,
             line: 1,
-            column: 1,
+            line_start: 0,
+            wide: 0,
+            error: None,
         }
-    }
-
-    /// The source text this lexer reads from.
-    pub fn source(&self) -> &'src str {
-        self.source
     }
 
     fn span(&self) -> Span {
         Span {
             line: self.line,
-            column: self.column,
+            column: self.index - self.line_start - self.wide + 1,
         }
-    }
-
-    fn peek_byte(&self) -> Option<u8> {
-        self.source.as_bytes().get(self.index).copied()
     }
 
     /// The character at the cursor; the cursor is always on a boundary.
@@ -151,38 +149,39 @@ impl<'src> Lexer<'src> {
         self.source[self.index..].chars().next()
     }
 
-    /// Steps over `bytes` bytes holding `chars` characters, none a newline.
-    fn advance(&mut self, bytes: usize, chars: usize) {
-        self.index += bytes;
-        self.column += chars;
-    }
-
     /// Consumes the run of ASCII bytes `accepted` holds for and returns it.
     fn take_while(&mut self, accepted: impl Fn(u8) -> bool) -> &'src str {
         let rest = &self.source.as_bytes()[self.index..];
         let len = rest.iter().take_while(|&&byte| accepted(byte)).count();
-        let run = &self.source[self.index..self.index + len];
-        self.advance(len, len);
-        run
+        self.index += len;
+        &self.source[self.index - len..self.index]
     }
 
     fn skip_whitespace_and_comments(&mut self) {
-        while let Some(byte) = self.peek_byte() {
+        let bytes = self.source.as_bytes();
+        while let Some(&byte) = bytes.get(self.index) {
             match byte {
                 b'\n' => {
                     self.index += 1;
                     self.line += 1;
-                    self.column = 1;
+                    self.line_start = self.index;
+                    self.wide = 0;
                 }
-                b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' ' => self.advance(1, 1),
+                b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' ' => self.index += 1,
                 b'#' => {
-                    let rest = &self.source[self.index..];
-                    let comment = &rest[..rest.find('\n').unwrap_or(rest.len())];
-                    self.advance(comment.len(), comment.chars().count());
+                    let comment = &bytes[self.index..];
+                    let len = comment.iter().position(|&b| b == b'\n');
+                    let comment = &comment[..len.unwrap_or(comment.len())];
+                    let continuing = comment.iter().filter(|&&b| b & 0xC0 == 0x80);
+                    self.wide += continuing.count();
+                    self.index += comment.len();
                 }
                 // Whitespace beyond ASCII is still whitespace.
                 0x80.. => match self.peek_char() {
-                    Some(ch) if ch.is_whitespace() => self.advance(ch.len_utf8(), 1),
+                    Some(ch) if ch.is_whitespace() => {
+                        self.index += ch.len_utf8();
+                        self.wide += ch.len_utf8() - 1;
+                    }
                     _ => return,
                 },
                 _ => return,
@@ -201,11 +200,12 @@ impl<'src> Lexer<'src> {
     pub fn tokenize(mut self) -> Result<Vec<Token<'src>>, FrontendError> {
         // A token and the space after it rarely take fewer than two bytes.
         let mut tokens = Vec::with_capacity(self.source.len() / 2 + 1);
+        let mut token = Token::default();
         loop {
-            let token = self.next_token()?;
+            self.read(&mut token);
             tokens.push(token);
             if token.kind == TokenKind::Eof {
-                return Ok(tokens);
+                return self.error.map_or(Ok(tokens), Err);
             }
         }
     }
@@ -215,13 +215,33 @@ impl<'src> Lexer<'src> {
     ///
     /// # Errors
     ///
-    /// As [`Lexer::tokenize`], for the token in hand.
+    /// As [`Lexer::tokenize`], for the token in hand. A lexical error ends
+    /// the stream: every later call reports it again.
     pub fn next_token(&mut self) -> Result<Token<'src>, FrontendError> {
+        let mut token = Token::default();
+        self.read(&mut token);
+        match &self.error {
+            Some(error) if token.kind == TokenKind::Eof => Err(error.clone()),
+            _ => Ok(token),
+        }
+    }
+
+    /// Ends the stream at `error`.
+    fn fail(&mut self, error: FrontendError, token: &mut Token<'src>) {
+        self.error = Some(error);
+        self.index = self.source.len();
+        self.read(token);
+    }
+
+    /// Reads the next token into `token` where it lies, or
+    /// [`TokenKind::Eof`] once the input or a lexical error ends: the
+    /// parser's path carries no error and copies no returned token.
+    pub(crate) fn read(&mut self, token: &mut Token<'src>) {
         self.skip_whitespace_and_comments();
-        let span = self.span();
-        let Some(byte) = self.peek_byte() else {
-            let kind = TokenKind::Eof;
-            return Ok(Token { kind, span });
+        token.span = self.span();
+        let span = token.span;
+        let Some(&byte) = self.source.as_bytes().get(self.index) else {
+            return token.kind = TokenKind::Eof;
         };
         let kind = if byte.is_ascii_alphabetic() || byte == b'_' {
             match self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_') {
@@ -232,11 +252,13 @@ impl<'src> Lexer<'src> {
             }
         } else if byte.is_ascii_digit() {
             let text = self.take_while(|b| b.is_ascii_digit());
-            let magnitude = text.parse().ok().filter(|&m: &u32| m <= MAX_MAGNITUDE);
-            TokenKind::Number(magnitude.ok_or_else(|| FrontendError::LiteralOutOfRange {
-                text: text.to_owned(),
-                span,
-            })?)
+            match text.parse() {
+                Ok(magnitude) if magnitude <= MAX_MAGNITUDE => TokenKind::Number(magnitude),
+                _ => {
+                    let text = text.to_owned();
+                    return self.fail(FrontendError::LiteralOutOfRange { text, span }, token);
+                }
+            }
         } else {
             let second = self.source.as_bytes().get(self.index + 1);
             let kind = match byte {
@@ -256,15 +278,14 @@ impl<'src> Lexer<'src> {
                 b'<' if second == Some(&b'<') => TokenKind::ShiftLeft,
                 b'>' if second == Some(&b'>') => TokenKind::ShiftRight,
                 _ => {
-                    let ch = self.peek_char().expect("a byte is left");
-                    return Err(FrontendError::UnexpectedChar { ch, span });
+                    let ch = self.peek_char().unwrap_or_default();
+                    return self.fail(FrontendError::UnexpectedChar { ch, span }, token);
                 }
             };
-            let len = if matches!(byte, b'<' | b'>') { 2 } else { 1 };
-            self.advance(len, len);
+            self.index += if matches!(byte, b'<' | b'>') { 2 } else { 1 };
             kind
         };
-        Ok(Token { kind, span })
+        token.kind = kind;
     }
 }
 

@@ -14,11 +14,12 @@
 //! }
 //! ```
 //!
-//! The pipeline is: [`lexer`] → [`parser`] → [`ast`] → [`lower`] → a
-//! [`overlay_dfg::Dfg`] ready for scheduling. The [`kernels`] module contains
-//! the benchmark suite used in the paper's evaluation (Table III) plus the
-//! worked 'gradient' example, together with the characteristics and II
-//! figures the paper reports for them.
+//! [`compile_kernel_with`] reads the source once: the [`parser`] pulls tokens
+//! from the [`lexer`] and emits into [`lower`]'s graph sink, which builds a
+//! [`overlay_dfg::Dfg`] ready for scheduling; [`parse_kernel`] parses into an
+//! [`ast`] instead, which [`lower_kernel`] replays into the same sink. The
+//! [`kernels`] module holds the paper's benchmark suite (Table III) and the
+//! worked 'gradient' example, with the figures the paper reports for them.
 //!
 //! # Example
 //!
@@ -85,6 +86,7 @@ pub fn compile_kernel(source: &str) -> Result<Dfg, FrontendError> {
 ///
 /// Same as [`compile_kernel`].
 pub fn compile_kernel_with(source: &str, options: &LowerOptions) -> Result<Dfg, FrontendError> {
-    let kernel = parse_kernel(source)?;
-    lower_kernel(&kernel, options)
+    // An operand or an operator rarely takes fewer than 8 bytes, a binding 16.
+    let sink = lower::Lowerer::new(*options, source.len() / 8 + 8, source.len() / 16 + 8);
+    parser::parse(source, sink)
 }

@@ -6,6 +6,7 @@ use overlay_dfg::{Dfg, DfgBuilder, NodeId, NodeKind, Op, Value};
 
 use crate::ast::{BinaryOp, Expr, ExprId, Kernel, Stmt, UnaryFn};
 use crate::error::FrontendError;
+use crate::parser::Sink;
 
 /// Options controlling the lowering of kernel ASTs to DFGs.
 ///
@@ -56,9 +57,12 @@ impl LowerOptions {
     }
 }
 
-/// Lowers a parsed [`Kernel`] to a [`Dfg`].
+/// Lowers a parsed [`Kernel`] to a [`Dfg`] through the sink
+/// [`crate::compile_kernel_with`] parses into: both make the same graph.
 ///
 /// # Errors
+///
+/// The first in source order of:
 ///
 /// * [`FrontendError::DuplicateDefinition`] for re-bound names,
 /// * [`FrontendError::UndefinedVariable`] for uses of unknown names,
@@ -79,90 +83,88 @@ impl LowerOptions {
 /// # }
 /// ```
 pub fn lower_kernel(kernel: &Kernel<'_>, options: &LowerOptions) -> Result<Dfg, FrontendError> {
-    Lowerer::new(kernel, *options).lower()
+    // Every expression is at most one node, every output one more.
+    let nodes = kernel.params.len() + kernel.exprs.len() + kernel.body.len();
+    let mut lowerer = Lowerer::new(*options, nodes, kernel.params.len() + kernel.body.len());
+    lowerer.kernel(kernel.name);
+    for &param in &kernel.params {
+        lowerer.param(param);
+    }
+    for &stmt in &kernel.body {
+        let stmt = match stmt {
+            Stmt::Let { name, expr } => {
+                lowerer.define(name);
+                let expr = lowerer.replay(kernel, expr);
+                Stmt::Let { name, expr }
+            }
+            Stmt::Out { name, expr } => {
+                let expr = lowerer.replay(kernel, expr);
+                Stmt::Out { name, expr }
+            }
+        };
+        lowerer.stmt(stmt);
+    }
+    lowerer.finish()
 }
 
-struct Lowerer<'k, 'src> {
-    kernel: &'k Kernel<'src>,
+/// The graph sink: emits into a [`DfgBuilder`] through the scope, constant
+/// and CSE tables. It keeps the first error for [`Sink::finish`]; values
+/// after it are placeholders.
+pub(crate) struct Lowerer<'src> {
     options: LowerOptions,
+    name: &'src str,
+    /// Nodes to make room for once the kernel's name is known.
+    nodes: usize,
     /// Also the record of what each node is: its kind tells a literal or a
     /// parameter from an operation.
     builder: DfgBuilder,
-    /// Parameters and `let` bindings in definition order, searched linearly:
+    /// Parameters and `let` bindings with their [`key`]s, searched linearly:
     /// a kernel that fits an overlay binds a few dozen names.
-    scope: Vec<(&'src str, NodeId)>,
+    scope: Vec<(u64, &'src str, NodeId)>,
     /// The constant node of each literal value in use, searched linearly.
     constants: Vec<(i32, NodeId)>,
     /// `(op, operands)` to the node computing it, with one operand repeated
     /// for a unary operation and a commutative pair sorted; filled only under
     /// [`LowerOptions::cse`].
     cse_cache: HashMap<(Op, [NodeId; 2]), NodeId>,
+    has_output: bool,
+    error: Option<FrontendError>,
 }
 
-impl<'k, 'src> Lowerer<'k, 'src> {
-    fn new(kernel: &'k Kernel<'src>, options: LowerOptions) -> Self {
-        // Every expression is at most one node, every output one more.
-        let nodes = kernel.params.len() + kernel.exprs.len() + kernel.body.len();
+/// The first eight bytes of `name`, zero-padded: names in scope are compared
+/// by it and their length, and by their text only past eight bytes.
+fn key(name: &str) -> u64 {
+    // Shifted in, not copied: a copy's call stalls the read of the word.
+    let bytes = name.bytes().take(8).enumerate();
+    bytes.fold(0, |key, (at, byte)| key | u64::from(byte) << (8 * at))
+}
+
+/// What a value is after a lowering error.
+const PLACEHOLDER: NodeId = NodeId::from_raw(0);
+
+impl<'src> Lowerer<'src> {
+    /// A sink with room for `nodes` nodes and `names` bindings.
+    pub(crate) fn new(options: LowerOptions, nodes: usize, names: usize) -> Self {
         Lowerer {
-            kernel,
             options,
-            builder: DfgBuilder::with_capacity(kernel.name, nodes),
-            scope: Vec::with_capacity(kernel.params.len() + kernel.body.len()),
+            name: "",
+            nodes,
+            builder: DfgBuilder::new(""),
+            scope: Vec::with_capacity(names),
             constants: Vec::new(),
             cse_cache: HashMap::new(),
+            has_output: false,
+            error: None,
         }
     }
 
     fn lookup(&self, name: &str) -> Option<NodeId> {
-        let binding = self.scope.iter().find(|(bound, _)| *bound == name);
-        binding.map(|&(_, id)| id)
-    }
-
-    fn check_undefined(&self, name: &str) -> Result<(), FrontendError> {
-        match self.lookup(name) {
-            Some(_) => Err(FrontendError::DuplicateDefinition {
-                name: name.to_owned(),
-            }),
-            None => Ok(()),
-        }
-    }
-
-    fn lower(mut self) -> Result<Dfg, FrontendError> {
-        for &param in &self.kernel.params {
-            self.check_undefined(param)?;
-            let id = self.builder.input(param);
-            self.scope.push((param, id));
-        }
-
-        let mut has_output = false;
-        for stmt in &self.kernel.body {
-            match *stmt {
-                Stmt::Let { name, expr } => {
-                    self.check_undefined(name)?;
-                    let id = self.lower_expr(expr)?;
-                    self.scope.push((name, id));
-                }
-                Stmt::Out { name, expr } => {
-                    has_output = true;
-                    let id = self.lower_expr(expr)?;
-                    // Outputs must be driven by an operation node; wrap bare
-                    // inputs/constants in a MOV so the FU forwards them.
-                    let is_operation = self.builder.node(id).and_then(|node| node.op()).is_some();
-                    let source = if is_operation {
-                        id
-                    } else {
-                        self.emit(Op::Mov, &[id])?
-                    };
-                    self.builder.output(name, source);
-                }
-            }
-        }
-        if !has_output {
-            return Err(FrontendError::NoOutputs {
-                kernel: self.kernel.name.to_owned(),
-            });
-        }
-        Ok(self.builder.build()?)
+        let key = key(name);
+        let mut scope = self.scope.iter();
+        let binding = scope.find(|&&(bound_key, bound, _)| {
+            bound_key == key && bound.len() == name.len() && (name.len() <= 8 || bound == name)
+        });
+        binding.map(|&(_, _, id)| id)
     }
 
     /// The value of a node that is a literal.
@@ -182,79 +184,140 @@ impl<'k, 'src> Lowerer<'k, 'src> {
         id
     }
 
-    /// The node computing `op` over `operands` (one or two of them).
-    fn emit(&mut self, op: Op, operands: &[NodeId]) -> Result<NodeId, FrontendError> {
-        // A unary operation's one operand stands twice.
-        let pair = [operands[0], operands[operands.len() - 1]];
+    /// The node computing `op` over `operands`; a unary operation's one
+    /// operand stands twice.
+    fn emit(&mut self, op: Op, operands: [NodeId; 2]) -> NodeId {
+        let arity = op.arity();
         // Constant folding.
         if self.options.fold_constants {
-            if let [Some(first), Some(second)] = pair.map(|id| self.literal(id)) {
-                if let Ok(folded) = op.apply(&[first, second][..operands.len()]) {
-                    return Ok(self.constant(folded.get()));
+            if let [Some(first), Some(second)] = operands.map(|id| self.literal(id)) {
+                if let Ok(folded) = op.apply(&[first, second][..arity]) {
+                    return self.constant(folded.get());
                 }
             }
         }
         // Common subexpression elimination.
+        let mut key = (op, operands);
         if self.options.cse {
-            let mut key = (op, pair);
             if op.is_commutative() {
                 key.1.sort();
             }
             if let Some(&existing) = self.cse_cache.get(&key) {
-                return Ok(existing);
+                return existing;
             }
-            let id = self.builder.op(op, operands)?;
-            self.cse_cache.insert(key, id);
-            return Ok(id);
         }
-        Ok(self.builder.op(op, operands)?)
+        match self.builder.op(op, &operands[..arity]) {
+            Ok(id) => {
+                if self.options.cse {
+                    self.cse_cache.insert(key, id);
+                }
+                id
+            }
+            Err(error) => {
+                self.error.get_or_insert(error.into());
+                PLACEHOLDER
+            }
+        }
     }
 
-    fn lower_expr(&mut self, expr: ExprId) -> Result<NodeId, FrontendError> {
-        match self.kernel.expr(expr) {
-            Expr::Var(name) => self
-                .lookup(name)
-                .ok_or_else(|| FrontendError::UndefinedVariable {
-                    name: name.to_owned(),
-                }),
-            Expr::Literal(value) => Ok(self.constant(value)),
-            Expr::Neg(inner) => {
-                let operand = self.lower_expr(inner)?;
-                self.emit(Op::Neg, &[operand])
+    /// Replays `expr` of `kernel` into this sink, operands first.
+    fn replay(&mut self, kernel: &Kernel<'src>, expr: ExprId) -> NodeId {
+        let expr = kernel
+            .expr(expr)
+            .map(|operand| self.replay(kernel, operand));
+        self.expr(expr)
+    }
+}
+
+impl<'src> Sink<'src> for Lowerer<'src> {
+    type Value = NodeId;
+    type Output = Dfg;
+
+    fn kernel(&mut self, name: &'src str) {
+        self.name = name;
+        self.builder = DfgBuilder::with_capacity(name, self.nodes);
+    }
+
+    fn param(&mut self, name: &'src str) {
+        self.define(name);
+        let id = self.builder.input(name);
+        self.scope.push((key(name), name, id));
+    }
+
+    fn define(&mut self, name: &'src str) {
+        if self.lookup(name).is_some() {
+            let name = name.to_owned();
+            self.error
+                .get_or_insert(FrontendError::DuplicateDefinition { name });
+        }
+    }
+
+    fn stmt(&mut self, stmt: Stmt<'src, NodeId>) {
+        let (name, id) = match stmt {
+            Stmt::Let { name, expr } => return self.scope.push((key(name), name, expr)),
+            Stmt::Out { name, expr } => (name, expr),
+        };
+        self.has_output = true;
+        // Outputs must be driven by an operation node; wrap bare
+        // inputs/constants in a MOV so the FU forwards them.
+        let source = match self.builder.node(id).and_then(|node| node.op()) {
+            Some(_) => id,
+            None => self.emit(Op::Mov, [id; 2]),
+        };
+        self.builder.output(name, source);
+    }
+
+    fn expr(&mut self, expr: Expr<'src, NodeId>) -> NodeId {
+        let (op, operands) = match expr {
+            Expr::Var(name) => {
+                return self.lookup(name).unwrap_or_else(|| {
+                    let name = name.to_owned();
+                    self.error
+                        .get_or_insert(FrontendError::UndefinedVariable { name });
+                    PLACEHOLDER
+                })
+            }
+            Expr::Literal(value) => return self.constant(value),
+            Expr::Neg(operand) => (Op::Neg, [operand; 2]),
+            Expr::Binary { op, lhs, rhs } => {
+                if self.options.detect_squares && op == BinaryOp::Mul && lhs == rhs {
+                    (Op::Square, [lhs; 2])
+                } else {
+                    let op = match op {
+                        BinaryOp::Add => Op::Add,
+                        BinaryOp::Sub => Op::Sub,
+                        BinaryOp::Mul => Op::Mul,
+                        BinaryOp::Shl => Op::Shl,
+                        BinaryOp::Shr => Op::Shr,
+                        BinaryOp::And => Op::And,
+                        BinaryOp::Or => Op::Or,
+                        BinaryOp::Xor => Op::Xor,
+                    };
+                    (op, [lhs, rhs])
+                }
             }
             Expr::Call { function, args } => {
-                let mut operands = [NodeId::from_raw(0); 2];
-                let arity = function.arity();
-                for (operand, &arg) in operands.iter_mut().zip(&args[..arity]) {
-                    *operand = self.lower_expr(arg)?;
-                }
                 let op = match function {
                     UnaryFn::Sqr => Op::Square,
                     UnaryFn::Abs => Op::Abs,
                     UnaryFn::Min => Op::Min,
                     UnaryFn::Max => Op::Max,
                 };
-                self.emit(op, &operands[..arity])
+                (op, args)
             }
-            Expr::Binary { op, lhs, rhs } => {
-                let lhs_id = self.lower_expr(lhs)?;
-                let rhs_id = self.lower_expr(rhs)?;
-                if self.options.detect_squares && op == BinaryOp::Mul && lhs_id == rhs_id {
-                    return self.emit(Op::Square, &[lhs_id]);
-                }
-                let op = match op {
-                    BinaryOp::Add => Op::Add,
-                    BinaryOp::Sub => Op::Sub,
-                    BinaryOp::Mul => Op::Mul,
-                    BinaryOp::Shl => Op::Shl,
-                    BinaryOp::Shr => Op::Shr,
-                    BinaryOp::And => Op::And,
-                    BinaryOp::Or => Op::Or,
-                    BinaryOp::Xor => Op::Xor,
-                };
-                self.emit(op, &[lhs_id, rhs_id])
-            }
+        };
+        self.emit(op, operands)
+    }
+
+    fn finish(self) -> Result<Dfg, FrontendError> {
+        if let Some(error) = self.error {
+            return Err(error);
         }
+        if !self.has_output {
+            let kernel = self.name.to_owned();
+            return Err(FrontendError::NoOutputs { kernel });
+        }
+        Ok(self.builder.build()?)
     }
 }
 

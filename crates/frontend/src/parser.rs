@@ -42,26 +42,95 @@ use crate::lexer::{Lexer, Token, TokenKind, MAX_MAGNITUDE};
 /// # }
 /// ```
 pub fn parse_kernel(source: &str) -> Result<Kernel<'_>, FrontendError> {
-    let mut lexer = Lexer::new(source);
-    let current = lexer.next_token()?;
     // An operand or an operator rarely takes fewer than 8 bytes, a statement
     // fewer than 16.
     let mut kernel = Kernel::new("", source.len() / 8 + 8);
     kernel.body.reserve(source.len() / 16);
-    Parser {
-        lexer,
-        current,
-        kernel,
-    }
-    .kernel()
+    parse(source, kernel)
 }
 
-/// Reads tokens as it needs them, one ahead. A lexical error anywhere in the
-/// source still outranks a syntax error before it: see [`Parser::fail`].
-struct Parser<'src> {
+/// What the parser emits into, in source order: an AST ([`Kernel`]) or a
+/// graph (the lowering's sink). A literal reaches it once it is an operand,
+/// a binding or an output: a unary minus folds into it until then.
+pub(crate) trait Sink<'src> {
+    /// An expression's value: an AST node or a graph node.
+    type Value: Copy;
+    /// What a complete kernel becomes.
+    type Output;
+
+    /// `kernel NAME`.
+    fn kernel(&mut self, name: &'src str);
+    /// One parameter, in stream order.
+    fn param(&mut self, name: &'src str);
+    /// `let NAME =`, before its expression.
+    fn define(&mut self, _name: &'src str) {}
+    /// A whole statement, after its expression.
+    fn stmt(&mut self, stmt: Stmt<'src, Self::Value>);
+    /// An expression, after its operands.
+    fn expr(&mut self, expr: Expr<'src, Self::Value>) -> Self::Value;
+    /// The whole kernel has parsed without a lexical or syntax error.
+    fn finish(self) -> Result<Self::Output, FrontendError>;
+}
+
+impl<'src> Sink<'src> for Kernel<'src> {
+    type Value = ExprId;
+    type Output = Self;
+
+    fn kernel(&mut self, name: &'src str) {
+        self.name = name;
+    }
+
+    fn param(&mut self, name: &'src str) {
+        self.params.push(name);
+    }
+
+    fn stmt(&mut self, stmt: Stmt<'src>) {
+        self.body.push(stmt);
+    }
+
+    fn expr(&mut self, expr: Expr<'src>) -> ExprId {
+        self.add(expr)
+    }
+
+    fn finish(self) -> Result<Self, FrontendError> {
+        Ok(self)
+    }
+}
+
+/// Parses `source` into `sink`. A lexical error anywhere outranks a syntax
+/// error, and either outranks what [`Sink::finish`] reports.
+pub(crate) fn parse<'src, S: Sink<'src>>(
+    source: &'src str,
+    sink: S,
+) -> Result<S::Output, FrontendError> {
+    let mut lexer = Lexer::new(source);
+    let mut current = Token::default();
+    lexer.read(&mut current);
+    let mut parser = Parser {
+        lexer,
+        current,
+        sink,
+    };
+    parser.kernel().map_err(|error| *error)?;
+    parser.sink.finish()
+}
+
+/// A parse step's result: the rare error boxed, so a result is a word or two.
+type Parsed<T> = Result<T, Box<FrontendError>>;
+
+/// An expression as the parser holds it: a literal is not yet in the sink.
+#[derive(Clone, Copy)]
+enum Operand<V> {
+    Literal(i32),
+    Value(V),
+}
+
+/// Reads tokens as it needs them, one ahead. A lexical error ends the
+/// stream and waits on the lexer until the parser meets its end.
+struct Parser<'src, S> {
     lexer: Lexer<'src>,
     current: Token<'src>,
-    kernel: Kernel<'src>,
+    sink: S,
 }
 
 /// The operator a token stands for between two operands, and how tightly it
@@ -80,25 +149,22 @@ fn binary_operator(kind: TokenKind<'_>) -> Option<(BinaryOp, usize)> {
     })
 }
 
-impl<'src> Parser<'src> {
-    fn bump(&mut self) -> Result<(), FrontendError> {
-        self.current = self.lexer.next_token()?;
-        Ok(())
+impl<'src, S: Sink<'src>> Parser<'src, S> {
+    fn bump(&mut self) {
+        self.lexer.read(&mut self.current);
     }
 
     /// The error to report for the syntax error `error`: the first lexical
     /// error in what is left of the source if there is one, as if the whole
     /// source had been tokenised before parsing began.
-    fn fail(&mut self, error: FrontendError) -> FrontendError {
+    fn fail(&mut self, error: FrontendError) -> Box<FrontendError> {
         while self.current.kind != TokenKind::Eof {
-            if let Err(lexical) = self.bump() {
-                return lexical;
-            }
+            self.bump();
         }
-        error
+        Box::new(self.lexer.error.take().unwrap_or(error))
     }
 
-    fn unexpected(&mut self, expected: &str) -> FrontendError {
+    fn unexpected(&mut self, expected: &str) -> Box<FrontendError> {
         let token = self.current;
         let expected = expected.to_owned();
         self.fail(if token.kind == TokenKind::Eof {
@@ -112,18 +178,18 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn expect(&mut self, kind: TokenKind<'_>, expected: &str) -> Result<(), FrontendError> {
-        if self.current.kind == kind {
-            self.bump()
-        } else {
-            Err(self.unexpected(expected))
+    fn expect(&mut self, kind: TokenKind<'_>, expected: &str) -> Parsed<()> {
+        if self.current.kind != kind {
+            return Err(self.unexpected(expected));
         }
+        self.bump();
+        Ok(())
     }
 
-    fn expect_ident(&mut self, expected: &str) -> Result<&'src str, FrontendError> {
+    fn expect_ident(&mut self, expected: &str) -> Parsed<&'src str> {
         match self.current.kind {
             TokenKind::Ident(name) => {
-                self.bump()?;
+                self.bump();
                 Ok(name)
             }
             _ => Err(self.unexpected(expected)),
@@ -131,23 +197,32 @@ impl<'src> Parser<'src> {
     }
 
     /// Whether a comma was consumed, i.e. another list element follows.
-    fn comma(&mut self) -> Result<bool, FrontendError> {
+    fn comma(&mut self) -> bool {
         let found = self.current.kind == TokenKind::Comma;
         if found {
-            self.bump()?;
+            self.bump();
         }
-        Ok(found)
+        found
     }
 
-    fn kernel(mut self) -> Result<Kernel<'src>, FrontendError> {
+    /// `operand` as a sink value, materialising a literal.
+    fn value(&mut self, operand: Operand<S::Value>) -> S::Value {
+        match operand {
+            Operand::Literal(value) => self.sink.expr(Expr::Literal(value)),
+            Operand::Value(value) => value,
+        }
+    }
+
+    fn kernel(&mut self) -> Parsed<()> {
         self.expect(TokenKind::Kernel, "`kernel`")?;
-        self.kernel.name = self.expect_ident("kernel name")?;
+        let name = self.expect_ident("kernel name")?;
+        self.sink.kernel(name);
         self.expect(TokenKind::LParen, "`(`")?;
         if self.current.kind != TokenKind::RParen {
             loop {
                 let param = self.expect_ident("parameter name")?;
-                self.kernel.params.push(param);
-                if !self.comma()? {
+                self.sink.param(param);
+                if !self.comma() {
                     break;
                 }
             }
@@ -155,72 +230,82 @@ impl<'src> Parser<'src> {
         self.expect(TokenKind::RParen, "`)`")?;
         self.expect(TokenKind::LBrace, "`{`")?;
         while self.current.kind != TokenKind::RBrace {
-            let stmt = self.stmt()?;
-            self.kernel.body.push(stmt);
+            self.stmt()?;
         }
         self.expect(TokenKind::RBrace, "`}`")?;
-        self.expect(TokenKind::Eof, "end of input")?;
-        Ok(self.kernel)
+        if self.current.kind != TokenKind::Eof {
+            return Err(self.unexpected("end of input"));
+        }
+        self.lexer
+            .error
+            .take()
+            .map_or(Ok(()), |lexical| Err(Box::new(lexical)))
     }
 
-    fn stmt(&mut self) -> Result<Stmt<'src>, FrontendError> {
+    fn stmt(&mut self) -> Parsed<()> {
         let is_out = match self.current.kind {
             TokenKind::Let => false,
             TokenKind::Out => true,
             _ => return Err(self.unexpected("`let` or `out`")),
         };
-        self.bump()?;
+        self.bump();
         let name = self.expect_ident("binding name")?;
+        if !is_out {
+            self.sink.define(name);
+        }
         self.expect(TokenKind::Equals, "`=`")?;
-        let expr = self.expr()?;
+        let expr = self.binary(0)?;
         self.expect(TokenKind::Semicolon, "`;`")?;
-        Ok(if is_out {
+        let expr = self.value(expr);
+        self.sink.stmt(if is_out {
             Stmt::Out { name, expr }
         } else {
             Stmt::Let { name, expr }
-        })
-    }
-
-    fn expr(&mut self) -> Result<ExprId, FrontendError> {
-        self.binary(0)
+        });
+        Ok(())
     }
 
     /// Precedence climbing: a `unary`, then every operator binding at least
     /// as tightly as `min_binding`, each taking as its right operand what
     /// binds tighter still — so operators of one level associate to the left.
-    fn binary(&mut self, min_binding: usize) -> Result<ExprId, FrontendError> {
+    /// Operands reach the sink in the order an AST walk visits them.
+    fn binary(&mut self, min_binding: usize) -> Parsed<Operand<S::Value>> {
         let mut lhs = self.unary()?;
         while let Some((op, binding)) = binary_operator(self.current.kind) {
             if binding < min_binding {
                 break;
             }
-            self.bump()?;
+            let lhs_value = self.value(lhs);
+            self.bump();
             let rhs = self.binary(binding + 1)?;
-            lhs = self.kernel.add(Expr::Binary { op, lhs, rhs });
+            let rhs = self.value(rhs);
+            lhs = Operand::Value(self.sink.expr(Expr::Binary {
+                op,
+                lhs: lhs_value,
+                rhs,
+            }));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<ExprId, FrontendError> {
+    fn unary(&mut self) -> Parsed<Operand<S::Value>> {
         if self.current.kind != TokenKind::Minus {
             return self.primary();
         }
-        self.bump()?;
+        self.bump();
         // The one magnitude that fits only negated.
         if self.current.kind == TokenKind::Number(MAX_MAGNITUDE) {
-            self.bump()?;
-            return Ok(self.kernel.add(Expr::Literal(i32::MIN)));
+            self.bump();
+            return Ok(Operand::Literal(i32::MIN));
         }
-        let inner = self.unary()?;
-        // Fold negation of literals immediately so `-5` is a literal.
-        if let Expr::Literal(value) = self.kernel.expr_mut(inner) {
-            *value = value.wrapping_neg();
-            return Ok(inner);
-        }
-        Ok(self.kernel.add(Expr::Neg(inner)))
+        // Negation of a literal folds, so `-5` is a literal.
+        Ok(match self.unary()? {
+            Operand::Literal(value) => Operand::Literal(value.wrapping_neg()),
+            Operand::Value(inner) => Operand::Value(self.sink.expr(Expr::Neg(inner))),
+        })
     }
 
-    fn primary(&mut self) -> Result<ExprId, FrontendError> {
+    fn primary(&mut self) -> Parsed<Operand<S::Value>> {
         let token = self.current;
         match token.kind {
             TokenKind::Number(magnitude) => {
@@ -230,33 +315,34 @@ impl<'src> Parser<'src> {
                         span: token.span,
                     }));
                 };
-                self.bump()?;
-                Ok(self.kernel.add(Expr::Literal(value)))
+                self.bump();
+                Ok(Operand::Literal(value))
             }
             TokenKind::LParen => {
-                self.bump()?;
-                let expr = self.expr()?;
+                self.bump();
+                let expr = self.binary(0)?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(expr)
             }
             TokenKind::Ident(name) => {
-                self.bump()?;
+                self.bump();
                 if self.current.kind != TokenKind::LParen {
-                    return Ok(self.kernel.add(Expr::Var(name)));
+                    return Ok(Operand::Value(self.sink.expr(Expr::Var(name))));
                 }
-                self.bump()?;
+                self.bump();
                 // No intrinsic takes more than two arguments; the rest are
                 // parsed and counted.
                 let mut args = [None; 2];
                 let mut found = 0;
                 if self.current.kind != TokenKind::RParen {
                     loop {
-                        let arg = self.expr()?;
+                        let arg = self.binary(0)?;
+                        let arg = self.value(arg);
                         if let Some(slot) = args.get_mut(found) {
                             *slot = Some(arg);
                         }
                         found += 1;
-                        if !self.comma()? {
+                        if !self.comma() {
                             break;
                         }
                     }
@@ -268,16 +354,17 @@ impl<'src> Parser<'src> {
                         span: token.span,
                     }));
                 };
-                if found != function.arity() {
+                let (Some(first), true) = (args[0], found == function.arity()) else {
                     return Err(self.fail(FrontendError::WrongArgumentCount {
                         name: name.to_owned(),
                         expected: function.arity(),
                         found,
                     }));
-                }
-                let first = args[0].expect("every intrinsic takes an argument");
+                };
                 let args = [first, args[1].unwrap_or(first)];
-                Ok(self.kernel.add(Expr::Call { function, args }))
+                Ok(Operand::Value(
+                    self.sink.expr(Expr::Call { function, args }),
+                ))
             }
             _ => Err(self.unexpected("an expression")),
         }
@@ -300,7 +387,7 @@ mod tests {
         let kernel = parse_kernel("kernel k(a, b, c) { let t = a + b; out y = t * c; }").unwrap();
         assert_eq!(kernel.params, vec!["a", "b", "c"]);
         assert_eq!(kernel.body.len(), 2);
-        assert_eq!(kernel.output_names(), vec!["y"]);
+        assert!(matches!(kernel.body[1], Stmt::Out { name: "y", .. }));
     }
 
     #[test]
