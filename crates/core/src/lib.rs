@@ -16,12 +16,12 @@
 //!   ingestion, virtual-time event loop, kernel cache, context-switch- and
 //!   deadline-aware dispatch, memoized functional simulation),
 //!
-//! behind four entry points: [`Compiler`] (kernel source →
+//! behind three entry points: [`Compiler`] (kernel source →
 //! [`CompiledKernel`]), [`Overlay`] (a configured overlay instance that
-//! executes compiled kernels and reports performance), [`Runtime`] (a
-//! tile array serving whole request traces) and [`Cluster`] (several
-//! device arrays behind one dispatcher tier with kernel-hash /
-//! least-loaded / power-of-two routing and a transfer-cost model).
+//! executes compiled kernels and reports performance) and [`Cluster`] (the
+//! serving runtime: one or more tile arrays behind one event loop, with
+//! kernel-hash / least-loaded / power-of-two routing and a transfer-cost
+//! model between them).
 //!
 //! # Quickstart
 //!
@@ -52,7 +52,7 @@
 //!
 //! # Serving a live request stream on a tile array
 //!
-//! The [`Runtime`] scales the single-overlay flow out to a pool of
+//! A one-device [`Cluster`] scales the single-overlay flow out to a pool of
 //! NoC-connected tiles (Sec. III-A.3) and serves *online*: requests stream
 //! in through a bounded [`Submitter`] channel, every placement decision
 //! happens at an arrival or completion event against live per-tile queue
@@ -61,10 +61,10 @@
 //! overload.
 //!
 //! ```
-//! use tm_overlay::{DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, Workload};
+//! use tm_overlay::{Cluster, DispatchPolicy, FuVariant, KernelSpec, Request, Workload};
 //!
 //! # fn main() -> Result<(), tm_overlay::runtime::RuntimeError> {
-//! let mut runtime = Runtime::new(FuVariant::V4, 4)?
+//! let mut runtime = Cluster::new(FuVariant::V4, 1, 4)?
 //!     .with_policy(DispatchPolicy::EarliestDeadlineFirst);
 //! let kernel = KernelSpec::from_source(
 //!     "saxpy",
@@ -86,8 +86,11 @@
 //! # }
 //! ```
 //!
-//! Pre-collected traces still work through the thin
-//! [`Runtime::serve`] shim, which streams them in submission order.
+//! A pre-collected trace goes through [`Cluster::serve`], which dispatches
+//! it in submission order exactly as the stream above would be, with no
+//! channel or feeder thread in between. More devices are
+//! `Cluster::new(variant, devices, tiles)`; every serve returns a
+//! [`ServeReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -123,12 +126,15 @@ pub use overlay_arch::{FuVariant, OverlayConfig};
 pub use overlay_frontend::Benchmark;
 pub use overlay_runtime::{
     explain, Attribution, AttributionReport, BatchConfig, BatchStats, BurnAlert, ClassMetrics,
-    Cluster, ClusterReport, DeviceMetrics, DispatchPolicy, FaultEvent, FaultKind, FaultPlan,
-    FlashCrowd, KernelSpec, LogHistogram, PipelineOutcome, PipelineReport, PipelineRequest,
-    PipelineStage, ProfileStats, ReplicationConfig, ReplicationStats, Request, RoutePolicy,
-    Runtime, RuntimeMetrics, Scenario, ScenarioArrival, ScenarioConfig, ServeReport, Session,
-    SloClass, SloConfig, SloObjective, SloReport, StageMetrics, SubmitError, Submitter,
-    TelemetryConfig, TimeSeries, Trace, TraceConfig, TransferModel,
+    Cluster, DeviceMetrics, DispatchPolicy, FaultEvent, FaultKind, FaultPlan, FlashCrowd,
+    KernelSpec, LogHistogram, PipelineOutcome, PipelineReport, PipelineRequest, PipelineStage,
+    ProfileStats, ReplicationConfig, ReplicationStats, Request, RoutePolicy, RuntimeMetrics,
+    Scenario, ScenarioArrival, ScenarioConfig, ServeReport, Session, SloClass, SloConfig,
+    SloObjective, SloReport, StageMetrics, SubmitError, Submitter, TelemetryConfig, TimeSeries,
+    Trace, TraceConfig, TransferModel,
 };
+// Kept, hidden, for the frozen benchmark harness only.
+#[doc(hidden)]
+pub use overlay_runtime::{ClusterReport, Runtime};
 pub use overlay_scheduler::CompiledKernel;
 pub use overlay_sim::{SimRun, Workload};

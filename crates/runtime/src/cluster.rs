@@ -1,7 +1,7 @@
-//! The multi-device cluster tier: several NoC tile arrays ([`Device`]s)
-//! behind one event loop, one [`Submitter`] and a device-routing layer.
+//! The serving runtime: one or more NoC tile arrays ([`Device`]s) behind
+//! one event loop, one [`Submitter`] and a device-routing layer.
 //!
-//! A [`Cluster`] scales the serving runtime past a single FPGA: each device
+//! A [`Cluster`] is the only serving type, from one device up: each device
 //! wraps its own [`TilePool`] (with its PR 3 residency index), its own
 //! [`KernelCache`] acting as the device-local kernel-image store, and its
 //! own [`Dispatcher`]. Every arrival is **routed** to a device by a
@@ -18,12 +18,13 @@
 //! [`DeviceMetrics`] report utilization, queue depth, cache hit rate and
 //! the transfer traffic; cluster totals reuse [`RuntimeMetrics`].
 //!
-//! A 1-device cluster is the degenerate case, and it is what a [`Runtime`]
-//! is: routing collapses to device 0 and no image is ever acquired (they
-//! enter the store at compile time). The one event loop here is compiled in
-//! two tiers — `plain` for one device with no fault plan installed, no
-//! session driver and replication off, where every routing, fault and
-//! session step folds away at compile time; `fleet` for everything else —
+//! A 1-device cluster (`Cluster::new(variant, 1, tiles)` or
+//! [`Cluster::from_noc`]) is the degenerate case: routing collapses to
+//! device 0 and no image is ever acquired (they enter the store at compile
+//! time). The one event loop here is compiled in two tiers — `plain` for
+//! one device with no fault plan installed, no session driver and
+//! replication off, where every routing, fault and session step folds away
+//! at compile time; `fleet` for everything else —
 //! and a serve picks its tier once, from what it can observe. Every fleet
 //! serve arms the fault state, from no events when no plan is installed, so
 //! a fault-free fleet serve *is* the empty-plan serve and routing, transfer
@@ -66,7 +67,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use overlay_arch::{FuVariant, ReconfigModel, TileComposition};
+use overlay_arch::{FuVariant, NocConfig, ReconfigModel, TileComposition};
 use overlay_frontend::LowerOptions;
 
 use crate::cache::CacheStats;
@@ -88,8 +89,8 @@ use crate::session::{
 use crate::{
     compact_outcomes, prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher,
     InFlight, Ingest, KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest,
-    ReplicationConfig, Request, RequestOutcome, Runtime, RuntimeError, ServeReport, SimMemo,
-    SimResults, Submitter, TilePool,
+    ReplicationConfig, Request, RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults,
+    Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -126,123 +127,6 @@ impl Device {
     /// least-loaded is the minimum.
     fn load_key(&self) -> (usize, usize, usize) {
         (self.pool.total_waiting(), self.busy_tiles, self.id)
-    }
-}
-
-/// The result of one cluster serve: per-request outcomes (with their device
-/// ids, in submission order), admission rejects, cluster-total
-/// [`RuntimeMetrics`] and the per-device [`DeviceMetrics`] breakdown.
-#[derive(Debug, Clone)]
-pub struct ClusterReport {
-    /// Everything a [`Runtime`] reports; its serve hands back just this.
-    pub(crate) serve: ServeReport,
-    route: RoutePolicy,
-    devices: Vec<DeviceMetrics>,
-    replication: ReplicationStats,
-}
-
-impl ClusterReport {
-    /// Per-request outcomes of every *admitted* request, in submission
-    /// order. Each outcome's [`device`](RequestOutcome::device) records the
-    /// routing decision; [`tile`](RequestOutcome::tile) is device-local.
-    pub fn outcomes(&self) -> &[RequestOutcome] {
-        self.serve.outcomes()
-    }
-
-    /// Requests rejected by admission control, in submission order.
-    pub fn rejected(&self) -> &[RejectedRequest] {
-        self.serve.rejected()
-    }
-
-    /// Cluster-total serving metrics (per-tile vectors are device-major
-    /// concatenations across the cluster).
-    pub fn metrics(&self) -> &RuntimeMetrics {
-        self.serve.metrics()
-    }
-
-    /// The per-device metrics breakdown, indexed by device id.
-    pub fn device_metrics(&self) -> &[DeviceMetrics] {
-        &self.devices
-    }
-
-    /// The tile-dispatch policy that produced this report.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.serve.policy()
-    }
-
-    /// The device-routing policy that produced this report.
-    pub fn route_policy(&self) -> RoutePolicy {
-        self.route
-    }
-
-    /// Total kernel images moved over the inter-device link.
-    pub fn transfers(&self) -> usize {
-        self.devices.iter().map(|d| d.transfers_in).sum()
-    }
-
-    /// Total bytes moved over the inter-device link.
-    pub fn transfer_bytes(&self) -> u64 {
-        self.devices.iter().map(|d| d.transfer_bytes_in).sum()
-    }
-
-    /// Total kernel images loaded from the host (local cold loads).
-    pub fn host_loads(&self) -> usize {
-        self.devices.iter().map(|d| d.host_loads).sum()
-    }
-
-    /// Total requests displaced off dead or draining devices and sent back
-    /// through routing (0 on a fault-free serve).
-    pub fn requeues(&self) -> usize {
-        self.devices.iter().map(|d| d.requeues_out).sum()
-    }
-
-    /// Total started-but-abandoned execution time destroyed by device
-    /// kills, in virtual microseconds (0 on a fault-free serve).
-    pub fn lost_work_us(&self) -> f64 {
-        self.devices.iter().map(|d| d.lost_work_us).sum()
-    }
-
-    /// Total faults (kills + drains) that hit the fleet during the serve.
-    pub fn faults(&self) -> usize {
-        self.devices.iter().map(|d| d.faults).sum()
-    }
-
-    /// Per-device availability — the fraction of the serve's makespan each
-    /// device was alive and admitting, indexed by device id (all 1.0 on a
-    /// fault-free serve).
-    pub fn availability(&self) -> Vec<f64> {
-        self.devices.iter().map(|d| d.availability).collect()
-    }
-
-    /// The replication layer's counters for this serve (all zero while
-    /// replication is disabled, the default).
-    pub fn replication(&self) -> ReplicationStats {
-        self.replication
-    }
-
-    /// Every request's lifecycle spans, when the serve ran with
-    /// [`Cluster::with_tracing`] enabled (see [`ServeReport::trace`]).
-    pub fn trace(&self) -> Option<&obs::Trace> {
-        self.serve.trace()
-    }
-
-    /// Per-stage host-time attribution, when the serve ran with
-    /// [`Cluster::with_profiling`] enabled.
-    pub fn profile(&self) -> Option<&obs::ProfileStats> {
-        self.serve.profile()
-    }
-
-    /// The windowed time-series over the serve's virtual timeline, when the
-    /// serve ran with [`Cluster::with_telemetry`] enabled.
-    pub fn telemetry(&self) -> Option<&obs::TimeSeries> {
-        self.serve.telemetry()
-    }
-
-    /// SLO burn-rate evaluation of the telemetry series, when the serve ran
-    /// with both [`Cluster::with_telemetry`] and [`Cluster::with_slo`]
-    /// enabled.
-    pub fn slo(&self) -> Option<&obs::SloReport> {
-        self.serve.slo()
     }
 }
 
@@ -332,11 +216,12 @@ struct ClusterLoopOutput {
     slo: Option<obs::SloReport>,
 }
 
-/// A multi-device serving cluster over one overlay variant.
+/// The serving runtime: one or more devices of one overlay variant behind
+/// one event loop.
 ///
-/// See the [module-level documentation](self) for the moving parts and an
-/// end-to-end example. A [`Runtime`] is a 1-device cluster: its builders
-/// and accessors delegate to the ones here.
+/// See the [crate-level documentation](crate) for the moving parts and a
+/// streaming example, and the [module-level documentation](self) for
+/// routing across devices.
 #[derive(Debug)]
 pub struct Cluster {
     devices: Vec<Device>,
@@ -345,7 +230,7 @@ pub struct Cluster {
     sim_memo: SimMemo,
     reconfig: ReconfigModel,
     lower: LowerOptions,
-    pub(crate) ingest_capacity: usize,
+    ingest_capacity: usize,
     admission_limit: usize,
     batching: BatchConfig,
     replication: ReplicationConfig,
@@ -375,6 +260,15 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// Default capacity of each device's kernel cache.
+    pub const DEFAULT_CACHE_CAPACITY: usize = 64;
+
+    /// Default capacity of the simulation memo.
+    pub const DEFAULT_SIM_MEMO_CAPACITY: usize = 1024;
+
+    /// Default bound of the streaming ingest channel.
+    pub const DEFAULT_INGEST_CAPACITY: usize = 64;
+
     /// A cluster of `devices` identical arrays, each a single-row NoC of
     /// `tiles_per_device` parallel-composition tiles of `variant`, using
     /// kernel-affinity tile dispatch and kernel-hash device routing.
@@ -397,9 +291,23 @@ impl Cluster {
         Ok(Self::from_pools(pools))
     }
 
+    /// One device laid out as `noc` (rows × cols of a chosen tile), using
+    /// kernel-affinity tile dispatch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::EmptyPool`] when `noc` has no tiles (its
+    /// fields are public, so a layout can skip [`NocConfig::new`]'s check).
+    pub fn from_noc(noc: NocConfig) -> Result<Self, RuntimeError> {
+        if noc.num_tiles() == 0 {
+            return Err(RuntimeError::EmptyPool);
+        }
+        Ok(Self::from_pools(vec![TilePool::new(noc)]))
+    }
+
     /// A cluster of one device per pool; the pools are alike and at least
-    /// one ([`Runtime::from_noc`] brings its own).
-    pub(crate) fn from_pools(pools: Vec<TilePool>) -> Self {
+    /// one, each with at least one tile.
+    fn from_pools(pools: Vec<TilePool>) -> Self {
         let tiles_per_device = pools[0].num_tiles();
         let devices = pools
             .into_iter()
@@ -408,7 +316,7 @@ impl Cluster {
                 id,
                 pool,
                 // The only error is a zero capacity, and the default is 64.
-                cache: KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY)
+                cache: KernelCache::new(Self::DEFAULT_CACHE_CAPACITY)
                     .expect("default capacity is non-zero"),
                 dispatcher: Dispatcher::default(),
                 busy_tiles: 0,
@@ -418,10 +326,10 @@ impl Cluster {
             devices,
             route: RoutePolicy::default(),
             transfer: TransferModel::default(),
-            sim_memo: SimMemo::new(Runtime::DEFAULT_SIM_MEMO_CAPACITY),
+            sim_memo: SimMemo::new(Self::DEFAULT_SIM_MEMO_CAPACITY),
             reconfig: ReconfigModel::new(),
             lower: LowerOptions::default(),
-            ingest_capacity: Runtime::DEFAULT_INGEST_CAPACITY,
+            ingest_capacity: Self::DEFAULT_INGEST_CAPACITY,
             admission_limit: usize::MAX,
             batching: BatchConfig::disabled(),
             replication: ReplicationConfig::disabled(),
@@ -482,16 +390,22 @@ impl Cluster {
         self
     }
 
-    /// Sets the bound of the streaming ingest channel.
+    /// Sets the bound of the streaming ingest channel (`0` makes every
+    /// [`Submitter::submit`] rendezvous with the event loop).
     #[must_use]
     pub fn with_ingest_capacity(mut self, capacity: usize) -> Self {
         self.ingest_capacity = capacity;
         self
     }
 
-    /// Sets the cluster-wide admission-control limit on *waiting* requests
-    /// (same semantics as [`Runtime::with_admission_limit`]: an arrival that
-    /// starts immediately on its routed tile is always admitted).
+    /// Sets the cluster-wide admission-control limit on *waiting* requests:
+    /// an arrival that would have to queue while this many requests are
+    /// already waiting across all tiles is rejected. An arrival is always
+    /// admitted when the tile it is routed and placed on can start it
+    /// immediately — note the placement decision comes first, so a policy
+    /// that prefers waiting for a warm tile over an idle-but-cold one (e.g.
+    /// affinity on a PCAP pool) can still see its request rejected while
+    /// another tile sits idle. Defaults to unlimited.
     #[must_use]
     pub fn with_admission_limit(mut self, limit: usize) -> Self {
         self.admission_limit = limit;
@@ -505,8 +419,13 @@ impl Cluster {
         self
     }
 
-    /// Configures the same-kernel batching layer on every device's tiles
-    /// (same semantics as [`Runtime::with_batching`]).
+    /// Configures the same-kernel batching layer on every device's tiles:
+    /// when a tile frees, up to [`BatchConfig::max_batch`] consecutive runs
+    /// of the resident kernel may jump the dispatch policy's queue order
+    /// (never past the staleness bound, and never when a bypassed deadline
+    /// would become infeasible). The default [`BatchConfig::disabled`]
+    /// leaves every decision to the dispatch policy — bitwise identical to
+    /// the un-batched loop.
     #[must_use]
     pub fn with_batching(mut self, config: BatchConfig) -> Self {
         self.batching = config;
@@ -523,40 +442,48 @@ impl Cluster {
         self
     }
 
-    /// Configures request-span tracing (same semantics as
-    /// [`Runtime::with_tracing`]): disabled by default, and disabled is
-    /// bitwise-free. The [`Trace`](obs::Trace) comes back on
-    /// [`ClusterReport::trace`].
+    /// Configures request-span tracing: every serve keeps the rows its
+    /// spans are made from and hands the [`Trace`](obs::Trace) back on
+    /// [`ServeReport::trace`], every request's lifecycle spans in it. The
+    /// default [`TraceConfig::disabled`](obs::TraceConfig::disabled) keeps
+    /// nothing and leaves the serve bitwise identical to an untraced one.
     #[must_use]
     pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
         self.tracing = config;
         self
     }
 
-    /// Enables host-time stage profiling (same semantics as
-    /// [`Runtime::with_profiling`]); the attribution comes back on
-    /// [`ClusterReport::profile`].
+    /// Enables the host-time hot-path profiler: the serve attributes its
+    /// wall-clock nanoseconds to scan/route/sim/memo/bookkeeping stages and
+    /// reports [`ProfileStats`](obs::ProfileStats) on
+    /// [`ServeReport::profile`]. Off (the default) no clock is ever read on
+    /// the hot path.
     #[must_use]
     pub fn with_profiling(mut self, enabled: bool) -> Self {
         self.profiling = enabled;
         self
     }
 
-    /// Configures windowed telemetry (same semantics as
-    /// [`Runtime::with_telemetry`]): disabled by default, and disabled is
-    /// bitwise-free. The [`TimeSeries`](obs::TimeSeries) comes back on
-    /// [`ClusterReport::telemetry`].
+    /// Configures windowed telemetry: the serve accumulates a per-window
+    /// [`TimeSeries`](obs::TimeSeries) (throughput, miss-rate, queue depth,
+    /// utilization, per-class latency percentiles) on the virtual timeline
+    /// and hands it back on [`ServeReport::telemetry`]. The default
+    /// [`TelemetryConfig::disabled`](obs::TelemetryConfig::disabled)
+    /// accumulates nothing and leaves the serve bitwise identical.
     #[must_use]
     pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
         self.telemetry = config;
         self
     }
 
-    /// Configures SLO burn-rate objectives (same semantics as
-    /// [`Runtime::with_slo`]; needs [`Cluster::with_telemetry`]). The
-    /// tracking comes back on [`ClusterReport::slo`], with burn alerts
-    /// recorded as [`SloBurn`](obs::SpanKind::SloBurn) /
-    /// [`SloClear`](obs::SpanKind::SloClear) trace spans when tracing is on.
+    /// Configures SLO objectives: against the windowed telemetry series the
+    /// serve tracks per-class error-budget burn rates, fires/clears
+    /// multi-window burn alerts (as [`SloBurn`](obs::SpanKind::SloBurn) /
+    /// [`SloClear`](obs::SpanKind::SloClear) trace spans when tracing is on)
+    /// and reports an [`SloReport`](obs::SloReport) on
+    /// [`ServeReport::slo`]. Needs [`with_telemetry`](Cluster::with_telemetry);
+    /// the default [`SloConfig::disabled`](obs::SloConfig::disabled) tracks
+    /// nothing.
     #[must_use]
     pub fn with_slo(mut self, config: obs::SloConfig) -> Self {
         self.slo = config;
@@ -655,6 +582,11 @@ impl Cluster {
         self.transfer
     }
 
+    /// The bound of the streaming ingest channel.
+    pub fn ingest_capacity(&self) -> usize {
+        self.ingest_capacity
+    }
+
     /// The cluster-wide admission-control limit on waiting requests.
     pub fn admission_limit(&self) -> usize {
         self.admission_limit
@@ -690,16 +622,30 @@ impl Cluster {
         &self.sim_memo
     }
 
-    /// Serves a pre-collected trace, exactly as
-    /// [`serve_stream`](Cluster::serve_stream) would serve it live (same
-    /// semantics as [`Runtime::serve`], including the per-intake tables
-    /// kept, emptied, between serves under the same 4× rule).
+    /// Serves a pre-collected trace, taken by value so streaming it through
+    /// the loop never deep-clones a workload. The requests are consumed in
+    /// iteration order and dispatched online exactly as
+    /// [`serve_stream`](Cluster::serve_stream) would dispatch live traffic —
+    /// but straight off the trace, with no ingest channel or feeder thread
+    /// in between. Pass `trace.clone()` to keep a trace for a later replay.
+    ///
+    /// Each request moves, by value, into a row of the cluster's intake
+    /// table. That table and the others indexed by intake position belong
+    /// to the cluster, not to the serve: they come back empty — nothing a
+    /// request carried outlives its serve, on success or error — but keep
+    /// their storage, so the one allocation of a warm serve that grows with
+    /// the trace is the report's outcomes. A table that ends a completed
+    /// serve with over four times the capacity the serve used is cut back
+    /// to that: serves of similar size never reallocate, one outsized serve
+    /// pins its footprint only until the next ordinary one, and since
+    /// nothing about a caller changes that trade the factor is not a knob.
     ///
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] for an empty trace, invalid or
-    /// out-of-order arrival times, or any compile/simulation failure.
-    pub fn serve<I>(&mut self, requests: I) -> Result<ClusterReport, RuntimeError>
+    /// out-of-order arrival times, or any compile/simulation failure. A
+    /// failed serve leaves the cluster as warm as it found it.
+    pub fn serve<I>(&mut self, requests: I) -> Result<ServeReport, RuntimeError>
     where
         I: IntoIterator<Item = Request>,
     {
@@ -707,16 +653,24 @@ impl Cluster {
         self.run_serve(Ingest::Batch(requests.into_iter()))
     }
 
-    /// Serves a live request stream through a [`Submitter`] (same contract
-    /// as [`Runtime::serve_stream`]: non-decreasing arrival order, bounded
-    /// ingest backpressure, the serve ends when `feed` returns).
+    /// Serves a live request stream: `feed` runs on its own thread and
+    /// submits requests through the [`Submitter`] (blocking when the bounded
+    /// ingest channel is full) while the event loop consumes them on the
+    /// virtual timeline. The serve ends when `feed` returns (dropping the
+    /// submitter) and every admitted request has completed.
+    ///
+    /// Requests must be submitted in non-decreasing arrival order — that is
+    /// what lets the loop prove no earlier event can still arrive and makes
+    /// the whole serve deterministic for a given submission order.
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] when nothing was submitted, for invalid
-    /// or out-of-order arrival times, or for any compile/simulation
-    /// failure.
-    pub fn serve_stream<F>(&mut self, feed: F) -> Result<ClusterReport, RuntimeError>
+    /// Returns a [`RuntimeError`] when nothing was submitted, for invalid or
+    /// out-of-order arrival times, or for any compile/simulation failure: a
+    /// compile failure when the failing request is pulled off the stream, a
+    /// simulation failure at the failing request's admission (a request
+    /// admission control rejects is never simulated).
+    pub fn serve_stream<F>(&mut self, feed: F) -> Result<ServeReport, RuntimeError>
     where
         F: FnOnce(Submitter) + Send,
     {
@@ -1447,7 +1401,7 @@ impl Cluster {
     /// lends the recycled tables to the event loop, folds its output into a
     /// report and takes the tables back on every exit path — a serve that
     /// fails costs the next one nothing.
-    fn run_serve(&mut self, ingest: Ingest) -> Result<ClusterReport, RuntimeError> {
+    fn run_serve(&mut self, ingest: Ingest) -> Result<ServeReport, RuntimeError> {
         // One device with nothing to route around, no stage to park and no
         // image to push serves on the plain tier; everything else is a
         // fleet. An installed plan, even an empty one, makes a fleet.
@@ -1478,20 +1432,18 @@ impl Cluster {
             let sim_memo = self.sim_memo.stats().since(memo_before);
             let (metrics, devices) =
                 self.aggregate(&mut output, &mut tables.latencies, &cache_before, sim_memo);
-            ClusterReport {
-                serve: ServeReport {
-                    policy: self.policy(),
-                    outcomes: output.outcomes,
-                    rejected: output.rejected,
-                    metrics,
-                    trace: output.trace,
-                    profile: output.profile,
-                    telemetry: output.telemetry,
-                    slo: output.slo,
-                },
+            ServeReport {
+                policy: self.policy(),
                 route: self.route,
+                outcomes: output.outcomes,
+                rejected: output.rejected,
+                metrics,
                 devices,
                 replication: output.replication,
+                trace: output.trace,
+                profile: output.profile,
+                telemetry: output.telemetry,
+                slo: output.slo,
             }
         });
 
@@ -2526,7 +2478,7 @@ mod tests {
     /// images (home shard included), while a 1-device cluster under the
     /// same eviction pressure still never acquires — the fleet tier (an
     /// empty fault plan puts `single` there) stays bitwise equivalent to
-    /// the plain one a `Runtime` serves on.
+    /// the plain one an unplanned one-device cluster serves on.
     #[test]
     fn tiny_stores_reacquire_evicted_images_and_one_device_stays_exempt() {
         let trace = benchmark_trace(16, 4);
@@ -2549,7 +2501,7 @@ mod tests {
             .with_fault_plan(FaultPlan::new())
             .with_cache_capacity(1)
             .unwrap();
-        let mut runtime = Runtime::new(FuVariant::V4, 2)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 2)
             .unwrap()
             .with_cache_capacity(1)
             .unwrap();
@@ -2884,7 +2836,7 @@ mod tests {
     /// outputs) and rejects in report order, the metrics and the per-device
     /// breakdown — minus the per-device split of compile-cache lookups,
     /// which on a streamed serve follows ingest timing (the totals do not).
-    fn decided(report: &ClusterReport) -> (String, RuntimeMetrics, Vec<DeviceMetrics>) {
+    fn decided(report: &ServeReport) -> (String, RuntimeMetrics, Vec<DeviceMetrics>) {
         let requests = format!("{:?}\n{:?}", report.outcomes(), report.rejected());
         let devices = report
             .device_metrics()
@@ -2965,7 +2917,7 @@ mod tests {
 
     #[test]
     fn recycled_tables_carry_nothing_from_one_serve_to_the_next() {
-        // Once per tier of the loop: a `Runtime` is the first of these.
+        // Once per tier of the loop: one device serves on the plain one.
         reused_tables_match_fresh_ones(|| Cluster::new(FuVariant::V4, 1, 3).unwrap());
         reused_tables_match_fresh_ones(|| {
             Cluster::new(FuVariant::V4, 4, 2)
@@ -2987,18 +2939,14 @@ mod tests {
                 t.routed.capacity(),
             ]
         };
-        let mut runtime = Runtime::new(FuVariant::V4, 8).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 8).unwrap();
         let mut cluster = Cluster::new(FuVariant::V4, 2, 4).unwrap();
-        assert_eq!(
-            capacities(&runtime.cluster.tables),
-            [0; 5],
-            "nothing up front"
-        );
+        assert_eq!(capacities(&runtime.tables), [0; 5], "nothing up front");
         assert_eq!(capacities(&cluster.tables), [0; 5], "nothing up front");
 
         runtime.serve(repeating_trace(BIG)).unwrap();
         cluster.serve(repeating_trace(BIG)).unwrap();
-        let kept = capacities(&runtime.cluster.tables);
+        let kept = capacities(&runtime.tables);
         assert!(
             kept[..4].iter().all(|&capacity| capacity >= BIG),
             "{kept:?}"
@@ -3010,10 +2958,7 @@ mod tests {
         for _ in 0..2 {
             runtime.serve(repeating_trace(SMALL)).unwrap();
             cluster.serve(repeating_trace(SMALL)).unwrap();
-            for kept in [
-                capacities(&runtime.cluster.tables),
-                capacities(&cluster.tables),
-            ] {
+            for kept in [capacities(&runtime.tables), capacities(&cluster.tables)] {
                 assert!(
                     kept.iter().all(|&capacity| capacity <= 4 * SMALL),
                     "{kept:?}"

@@ -1,6 +1,6 @@
 //! The virtual-time event queue at the heart of the online runtime.
 //!
-//! [`serve_stream`](crate::Runtime::serve_stream) is a discrete-event
+//! [`serve_stream`](crate::Cluster::serve_stream) is a discrete-event
 //! simulation over *modeled* (virtual) time: request arrivals and tile
 //! completions are [`Event`]s ordered by their virtual timestamp, and every
 //! dispatch decision happens when its event fires — never with knowledge of
@@ -15,14 +15,13 @@
 //! Ties are broken by insertion order, which keeps the whole loop
 //! deterministic for a given submission order.
 //!
-//! The event pop is also the observability sampling point: both serve loops
-//! record the pre-update waiting count into the queue-depth
-//! [`LogHistogram`](crate::obs::LogHistogram) and attribute the queue-area
-//! bookkeeping to the `Bookkeeping` stage of the opt-in
-//! [`StageProfiler`](crate::obs::StageProfiler) at every event head, so one
-//! sample lands per fired event in both the [`Runtime`](crate::Runtime) and
-//! [`Cluster`](crate::Cluster) loops — identically, which is what keeps the
-//! histograms bitwise comparable across the two tiers.
+//! The event pop is also the observability sampling point: both tiers of
+//! the [`Cluster`](crate::Cluster) loop record the pre-update waiting count
+//! into the queue-depth [`LogHistogram`](crate::obs::LogHistogram) and
+//! attribute the queue-area bookkeeping to the `Bookkeeping` stage of the
+//! opt-in [`StageProfiler`](crate::obs::StageProfiler) at every event head,
+//! so one sample lands per fired event on either tier — identically, which
+//! is what keeps the histograms bitwise comparable across the two.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

@@ -6,14 +6,18 @@
 //! PCAP partial reconfiguration for the feed-forward overlays. This crate
 //! turns those models into an **online, event-driven** serving system whose
 //! host-side hot path never scans the tiles or a queue per event as the pool
-//! and the queues grow:
+//! and the queues grow. The serving type is the [`Cluster`]: one or more
+//! devices, each a tile array, behind one event loop —
+//! `Cluster::new(variant, 1, tiles)` is a single tile array, and
+//! [`Cluster::from_noc`] lays one out explicitly. Every serve returns a
+//! [`ServeReport`]. The moving parts:
 //!
 //! * [`Submitter`] — streaming request ingestion over a bounded channel:
-//!   [`Runtime::serve_stream`] accepts requests as they are produced, with
+//!   [`Cluster::serve_stream`] accepts requests as they are produced, with
 //!   backpressure when the ingest buffer fills and an admission-control
 //!   reject path when tile queues overflow. Requests stream as
 //!   [`Arc<Request>`] — no workload is ever deep-cloned on the way in — and
-//!   reach the loop by value (a batch [`Runtime::serve`] moves them straight
+//!   reach the loop by value (a batch [`Cluster::serve`] moves them straight
 //!   off the trace);
 //! * a virtual-time **event loop** ([`event`]) — every dispatch decision
 //!   happens at an arrival or tile-free event against live per-tile queue
@@ -47,20 +51,21 @@
 //!   count;
 //! * the **control plane** ([`control`]) — optional same-kernel batching
 //!   over the tile-free queue drain ([`BatchConfig`],
-//!   [`Runtime::with_batching`]) and, on a [`Cluster`], rate-driven kernel
+//!   [`Cluster::with_batching`]) and, across devices, rate-driven kernel
 //!   replication ahead of demand ([`ReplicationConfig`],
 //!   [`Cluster::with_replication`]). Both are off by default and leave the
-//!   runtime bitwise identical to the un-batched event loop when off.
+//!   serve bitwise identical to the un-batched event loop when off.
 //!
 //! # Example
 //!
 //! ```
-//! use overlay_runtime::{DispatchPolicy, KernelSpec, Request, Runtime};
+//! use overlay_runtime::{Cluster, DispatchPolicy, KernelSpec, Request};
 //! use overlay_arch::FuVariant;
 //! use overlay_sim::Workload;
 //!
 //! # fn main() -> Result<(), overlay_runtime::RuntimeError> {
-//! let mut runtime = Runtime::new(FuVariant::V4, 2)?
+//! // One device of two tiles.
+//! let mut runtime = Cluster::new(FuVariant::V4, 1, 2)?
 //!     .with_policy(DispatchPolicy::EarliestDeadlineFirst);
 //!
 //! let saxpy = KernelSpec::from_source("saxpy", "kernel saxpy(a, x, y) { out r = a * x + y; }");
@@ -109,6 +114,7 @@ pub mod pool;
 pub mod request;
 pub mod route;
 pub mod session;
+mod shim;
 pub mod submit;
 
 pub use cache::{CacheStats, Kernel, KernelCache, KernelKey, SimKey, SimMemo};
@@ -119,7 +125,7 @@ pub use obs::{
 };
 
 use cache::FnvHashMap;
-pub use cluster::{Cluster, ClusterReport, Device};
+pub use cluster::{Cluster, Device};
 pub use control::{BatchConfig, RateEstimator, ReplicationConfig};
 pub use dispatch::{DispatchPolicy, DispatchRequest, Dispatcher};
 pub use error::RuntimeError;
@@ -135,12 +141,14 @@ pub use session::{
     PipelineOutcome, PipelineReport, PipelineRequest, PipelineStage, ReorderBuffer, Session,
     SloClass,
 };
+#[doc(hidden)]
+pub use shim::{ClusterReport, Runtime};
 pub use submit::{SubmitError, Submitter};
 
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use overlay_arch::{FuVariant, NocConfig, OverlayConfig, ReconfigModel};
+use overlay_arch::{FuVariant, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program_owned, schedule};
 use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimRun};
@@ -158,8 +166,8 @@ pub struct RequestOutcome {
     pub request_id: u64,
     /// The kernel name (shared with the request's spec).
     pub kernel: Arc<str>,
-    /// The device that served the request (always 0 for a single
-    /// [`Runtime`]; the routing decision for a [`Cluster`]).
+    /// The device that served the request: the routing decision (always 0
+    /// on a one-device [`Cluster`]).
     pub device: usize,
     /// The tile that served the request (device-local index).
     pub tile: usize,
@@ -206,14 +214,19 @@ pub struct RejectedRequest {
     pub deadline_us: Option<f64>,
 }
 
-/// The result of one serve: per-request outcomes (in submission order),
-/// admission rejects and aggregate metrics.
+/// The result of one serve: per-request outcomes (with their device ids, in
+/// submission order), admission rejects, fleet-total [`RuntimeMetrics`], the
+/// per-device [`DeviceMetrics`] breakdown and whatever observability the
+/// serve was configured for.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     policy: DispatchPolicy,
+    route: RoutePolicy,
     outcomes: Vec<RequestOutcome>,
     rejected: Vec<RejectedRequest>,
     metrics: RuntimeMetrics,
+    devices: Vec<DeviceMetrics>,
+    replication: ReplicationStats,
     trace: Option<obs::Trace>,
     profile: Option<obs::ProfileStats>,
     telemetry: Option<obs::TimeSeries>,
@@ -221,7 +234,9 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Per-request outcomes of every *admitted* request, in submission order.
+    /// Per-request outcomes of every *admitted* request, in submission
+    /// order. Each outcome's [`device`](RequestOutcome::device) records the
+    /// routing decision; [`tile`](RequestOutcome::tile) is device-local.
     pub fn outcomes(&self) -> &[RequestOutcome] {
         &self.outcomes
     }
@@ -231,37 +246,93 @@ impl ServeReport {
         &self.rejected
     }
 
-    /// Aggregate serving metrics.
+    /// Fleet-total serving metrics (per-tile vectors are device-major
+    /// concatenations across the cluster).
     pub fn metrics(&self) -> &RuntimeMetrics {
         &self.metrics
     }
 
-    /// The dispatch policy that produced this report.
+    /// The per-device metrics breakdown, indexed by device id.
+    pub fn device_metrics(&self) -> &[DeviceMetrics] {
+        &self.devices
+    }
+
+    /// The tile-dispatch policy that produced this report.
     pub fn policy(&self) -> DispatchPolicy {
         self.policy
     }
 
+    /// The device-routing policy that produced this report.
+    pub fn route_policy(&self) -> RoutePolicy {
+        self.route
+    }
+
+    /// Total kernel images moved over the inter-device link.
+    pub fn transfers(&self) -> usize {
+        self.devices.iter().map(|d| d.transfers_in).sum()
+    }
+
+    /// Total bytes moved over the inter-device link.
+    pub fn transfer_bytes(&self) -> u64 {
+        self.devices.iter().map(|d| d.transfer_bytes_in).sum()
+    }
+
+    /// Total kernel images loaded from the host (local cold loads).
+    pub fn host_loads(&self) -> usize {
+        self.devices.iter().map(|d| d.host_loads).sum()
+    }
+
+    /// Total requests displaced off dead or draining devices and sent back
+    /// through routing (0 on a fault-free serve).
+    pub fn requeues(&self) -> usize {
+        self.devices.iter().map(|d| d.requeues_out).sum()
+    }
+
+    /// Total started-but-abandoned execution time destroyed by device
+    /// kills, in virtual microseconds (0 on a fault-free serve).
+    pub fn lost_work_us(&self) -> f64 {
+        self.devices.iter().map(|d| d.lost_work_us).sum()
+    }
+
+    /// Total faults (kills + drains) that hit the fleet during the serve.
+    pub fn faults(&self) -> usize {
+        self.devices.iter().map(|d| d.faults).sum()
+    }
+
+    /// Per-device availability — the fraction of the serve's makespan each
+    /// device was alive and admitting, indexed by device id (all 1.0 on a
+    /// fault-free serve).
+    pub fn availability(&self) -> Vec<f64> {
+        self.devices.iter().map(|d| d.availability).collect()
+    }
+
+    /// The replication layer's counters for this serve (all zero while
+    /// replication is disabled, the default).
+    pub fn replication(&self) -> ReplicationStats {
+        self.replication
+    }
+
     /// Every request's lifecycle spans, when the serve ran with
-    /// [`Runtime::with_tracing`] enabled: the trace is built from the rows
+    /// [`Cluster::with_tracing`] enabled: the trace is built from the rows
     /// the serve kept, on first access to [`events`](obs::Trace::events).
     pub fn trace(&self) -> Option<&obs::Trace> {
         self.trace.as_ref()
     }
 
     /// The host-time stage attribution, when the serve ran with
-    /// [`Runtime::with_profiling`] enabled.
+    /// [`Cluster::with_profiling`] enabled.
     pub fn profile(&self) -> Option<&obs::ProfileStats> {
         self.profile.as_ref()
     }
 
     /// The windowed telemetry time-series, when the serve ran with
-    /// [`Runtime::with_telemetry`] enabled.
+    /// [`Cluster::with_telemetry`] enabled.
     pub fn telemetry(&self) -> Option<&obs::TimeSeries> {
         self.telemetry.as_ref()
     }
 
     /// The SLO burn-rate tracking, when the serve ran with both
-    /// [`Runtime::with_telemetry`] and [`Runtime::with_slo`] enabled.
+    /// [`Cluster::with_telemetry`] and [`Cluster::with_slo`] enabled.
     pub fn slo(&self) -> Option<&obs::SloReport> {
         self.slo.as_ref()
     }
@@ -433,7 +504,7 @@ fn recycle<T>(table: &mut Vec<T>, completed: bool) {
 }
 
 /// The tables a serve indexes by intake position (and the latency scratch
-/// its aggregation sorts). They belong to the [`Runtime`]/[`Cluster`], not
+/// its aggregation sorts). They belong to the [`Cluster`], not
 /// to the serve: a serve takes them, reserves room for the submissions it
 /// knows are coming and hands them back emptied on every exit path, so a
 /// warm serve neither allocates them nor first-touches their pages again.
@@ -613,275 +684,10 @@ impl Ingest {
     }
 }
 
-/// An online multi-tile serving runtime over one overlay variant.
-///
-/// See the [crate-level documentation](crate) for the moving parts and an
-/// end-to-end example.
-#[derive(Debug)]
-pub struct Runtime {
-    /// A runtime is a one-device cluster: every builder, accessor and serve
-    /// below delegates to it, and its event loop is the only one there is.
-    cluster: Cluster,
-}
-
-impl Runtime {
-    /// Default capacity of the kernel cache.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-    /// Default capacity of the simulation memo.
-    pub const DEFAULT_SIM_MEMO_CAPACITY: usize = 1024;
-
-    /// Default bound of the streaming ingest channel.
-    pub const DEFAULT_INGEST_CAPACITY: usize = 64;
-
-    /// A runtime of `tiles` parallel-composition tiles of `variant` on a
-    /// single-row NoC, using kernel-affinity dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::EmptyPool`] when `tiles` is 0.
-    pub fn new(variant: FuVariant, tiles: usize) -> Result<Self, RuntimeError> {
-        let cluster = Cluster::new(variant, 1, tiles)?;
-        Ok(Runtime { cluster })
-    }
-
-    /// A runtime over an explicit NoC layout (rows × cols of a chosen tile).
-    pub fn from_noc(noc: NocConfig) -> Self {
-        let cluster = Cluster::from_pools(vec![TilePool::new(noc)]);
-        Runtime { cluster }
-    }
-
-    /// Sets the dispatch policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.cluster = self.cluster.with_policy(policy);
-        self
-    }
-
-    /// Replaces the kernel cache with one of `capacity` entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::ZeroCacheCapacity`] when `capacity` is 0.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Result<Self, RuntimeError> {
-        self.cluster = self.cluster.with_cache_capacity(capacity)?;
-        Ok(self)
-    }
-
-    /// Replaces the simulation memo with one of `capacity` entries.
-    /// A capacity of 0 disables memoization — every request simulates.
-    #[must_use]
-    pub fn with_sim_memo_capacity(mut self, capacity: usize) -> Self {
-        self.cluster = self.cluster.with_sim_memo_capacity(capacity);
-        self
-    }
-
-    /// Sets the bound of the streaming ingest channel (`0` makes every
-    /// [`Submitter::submit`] rendezvous with the event loop).
-    #[must_use]
-    pub fn with_ingest_capacity(mut self, capacity: usize) -> Self {
-        self.cluster = self.cluster.with_ingest_capacity(capacity);
-        self
-    }
-
-    /// Sets the admission-control limit on *waiting* requests: an arrival
-    /// that would have to queue while this many requests are already
-    /// waiting across all tiles is rejected. An arrival is always admitted
-    /// when the tile the dispatcher places it on can start it immediately —
-    /// note the placement decision comes first, so a policy that prefers
-    /// waiting for a warm tile over an idle-but-cold one (e.g. affinity on
-    /// a PCAP pool) can still see its request rejected while another tile
-    /// sits idle. Defaults to unlimited.
-    #[must_use]
-    pub fn with_admission_limit(mut self, limit: usize) -> Self {
-        self.cluster = self.cluster.with_admission_limit(limit);
-        self
-    }
-
-    /// Overrides the reconfiguration timing model.
-    #[must_use]
-    pub fn with_reconfig(mut self, model: ReconfigModel) -> Self {
-        self.cluster = self.cluster.with_reconfig(model);
-        self
-    }
-
-    /// Configures the same-kernel batching layer: when a tile frees, up to
-    /// [`BatchConfig::max_batch`] consecutive runs of the resident kernel
-    /// may jump the dispatch policy's queue order (never past the staleness
-    /// bound, and never when a bypassed deadline would become infeasible).
-    /// The default [`BatchConfig::disabled`] leaves every decision to the
-    /// dispatch policy — bitwise identical to the un-batched runtime.
-    #[must_use]
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        self.cluster = self.cluster.with_batching(config);
-        self
-    }
-
-    /// Configures request-span tracing: every serve keeps the rows its
-    /// spans are made from and hands the [`Trace`](obs::Trace) back on the
-    /// report, every request's lifecycle spans in it. The default
-    /// [`TraceConfig::disabled`](obs::TraceConfig::disabled) keeps nothing
-    /// and leaves the serve bitwise identical to an untraced one.
-    #[must_use]
-    pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
-        self.cluster = self.cluster.with_tracing(config);
-        self
-    }
-
-    /// Enables the host-time hot-path profiler: the serve attributes its
-    /// wall-clock nanoseconds to scan/route/sim/memo/bookkeeping stages and
-    /// reports [`ProfileStats`](obs::ProfileStats). Off (the default) no
-    /// clock is ever read on the hot path.
-    #[must_use]
-    pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.cluster = self.cluster.with_profiling(enabled);
-        self
-    }
-
-    /// Configures windowed telemetry: the serve accumulates a per-window
-    /// [`TimeSeries`](obs::TimeSeries) (throughput, miss-rate, queue depth,
-    /// utilization, per-class latency percentiles) on the virtual timeline
-    /// and hands it back on the report. The default
-    /// [`TelemetryConfig::disabled`](obs::TelemetryConfig::disabled)
-    /// accumulates nothing and leaves the serve bitwise identical.
-    #[must_use]
-    pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
-        self.cluster = self.cluster.with_telemetry(config);
-        self
-    }
-
-    /// Configures SLO objectives: against the windowed telemetry series the
-    /// serve tracks per-class error-budget burn rates, fires/clears
-    /// multi-window burn alerts (as [`SloBurn`](obs::SpanKind::SloBurn) /
-    /// [`SloClear`](obs::SpanKind::SloClear) trace spans when tracing is on)
-    /// and reports an [`SloReport`](obs::SloReport). Needs
-    /// [`with_telemetry`](Runtime::with_telemetry); the default
-    /// [`SloConfig::disabled`](obs::SloConfig::disabled) tracks nothing.
-    #[must_use]
-    pub fn with_slo(mut self, config: obs::SloConfig) -> Self {
-        self.cluster = self.cluster.with_slo(config);
-        self
-    }
-
-    /// Overrides the front-end lowering options.
-    ///
-    /// Clears the kernel cache and the simulation memo: cached artifacts
-    /// were compiled under the old options and their [`KernelKey`] does not
-    /// encode lowering options.
-    #[must_use]
-    pub fn with_lower_options(mut self, options: LowerOptions) -> Self {
-        self.cluster = self.cluster.with_lower_options(options);
-        self
-    }
-
-    /// The overlay variant all tiles are built from.
-    pub fn variant(&self) -> FuVariant {
-        self.cluster.variant()
-    }
-
-    /// The active dispatch policy.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.cluster.policy()
-    }
-
-    /// The bound of the streaming ingest channel.
-    pub fn ingest_capacity(&self) -> usize {
-        self.cluster.ingest_capacity
-    }
-
-    /// The admission-control limit on waiting requests.
-    pub fn admission_limit(&self) -> usize {
-        self.cluster.admission_limit()
-    }
-
-    /// The active same-kernel batching configuration.
-    pub fn batching(&self) -> BatchConfig {
-        self.cluster.batching()
-    }
-
-    /// The active tracing configuration.
-    pub fn tracing(&self) -> obs::TraceConfig {
-        self.cluster.tracing()
-    }
-
-    /// Whether host-time stage profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.cluster.profiling()
-    }
-
-    /// The tile pool (holding the state left by the last serve).
-    pub fn pool(&self) -> &TilePool {
-        self.cluster.devices()[0].pool()
-    }
-
-    /// The kernel cache (counters accumulate across serves).
-    pub fn cache(&self) -> &KernelCache {
-        self.cluster.devices()[0].cache()
-    }
-
-    /// The simulation memo (counters accumulate across serves).
-    pub fn sim_memo(&self) -> &SimMemo {
-        self.cluster.sim_memo()
-    }
-
-    /// Serves a pre-collected trace, taken by value so streaming it through
-    /// the loop never deep-clones a workload. The requests are consumed in
-    /// iteration order and dispatched online exactly as
-    /// [`serve_stream`](Runtime::serve_stream) would dispatch live traffic —
-    /// but straight off the trace, with no ingest channel or feeder thread
-    /// in between. Pass `trace.clone()` to keep a trace for a later replay.
-    ///
-    /// Each request moves, by value, into a row of the runtime's intake
-    /// table. That table and the others indexed by intake position belong
-    /// to the runtime, not to the serve: they come back empty — nothing a
-    /// request carried outlives its serve, on success or error — but keep
-    /// their storage, so the one allocation of a warm serve that grows with
-    /// the trace is the report's outcomes. A table that ends a completed
-    /// serve with over four times the capacity the serve used is cut back
-    /// to that: serves of similar size never reallocate, one outsized serve
-    /// pins its footprint only until the next ordinary one, and since
-    /// nothing about a caller changes that trade the factor is not a knob.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] for an empty trace, invalid or
-    /// out-of-order arrival times, or any compile/simulation failure. A
-    /// failed serve leaves the runtime as warm as it found it.
-    pub fn serve<I>(&mut self, requests: I) -> Result<ServeReport, RuntimeError>
-    where
-        I: IntoIterator<Item = Request>,
-    {
-        self.cluster.serve(requests).map(|report| report.serve)
-    }
-
-    /// Serves a live request stream: `feed` runs on its own thread and
-    /// submits requests through the [`Submitter`] (blocking when the bounded
-    /// ingest channel is full) while the event loop consumes them on the
-    /// virtual timeline. The serve ends when `feed` returns (dropping the
-    /// submitter) and every admitted request has completed.
-    ///
-    /// Requests must be submitted in non-decreasing arrival order — that is
-    /// what lets the loop prove no earlier event can still arrive and makes
-    /// the whole serve deterministic for a given submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] when nothing was submitted, for invalid or
-    /// out-of-order arrival times, or for any compile/simulation failure: a
-    /// compile failure when the failing request is pulled off the stream, a
-    /// simulation failure at the failing request's admission (a request
-    /// admission control rejects is never simulated).
-    pub fn serve_stream<F>(&mut self, feed: F) -> Result<ServeReport, RuntimeError>
-    where
-        F: FnOnce(Submitter) + Send,
-    {
-        self.cluster.serve_stream(feed).map(|report| report.serve)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overlay_arch::NocConfig;
     use overlay_dfg::evaluate_stream;
     use overlay_frontend::Benchmark;
     use overlay_sim::Workload;
@@ -907,7 +713,7 @@ mod tests {
     #[test]
     fn serving_matches_the_reference_evaluator_per_request() {
         let requests = benchmark_trace(12, 8);
-        let mut runtime = Runtime::new(FuVariant::V3, 4).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V3, 1, 4).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert_eq!(report.outcomes().len(), 12);
         for (request, outcome) in requests.iter().zip(report.outcomes()) {
@@ -924,8 +730,8 @@ mod tests {
     #[test]
     fn serve_is_deterministic_across_calls_and_policies_agree_functionally() {
         let requests = benchmark_trace(10, 6);
-        let mut affinity = Runtime::new(FuVariant::V4, 4).unwrap();
-        let mut round_robin = Runtime::new(FuVariant::V4, 4)
+        let mut affinity = Cluster::new(FuVariant::V4, 1, 4).unwrap();
+        let mut round_robin = Cluster::new(FuVariant::V4, 1, 4)
             .unwrap()
             .with_policy(DispatchPolicy::RoundRobin);
         let a1 = affinity.serve(requests.clone()).unwrap();
@@ -948,7 +754,7 @@ mod tests {
     #[test]
     fn serve_stream_from_a_live_producer_matches_the_batch_shim() {
         let requests = benchmark_trace(10, 4);
-        let mut runtime = Runtime::new(FuVariant::V4, 3).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 3).unwrap();
         let batch = runtime.serve(requests.clone()).unwrap();
         let streamed = runtime
             .serve_stream(|submitter| {
@@ -972,8 +778,8 @@ mod tests {
         // 3 tiles against a 4-kernel cycle, so the round-robin stride never
         // aligns with the kernel period and it swaps on nearly every request.
         let requests = benchmark_trace(32, 4);
-        let mut affinity = Runtime::new(FuVariant::V3, 3).unwrap();
-        let mut round_robin = Runtime::new(FuVariant::V3, 3)
+        let mut affinity = Cluster::new(FuVariant::V3, 1, 3).unwrap();
+        let mut round_robin = Cluster::new(FuVariant::V3, 1, 3)
             .unwrap()
             .with_policy(DispatchPolicy::RoundRobin);
         let a = affinity.serve(requests.clone()).unwrap();
@@ -992,7 +798,7 @@ mod tests {
         // On a V1 pool every kernel swap costs ~1 ms of PCAP time, so the
         // 4-kernel round-robin trace pays milliseconds of switching.
         let requests = benchmark_trace(8, 4);
-        let mut runtime = Runtime::new(FuVariant::V1, 2)
+        let mut runtime = Cluster::new(FuVariant::V1, 1, 2)
             .unwrap()
             .with_policy(DispatchPolicy::RoundRobin);
         let report = runtime.serve(requests.clone()).unwrap();
@@ -1002,7 +808,7 @@ mod tests {
             report.metrics().total_switch_us
         );
         // The same trace on a V3 pool swaps in microseconds.
-        let mut writeback = Runtime::new(FuVariant::V3, 2)
+        let mut writeback = Cluster::new(FuVariant::V3, 1, 2)
             .unwrap()
             .with_policy(DispatchPolicy::RoundRobin);
         let wb = writeback.serve(requests).unwrap();
@@ -1013,7 +819,7 @@ mod tests {
     #[test]
     fn cache_compiles_each_kernel_once_per_serve() {
         let requests = benchmark_trace(16, 4);
-        let mut runtime = Runtime::new(FuVariant::V4, 4).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 4).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert_eq!(report.metrics().cache.misses, 4, "4 distinct kernels");
         assert_eq!(report.metrics().cache.hits, 12);
@@ -1039,8 +845,8 @@ mod tests {
         let requests: Vec<Request> = (0..10)
             .map(|i| Request::new(i, spec.clone(), workload.clone()).at(i as f64 * 3.0))
             .collect();
-        let mut memoized = Runtime::new(FuVariant::V4, 2).unwrap();
-        let mut unmemoized = Runtime::new(FuVariant::V4, 2)
+        let mut memoized = Cluster::new(FuVariant::V4, 1, 2).unwrap();
+        let mut unmemoized = Cluster::new(FuVariant::V4, 1, 2)
             .unwrap()
             .with_sim_memo_capacity(0);
         // With the memo disabled a simultaneous burst of identical
@@ -1055,7 +861,7 @@ mod tests {
                 .at(0.0)
             })
             .collect();
-        let mut burst_runtime = Runtime::new(FuVariant::V4, 1)
+        let mut burst_runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_sim_memo_capacity(0);
         let burst_report = burst_runtime.serve(burst).unwrap();
@@ -1097,7 +903,7 @@ mod tests {
         // The first of the burst simulates at its admission and memoizes
         // the run, so the seven queued behind it never simulate — although
         // none of the eight has started on the tile yet.
-        let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
         let report = runtime.serve(blocked_identical_burst()).unwrap();
         // Two real simulations: the blocker and one shared chebyshev run.
         assert_eq!(report.metrics().sim_memo.misses, 2);
@@ -1114,7 +920,7 @@ mod tests {
         // two fresh traced serves of the burst record identical counter
         // tracks, all seven repeats as `sim_memo_hits`.
         let counter_track = || {
-            let mut runtime = Runtime::new(FuVariant::V4, 1)
+            let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
                 .unwrap()
                 .with_tracing(TraceConfig::enabled());
             let report = runtime.serve(blocked_identical_burst()).unwrap();
@@ -1140,7 +946,7 @@ mod tests {
     #[test]
     fn metrics_account_every_request_and_tile() {
         let requests = benchmark_trace(20, 5);
-        let mut runtime = Runtime::new(FuVariant::V5, 4).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V5, 1, 4).unwrap();
         let report = runtime.serve(requests).unwrap();
         let metrics = report.metrics();
         assert_eq!(metrics.requests, 20);
@@ -1179,7 +985,7 @@ mod tests {
         let requests: Vec<Request> = (0..12)
             .map(|i| Request::new(i, spec.clone(), Workload::random(5, 4, i)).at(0.0))
             .collect();
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_admission_limit(2);
         let report = runtime.serve(requests).unwrap();
@@ -1202,7 +1008,7 @@ mod tests {
     #[test]
     fn zero_admission_limit_serves_idle_tiles_but_rejects_all_waiters() {
         let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_admission_limit(0);
         // Spaced arrivals on an idle tile never wait: all admitted, and the
@@ -1247,7 +1053,7 @@ mod tests {
         // The per-request service time is far over 10 us, so the last-queued
         // request can only meet an (arrival + service + margin) deadline by
         // jumping the whole queue.
-        let mut probe = Runtime::new(FuVariant::V4, 1).unwrap();
+        let mut probe = Cluster::new(FuVariant::V4, 1, 1).unwrap();
         let service_us = probe.serve(requests.clone()).unwrap().outcomes()[0].completion_us;
         requests.push(
             Request::new(4, spec.clone(), workload.clone())
@@ -1255,7 +1061,7 @@ mod tests {
                 .with_deadline(0.05 + 2.0 * service_us),
         );
 
-        let mut affinity = Runtime::new(FuVariant::V4, 1).unwrap();
+        let mut affinity = Cluster::new(FuVariant::V4, 1, 1).unwrap();
         let fifo = affinity.serve(requests.clone()).unwrap();
         assert_eq!(fifo.metrics().deadline_requests, 1);
         assert_eq!(fifo.metrics().deadline_misses, 1, "FIFO strands request 4");
@@ -1264,7 +1070,9 @@ mod tests {
             DispatchPolicy::EarliestDeadlineFirst,
             DispatchPolicy::SlackAware,
         ] {
-            let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap().with_policy(policy);
+            let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
+                .unwrap()
+                .with_policy(policy);
             let report = runtime.serve(requests.clone()).unwrap();
             assert_eq!(
                 report.metrics().deadline_misses,
@@ -1284,14 +1092,14 @@ mod tests {
     fn changing_lower_options_invalidates_the_cache() {
         let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
         let requests = vec![Request::new(0, spec, Workload::ramp(5, 4))];
-        let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
         runtime.serve(requests.clone()).unwrap();
-        assert_eq!(runtime.cache().len(), 1);
+        assert_eq!(runtime.devices()[0].cache().len(), 1);
         assert_eq!(runtime.sim_memo().len(), 1);
         // The key does not encode lowering options, so swapping them must
         // drop the stale artifacts rather than serve them as hits.
         let mut runtime = runtime.with_lower_options(LowerOptions::default());
-        assert!(runtime.cache().is_empty());
+        assert!(runtime.devices()[0].cache().is_empty());
         assert!(runtime.sim_memo().is_empty());
         let report = runtime.serve(requests).unwrap();
         assert_eq!(report.metrics().cache.misses, 1);
@@ -1306,7 +1114,7 @@ mod tests {
             Request::new(0, spec.clone(), workload.clone()).with_deadline(1e9),
             Request::new(1, spec, workload).with_deadline(1e-9),
         ];
-        let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
         let report = runtime.serve(requests).unwrap();
         assert!(!report.outcomes()[0].missed_deadline);
         assert!(report.outcomes()[1].missed_deadline);
@@ -1317,7 +1125,7 @@ mod tests {
 
     #[test]
     fn invalid_traces_are_rejected() {
-        let mut runtime = Runtime::new(FuVariant::V4, 2).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 2).unwrap();
         assert!(matches!(
             runtime.serve(Vec::new()),
             Err(RuntimeError::NoRequests)
@@ -1348,7 +1156,7 @@ mod tests {
         // Gradient takes 5 inputs; a 2-wide record is malformed.
         let bad = Request::new(1, spec, Workload::ramp(2, 4));
         let trace = vec![good, bad];
-        let mut runtime = Runtime::new(FuVariant::V4, 2).unwrap();
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 2).unwrap();
         assert!(matches!(
             runtime.serve(trace.clone()),
             Err(RuntimeError::Sim(_))
@@ -1363,7 +1171,7 @@ mod tests {
         // malformed request away, it is never simulated, and the serve
         // succeeds — on both tiers (kernel-hash routing sends the two, one
         // kernel, to one of the cluster's single-tile devices).
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_admission_limit(0);
         let report = runtime.serve(trace.clone()).unwrap();
@@ -1377,6 +1185,30 @@ mod tests {
         assert_eq!(report.outcomes().len(), 1);
         assert_eq!(report.rejected()[0].id, 1);
         assert_eq!(report.metrics().sim_memo.misses, 1, "only `good` ran");
+    }
+
+    /// `NocConfig`'s fields are public, so a layout with no tiles can skip
+    /// `NocConfig::new`'s check; `from_noc` refuses it instead of building
+    /// a cluster whose serve would find no tile to place on.
+    #[test]
+    fn a_zero_tile_noc_is_an_empty_pool() {
+        let tile = overlay_arch::Tile::new(FuVariant::V4, overlay_arch::TileComposition::Parallel);
+        for (rows, cols) in [(0, 3), (2, 0), (0, 0)] {
+            let noc = NocConfig { rows, cols, tile };
+            assert!(matches!(
+                Cluster::from_noc(noc),
+                Err(RuntimeError::EmptyPool)
+            ));
+        }
+        let noc = NocConfig {
+            rows: 1,
+            cols: 1,
+            tile,
+        };
+        let spec = KernelSpec::from_source("poly", "kernel poly(x) { out y = x * x + 3; }");
+        let request = Request::new(0, spec, Workload::ramp(1, 4));
+        let report = Cluster::from_noc(noc).unwrap().serve(vec![request]);
+        assert_eq!(report.unwrap().outcomes().len(), 1);
     }
 
     /// A traced serve over an explicit NoC — two rows, so round trips
@@ -1397,7 +1229,8 @@ mod tests {
                 }
             })
             .collect();
-        let mut runtime = Runtime::from_noc(noc)
+        let mut runtime = Cluster::from_noc(noc)
+            .unwrap()
             .with_policy(DispatchPolicy::SlackAware)
             .with_admission_limit(16)
             .with_batching(BatchConfig::with_max_batch(4))
@@ -1405,7 +1238,7 @@ mod tests {
         runtime.serve(requests).unwrap()
     }
 
-    /// [`from_noc_serve`] pinned to the bytes `Runtime`'s own event loop
+    /// [`from_noc_serve`] pinned to the bytes the single-array runtime's own event loop
     /// produced before it became a one-device [`Cluster`] (whose
     /// constructor only ever built single-row parallel pools), with the
     /// trace in its request-major order: that earlier dump, its events

@@ -7,7 +7,7 @@ use crate::cache::CacheStats;
 use crate::obs::LogHistogram;
 use crate::session::SloClass;
 
-/// Aggregate metrics for one [`serve`](crate::Runtime::serve) call, built
+/// Aggregate metrics for one [`serve`](crate::Cluster::serve) call, built
 /// from the per-request outcomes and the per-tile serving state.
 ///
 /// All times are on the modeled hardware timeline (simulator cycles converted

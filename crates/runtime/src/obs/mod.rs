@@ -11,7 +11,6 @@
 //!   one per routing decision, admission verdict and tile start, and a log
 //!   of rare events — and [`Trace::events`] builds the spans on first
 //!   read. Enable with
-//!   [`Runtime::with_tracing`](crate::Runtime::with_tracing) /
 //!   [`Cluster::with_tracing`](crate::Cluster::with_tracing); the trace
 //!   comes back on the serve report.
 //! * [`LogHistogram`] — HDR-style log-bucketed latency and queue-depth
@@ -23,12 +22,11 @@
 //!   is validated by [`validate_chrome_trace`] in CI.
 //! * [`StageProfiler`] / [`ProfileStats`] — opt-in host-time stage timers
 //!   (scan / route / sim / memo / bookkeeping) behind
-//!   [`Runtime::with_profiling`](crate::Runtime::with_profiling), read by
+//!   [`Cluster::with_profiling`](crate::Cluster::with_profiling), read by
 //!   the benchmark's `runtime.profile.*` rows.
 //! * [`TelemetryConfig`] / [`TimeSeries`] — windowed time-series aggregation
 //!   on the virtual timeline (throughput, miss-rate, queue depth,
 //!   utilization, per-class latency percentiles per window), behind
-//!   [`Runtime::with_telemetry`](crate::Runtime::with_telemetry) /
 //!   [`Cluster::with_telemetry`](crate::Cluster::with_telemetry).
 //! * [`SloConfig`] / [`SloReport`] — per-class SLO objectives with
 //!   error-budget burn-rate tracking and multi-window burn alerts emitted

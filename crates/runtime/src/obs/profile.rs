@@ -3,7 +3,7 @@
 //! A [`StageProfiler`] attributes the loop's host nanoseconds to five
 //! stages — the denominator behind the ns/event figures the benches report.
 //! It is gated behind an opt-in flag
-//! ([`Runtime::with_profiling`](crate::Runtime::with_profiling)): off (the
+//! ([`Cluster::with_profiling`](crate::Cluster::with_profiling)): off (the
 //! default) every probe is one branch on a bool and no clock is read, so
 //! the bitwise-pinned hot path stays clock-free.
 //!

@@ -17,10 +17,10 @@
 //! and — with tracing on — emitted as typed [`SloBurn`](SpanKind::SloBurn) /
 //! [`SloClear`](SpanKind::SloClear) trace spans on the virtual timeline.
 //!
-//! Everything here is a pure function of the time-series, so a
-//! [`Runtime`](crate::Runtime) and a 1-device [`Cluster`](crate::Cluster)
-//! (whose series are bitwise-identical) report the same burn samples,
-//! alerts and spans bitwise.
+//! Everything here is a pure function of the time-series, so a 1-device
+//! [`Cluster`](crate::Cluster) on the plain tier and one forced onto the
+//! fleet tier (whose series are bitwise-identical) report the same burn
+//! samples, alerts and spans bitwise.
 
 use crate::obs::timeline::TimeSeries;
 use crate::obs::trace::{device_event, SpanKind, TraceEvent};

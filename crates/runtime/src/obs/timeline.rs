@@ -14,9 +14,9 @@
 //! integral (a cross-device quantity) lives in the [`GlobalSeries`] the
 //! serial commit order owns. [`TimeSeries::assemble`] then absorbs the lanes
 //! in device order. Floating-point sums depend on accumulation order, and
-//! per-device commit order is the one order a [`Runtime`](crate::Runtime)
-//! and a 1-device [`Cluster`](crate::Cluster) share, so partitioning by
-//! device is what keeps their time-series bitwise equal.
+//! per-device commit order is the one order both tiers of a 1-device
+//! [`Cluster`](crate::Cluster) share, so partitioning by device is what
+//! keeps their time-series bitwise equal.
 //!
 //! Everything is off by default ([`TelemetryConfig::disabled`]) and
 //! proptest-pinned bitwise-inert when off.
@@ -110,9 +110,9 @@ pub(crate) struct LaneWindow {
 }
 
 /// One device's partition of the time-series: every request commit on that
-/// device accumulates here, in the device's commit order — the order a
-/// [`Runtime`](crate::Runtime) and a 1-device [`Cluster`](crate::Cluster)
-/// share, which the bitwise equivalence tests pin.
+/// device accumulates here, in the device's commit order — the order both
+/// tiers of a 1-device [`Cluster`](crate::Cluster) share, which the bitwise
+/// equivalence tests pin.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneSeries {
     window_us: f64,

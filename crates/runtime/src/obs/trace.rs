@@ -239,8 +239,8 @@ impl SpanKind {
 
 /// One span: a [`SpanKind`] anchored on the virtual timeline.
 ///
-/// `dur_us` is 0 for instants. `device` is 0 for a plain
-/// [`Runtime`](crate::Runtime) serve; `tile` is `None` for device-level
+/// `dur_us` is 0 for instants. `device` is 0 on a 1-device
+/// [`Cluster`](crate::Cluster); `tile` is `None` for device-level
 /// events (submission, admission, routing, counters).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -722,12 +722,12 @@ mod tests {
 
     #[test]
     fn disabled_recorder_stores_nothing_and_finishes_to_none() {
-        use crate::{KernelSpec, Request, Runtime};
+        use crate::{Cluster, KernelSpec, Request};
         assert!(!TraceConfig::default().is_enabled());
         assert!(TraceConfig::enabled().is_enabled());
         let spec = KernelSpec::from_source("poly", "kernel poly(x) { out y = x * x + 3; }");
         let request = Request::new(1, spec, overlay_sim::Workload::ramp(1, 4));
-        let mut runtime = Runtime::new(overlay_arch::FuVariant::V4, 1).unwrap();
+        let mut runtime = Cluster::new(overlay_arch::FuVariant::V4, 1, 1).unwrap();
         let untraced = runtime.serve(vec![request.clone()]).unwrap();
         assert!(untraced.trace().is_none());
         let mut runtime = runtime.with_tracing(TraceConfig::enabled());

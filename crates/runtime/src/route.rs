@@ -37,9 +37,8 @@
 //! crucially — into the completion *estimates* routing and placement
 //! compare, so sending a kernel to a device where it is cold correctly
 //! weighs the transfer (or host load) against queueing behind the device
-//! where it is warm. A single-device cluster — a
-//! [`Runtime`](crate::Runtime) is one — never acquires anything (images
-//! enter the store at compile time).
+//! where it is warm. A single-device cluster never acquires anything
+//! (images enter the store at compile time).
 //!
 //! The same [`TransferModel`] prices the session tier's *activation*
 //! transfers: when consecutive stages of a

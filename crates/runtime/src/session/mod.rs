@@ -39,8 +39,8 @@ pub use dag::{PipelineRequest, PipelineStage, DEFAULT_ACTIVATION_BYTES};
 pub use sched::ReorderBuffer;
 pub use slo::{Session, SloClass};
 
-use crate::cluster::ClusterReport;
 use crate::metrics::{ClassMetrics, StageMetrics};
+use crate::ServeReport;
 
 /// What happened to one pipeline: when it finished, when it *committed*
 /// (in submission order within its session), and what its stages paid in
@@ -92,7 +92,7 @@ impl PipelineOutcome {
 pub struct PipelineReport {
     /// The per-stage serve: every stage is one
     /// [`RequestOutcome`](crate::RequestOutcome) in here.
-    pub cluster: ClusterReport,
+    pub cluster: ServeReport,
     /// Per-pipeline outcomes, in submission order.
     pub pipelines: Vec<PipelineOutcome>,
     /// Latency breakdown per stage depth (position in topological order).

@@ -1,6 +1,6 @@
 //! Streaming request submission into a live serve loop.
 //!
-//! [`Runtime::serve_stream`](crate::Runtime::serve_stream) hands its feeder a
+//! [`Cluster::serve_stream`](crate::Cluster::serve_stream) hands its feeder a
 //! [`Submitter`]: a clonable handle over a *bounded* mpsc channel into the
 //! event loop. The bound is the ingest buffer — when the loop falls behind,
 //! [`Submitter::submit`] blocks (backpressure) and
@@ -22,7 +22,7 @@
 //! [`ReorderBuffer`](crate::ReorderBuffer) in exactly the order they were
 //! submitted, however far out of order their stages complete.
 //!
-//! When tracing is on ([`Runtime::with_tracing`](crate::Runtime::with_tracing)
+//! When tracing is on ([`Cluster::with_tracing`](crate::Cluster::with_tracing)
 //! with an enabled [`TraceConfig`](crate::obs::TraceConfig)), each request's
 //! spans open with a `Submit` instant at its arrival timestamp — the anchor
 //! every later lifecycle span ([`SpanKind`](crate::obs::SpanKind)) of that
@@ -75,7 +75,7 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Streaming handle into a running [`Runtime::serve_stream`](crate::Runtime::serve_stream)
+/// Streaming handle into a running [`Cluster::serve_stream`](crate::Cluster::serve_stream)
 /// call.
 ///
 /// Cloning gives multiple producers over the same bounded ingest queue; the

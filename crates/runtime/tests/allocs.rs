@@ -2,7 +2,7 @@
 //!
 //! The residency index keeps its classes in storage sized once per tile and
 //! once per kernel, so warm pool transitions and placement queries touch no
-//! allocator; a `Runtime`/`Cluster` keeps its per-intake tables between
+//! allocator; a `Cluster` of any size keeps its per-intake tables between
 //! serves and moves requests into them by value, so a warm serve allocates
 //! its report, its per-tile queues and little else — also right after a
 //! serve that failed; and a batch serve simulates on the calling thread,
@@ -20,9 +20,8 @@ use overlay_arch::{FuVariant, TileComposition};
 use overlay_dfg::Value;
 use overlay_frontend::{Benchmark, LowerOptions};
 use overlay_runtime::{
-    Cluster, DeviceMetrics, FaultPlan, KernelCache, KernelKey, KernelSpec, RejectedRequest,
-    Request, RequestOutcome, RoutePolicy, Runtime, RuntimeError, RuntimeMetrics, TilePool, Trace,
-    TraceConfig,
+    Cluster, DeviceMetrics, FaultPlan, KernelCache, KernelKey, KernelSpec, Request, RoutePolicy,
+    RuntimeError, RuntimeMetrics, ServeReport, TilePool, Trace, TraceConfig,
 };
 use overlay_scheduler::{generate_program_owned, schedule};
 use overlay_sim::{OverlaySimulator, Workload};
@@ -156,7 +155,7 @@ fn warm_trace(requests: usize) -> Vec<Request> {
 /// the per-tile queues and histograms — and nothing per request. The
 /// tables indexed by intake position are the instance's and were sized by
 /// the serve before; a request moves into its intake row by value. When
-/// written: 37 allocations and 154 bytes per request on the 64-tile runtime,
+/// written: 37 allocations and 154 bytes per request on one 64-tile device,
 /// 51 and 158 on the 4-device cluster, whose aggregation used to grow a
 /// latency table per device by doubling (94, and 102 for four times the
 /// trace). Before the tables were the instance's the two made 2041 and 2112
@@ -198,7 +197,7 @@ fn a_warm_serve_stays_in_budget(mut serve: impl FnMut(Vec<Request>) -> (usize, u
 
 #[test]
 fn a_warm_serve_allocates_its_report_and_little_else() {
-    let mut runtime = Runtime::new(FuVariant::V4, TILES).unwrap();
+    let mut runtime = Cluster::new(FuVariant::V4, 1, TILES).unwrap();
     a_warm_serve_stays_in_budget(|trace| {
         let report = runtime.serve(trace).unwrap();
         (report.outcomes().len(), report.metrics().sim_memo.misses)
@@ -234,18 +233,12 @@ fn a_warm_fleet_serve_routes_without_allocating() {
 /// and rejects, totals, the per-device breakdown and the trace.
 type Said = (String, RuntimeMetrics, Vec<DeviceMetrics>, Option<Trace>);
 
-fn said(
-    outcomes: &[RequestOutcome],
-    rejected: &[RejectedRequest],
-    metrics: &RuntimeMetrics,
-    devices: &[DeviceMetrics],
-    trace: Option<&Trace>,
-) -> Said {
+fn said(report: &ServeReport) -> Said {
     (
-        format!("{outcomes:?}\n{rejected:?}"),
-        metrics.clone(),
-        devices.to_vec(),
-        trace.cloned(),
+        format!("{:?}\n{:?}", report.outcomes(), report.rejected()),
+        report.metrics().clone(),
+        report.device_metrics().to_vec(),
+        report.trace().cloned(),
     )
 }
 
@@ -256,11 +249,7 @@ fn said(
 /// report, span for span, for no more allocations. (The reference is the
 /// instance's own warm serve, not a new instance's cold one: caches, memo
 /// and a cluster's kernel-image stores are meant to stay warm.)
-fn a_failed_serve_costs_the_next_one_nothing<I, R>(
-    mut instance: I,
-    serve: impl Fn(&mut I, Vec<Request>) -> Result<R, RuntimeError>,
-    said: impl Fn(&R) -> Said,
-) {
+fn a_failed_serve_costs_the_next_one_nothing(mut instance: Cluster) {
     let trace = warm_trace(1_000);
     let head = || trace[..100].to_vec();
     let after_head = trace[100].arrival_us;
@@ -294,14 +283,14 @@ fn a_failed_serve_costs_the_next_one_nothing<I, R>(
         ),
     ];
 
-    serve(&mut instance, trace.clone()).unwrap();
+    instance.serve(trace.clone()).unwrap();
     let replay = trace.clone();
-    let (warm, warm_allocations, _) = counted(|| serve(&mut instance, replay).unwrap());
+    let (warm, warm_allocations, _) = counted(|| instance.serve(replay).unwrap());
     let warm = said(&warm);
     for (name, failing) in failures {
-        assert!(serve(&mut instance, failing).is_err(), "{name} must fail");
+        assert!(instance.serve(failing).is_err(), "{name} must fail");
         let replay = trace.clone();
-        let (report, allocations, _) = counted(|| serve(&mut instance, replay).unwrap());
+        let (report, allocations, _) = counted(|| instance.serve(replay).unwrap());
         assert!(
             allocations <= warm_allocations,
             "after {name}: {allocations} allocations, a warm serve makes {warm_allocations}"
@@ -318,19 +307,9 @@ fn a_failed_serve_costs_the_next_one_nothing<I, R>(
 fn a_failed_runtime_serve_leaves_nothing_behind() {
     for tracing in [TraceConfig::disabled(), TraceConfig::enabled()] {
         a_failed_serve_costs_the_next_one_nothing(
-            Runtime::new(FuVariant::V4, 8)
+            Cluster::new(FuVariant::V4, 1, 8)
                 .unwrap()
                 .with_tracing(tracing),
-            |runtime, trace| runtime.serve(trace),
-            |report| {
-                said(
-                    report.outcomes(),
-                    report.rejected(),
-                    report.metrics(),
-                    &[],
-                    report.trace(),
-                )
-            },
         );
     }
 }
@@ -342,16 +321,6 @@ fn a_failed_cluster_serve_leaves_nothing_behind() {
             Cluster::new(FuVariant::V4, 4, 2)
                 .unwrap()
                 .with_tracing(tracing),
-            |cluster, trace| cluster.serve(trace),
-            |report| {
-                said(
-                    report.outcomes(),
-                    report.rejected(),
-                    report.metrics(),
-                    report.device_metrics(),
-                    report.trace(),
-                )
-            },
         );
     }
 }
@@ -382,7 +351,7 @@ fn a_cold_serve_allocates_only_on_the_calling_thread() {
         .collect();
 
     let before = ALLOCATIONS.with(Cell::get);
-    let mut runtime = Runtime::new(FuVariant::V4, 16).unwrap();
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 16).unwrap();
     let report = runtime.serve(trace).unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(report.outcomes().len(), REQUESTS);
@@ -426,7 +395,7 @@ fn a_second_serve_of_a_warm_kernel_does_not_plan_it() {
             Request::new(id as u64, kernel.clone(), workload).at(id as f64 * 0.01)
         })
         .collect();
-    let serve = |runtime: &mut Runtime, trace: Vec<Request>| {
+    let serve = |runtime: &mut Cluster, trace: Vec<Request>| {
         let report = runtime.serve(trace).unwrap();
         assert_eq!(report.metrics().sim_memo.misses, 2 * specs.len());
         report
@@ -434,12 +403,12 @@ fn a_second_serve_of_a_warm_kernel_does_not_plan_it() {
 
     // Warm what a serve keeps (its tables, the residency index), then give
     // the runtime a fresh kernel store: no kernel compiled, none planned.
-    let mut runtime = Runtime::new(FuVariant::V4, 16)
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 16)
         .unwrap()
         .with_sim_memo_capacity(0);
     serve(&mut runtime, trace.clone());
     let mut runtime = runtime
-        .with_cache_capacity(Runtime::DEFAULT_CACHE_CAPACITY)
+        .with_cache_capacity(Cluster::DEFAULT_CACHE_CAPACITY)
         .unwrap();
     let (first_trace, second_trace) = (trace.clone(), trace);
     let (_, first, _) = counted(|| serve(&mut runtime, first_trace));
@@ -447,13 +416,13 @@ fn a_second_serve_of_a_warm_kernel_does_not_plan_it() {
 
     // What the first serve's compiles and plans allocate: the same compiles
     // into a fresh store, then one plan per compiled kernel.
-    let depth = runtime.pool().logical_depth();
+    let depth = runtime.devices()[0].pool().logical_depth();
     let compile = |spec: &KernelSpec| -> Result<_, RuntimeError> {
         let dfg = spec.dfg(&LowerOptions::default())?;
         let stages = schedule(&dfg, FuVariant::V4, Some(depth))?;
         Ok(generate_program_owned(&dfg, stages, FuVariant::V4)?)
     };
-    let mut store = KernelCache::new(Runtime::DEFAULT_CACHE_CAPACITY).unwrap();
+    let mut store = KernelCache::new(Cluster::DEFAULT_CACHE_CAPACITY).unwrap();
     let ((), compiles, _) = counted(|| {
         for (spec, _) in &specs {
             let key = KernelKey {

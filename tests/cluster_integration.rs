@@ -10,7 +10,7 @@ use tm_overlay::dfg::evaluate_stream;
 use tm_overlay::frontend::LowerOptions;
 use tm_overlay::runtime::RuntimeError;
 use tm_overlay::{
-    Benchmark, Cluster, ClusterReport, DispatchPolicy, FuVariant, KernelSpec, Request, RoutePolicy,
+    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, Request, RoutePolicy, ServeReport,
     TraceConfig, TransferModel, Workload,
 };
 
@@ -40,7 +40,7 @@ fn benchmark_trace(count: usize, blocks: usize, spacing_us: f64, budget_us: f64)
 
 /// Checks every outcome against the DFG reference evaluator and audits the
 /// cluster-level invariants every serve must uphold.
-fn verify_report(requests: &[Request], report: &ClusterReport, devices: usize) {
+fn verify_report(requests: &[Request], report: &ServeReport, devices: usize) {
     let options = LowerOptions::default();
     let find = |id: u64| requests.iter().find(|r| r.id == id).unwrap();
     for outcome in report.outcomes() {
@@ -250,7 +250,7 @@ fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() 
         host_us_per_byte: 1.0,
     });
     let free = serve(TransferModel::free());
-    let spread = |report: &ClusterReport| {
+    let spread = |report: &ServeReport| {
         report
             .outcomes()
             .iter()
@@ -381,7 +381,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Renders a report as a canonical byte dump: every f64 as its raw bit
 /// pattern, so "identical" means bitwise, and the bulky sections (outputs,
 /// metrics, trace events) as FNV-1a digests of their `Debug` rendering.
-fn canonical_dump(report: &ClusterReport) -> String {
+fn canonical_dump(report: &ServeReport) -> String {
     let mut out = format!(
         "outcomes={} rejected={}\n",
         report.outcomes().len(),

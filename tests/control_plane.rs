@@ -1,5 +1,6 @@
 //! Control-plane integration suite: same-kernel batching and rate-driven
-//! replication, end to end through the public `Runtime` / `Cluster` APIs.
+//! replication, end to end through the public `Cluster` API, from one
+//! device up.
 //!
 //! The equivalence proptests (`tests/runtime_equivalence.rs`) pin the
 //! *disabled* control plane to bitwise-identical baseline behavior; this
@@ -12,7 +13,7 @@ use tm_overlay::dfg::evaluate_stream;
 use tm_overlay::frontend::LowerOptions;
 use tm_overlay::{
     BatchConfig, Benchmark, Cluster, FuVariant, KernelSpec, ReplicationConfig, Request,
-    RoutePolicy, Runtime, ServeReport, TransferModel, Workload,
+    RoutePolicy, ServeReport, TransferModel, Workload,
 };
 
 fn spec(benchmark: Benchmark) -> (KernelSpec, usize) {
@@ -38,15 +39,15 @@ fn interleaved_burst(count: usize, blocks: usize) -> Vec<Request> {
         .collect()
 }
 
-fn serve(runtime: &mut Runtime, requests: &[Request]) -> ServeReport {
+fn serve(runtime: &mut Cluster, requests: &[Request]) -> ServeReport {
     runtime.serve(requests.to_vec()).unwrap()
 }
 
 #[test]
 fn batching_groups_an_interleaved_burst_and_cuts_switches() {
     let requests = interleaved_burst(24, 4);
-    let mut plain = Runtime::new(FuVariant::V4, 1).unwrap();
-    let mut batched = Runtime::new(FuVariant::V4, 1)
+    let mut plain = Cluster::new(FuVariant::V4, 1, 1).unwrap();
+    let mut batched = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_batching(BatchConfig::with_max_batch(32));
     assert_eq!(batched.batching().max_batch, 32);
@@ -92,7 +93,7 @@ fn batching_groups_an_interleaved_burst_and_cuts_switches() {
 fn the_run_cap_bounds_consecutive_batched_dispatches() {
     let requests = interleaved_burst(32, 4);
     let switches = |max_batch: usize| {
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_batching(BatchConfig::with_max_batch(max_batch));
         serve(&mut runtime, &requests).metrics().switch_count
@@ -111,8 +112,8 @@ fn the_run_cap_bounds_consecutive_batched_dispatches() {
 #[test]
 fn a_zero_staleness_bound_disables_diversion_entirely() {
     let requests = interleaved_burst(20, 4);
-    let mut plain = Runtime::new(FuVariant::V4, 1).unwrap();
-    let mut held = Runtime::new(FuVariant::V4, 1)
+    let mut plain = Cluster::new(FuVariant::V4, 1, 1).unwrap();
+    let mut held = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_batching(BatchConfig::with_max_batch(8).with_max_hold_us(0.0));
     let baseline = serve(&mut plain, &requests);
@@ -134,7 +135,7 @@ fn feasible_deadlines_win_over_batching() {
     let (hot, hot_inputs) = spec(Benchmark::Gradient);
     let (urgent, urgent_inputs) = spec(Benchmark::Chebyshev);
     // Probe the urgent kernel's standalone service time to scale deadlines.
-    let mut probe = Runtime::new(FuVariant::V4, 1).unwrap();
+    let mut probe = Cluster::new(FuVariant::V4, 1, 1).unwrap();
     let urgent_svc = probe
         .serve(vec![Request::new(
             0,
@@ -167,7 +168,7 @@ fn feasible_deadlines_win_over_batching() {
         ]
     };
     let run = |deadline_us: f64| {
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_batching(BatchConfig::with_max_batch(8));
         serve(&mut runtime, &trace(deadline_us))
@@ -343,8 +344,11 @@ fn batching_and_replication_cut_switches_on_a_skewed_overload() {
         (FuVariant::V1, [16, 16, 16], 2),
     ];
     for (variant, switches, pushed) in expected {
-        let service_us = serve(&mut Runtime::new(variant, 1).unwrap(), &trace(1, 1.0, 1e9))
-            .outcomes()[0]
+        let service_us = serve(
+            &mut Cluster::new(variant, 1, 1).unwrap(),
+            &trace(1, 1.0, 1e9),
+        )
+        .outcomes()[0]
             .completion_us;
         let spacing_us = service_us / 32.0;
         let requests = trace(1024, spacing_us, 8.0 * service_us);

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use tm_overlay::{
-    Benchmark, Cluster, ClusterReport, FaultPlan, FuVariant, KernelSpec, Request, RoutePolicy,
-    Scenario, ScenarioConfig, SloClass, SloConfig, SloObjective, TelemetryConfig, Workload,
+    Benchmark, Cluster, FaultPlan, FuVariant, KernelSpec, Request, RoutePolicy, Scenario,
+    ScenarioConfig, ServeReport, SloClass, SloConfig, SloObjective, TelemetryConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -50,7 +50,7 @@ fn cluster(devices: usize, tiles: usize, route: RoutePolicy) -> Cluster {
 
 /// Every submitted request shows up exactly once across outcomes and
 /// rejects — the zero-loss ledger check.
-fn assert_zero_loss(report: &ClusterReport, submitted: usize) {
+fn assert_zero_loss(report: &ServeReport, submitted: usize) {
     let mut seen = std::collections::HashSet::new();
     for outcome in report.outcomes() {
         assert!(

@@ -35,8 +35,8 @@ use tm_overlay::runtime::obs::{
 use tm_overlay::runtime::{SpanKind, TraceEvent};
 use tm_overlay::{
     explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, LogHistogram,
-    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport,
-    Session, SloClass, SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
+    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, ServeReport, Session,
+    SloClass, SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -156,7 +156,7 @@ proptest! {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
-        let build = || Runtime::new(FuVariant::V4, tiles)
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit);
@@ -189,7 +189,7 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let report = Runtime::new(FuVariant::V4, tiles)
+        let report = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_tracing(TraceConfig::enabled())
@@ -289,7 +289,7 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let build = || Runtime::new(FuVariant::V4, tiles)
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_tracing(TraceConfig::enabled());
@@ -453,7 +453,7 @@ fn exporters_emit_wellformed_output() {
 #[test]
 fn a_long_traced_serve_keeps_every_span() {
     let requests = random_trace(0x10c5, 20_000, 3.0);
-    let report = Runtime::new(FuVariant::V4, 4)
+    let report = Cluster::new(FuVariant::V4, 1, 4)
         .unwrap()
         .with_tracing(TraceConfig::enabled())
         .serve(requests)

@@ -22,8 +22,8 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use tm_overlay::{
-    BatchConfig, Benchmark, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant,
-    KernelSpec, PipelineReport, PipelineRequest, PipelineStage, Request, RoutePolicy, Session,
+    BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
+    PipelineReport, PipelineRequest, PipelineStage, Request, RoutePolicy, ServeReport, Session,
     SloClass, TraceConfig, Workload,
 };
 
@@ -135,7 +135,7 @@ fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
 
 /// Every observable of two cluster serves must match exactly — including
 /// the per-device breakdown and the recorded trace.
-fn assert_cluster_reports_identical(a: &ClusterReport, b: &ClusterReport) {
+fn assert_cluster_reports_identical(a: &ServeReport, b: &ServeReport) {
     assert_eq!(a.outcomes().len(), b.outcomes().len());
     for (lhs, rhs) in a.outcomes().iter().zip(b.outcomes()) {
         assert_eq!(lhs.request_id, rhs.request_id);

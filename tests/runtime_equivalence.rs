@@ -1,8 +1,8 @@
 //! Cross-tier equivalence property suite. There is one event loop, compiled
 //! in two tiers: `plain` (one device, no fault plan, no session driver,
-//! replication off — what a [`Runtime`] always runs) and `fleet`. Wherever
-//! both can serve the same configuration they must produce **identical**
-//! results on every trace — same tile choices, same outcomes (to the bit,
+//! replication off — what `Cluster::new(variant, 1, tiles)` runs) and
+//! `fleet`. Wherever both can serve the same configuration they must
+//! produce **identical** results on every trace — same tile choices, same outcomes (to the bit,
 //! including modeled timestamps), same rejects, same metrics, the same trace
 //! but for the fleet's route-choice spans — across all four `DispatchPolicy`
 //! variants, with and without admission pressure, batching and PCAP pools.
@@ -10,17 +10,17 @@
 //!
 //! A **1-device [`Cluster`] carrying an empty [`FaultPlan`]** is forced onto
 //! the fleet tier (routing collapses, no image is ever acquired, no fault
-//! ever fires) and must reproduce [`Runtime`] bitwise on the same randomized
-//! traces; and `RoutePolicy::KernelHash` must assign every request of a
-//! kernel to the same device on every resubmission.
+//! ever fires) and must reproduce the plain one-device [`Cluster`] bitwise
+//! on the same randomized traces; and `RoutePolicy::KernelHash` must assign
+//! every request of a kernel to the same device on every resubmission.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 
 use tm_overlay::runtime::{RequestOutcome, SpanKind, Trace, TraceEvent};
 use tm_overlay::{
-    BatchConfig, Cluster, ClusterReport, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
-    ReplicationConfig, Request, RoutePolicy, Runtime, ServeReport, TraceConfig, Workload,
+    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, ReplicationConfig,
+    Request, RoutePolicy, ServeReport, TraceConfig, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -60,8 +60,8 @@ fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request>
         .collect()
 }
 
-/// Outcome for outcome, everything two serves decided and computed (a
-/// `Runtime` stamps device 0, like the 1-device cluster it is held to).
+/// Outcome for outcome, everything two serves decided and computed (both
+/// tiers of a 1-device cluster stamp device 0).
 fn assert_outcomes_identical(
     a: &[RequestOutcome],
     b: &[RequestOutcome],
@@ -92,15 +92,15 @@ fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), Test
     Ok(())
 }
 
-/// A traced [`Runtime`] — the plain tier — and the 1-device [`Cluster`]
-/// configured like it that an empty fault plan forces onto the fleet tier.
+/// A traced 1-device [`Cluster`] on the plain tier and one configured like
+/// it that an empty fault plan forces onto the fleet tier.
 fn runtime_and_one_device_fleet(
     variant: FuVariant,
     tiles: usize,
     policy: DispatchPolicy,
     limit: usize,
-) -> (Runtime, Cluster) {
-    let runtime = Runtime::new(variant, tiles)
+) -> (Cluster, Cluster) {
+    let runtime = Cluster::new(variant, 1, tiles)
         .unwrap()
         .with_policy(policy)
         .with_admission_limit(limit)
@@ -153,7 +153,7 @@ proptest! {
         assert_cluster_matches_runtime(&report, &reference)?;
     }
 
-    /// A 1-device fleet is `Runtime` — bit for bit: same tiles, same
+    /// A 1-device fleet is the plain 1-device cluster — bit for bit: same tiles, same
     /// modeled timestamps, same rejects, same metrics — under every
     /// (dispatch policy × routing policy) combination and admission limit,
     /// with device 0 stamped on every outcome and zero transfer traffic.
@@ -179,7 +179,7 @@ proptest! {
     /// The control plane at its disabled settings (`max_batch = 1`,
     /// replication off) is bitwise identical to the pre-control-plane
     /// runtime: explicitly configuring the disabled `BatchConfig` /
-    /// `ReplicationConfig` must reproduce the default-built `Runtime` on
+    /// `ReplicationConfig` must reproduce the default-built cluster on
     /// either tier exactly — outcomes, timestamps, rejects and the full
     /// metrics struct (including all-zero batch counters) — under every
     /// policy and admission pressure.
@@ -192,11 +192,11 @@ proptest! {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
-        let mut plain = Runtime::new(FuVariant::V4, tiles)
+        let mut plain = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit);
-        let mut pinned = Runtime::new(FuVariant::V4, tiles)
+        let mut pinned = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit)
@@ -254,8 +254,8 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 4.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let mut plain = Runtime::new(FuVariant::V4, tiles).unwrap().with_policy(policy);
-        let mut batched = Runtime::new(FuVariant::V4, tiles)
+        let mut plain = Cluster::new(FuVariant::V4, 1, tiles).unwrap().with_policy(policy);
+        let mut batched = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_batching(BatchConfig::with_max_batch(max_batch));
@@ -289,7 +289,7 @@ proptest! {
         let first = cluster.serve(requests.clone()).unwrap();
         let resubmitted = cluster.serve(requests.clone()).unwrap();
         let fresh = build().serve(requests).unwrap();
-        let routes = |report: &ClusterReport| -> Vec<(u64, usize)> {
+        let routes = |report: &ServeReport| -> Vec<(u64, usize)> {
             report.outcomes().iter().map(|o| (o.request_id, o.device)).collect()
         };
         prop_assert_eq!(routes(&first), routes(&resubmitted));
@@ -320,9 +320,9 @@ fn spans_but_routes(trace: Option<&Trace>) -> Vec<&TraceEvent> {
         .collect()
 }
 
-/// Every observable of a 1-device fleet serve must match the runtime's.
+/// Every observable of a 1-device fleet serve must match the plain tier's.
 fn assert_cluster_matches_runtime(
-    cluster: &ClusterReport,
+    cluster: &ServeReport,
     runtime: &ServeReport,
 ) -> Result<(), TestCaseError> {
     assert_outcomes_identical(cluster.outcomes(), runtime.outcomes())?;
@@ -330,7 +330,8 @@ fn assert_cluster_matches_runtime(
     // Cluster totals must equal the runtime's metrics field for field.
     prop_assert_eq!(cluster.metrics(), runtime.metrics());
     // The single device's breakdown is the whole story: no transfers, no
-    // host loads, every request.
+    // host loads, every request — and both tiers report it alike.
+    prop_assert_eq!(cluster.device_metrics(), runtime.device_metrics());
     prop_assert_eq!(cluster.device_metrics().len(), 1);
     let device = &cluster.device_metrics()[0];
     prop_assert_eq!(device.requests, runtime.outcomes().len());
@@ -348,10 +349,7 @@ fn assert_cluster_matches_runtime(
 /// Every observable of two cluster serves must match exactly — including
 /// the per-device breakdown and the recorded trace (the trace comparison
 /// covers span order, side tables, counters and the ring's drop count).
-fn assert_cluster_reports_identical(
-    a: &ClusterReport,
-    b: &ClusterReport,
-) -> Result<(), TestCaseError> {
+fn assert_cluster_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
     assert_outcomes_identical(a.outcomes(), b.outcomes())?;
     prop_assert_eq!(a.rejected(), b.rejected());
     prop_assert_eq!(a.metrics(), b.metrics());

@@ -14,7 +14,7 @@ use tm_overlay::dfg::evaluate_stream;
 use tm_overlay::frontend::LowerOptions;
 use tm_overlay::runtime::RuntimeError;
 use tm_overlay::{
-    Benchmark, DispatchPolicy, FuVariant, KernelSpec, Request, Runtime, ServeReport, SubmitError,
+    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, Request, ServeReport, SubmitError,
     Workload,
 };
 
@@ -65,7 +65,7 @@ fn streaming_serves_correctly_on_every_variant() {
     // reload) and the feed-forward ones ([14]/V1/V2, PCAP) alike.
     let requests = benchmark_trace(8, 4);
     for variant in FuVariant::ALL {
-        let mut runtime = Runtime::new(variant, 2).unwrap();
+        let mut runtime = Cluster::new(variant, 1, 2).unwrap();
         let report = runtime
             .serve_stream(|submitter| {
                 for request in &requests {
@@ -86,7 +86,9 @@ fn every_policy_serves_the_same_functional_results() {
     let requests = benchmark_trace(24, 4);
     let mut reference: Option<ServeReport> = None;
     for policy in DispatchPolicy::ALL {
-        let mut runtime = Runtime::new(FuVariant::V4, 3).unwrap().with_policy(policy);
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 3)
+            .unwrap()
+            .with_policy(policy);
         let report = runtime.serve(requests.clone()).unwrap();
         assert_eq!(report.policy(), policy);
         verify_report(&requests, &report);
@@ -112,7 +114,7 @@ fn a_live_producer_thread_streams_through_backpressure() {
     // thread must block on submit and the loop must drain everything in
     // order, with results identical to the batch shim.
     let requests = benchmark_trace(40, 3);
-    let mut runtime = Runtime::new(FuVariant::V4, 4)
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 4)
         .unwrap()
         .with_ingest_capacity(4);
     let streamed = runtime
@@ -138,7 +140,7 @@ fn try_submit_surfaces_backpressure_to_the_producer() {
     // picked up the first request, so eventually some try_submit must see
     // Backpressure; blocking submit still gets everything through.
     let requests = benchmark_trace(6, 2);
-    let mut runtime = Runtime::new(FuVariant::V4, 1)
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_ingest_capacity(0);
     let (saw_backpressure_tx, saw_backpressure_rx) = mpsc::channel();
@@ -178,7 +180,7 @@ fn admission_control_rejects_queue_overflow_per_policy() {
         .map(|i| Request::new(i, spec.clone(), Workload::random(5, 4, i)).at(0.0))
         .collect();
     for policy in DispatchPolicy::ALL {
-        let mut runtime = Runtime::new(FuVariant::V4, 1)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(3);
@@ -206,7 +208,7 @@ fn admission_control_rejects_queue_overflow_per_policy() {
 /// Modeled completion time of one cold request (switch + service), used to
 /// scale deadlines so tests are robust to timing-model changes.
 fn probe_service_us(spec: &KernelSpec, workload: &Workload) -> f64 {
-    let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap();
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
     let report = runtime
         .serve(vec![Request::new(0, spec.clone(), workload.clone()).at(0.0)])
         .unwrap();
@@ -230,7 +232,9 @@ fn deadline_misses_are_counted_per_policy_under_overload() {
         })
         .collect();
     for policy in DispatchPolicy::ALL {
-        let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap().with_policy(policy);
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
+            .unwrap()
+            .with_policy(policy);
         let report = runtime.serve(requests.clone()).unwrap();
         let metrics = report.metrics();
         assert_eq!(metrics.deadline_requests, 8, "{policy}");
@@ -279,7 +283,7 @@ fn deadline_aware_policies_beat_fifo_on_an_overloaded_queue() {
                 .with_deadline(arrival + 3.5 * service_us),
         );
     }
-    let mut affinity = Runtime::new(FuVariant::V4, 1).unwrap();
+    let mut affinity = Cluster::new(FuVariant::V4, 1, 1).unwrap();
     let fifo_misses = affinity
         .serve(requests.clone())
         .unwrap()
@@ -290,7 +294,9 @@ fn deadline_aware_policies_beat_fifo_on_an_overloaded_queue() {
         DispatchPolicy::EarliestDeadlineFirst,
         DispatchPolicy::SlackAware,
     ] {
-        let mut runtime = Runtime::new(FuVariant::V4, 1).unwrap().with_policy(policy);
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
+            .unwrap()
+            .with_policy(policy);
         let misses = runtime
             .serve(requests.clone())
             .unwrap()
@@ -308,7 +314,7 @@ fn out_of_order_submissions_fail_the_serve_and_release_the_producer() {
     let benchmark = Benchmark::Poly5;
     let spec = KernelSpec::from_benchmark(benchmark).unwrap();
     let inputs = benchmark.dfg().unwrap().num_inputs();
-    let mut runtime = Runtime::new(FuVariant::V4, 2).unwrap();
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 2).unwrap();
     let result = runtime.serve_stream(|submitter| {
         let first = Request::new(0, spec.clone(), Workload::ramp(inputs, 2)).at(50.0);
         submitter.submit(first).unwrap();
@@ -331,7 +337,7 @@ fn out_of_order_submissions_fail_the_serve_and_release_the_producer() {
 
 #[test]
 fn an_empty_stream_reports_no_requests() {
-    let mut runtime = Runtime::new(FuVariant::V4, 2).unwrap();
+    let mut runtime = Cluster::new(FuVariant::V4, 1, 2).unwrap();
     let result = runtime.serve_stream(|_submitter| {});
     assert!(matches!(result, Err(RuntimeError::NoRequests)));
 }

@@ -17,7 +17,7 @@ use rand::prelude::*;
 use tm_overlay::runtime::{FlashCrowd, Scenario, ScenarioConfig};
 use tm_overlay::{
     Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, PipelineRequest, PipelineStage,
-    Request, RoutePolicy, Runtime, ServeReport, Session, SloClass, Workload,
+    Request, RoutePolicy, ServeReport, Session, SloClass, Workload,
 };
 
 const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
@@ -115,7 +115,7 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 1.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let mut runtime = Runtime::new(FuVariant::V4, tiles)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit);
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 5.0);
         let policy = DispatchPolicy::ALL[policy_pick];
-        let mut runtime = Runtime::new(FuVariant::V4, tiles)
+        let mut runtime = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy);
         let report = runtime.serve(requests.clone()).unwrap();
@@ -166,7 +166,7 @@ proptest! {
         // Probe the uniform service time so deadline budgets scale with the
         // timing model instead of hard-coding microseconds.
         let service_us = {
-            let mut probe = Runtime::new(FuVariant::V4, 1).unwrap();
+            let mut probe = Cluster::new(FuVariant::V4, 1, 1).unwrap();
             probe
                 .serve(vec![Request::new(0, spec.clone(), workload.clone()).at(0.0)])
                 .unwrap()
@@ -185,9 +185,9 @@ proptest! {
             })
             .collect();
 
-        let mut affinity = Runtime::new(FuVariant::V4, tiles).unwrap();
+        let mut affinity = Cluster::new(FuVariant::V4, 1, tiles).unwrap();
         let fifo = affinity.serve(requests.clone()).unwrap();
-        let mut edf = Runtime::new(FuVariant::V4, tiles)
+        let mut edf = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(DispatchPolicy::EarliestDeadlineFirst);
         let edf_report = edf.serve(requests.clone()).unwrap();
