@@ -2,16 +2,24 @@
 //! reporting.
 
 use std::fmt;
+use std::sync::Arc;
 
 use overlay_arch::{
     ContextSwitch, FpgaDevice, FuVariant, OverlayConfig, ReconfigModel, ResourceUsage,
 };
 use overlay_scheduler::CompiledKernel;
-use overlay_sim::{OverlaySimulator, SimRun, Workload};
+use overlay_sim::{Kernel, OverlaySimulator, SimRun, Workload};
 
 use crate::error::Error;
 
 /// A linear-overlay instance: an architecture configuration plus a simulator.
+///
+/// An overlay built for a kernel ([`Overlay::for_kernel`]) keeps that
+/// kernel loaded, as the paper's context switch loads a kernel's FU programs
+/// once: [`Overlay::execute`] decodes and times it at its first run and
+/// every later run makes only the data pass. Any other kernel, and every
+/// kernel on an overlay built with [`Overlay::new`], is planned again for
+/// each run. A clone shares the loaded kernel and its plan.
 ///
 /// See the [crate-level quickstart](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
@@ -19,6 +27,8 @@ pub struct Overlay {
     config: OverlayConfig,
     simulator: OverlaySimulator,
     reconfig: ReconfigModel,
+    /// The kernel the overlay was built for.
+    loaded: Option<Arc<Kernel>>,
 }
 
 /// Performance of one compiled kernel on one overlay instance, combining the
@@ -68,12 +78,19 @@ impl Overlay {
             config: OverlayConfig::new(variant, depth)?,
             simulator: OverlaySimulator::new(variant),
             reconfig: ReconfigModel::new(),
+            loaded: None,
         })
     }
 
-    /// Creates an overlay sized for `compiled`: the kernel's own depth for
-    /// the feed-forward variants, the paper's fixed depth of 8 for the
-    /// write-back variants.
+    /// Creates an overlay sized for `compiled`, with `compiled` loaded: the
+    /// kernel's own depth for the feed-forward variants, the paper's fixed
+    /// depth of 8 for the write-back variants.
+    ///
+    /// The overlay keeps a copy of the kernel, and [`Overlay::execute`] of
+    /// a kernel equal to it in everything its plan is made from (variant,
+    /// program, output stream indices, op count) runs the plan it made at
+    /// the first such call. A kernel that breaks a hardware constraint
+    /// keeps that error as its plan.
     ///
     /// # Errors
     ///
@@ -84,7 +101,9 @@ impl Overlay {
         } else {
             compiled.num_fus()
         };
-        Self::new(variant, depth)
+        let mut overlay = Self::new(variant, depth)?;
+        overlay.loaded = Some(Arc::new(overlay.simulator.load(compiled.clone())));
+        Ok(overlay)
     }
 
     /// The architecture configuration.
@@ -117,7 +136,9 @@ impl Overlay {
     }
 
     /// Executes a compiled kernel over a workload on the cycle-accurate
-    /// simulator.
+    /// simulator: from the plan of the kernel the overlay was built for,
+    /// when `compiled` is that kernel, and otherwise planned for this run
+    /// alone. Either way the workload is checked once.
     ///
     /// # Errors
     ///
@@ -126,14 +147,18 @@ impl Overlay {
     /// ([`Error::KernelTooDeep`]), and for hardware-constraint violations
     /// detected during simulation — whichever comes first in that order.
     pub fn execute(&self, compiled: &CompiledKernel, workload: &Workload) -> Result<SimRun, Error> {
-        self.simulator.validate(compiled, workload)?;
         if compiled.num_fus() > self.config.depth() {
+            // The simulator's own checks outrank the depth.
+            self.simulator.validate(compiled, workload)?;
             return Err(Error::KernelTooDeep {
                 fus: compiled.num_fus(),
                 depth: self.config.depth(),
             });
         }
-        Ok(self.simulator.run(compiled, workload)?)
+        match &self.loaded {
+            Some(kernel) if kernel.plans_for(compiled) => Ok(kernel.run(workload)?),
+            _ => Ok(self.simulator.run(compiled, workload)?),
+        }
     }
 
     /// Builds the performance report for a finished run.
@@ -170,6 +195,8 @@ mod tests {
     use super::*;
     use crate::compiler::Compiler;
     use overlay_frontend::Benchmark;
+    use overlay_isa::{FuProgram, Instruction, OverlayProgram, RegIndex};
+    use overlay_sim::{SimError, SimPlan};
 
     #[test]
     fn quickstart_flow_produces_consistent_reports() {
@@ -208,6 +235,129 @@ mod tests {
         );
         let fitting = Overlay::for_kernel(FuVariant::V1, &compiled).unwrap();
         assert!(fitting.execute(&compiled, &workload).is_ok());
+    }
+
+    /// `compiled` with its first FU's first `EXEC` reading `r20`, which
+    /// nothing loads, writes or preloads.
+    fn reading_an_uninitialised_register(compiled: &CompiledKernel) -> CompiledKernel {
+        let unset = RegIndex::new(20).unwrap();
+        let mut edited = false;
+        let programs = compiled.program.fu_programs().iter().map(|program| {
+            let mut copy = FuProgram::new();
+            for &(register, value) in program.constant_init() {
+                assert_ne!(register, unset);
+                copy.preload_constant(register, value);
+            }
+            for &instruction in program.instructions() {
+                copy.push(match instruction {
+                    Instruction::Exec {
+                        op,
+                        dst,
+                        src2,
+                        wb,
+                        ndf,
+                        ..
+                    } if !edited => {
+                        edited = true;
+                        Instruction::exec_flags(op, dst, unset, src2, wb, ndf)
+                    }
+                    other => other,
+                });
+            }
+            copy
+        });
+        let program = &compiled.program;
+        CompiledKernel {
+            program: OverlayProgram::new(
+                program.kernel(),
+                programs.collect(),
+                program.num_inputs(),
+                program.num_outputs(),
+                program.ii(),
+            ),
+            ..compiled.clone()
+        }
+    }
+
+    #[test]
+    fn a_loaded_kernel_that_breaks_a_hardware_constraint_keeps_its_error() {
+        let compile = |benchmark| {
+            let compiled = Compiler::new(FuVariant::V1)
+                .compile_benchmark(benchmark)
+                .unwrap();
+            reading_an_uninitialised_register(&compiled)
+        };
+        let (broken, deep) = (compile(Benchmark::Gradient), compile(Benchmark::Poly7));
+        let overlay = Overlay::for_kernel(FuVariant::V1, &broken).unwrap();
+        let copy = overlay.clone();
+        let workload = Workload::random(5, 4, 1);
+        // The one-shot path's answer, as every run answered before an
+        // overlay kept its kernel loaded.
+        let one_shot = Overlay::new(FuVariant::V1, overlay.config().depth()).unwrap();
+        let expected = one_shot.execute(&broken, &workload).unwrap_err();
+        assert!(
+            matches!(
+                expected,
+                Error::Sim(SimError::UninitializedRegister { fu: 0, .. })
+            ),
+            "{expected:?}"
+        );
+        let empty = Workload::from_records(vec![]);
+        let narrow = Workload::random(3, 4, 1);
+        let fits_deep = Workload::random(deep.program.num_inputs(), 4, 1);
+        for overlay in [&overlay, &copy, &overlay] {
+            assert_eq!(overlay.execute(&broken, &workload).unwrap_err(), expected);
+            // The workload checks and the depth come first, as they do for
+            // the one-shot path.
+            for (kernel, workload) in [(&broken, &empty), (&broken, &narrow), (&deep, &fits_deep)] {
+                assert_eq!(
+                    overlay.execute(kernel, workload).unwrap_err(),
+                    one_shot.execute(kernel, workload).unwrap_err()
+                );
+            }
+        }
+        assert_eq!(
+            overlay.execute(&deep, &fits_deep).unwrap_err(),
+            Error::KernelTooDeep { fus: 13, depth: 4 }
+        );
+        // The clone shares the kernel's kept error rather than planning
+        // again.
+        let kept = |overlay: &Overlay| -> *const SimError {
+            overlay.loaded.as_deref().unwrap().plan().unwrap_err()
+        };
+        assert!(std::ptr::eq(kept(&overlay), kept(&copy)));
+    }
+
+    #[test]
+    fn a_clone_shares_the_loaded_plan() {
+        let compiled = Compiler::new(FuVariant::V4)
+            .compile_benchmark(Benchmark::Qspline)
+            .unwrap();
+        let overlay = Overlay::for_kernel(FuVariant::V4, &compiled).unwrap();
+        let copy = overlay.clone();
+        let workload = Workload::random(compiled.program.num_inputs(), 8, 1);
+        let run = overlay.execute(&compiled, &workload).unwrap();
+        let plan = |overlay: &Overlay| -> *const SimPlan {
+            overlay.loaded.as_deref().unwrap().plan().unwrap()
+        };
+        assert!(std::ptr::eq(plan(&overlay), plan(&copy)), "planned once");
+        let again = copy.execute(&compiled, &workload).unwrap();
+        assert_eq!(run.outputs(), again.outputs());
+        // A kernel compiled for another variant is refused as before, after
+        // the workload checks.
+        let v3 = Compiler::new(FuVariant::V3)
+            .compile_benchmark(Benchmark::Qspline)
+            .unwrap();
+        let mismatched = Overlay::for_kernel(FuVariant::V4, &v3).unwrap();
+        for workload in [&workload, &Workload::from_records(vec![])] {
+            assert_eq!(
+                mismatched.execute(&v3, workload).unwrap_err(),
+                Overlay::new(FuVariant::V4, 8)
+                    .unwrap()
+                    .execute(&v3, workload)
+                    .unwrap_err()
+            );
+        }
     }
 
     #[test]

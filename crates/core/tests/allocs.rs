@@ -1,10 +1,11 @@
-//! Allocation regression test for the compile façade.
+//! Allocation regression test for the compile façade and `Overlay::execute`.
 //!
 //! The compile path borrows its tokens and names from the source, keeps
 //! operands and register maps in dense tables and hands each stage's result
 //! to the next by value. This file pins what one `Compiler::compile_*` call
-//! allocates with a counting allocator; it is an integration-test crate so
-//! that the library keeps `#![forbid(unsafe_code)]`. Each bound is the count
+//! allocates with a counting allocator, and that an overlay runs the kernel
+//! it keeps loaded from its plan; it is an integration-test crate so that
+//! the library keeps `#![forbid(unsafe_code)]`. Each bound is the count
 //! the commit that set it measured, plus 15 %; the commit before it
 //! (`0d00bf0`) read 383, 435 and 546. The gradient and Poly8 bounds were set
 //! again when node names moved into the nodes; the commit before that
@@ -20,7 +21,8 @@ use std::cell::Cell;
 
 use tm_overlay::dfg::{Dfg, DfgGenerator, GeneratorConfig};
 use tm_overlay::frontend::Benchmark;
-use tm_overlay::{CompiledKernel, Compiler, Error, FuVariant};
+use tm_overlay::sim::OverlaySimulator;
+use tm_overlay::{CompiledKernel, Compiler, Error, FuVariant, Overlay, Workload};
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
@@ -67,6 +69,15 @@ fn allocations_of(compile: impl FnOnce() -> Result<CompiledKernel, Error>) -> u6
     let compiled = compile().unwrap();
     let count = ALLOCATIONS.with(Cell::get) - before;
     assert!(compiled.num_fus() > 0);
+    count
+}
+
+/// What `run` allocates, counting none of the drops of what it returns.
+fn allocations_of_run<T>(run: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let kept = run();
+    let count = ALLOCATIONS.with(Cell::get) - before;
+    drop(kept);
     count
 }
 
@@ -142,4 +153,31 @@ fn built_kernel_graphs_allocate_the_same_at_every_size() {
             .all(|&(_, _, count)| count <= 6 && count == counts[0].2),
         "(kernel, nodes, allocations): {counts:?}"
     );
+}
+
+/// After the first run of the kernel an overlay was built for, which plans
+/// it, every run makes the data pass alone: exactly what a planned run at
+/// the overlay's trace capacity allocates (4 at 2 and at 256 traced blocks
+/// when written), where a one-shot run also decodes and times the kernel
+/// (7).
+#[test]
+fn a_second_execute_of_the_loaded_kernel_allocates_what_a_planned_run_does() {
+    for benchmark in [Benchmark::Gradient, Benchmark::Poly8] {
+        for variant in [FuVariant::V1, FuVariant::V4] {
+            let compiled = Compiler::new(variant).compile_benchmark(benchmark).unwrap();
+            let overlay = Overlay::for_kernel(variant, &compiled).unwrap();
+            let simulator = OverlaySimulator::new(variant);
+            let plan = simulator.plan(&compiled).unwrap();
+            for blocks in [2, 256] {
+                let workload = Workload::random(compiled.program.num_inputs(), blocks, 1);
+                overlay.execute(&compiled, &workload).unwrap();
+                let execute = allocations_of_run(|| overlay.execute(&compiled, &workload));
+                let planned = allocations_of_run(|| plan.run(&workload));
+                let one_shot = allocations_of_run(|| simulator.run(&compiled, &workload));
+                let what = format!("{benchmark} on {variant}, {blocks} blocks");
+                assert_eq!(execute, planned, "{what}");
+                assert!(execute < one_shot, "{what}: {execute} vs {one_shot}");
+            }
+        }
+    }
 }

@@ -7,11 +7,16 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use overlay_arch::FuVariant;
 use overlay_scheduler::CompiledKernel;
-use overlay_sim::{OverlaySimulator, SimError, SimPlan, SimRun};
+use overlay_sim::{OverlaySimulator, SimRun};
+
+/// A compiled kernel as the [`KernelCache`] holds it: loaded onto an
+/// untraced simulator of its own variant, so it is decoded and timed at its
+/// first memo miss and at most once however many serves and devices see it.
+pub use overlay_sim::Kernel;
 
 use crate::error::RuntimeError;
 
@@ -139,36 +144,6 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A compiled kernel as the [`KernelCache`] holds it: the program and, from
-/// the first time a run needs it, the program's [`SimPlan`]. The plan lives
-/// as long as the kernel, so a kernel is decoded and timed at most once
-/// however many serves, devices and memo misses it sees.
-#[derive(Debug)]
-pub struct Kernel {
-    /// The compiled program.
-    pub compiled: CompiledKernel,
-    plan: OnceLock<Result<SimPlan, SimError>>,
-}
-
-impl Kernel {
-    /// The kernel's plan for an untraced simulator of its own variant, made
-    /// at the first call; a plan that cannot be made is kept as its error.
-    ///
-    /// # Errors
-    ///
-    /// The first hardware constraint the program violates, as
-    /// [`OverlaySimulator::plan`] reports it.
-    pub fn plan(&self) -> Result<&SimPlan, &SimError> {
-        self.plan
-            .get_or_init(|| {
-                OverlaySimulator::new(self.compiled.variant)
-                    .with_trace_capacity(0)
-                    .plan(&self.compiled)
-            })
-            .as_ref()
-    }
-}
-
 /// The least-recently-used bookkeeping the kernel cache and the simulation
 /// memo share: a logical clock, each entry's last use and the counters.
 #[derive(Debug)]
@@ -251,7 +226,8 @@ impl KernelCache {
 
     /// Returns the cached kernel for `key`, or compiles it via `compile`,
     /// caching the result (evicting the least-recently-used entry if full).
-    /// Compiling does not plan the kernel; its first [`Kernel::plan`] does.
+    /// Compiling loads the kernel but does not plan it; its first
+    /// [`Kernel::run_in`] or [`Kernel::plan`] does.
     ///
     /// # Errors
     ///
@@ -268,10 +244,9 @@ impl KernelCache {
             return Ok(Arc::clone(kernel));
         }
         self.lru.stats.misses += 1;
-        let kernel = Arc::new(Kernel {
-            compiled: compile()?,
-            plan: OnceLock::new(),
-        });
+        let compiled = compile()?;
+        let simulator = OverlaySimulator::new(compiled.variant).with_trace_capacity(0);
+        let kernel = Arc::new(simulator.load(compiled));
         self.lru.insert(key, Arc::clone(&kernel));
         Ok(kernel)
     }
@@ -505,8 +480,8 @@ mod tests {
             move || {
                 // A tile "executing" the kernel while the cache churns.
                 for _ in 0..100 {
-                    assert!(pinned.compiled.ii > 0.0);
-                    assert!(pinned.compiled.num_fus() > 0);
+                    assert!(pinned.compiled().ii > 0.0);
+                    assert!(pinned.compiled().num_fus() > 0);
                 }
                 Arc::strong_count(&pinned)
             }
@@ -523,7 +498,7 @@ mod tests {
         assert!(holder.join().unwrap() >= 1);
         // The evicted pin still works and a fresh lookup recompiles rather
         // than resurrecting the dropped entry.
-        assert!(pinned.compiled.ii > 0.0);
+        assert!(pinned.compiled().ii > 0.0);
         let recompiled = cache.get_or_compile(key(1), compile_saxpy).unwrap();
         assert!(
             !Arc::ptr_eq(&pinned, &recompiled),
@@ -554,17 +529,16 @@ mod tests {
         assert!(!peer.contains(&key(1)));
     }
 
-    /// A compile does not plan; the first `plan` does, once, and the plan
-    /// travels with the shared `Arc` to a store that adopts the image. It
-    /// proves the compiled II.
+    /// The first `plan` plans, once, and the plan travels with the shared
+    /// `Arc` to a store that adopts the image. It proves the compiled II.
+    /// (That loading does not plan is `overlay_sim`'s test.)
     #[test]
     fn a_shared_kernel_brings_its_plan() {
         let mut home = KernelCache::new(2).unwrap();
         let kernel = home.get_or_compile(key(1), compile_saxpy).unwrap();
-        assert!(kernel.plan.get().is_none(), "a compile does not plan");
         let plan = kernel.plan().unwrap();
         assert!(std::ptr::eq(plan, kernel.plan().unwrap()), "planned once");
-        assert_eq!(plan.steady_ii(), Some(kernel.compiled.ii));
+        assert_eq!(plan.steady_ii(), Some(kernel.compiled().ii));
         let mut peer = KernelCache::new(1).unwrap();
         assert!(!peer.get_or_share(key(1), &kernel));
         let adopted = peer.peek(&key(1)).unwrap();

@@ -1385,7 +1385,7 @@ impl Cluster {
             }) else {
                 continue; // everyone holds it or no store has a free slot
             };
-            let bytes = artifact.compiled.program.config_bytes();
+            let bytes = artifact.compiled().program.config_bytes();
             let cost_us =
                 cheapest_acquisition(&self.active_transfer(), self.holders(key), target, bytes)
                     .cost_us();

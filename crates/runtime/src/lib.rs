@@ -151,7 +151,7 @@ use std::thread;
 use overlay_arch::{FuVariant, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program_owned, schedule};
-use overlay_sim::{ColumnBuffer, OverlaySimulator, Records, SimError, SimMetrics, SimRun};
+use overlay_sim::{ColumnBuffer, Records, SimError, SimMetrics, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
@@ -399,7 +399,7 @@ pub(crate) fn prepare_request(
         let stages = schedule(&dfg, ctx.variant, ctx.writeback.then_some(ctx.depth))?;
         Ok(generate_program_owned(&dfg, stages, ctx.variant)?)
     })?;
-    let compiled = &kernel.compiled;
+    let compiled = kernel.compiled();
     let timing = match ctx.derived.get(&key) {
         Some(&timing) => timing,
         None => {
@@ -618,14 +618,8 @@ impl<'t> SimResults<'t> {
     /// here.
     #[inline(never)]
     fn simulate(&mut self, info: &InFlight) -> Result<SimRun, SimError> {
-        let (kernel, workload) = (&info.kernel, &info.request.workload);
-        match kernel.plan() {
-            Ok(plan) => plan.run_in(workload, &mut self.columns),
-            // A malformed workload is still reported first.
-            Err(error) => OverlaySimulator::new(kernel.compiled.variant)
-                .validate(&kernel.compiled, workload)
-                .and(Err(error.clone())),
-        }
+        info.kernel
+            .run_in(&info.request.workload, &mut self.columns)
     }
 
     /// The run sourced for `index` at its admission. The slot keeps its

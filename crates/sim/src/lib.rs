@@ -53,6 +53,13 @@
 //! passes for one run alone: its timing pass stops at the run's own blocks,
 //! and its program goes to the run's trace instead of being shared.
 //!
+//! [`OverlaySimulator::load`] loads a kernel as the overlay's context switch
+//! does, once: the [`Kernel`] it returns makes its plan at its first run,
+//! at the trace capacity of the simulator it was loaded with, and keeps it
+//! (or the error the plan failed with) for as long as the kernel. The
+//! runtime's kernel cache (untraced) and `tm-overlay`'s `Overlay` (4 096
+//! events) hold their kernels this way.
+//!
 //! The [`Trace`] is packed: the data pass copies out the columns of the
 //! blocks it keeps (every value an event prints, once), a chunk of blocks
 //! at a time, and the run hands the trace the program (a planned run shares
@@ -107,6 +114,6 @@ pub mod workload;
 
 pub use error::SimError;
 pub use metrics::SimMetrics;
-pub use overlay::{ColumnBuffer, OverlaySimulator, RecordIter, Records, SimPlan, SimRun};
+pub use overlay::{ColumnBuffer, Kernel, OverlaySimulator, RecordIter, Records, SimPlan, SimRun};
 pub use trace::{Event, EventKind, Trace};
 pub use workload::Workload;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::{Index, Range};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use overlay_arch::FuVariant;
 use overlay_dfg::Value;
@@ -90,8 +90,89 @@ impl SimPlan {
         buffer: &mut ColumnBuffer,
     ) -> Result<SimRun, SimError> {
         check_workload(self.program.inputs(), workload)?;
+        self.execute(workload, buffer)
+    }
+
+    /// The data pass over a checked `workload`.
+    fn execute(&self, workload: &Workload, buffer: &mut ColumnBuffer) -> Result<SimRun, SimError> {
         let program = HeldProgram::Shared(Arc::clone(&self.program));
         self.timing.execute(program, workload, buffer)
+    }
+}
+
+/// A compiled kernel loaded onto a simulator, as the overlay's context
+/// switch loads a kernel's FU programs once: built by
+/// [`OverlaySimulator::load`].
+///
+/// The kernel is decoded and timed at its first run, on the simulator it
+/// was loaded with, and its [`SimPlan`] is kept for as long as the kernel:
+/// however many runs it sees, and wherever it is shared, it is planned at
+/// most once, and every later run makes only the data pass.
+#[derive(Debug)]
+pub struct Kernel {
+    /// Private, so the plan is always this kernel's.
+    compiled: CompiledKernel,
+    simulator: OverlaySimulator,
+    plan: OnceLock<Result<SimPlan, SimError>>,
+}
+
+impl Kernel {
+    /// The compiled program.
+    pub fn compiled(&self) -> &CompiledKernel {
+        &self.compiled
+    }
+
+    /// The kernel's plan for the simulator it was loaded with, made at the
+    /// first call; a plan that cannot be made is kept as its error.
+    ///
+    /// # Errors
+    ///
+    /// The error [`OverlaySimulator::plan`] reports: a kernel compiled for
+    /// another variant, then the first hardware constraint it violates.
+    pub fn plan(&self) -> Result<&SimPlan, &SimError> {
+        self.plan
+            .get_or_init(|| self.simulator.plan(&self.compiled))
+            .as_ref()
+    }
+
+    /// Whether `compiled` has this kernel's plan: it equals the loaded
+    /// kernel in everything a plan is made from (variant, program, output
+    /// stream indices and op count), if not in the rest of its schedule.
+    pub fn plans_for(&self, compiled: &CompiledKernel) -> bool {
+        let loaded = &self.compiled;
+        loaded.variant == compiled.variant
+            && loaded.schedule.total_ops() == compiled.schedule.total_ops()
+            && loaded.output_stream_index == compiled.output_stream_index
+            && loaded.program == compiled.program
+    }
+
+    /// Runs the kernel over `workload`: what the loaded simulator's
+    /// [`run`](OverlaySimulator::run) returns, from the kernel's plan.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptyWorkload`] or [`SimError::InputWidthMismatch`],
+    /// then the plan's error, in the order [`OverlaySimulator::run`]
+    /// reports them.
+    pub fn run(&self, workload: &Workload) -> Result<SimRun, SimError> {
+        self.run_in(workload, &mut ColumnBuffer::default())
+    }
+
+    /// [`Kernel::run`], in `buffer`'s working columns: see
+    /// [`SimPlan::run_in`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Kernel::run`].
+    pub fn run_in(
+        &self,
+        workload: &Workload,
+        buffer: &mut ColumnBuffer,
+    ) -> Result<SimRun, SimError> {
+        check_workload(self.compiled.program.num_inputs(), workload)?;
+        self.plan()
+            .map_err(SimError::clone)?
+            .execute(workload, buffer)
     }
 }
 
@@ -392,6 +473,17 @@ impl OverlaySimulator {
         })
     }
 
+    /// Loads `compiled` onto this simulator: see [`Kernel`]. Loading does
+    /// not plan; the kernel's first run does, and its runs keep this
+    /// simulator's trace capacity.
+    pub fn load(&self, compiled: CompiledKernel) -> Kernel {
+        Kernel {
+            compiled,
+            simulator: self.clone(),
+            plan: OnceLock::new(),
+        }
+    }
+
     /// The two passes a plan makes, stepping at most `cap` lane-blocks.
     fn decode_and_time(
         &self,
@@ -509,6 +601,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_loaded_kernel_plans_at_its_first_run_on_its_simulator() {
+        let compiled = compile(Benchmark::Gradient, FuVariant::V1);
+        let kernel = OverlaySimulator::new(FuVariant::V1)
+            .with_trace_capacity(0)
+            .load(compiled);
+        assert!(kernel.plan.get().is_none(), "loading does not plan");
+        let workload = Workload::random(5, 3, 1);
+        let run = kernel.run(&workload).unwrap();
+        let plan = kernel.plan.get().unwrap().as_ref().unwrap();
+        assert!(std::ptr::eq(plan, kernel.plan().unwrap()), "planned once");
+        assert!(run.trace().events().is_empty(), "the simulator's capacity");
+        let malformed = Workload::from_records(vec![]);
+        assert_eq!(kernel.run(&malformed).unwrap_err(), SimError::EmptyWorkload);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use tm_overlay::dfg::{evaluate_stream, Value};
 use tm_overlay::frontend::LowerOptions;
-use tm_overlay::{Benchmark, Compiler, FuVariant, Overlay, Workload};
+use tm_overlay::sim::{OverlaySimulator, SimRun};
+use tm_overlay::{Benchmark, CompiledKernel, Compiler, FuVariant, Overlay, Workload};
 
 /// Custom kernels covering every DSL construct, compiled and simulated on
 /// every evaluated variant.
@@ -158,4 +159,70 @@ fn single_invocation_latency_equals_total_cycles() {
         run.metrics().total_cycles,
         "a single invocation finishes exactly at its latency"
     );
+}
+
+/// Holds `run` to `expected` in everything a run reports: outputs, metrics
+/// and the trace's `Debug` bytes.
+fn assert_same_run(run: &SimRun, expected: &SimRun, what: &str) {
+    assert_eq!(run.outputs(), expected.outputs(), "{what}: outputs");
+    assert_eq!(run.metrics(), expected.metrics(), "{what}: metrics");
+    assert_eq!(
+        format!("{:?}", run.trace()),
+        format!("{:?}", expected.trace()),
+        "{what}: trace"
+    );
+}
+
+/// `compiled`'s one-shot answer: a fresh simulator planning it for the run.
+fn one_shot(compiled: &CompiledKernel, workload: &Workload) -> SimRun {
+    OverlaySimulator::new(compiled.variant)
+        .run(compiled, workload)
+        .unwrap()
+}
+
+#[test]
+fn an_overlay_runs_its_loaded_kernel_as_a_fresh_simulator_does() {
+    for benchmark in Benchmark::ALL {
+        for variant in FuVariant::ALL {
+            let compiled = Compiler::new(variant).compile_benchmark(benchmark).unwrap();
+            let overlay = Overlay::for_kernel(variant, &compiled).unwrap();
+            let inputs = compiled.program.num_inputs();
+            // The first call plans, the later ones run the kept plan; the
+            // block counts straddle the 64-block columns.
+            for (blocks, seed) in [(1, 1), (2, 2), (65, 3), (130, 4), (2, 5)] {
+                let workload = Workload::random(inputs, blocks, seed);
+                let run = overlay.execute(&compiled, &workload).unwrap();
+                let what = format!("{benchmark} on {variant}, {blocks} blocks");
+                assert_same_run(&run, &one_shot(&compiled, &workload), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn an_overlay_runs_a_near_miss_of_its_loaded_kernel_as_that_kernel() {
+    let compile = |source| Compiler::new(FuVariant::V3).compile_source(source).unwrap();
+    // The same variant, FU count, inputs and shape; another program.
+    let fma = compile("kernel fma(a, b, c) { out y = a * b + c; }");
+    let fms = compile("kernel fms(a, b, c) { out y = a * b - c; }");
+    assert_eq!(fma.num_fus(), fms.num_fus());
+    assert_ne!(fma.program, fms.program);
+    // Only the output stream indices differ: the outputs come out swapped.
+    let two_out = compile("kernel two_out(a, b) { out s = a + b; out d = a - b; }");
+    let mut swapped = two_out.clone();
+    swapped.output_stream_index.reverse();
+    assert_ne!(swapped.output_stream_index, two_out.output_stream_index);
+
+    for (loaded, near_miss) in [(&fma, &fms), (&two_out, &swapped)] {
+        let overlay = Overlay::for_kernel(FuVariant::V3, loaded).unwrap();
+        let workload = Workload::random(loaded.program.num_inputs(), 20, 0x5EED);
+        for kernel in [loaded, near_miss, loaded, near_miss] {
+            let run = overlay.execute(kernel, &workload).unwrap();
+            let expected = one_shot(kernel, &workload);
+            assert_same_run(&run, &expected, kernel.program.kernel());
+        }
+        let loaded_run = overlay.execute(loaded, &workload).unwrap();
+        let near_miss_run = overlay.execute(near_miss, &workload).unwrap();
+        assert_ne!(loaded_run.outputs(), near_miss_run.outputs());
+    }
 }
