@@ -7,7 +7,7 @@
 //! simulator, benchmark harness) can derive the same quantities the paper
 //! reports without an FPGA toolchain:
 //!
-//! * [`fu`] — the functional-unit variants of Table I ([14] baseline and
+//! * [`fu`] — the functional-unit variants of Table I (`[14]` baseline and
 //!   V1–V5) with their resources, operating frequency and internal
 //!   write-back path (IWP);
 //! * [`device`] / [`resources`] — FPGA device capacities and resource

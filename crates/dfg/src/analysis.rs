@@ -2,7 +2,7 @@
 //! demand ALAP levels, slack and a critical path.
 //!
 //! The ASAP level assignment is the basis of the paper's scheduling for the
-//! `[14]`, V1 and V2 overlays ("nodes at the same (horizontal) level [are]
+//! `[14]`, V1 and V2 overlays ("nodes at the same (horizontal) level \[are\]
 //! allocated to a single FU"), and the depth is the overlay depth those
 //! variants require; the fixed-depth scheduler for the write-back variants
 //! (V3–V5) clusters the same levels. Both read [`DfgAnalysis::depth`],

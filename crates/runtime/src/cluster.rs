@@ -87,10 +87,9 @@ use crate::session::{
     PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
-    compact_outcomes, prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher,
-    InFlight, Ingest, KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest,
-    ReplicationConfig, Request, RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults,
-    Submitter, TilePool,
+    prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher, InFlight, Ingest,
+    KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest, ReplicationConfig, Request,
+    RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults, Start, Submitter, TilePool,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -148,17 +147,17 @@ struct DeviceTally {
 }
 
 /// Mutable event-loop state, separate from the `Cluster` so placement (on
-/// `self`) and bookkeeping borrows stay disjoint.
+/// `self`) and bookkeeping borrows stay disjoint. It holds no outcome: each
+/// [`RequestOutcome`] is built once, when the loop ends.
 struct ClusterState<'t> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
-    /// On loan from [`LoopTables`] for the serve, like `routed` below.
+    /// On loan from [`LoopTables`] for the serve, like the tables below.
     taken: &'t mut Vec<bool>,
     events: EventQueue,
-    /// Per intake index: the outcome written at the request's start. The one
-    /// table a serve allocates: it leaves with the report ([`compact_outcomes`]).
-    outcome_slots: Vec<Option<RequestOutcome>>,
+    /// Per intake index: where and when the request started, if it did.
+    starts: &'t mut Vec<Option<Start>>,
     rejected: Vec<RejectedRequest>,
     /// What the serve derives once per kernel, from preparation to
     /// simulation.
@@ -179,8 +178,8 @@ struct ClusterState<'t> {
     trace: Option<obs::Trace>,
     /// The host-time stage profiler (inert unless profiling is on).
     profiler: obs::StageProfiler,
-    /// Cluster-wide queue depth sampled at every event pop.
-    queue_depth_hist: obs::LogHistogram,
+    /// Per cluster-wide queue depth: the events popped at it.
+    depths: &'t mut Vec<u64>,
     /// Per global tile, fleet tier only: the intake index currently running
     /// there (kills must know what to abandon, and the session tier which
     /// stage a tile-free event commits).
@@ -1288,7 +1287,7 @@ impl Cluster {
     }
 
     /// The abrupt-death reaction: the device's running request is abandoned
-    /// (progress counted as lost work, outcome withdrawn — its simulation
+    /// (progress counted as lost work, start withdrawn — its simulation
     /// stays sourced for the retry), every queued request is displaced, tile
     /// timelines rewind, the kernel store is wiped, and the replication
     /// layer's pushed replicas re-home to survivors.
@@ -1298,10 +1297,10 @@ impl Cluster {
             let tile = base + local;
             if let Some(index) = state.running_index[tile].take() {
                 // `start_request` fills the slot as it sets `running_index`.
-                let outcome = state.outcome_slots[index]
+                let start = state.starts[index]
                     .take()
-                    .expect("a running request has an outcome slot");
-                self.fault.device_mut(device).lost_work_us += (now_us - outcome.start_us).max(0.0);
+                    .expect("a running request has a start");
+                self.fault.device_mut(device).lost_work_us += (now_us - start.start_us).max(0.0);
                 self.displace(index, device, now_us, true, state);
             }
             for index in state.queues[tile].drain_live(state.taken) {
@@ -1505,6 +1504,7 @@ impl Cluster {
         tables.intake.reserve(expected);
         tables.taken.reserve(expected);
         tables.ready.reserve(expected);
+        tables.starts.reserve(expected);
         if FLEET {
             tables.routed.reserve(expected);
         }
@@ -1519,7 +1519,7 @@ impl Cluster {
                 .collect(),
             taken: &mut tables.taken,
             events: EventQueue::new(),
-            outcome_slots: Vec::with_capacity(expected),
+            starts: &mut tables.starts,
             rejected: Vec::new(),
             prep,
             sim: SimResults::new(&mut tables.ready),
@@ -1532,7 +1532,7 @@ impl Cluster {
             tallies: vec![DeviceTally::default(); devices],
             trace: self.tracing.is_enabled().then(|| obs::Trace::new(expected)),
             profiler: obs::StageProfiler::new(self.profiling),
-            queue_depth_hist: obs::LogHistogram::new(),
+            depths: &mut tables.depths,
             running_index: vec![None; run_slots],
             pending_free: vec![None; run_slots],
             session,
@@ -1606,19 +1606,20 @@ impl Cluster {
                         0
                     };
                     let index = intake.len();
-                    intake.push(prepare_request(
+                    prepare_request(
                         &mut self.devices[home].cache,
                         &self.lower,
                         &self.reconfig,
                         &mut state.prep,
                         request,
-                    )?);
+                        intake,
+                    )?;
                     // Arrivals enter in non-decreasing time order: the
                     // monotone lane appends instead of heap-sifting.
                     state
                         .events
                         .push_monotone(arrival_us, EventKind::Arrival { index });
-                    state.outcome_slots.push(None);
+                    state.starts.push(None);
                     state.taken.push(false);
                     state.sim.push_slot();
                     if FLEET {
@@ -1641,7 +1642,8 @@ impl Cluster {
             let bookkeeping = state.profiler.begin();
             let waiting = self.waiting_count::<FLEET>();
             state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
-            state.queue_depth_hist.record(waiting as f64);
+            state.depths.resize(state.depths.len().max(waiting + 1), 0);
+            state.depths[waiting] += 1;
             state
                 .global_series
                 .note_queue(state.last_event_us, now_us, waiting);
@@ -1750,12 +1752,8 @@ impl Cluster {
             return Err(RuntimeError::NoRequests);
         }
         let events_fired = state.events.fired();
-        let outcomes = compact_outcomes(state.outcome_slots);
-        debug_assert_eq!(
-            outcomes.len() + state.rejected.len(),
-            intake.len(),
-            "every submitted request is either served or rejected"
-        );
+        let mut queue_depth_hist = obs::LogHistogram::new();
+        queue_depth_hist.record_counts(state.depths);
         // Assemble the windowed series (the makespan is the last event's
         // time — the final tile-free) and evaluate SLO burn against it, the
         // burn alerts joining the trace.
@@ -1783,6 +1781,8 @@ impl Cluster {
             );
             trace
         });
+        let served = intake.len().saturating_sub(state.rejected.len());
+        let outcomes = state.sim.into_outcomes(intake, state.starts, served);
         // Hand the session driver back to `serve_pipelines` for the
         // pipeline-level report.
         self.session_driver = state.session.take();
@@ -1797,7 +1797,7 @@ impl Cluster {
             tallies: state.tallies,
             trace,
             profile: state.profiler.finish(),
-            queue_depth_hist: state.queue_depth_hist,
+            queue_depth_hist,
             telemetry,
             slo,
         })
@@ -2013,8 +2013,8 @@ impl Cluster {
 
     /// Commits request `index` to its routed device's tile at the current
     /// virtual time: reads its measured cycle count, charges the tile's
-    /// timeline with acquisition + switch + execution, records the outcome
-    /// and schedules the tile-free event at the completion.
+    /// timeline with acquisition + switch + execution, records where and
+    /// when it started and schedules the tile-free event at the completion.
     #[inline(always)]
     fn start_request<const FLEET: bool>(
         &mut self,
@@ -2028,9 +2028,9 @@ impl Cluster {
         let now_us = state.events.now_us();
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let info = &intake[index];
-        let run = state.sim.run(index);
         let serving = &mut self.devices[device];
-        let exec_cycles = run.metrics().total_cycles + serving.pool.roundtrip_cycles(local_tile);
+        let exec_cycles =
+            state.sim.run(index).metrics().total_cycles + serving.pool.roundtrip_cycles(local_tile);
         let exec_us = exec_cycles as f64 / info.fmax_mhz;
         // The image acquisition (inter-device transfer or host load)
         // resolved at the arrival event is charged ahead of the context
@@ -2087,19 +2087,12 @@ impl Cluster {
             missed_deadline,
             transferred,
         );
-        state.outcome_slots[index] = Some(RequestOutcome {
-            request_id: request.id,
-            kernel: request.kernel.shared_name(),
+        state.starts[index] = Some(Start {
             device,
             tile: local_tile,
-            sim: *run.metrics(),
-            run,
             start_us: charged.start_us,
-            queued_us: charged.start_us - request.arrival_us,
             completion_us: charged.completion_us,
-            latency_us,
             switched: charged.switched,
-            deadline_us: request.deadline_us,
             missed_deadline,
         });
         if FLEET {
@@ -2788,6 +2781,41 @@ mod tests {
         }
     }
 
+    /// A request killed mid-run is reported where and when its retry ran,
+    /// and the device it died on books the run it lost from its first start.
+    #[test]
+    fn a_killed_request_is_reported_where_its_retry_ran() {
+        let inputs = Benchmark::Poly5.dfg().unwrap().num_inputs();
+        let spec = KernelSpec::from_benchmark(Benchmark::Poly5).unwrap();
+        let request = Request::new(7, spec, Workload::random(inputs, 4_096, 0xF00)).at(5.0);
+        let build = |plan| {
+            Cluster::new(FuVariant::V4, 2, 2)
+                .unwrap()
+                .with_fault_plan(plan)
+        };
+        let undisturbed = build(FaultPlan::new())
+            .serve(vec![request.clone()])
+            .unwrap();
+        let first = &undisturbed.outcomes()[0];
+        let kill_us = (first.start_us + first.completion_us) / 2.0;
+        let mut cluster = build(FaultPlan::new().kill(kill_us, first.device));
+        let report = cluster.serve(vec![request]).unwrap();
+
+        assert_eq!(report.requeues(), 1);
+        let [retry] = report.outcomes() else {
+            panic!("one outcome, not {}", report.outcomes().len());
+        };
+        assert_ne!(retry.device, first.device, "the retry ran on the survivor");
+        assert_eq!(retry.start_us, kill_us, "the retry started at the kill");
+        assert_eq!(retry.queued_us, kill_us - 5.0);
+        assert_eq!(retry.latency_us, retry.completion_us - 5.0);
+        let tile = &cluster.devices()[retry.device].pool().states()[retry.tile];
+        assert_eq!((tile.served, tile.available_us), (1, retry.completion_us));
+        let lost = report.device_metrics()[first.device].lost_work_us;
+        assert_eq!(lost, kill_us - first.start_us);
+        assert!(lost > 0.0);
+    }
+
     #[test]
     fn invalid_pipelines_are_rejected_before_serving() {
         let mut cluster = Cluster::new(FuVariant::V4, 2, 1).unwrap();
@@ -2859,7 +2887,8 @@ mod tests {
     }
 
     /// Serves a long trace, a short one, the long one under a tight
-    /// admission limit (so the in-place compaction meets `None` slots) and
+    /// admission limit (so the outcome drain meets requests that never
+    /// started) and
     /// a stream of doubly-submitted shared requests on one cluster, each
     /// report held to the one a twin returns that lives through the same
     /// serves (its kernel-image stores and memo are as warm) but has its

@@ -2,7 +2,7 @@
 //!
 //! When a tile frees, the dispatch policy names the request it would run
 //! next ([`Dispatcher::select_next`](crate::Dispatcher::select_next) /
-//! [`TileQueue::pop_next`](crate::dispatch::TileQueue)). The [`Batcher`]
+//! the dispatch module's `TileQueue::pop_next`). The `Batcher`
 //! sits on top of that choice: if the freed tile's *resident* kernel still
 //! has waiters in the queue, the batcher may run the oldest of them instead
 //! — no context switch, one more run of the warm kernel — and defer the

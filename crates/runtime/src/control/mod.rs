@@ -9,7 +9,7 @@
 //! existing decision machinery, both disabled by default and both leaving
 //! the data plane bitwise unchanged when off:
 //!
-//! * **[`Batcher`](batcher::Batcher)** ([`BatchConfig`]) — a policy layer
+//! * **`Batcher`** ([`BatchConfig`]) — a policy layer
 //!   over `Dispatcher::select_next`: when a tile frees, it may run the
 //!   oldest *same-kernel* waiter instead of the dispatch policy's choice,
 //!   turning N same-kernel dispatches into one switch + N runs. Runs are
@@ -17,7 +17,7 @@
 //!   staleness bound and (for deadline carriers) a feasibility check — EDF
 //!   deadlines still win when slack runs out. Composes with all four
 //!   dispatch policies.
-//! * **[`Replicator`](replicator::Replicator)** ([`ReplicationConfig`]) —
+//! * **`Replicator`** ([`ReplicationConfig`]) —
 //!   driven by a per-kernel request-rate EWMA ([`RateEstimator`]) fed from
 //!   the cluster routing tier (which sees every submission): a kernel whose
 //!   decayed arrival weight crosses the hot threshold has its compiled

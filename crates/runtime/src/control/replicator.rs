@@ -2,7 +2,7 @@
 //! pushed to the least-loaded devices *ahead of demand*, so routing's
 //! completion estimates find warm replicas instead of charging transfers.
 //!
-//! The [`Replicator`] is fed from the routing tier (which sees every
+//! The `Replicator` is fed from the routing tier (which sees every
 //! submission) through a per-kernel [`RateEstimator`]: each arrival bumps
 //! the kernel's decayed weight, and a kernel crossing
 //! [`hot_threshold`](ReplicationConfig::hot_threshold) has its compiled
@@ -13,7 +13,7 @@
 //! already hold it. The modeled push cost (the
 //! [`TransferModel`](crate::TransferModel)'s cheapest source, exactly what
 //! a demand fetch would have charged a request) is accounted in
-//! [`ReplicationStats`](crate::metrics::ReplicationStats) as prefetch
+//! [`ReplicationStats`] as prefetch
 //! traffic riding the otherwise-idle link, off the request critical path.
 //!
 //! Under store pressure (a push targeting a full device store) the

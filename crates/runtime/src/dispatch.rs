@@ -23,7 +23,7 @@
 //! # Indexed decisions, linear references
 //!
 //! Placement is answered from the [`TilePool`]'s residency index in a
-//! handful of first-entry lookups, and tile queues drain through [`TileQueue`] — a per-policy
+//! handful of first-entry lookups, and tile queues drain through a `TileQueue` — a per-policy
 //! ordered structure (FIFO deque, deadline min-heap, or per-kernel slack
 //! buckets) that pops in O(log depth) instead of an O(depth)
 //! scan-and-remove. The event loop has no other path.

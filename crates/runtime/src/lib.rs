@@ -156,10 +156,9 @@ use overlay_sim::{ColumnBuffer, Records, SimError, SimMetrics, SimRun};
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
 ///
-/// Outcomes are allocation-light by construction: the kernel name is shared
-/// with the request's [`KernelSpec`] and the functional outputs are shared
-/// with the (possibly memoized) simulation run — recording an outcome never
-/// deep-copies either.
+/// An outcome is built once, when the serve ends, from where and when its
+/// request started: it takes over the request's kernel name and the
+/// (possibly memoized) simulation run behind its outputs, copying neither.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
     /// The caller-chosen request id.
@@ -378,7 +377,7 @@ struct DerivedTiming {
 
 /// Compiles (via `cache`) and derives the timing figures one request needs
 /// before it can be dispatched — including the [`DispatchRequest`] view
-/// every later event reuses and the [`SimKey`] the memo answers.
+/// every later event reuses — and pushes the request's row onto `intake`.
 /// Kernel-dependent timing (frequency, switch cost, image size) is computed
 /// once per distinct kernel and reused from the context. `cache` is the
 /// kernel's home-device store.
@@ -388,7 +387,8 @@ pub(crate) fn prepare_request(
     reconfig: &ReconfigModel,
     ctx: &mut PrepContext,
     request: Request,
-) -> Result<InFlight, RuntimeError> {
+    intake: &mut Vec<InFlight>,
+) -> Result<(), RuntimeError> {
     let key = KernelKey {
         fingerprint: request.kernel.fingerprint(),
         variant: ctx.variant,
@@ -435,24 +435,20 @@ pub(crate) fn prepare_request(
     // pipeline-fill allowance, at the overlay's operating frequency.
     let fill_cycles = (4 * compiled.num_fus()) as f64;
     let est_exec_us = (compiled.ii * request.workload.len() as f64 + fill_cycles) / timing.fmax_mhz;
-    let sim_key = SimKey {
-        kernel: key,
-        workload: request.workload_digest(),
-    };
     let view = DispatchRequest {
         key,
         est_exec_us,
         switch_us: timing.switch_us,
         deadline_us: request.deadline_us,
     };
-    Ok(InFlight {
+    intake.push(InFlight {
         request,
-        sim_key,
         kernel,
         fmax_mhz: timing.fmax_mhz,
         image_bytes: timing.image_bytes,
         view,
-    })
+    });
+    Ok(())
 }
 
 /// Everything the loop derives for a request when it is streamed in: the
@@ -463,7 +459,6 @@ pub(crate) fn prepare_request(
 #[derive(Debug)]
 pub(crate) struct InFlight {
     pub(crate) request: Request,
-    pub(crate) sim_key: SimKey,
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) fmax_mhz: f64,
     /// The compiled image size the transfer model charges for moving this
@@ -494,19 +489,29 @@ where
 const RETAINED_SLACK: usize = 4;
 
 /// Empties `table` for the next serve, keeping its storage unless the serve
-/// that just `completed` used under a quarter of it.
-fn recycle<T>(table: &mut Vec<T>, completed: bool) {
-    let used = table.len();
+/// that completed `used` under a quarter of it (`None`: it failed).
+fn recycle<T>(used: Option<usize>, table: &mut Vec<T>) {
     table.clear();
-    if completed && table.capacity() > RETAINED_SLACK * used {
+    if let Some(used) = used.filter(|&used| table.capacity() > RETAINED_SLACK * used) {
         table.shrink_to(used);
     }
 }
 
-/// The tables a serve indexes by intake position (and the latency scratch
-/// its aggregation sorts). They belong to the [`Cluster`], not
-/// to the serve: a serve takes them, reserves room for the submissions it
-/// knows are coming and hands them back emptied on every exit path, so a
+/// Where and when a request started, all the loop keeps until its outcome.
+#[derive(Debug)]
+pub(crate) struct Start {
+    pub(crate) device: usize,
+    pub(crate) tile: usize,
+    pub(crate) start_us: f64,
+    pub(crate) completion_us: f64,
+    pub(crate) switched: bool,
+    pub(crate) missed_deadline: bool,
+}
+
+/// The tables a serve indexes by intake position or by queue depth (and the
+/// latency scratch its aggregation sorts). They belong to the [`Cluster`],
+/// not to the serve: a serve takes them, reserves room for the submissions
+/// it knows are coming and hands them back emptied on every exit path, so a
 /// warm serve neither allocates them nor first-touches their pages again.
 #[derive(Debug, Default)]
 pub(crate) struct LoopTables {
@@ -516,6 +521,10 @@ pub(crate) struct LoopTables {
     pub(crate) taken: Vec<bool>,
     /// Per intake index: the simulation sourced at admission ([`SimResults`]).
     pub(crate) ready: Vec<Option<Arc<SimRun>>>,
+    /// Per intake index: where and when the request started, if it did.
+    pub(crate) starts: Vec<Option<Start>>,
+    /// Per queue depth: how many events saw the cluster wait that deep.
+    pub(crate) depths: Vec<u64>,
     /// Per outcome: the latencies `aggregate` selects percentiles from.
     pub(crate) latencies: Vec<f64>,
     /// Per intake index, on the event loop's fleet tier only: what routing
@@ -526,24 +535,19 @@ pub(crate) struct LoopTables {
 impl LoopTables {
     /// Drops what the serve left in the tables and keeps their storage for
     /// the next one; only a serve that `completed` says how much of it is
-    /// worth keeping ([`RETAINED_SLACK`]), a failed one stopped short.
+    /// worth keeping ([`RETAINED_SLACK`]), a failed one stopped short. The
+    /// outcomes drained the intake and its runs, so `taken` counts the rows.
     pub(crate) fn release(&mut self, completed: bool) {
-        recycle(&mut self.intake, completed);
-        recycle(&mut self.taken, completed);
-        recycle(&mut self.ready, completed);
-        recycle(&mut self.latencies, completed);
-        recycle(&mut self.routed, completed);
+        let kept = |used: usize| completed.then_some(used);
+        let submitted = kept(self.taken.len());
+        recycle(submitted, &mut self.intake);
+        recycle(submitted, &mut self.taken);
+        recycle(submitted, &mut self.ready);
+        recycle(submitted, &mut self.starts);
+        recycle(kept(self.depths.len()), &mut self.depths);
+        recycle(kept(self.latencies.len()), &mut self.latencies);
+        recycle(kept(self.routed.len()), &mut self.routed);
     }
-}
-
-/// Compacts the per-intake outcome slots (a rejected request left its slot
-/// `None`) into the report's outcomes inside the slots' own allocation:
-/// each outcome is written once, into the table that leaves with the report.
-pub(crate) fn compact_outcomes(slots: Vec<Option<RequestOutcome>>) -> Vec<RequestOutcome> {
-    // `filter_map`, not `flatten`: only the former collects in place (both
-    // element types are 144 bytes; `tests/allocs.rs` pins the reuse).
-    #[allow(clippy::filter_map_identity)]
-    slots.into_iter().filter_map(|slot| slot).collect()
 }
 
 /// Sim results as the event loop consumes them: an admitted request's
@@ -575,8 +579,8 @@ impl<'t> SimResults<'t> {
     /// the memo, or runs the kernel's plan (which the kernel makes at its
     /// first miss) and memoizes the run — with the memo counters
     /// tracking which (a disabled memo never answers, so every request
-    /// simulates). The lookup and insert are profiled as
-    /// [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`].
+    /// simulates). Keying (kernel, workload digest), lookup and insert are
+    /// profiled as [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`].
     /// Returns whether the memo answered, so tracing can emit the matching
     /// counter event.
     ///
@@ -592,7 +596,11 @@ impl<'t> SimResults<'t> {
         profiler: &mut obs::StageProfiler,
     ) -> Result<bool, SimError> {
         let lookup = profiler.begin();
-        let hit = memo.get(&info.sim_key);
+        let key = SimKey {
+            kernel: info.view.key,
+            workload: info.request.workload_digest(),
+        };
+        let hit = memo.get(&key);
         profiler.end(obs::Stage::Memo, lookup);
         let memo_hit = hit.is_some();
         let run = match hit {
@@ -604,7 +612,7 @@ impl<'t> SimResults<'t> {
                 profiler.end(obs::Stage::Sim, sim);
                 let run = Arc::new(run?);
                 let insert = profiler.begin();
-                memo.insert(info.sim_key, Arc::clone(&run));
+                memo.insert(key, Arc::clone(&run));
                 profiler.end(obs::Stage::Memo, insert);
                 run
             }
@@ -622,16 +630,44 @@ impl<'t> SimResults<'t> {
             .run_in(&info.request.workload, &mut self.columns)
     }
 
-    /// The run sourced for `index` at its admission. The slot keeps its
-    /// share, so a request fault injection abandons and requeues finds its
-    /// simulation still waiting when the retry starts.
-    pub(crate) fn run(&self, index: usize) -> Arc<SimRun> {
-        Arc::clone(
-            self.ready[index]
-                .as_ref()
-                // `source` fills the slot at admission, before any start.
-                .expect("an admitted request's simulation was sourced"),
-        )
+    /// The `served` outcomes in submission order, each taking its row's name
+    /// and run; every row is dropped here, after the trace has read them.
+    pub(crate) fn into_outcomes(
+        self,
+        intake: &mut Vec<InFlight>,
+        starts: &[Option<Start>],
+        served: usize,
+    ) -> Vec<RequestOutcome> {
+        let mut outcomes = Vec::with_capacity(served);
+        for ((info, run), start) in intake.drain(..).zip(self.ready.drain(..)).zip(starts) {
+            if let (Some(start), Some(run)) = (start, run) {
+                outcomes.push(RequestOutcome {
+                    request_id: info.request.id,
+                    kernel: info.request.kernel.name,
+                    device: start.device,
+                    tile: start.tile,
+                    sim: *run.metrics(),
+                    run,
+                    start_us: start.start_us,
+                    queued_us: start.start_us - info.request.arrival_us,
+                    completion_us: start.completion_us,
+                    latency_us: start.completion_us - info.request.arrival_us,
+                    switched: start.switched,
+                    deadline_us: info.request.deadline_us,
+                    missed_deadline: start.missed_deadline,
+                });
+            }
+        }
+        debug_assert_eq!(outcomes.len(), served, "unstarted requests are rejected");
+        outcomes
+    }
+
+    /// The run sourced for `index` at its admission, kept in the slot for a
+    /// killed run's retry and then for the outcome.
+    pub(crate) fn run(&self, index: usize) -> &SimRun {
+        // `source` fills the slot at admission, before any start.
+        let run = self.ready[index].as_deref();
+        run.expect("an admitted request's simulation was sourced")
     }
 }
 
@@ -702,6 +738,20 @@ mod tests {
                 Request::new(i as u64, spec, workload).at(i as f64 * 2.0)
             })
             .collect()
+    }
+
+    /// The per-request rows a serve writes: an intake row no longer holds
+    /// the memo key (224 bytes while it did), and a start is all the loop
+    /// keeps until the outcome is built (144 bytes while it kept that).
+    #[test]
+    fn per_request_rows_stay_slim() {
+        use std::mem::size_of;
+        assert!(size_of::<InFlight>() <= 176, "{}", size_of::<InFlight>());
+        assert!(
+            size_of::<Option<Start>>() <= 48,
+            "{}",
+            size_of::<Option<Start>>()
+        );
     }
 
     #[test]

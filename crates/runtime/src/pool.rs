@@ -19,9 +19,10 @@
 //! idle classes are `u64`-word bitsets — the cold tiles, each kernel's warm
 //! tiles, and the union of those — so "lowest tile" is a first-set-bit scan
 //! and "lowest warm tile of *another* kernel" that scan over `union & !own`.
-//! The busy class is a sorted `(backlog-done, tile)` lane per kernel plus
-//! one lane of every kernel's earliest entry, which the evict query walks
-//! for at most two steps.
+//! The busy class is a sorted lane per kernel of `(backlog-done, tile)` pairs
+//! packed into `u128`s that order as `(TimeKey, usize)` does, plus one lane of
+//! every kernel's earliest entry, which the evict query walks for at most two
+//! steps.
 //!
 //! A transition ([`enqueue`](TilePool::enqueue), [`charge`](TilePool::charge),
 //! [`release`](TilePool::release), …) sets or clears two bits or
@@ -30,13 +31,13 @@
 //! ([`TilePool::place_earliest_indexed`]) is one probe for the arriving
 //! kernel's id, three scans of `tiles / 64` words and two lane fronts.
 //!
-//! The lanes are sorted `Vec`s: a binary search and a `memmove`. At 64 tiles
-//! and 8 kernels a transition takes ~40 ns where the B-tree sets this
-//! replaced took ~145 ns; at 1024 tiles on one kernel (a 16 KiB lane) or on
-//! 1024 (a 16 KiB `busy_best`) ~130–150 ns against ~180–210 ns, and there
-//! the query's scans cost ~35–50 ns against ~18 ns. A ring buffer halved the
-//! lanes' worst case but cost small lanes ~14 ns per operation; a
-//! lazily-cleaned heap would not bound its stale entries.
+//! The lanes are sorted `Vec`s: a binary search and a `memmove`. On 64 tiles
+//! and 8 kernels a transition takes ~21 ns (~29 ns with unpacked pairs, B-tree
+//! sets ~3.5× that), ~68 ns (~80 ns) with every tile busy; at 1024 tiles the
+//! `memmove` of a 16 KiB lane or `busy_best` dominates at ~150–200 ns and the
+//! query's scans cost ~35–50 ns (2-core x86-64 VM). A ring buffer, a
+//! lazily-cleaned heap, a bitset scan and a lazily rescanned per-kernel
+//! minimum were slower on small pools or left stale entries unbounded.
 
 use std::fmt;
 
@@ -273,18 +274,33 @@ fn classify(state: &TileState) -> TileClass {
     }
 }
 
-/// A `(backlog-done, tile)` lane kept sorted, earliest first.
-type BusyLane = Vec<(TimeKey, usize)>;
+/// `(backlog-done, tile)` as one integer in the pair's order: the backlog's
+/// bits after `f64::total_cmp`'s transform with the sign flipped, the tile.
+fn pack(backlog: TimeKey, tile: usize) -> u128 {
+    let bits = backlog.0.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+    (u128::from(ordered) << 64) | tile as u128
+}
+
+/// The pair [`pack`] packed, bit for bit (the transform is an involution).
+fn unpack(entry: u128) -> (TimeKey, usize) {
+    let ordered = (entry >> 64) as u64 ^ (1 << 63);
+    let bits = ordered ^ ((((ordered as i64) >> 63) as u64) >> 1);
+    (TimeKey(f64::from_bits(bits)), entry as u64 as usize)
+}
+
+/// A lane of [`pack`]ed entries kept sorted, earliest first.
+type BusyLane = Vec<u128>;
 
 /// Inserts `entry` into a sorted lane; true when it became the first.
-fn lane_insert(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
+fn lane_insert(lane: &mut BusyLane, entry: u128) -> bool {
     let at = lane.partition_point(|&held| held < entry);
     lane.insert(at, entry);
     at == 0
 }
 
 /// Removes `entry` from a sorted lane; true when it was the first.
-fn lane_remove(lane: &mut BusyLane, entry: (TimeKey, usize)) -> bool {
+fn lane_remove(lane: &mut BusyLane, entry: u128) -> bool {
     // The index removes only the entry it filed for the tile's current class.
     let at = lane.binary_search(&entry).expect("indexed busy entry");
     lane.remove(at);
@@ -364,7 +380,7 @@ impl ResidencyIndex {
                 set_bit(&mut self.idle_warm[kernel * self.words..], tile, member);
             }
             TileClass::Busy(kernel, backlog) => {
-                let (entry, lane) = ((backlog, tile), &mut self.busy[kernel]);
+                let (entry, lane) = (pack(backlog, tile), &mut self.busy[kernel]);
                 if member {
                     if lane_insert(lane, entry) {
                         if let Some(&displaced) = lane.get(1) {
@@ -662,7 +678,8 @@ impl TilePool {
         let kernel = index.ids.get(&key).copied();
         let own_idle = kernel.map_or(&[][..], |kernel| index.idle_warm(kernel));
         // Warm candidates: no switch, no eviction.
-        if let Some(&(backlog, tile)) = kernel.and_then(|kernel| index.busy[kernel].first()) {
+        if let Some(&entry) = kernel.and_then(|kernel| index.busy[kernel].first()) {
+            let (backlog, tile) = unpack(entry);
             consider(((backlog.0 + 0.0) + est_us, false, false, tile));
         }
         if let Some(tile) = first_set(own_idle, &[]) {
@@ -675,10 +692,11 @@ impl TilePool {
         // Evict candidates: the best tile projected to a *different* kernel.
         // `busy_best` holds one entry per kernel, so the arriving kernel's
         // own entry is skipped in at most two steps.
-        if let Some(&(backlog, tile)) = index
+        if let Some((backlog, tile)) = index
             .busy_best
             .iter()
-            .find(|&&(_, tile)| index.classes[tile].kernel() != kernel)
+            .map(|&entry| unpack(entry))
+            .find(|&(_, tile)| index.classes[tile].kernel() != kernel)
         {
             consider(((backlog.0 + switch_us) + est_us, true, true, tile));
         }
@@ -764,6 +782,7 @@ impl fmt::Display for TilePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::VecDeque;
 
     fn key(fingerprint: u64) -> KernelKey {
@@ -965,6 +984,72 @@ mod tests {
             }
         }
         best
+    }
+
+    /// Backlogs the lane keys must order and keep exactly: both zeros, the
+    /// subnormal and normal extremes, huge and infinite values and their
+    /// negatives (the loop never makes a negative or non-finite backlog, but
+    /// the order must not depend on it).
+    const EDGE_BACKLOGS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE - f64::from_bits(1),
+        1.0,
+        -1.0,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// A backlog from `choice`: an edge value or raw bits, NaNs included.
+    fn backlog(choice: usize, bits: u64) -> TimeKey {
+        TimeKey(match EDGE_BACKLOGS.get(choice) {
+            Some(&edge) => edge,
+            None => f64::from_bits(bits),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A packed lane entry orders exactly as its `(TimeKey, usize)` pair
+        /// does and unpacks to that pair bit for bit — on the edge backlogs,
+        /// on raw bit patterns and on equal backlogs of different tiles.
+        #[test]
+        fn lane_keys_order_as_their_pairs_and_unpack_exactly(
+            (a_choice, a_bits, a_tile) in (0usize..24, any::<u64>(), any::<usize>()),
+            (b_choice, b_bits, b_tile) in (0usize..24, any::<u64>(), 0usize..4),
+            same_backlog in any::<bool>(),
+        ) {
+            let a = (backlog(a_choice, a_bits), a_tile);
+            let b_backlog = if same_backlog { a.0 } else { backlog(b_choice, b_bits) };
+            let b = (b_backlog, b_tile);
+            for x in [a, b] {
+                let (key, tile) = unpack(pack(x.0, x.1));
+                prop_assert_eq!((key.0.to_bits(), tile), (x.0 .0.to_bits(), x.1));
+            }
+            prop_assert_eq!(pack(a.0, a.1).cmp(&pack(b.0, b.1)), a.cmp(&b));
+        }
+    }
+
+    #[test]
+    fn lane_keys_order_the_edge_backlogs_as_total_cmp_does() {
+        for &x in &EDGE_BACKLOGS {
+            for &y in &EDGE_BACKLOGS {
+                for (s, t) in [(0, 0), (0, 1), (1, 0), (usize::MAX, 0)] {
+                    let (a, b) = ((TimeKey(x), s), (TimeKey(y), t));
+                    assert_eq!(
+                        pack(a.0, a.1).cmp(&pack(b.0, b.1)),
+                        a.cmp(&b),
+                        "{a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// Drives pools on both sides of the bitset word boundaries, with fewer

@@ -43,7 +43,7 @@ enum KernelBody {
 /// [`KernelCache`](crate::KernelCache) compiles each distinct kernel once.
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
-    name: Arc<str>,
+    pub(crate) name: Arc<str>,
     body: KernelBody,
     fingerprint: u64,
 }

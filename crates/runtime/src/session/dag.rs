@@ -85,7 +85,7 @@ impl PipelineStage {
 pub struct PipelineRequest {
     /// Caller-chosen identifier, echoed per stage into outcomes. Must fit in
     /// 48 bits when the pipeline has more than one stage (stage ids are
-    /// packed into the low [`STAGE_ID_BITS`] bits of per-stage request ids).
+    /// packed into the low `STAGE_ID_BITS` (16) bits of per-stage request ids).
     pub id: u64,
     /// The tenant [`Session`](crate::session::Session) this pipeline belongs
     /// to, by id. Sessions carry the SLO class.
@@ -160,7 +160,7 @@ impl PipelineRequest {
 
     /// The synthesized request id for `stage`: the pipeline id for
     /// single-stage pipelines (so lowering is identity-preserving), else the
-    /// pipeline id shifted past [`STAGE_ID_BITS`] with the stage index in
+    /// pipeline id shifted past `STAGE_ID_BITS` (16) with the stage index in
     /// the low bits.
     pub fn stage_request_id(&self, stage: usize) -> u64 {
         if self.is_single_stage() {
