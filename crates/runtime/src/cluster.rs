@@ -67,7 +67,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use overlay_arch::{FuVariant, NocConfig, ReconfigModel, TileComposition};
+use overlay_arch::{FuVariant, NocConfig, TileComposition};
 use overlay_frontend::LowerOptions;
 
 use crate::cache::CacheStats;
@@ -79,8 +79,7 @@ use crate::metrics::{self, BatchStats, DeviceMetrics, ReplicationStats, RuntimeM
 use crate::obs;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
-    power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet, RoutePolicy, Routed,
-    TransferModel,
+    power_of_two_pair_eligible, Acquisition, ExclusionSet, RoutePolicy, Routed, TransferModel,
 };
 use crate::session::driver::{class_metrics_from, ArrivalAction, SessionDriver};
 use crate::session::{
@@ -90,6 +89,7 @@ use crate::{
     prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher, InFlight, Ingest,
     KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest, ReplicationConfig, Request,
     RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults, Start, Submitter, TilePool,
+    RESERVED_DEPTHS,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -174,10 +174,8 @@ struct ClusterState<'t> {
     /// Per intake index, fleet tier only: what routing decided.
     routed: &'t mut Vec<Routed>,
     tallies: Vec<DeviceTally>,
-    /// The rows the trace is built from, present only on a traced serve.
-    trace: Option<obs::Trace>,
-    /// The host-time stage profiler (inert unless profiling is on).
-    profiler: obs::StageProfiler,
+    /// The one recorder every observation family reads the loop through.
+    probe: obs::Probe,
     /// Per cluster-wide queue depth: the events popped at it.
     depths: &'t mut Vec<u64>,
     /// Per global tile, fleet tier only: the intake index currently running
@@ -191,11 +189,6 @@ struct ClusterState<'t> {
     /// The session tier's driver, present only on the
     /// [`Cluster::serve_pipelines`] multi-stage path.
     session: Option<SessionDriver>,
-    /// Per device: the windowed-telemetry lane partition (inert at the
-    /// default disabled config), accumulated in per-device commit order.
-    lane_series: Vec<obs::LaneSeries>,
-    /// The cross-device queue-depth integral, accumulated in event order.
-    global_series: obs::GlobalSeries,
 }
 
 /// What the cluster event loop hands back for aggregation.
@@ -208,11 +201,8 @@ struct ClusterLoopOutput {
     batch: BatchStats,
     replication: ReplicationStats,
     tallies: Vec<DeviceTally>,
-    trace: Option<obs::Trace>,
-    profile: Option<obs::ProfileStats>,
     queue_depth_hist: obs::LogHistogram,
-    telemetry: Option<obs::TimeSeries>,
-    slo: Option<obs::SloReport>,
+    observed: obs::Observed,
 }
 
 /// The serving runtime: one or more devices of one overlay variant behind
@@ -227,17 +217,16 @@ pub struct Cluster {
     route: RoutePolicy,
     transfer: TransferModel,
     sim_memo: SimMemo,
-    reconfig: ReconfigModel,
     lower: LowerOptions,
     ingest_capacity: usize,
     admission_limit: usize,
     batching: BatchConfig,
     replication: ReplicationConfig,
-    tracing: obs::TraceConfig,
+    /// Tracing, profiling, telemetry and SLO tracking (each off by default).
+    observing: obs::Observing,
     /// The per-intake tables, kept across serves so their storage (and its
     /// warmed pages) amortizes, and empty between serves.
     tables: LoopTables,
-    profiling: bool,
     tiles_per_device: usize,
     /// The installed fault schedule, if any ([`Cluster::with_fault_plan`]).
     fault_plan: Option<FaultPlan>,
@@ -252,10 +241,6 @@ pub struct Cluster {
     /// The session driver staged for (and recovered from) the event loop
     /// on a pipeline serve. Always `None` between serves.
     session_driver: Option<SessionDriver>,
-    /// Windowed-telemetry configuration (off by default).
-    telemetry: obs::TelemetryConfig,
-    /// SLO burn-rate objectives (off by default; needs telemetry).
-    slo: obs::SloConfig,
 }
 
 impl Cluster {
@@ -326,22 +311,18 @@ impl Cluster {
             route: RoutePolicy::default(),
             transfer: TransferModel::default(),
             sim_memo: SimMemo::new(Self::DEFAULT_SIM_MEMO_CAPACITY),
-            reconfig: ReconfigModel::new(),
             lower: LowerOptions::default(),
             ingest_capacity: Self::DEFAULT_INGEST_CAPACITY,
             admission_limit: usize::MAX,
             batching: BatchConfig::disabled(),
             replication: ReplicationConfig::disabled(),
-            tracing: obs::TraceConfig::disabled(),
+            observing: obs::Observing::default(),
             tables: LoopTables::default(),
-            profiling: false,
             tiles_per_device,
             fault_plan: None,
             fault: FaultState::new(),
             stage_affinity: true,
             session_driver: None,
-            telemetry: obs::TelemetryConfig::disabled(),
-            slo: obs::SloConfig::disabled(),
         }
     }
 
@@ -411,13 +392,6 @@ impl Cluster {
         self
     }
 
-    /// Overrides the reconfiguration timing model.
-    #[must_use]
-    pub fn with_reconfig(mut self, model: ReconfigModel) -> Self {
-        self.reconfig = model;
-        self
-    }
-
     /// Configures the same-kernel batching layer on every device's tiles:
     /// when a tile frees, up to [`BatchConfig::max_batch`] consecutive runs
     /// of the resident kernel may jump the dispatch policy's queue order
@@ -448,7 +422,7 @@ impl Cluster {
     /// nothing and leaves the serve bitwise identical to an untraced one.
     #[must_use]
     pub fn with_tracing(mut self, config: obs::TraceConfig) -> Self {
-        self.tracing = config;
+        self.observing.tracing = config;
         self
     }
 
@@ -459,7 +433,7 @@ impl Cluster {
     /// the hot path.
     #[must_use]
     pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.profiling = enabled;
+        self.observing.profiling = enabled;
         self
     }
 
@@ -471,7 +445,7 @@ impl Cluster {
     /// accumulates nothing and leaves the serve bitwise identical.
     #[must_use]
     pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
-        self.telemetry = config;
+        self.observing.telemetry = config;
         self
     }
 
@@ -485,7 +459,7 @@ impl Cluster {
     /// nothing.
     #[must_use]
     pub fn with_slo(mut self, config: obs::SloConfig) -> Self {
-        self.slo = config;
+        self.observing.slo = config;
         self
     }
 
@@ -603,12 +577,12 @@ impl Cluster {
 
     /// The active tracing configuration.
     pub fn tracing(&self) -> obs::TraceConfig {
-        self.tracing
+        self.observing.tracing
     }
 
     /// Whether host-time stage profiling is on.
     pub fn profiling(&self) -> bool {
-        self.profiling
+        self.observing.profiling
     }
 
     /// The devices (holding the state left by the last serve).
@@ -919,7 +893,7 @@ impl Cluster {
     /// off-critical-path traffic in [`ReplicationStats`].
     fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState) {
         let ClusterState {
-            replicator, trace, ..
+            replicator, probe, ..
         } = state;
         if !replicator.enabled() {
             return;
@@ -952,9 +926,7 @@ impl Cluster {
                 };
                 if self.devices[device].cache.remove(&victim) {
                     replicator.note_demoted(device, victim);
-                    if let Some(trace) = trace {
-                        trace.replica_demoted(now_us, device);
-                    }
+                    probe.replica_demoted(now_us, device);
                     has_room = true;
                 } else {
                     // Demand LRU already evicted this replica; just stop
@@ -974,9 +946,7 @@ impl Cluster {
             .cost_us();
             self.devices[device].cache.get_or_share(key, &info.kernel);
             replicator.note_pushed(device, key, info.image_bytes, cost_us);
-            if let Some(trace) = trace {
-                trace.replica_pushed(now_us, device, info.image_bytes as u64);
-            }
+            probe.replica_pushed(now_us, device, info.image_bytes as u64);
         }
     }
 
@@ -1009,8 +979,8 @@ impl Cluster {
     /// revived), they become eligible again rather than shedding the
     /// request spuriously. Returns `None` only when no device in the fleet
     /// is alive and admitting — never on a fault-free serve, where every
-    /// device is eligible and no request carries exclusions. On a traced
-    /// serve the decision is noted for request `index` — with every
+    /// device is eligible and no request carries exclusions. The decision
+    /// is reported to the probe for request `index` — with every
     /// candidate's completion estimate, which under power-of-two choices
     /// exposes the losing device's next to the winner's.
     fn route_device_excluding(
@@ -1019,7 +989,7 @@ impl Cluster {
         info: &InFlight,
         now_us: f64,
         exclusions: &ExclusionSet,
-        trace: Option<&mut obs::Trace>,
+        probe: &mut obs::Probe,
     ) -> Option<(usize, Acquisition)> {
         let mut route = obs::RouteMark::default();
         let strict = |device: usize| self.fault.available(device) && !exclusions.contains(device);
@@ -1034,9 +1004,7 @@ impl Cluster {
                 }
             });
         let (device, acquisition) = picked?;
-        if let Some(trace) = trace {
-            trace.log(index, now_us, device, obs::Logged::Routed(route));
-        }
+        probe.routed(index, now_us, device, route);
         Some((device, acquisition))
     }
 
@@ -1103,16 +1071,7 @@ impl Cluster {
         now_us: f64,
         state: &mut ClusterState,
     ) {
-        if let Some(trace) = &mut state.trace {
-            trace.log(index, now_us, 0, obs::Logged::Shed);
-        }
-        // No device to blame, so the shed lands in lane 0 of the telemetry
-        // series; window aggregates sum across lanes either way.
-        let class = state
-            .session
-            .as_ref()
-            .map_or(SloClass::Standard, |driver| driver.slo_of(index));
-        state.lane_series[0].note_reject(class, now_us);
+        state.probe.shed(index, now_us);
         state.rejected.push(RejectedRequest {
             id: info.request.id,
             kernel: info.request.kernel.shared_name(),
@@ -1210,21 +1169,14 @@ impl Cluster {
         now_us: f64,
         state: &mut ClusterState,
     ) {
-        let ClusterState { session, trace, .. } = state;
+        let ClusterState { session, probe, .. } = state;
         let Some(driver) = session else { return };
         let transfer = self.active_transfer();
         let alive = |device: usize| self.fault.alive(device);
         let (cost_us, moved) = driver.activation_plan(index, device, &transfer, alive);
         driver.commit_activation(index, cost_us, moved.len());
-        if let Some(trace) = trace {
-            for (from, bytes) in moved {
-                trace.log(
-                    index,
-                    now_us,
-                    device,
-                    obs::Logged::StageTransfer(from, bytes),
-                );
-            }
+        for (from, bytes) in moved {
+            probe.stage_transfer(index, now_us, device, from, bytes);
         }
     }
 
@@ -1244,15 +1196,12 @@ impl Cluster {
         let ClusterState {
             session,
             events,
-            trace,
+            probe,
             ..
         } = state;
         let Some(driver) = session else { return };
         for succ in driver.note_complete(index, device, now_us) {
-            if let Some(trace) = trace {
-                let deps = driver.dep_count(succ) as u32;
-                trace.log(succ, now_us, device, obs::Logged::StageReady(deps));
-            }
+            probe.stage_ready(succ, now_us, device, driver.dep_count(succ));
             events.push(now_us, EventKind::Arrival { index: succ });
         }
     }
@@ -1262,20 +1211,7 @@ impl Cluster {
     /// (evacuation, requeues, replica re-homing).
     fn apply_fault(&mut self, fault_index: usize, now_us: f64, state: &mut ClusterState) {
         let kind = self.fault.apply(fault_index, now_us);
-        if let Some(trace) = &mut state.trace {
-            let (device, span) = match kind {
-                FaultKind::Kill { device } => (device, obs::SpanKind::DeviceDown),
-                FaultKind::Revive { device } => (device, obs::SpanKind::DeviceUp),
-                FaultKind::Drain { device } => (device, obs::SpanKind::DrainPhase { begin: true }),
-                FaultKind::Undrain { device } => {
-                    (device, obs::SpanKind::DrainPhase { begin: false })
-                }
-                FaultKind::DegradeLinks { multiplier } => {
-                    (0, obs::SpanKind::LinkDegrade { multiplier })
-                }
-            };
-            trace.fault(now_us, device, span);
-        }
+        state.probe.fault(now_us, kind);
         match kind {
             FaultKind::Kill { device } => self.kill_device(device, now_us, state),
             FaultKind::Drain { device } => self.drain_cluster_device(device, now_us, state),
@@ -1358,9 +1294,7 @@ impl Cluster {
         state.routed[index].exclusions.insert(from_device);
         self.fault.device_mut(from_device).requeues += 1;
         state.events.push(now_us, EventKind::Requeue { index });
-        if let Some(trace) = &mut state.trace {
-            trace.log(index, now_us, from_device, obs::Logged::Requeue(ran));
-        }
+        state.probe.requeued(index, now_us, from_device, ran);
     }
 
     /// Re-homes the replication layer's pushed replicas off a dead device:
@@ -1390,9 +1324,7 @@ impl Cluster {
                     .cost_us();
             self.devices[target].cache.get_or_share(key, &artifact);
             state.replicator.note_pushed(target, key, bytes, cost_us);
-            if let Some(trace) = &mut state.trace {
-                trace.replica_pushed(now_us, target, bytes as u64);
-            }
+            state.probe.replica_pushed(now_us, target, bytes as u64);
         }
     }
 
@@ -1439,10 +1371,7 @@ impl Cluster {
                 metrics,
                 devices,
                 replication: output.replication,
-                trace: output.trace,
-                profile: output.profile,
-                telemetry: output.telemetry,
-                slo: output.slo,
+                observed: output.observed,
             }
         });
 
@@ -1505,10 +1434,16 @@ impl Cluster {
         tables.taken.reserve(expected);
         tables.ready.reserve(expected);
         tables.starts.reserve(expected);
+        tables.depths.reserve(expected.min(RESERVED_DEPTHS - 1) + 1);
         if FLEET {
             tables.routed.reserve(expected);
         }
         let session = self.session_driver.take();
+        let probe = obs::Probe::new(&self.observing, expected, devices, total_tiles, || {
+            session
+                .as_ref()
+                .map_or_else(Vec::new, SessionDriver::classes)
+        });
         // Kills must know what to abandon, and the session tier which stage
         // a tile-free event commits; the plain tier has neither.
         let run_slots = if FLEET { total_tiles } else { 0 };
@@ -1530,16 +1465,11 @@ impl Cluster {
             last_event_us: 0.0,
             routed: &mut tables.routed,
             tallies: vec![DeviceTally::default(); devices],
-            trace: self.tracing.is_enabled().then(|| obs::Trace::new(expected)),
-            profiler: obs::StageProfiler::new(self.profiling),
+            probe,
             depths: &mut tables.depths,
             running_index: vec![None; run_slots],
             pending_free: vec![None; run_slots],
             session,
-            lane_series: (0..devices)
-                .map(|_| obs::LaneSeries::new(self.telemetry))
-                .collect(),
-            global_series: obs::GlobalSeries::new(self.telemetry),
         };
         // Arm the fault schedule: pre-pushed at virtual time zero, the
         // fault events hold the lowest sequence numbers and therefore fire
@@ -1609,7 +1539,6 @@ impl Cluster {
                     prepare_request(
                         &mut self.devices[home].cache,
                         &self.lower,
-                        &self.reconfig,
                         &mut state.prep,
                         request,
                         intake,
@@ -1639,16 +1568,14 @@ impl Cluster {
                 break;
             };
             let now_us = event.time_us;
-            let bookkeeping = state.profiler.begin();
+            let bookkeeping = state.probe.begin();
             let waiting = self.waiting_count::<FLEET>();
             state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
             state.depths.resize(state.depths.len().max(waiting + 1), 0);
             state.depths[waiting] += 1;
-            state
-                .global_series
-                .note_queue(state.last_event_us, now_us, waiting);
+            state.probe.queue(state.last_event_us, now_us, waiting);
             state.last_event_us = now_us;
-            state.profiler.end(obs::Stage::Bookkeeping, bookkeeping);
+            state.probe.end(obs::Stage::Bookkeeping, bookkeeping);
 
             match event.kind {
                 EventKind::Arrival { index } => {
@@ -1676,14 +1603,14 @@ impl Cluster {
                     if FLEET {
                         self.replicate(info, now_us, &mut state);
                     }
-                    let route = state.profiler.begin();
+                    let route = state.probe.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
                             index,
                             info,
                             now_us,
                             &state.routed[index].exclusions,
-                            state.trace.as_mut(),
+                            &mut state.probe,
                         )
                     } else {
                         Some((0, Acquisition::Resident))
@@ -1731,13 +1658,13 @@ impl Cluster {
                     // admitted (and its simulation sourced) at its arrival,
                     // so neither is repeated; only the placement is redone,
                     // avoiding the devices it was displaced off.
-                    let route = state.profiler.begin();
+                    let route = state.probe.begin();
                     let routed = self.route_device_excluding(
                         index,
                         &intake[index],
                         now_us,
                         &state.routed[index].exclusions,
-                        state.trace.as_mut(),
+                        &mut state.probe,
                     );
                     self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
                 }
@@ -1754,33 +1681,14 @@ impl Cluster {
         let events_fired = state.events.fired();
         let mut queue_depth_hist = obs::LogHistogram::new();
         queue_depth_hist.record_counts(state.depths);
-        // Assemble the windowed series (the makespan is the last event's
-        // time — the final tile-free) and evaluate SLO burn against it, the
-        // burn alerts joining the trace.
-        let telemetry = self.telemetry.is_enabled().then(|| {
-            obs::TimeSeries::assemble(
-                self.telemetry,
-                state.last_event_us,
-                total_tiles,
-                &state.global_series,
-                &state.lane_series,
-            )
-        });
-        let slo = match (&telemetry, self.slo.is_enabled()) {
-            (Some(series), true) => Some(obs::evaluate_slo(series, &self.slo)),
-            _ => None,
-        };
-        let trace = state.trace.map(|mut trace| {
-            let requests = intake.iter().map(|info| &info.request);
-            let policy = FLEET.then(|| self.route.label());
-            let alerts = slo.as_ref().map_or_else(Vec::new, obs::burn_spans);
-            trace.finish(
-                requests.map(|r| (r.id, r.arrival_us)).collect(),
-                policy,
-                alerts,
-            );
-            trace
-        });
+        // The makespan is the last event's time — the final tile-free.
+        let observed = state.probe.finish(
+            intake
+                .iter()
+                .map(|info| (info.request.id, info.request.arrival_us)),
+            FLEET.then(|| self.route.label()),
+            state.last_event_us,
+        );
         let served = intake.len().saturating_sub(state.rejected.len());
         let outcomes = state.sim.into_outcomes(intake, state.starts, served);
         // Hand the session driver back to `serve_pipelines` for the
@@ -1795,11 +1703,8 @@ impl Cluster {
             batch: state.batcher.stats(),
             replication: state.replicator.stats(),
             tallies: state.tallies,
-            trace,
-            profile: state.profiler.finish(),
             queue_depth_hist,
-            telemetry,
-            slo,
+            observed,
         })
     }
 
@@ -1811,7 +1716,7 @@ impl Cluster {
     /// joins the tile's queue. A `fresh` arrival must on the way also pass
     /// admission control and source its simulation; a requeued request did
     /// both at its first arrival and repeats neither. `route` is the caller's open
-    /// `Route` profiler probe, closed here once the tile is known. Steps 1
+    /// `Route` stage timer, closed here once the tile is known. Steps 1
     /// and 3 are the fleet tier's: one plain device has no other device to
     /// prefer and acquires nothing.
     #[inline(always)]
@@ -1830,7 +1735,7 @@ impl Cluster {
             // Every device is dead or draining: nothing can take the
             // request. Shed it like an admission reject (it is one — the
             // cluster has no capacity).
-            state.profiler.end(obs::Stage::Route, route);
+            state.probe.end(obs::Stage::Route, route);
             self.reject_unroutable(index, info, now_us, state);
             self.cascade_stage_reject(index, now_us, intake, state);
             return Ok(());
@@ -1852,7 +1757,7 @@ impl Cluster {
         let local_tile = routed_device
             .dispatcher
             .place(&view, now_us, &routed_device.pool);
-        state.profiler.end(obs::Stage::Route, route);
+        state.probe.end(obs::Stage::Route, route);
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
         if fresh && !self.admit::<FLEET>(index, device, starts_now, intake, state) {
@@ -1867,13 +1772,8 @@ impl Cluster {
             self.commit_stage_activation(index, device, now_us, state);
         }
         if fresh {
-            let memo_hit =
-                state
-                    .sim
-                    .source(index, info, &mut self.sim_memo, &mut state.profiler)?;
-            if let (true, Some(trace)) = (memo_hit, &mut state.trace) {
-                trace.memo_hit();
-            }
+            let (memo, probe) = (&mut self.sim_memo, &mut state.probe);
+            state.sim.source(index, info, memo, probe)?;
         } else {
             // A started-then-killed request may still carry the taken flag
             // from its first life; clear it so the new queue entry is live.
@@ -1883,7 +1783,7 @@ impl Cluster {
             self.start_request::<FLEET>(device, local_tile, index, intake, state, None);
             return Ok(());
         }
-        let scan = state.profiler.begin();
+        let scan = state.probe.begin();
         self.devices[device]
             .pool
             .enqueue(local_tile, info.view.key, info.view.est_exec_us);
@@ -1891,7 +1791,7 @@ impl Cluster {
         if let (true, Some(driver)) = (FLEET, &mut state.session) {
             driver.note_enqueued(index);
         }
-        state.profiler.end(obs::Stage::Scan, scan);
+        state.probe.end(obs::Stage::Scan, scan);
         state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count::<FLEET>());
         let tally = &mut state.tallies[device];
         tally.peak_queue = tally
@@ -1922,10 +1822,7 @@ impl Cluster {
         // untouched.
         let fair = session.is_none_or(|driver| driver.fair_admit(index, self.admission_limit));
         let admitted = starts_now || (self.waiting_count::<FLEET>() < self.admission_limit && fair);
-        let class = session.map(|driver| driver.slo_of(index));
-        if let Some(trace) = &mut state.trace {
-            trace.admit(index, device, now_us, admitted, class);
-        }
+        state.probe.admitted(index, device, now_us, admitted);
         if admitted {
             return true;
         }
@@ -1936,8 +1833,6 @@ impl Cluster {
             deadline_us: info.request.deadline_us,
         });
         state.tallies[device].rejects += 1;
-        let class = class.unwrap_or(SloClass::Standard);
-        state.lane_series[device].note_reject(class, now_us);
         if FLEET {
             self.cascade_stage_reject(index, now_us, intake, state);
         }
@@ -1959,7 +1854,7 @@ impl Cluster {
     ) {
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let now_us = state.events.now_us();
-        let scan = state.profiler.begin();
+        let scan = state.probe.begin();
         let queue = &mut state.queues[tile];
         let resident = self.devices[device].pool.states()[local_tile].resident;
         let choice = queue.peek_next(resident, state.taken);
@@ -2000,7 +1895,7 @@ impl Cluster {
         // combined pool transition (a single index update).
         let remaining_tail = queue.tail_key(state.taken);
         let est_us = intake[index].view.est_exec_us;
-        state.profiler.end(obs::Stage::Scan, scan);
+        state.probe.end(obs::Stage::Scan, scan);
         self.start_request::<FLEET>(
             device,
             local_tile,
@@ -2056,45 +1951,28 @@ impl Cluster {
                 .pool
                 .charge(local_tile, info.view.key, now_us, switch_us, exec_us),
         };
-        state.batcher.note_start(tile, charged.switched);
-        // The acquisition is only paid (and only spanned) as part of a
-        // context switch — a warm tile rides the resident image free.
-        let row = if FLEET {
-            Some(&state.routed[index])
-        } else {
-            None
-        };
-        let transferred =
-            charged.switched && row.is_some_and(|row| row.acquire_src == AcquireSource::Transfer);
-        if let Some(trace) = &mut state.trace {
-            let run_len = state.batcher.run_len(tile);
-            let place = (device, local_tile);
-            trace.start(index, place, run_len, &charged, info.view.switch_us, row);
-        }
+        let run_len = state.batcher.note_start(tile, charged.switched);
         let request = &info.request;
         let latency_us = charged.completion_us - request.arrival_us;
         state.tallies[device].latency_hist.record(latency_us);
-        let missed_deadline = request
-            .deadline_us
-            .is_some_and(|deadline| charged.completion_us > deadline);
-        let session = state.session.as_ref().filter(|_| FLEET);
-        let class = session.map_or(SloClass::Standard, |driver| driver.slo_of(index));
-        state.lane_series[device].note_start(
-            class,
-            charged.start_us,
-            charged.completion_us,
-            latency_us,
-            missed_deadline,
-            transferred,
-        );
-        state.starts[index] = Some(Start {
+        let start = Start {
             device,
             tile: local_tile,
             start_us: charged.start_us,
             completion_us: charged.completion_us,
             switched: charged.switched,
-            missed_deadline,
-        });
+            missed_deadline: request
+                .deadline_us
+                .is_some_and(|deadline| charged.completion_us > deadline),
+        };
+        // The acquisition is only paid (and only spanned) as part of a
+        // context switch — a warm tile rides the resident image free.
+        let row = FLEET.then(|| &state.routed[index]);
+        let switch_us = info.view.switch_us;
+        state
+            .probe
+            .started(index, &start, latency_us, run_len, switch_us, row);
+        state.starts[index] = Some(start);
         if FLEET {
             // Kills must know what to abandon, and stale completions of
             // abandoned work must be told apart from this run's. The

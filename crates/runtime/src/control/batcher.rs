@@ -157,14 +157,16 @@ impl Batcher {
     }
 
     /// Records a committed dispatch on `tile`: a kernel switch resets the
-    /// same-kernel run, a warm dispatch extends it.
-    pub(crate) fn note_start(&mut self, tile: usize, switched: bool) {
+    /// same-kernel run, a warm dispatch extends it. Returns the run's length,
+    /// this dispatch included — what tracing reports as batch membership.
+    pub(crate) fn note_start(&mut self, tile: usize, switched: bool) -> usize {
         if switched {
             self.run_len[tile] = 1;
             self.in_batch[tile] = false;
         } else {
             self.run_len[tile] += 1;
         }
+        self.run_len[tile]
     }
 
     /// Counts a diversion that happened during a pipeline serve — the
@@ -182,13 +184,6 @@ impl Batcher {
     pub(crate) fn reset_tile(&mut self, tile: usize) {
         self.run_len[tile] = 0;
         self.in_batch[tile] = false;
-    }
-
-    /// The current same-kernel run length on `tile` (counting the dispatch
-    /// just committed via [`note_start`](Batcher::note_start)) — what
-    /// tracing reports as batch membership.
-    pub(crate) fn run_len(&self, tile: usize) -> usize {
-        self.run_len[tile]
     }
 
     /// The accumulated batching counters for this serve.

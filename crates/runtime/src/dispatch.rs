@@ -49,13 +49,13 @@
 //!
 //! [`Cluster::serve_pipelines`]: crate::Cluster::serve_pipelines
 //!
-//! Both decision points are also instrumented: the opt-in
-//! [`StageProfiler`](crate::obs::StageProfiler) bills placement and
-//! queue-drain selection to its `Scan` stage (host nanoseconds, zero clock
-//! reads when off), and with tracing on the outcome of each decision lands
-//! in the request's span timeline — the queue it joined as `QueueWait`, the
-//! switch it paid as `ContextSwitch` — so the per-policy cost *and* effect
-//! are both visible in one trace. `tests/observability.rs` pins that the
+//! Both decision points are also instrumented: the serve's opt-in host-time
+//! timers bill placement to [`Stage::Route`](crate::obs::Stage::Route) and
+//! queue-drain selection to [`Stage::Scan`](crate::obs::Stage::Scan) (zero
+//! clock reads when off), and with tracing on the outcome of each decision
+//! lands in the request's span timeline — the queue it joined as
+//! `QueueWait`, the switch it paid as `ContextSwitch` — so the per-policy
+//! cost *and* effect are both visible in one trace. `tests/observability.rs` pins that the
 //! instrumentation never perturbs a decision.
 
 use std::cmp::Reverse;

@@ -18,10 +18,11 @@
 //! The event pop is also the observability sampling point: both tiers of
 //! the [`Cluster`](crate::Cluster) loop record the pre-update waiting count
 //! into the queue-depth [`LogHistogram`](crate::obs::LogHistogram) and
-//! attribute the queue-area bookkeeping to the `Bookkeeping` stage of the
-//! opt-in [`StageProfiler`](crate::obs::StageProfiler) at every event head,
-//! so one sample lands per fired event on either tier — identically, which
-//! is what keeps the histograms bitwise comparable across the two.
+//! time the queue-area bookkeeping under the opt-in host-time
+//! [`Stage::Bookkeeping`](crate::obs::Stage::Bookkeeping) timer at every
+//! event head, so one sample lands per fired event on either tier —
+//! identically, which is what keeps the histograms bitwise comparable
+//! across the two.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

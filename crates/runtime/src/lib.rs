@@ -226,10 +226,7 @@ pub struct ServeReport {
     metrics: RuntimeMetrics,
     devices: Vec<DeviceMetrics>,
     replication: ReplicationStats,
-    trace: Option<obs::Trace>,
-    profile: Option<obs::ProfileStats>,
-    telemetry: Option<obs::TimeSeries>,
-    slo: Option<obs::SloReport>,
+    observed: obs::Observed,
 }
 
 impl ServeReport {
@@ -315,25 +312,25 @@ impl ServeReport {
     /// [`Cluster::with_tracing`] enabled: the trace is built from the rows
     /// the serve kept, on first access to [`events`](obs::Trace::events).
     pub fn trace(&self) -> Option<&obs::Trace> {
-        self.trace.as_ref()
+        self.observed.trace.as_ref()
     }
 
     /// The host-time stage attribution, when the serve ran with
     /// [`Cluster::with_profiling`] enabled.
     pub fn profile(&self) -> Option<&obs::ProfileStats> {
-        self.profile.as_ref()
+        self.observed.profile.as_ref()
     }
 
     /// The windowed telemetry time-series, when the serve ran with
     /// [`Cluster::with_telemetry`] enabled.
     pub fn telemetry(&self) -> Option<&obs::TimeSeries> {
-        self.telemetry.as_ref()
+        self.observed.telemetry.as_ref()
     }
 
     /// The SLO burn-rate tracking, when the serve ran with both
     /// [`Cluster::with_telemetry`] and [`Cluster::with_slo`] enabled.
     pub fn slo(&self) -> Option<&obs::SloReport> {
-        self.slo.as_ref()
+        self.observed.slo.as_ref()
     }
 }
 
@@ -347,6 +344,7 @@ pub(crate) struct PrepContext {
     writeback: bool,
     depth: usize,
     tile_overlay: Option<OverlayConfig>,
+    reconfig: ReconfigModel,
     derived: FnvHashMap<KernelKey, DerivedTiming>,
 }
 
@@ -361,6 +359,7 @@ impl PrepContext {
             writeback,
             depth: if writeback { pool.logical_depth() } else { 0 },
             tile_overlay: pool.overlay_config()?,
+            reconfig: ReconfigModel::new(),
             derived: FnvHashMap::default(),
         })
     }
@@ -384,7 +383,6 @@ struct DerivedTiming {
 pub(crate) fn prepare_request(
     cache: &mut KernelCache,
     lower: &LowerOptions,
-    reconfig: &ReconfigModel,
     ctx: &mut PrepContext,
     request: Request,
     intake: &mut Vec<InFlight>,
@@ -408,7 +406,7 @@ pub(crate) fn prepare_request(
                 // Write-back tile: fixed overlay, instruction reload only.
                 Some(config) => (
                     config.fmax_mhz(),
-                    reconfig
+                    ctx.reconfig
                         .program_only_switch(ctx.variant, config_bits)
                         .total_us(),
                 ),
@@ -418,7 +416,7 @@ pub(crate) fn prepare_request(
                     let config = OverlayConfig::new(ctx.variant, compiled.num_fus())?;
                     (
                         config.fmax_mhz(),
-                        reconfig.full_switch(&config, config_bits).total_us(),
+                        ctx.reconfig.full_switch(&config, config_bits).total_us(),
                     )
                 }
             };
@@ -488,6 +486,14 @@ where
 /// one outsized serve does not pin its footprint for the instance's life.
 const RETAINED_SLACK: usize = 4;
 
+/// How many queue depths a batch serve reserves room for at most: one page.
+/// No more can wait than were submitted, so a smaller serve reserves all it
+/// can need and allocates the table once; only a queue deeper than a page
+/// (rare) grows the table by doubling. A depth per submission would instead
+/// hold memory that a long warm serve, whose queue stays a few tens deep,
+/// never touches, and move where its other allocations land.
+pub(crate) const RESERVED_DEPTHS: usize = 4096 / std::mem::size_of::<u64>();
+
 /// Empties `table` for the next serve, keeping its storage unless the serve
 /// that completed `used` under a quarter of it (`None`: it failed).
 fn recycle<T>(used: Option<usize>, table: &mut Vec<T>) {
@@ -498,7 +504,7 @@ fn recycle<T>(used: Option<usize>, table: &mut Vec<T>) {
 }
 
 /// Where and when a request started, all the loop keeps until its outcome.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Start {
     pub(crate) device: usize,
     pub(crate) tile: usize,
@@ -523,7 +529,8 @@ pub(crate) struct LoopTables {
     pub(crate) ready: Vec<Option<Arc<SimRun>>>,
     /// Per intake index: where and when the request started, if it did.
     pub(crate) starts: Vec<Option<Start>>,
-    /// Per queue depth: how many events saw the cluster wait that deep.
+    /// Per queue depth: how many events saw the cluster wait that deep
+    /// (room for [`RESERVED_DEPTHS`] reserved up front).
     pub(crate) depths: Vec<u64>,
     /// Per outcome: the latencies `aggregate` selects percentiles from.
     pub(crate) latencies: Vec<f64>,
@@ -544,7 +551,7 @@ impl LoopTables {
         recycle(submitted, &mut self.taken);
         recycle(submitted, &mut self.ready);
         recycle(submitted, &mut self.starts);
-        recycle(kept(self.depths.len()), &mut self.depths);
+        recycle(submitted, &mut self.depths);
         recycle(kept(self.latencies.len()), &mut self.latencies);
         recycle(kept(self.routed.len()), &mut self.routed);
     }
@@ -577,12 +584,11 @@ impl<'t> SimResults<'t> {
 
     /// Sources the simulation for an admitted request `index`: answers from
     /// the memo, or runs the kernel's plan (which the kernel makes at its
-    /// first miss) and memoizes the run — with the memo counters
-    /// tracking which (a disabled memo never answers, so every request
-    /// simulates). Keying (kernel, workload digest), lookup and insert are
-    /// profiled as [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`].
-    /// Returns whether the memo answered, so tracing can emit the matching
-    /// counter event.
+    /// first miss) and memoizes the run — with the memo counters tracking
+    /// which (a disabled memo never answers, so every request simulates).
+    /// Keying (kernel, workload digest), lookup and insert are timed as
+    /// [`obs::Stage::Memo`], planning and the run as [`obs::Stage::Sim`],
+    /// and a memo hit is reported to the probe.
     ///
     /// # Errors
     ///
@@ -593,32 +599,34 @@ impl<'t> SimResults<'t> {
         index: usize,
         info: &InFlight,
         memo: &mut SimMemo,
-        profiler: &mut obs::StageProfiler,
-    ) -> Result<bool, SimError> {
-        let lookup = profiler.begin();
+        probe: &mut obs::Probe,
+    ) -> Result<(), SimError> {
+        let lookup = probe.begin();
         let key = SimKey {
             kernel: info.view.key,
             workload: info.request.workload_digest(),
         };
         let hit = memo.get(&key);
-        profiler.end(obs::Stage::Memo, lookup);
-        let memo_hit = hit.is_some();
+        probe.end(obs::Stage::Memo, lookup);
         let run = match hit {
-            Some(run) => run,
+            Some(run) => {
+                probe.memo_hit(index);
+                run
+            }
             None => {
                 memo.note_miss();
-                let sim = profiler.begin();
+                let sim = probe.begin();
                 let run = self.simulate(info);
-                profiler.end(obs::Stage::Sim, sim);
+                probe.end(obs::Stage::Sim, sim);
                 let run = Arc::new(run?);
-                let insert = profiler.begin();
+                let insert = probe.begin();
                 memo.insert(key, Arc::clone(&run));
-                profiler.end(obs::Stage::Memo, insert);
+                probe.end(obs::Stage::Memo, insert);
                 run
             }
         };
         self.ready[index] = Some(run);
-        Ok(memo_hit)
+        Ok(())
     }
 
     /// Runs `info`'s kernel over its workload with the kernel's plan. Kept

@@ -212,22 +212,14 @@ pub fn explain(trace: &Trace) -> AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::Logged;
-    use crate::pool::ChargeOutcome;
+    use crate::obs::probe::tests::ran;
+    use crate::obs::Probe;
     use crate::route::{AcquireSource, Routed};
-
-    fn charged(start_us: f64, completion_us: f64, switched: bool) -> ChargeOutcome {
-        ChargeOutcome {
-            start_us,
-            completion_us,
-            switched,
-        }
-    }
 
     #[test]
     fn a_full_lifecycle_reconciles_additively() {
-        let mut trace = Trace::default();
-        trace.admit(0, 1, 0.0, true, None);
+        let mut probe = Probe::tracing();
+        probe.admitted(0, 1, 0.0, true);
         let routed = Routed {
             acquire_us: 0.5,
             acquire_src: AcquireSource::Transfer,
@@ -235,9 +227,9 @@ mod tests {
             activation_us: 0.25,
             ..Routed::default()
         };
-        trace.start(0, (1, 0), 1, &charged(2.0, 7.0, true), 0.25, Some(&routed));
-        trace.finish(vec![(7, 0.0)], None, Vec::new());
-        let report = explain(&trace);
+        let start = ran((1, 0), 2.0, 7.0, true);
+        probe.started(0, &start, 7.0, 1, 0.25, Some(&routed));
+        let report = explain(&probe.into_trace(&[(7, 0.0)], None));
         assert_eq!(report.rows().len(), 1);
         let row = report.for_request(7).unwrap();
         assert_eq!(row.device, 1);
@@ -253,15 +245,14 @@ mod tests {
 
     #[test]
     fn displaced_attempts_fold_into_the_displacement_column() {
-        let mut trace = Trace::default();
-        trace.admit(0, 0, 0.0, true, None);
+        let mut probe = Probe::tracing();
+        probe.admitted(0, 0, 0.0, true);
         // First attempt: starts at 1, would have run to 6 — killed at 6.5.
-        trace.start(0, (0, 0), 1, &charged(1.0, 6.0, true), 0.5, None);
-        trace.log(0, 6.5, 0, Logged::Requeue(true));
+        probe.started(0, &ran((0, 0), 1.0, 6.0, true), 6.0, 1, 0.5, None);
+        probe.requeued(0, 6.5, 0, true);
         // The second, surviving attempt on device 1.
-        trace.start(0, (1, 0), 1, &charged(8.0, 12.0, true), 0.5, None);
-        trace.finish(vec![(3, 0.0)], None, Vec::new());
-        let report = explain(&trace);
+        probe.started(0, &ran((1, 0), 8.0, 12.0, true), 12.0, 1, 0.5, None);
+        let report = explain(&probe.into_trace(&[(3, 0.0)], None));
         let row = report.for_request(3).unwrap();
         assert_eq!(row.device, 1);
         assert_eq!(row.requeues, 1);
@@ -278,11 +269,10 @@ mod tests {
     fn rejected_and_span_dropped_requests_produce_no_row() {
         // One request refused by admission control and one shed with no
         // device to take it: neither ran, so neither has a row.
-        let mut trace = Trace::default();
-        trace.admit(0, 0, 0.0, false, None);
-        trace.log(1, 1.0, 0, Logged::Shed);
-        trace.finish(vec![(5, 0.0), (6, 1.0)], None, Vec::new());
-        let report = explain(&trace);
+        let mut probe = Probe::tracing();
+        probe.admitted(0, 0, 0.0, false);
+        probe.shed(1, 1.0);
+        let report = explain(&probe.into_trace(&[(5, 0.0), (6, 1.0)], None));
         assert!(report.rows().is_empty());
         assert!(report.for_request(5).is_none());
         assert!(report.for_request(6).is_none());
@@ -290,20 +280,13 @@ mod tests {
 
     #[test]
     fn worst_offenders_rank_by_latency_and_render() {
-        let mut trace = Trace::default();
+        let mut probe = Probe::tracing();
         for (index, run_us) in [2.0, 9.0, 5.0].into_iter().enumerate() {
-            trace.admit(index, 0, 0.0, true, None);
-            trace.start(
-                index,
-                (0, 0),
-                1,
-                &charged(1.0, 1.0 + run_us, false),
-                0.5,
-                None,
-            );
+            probe.admitted(index, 0, 0.0, true);
+            let start = ran((0, 0), 1.0, 1.0 + run_us, false);
+            probe.started(index, &start, 1.0 + run_us, 1, 0.5, None);
         }
-        trace.finish(vec![(1, 0.0), (2, 0.0), (3, 0.0)], None, Vec::new());
-        let report = explain(&trace);
+        let report = explain(&probe.into_trace(&[(1, 0.0), (2, 0.0), (3, 0.0)], None));
         let worst = report.worst_offenders(2);
         assert_eq!(worst.len(), 2);
         assert_eq!(worst[0].request_id, 2);

@@ -1003,22 +1003,17 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceValidation, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ChargeOutcome;
+    use crate::obs::probe::tests::ran;
+    use crate::obs::Probe;
 
     /// One request: submitted and admitted at 0 with a memo hit, queued
     /// for 2 µs, a 0.25 µs switch, then a 5 µs run.
     fn sample_trace() -> Trace {
-        let mut trace = Trace::default();
-        trace.admit(0, 0, 0.0, true, None);
-        trace.memo_hit();
-        let charged = ChargeOutcome {
-            start_us: 2.0,
-            completion_us: 7.25,
-            switched: true,
-        };
-        trace.start(0, (0, 0), 1, &charged, 0.25, None);
-        trace.finish(vec![(1, 0.0)], None, Vec::new());
-        trace
+        let mut probe = Probe::tracing();
+        probe.admitted(0, 0, 0.0, true);
+        probe.memo_hit(0);
+        probe.started(0, &ran((0, 0), 2.0, 7.25, true), 7.25, 1, 0.25, None);
+        probe.into_trace(&[(1, 0.0)], None)
     }
 
     #[test]
@@ -1033,11 +1028,8 @@ mod tests {
 
     #[test]
     fn profile_lanes_ride_along() {
-        use super::super::profile::{Stage, StageProfiler};
-        let mut profiler = StageProfiler::new(true);
-        let probe = profiler.begin();
-        profiler.end(Stage::Scan, probe);
-        let stats = profiler.finish().unwrap();
+        let mut stats = ProfileStats::default();
+        stats.add(crate::obs::Stage::Scan, std::time::Duration::from_nanos(40));
         let json = perfetto_trace_json(&sample_trace(), Some(&stats), "profiled");
         assert!(json.contains("host profiler (wall time)"));
         let validation = validate_chrome_trace(&json).expect("profiled trace is valid");

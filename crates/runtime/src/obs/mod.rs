@@ -1,44 +1,35 @@
-//! Observability for the serving runtime: request-span tracing, log-bucketed
-//! histogram metrics, exporters, and host-time hot-path profiling.
+//! Observability for the serving runtime: request-span tracing, windowed
+//! telemetry, SLO burn tracking, host-time profiling, log-bucketed
+//! histograms, exporters and latency attribution.
 //!
-//! Everything here is off by default and proptest-pinned free when off —
-//! the same idiom as the control plane ([`BatchConfig::disabled`](crate::BatchConfig::disabled)):
+//! The event loop observes a serve through one recorder, the crate-private
+//! `Probe`, built once per serve from the cluster's
+//! [`with_tracing`](crate::Cluster::with_tracing),
+//! [`with_profiling`](crate::Cluster::with_profiling),
+//! [`with_telemetry`](crate::Cluster::with_telemetry) and
+//! [`with_slo`](crate::Cluster::with_slo) settings. The loop reports each
+//! thing it does once — a request admitted, shed, routed, requeued or
+//! started, a memo hit, a fault, a replica or stage event, the queue depth
+//! since the last event, a stage timer begun and ended — and each family
+//! that is on derives its own record from the report: the [`Trace`]'s rows
+//! (its typed [`TraceEvent`] spans are built on first read), the
+//! [`ProfileStats`] of five host-time [`Stage`]s, the windowed
+//! [`TimeSeries`] on the virtual timeline, and at serve end the
+//! [`SloReport`] burn tracked against that series, its alerts joining the
+//! trace as [`SpanKind::SloBurn`] / [`SpanKind::SloClear`] spans.
 //!
-//! * [`TraceConfig`] / [`Trace`] — every request's lifecycle (submit →
-//!   admission → route → queue wait → acquire/switch → run → commit/reject)
-//!   plus control-plane counters, as typed [`TraceEvent`] spans on the
-//!   virtual timeline. The serve keeps only the rows spans are made from —
-//!   one per routing decision, admission verdict and tile start, and a log
-//!   of rare events — and [`Trace::events`] builds the spans on first
-//!   read. Enable with
-//!   [`Cluster::with_tracing`](crate::Cluster::with_tracing); the trace
-//!   comes back on the serve report.
-//! * [`LogHistogram`] — HDR-style log-bucketed latency and queue-depth
-//!   histograms, recorded online in
-//!   [`RuntimeMetrics`](crate::RuntimeMetrics) (always on; pure function of
-//!   the modeled serve), with a cluster merge path
-//!   ([`percentile_from_parts`]).
-//! * [`perfetto_trace_json`] / [`prometheus_text`] — exporters; the former
-//!   is validated by [`validate_chrome_trace`] in CI.
-//! * [`StageProfiler`] / [`ProfileStats`] — opt-in host-time stage timers
-//!   (scan / route / sim / memo / bookkeeping) behind
-//!   [`Cluster::with_profiling`](crate::Cluster::with_profiling), read by
-//!   the benchmark's `runtime.profile.*` rows.
-//! * [`TelemetryConfig`] / [`TimeSeries`] — windowed time-series aggregation
-//!   on the virtual timeline (throughput, miss-rate, queue depth,
-//!   utilization, per-class latency percentiles per window), behind
-//!   [`Cluster::with_telemetry`](crate::Cluster::with_telemetry).
-//! * [`SloConfig`] / [`SloReport`] — per-class SLO objectives with
-//!   error-budget burn-rate tracking and multi-window burn alerts emitted
-//!   as [`SpanKind::SloBurn`] / [`SpanKind::SloClear`] trace spans.
-//! * [`explain`] / [`AttributionReport`] — per-request latency attribution
-//!   decoded from the trace: an additive queue / acquire / activation /
-//!   switch / run breakdown reconciling with modeled latency, plus
-//!   [`worst_offenders`](AttributionReport::worst_offenders).
+//! The [`ServeReport`](crate::ServeReport) carries what each family derived.
+//! Every family is off by default and proptest-pinned free when off: off, a
+//! family costs each report one branch, and a stage timer reads no clock.
+//! [`LogHistogram`] (always on, in [`RuntimeMetrics`](crate::RuntimeMetrics)),
+//! the exporters ([`perfetto_trace_json`], validated by
+//! [`validate_chrome_trace`], and [`prometheus_text`]) and [`explain`] read
+//! the serve's results.
 
 mod explain;
 mod export;
 mod hist;
+mod probe;
 mod profile;
 mod slo;
 mod timeline;
@@ -50,10 +41,9 @@ pub use export::{
     prometheus_text_labeled, validate_chrome_trace, JsonValue, TraceValidation,
 };
 pub use hist::{percentile_from_parts, LogHistogram, SUB_BUCKETS_PER_OCTAVE};
-pub use profile::{ProfileStats, Stage, StageProfiler, STAGE_COUNT};
-pub(crate) use slo::{burn_spans, evaluate_slo};
+pub(crate) use probe::{Observed, Observing, Probe};
+pub use profile::{ProfileStats, Stage, STAGE_COUNT};
 pub use slo::{BurnAlert, BurnSample, SloConfig, SloObjective, SloReport, SloStatus};
 pub use timeline::{ClassWindow, TelemetryConfig, TimeSeries, WindowStats};
-pub(crate) use timeline::{GlobalSeries, LaneSeries};
+pub(crate) use trace::RouteMark;
 pub use trace::{CounterName, RouteChoice, SpanKind, Trace, TraceConfig, TraceEvent};
-pub(crate) use trace::{Logged, RouteMark};

@@ -1,11 +1,11 @@
 //! Host-time hot-path profiling for the event loop.
 //!
-//! A [`StageProfiler`] attributes the loop's host nanoseconds to five
-//! stages — the denominator behind the ns/event figures the benches report.
-//! It is gated behind an opt-in flag
+//! The serve's probe attributes the loop's host nanoseconds to five stages
+//! into a [`ProfileStats`] — the denominator behind the ns/event figures the
+//! benches report. It is gated behind an opt-in flag
 //! ([`Cluster::with_profiling`](crate::Cluster::with_profiling)): off (the
-//! default) every probe is one branch on a bool and no clock is read, so
-//! the bitwise-pinned hot path stays clock-free.
+//! default) every timer is one branch and no clock is read, so the
+//! bitwise-pinned hot path stays clock-free.
 //!
 //! Stage attribution:
 //!
@@ -21,7 +21,7 @@
 //!   outcome recording, queue-depth integration, histogram updates.
 
 use std::fmt;
-use std::time::Instant;
+use std::time::Duration;
 
 /// The profiled stages, in export order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,66 +63,7 @@ impl Stage {
     }
 
     fn index(&self) -> usize {
-        match self {
-            Stage::Scan => 0,
-            Stage::Route => 1,
-            Stage::Sim => 2,
-            Stage::Memo => 3,
-            Stage::Bookkeeping => 4,
-        }
-    }
-}
-
-/// Accumulates host nanoseconds per stage. Owned by the event loop; inert
-/// (no clock reads) unless built enabled.
-#[derive(Debug)]
-pub struct StageProfiler {
-    enabled: bool,
-    nanos: [u64; STAGE_COUNT],
-    counts: [u64; STAGE_COUNT],
-}
-
-impl StageProfiler {
-    /// A profiler that reads the host clock only when `enabled`.
-    pub fn new(enabled: bool) -> Self {
-        StageProfiler {
-            enabled,
-            nanos: [0; STAGE_COUNT],
-            counts: [0; STAGE_COUNT],
-        }
-    }
-
-    /// Starts a probe: `None` (free) when profiling is off.
-    #[inline]
-    pub fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Ends a probe started by [`begin`](StageProfiler::begin), attributing
-    /// the elapsed host time to `stage`.
-    #[inline]
-    pub fn end(&mut self, stage: Stage, started: Option<Instant>) {
-        if let Some(started) = started {
-            let slot = stage.index();
-            self.nanos[slot] += started.elapsed().as_nanos() as u64;
-            self.counts[slot] += 1;
-        }
-    }
-
-    /// Consumes the profiler into its [`ProfileStats`], or `None` when
-    /// profiling was off.
-    pub fn finish(self) -> Option<ProfileStats> {
-        if !self.enabled {
-            return None;
-        }
-        Some(ProfileStats {
-            nanos: self.nanos,
-            counts: self.counts,
-        })
+        *self as usize
     }
 }
 
@@ -135,6 +76,13 @@ pub struct ProfileStats {
 }
 
 impl ProfileStats {
+    /// Attributes one probe's `elapsed` host time to `stage`.
+    pub(super) fn add(&mut self, stage: Stage, elapsed: Duration) {
+        let slot = stage.index();
+        self.nanos[slot] += elapsed.as_nanos() as u64;
+        self.counts[slot] += 1;
+    }
+
     /// Total host nanoseconds attributed to `stage`.
     pub fn nanos(&self, stage: Stage) -> u64 {
         self.nanos[stage.index()]
@@ -191,27 +139,40 @@ impl fmt::Display for ProfileStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{Observing, Probe};
+
+    fn profiling(enabled: bool) -> Probe {
+        let observing = Observing {
+            profiling: enabled,
+            ..Observing::default()
+        };
+        Probe::new(&observing, 0, 1, 1, Vec::new)
+    }
 
     #[test]
     fn a_disabled_profiler_reads_no_clock_and_finishes_to_none() {
-        let mut profiler = StageProfiler::new(false);
-        let probe = profiler.begin();
-        assert!(probe.is_none());
-        profiler.end(Stage::Scan, probe);
-        assert!(profiler.finish().is_none());
+        let mut probe = profiling(false);
+        let timer = probe.begin();
+        assert!(timer.is_none());
+        probe.end(Stage::Scan, timer);
+        assert!(probe
+            .finish(std::iter::empty(), None, 0.0)
+            .profile
+            .is_none());
     }
 
     #[test]
     fn probes_accumulate_per_stage() {
-        let mut profiler = StageProfiler::new(true);
+        let mut probe = profiling(true);
         for _ in 0..3 {
-            let probe = profiler.begin();
-            assert!(probe.is_some());
-            profiler.end(Stage::Route, probe);
+            let timer = probe.begin();
+            assert!(timer.is_some());
+            probe.end(Stage::Route, timer);
         }
-        let probe = profiler.begin();
-        profiler.end(Stage::Memo, probe);
-        let stats = profiler.finish().expect("profiling was on");
+        let timer = probe.begin();
+        probe.end(Stage::Memo, timer);
+        let observed = probe.finish(std::iter::empty(), None, 0.0);
+        let stats = observed.profile.expect("profiling was on");
         assert_eq!(stats.probes(Stage::Route), 3);
         assert_eq!(stats.probes(Stage::Memo), 1);
         assert_eq!(stats.probes(Stage::Scan), 0);

@@ -303,28 +303,26 @@ pub(crate) fn burn_spans(report: &SloReport) -> Vec<TraceEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::timeline::{GlobalSeries, LaneSeries, TelemetryConfig, TimeSeries};
+    use crate::obs::probe::tests::ran;
+    use crate::obs::timeline::Series;
 
     /// A series with the given per-window (served, missed) Standard-class
     /// counts, 10µs windows.
     fn series_of(counts: &[(u64, u64)]) -> TimeSeries {
-        let config = TelemetryConfig::windowed(10.0);
-        let mut lane = LaneSeries::new(config);
+        let mut series = Series::new(10.0, 1, 1);
         for (index, &(served, missed)) in counts.iter().enumerate() {
             let base = index as f64 * 10.0;
             for i in 0..served {
-                lane.note_start(
-                    SloClass::Standard,
-                    base,
-                    base + 1.0 + i as f64 * 1e-3,
-                    1.0,
-                    i < missed,
-                    false,
-                );
+                let start = ran((0, 0), base, base + 1.0 + i as f64 * 1e-3, false);
+                let missed_deadline = i < missed;
+                let start = crate::Start {
+                    missed_deadline,
+                    ..start
+                };
+                series.note_start(&start, SloClass::Standard, 1.0, false);
             }
         }
-        let global = GlobalSeries::new(config);
-        TimeSeries::assemble(config, counts.len() as f64 * 10.0, 1, &global, &[lane])
+        series.assemble(counts.len() as f64 * 10.0)
     }
 
     #[test]

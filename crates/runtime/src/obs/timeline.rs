@@ -10,19 +10,19 @@
 //! same [`LogHistogram`] the aggregate metrics use) — on the report.
 //!
 //! Determinism discipline: the accumulator is **lane-partitioned**. Request
-//! commits land in a per-device [`LaneSeries`]; only the global queue-depth
-//! integral (a cross-device quantity) lives in the [`GlobalSeries`] the
-//! serial commit order owns. [`TimeSeries::assemble`] then absorbs the lanes
-//! in device order. Floating-point sums depend on accumulation order, and
-//! per-device commit order is the one order both tiers of a 1-device
-//! [`Cluster`](crate::Cluster) share, so partitioning by device is what
-//! keeps their time-series bitwise equal.
+//! commits land in a per-device lane; only the global queue-depth integral
+//! (a cross-device quantity) is accumulated in event order. Assembly then
+//! absorbs the lanes in device order. Floating-point sums depend on
+//! accumulation order, and per-device commit order is the one order both
+//! tiers of a 1-device [`Cluster`](crate::Cluster) share, so partitioning by
+//! device is what keeps their time-series bitwise equal.
 //!
 //! Everything is off by default ([`TelemetryConfig::disabled`]) and
 //! proptest-pinned bitwise-inert when off.
 
 use crate::obs::hist::{percentile_from_parts, LogHistogram};
 use crate::session::SloClass;
+use crate::Start;
 
 /// Caps the number of windows a series will allocate; activity past the cap
 /// accumulates into the last window instead of growing without bound. At the
@@ -95,12 +95,82 @@ fn window_start(index: usize, window_us: f64) -> f64 {
     index as f64 * window_us
 }
 
-/// Per-window accumulator for one device lane.
+/// Fixed-width windows of `W` on the virtual timeline, with a cursor on the
+/// window the last note landed in. Notes cluster far tighter than a
+/// telemetry window, so most land in the cursor's window again and skip the
+/// index arithmetic.
+#[derive(Debug, Clone)]
+struct Windows<W> {
+    window_us: f64,
+    windows: Vec<W>,
+    cursor: usize,
+    cursor_start_us: f64,
+    cursor_end_us: f64,
+}
+
+impl<W: Default> Windows<W> {
+    fn new(window_us: f64) -> Self {
+        Windows {
+            window_us,
+            windows: Vec::new(),
+            cursor: 0,
+            cursor_start_us: 0.0,
+            cursor_end_us: window_us,
+        }
+    }
+
+    /// The cursor's window, when `[from_us, to_us)` lies inside it: the fast
+    /// path. Its one-segment sums match [`spread`](Windows::spread)'s
+    /// exactly, so the result is bitwise the same either way.
+    #[inline]
+    fn cached(&mut self, from_us: f64, to_us: f64) -> Option<&mut W> {
+        if from_us >= self.cursor_start_us && to_us < self.cursor_end_us {
+            self.windows.get_mut(self.cursor)
+        } else {
+            None
+        }
+    }
+
+    /// Window `index`, growing the series to reach it.
+    fn at(&mut self, index: usize) -> &mut W {
+        if self.windows.len() <= index {
+            self.windows.resize_with(index + 1, W::default);
+        }
+        &mut self.windows[index]
+    }
+
+    /// Points the cursor at window `index`.
+    fn seek(&mut self, index: usize) {
+        self.cursor = index;
+        self.cursor_start_us = window_start(index, self.window_us);
+        self.cursor_end_us = window_start(index + 1, self.window_us);
+    }
+
+    /// Hands `add` each window `[from_us, to_us)` overlaps, in time order,
+    /// with the length of the overlap; returns the last window handed.
+    fn spread(&mut self, from_us: f64, to_us: f64, mut add: impl FnMut(&mut W, f64)) -> usize {
+        let mut segment_start = from_us;
+        let mut segment_window = window_of(from_us, self.window_us);
+        while segment_start < to_us {
+            let segment_end = if segment_window == MAX_WINDOWS - 1 {
+                to_us
+            } else {
+                window_start(segment_window + 1, self.window_us).min(to_us)
+            };
+            add(self.at(segment_window), segment_end - segment_start);
+            if segment_end >= to_us {
+                break;
+            }
+            segment_start = segment_end;
+            segment_window += 1;
+        }
+        segment_window
+    }
+}
+
+/// One window of a device lane.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LaneWindow {
-    served: u64,
-    deadline_misses: u64,
-    rejects: u64,
+struct LaneWindow {
     transfers: u64,
     busy_us: f64,
     class_served: [u64; SloClass::ALL.len()],
@@ -109,249 +179,110 @@ pub(crate) struct LaneWindow {
     class_latency: [LogHistogram; SloClass::ALL.len()],
 }
 
-/// One device's partition of the time-series: every request commit on that
-/// device accumulates here, in the device's commit order — the order both
-/// tiers of a 1-device [`Cluster`](crate::Cluster) share, which the bitwise
-/// equivalence tests pin.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneSeries {
-    window_us: f64,
-    windows: Vec<LaneWindow>,
-    /// Hot-path cache: the window the last commit landed in and its edges.
-    /// Request commits cluster far tighter than a telemetry window, so most
-    /// commits hit this window again and skip the index arithmetic entirely.
-    cursor: usize,
-    cursor_start_us: f64,
-    cursor_end_us: f64,
-}
-
-impl LaneSeries {
-    /// A lane accumulator for `config` — inert when disabled.
-    pub(crate) fn new(config: TelemetryConfig) -> Self {
-        LaneSeries {
-            window_us: config.window_us(),
-            windows: Vec::new(),
-            cursor: 0,
-            cursor_start_us: 0.0,
-            cursor_end_us: config.window_us(),
-        }
-    }
-
-    /// True when this lane accumulates (one branch on the off path).
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.window_us > 0.0
-    }
-
-    #[inline]
-    fn window_mut(&mut self, index: usize) -> &mut LaneWindow {
-        if self.windows.len() <= index {
-            self.windows.resize_with(index + 1, LaneWindow::default);
-        }
-        &mut self.windows[index]
-    }
-
-    /// Points the cursor at `index` so the next commit in the same window
-    /// takes the fast path.
-    #[inline]
-    fn seek_cursor(&mut self, index: usize) {
-        self.cursor = index;
-        self.cursor_start_us = window_start(index, self.window_us);
-        self.cursor_end_us = window_start(index + 1, self.window_us);
-    }
-
-    /// Accumulates one started request at its commit: counted in the window
-    /// of its *completion* (when its latency becomes part of the served
-    /// record), with its busy interval spread across every window it
-    /// overlaps for the utilization integral.
-    pub(crate) fn note_start(
-        &mut self,
-        class: SloClass,
-        start_us: f64,
-        completion_us: f64,
-        latency_us: f64,
-        missed_deadline: bool,
-        transferred: bool,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        let slot = class.index();
-        // Fast path: the whole [start, completion) run sits inside the
-        // cached window, so the commit and the busy segment land together
-        // with no index arithmetic. The sums below match the general path's
-        // single-segment arithmetic exactly, so the result is bitwise the
-        // same either way.
-        if start_us >= self.cursor_start_us
-            && completion_us < self.cursor_end_us
-            && self.cursor < self.windows.len()
-        {
-            let window = &mut self.windows[self.cursor];
-            window.served += 1;
-            window.deadline_misses += u64::from(missed_deadline);
-            window.transfers += u64::from(transferred);
-            window.class_served[slot] += 1;
-            window.class_misses[slot] += u64::from(missed_deadline);
-            window.class_latency[slot].record(latency_us);
-            if start_us < completion_us {
-                window.busy_us += completion_us - start_us;
-            }
-            return;
-        }
-        let window_us = self.window_us;
-        let index = window_of(completion_us, window_us);
-        let window = self.window_mut(index);
-        window.served += 1;
-        window.deadline_misses += u64::from(missed_deadline);
-        window.transfers += u64::from(transferred);
-        window.class_served[slot] += 1;
-        window.class_misses[slot] += u64::from(missed_deadline);
-        window.class_latency[slot].record(latency_us);
-        // Busy-time integral: the [start, completion) interval, segment by
-        // segment across the windows it overlaps.
-        let mut segment_start = start_us;
-        let mut segment_window = window_of(start_us, window_us);
-        while segment_start < completion_us {
-            let boundary = window_start(segment_window + 1, window_us);
-            let segment_end = if segment_window == MAX_WINDOWS - 1 {
-                completion_us
-            } else {
-                boundary.min(completion_us)
-            };
-            self.window_mut(segment_window).busy_us += segment_end - segment_start;
-            if segment_end >= completion_us {
-                break;
-            }
-            segment_start = segment_end;
-            segment_window += 1;
-        }
-        self.seek_cursor(index);
-    }
-
-    /// Accumulates one admission reject at its arrival window.
-    pub(crate) fn note_reject(&mut self, class: SloClass, time_us: f64) {
-        if !self.enabled() {
-            return;
-        }
-        let index = window_of(time_us, self.window_us);
-        let window = self.window_mut(index);
-        window.rejects += 1;
-        window.class_rejects[class.index()] += 1;
+impl LaneWindow {
+    /// Counts one commit of class `slot`.
+    fn commit(&mut self, slot: usize, latency_us: f64, missed: bool, transferred: bool) {
+        self.transfers += u64::from(transferred);
+        self.class_served[slot] += 1;
+        self.class_misses[slot] += u64::from(missed);
+        self.class_latency[slot].record(latency_us);
     }
 }
 
-/// Per-window accumulator for the global (cross-device) queue integral.
+/// One window of the pool-wide queue integral.
 #[derive(Debug, Clone, Copy, Default)]
-struct GlobalWindow {
+struct QueueWindow {
     queue_area_us: f64,
     observed_us: f64,
     peak_queue_depth: usize,
 }
 
-/// The event-order partition of the time-series: the pool-wide waiting
-/// count is a cross-device quantity only the event order can integrate, so
-/// it accumulates here, sampled at every event.
+/// The time-series as a serve accumulates it: one lane of windows per
+/// device, into which that device's commits land in its commit order, and
+/// the pool-wide queue integral, which only the event order can integrate.
 #[derive(Debug, Clone)]
-pub(crate) struct GlobalSeries {
-    window_us: f64,
-    windows: Vec<GlobalWindow>,
-    /// Hot-path cache: the window the last sample landed in and its edges.
-    /// The queue integral samples at every event, and events pack far
-    /// tighter than a telemetry window, so almost every sample stays inside
-    /// the cached window and skips the index arithmetic.
-    cursor: usize,
-    cursor_start_us: f64,
-    cursor_end_us: f64,
+pub(crate) struct Series {
+    total_tiles: usize,
+    lanes: Vec<Windows<LaneWindow>>,
+    queue: Windows<QueueWindow>,
 }
 
-impl GlobalSeries {
-    /// A global accumulator for `config` — inert when disabled.
-    pub(crate) fn new(config: TelemetryConfig) -> Self {
-        GlobalSeries {
-            window_us: config.window_us(),
-            windows: Vec::new(),
-            cursor: 0,
-            cursor_start_us: 0.0,
-            cursor_end_us: config.window_us(),
+impl Series {
+    /// An empty series of `window_us`-wide windows over `devices` lanes and
+    /// `total_tiles` tiles.
+    pub(crate) fn new(window_us: f64, devices: usize, total_tiles: usize) -> Self {
+        Series {
+            total_tiles,
+            lanes: (0..devices).map(|_| Windows::new(window_us)).collect(),
+            queue: Windows::new(window_us),
         }
     }
 
-    /// True when this series accumulates (one branch on the off path).
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.window_us > 0.0
-    }
-
-    #[inline]
-    fn window_mut(&mut self, index: usize) -> &mut GlobalWindow {
-        if self.windows.len() <= index {
-            self.windows.resize(index + 1, GlobalWindow::default());
+    /// Accumulates one started request at its commit on its device: counted
+    /// in the window of its *completion* (when its latency becomes part of
+    /// the served record), with its busy interval spread across every
+    /// window it overlaps for the utilization integral.
+    pub(crate) fn note_start(
+        &mut self,
+        start: &Start,
+        class: SloClass,
+        latency_us: f64,
+        transferred: bool,
+    ) {
+        let (start_us, completion_us) = (start.start_us, start.completion_us);
+        let (slot, missed) = (class.index(), start.missed_deadline);
+        let lane = &mut self.lanes[start.device];
+        if let Some(window) = lane.cached(start_us, completion_us) {
+            window.commit(slot, latency_us, missed, transferred);
+            if start_us < completion_us {
+                window.busy_us += completion_us - start_us;
+            }
+            return;
         }
-        &mut self.windows[index]
+        let index = window_of(completion_us, lane.window_us);
+        lane.at(index).commit(slot, latency_us, missed, transferred);
+        lane.spread(start_us, completion_us, |window, busy_us| {
+            window.busy_us += busy_us;
+        });
+        lane.seek(index);
     }
 
-    /// Points the cursor at `index` so the next sample in the same window
-    /// takes the fast path.
-    #[inline]
-    fn seek_cursor(&mut self, index: usize) {
-        self.cursor = index;
-        self.cursor_start_us = window_start(index, self.window_us);
-        self.cursor_end_us = window_start(index + 1, self.window_us);
+    /// Accumulates one admission reject on `device` at its arrival window.
+    pub(crate) fn note_reject(&mut self, device: usize, class: SloClass, time_us: f64) {
+        let lane = &mut self.lanes[device];
+        let window = lane.at(window_of(time_us, lane.window_us));
+        window.class_rejects[class.index()] += 1;
     }
 
     /// Integrates the pool-wide waiting count held over `[from_us, to_us)` —
     /// the same sample the event loop's queue-area bookkeeping records —
     /// spreading the area across the windows the interval overlaps.
     pub(crate) fn note_queue(&mut self, from_us: f64, to_us: f64, waiting: usize) {
-        if !self.enabled() {
-            return;
-        }
-        // Fast path: the whole sample sits inside the cached window. The
-        // sums below match the general path's single-segment arithmetic
-        // exactly, so the result is bitwise the same either way.
-        if from_us >= self.cursor_start_us
-            && to_us < self.cursor_end_us
-            && self.cursor < self.windows.len()
-        {
-            let window = &mut self.windows[self.cursor];
+        let queue = &mut self.queue;
+        let depth = waiting as f64;
+        if let Some(window) = queue.cached(from_us, to_us) {
             if to_us > from_us {
-                window.queue_area_us += waiting as f64 * (to_us - from_us);
+                window.queue_area_us += depth * (to_us - from_us);
                 window.observed_us += to_us - from_us;
             }
             window.peak_queue_depth = window.peak_queue_depth.max(waiting);
             return;
         }
-        let window_us = self.window_us;
-        let depth = waiting as f64;
-        if to_us <= from_us {
+        let last = if to_us <= from_us {
             // Zero-width sample (several events at one timestamp): still a
             // peak observation for the window it lands in.
-            let index = window_of(from_us, window_us);
-            let window = self.window_mut(index);
+            let index = window_of(from_us, queue.window_us);
+            let window = queue.at(index);
             window.peak_queue_depth = window.peak_queue_depth.max(waiting);
-            self.seek_cursor(index);
-            return;
-        }
-        let mut segment_start = from_us;
-        let mut segment_window = window_of(from_us, window_us);
-        loop {
-            let boundary = window_start(segment_window + 1, window_us);
-            let segment_end = if segment_window == MAX_WINDOWS - 1 {
-                to_us
-            } else {
-                boundary.min(to_us)
-            };
-            let window = self.window_mut(segment_window);
-            window.queue_area_us += depth * (segment_end - segment_start);
-            window.observed_us += segment_end - segment_start;
-            window.peak_queue_depth = window.peak_queue_depth.max(waiting);
-            if segment_end >= to_us {
-                self.seek_cursor(segment_window);
-                break;
-            }
-            segment_start = segment_end;
-            segment_window += 1;
-        }
+            index
+        } else {
+            queue.spread(from_us, to_us, |window, span_us| {
+                window.queue_area_us += depth * span_us;
+                window.observed_us += span_us;
+                window.peak_queue_depth = window.peak_queue_depth.max(waiting);
+            })
+        };
+        queue.seek(last);
     }
 }
 
@@ -443,18 +374,12 @@ pub struct TimeSeries {
     pub windows: Vec<WindowStats>,
 }
 
-impl TimeSeries {
-    /// Assembles the final series by absorbing the per-device lane
-    /// partitions (in device order) over the global queue integral.
-    pub(crate) fn assemble(
-        config: TelemetryConfig,
-        makespan_us: f64,
-        total_tiles: usize,
-        global: &GlobalSeries,
-        lanes: &[LaneSeries],
-    ) -> TimeSeries {
-        let window_us = config.window_us();
-        let mut count = global.windows.len();
+impl Series {
+    /// The completed series, ending at `makespan_us`: the device lanes
+    /// absorbed in device order over the queue integral.
+    pub(crate) fn assemble(&self, makespan_us: f64) -> TimeSeries {
+        let (window_us, total_tiles, lanes) = (self.queue.window_us, self.total_tiles, &self.lanes);
+        let mut count = self.queue.windows.len();
         for lane in lanes {
             count = count.max(lane.windows.len());
         }
@@ -497,9 +422,6 @@ impl TimeSeries {
                 let Some(window) = lane.windows.get(index) else {
                     continue;
                 };
-                stats.served += window.served;
-                stats.deadline_misses += window.deadline_misses;
-                stats.rejects += window.rejects;
                 stats.transfers += window.transfers;
                 busy_us += window.busy_us;
                 for (slot, parts) in class_parts.iter_mut().enumerate() {
@@ -511,13 +433,16 @@ impl TimeSeries {
                     }
                 }
             }
-            for (slot, parts) in class_parts.iter().enumerate() {
+            for (class, parts) in stats.classes.iter_mut().zip(&class_parts) {
+                stats.served += class.served;
+                stats.deadline_misses += class.deadline_misses;
+                stats.rejects += class.rejects;
                 if !parts.is_empty() {
-                    stats.classes[slot].p50_latency_us = percentile_from_parts(parts, 0.50);
-                    stats.classes[slot].p99_latency_us = percentile_from_parts(parts, 0.99);
+                    class.p50_latency_us = percentile_from_parts(parts, 0.50);
+                    class.p99_latency_us = percentile_from_parts(parts, 0.99);
                 }
             }
-            if let Some(window) = global.windows.get(index) {
+            if let Some(window) = self.queue.windows.get(index) {
                 if window.observed_us > 0.0 {
                     stats.mean_queue_depth = window.queue_area_us / window.observed_us;
                 }
@@ -535,7 +460,9 @@ impl TimeSeries {
             windows,
         }
     }
+}
 
+impl TimeSeries {
     /// Total completions across every window.
     pub fn total_served(&self) -> u64 {
         self.windows.iter().map(|w| w.served).sum()
@@ -551,19 +478,36 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::probe::tests::ran;
+    use crate::obs::{Observing, Probe};
+
+    /// A start on `device` over `[start_us, completion_us)` that missed its
+    /// deadline.
+    fn late(device: usize, start_us: f64, completion_us: f64) -> Start {
+        let missed_deadline = true;
+        Start {
+            missed_deadline,
+            ..ran((device, 0), start_us, completion_us, true)
+        }
+    }
 
     #[test]
     fn disabled_config_is_inert() {
         let config = TelemetryConfig::disabled();
         assert!(!config.is_enabled());
         assert!(!TelemetryConfig::default().is_enabled());
-        let mut lane = LaneSeries::new(config);
-        let mut global = GlobalSeries::new(config);
-        lane.note_start(SloClass::Standard, 0.0, 5.0, 5.0, true, true);
-        lane.note_reject(SloClass::Standard, 1.0);
-        global.note_queue(0.0, 5.0, 3);
-        assert!(lane.windows.is_empty());
-        assert!(global.windows.is_empty());
+        let observing = Observing {
+            telemetry: config,
+            ..Observing::default()
+        };
+        let mut probe = Probe::new(&observing, 1, 1, 1, Vec::new);
+        probe.started(0, &late(0, 0.0, 5.0), 5.0, 1, 0.5, None);
+        probe.admitted(0, 0, 1.0, false);
+        probe.queue(0.0, 5.0, 3);
+        assert!(probe
+            .finish(std::iter::empty(), None, 5.0)
+            .telemetry
+            .is_none());
     }
 
     #[test]
@@ -574,13 +518,11 @@ mod tests {
 
     #[test]
     fn starts_bucket_by_completion_and_spread_busy_time() {
-        let config = TelemetryConfig::windowed(10.0);
-        let mut lane = LaneSeries::new(config);
+        let mut series = Series::new(10.0, 1, 1);
         // Runs from 5 to 25: busy 5µs in window 0, 10 in window 1, 5 in
         // window 2; counted as served in window 2 (completion 25).
-        lane.note_start(SloClass::Latency, 5.0, 25.0, 25.0, true, true);
-        let global = GlobalSeries::new(config);
-        let series = TimeSeries::assemble(config, 25.0, 1, &global, &[lane]);
+        series.note_start(&late(0, 5.0, 25.0), SloClass::Latency, 25.0, true);
+        let series = series.assemble(25.0);
         assert_eq!(series.windows.len(), 3);
         assert_eq!(series.windows[0].served, 0);
         assert_eq!(series.windows[2].served, 1);
@@ -599,14 +541,13 @@ mod tests {
 
     #[test]
     fn queue_integral_spreads_area_and_tracks_peaks() {
-        let config = TelemetryConfig::windowed(10.0);
-        let mut global = GlobalSeries::new(config);
+        let mut series = Series::new(10.0, 1, 1);
         // Depth 4 held over [5, 15): area 20 in window 0, 20 in window 1.
-        global.note_queue(5.0, 15.0, 4);
+        series.note_queue(5.0, 15.0, 4);
         // Zero-width burst sample still registers a peak.
-        global.note_queue(15.0, 15.0, 9);
-        global.note_queue(15.0, 20.0, 2);
-        let series = TimeSeries::assemble(config, 20.0, 1, &global, &[]);
+        series.note_queue(15.0, 15.0, 9);
+        series.note_queue(15.0, 20.0, 2);
+        let series = series.assemble(20.0);
         assert_eq!(series.windows.len(), 2);
         assert!((series.windows[0].mean_queue_depth - 4.0).abs() < 1e-12);
         // Window 1 observed [10,15) at depth 4 and [15,20) at depth 2.
@@ -617,15 +558,12 @@ mod tests {
 
     #[test]
     fn lane_absorb_order_is_device_order() {
-        let config = TelemetryConfig::windowed(10.0);
-        let mut lane_a = LaneSeries::new(config);
-        let mut lane_b = LaneSeries::new(config);
-        lane_a.note_start(SloClass::Standard, 0.0, 4.0, 4.0, false, false);
-        lane_b.note_start(SloClass::Standard, 1.0, 6.0, 5.0, true, false);
-        let global = GlobalSeries::new(config);
-        let series =
-            TimeSeries::assemble(config, 6.0, 2, &global, &[lane_a.clone(), lane_b.clone()]);
-        let again = TimeSeries::assemble(config, 6.0, 2, &global, &[lane_a, lane_b]);
+        let mut series = Series::new(10.0, 2, 2);
+        let on_time = ran((0, 0), 0.0, 4.0, true);
+        series.note_start(&on_time, SloClass::Standard, 4.0, false);
+        series.note_start(&late(1, 1.0, 6.0), SloClass::Standard, 5.0, false);
+        let again = series.clone().assemble(6.0);
+        let series = series.assemble(6.0);
         assert_eq!(series, again);
         assert_eq!(series.windows[0].served, 2);
         assert_eq!(series.windows[0].deadline_misses, 1);
@@ -638,11 +576,9 @@ mod tests {
 
     #[test]
     fn rejects_bucket_by_arrival_window() {
-        let config = TelemetryConfig::windowed(10.0);
-        let mut lane = LaneSeries::new(config);
-        lane.note_reject(SloClass::BestEffort, 12.0);
-        let global = GlobalSeries::new(config);
-        let series = TimeSeries::assemble(config, 15.0, 1, &global, &[lane]);
+        let mut series = Series::new(10.0, 1, 1);
+        series.note_reject(0, SloClass::BestEffort, 12.0);
+        let series = series.assemble(15.0);
         assert_eq!(series.windows[1].rejects, 1);
         assert_eq!(
             series.windows[1].classes[SloClass::BestEffort.index()].rejects,

@@ -1,13 +1,14 @@
 //! Request-span tracing on the virtual timeline, derived after the serve.
 //!
-//! A traced serve records no spans while it runs. It keeps the few rows
-//! spans are made from, each written where the serve takes the decision
-//! anyway: one per routing decision on the fleet tier, one per admission
-//! verdict, one per tile start, and a time-stamped log of the rare events —
-//! fault transitions, displacements, sheds, replica pushes and demotions,
-//! stage readiness and activation transfers — plus the SLO burn alerts
-//! evaluated at serve end. An untraced serve keeps none of them. Nothing is
-//! bounded and nothing is dropped: every request's spans are in the trace.
+//! A traced serve records no spans while it runs. The serve's probe keeps
+//! the few rows spans are made from, each written where the serve takes the
+//! decision anyway: a time-stamped per-request log (every admission verdict,
+//! every routing decision on the fleet tier, and the rare events —
+//! displacements, sheds, stage readiness and activation transfers), one row
+//! per tile start, and the device-level events (fault transitions, memo
+//! hits, replica pushes and demotions), plus the SLO burn alerts evaluated
+//! at serve end. An untraced serve keeps none of them. Nothing is bounded
+//! and nothing is dropped: every request's spans are in the trace.
 //!
 //! [`Trace::events`] builds the typed [`TraceEvent`]s from those rows once,
 //! on first access, in one documented order: every request in intake order,
@@ -23,9 +24,9 @@
 
 use std::sync::OnceLock;
 
-use crate::pool::ChargeOutcome;
-use crate::route::{AcquireSource, Routed};
+use crate::route::AcquireSource;
 use crate::session::SloClass;
+use crate::Start;
 
 /// Whether the serve keeps a [`Trace`].
 ///
@@ -272,50 +273,45 @@ impl RouteMark {
         self.candidates[self.weighed] = (device, estimate_us);
         self.weighed += 1;
     }
+
+    fn weighed(&self) -> &[(usize, f64)] {
+        &self.candidates[..self.weighed]
+    }
 }
 
 /// One tile start: what a request's lifecycle spans are made from. A
 /// request started more than once (a kill displaced its run) has one row
 /// per start, in start order.
 #[derive(Debug, Clone, Copy)]
-struct Start {
+pub(super) struct TileStart {
     /// The request's intake index.
-    index: usize,
-    device: usize,
-    tile: usize,
+    pub(super) index: usize,
+    /// Where and when it ran.
+    pub(super) at: Start,
     /// The tile's same-kernel run length, this request included.
-    run_len: usize,
-    charged: ChargeOutcome,
+    pub(super) run_len: usize,
     /// The instruction-reload switch, which like the acquisition and
     /// activation below is only paid (and spanned) when the tile switched.
-    switch_us: f64,
+    pub(super) switch_us: f64,
     /// The image acquisition resolved at routing (fleet tier only).
-    acquire_us: f64,
-    acquire_source: AcquireSource,
-    acquire_bytes: u64,
+    pub(super) acquire_us: f64,
+    pub(super) acquire_source: AcquireSource,
+    pub(super) acquire_bytes: u64,
     /// The inter-stage activation transfer (pipeline serves only).
-    activation_us: f64,
-}
-
-/// One admission verdict, in the order the serve reached them.
-#[derive(Debug, Clone, Copy)]
-struct Admission {
-    index: usize,
-    device: usize,
-    time_us: f64,
-    admitted: bool,
-    memo_hit: bool,
-    /// The stage's class on a pipeline serve, which spans its SLO admission.
-    class: Option<SloClass>,
+    pub(super) activation_us: f64,
 }
 
 /// A request-level event, logged as it happens with its request, time and
-/// device ([`Trace::log`]). Only routing is not rare, and only the fleet
-/// tier routes.
+/// device. Only admission and routing are not rare, and only the fleet tier
+/// routes; its weighed candidates are kept apart so that a row stays small.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Logged {
-    /// The policy picked the device, having weighed these candidates.
-    Routed(RouteMark),
+pub(super) enum Logged {
+    /// The policy picked the device, having weighed the candidates of this
+    /// entry of the trace's `routes`.
+    Routed(usize),
+    /// Admission control's verdict on the device, with the stage's class on
+    /// a pipeline serve, which spans its SLO admission.
+    Admitted(bool, Option<SloClass>),
     /// The stage's last input arrived from the device; it had this many.
     StageReady(u32),
     /// Activations moved to the device: `(from device, bytes)`.
@@ -329,33 +325,37 @@ pub(crate) enum Logged {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Step {
-    index: usize,
-    time_us: f64,
-    device: usize,
-    what: Logged,
+pub(super) struct Step {
+    pub(super) index: usize,
+    pub(super) time_us: f64,
+    pub(super) device: usize,
+    pub(super) what: Logged,
 }
 
 /// The trace a serve report hands back when tracing was on: the rows the
-/// serve kept, and the [`TraceEvent`]s built from them on first access.
+/// serve's probe kept, and the [`TraceEvent`]s built from them on first
+/// access.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// `(id, arrival µs)` of every request, in intake order.
-    requests: Vec<(u64, f64)>,
+    pub(super) requests: Vec<(u64, f64)>,
     /// The routing policy's label on the fleet tier; `None` on the plain
     /// tier, which takes no routing decision.
-    policy: Option<&'static str>,
-    admissions: Vec<Admission>,
-    starts: Vec<Start>,
-    steps: Vec<Step>,
-    /// Device-level events as they happened, counters carrying their
-    /// running totals.
-    device_events: Vec<TraceEvent>,
-    replicas_pushed: u64,
-    replicas_demoted: u64,
+    pub(super) policy: Option<&'static str>,
+    pub(super) starts: Vec<TileStart>,
+    pub(super) steps: Vec<Step>,
+    /// What each routing decision weighed, in the order they were taken.
+    pub(super) routes: Vec<RouteMark>,
+    /// Device-level events as they happened; the counters' running totals
+    /// are filled in when the spans are built.
+    pub(super) device_events: Vec<TraceEvent>,
+    /// Per intake index: whether the memo answered the request's
+    /// simulation. A warm serve hits on every request, so a hit costs a
+    /// byte; its counter sample is derived at the request's admission.
+    pub(super) memo_hits: Vec<bool>,
     /// SLO burn alerts, appended at serve end.
-    alerts: Vec<TraceEvent>,
-    events: OnceLock<Vec<TraceEvent>>,
+    pub(super) alerts: Vec<TraceEvent>,
+    pub(super) events: OnceLock<Vec<TraceEvent>>,
 }
 
 impl PartialEq for Trace {
@@ -388,146 +388,36 @@ impl Trace {
             .collect()
     }
 
-    /// An empty trace with room for `requests` admissions and starts, so a
-    /// batch serve of that many fills its tables without regrowing them.
-    pub(crate) fn new(requests: usize) -> Self {
-        Trace {
-            admissions: Vec::with_capacity(requests),
-            starts: Vec::with_capacity(requests),
-            ..Trace::default()
-        }
-    }
-
-    /// Notes an admission verdict for request `index` on `device`.
-    pub(crate) fn admit(
-        &mut self,
-        index: usize,
-        device: usize,
-        time_us: f64,
-        admitted: bool,
-        class: Option<SloClass>,
-    ) {
-        let memo_hit = false;
-        let admission = Admission {
-            index,
-            device,
-            time_us,
-            admitted,
-            memo_hit,
-            class,
-        };
-        self.admissions.push(admission);
-    }
-
-    /// Notes that the memo answered the request admitted last.
-    pub(crate) fn memo_hit(&mut self) {
-        if let Some(admission) = self.admissions.last_mut() {
-            admission.memo_hit = true;
-        }
-    }
-
-    /// Notes that request `index` started on `(device, tile)` as the
-    /// `run_len`-th of a same-kernel run, charged as `charged`; `switch_us`
-    /// is its instruction-reload cost and `routed` the fleet tier's routing
-    /// row, with the acquisition and activation a switch also pays.
-    pub(crate) fn start(
-        &mut self,
-        index: usize,
-        (device, tile): (usize, usize),
-        run_len: usize,
-        charged: &ChargeOutcome,
-        switch_us: f64,
-        routed: Option<&Routed>,
-    ) {
-        let resident = Routed::default();
-        let routed = routed.unwrap_or(&resident);
-        self.starts.push(Start {
-            index,
-            device,
-            tile,
-            run_len,
-            charged: *charged,
-            switch_us,
-            acquire_us: routed.acquire_us,
-            acquire_source: routed.acquire_src,
-            acquire_bytes: routed.acquire_bytes,
-            activation_us: routed.activation_us,
-        });
-    }
-
-    /// Logs an event of request `index` at `time_us` on `device`.
-    pub(crate) fn log(&mut self, index: usize, time_us: f64, device: usize, what: Logged) {
-        let step = Step {
-            index,
-            time_us,
-            device,
-            what,
-        };
-        self.steps.push(step);
-    }
-
-    /// Notes a fault transition, a [`SpanKind::DeviceDown`],
-    /// [`DeviceUp`](SpanKind::DeviceUp), [`DrainPhase`](SpanKind::DrainPhase)
-    /// or [`LinkDegrade`](SpanKind::LinkDegrade).
-    pub(crate) fn fault(&mut self, time_us: f64, device: usize, kind: SpanKind) {
-        self.device_events.push(device_event(time_us, device, kind));
-    }
-
-    /// Notes a replica pushed onto `device` ahead of demand.
-    pub(crate) fn replica_pushed(&mut self, time_us: f64, device: usize, bytes: u64) {
-        self.replicas_pushed += 1;
-        let (name, value) = (CounterName::ReplicaPushed, self.replicas_pushed);
-        for kind in [
-            SpanKind::Prefetch { bytes },
-            SpanKind::Counter { name, value },
-        ] {
-            self.device_events.push(device_event(time_us, device, kind));
-        }
-    }
-
-    /// Notes a pushed replica demoted from `device`.
-    pub(crate) fn replica_demoted(&mut self, time_us: f64, device: usize) {
-        self.replicas_demoted += 1;
-        let (name, value) = (CounterName::ReplicaDemoted, self.replicas_demoted);
-        let kind = SpanKind::Counter { name, value };
-        self.device_events.push(device_event(time_us, device, kind));
-    }
-
-    /// Completes the rows at serve end: the requests in intake order, the
-    /// routing policy on the fleet tier, and the SLO burn alerts.
-    pub(crate) fn finish(
-        &mut self,
-        requests: Vec<(u64, f64)>,
-        policy: Option<&'static str>,
-        alerts: Vec<TraceEvent>,
-    ) {
-        self.requests = requests;
-        self.policy = policy;
-        self.alerts = alerts;
-    }
-
     /// Builds the events in the documented order.
     fn derive(&self) -> Vec<TraceEvent> {
-        let admissions = by_request(&self.admissions, |row| row.index);
         let starts = by_request(&self.starts, |row| row.index);
         let steps = by_request(&self.steps, |row| row.index);
-        let (mut admissions, mut starts, mut steps) = (&admissions[..], &starts[..], &steps[..]);
+        let (mut starts, mut steps) = (&starts[..], &steps[..]);
         let mut out = Vec::with_capacity(8 * self.requests.len());
         for index in 0..self.requests.len() {
-            let admission = split_request(&mut admissions, index, |row| row.index).first();
             let own_starts = split_request(&mut starts, index, |row| row.index);
             let own_steps = split_request(&mut steps, index, |row| row.index);
-            self.request_spans(index, admission.copied(), own_starts, own_steps, &mut out);
+            self.request_spans(index, own_starts, own_steps, &mut out);
         }
 
         let device_level = out.len();
-        let memo_hits = self.admissions.iter().filter(|a| a.memo_hit);
-        for (value, admission) in (1..).zip(memo_hits) {
-            let name = CounterName::MemoHit;
-            let counter = SpanKind::Counter { name, value };
-            out.push(device_event(admission.time_us, admission.device, counter));
+        // A memo hit is sampled at its request's admission.
+        for step in &self.steps {
+            let admitted = matches!(step.what, Logged::Admitted(true, _));
+            if admitted && self.memo_hits.get(step.index) == Some(&true) {
+                let hit = counter(CounterName::MemoHit);
+                out.push(device_event(step.time_us, step.device, hit));
+            }
         }
         out.extend(self.device_events.iter().cloned());
+        // Each counter's running total, in the order its samples were noted.
+        let mut totals = [0; 3];
+        for event in &mut out[device_level..] {
+            if let SpanKind::Counter { name, value } = &mut event.kind {
+                totals[*name as usize] += 1;
+                *value = totals[*name as usize];
+            }
+        }
         out[device_level..].sort_by(|a, b| {
             a.time_us
                 .total_cmp(&b.time_us)
@@ -539,15 +429,12 @@ impl Trace {
     }
 
     /// Request `index`'s spans, from its own rows in the order they were
-    /// kept: the logged steps in order, the admission right after the first
-    /// routing (or ahead of the run, on the plain tier, which routes
-    /// nothing), and each start's spans where it ran — ahead of the requeue
-    /// of a run a kill displaced, else last.
+    /// kept: the logged steps in order, and each start's spans where it ran —
+    /// ahead of the requeue of a run a kill displaced, else last.
     fn request_spans(
         &self,
         index: usize,
-        admission: Option<&Admission>,
-        starts: &[&Start],
+        starts: &[&TileStart],
         steps: &[&Step],
         out: &mut Vec<TraceEvent>,
     ) {
@@ -555,25 +442,6 @@ impl Trace {
         let instant = |time_us, device, kind| TraceEvent {
             request_id: Some(id),
             ..device_event(time_us, device, kind)
-        };
-        let mut admission = admission;
-        let mut admit = |out: &mut Vec<TraceEvent>| {
-            let Some(admission) = admission.take() else {
-                return;
-            };
-            let (time_us, device, admitted) =
-                (admission.time_us, admission.device, admission.admitted);
-            out.push(instant(time_us, device, SpanKind::Admission { admitted }));
-            if let Some(class) = admission.class {
-                out.push(instant(
-                    time_us,
-                    device,
-                    SpanKind::SloAdmit { class, admitted },
-                ));
-            }
-            if !admitted {
-                out.push(instant(time_us, device, SpanKind::Reject));
-            }
         };
         let mut starts = starts.iter();
         out.push(instant(arrival_us, 0, SpanKind::Submit));
@@ -583,7 +451,7 @@ impl Trace {
                 Logged::Routed(route) => SpanKind::RouteChoice(Box::new(RouteChoice {
                     policy: self.policy.unwrap_or_default(),
                     chosen: device,
-                    candidates: route.candidates[..route.weighed].to_vec(),
+                    candidates: self.routes[route].weighed().to_vec(),
                 })),
                 Logged::StageReady(deps) => SpanKind::StageReady { deps },
                 Logged::StageTransfer(from, bytes) => SpanKind::StageTransfer { from, bytes },
@@ -595,14 +463,21 @@ impl Trace {
                     }
                     SpanKind::Requeue
                 }
+                Logged::Admitted(admitted, class) => {
+                    out.push(instant(time_us, device, SpanKind::Admission { admitted }));
+                    if let Some(class) = class {
+                        let admit = SpanKind::SloAdmit { class, admitted };
+                        out.push(instant(time_us, device, admit));
+                    }
+                    if admitted {
+                        continue;
+                    }
+                    SpanKind::Reject
+                }
                 Logged::Shed => SpanKind::Reject,
             };
             out.push(instant(time_us, device, kind));
-            if let Logged::Routed(_) = step.what {
-                admit(out);
-            }
         }
-        admit(out);
         if let Some(start) = starts.next() {
             lifecycle(id, arrival_us, start, out);
         }
@@ -619,6 +494,12 @@ pub(crate) fn device_event(time_us: f64, device: usize, kind: SpanKind) -> Trace
         tile: None,
         kind,
     }
+}
+
+/// A counter sample; its running total is filled in when the spans are
+/// built.
+pub(super) fn counter(name: CounterName) -> SpanKind {
+    SpanKind::Counter { name, value: 0 }
 }
 
 /// `rows` in request order, each request's in the order they were kept.
@@ -641,18 +522,18 @@ fn split_request<'a, T>(
 
 /// One start's spans on its tile track. Their durations tile `[arrival,
 /// completion]`, so they sum to the request's latency.
-fn lifecycle(id: u64, arrival_us: f64, start: &Start, out: &mut Vec<TraceEvent>) {
+fn lifecycle(id: u64, arrival_us: f64, start: &TileStart, out: &mut Vec<TraceEvent>) {
     let mut span = |time_us: f64, dur_us: f64, kind: SpanKind| {
         out.push(TraceEvent {
             time_us,
             dur_us,
             request_id: Some(id),
-            device: start.device,
-            tile: Some(start.tile),
+            device: start.at.device,
+            tile: Some(start.at.tile),
             kind,
         });
     };
-    let charged = start.charged;
+    let charged = start.at;
     let waited_us = charged.start_us - arrival_us;
     span(arrival_us, waited_us, SpanKind::QueueWait);
     if start.run_len >= 2 {
@@ -685,25 +566,19 @@ fn lifecycle(id: u64, arrival_us: f64, start: &Start, out: &mut Vec<TraceEvent>)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn charged(start_us: f64, completion_us: f64, switched: bool) -> ChargeOutcome {
-        ChargeOutcome {
-            start_us,
-            completion_us,
-            switched,
-        }
-    }
+    use crate::obs::probe::tests::ran;
+    use crate::obs::{Observing, Probe};
+    use crate::route::Routed;
 
     /// A plain-tier trace of requests `(id, arrival)`, each admitted on
     /// device 0 at its arrival and then handed to `start`.
-    fn plain(requests: &[(u64, f64)], mut start: impl FnMut(&mut Trace, usize)) -> Trace {
-        let mut trace = Trace::default();
+    fn plain(requests: &[(u64, f64)], mut start: impl FnMut(&mut Probe, usize)) -> Trace {
+        let mut probe = Probe::tracing();
         for (index, &(_, arrival_us)) in requests.iter().enumerate() {
-            trace.admit(index, 0, arrival_us, true, None);
-            start(&mut trace, index);
+            probe.admitted(index, 0, arrival_us, true);
+            start(&mut probe, index);
         }
-        trace.finish(requests.to_vec(), None, Vec::new());
-        trace
+        probe.into_trace(requests, None)
     }
 
     /// The spans' labels, space-separated.
@@ -712,12 +587,12 @@ mod tests {
         labels.join(" ")
     }
 
-    fn weighing(candidates: &[(usize, f64)]) -> Logged {
+    fn weighing(candidates: &[(usize, f64)]) -> RouteMark {
         let mut route = RouteMark::default();
         for &(device, estimate_us) in candidates {
             route.weigh(device, estimate_us);
         }
-        Logged::Routed(route)
+        route
     }
 
     #[test]
@@ -742,9 +617,9 @@ mod tests {
         // Far more spans than the 65 536-slot ring the trace once was: every
         // one is kept and none is counted as dropped.
         let requests: Vec<(u64, f64)> = (0..20_000).map(|id| (id, id as f64)).collect();
-        let trace = plain(&requests, |trace, index| {
-            let charge = charged(index as f64 + 1.0, index as f64 + 2.0, false);
-            trace.start(index, (0, 0), 1, &charge, 0.25, None);
+        let trace = plain(&requests, |probe, index| {
+            let start = ran((0, 0), index as f64 + 1.0, index as f64 + 2.0, false);
+            probe.started(index, &start, 1.0, 1, 0.25, None);
         });
         assert_eq!(trace.dropped(), 0);
         assert_eq!(trace.events().len(), 5 * requests.len());
@@ -755,16 +630,16 @@ mod tests {
     fn counters_carry_running_totals() {
         // Memo hits count in the order the serve admitted them, whatever
         // their times; device-level events then come out by time.
-        let mut trace = Trace::default();
+        let mut probe = Probe::tracing();
         for (index, device, time_us) in [(0, 1, 2.0), (1, 0, 1.0)] {
-            trace.admit(index, device, time_us, true, None);
-            trace.memo_hit();
+            probe.admitted(index, device, time_us, true);
+            probe.memo_hit(index);
         }
-        trace.admit(2, 0, 3.0, false, None);
-        trace.replica_pushed(0.5, 1, 64);
-        trace.replica_demoted(0.75, 1);
-        trace.replica_pushed(4.0, 0, 32);
-        trace.finish(vec![(7, 1.0), (8, 1.0), (9, 3.0)], None, Vec::new());
+        probe.admitted(2, 0, 3.0, false);
+        probe.replica_pushed(0.5, 1, 64);
+        probe.replica_demoted(0.75, 1);
+        probe.replica_pushed(4.0, 0, 32);
+        let trace = probe.into_trace(&[(7, 1.0), (8, 1.0), (9, 3.0)], None);
         let counters: Vec<(f64, usize, &str, u64)> = trace
             .events()
             .iter()
@@ -787,9 +662,9 @@ mod tests {
 
     #[test]
     fn spans_filter_by_request() {
-        let trace = plain(&[(1, 0.0), (2, 1.0)], |trace, index| {
-            let charge = charged(2.0 + index as f64, 3.0 + index as f64, false);
-            trace.start(index, (0, index), 1, &charge, 0.25, None);
+        let trace = plain(&[(1, 0.0), (2, 1.0)], |probe, index| {
+            let start = ran((0, index), 2.0 + index as f64, 3.0 + index as f64, false);
+            probe.started(index, &start, 1.0, 1, 0.25, None);
         });
         assert_eq!(trace.spans_for(1)[0].kind, SpanKind::Submit);
         assert!(trace.spans_for(2).iter().all(|e| e.request_id == Some(2)));
@@ -803,15 +678,9 @@ mod tests {
         // at its end, the run and a commit at the exact modeled completion,
         // which `run start + run length` would miss by an ulp.
         let completion = 0.1 + 0.2; // 0.30000000000000004
-        let trace = plain(&[(7, 0.0)], |trace, index| {
-            trace.start(
-                index,
-                (1, 2),
-                3,
-                &charged(0.1, completion, false),
-                0.5,
-                None,
-            );
+        let trace = plain(&[(7, 0.0)], |probe, index| {
+            let start = ran((1, 2), 0.1, completion, false);
+            probe.started(index, &start, completion, 3, 0.5, None);
         });
         let spans = trace.spans_for(7);
         let lifecycle = &spans[2..];
@@ -830,9 +699,10 @@ mod tests {
     fn a_run_of_one_is_not_a_batch() {
         // A request that started its own run was not batched with anything:
         // a batch instant for it would be noise in every unbatched serve.
-        let trace = plain(&[(3, 0.0), (4, 5.0)], |trace, index| {
-            let charge = charged(6.0 * index as f64 + 2.0, 6.0 * index as f64 + 4.0, false);
-            trace.start(index, (0, 1), index + 1, &charge, 0.25, None);
+        let trace = plain(&[(3, 0.0), (4, 5.0)], |probe, index| {
+            let at = 6.0 * index as f64;
+            let start = ran((0, 1), at + 2.0, at + 4.0, false);
+            probe.started(index, &start, 4.0, index + 1, 0.25, None);
         });
         let solo = labels(trace.spans_for(3).into_iter().skip(2));
         assert_eq!(solo, "queue-wait run commit");
@@ -850,7 +720,7 @@ mod tests {
             (AcquireSource::Transfer, u64::MAX),
         ];
         let requests = [(0, 0.0), (1, 0.0), (2, 0.0)];
-        let trace = plain(&requests, |trace, index| {
+        let trace = plain(&requests, |probe, index| {
             let (acquire_src, acquire_bytes) = rows[index];
             let routed = Routed {
                 acquire_us: 1.0,
@@ -858,14 +728,8 @@ mod tests {
                 acquire_bytes,
                 ..Routed::default()
             };
-            trace.start(
-                index,
-                (0, 0),
-                1,
-                &charged(1.0, 4.0, true),
-                0.5,
-                Some(&routed),
-            );
+            let start = ran((0, 0), 1.0, 4.0, true);
+            probe.started(index, &start, 4.0, 1, 0.5, Some(&routed));
         });
         for (id, (source, bytes)) in rows.into_iter().enumerate() {
             let acquire = trace.spans_for(id as u64)[3];
@@ -880,8 +744,8 @@ mod tests {
         // Ids at and past the 28 bits a packed record once held are kept
         // whole.
         for place in [((1 << 28) - 1, (1 << 28) - 2), (usize::MAX, usize::MAX - 1)] {
-            let trace = plain(&[(1, 0.0)], |trace, index| {
-                trace.start(index, place, 1, &charged(0.0, 1.0, false), 0.5, None);
+            let trace = plain(&[(1, 0.0)], |probe, index| {
+                probe.started(index, &ran(place, 0.0, 1.0, false), 1.0, 1, 0.5, None);
             });
             let run = trace.spans_for(1)[3];
             assert_eq!(run.kind, SpanKind::Run);
@@ -894,21 +758,22 @@ mod tests {
         // Fault transitions come out by time, whatever order they were
         // noted in. A displaced request's attempts come out in order, each
         // routed ahead of what it did, a killed run before its requeue.
-        let mut trace = Trace::default();
-        trace.fault(5.0, 3, SpanKind::DeviceUp);
-        trace.fault(1.0, 3, SpanKind::DeviceDown);
-        trace.fault(2.0, 3, SpanKind::DrainPhase { begin: true });
-        trace.fault(3.0, 0, SpanKind::LinkDegrade { multiplier: 2.5 });
-        trace.fault(4.0, 3, SpanKind::DrainPhase { begin: false });
-        trace.log(0, 0.5, 3, weighing(&[(3, 9.0), (1, 11.0)]));
-        trace.admit(0, 3, 0.5, true, None);
-        trace.start(0, (3, 0), 1, &charged(0.5, 9.0, true), 0.25, None);
-        trace.log(0, 1.0, 3, Logged::Requeue(true));
-        trace.log(0, 1.0, 1, weighing(&[]));
-        trace.log(0, 2.0, 1, Logged::Requeue(false));
-        trace.log(0, 2.0, 2, weighing(&[]));
-        trace.start(0, (2, 1), 1, &charged(2.5, 6.0, false), 0.25, None);
-        trace.finish(vec![(42, 0.5)], Some("p2c"), Vec::new());
+        use crate::FaultKind;
+        let mut probe = Probe::tracing();
+        probe.fault(5.0, FaultKind::Revive { device: 3 });
+        probe.fault(1.0, FaultKind::Kill { device: 3 });
+        probe.fault(2.0, FaultKind::Drain { device: 3 });
+        probe.fault(3.0, FaultKind::DegradeLinks { multiplier: 2.5 });
+        probe.fault(4.0, FaultKind::Undrain { device: 3 });
+        probe.routed(0, 0.5, 3, weighing(&[(3, 9.0), (1, 11.0)]));
+        probe.admitted(0, 3, 0.5, true);
+        probe.started(0, &ran((3, 0), 0.5, 9.0, true), 8.5, 1, 0.25, None);
+        probe.requeued(0, 1.0, 3, true);
+        probe.routed(0, 1.0, 1, weighing(&[]));
+        probe.requeued(0, 2.0, 1, false);
+        probe.routed(0, 2.0, 2, weighing(&[]));
+        probe.started(0, &ran((2, 1), 2.5, 6.0, false), 5.5, 1, 0.25, None);
+        let trace = probe.into_trace(&[(42, 0.5)], Some("p2c"));
 
         let faults = labels(&trace.events()[14..]);
         assert_eq!(faults, "device-down drain link-degrade drain device-up");
@@ -985,20 +850,26 @@ mod tests {
         // A stage released by device 2, admitted under its session's class
         // on device 4 with two inputs moved there, then run with an
         // activation ahead of its switch; and a stage refused its share.
-        let mut trace = Trace::default();
-        trace.log(0, 1.0, 2, Logged::StageReady(3));
-        trace.log(0, 1.0, 4, weighing(&[]));
-        trace.admit(0, 4, 1.0, true, Some(SloClass::Latency));
-        trace.log(0, 1.0, 4, Logged::StageTransfer(2, 1 << 40));
-        trace.log(0, 1.0, 4, Logged::StageTransfer(3, 7));
+        let observing = Observing {
+            tracing: TraceConfig::enabled(),
+            ..Observing::default()
+        };
+        let classes = || vec![SloClass::Latency, SloClass::BestEffort];
+        let mut probe = Probe::new(&observing, 2, 5, 5, classes);
+        probe.stage_ready(0, 1.0, 2, 3);
+        probe.routed(0, 1.0, 4, weighing(&[]));
+        probe.admitted(0, 4, 1.0, true);
+        probe.stage_transfer(0, 1.0, 4, 2, 1 << 40);
+        probe.stage_transfer(0, 1.0, 4, 3, 7);
         let routed = Routed {
             activation_us: 0.5,
             ..Routed::default()
         };
-        trace.start(0, (4, 0), 1, &charged(1.0, 3.0, true), 0.25, Some(&routed));
-        trace.log(1, 2.0, 0, weighing(&[]));
-        trace.admit(1, 0, 2.0, false, Some(SloClass::BestEffort));
-        trace.finish(vec![(11, 0.0), (12, 2.0)], Some("hash"), Vec::new());
+        let start = ran((4, 0), 1.0, 3.0, true);
+        probe.started(0, &start, 3.0, 1, 0.25, Some(&routed));
+        probe.routed(1, 2.0, 0, weighing(&[]));
+        probe.admitted(1, 0, 2.0, false);
+        let trace = probe.into_trace(&[(11, 0.0), (12, 2.0)], Some("hash"));
 
         let spans = trace.spans_for(11);
         let expected = "submit stage-ready route admission slo-admit stage-transfer \
@@ -1028,16 +899,18 @@ mod tests {
         let (class, window) = (SloClass::Standard, 17);
         let burn = device_event(3.0, 0, SpanKind::SloBurn { class, window });
         let clear = device_event(5.0, 0, SpanKind::SloClear { class, window });
-        let mut trace = Trace::default();
-        trace.admit(0, 1, 0.0, true, None);
-        trace.memo_hit();
+        let mut probe = Probe::tracing();
+        probe.admitted(0, 1, 0.0, true);
+        probe.memo_hit(0);
         let routed = Routed {
             activation_us: 0.5,
             ..Routed::default()
         };
-        trace.start(0, (1, 2), 1, &charged(1.0, 4.0, true), 0.25, Some(&routed));
-        trace.replica_pushed(9.0, 0, 8);
-        trace.finish(vec![(7, 0.0)], None, vec![burn.clone(), clear.clone()]);
+        let start = ran((1, 2), 1.0, 4.0, true);
+        probe.started(0, &start, 4.0, 1, 0.25, Some(&routed));
+        probe.replica_pushed(9.0, 0, 8);
+        let mut trace = probe.into_trace(&[(7, 0.0)], None);
+        trace.alerts = vec![burn.clone(), clear.clone()];
         let activation = trace.spans_for(7)[3];
         assert_eq!(activation.kind, SpanKind::Activation);
         assert_eq!((activation.time_us, activation.dur_us), (1.0, 0.5));

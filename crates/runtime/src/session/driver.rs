@@ -258,6 +258,13 @@ impl SessionDriver {
         self.pipes[self.stages[index].pipeline].slo
     }
 
+    /// Every stage's SLO class, by intake index.
+    pub(crate) fn classes(&self) -> Vec<SloClass> {
+        (0..self.stages.len())
+            .map(|index| self.slo_of(index))
+            .collect()
+    }
+
     /// How many inputs the stage consumes (the stage-ready span payload).
     pub(crate) fn dep_count(&self, index: usize) -> usize {
         self.stages[index].deps.len()

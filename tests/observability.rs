@@ -72,6 +72,28 @@ fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request>
         .collect()
 }
 
+/// A seeded fault schedule over a trace that ends near `horizon_us`: each
+/// device past device 0 is spared, killed or drained at some point and later
+/// brought back, and the links may degrade. Device 0 stays serviceable.
+fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
+    let mut plan = FaultPlan::new();
+    for device in 1..devices {
+        let at = rng.gen_range(0..1_000u64) as f64 / 1_000.0 * horizon_us;
+        let back = at + rng.gen_range(1..1_000u64) as f64 / 1_000.0 * horizon_us;
+        plan = match rng.gen_range(0..3u32) {
+            0 => plan,
+            1 => plan.kill(at, device).revive(back, device),
+            _ => plan.drain(at, device).undrain(back, device),
+        };
+    }
+    if rng.gen_bool(0.3) {
+        let at = rng.gen_range(0..1_000u64) as f64 / 1_000.0 * horizon_us;
+        plan = plan.degrade_links(at, 4.0);
+    }
+    plan
+}
+
 /// A Standard-class objective with a tight miss-rate target and a short
 /// fast/slow burn pair — deadline-heavy traces can fire it, quiet ones
 /// cannot.
@@ -90,6 +112,7 @@ fn assert_reports_identical(
     prop_assert_eq!(observed.outcomes().len(), baseline.outcomes().len());
     for (lhs, rhs) in observed.outcomes().iter().zip(baseline.outcomes()) {
         prop_assert_eq!(lhs.request_id, rhs.request_id);
+        prop_assert_eq!(lhs.device, rhs.device);
         prop_assert_eq!(lhs.tile, rhs.tile);
         prop_assert_eq!(lhs.start_us, rhs.start_us);
         prop_assert_eq!(lhs.completion_us, rhs.completion_us);
@@ -143,23 +166,39 @@ fn assert_spans_reconcile(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tracing and profiling — off *or on* — never change a serve: the
-    /// default-built runtime, the explicitly-disabled one and the
-    /// fully-instrumented one agree bitwise; the
-    /// instrumented 1-device cluster reproduces the runtime's totals.
+    /// Observability — off *or on* — never changes a serve: the
+    /// default-built cluster, the explicitly-disabled one and the one with
+    /// every family on (tracing, profiling, telemetry and SLO tracking)
+    /// agree bitwise, on one device and on a fleet of two to four under
+    /// every routing policy, with or without a fault plan and replication —
+    /// so the fleet's route marks, requeues, faults and replica pushes and
+    /// demotions change nothing either.
     #[test]
     fn observability_is_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0usize..4,
         limit_pick in 0usize..3,
+        (devices, route_pick) in (1usize..5, 0usize..3),
+        (faulty, replicated) in (any::<bool>(), any::<bool>()),
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
         let limit = [usize::MAX, 4, 1][limit_pick];
-        let build = || Cluster::new(FuVariant::V4, 1, tiles)
-            .unwrap()
-            .with_policy(policy)
-            .with_admission_limit(limit);
+        let horizon_us = requests.last().map_or(1.0, |request| request.arrival_us + 1.0);
+        let build = || {
+            let mut cluster = Cluster::new(FuVariant::V4, devices, tiles)
+                .unwrap()
+                .with_policy(policy)
+                .with_route_policy(RoutePolicy::ALL[route_pick])
+                .with_admission_limit(limit);
+            if faulty {
+                cluster = cluster.with_fault_plan(random_plan(seed, devices, horizon_us));
+            }
+            if replicated {
+                cluster = cluster.with_replication(ReplicationConfig::new(2, 3.0, 20.0));
+            }
+            cluster
+        };
         let baseline = build().serve(requests.clone()).unwrap();
         let disabled = build()
             .with_tracing(TraceConfig::disabled())
@@ -169,12 +208,16 @@ proptest! {
         let instrumented = build()
             .with_tracing(TraceConfig::enabled())
             .with_profiling(true)
+            .with_telemetry(TelemetryConfig::windowed(2.0))
+            .with_slo(slo_objectives())
             .serve(requests.clone())
             .unwrap();
         prop_assert!(baseline.trace().is_none());
         prop_assert!(disabled.trace().is_none());
         prop_assert!(instrumented.trace().is_some());
         prop_assert!(instrumented.profile().is_some());
+        prop_assert!(instrumented.telemetry().is_some());
+        prop_assert!(instrumented.slo().is_some());
         assert_reports_identical(&disabled, &baseline)?;
         assert_reports_identical(&instrumented, &baseline)?;
     }
