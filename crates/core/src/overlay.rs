@@ -86,11 +86,11 @@ impl Overlay {
     /// kernel's own depth for the feed-forward variants, the paper's fixed
     /// depth of 8 for the write-back variants.
     ///
-    /// The overlay keeps a copy of the kernel, and [`Overlay::execute`] of
-    /// a kernel equal to it in everything its plan is made from (variant,
-    /// program, output stream indices, op count) runs the plan it made at
-    /// the first such call. A kernel that breaks a hardware constraint
-    /// keeps that error as its plan.
+    /// The overlay keeps a copy of the kernel, which shares its program,
+    /// and [`Overlay::execute`] of a kernel equal to it in everything its
+    /// plan is made from (variant, program, output stream indices, op count)
+    /// runs the plan it made at the first such call. A kernel that breaks a
+    /// hardware constraint keeps that error as its plan.
     ///
     /// # Errors
     ///
@@ -268,13 +268,13 @@ mod tests {
         });
         let program = &compiled.program;
         CompiledKernel {
-            program: OverlayProgram::new(
+            program: Arc::new(OverlayProgram::new(
                 program.kernel(),
                 programs.collect(),
                 program.num_inputs(),
                 program.num_outputs(),
                 program.ii(),
-            ),
+            )),
             ..compiled.clone()
         }
     }

@@ -156,27 +156,41 @@ fn built_kernel_graphs_allocate_the_same_at_every_size() {
 }
 
 /// After the first run of the kernel an overlay was built for, which plans
-/// it, every run makes the data pass alone: exactly what a planned run at
-/// the overlay's trace capacity allocates (4 at 2 and at 256 traced blocks
-/// when written), where a one-shot run also decodes and times the kernel
-/// (7).
+/// it, every run of it, of a clone or of a kernel compiled again makes the
+/// data pass alone: exactly what a planned run at the overlay's trace
+/// capacity allocates (2 at 2 and at 256 traced blocks, the outputs and the
+/// trace's header; 4 while the trace copied the kept blocks' columns and
+/// each run made its own), where a one-shot run also decodes and times the
+/// kernel (5; 7 before).
 #[test]
 fn a_second_execute_of_the_loaded_kernel_allocates_what_a_planned_run_does() {
     for benchmark in [Benchmark::Gradient, Benchmark::Poly8] {
         for variant in [FuVariant::V1, FuVariant::V4] {
-            let compiled = Compiler::new(variant).compile_benchmark(benchmark).unwrap();
+            let compiler = Compiler::new(variant);
+            let compiled = compiler.compile_benchmark(benchmark).unwrap();
             let overlay = Overlay::for_kernel(variant, &compiled).unwrap();
             let simulator = OverlaySimulator::new(variant);
             let plan = simulator.plan(&compiled).unwrap();
+            // A clone shares the program; a kernel compiled again only
+            // equals it.
+            let clone = compiled.clone();
+            let again = compiler.compile_benchmark(benchmark).unwrap();
             for blocks in [2, 256] {
                 let workload = Workload::random(compiled.program.num_inputs(), blocks, 1);
                 overlay.execute(&compiled, &workload).unwrap();
-                let execute = allocations_of_run(|| overlay.execute(&compiled, &workload));
                 let planned = allocations_of_run(|| plan.run(&workload));
                 let one_shot = allocations_of_run(|| simulator.run(&compiled, &workload));
-                let what = format!("{benchmark} on {variant}, {blocks} blocks");
-                assert_eq!(execute, planned, "{what}");
-                assert!(execute < one_shot, "{what}: {execute} vs {one_shot}");
+                let kernels = [
+                    (&compiled, "itself"),
+                    (&clone, "a clone"),
+                    (&again, "again"),
+                ];
+                for (kernel, which) in kernels {
+                    let execute = allocations_of_run(|| overlay.execute(kernel, &workload));
+                    let what = format!("{benchmark} on {variant} ({which}), {blocks} blocks");
+                    assert_eq!(execute, planned, "{what}");
+                    assert!(execute < one_shot, "{what}: {execute} vs {one_shot}");
+                }
             }
         }
     }

@@ -227,7 +227,7 @@ impl KernelCache {
     /// Returns the cached kernel for `key`, or compiles it via `compile`,
     /// caching the result (evicting the least-recently-used entry if full).
     /// Compiling loads the kernel but does not plan it; its first
-    /// [`Kernel::run_in`] or [`Kernel::plan`] does.
+    /// [`Kernel::run`] or [`Kernel::plan`] does.
     ///
     /// # Errors
     ///

@@ -151,7 +151,7 @@ use std::thread;
 use overlay_arch::{FuVariant, OverlayConfig, ReconfigModel};
 use overlay_frontend::LowerOptions;
 use overlay_scheduler::{generate_program_owned, schedule};
-use overlay_sim::{ColumnBuffer, Records, SimError, SimMetrics, SimRun};
+use overlay_sim::{Records, SimError, SimMetrics, SimRun};
 
 /// What happened to one served request: where it ran, what it produced and
 /// the modeled timing it experienced.
@@ -372,6 +372,8 @@ struct DerivedTiming {
     fmax_mhz: f64,
     switch_us: f64,
     image_bytes: usize,
+    /// The planning estimate's pipeline-fill allowance, in cycles.
+    fill_cycles: f64,
 }
 
 /// Compiles (via `cache`) and derives the timing figures one request needs
@@ -424,6 +426,7 @@ pub(crate) fn prepare_request(
                 fmax_mhz,
                 switch_us,
                 image_bytes: compiled.program.config_bytes(),
+                fill_cycles: (4 * compiled.num_fus()) as f64,
             };
             ctx.derived.insert(key, timing);
             timing
@@ -431,8 +434,8 @@ pub(crate) fn prepare_request(
     };
     // Planning estimate: steady-state II per invocation plus a
     // pipeline-fill allowance, at the overlay's operating frequency.
-    let fill_cycles = (4 * compiled.num_fus()) as f64;
-    let est_exec_us = (compiled.ii * request.workload.len() as f64 + fill_cycles) / timing.fmax_mhz;
+    let est_exec_us =
+        (compiled.ii * request.workload.len() as f64 + timing.fill_cycles) / timing.fmax_mhz;
     let view = DispatchRequest {
         key,
         est_exec_us,
@@ -562,8 +565,6 @@ impl LoopTables {
 /// from the memo or run there and then on the loop's own thread — and parked
 /// in the request's slot until a tile is about to execute it.
 pub(crate) struct SimResults<'t> {
-    /// The data pass's working columns, shared by every run of the serve.
-    columns: ColumnBuffer,
     /// One slot per intake index — no hashing on the hot path.
     ready: &'t mut Vec<Option<Arc<SimRun>>>,
 }
@@ -571,10 +572,7 @@ pub(crate) struct SimResults<'t> {
 impl<'t> SimResults<'t> {
     /// A result tracker over the (empty) recycled slot table `ready`.
     pub(crate) fn new(ready: &'t mut Vec<Option<Arc<SimRun>>>) -> Self {
-        SimResults {
-            columns: ColumnBuffer::default(),
-            ready,
-        }
+        SimResults { ready }
     }
 
     /// Grows the per-intake slot table by one (a request was streamed in).
@@ -633,9 +631,8 @@ impl<'t> SimResults<'t> {
     /// out of line: a memo hit, which is all a warm serve sees, never comes
     /// here.
     #[inline(never)]
-    fn simulate(&mut self, info: &InFlight) -> Result<SimRun, SimError> {
-        info.kernel
-            .run_in(&info.request.workload, &mut self.columns)
+    fn simulate(&self, info: &InFlight) -> Result<SimRun, SimError> {
+        info.kernel.run(&info.request.workload)
     }
 
     /// The `served` outcomes in submission order, each taking its row's name

@@ -25,7 +25,7 @@ use crate::obs::trace::{SpanKind, Trace};
 
 /// The additive latency breakdown of one served request, plus its fault
 /// displacement record.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Attribution {
     /// The caller-chosen request id.
     pub request_id: u64,
@@ -133,78 +133,61 @@ impl AttributionReport {
     }
 }
 
-/// Accumulates one request's spans in lifecycle order.
-#[derive(Debug, Clone, Copy, Default)]
-struct PendingAttribution {
-    device: usize,
-    arrival_us: f64,
-    completion_us: f64,
-    queue_us: f64,
-    acquire_us: f64,
-    activation_us: f64,
-    switch_us: f64,
-    run_us: f64,
-    displaced_us: f64,
-    requeues: u32,
-    saw_run: bool,
-}
-
 /// Decodes every request's spans into its additive latency breakdown: one
 /// row per served request. A rejected request never ran and has no row.
 pub fn explain(trace: &Trace) -> AttributionReport {
-    let mut pending: BTreeMap<u64, PendingAttribution> = BTreeMap::new();
+    // Each request's row, accumulated in lifecycle order, and whether its
+    // latest attempt ran.
+    let mut rows: BTreeMap<u64, (Attribution, bool)> = BTreeMap::new();
     for event in trace.events() {
         let Some(request_id) = event.request_id else {
             continue;
         };
-        let entry = pending.entry(request_id).or_default();
+        let (row, saw_run) = rows.entry(request_id).or_insert_with(|| {
+            let row = Attribution {
+                request_id,
+                ..Attribution::default()
+            };
+            (row, false)
+        });
         match event.kind {
             SpanKind::QueueWait => {
-                if entry.saw_run {
+                if *saw_run {
                     // A fresh start burst after a completed attempt: the
                     // fault tier displaced the first run. Its paid work is
                     // discarded time; the new wait supersedes the old.
-                    entry.displaced_us +=
-                        entry.acquire_us + entry.activation_us + entry.switch_us + entry.run_us;
-                    entry.acquire_us = 0.0;
-                    entry.activation_us = 0.0;
-                    entry.switch_us = 0.0;
-                    entry.run_us = 0.0;
-                    entry.saw_run = false;
+                    row.displaced_us +=
+                        row.acquire_us + row.activation_us + row.switch_us + row.run_us;
+                    row.acquire_us = 0.0;
+                    row.activation_us = 0.0;
+                    row.switch_us = 0.0;
+                    row.run_us = 0.0;
+                    *saw_run = false;
                 }
-                entry.arrival_us = event.time_us;
-                entry.queue_us = event.dur_us;
+                row.arrival_us = event.time_us;
+                row.queue_us = event.dur_us;
             }
-            SpanKind::Acquire { .. } => entry.acquire_us += event.dur_us,
-            SpanKind::Activation => entry.activation_us += event.dur_us,
-            SpanKind::ContextSwitch => entry.switch_us += event.dur_us,
+            SpanKind::Acquire { .. } => row.acquire_us += event.dur_us,
+            SpanKind::Activation => row.activation_us += event.dur_us,
+            SpanKind::ContextSwitch => row.switch_us += event.dur_us,
             SpanKind::Run => {
-                entry.run_us += event.dur_us;
-                entry.device = event.device;
-                entry.saw_run = true;
+                row.run_us += event.dur_us;
+                row.device = event.device;
+                *saw_run = true;
             }
-            SpanKind::Commit => entry.completion_us = event.time_us,
-            SpanKind::Requeue => entry.requeues += 1,
+            // Every attempt commits after its wait, so the last commit
+            // reads the final attempt's arrival.
+            SpanKind::Commit => {
+                row.completion_us = event.time_us;
+                row.latency_us = row.completion_us - row.arrival_us;
+            }
+            SpanKind::Requeue => row.requeues += 1,
             _ => {}
         }
     }
-    let rows = pending
-        .into_iter()
-        .filter(|(_, entry)| entry.saw_run)
-        .map(|(request_id, entry)| Attribution {
-            request_id,
-            device: entry.device,
-            arrival_us: entry.arrival_us,
-            completion_us: entry.completion_us,
-            latency_us: entry.completion_us - entry.arrival_us,
-            queue_us: entry.queue_us,
-            acquire_us: entry.acquire_us,
-            activation_us: entry.activation_us,
-            switch_us: entry.switch_us,
-            run_us: entry.run_us,
-            displaced_us: entry.displaced_us,
-            requeues: entry.requeues,
-        })
+    let rows = rows
+        .into_values()
+        .filter_map(|(row, saw_run)| saw_run.then_some(row))
         .collect();
     AttributionReport { rows }
 }

@@ -359,11 +359,12 @@ fn a_cold_serve_allocates_only_on_the_calling_thread() {
     assert_eq!(report.metrics().sim_memo.misses, REQUESTS);
     // No helper thread exists whose allocations this count could miss, so
     // it is the whole serve: 1028, 16.06 per request, most of it the nine
-    // compiles. Each kernel is planned once (its program's `Arc`, steps and
-    // stages, and its timing law), and each request's run then allocates
-    // its outputs and its `Arc`, in a column buffer the serve keeps. It was
-    // 1244 while every run decoded and timed its kernel afresh, and 4092
-    // (63.9 per request) when this test was first written.
+    // compiles, when the bound was set (525 now, 9 of them the compiled
+    // programs' `Arc`s). Each kernel is planned once (its program's `Arc`,
+    // steps and stages, and its timing law), and each request's run then
+    // allocates its outputs and its `Arc`, in the calling thread's column
+    // scratch. It was 1244 while every run decoded and timed its kernel
+    // afresh, and 4092 (63.9 per request) when this test was first written.
     assert!(
         allocations <= 1028,
         "{allocations} allocations for {REQUESTS} cold requests"

@@ -1,5 +1,7 @@
 //! Instruction generation: turning a stage schedule into per-FU programs.
 
+use std::sync::Arc;
+
 use overlay_arch::FuVariant;
 use overlay_dfg::{Dfg, NodeId, NodeKind};
 use overlay_isa::{FuProgram, Instruction, OverlayProgram, RegIndex, REGISTER_FILE_SIZE};
@@ -12,8 +14,10 @@ use crate::stage::{Slot, StageSchedule};
 /// streams plus the stream metadata the runtime (or simulator) needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
-    /// The per-FU programs and stream configuration.
-    pub program: OverlayProgram,
+    /// The per-FU programs and stream configuration, shared by every clone:
+    /// two kernels holding the same program compare equal without reading
+    /// it.
+    pub program: Arc<OverlayProgram>,
     /// The stage schedule the program was generated from.
     pub schedule: StageSchedule,
     /// The overlay variant the program targets.
@@ -237,7 +241,7 @@ pub fn generate_program_owned(
         ii.ceil() as usize,
     );
     Ok(CompiledKernel {
-        program,
+        program: Arc::new(program),
         schedule,
         variant,
         output_stream_index,

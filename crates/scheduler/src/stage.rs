@@ -111,6 +111,8 @@ pub struct StageSchedule {
     loads: Vec<NodeId>,
     /// Stage `k`'s share of both lies between `bounds[k]` and `bounds[k + 1]`.
     bounds: Vec<StageBound>,
+    /// The operations among the slots, counted once.
+    ops: usize,
 }
 
 impl StageSchedule {
@@ -127,6 +129,7 @@ impl StageSchedule {
         StageSchedule {
             kernel: dfg.name().to_owned(),
             strategy,
+            ops: slots.iter().filter_map(|slot| slot.op()).count(),
             slots,
             loads,
             bounds,
@@ -179,7 +182,7 @@ impl StageSchedule {
 
     /// Total number of operations across all stages.
     pub fn total_ops(&self) -> usize {
-        self.slots.iter().filter_map(|slot| slot.op()).count()
+        self.ops
     }
 
     /// Total number of inserted NOPs across all stages.

@@ -82,31 +82,31 @@
 //! below five it does not look for the fixed point at all: stepping them all
 //! is cheaper than the bookkeeping.
 //!
-//! # 3. The data pass ([`HeldProgram::evaluate`])
+//! # 3. The data pass ([`Program::evaluate`])
 //!
 //! The tape runs over columns of up to [`LANE_WIDTH`] blocks in one flat
-//! buffer, which the caller may keep between runs (every lane a chunk reads
+//! buffer, the thread's column scratch, which every run on the thread shares
+//! and which grows to the widest run it has made (every lane a chunk reads
 //! is written first, so what an earlier run left there never shows): inputs
-//! are scattered in, each `EXEC` is one
-//! [`Op::apply_columns`] call (one dispatch per chunk, loops the compiler
-//! vectorises), and every block's outputs are written into one buffer,
-//! record after record. For the blocks the trace keeps, the chunk copies
-//! out its columns, the kept lanes of each: every value an event prints,
-//! once (a load or an output prints a column another event wrote, so a
-//! compiled kernel's block has fewer columns than events: at most 0.82 of
-//! them on the paper suite and 300 generated kernels), in one copy when the
-//! whole chunk is kept.
+//! are scattered in, each `EXEC` is one [`Op::apply_columns`] call (one
+//! dispatch per chunk, loops the compiler vectorises), and every block's
+//! outputs are written into one buffer, record after record. That is all a
+//! run evaluates, whether it keeps events or not.
 //!
 //! # 4. The packed trace ([`PackedTrace`])
 //!
 //! A traced run keeps the program (shared with its plan, or moved in by a
-//! run made alone: [`HeldProgram`]), the lane-block `j` the timing law
-//! closed at and those columns. [`PackedTrace::unpack`], called on the
-//! first read of the events, steps the kept rows up to `j` again and writes
-//! every later one as `row(r) = row(j) + (r-j)·(row(j) - row(j-1))`, cell
-//! by cell — §2's induction, which covers every cell, not only completions
-//! — then builds the events in the order the hardware produces them.
+//! run made alone: [`HeldProgram`]), its workload (shared, not copied), the
+//! lane-block `j` the timing law closed at and how many events it keeps.
+//! [`PackedTrace::unpack`], called on the first read of the events, makes
+//! §3's pass again over the kept blocks alone and, block by block, steps the
+//! kept rows up to `j` again and writes every later one as
+//! `row(r) = row(j) + (r-j)·(row(j) - row(j-1))`, cell by cell — §2's
+//! induction, which covers every cell, not only completions — then builds
+//! the events in the order the hardware produces them. A trace nobody reads
+//! costs its run one small allocation.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -116,9 +116,16 @@ use overlay_isa::{FuProgram, Instruction, RegIndex, REGISTER_FILE_SIZE};
 
 use crate::error::SimError;
 use crate::trace::{Event, EventKind, Trace};
+use crate::workload::Workload;
 
 /// Blocks the data pass evaluates per column.
 const LANE_WIDTH: usize = 64;
+
+thread_local! {
+    /// The data pass's working columns: one buffer per thread, as wide as
+    /// the widest run it has made (§3).
+    static COLUMNS: Cell<Vec<Value>> = const { Cell::new(Vec::new()) };
+}
 
 /// Lane-blocks the timing pass steps, at most, looking for the fixed point
 /// (§2). Far past where compiled kernels close, and few enough that a chain
@@ -302,11 +309,9 @@ impl std::ops::Deref for HeldProgram {
 #[derive(Debug, Clone)]
 pub(crate) struct PackedTrace {
     program: HeldProgram,
+    /// The run's blocks, shared: the kept ones are evaluated again.
+    workload: Workload,
     closed_at: Option<usize>,
-    /// The data pass's column width: the values come chunk by chunk, and
-    /// within a chunk column by column, one per kept lane.
-    width: usize,
-    values: Vec<Value>,
     kept: usize,
 }
 
@@ -613,58 +618,42 @@ impl Program {
             period: None,
         }
     }
-}
 
-impl HeldProgram {
-    /// The data pass: evaluates the tape over `records` (at least one) and
-    /// returns every block's outputs, record after record, in one buffer,
-    /// and a trace that keeps the first `capacity` events, and the program
-    /// to read them with, and counts the rest; `closed_at` is the timing
-    /// law's. `columns` is the working buffer, grown to one chunk's columns
-    /// if it is short.
+    /// The data pass over `records` (at least one): runs the tape a chunk of
+    /// up to [`LANE_WIDTH`] blocks at a time in the thread's column scratch
+    /// and hands `chunk` each chunk's blocks, the column width and the
+    /// columns.
     ///
     /// # Errors
     ///
     /// None that [`Program::decode`] has not already ruled out.
-    pub(crate) fn evaluate(
-        self,
+    fn pass(
+        &self,
         records: &[Vec<Value>],
-        closed_at: Option<usize>,
-        capacity: usize,
-        columns: &mut Vec<Value>,
-    ) -> Result<(Vec<Value>, Trace), SimError> {
-        let program = &*self;
+        mut chunk: impl FnMut(Range<usize>, usize, &[Value]),
+    ) -> Result<(), SimError> {
         let width = LANE_WIDTH.min(records.len());
-        let size = program.columns * width;
-        if columns.len() < size {
+        let size = self.columns * width;
+        // Taken, not borrowed: a pass that fails leaves the thread an empty
+        // scratch, and the next one makes another.
+        let mut scratch = COLUMNS.take();
+        if scratch.len() < size {
             // Replaced, not resized: nothing in it is read before it is
-            // written, and a one-shot run, which always starts from an
-            // empty buffer, measured slower growing one.
-            *columns = vec![Value::ZERO; size];
+            // written.
+            scratch = vec![Value::ZERO; size];
         }
-        let columns = &mut columns[..size];
-        for (column, &value) in (program.inputs..).zip(&program.constants) {
+        let columns = &mut scratch[..size];
+        for (column, &value) in (self.inputs..).zip(&self.constants) {
             columns[column * width..][..width].fill(value);
         }
-
-        let cells = program.events_per_block();
-        let events = records.len().saturating_mul(cells);
-        let kept = events.min(capacity);
-        let traced_blocks = match kept {
-            0 => 0,
-            _ => kept.div_ceil(cells),
-        };
-        let mut values = Vec::with_capacity(traced_blocks * program.columns);
-        let record = program.outputs.len();
-        let mut outputs = vec![Value::ZERO; records.len() * record];
-        for (chunk, first_block) in records.chunks(width).zip((0..).step_by(width)) {
-            let blocks = chunk.len();
-            for (lane, record) in chunk.iter().enumerate() {
+        for (records, first_block) in records.chunks(width).zip((0..).step_by(width)) {
+            let blocks = records.len();
+            for (lane, record) in records.iter().enumerate() {
                 for (input, &value) in record.iter().enumerate() {
                     columns[input * width + lane] = value;
                 }
             }
-            for step in &program.steps {
+            for step in &self.steps {
                 if let Step::Exec {
                     op, a, b, result, ..
                 } = *step
@@ -678,36 +667,57 @@ impl HeldProgram {
                     .map_err(SimError::Dfg)?;
                 }
             }
-            let written = &mut outputs[first_block * record..][..blocks * record];
-            for (position, (_, word)) in program.output_words().enumerate() {
-                let column = &columns[word.column * width..][..blocks];
+            chunk(first_block..first_block + blocks, width, columns);
+        }
+        COLUMNS.set(scratch);
+        Ok(())
+    }
+
+    /// Every block's outputs over `records` (at least one), record after
+    /// record, in one buffer: §3.
+    ///
+    /// # Errors
+    ///
+    /// None that [`Program::decode`] has not already ruled out.
+    pub(crate) fn evaluate(&self, records: &[Vec<Value>]) -> Result<Vec<Value>, SimError> {
+        let record = self.outputs.len();
+        let mut outputs = vec![Value::ZERO; records.len() * record];
+        self.pass(records, |blocks, width, columns| {
+            let written = &mut outputs[blocks.start * record..blocks.end * record];
+            for (position, (_, word)) in self.output_words().enumerate() {
+                let column = &columns[word.column * width..][..blocks.len()];
                 let slots = written[position..].iter_mut().step_by(record);
                 for (slot, &value) in slots.zip(column) {
                     *slot = value;
                 }
             }
-            let traced = traced_blocks.saturating_sub(first_block).min(blocks);
-            if traced == width {
-                values.extend_from_slice(columns);
-            } else if traced > 0 {
-                for column in columns.chunks_exact(width) {
-                    values.extend_from_slice(&column[..traced]);
-                }
-            }
-        }
+        })?;
+        Ok(outputs)
+    }
+}
 
-        let dropped = events - kept;
-        let packed = match kept {
-            0 => None,
-            _ => Some(Box::new(PackedTrace {
+impl HeldProgram {
+    /// The trace of a run of this program over `workload` that keeps its
+    /// first `capacity` events and counts the rest; `closed_at` is the
+    /// timing law's. It keeps the program and the workload, from which the
+    /// events are built on the first read: §4.
+    pub(crate) fn trace(
+        self,
+        workload: &Workload,
+        closed_at: Option<usize>,
+        capacity: usize,
+    ) -> Trace {
+        let events = workload.len().saturating_mul(self.events_per_block());
+        let kept = events.min(capacity);
+        let packed = (kept > 0).then(|| {
+            Box::new(PackedTrace {
                 program: self,
+                workload: workload.clone(),
                 closed_at,
-                width,
-                values,
                 kept,
-            })),
-        };
-        Ok((outputs, Trace::new(packed, capacity, dropped)))
+            })
+        });
+        Trace::new(packed, capacity, events - kept)
     }
 }
 
@@ -855,29 +865,28 @@ impl PackedTrace {
         let mut row = vec![0; cells + 1];
         // Cell by cell, the last stepped row minus the one before it.
         let mut period = vec![0; cells];
-        for lane_block in 0..blocks.div_ceil(program.lanes) {
-            if self.closed_at.is_some_and(|closed| lane_block > closed) {
-                for (cycle, period) in row.iter_mut().zip(&period) {
-                    *cycle += period;
+        let records = &self.workload.records()[..blocks];
+        let evaluated = program.pass(records, |chunk, width, columns| {
+            for (lane, block) in chunk.enumerate() {
+                if block % program.lanes == 0 {
+                    let lane_block = block / program.lanes;
+                    if self.closed_at.is_some_and(|closed| lane_block > closed) {
+                        for (cycle, period) in row.iter_mut().zip(&period) {
+                            *cycle += period;
+                        }
+                    } else {
+                        period.copy_from_slice(&row[..cells]);
+                        program.step(&mut row, &mut Maxes { log: None, next: 0 });
+                        for (period, cycle) in period.iter_mut().zip(&row) {
+                            *period = cycle - *period;
+                        }
+                    }
                 }
-            } else {
-                period.copy_from_slice(&row[..cells]);
-                program.step(&mut row, &mut Maxes { log: None, next: 0 });
-                for (period, cycle) in period.iter_mut().zip(&row) {
-                    *period = cycle - *period;
-                }
-            }
-            let first = lane_block * program.lanes;
-            for block in first..blocks.min(first + program.lanes) {
-                // Every chunk before this block's is full.
-                let chunk = block - block % self.width;
-                let kept_lanes = self.width.min(blocks - chunk);
-                let values = &self.values[chunk * program.columns..];
-                let lane = block - chunk;
-                let value = |column: usize| values[column * kept_lanes + lane];
+                let value = |column: usize| columns[column * width + lane];
                 program.unpack_block(block, &row, value, &mut events);
             }
-        }
+        });
+        evaluated.expect("the run made this pass over these blocks");
         events.truncate(self.kept);
         events
     }
@@ -907,18 +916,14 @@ mod tests {
         records: &[Vec<i32>],
         outputs: &[usize],
     ) -> Result<(Vec<Vec<Value>>, Trace), SimError> {
-        let records: Vec<Vec<Value>> = records
+        let workload: Workload = records
             .iter()
             .map(|record| record.iter().copied().map(Value::new).collect())
             .collect();
         let program = Program::decode(variant, programs, records[0].len(), outputs)?;
         let closed_at = program.law(PLAN_CAP).closed_at();
-        let (flat, trace) = HeldProgram::Owned(program).evaluate(
-            &records,
-            closed_at,
-            usize::MAX,
-            &mut Vec::new(),
-        )?;
+        let flat = program.evaluate(workload.records())?;
+        let trace = HeldProgram::Owned(program).trace(&workload, closed_at, usize::MAX);
         let width = outputs.len();
         let outputs = (0..records.len())
             .map(|block| flat[block * width..][..width].to_vec())
@@ -1189,13 +1194,15 @@ mod tests {
             // An open law's trace steps every kept row, a closed one's
             // extrapolates them: the same events either way.
             let program = Arc::new(program);
-            let records = vec![vec![Value::new(3); inputs]; 40];
+            let workload = Workload::from_records(vec![vec![Value::new(3); inputs]; 40]);
             let closed = program.law(PLAN_CAP).closed_at();
             assert!(closed.is_some(), "{variant}");
             let traced = |closed_at| {
-                let (_, trace) = HeldProgram::Shared(Arc::clone(&program))
-                    .evaluate(&records, closed_at, usize::MAX, &mut Vec::new())
-                    .unwrap();
+                let trace = HeldProgram::Shared(Arc::clone(&program)).trace(
+                    &workload,
+                    closed_at,
+                    usize::MAX,
+                );
                 trace.events().to_vec()
             };
             assert_eq!(traced(None), traced(closed), "{variant}");

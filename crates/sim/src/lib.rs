@@ -47,11 +47,11 @@
 //! The first two make a [`SimPlan`], built once per compiled kernel by
 //! [`OverlaySimulator::plan`]: the tape and a timing law that answers
 //! [`SimPlan::metrics`] for any block count in O(1). [`SimPlan::run`] checks
-//! the workload and makes the data pass alone; [`SimPlan::run_in`] makes it
-//! in a [`ColumnBuffer`] the caller keeps between runs, so a planned run
-//! allocates only its outputs. [`OverlaySimulator::run`] makes the same
-//! passes for one run alone: its timing pass stops at the run's own blocks,
-//! and its program goes to the run's trace instead of being shared.
+//! the workload and makes the data pass alone, in a column scratch each
+//! thread keeps between runs, so a planned run allocates only its outputs.
+//! [`OverlaySimulator::run`] makes the same passes for one run alone: its
+//! timing pass stops at the run's own blocks, and its program goes to the
+//! run's trace instead of being shared.
 //!
 //! [`OverlaySimulator::load`] loads a kernel as the overlay's context switch
 //! does, once: the [`Kernel`] it returns makes its plan at its first run,
@@ -60,16 +60,16 @@
 //! runtime's kernel cache (untraced) and `tm-overlay`'s `Overlay` (4 096
 //! events) hold their kernels this way.
 //!
-//! The [`Trace`] is packed: the data pass copies out the columns of the
-//! blocks it keeps (every value an event prints, once), a chunk of blocks
-//! at a time, and the run hands the trace the program (a planned run shares
-//! its plan's, not copied) and the block the timing pass closed at.
-//! [`Trace::events`] builds the [`Event`]s from those on its first call,
-//! writing the rows past the fixed point in the same closed form;
+//! The [`Trace`] is packed: the run hands it the program (a planned run
+//! shares its plan's, not copied), the workload (shared) and the block the
+//! timing pass closed at, and copies out no value. [`Trace::events`] makes
+//! the data pass again over the kept blocks on its first call and builds the
+//! [`Event`]s, writing the rows past the fixed point in the same closed form;
 //! [`Trace::dropped`] and [`Trace::total`] are exact without it. A one-shot
-//! run makes the same allocations for one block as for a thousand — five,
-//! one more for a kernel with preloaded constants — a planned one makes
-//! one, and either makes two more when it keeps events.
+//! run makes the same allocations for one block as for a thousand — five on
+//! a thread whose column scratch is still narrower than the run, four on
+//! one where it is not, one more for a kernel with preloaded constants — a
+//! planned one makes one, and either makes one more when it keeps events.
 //!
 //! The functional results are checked against the DFG reference evaluator
 //! ([`overlay_dfg::evaluate`]) in the test-suite, and the measured initiation
@@ -114,6 +114,6 @@ pub mod workload;
 
 pub use error::SimError;
 pub use metrics::SimMetrics;
-pub use overlay::{ColumnBuffer, Kernel, OverlaySimulator, RecordIter, Records, SimPlan, SimRun};
+pub use overlay::{Kernel, OverlaySimulator, RecordIter, Records, SimPlan, SimRun};
 pub use trace::{Event, EventKind, Trace};
 pub use workload::Workload;

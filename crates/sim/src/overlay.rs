@@ -74,29 +74,14 @@ impl SimPlan {
     /// [`SimError::EmptyWorkload`] or [`SimError::InputWidthMismatch`], in
     /// that order; the kernel's own checks were made by the plan.
     pub fn run(&self, workload: &Workload) -> Result<SimRun, SimError> {
-        self.run_in(workload, &mut ColumnBuffer::default())
-    }
-
-    /// [`SimPlan::run`], in `buffer`'s working columns: a caller running
-    /// many plans keeps one buffer, and a run then allocates only its
-    /// outputs (and, if it keeps events, its trace).
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::run`].
-    pub fn run_in(
-        &self,
-        workload: &Workload,
-        buffer: &mut ColumnBuffer,
-    ) -> Result<SimRun, SimError> {
         check_workload(self.program.inputs(), workload)?;
-        self.execute(workload, buffer)
+        self.execute(workload)
     }
 
     /// The data pass over a checked `workload`.
-    fn execute(&self, workload: &Workload, buffer: &mut ColumnBuffer) -> Result<SimRun, SimError> {
+    fn execute(&self, workload: &Workload) -> Result<SimRun, SimError> {
         let program = HeldProgram::Shared(Arc::clone(&self.program));
-        self.timing.execute(program, workload, buffer)
+        self.timing.execute(program, workload)
     }
 }
 
@@ -137,7 +122,9 @@ impl Kernel {
 
     /// Whether `compiled` has this kernel's plan: it equals the loaded
     /// kernel in everything a plan is made from (variant, program, output
-    /// stream indices and op count), if not in the rest of its schedule.
+    /// stream indices and op count), if not in the rest of its schedule. A
+    /// clone of the loaded kernel shares its program, which then compares
+    /// equal without an instruction being read.
     pub fn plans_for(&self, compiled: &CompiledKernel) -> bool {
         let loaded = &self.compiled;
         loaded.variant == compiled.variant
@@ -155,24 +142,8 @@ impl Kernel {
     /// then the plan's error, in the order [`OverlaySimulator::run`]
     /// reports them.
     pub fn run(&self, workload: &Workload) -> Result<SimRun, SimError> {
-        self.run_in(workload, &mut ColumnBuffer::default())
-    }
-
-    /// [`Kernel::run`], in `buffer`'s working columns: see
-    /// [`SimPlan::run_in`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::run`].
-    pub fn run_in(
-        &self,
-        workload: &Workload,
-        buffer: &mut ColumnBuffer,
-    ) -> Result<SimRun, SimError> {
         check_workload(self.compiled.program.num_inputs(), workload)?;
-        self.plan()
-            .map_err(SimError::clone)?
-            .execute(workload, buffer)
+        self.plan().map_err(SimError::clone)?.execute(workload)
     }
 }
 
@@ -205,20 +176,11 @@ impl Timing {
 
     /// The data pass over a checked `workload`, with `program`, the one
     /// this was timed from.
-    fn execute(
-        &self,
-        program: HeldProgram,
-        workload: &Workload,
-        buffer: &mut ColumnBuffer,
-    ) -> Result<SimRun, SimError> {
+    fn execute(&self, program: HeldProgram, workload: &Workload) -> Result<SimRun, SimError> {
         let metrics = self.metrics(&program, workload.len());
         let record = program.record();
-        let (outputs, trace) = program.evaluate(
-            workload.records(),
-            self.law.closed_at(),
-            self.trace_capacity,
-            &mut buffer.values,
-        )?;
+        let outputs = program.evaluate(workload.records())?;
+        let trace = program.trace(workload, self.law.closed_at(), self.trace_capacity);
         Ok(SimRun {
             outputs,
             record,
@@ -226,14 +188,6 @@ impl Timing {
             trace,
         })
     }
-}
-
-/// The data pass's working columns, kept between runs: see
-/// [`SimPlan::run_in`]. They grow to the widest run's size; what one run
-/// leaves in them never shows in another's outputs or trace.
-#[derive(Debug, Default)]
-pub struct ColumnBuffer {
-    values: Vec<Value>,
 }
 
 /// The outcome of a simulation run: functional outputs, measured metrics and
@@ -523,11 +477,7 @@ impl OverlaySimulator {
         // sharing it.
         let lane_blocks = workload.len().div_ceil(self.variant.datapath_lanes());
         let (program, timing) = self.decode_and_time(compiled, lane_blocks.min(PLAN_CAP))?;
-        timing.execute(
-            HeldProgram::Owned(program),
-            workload,
-            &mut ColumnBuffer::default(),
-        )
+        timing.execute(HeldProgram::Owned(program), workload)
     }
 }
 

@@ -102,10 +102,11 @@ impl fmt::Display for Event {
 /// A run's bounded event trace: the first events of the run, up to the
 /// simulator's trace capacity, and a count of the rest.
 ///
-/// Only the simulator builds one. It keeps the values the kept blocks
-/// computed beside the program and the timing the events are read off; the
-/// typed [`Event`]s are built once, on the first call to [`Trace::events`].
-/// [`Trace::dropped`] and [`Trace::total`] never build them.
+/// Only the simulator builds one. It keeps the program, the run's workload
+/// and the timing the events are read off; the kept blocks are evaluated
+/// again and the typed [`Event`]s built once, on the first call to
+/// [`Trace::events`]. [`Trace::dropped`] and [`Trace::total`] never build
+/// them.
 #[derive(Clone)]
 pub struct Trace {
     /// Boxed: a run is moved whole, and most runs keep no events.

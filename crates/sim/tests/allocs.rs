@@ -2,20 +2,20 @@
 //!
 //! A run allocates the same handful of buffers whatever it simulates: its
 //! plan (the decoded program and the timing law), the data pass's columns
-//! and the one buffer every block's outputs go to, plus, when it keeps
-//! events, the buffer of their values. A planned run with a kept column
-//! buffer allocates its outputs alone. This file pins that with a counting
-//! allocator; it is an integration-test crate so that the library keeps
+//! (on a thread whose column scratch is narrower than the run) and the one
+//! buffer every block's outputs go to, plus, when it keeps events, the
+//! trace's header. A planned run on a warm thread allocates its outputs and
+//! that header alone. This file pins that with a counting allocator; it is
+//! an integration-test crate so that the library keeps
 //! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use overlay_arch::FuVariant;
-use overlay_dfg::Value;
 use overlay_frontend::Benchmark;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel};
-use overlay_sim::{ColumnBuffer, OverlaySimulator, Workload};
+use overlay_sim::{OverlaySimulator, Workload};
 
 thread_local! {
     // Per thread, so tests running in parallel do not count each other.
@@ -85,7 +85,9 @@ fn kernels() -> Vec<(&'static str, FuVariant, CompiledKernel, Workload)> {
 }
 
 /// Allocations (and reallocations) one run of the first `blocks` records
-/// of `workload` performs at `capacity`, and the bytes they ask for.
+/// of `workload` performs at `capacity`, and the bytes they ask for. The run
+/// is made on a thread of its own, so it finds the column scratch empty, as
+/// the first run on any thread does.
 fn allocations(
     variant: FuVariant,
     compiled: &CompiledKernel,
@@ -95,11 +97,14 @@ fn allocations(
 ) -> (u64, usize) {
     let workload = Workload::from_records(workload.records()[..blocks].to_vec());
     let simulator = OverlaySimulator::new(variant).with_trace_capacity(capacity);
-    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let run = simulator.run(compiled, &workload);
-    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    assert_eq!(run.unwrap().outputs().len(), blocks);
-    (after.0 - before.0, after.1 - before.1)
+    let counted = || {
+        let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+        let run = simulator.run(compiled, &workload);
+        let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+        assert_eq!(run.unwrap().outputs().len(), blocks);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    std::thread::scope(|scope| scope.spawn(counted).join().unwrap())
 }
 
 #[test]
@@ -124,14 +129,14 @@ fn a_run_allocates_the_same_few_buffers_whatever_it_simulates() {
         }
     }
 
-    // A trace is two more, however much of the run it keeps: the boxed
-    // program and counts, and the kept blocks' values.
+    // A trace is one more, however much of the run it keeps: the boxed
+    // program, workload and counts.
     for (name, variant, compiled, workload) in &kernels {
         for blocks in BLOCKS {
             for capacity in [1, 4096, usize::MAX] {
                 let (traced, _) = allocations(*variant, compiled, workload, blocks, capacity);
                 assert!(
-                    traced <= untraced[0] + 2,
+                    traced == untraced[0] + 1,
                     "{name}, {blocks} blocks at capacity {capacity}: {traced} allocations \
                      traced, {} untraced",
                     untraced[0]
@@ -145,12 +150,13 @@ fn a_run_allocates_the_same_few_buffers_whatever_it_simulates() {
 fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
     // The per-block interpreter this engine replaced made 10 allocations
     // for a 2-block untraced run (measured at its last commit, the same for
-    // all three programs). A one-shot run makes 5: the decoded steps and
-    // stages, the timing law (its table, the row the pass steps and the
-    // ring of `max` arguments are one allocation), the data pass's columns
-    // and the output buffer (none of the three kernels preloads constants,
-    // whose values would be one more). Its program is never shared, so it
-    // is not put in an `Arc`: a trace takes it by move.
+    // all three programs). A one-shot run on a fresh thread makes 5: the
+    // decoded steps and stages, the timing law (its table, the row the pass
+    // steps and the ring of `max` arguments are one allocation), the
+    // thread's column scratch and the output buffer (none of the three
+    // kernels preloads constants, whose values would be one more); on a
+    // thread whose scratch is wide enough, 4. Its program is never shared,
+    // so it is not put in an `Arc`: a trace takes it by move.
     for (name, variant, compiled, workload) in kernels() {
         let (count, _) = allocations(variant, &compiled, &workload, 2, 0);
         assert_eq!(count, 5, "{name}: {count} allocations for 2 blocks");
@@ -161,29 +167,29 @@ fn a_two_block_run_allocates_no_more_than_the_interpreter_did() {
 fn a_planned_run_allocates_only_its_outputs() {
     // Every serve workload sends 2-block requests, so what a planned run
     // costs is what a cold serve pays per request: once the kernel is
-    // planned and the caller's column buffer is as wide as the run, the
-    // output buffer alone, at any length.
+    // planned and the thread's column scratch is as wide as the run, the
+    // output buffer alone, at any length, and one trace header more when
+    // the run keeps events, whatever the capacity.
     for (name, variant, compiled, workload) in kernels() {
-        let plan = OverlaySimulator::new(variant)
-            .with_trace_capacity(0)
-            .plan(&compiled)
-            .unwrap();
-        let mut buffer = ColumnBuffer::default();
-        plan.run_in(&workload, &mut buffer).unwrap();
-        for blocks in BLOCKS {
-            let workload = Workload::from_records(workload.records()[..blocks].to_vec());
-            let before = ALLOCATIONS.with(Cell::get);
-            let run = plan.run_in(&workload, &mut buffer);
-            let count = ALLOCATIONS.with(Cell::get) - before;
-            assert_eq!(run.unwrap().outputs().len(), blocks);
-            assert_eq!(count, 1, "{name}, {blocks} blocks: {count} allocations");
-
-            // Without a buffer of its own, the run allocates its columns too.
-            let before = ALLOCATIONS.with(Cell::get);
-            let run = plan.run(&workload);
-            let count = ALLOCATIONS.with(Cell::get) - before;
-            assert!(run.is_ok());
-            assert_eq!(count, 2, "{name}, {blocks} blocks: {count} allocations");
+        for capacity in [0, 1, 4096, usize::MAX] {
+            let plan = OverlaySimulator::new(variant)
+                .with_trace_capacity(capacity)
+                .plan(&compiled)
+                .unwrap();
+            plan.run(&workload).unwrap();
+            let header = u64::from(capacity > 0);
+            for blocks in BLOCKS {
+                let workload = Workload::from_records(workload.records()[..blocks].to_vec());
+                let before = ALLOCATIONS.with(Cell::get);
+                let run = plan.run(&workload);
+                let count = ALLOCATIONS.with(Cell::get) - before;
+                assert_eq!(run.unwrap().outputs().len(), blocks);
+                assert_eq!(
+                    count,
+                    1 + header,
+                    "{name}, {blocks} blocks at capacity {capacity}: {count} allocations"
+                );
+            }
         }
     }
 }
@@ -191,23 +197,19 @@ fn a_planned_run_allocates_only_its_outputs() {
 #[test]
 fn a_trace_holds_one_value_per_kept_event_and_no_event() {
     // Before the trace was packed, a kept event cost a 56-byte `Event` from
-    // the moment the run recorded it. Now a trace costs a fixed header and,
-    // per kept block, its column table: one value per input, constant and
-    // result, which re-read by the block's loads and outputs is never more
-    // than one per event — until somebody reads the events, however long
-    // the run and the capacity.
+    // the moment the run recorded it; until the trace kept its run's
+    // workload instead, a kept block cost its column table. Now a trace
+    // costs a fixed header, and the kept blocks' values are evaluated again
+    // when somebody reads the events: however long the run and the
+    // capacity, it asks for the bytes of a trace that keeps one event.
     for (name, variant, compiled, workload) in kernels() {
         let per_block = compiled.program.total_instructions() + 1;
-        let (_, first_block) = allocations(variant, &compiled, &workload, 256, 1);
+        let (_, first_event) = allocations(variant, &compiled, &workload, 256, 1);
         for capacity in [per_block + 1, 4096, usize::MAX] {
             let (_, traced) = allocations(variant, &compiled, &workload, 256, capacity);
-            // Whole blocks: a capacity that cuts a block keeps its values.
-            let blocks = capacity.min(256 * per_block).div_ceil(per_block);
-            let values = (blocks - 1) * per_block * size_of::<Value>();
-            assert!(
-                traced - first_block <= values,
-                "{name} at capacity {capacity}: {} bytes past the first of {blocks} blocks",
-                traced - first_block
+            assert_eq!(
+                traced, first_event,
+                "{name} at capacity {capacity}: {traced} bytes, {first_event} keeping one event"
             );
         }
     }

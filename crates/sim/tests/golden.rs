@@ -6,6 +6,8 @@
 //! accounting moved. On a mismatch the test prints the whole table as the
 //! engine under test computes it.
 
+use std::sync::Arc;
+
 use overlay_arch::FuVariant;
 use overlay_dfg::{DfgGenerator, GeneratorConfig, Op, Value};
 use overlay_frontend::Benchmark;
@@ -285,13 +287,13 @@ fn with_fu_program(
     }
     programs[fu] = rebuilt;
     let mut edited = compiled.clone();
-    edited.program = OverlayProgram::new(
+    edited.program = Arc::new(OverlayProgram::new(
         compiled.program.kernel(),
         programs,
         compiled.program.num_inputs(),
         compiled.program.num_outputs(),
         compiled.program.ii(),
-    );
+    ));
     edited
 }
 

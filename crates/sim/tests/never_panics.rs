@@ -2,6 +2,8 @@
 //! constants, output indices, block count and trace capacity, a run is a
 //! typed [`SimError`] or a run whose trace unpacks without panicking.
 
+use std::sync::Arc;
+
 use overlay_arch::FuVariant;
 use overlay_dfg::{Op, Value};
 use overlay_frontend::Benchmark;
@@ -105,7 +107,13 @@ fn random_programs_end_in_a_typed_error_or_a_trace_that_unpacks() {
 
         let mut compiled = templates[variant].clone();
         let num_outputs = outputs.len();
-        compiled.program = OverlayProgram::new("random", programs, inputs, num_outputs, 1);
+        compiled.program = Arc::new(OverlayProgram::new(
+            "random",
+            programs,
+            inputs,
+            num_outputs,
+            1,
+        ));
         compiled.output_stream_index = outputs;
         let workload = Workload::random(inputs, blocks, case as u64);
         let variant = FuVariant::ALL[variant];

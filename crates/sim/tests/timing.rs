@@ -10,11 +10,11 @@
 use proptest::prelude::*;
 
 use overlay_arch::FuVariant;
-use overlay_dfg::{Dfg, DfgGenerator, GeneratorConfig};
+use overlay_dfg::{evaluate_stream, Dfg, DfgGenerator, GeneratorConfig, Value};
 use overlay_frontend::Benchmark;
 use overlay_isa::Instruction;
 use overlay_scheduler::{generate_program, schedule, CompiledKernel, ScheduleError};
-use overlay_sim::{ColumnBuffer, OverlaySimulator, SimMetrics, SimPlan, Workload};
+use overlay_sim::{OverlaySimulator, SimMetrics, SimPlan, Workload};
 
 const BLOCKS: [usize; 8] = [1, 2, 3, 5, 17, 64, 65, 300];
 
@@ -134,17 +134,18 @@ fn measured(metrics: &SimMetrics) -> (usize, usize, u64) {
 }
 
 /// Holds one answer of `plan` (built by `simulator` for `compiled`) to the
-/// oracle's `completions` and to a fresh one-shot run of `workload`:
-/// metrics, outputs and the trace's `Debug` bytes. The planned run works in
-/// `buffer`, which the caller shares across kernels and block counts, so a
-/// run that read what another left there would show.
+/// oracle's `completions`, to the reference evaluator's outputs `reference`
+/// and to a fresh one-shot run of `workload`: metrics, outputs and the
+/// trace's `Debug` bytes. Both runs work in the thread's column scratch,
+/// which the caller's kernels and block counts all share, so a run that read
+/// what another left there would show against the reference.
 fn check_answer(
     simulator: &OverlaySimulator,
     compiled: &CompiledKernel,
     plan: &SimPlan,
     completions: &[usize],
     workload: &Workload,
-    buffer: &mut ColumnBuffer,
+    reference: &[Vec<Value>],
 ) -> Result<(), String> {
     let blocks = workload.len();
     let expected = metrics(compiled, &completions[..blocks]);
@@ -152,7 +153,7 @@ fn check_answer(
     if answered != expected {
         return Err(format!("metrics({blocks}): {answered:?} != {expected:?}"));
     }
-    let planned = plan.run_in(workload, buffer).map_err(|e| e.to_string())?;
+    let planned = plan.run(workload).map_err(|e| e.to_string())?;
     let fresh = simulator
         .run(compiled, workload)
         .map_err(|e| e.to_string())?;
@@ -163,7 +164,7 @@ fn check_answer(
             fresh.metrics()
         ));
     }
-    if planned.outputs() != fresh.outputs() {
+    if planned.outputs() != fresh.outputs() || planned.outputs() != reference {
         return Err(format!("{blocks} blocks: the outputs differ"));
     }
     if format!("{:?}", planned.trace()) != format!("{:?}", fresh.trace()) {
@@ -187,15 +188,22 @@ proptest! {
         capacity in 0usize..400,
     ) {
         let dfg = kernel(seed, inputs, ops, depth.min(ops));
-        let mut buffer = ColumnBuffer::default();
+        // Every variant runs the same workloads, so each is evaluated once.
+        let workloads: Vec<(Workload, Vec<Vec<Value>>)> = BLOCKS
+            .into_iter()
+            .map(|blocks| {
+                let workload = Workload::random(inputs, blocks, seed);
+                let reference = evaluate_stream(&dfg, workload.records()).unwrap();
+                (workload, reference)
+            })
+            .collect();
         for (variant, compiled) in compilations(&dfg) {
             let simulator = OverlaySimulator::new(variant).with_trace_capacity(capacity);
             let plan = simulator.plan(&compiled).unwrap();
             let oracle = completions(variant, &compiled, 300);
-            for blocks in BLOCKS {
-                let workload = Workload::random(inputs, blocks, seed);
+            for (workload, reference) in &workloads {
                 let checked =
-                    check_answer(&simulator, &compiled, &plan, &oracle, &workload, &mut buffer);
+                    check_answer(&simulator, &compiled, &plan, &oracle, workload, reference);
                 prop_assert!(
                     checked.is_ok(),
                     "{ops} ops on {variant}, {} FUs, capacity {capacity}: {}",
@@ -211,9 +219,8 @@ proptest! {
 fn one_plan_per_suite_kernel_answers_every_block_count() {
     // The paper suite on all six variants (the write-back ones at the
     // paper's depth of 8), every block count from 1 to 300, through one
-    // column buffer; the traces keep 64 events, which cuts a block of most
+    // column scratch; the traces keep 64 events, which cuts a block of most
     // kernels.
-    let mut buffer = ColumnBuffer::default();
     for benchmark in Benchmark::ALL {
         let dfg = benchmark.dfg().unwrap();
         for variant in FuVariant::ALL {
@@ -223,16 +230,13 @@ fn one_plan_per_suite_kernel_answers_every_block_count() {
             let plan = simulator.plan(&compiled).unwrap();
             let oracle = completions(variant, &compiled, 300);
             let records = Workload::random(dfg.num_inputs(), 300, 0x51_3A);
+            let reference = evaluate_stream(&dfg, records.records()).unwrap();
             for blocks in 1..=300 {
                 let workload = Workload::from_records(records.records()[..blocks].to_vec());
-                if let Err(message) = check_answer(
-                    &simulator,
-                    &compiled,
-                    &plan,
-                    &oracle,
-                    &workload,
-                    &mut buffer,
-                ) {
+                let reference = &reference[..blocks];
+                if let Err(message) =
+                    check_answer(&simulator, &compiled, &plan, &oracle, &workload, reference)
+                {
                     panic!(
                         "{benchmark} on {variant}, {} FUs: {message}",
                         compiled.num_fus()

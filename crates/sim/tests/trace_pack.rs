@@ -8,6 +8,8 @@
 //! packed. It lives here, not in the crate, so the two cannot share a
 //! mistake.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use overlay_arch::FuVariant;
@@ -188,6 +190,35 @@ fn the_suite_unpacks_to_the_eager_trace_on_every_variant() {
     }
 }
 
+#[test]
+fn a_trace_reads_its_events_after_its_workload_and_its_run_are_dropped() {
+    // A trace keeps its run's workload and evaluates the kept blocks again
+    // on the first read: a planned run's trace still reads them once every
+    // other holder of the workload is gone, and a clone's once the run it
+    // was cloned from is gone too. 65 blocks: the pass makes two columns.
+    for benchmark in [Benchmark::Gradient, Benchmark::Poly8] {
+        let dfg = benchmark.dfg().unwrap();
+        for variant in FuVariant::ALL {
+            let compiled = compile(&dfg, variant, 8).unwrap();
+            let workload = Workload::random(compiled.program.num_inputs(), 65, 0xD20);
+            let expected = eager(variant, &compiled, &workload);
+            let simulator = OverlaySimulator::new(variant).with_trace_capacity(usize::MAX);
+            let plan = simulator.plan(&compiled).unwrap();
+            let planned = plan.run(&workload).unwrap();
+            let one_shot = simulator.run(&compiled, &workload).unwrap();
+            let clone = one_shot.clone();
+            drop((workload, plan, one_shot));
+            for (which, run) in [("planned", &planned), ("clone", &clone)] {
+                assert_eq!(
+                    run.trace().events(),
+                    expected,
+                    "{benchmark} on {variant}: the {which} run's trace"
+                );
+            }
+        }
+    }
+}
+
 /// `programs` for `variant`, fed `inputs` words a block, with the kernel
 /// outputs at `outputs` of the final stream.
 fn chain(
@@ -198,7 +229,13 @@ fn chain(
 ) -> CompiledKernel {
     let dfg = Benchmark::Gradient.dfg().unwrap();
     let mut compiled = compile(&dfg, variant, 8).unwrap();
-    compiled.program = OverlayProgram::new("chain", programs, inputs, outputs.len(), 1);
+    compiled.program = Arc::new(OverlayProgram::new(
+        "chain",
+        programs,
+        inputs,
+        outputs.len(),
+        1,
+    ));
     compiled.output_stream_index = outputs;
     compiled
 }

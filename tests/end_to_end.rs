@@ -2,6 +2,8 @@
 //! DFG → schedule → instructions → cycle-accurate simulation, checked against
 //! the reference evaluator.
 
+use std::sync::Arc;
+
 use tm_overlay::dfg::{evaluate_stream, Value};
 use tm_overlay::frontend::LowerOptions;
 use tm_overlay::sim::{OverlaySimulator, SimRun};
@@ -224,5 +226,58 @@ fn an_overlay_runs_a_near_miss_of_its_loaded_kernel_as_that_kernel() {
         let loaded_run = overlay.execute(loaded, &workload).unwrap();
         let near_miss_run = overlay.execute(near_miss, &workload).unwrap();
         assert_ne!(loaded_run.outputs(), near_miss_run.outputs());
+        // `Overlay::execute` takes the planned path exactly when the loaded
+        // kernel `plans_for` the caller's.
+        assert!(!loaded_kernel(loaded).plans_for(near_miss));
+    }
+}
+
+/// `compiled` loaded as `Overlay::for_kernel` loads it: a copy, on a
+/// simulator of its variant.
+fn loaded_kernel(compiled: &CompiledKernel) -> tm_overlay::sim::Kernel {
+    OverlaySimulator::new(compiled.variant).load(compiled.clone())
+}
+
+#[test]
+fn an_overlay_runs_a_clone_of_its_loaded_kernel_from_the_shared_program() {
+    for benchmark in Benchmark::ALL {
+        for variant in [FuVariant::V1, FuVariant::V2, FuVariant::V4] {
+            let compiled = Compiler::new(variant).compile_benchmark(benchmark).unwrap();
+            let overlay = Overlay::for_kernel(variant, &compiled).unwrap();
+            let kernel = loaded_kernel(&compiled);
+            // A clone shares the program, so the loaded kernel knows it for
+            // its own without reading an instruction.
+            let clone = compiled.clone();
+            assert!(Arc::ptr_eq(&kernel.compiled().program, &clone.program));
+            assert!(kernel.plans_for(&clone), "{benchmark} on {variant}");
+            let workload = Workload::random(compiled.program.num_inputs(), 65, 6);
+            let run = overlay.execute(&clone, &workload).unwrap();
+            let what = format!("{benchmark} on {variant}, a clone");
+            assert_same_run(&run, &one_shot(&compiled, &workload), &what);
+        }
+    }
+}
+
+#[test]
+fn an_overlay_runs_a_kernel_compiled_again_as_its_loaded_kernel() {
+    for benchmark in Benchmark::ALL {
+        for variant in [FuVariant::V1, FuVariant::V2, FuVariant::V4] {
+            let compiler = Compiler::new(variant);
+            let compiled = compiler.compile_benchmark(benchmark).unwrap();
+            let overlay = Overlay::for_kernel(variant, &compiled).unwrap();
+            // Compiled apart, so nothing is shared, but equal in content:
+            // the loaded kernel still plans for it.
+            let again = compiler.compile_benchmark(benchmark).unwrap();
+            assert!(!Arc::ptr_eq(&compiled.program, &again.program));
+            assert_eq!(compiled, again);
+            assert!(
+                loaded_kernel(&compiled).plans_for(&again),
+                "{benchmark} on {variant}"
+            );
+            let workload = Workload::random(compiled.program.num_inputs(), 65, 7);
+            let run = overlay.execute(&again, &workload).unwrap();
+            let what = format!("{benchmark} on {variant}, compiled again");
+            assert_same_run(&run, &one_shot(&again, &workload), &what);
+        }
     }
 }
