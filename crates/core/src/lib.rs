@@ -57,7 +57,7 @@
 //! in through a bounded [`Submitter`] channel, every placement decision
 //! happens at an arrival or completion event against live per-tile queue
 //! state, distinct kernels compile once through an LRU cache, and
-//! deadline-aware policies (EDF, slack-aware) reorder tile queues under
+//! slack-aware dispatch reorders tile queues by deadline urgency under
 //! overload.
 //!
 //! ```
@@ -65,7 +65,7 @@
 //!
 //! # fn main() -> Result<(), tm_overlay::runtime::RuntimeError> {
 //! let mut runtime = Cluster::new(FuVariant::V4, 1, 4)?
-//!     .with_policy(DispatchPolicy::EarliestDeadlineFirst);
+//!     .with_policy(DispatchPolicy::SlackAware);
 //! let kernel = KernelSpec::from_source(
 //!     "saxpy",
 //!     "kernel saxpy(a, x, y) { out r = a * x + y; }",

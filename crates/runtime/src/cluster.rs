@@ -68,7 +68,6 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, NocConfig, TileComposition};
-use overlay_frontend::LowerOptions;
 
 use crate::cache::CacheStats;
 use crate::control::{Batcher, Replicator};
@@ -217,7 +216,6 @@ pub struct Cluster {
     route: RoutePolicy,
     transfer: TransferModel,
     sim_memo: SimMemo,
-    lower: LowerOptions,
     ingest_capacity: usize,
     admission_limit: usize,
     batching: BatchConfig,
@@ -234,10 +232,6 @@ pub struct Cluster {
     /// re-armed in place on every fleet serve; a plain-tier serve never
     /// touches it.
     fault: FaultState,
-    /// Whether pipeline routing may keep a stage near its producer's
-    /// output ([`Cluster::with_stage_affinity`]). Only consulted on the
-    /// [`Cluster::serve_pipelines`] multi-stage path.
-    stage_affinity: bool,
     /// The session driver staged for (and recovered from) the event loop
     /// on a pipeline serve. Always `None` between serves.
     session_driver: Option<SessionDriver>,
@@ -311,7 +305,6 @@ impl Cluster {
             route: RoutePolicy::default(),
             transfer: TransferModel::default(),
             sim_memo: SimMemo::new(Self::DEFAULT_SIM_MEMO_CAPACITY),
-            lower: LowerOptions::default(),
             ingest_capacity: Self::DEFAULT_INGEST_CAPACITY,
             admission_limit: usize::MAX,
             batching: BatchConfig::disabled(),
@@ -321,7 +314,6 @@ impl Cluster {
             tiles_per_device,
             fault_plan: None,
             fault: FaultState::new(),
-            stage_affinity: true,
             session_driver: None,
         }
     }
@@ -482,41 +474,10 @@ impl Cluster {
         self.fault_plan.as_ref()
     }
 
-    /// Enables or disables stage-affinity routing for pipeline serves
-    /// (**on** by default): when a pipeline stage's inputs live on a
-    /// device other than the one routing picked, the cluster may override
-    /// the choice with the producer of the heaviest input — if the
-    /// activation-transfer savings outweigh the estimated extra queueing
-    /// there. Plain [`serve`](Cluster::serve) traffic is unaffected either
-    /// way.
-    #[must_use]
-    pub fn with_stage_affinity(mut self, enabled: bool) -> Self {
-        self.stage_affinity = enabled;
-        self
-    }
-
-    /// Whether stage-affinity routing is enabled for pipeline serves.
-    pub fn stage_affinity(&self) -> bool {
-        self.stage_affinity
-    }
-
     // Identity stub kept for the frozen `benchmark/src/workloads/serve/surge.rs:224`.
     #[doc(hidden)]
     #[must_use]
     pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
-    /// Overrides the front-end lowering options, clearing every device's
-    /// kernel store and the simulation memo (cached artifacts were compiled
-    /// under the old options).
-    #[must_use]
-    pub fn with_lower_options(mut self, options: LowerOptions) -> Self {
-        self.lower = options;
-        for device in &mut self.devices {
-            device.cache.clear();
-        }
-        self.sim_memo.clear();
         self
     }
 
@@ -692,8 +653,7 @@ impl Cluster {
         if all_plain {
             return self.serve_single_stage_pipelines(&pipelines, &slo_of);
         }
-        let (driver, requests) =
-            SessionDriver::build(&pipelines, &topos, &slo_of, self.stage_affinity);
+        let (driver, requests) = SessionDriver::build(&pipelines, &topos, &slo_of);
         self.session_driver = Some(driver);
         let result = self.run_serve(Ingest::Batch(requests.into_iter()));
         // The loop hands the driver back through `self` on success; an
@@ -1103,7 +1063,7 @@ impl Cluster {
 
     /// The stage-affinity override and activation pricing step, run after
     /// routing on a pipeline serve (identity on every other serve): when
-    /// enabled and the load-driven choice differs from the producer device
+    /// the load-driven choice differs from the producer device
     /// of the stage's heaviest input, the producer wins if the activation
     /// savings of staying put outweigh the estimated extra queueing there.
     /// Either way the final device's activation bill is priced into
@@ -1129,27 +1089,24 @@ impl Cluster {
         let alive = |device: usize| self.fault.alive(device);
         let mut device = routed;
         let mut acquisition = acquisition;
-        if driver.affinity {
-            if let Some(target) = driver.affinity_target(index) {
-                let eligible = target != routed
-                    && target < self.num_devices()
-                    && !rows[index].exclusions.contains(target)
-                    && self.fault.available(target);
-                if eligible {
-                    let (cost_routed, _) = driver.activation_plan(index, routed, &transfer, alive);
-                    let (cost_target, _) = driver.activation_plan(index, target, &transfer, alive);
-                    let savings = cost_routed - cost_target;
-                    // The queueing penalty of following the data: the
-                    // difference in waiting depth, scaled by this stage's
-                    // estimated service time.
-                    let penalty = (self.devices[target].pool.total_waiting() as f64
-                        - self.devices[routed].pool.total_waiting() as f64)
-                        * info.view.est_exec_us;
-                    if savings > 0.0 && savings >= penalty {
-                        device = target;
-                        acquisition =
-                            self.peek_acquisition(target, info.view.key, info.image_bytes);
-                    }
+        if let Some(target) = driver.affinity_target(index) {
+            let eligible = target != routed
+                && target < self.num_devices()
+                && !rows[index].exclusions.contains(target)
+                && self.fault.available(target);
+            if eligible {
+                let (cost_routed, _) = driver.activation_plan(index, routed, &transfer, alive);
+                let (cost_target, _) = driver.activation_plan(index, target, &transfer, alive);
+                let savings = cost_routed - cost_target;
+                // The queueing penalty of following the data: the
+                // difference in waiting depth, scaled by this stage's
+                // estimated service time.
+                let penalty = (self.devices[target].pool.total_waiting() as f64
+                    - self.devices[routed].pool.total_waiting() as f64)
+                    * info.view.est_exec_us;
+                if savings > 0.0 && savings >= penalty {
+                    device = target;
+                    acquisition = self.peek_acquisition(target, info.view.key, info.image_bytes);
                 }
             }
         }
@@ -1348,7 +1305,6 @@ impl Cluster {
         }
         for device in &mut self.devices {
             device.pool.reset();
-            device.dispatcher.reset();
             device.busy_tiles = 0;
         }
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
@@ -1538,7 +1494,6 @@ impl Cluster {
                     let index = intake.len();
                     prepare_request(
                         &mut self.devices[home].cache,
-                        &self.lower,
                         &mut state.prep,
                         request,
                         intake,
@@ -2201,7 +2156,7 @@ mod tests {
     fn builders_configure_every_device() {
         let cluster = Cluster::new(FuVariant::V3, 3, 2)
             .unwrap()
-            .with_policy(DispatchPolicy::EarliestDeadlineFirst)
+            .with_policy(DispatchPolicy::SlackAware)
             .with_route_policy(RoutePolicy::LeastLoaded)
             .with_transfer_model(TransferModel::free())
             .with_cache_capacity(8)
@@ -2211,7 +2166,7 @@ mod tests {
         assert_eq!(cluster.tiles_per_device(), 2);
         assert_eq!(cluster.total_tiles(), 6);
         assert_eq!(cluster.variant(), FuVariant::V3);
-        assert_eq!(cluster.policy(), DispatchPolicy::EarliestDeadlineFirst);
+        assert_eq!(cluster.policy(), DispatchPolicy::SlackAware);
         assert_eq!(cluster.route_policy(), RoutePolicy::LeastLoaded);
         assert_eq!(cluster.transfer_model(), TransferModel::free());
         assert_eq!(cluster.admission_limit(), 5);
@@ -2517,36 +2472,32 @@ mod tests {
 
     #[test]
     fn stage_affinity_cuts_activation_transfers() {
-        // Heavy activations under kernel-hash routing: blind routing sends
-        // each stage to its kernel's home device (a transfer on almost
-        // every edge), affinity keeps consumers on their producers.
-        let serve = |affinity: bool| {
-            let mut cluster = Cluster::new(FuVariant::V4, 4, 1)
-                .unwrap()
-                .with_route_policy(RoutePolicy::KernelHash)
-                .with_stage_affinity(affinity);
-            let pipelines: Vec<PipelineRequest> = (0..8)
-                .map(|i| {
-                    let mut pipeline = benchmark_chain(i, i, 3, i as f64 * 2.0);
-                    for stage in &mut pipeline.stages {
-                        stage.output_bytes = 1 << 20;
-                    }
-                    pipeline
-                })
-                .collect();
-            let sessions: Vec<Session> = (0..8).map(Session::new).collect();
-            cluster.serve_pipelines(pipelines, &sessions).unwrap()
-        };
-        let blind = serve(false);
-        let affine = serve(true);
-        assert_eq!(blind.completed(), 8);
+        // Heavy activations under kernel-hash routing: routing alone sends
+        // each stage to its kernel's home device, and consecutive stages'
+        // kernels home apart, so every edge would pay a transfer. Affinity
+        // keeps consumers on their producers.
+        let homes: Vec<usize> = benchmark_chain(0, 0, 3, 0.0)
+            .stages
+            .iter()
+            .map(|stage| kernel_home(stage.kernel.fingerprint(), 4))
+            .collect();
+        assert!(homes.windows(2).all(|edge| edge[0] != edge[1]), "{homes:?}");
+        let mut cluster = Cluster::new(FuVariant::V4, 4, 1)
+            .unwrap()
+            .with_route_policy(RoutePolicy::KernelHash);
+        let pipelines: Vec<PipelineRequest> = (0..8)
+            .map(|i| {
+                let mut pipeline = benchmark_chain(i, i, 3, i as f64 * 2.0);
+                for stage in &mut pipeline.stages {
+                    stage.output_bytes = 1 << 20;
+                }
+                pipeline
+            })
+            .collect();
+        let sessions: Vec<Session> = (0..8).map(Session::new).collect();
+        let affine = cluster.serve_pipelines(pipelines, &sessions).unwrap();
         assert_eq!(affine.completed(), 8);
-        assert!(
-            affine.activation_transfers() < blind.activation_transfers(),
-            "affinity {} should beat blind {}",
-            affine.activation_transfers(),
-            blind.activation_transfers()
-        );
+        assert_eq!(affine.activation_transfers(), 0);
     }
 
     #[test]

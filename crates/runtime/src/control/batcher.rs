@@ -1,8 +1,7 @@
 //! Same-kernel batching: a policy layer over the tile-free queue drain.
 //!
 //! When a tile frees, the dispatch policy names the request it would run
-//! next ([`Dispatcher::select_next`](crate::Dispatcher::select_next) /
-//! the dispatch module's `TileQueue::pop_next`). The `Batcher`
+//! next (the dispatch module's `TileQueue::peek_next`). The `Batcher`
 //! sits on top of that choice: if the freed tile's *resident* kernel still
 //! has waiters in the queue, the batcher may run the oldest of them instead
 //! — no context switch, one more run of the warm kernel — and defer the
@@ -18,8 +17,8 @@
 //!   [`max_hold_us`](BatchConfig::max_hold_us) is never bypassed;
 //! * a policy choice whose deadline is still feasible (it would be met if
 //!   the choice ran right now, by the modeled estimates) is only bypassed
-//!   when it stays feasible *after* the batched run — so EDF and slack
-//!   urgency win whenever slack has run out, while a deadline that is
+//!   when it stays feasible *after* the batched run — so slack urgency
+//!   wins whenever slack has run out, while a deadline that is
 //!   already unmeetable either way no longer blocks the batch.
 //!
 //! With `max_batch = 1` (the default) the batcher never intervenes and the

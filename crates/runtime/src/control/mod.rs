@@ -3,20 +3,20 @@
 //!
 //! The serving runtime's dispatch policies *price* a context switch (the
 //! modeled bitstream/overlay swap from [`overlay_arch::ReconfigModel`]) but
-//! never *avoid* one: a tile draining a mixed queue FIFO- or deadline-order
+//! never *avoid* one: a tile draining a mixed queue in FIFO or slack order
 //! swaps kernels on nearly every dispatch under kernel-interleaved load.
 //! This module adds the two classic control-plane levers on top of the
 //! existing decision machinery, both disabled by default and both leaving
 //! the data plane bitwise unchanged when off:
 //!
 //! * **`Batcher`** ([`BatchConfig`]) — a policy layer
-//!   over `Dispatcher::select_next`: when a tile frees, it may run the
+//!   over the tile queue's next pick: when a tile frees, it may run the
 //!   oldest *same-kernel* waiter instead of the dispatch policy's choice,
 //!   turning N same-kernel dispatches into one switch + N runs. Runs are
 //!   capped at `max_batch` and bypassed requests are protected by a
-//!   staleness bound and (for deadline carriers) a feasibility check — EDF
-//!   deadlines still win when slack runs out. Composes with all four
-//!   dispatch policies.
+//!   staleness bound and (for deadline carriers) a feasibility check —
+//!   deadlines still win when slack runs out. Composes with both dispatch
+//!   policies.
 //! * **`Replicator`** ([`ReplicationConfig`]) —
 //!   driven by a per-kernel request-rate EWMA ([`RateEstimator`]) fed from
 //!   the cluster routing tier (which sees every submission): a kernel whose

@@ -11,10 +11,8 @@
 //!    reconfiguration on the feed-forward ones — which is exactly why kernel
 //!    affinity matters so much more for V1/V2 pools.
 //! 2. **at the tile-free event** — the freed tile's queue yields the request
-//!    it runs next. The FIFO policies take the oldest;
-//!    [`EarliestDeadlineFirst`](DispatchPolicy::EarliestDeadlineFirst)
-//!    takes the tightest absolute deadline; and
-//!    [`SlackAware`](DispatchPolicy::SlackAware) takes the least *slack* —
+//!    it runs next. [`KernelAffinity`](DispatchPolicy::KernelAffinity)
+//!    takes the oldest; [`SlackAware`] takes the least *slack* —
 //!    time to deadline minus modeled service and the switch cost the tile
 //!    would pay — so a request whose kernel is already resident (zero
 //!    switch) is correctly seen as less urgent than one that must pay a
@@ -24,14 +22,14 @@
 //!
 //! Placement is answered from the [`TilePool`]'s residency index in a
 //! handful of first-entry lookups, and tile queues drain through a `TileQueue` — a per-policy
-//! ordered structure (FIFO deque, deadline min-heap, or per-kernel slack
-//! buckets) that pops in O(log depth) instead of an O(depth)
-//! scan-and-remove. The event loop has no other path.
+//! ordered structure (FIFO deque or per-kernel slack buckets) that pops in
+//! O(log depth) instead of an O(depth) scan-and-remove. The event loop has
+//! no other path.
 //!
-//! The original linear scans survive only as decision-level references the
-//! unit tests compare against, one decision at a time:
-//! `Dispatcher::earliest_completion_linear` (test-only) for placement and
-//! [`Dispatcher::select_next`] for queue ordering. [`SlackAware`] ties on
+//! The original linear scans survive only as test-only, decision-level
+//! references the unit tests compare against, one decision at a time:
+//! `Dispatcher::earliest_completion_linear` for placement and
+//! `Dispatcher::select_next` for queue ordering. [`SlackAware`] ties on
 //! *exactly* equal adjusted slack prefer the request needing no switch over
 //! pure FIFO order; the reference and the incremental heaps compare the
 //! same `(adjusted, base, position)` key, which keeps them bit-for-bit
@@ -44,8 +42,8 @@
 //! decision points as an ordinary request — the only session-tier additions
 //! the dispatcher sees are an activation-transfer charge folded into the
 //! stage's switch estimate, and the pipeline deadline carried by sink
-//! stages of latency-tier pipelines, which the deadline-aware policies
-//! treat exactly like a per-request deadline.
+//! stages of latency-tier pipelines, which [`SlackAware`] treats exactly
+//! like a per-request deadline.
 //!
 //! [`Cluster::serve_pipelines`]: crate::Cluster::serve_pipelines
 //!
@@ -72,47 +70,26 @@ pub enum DispatchPolicy {
     /// context-switch cost for every kernel swap; tile queues drain FIFO.
     #[default]
     KernelAffinity,
-    /// Naive round-robin placement, blind to resident kernels, switch costs
-    /// and deadlines; tile queues drain FIFO.
-    RoundRobin,
-    /// Earliest-completion placement like
-    /// [`KernelAffinity`](DispatchPolicy::KernelAffinity), but each tile
-    /// drains its queue in order of absolute deadline (requests without a
-    /// deadline go last, FIFO among themselves).
-    EarliestDeadlineFirst,
     /// Earliest-completion placement, with tile queues drained in order of
     /// *slack*: deadline − modeled service − modeled switch cost against the
-    /// tile's resident kernel. Unlike EDF this sees that a request needing a
-    /// ~1 ms PCAP swap is closer to its deadline than its timestamp alone
-    /// suggests. Slack ties prefer the request that needs no switch, then
-    /// FIFO order.
+    /// tile's resident kernel (requests without a deadline go last, FIFO
+    /// among themselves). Unlike a plain deadline order this sees that a
+    /// request needing a ~1 ms PCAP swap is closer to its deadline than its
+    /// timestamp alone suggests. Slack ties prefer the request that needs no
+    /// switch, then FIFO order.
     SlackAware,
 }
 
 impl DispatchPolicy {
     /// Every policy, in documentation order.
-    pub const ALL: [DispatchPolicy; 4] = [
-        DispatchPolicy::KernelAffinity,
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::EarliestDeadlineFirst,
-        DispatchPolicy::SlackAware,
-    ];
-
-    /// Whether the policy reorders tile queues by deadline urgency.
-    pub fn is_deadline_aware(self) -> bool {
-        matches!(
-            self,
-            DispatchPolicy::EarliestDeadlineFirst | DispatchPolicy::SlackAware
-        )
-    }
+    pub const ALL: [DispatchPolicy; 2] =
+        [DispatchPolicy::KernelAffinity, DispatchPolicy::SlackAware];
 }
 
 impl fmt::Display for DispatchPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DispatchPolicy::KernelAffinity => f.write_str("kernel-affinity"),
-            DispatchPolicy::RoundRobin => f.write_str("round-robin"),
-            DispatchPolicy::EarliestDeadlineFirst => f.write_str("edf"),
             DispatchPolicy::SlackAware => f.write_str("slack-aware"),
         }
     }
@@ -145,23 +122,20 @@ impl DispatchRequest {
         }
     }
 
-    /// The EDF selection key: the absolute deadline, `INFINITY` when none.
-    fn edf_key(&self) -> f64 {
-        self.deadline_us.unwrap_or(f64::INFINITY)
-    }
-
-    /// The time-independent part of the slack ordering: deadline minus
-    /// modeled service. The uniform `now` offset cancels out of any
-    /// comparison between queued requests, so selection drops it — which is
-    /// what lets the same key live in an incremental heap.
+    /// The time-independent part of the slack ordering: deadline
+    /// (`INFINITY` when none) minus modeled service. The uniform `now`
+    /// offset cancels out of any comparison between queued requests, so
+    /// selection drops it — which is what lets the same key live in an
+    /// incremental heap.
     fn slack_base(&self) -> f64 {
-        self.edf_key() - self.est_exec_us
+        self.deadline_us.unwrap_or(f64::INFINITY) - self.est_exec_us
     }
 
     /// The slack selection key against `resident`: `(adjusted, base)` where
     /// `adjusted` subtracts the switch cost the tile would pay. The `base`
     /// component breaks adjusted ties in favor of the request that needs no
     /// switch (then FIFO order breaks exact ties).
+    #[cfg(test)]
     fn slack_key(&self, resident: Option<KernelKey>) -> (TimeKey, TimeKey) {
         let base = self.slack_base();
         let adjusted = if resident == Some(self.key) {
@@ -178,16 +152,12 @@ impl DispatchRequest {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dispatcher {
     policy: DispatchPolicy,
-    next_tile: usize,
 }
 
 impl Dispatcher {
     /// A dispatcher using `policy`.
     pub fn new(policy: DispatchPolicy) -> Self {
-        Dispatcher {
-            policy,
-            next_tile: 0,
-        }
+        Dispatcher { policy }
     }
 
     /// The active policy.
@@ -195,30 +165,11 @@ impl Dispatcher {
         self.policy
     }
 
-    /// Clears per-serve state (the round-robin cursor).
-    pub fn reset(&mut self) {
-        self.next_tile = 0;
-    }
-
     /// Placement decision at an arrival event: the tile whose queue the
     /// request joins, given the pool's live queue state at virtual time
-    /// `now_us`.
+    /// `now_us`. Both policies place at the earliest estimated completion.
     pub fn place(&mut self, request: &DispatchRequest, now_us: f64, pool: &TilePool) -> usize {
-        match self.policy {
-            DispatchPolicy::RoundRobin => {
-                let tile = self.next_tile % pool.num_tiles();
-                self.next_tile = self.next_tile.wrapping_add(1);
-                tile
-            }
-            DispatchPolicy::KernelAffinity
-            | DispatchPolicy::EarliestDeadlineFirst
-            | DispatchPolicy::SlackAware => pool.place_earliest_indexed(
-                request.key,
-                request.est_exec_us,
-                request.switch_us,
-                now_us,
-            ),
-        }
+        pool.place_earliest_indexed(request.key, request.est_exec_us, request.switch_us, now_us)
     }
 
     /// The linear-scan reference for earliest-completion placement:
@@ -258,19 +209,16 @@ impl Dispatcher {
     /// The linear-scan queue-ordering reference: the position in `queue`
     /// (held in submission order) of the request `tile` should run next.
     ///
-    /// Returns 0 (FIFO) for the deadline-blind policies and for an empty
-    /// queue; EDF picks the tightest deadline, slack-aware the least
-    /// [`slack`](DispatchRequest::slack_us) (ties prefer the request whose
-    /// kernel is already resident). Exact ties fall back to FIFO.
-    /// The event loop answers the same query from `TileQueue`'s
-    /// incrementally-ordered structure; the unit tests hold the two to
-    /// identical answers.
-    pub fn select_next(&self, tile: &TileState, queue: &[DispatchRequest]) -> usize {
+    /// Returns 0 (FIFO) for kernel affinity and for an empty queue;
+    /// slack-aware picks the least [`slack`](DispatchRequest::slack_us)
+    /// (ties prefer the request whose kernel is already resident). Exact
+    /// ties fall back to FIFO. The event loop answers the same query from
+    /// `TileQueue`'s incrementally-ordered structure; the unit tests hold
+    /// the two to identical answers.
+    #[cfg(test)]
+    pub(crate) fn select_next(&self, tile: &TileState, queue: &[DispatchRequest]) -> usize {
         match self.policy {
-            DispatchPolicy::KernelAffinity | DispatchPolicy::RoundRobin => 0,
-            DispatchPolicy::EarliestDeadlineFirst => {
-                Self::argmin_by(queue, |request| (TimeKey(request.edf_key()), TimeKey(0.0)))
-            }
+            DispatchPolicy::KernelAffinity => 0,
             DispatchPolicy::SlackAware => {
                 Self::argmin_by(queue, |request| request.slack_key(tile.resident))
             }
@@ -279,6 +227,7 @@ impl Dispatcher {
 
     /// Position of the minimum of `urgency` over `queue`, first-wins on ties
     /// (FIFO). Returns 0 for an empty queue.
+    #[cfg(test)]
     fn argmin_by(
         queue: &[DispatchRequest],
         urgency: impl Fn(&DispatchRequest) -> (TimeKey, TimeKey),
@@ -322,10 +271,8 @@ pub(crate) struct TileQueue {
 
 #[derive(Debug)]
 enum QueueOrder {
-    /// FIFO policies pop straight off the deque.
+    /// Kernel affinity pops straight off the deque.
     Fifo,
-    /// EDF: min-heap by (deadline, intake index).
-    Deadline(BinaryHeap<Reverse<(TimeKey, usize)>>),
     /// Slack-aware: per-kernel buckets, each a min-heap by (deadline −
     /// service, intake index). Within a bucket the switch cost is constant
     /// (one compiled artifact per kernel key), so the bucket order *is* the
@@ -347,8 +294,7 @@ impl TileQueue {
     /// batching is disabled — nothing would ever read it).
     pub(crate) fn new(policy: DispatchPolicy, track_kernels: bool) -> Self {
         let index = match policy {
-            DispatchPolicy::KernelAffinity | DispatchPolicy::RoundRobin => QueueOrder::Fifo,
-            DispatchPolicy::EarliestDeadlineFirst => QueueOrder::Deadline(BinaryHeap::new()),
+            DispatchPolicy::KernelAffinity => QueueOrder::Fifo,
             DispatchPolicy::SlackAware => QueueOrder::Slack(FnvHashMap::default()),
         };
         TileQueue {
@@ -379,9 +325,6 @@ impl TileQueue {
         self.live += 1;
         match &mut self.index {
             QueueOrder::Fifo => {}
-            QueueOrder::Deadline(heap) => {
-                heap.push(Reverse((TimeKey(view.edf_key()), index)));
-            }
             QueueOrder::Slack(buckets) => {
                 let bucket = buckets.entry(view.key).or_insert_with(|| SlackBucket {
                     switch_us: view.switch_us,
@@ -410,14 +353,6 @@ impl TileQueue {
                 let &(index, _) = self.order.front().expect("live entries imply a front");
                 if taken[index] {
                     self.order.pop_front();
-                } else {
-                    break index;
-                }
-            },
-            QueueOrder::Deadline(heap) => loop {
-                let &Reverse((_, index)) = heap.peek().expect("live entries imply a heap top");
-                if taken[index] {
-                    heap.pop();
                 } else {
                     break index;
                 }
@@ -513,7 +448,6 @@ impl TileQueue {
         self.live = 0;
         match &mut self.index {
             QueueOrder::Fifo => {}
-            QueueOrder::Deadline(heap) => heap.clear(),
             QueueOrder::Slack(buckets) => buckets.clear(),
         }
         live
@@ -567,8 +501,8 @@ mod tests {
         TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, tiles).unwrap()
     }
 
-    /// `dispatcher`'s placement of `request` — checked, for the
-    /// earliest-completion policies, against the linear reference on the way.
+    /// `dispatcher`'s placement of `request` — checked against the linear
+    /// reference on the way.
     fn place_checked(
         dispatcher: &mut Dispatcher,
         request: &DispatchRequest,
@@ -576,13 +510,11 @@ mod tests {
         pool: &TilePool,
     ) -> usize {
         let tile = dispatcher.place(request, now_us, pool);
-        if dispatcher.policy() != DispatchPolicy::RoundRobin {
-            assert_eq!(
-                tile,
-                Dispatcher::earliest_completion_linear(request, now_us, pool),
-                "indexed placement diverged from the linear reference"
-            );
-        }
+        assert_eq!(
+            tile,
+            Dispatcher::earliest_completion_linear(request, now_us, pool),
+            "indexed placement diverged from the linear reference"
+        );
         tile
     }
 
@@ -605,34 +537,6 @@ mod tests {
             tiles.push(tile);
         }
         (p, tiles)
-    }
-
-    /// The seed requirement carried over from the batch dispatcher: on a
-    /// repeating 2-kernel trace, affinity placement settles into one tile per
-    /// kernel while round-robin keeps cycling kernels across tiles and swaps
-    /// on every single request (3 tiles, so the stride never aligns with the
-    /// kernel period).
-    #[test]
-    fn affinity_beats_round_robin_on_a_repeating_two_kernel_trace() {
-        let trace: Vec<(f64, DispatchRequest)> =
-            (0..16u64).map(|i| (0.0, request(i % 2))).collect();
-
-        let (affinity_pool, _) =
-            place_all(&mut Dispatcher::new(DispatchPolicy::KernelAffinity), &trace);
-        let affinity_switches: usize = affinity_pool.states().iter().map(|s| s.switches).sum();
-
-        let (rr_pool, _) = place_all(&mut Dispatcher::new(DispatchPolicy::RoundRobin), &trace);
-        let rr_switches: usize = rr_pool.states().iter().map(|s| s.switches).sum();
-
-        assert_eq!(rr_switches, 16, "round-robin swaps on every request");
-        assert!(
-            affinity_switches < rr_switches,
-            "affinity must switch strictly less: {affinity_switches} vs {rr_switches}"
-        );
-        assert!(
-            affinity_switches <= rr_switches / 2,
-            "affinity mostly sticks to resident kernels, got {affinity_switches}"
-        );
     }
 
     /// With arrivals spaced out (no queueing pressure), affinity placement
@@ -703,41 +607,14 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_tiles_in_order_and_resets() {
-        let mut dispatcher = Dispatcher::new(DispatchPolicy::RoundRobin);
-        let p = pool(3);
-        let tiles: Vec<usize> = (0..6)
-            .map(|i| dispatcher.place(&request(i), 0.0, &p))
-            .collect();
-        assert_eq!(tiles, vec![0, 1, 2, 0, 1, 2]);
-        dispatcher.reset();
-        assert_eq!(dispatcher.place(&request(9), 0.0, &p), 0);
-    }
-
-    #[test]
     fn fifo_policies_always_take_the_oldest_queued_request() {
         let p = pool(1);
         let queue = [with_deadline(1, 5.0), with_deadline(2, 1.0)];
-        for policy in [DispatchPolicy::KernelAffinity, DispatchPolicy::RoundRobin] {
-            assert_eq!(
-                Dispatcher::new(policy).select_next(&p.states()[0], &queue),
-                0,
-                "{policy} drains FIFO"
-            );
-            assert!(!policy.is_deadline_aware());
-        }
-    }
-
-    #[test]
-    fn edf_takes_the_tightest_deadline_and_parks_deadline_free_requests() {
-        let p = pool(1);
-        let dispatcher = Dispatcher::new(DispatchPolicy::EarliestDeadlineFirst);
-        let queue = [request(1), with_deadline(2, 90.0), with_deadline(3, 40.0)];
-        assert_eq!(dispatcher.select_next(&p.states()[0], &queue), 2);
-        // Without any deadlines EDF degenerates to FIFO.
-        let queue = [request(1), request(2)];
-        assert_eq!(dispatcher.select_next(&p.states()[0], &queue), 0);
-        assert!(DispatchPolicy::EarliestDeadlineFirst.is_deadline_aware());
+        assert_eq!(
+            Dispatcher::new(DispatchPolicy::KernelAffinity).select_next(&p.states()[0], &queue),
+            0,
+            "kernel affinity drains FIFO"
+        );
     }
 
     #[test]
@@ -756,12 +633,6 @@ mod tests {
             dispatcher.select_next(&p.states()[0], &[resident, cold]),
             1,
             "the swap eats 20 us of kernel 2's slack"
-        );
-        // EDF, blind to the switch cost, would have kept FIFO order.
-        assert_eq!(
-            Dispatcher::new(DispatchPolicy::EarliestDeadlineFirst)
-                .select_next(&p.states()[0], &[resident, cold]),
-            0
         );
         assert!((resident.slack_us(&p.states()[0], 0.0) - 90.0).abs() < 1e-12);
         assert!((cold.slack_us(&p.states()[0], 0.0) - 70.0).abs() < 1e-12);
@@ -866,10 +737,7 @@ mod tests {
     fn policies_display_and_default() {
         assert_eq!(DispatchPolicy::default(), DispatchPolicy::KernelAffinity);
         let names: Vec<String> = DispatchPolicy::ALL.iter().map(|p| p.to_string()).collect();
-        assert_eq!(
-            names,
-            vec!["kernel-affinity", "round-robin", "edf", "slack-aware"]
-        );
+        assert_eq!(names, vec!["kernel-affinity", "slack-aware"]);
         assert_eq!(
             Dispatcher::default().policy(),
             DispatchPolicy::KernelAffinity

@@ -26,8 +26,7 @@
 //!   queue ordering: [`DispatchPolicy::KernelAffinity`] charges the
 //!   [`overlay_arch::ReconfigModel`] swap cost (µs instruction reload for
 //!   V3–V5, ms PCAP for `[14]`/V1/V2) whenever a tile must change kernels;
-//!   [`DispatchPolicy::EarliestDeadlineFirst`] and
-//!   [`DispatchPolicy::SlackAware`] drain tile queues by deadline urgency.
+//!   [`DispatchPolicy::SlackAware`] drains tile queues by deadline urgency.
 //!   Placement consults the [`TilePool`]'s **residency index** (bitsets
 //!   and sorted lanes) instead of scanning every tile, and queue draining
 //!   pops from per-tile ordered structures instead of scanning every waiter;
@@ -66,7 +65,7 @@
 //! # fn main() -> Result<(), overlay_runtime::RuntimeError> {
 //! // One device of two tiles.
 //! let mut runtime = Cluster::new(FuVariant::V4, 1, 2)?
-//!     .with_policy(DispatchPolicy::EarliestDeadlineFirst);
+//!     .with_policy(DispatchPolicy::SlackAware);
 //!
 //! let saxpy = KernelSpec::from_source("saxpy", "kernel saxpy(a, x, y) { out r = a * x + y; }");
 //! let poly = KernelSpec::from_source("poly", "kernel poly(x) { out y = (x * x + 3) * x; }");
@@ -381,10 +380,10 @@ struct DerivedTiming {
 /// every later event reuses — and pushes the request's row onto `intake`.
 /// Kernel-dependent timing (frequency, switch cost, image size) is computed
 /// once per distinct kernel and reused from the context. `cache` is the
-/// kernel's home-device store.
+/// kernel's home-device store. Every kernel lowers with the default
+/// [`LowerOptions`], which is why [`KernelKey`] need not encode them.
 pub(crate) fn prepare_request(
     cache: &mut KernelCache,
-    lower: &LowerOptions,
     ctx: &mut PrepContext,
     request: Request,
     intake: &mut Vec<InFlight>,
@@ -395,7 +394,7 @@ pub(crate) fn prepare_request(
         depth: ctx.depth,
     };
     let kernel = cache.get_or_compile(key, || {
-        let dfg = request.kernel.dfg(lower)?;
+        let dfg = request.kernel.dfg(&LowerOptions::default())?;
         let stages = schedule(&dfg, ctx.variant, ctx.writeback.then_some(ctx.depth))?;
         Ok(generate_program_owned(&dfg, stages, ctx.variant)?)
     })?;
@@ -780,18 +779,18 @@ mod tests {
     fn serve_is_deterministic_across_calls_and_policies_agree_functionally() {
         let requests = benchmark_trace(10, 6);
         let mut affinity = Cluster::new(FuVariant::V4, 1, 4).unwrap();
-        let mut round_robin = Cluster::new(FuVariant::V4, 1, 4)
+        let mut slack_aware = Cluster::new(FuVariant::V4, 1, 4)
             .unwrap()
-            .with_policy(DispatchPolicy::RoundRobin);
+            .with_policy(DispatchPolicy::SlackAware);
         let a1 = affinity.serve(requests.clone()).unwrap();
         let a2 = affinity.serve(requests.clone()).unwrap();
-        let rr = round_robin.serve(requests).unwrap();
+        let slack = slack_aware.serve(requests).unwrap();
         let tiles = |report: &ServeReport| -> Vec<usize> {
             report.outcomes().iter().map(|o| o.tile).collect()
         };
         assert_eq!(tiles(&a1), tiles(&a2));
         assert_eq!(a1.metrics().makespan_us, a2.metrics().makespan_us);
-        for (lhs, rhs) in a1.outcomes().iter().zip(rr.outcomes()) {
+        for (lhs, rhs) in a1.outcomes().iter().zip(slack.outcomes()) {
             assert_eq!(
                 lhs.outputs(),
                 rhs.outputs(),
@@ -823,33 +822,12 @@ mod tests {
     }
 
     #[test]
-    fn affinity_spends_less_switch_time_than_round_robin_on_writeback_tiles() {
-        // 3 tiles against a 4-kernel cycle, so the round-robin stride never
-        // aligns with the kernel period and it swaps on nearly every request.
-        let requests = benchmark_trace(32, 4);
-        let mut affinity = Cluster::new(FuVariant::V3, 1, 3).unwrap();
-        let mut round_robin = Cluster::new(FuVariant::V3, 1, 3)
-            .unwrap()
-            .with_policy(DispatchPolicy::RoundRobin);
-        let a = affinity.serve(requests.clone()).unwrap();
-        let rr = round_robin.serve(requests).unwrap();
-        assert!(
-            a.metrics().total_switch_us < rr.metrics().total_switch_us,
-            "affinity {} us vs round-robin {} us",
-            a.metrics().total_switch_us,
-            rr.metrics().total_switch_us
-        );
-        assert!(a.metrics().switch_count < rr.metrics().switch_count);
-    }
-
-    #[test]
     fn feed_forward_pools_charge_pcap_scale_switches() {
-        // On a V1 pool every kernel swap costs ~1 ms of PCAP time, so the
-        // 4-kernel round-robin trace pays milliseconds of switching.
+        // On a V1 pool every kernel swap costs ~1 ms of PCAP time, so a
+        // single tile cycling through 4 kernels pays milliseconds of
+        // switching.
         let requests = benchmark_trace(8, 4);
-        let mut runtime = Cluster::new(FuVariant::V1, 1, 2)
-            .unwrap()
-            .with_policy(DispatchPolicy::RoundRobin);
+        let mut runtime = Cluster::new(FuVariant::V1, 1, 1).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert!(
             report.metrics().total_switch_us > 1_000.0,
@@ -857,9 +835,7 @@ mod tests {
             report.metrics().total_switch_us
         );
         // The same trace on a V3 pool swaps in microseconds.
-        let mut writeback = Cluster::new(FuVariant::V3, 1, 2)
-            .unwrap()
-            .with_policy(DispatchPolicy::RoundRobin);
+        let mut writeback = Cluster::new(FuVariant::V3, 1, 1).unwrap();
         let wb = writeback.serve(requests).unwrap();
         assert!(wb.metrics().total_switch_us < 100.0);
         assert!(wb.metrics().total_switch_us > 0.0);
@@ -1093,7 +1069,7 @@ mod tests {
     fn edf_reorders_a_backlogged_queue_by_deadline() {
         // One tile; request 0 occupies it while 1..=4 queue up. The tight
         // deadline arrives last in FIFO order, so affinity misses it while
-        // EDF runs it first.
+        // slack-aware dispatch runs it first.
         let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
         let workload = Workload::random(5, 64, 7);
         let mut requests: Vec<Request> = (0..4)
@@ -1115,44 +1091,21 @@ mod tests {
         assert_eq!(fifo.metrics().deadline_requests, 1);
         assert_eq!(fifo.metrics().deadline_misses, 1, "FIFO strands request 4");
 
-        for policy in [
-            DispatchPolicy::EarliestDeadlineFirst,
-            DispatchPolicy::SlackAware,
-        ] {
-            let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
-                .unwrap()
-                .with_policy(policy);
-            let report = runtime.serve(requests.clone()).unwrap();
-            assert_eq!(
-                report.metrics().deadline_misses,
-                0,
-                "{policy} must run the urgent request ahead of the backlog"
-            );
-            let urgent = report
-                .outcomes()
-                .iter()
-                .find(|o| o.request_id == 4)
-                .unwrap();
-            assert!(urgent.queued_us < fifo.outcomes()[4].queued_us);
-        }
-    }
-
-    #[test]
-    fn changing_lower_options_invalidates_the_cache() {
-        let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
-        let requests = vec![Request::new(0, spec, Workload::ramp(5, 4))];
-        let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
-        runtime.serve(requests.clone()).unwrap();
-        assert_eq!(runtime.devices()[0].cache().len(), 1);
-        assert_eq!(runtime.sim_memo().len(), 1);
-        // The key does not encode lowering options, so swapping them must
-        // drop the stale artifacts rather than serve them as hits.
-        let mut runtime = runtime.with_lower_options(LowerOptions::default());
-        assert!(runtime.devices()[0].cache().is_empty());
-        assert!(runtime.sim_memo().is_empty());
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
+            .unwrap()
+            .with_policy(DispatchPolicy::SlackAware);
         let report = runtime.serve(requests).unwrap();
-        assert_eq!(report.metrics().cache.misses, 1);
-        assert_eq!(report.metrics().sim_memo.misses, 1);
+        assert_eq!(
+            report.metrics().deadline_misses,
+            0,
+            "slack-aware dispatch must run the urgent request ahead of the backlog"
+        );
+        let urgent = report
+            .outcomes()
+            .iter()
+            .find(|o| o.request_id == 4)
+            .unwrap();
+        assert!(urgent.queued_us < fifo.outcomes()[4].queued_us);
     }
 
     #[test]

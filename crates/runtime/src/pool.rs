@@ -922,7 +922,7 @@ mod tests {
         assert_eq!(pool.total_waiting(), 0);
     }
 
-    /// A deadline-aware policy can pull the *tail* out of the queue; the
+    /// Slack-aware dispatch can pull the *tail* out of the queue; the
     /// caller-supplied remaining tail keeps the residency projection honest.
     #[test]
     fn dequeuing_the_tail_reprojects_onto_the_remaining_queue() {
@@ -931,7 +931,7 @@ mod tests {
         pool.enqueue(0, key(1), 10.0);
         pool.enqueue(0, key(2), 10.0);
         assert_eq!(pool.states()[0].projected_resident(), Some(key(2)));
-        // EDF pops the urgent tail (kernel 2): the queue now ends in kernel 1.
+        // Slack order pops the urgent tail (kernel 2): the queue now ends in kernel 1.
         pool.dequeue(0, 10.0, Some(key(1)));
         assert_eq!(
             pool.states()[0].projected_resident(),

@@ -46,13 +46,11 @@
 //! the producer's output bytes cross the same linear link (`hops ·
 //! hop_latency_us + bytes · link_us_per_byte`), and a stage whose producer
 //! died restores its inputs from the host checkpoint at host-load rates.
-//! Stage-affinity routing ([`Cluster::with_stage_affinity`]) may override
+//! Stage-affinity routing, always on for pipeline serves, may override
 //! the policy's pick with the producer's device when the modeled transfer
 //! saving outweighs the queueing penalty — kernel-image acquisition is then
 //! re-priced for the overridden device, so both costs always describe the
 //! device the stage actually runs on.
-//!
-//! [`Cluster::with_stage_affinity`]: crate::Cluster::with_stage_affinity
 
 use std::fmt;
 

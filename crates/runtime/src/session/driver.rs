@@ -13,9 +13,9 @@
 //!   [`TransferModel`](crate::TransferModel) link (or the host checkpoint
 //!   path when the producer device has died) and the cost is charged ahead
 //!   of the consumer's context switch;
-//! * **stage affinity** — routing may override its load-driven choice with
-//!   the producer device of the heaviest input when the activation savings
-//!   beat the queueing penalty;
+//! * **stage affinity** — routing overrides its load-driven choice with
+//!   the producer device of the heaviest input whenever the activation
+//!   savings beat the queueing penalty;
 //! * **weighted-fair admission** — under an admission limit, each session's
 //!   waiting stages are capped at its [`SloClass`]-weighted share
 //!   ([`fair_share`]);
@@ -111,11 +111,6 @@ struct PipeState {
 /// plain paths bitwise identical.
 #[derive(Debug)]
 pub(crate) struct SessionDriver {
-    /// Whether routing may override its choice with the producer device of
-    /// the heaviest input ([`Cluster::with_stage_affinity`]).
-    ///
-    /// [`Cluster::with_stage_affinity`]: crate::Cluster::with_stage_affinity
-    pub(crate) affinity: bool,
     stages: Vec<StageState>,
     pipes: Vec<PipeState>,
     rob: ReorderBuffer,
@@ -134,14 +129,13 @@ impl SessionDriver {
     ///
     /// The dispatch bias half of the SLO tier happens here: only sink
     /// stages of non-best-effort pipelines carry the pipeline deadline into
-    /// their [`Request`], so deadline-aware dispatch policies prioritize
+    /// their [`Request`], so slack-aware dispatch prioritizes
     /// latency/standard sinks while best-effort pipelines are judged on
     /// their commit time alone.
     pub(crate) fn build(
         pipelines: &[PipelineRequest],
         topos: &[Vec<usize>],
         slo_of: &BTreeMap<u64, SloClass>,
-        affinity: bool,
     ) -> (Self, Vec<Request>) {
         let mut requests = Vec::new();
         let mut stages: Vec<StageState> = Vec::new();
@@ -224,7 +218,6 @@ impl SessionDriver {
         let total_weight = weights.values().sum();
         (
             SessionDriver {
-                affinity,
                 stages,
                 pipes,
                 rob,
@@ -552,16 +545,16 @@ mod tests {
         )
     }
 
-    fn driver_for(pipelines: &[PipelineRequest], affinity: bool) -> (SessionDriver, usize) {
+    fn driver_for(pipelines: &[PipelineRequest]) -> (SessionDriver, usize) {
         let topos: Vec<Vec<usize>> = pipelines.iter().map(|p| p.validate().unwrap()).collect();
         let slo_of = BTreeMap::from([(7u64, SloClass::Latency), (9u64, SloClass::BestEffort)]);
-        let (driver, requests) = SessionDriver::build(pipelines, &topos, &slo_of, affinity);
+        let (driver, requests) = SessionDriver::build(pipelines, &topos, &slo_of);
         (driver, requests.len())
     }
 
     #[test]
     fn parking_and_release_walk_a_chain_in_order() {
-        let (mut driver, intake) = driver_for(&[chain(1, 7, 3)], true);
+        let (mut driver, intake) = driver_for(&[chain(1, 7, 3)]);
         assert_eq!(intake, 3);
         // Stage 0 is a root; stages 1 and 2 park behind their inputs.
         assert_eq!(driver.on_arrival(0), ArrivalAction::Proceed);
@@ -587,7 +580,7 @@ mod tests {
 
     #[test]
     fn activation_plans_price_links_and_dead_producer_checkpoints() {
-        let (mut driver, _) = driver_for(&[chain(1, 7, 2)], true);
+        let (mut driver, _) = driver_for(&[chain(1, 7, 2)]);
         driver.note_complete(0, 3, 5.0);
         let transfer = TransferModel::new();
         // Consumer on the producer device: nothing moves.
@@ -605,7 +598,7 @@ mod tests {
 
     #[test]
     fn a_reject_cascades_to_parked_siblings_and_later_arrivals() {
-        let (mut driver, _) = driver_for(&[chain(1, 9, 3), chain(2, 7, 1)], true);
+        let (mut driver, _) = driver_for(&[chain(1, 9, 3), chain(2, 7, 1)]);
         assert_eq!(driver.on_arrival(0), ArrivalAction::Proceed);
         assert_eq!(driver.on_arrival(1), ArrivalAction::Park);
         // Rejecting the root sheds the parked middle stage; stage 2 (not
@@ -631,7 +624,7 @@ mod tests {
     #[test]
     fn weighted_fair_admission_caps_each_sessions_queue_share() {
         // Sessions 7 (latency, weight 4) and 9 (best-effort, weight 1).
-        let (mut driver, _) = driver_for(&[chain(1, 7, 1), chain(2, 9, 1)], true);
+        let (mut driver, _) = driver_for(&[chain(1, 7, 1), chain(2, 9, 1)]);
         // Shares of limit 10 over total weight 5: latency 8, best-effort 2.
         for _ in 0..8 {
             assert!(driver.fair_admit(0, 10));
@@ -652,7 +645,7 @@ mod tests {
 
     #[test]
     fn commits_retire_in_submission_order_within_a_session() {
-        let (mut driver, _) = driver_for(&[chain(1, 7, 1), chain(2, 7, 1)], true);
+        let (mut driver, _) = driver_for(&[chain(1, 7, 1), chain(2, 7, 1)]);
         // The second pipeline finishes first; its commit waits for the
         // first and is clamped to it.
         driver.note_complete(1, 0, 50.0);

@@ -9,7 +9,7 @@
 //!   capacity is shared weighted-fair across the sessions in the batch
 //!   ([`SloClass::weight`]: latency 4, standard 2, best-effort 1), so one hot
 //!   best-effort tenant cannot starve a latency-tier tenant out of the queue;
-//! * **dispatch bias** — under the deadline-aware policies, best-effort
+//! * **dispatch bias** — under slack-aware dispatch, best-effort
 //!   stages are dispatched as if deadline-free (they drain after every
 //!   deadline-carrying request, FIFO among themselves), while their outcomes
 //!   are still *reported* against the original deadline.
@@ -29,7 +29,7 @@ pub enum SloClass {
     #[default]
     Standard,
     /// Throughput tier: smallest admission share, and dispatched as
-    /// deadline-free under deadline-aware policies — best-effort absorbs the
+    /// deadline-free under slack-aware dispatch — best-effort absorbs the
     /// shed load when the fleet saturates.
     BestEffort,
 }

@@ -104,10 +104,7 @@ fn verify_report(requests: &[Request], report: &ServeReport, devices: usize) {
 fn every_routing_policy_serves_the_mixed_trace_correctly() {
     let requests = benchmark_trace(32, 6, 1.0, 5_000.0);
     for route in RoutePolicy::ALL {
-        for policy in [
-            DispatchPolicy::KernelAffinity,
-            DispatchPolicy::EarliestDeadlineFirst,
-        ] {
+        for policy in DispatchPolicy::ALL {
             let mut cluster = Cluster::new(FuVariant::V4, 4, 2)
                 .unwrap()
                 .with_policy(policy)
@@ -211,7 +208,7 @@ fn more_devices_shed_an_overload() {
     let serve = |devices: usize| {
         Cluster::new(FuVariant::V4, devices, 2)
             .unwrap()
-            .with_policy(DispatchPolicy::EarliestDeadlineFirst)
+            .with_policy(DispatchPolicy::SlackAware)
             .with_route_policy(RoutePolicy::LeastLoaded)
             .serve(requests.clone())
             .unwrap()

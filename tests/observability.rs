@@ -176,7 +176,7 @@ proptest! {
     #[test]
     fn observability_is_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         limit_pick in 0usize..3,
         (devices, route_pick) in (1usize..5, 0usize..3),
         (faulty, replicated) in (any::<bool>(), any::<bool>()),
@@ -228,7 +228,7 @@ proptest! {
     #[test]
     fn runtime_spans_reconcile_with_modeled_latency(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -252,7 +252,7 @@ proptest! {
     #[test]
     fn cluster_spans_reconcile_with_modeled_latency(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 4.0);
@@ -328,7 +328,7 @@ proptest! {
     #[test]
     fn telemetry_and_slo_are_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -632,12 +632,12 @@ fn pipeline_spans_export_and_reconcile() {
         Session::new(1),
         Session::new(2).with_slo(SloClass::BestEffort),
     ];
-    // Affinity-blind kernel-hash routing pins each stage to its kernel's
-    // home device, so consecutive stages hop devices and pay activations.
+    // Draining device 0 at t = 1 us leaves the stages its early producers
+    // fed to run on device 1, so they pay inter-device activations.
     let mut cluster = Cluster::new(FuVariant::V4, 2, 2)
         .unwrap()
         .with_route_policy(RoutePolicy::KernelHash)
-        .with_stage_affinity(false)
+        .with_fault_plan(FaultPlan::new().drain(1.0, 0))
         .with_tracing(TraceConfig::enabled())
         .with_telemetry(TelemetryConfig::windowed(1.0))
         .with_slo(slo_objectives());

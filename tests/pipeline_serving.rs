@@ -301,10 +301,24 @@ fn commits_within_a_session_follow_submission_order() {
 #[test]
 fn stage_affinity_reduces_activation_transfers_under_kernel_hash() {
     // Under KernelHash each stage's kernel homes on a different device, so
-    // affinity-blind routing pays a transfer on almost every edge.
+    // routing alone would pay a transfer on every edge. A plain serve of one
+    // request per kernel shows where each kernel homes.
+    let specs = specs();
+    let homes: Vec<usize> = specs[..3]
+        .iter()
+        .enumerate()
+        .map(|(id, (spec, inputs))| {
+            let request = Request::new(id as u64, spec.clone(), Workload::random(*inputs, 1, 0));
+            cluster(4, 1, RoutePolicy::KernelHash)
+                .serve(vec![request])
+                .unwrap()
+                .outcomes()[0]
+                .device
+        })
+        .collect();
+    assert!(homes.windows(2).all(|edge| edge[0] != edge[1]), "{homes:?}");
     let pipelines: Vec<PipelineRequest> = (0..8)
         .map(|i| {
-            let specs = specs();
             PipelineRequest::chain(
                 i,
                 i % 2,
@@ -317,22 +331,11 @@ fn stage_affinity_reduces_activation_transfers_under_kernel_hash() {
         })
         .collect();
     let sessions = [Session::new(0), Session::new(1)];
-    let serve = |affinity: bool| {
-        cluster(4, 1, RoutePolicy::KernelHash)
-            .with_stage_affinity(affinity)
-            .serve_pipelines(pipelines.clone(), &sessions)
-            .unwrap()
-    };
-    let affine = serve(true);
-    let blind = serve(false);
+    let affine = cluster(4, 1, RoutePolicy::KernelHash)
+        .serve_pipelines(pipelines, &sessions)
+        .unwrap();
     assert_eq!(affine.completed(), 8);
-    assert_eq!(blind.completed(), 8);
-    assert!(
-        affine.activation_transfers() < blind.activation_transfers(),
-        "affinity {} should beat blind {}",
-        affine.activation_transfers(),
-        blind.activation_transfers()
-    );
+    assert_eq!(affine.activation_transfers(), 0);
 }
 
 #[test]
@@ -381,9 +384,9 @@ fn the_latency_tier_is_shielded_under_admission_pressure() {
 
 /// Stage affinity and SLO admission at fleet scale, on an 8 × 4 V4 fleet.
 /// (A) 384 4-stage chains through four suite kernels, 256 KiB activations
-/// per edge, stage load ρ ≈ 0.5 under kernel-hash routing: affinity keeps
-/// every successor next to its producer, the blind serve moves every one of
-/// the 3 × 384 edges. (B) A best-effort flood of 384 chains at 1.5× the
+/// per edge, stage load ρ ≈ 0.5 under kernel-hash routing, which alone would
+/// move every one of the 3 × 384 edges: affinity keeps every successor next
+/// to its producer. (B) A best-effort flood of 384 chains at 1.5× the
 /// fleet against a paced latency tier of 48 with a 24-service-time budget,
 /// through a bounded, slack-aware, least-loaded admission queue: the tier
 /// is served in full and on time, and the flood takes the shedding.
@@ -433,18 +436,11 @@ fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
         .map(|i| chain(i, i as u64 + 1, i as u64 % 4).at(i as f64 * spacing_us))
         .collect();
     let sessions: Vec<Session> = (0..4).map(Session::new).collect();
-    let serve = |affinity: bool| {
-        cluster(8, 4, RoutePolicy::KernelHash)
-            .with_stage_affinity(affinity)
-            .serve_pipelines(pipelines.clone(), &sessions)
-            .unwrap()
-    };
-    let (affine, blind) = (serve(true), serve(false));
-    assert_eq!((affine.completed(), blind.completed()), (384, 384));
-    assert_eq!(
-        (affine.activation_transfers(), blind.activation_transfers()),
-        (0, 1152)
-    );
+    let affine = cluster(8, 4, RoutePolicy::KernelHash)
+        .serve_pipelines(pipelines, &sessions)
+        .unwrap();
+    assert_eq!(affine.completed(), 384);
+    assert_eq!(affine.activation_transfers(), 0);
 
     let budget_us = 24.0 * service_us;
     let (flood_gap_us, latency_gap_us) = (spacing_us / 3.0, 4.0 * spacing_us);
@@ -514,7 +510,7 @@ proptest! {
     #[test]
     fn single_stage_standard_batches_lower_bitwise_onto_the_plain_serve(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
         batch_pick in 0usize..2,
         limit_pick in 0usize..2,
@@ -551,7 +547,7 @@ proptest! {
     #[test]
     fn driver_active_single_stage_serves_match_plain_outcomes(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
         fault_pick in 0usize..2,
     ) {
@@ -594,14 +590,12 @@ proptest! {
     fn random_fault_schedules_lose_no_pipeline_stages(
         (seed, count, devices) in (any::<u64>(), 4usize..14, 2usize..5),
         route_pick in 0usize..3,
-        affinity in any::<bool>(),
     ) {
         let pipelines = random_chains(seed, count, 3);
         let sessions: Vec<Session> = (0..3)
             .map(|i| Session::new(i).with_slo(SloClass::ALL[i as usize % 3]))
             .collect();
         let report = cluster(devices, 1, RoutePolicy::ALL[route_pick])
-            .with_stage_affinity(affinity)
             .with_fault_plan(random_plan(seed, devices, 80.0))
             .serve_pipelines(pipelines.clone(), &sessions)
             .unwrap();

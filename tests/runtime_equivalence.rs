@@ -123,7 +123,7 @@ proptest! {
     #[test]
     fn admission_rejects_are_identical_under_pressure(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         limit in 0usize..6,
     ) {
         let requests = random_trace(seed, count, 2.0);
@@ -142,7 +142,7 @@ proptest! {
     #[test]
     fn equivalence_holds_on_pcap_pools(
         (seed, count, tiles) in (any::<u64>(), 4usize..16, 2usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 50.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -160,7 +160,7 @@ proptest! {
     #[test]
     fn a_one_device_cluster_reproduces_runtime_exactly(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
         limit_pick in 0usize..3,
     ) {
@@ -186,7 +186,7 @@ proptest! {
     #[test]
     fn disabled_control_plane_is_bitwise_identical_to_the_baseline(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         limit_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 3.0);
@@ -228,7 +228,7 @@ proptest! {
     #[test]
     fn a_batched_one_device_cluster_reproduces_the_batched_runtime(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         max_batch in 2usize..6,
         hold_pick in 0usize..3,
     ) {
@@ -249,7 +249,7 @@ proptest! {
     #[test]
     fn batching_preserves_functional_results(
         (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         max_batch in 2usize..8,
     ) {
         let requests = random_trace(seed, count, 4.0);
@@ -277,7 +277,7 @@ proptest! {
     #[test]
     fn kernel_hash_routing_is_deterministic_under_resubmission(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 4.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -373,7 +373,7 @@ proptest! {
     #[test]
     fn an_empty_fault_plan_is_bitwise_identical_to_no_plan(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
         limit_pick in 0usize..3,
         batch_pick in 0usize..2,

@@ -1,8 +1,8 @@
 //! Property-based tests for the online runtime's event loop (vendored
 //! `proptest` shim): arbitrary arrival/deadline traces never lose or
 //! duplicate a request id, the virtual timeline stays monotone and
-//! physically consistent per tile, and EDF dominates FIFO on feasible
-//! single-tenant traces. A scenario generator over any configuration,
+//! physically consistent per tile, and slack-aware dispatch (EDF on one
+//! kernel) dominates FIFO on feasible single-tenant traces. A scenario generator over any configuration,
 //! infinite and NaN fields included, returns a well-formed schedule, and a
 //! cluster serve under any fault plan, or of any pipelines, returns its
 //! report or a typed error.
@@ -111,7 +111,7 @@ proptest! {
     fn no_request_is_lost_or_duplicated(
         (seed, count, tiles) in (any::<u64>(), 2usize..10, 1usize..4),
         limit in 1usize..12,
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 1.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -133,7 +133,7 @@ proptest! {
     #[test]
     fn completions_are_monotone_and_tiles_never_double_book(
         (seed, count, tiles) in (any::<u64>(), 2usize..10, 1usize..4),
-        policy_pick in 0usize..4,
+        policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 5.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -150,7 +150,8 @@ proptest! {
         }
     }
 
-    /// On a single-tenant trace (one kernel, uniform service), EDF never
+    /// On a single-tenant trace (one kernel, uniform service), slack-aware
+    /// dispatch orders every queue by deadline alone — it is EDF — and never
     /// misses a deadline that kernel-affinity FIFO meets: whenever FIFO
     /// meets every deadline the trace is feasible for a work-conserving
     /// scheduler, and non-preemptive EDF must then meet them all too
@@ -189,7 +190,7 @@ proptest! {
         let fifo = affinity.serve(requests.clone()).unwrap();
         let mut edf = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
-            .with_policy(DispatchPolicy::EarliestDeadlineFirst);
+            .with_policy(DispatchPolicy::SlackAware);
         let edf_report = edf.serve(requests.clone()).unwrap();
 
         assert_conservation(&requests, &edf_report)?;
