@@ -191,12 +191,6 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         }
         self.entries.insert(key, (value, self.clock));
     }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.stats = CacheStats::default();
-        self.clock = 0;
-    }
 }
 
 /// An LRU cache mapping [`KernelKey`]s to compiled kernels.
@@ -315,11 +309,6 @@ impl KernelCache {
     pub fn stats(&self) -> CacheStats {
         self.lru.stats
     }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
 }
 
 /// Identity of one memoizable simulation: the compiled kernel it ran through
@@ -411,11 +400,6 @@ impl SimMemo {
     /// The accumulated hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats
-    }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&mut self) {
-        self.lru.clear();
     }
 }
 
@@ -554,16 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_entries_and_stats() {
-        let mut cache = KernelCache::new(2).unwrap();
-        cache.get_or_compile(key(1), compile_saxpy).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.capacity(), 2);
-    }
-
-    #[test]
     fn displays_are_descriptive() {
         assert!(key(0xAB).to_string().contains("V3"));
         let stats = CacheStats {
@@ -628,10 +602,6 @@ mod tests {
         assert_eq!(memo.stats().evictions, 1);
         // The evicted run stays valid through its other references.
         assert!(!run.outputs().is_empty());
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats(), CacheStats::default());
-        assert_eq!(memo.capacity(), 2);
     }
 
     #[test]

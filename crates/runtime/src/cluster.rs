@@ -21,17 +21,20 @@
 //! A 1-device cluster (`Cluster::new(variant, 1, tiles)` or
 //! [`Cluster::from_noc`]) is the degenerate case: routing collapses to
 //! device 0 and no image is ever acquired (they enter the store at compile
-//! time). The one event loop here is compiled in two tiers — `plain` for
-//! one device with no fault plan installed, no session driver and
-//! replication off, where every routing, fault and session step folds away
-//! at compile time; `fleet` for everything else —
-//! and a serve picks its tier once, from what it can observe. Every fleet
-//! serve arms the fault state, from no events when no plan is installed, so
-//! a fault-free fleet serve *is* the empty-plan serve and routing, transfer
-//! pricing and fault accounting each have one implementation.
-//! `tests/runtime_equivalence.rs` holds a one-device cluster forced onto the
-//! fleet tier (by an empty plan) to the plain tier **bitwise** on randomized
-//! traces.
+//! time). The one event loop here runs fixed phases — intake, admit,
+//! route, run, commit — and is compiled per serve from two choices, both
+//! made once, from what the serve can observe. Its tier: `plain` for one
+//! device with no fault plan installed, no pipeline and replication off,
+//! where every routing and fault step folds away at compile time; `fleet`
+//! for everything else. Every fleet serve arms the fault state, from no
+//! events when no plan is installed, so a fault-free fleet serve *is* the
+//! empty-plan serve and routing, transfer pricing and fault accounting each
+//! have one implementation. And its control policy (the crate-private
+//! `control::Policy`): batching, replication and a pipeline's session tier
+//! act only through its hooks, and a serve with none of them on compiles
+//! with none of their code. `tests/runtime_equivalence.rs` holds a
+//! one-device cluster forced onto the fleet tier (by an empty plan) to the
+//! plain tier **bitwise** on randomized traces.
 //!
 //! # Example
 //!
@@ -64,13 +67,12 @@
 //! # }
 //! ```
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, NocConfig, TileComposition};
 
 use crate::cache::CacheStats;
-use crate::control::{Batcher, Replicator};
+use crate::control::{FreedTile, Gate, NoTiers, Policy, Tiers};
 use crate::dispatch::TileQueue;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -79,10 +81,6 @@ use crate::obs;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
     power_of_two_pair_eligible, Acquisition, ExclusionSet, RoutePolicy, Routed, TransferModel,
-};
-use crate::session::driver::{class_metrics_from, ArrivalAction, SessionDriver};
-use crate::session::{
-    PipelineOutcome, PipelineReport, PipelineRequest, ReorderBuffer, Session, SloClass,
 };
 use crate::{
     prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher, InFlight, Ingest,
@@ -97,8 +95,8 @@ use crate::{
 #[derive(Debug)]
 pub struct Device {
     id: usize,
-    pool: TilePool,
-    cache: KernelCache,
+    pub(crate) pool: TilePool,
+    pub(crate) cache: KernelCache,
     dispatcher: Dispatcher,
     /// Tiles currently executing a request — the busy component of the
     /// device's load summary.
@@ -123,7 +121,7 @@ impl Device {
 
     /// The device's load summary: `(waiting requests, busy tiles, id)` —
     /// least-loaded is the minimum.
-    fn load_key(&self) -> (usize, usize, usize) {
+    pub(crate) fn load_key(&self) -> (usize, usize, usize) {
         (self.pool.total_waiting(), self.busy_tiles, self.id)
     }
 }
@@ -148,7 +146,7 @@ struct DeviceTally {
 /// Mutable event-loop state, separate from the `Cluster` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint. It holds no outcome: each
 /// [`RequestOutcome`] is built once, when the loop ends.
-struct ClusterState<'t> {
+struct ClusterState<'t, P> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
@@ -162,11 +160,11 @@ struct ClusterState<'t> {
     /// simulation.
     prep: PrepContext,
     sim: SimResults<'t>,
-    /// The same-kernel batching layer, indexed by global tile id (a no-op
-    /// at the default `max_batch = 1`).
-    batcher: Batcher,
-    /// The rate-driven replication layer (a no-op at the default fanout 0).
-    replicator: Replicator,
+    /// What the optional tiers do at each phase of the loop.
+    policy: P,
+    /// Per global tile: consecutive starts of its resident kernel, what
+    /// tracing reports as batch membership (0 after a kill).
+    runs: Vec<usize>,
     peak_queue_depth: usize,
     queue_area_us: f64,
     last_event_us: f64,
@@ -178,16 +176,13 @@ struct ClusterState<'t> {
     /// Per cluster-wide queue depth: the events popped at it.
     depths: &'t mut Vec<u64>,
     /// Per global tile, fleet tier only: the intake index currently running
-    /// there (kills must know what to abandon, and the session tier which
-    /// stage a tile-free event commits).
+    /// there (kills must know what to abandon, and the policy which request
+    /// a tile-free event completes).
     running_index: Vec<Option<usize>>,
     /// Per global tile, fleet tier only: the completion time of the run the
     /// tile is waiting on. A tile-free event that does not match is a stale
     /// completion of work a kill evacuated and is dropped.
     pending_free: Vec<Option<f64>>,
-    /// The session tier's driver, present only on the
-    /// [`Cluster::serve_pipelines`] multi-stage path.
-    session: Option<SessionDriver>,
 }
 
 /// What the cluster event loop hands back for aggregation.
@@ -212,7 +207,7 @@ struct ClusterLoopOutput {
 /// routing across devices.
 #[derive(Debug)]
 pub struct Cluster {
-    devices: Vec<Device>,
+    pub(crate) devices: Vec<Device>,
     route: RoutePolicy,
     transfer: TransferModel,
     sim_memo: SimMemo,
@@ -231,10 +226,7 @@ pub struct Cluster {
     /// Per-serve fault state (fleet flags + availability accounting),
     /// re-armed in place on every fleet serve; a plain-tier serve never
     /// touches it.
-    fault: FaultState,
-    /// The session driver staged for (and recovered from) the event loop
-    /// on a pipeline serve. Always `None` between serves.
-    session_driver: Option<SessionDriver>,
+    pub(crate) fault: FaultState,
 }
 
 impl Cluster {
@@ -314,7 +306,6 @@ impl Cluster {
             tiles_per_device,
             fault_plan: None,
             fault: FaultState::new(),
-            session_driver: None,
         }
     }
 
@@ -584,7 +575,7 @@ impl Cluster {
         I: IntoIterator<Item = Request>,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        self.run_serve(Ingest::Batch(requests.into_iter()))
+        self.run_serve(Ingest::Batch(requests.into_iter()), None)
     }
 
     /// Serves a live request stream: `feed` runs on its own thread and
@@ -608,163 +599,21 @@ impl Cluster {
     where
         F: FnOnce(Submitter) + Send,
     {
-        with_feeder(self.ingest_capacity, feed, |ingest| self.run_serve(ingest))
-    }
-
-    /// Serves a batch of multi-kernel [`PipelineRequest`]s under tenant
-    /// [`Session`]s (see the [`session`](crate::session) module docs): each
-    /// pipeline's DAG is validated up front, its stages flow through the
-    /// normal route/admit/place machinery with dependency parking, stage
-    /// affinity, [`TransferModel`]-priced inter-stage activations and
-    /// weighted-fair SLO admission, and the outcomes commit in submission
-    /// order per session through a reorder buffer.
-    ///
-    /// A pipeline naming a session absent from `sessions` runs as
-    /// [`SloClass::Standard`]. A batch of single-stage pipelines under
-    /// all-standard sessions lowers onto the unchanged
-    /// [`serve`](Cluster::serve) path — bitwise identical to serving the
-    /// plain requests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidPipeline`] for a malformed DAG,
-    /// [`RuntimeError::NoRequests`] for an empty batch, and any
-    /// compile/simulation failure the underlying serve can raise.
-    pub fn serve_pipelines(
-        &mut self,
-        pipelines: Vec<PipelineRequest>,
-        sessions: &[Session],
-    ) -> Result<PipelineReport, RuntimeError> {
-        if pipelines.is_empty() {
-            return Err(RuntimeError::NoRequests);
-        }
-        let mut topos = Vec::with_capacity(pipelines.len());
-        for pipeline in &pipelines {
-            topos.push(pipeline.validate()?);
-        }
-        let slo_of: BTreeMap<u64, SloClass> = sessions
-            .iter()
-            .map(|session| (session.id, session.slo))
-            .collect();
-        let all_plain = pipelines.iter().all(|pipeline| {
-            pipeline.is_single_stage()
-                && slo_of.get(&pipeline.session).copied().unwrap_or_default() == SloClass::Standard
-        });
-        if all_plain {
-            return self.serve_single_stage_pipelines(&pipelines, &slo_of);
-        }
-        let (driver, requests) = SessionDriver::build(&pipelines, &topos, &slo_of);
-        self.session_driver = Some(driver);
-        let result = self.run_serve(Ingest::Batch(requests.into_iter()));
-        // The loop hands the driver back through `self` on success; an
-        // error drops it (there is no report to build).
-        let driver = self.session_driver.take();
-        let cluster = result?;
-        // Set above; only an error (returned just now) leaves it taken.
-        let driver = driver.expect("a completed pipeline serve hands its driver back");
-        debug_assert_eq!(driver.in_flight(), 0, "every pipeline's fate is sealed");
-        let (pipelines, stages, classes) = driver.into_report();
-        Ok(PipelineReport {
-            cluster,
-            pipelines,
-            stages,
-            classes,
-        })
-    }
-
-    /// The all-single-stage, all-standard fast path of
-    /// [`serve_pipelines`](Cluster::serve_pipelines): lowers each pipeline
-    /// to its plain [`Request`] and runs the unchanged
-    /// [`serve`](Cluster::serve), then rebuilds the pipeline-level view
-    /// from the plain report. This is the path the equivalence proptests
-    /// pin bitwise against PR-8 serving.
-    fn serve_single_stage_pipelines(
-        &mut self,
-        pipelines: &[PipelineRequest],
-        slo_of: &BTreeMap<u64, SloClass>,
-    ) -> Result<PipelineReport, RuntimeError> {
-        let requests: Vec<Request> = pipelines
-            .iter()
-            .map(PipelineRequest::lower_to_request)
-            .collect();
-        let cluster = self.serve(requests)?;
-        // Completions by request id, in submission order per id — caller
-        // ids need not be unique, so each id keys a FIFO of completions.
-        let mut completions: BTreeMap<u64, std::collections::VecDeque<f64>> = BTreeMap::new();
-        for outcome in cluster.outcomes() {
-            completions
-                .entry(outcome.request_id)
-                .or_default()
-                .push_back(outcome.completion_us);
-        }
-        let mut rob = ReorderBuffer::new(pipelines.len());
-        for (index, pipeline) in pipelines.iter().enumerate() {
-            rob.push(pipeline.session, index);
-        }
-        let mut outcomes: Vec<PipelineOutcome> = pipelines
-            .iter()
-            .map(|pipeline| {
-                let slo = slo_of.get(&pipeline.session).copied().unwrap_or_default();
-                let finish = completions
-                    .get_mut(&pipeline.id)
-                    .and_then(std::collections::VecDeque::pop_front);
-                PipelineOutcome {
-                    id: pipeline.id,
-                    session: pipeline.session,
-                    slo,
-                    arrival_us: pipeline.arrival_us,
-                    finish_us: finish.unwrap_or(pipeline.arrival_us),
-                    commit_us: pipeline.arrival_us,
-                    stages: 1,
-                    completed_stages: usize::from(finish.is_some()),
-                    rejected: finish.is_none(),
-                    transfers: 0,
-                    transfer_us: 0.0,
-                    deadline_us: pipeline.deadline_us,
-                    missed_deadline: false,
-                }
-            })
-            .collect();
-        // Feeding finishes in submission order retires each pipeline as
-        // the head of its session's run: commit = max(finish, previous
-        // commit in the session).
-        for index in 0..outcomes.len() {
-            let (session, finish) = (outcomes[index].session, outcomes[index].finish_us);
-            for (retired, commit_us) in rob.finish(session, index, finish) {
-                outcomes[retired].commit_us = commit_us;
-            }
-        }
-        for outcome in &mut outcomes {
-            outcome.missed_deadline = !outcome.rejected
-                && outcome
-                    .deadline_us
-                    .is_some_and(|deadline| outcome.commit_us > deadline);
-        }
-        let mut samples: Vec<f64> = outcomes
-            .iter()
-            .filter(|outcome| !outcome.rejected)
-            .map(|outcome| outcome.finish_us - outcome.arrival_us)
-            .collect();
-        let stages = vec![metrics::StageMetrics::from_samples(0, &mut samples, 0, 0.0)];
-        let classes = class_metrics_from(&outcomes);
-        Ok(PipelineReport {
-            cluster,
-            pipelines: outcomes,
-            stages,
-            classes,
+        with_feeder(self.ingest_capacity, feed, |ingest| {
+            self.run_serve(ingest, None)
         })
     }
 
     /// The least-loaded device `eligible` accepts — O(devices) over the
     /// live per-device load summaries.
-    fn least_loaded(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    pub(crate) fn least_loaded(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
         least_loaded_eligible(self.devices.iter().map(Device::load_key), eligible)
     }
 
     /// The transfer model in force right now: the configured one, slowed by
     /// the fault tier's fleet-wide link multiplier when degradation is
     /// active.
-    fn active_transfer(&self) -> TransferModel {
+    pub(crate) fn active_transfer(&self) -> TransferModel {
         if self.fault.link_multiplier == 1.0 {
             self.transfer
         } else {
@@ -780,7 +629,12 @@ impl Cluster {
     /// exempt, because it has no peers and models no separate host image
     /// path (the `ReconfigModel` switch *is* the whole load there) — on the
     /// loop's plain tier, which asks nothing here, and its fleet tier alike.
-    fn peek_acquisition(&self, device: usize, key: KernelKey, bytes: usize) -> Acquisition {
+    pub(crate) fn peek_acquisition(
+        &self,
+        device: usize,
+        key: KernelKey,
+        bytes: usize,
+    ) -> Acquisition {
         if self.num_devices() == 1 || self.devices[device].cache.contains(&key) {
             return Acquisition::Resident;
         }
@@ -788,7 +642,7 @@ impl Cluster {
     }
 
     /// The devices whose stores currently hold `key`'s image.
-    fn holders(&self, key: KernelKey) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn holders(&self, key: KernelKey) -> impl Iterator<Item = usize> + '_ {
         self.devices
             .iter()
             .filter(move |device| device.cache.contains(&key))
@@ -806,12 +660,12 @@ impl Cluster {
     /// image resident and ride the same fetch for free — the image-store
     /// analogue of a simulation-memo hit. A 1-device cluster
     /// never commits anything (see `peek_acquisition`).
-    fn commit_acquisition(
+    fn commit_acquisition<P>(
         &mut self,
         device: usize,
         info: &InFlight,
         acquisition: Acquisition,
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) -> f64 {
         match acquisition {
             Acquisition::Resident => {
@@ -837,76 +691,6 @@ impl Cluster {
                 state.tallies[device].transfer_bytes += bytes as u64;
                 cost_us
             }
-        }
-    }
-
-    /// The replication step, run at every arrival before routing: feeds the
-    /// per-kernel rate EWMA (the routing tier sees every submission) and,
-    /// when the kernel is hot, pushes its image onto the
-    /// [`ReplicationConfig::fanout`] least-loaded devices that do not hold
-    /// it — through the same [`KernelCache::get_or_share`] adoption path a
-    /// demand fetch uses — so the routing decision that follows (and every
-    /// later one) sees a warm replica instead of charging a transfer. A
-    /// pressured target store first demotes one of replication's own cold
-    /// replicas instead of letting LRU evict blindly. The modeled prefetch
-    /// cost (the cheapest [`TransferModel`] source) is accounted as
-    /// off-critical-path traffic in [`ReplicationStats`].
-    fn replicate(&mut self, info: &InFlight, now_us: f64, state: &mut ClusterState) {
-        let ClusterState {
-            replicator, probe, ..
-        } = state;
-        if !replicator.enabled() {
-            return;
-        }
-        let key = info.view.key;
-        if !replicator.observe(key, now_us) {
-            return;
-        }
-        let fanout = replicator.config().fanout;
-        let mut by_load: Vec<(usize, usize, usize)> = self
-            .devices
-            .iter()
-            .filter(|device| self.fault.available(device.id))
-            .map(Device::load_key)
-            .collect();
-        by_load.sort_unstable();
-        for (_, _, device) in by_load.into_iter().take(fanout) {
-            if self.devices[device].cache.contains(&key) {
-                continue;
-            }
-            // A push onto a full store must free a slot by demoting one of
-            // replication's own cooled replicas; if no tracked replica is
-            // demotable, the push is skipped — a prefetch must never let LRU
-            // blindly evict the device's home image or hot working set.
-            let mut has_room =
-                self.devices[device].cache.len() < self.devices[device].cache.capacity();
-            while !has_room {
-                let Some(victim) = replicator.demotion_candidate(device, now_us) else {
-                    break;
-                };
-                if self.devices[device].cache.remove(&victim) {
-                    replicator.note_demoted(device, victim);
-                    probe.replica_demoted(now_us, device);
-                    has_room = true;
-                } else {
-                    // Demand LRU already evicted this replica; just stop
-                    // tracking it and try the next candidate.
-                    replicator.forget(device, victim);
-                }
-            }
-            if !has_room {
-                continue;
-            }
-            let cost_us = cheapest_acquisition(
-                &self.active_transfer(),
-                self.holders(key),
-                device,
-                info.image_bytes,
-            )
-            .cost_us();
-            self.devices[device].cache.get_or_share(key, &info.kernel);
-            replicator.note_pushed(device, key, info.image_bytes, cost_us);
-            probe.replica_pushed(now_us, device, info.image_bytes as u64);
         }
     }
 
@@ -1019,159 +803,50 @@ impl Cluster {
         }
     }
 
-    /// Sheds a request no device can serve (the whole fleet is dead or
-    /// draining). Counted in the cluster-total rejects but not against any
-    /// device's [`DeviceMetrics::rejects`] — there is no device to blame —
-    /// so per-device rejects need not sum to the cluster total on a faulty
-    /// serve.
-    fn reject_unroutable(
-        &self,
-        index: usize,
-        info: &InFlight,
-        now_us: f64,
-        state: &mut ClusterState,
-    ) {
-        state.probe.shed(index, now_us);
-        state.rejected.push(RejectedRequest {
-            id: info.request.id,
-            kernel: info.request.kernel.shared_name(),
-            arrival_us: info.request.arrival_us,
-            deadline_us: info.request.deadline_us,
-        });
-    }
-
-    /// The session tier's reaction to a rejected stage: fail its pipeline
-    /// (sealing the pipeline's fate through the reorder buffer) and shed
-    /// the still-parked sibling stages the failure cascades to — each gets
-    /// its own reject record so the served-or-rejected intake invariant
-    /// holds stage by stage. A no-op on every non-pipeline serve.
-    fn cascade_stage_reject(
+    /// Records rejected request `index`, and sheds with it what the policy
+    /// sheds (a failed pipeline's parked stages), each with a record of its
+    /// own so the served-or-rejected intake invariant holds request by
+    /// request. A shed request, like one no device can serve (the whole fleet
+    /// is dead or draining), counts in the cluster-total rejects but against
+    /// no device's [`DeviceMetrics::rejects`] — there is no device to blame —
+    /// so per-device rejects need not sum to the cluster total.
+    fn reject<P: Policy>(
         &self,
         index: usize,
         now_us: f64,
         intake: &[InFlight],
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) {
-        let shed = match &mut state.session {
-            Some(driver) => driver.note_rejected(index, now_us),
-            None => return,
-        };
-        for sibling in shed {
-            self.reject_unroutable(sibling, &intake[sibling], now_us, state);
-        }
-    }
-
-    /// The stage-affinity override and activation pricing step, run after
-    /// routing on a pipeline serve (identity on every other serve): when
-    /// the load-driven choice differs from the producer device
-    /// of the stage's heaviest input, the producer wins if the activation
-    /// savings of staying put outweigh the estimated extra queueing there.
-    /// Either way the final device's activation bill is priced into
-    /// the request's [`Routed`] row, charged ahead of the context switch at
-    /// start.
-    fn apply_stage_affinity(
-        &self,
-        index: usize,
-        routed: usize,
-        acquisition: Acquisition,
-        info: &InFlight,
-        state: &mut ClusterState,
-    ) -> (usize, Acquisition) {
-        let ClusterState {
-            session,
-            routed: rows,
-            ..
-        } = state;
-        let Some(driver) = session else {
-            return (routed, acquisition);
-        };
-        let transfer = self.active_transfer();
-        let alive = |device: usize| self.fault.alive(device);
-        let mut device = routed;
-        let mut acquisition = acquisition;
-        if let Some(target) = driver.affinity_target(index) {
-            let eligible = target != routed
-                && target < self.num_devices()
-                && !rows[index].exclusions.contains(target)
-                && self.fault.available(target);
-            if eligible {
-                let (cost_routed, _) = driver.activation_plan(index, routed, &transfer, alive);
-                let (cost_target, _) = driver.activation_plan(index, target, &transfer, alive);
-                let savings = cost_routed - cost_target;
-                // The queueing penalty of following the data: the
-                // difference in waiting depth, scaled by this stage's
-                // estimated service time.
-                let penalty = (self.devices[target].pool.total_waiting() as f64
-                    - self.devices[routed].pool.total_waiting() as f64)
-                    * info.view.est_exec_us;
-                if savings > 0.0 && savings >= penalty {
-                    device = target;
-                    acquisition = self.peek_acquisition(target, info.view.key, info.image_bytes);
-                }
+        let record = |index: usize| {
+            let request = &intake[index].request;
+            RejectedRequest {
+                id: request.id,
+                kernel: request.kernel.shared_name(),
+                arrival_us: request.arrival_us,
+                deadline_us: request.deadline_us,
             }
-        }
-        rows[index].activation_us = driver.activation_plan(index, device, &transfer, alive).0;
-        (device, acquisition)
-    }
-
-    /// Commits the activation bill priced by
-    /// [`apply_stage_affinity`](Cluster::apply_stage_affinity) once the
-    /// stage is admitted: the driver accumulates the paid transfers and a
-    /// stage-transfer span is recorded per moved input. A no-op on every
-    /// non-pipeline serve.
-    fn commit_stage_activation(
-        &self,
-        index: usize,
-        device: usize,
-        now_us: f64,
-        state: &mut ClusterState,
-    ) {
-        let ClusterState { session, probe, .. } = state;
-        let Some(driver) = session else { return };
-        let transfer = self.active_transfer();
-        let alive = |device: usize| self.fault.alive(device);
-        let (cost_us, moved) = driver.activation_plan(index, device, &transfer, alive);
-        driver.commit_activation(index, cost_us, moved.len());
-        for (from, bytes) in moved {
-            probe.stage_transfer(index, now_us, device, from, bytes);
-        }
-    }
-
-    /// The stage-completion edge of the session tier: records the
-    /// committing stage's producer device, and re-arrives (at the same
-    /// instant) every parked successor whose inputs are now all ready —
-    /// each with a stage-ready span. Seals the pipeline through the
-    /// reorder buffer when this was its last stage. A no-op on every
-    /// non-pipeline serve.
-    fn note_stage_complete(
-        &self,
-        index: usize,
-        device: usize,
-        now_us: f64,
-        state: &mut ClusterState,
-    ) {
-        let ClusterState {
-            session,
-            events,
-            probe,
-            ..
-        } = state;
-        let Some(driver) = session else { return };
-        for succ in driver.note_complete(index, device, now_us) {
-            probe.stage_ready(succ, now_us, device, driver.dep_count(succ));
-            events.push(now_us, EventKind::Arrival { index: succ });
+        };
+        state.rejected.push(record(index));
+        for shed in state.policy.rejected(index, now_us) {
+            state.probe.shed(shed, now_us);
+            state.rejected.push(record(shed));
         }
     }
 
     /// Applies scheduled fault `fault_index` at `now_us`: flips the fleet
     /// flags, records the fault span, and performs the structural reaction
     /// (evacuation, requeues, replica re-homing).
-    fn apply_fault(&mut self, fault_index: usize, now_us: f64, state: &mut ClusterState) {
+    fn apply_fault<P: Policy>(
+        &mut self,
+        fault_index: usize,
+        now_us: f64,
+        state: &mut ClusterState<P>,
+    ) {
         let kind = self.fault.apply(fault_index, now_us);
         state.probe.fault(now_us, kind);
         match kind {
-            FaultKind::Kill { device } => self.kill_device(device, now_us, state),
-            FaultKind::Drain { device } => self.drain_cluster_device(device, now_us, state),
+            FaultKind::Kill { device } => self.evacuate(device, true, now_us, state),
+            FaultKind::Drain { device } => self.evacuate(device, false, now_us, state),
             // Routing and pricing read the fleet flags live.
             FaultKind::Revive { .. }
             | FaultKind::Undrain { .. }
@@ -1179,16 +854,23 @@ impl Cluster {
         }
     }
 
-    /// The abrupt-death reaction: the device's running request is abandoned
-    /// (progress counted as lost work, start withdrawn — its simulation
-    /// stays sourced for the retry), every queued request is displaced, tile
-    /// timelines rewind, the kernel store is wiped, and the replication
-    /// layer's pushed replicas re-home to survivors.
-    fn kill_device(&mut self, device: usize, now_us: f64, state: &mut ClusterState) {
+    /// The structural reaction to a kill (`kill`) or a drain of `device`.
+    /// Both displace every queued request. A kill also abandons the running
+    /// ones (progress counted as lost work, start withdrawn — the simulation
+    /// stays sourced for the retry), rewinds the tile timelines, wipes the
+    /// kernel store and lets the policy re-home what it placed there. A
+    /// drain lets running work finish and keeps the store warm for the
+    /// undrain.
+    fn evacuate<P: Policy>(
+        &mut self,
+        device: usize,
+        kill: bool,
+        now_us: f64,
+        state: &mut ClusterState<P>,
+    ) {
         let base = device * self.tiles_per_device;
-        for local in 0..self.tiles_per_device {
-            let tile = base + local;
-            if let Some(index) = state.running_index[tile].take() {
+        for tile in base..base + self.tiles_per_device {
+            if let Some(index) = state.running_index[tile].take_if(|_| kill) {
                 // `start_request` fills the slot as it sets `running_index`.
                 let start = state.starts[index]
                     .take()
@@ -1197,41 +879,23 @@ impl Cluster {
                 self.displace(index, device, now_us, true, state);
             }
             for index in state.queues[tile].drain_live(state.taken) {
-                if let Some(driver) = &mut state.session {
-                    // The displaced stage leaves the queue; its session's
-                    // fair-admission share frees up until the requeue
-                    // re-enqueues it somewhere alive.
-                    driver.note_dequeued(index);
-                }
+                state.policy.queued(index, false);
                 self.displace(index, device, now_us, false, state);
             }
-            state.pending_free[tile] = None;
-            state.batcher.reset_tile(tile);
-        }
-        self.devices[device].pool.evacuate(now_us);
-        self.devices[device].busy_tiles = 0;
-        self.devices[device].cache.wipe();
-        self.rehome_replicas(device, now_us, state);
-    }
-
-    /// The graceful-drain reaction: the device's queued-but-not-started
-    /// requests are displaced, but resident running work finishes normally
-    /// and the kernel store stays warm for the undrain.
-    fn drain_cluster_device(&mut self, device: usize, now_us: f64, state: &mut ClusterState) {
-        let base = device * self.tiles_per_device;
-        for local in 0..self.tiles_per_device {
-            let tile = base + local;
-            for index in state.queues[tile].drain_live(state.taken) {
-                if let Some(driver) = &mut state.session {
-                    // The displaced stage leaves the queue; its session's
-                    // fair-admission share frees up until the requeue
-                    // re-enqueues it somewhere alive.
-                    driver.note_dequeued(index);
-                }
-                self.displace(index, device, now_us, false, state);
+            if kill {
+                state.pending_free[tile] = None;
+                state.runs[tile] = 0;
             }
         }
-        self.devices[device].pool.evacuate_queues();
+        let evacuated = &mut self.devices[device];
+        if !kill {
+            evacuated.pool.evacuate_queues();
+            return;
+        }
+        evacuated.pool.evacuate(now_us);
+        evacuated.busy_tiles = 0;
+        evacuated.cache.wipe();
+        state.policy.killed(self, device, now_us, &mut state.probe);
     }
 
     /// Displacement bookkeeping shared by kill and drain: the losing
@@ -1240,13 +904,13 @@ impl Cluster {
     /// same-instant fault, so a coordinated kill+revive script is seen in
     /// its final state). `ran` is whether the displaced attempt had
     /// started.
-    fn displace(
+    fn displace<P>(
         &mut self,
         index: usize,
         from_device: usize,
         now_us: f64,
         ran: bool,
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) {
         state.routed[index].exclusions.insert(from_device);
         self.fault.device_mut(from_device).requeues += 1;
@@ -1254,49 +918,28 @@ impl Cluster {
         state.probe.requeued(index, now_us, from_device, ran);
     }
 
-    /// Re-homes the replication layer's pushed replicas off a dead device:
-    /// each orphaned image still held by a surviving store is pushed onto
-    /// the least-loaded live device with a free slot that does not hold it
-    /// — the same adoption path and accounting as a rate-driven push.
-    fn rehome_replicas(&mut self, dead: usize, now_us: f64, state: &mut ClusterState) {
-        for key in state.replicator.drain_device(dead) {
-            let Some(artifact) = self
-                .devices
-                .iter()
-                .find(|d| d.id != dead && d.cache.contains(&key))
-                .and_then(|d| d.cache.peek(&key))
-            else {
-                continue; // no surviving holder to source the image from
-            };
-            let Some(target) = self.least_loaded(|id| {
-                self.fault.available(id)
-                    && !self.devices[id].cache.contains(&key)
-                    && self.devices[id].cache.len() < self.devices[id].cache.capacity()
-            }) else {
-                continue; // everyone holds it or no store has a free slot
-            };
-            let bytes = artifact.compiled().program.config_bytes();
-            let cost_us =
-                cheapest_acquisition(&self.active_transfer(), self.holders(key), target, bytes)
-                    .cost_us();
-            self.devices[target].cache.get_or_share(key, &artifact);
-            state.replicator.note_pushed(target, key, bytes, cost_us);
-            state.probe.replica_pushed(now_us, target, bytes as u64);
-        }
-    }
-
-    /// The shared serve body: resets per-serve state, picks the loop's tier,
-    /// lends the recycled tables to the event loop, folds its output into a
-    /// report and takes the tables back on every exit path — a serve that
-    /// fails costs the next one nothing.
-    fn run_serve(&mut self, ingest: Ingest) -> Result<ServeReport, RuntimeError> {
+    /// The shared serve body: resets per-serve state, picks the loop's tier
+    /// and policy, lends the recycled tables to the event loop, folds its
+    /// output into a report and takes the tables back on every exit path — a
+    /// serve that fails costs the next one nothing. `pipelines` is the policy
+    /// of a pipeline serve; every other serve runs the tiers the cluster is
+    /// configured with.
+    pub(crate) fn run_serve(
+        &mut self,
+        ingest: Ingest,
+        pipelines: Option<Tiers<'_>>,
+    ) -> Result<ServeReport, RuntimeError> {
         // One device with nothing to route around, no stage to park and no
         // image to push serves on the plain tier; everything else is a
         // fleet. An installed plan, even an empty one, makes a fleet.
         let fleet = self.num_devices() > 1
             || self.fault_plan.is_some()
-            || self.session_driver.is_some()
+            || pipelines.is_some()
             || self.replication.enabled();
+        let tiers = pipelines.or_else(|| {
+            let on = self.batching.enabled() || self.replication.enabled();
+            on.then(|| Tiers::new(self, None))
+        });
         // Every fleet serve validates and arms the fault schedule before the
         // loop starts — from no events when no plan is installed.
         if fleet {
@@ -1310,10 +953,11 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
         let mut tables = std::mem::take(&mut self.tables);
-        let output = if fleet {
-            self.event_loop::<true>(ingest, &mut tables)
-        } else {
-            self.event_loop::<false>(ingest, &mut tables)
+        let output = match (fleet, tiers) {
+            (false, None) => self.event_loop::<false, _>(ingest, &mut tables, NoTiers),
+            (true, None) => self.event_loop::<true, _>(ingest, &mut tables, NoTiers),
+            (false, Some(tiers)) => self.event_loop::<false, _>(ingest, &mut tables, tiers),
+            (true, Some(tiers)) => self.event_loop::<true, _>(ingest, &mut tables, tiers),
         };
         let report = output.map(|mut output| {
             let sim_memo = self.sim_memo.stats().since(memo_before);
@@ -1366,25 +1010,26 @@ impl Cluster {
     /// acquisition charge.
     ///
     /// `FLEET` is the serve's tier ([`run_serve`](Cluster::run_serve) picks
-    /// it): off, every session, fault and replication guard below is a
-    /// constant, device and tile arithmetic folds to device 0, no routing
-    /// decision is taken and the [`Routed`] rows are neither grown nor
-    /// read.
+    /// it): off, every fault guard below is a constant, device and tile
+    /// arithmetic folds to device 0, no routing decision is taken and the
+    /// [`Routed`] rows are neither grown nor read. `policy` is what the
+    /// optional tiers do at each phase, picked alongside.
     ///
     /// The horizon rule makes laziness sound: submissions arrive in
     /// non-decreasing arrival order, so once a request with arrival `h` has
     /// been received (or the channel has closed, `h = ∞`), every pending
     /// event at time ≤ `h` can fire without being preempted by a
     /// still-unseen arrival.
-    fn event_loop<const FLEET: bool>(
+    fn event_loop<const FLEET: bool, P: Policy>(
         &mut self,
         mut ingest: Ingest,
         tables: &mut LoopTables,
+        policy: P,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
         let prep = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
-        let policy = self.policy();
+        let dispatch = self.policy();
         let expected = ingest.expected();
         tables.intake.reserve(expected);
         tables.taken.reserve(expected);
@@ -1394,19 +1039,16 @@ impl Cluster {
         if FLEET {
             tables.routed.reserve(expected);
         }
-        let session = self.session_driver.take();
         let probe = obs::Probe::new(&self.observing, expected, devices, total_tiles, || {
-            session
-                .as_ref()
-                .map_or_else(Vec::new, SessionDriver::classes)
+            policy.classes()
         });
-        // Kills must know what to abandon, and the session tier which stage
-        // a tile-free event commits; the plain tier has neither.
+        // Kills must know what to abandon, and the policy which request a
+        // tile-free event completes; the plain tier has neither.
         let run_slots = if FLEET { total_tiles } else { 0 };
         let intake = &mut tables.intake;
         let mut state = ClusterState {
             queues: (0..total_tiles)
-                .map(|_| TileQueue::new(policy, self.batching.enabled()))
+                .map(|_| TileQueue::new(dispatch, self.batching.enabled()))
                 .collect(),
             taken: &mut tables.taken,
             events: EventQueue::new(),
@@ -1414,8 +1056,8 @@ impl Cluster {
             rejected: Vec::new(),
             prep,
             sim: SimResults::new(&mut tables.ready),
-            batcher: Batcher::new(self.batching, total_tiles),
-            replicator: Replicator::new(self.replication, devices),
+            policy,
+            runs: vec![0; total_tiles],
             peak_queue_depth: 0,
             queue_area_us: 0.0,
             last_event_us: 0.0,
@@ -1425,7 +1067,6 @@ impl Cluster {
             depths: &mut tables.depths,
             running_index: vec![None; run_slots],
             pending_free: vec![None; run_slots],
-            session,
         };
         // Arm the fault schedule: pre-pushed at virtual time zero, the
         // fault events hold the lowest sequence numbers and therefore fire
@@ -1535,29 +1176,20 @@ impl Cluster {
             match event.kind {
                 EventKind::Arrival { index } => {
                     let info = &intake[index];
-                    // The session tier's gate: a pipeline stage whose
-                    // inputs have not all committed parks here (its last
-                    // dependency's completion re-arrives it), and a stage
-                    // of an already-failed pipeline is shed. Absent a
-                    // session driver every arrival proceeds untouched.
-                    if let (true, Some(driver)) = (FLEET, &mut state.session) {
-                        match driver.on_arrival(index) {
-                            ArrivalAction::Proceed => {}
-                            ArrivalAction::Park => continue,
-                            ArrivalAction::Reject => {
-                                self.reject_unroutable(index, info, now_us, &mut state);
-                                self.cascade_stage_reject(index, now_us, intake, &mut state);
-                                continue;
-                            }
+                    match state.policy.gate(index) {
+                        Gate::Proceed => {}
+                        Gate::Park => continue,
+                        Gate::Reject => {
+                            state.probe.shed(index, now_us);
+                            self.reject(index, now_us, intake, &mut state);
+                            continue;
                         }
                     }
-                    // Feed the control plane's rate estimate and push hot
-                    // kernel images ahead of demand, then route to a device
-                    // (resolving how it gets the kernel image). One plain
-                    // device holds every image it compiles: nothing to decide.
-                    if FLEET {
-                        self.replicate(info, now_us, &mut state);
-                    }
+                    // The policy's push ahead of demand, then the route to a
+                    // device (resolving how it gets the kernel image). One
+                    // plain device holds every image it compiles: nothing to
+                    // decide.
+                    state.policy.push(self, info, now_us, &mut state.probe);
                     let route = state.probe.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
@@ -1570,7 +1202,7 @@ impl Cluster {
                     } else {
                         Some((0, Acquisition::Resident))
                     };
-                    self.place_routed::<FLEET>(index, routed, route, true, intake, &mut state)?;
+                    self.place_routed::<FLEET, _>(index, routed, route, true, intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
                     let (device, local_tile) = if FLEET {
@@ -1584,25 +1216,23 @@ impl Cluster {
                         // abandoned work, and releasing on it would free a
                         // tile that is not running (or double-free one that
                         // restarted). Only the completion the tile is
-                        // actually waiting on releases it. (The session
-                        // tier rides the same bookkeeping to learn which
-                        // stage just committed — without faults every
-                        // completion matches.)
+                        // actually waiting on releases it. (The policy rides
+                        // the same bookkeeping to learn which request just
+                        // completed — without faults every completion
+                        // matches.)
                         if state.pending_free[tile].map(f64::to_bits) != Some(now_us.to_bits()) {
                             continue;
                         }
                         state.pending_free[tile] = None;
                         if let Some(index) = state.running_index[tile].take() {
-                            // The stage-completion edge: record the
-                            // producer and re-arrive any successors whose
-                            // inputs are now all ready.
-                            self.note_stage_complete(index, device, now_us, &mut state);
+                            let (events, probe) = (&mut state.events, &mut state.probe);
+                            state.policy.completed(index, device, now_us, events, probe);
                         }
                     }
                     self.devices[device].busy_tiles -= 1;
                     self.devices[device].pool.release(local_tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next::<FLEET>(device, local_tile, intake, &mut state);
+                        self.start_next::<FLEET, _>(device, local_tile, intake, &mut state);
                     }
                 }
                 EventKind::Fault { fault } if FLEET => {
@@ -1621,7 +1251,7 @@ impl Cluster {
                         &state.routed[index].exclusions,
                         &mut state.probe,
                     );
-                    self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
+                    self.place_routed::<FLEET, _>(index, routed, route, false, intake, &mut state)?;
                 }
                 EventKind::Fault { .. } | EventKind::Requeue { .. } => {
                     // Faults are armed only `if FLEET`; requeues come only from faults.
@@ -1646,17 +1276,15 @@ impl Cluster {
         );
         let served = intake.len().saturating_sub(state.rejected.len());
         let outcomes = state.sim.into_outcomes(intake, state.starts, served);
-        // Hand the session driver back to `serve_pipelines` for the
-        // pipeline-level report.
-        self.session_driver = state.session.take();
+        let (batch, replication) = state.policy.finish();
         Ok(ClusterLoopOutput {
             outcomes,
             rejected: state.rejected,
             peak_queue_depth: state.peak_queue_depth,
             queue_area_us: state.queue_area_us,
             events_fired,
-            batch: state.batcher.stats(),
-            replication: state.replicator.stats(),
+            batch,
+            replication,
             tallies: state.tallies,
             queue_depth_hist,
             observed,
@@ -1664,7 +1292,7 @@ impl Cluster {
     }
 
     /// What happens to a request once routing has answered — the tail a
-    /// fresh arrival and a displaced requeue share: 1. stage affinity may
+    /// fresh arrival and a displaced requeue share: 1. the policy may
     /// override the device; 2. the device's dispatcher places the request
     /// on a tile with the acquisition-adjusted switch cost; 3. the
     /// acquisition and activation are committed; 4. the request starts, or
@@ -1675,39 +1303,35 @@ impl Cluster {
     /// and 3 are the fleet tier's: one plain device has no other device to
     /// prefer and acquires nothing.
     #[inline(always)]
-    fn place_routed<const FLEET: bool>(
+    fn place_routed<const FLEET: bool, P: Policy>(
         &mut self,
         index: usize,
         routed: Option<(usize, Acquisition)>,
         route: Option<Instant>,
         fresh: bool,
         intake: &[InFlight],
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let info = &intake[index];
-        let Some((mut device, mut acquisition)) = routed else {
+        let Some(mut routed) = routed else {
             // Every device is dead or draining: nothing can take the
             // request. Shed it like an admission reject (it is one — the
             // cluster has no capacity).
             state.probe.end(obs::Stage::Route, route);
-            self.reject_unroutable(index, info, now_us, state);
-            self.cascade_stage_reject(index, now_us, intake, state);
+            state.probe.shed(index, now_us);
+            self.reject(index, now_us, intake, state);
             return Ok(());
         };
         let mut view = info.view;
         if FLEET {
-            // Stage affinity may override the load-driven choice with the
-            // producer of the heaviest input, and the inter-stage activation
-            // bill for the final device is priced here (both no-ops without
-            // a session driver). A displaced stage re-prices against its
-            // producers' current liveness: inputs whose producer died
-            // restore from the host checkpoint instead of the link.
-            (device, acquisition) =
-                self.apply_stage_affinity(index, device, acquisition, info, state);
-            view.switch_us =
-                view.switch_us + acquisition.cost_us() + state.routed[index].activation_us;
+            // The policy may override the load-driven choice, and prices
+            // into the routing row what the final device adds to the switch.
+            let row = &mut state.routed[index];
+            routed = state.policy.reroute(self, index, routed, info, row);
+            view.switch_us = view.switch_us + routed.1.cost_us() + row.activation_us;
         }
+        let (device, acquisition) = routed;
         let routed_device = &mut self.devices[device];
         let local_tile = routed_device
             .dispatcher
@@ -1715,7 +1339,7 @@ impl Cluster {
         state.probe.end(obs::Stage::Route, route);
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
-        if fresh && !self.admit::<FLEET>(index, device, starts_now, intake, state) {
+        if fresh && !self.admit::<FLEET, _>(index, device, starts_now, intake, state) {
             return Ok(());
         }
         if FLEET {
@@ -1724,7 +1348,9 @@ impl Cluster {
             row.acquire_us = acquire_us;
             row.acquire_src = acquisition.source();
             row.acquire_bytes = acquisition.bytes();
-            self.commit_stage_activation(index, device, now_us, state);
+            state
+                .policy
+                .committed(self, index, device, now_us, &mut state.probe);
         }
         if fresh {
             let (memo, probe) = (&mut self.sim_memo, &mut state.probe);
@@ -1735,7 +1361,7 @@ impl Cluster {
             state.taken[index] = false;
         }
         if starts_now {
-            self.start_request::<FLEET>(device, local_tile, index, intake, state, None);
+            self.start_request::<FLEET, _>(device, local_tile, index, intake, state, None);
             return Ok(());
         }
         let scan = state.probe.begin();
@@ -1743,9 +1369,7 @@ impl Cluster {
             .pool
             .enqueue(local_tile, info.view.key, info.view.est_exec_us);
         state.queues[tile].push(index, &info.view);
-        if let (true, Some(driver)) = (FLEET, &mut state.session) {
-            driver.note_enqueued(index);
-        }
+        state.policy.queued(index, true);
         state.probe.end(obs::Stage::Scan, scan);
         state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count::<FLEET>());
         let tally = &mut state.tallies[device];
@@ -1757,62 +1381,58 @@ impl Cluster {
 
     /// Admission control for a fresh arrival placed on `device`: a request
     /// that starts at once is always admitted; one that would queue is
-    /// admitted while the cluster-wide waiting count is under the limit —
-    /// tightened, on a pipeline serve, to the session's weighted-fair share
-    /// of it. Records the decision, and on a refusal the reject itself
-    /// (with the session tier's cascade). Returns whether it was admitted.
+    /// admitted while the cluster-wide waiting count is under the limit and
+    /// the policy finds it within its share of it. Records the decision, and
+    /// on a refusal the reject itself (with the policy's cascade). Returns
+    /// whether it was admitted.
     #[inline(always)]
-    fn admit<const FLEET: bool>(
+    fn admit<const FLEET: bool, P: Policy>(
         &self,
         index: usize,
         device: usize,
         starts_now: bool,
         intake: &[InFlight],
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) -> bool {
         let now_us = state.events.now_us();
-        let info = &intake[index];
-        let session = state.session.as_ref().filter(|_| FLEET);
-        // `fair` is always true on a plain serve, leaving the predicate
-        // untouched.
-        let fair = session.is_none_or(|driver| driver.fair_admit(index, self.admission_limit));
-        let admitted = starts_now || (self.waiting_count::<FLEET>() < self.admission_limit && fair);
+        let limit = self.admission_limit;
+        let admitted = starts_now
+            || (self.waiting_count::<FLEET>() < limit && state.policy.fair(index, limit));
         state.probe.admitted(index, device, now_us, admitted);
         if admitted {
             return true;
         }
-        state.rejected.push(RejectedRequest {
-            id: info.request.id,
-            kernel: info.request.kernel.shared_name(),
-            arrival_us: info.request.arrival_us,
-            deadline_us: info.request.deadline_us,
-        });
         state.tallies[device].rejects += 1;
-        if FLEET {
-            self.cascade_stage_reject(index, now_us, intake, state);
-        }
+        self.reject(index, now_us, intake, state);
         false
     }
 
     /// Pulls the next queued request off a freed tile's queue and starts
     /// it: the per-tile ordered queue pops the policy's choice in
-    /// O(log depth). The [`Batcher`] sits over the policy's choice: it may
-    /// run the oldest same-kernel waiter instead, amortizing the context
-    /// switch the choice would have paid.
+    /// O(log depth). The control policy's pick sits over the dispatch
+    /// policy's choice: it may run another waiter instead (batching runs
+    /// the oldest same-kernel one, amortizing the switch the choice would
+    /// have paid).
     #[inline(always)]
-    fn start_next<const FLEET: bool>(
+    fn start_next<const FLEET: bool, P: Policy>(
         &mut self,
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
     ) {
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let now_us = state.events.now_us();
         let scan = state.probe.begin();
         let queue = &mut state.queues[tile];
-        let resident = self.devices[device].pool.states()[local_tile].resident;
-        let choice = queue.peek_next(resident, state.taken);
+        let tile_state = &self.devices[device].pool.states()[local_tile];
+        let freed = FreedTile {
+            tile,
+            run_len: state.runs[tile],
+            run: tile_state.switches,
+            resident: tile_state.resident,
+        };
+        let choice = queue.peek_next(freed.resident, state.taken);
         // The deadline-feasibility guard must see what the choice will
         // actually be charged: its switch *plus* the image-acquisition and
         // activation-transfer delays committed at its arrival.
@@ -1821,10 +1441,9 @@ impl Cluster {
             let row = &state.routed[choice];
             choice_view.switch_us = choice_view.switch_us + row.acquire_us + row.activation_us;
         }
-        let diverted = state.batcher.divert(
-            tile,
+        let picked = state.policy.pick(
+            freed,
             now_us,
-            resident,
             &choice_view,
             intake[choice].request.arrival_us,
             |key| {
@@ -1833,17 +1452,9 @@ impl Cluster {
                     .map(|i| (i, intake[i].view.est_exec_us))
             },
         );
-        let index = diverted.unwrap_or(choice);
+        let index = picked.unwrap_or(choice);
         queue.take(index, state.taken);
-        if let (true, Some(driver)) = (FLEET, &mut state.session) {
-            if index != choice {
-                // The batching layer pulled a same-kernel sibling ahead of
-                // the policy's choice during a pipeline serve — the
-                // cross-pipeline stage-batching the session report surfaces.
-                state.batcher.note_stage_batched();
-            }
-            driver.note_dequeued(index);
-        }
+        state.policy.queued(index, false);
         // Deadline-aware removal may have taken the queue tail; tell the
         // pool what the queue ends in now so residency projection stays
         // honest for later placements. The dequeue and the charge are one
@@ -1851,7 +1462,7 @@ impl Cluster {
         let remaining_tail = queue.tail_key(state.taken);
         let est_us = intake[index].view.est_exec_us;
         state.probe.end(obs::Stage::Scan, scan);
-        self.start_request::<FLEET>(
+        self.start_request::<FLEET, _>(
             device,
             local_tile,
             index,
@@ -1866,13 +1477,13 @@ impl Cluster {
     /// timeline with acquisition + switch + execution, records where and
     /// when it started and schedules the tile-free event at the completion.
     #[inline(always)]
-    fn start_request<const FLEET: bool>(
+    fn start_request<const FLEET: bool, P>(
         &mut self,
         device: usize,
         local_tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut ClusterState,
+        state: &mut ClusterState<P>,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) {
         let now_us = state.events.now_us();
@@ -1906,7 +1517,10 @@ impl Cluster {
                 .pool
                 .charge(local_tile, info.view.key, now_us, switch_us, exec_us),
         };
-        let run_len = state.batcher.note_start(tile, charged.switched);
+        // A switch opens a new same-kernel run; a warm start extends it.
+        let run_len = &mut state.runs[tile];
+        *run_len = if charged.switched { 1 } else { *run_len + 1 };
+        let run_len = *run_len;
         let request = &info.request;
         let latency_us = charged.completion_us - request.arrival_us;
         state.tallies[device].latency_hist.record(latency_us);
@@ -1931,8 +1545,8 @@ impl Cluster {
         if FLEET {
             // Kills must know what to abandon, and stale completions of
             // abandoned work must be told apart from this run's. The
-            // session tier reads the same bookkeeping to learn which stage
-            // a tile-free event just committed.
+            // policy reads the same bookkeeping to learn which request a
+            // tile-free event just completed.
             state.running_index[tile] = Some(index);
             state.pending_free[tile] = Some(charged.completion_us);
         }
@@ -2116,7 +1730,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::PipelineStage;
+    use crate::session::{PipelineRequest, PipelineStage, Session, SloClass};
     use crate::{KernelSpec, Request};
     use overlay_frontend::Benchmark;
     use overlay_sim::Workload;
@@ -2782,6 +2396,58 @@ mod tests {
                 .unwrap()
                 .with_route_policy(RoutePolicy::LeastLoaded)
         });
+    }
+
+    #[test]
+    fn a_failed_pipeline_serve_leaves_nothing_behind() {
+        // Three stages of `x * 3 + tag`; a broken pipeline's middle stage
+        // does not parse.
+        let chain = |id: u64, arrival_us: f64, broken: bool| {
+            PipelineRequest::chain(
+                id,
+                id,
+                (0..3u64).map(|tag| {
+                    let source = if broken && tag == 1 {
+                        "kernel k1(x) { out y = ; }".to_string()
+                    } else {
+                        format!("kernel k{tag}(x) {{ out y = x * 3 + {tag}; }}")
+                    };
+                    let kernel = KernelSpec::from_source(format!("k{tag}"), source);
+                    (kernel, Workload::ramp(1, 4))
+                }),
+            )
+            .at(arrival_us)
+        };
+        let sessions = [Session::new(0).with_slo(SloClass::Latency)];
+        let build = |plan| {
+            Cluster::new(FuVariant::V4, 2, 2)
+                .unwrap()
+                .with_fault_plan(plan)
+        };
+        let trace = repeating_trace(300);
+        let failures = [
+            // The broken pipeline arrives once the first one's stages are
+            // running, so the serve fails at its intake, mid-serve.
+            (
+                vec![chain(0, 0.0, false), chain(1, 50.0, true)],
+                FaultPlan::new(),
+            ),
+            // A plan naming a device the cluster lacks fails the serve
+            // before its loop starts.
+            (vec![chain(0, 0.0, false)], FaultPlan::new().kill(1.0, 9)),
+        ];
+        for (pipelines, plan) in failures {
+            let mut cluster = build(plan);
+            assert!(matches!(
+                cluster.serve_pipelines(pipelines, &sessions),
+                Err(RuntimeError::Frontend(_) | RuntimeError::InvalidFaultPlan { .. })
+            ));
+            let mut cluster = cluster.with_fault_plan(FaultPlan::new());
+            assert_eq!(
+                decided(&cluster.serve(trace.clone()).unwrap()),
+                decided(&build(FaultPlan::new()).serve(trace.clone()).unwrap())
+            );
+        }
     }
 
     #[test]

@@ -120,10 +120,6 @@ impl Replicator {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.config.enabled()
-    }
-
     pub(crate) fn config(&self) -> &ReplicationConfig {
         &self.config
     }
@@ -217,7 +213,7 @@ mod tests {
     #[test]
     fn disabled_config_never_reports_hot() {
         let mut replicator = Replicator::new(ReplicationConfig::disabled(), 2);
-        assert!(!replicator.enabled());
+        assert!(!replicator.config().enabled());
         for _ in 0..100 {
             assert!(!replicator.observe(key(1), 0.0));
         }

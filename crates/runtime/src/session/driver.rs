@@ -2,8 +2,9 @@
 //! through the cluster event loop.
 //!
 //! The event loop stays a flat request machine — every stage of every
-//! pipeline is one intake entry — and this driver supplies the session-tier
-//! edges around it:
+//! pipeline is one intake entry — and names no session. The serve's control
+//! policy (`control::Tiers`) drives this driver from its hooks, and the
+//! driver decides what the session tier does at each:
 //!
 //! * **parking** — a stage whose inputs have not all committed holds off the
 //!   routing/admission path; the completion of its last dependency releases
@@ -30,6 +31,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::control::Gate;
 use crate::metrics::{ClassMetrics, StageMetrics};
 use crate::request::Request;
 use crate::route::TransferModel;
@@ -37,18 +39,6 @@ use crate::session::dag::PipelineRequest;
 use crate::session::sched::{fair_share, ReorderBuffer};
 use crate::session::slo::SloClass;
 use crate::session::PipelineOutcome;
-
-/// What the arrival handler should do with a stage whose event just fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ArrivalAction {
-    /// Inputs ready (or a root stage): route, admit and place as usual.
-    Proceed,
-    /// A dependency has not committed yet: hold the stage off the routing
-    /// and admission path until its last dependency releases it.
-    Park,
-    /// The owning pipeline already failed: shed the stage.
-    Reject,
-}
 
 /// Per-stage driver state, indexed by intake index.
 #[derive(Debug)]
@@ -106,9 +96,9 @@ struct PipeState {
 
 /// The session tier's event-loop companion (see the module docs). Built by
 /// [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines) for the
-/// multi-stage / non-default-class path and threaded through the loop's
-/// `ClusterState`; absent (`None`) on every other serve, which keeps the
-/// plain paths bitwise identical.
+/// multi-stage / non-default-class path and lent to that serve's control
+/// policy; every other serve has none, which keeps the plain paths bitwise
+/// identical.
 #[derive(Debug)]
 pub(crate) struct SessionDriver {
     stages: Vec<StageState>,
@@ -230,37 +220,26 @@ impl SessionDriver {
     }
 
     /// The session-tier gate at a stage's arrival event (see
-    /// [`ArrivalAction`]). A parked stage is released by
+    /// [`Gate`]). A parked stage is released by
     /// [`note_complete`](Self::note_complete) when its last dependency
     /// commits.
-    pub(crate) fn on_arrival(&mut self, index: usize) -> ArrivalAction {
+    pub(crate) fn on_arrival(&mut self, index: usize) -> Gate {
         let pipeline = self.stages[index].pipeline;
         if self.pipes[pipeline].failed {
-            return ArrivalAction::Reject;
+            return Gate::Reject;
         }
         let stage = &mut self.stages[index];
         if stage.deps_left > 0 {
             stage.parked = true;
-            return ArrivalAction::Park;
+            return Gate::Park;
         }
-        ArrivalAction::Proceed
+        Gate::Proceed
     }
 
-    /// The stage's SLO class (its pipeline's session's class).
-    pub(crate) fn slo_of(&self, index: usize) -> SloClass {
-        self.pipes[self.stages[index].pipeline].slo
-    }
-
-    /// Every stage's SLO class, by intake index.
+    /// Every stage's SLO class (its pipeline's session's), by intake index.
     pub(crate) fn classes(&self) -> Vec<SloClass> {
-        (0..self.stages.len())
-            .map(|index| self.slo_of(index))
-            .collect()
-    }
-
-    /// How many inputs the stage consumes (the stage-ready span payload).
-    pub(crate) fn dep_count(&self, index: usize) -> usize {
-        self.stages[index].deps.len()
+        let slo = |stage: &StageState| self.pipes[stage.pipeline].slo;
+        self.stages.iter().map(slo).collect()
     }
 
     /// Weighted-fair admission: whether the stage's session still has room
@@ -273,19 +252,16 @@ impl SessionDriver {
         self.waiting.get(&session).copied().unwrap_or(0) < share
     }
 
-    /// A stage entered a tile queue.
-    pub(crate) fn note_enqueued(&mut self, index: usize) {
+    /// A stage `joined` a tile queue, or left one (started, or drained off
+    /// a faulted device).
+    pub(crate) fn note_queued(&mut self, index: usize, joined: bool) {
         let session = self.pipes[self.stages[index].pipeline].session;
-        *self.waiting.entry(session).or_insert(0) += 1;
-    }
-
-    /// A stage left a tile queue (started, or drained off a faulted
-    /// device).
-    pub(crate) fn note_dequeued(&mut self, index: usize) {
-        let session = self.pipes[self.stages[index].pipeline].session;
-        if let Some(count) = self.waiting.get_mut(&session) {
-            *count = count.saturating_sub(1);
-        }
+        let waiting = self.waiting.entry(session).or_insert(0);
+        *waiting = if joined {
+            *waiting + 1
+        } else {
+            waiting.saturating_sub(1)
+        };
     }
 
     /// The stage-affinity candidate: the producer device of the completed
@@ -349,9 +325,15 @@ impl SessionDriver {
 
     /// A stage completed on `device` at `now_us`: records the producer,
     /// decrements successors, seals the pipeline when it was the last
-    /// stage, and returns the parked successors this completion released
-    /// (the caller re-arrives them at the same instant).
-    pub(crate) fn note_complete(&mut self, index: usize, device: usize, now_us: f64) -> Vec<usize> {
+    /// stage, and returns the parked successors this completion released,
+    /// each with the number of inputs it consumes (the caller re-arrives
+    /// them at the same instant).
+    pub(crate) fn note_complete(
+        &mut self,
+        index: usize,
+        device: usize,
+        now_us: f64,
+    ) -> Vec<(usize, usize)> {
         let (pipeline, succs) = {
             let stage = &mut self.stages[index];
             debug_assert!(!stage.done, "a stage completes at most once");
@@ -367,7 +349,7 @@ impl SessionDriver {
             if stage.deps_left == 0 && stage.parked && !stage.rejected {
                 stage.parked = false;
                 stage.ready_us = now_us;
-                released.push(succ);
+                released.push((succ, stage.deps.len()));
             }
         }
         {
@@ -557,14 +539,14 @@ mod tests {
         let (mut driver, intake) = driver_for(&[chain(1, 7, 3)]);
         assert_eq!(intake, 3);
         // Stage 0 is a root; stages 1 and 2 park behind their inputs.
-        assert_eq!(driver.on_arrival(0), ArrivalAction::Proceed);
-        assert_eq!(driver.on_arrival(1), ArrivalAction::Park);
-        assert_eq!(driver.on_arrival(2), ArrivalAction::Park);
+        assert_eq!(driver.on_arrival(0), Gate::Proceed);
+        assert_eq!(driver.on_arrival(1), Gate::Park);
+        assert_eq!(driver.on_arrival(2), Gate::Park);
         // Completing 0 on device 2 releases exactly stage 1, whose affinity
         // candidate is the producer device.
-        assert_eq!(driver.note_complete(0, 2, 10.0), vec![1]);
+        assert_eq!(driver.note_complete(0, 2, 10.0), vec![(1, 1)]);
         assert_eq!(driver.affinity_target(1), Some(2));
-        assert_eq!(driver.note_complete(1, 0, 20.0), vec![2]);
+        assert_eq!(driver.note_complete(1, 0, 20.0), vec![(2, 1)]);
         assert!(driver.note_complete(2, 1, 30.0).is_empty());
         assert_eq!(driver.in_flight(), 0);
         let (outcomes, stages, classes) = driver.into_report();
@@ -599,15 +581,15 @@ mod tests {
     #[test]
     fn a_reject_cascades_to_parked_siblings_and_later_arrivals() {
         let (mut driver, _) = driver_for(&[chain(1, 9, 3), chain(2, 7, 1)]);
-        assert_eq!(driver.on_arrival(0), ArrivalAction::Proceed);
-        assert_eq!(driver.on_arrival(1), ArrivalAction::Park);
+        assert_eq!(driver.on_arrival(0), Gate::Proceed);
+        assert_eq!(driver.on_arrival(1), Gate::Park);
         // Rejecting the root sheds the parked middle stage; stage 2 (not
         // yet arrived) is shed at its own arrival.
         assert_eq!(driver.note_rejected(0, 4.0), vec![1]);
-        assert_eq!(driver.on_arrival(2), ArrivalAction::Reject);
+        assert_eq!(driver.on_arrival(2), Gate::Reject);
         assert!(driver.note_rejected(2, 4.0).is_empty(), "already failed");
         // The other pipeline is untouched.
-        assert_eq!(driver.on_arrival(3), ArrivalAction::Proceed);
+        assert_eq!(driver.on_arrival(3), Gate::Proceed);
         driver.note_complete(3, 0, 9.0);
         let (outcomes, _, classes) = driver.into_report();
         assert!(outcomes[0].rejected);
@@ -628,18 +610,18 @@ mod tests {
         // Shares of limit 10 over total weight 5: latency 8, best-effort 2.
         for _ in 0..8 {
             assert!(driver.fair_admit(0, 10));
-            driver.note_enqueued(0);
+            driver.note_queued(0, true);
         }
         assert!(!driver.fair_admit(0, 10));
         for _ in 0..2 {
             assert!(driver.fair_admit(1, 10));
-            driver.note_enqueued(1);
+            driver.note_queued(1, true);
         }
         assert!(!driver.fair_admit(1, 10));
         // No limit: never capped.
         assert!(driver.fair_admit(0, usize::MAX));
         // Dequeues free the share again.
-        driver.note_dequeued(0);
+        driver.note_queued(0, false);
         assert!(driver.fair_admit(0, 10));
     }
 
