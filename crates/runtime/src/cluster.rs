@@ -22,17 +22,17 @@
 //! [`Cluster::from_noc`]) is the degenerate case: routing collapses to
 //! device 0 and no image is ever acquired (they enter the store at compile
 //! time). The one event loop here runs fixed phases — intake, admit,
-//! route, run, commit — and is compiled per serve from two choices, both
-//! made once, from what the serve can observe. Its tier: `plain` for one
+//! route, run, commit — and is compiled per serve from one choice, made
+//! once, from what the serve can observe: its tier. `plain` for one
 //! device with no fault plan installed, no pipeline and replication off,
 //! where every routing and fault step folds away at compile time; `fleet`
 //! for everything else. Every fleet serve arms the fault state, from no
 //! events when no plan is installed, so a fault-free fleet serve *is* the
 //! empty-plan serve and routing, transfer pricing and fault accounting each
-//! have one implementation. And its control policy (the crate-private
-//! `control::Policy`): batching, replication and a pipeline's session tier
-//! act only through its hooks, and a serve with none of them on compiles
-//! with none of their code. `tests/runtime_equivalence.rs` holds a
+//! have one implementation. Batching, replication and a pipeline's session
+//! tier are not named here: each phase where one acts calls the serve's
+//! crate-private `control::Tiers`, whose methods do nothing while their
+//! tier is off. `tests/runtime_equivalence.rs` holds a
 //! one-device cluster forced onto the fleet tier (by an empty plan) to the
 //! plain tier **bitwise** on randomized traces.
 //!
@@ -72,7 +72,7 @@ use std::time::Instant;
 use overlay_arch::{FuVariant, NocConfig, TileComposition};
 
 use crate::cache::CacheStats;
-use crate::control::{FreedTile, Gate, NoTiers, Policy, Tiers};
+use crate::control::{FreedTile, Gate, Tiers};
 use crate::dispatch::TileQueue;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -146,7 +146,7 @@ struct DeviceTally {
 /// Mutable event-loop state, separate from the `Cluster` so placement (on
 /// `self`) and bookkeeping borrows stay disjoint. It holds no outcome: each
 /// [`RequestOutcome`] is built once, when the loop ends.
-struct ClusterState<'t, P> {
+struct ClusterState<'t> {
     /// Per-tile waiting queues, indexed by global tile id
     /// (`device * tiles_per_device + local`).
     queues: Vec<TileQueue>,
@@ -161,7 +161,7 @@ struct ClusterState<'t, P> {
     prep: PrepContext,
     sim: SimResults<'t>,
     /// What the optional tiers do at each phase of the loop.
-    policy: P,
+    tiers: Tiers<'t>,
     /// Per global tile: consecutive starts of its resident kernel, what
     /// tracing reports as batch membership (0 after a kill).
     runs: Vec<usize>,
@@ -176,7 +176,7 @@ struct ClusterState<'t, P> {
     /// Per cluster-wide queue depth: the events popped at it.
     depths: &'t mut Vec<u64>,
     /// Per global tile, fleet tier only: the intake index currently running
-    /// there (kills must know what to abandon, and the policy which request
+    /// there (kills must know what to abandon, and the tiers which request
     /// a tile-free event completes).
     running_index: Vec<Option<usize>>,
     /// Per global tile, fleet tier only: the completion time of the run the
@@ -660,12 +660,12 @@ impl Cluster {
     /// image resident and ride the same fetch for free — the image-store
     /// analogue of a simulation-memo hit. A 1-device cluster
     /// never commits anything (see `peek_acquisition`).
-    fn commit_acquisition<P>(
+    fn commit_acquisition(
         &mut self,
         device: usize,
         info: &InFlight,
         acquisition: Acquisition,
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
     ) -> f64 {
         match acquisition {
             Acquisition::Resident => {
@@ -803,20 +803,14 @@ impl Cluster {
         }
     }
 
-    /// Records rejected request `index`, and sheds with it what the policy
-    /// sheds (a failed pipeline's parked stages), each with a record of its
+    /// Records rejected request `index`, and sheds with it what the tiers
+    /// shed (a failed pipeline's parked stages), each with a record of its
     /// own so the served-or-rejected intake invariant holds request by
     /// request. A shed request, like one no device can serve (the whole fleet
     /// is dead or draining), counts in the cluster-total rejects but against
     /// no device's [`DeviceMetrics::rejects`] — there is no device to blame —
     /// so per-device rejects need not sum to the cluster total.
-    fn reject<P: Policy>(
-        &self,
-        index: usize,
-        now_us: f64,
-        intake: &[InFlight],
-        state: &mut ClusterState<P>,
-    ) {
+    fn reject(&self, index: usize, now_us: f64, intake: &[InFlight], state: &mut ClusterState) {
         let record = |index: usize| {
             let request = &intake[index].request;
             RejectedRequest {
@@ -827,7 +821,7 @@ impl Cluster {
             }
         };
         state.rejected.push(record(index));
-        for shed in state.policy.rejected(index, now_us) {
+        for shed in state.tiers.rejected(index, now_us) {
             state.probe.shed(shed, now_us);
             state.rejected.push(record(shed));
         }
@@ -836,12 +830,7 @@ impl Cluster {
     /// Applies scheduled fault `fault_index` at `now_us`: flips the fleet
     /// flags, records the fault span, and performs the structural reaction
     /// (evacuation, requeues, replica re-homing).
-    fn apply_fault<P: Policy>(
-        &mut self,
-        fault_index: usize,
-        now_us: f64,
-        state: &mut ClusterState<P>,
-    ) {
+    fn apply_fault(&mut self, fault_index: usize, now_us: f64, state: &mut ClusterState) {
         let kind = self.fault.apply(fault_index, now_us);
         state.probe.fault(now_us, kind);
         match kind {
@@ -858,16 +847,10 @@ impl Cluster {
     /// Both displace every queued request. A kill also abandons the running
     /// ones (progress counted as lost work, start withdrawn — the simulation
     /// stays sourced for the retry), rewinds the tile timelines, wipes the
-    /// kernel store and lets the policy re-home what it placed there. A
+    /// kernel store and lets the tiers re-home what they placed there. A
     /// drain lets running work finish and keeps the store warm for the
     /// undrain.
-    fn evacuate<P: Policy>(
-        &mut self,
-        device: usize,
-        kill: bool,
-        now_us: f64,
-        state: &mut ClusterState<P>,
-    ) {
+    fn evacuate(&mut self, device: usize, kill: bool, now_us: f64, state: &mut ClusterState) {
         let base = device * self.tiles_per_device;
         for tile in base..base + self.tiles_per_device {
             if let Some(index) = state.running_index[tile].take_if(|_| kill) {
@@ -879,7 +862,7 @@ impl Cluster {
                 self.displace(index, device, now_us, true, state);
             }
             for index in state.queues[tile].drain_live(state.taken) {
-                state.policy.queued(index, false);
+                state.tiers.queued(index, false);
                 self.displace(index, device, now_us, false, state);
             }
             if kill {
@@ -895,7 +878,7 @@ impl Cluster {
         evacuated.pool.evacuate(now_us);
         evacuated.busy_tiles = 0;
         evacuated.cache.wipe();
-        state.policy.killed(self, device, now_us, &mut state.probe);
+        state.tiers.killed(self, device, now_us, &mut state.probe);
     }
 
     /// Displacement bookkeeping shared by kill and drain: the losing
@@ -904,13 +887,13 @@ impl Cluster {
     /// same-instant fault, so a coordinated kill+revive script is seen in
     /// its final state). `ran` is whether the displaced attempt had
     /// started.
-    fn displace<P>(
+    fn displace(
         &mut self,
         index: usize,
         from_device: usize,
         now_us: f64,
         ran: bool,
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
     ) {
         state.routed[index].exclusions.insert(from_device);
         self.fault.device_mut(from_device).requeues += 1;
@@ -918,12 +901,12 @@ impl Cluster {
         state.probe.requeued(index, now_us, from_device, ran);
     }
 
-    /// The shared serve body: resets per-serve state, picks the loop's tier
-    /// and policy, lends the recycled tables to the event loop, folds its
-    /// output into a report and takes the tables back on every exit path — a
-    /// serve that fails costs the next one nothing. `pipelines` is the policy
-    /// of a pipeline serve; every other serve runs the tiers the cluster is
-    /// configured with.
+    /// The shared serve body: resets per-serve state, picks the loop's tier,
+    /// lends the recycled tables to the event loop, folds its output into a
+    /// report and takes the tables back on every exit path — a serve that
+    /// fails costs the next one nothing. `pipelines` is a pipeline serve's
+    /// tiers; every other serve runs the tiers the cluster is configured
+    /// with.
     pub(crate) fn run_serve(
         &mut self,
         ingest: Ingest,
@@ -936,10 +919,7 @@ impl Cluster {
             || self.fault_plan.is_some()
             || pipelines.is_some()
             || self.replication.enabled();
-        let tiers = pipelines.or_else(|| {
-            let on = self.batching.enabled() || self.replication.enabled();
-            on.then(|| Tiers::new(self, None))
-        });
+        let tiers = pipelines.unwrap_or_else(|| Tiers::new(self, None));
         // Every fleet serve validates and arms the fault schedule before the
         // loop starts — from no events when no plan is installed.
         if fleet {
@@ -953,11 +933,10 @@ impl Cluster {
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
         let mut tables = std::mem::take(&mut self.tables);
-        let output = match (fleet, tiers) {
-            (false, None) => self.event_loop::<false, _>(ingest, &mut tables, NoTiers),
-            (true, None) => self.event_loop::<true, _>(ingest, &mut tables, NoTiers),
-            (false, Some(tiers)) => self.event_loop::<false, _>(ingest, &mut tables, tiers),
-            (true, Some(tiers)) => self.event_loop::<true, _>(ingest, &mut tables, tiers),
+        let output = if fleet {
+            self.event_loop::<true>(ingest, &mut tables, tiers)
+        } else {
+            self.event_loop::<false>(ingest, &mut tables, tiers)
         };
         let report = output.map(|mut output| {
             let sim_memo = self.sim_memo.stats().since(memo_before);
@@ -1012,19 +991,19 @@ impl Cluster {
     /// `FLEET` is the serve's tier ([`run_serve`](Cluster::run_serve) picks
     /// it): off, every fault guard below is a constant, device and tile
     /// arithmetic folds to device 0, no routing decision is taken and the
-    /// [`Routed`] rows are neither grown nor read. `policy` is what the
-    /// optional tiers do at each phase, picked alongside.
+    /// [`Routed`] rows are neither grown nor read. `tiers` is what the
+    /// optional tiers do at each phase.
     ///
     /// The horizon rule makes laziness sound: submissions arrive in
     /// non-decreasing arrival order, so once a request with arrival `h` has
     /// been received (or the channel has closed, `h = ∞`), every pending
     /// event at time ≤ `h` can fire without being preempted by a
     /// still-unseen arrival.
-    fn event_loop<const FLEET: bool, P: Policy>(
+    fn event_loop<const FLEET: bool>(
         &mut self,
         mut ingest: Ingest,
         tables: &mut LoopTables,
-        policy: P,
+        tiers: Tiers<'_>,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
         let prep = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
@@ -1040,9 +1019,9 @@ impl Cluster {
             tables.routed.reserve(expected);
         }
         let probe = obs::Probe::new(&self.observing, expected, devices, total_tiles, || {
-            policy.classes()
+            tiers.classes()
         });
-        // Kills must know what to abandon, and the policy which request a
+        // Kills must know what to abandon, and the tiers which request a
         // tile-free event completes; the plain tier has neither.
         let run_slots = if FLEET { total_tiles } else { 0 };
         let intake = &mut tables.intake;
@@ -1056,7 +1035,7 @@ impl Cluster {
             rejected: Vec::new(),
             prep,
             sim: SimResults::new(&mut tables.ready),
-            policy,
+            tiers,
             runs: vec![0; total_tiles],
             peak_queue_depth: 0,
             queue_area_us: 0.0,
@@ -1176,7 +1155,15 @@ impl Cluster {
             match event.kind {
                 EventKind::Arrival { index } => {
                     let info = &intake[index];
-                    match state.policy.gate(index) {
+                    // Sessions and replication make a fleet serve (see
+                    // `run_serve`): the plain tier has no gate, no push, no
+                    // fair share and no queue count to keep.
+                    let gate = if FLEET {
+                        state.tiers.gate(index)
+                    } else {
+                        Gate::Proceed
+                    };
+                    match gate {
                         Gate::Proceed => {}
                         Gate::Park => continue,
                         Gate::Reject => {
@@ -1185,11 +1172,13 @@ impl Cluster {
                             continue;
                         }
                     }
-                    // The policy's push ahead of demand, then the route to a
+                    // The tiers' push ahead of demand, then the route to a
                     // device (resolving how it gets the kernel image). One
                     // plain device holds every image it compiles: nothing to
                     // decide.
-                    state.policy.push(self, info, now_us, &mut state.probe);
+                    if FLEET {
+                        state.tiers.push(self, info, now_us, &mut state.probe);
+                    }
                     let route = state.probe.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
@@ -1202,7 +1191,7 @@ impl Cluster {
                     } else {
                         Some((0, Acquisition::Resident))
                     };
-                    self.place_routed::<FLEET, _>(index, routed, route, true, intake, &mut state)?;
+                    self.place_routed::<FLEET>(index, routed, route, true, intake, &mut state)?;
                 }
                 EventKind::TileFree { tile } => {
                     let (device, local_tile) = if FLEET {
@@ -1216,7 +1205,7 @@ impl Cluster {
                         // abandoned work, and releasing on it would free a
                         // tile that is not running (or double-free one that
                         // restarted). Only the completion the tile is
-                        // actually waiting on releases it. (The policy rides
+                        // actually waiting on releases it. (The tiers ride
                         // the same bookkeeping to learn which request just
                         // completed — without faults every completion
                         // matches.)
@@ -1226,13 +1215,13 @@ impl Cluster {
                         state.pending_free[tile] = None;
                         if let Some(index) = state.running_index[tile].take() {
                             let (events, probe) = (&mut state.events, &mut state.probe);
-                            state.policy.completed(index, device, now_us, events, probe);
+                            state.tiers.completed(index, device, now_us, events, probe);
                         }
                     }
                     self.devices[device].busy_tiles -= 1;
                     self.devices[device].pool.release(local_tile);
                     if !state.queues[tile].is_empty() {
-                        self.start_next::<FLEET, _>(device, local_tile, intake, &mut state);
+                        self.start_next::<FLEET>(device, local_tile, intake, &mut state);
                     }
                 }
                 EventKind::Fault { fault } if FLEET => {
@@ -1251,7 +1240,7 @@ impl Cluster {
                         &state.routed[index].exclusions,
                         &mut state.probe,
                     );
-                    self.place_routed::<FLEET, _>(index, routed, route, false, intake, &mut state)?;
+                    self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
                 }
                 EventKind::Fault { .. } | EventKind::Requeue { .. } => {
                     // Faults are armed only `if FLEET`; requeues come only from faults.
@@ -1276,7 +1265,7 @@ impl Cluster {
         );
         let served = intake.len().saturating_sub(state.rejected.len());
         let outcomes = state.sim.into_outcomes(intake, state.starts, served);
-        let (batch, replication) = state.policy.finish();
+        let (batch, replication) = state.tiers.finish();
         Ok(ClusterLoopOutput {
             outcomes,
             rejected: state.rejected,
@@ -1292,7 +1281,7 @@ impl Cluster {
     }
 
     /// What happens to a request once routing has answered — the tail a
-    /// fresh arrival and a displaced requeue share: 1. the policy may
+    /// fresh arrival and a displaced requeue share: 1. the tiers may
     /// override the device; 2. the device's dispatcher places the request
     /// on a tile with the acquisition-adjusted switch cost; 3. the
     /// acquisition and activation are committed; 4. the request starts, or
@@ -1303,14 +1292,14 @@ impl Cluster {
     /// and 3 are the fleet tier's: one plain device has no other device to
     /// prefer and acquires nothing.
     #[inline(always)]
-    fn place_routed<const FLEET: bool, P: Policy>(
+    fn place_routed<const FLEET: bool>(
         &mut self,
         index: usize,
         routed: Option<(usize, Acquisition)>,
         route: Option<Instant>,
         fresh: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
         let info = &intake[index];
@@ -1325,10 +1314,10 @@ impl Cluster {
         };
         let mut view = info.view;
         if FLEET {
-            // The policy may override the load-driven choice, and prices
-            // into the routing row what the final device adds to the switch.
+            // The tiers may override the load-driven choice, and price into
+            // the routing row what the final device adds to the switch.
             let row = &mut state.routed[index];
-            routed = state.policy.reroute(self, index, routed, info, row);
+            routed = state.tiers.reroute(self, index, routed, info, row);
             view.switch_us = view.switch_us + routed.1.cost_us() + row.activation_us;
         }
         let (device, acquisition) = routed;
@@ -1339,7 +1328,7 @@ impl Cluster {
         state.probe.end(obs::Stage::Route, route);
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
-        if fresh && !self.admit::<FLEET, _>(index, device, starts_now, intake, state) {
+        if fresh && !self.admit::<FLEET>(index, device, starts_now, intake, state) {
             return Ok(());
         }
         if FLEET {
@@ -1349,7 +1338,7 @@ impl Cluster {
             row.acquire_src = acquisition.source();
             row.acquire_bytes = acquisition.bytes();
             state
-                .policy
+                .tiers
                 .committed(self, index, device, now_us, &mut state.probe);
         }
         if fresh {
@@ -1361,7 +1350,7 @@ impl Cluster {
             state.taken[index] = false;
         }
         if starts_now {
-            self.start_request::<FLEET, _>(device, local_tile, index, intake, state, None);
+            self.start_request::<FLEET>(device, local_tile, index, intake, state, None);
             return Ok(());
         }
         let scan = state.probe.begin();
@@ -1369,7 +1358,9 @@ impl Cluster {
             .pool
             .enqueue(local_tile, info.view.key, info.view.est_exec_us);
         state.queues[tile].push(index, &info.view);
-        state.policy.queued(index, true);
+        if FLEET {
+            state.tiers.queued(index, true);
+        }
         state.probe.end(obs::Stage::Scan, scan);
         state.peak_queue_depth = state.peak_queue_depth.max(self.waiting_count::<FLEET>());
         let tally = &mut state.tallies[device];
@@ -1382,22 +1373,23 @@ impl Cluster {
     /// Admission control for a fresh arrival placed on `device`: a request
     /// that starts at once is always admitted; one that would queue is
     /// admitted while the cluster-wide waiting count is under the limit and
-    /// the policy finds it within its share of it. Records the decision, and
-    /// on a refusal the reject itself (with the policy's cascade). Returns
+    /// the tiers find it within its share of it. Records the decision, and
+    /// on a refusal the reject itself (with the tiers' cascade). Returns
     /// whether it was admitted.
     #[inline(always)]
-    fn admit<const FLEET: bool, P: Policy>(
+    fn admit<const FLEET: bool>(
         &self,
         index: usize,
         device: usize,
         starts_now: bool,
         intake: &[InFlight],
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
     ) -> bool {
         let now_us = state.events.now_us();
         let limit = self.admission_limit;
         let admitted = starts_now
-            || (self.waiting_count::<FLEET>() < limit && state.policy.fair(index, limit));
+            || (self.waiting_count::<FLEET>() < limit
+                && (!FLEET || state.tiers.fair(index, limit)));
         state.probe.admitted(index, device, now_us, admitted);
         if admitted {
             return true;
@@ -1409,17 +1401,17 @@ impl Cluster {
 
     /// Pulls the next queued request off a freed tile's queue and starts
     /// it: the per-tile ordered queue pops the policy's choice in
-    /// O(log depth). The control policy's pick sits over the dispatch
-    /// policy's choice: it may run another waiter instead (batching runs
+    /// O(log depth). The tiers' pick sits over the dispatch policy's
+    /// choice: it may run another waiter instead (batching runs
     /// the oldest same-kernel one, amortizing the switch the choice would
     /// have paid).
     #[inline(always)]
-    fn start_next<const FLEET: bool, P: Policy>(
+    fn start_next<const FLEET: bool>(
         &mut self,
         device: usize,
         local_tile: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
     ) {
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let now_us = state.events.now_us();
@@ -1441,7 +1433,7 @@ impl Cluster {
             let row = &state.routed[choice];
             choice_view.switch_us = choice_view.switch_us + row.acquire_us + row.activation_us;
         }
-        let picked = state.policy.pick(
+        let picked = state.tiers.pick(
             freed,
             now_us,
             &choice_view,
@@ -1454,7 +1446,9 @@ impl Cluster {
         );
         let index = picked.unwrap_or(choice);
         queue.take(index, state.taken);
-        state.policy.queued(index, false);
+        if FLEET {
+            state.tiers.queued(index, false);
+        }
         // Deadline-aware removal may have taken the queue tail; tell the
         // pool what the queue ends in now so residency projection stays
         // honest for later placements. The dequeue and the charge are one
@@ -1462,7 +1456,7 @@ impl Cluster {
         let remaining_tail = queue.tail_key(state.taken);
         let est_us = intake[index].view.est_exec_us;
         state.probe.end(obs::Stage::Scan, scan);
-        self.start_request::<FLEET, _>(
+        self.start_request::<FLEET>(
             device,
             local_tile,
             index,
@@ -1477,13 +1471,13 @@ impl Cluster {
     /// timeline with acquisition + switch + execution, records where and
     /// when it started and schedules the tile-free event at the completion.
     #[inline(always)]
-    fn start_request<const FLEET: bool, P>(
+    fn start_request<const FLEET: bool>(
         &mut self,
         device: usize,
         local_tile: usize,
         index: usize,
         intake: &[InFlight],
-        state: &mut ClusterState<P>,
+        state: &mut ClusterState,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) {
         let now_us = state.events.now_us();
@@ -1545,7 +1539,7 @@ impl Cluster {
         if FLEET {
             // Kills must know what to abandon, and stale completions of
             // abandoned work must be told apart from this run's. The
-            // policy reads the same bookkeeping to learn which request a
+            // tiers read the same bookkeeping to learn which request a
             // tile-free event just completed.
             state.running_index[tile] = Some(index);
             state.pending_free[tile] = Some(charged.completion_us);

@@ -2,8 +2,8 @@
 //!
 //! When a tile frees, the dispatch policy names the request it would run
 //! next (the dispatch module's `TileQueue::peek_next`). Batching, the pick
-//! hook of the serve's control policy (`control::Tiers`), sits on top of
-//! that choice: if the freed tile's *resident* kernel still
+//! at a freed tile in the serve's tiers (`control::Tiers::pick`), sits on
+//! top of that choice: if the freed tile's *resident* kernel still
 //! has waiters in the queue, the batcher may run the oldest of them instead
 //! — no context switch, one more run of the warm kernel — and defer the
 //! policy's (different-kernel) choice. N same-kernel dispatches collapse
@@ -79,13 +79,13 @@ impl Default for BatchConfig {
 mod tests {
     use super::*;
     use crate::cache::KernelKey;
-    use crate::control::{FreedTile, Policy, Tiers};
+    use crate::control::{FreedTile, Tiers};
     use crate::dispatch::DispatchRequest;
     use crate::metrics::BatchStats;
     use crate::Cluster;
     use overlay_arch::FuVariant;
 
-    /// Batching as a one-tile cluster's tier policy runs it.
+    /// Batching as a one-tile cluster's tiers run it.
     fn batching(config: BatchConfig) -> Tiers<'static> {
         let cluster = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()

@@ -1,6 +1,6 @@
 //! The control-plane subsystem: same-kernel batching and rate-driven kernel
-//! replication, plugged into the event loop through one seam, the
-//! crate-private `Policy` (in `policy`).
+//! replication, which act on the event loop through the crate-private
+//! `Tiers` (in `tiers`).
 //!
 //! The serving runtime's dispatch policies *price* a context switch (the
 //! modeled bitstream/overlay swap from [`overlay_arch::ReconfigModel`]) but
@@ -16,22 +16,21 @@
 //!   (by a per-kernel [`RateEstimator`]) to the least-loaded devices ahead
 //!   of demand, and demote cold replicas under store pressure.
 //!
-//! The loop's phases stay fixed; `Policy` gives each a hook with a no-op
-//! default. A serve with both levers off outside a pipeline serve runs the
-//! no-op `NoTiers` and compiles with no tier code. Every other serve runs
-//! `Tiers`, which holds both levers and the session tier's driver and
-//! implements every hook.
+//! The loop's phases stay fixed, and each phase where a tier acts calls a
+//! `Tiers` method. Every serve holds one `Tiers`: both levers and, on a
+//! pipeline serve, the session tier's driver; a method whose tier is off
+//! does nothing.
 //!
 //! Counters for both levers live in [`BatchStats`](crate::metrics::BatchStats)
 //! / [`ReplicationStats`](crate::metrics::ReplicationStats).
 
 pub mod batcher;
 pub mod estimate;
-pub(crate) mod policy;
 pub mod replicator;
+pub(crate) mod tiers;
 
 pub use batcher::BatchConfig;
 pub use estimate::RateEstimator;
 pub use replicator::ReplicationConfig;
 
-pub(crate) use policy::{FreedTile, Gate, NoTiers, Policy, Tiers};
+pub(crate) use tiers::{FreedTile, Gate, Tiers};

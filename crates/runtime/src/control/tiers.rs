@@ -1,8 +1,16 @@
-//! The one seam between the event loop and the optional tiers: the loop's
-//! phases (intake, admit, route, run, commit) are fixed, and each phase
-//! where a tier acts calls a [`Policy`] hook, a no-op by default. A serve
-//! with every tier off runs [`NoTiers`] and compiles with no tier code;
-//! every other serve runs [`Tiers`], which implements every hook.
+//! The optional tiers of a serve: same-kernel batching, rate-driven
+//! replication and a pipeline serve's session driver, in one [`Tiers`] that
+//! every serve's event loop holds. The loop's phases (intake, admit, route,
+//! run, commit) are fixed and call a `Tiers` method at each phase where a
+//! tier acts; each method does nothing while its tier is off. The methods
+//! the loop calls per request are inlined, so an off tier costs a field
+//! test, not a call. Replication and sessions run only on fleet serves, and
+//! the plain tier's loop does not call their methods.
+//!
+//! `Tiers` is part of the cluster, not a layer over it: its methods read and
+//! edit the cluster's devices (kernel stores, pool depths, fault flags) as
+//! the loop does. What it separates is naming — the loop calls the phases,
+//! and only this module knows which tier acts in each.
 
 use std::sync::Arc;
 
@@ -44,87 +52,9 @@ pub(crate) struct FreedTile {
     pub(crate) resident: Option<KernelKey>,
 }
 
-/// The hooks the event loop calls at each phase where an optional tier
-/// acts, in the order a request meets them. Each default is what the loop
-/// does with no tier; the parameters are named in [`Tiers`]' overrides.
-pub(crate) trait Policy: Sized {
-    /// Every request's SLO class by intake index (pipeline serves only).
-    fn classes(&self) -> Vec<SloClass> {
-        Vec::new()
-    }
-
-    /// The arrival gate, before anything else looks at the request.
-    fn gate(&mut self, _: usize) -> Gate {
-        Gate::Proceed
-    }
-
-    /// Runs at every arrival the gate lets through, just before routing.
-    fn push(&mut self, _: &mut Cluster, _: &InFlight, _: f64, _: &mut obs::Probe) {}
-
-    /// Runs after the fleet's routing: may move the request off the routed
-    /// device, and prices into its routing row what it pays there.
-    fn reroute(
-        &self,
-        _: &Cluster,
-        _: usize,
-        routed: (usize, Acquisition),
-        _: &InFlight,
-        _: &mut Routed,
-    ) -> (usize, Acquisition) {
-        routed
-    }
-
-    /// Whether a fresh request that would queue fits its admission share.
-    fn fair(&self, _: usize, _: usize) -> bool {
-        true
-    }
-
-    /// The request committed to a device, at its arrival or a requeue.
-    fn committed(&mut self, _: &Cluster, _: usize, _: usize, _: f64, _: &mut obs::Probe) {}
-
-    /// The request joined a tile queue (`true`), or left one: it started, or
-    /// a fault displaced it.
-    fn queued(&mut self, _: usize, _: bool) {}
-
-    /// The pick at a freed tile: the queued request to run instead of the
-    /// dispatch policy's choice, if any.
-    fn pick(
-        &mut self,
-        _: FreedTile,
-        _: f64,
-        _: &DispatchRequest,
-        _: f64,
-        _: impl FnOnce(KernelKey) -> Option<(usize, f64)>,
-    ) -> Option<usize> {
-        None
-    }
-
-    /// The request completed on a device.
-    fn completed(&mut self, _: usize, _: usize, _: f64, _: &mut EventQueue, _: &mut obs::Probe) {}
-
-    /// The request was rejected: the requests to shed with it.
-    fn rejected(&mut self, _: usize, _: f64) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// A device was killed, its work displaced and its store wiped.
-    fn killed(&mut self, _: &mut Cluster, _: usize, _: f64, _: &mut obs::Probe) {}
-
-    /// The serve ended: its batching and replication counters.
-    fn finish(self) -> (BatchStats, ReplicationStats) {
-        Default::default()
-    }
-}
-
-/// The policy of a serve with batching and replication off outside a
-/// pipeline serve: every hook is the default.
-pub(crate) struct NoTiers;
-
-impl Policy for NoTiers {}
-
-/// The policy of every other serve: same-kernel batching, rate-driven
-/// replication and, on a pipeline serve, the session driver it borrows from
-/// the caller for the serve. Each acts only where it is on.
+/// A serve's tiers: same-kernel batching, rate-driven replication and, on a
+/// pipeline serve, the session driver it borrows from the caller for the
+/// serve. Each acts only where it is on.
 #[derive(Debug)]
 pub(crate) struct Tiers<'d> {
     batching: BatchConfig,
@@ -168,27 +98,30 @@ impl<'d> Tiers<'d> {
         self.replicator.note_pushed(device, key, bytes, cost_us);
         probe.replica_pushed(now_us, device, bytes as u64);
     }
-}
 
-impl Policy for Tiers<'_> {
-    fn classes(&self) -> Vec<SloClass> {
+    /// Every request's SLO class by intake index (pipeline serves only).
+    pub(crate) fn classes(&self) -> Vec<SloClass> {
         self.session
             .as_deref()
             .map_or_else(Vec::new, SessionDriver::classes)
     }
 
-    /// A stage parks until its inputs have all committed; a stage of a
-    /// failed pipeline is shed.
-    fn gate(&mut self, index: usize) -> Gate {
+    /// The arrival gate, before anything else looks at the request: a stage
+    /// parks until its inputs have all committed; a stage of a failed
+    /// pipeline is shed.
+    #[inline]
+    pub(crate) fn gate(&mut self, index: usize) -> Gate {
         self.session
             .as_mut()
             .map_or(Gate::Proceed, |driver| driver.on_arrival(index))
     }
 
     /// Replication (see the [`replicator`](crate::control::replicator)
-    /// module): once the kernel's rate estimate is hot, its image goes onto
-    /// the least-loaded devices without it, ahead of the routing that follows.
-    fn push(
+    /// module), at every arrival the gate lets through: once the kernel's
+    /// rate estimate is hot, its image goes onto the least-loaded devices
+    /// without it, ahead of the routing that follows.
+    #[inline]
+    pub(crate) fn push(
         &mut self,
         cluster: &mut Cluster,
         info: &InFlight,
@@ -237,12 +170,13 @@ impl Policy for Tiers<'_> {
         }
     }
 
-    /// Stage affinity: the producer device of the stage's heaviest input
+    /// Stage affinity, after the fleet's routing: the producer device of the stage's heaviest input
     /// wins over the routed one if the activation savings outweigh the
     /// extra queueing there. The final device's activation bill goes into
     /// `row`, priced against the producers' current liveness (a dead
     /// producer's output restores from the host checkpoint).
-    fn reroute(
+    #[inline(always)]
+    pub(crate) fn reroute(
         &self,
         cluster: &Cluster,
         index: usize,
@@ -279,17 +213,21 @@ impl Policy for Tiers<'_> {
         (choice.0, choice.1)
     }
 
-    /// Weighted-fair admission: a pipeline stage's session may fill only its
-    /// SLO-weighted share of the limit.
-    fn fair(&self, index: usize, limit: usize) -> bool {
+    /// Weighted-fair admission, for a fresh request that would queue: a
+    /// pipeline stage's session may fill only its SLO-weighted share of the
+    /// limit.
+    #[inline]
+    pub(crate) fn fair(&self, index: usize, limit: usize) -> bool {
         self.session
             .as_ref()
             .is_none_or(|driver| driver.fair_admit(index, limit))
     }
 
-    /// Pays the activation bill [`reroute`](Policy::reroute) priced, with a
-    /// stage-transfer span per moved input.
-    fn committed(
+    /// Once the request committed to `device` (at its arrival or a
+    /// requeue), pays the activation bill [`reroute`](Tiers::reroute)
+    /// priced, with a stage-transfer span per moved input.
+    #[inline(always)]
+    pub(crate) fn committed(
         &mut self,
         cluster: &Cluster,
         index: usize,
@@ -308,19 +246,24 @@ impl Policy for Tiers<'_> {
         }
     }
 
-    /// A queued stage counts against its session's fair share.
-    fn queued(&mut self, index: usize, joined: bool) {
+    /// The request joined a tile queue (`joined`), or left one: it started,
+    /// or a fault displaced it. A queued stage counts against its session's
+    /// fair share.
+    #[inline]
+    pub(crate) fn queued(&mut self, index: usize, joined: bool) {
         if let Some(driver) = &mut self.session {
             driver.note_queued(index, joined);
         }
     }
 
-    /// Same-kernel batching (see the [`batcher`](crate::control::batcher)
-    /// module): the oldest waiter of the freed tile's resident kernel runs
-    /// instead of the choice, unless the run is at its cap, the choice has
+    /// The pick at a freed tile, over the dispatch policy's choice:
+    /// same-kernel batching (see the [`batcher`](crate::control::batcher)
+    /// module) runs the oldest waiter of the freed tile's resident kernel
+    /// instead, unless the run is at its cap, the choice has
     /// waited past the hold bound, or the detour would make the choice miss
     /// a deadline it can still meet.
-    fn pick(
+    #[inline]
+    pub(crate) fn pick(
         &mut self,
         freed: FreedTile,
         now_us: f64,
@@ -359,10 +302,11 @@ impl Policy for Tiers<'_> {
         Some(candidate)
     }
 
-    /// Records the stage's producer device and re-arrives, at once and with
-    /// a stage-ready span, every parked successor whose inputs are now all
-    /// ready.
-    fn completed(
+    /// The request completed on `device`: records the stage's producer
+    /// device and re-arrives, at once and with a stage-ready span, every
+    /// parked successor whose inputs are now all ready.
+    #[inline]
+    pub(crate) fn completed(
         &mut self,
         index: usize,
         device: usize,
@@ -378,18 +322,27 @@ impl Policy for Tiers<'_> {
         }
     }
 
-    /// A rejected stage fails its pipeline and sheds its parked siblings.
-    fn rejected(&mut self, index: usize, now_us: f64) -> Vec<usize> {
+    /// The request was rejected: the requests to shed with it. A rejected
+    /// stage fails its pipeline and sheds its parked siblings.
+    #[inline]
+    pub(crate) fn rejected(&mut self, index: usize, now_us: f64) -> Vec<usize> {
         self.session
             .as_mut()
             .map_or_else(Vec::new, |driver| driver.note_rejected(index, now_us))
     }
 
-    /// Re-homes the replicas replication pushed onto the dead device: each
-    /// orphaned image still held by a surviving store is pushed onto the
-    /// least-loaded live device with a free slot that does not hold it —
-    /// the same adoption path and accounting as a rate-driven push.
-    fn killed(&mut self, cluster: &mut Cluster, dead: usize, now_us: f64, probe: &mut obs::Probe) {
+    /// A device was killed, its work displaced and its store wiped. Each
+    /// replica replication had pushed there and a surviving store still
+    /// holds is pushed onto the least-loaded live device with a free slot
+    /// that does not hold it — the same adoption path and accounting as a
+    /// rate-driven push.
+    pub(crate) fn killed(
+        &mut self,
+        cluster: &mut Cluster,
+        dead: usize,
+        now_us: f64,
+        probe: &mut obs::Probe,
+    ) {
         for key in self.replicator.drain_device(dead) {
             let Some(artifact) = cluster
                 .holders(key)
@@ -410,7 +363,8 @@ impl Policy for Tiers<'_> {
         }
     }
 
-    fn finish(self) -> (BatchStats, ReplicationStats) {
+    /// The serve ended: its batching and replication counters.
+    pub(crate) fn finish(self) -> (BatchStats, ReplicationStats) {
         (self.batch, self.replicator.stats())
     }
 }

@@ -2,8 +2,8 @@
 //! through the cluster event loop.
 //!
 //! The event loop stays a flat request machine — every stage of every
-//! pipeline is one intake entry — and names no session. The serve's control
-//! policy (`control::Tiers`) drives this driver from its hooks, and the
+//! pipeline is one intake entry — and names no session. The serve's tiers
+//! (`control::Tiers`) drive this driver from the loop's phases, and the
 //! driver decides what the session tier does at each:
 //!
 //! * **parking** — a stage whose inputs have not all committed holds off the
@@ -96,8 +96,8 @@ struct PipeState {
 
 /// The session tier's event-loop companion (see the module docs). Built by
 /// [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines) for the
-/// multi-stage / non-default-class path and lent to that serve's control
-/// policy; every other serve has none, which keeps the plain paths bitwise
+/// multi-stage / non-default-class path and lent to that serve's tiers;
+/// every other serve has none, which keeps the plain paths bitwise
 /// identical.
 #[derive(Debug)]
 pub(crate) struct SessionDriver {

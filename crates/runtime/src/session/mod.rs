@@ -15,11 +15,11 @@
 //!   per-session pipeline commit (the processor-simulator ROB idiom).
 //!
 //! The serving half lives in [`Cluster::serve_pipelines`], below. Through
-//! its hooks on the event loop, the serve's control policy adds a
+//! the event loop's phases, the serve's tiers (`control::Tiers`) add a
 //! stage-completion edge (a committing stage releases the successors whose
-//! inputs are now all ready), prices inter-stage activations with the
+//! inputs are now all ready), price inter-stage activations with the
 //! existing [`TransferModel`](crate::TransferModel) when consecutive stages
-//! land on different devices, and teaches routing *stage affinity* — keep a
+//! land on different devices, and teach routing *stage affinity* — keep a
 //! pipeline's next stage near its producer's output unless queue load says
 //! otherwise.
 //!
@@ -167,7 +167,7 @@ impl Cluster {
             return self.serve_single_stage_pipelines(&pipelines, &slo_of);
         }
         let (mut driver, requests) = SessionDriver::build(&pipelines, &topos, &slo_of);
-        // The serve's policy drives the driver on loan; an error drops it
+        // The serve's tiers drive the driver on loan; an error drops it
         // with the serve (there is no report to build).
         let tiers = Tiers::new(self, Some(&mut driver));
         let cluster = self.run_serve(Ingest::Batch(requests.into_iter()), Some(tiers))?;
