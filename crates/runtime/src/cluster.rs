@@ -1337,9 +1337,10 @@ impl Cluster {
             row.acquire_us = acquire_us;
             row.acquire_src = acquisition.source();
             row.acquire_bytes = acquisition.bytes();
+            let activation_us = row.activation_us;
             state
                 .tiers
-                .committed(self, index, device, now_us, &mut state.probe);
+                .committed(index, device, activation_us, now_us, &mut state.probe);
         }
         if fresh {
             let (memo, probe) = (&mut self.sim_memo, &mut state.probe);

@@ -189,7 +189,7 @@ impl<'d> Tiers<'d> {
         };
         let transfer = cluster.active_transfer();
         let alive = |device: usize| cluster.fault.alive(device);
-        let bill = |device: usize| driver.activation_plan(index, device, &transfer, alive).0;
+        let bill = |device: usize| driver.activation_us(index, device, &transfer, alive);
         let mut choice = (routed, acquisition, bill(routed));
         let affinity = driver.affinity_target(index).filter(|&target| {
             target != routed
@@ -225,24 +225,21 @@ impl<'d> Tiers<'d> {
 
     /// Once the request committed to `device` (at its arrival or a
     /// requeue), pays the activation bill [`reroute`](Tiers::reroute)
-    /// priced, with a stage-transfer span per moved input.
+    /// priced into its routing row, with a stage-transfer span per moved
+    /// input.
     #[inline(always)]
     pub(crate) fn committed(
         &mut self,
-        cluster: &Cluster,
         index: usize,
         device: usize,
+        activation_us: f64,
         now_us: f64,
         probe: &mut obs::Probe,
     ) {
         if let Some(driver) = &mut self.session {
-            let alive = |device: usize| cluster.fault.alive(device);
-            let (cost_us, moved) =
-                driver.activation_plan(index, device, &cluster.active_transfer(), alive);
-            driver.commit_activation(index, cost_us, moved.len());
-            for (from, bytes) in moved {
+            driver.commit_activation(index, device, activation_us, |from, bytes| {
                 probe.stage_transfer(index, now_us, device, from, bytes);
-            }
+            });
         }
     }
 

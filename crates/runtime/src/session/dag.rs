@@ -9,16 +9,16 @@
 //! is computed so the cluster's event loop can flatten the stages into its
 //! intake without ever re-walking the graph.
 //!
-//! A single-stage pipeline is exactly today's [`Request`] wearing a session
-//! id: [`PipelineRequest::lower_to_request`] produces the identical request
-//! the plain serving path would have seen, which is what lets the cluster
-//! lower an all-single-stage batch onto the unchanged [`Cluster::serve`]
-//! path — proptest-pinned bitwise identical to the pre-session runtime.
+//! Every stage is served as one [`Request`](crate::Request). A single-stage
+//! pipeline's request keeps the pipeline's id, arrival and deadline, so it
+//! is the request [`Cluster::serve`] would be given; it is still admitted
+//! under its session's weighted-fair share (see the
+//! [`session`](crate::session) module docs).
 //!
 //! [`Cluster::serve`]: crate::Cluster::serve
 
 use crate::error::RuntimeError;
-use crate::request::{KernelSpec, Request};
+use crate::request::KernelSpec;
 use overlay_sim::Workload;
 
 /// Default activation payload a stage hands its successors when the caller
@@ -152,43 +152,21 @@ impl PipelineRequest {
         pipeline
     }
 
-    /// Whether the pipeline is a single stage — servable as a plain
-    /// [`Request`] with no session machinery at all.
+    /// Whether the pipeline is a single stage, whose one request keeps the
+    /// pipeline id.
     pub fn is_single_stage(&self) -> bool {
         self.stages.len() == 1
     }
 
     /// The synthesized request id for `stage`: the pipeline id for
-    /// single-stage pipelines (so lowering is identity-preserving), else the
-    /// pipeline id shifted past `STAGE_ID_BITS` (16) with the stage index in
-    /// the low bits.
+    /// single-stage pipelines, else the pipeline id shifted past
+    /// `STAGE_ID_BITS` (16) with the stage index in the low bits.
     pub fn stage_request_id(&self, stage: usize) -> u64 {
         if self.is_single_stage() {
             self.id
         } else {
             (self.id << STAGE_ID_BITS) | stage as u64
         }
-    }
-
-    /// Lowers a single-stage pipeline to the exact plain [`Request`] the
-    /// pre-session runtime would have served: same id, arrival and deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has more than one stage (callers check
-    /// [`is_single_stage`](Self::is_single_stage) first).
-    pub fn lower_to_request(&self) -> Request {
-        assert!(
-            self.is_single_stage(),
-            "only single-stage pipelines lower to a plain Request"
-        );
-        let stage = &self.stages[0];
-        let mut request =
-            Request::new(self.id, stage.kernel.clone(), stage.workload.clone()).at(self.arrival_us);
-        if let Some(deadline) = self.deadline_us {
-            request = request.with_deadline(deadline);
-        }
-        request
     }
 
     /// Validates the DAG and returns its stages in a deterministic
@@ -294,6 +272,9 @@ impl PipelineRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Request;
+    use crate::session::driver::SessionDriver;
+    use std::collections::BTreeMap;
 
     fn kernel(tag: u64) -> KernelSpec {
         KernelSpec::from_source(
@@ -356,6 +337,18 @@ mod tests {
         );
     }
 
+    /// The request `Cluster::serve` would be given for a single-stage
+    /// pipeline: its id, arrival and deadline, and its one stage's kernel.
+    fn plain_request(pipeline: &PipelineRequest) -> Request {
+        let stage = &pipeline.stages[0];
+        let request = Request::new(pipeline.id, stage.kernel.clone(), stage.workload.clone())
+            .at(pipeline.arrival_us);
+        match pipeline.deadline_us {
+            Some(deadline) => request.with_deadline(deadline),
+            None => request,
+        }
+    }
+
     #[test]
     fn single_stage_pipelines_lower_to_the_identical_plain_request() {
         let pipeline = PipelineRequest::new(9, 3)
@@ -364,13 +357,16 @@ mod tests {
             .stage(stage(0).emits(1 << 20));
         assert!(pipeline.is_single_stage());
         assert_eq!(pipeline.stage_request_id(0), 9, "id survives lowering");
-        let request = pipeline.lower_to_request();
-        assert_eq!(request.id, 9);
-        assert_eq!(request.arrival_us, 125.0);
-        assert_eq!(request.deadline_us, Some(500.0));
-        assert_eq!(
-            request.kernel.fingerprint(),
-            pipeline.stages[0].kernel.fingerprint()
-        );
+        let topos = [pipeline.validate().unwrap()];
+        let (_, requests) =
+            SessionDriver::build(std::slice::from_ref(&pipeline), &topos, &BTreeMap::new());
+        let [request] = requests.as_slice() else {
+            panic!("one stage, one request: {requests:?}");
+        };
+        let plain = plain_request(&pipeline);
+        assert_eq!(request.id, plain.id);
+        assert_eq!(request.arrival_us.to_bits(), plain.arrival_us.to_bits());
+        assert_eq!(request.deadline_us, plain.deadline_us);
+        assert_eq!(request.kernel.fingerprint(), plain.kernel.fingerprint());
     }
 }

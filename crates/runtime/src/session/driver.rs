@@ -95,10 +95,8 @@ struct PipeState {
 }
 
 /// The session tier's event-loop companion (see the module docs). Built by
-/// [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines) for the
-/// multi-stage / non-default-class path and lent to that serve's tiers;
-/// every other serve has none, which keeps the plain paths bitwise
-/// identical.
+/// every [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines) and
+/// lent to that serve's tiers; every other serve has none.
 #[derive(Debug)]
 pub(crate) struct SessionDriver {
     stages: Vec<StageState>,
@@ -281,43 +279,57 @@ impl SessionDriver {
             .map(|(_, std::cmp::Reverse(device))| device)
     }
 
-    /// The activation bill for serving stage `index` on `device`: the total
-    /// modeled delay plus the `(producer, bytes)` inputs that actually move
-    /// (priced on the link from a living producer, on the host checkpoint
-    /// path from a dead one — a `cheapest_acquisition`-style costing for
-    /// activations, except the source is fixed by the dataflow).
-    pub(crate) fn activation_plan(
+    /// The `(producer, bytes)` inputs of stage `index` that move when it
+    /// runs on `device`: those whose producer is another device and whose
+    /// payload is not empty.
+    fn moved_inputs(&self, index: usize, device: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.stages[index].deps.iter().filter_map(move |&dep| {
+            let source = &self.stages[dep];
+            let producer = source.producer?;
+            (producer != device && source.output_bytes != 0)
+                .then_some((producer, source.output_bytes))
+        })
+    }
+
+    /// The activation bill for serving stage `index` on `device`: each
+    /// moved input priced on the link from a living producer, on the host
+    /// checkpoint path from a dead one (a `cheapest_acquisition`-style
+    /// costing for activations, except the source is fixed by the
+    /// dataflow).
+    pub(crate) fn activation_us(
         &self,
         index: usize,
         device: usize,
         transfer: &TransferModel,
         alive: impl Fn(usize) -> bool,
-    ) -> (f64, Vec<(usize, u64)>) {
-        let mut total_us = 0.0;
-        let mut moved = Vec::new();
-        for &dep in &self.stages[index].deps {
-            let source = &self.stages[dep];
-            let Some(producer) = source.producer else {
-                continue;
-            };
-            if producer == device || source.output_bytes == 0 {
-                continue;
-            }
-            let bytes = source.output_bytes;
-            let cost = if alive(producer) {
+    ) -> f64 {
+        let price = |(producer, bytes): (usize, u64)| {
+            if alive(producer) {
                 transfer.link_transfer_us(producer.abs_diff(device), bytes as usize)
             } else {
                 transfer.host_load_us(bytes as usize)
-            };
-            total_us += cost;
-            moved.push((producer, bytes));
-        }
-        (total_us, moved)
+            }
+        };
+        // A fold from +0.0, not `sum`, which starts from -0.0.
+        let moved = self.moved_inputs(index, device).map(price);
+        moved.fold(0.0, |total_us, cost_us| total_us + cost_us)
     }
 
-    /// Records an activation bill actually charged (called once per routing
-    /// commit; a fault requeue re-prices and re-commits).
-    pub(crate) fn commit_activation(&mut self, index: usize, cost_us: f64, transfers: usize) {
+    /// Charges stage `index` the bill `cost_us` that routing priced for
+    /// `device` (once per routing commit; a fault requeue re-prices and
+    /// re-commits), calling `moved` with each input that moves there.
+    pub(crate) fn commit_activation(
+        &mut self,
+        index: usize,
+        device: usize,
+        cost_us: f64,
+        mut moved: impl FnMut(usize, u64),
+    ) {
+        let mut transfers = 0;
+        for (producer, bytes) in self.moved_inputs(index, device) {
+            transfers += 1;
+            moved(producer, bytes);
+        }
         let stage = &mut self.stages[index];
         stage.paid_transfers += transfers;
         stage.paid_transfer_us += cost_us;
@@ -467,43 +479,37 @@ impl SessionDriver {
                 missed_deadline: missed,
             });
         }
-        let classes = class_metrics_from(&outcomes);
+        // Per-class metrics, for the classes actually present.
+        let classes = SloClass::ALL
+            .iter()
+            .filter_map(|&slo| {
+                let of_class: Vec<&PipelineOutcome> =
+                    outcomes.iter().filter(|o| o.slo == slo).collect();
+                if of_class.is_empty() {
+                    return None;
+                }
+                let mut latencies: Vec<f64> = of_class
+                    .iter()
+                    .filter(|o| !o.rejected)
+                    .map(|o| o.latency_us())
+                    .collect();
+                let rejected = of_class.iter().filter(|o| o.rejected).count();
+                let misses = of_class.iter().filter(|o| o.missed_deadline).count();
+                let with_deadline = of_class
+                    .iter()
+                    .filter(|o| !o.rejected && o.deadline_us.is_some())
+                    .count();
+                Some(ClassMetrics::from_samples(
+                    slo,
+                    &mut latencies,
+                    rejected,
+                    misses,
+                    with_deadline,
+                ))
+            })
+            .collect();
         (outcomes, stage_metrics, classes)
     }
-}
-
-/// Rolls pipeline outcomes up into per-class metrics, for the classes
-/// actually present (shared by the driver path and the all-single-stage
-/// fast path).
-pub(crate) fn class_metrics_from(outcomes: &[PipelineOutcome]) -> Vec<ClassMetrics> {
-    SloClass::ALL
-        .iter()
-        .filter_map(|&slo| {
-            let of_class: Vec<&PipelineOutcome> =
-                outcomes.iter().filter(|o| o.slo == slo).collect();
-            if of_class.is_empty() {
-                return None;
-            }
-            let mut latencies: Vec<f64> = of_class
-                .iter()
-                .filter(|o| !o.rejected)
-                .map(|o| o.latency_us())
-                .collect();
-            let rejected = of_class.iter().filter(|o| o.rejected).count();
-            let misses = of_class.iter().filter(|o| o.missed_deadline).count();
-            let with_deadline = of_class
-                .iter()
-                .filter(|o| !o.rejected && o.deadline_us.is_some())
-                .count();
-            Some(ClassMetrics::from_samples(
-                slo,
-                &mut latencies,
-                rejected,
-                misses,
-                with_deadline,
-            ))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -565,16 +571,20 @@ mod tests {
         let (mut driver, _) = driver_for(&[chain(1, 7, 2)]);
         driver.note_complete(0, 3, 5.0);
         let transfer = TransferModel::new();
+        let moved = |driver: &mut SessionDriver, device: usize| {
+            let mut moved = Vec::new();
+            driver.commit_activation(1, device, 0.0, |from, bytes| moved.push((from, bytes)));
+            moved
+        };
         // Consumer on the producer device: nothing moves.
-        let (cost, moved) = driver.activation_plan(1, 3, &transfer, |_| true);
-        assert_eq!(cost, 0.0);
-        assert!(moved.is_empty());
+        assert_eq!(driver.activation_us(1, 3, &transfer, |_| true), 0.0);
+        assert!(moved(&mut driver, 3).is_empty());
         // One device over: one link hop for the default payload.
-        let (cost, moved) = driver.activation_plan(1, 2, &transfer, |_| true);
+        let cost = driver.activation_us(1, 2, &transfer, |_| true);
         assert_eq!(cost, transfer.link_transfer_us(1, 4096));
-        assert_eq!(moved, vec![(3, 4096)]);
+        assert_eq!(moved(&mut driver, 2), vec![(3, 4096)]);
         // Producer dead: the activation restores from the host checkpoint.
-        let (cost, _) = driver.activation_plan(1, 2, &transfer, |d| d != 3);
+        let cost = driver.activation_us(1, 2, &transfer, |d| d != 3);
         assert_eq!(cost, transfer.host_load_us(4096));
     }
 

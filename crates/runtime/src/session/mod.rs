@@ -23,10 +23,13 @@
 //! pipeline's next stage near its producer's output unless queue load says
 //! otherwise.
 //!
-//! Everything here is opt-in and equivalence-pinned: a batch of single-stage
-//! pipelines under all-standard sessions lowers onto the unchanged
-//! [`Cluster::serve`] path and is bitwise identical to the pre-session
-//! runtime.
+//! Every pipeline serve takes this one path, whatever its stages' shape or
+//! classes. Its admission rule is weighted-fair: under an admission limit,
+//! each session may hold at most `max(1, ⌊limit·weight/total_weight⌋)`
+//! waiting stages, its [`SloClass::weight`] over the weights of the
+//! sessions in the batch. A batch of single-stage, all-standard pipelines
+//! follows that rule too; with no limit it serves its stages exactly as
+//! [`Cluster::serve`] serves the same requests.
 //!
 //! [`Cluster::serve`]: crate::Cluster::serve
 //! [`Cluster::serve_pipelines`]: crate::Cluster::serve_pipelines
@@ -40,12 +43,12 @@ pub use dag::{PipelineRequest, PipelineStage, DEFAULT_ACTIVATION_BYTES};
 pub use sched::ReorderBuffer;
 pub use slo::{Session, SloClass};
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::control::Tiers;
 use crate::metrics::{ClassMetrics, StageMetrics};
-use crate::{Cluster, Ingest, Request, RuntimeError, ServeReport};
-use driver::{class_metrics_from, SessionDriver};
+use crate::{Cluster, Ingest, RuntimeError, ServeReport};
+use driver::SessionDriver;
 
 /// What happened to one pipeline: when it finished, when it *committed*
 /// (in submission order within its session), and what its stages paid in
@@ -133,10 +136,10 @@ impl Cluster {
     /// order per session through a reorder buffer.
     ///
     /// A pipeline naming a session absent from `sessions` runs as
-    /// [`SloClass::Standard`]. A batch of single-stage pipelines under
-    /// all-standard sessions lowers onto the unchanged
-    /// [`serve`](Cluster::serve) path — bitwise identical to serving the
-    /// plain requests.
+    /// [`SloClass::Standard`]. Under an admission limit, each session may
+    /// hold at most `max(1, ⌊limit·weight/total_weight⌋)` waiting stages,
+    /// whatever the shape of its pipelines: a single-stage, all-standard
+    /// batch is split across its sessions like any other.
     ///
     /// # Errors
     ///
@@ -159,13 +162,6 @@ impl Cluster {
             .iter()
             .map(|session| (session.id, session.slo))
             .collect();
-        let all_plain = pipelines.iter().all(|pipeline| {
-            pipeline.is_single_stage()
-                && slo_of.get(&pipeline.session).copied().unwrap_or_default() == SloClass::Standard
-        });
-        if all_plain {
-            return self.serve_single_stage_pipelines(&pipelines, &slo_of);
-        }
         let (mut driver, requests) = SessionDriver::build(&pipelines, &topos, &slo_of);
         // The serve's tiers drive the driver on loan; an error drops it
         // with the serve (there is no report to build).
@@ -176,89 +172,6 @@ impl Cluster {
         Ok(PipelineReport {
             cluster,
             pipelines,
-            stages,
-            classes,
-        })
-    }
-
-    /// The all-single-stage, all-standard fast path of
-    /// [`serve_pipelines`](Cluster::serve_pipelines): lowers each pipeline
-    /// to its plain [`Request`] and runs the unchanged
-    /// [`serve`](Cluster::serve), then rebuilds the pipeline-level view
-    /// from the plain report. This is the path the equivalence proptests
-    /// pin bitwise against PR-8 serving.
-    fn serve_single_stage_pipelines(
-        &mut self,
-        pipelines: &[PipelineRequest],
-        slo_of: &BTreeMap<u64, SloClass>,
-    ) -> Result<PipelineReport, RuntimeError> {
-        let requests: Vec<Request> = pipelines
-            .iter()
-            .map(PipelineRequest::lower_to_request)
-            .collect();
-        let cluster = self.serve(requests)?;
-        // Completions by request id, in submission order per id — caller
-        // ids need not be unique, so each id keys a FIFO of completions.
-        let mut completions: BTreeMap<u64, VecDeque<f64>> = BTreeMap::new();
-        for outcome in cluster.outcomes() {
-            completions
-                .entry(outcome.request_id)
-                .or_default()
-                .push_back(outcome.completion_us);
-        }
-        let mut rob = ReorderBuffer::new(pipelines.len());
-        for (index, pipeline) in pipelines.iter().enumerate() {
-            rob.push(pipeline.session, index);
-        }
-        let mut outcomes: Vec<PipelineOutcome> = pipelines
-            .iter()
-            .map(|pipeline| {
-                let slo = slo_of.get(&pipeline.session).copied().unwrap_or_default();
-                let finish = completions
-                    .get_mut(&pipeline.id)
-                    .and_then(VecDeque::pop_front);
-                PipelineOutcome {
-                    id: pipeline.id,
-                    session: pipeline.session,
-                    slo,
-                    arrival_us: pipeline.arrival_us,
-                    finish_us: finish.unwrap_or(pipeline.arrival_us),
-                    commit_us: pipeline.arrival_us,
-                    stages: 1,
-                    completed_stages: usize::from(finish.is_some()),
-                    rejected: finish.is_none(),
-                    transfers: 0,
-                    transfer_us: 0.0,
-                    deadline_us: pipeline.deadline_us,
-                    missed_deadline: false,
-                }
-            })
-            .collect();
-        // Feeding finishes in submission order retires each pipeline as
-        // the head of its session's run: commit = max(finish, previous
-        // commit in the session).
-        for index in 0..outcomes.len() {
-            let (session, finish) = (outcomes[index].session, outcomes[index].finish_us);
-            for (retired, commit_us) in rob.finish(session, index, finish) {
-                outcomes[retired].commit_us = commit_us;
-            }
-        }
-        for outcome in &mut outcomes {
-            outcome.missed_deadline = !outcome.rejected
-                && outcome
-                    .deadline_us
-                    .is_some_and(|deadline| outcome.commit_us > deadline);
-        }
-        let mut samples: Vec<f64> = outcomes
-            .iter()
-            .filter(|outcome| !outcome.rejected)
-            .map(|outcome| outcome.finish_us - outcome.arrival_us)
-            .collect();
-        let stages = vec![StageMetrics::from_samples(0, &mut samples, 0, 0.0)];
-        let classes = class_metrics_from(&outcomes);
-        Ok(PipelineReport {
-            cluster,
-            pipelines: outcomes,
             stages,
             classes,
         })

@@ -24,8 +24,8 @@ use std::fmt;
 pub enum SloClass {
     /// Interactive tier: largest weighted-fair admission share.
     Latency,
-    /// The default tier; a batch of all-standard sessions is served
-    /// identically to one with no SLO machinery at all.
+    /// The default tier, and the class of a session absent from the
+    /// serve's list.
     #[default]
     Standard,
     /// Throughput tier: smallest admission share, and dispatched as

@@ -4,13 +4,15 @@
 //!
 //! The property half pins the tier's two contracts:
 //!
-//! * **equivalence** — a batch of single-stage pipelines is bitwise
-//!   identical to the plain [`Cluster::serve`] of the lowered requests,
-//!   across dispatch policy × route policy × batching × fault schedules
-//!   (the all-standard batch takes the lowering fast path and must match
-//!   *every* observable including the trace; a mixed-class batch runs the
-//!   live session driver and must still reproduce outcomes and rejects to
-//!   the bit);
+//! * **equivalence** — with no admission limit, a batch of single-stage
+//!   pipelines serves its stages exactly as the plain [`Cluster::serve`]
+//!   of the same requests, across dispatch policy × route policy ×
+//!   batching × fault schedules (an all-standard batch must match every
+//!   observable but the pipeline serve's own additions, its SLO admission
+//!   spans and stage-batch count; a mixed-class batch must still reproduce
+//!   outcomes and rejects to the bit). Under a limit the pipeline serve
+//!   splits it across sessions, which the plain serve does not:
+//!   `a_single_stage_flood_is_capped_at_its_fair_share` pins that;
 //! * **zero loss** — under random fault schedules, every submitted stage of
 //!   every pipeline is accounted for exactly once across outcomes and
 //!   rejects, and every pipeline gets exactly one outcome.
@@ -21,6 +23,7 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use tm_overlay::runtime::{SpanKind, TraceEvent};
 use tm_overlay::{
     BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
     PipelineReport, PipelineRequest, PipelineStage, Request, RoutePolicy, ServeReport, Session,
@@ -133,11 +136,25 @@ fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
     plan
 }
 
-/// Every observable of two cluster serves must match exactly — including
-/// the per-device breakdown and the recorded trace.
-fn assert_cluster_reports_identical(a: &ServeReport, b: &ServeReport) {
-    assert_eq!(a.outcomes().len(), b.outcomes().len());
-    for (lhs, rhs) in a.outcomes().iter().zip(b.outcomes()) {
+/// The request [`Cluster::serve`] would be given for a single-stage
+/// pipeline: its id, arrival and deadline, and its one stage.
+fn plain_request(pipeline: &PipelineRequest) -> Request {
+    let stage = &pipeline.stages[0];
+    let request = Request::new(pipeline.id, stage.kernel.clone(), stage.workload.clone())
+        .at(pipeline.arrival_us);
+    match pipeline.deadline_us {
+        Some(deadline) => request.with_deadline(deadline),
+        None => request,
+    }
+}
+
+/// Every observable of a single-stage pipeline serve must match the plain
+/// serve exactly, but for what only a pipeline serve adds: its batched
+/// dispatches are also counted as stage batches, and its trace has an SLO
+/// admission span per request.
+fn assert_cluster_reports_identical(piped: &ServeReport, plain: &ServeReport) {
+    assert_eq!(piped.outcomes().len(), plain.outcomes().len());
+    for (lhs, rhs) in piped.outcomes().iter().zip(plain.outcomes()) {
         assert_eq!(lhs.request_id, rhs.request_id);
         assert_eq!(lhs.device, rhs.device);
         assert_eq!(lhs.tile, rhs.tile);
@@ -148,10 +165,20 @@ fn assert_cluster_reports_identical(a: &ServeReport, b: &ServeReport) {
         assert_eq!(lhs.switched, rhs.switched);
         assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
     }
-    assert_eq!(a.rejected(), b.rejected());
-    assert_eq!(a.metrics(), b.metrics());
-    assert_eq!(a.device_metrics(), b.device_metrics());
-    assert_eq!(a.trace(), b.trace());
+    assert_eq!(piped.rejected(), plain.rejected());
+    let mut metrics = piped.metrics().clone();
+    assert_eq!(metrics.batch.stage_batched, metrics.batch.batched_requests);
+    metrics.batch.stage_batched = 0;
+    assert_eq!(&metrics, plain.metrics());
+    assert_eq!(piped.device_metrics(), plain.device_metrics());
+    let spans = |report: &ServeReport| -> Vec<TraceEvent> {
+        let trace = report.trace().expect("traced serve");
+        let kept = trace.events().iter();
+        kept.filter(|event| !matches!(event.kind, SpanKind::SloAdmit { .. }))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(spans(piped), spans(plain));
 }
 
 /// Every submitted stage of every pipeline shows up exactly once across
@@ -382,6 +409,48 @@ fn the_latency_tier_is_shielded_under_admission_pressure() {
     );
 }
 
+/// Weighted-fair admission holds for single-stage, all-standard batches
+/// too. On one single-tile device with admission limit 6, two standard
+/// sessions (weight 2 each) may each hold `max(1, ⌊6·2/4⌋) = 3` waiting
+/// stages: session 0's flood at t = 0 starts one and queues three, and
+/// session 1, arriving just after, still finds room for all of its own.
+#[test]
+fn a_single_stage_flood_is_capped_at_its_fair_share() {
+    const LIMIT: usize = 6;
+    let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
+    let single = |id: u64, session: u64, arrival_us: f64| {
+        PipelineRequest::new(id, session)
+            .at(arrival_us)
+            .stage(PipelineStage::new(
+                spec.clone(),
+                Workload::random(5, 64, id),
+            ))
+    };
+    let pipelines: Vec<PipelineRequest> = (0..12)
+        .map(|id| single(id, 0, 0.0))
+        .chain((12..15).map(|id| single(id, 1, 1.0)))
+        .collect();
+    let report = Cluster::new(FuVariant::V4, 1, 1)
+        .unwrap()
+        .with_admission_limit(LIMIT)
+        .serve_pipelines(pipelines, &[Session::new(0), Session::new(1)])
+        .unwrap();
+    let first_done_us = report.cluster.outcomes()[0].completion_us;
+    assert!(
+        first_done_us > 1.0,
+        "session 1 arrives while the tile is busy"
+    );
+    let admitted = |session: u64| {
+        let of_session = report.pipelines.iter().filter(|p| p.session == session);
+        of_session.filter(|p| !p.rejected).count()
+    };
+    let weight = SloClass::Standard.weight() as usize;
+    let share = (LIMIT * weight / (2 * weight)).max(1);
+    assert_eq!(share, 3);
+    assert_eq!(admitted(0), 1 + share, "one starts at once, a share waits");
+    assert_eq!(admitted(1), 3, "session 1 is admitted in full");
+}
+
 /// Stage affinity and SLO admission at fleet scale, on an 8 × 4 V4 fleet.
 /// (A) 384 4-stage chains through four suite kernels, 256 KiB activations
 /// per edge, stage load ρ ≈ 0.5 under kernel-hash routing, which alone would
@@ -503,17 +572,17 @@ fn a_mid_serve_kill_loses_no_finished_stage_work() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All-standard single-stage batches take the lowering fast path and
-    /// must reproduce the plain serve **bitwise** — outcomes, rejects,
-    /// metrics, device breakdown and the recorded trace — across dispatch
-    /// policy × route policy × batching × admission × fault schedules.
+    /// All-standard single-stage batches with no admission limit must
+    /// reproduce the plain serve **bitwise** — outcomes, rejects, metrics,
+    /// device breakdown and the recorded trace, but for the pipeline
+    /// serve's own additions — across dispatch policy × route policy ×
+    /// batching × fault schedules.
     #[test]
     fn single_stage_standard_batches_lower_bitwise_onto_the_plain_serve(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
         policy_pick in 0..DispatchPolicy::ALL.len(),
         route_pick in 0usize..3,
         batch_pick in 0usize..2,
-        limit_pick in 0usize..2,
         fault_pick in 0usize..2,
     ) {
         let pipelines = random_single_stage(seed, count);
@@ -521,29 +590,25 @@ proptest! {
         let policy = DispatchPolicy::ALL[policy_pick];
         let route = RoutePolicy::ALL[route_pick];
         let batching = [BatchConfig::disabled(), BatchConfig::with_max_batch(3)][batch_pick];
-        let limit = [usize::MAX, count / 2 + 1][limit_pick];
         let build = || {
             let mut built = cluster(devices, tiles, route)
                 .with_policy(policy)
                 .with_batching(batching)
-                .with_admission_limit(limit)
                 .with_tracing(TraceConfig::enabled());
             if fault_pick == 1 {
                 built = built.with_fault_plan(random_plan(seed, devices, 60.0));
             }
             built
         };
-        let plain_requests: Vec<_> = pipelines.iter().map(|p| p.lower_to_request()).collect();
-        let plain = build().serve(plain_requests).unwrap();
+        let plain = build().serve(pipelines.iter().map(plain_request).collect::<Vec<_>>()).unwrap();
         let piped = build().serve_pipelines(pipelines, &sessions).unwrap();
         assert_cluster_reports_identical(&piped.cluster, &plain);
         prop_assert_eq!(piped.pipelines.len(), count);
     }
 
-    /// A mixed-class single-stage batch forces the live session driver, and
-    /// the inert stage machinery (no deps, no activations, unlimited
-    /// admission) must still reproduce the plain serve's outcomes and
-    /// rejects to the bit.
+    /// In a mixed-class single-stage batch the inert stage machinery (no
+    /// deps, no activations, unlimited admission) must still reproduce the
+    /// plain serve's outcomes and rejects to the bit.
     #[test]
     fn driver_active_single_stage_serves_match_plain_outcomes(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
@@ -552,9 +617,8 @@ proptest! {
         fault_pick in 0usize..2,
     ) {
         let pipelines = random_single_stage(seed, count);
-        // Session 0 is latency-tier: the batch no longer lowers, the driver
-        // runs live. BestEffort is deliberately absent — it would drop its
-        // pipelines' deadlines and change the comparison.
+        // Session 0 is latency-tier. BestEffort is deliberately absent — it
+        // would drop its pipelines' deadlines and change the comparison.
         let sessions = vec![
             Session::new(0).with_slo(SloClass::Latency),
             Session::new(1),
@@ -569,8 +633,7 @@ proptest! {
             }
             built
         };
-        let plain_requests: Vec<_> = pipelines.iter().map(|p| p.lower_to_request()).collect();
-        let plain = build().serve(plain_requests).unwrap();
+        let plain = build().serve(pipelines.iter().map(plain_request).collect::<Vec<_>>()).unwrap();
         let piped = build().serve_pipelines(pipelines, &sessions).unwrap();
         prop_assert_eq!(piped.cluster.outcomes().len(), plain.outcomes().len());
         for (lhs, rhs) in piped.cluster.outcomes().iter().zip(plain.outcomes()) {
