@@ -1726,28 +1726,11 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::session::{PipelineRequest, PipelineStage, Session, SloClass};
+    use crate::tests::benchmark_trace;
     use crate::{KernelSpec, Request};
     use overlay_frontend::Benchmark;
     use overlay_sim::Workload;
     use std::sync::Arc;
-
-    fn benchmark_trace(count: usize, blocks: usize) -> Vec<Request> {
-        let suite = [
-            Benchmark::Gradient,
-            Benchmark::Chebyshev,
-            Benchmark::Qspline,
-            Benchmark::Poly5,
-        ];
-        (0..count)
-            .map(|i| {
-                let benchmark = suite[i % suite.len()];
-                let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-                let inputs = benchmark.dfg().unwrap().num_inputs();
-                let workload = Workload::random(inputs, blocks, 0xC105 ^ i as u64);
-                Request::new(i as u64, spec, workload).at(i as f64 * 2.0)
-            })
-            .collect()
-    }
 
     #[test]
     fn empty_clusters_and_pools_are_rejected() {
@@ -1788,7 +1771,7 @@ mod tests {
 
     #[test]
     fn kernel_hash_routing_pins_each_kernel_to_one_device() {
-        let requests = benchmark_trace(24, 4);
+        let requests = benchmark_trace(24, 4, 0xC105);
         let mut cluster = Cluster::new(FuVariant::V4, 4, 2).unwrap();
         let report = cluster.serve(requests).unwrap();
         assert_eq!(report.route_policy(), RoutePolicy::KernelHash);
@@ -1870,7 +1853,7 @@ mod tests {
 
     #[test]
     fn per_device_metrics_roll_up_to_the_cluster_totals() {
-        let requests = benchmark_trace(32, 4);
+        let requests = benchmark_trace(32, 4, 0xC105);
         let mut cluster = Cluster::new(FuVariant::V4, 3, 2)
             .unwrap()
             .with_route_policy(RoutePolicy::PowerOfTwoChoices);
@@ -1916,7 +1899,7 @@ mod tests {
     /// the plain one an unplanned one-device cluster serves on.
     #[test]
     fn tiny_stores_reacquire_evicted_images_and_one_device_stays_exempt() {
-        let trace = benchmark_trace(16, 4);
+        let trace = benchmark_trace(16, 4, 0xC105);
         let mut thrashing = Cluster::new(FuVariant::V4, 2, 1)
             .unwrap()
             .with_route_policy(RoutePolicy::LeastLoaded)
@@ -1975,7 +1958,7 @@ mod tests {
     fn streamed_and_batch_cluster_serves_agree() {
         // Two *fresh* clusters: acquisition decisions depend on the kernel
         // stores, which persist across serves on one cluster.
-        let requests = benchmark_trace(12, 4);
+        let requests = benchmark_trace(12, 4, 0xC105);
         let cluster = || {
             Cluster::new(FuVariant::V4, 2, 2)
                 .unwrap()
@@ -2111,7 +2094,7 @@ mod tests {
 
     #[test]
     fn single_stage_standard_pipelines_match_the_plain_serve_bitwise() {
-        let requests = benchmark_trace(12, 4);
+        let requests = benchmark_trace(12, 4, 0xC105);
         let pipelines: Vec<PipelineRequest> = requests
             .iter()
             .map(|request| {

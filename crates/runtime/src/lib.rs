@@ -726,7 +726,10 @@ mod tests {
     use overlay_frontend::Benchmark;
     use overlay_sim::Workload;
 
-    fn benchmark_trace(count: usize, blocks: usize) -> Vec<Request> {
+    /// A mixed-kernel trace over the paper's benchmark suite: `count`
+    /// requests, one every 2 µs, cycling through four kernels, request `i`'s
+    /// workload seeded `seed ^ i`.
+    pub(crate) fn benchmark_trace(count: usize, blocks: usize, seed: u64) -> Vec<Request> {
         let suite = [
             Benchmark::Gradient,
             Benchmark::Chebyshev,
@@ -738,7 +741,7 @@ mod tests {
                 let benchmark = suite[i % suite.len()];
                 let spec = KernelSpec::from_benchmark(benchmark).unwrap();
                 let inputs = benchmark.dfg().unwrap().num_inputs();
-                let workload = Workload::random(inputs, blocks, 0xFEED ^ i as u64);
+                let workload = Workload::random(inputs, blocks, seed ^ i as u64);
                 Request::new(i as u64, spec, workload).at(i as f64 * 2.0)
             })
             .collect()
@@ -760,7 +763,7 @@ mod tests {
 
     #[test]
     fn serving_matches_the_reference_evaluator_per_request() {
-        let requests = benchmark_trace(12, 8);
+        let requests = benchmark_trace(12, 8, 0xFEED);
         let mut runtime = Cluster::new(FuVariant::V3, 1, 4).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert_eq!(report.outcomes().len(), 12);
@@ -777,7 +780,7 @@ mod tests {
 
     #[test]
     fn serve_is_deterministic_across_calls_and_policies_agree_functionally() {
-        let requests = benchmark_trace(10, 6);
+        let requests = benchmark_trace(10, 6, 0xFEED);
         let mut affinity = Cluster::new(FuVariant::V4, 1, 4).unwrap();
         let mut slack_aware = Cluster::new(FuVariant::V4, 1, 4)
             .unwrap()
@@ -801,7 +804,7 @@ mod tests {
 
     #[test]
     fn serve_stream_from_a_live_producer_matches_the_batch_shim() {
-        let requests = benchmark_trace(10, 4);
+        let requests = benchmark_trace(10, 4, 0xFEED);
         let mut runtime = Cluster::new(FuVariant::V4, 1, 3).unwrap();
         let batch = runtime.serve(requests.clone()).unwrap();
         let streamed = runtime
@@ -826,7 +829,7 @@ mod tests {
         // On a V1 pool every kernel swap costs ~1 ms of PCAP time, so a
         // single tile cycling through 4 kernels pays milliseconds of
         // switching.
-        let requests = benchmark_trace(8, 4);
+        let requests = benchmark_trace(8, 4, 0xFEED);
         let mut runtime = Cluster::new(FuVariant::V1, 1, 1).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert!(
@@ -843,7 +846,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_each_kernel_once_per_serve() {
-        let requests = benchmark_trace(16, 4);
+        let requests = benchmark_trace(16, 4, 0xFEED);
         let mut runtime = Cluster::new(FuVariant::V4, 1, 4).unwrap();
         let report = runtime.serve(requests.clone()).unwrap();
         assert_eq!(report.metrics().cache.misses, 4, "4 distinct kernels");
@@ -970,7 +973,7 @@ mod tests {
 
     #[test]
     fn metrics_account_every_request_and_tile() {
-        let requests = benchmark_trace(20, 5);
+        let requests = benchmark_trace(20, 5, 0xFEED);
         let mut runtime = Cluster::new(FuVariant::V5, 1, 4).unwrap();
         let report = runtime.serve(requests).unwrap();
         let metrics = report.metrics();
@@ -1219,7 +1222,7 @@ mod tests {
     fn from_noc_serve() -> ServeReport {
         let tile = overlay_arch::Tile::new(FuVariant::V4, overlay_arch::TileComposition::Series);
         let noc = NocConfig::new(2, 3, tile).unwrap();
-        let requests: Vec<Request> = benchmark_trace(60, 24)
+        let requests: Vec<Request> = benchmark_trace(60, 24, 0xFEED)
             .into_iter()
             .enumerate()
             .map(|(i, request)| {

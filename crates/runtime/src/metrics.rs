@@ -512,7 +512,16 @@ pub fn percentile_by_selection(values: &mut [f64], p: f64) -> f64 {
             } else {
                 *left.select_nth_unstable_by(low, f64::total_cmp).1
             };
-            low_value * (1.0 - weight) + high_value * weight
+            // Held to its two order statistics: equal neighbours can round
+            // one ulp past them, which would put a p99 above the maximum.
+            let value = low_value * (1.0 - weight) + high_value * weight;
+            if value > high_value {
+                high_value
+            } else if value < low_value {
+                low_value
+            } else {
+                value
+            }
         }
     }
 }
@@ -533,6 +542,14 @@ mod tests {
         // Out-of-range p clamps to the extremes.
         assert_eq!(percentile_by_selection(&mut values, -1.0), 1.0);
         assert_eq!(percentile_by_selection(&mut values, 2.0), 4.0);
+    }
+
+    #[test]
+    fn tied_neighbours_interpolate_to_their_value() {
+        // 0.14 × v + 0.86 × v rounds one ulp above this v.
+        let v = 370.461_056_034_482_74;
+        assert_eq!(percentile_by_selection(&mut [v; 15], 0.99), v);
+        assert_eq!(percentile_by_selection(&mut [1.0, v, v], 0.99), v);
     }
 
     #[test]

@@ -346,16 +346,17 @@ impl SessionDriver {
         device: usize,
         now_us: f64,
     ) -> Vec<(usize, usize)> {
-        let (pipeline, succs) = {
+        let pipeline = {
             let stage = &mut self.stages[index];
             debug_assert!(!stage.done, "a stage completes at most once");
             stage.done = true;
             stage.producer = Some(device);
             stage.completion_us = now_us;
-            (stage.pipeline, stage.succs.clone())
+            stage.pipeline
         };
         let mut released = Vec::new();
-        for succ in succs {
+        for position in 0..self.stages[index].succs.len() {
+            let succ = self.stages[index].succs[position];
             let stage = &mut self.stages[succ];
             stage.deps_left -= 1;
             if stage.deps_left == 0 && stage.parked && !stage.rejected {

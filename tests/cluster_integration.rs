@@ -3,116 +3,34 @@
 //! against the DFG reference evaluator, transfer accounting audited, and the
 //! per-device metrics rolled up against the cluster totals.
 
+mod support;
+
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use tm_overlay::dfg::evaluate_stream;
-use tm_overlay::frontend::LowerOptions;
-use tm_overlay::runtime::RuntimeError;
-use tm_overlay::{
-    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, Request, RoutePolicy, ServeReport,
-    TraceConfig, TransferModel, Workload,
+use proptest::prelude::TestCaseError;
+
+use support::{
+    audit, audit_parts, audit_pipelines, benchmark_trace, check_outputs, cluster, service_us,
+    suite_kernel, suite_trace, Audited, Parts,
 };
-
-/// A mixed-kernel trace over the paper's benchmark suite: `count` requests,
-/// one every `spacing_us`, cycling through four kernels with per-request
-/// deadlines at `budget_us`.
-fn benchmark_trace(count: usize, blocks: usize, spacing_us: f64, budget_us: f64) -> Vec<Request> {
-    let suite = [
-        Benchmark::Gradient,
-        Benchmark::Chebyshev,
-        Benchmark::Qspline,
-        Benchmark::Poly5,
-    ];
-    (0..count)
-        .map(|i| {
-            let benchmark = suite[i % suite.len()];
-            let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-            let inputs = benchmark.dfg().unwrap().num_inputs();
-            let workload = Workload::random(inputs, blocks, 0xCAFE ^ i as u64);
-            let arrival = i as f64 * spacing_us;
-            Request::new(i as u64, spec, workload)
-                .at(arrival)
-                .with_deadline(arrival + budget_us)
-        })
-        .collect()
-}
-
-/// Checks every outcome against the DFG reference evaluator and audits the
-/// cluster-level invariants every serve must uphold.
-fn verify_report(requests: &[Request], report: &ServeReport, devices: usize) {
-    let options = LowerOptions::default();
-    let find = |id: u64| requests.iter().find(|r| r.id == id).unwrap();
-    for outcome in report.outcomes() {
-        let request = find(outcome.request_id);
-        let dfg = request.kernel.dfg(&options).unwrap();
-        let expected = evaluate_stream(&dfg, request.workload.records()).unwrap();
-        assert_eq!(
-            outcome.outputs(),
-            expected,
-            "request {} diverged from the reference evaluator",
-            request.id
-        );
-        assert!(outcome.device < devices, "device id out of range");
-        assert!(outcome.start_us >= request.arrival_us);
-        assert!(outcome.completion_us > outcome.start_us);
-    }
-    // Served and rejected ids partition the submitted ids.
-    let mut ids: Vec<u64> = report
-        .outcomes()
-        .iter()
-        .map(|o| o.request_id)
-        .chain(report.rejected().iter().map(|r| r.id))
-        .collect();
-    ids.sort_unstable();
-    let mut expected: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    expected.sort_unstable();
-    assert_eq!(ids, expected, "ids are conserved");
-    // Per-device metrics roll up to the cluster totals.
-    let totals = report.metrics();
-    let per_device = report.device_metrics();
-    assert_eq!(per_device.len(), devices);
-    assert_eq!(
-        per_device.iter().map(|d| d.requests).sum::<usize>(),
-        totals.requests
-    );
-    assert_eq!(
-        per_device.iter().map(|d| d.rejects).sum::<usize>(),
-        totals.rejects
-    );
-    assert_eq!(
-        per_device.iter().map(|d| d.switch_count).sum::<usize>(),
-        totals.switch_count
-    );
-    assert_eq!(
-        per_device.iter().map(|d| d.deadline_misses).sum::<usize>(),
-        totals.deadline_misses
-    );
-    let flattened_tiles: Vec<usize> = per_device
-        .iter()
-        .flat_map(|d| d.tile_requests.iter().copied())
-        .collect();
-    assert_eq!(flattened_tiles, totals.tile_requests);
-    assert!(totals.p50_latency_us <= totals.p99_latency_us);
-    assert!(totals.p99_latency_us <= totals.max_latency_us);
-    for device in per_device {
-        assert!(device.max_latency_us <= totals.max_latency_us);
-    }
-}
+use tm_overlay::runtime::{RequestOutcome, RuntimeError};
+use tm_overlay::{
+    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, PipelineRequest, Request,
+    RoutePolicy, RuntimeMetrics, ServeReport, Session, TraceConfig, TransferModel, Workload,
+};
 
 #[test]
 fn every_routing_policy_serves_the_mixed_trace_correctly() {
-    let requests = benchmark_trace(32, 6, 1.0, 5_000.0);
+    let requests = benchmark_trace(32, 6, 0xCAFE, 1.0, Some(5_000.0));
     for route in RoutePolicy::ALL {
         for policy in DispatchPolicy::ALL {
             let mut cluster = Cluster::new(FuVariant::V4, 4, 2)
                 .unwrap()
                 .with_policy(policy)
                 .with_route_policy(route);
-            let report = cluster.serve(requests.clone()).unwrap();
-            assert_eq!(report.route_policy(), route);
-            assert_eq!(report.policy(), policy);
-            verify_report(&requests, &report, 4);
+            let report = cluster.serve_audited(&requests).unwrap();
+            check_outputs(&requests, &report).unwrap();
         }
     }
 }
@@ -121,12 +39,12 @@ fn every_routing_policy_serves_the_mixed_trace_correctly() {
 fn feed_forward_clusters_serve_correctly_too() {
     // V1 tiles pay PCAP-scale switches; the cluster must still produce
     // reference-exact outputs and coherent accounting.
-    let requests = benchmark_trace(16, 4, 100.0, 1e9);
+    let requests = benchmark_trace(16, 4, 0xCAFE, 100.0, Some(1e9));
     let mut cluster = Cluster::new(FuVariant::V1, 2, 2)
         .unwrap()
         .with_route_policy(RoutePolicy::LeastLoaded);
-    let report = cluster.serve(requests.clone()).unwrap();
-    verify_report(&requests, &report, 2);
+    let report = cluster.serve_audited(&requests).unwrap();
+    check_outputs(&requests, &report).unwrap();
     assert!(
         report.metrics().total_switch_us > 1_000.0,
         "PCAP switches are on the millisecond scale"
@@ -138,14 +56,8 @@ fn kernel_hash_sharding_switches_less_than_least_loaded_balancing() {
     // 4 kernels over 4 devices: sharding gives each device (at most) its
     // own kernel subset, so it context-switches less than load balancing,
     // which keeps cycling all kernels through all devices.
-    let requests = benchmark_trace(64, 6, 0.25, 5_000.0);
-    let serve = |route: RoutePolicy| {
-        Cluster::new(FuVariant::V4, 4, 1)
-            .unwrap()
-            .with_route_policy(route)
-            .serve(requests.clone())
-            .unwrap()
-    };
+    let requests = benchmark_trace(64, 6, 0xCAFE, 0.25, Some(5_000.0));
+    let serve = |route: RoutePolicy| cluster(4, 1, route).serve_audited(&requests).unwrap();
     let sharded = serve(RoutePolicy::KernelHash);
     let balanced = serve(RoutePolicy::LeastLoaded);
     assert!(
@@ -162,12 +74,10 @@ fn transfer_accounting_matches_first_off_home_placements() {
     // Every (device, kernel) pair seen off the kernel's home shard acquires
     // the image exactly once (link transfer or host load) while the store
     // has room; transfers report their bytes.
-    let requests = benchmark_trace(48, 4, 0.5, 1e9);
-    let mut cluster = Cluster::new(FuVariant::V4, 3, 2)
-        .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded);
-    let report = cluster.serve(requests.clone()).unwrap();
-    verify_report(&requests, &report, 3);
+    let requests = benchmark_trace(48, 4, 0xCAFE, 0.5, Some(1e9));
+    let mut cluster = cluster(3, 2, RoutePolicy::LeastLoaded);
+    let report = cluster.serve_audited(&requests).unwrap();
+    check_outputs(&requests, &report).unwrap();
     let served_pairs: HashSet<(usize, String)> = report
         .outcomes()
         .iter()
@@ -204,18 +114,18 @@ fn transfer_accounting_matches_first_off_home_placements() {
 fn more_devices_shed_an_overload() {
     // The same overload trace on 1 vs 4 devices (same per-device shape):
     // capacity quadruples, so deadline misses drop and makespan shrinks.
-    let requests = benchmark_trace(64, 16, 0.2, 5.0);
+    let requests = benchmark_trace(64, 16, 0xCAFE, 0.2, Some(5.0));
     let serve = |devices: usize| {
         Cluster::new(FuVariant::V4, devices, 2)
             .unwrap()
             .with_policy(DispatchPolicy::SlackAware)
             .with_route_policy(RoutePolicy::LeastLoaded)
-            .serve(requests.clone())
+            .serve_audited(&requests)
             .unwrap()
     };
     let single = serve(1);
     let quad = serve(4);
-    verify_report(&requests, &quad, 4);
+    check_outputs(&requests, &quad).unwrap();
     assert!(
         quad.metrics().deadline_misses < single.metrics().deadline_misses,
         "4 devices must miss fewer deadlines ({} vs {})",
@@ -231,13 +141,11 @@ fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() 
     // estimates see the acquisition cost and lean toward the device already
     // holding each kernel; with a free model the same trace spreads at
     // least as widely.
-    let requests = benchmark_trace(40, 4, 0.5, 1e9);
+    let requests = benchmark_trace(40, 4, 0xCAFE, 0.5, Some(1e9));
     let serve = |transfer: TransferModel| {
-        Cluster::new(FuVariant::V4, 4, 1)
-            .unwrap()
-            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+        cluster(4, 1, RoutePolicy::PowerOfTwoChoices)
             .with_transfer_model(transfer)
-            .serve(requests.clone())
+            .serve_audited(&requests)
             .unwrap()
     };
     let expensive = serve(TransferModel {
@@ -262,20 +170,15 @@ fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() 
         spread(&expensive),
         spread(&free)
     );
-    verify_report(&requests, &expensive, 4);
-    verify_report(&requests, &free, 4);
+    check_outputs(&requests, &expensive).unwrap();
+    check_outputs(&requests, &free).unwrap();
 }
 
 #[test]
 fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
-    let requests = benchmark_trace(20, 4, 1.0, 1e9);
-    let build = || {
-        Cluster::new(FuVariant::V4, 2, 2)
-            .unwrap()
-            .with_route_policy(RoutePolicy::KernelHash)
-            .with_ingest_capacity(2)
-    };
-    let batch = build().serve(requests.clone()).unwrap();
+    let requests = benchmark_trace(20, 4, 0xCAFE, 1.0, Some(1e9));
+    let build = || cluster(2, 2, RoutePolicy::KernelHash).with_ingest_capacity(2);
+    let batch = build().serve_audited(&requests).unwrap();
     let streamed = build()
         .serve_stream(|submitter| {
             for request in &requests {
@@ -283,6 +186,7 @@ fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
             }
         })
         .unwrap();
+    audit(&requests, &streamed).unwrap();
     assert_eq!(batch.outcomes().len(), streamed.outcomes().len());
     for (lhs, rhs) in batch.outcomes().iter().zip(streamed.outcomes()) {
         assert_eq!(lhs.request_id, rhs.request_id);
@@ -296,19 +200,15 @@ fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
 
 #[test]
 fn cluster_serves_reject_bad_arrivals_with_typed_errors() {
-    let build = || {
-        Cluster::new(FuVariant::V4, 3, 2)
-            .unwrap()
-            .with_route_policy(RoutePolicy::KernelHash)
-    };
-    let mut invalid = benchmark_trace(8, 4, 1.0, 5_000.0);
+    let build = || cluster(3, 2, RoutePolicy::KernelHash);
+    let mut invalid = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
     invalid[5] = invalid[5].clone().at(f64::NAN);
     assert!(matches!(
         build().serve(invalid),
         Err(RuntimeError::InvalidArrival { request: 5, .. })
     ));
 
-    let mut regressing = benchmark_trace(8, 4, 1.0, 5_000.0);
+    let mut regressing = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
     regressing[6] = regressing[6].clone().at(0.5);
     assert!(matches!(
         build().serve(regressing),
@@ -327,32 +227,13 @@ fn cluster_serves_reject_bad_arrivals_with_typed_errors() {
 #[test]
 fn four_devices_of_64_tiles_serve_an_overload_twice_as_fast_as_one_of_256() {
     let suite = [Benchmark::Gradient, Benchmark::Chebyshev];
-    let trace = |count: usize, spacing_us: f64, budget_us: f64| -> Vec<Request> {
-        (0..count)
-            .map(|i| {
-                let benchmark = suite[i % suite.len()];
-                let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-                let inputs = benchmark.dfg().unwrap().num_inputs();
-                let arrival = i as f64 * spacing_us;
-                Request::new(i as u64, spec, Workload::random(inputs, 1, (i % 8) as u64))
-                    .at(arrival)
-                    .with_deadline(arrival + budget_us)
-            })
-            .collect()
-    };
-    let service_us = Cluster::new(FuVariant::V4, 1, 1)
-        .unwrap()
-        .serve(trace(1, 1.0, 1e9))
-        .unwrap()
-        .outcomes()[0]
-        .completion_us;
+    let trace = |count, spacing_us, budget_us| suite_trace(&suite, count, spacing_us, budget_us);
+    let service_us = service_us(FuVariant::V4, trace(1, 1.0, 1e9).remove(0));
     let requests = trace(1024, service_us / 512.0, 8.0 * service_us);
     let serve = |devices: usize, tiles: usize| {
-        let mut cluster = Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded);
-        cluster.serve(requests[..8].to_vec()).unwrap();
-        let report = cluster.serve(requests.clone()).unwrap();
+        let mut cluster = cluster(devices, tiles, RoutePolicy::LeastLoaded);
+        cluster.serve_audited(&requests[..8]).unwrap();
+        let report = cluster.serve_audited(&requests).unwrap();
         let metrics = report.metrics();
         let events_per_s = metrics.events_fired as f64 * 1e6 / metrics.makespan_us;
         (metrics.events_fired, events_per_s)
@@ -467,7 +348,7 @@ fn batch_cluster_serve_matches_its_golden_digest() {
             .with_policy(DispatchPolicy::KernelAffinity)
             .with_route_policy(RoutePolicy::KernelHash)
             .with_tracing(TraceConfig::enabled());
-        canonical_dump(&cluster.serve(requests.clone()).unwrap())
+        canonical_dump(&cluster.serve_audited(&requests).unwrap())
     };
     let dump = serve();
     assert_eq!(dump, serve(), "two fresh clusters diverged");
@@ -477,4 +358,82 @@ fn batch_cluster_serve_matches_its_golden_digest() {
         "digest {:#018x} of the dump below is not the golden one\n{dump}",
         fnv1a(dump.as_bytes())
     );
+}
+
+/// The audit bites: each corruption of a real fleet serve's parts fails
+/// [`audit_parts`], and a swap of two commits within one session fails
+/// [`audit_pipelines`], each at the check it breaks.
+#[test]
+fn the_audit_catches_each_corruption() {
+    let requests = benchmark_trace(48, 4, 0xCAFE, 0.1, Some(20.0));
+    let mut cluster = Cluster::new(FuVariant::V4, 3, 2).unwrap();
+    let report = cluster.serve_audited(&requests).unwrap();
+    let arrival = |o: &RequestOutcome| requests[o.request_id as usize].arrival_us;
+    // A run that queued behind the one before it on its tile.
+    let outcomes = report.outcomes();
+    let behind = |a: &RequestOutcome, b: &RequestOutcome| {
+        (a.device, a.tile) == (b.device, b.tile)
+            && b.start_us == a.completion_us
+            && arrival(b) < a.completion_us
+    };
+    let (ahead, queued) = (0..outcomes.len())
+        .flat_map(|a| (0..outcomes.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| behind(&outcomes[a], &outcomes[b]))
+        .expect("a request queued behind another");
+    let start_at = |o: &mut [RequestOutcome], at: usize, start_us: f64| {
+        o[at].start_us = start_us;
+        o[at].queued_us = start_us - arrival(&outcomes[at]);
+    };
+    type Corruption<'a> = &'a dyn Fn(&mut Vec<RequestOutcome>, &mut RuntimeMetrics);
+    let corruptions: [(&str, Corruption); 6] = [
+        ("47 accounted for", &|o, _| drop(o.remove(5))),
+        ("twice", &|o, _| o[1].request_id = o[0].request_id),
+        ("overlaps", &|o, _| {
+            let start_us = arrival(&outcomes[queued]).max(outcomes[ahead].start_us);
+            start_at(o, queued, start_us)
+        }),
+        ("before its arrival", &|o, _| {
+            start_at(o, 7, arrival(&outcomes[7]) - 1.0)
+        }),
+        ("missed_deadline", &|o, _| o[3].missed_deadline ^= true),
+        ("metrics.requests", &|_, metrics| metrics.requests += 1),
+    ];
+    for (check, corrupt) in corruptions {
+        let (mut outcomes, mut metrics) = (outcomes.to_vec(), report.metrics().clone());
+        corrupt(&mut outcomes, &mut metrics);
+        let (rejected, devices) = (report.rejected(), report.device_metrics());
+        let parts = Parts {
+            outcomes: &outcomes,
+            rejected,
+            metrics: &metrics,
+            devices,
+        };
+        match audit_parts(&requests, parts, false) {
+            Err(TestCaseError::Fail(message)) => assert!(message.contains(check), "{message}"),
+            passed => panic!("the audit let a corruption through ({check}): {passed:?}"),
+        }
+    }
+
+    let pipelines: Vec<PipelineRequest> = (0..4u64)
+        .map(|id| {
+            let stages = [Benchmark::Gradient, Benchmark::Poly5].map(suite_kernel);
+            let stages = stages.map(|(spec, inputs)| (spec, Workload::random(inputs, 8, id)));
+            PipelineRequest::chain(id + 1, 0, stages).at(id as f64 * 5.0)
+        })
+        .collect();
+    let sessions = [Session::new(0)];
+    let mut cluster = Cluster::new(FuVariant::V4, 2, 1).unwrap();
+    let piped = cluster
+        .serve_pipelines_audited(&pipelines, &sessions)
+        .unwrap();
+    let mut swapped = piped;
+    let [first, second, ..] = &mut swapped.pipelines[..] else {
+        unreachable!("four pipelines")
+    };
+    assert!(first.commit_us < second.commit_us);
+    std::mem::swap(&mut first.commit_us, &mut second.commit_us);
+    match audit_pipelines(&pipelines, &sessions, &swapped) {
+        Err(TestCaseError::Fail(message)) => assert!(message.contains("before its predecessor")),
+        passed => panic!("the audit let swapped commits through: {passed:?}"),
+    }
 }

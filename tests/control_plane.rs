@@ -9,18 +9,13 @@
 //! bound and deadline feasibility), and replication pushes hot kernel
 //! images ahead of demand and demotes cold replicas under store pressure.
 
-use tm_overlay::dfg::evaluate_stream;
-use tm_overlay::frontend::LowerOptions;
+mod support;
+
+use support::{check_outputs, cluster, service_us, suite_kernel as spec, Audited};
 use tm_overlay::{
     BatchConfig, Benchmark, Cluster, FuVariant, KernelSpec, ReplicationConfig, Request,
     RoutePolicy, ServeReport, TransferModel, Workload,
 };
-
-fn spec(benchmark: Benchmark) -> (KernelSpec, usize) {
-    let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-    let inputs = benchmark.dfg().unwrap().num_inputs();
-    (spec, inputs)
-}
 
 /// `count` requests alternating between two kernels, all arriving at t = 0
 /// (they pile onto the queue and drain under the dispatch policy).
@@ -39,10 +34,6 @@ fn interleaved_burst(count: usize, blocks: usize) -> Vec<Request> {
         .collect()
 }
 
-fn serve(runtime: &mut Cluster, requests: &[Request]) -> ServeReport {
-    runtime.serve(requests.to_vec()).unwrap()
-}
-
 #[test]
 fn batching_groups_an_interleaved_burst_and_cuts_switches() {
     let requests = interleaved_burst(24, 4);
@@ -51,8 +42,8 @@ fn batching_groups_an_interleaved_burst_and_cuts_switches() {
         .unwrap()
         .with_batching(BatchConfig::with_max_batch(32));
     assert_eq!(batched.batching().max_batch, 32);
-    let baseline = serve(&mut plain, &requests);
-    let report = serve(&mut batched, &requests);
+    let baseline = plain.serve_audited(&requests).unwrap();
+    let report = batched.serve_audited(&requests).unwrap();
 
     // The alternating burst drains FIFO on one tile: the baseline swaps on
     // nearly every dispatch, the batcher runs each kernel as one block.
@@ -78,15 +69,8 @@ fn batching_groups_an_interleaved_burst_and_cuts_switches() {
 
     // Reordering never changes functional results: every request computes
     // exactly what the reference evaluator says, in both serves.
-    let options = LowerOptions::default();
-    for report in [&baseline, &report] {
-        for outcome in report.outcomes() {
-            let request = &requests[outcome.request_id as usize];
-            let dfg = request.kernel.dfg(&options).unwrap();
-            let expected = evaluate_stream(&dfg, request.workload.records()).unwrap();
-            assert_eq!(outcome.outputs(), expected);
-        }
-    }
+    check_outputs(&requests, &baseline).unwrap();
+    check_outputs(&requests, &report).unwrap();
 }
 
 #[test]
@@ -96,7 +80,11 @@ fn the_run_cap_bounds_consecutive_batched_dispatches() {
         let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_batching(BatchConfig::with_max_batch(max_batch));
-        serve(&mut runtime, &requests).metrics().switch_count
+        runtime
+            .serve_audited(&requests)
+            .unwrap()
+            .metrics()
+            .switch_count
     };
     let tight = switches(2);
     let loose = switches(16);
@@ -116,8 +104,8 @@ fn a_zero_staleness_bound_disables_diversion_entirely() {
     let mut held = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_batching(BatchConfig::with_max_batch(8).with_max_hold_us(0.0));
-    let baseline = serve(&mut plain, &requests);
-    let report = serve(&mut held, &requests);
+    let baseline = plain.serve_audited(&requests).unwrap();
+    let report = held.serve_audited(&requests).unwrap();
     // Every queued choice has waited > 0 by the time its tile frees, so the
     // staleness bound vetoes every diversion — the serve is the baseline.
     assert_eq!(report.metrics().batch.switches_avoided, 0);
@@ -135,25 +123,11 @@ fn feasible_deadlines_win_over_batching() {
     let (hot, hot_inputs) = spec(Benchmark::Gradient);
     let (urgent, urgent_inputs) = spec(Benchmark::Chebyshev);
     // Probe the urgent kernel's standalone service time to scale deadlines.
-    let mut probe = Cluster::new(FuVariant::V4, 1, 1).unwrap();
-    let urgent_svc = probe
-        .serve(vec![Request::new(
-            0,
-            urgent.clone(),
-            Workload::random(urgent_inputs, 2, 9),
-        )])
-        .unwrap()
-        .outcomes()[0]
-        .completion_us;
-    let blocker_done = probe
-        .serve(vec![Request::new(
-            0,
-            hot.clone(),
-            Workload::random(hot_inputs, 48, 1),
-        )])
-        .unwrap()
-        .outcomes()[0]
-        .completion_us;
+    let probe = |spec: &KernelSpec, workload| {
+        service_us(FuVariant::V4, Request::new(0, spec.clone(), workload))
+    };
+    let urgent_svc = probe(&urgent, Workload::random(urgent_inputs, 2, 9));
+    let blocker_done = probe(&hot, Workload::random(hot_inputs, 48, 1));
 
     let trace = |deadline_us: f64| {
         vec![
@@ -171,7 +145,7 @@ fn feasible_deadlines_win_over_batching() {
         let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_batching(BatchConfig::with_max_batch(8));
-        serve(&mut runtime, &trace(deadline_us))
+        runtime.serve_audited(&trace(deadline_us)).unwrap()
     };
 
     // Tight-but-feasible: met if run at the drain, broken by another 48-block
@@ -203,15 +177,11 @@ fn cluster_batching_mirrors_the_runtime_layer() {
     // 3 devices against the 2-kernel alternation: the periods are coprime,
     // so least-loaded routing hands every device an interleaved queue.
     let requests = interleaved_burst(24, 4);
-    let mut plain = Cluster::new(FuVariant::V4, 3, 1)
-        .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded);
-    let mut batched = Cluster::new(FuVariant::V4, 3, 1)
-        .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded)
-        .with_batching(BatchConfig::with_max_batch(16));
-    let baseline = plain.serve(requests.clone()).unwrap();
-    let report = batched.serve(requests).unwrap();
+    let mut plain = cluster(3, 1, RoutePolicy::LeastLoaded);
+    let mut batched =
+        cluster(3, 1, RoutePolicy::LeastLoaded).with_batching(BatchConfig::with_max_batch(16));
+    let baseline = plain.serve_audited(&requests).unwrap();
+    let report = batched.serve_audited(&requests).unwrap();
     assert!(report.metrics().batch.switches_avoided > 0);
     assert!(report.metrics().switch_count < baseline.metrics().switch_count);
     assert_eq!(report.outcomes().len(), baseline.outcomes().len());
@@ -228,14 +198,10 @@ fn replication_pushes_hot_images_ahead_of_demand() {
             Request::new(i, hot.clone(), Workload::random(inputs, 16, i % 4)).at(i as f64 * 0.5)
         })
         .collect();
-    let build = || {
-        Cluster::new(FuVariant::V4, 4, 1)
-            .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
-    };
-    let baseline = build().serve(requests.clone()).unwrap();
+    let build = || cluster(4, 1, RoutePolicy::LeastLoaded);
+    let baseline = build().serve_audited(&requests).unwrap();
     let mut replicated_cluster = build().with_replication(ReplicationConfig::new(3, 2.0, 1000.0));
-    let report = replicated_cluster.serve(requests).unwrap();
+    let report = replicated_cluster.serve_audited(&requests).unwrap();
 
     let stats = report.replication();
     assert!(stats.replicas_pushed >= 1, "the hot kernel replicates");
@@ -283,13 +249,11 @@ fn cold_replicas_are_demoted_under_store_pressure() {
     // 5 devices with fanout 4 and capacity-1 stores: wherever the two
     // kernels' home shards land, at least one phase-2 push targets a store
     // whose only entry is a stale *pushed* phase-1 replica.
-    let mut cluster = Cluster::new(FuVariant::V4, 5, 1)
-        .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded)
+    let mut cluster = cluster(5, 1, RoutePolicy::LeastLoaded)
         .with_cache_capacity(1)
         .unwrap()
         .with_replication(ReplicationConfig::new(4, 2.0, 100.0));
-    let report = cluster.serve(requests).unwrap();
+    let report = cluster.serve_audited(&requests).unwrap();
     let stats = report.replication();
     assert_eq!(stats.hot_kernels, 2, "both phases cross the threshold");
     assert!(stats.replicas_pushed >= 2);
@@ -344,12 +308,7 @@ fn batching_and_replication_cut_switches_on_a_skewed_overload() {
         (FuVariant::V1, [16, 16, 16], 2),
     ];
     for (variant, switches, pushed) in expected {
-        let service_us = serve(
-            &mut Cluster::new(variant, 1, 1).unwrap(),
-            &trace(1, 1.0, 1e9),
-        )
-        .outcomes()[0]
-            .completion_us;
+        let service_us = service_us(variant, trace(1, 1.0, 1e9).remove(0));
         let spacing_us = service_us / 32.0;
         let requests = trace(1024, spacing_us, 8.0 * service_us);
         let run = |batch: bool, replicate: bool| {
@@ -365,8 +324,8 @@ fn batching_and_replication_cut_switches_on_a_skewed_overload() {
                 cluster =
                     cluster.with_replication(ReplicationConfig::new(3, 3.0, 64.0 * spacing_us));
             }
-            cluster.serve(requests[..8].to_vec()).unwrap();
-            let report = cluster.serve(requests.clone()).unwrap();
+            cluster.serve_audited(&requests[..8]).unwrap();
+            let report = cluster.serve_audited(&requests).unwrap();
             (
                 report.metrics().switch_count,
                 report.replication().replicas_pushed,
@@ -400,13 +359,11 @@ fn replication_with_an_unreachable_threshold_never_pushes() {
     let requests: Vec<Request> = (0..16)
         .map(|i| Request::new(i, hot.clone(), Workload::random(inputs, 4, i % 4)).at(i as f64))
         .collect();
-    let mut cluster = Cluster::new(FuVariant::V4, 4, 1)
-        .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded)
+    let mut cluster = cluster(4, 1, RoutePolicy::LeastLoaded)
         .with_transfer_model(TransferModel::new())
         .with_replication(ReplicationConfig::new(3, 1.0e9, 100.0));
     assert_eq!(cluster.replication_config().fanout, 3);
-    let report = cluster.serve(requests).unwrap();
+    let report = cluster.serve_audited(&requests).unwrap();
     assert_eq!(report.replication().replicas_pushed, 0);
     assert_eq!(report.replication().hot_kernels, 0);
     // Demand still spreads the kernel the old way.

@@ -12,86 +12,33 @@
 //! revived device rejoins and serves again, and a fully dead fleet rejects
 //! instead of losing work.
 
+mod support;
+
 use proptest::prelude::*;
-use rand::prelude::*;
 
-use tm_overlay::{
-    Benchmark, Cluster, FaultPlan, FuVariant, KernelSpec, Request, RoutePolicy, Scenario,
-    ScenarioConfig, ServeReport, SloClass, SloConfig, SloObjective, TelemetryConfig, Workload,
+use support::{
+    cluster, dsl_kernels, pressure_trace, random_plan, random_trace, service_us, suite_trace,
+    Audited,
 };
-
-const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
-const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
-const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
-
-/// A mixed-kernel trace arriving in bursts of 8 — more simultaneous work
-/// than any test fleet has tiles, so queues form on every device and kills
-/// and drains always have queued and in-flight work to displace.
-fn pressure_trace(count: usize, burst_spacing_us: f64, seed: u64) -> Vec<Request> {
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
-    (0..count)
-        .map(|i| {
-            let (spec, inputs) = &specs[i % specs.len()];
-            let workload = Workload::random(*inputs, 1 + i % 3, seed ^ (i as u64 % 4));
-            Request::new(i as u64, spec.clone(), workload).at((i / 8) as f64 * burst_spacing_us)
-        })
-        .collect()
-}
-
-fn cluster(devices: usize, tiles: usize, route: RoutePolicy) -> Cluster {
-    Cluster::new(FuVariant::V4, devices, tiles)
-        .unwrap()
-        .with_route_policy(route)
-}
-
-/// Every submitted request shows up exactly once across outcomes and
-/// rejects — the zero-loss ledger check.
-fn assert_zero_loss(report: &ServeReport, submitted: usize) {
-    let mut seen = std::collections::HashSet::new();
-    for outcome in report.outcomes() {
-        assert!(
-            seen.insert(outcome.request_id),
-            "request {} completed twice",
-            outcome.request_id
-        );
-    }
-    for reject in report.rejected() {
-        assert!(
-            seen.insert(reject.id),
-            "request {} both completed and rejected (or rejected twice)",
-            reject.id
-        );
-    }
-    assert_eq!(
-        seen.len(),
-        submitted,
-        "{} submitted, {} accounted for ({} outcomes + {} rejects)",
-        submitted,
-        seen.len(),
-        report.outcomes().len(),
-        report.rejected().len()
-    );
-}
+use tm_overlay::{
+    Benchmark, FaultPlan, FuVariant, Request, RoutePolicy, Scenario, ScenarioConfig, SloClass,
+    SloConfig, SloObjective, TelemetryConfig, Workload,
+};
 
 #[test]
 fn a_killed_device_stops_serving_and_its_work_relocates() {
     let requests = pressure_trace(48, 0.4, 11);
     let baseline = cluster(3, 2, RoutePolicy::LeastLoaded)
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap();
     assert_eq!(baseline.outcomes().len(), 48);
     let kill_at = baseline.metrics().makespan_us * 0.3;
 
     let mut faulty =
         cluster(3, 2, RoutePolicy::LeastLoaded).with_fault_plan(FaultPlan::new().kill(kill_at, 0));
-    let report = faulty.serve(requests).unwrap();
+    let report = faulty.serve_audited(&requests).unwrap();
 
     // Nothing lost: the survivors absorb everything.
-    assert_zero_loss(&report, 48);
     assert!(report.rejected().is_empty(), "two devices survived");
     // The dead device commits nothing past the kill instant.
     for outcome in report.outcomes() {
@@ -122,15 +69,13 @@ fn a_killed_device_stops_serving_and_its_work_relocates() {
 fn a_draining_device_finishes_resident_work_but_admits_nothing_new() {
     let requests = pressure_trace(40, 0.4, 7);
     let baseline = cluster(2, 2, RoutePolicy::LeastLoaded)
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap();
     let drain_at = baseline.metrics().makespan_us * 0.3;
 
     let mut faulty = cluster(2, 2, RoutePolicy::LeastLoaded)
         .with_fault_plan(FaultPlan::new().drain(drain_at, 1));
-    let report = faulty.serve(requests).unwrap();
-
-    assert_zero_loss(&report, 40);
+    let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.rejected().is_empty(), "device 0 stayed serviceable");
     // Runs in flight at the drain instant complete (graceful, not a kill),
     // but nothing *starts* on the draining device afterwards.
@@ -158,16 +103,14 @@ fn a_draining_device_finishes_resident_work_but_admits_nothing_new() {
 fn a_revived_device_rejoins_the_fleet_and_serves_again() {
     let requests = pressure_trace(60, 0.4, 3);
     let baseline = cluster(2, 1, RoutePolicy::LeastLoaded)
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap();
     let makespan = baseline.metrics().makespan_us;
     let (kill_at, revive_at) = (makespan * 0.2, makespan * 0.4);
 
     let mut faulty = cluster(2, 1, RoutePolicy::LeastLoaded)
         .with_fault_plan(FaultPlan::new().kill(kill_at, 0).revive(revive_at, 0));
-    let report = faulty.serve(requests).unwrap();
-
-    assert_zero_loss(&report, 60);
+    let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.rejected().is_empty());
     // The revived device picks work back up: with one tile per device and
     // sustained pressure, least-loaded routing must use it again.
@@ -199,10 +142,9 @@ fn a_fully_dead_fleet_rejects_instead_of_losing_requests() {
     let requests = pressure_trace(12, 1.0, 5);
     let mut faulty = cluster(2, 2, RoutePolicy::KernelHash)
         .with_fault_plan(FaultPlan::new().kill(0.0, 0).kill(0.0, 1));
-    let report = faulty.serve(requests).unwrap();
+    let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.outcomes().is_empty(), "no device could serve");
     assert_eq!(report.rejected().len(), 12);
-    assert_zero_loss(&report, 12);
     // Nothing completed, so the serve's makespan is zero — and availability
     // over a zero-length serve pins at 1.0 by convention.
     assert_eq!(report.availability(), vec![1.0, 1.0]);
@@ -216,13 +158,12 @@ fn degraded_links_stretch_cross_device_acquisitions() {
     // those transfers visibly longer without changing what completes.
     let requests = pressure_trace(36, 0.3, 9);
     let plain = cluster(2, 1, RoutePolicy::LeastLoaded)
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap();
     assert!(plain.transfers() > 0, "the trace must exercise transfers");
     let mut slowed = cluster(2, 1, RoutePolicy::LeastLoaded)
         .with_fault_plan(FaultPlan::new().degrade_links(0.0, 50.0));
-    let report = slowed.serve(requests).unwrap();
-    assert_zero_loss(&report, 36);
+    let report = slowed.serve_audited(&requests).unwrap();
     assert!(
         report.metrics().makespan_us > plain.metrics().makespan_us,
         "slower links must stretch the serve ({} vs {})",
@@ -267,28 +208,23 @@ fn scenario_traffic_survives_a_rolling_upgrade() {
         duration_us: 80.0,
         multiplier: 3.0,
     });
-    let specs = [
-        KernelSpec::from_source("saxpy", SAXPY),
-        KernelSpec::from_source("poly", POLY),
-        KernelSpec::from_source("grad", GRAD),
-    ];
-    let inputs = [3usize, 1, 5];
+    let specs = dsl_kernels();
     let requests: Vec<Request> = scenario
         .arrivals()
         .iter()
         .enumerate()
         .map(|(i, arrival)| {
-            let workload = Workload::random(inputs[arrival.tenant], 1, i as u64 % 4);
-            Request::new(i as u64, specs[arrival.tenant].clone(), workload).at(arrival.arrival_us)
+            let (spec, inputs) = &specs[arrival.tenant];
+            let workload = Workload::random(*inputs, 1, i as u64 % 4);
+            Request::new(i as u64, spec.clone(), workload).at(arrival.arrival_us)
         })
         .collect();
     assert!(requests.len() > 50, "got {}", requests.len());
 
     let plan = FaultPlan::rolling_upgrade(4, 40.0, 60.0, 100.0);
     let mut fleet = cluster(4, 2, RoutePolicy::PowerOfTwoChoices).with_fault_plan(plan);
-    let report = fleet.serve(requests.clone()).unwrap();
+    let report = fleet.serve_audited(&requests).unwrap();
 
-    assert_zero_loss(&report, requests.len());
     assert!(report.rejected().is_empty(), "drains are staggered");
     assert_eq!(report.faults(), 4, "each device drained once");
     assert_eq!(report.lost_work_us(), 0.0, "drains abandon nothing");
@@ -322,31 +258,15 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
         Benchmark::Poly5,
         Benchmark::Sgfilter,
     ];
-    let trace = |count: usize, spacing_us: f64, budget_us: f64| -> Vec<Request> {
-        (0..count)
-            .map(|i| {
-                let benchmark = suite[i % suite.len()];
-                let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-                let inputs = benchmark.dfg().unwrap().num_inputs();
-                let arrival = i as f64 * spacing_us;
-                Request::new(i as u64, spec, Workload::random(inputs, 1, (i % 8) as u64))
-                    .at(arrival)
-                    .with_deadline(arrival + budget_us)
-            })
-            .collect()
-    };
-    let service_us = cluster(1, 1, RoutePolicy::LeastLoaded)
-        .serve(trace(1, 1.0, 1e9))
-        .unwrap()
-        .outcomes()[0]
-        .completion_us;
+    let trace = |count, spacing_us, budget_us| suite_trace(&suite, count, spacing_us, budget_us);
+    let service_us = service_us(FuVariant::V4, trace(1, 1.0, 1e9).remove(0));
     let spacing_us = service_us / (128.0 * 0.6);
     let requests = trace(COUNT, spacing_us, 2.0 * service_us);
     let last_arrival_us = (COUNT - 1) as f64 * spacing_us;
 
     // The healthy steady rate: past the cold-store warm-up, before arrivals stop.
     let healthy = cluster(8, 16, RoutePolicy::LeastLoaded)
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap();
     let healthy_makespan_us = healthy.metrics().makespan_us;
     let steady: Vec<bool> = healthy
@@ -371,9 +291,8 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
             SloConfig::disabled()
                 .with_objective(SloObjective::new(SloClass::Standard, 0.105).with_windows(1, 2)),
         )
-        .serve(requests)
+        .serve_audited(&requests)
         .unwrap();
-    assert_zero_loss(&report, COUNT);
     assert_eq!(report.requeues(), 24);
 
     // Recovery: the first window from the revive on after which every
@@ -436,81 +355,6 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
     assert_eq!((alert.fired_window, alert.cleared_window), (5, Some(9)));
 }
 
-/// A lean randomized trace for the property tests (mirrors the equivalence
-/// suite's generator, scaled down).
-fn random_trace(seed: u64, count: usize) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
-    let mut clock_us = 0.0;
-    (0..count)
-        .map(|i| {
-            if rng.gen_range(0..3u32) > 0 {
-                clock_us += rng.gen_range(0..=20u64) as f64 * 0.1;
-            }
-            let (spec, inputs) = &specs[rng.gen_range(0..specs.len())];
-            let workload = Workload::random(
-                *inputs,
-                rng.gen_range(1..=3usize),
-                seed ^ rng.gen_range(0..4u64),
-            );
-            let mut request = Request::new(i as u64, spec.clone(), workload).at(clock_us);
-            if rng.gen_bool(0.5) {
-                request = request.with_deadline(clock_us + rng.gen_range(1..=30u64) as f64 * 0.3);
-            }
-            request
-        })
-        .collect()
-}
-
-/// A random fault schedule that never touches device 0, so at least one
-/// device stays serviceable throughout.
-fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // The vendored rand stub only samples integer ranges; draw permille.
-    let mut draw = StdRng::seed_from_u64(seed ^ 0xF00D);
-    let mut frac = move || draw.gen_range(0..1_000u64) as f64 / 1_000.0;
-    let mut plan = FaultPlan::new();
-    for device in 1..devices {
-        match rng.gen_range(0..4u32) {
-            0 => {} // this device is spared
-            1 => {
-                // A kill, sometimes followed by a revival.
-                let at = frac() * horizon_us;
-                plan = plan.kill(at, device);
-                if rng.gen_bool(0.6) {
-                    plan = plan.revive(at + frac() * horizon_us, device);
-                }
-            }
-            2 => {
-                let at = frac() * horizon_us;
-                plan = plan.drain(at, device);
-                if rng.gen_bool(0.6) {
-                    plan = plan.undrain(at + frac() * horizon_us, device);
-                }
-            }
-            _ => {
-                // A blip: kill then quick revival.
-                plan = plan.merged(FaultPlan::blip(
-                    device,
-                    frac() * horizon_us,
-                    0.1 + frac() * horizon_us / 2.0,
-                ));
-            }
-        }
-    }
-    if rng.gen_bool(0.3) {
-        plan = plan.degrade_links(frac() * horizon_us, 1.0 + frac() * 15.0);
-        if rng.gen_bool(0.5) {
-            plan = plan.degrade_links(frac() * horizon_us, 1.0);
-        }
-    }
-    plan
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -523,34 +367,13 @@ proptest! {
         route_pick in 0usize..3,
         horizon_pick in 0usize..3,
     ) {
-        let requests = random_trace(seed, count);
+        let requests = random_trace(seed, count, 3.0);
         let route = RoutePolicy::ALL[route_pick];
         // Horizons from "faults land mid-serve" to "faults mostly after".
         let horizon_us = [5.0, 25.0, 120.0][horizon_pick];
         let plan = random_plan(seed.wrapping_add(1), devices, horizon_us);
         let mut fleet = cluster(devices, tiles, route).with_fault_plan(plan);
-        let report = fleet.serve(requests).unwrap();
-
-        let mut seen = std::collections::HashSet::new();
-        for outcome in report.outcomes() {
-            prop_assert!(seen.insert(outcome.request_id),
-                "request {} completed twice", outcome.request_id);
-        }
-        for reject in report.rejected() {
-            prop_assert!(seen.insert(reject.id),
-                "request {} double-counted", reject.id);
-        }
-        prop_assert_eq!(seen.len(), count);
-        // The ledger's totals are consistent with the per-device breakdown.
-        let device_requeues: usize = report
-            .device_metrics()
-            .iter()
-            .map(|d| d.requeues_out)
-            .sum();
-        prop_assert_eq!(device_requeues, report.requeues());
-        for availability in report.availability() {
-            prop_assert!((0.0..=1.0).contains(&availability));
-        }
+        fleet.serve_audited(&requests)?;
     }
 
     /// Warm resubmission after a faulty serve: the fault state resets, so
@@ -560,16 +383,14 @@ proptest! {
         (seed, count) in (any::<u64>(), 6usize..16),
         route_pick in 0usize..3,
     ) {
-        let requests = random_trace(seed, count);
+        let requests = random_trace(seed, count, 3.0);
         let route = RoutePolicy::ALL[route_pick];
         let plan = random_plan(seed.wrapping_add(9), 3, 10.0);
         let mut fleet = cluster(3, 2, route).with_fault_plan(plan);
-        let first = fleet.serve(requests.clone()).unwrap();
-        prop_assert_eq!(first.outcomes().len() + first.rejected().len(), count);
+        let first = fleet.serve_audited(&requests)?;
         // Re-serving re-runs the same plan: the ledger is rebuilt, not
         // accumulated.
-        let again = fleet.serve(requests).unwrap();
+        let again = fleet.serve_audited(&requests)?;
         prop_assert_eq!(again.faults(), first.faults());
-        prop_assert_eq!(again.outcomes().len() + again.rejected().len(), count);
     }
 }

@@ -23,75 +23,29 @@
 //!   modeled latency — including through fault displacement and pipeline
 //!   activations.
 
-use std::collections::HashMap;
+mod support;
 
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use support::{
+    assert_serves_identical, cluster, dsl_kernels, pressure_trace, random_plan, random_trace,
+    Audited, Known,
+};
 use tm_overlay::runtime::obs::{
     perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text,
     prometheus_text_labeled, validate_chrome_trace,
 };
-use tm_overlay::runtime::{SpanKind, TraceEvent};
+use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, LogHistogram,
-    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, ServeReport, Session,
-    SloClass, SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
+    explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, LogHistogram,
+    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Session, SloClass,
+    SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
 };
 
-const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
-const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
-const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
-
-/// Same shape as the equivalence suite's generator: non-decreasing arrivals
-/// with bursts, a small workload pool (the sim memo engages), and coin-flip
-/// deadlines.
-fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
-    let mut clock_us = 0.0;
-    (0..count)
-        .map(|i| {
-            if rng.gen_range(0..3u32) > 0 {
-                clock_us += rng.gen_range(0..=20u64) as f64 * 0.1;
-            }
-            let (spec, inputs) = &specs[rng.gen_range(0..specs.len())];
-            let blocks = rng.gen_range(1..=3usize);
-            let workload = Workload::random(*inputs, blocks, seed ^ rng.gen_range(0..4u64));
-            let mut request = Request::new(i as u64, spec.clone(), workload).at(clock_us);
-            if rng.gen_bool(0.5) {
-                let budget = rng.gen_range(1..=30u64) as f64 * 0.1 * deadline_scale_us;
-                request = request.with_deadline(clock_us + budget);
-            }
-            request
-        })
-        .collect()
-}
-
-/// A seeded fault schedule over a trace that ends near `horizon_us`: each
-/// device past device 0 is spared, killed or drained at some point and later
-/// brought back, and the links may degrade. Device 0 stays serviceable.
-fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
-    let mut plan = FaultPlan::new();
-    for device in 1..devices {
-        let at = rng.gen_range(0..1_000u64) as f64 / 1_000.0 * horizon_us;
-        let back = at + rng.gen_range(1..1_000u64) as f64 / 1_000.0 * horizon_us;
-        plan = match rng.gen_range(0..3u32) {
-            0 => plan,
-            1 => plan.kill(at, device).revive(back, device),
-            _ => plan.drain(at, device).undrain(back, device),
-        };
-    }
-    if rng.gen_bool(0.3) {
-        let at = rng.gen_range(0..1_000u64) as f64 / 1_000.0 * horizon_us;
-        plan = plan.degrade_links(at, 4.0);
-    }
-    plan
+/// The burn and clear instants an SLO tracker appends to a trace.
+fn is_slo_alert(kind: &SpanKind) -> bool {
+    matches!(kind, SpanKind::SloBurn { .. } | SpanKind::SloClear { .. })
 }
 
 /// A Standard-class objective with a tight miss-rate target and a short
@@ -100,67 +54,6 @@ fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
 fn slo_objectives() -> SloConfig {
     SloConfig::disabled()
         .with_objective(SloObjective::new(SloClass::Standard, 0.05).with_windows(1, 2))
-}
-
-/// Every observable of the two serves must match exactly — including the
-/// histogram fields inside the metrics struct, compared bitwise through
-/// `PartialEq`.
-fn assert_reports_identical(
-    observed: &ServeReport,
-    baseline: &ServeReport,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(observed.outcomes().len(), baseline.outcomes().len());
-    for (lhs, rhs) in observed.outcomes().iter().zip(baseline.outcomes()) {
-        prop_assert_eq!(lhs.request_id, rhs.request_id);
-        prop_assert_eq!(lhs.device, rhs.device);
-        prop_assert_eq!(lhs.tile, rhs.tile);
-        prop_assert_eq!(lhs.start_us, rhs.start_us);
-        prop_assert_eq!(lhs.completion_us, rhs.completion_us);
-        prop_assert_eq!(lhs.latency_us, rhs.latency_us);
-        prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
-        prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
-    }
-    prop_assert_eq!(observed.rejected(), baseline.rejected());
-    prop_assert_eq!(observed.metrics(), baseline.metrics());
-    Ok(())
-}
-
-/// Sums one request's lifecycle span durations and checks they reconcile
-/// with its modeled latency: the spans tile `[arrival, completion]`.
-fn assert_spans_reconcile(
-    spans: &[&TraceEvent],
-    request_id: u64,
-    latency_us: f64,
-) -> Result<(), TestCaseError> {
-    let mut staged = 0.0;
-    let mut runs = 0usize;
-    for span in spans {
-        match span.kind {
-            SpanKind::QueueWait
-            | SpanKind::Acquire { .. }
-            | SpanKind::Activation
-            | SpanKind::ContextSwitch
-            | SpanKind::Run => staged += span.dur_us,
-            _ => continue,
-        }
-        if matches!(span.kind, SpanKind::Run) {
-            runs += 1;
-        }
-    }
-    prop_assert!(
-        runs == 1,
-        "request {} must have exactly one Run span",
-        request_id
-    );
-    let tolerance = 1e-9 * latency_us.abs().max(1.0);
-    prop_assert!(
-        (staged - latency_us).abs() <= tolerance,
-        "request {}: stage spans sum to {} but modeled latency is {}",
-        request_id,
-        staged,
-        latency_us
-    );
-    Ok(())
 }
 
 proptest! {
@@ -199,27 +92,25 @@ proptest! {
             }
             cluster
         };
-        let baseline = build().serve(requests.clone()).unwrap();
+        let baseline = build().serve_audited(&requests)?;
         let disabled = build()
             .with_tracing(TraceConfig::disabled())
             .with_profiling(false)
-            .serve(requests.clone())
-            .unwrap();
+            .serve_audited(&requests)?;
         let instrumented = build()
             .with_tracing(TraceConfig::enabled())
             .with_profiling(true)
             .with_telemetry(TelemetryConfig::windowed(2.0))
             .with_slo(slo_objectives())
-            .serve(requests.clone())
-            .unwrap();
+            .serve_audited(&requests)?;
         prop_assert!(baseline.trace().is_none());
         prop_assert!(disabled.trace().is_none());
         prop_assert!(instrumented.trace().is_some());
         prop_assert!(instrumented.profile().is_some());
         prop_assert!(instrumented.telemetry().is_some());
         prop_assert!(instrumented.slo().is_some());
-        assert_reports_identical(&disabled, &baseline)?;
-        assert_reports_identical(&instrumented, &baseline)?;
+        assert_serves_identical(&disabled, &baseline, &[])?;
+        assert_serves_identical(&instrumented, &baseline, &[])?;
     }
 
     /// Per-request span audit on the runtime: queue-wait, acquire,
@@ -236,14 +127,8 @@ proptest! {
             .unwrap()
             .with_policy(policy)
             .with_tracing(TraceConfig::enabled())
-            .serve(requests)
-            .unwrap();
-        let trace = report.trace().expect("tracing was enabled");
-        for outcome in report.outcomes() {
-            let spans = trace.spans_for(outcome.request_id);
-            assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us)?;
-        }
-        prop_assert_eq!(trace.dropped(), 0);
+            .serve_audited(&requests)?;
+        prop_assert_eq!(report.trace().expect("tracing was enabled").dropped(), 0);
     }
 
     /// The same audit on a multi-device cluster with the full control plane
@@ -265,12 +150,8 @@ proptest! {
             .with_batching(BatchConfig::with_max_batch(4))
             .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
             .with_tracing(TraceConfig::enabled());
-        let report = cluster.serve(requests).unwrap();
-        let trace = report.trace().expect("tracing was enabled");
-        for outcome in report.outcomes() {
-            let spans = trace.spans_for(outcome.request_id);
-            assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us)?;
-        }
+        let report = cluster.serve_audited(&requests)?;
+        prop_assert!(report.trace().is_some(), "tracing was enabled");
     }
 
     /// Histogram parity: the log-bucketed percentile lands within one
@@ -336,35 +217,29 @@ proptest! {
             .unwrap()
             .with_policy(policy)
             .with_tracing(TraceConfig::enabled());
-        let baseline = build().serve(requests.clone()).unwrap();
+        let baseline = build().serve_audited(&requests)?;
         let telemetered = build()
             .with_telemetry(TelemetryConfig::windowed(2.0))
-            .serve(requests.clone())
-            .unwrap();
+            .serve_audited(&requests)?;
         let tracked = build()
             .with_telemetry(TelemetryConfig::windowed(2.0))
             .with_slo(slo_objectives())
-            .serve(requests)
-            .unwrap();
+            .serve_audited(&requests)?;
         prop_assert!(baseline.telemetry().is_none());
         prop_assert!(baseline.slo().is_none());
         prop_assert!(telemetered.telemetry().is_some());
         prop_assert!(telemetered.slo().is_none());
         prop_assert!(tracked.slo().is_some());
-        assert_reports_identical(&telemetered, &baseline)?;
-        assert_reports_identical(&tracked, &baseline)?;
         // Telemetry alone adds no trace event; the SLO tracker appends only
         // burn/clear instants, strictly after the serve's own events.
-        prop_assert_eq!(telemetered.trace(), baseline.trace());
+        assert_serves_identical(&telemetered, &baseline, &[])?;
+        assert_serves_identical(&tracked, &baseline, &[Known::Spans(is_slo_alert)])?;
         let base_events = baseline.trace().unwrap().events();
         let slo_events = tracked.trace().unwrap().events();
         prop_assert!(slo_events.len() >= base_events.len());
         prop_assert_eq!(&slo_events[..base_events.len()], base_events);
         for event in &slo_events[base_events.len()..] {
-            prop_assert!(matches!(
-                event.kind,
-                SpanKind::SloBurn { .. } | SpanKind::SloClear { .. }
-            ));
+            prop_assert!(is_slo_alert(&event.kind));
         }
         // The series covers the whole serve: dense windows from 0 through
         // the makespan, and every served request commits into exactly one.
@@ -387,13 +262,11 @@ proptest! {
     ) {
         let requests = random_trace(seed, count, 4.0);
         let route = RoutePolicy::ALL[route_pick];
-        let mut cluster = Cluster::new(FuVariant::V4, devices, tiles)
-            .unwrap()
-            .with_route_policy(route)
+        let mut cluster = cluster(devices, tiles, route)
             .with_batching(BatchConfig::with_max_batch(4))
             .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
             .with_tracing(TraceConfig::enabled());
-        let report = cluster.serve(requests).unwrap();
+        let report = cluster.serve_audited(&requests)?;
         let attribution = explain(report.trace().expect("tracing was enabled"));
         prop_assert_eq!(attribution.rows().len(), report.outcomes().len());
         for outcome in report.outcomes() {
@@ -454,14 +327,12 @@ fn histogram_edge_cases_match_the_exact_paths() {
 #[test]
 fn exporters_emit_wellformed_output() {
     let requests = random_trace(0x0b5e7ab1e, 24, 3.0);
-    let mut cluster = Cluster::new(FuVariant::V4, 2, 2)
-        .unwrap()
-        .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+    let mut cluster = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .with_batching(BatchConfig::with_max_batch(4))
         .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
         .with_tracing(TraceConfig::enabled())
         .with_profiling(true);
-    let report = cluster.serve(requests).unwrap();
+    let report = cluster.serve_audited(&requests).unwrap();
     let trace = report.trace().expect("tracing was enabled");
 
     // The Perfetto export passes the structural validator: parseable JSON,
@@ -499,22 +370,12 @@ fn a_long_traced_serve_keeps_every_span() {
     let report = Cluster::new(FuVariant::V4, 1, 4)
         .unwrap()
         .with_tracing(TraceConfig::enabled())
-        .serve(requests)
+        .serve_audited(&requests)
         .unwrap();
     let trace = report.trace().expect("tracing was enabled");
     assert!(trace.events().len() > 65_536);
     assert_eq!(trace.dropped(), 0);
     assert_eq!(explain(trace).rows().len(), report.outcomes().len());
-    let mut spans: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
-    for event in trace.events() {
-        if let Some(id) = event.request_id {
-            spans.entry(id).or_default().push(event);
-        }
-    }
-    for outcome in report.outcomes() {
-        let id = outcome.request_id;
-        assert_spans_reconcile(&spans[&id], id, outcome.latency_us).unwrap();
-    }
 }
 
 /// Attribution through fault displacement: killed-then-relocated requests
@@ -526,27 +387,15 @@ fn a_long_traced_serve_keeps_every_span() {
 fn fault_displacement_is_attributed_and_exports() {
     // Bursts of 8 on 6 tiles: queues form everywhere, so the kill always
     // has queued and in-flight work to displace (the fault-suite idiom).
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
-    let requests: Vec<Request> = (0..48)
-        .map(|i| {
-            let (spec, inputs) = &specs[i % specs.len()];
-            let workload = Workload::random(*inputs, 1 + i % 3, 0xD15 ^ (i as u64 % 4));
-            let arrival_us = (i / 8) as f64 * 0.4;
-            Request::new(i as u64, spec.clone(), workload)
-                .at(arrival_us)
-                .with_deadline(arrival_us + 2.0)
+    let requests: Vec<Request> = pressure_trace(48, 0.4, 0xD15)
+        .into_iter()
+        .map(|request| {
+            let deadline_us = request.arrival_us + 2.0;
+            request.with_deadline(deadline_us)
         })
         .collect();
-    let build = || {
-        Cluster::new(FuVariant::V4, 3, 2)
-            .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
-    };
-    let baseline = build().serve(requests.clone()).unwrap();
+    let build = || cluster(3, 2, RoutePolicy::LeastLoaded);
+    let baseline = build().serve_audited(&requests).unwrap();
     let makespan_us = baseline.metrics().makespan_us;
     let kill_at = makespan_us * 0.3;
     let mut faulty = build()
@@ -554,7 +403,7 @@ fn fault_displacement_is_attributed_and_exports() {
         .with_tracing(TraceConfig::enabled())
         .with_telemetry(TelemetryConfig::windowed(makespan_us / 16.0))
         .with_slo(slo_objectives());
-    let report = faulty.serve(requests).unwrap();
+    let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.requeues() > 0, "the kill must displace work");
 
     let attribution = explain(report.trace().expect("tracing was enabled"));
@@ -607,11 +456,7 @@ fn fault_displacement_is_attributed_and_exports() {
 /// reconciliation intact (the activation span is part of the identity).
 #[test]
 fn pipeline_spans_export_and_reconcile() {
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
+    let specs = dsl_kernels();
     let pipelines: Vec<PipelineRequest> = (0..12u64)
         .map(|i| {
             let mut pipeline = PipelineRequest::new(i + 1, i % 3).at(i as f64 * 0.3);
@@ -634,23 +479,19 @@ fn pipeline_spans_export_and_reconcile() {
     ];
     // Draining device 0 at t = 1 us leaves the stages its early producers
     // fed to run on device 1, so they pay inter-device activations.
-    let mut cluster = Cluster::new(FuVariant::V4, 2, 2)
-        .unwrap()
-        .with_route_policy(RoutePolicy::KernelHash)
+    let mut cluster = cluster(2, 2, RoutePolicy::KernelHash)
         .with_fault_plan(FaultPlan::new().drain(1.0, 0))
         .with_tracing(TraceConfig::enabled())
         .with_telemetry(TelemetryConfig::windowed(1.0))
         .with_slo(slo_objectives());
-    let report = cluster.serve_pipelines(pipelines, &sessions).unwrap();
+    let report = cluster
+        .serve_pipelines_audited(&pipelines, &sessions)
+        .unwrap();
     assert!(
         report.activation_transfers() > 0,
         "3-stage chains on 2 devices must pay inter-device activations"
     );
     let trace = report.cluster.trace().expect("tracing was enabled");
-    for outcome in report.cluster.outcomes() {
-        let spans = trace.spans_for(outcome.request_id);
-        assert_spans_reconcile(&spans, outcome.request_id, outcome.latency_us).unwrap();
-    }
     // The attribution engine surfaces the activation column.
     let attribution = explain(trace);
     assert!(
@@ -678,13 +519,11 @@ fn pipeline_spans_export_and_reconcile() {
 #[test]
 fn labeled_prometheus_exposition_carries_device_and_class_series() {
     let requests = random_trace(0x1abe1ed, 24, 3.0);
-    let mut cluster = Cluster::new(FuVariant::V4, 2, 2)
-        .unwrap()
-        .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+    let mut cluster = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .with_tracing(TraceConfig::enabled())
         .with_telemetry(TelemetryConfig::windowed(2.0))
         .with_slo(slo_objectives());
-    let report = cluster.serve(requests).unwrap();
+    let report = cluster.serve_audited(&requests).unwrap();
     let plain = prometheus_text(report.metrics());
     let labeled =
         prometheus_text_labeled(report.metrics(), report.device_metrics(), &[], report.slo());

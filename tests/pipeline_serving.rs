@@ -20,34 +20,25 @@
 //! [`Cluster::serve`]: tm_overlay::Cluster::serve
 //! [`Cluster::serve_pipelines`]: tm_overlay::Cluster::serve_pipelines
 
+mod support;
+
 use proptest::prelude::*;
 use rand::prelude::*;
 
-use tm_overlay::runtime::{SpanKind, TraceEvent};
+use support::{
+    assert_serves_identical, cluster, dsl_kernels, random_plan, service_us, stage_requests,
+    suite_kernel, Audited, Known,
+};
+use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
     BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
-    PipelineReport, PipelineRequest, PipelineStage, Request, RoutePolicy, ServeReport, Session,
-    SloClass, TraceConfig, Workload,
+    PipelineRequest, PipelineStage, Request, RoutePolicy, Session, SloClass, TraceConfig, Workload,
 };
 
-const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
-const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
-const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
-const CHEB: &str = "kernel cheb(x) { out t = 2 * x * x - 1; }";
-
+/// The random traces' kernels and a fourth, each with its input count.
 fn specs() -> Vec<(KernelSpec, usize)> {
-    vec![
-        (KernelSpec::from_source("saxpy", SAXPY), 3),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-        (KernelSpec::from_source("cheb", CHEB), 1),
-    ]
-}
-
-fn cluster(devices: usize, tiles: usize, route: RoutePolicy) -> Cluster {
-    Cluster::new(FuVariant::V4, devices, tiles)
-        .unwrap()
-        .with_route_policy(route)
+    let cheb = KernelSpec::from_source("cheb", "kernel cheb(x) { out t = 2 * x * x - 1; }");
+    dsl_kernels().into_iter().chain([(cheb, 1)]).collect()
 }
 
 /// A random batch of *single-stage* pipelines: the same trace shape as the
@@ -107,139 +98,6 @@ fn random_chains(seed: u64, count: usize, sessions: u64) -> Vec<PipelineRequest>
         .collect()
 }
 
-/// A random fault schedule that never touches device 0, so at least one
-/// device stays serviceable throughout (mirrors the fault-tolerance suite).
-fn random_plan(seed: u64, devices: usize, horizon_us: f64) -> FaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut draw = StdRng::seed_from_u64(seed ^ 0xF00D);
-    let mut frac = move || draw.gen_range(0..1_000u64) as f64 / 1_000.0;
-    let mut plan = FaultPlan::new();
-    for device in 1..devices {
-        match rng.gen_range(0..3u32) {
-            0 => {} // spared
-            1 => {
-                let at = frac() * horizon_us;
-                plan = plan.kill(at, device);
-                if rng.gen_bool(0.6) {
-                    plan = plan.revive(at + frac() * horizon_us, device);
-                }
-            }
-            _ => {
-                let at = frac() * horizon_us;
-                plan = plan.drain(at, device);
-                if rng.gen_bool(0.6) {
-                    plan = plan.undrain(at + frac() * horizon_us, device);
-                }
-            }
-        }
-    }
-    plan
-}
-
-/// The request [`Cluster::serve`] would be given for a single-stage
-/// pipeline: its id, arrival and deadline, and its one stage.
-fn plain_request(pipeline: &PipelineRequest) -> Request {
-    let stage = &pipeline.stages[0];
-    let request = Request::new(pipeline.id, stage.kernel.clone(), stage.workload.clone())
-        .at(pipeline.arrival_us);
-    match pipeline.deadline_us {
-        Some(deadline) => request.with_deadline(deadline),
-        None => request,
-    }
-}
-
-/// Every observable of a single-stage pipeline serve must match the plain
-/// serve exactly, but for what only a pipeline serve adds: its batched
-/// dispatches are also counted as stage batches, and its trace has an SLO
-/// admission span per request.
-fn assert_cluster_reports_identical(piped: &ServeReport, plain: &ServeReport) {
-    assert_eq!(piped.outcomes().len(), plain.outcomes().len());
-    for (lhs, rhs) in piped.outcomes().iter().zip(plain.outcomes()) {
-        assert_eq!(lhs.request_id, rhs.request_id);
-        assert_eq!(lhs.device, rhs.device);
-        assert_eq!(lhs.tile, rhs.tile);
-        assert_eq!(lhs.start_us.to_bits(), rhs.start_us.to_bits());
-        assert_eq!(lhs.completion_us.to_bits(), rhs.completion_us.to_bits());
-        assert_eq!(lhs.queued_us.to_bits(), rhs.queued_us.to_bits());
-        assert_eq!(lhs.latency_us.to_bits(), rhs.latency_us.to_bits());
-        assert_eq!(lhs.switched, rhs.switched);
-        assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
-    }
-    assert_eq!(piped.rejected(), plain.rejected());
-    let mut metrics = piped.metrics().clone();
-    assert_eq!(metrics.batch.stage_batched, metrics.batch.batched_requests);
-    metrics.batch.stage_batched = 0;
-    assert_eq!(&metrics, plain.metrics());
-    assert_eq!(piped.device_metrics(), plain.device_metrics());
-    let spans = |report: &ServeReport| -> Vec<TraceEvent> {
-        let trace = report.trace().expect("traced serve");
-        let kept = trace.events().iter();
-        kept.filter(|event| !matches!(event.kind, SpanKind::SloAdmit { .. }))
-            .cloned()
-            .collect()
-    };
-    assert_eq!(spans(piped), spans(plain));
-}
-
-/// Every submitted stage of every pipeline shows up exactly once across
-/// the underlying cluster outcomes and rejects, and every pipeline gets
-/// exactly one pipeline-level outcome.
-fn assert_stage_zero_loss(report: &PipelineReport, pipelines: &[PipelineRequest]) {
-    let total_stages: usize = pipelines.iter().map(|p| p.stages.len()).sum();
-    let mut seen = std::collections::HashSet::new();
-    for outcome in report.cluster.outcomes() {
-        assert!(
-            seen.insert(outcome.request_id),
-            "stage {} completed twice",
-            outcome.request_id
-        );
-    }
-    for reject in report.cluster.rejected() {
-        assert!(
-            seen.insert(reject.id),
-            "stage {} both completed and rejected",
-            reject.id
-        );
-    }
-    assert_eq!(
-        seen.len(),
-        total_stages,
-        "{total_stages} stages submitted, {} accounted for",
-        seen.len()
-    );
-    assert_eq!(report.pipelines.len(), pipelines.len());
-    for (pipeline, outcome) in pipelines.iter().zip(&report.pipelines) {
-        assert_eq!(pipeline.id, outcome.id);
-        assert_eq!(pipeline.stages.len(), outcome.stages);
-        if !outcome.rejected {
-            assert_eq!(
-                outcome.completed_stages, outcome.stages,
-                "pipeline {} claims completion with missing stages",
-                outcome.id
-            );
-            for stage in 0..pipeline.stages.len() {
-                let id = pipeline.stage_request_id(stage);
-                assert!(
-                    report.cluster.outcomes().iter().any(|o| o.request_id == id),
-                    "completed pipeline {} lost stage {stage}",
-                    outcome.id
-                );
-            }
-        }
-        assert!(
-            outcome.commit_us >= outcome.finish_us,
-            "commit before finish on pipeline {}",
-            outcome.id
-        );
-    }
-    let class_total: usize = report.classes.iter().map(|c| c.pipelines).sum();
-    assert_eq!(
-        class_total,
-        pipelines.len(),
-        "class breakdown drops pipelines"
-    );
-}
-
 #[test]
 fn a_diamond_dag_respects_dependencies_and_commits_in_order() {
     let specs = specs();
@@ -258,27 +116,12 @@ fn a_diamond_dag_respects_dependencies_and_commits_in_order() {
         .stage(PipelineStage::new(specs[2].0.clone(), Workload::random(5, 2, 4)).after(&[1, 2]));
     let mut cluster = cluster(2, 2, RoutePolicy::PowerOfTwoChoices);
     let report = cluster
-        .serve_pipelines(vec![pipeline.clone()], &[Session::new(1)])
+        .serve_pipelines_audited(std::slice::from_ref(&pipeline), &[Session::new(1)])
         .unwrap();
+    // The audit holds the source before the two arms and both arms before
+    // the join, and the commit to the finish.
     assert_eq!(report.completed(), 1);
-    let outcome = &report.pipelines[0];
-    assert_eq!(outcome.completed_stages, 4);
-    assert!(outcome.commit_us >= outcome.finish_us);
-    let finish = |stage: usize| {
-        let id = pipeline.stage_request_id(stage);
-        let o = report
-            .cluster
-            .outcomes()
-            .iter()
-            .find(|o| o.request_id == id)
-            .expect("stage served");
-        (o.start_us, o.completion_us)
-    };
-    // Source before the two arms, both arms before the join.
-    for arm in [1, 2] {
-        assert!(finish(arm).0 >= finish(0).1, "arm {arm} started early");
-        assert!(finish(3).0 >= finish(arm).1, "join outran arm {arm}");
-    }
+    assert_eq!(report.pipelines[0].completed_stages, 4);
     // Four depth buckets is wrong for a diamond: 0, 1, 1, 2.
     assert_eq!(report.stages.len(), 3);
     assert_eq!(report.stages[1].served, 2, "both arms sit at depth 1");
@@ -303,7 +146,7 @@ fn commits_within_a_session_follow_submission_order() {
     ));
     let mut cluster = cluster(2, 1, RoutePolicy::LeastLoaded);
     let report = cluster
-        .serve_pipelines(vec![deep, quick], &[Session::new(9)])
+        .serve_pipelines_audited(&[deep, quick], &[Session::new(9)])
         .unwrap();
     assert_eq!(report.completed(), 2);
     let [first, second] = &report.pipelines[..] else {
@@ -337,7 +180,7 @@ fn stage_affinity_reduces_activation_transfers_under_kernel_hash() {
         .map(|(id, (spec, inputs))| {
             let request = Request::new(id as u64, spec.clone(), Workload::random(*inputs, 1, 0));
             cluster(4, 1, RoutePolicy::KernelHash)
-                .serve(vec![request])
+                .serve_audited(&[request])
                 .unwrap()
                 .outcomes()[0]
                 .device
@@ -359,7 +202,7 @@ fn stage_affinity_reduces_activation_transfers_under_kernel_hash() {
         .collect();
     let sessions = [Session::new(0), Session::new(1)];
     let affine = cluster(4, 1, RoutePolicy::KernelHash)
-        .serve_pipelines(pipelines, &sessions)
+        .serve_pipelines_audited(&pipelines, &sessions)
         .unwrap();
     assert_eq!(affine.completed(), 8);
     assert_eq!(affine.activation_transfers(), 0);
@@ -397,7 +240,7 @@ fn the_latency_tier_is_shielded_under_admission_pressure() {
     let report = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_admission_limit(6)
-        .serve_pipelines(pipelines, &sessions)
+        .serve_pipelines_audited(&pipelines, &sessions)
         .unwrap();
     let latency = report.class(SloClass::Latency).expect("latency class");
     let best_effort = report.class(SloClass::BestEffort).expect("best effort");
@@ -433,7 +276,7 @@ fn a_single_stage_flood_is_capped_at_its_fair_share() {
     let report = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_admission_limit(LIMIT)
-        .serve_pipelines(pipelines, &[Session::new(0), Session::new(1)])
+        .serve_pipelines_audited(&pipelines, &[Session::new(0), Session::new(1)])
         .unwrap();
     let first_done_us = report.cluster.outcomes()[0].completion_us;
     assert!(
@@ -468,14 +311,8 @@ fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
         Benchmark::Qspline,
         Benchmark::Poly5,
     ]
-    .iter()
-    .map(|&b| {
-        (
-            KernelSpec::from_benchmark(b).unwrap(),
-            b.dfg().unwrap().num_inputs(),
-        )
-    })
-    .collect();
+    .map(suite_kernel)
+    .into();
     // Pipeline `i`'s stages start at kernel `i`, so every edge changes kernel.
     let chain = |i: usize, id: u64, session: u64| {
         (0..STAGES).fold(PipelineRequest::new(id, session), |pipeline, stage| {
@@ -490,15 +327,12 @@ fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
         })
     };
     let (gradient, gradient_inputs) = &kernels[0];
-    let service_us = cluster(1, 1, RoutePolicy::LeastLoaded)
-        .serve(vec![Request::new(
-            0,
-            gradient.clone(),
-            Workload::random(*gradient_inputs, 1, 0),
-        )])
-        .unwrap()
-        .outcomes()[0]
-        .completion_us;
+    let probe = Request::new(
+        0,
+        gradient.clone(),
+        Workload::random(*gradient_inputs, 1, 0),
+    );
+    let service_us = service_us(FuVariant::V4, probe);
     let spacing_us = STAGES as f64 * service_us / (32.0 * 0.5);
 
     let pipelines: Vec<PipelineRequest> = (0..384)
@@ -506,7 +340,7 @@ fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
         .collect();
     let sessions: Vec<Session> = (0..4).map(Session::new).collect();
     let affine = cluster(8, 4, RoutePolicy::KernelHash)
-        .serve_pipelines(pipelines, &sessions)
+        .serve_pipelines_audited(&pipelines, &sessions)
         .unwrap();
     assert_eq!(affine.completed(), 384);
     assert_eq!(affine.activation_transfers(), 0);
@@ -530,7 +364,7 @@ fn stage_affinity_and_slo_admission_hold_at_fleet_scale() {
     let report = cluster(8, 4, RoutePolicy::LeastLoaded)
         .with_policy(DispatchPolicy::SlackAware)
         .with_admission_limit(32)
-        .serve_pipelines(mix, &slo_sessions)
+        .serve_pipelines_audited(&mix, &slo_sessions)
         .unwrap();
     let latency = report.class(SloClass::Latency).expect("latency tier ran");
     let best_effort = report.class(SloClass::BestEffort).expect("best effort ran");
@@ -552,9 +386,8 @@ fn a_mid_serve_kill_loses_no_finished_stage_work() {
     let sessions = [Session::new(0), Session::new(1)];
     let report = cluster(3, 1, RoutePolicy::LeastLoaded)
         .with_fault_plan(FaultPlan::new().kill(40.0, 1))
-        .serve_pipelines(pipelines.clone(), &sessions)
+        .serve_pipelines_audited(&pipelines, &sessions)
         .unwrap();
-    assert_stage_zero_loss(&report, &pipelines);
     assert_eq!(
         report.completed(),
         pipelines.len(),
@@ -600,9 +433,10 @@ proptest! {
             }
             built
         };
-        let plain = build().serve(pipelines.iter().map(plain_request).collect::<Vec<_>>()).unwrap();
-        let piped = build().serve_pipelines(pipelines, &sessions).unwrap();
-        assert_cluster_reports_identical(&piped.cluster, &plain);
+        let plain = build().serve_audited(&stage_requests(&pipelines, &sessions))?;
+        let piped = build().serve_pipelines_audited(&pipelines, &sessions)?;
+        let known = [Known::StageBatched, Known::Spans(|kind| matches!(kind, SpanKind::SloAdmit { .. }))];
+        assert_serves_identical(&piped.cluster, &plain, &known)?;
         prop_assert_eq!(piped.pipelines.len(), count);
     }
 
@@ -633,17 +467,9 @@ proptest! {
             }
             built
         };
-        let plain = build().serve(pipelines.iter().map(plain_request).collect::<Vec<_>>()).unwrap();
-        let piped = build().serve_pipelines(pipelines, &sessions).unwrap();
-        prop_assert_eq!(piped.cluster.outcomes().len(), plain.outcomes().len());
-        for (lhs, rhs) in piped.cluster.outcomes().iter().zip(plain.outcomes()) {
-            prop_assert_eq!(lhs.request_id, rhs.request_id);
-            prop_assert_eq!(lhs.device, rhs.device);
-            prop_assert_eq!(lhs.tile, rhs.tile);
-            prop_assert_eq!(lhs.start_us.to_bits(), rhs.start_us.to_bits());
-            prop_assert_eq!(lhs.completion_us.to_bits(), rhs.completion_us.to_bits());
-        }
-        prop_assert_eq!(piped.cluster.rejected(), plain.rejected());
+        let plain = build().serve_audited(&stage_requests(&pipelines, &sessions))?;
+        let piped = build().serve_pipelines_audited(&pipelines, &sessions)?;
+        assert_serves_identical(&piped.cluster, &plain, &[])?;
     }
 
     /// Zero loss under random fault schedules: every stage of every
@@ -658,10 +484,8 @@ proptest! {
         let sessions: Vec<Session> = (0..3)
             .map(|i| Session::new(i).with_slo(SloClass::ALL[i as usize % 3]))
             .collect();
-        let report = cluster(devices, 1, RoutePolicy::ALL[route_pick])
+        cluster(devices, 1, RoutePolicy::ALL[route_pick])
             .with_fault_plan(random_plan(seed, devices, 80.0))
-            .serve_pipelines(pipelines.clone(), &sessions)
-            .unwrap();
-        assert_stage_zero_loss(&report, &pipelines);
+            .serve_pipelines_audited(&pipelines, &sessions)?;
     }
 }

@@ -14,83 +14,16 @@
 //! on the same randomized traces; and `RoutePolicy::KernelHash` must assign
 //! every request of a kernel to the same device on every resubmission.
 
+mod support;
+
 use proptest::prelude::*;
-use rand::prelude::*;
 
-use tm_overlay::runtime::{RequestOutcome, SpanKind, Trace, TraceEvent};
+use support::{assert_serves_identical, random_trace, Audited, Known};
+use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, ReplicationConfig,
-    Request, RoutePolicy, ServeReport, TraceConfig, Workload,
+    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, ReplicationConfig, RoutePolicy,
+    ServeReport, TraceConfig,
 };
-
-const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
-const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
-const GRAD: &str = "kernel grad(a, b, c, d, e) { out g = a * b + c * d + e; }";
-
-/// A random mixed-kernel trace: non-decreasing arrivals (with simultaneous
-/// bursts), a small workload pool so the sim memo engages (also for
-/// repeats still queued), and a coin-flip deadline per request.
-fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let specs = [
-        (KernelSpec::from_source("saxpy", SAXPY), 3usize),
-        (KernelSpec::from_source("poly", POLY), 1),
-        (KernelSpec::from_source("grad", GRAD), 5),
-    ];
-    let mut clock_us = 0.0;
-    (0..count)
-        .map(|i| {
-            // ~1 in 3 requests arrives simultaneously with its predecessor,
-            // exercising the same-timestamp event ordering.
-            if rng.gen_range(0..3u32) > 0 {
-                clock_us += rng.gen_range(0..=20u64) as f64 * 0.1;
-            }
-            let (spec, inputs) = &specs[rng.gen_range(0..specs.len())];
-            let blocks = rng.gen_range(1..=3usize);
-            // Draw workloads from a pool of 4 seeds per kernel so repeats
-            // are common enough to hit the memo.
-            let workload = Workload::random(*inputs, blocks, seed ^ rng.gen_range(0..4u64));
-            let mut request = Request::new(i as u64, spec.clone(), workload).at(clock_us);
-            if rng.gen_bool(0.5) {
-                let budget = rng.gen_range(1..=30u64) as f64 * 0.1 * deadline_scale_us;
-                request = request.with_deadline(clock_us + budget);
-            }
-            request
-        })
-        .collect()
-}
-
-/// Outcome for outcome, everything two serves decided and computed (both
-/// tiers of a 1-device cluster stamp device 0).
-fn assert_outcomes_identical(
-    a: &[RequestOutcome],
-    b: &[RequestOutcome],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.len(), b.len());
-    for (lhs, rhs) in a.iter().zip(b) {
-        prop_assert_eq!(lhs.request_id, rhs.request_id);
-        prop_assert_eq!(lhs.device, rhs.device);
-        prop_assert_eq!(lhs.tile, rhs.tile);
-        prop_assert_eq!(lhs.start_us, rhs.start_us);
-        prop_assert_eq!(lhs.completion_us, rhs.completion_us);
-        prop_assert_eq!(lhs.queued_us, rhs.queued_us);
-        prop_assert_eq!(lhs.latency_us, rhs.latency_us);
-        prop_assert_eq!(lhs.switched, rhs.switched);
-        prop_assert_eq!(lhs.missed_deadline, rhs.missed_deadline);
-        prop_assert_eq!(&lhs.outputs(), &rhs.outputs());
-    }
-    Ok(())
-}
-
-/// Every observable of the two serves must match exactly.
-fn assert_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
-    assert_outcomes_identical(a.outcomes(), b.outcomes())?;
-    prop_assert_eq!(a.rejected(), b.rejected());
-    // The full metrics struct — counters, rates, depths, per-tile vectors,
-    // event counts and memo stats — must agree field for field.
-    prop_assert_eq!(a.metrics(), b.metrics());
-    Ok(())
-}
 
 /// A traced 1-device [`Cluster`] on the plain tier and one configured like
 /// it that an empty fault plan forces onto the fleet tier.
@@ -100,18 +33,14 @@ fn runtime_and_one_device_fleet(
     policy: DispatchPolicy,
     limit: usize,
 ) -> (Cluster, Cluster) {
-    let runtime = Cluster::new(variant, 1, tiles)
-        .unwrap()
-        .with_policy(policy)
-        .with_admission_limit(limit)
-        .with_tracing(TraceConfig::enabled());
-    let cluster = Cluster::new(variant, 1, tiles)
-        .unwrap()
-        .with_policy(policy)
-        .with_admission_limit(limit)
-        .with_tracing(TraceConfig::enabled())
-        .with_fault_plan(FaultPlan::new());
-    (runtime, cluster)
+    let build = || {
+        Cluster::new(variant, 1, tiles)
+            .unwrap()
+            .with_policy(policy)
+            .with_admission_limit(limit)
+            .with_tracing(TraceConfig::enabled())
+    };
+    (build(), build().with_fault_plan(FaultPlan::new()))
 }
 
 proptest! {
@@ -130,10 +59,10 @@ proptest! {
         let policy = DispatchPolicy::ALL[policy_pick];
         let (mut runtime, mut cluster) =
             runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
-        let reference = runtime.serve(requests.clone()).unwrap();
-        let report = cluster.serve(requests).unwrap();
+        let reference = runtime.serve_audited(&requests)?;
+        let report = cluster.serve_audited(&requests)?;
         prop_assert!(reference.metrics().rejects + reference.outcomes().len() == count);
-        assert_cluster_matches_runtime(&report, &reference)?;
+        assert_fleet_matches_plain(&report, &reference)?;
     }
 
     /// The feed-forward variants flip the switch-cost scale to PCAP
@@ -148,9 +77,9 @@ proptest! {
         let policy = DispatchPolicy::ALL[policy_pick];
         let (mut runtime, mut cluster) =
             runtime_and_one_device_fleet(FuVariant::V1, tiles, policy, usize::MAX);
-        let reference = runtime.serve(requests.clone()).unwrap();
-        let report = cluster.serve(requests).unwrap();
-        assert_cluster_matches_runtime(&report, &reference)?;
+        let reference = runtime.serve_audited(&requests)?;
+        let report = cluster.serve_audited(&requests)?;
+        assert_fleet_matches_plain(&report, &reference)?;
     }
 
     /// A 1-device fleet is the plain 1-device cluster — bit for bit: same tiles, same
@@ -171,9 +100,9 @@ proptest! {
         let (mut runtime, cluster) =
             runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
         let mut cluster = cluster.with_route_policy(route);
-        let reference = runtime.serve(requests.clone()).unwrap();
-        let report = cluster.serve(requests).unwrap();
-        assert_cluster_matches_runtime(&report, &reference)?;
+        let reference = runtime.serve_audited(&requests)?;
+        let report = cluster.serve_audited(&requests)?;
+        assert_fleet_matches_plain(&report, &reference)?;
     }
 
     /// The control plane at its disabled settings (`max_batch = 1`,
@@ -201,9 +130,9 @@ proptest! {
             .with_policy(policy)
             .with_admission_limit(limit)
             .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
-        let baseline = plain.serve(requests.clone()).unwrap();
-        let disabled = pinned.serve(requests.clone()).unwrap();
-        assert_reports_identical(&disabled, &baseline)?;
+        let baseline = plain.serve_audited(&requests)?;
+        let disabled = pinned.serve_audited(&requests)?;
+        assert_serves_identical(&disabled, &baseline, &[])?;
         prop_assert_eq!(disabled.metrics().batch.batches_formed, 0);
         prop_assert_eq!(disabled.metrics().batch.switches_avoided, 0);
 
@@ -214,9 +143,9 @@ proptest! {
         let mut cluster = cluster
             .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 })
             .with_replication(ReplicationConfig::disabled());
-        let report = cluster.serve(requests.clone()).unwrap();
-        let runtime_report = reference.serve(requests).unwrap();
-        assert_cluster_matches_runtime(&report, &runtime_report)?;
+        let report = cluster.serve_audited(&requests)?;
+        let runtime_report = reference.serve_audited(&requests)?;
+        assert_fleet_matches_plain(&report, &runtime_report)?;
         prop_assert_eq!(report.replication().replicas_pushed, 0);
         prop_assert_eq!(report.replication().bytes_prefetched, 0);
     }
@@ -238,9 +167,9 @@ proptest! {
         let config = BatchConfig::with_max_batch(max_batch).with_max_hold_us(hold_us);
         let (runtime, cluster) =
             runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, usize::MAX);
-        let reference = runtime.with_batching(config).serve(requests.clone()).unwrap();
-        let report = cluster.with_batching(config).serve(requests).unwrap();
-        assert_cluster_matches_runtime(&report, &reference)?;
+        let reference = runtime.with_batching(config).serve_audited(&requests)?;
+        let report = cluster.with_batching(config).serve_audited(&requests)?;
+        assert_fleet_matches_plain(&report, &reference)?;
     }
 
     /// Batching reorders *when* requests run, never *what* they compute:
@@ -259,8 +188,8 @@ proptest! {
             .unwrap()
             .with_policy(policy)
             .with_batching(BatchConfig::with_max_batch(max_batch));
-        let baseline = plain.serve(requests.clone()).unwrap();
-        let report = batched.serve(requests).unwrap();
+        let baseline = plain.serve_audited(&requests)?;
+        let report = batched.serve_audited(&requests)?;
         prop_assert_eq!(report.outcomes().len(), baseline.outcomes().len());
         let by_id = |r: &ServeReport| -> std::collections::HashMap<u64, Vec<Vec<tm_overlay::dfg::Value>>> {
             r.outcomes()
@@ -286,9 +215,9 @@ proptest! {
             .with_policy(policy)
             .with_route_policy(RoutePolicy::KernelHash);
         let mut cluster = build();
-        let first = cluster.serve(requests.clone()).unwrap();
-        let resubmitted = cluster.serve(requests.clone()).unwrap();
-        let fresh = build().serve(requests).unwrap();
+        let first = cluster.serve_audited(&requests)?;
+        let resubmitted = cluster.serve_audited(&requests)?;
+        let fresh = build().serve_audited(&requests)?;
         let routes = |report: &ServeReport| -> Vec<(u64, usize)> {
             report.outcomes().iter().map(|o| (o.request_id, o.device)).collect()
         };
@@ -309,54 +238,23 @@ proptest! {
     }
 }
 
-/// A trace's spans without the routing decisions only the fleet tier takes.
-fn spans_but_routes(trace: Option<&Trace>) -> Vec<&TraceEvent> {
-    let trace = trace.expect("tracing was enabled");
-    assert_eq!(trace.dropped(), 0);
-    trace
-        .events()
-        .iter()
-        .filter(|event| !matches!(event.kind, SpanKind::RouteChoice(_)))
-        .collect()
+/// The routing decisions only the fleet tier takes.
+fn is_route(kind: &SpanKind) -> bool {
+    matches!(kind, SpanKind::RouteChoice(_))
 }
 
-/// Every observable of a 1-device fleet serve must match the plain tier's.
-fn assert_cluster_matches_runtime(
-    cluster: &ServeReport,
-    runtime: &ServeReport,
+/// A 1-device fleet serve routed every arrival (to device 0), and but for
+/// those routes it is the plain tier's serve, bit for bit.
+fn assert_fleet_matches_plain(
+    fleet: &ServeReport,
+    plain: &ServeReport,
 ) -> Result<(), TestCaseError> {
-    assert_outcomes_identical(cluster.outcomes(), runtime.outcomes())?;
-    prop_assert_eq!(cluster.rejected(), runtime.rejected());
-    // Cluster totals must equal the runtime's metrics field for field.
-    prop_assert_eq!(cluster.metrics(), runtime.metrics());
-    // The single device's breakdown is the whole story: no transfers, no
-    // host loads, every request — and both tiers report it alike.
-    prop_assert_eq!(cluster.device_metrics(), runtime.device_metrics());
-    prop_assert_eq!(cluster.device_metrics().len(), 1);
-    let device = &cluster.device_metrics()[0];
-    prop_assert_eq!(device.requests, runtime.outcomes().len());
-    prop_assert_eq!(device.transfers_in, 0);
-    prop_assert_eq!(device.host_loads, 0);
-    prop_assert_eq!(device.p99_latency_us, runtime.metrics().p99_latency_us);
-    // The fleet tier routed every arrival (to device 0); nothing else differs.
-    let spans = spans_but_routes(cluster.trace());
-    prop_assert_eq!(&spans, &spans_but_routes(runtime.trace()));
-    prop_assert!(spans.len() < cluster.trace().unwrap().events().len());
-    prop_assert_eq!(spans.len(), runtime.trace().unwrap().events().len());
-    Ok(())
-}
-
-/// Every observable of two cluster serves must match exactly — including
-/// the per-device breakdown and the recorded trace (the trace comparison
-/// covers span order, side tables, counters and the ring's drop count).
-fn assert_cluster_reports_identical(a: &ServeReport, b: &ServeReport) -> Result<(), TestCaseError> {
-    assert_outcomes_identical(a.outcomes(), b.outcomes())?;
-    prop_assert_eq!(a.rejected(), b.rejected());
-    prop_assert_eq!(a.metrics(), b.metrics());
-    prop_assert_eq!(a.device_metrics(), b.device_metrics());
-    prop_assert_eq!(a.replication(), b.replication());
-    prop_assert_eq!(a.trace(), b.trace());
-    Ok(())
+    let routes = fleet.trace().unwrap().events().iter();
+    prop_assert!(
+        routes.filter(|e| is_route(&e.kind)).count() > 0,
+        "nothing was routed"
+    );
+    assert_serves_identical(fleet, plain, &[Known::Spans(is_route)])
 }
 
 proptest! {
@@ -393,16 +291,16 @@ proptest! {
         let mut plain = build();
         let mut pinned = build().with_fault_plan(FaultPlan::new());
         prop_assert!(pinned.fault_plan().is_some_and(FaultPlan::is_empty));
-        let a = plain.serve(requests.clone()).unwrap();
-        let b = pinned.serve(requests.clone()).unwrap();
-        assert_cluster_reports_identical(&a, &b)?;
+        let a = plain.serve_audited(&requests)?;
+        let b = pinned.serve_audited(&requests)?;
+        assert_serves_identical(&a, &b, &[])?;
         prop_assert_eq!(b.requeues(), 0);
         prop_assert_eq!(b.faults(), 0);
         prop_assert_eq!(b.lost_work_us(), 0.0);
         prop_assert_eq!(b.availability(), vec![1.0; devices]);
         // Warm resubmission stays pinned too.
-        let a2 = plain.serve(requests.clone()).unwrap();
-        let b2 = pinned.serve(requests).unwrap();
-        assert_cluster_reports_identical(&a2, &b2)?;
+        let a2 = plain.serve_audited(&requests)?;
+        let b2 = pinned.serve_audited(&requests)?;
+        assert_serves_identical(&a2, &b2, &[])?;
     }
 }

@@ -7,63 +7,23 @@
 //! admission-control reject path, ingest backpressure and deadline-miss
 //! accounting.
 
+mod support;
+
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use tm_overlay::dfg::evaluate_stream;
-use tm_overlay::frontend::LowerOptions;
+use support::{audit, benchmark_trace, check_outputs, service_us, Audited};
 use tm_overlay::runtime::RuntimeError;
 use tm_overlay::{
     Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, Request, ServeReport, SubmitError,
     Workload,
 };
 
-/// A mixed-kernel trace over the paper's benchmark suite: `count` requests,
-/// one every 2 µs, cycling through four kernels.
-fn benchmark_trace(count: usize, blocks: usize) -> Vec<Request> {
-    let suite = [
-        Benchmark::Gradient,
-        Benchmark::Chebyshev,
-        Benchmark::Qspline,
-        Benchmark::Poly5,
-    ];
-    (0..count)
-        .map(|i| {
-            let benchmark = suite[i % suite.len()];
-            let spec = KernelSpec::from_benchmark(benchmark).unwrap();
-            let inputs = benchmark.dfg().unwrap().num_inputs();
-            let workload = Workload::random(inputs, blocks, 0xD15C ^ i as u64);
-            Request::new(i as u64, spec, workload).at(i as f64 * 2.0)
-        })
-        .collect()
-}
-
-/// Checks every outcome against the DFG reference evaluator and the basic
-/// timeline invariants the event loop guarantees.
-fn verify_report(requests: &[Request], report: &ServeReport) {
-    let options = LowerOptions::default();
-    assert_eq!(report.outcomes().len(), requests.len());
-    for (request, outcome) in requests.iter().zip(report.outcomes()) {
-        assert_eq!(outcome.request_id, request.id, "submission order kept");
-        let dfg = request.kernel.dfg(&options).unwrap();
-        let expected = evaluate_stream(&dfg, request.workload.records()).unwrap();
-        assert_eq!(
-            outcome.outputs(),
-            expected,
-            "request {} diverged from the reference evaluator",
-            request.id
-        );
-        assert!(outcome.start_us >= request.arrival_us);
-        assert!(outcome.completion_us > outcome.start_us);
-        assert!((outcome.queued_us - (outcome.start_us - request.arrival_us)).abs() < 1e-9);
-    }
-}
-
 #[test]
 fn streaming_serves_correctly_on_every_variant() {
     // The online path must work on the write-back tiles (V3–V5, instruction
     // reload) and the feed-forward ones ([14]/V1/V2, PCAP) alike.
-    let requests = benchmark_trace(8, 4);
+    let requests = benchmark_trace(8, 4, 0xD15C, 2.0, None);
     for variant in FuVariant::ALL {
         let mut runtime = Cluster::new(variant, 1, 2).unwrap();
         let report = runtime
@@ -73,7 +33,9 @@ fn streaming_serves_correctly_on_every_variant() {
                 }
             })
             .unwrap_or_else(|e| panic!("serve_stream failed on {variant}: {e}"));
-        verify_report(&requests, &report);
+        audit(&requests, &report).unwrap();
+        check_outputs(&requests, &report).unwrap();
+        assert!(report.rejected().is_empty());
         assert!(
             report.metrics().switch_count >= 1,
             "{variant}: cold tiles must pay at least one switch"
@@ -83,15 +45,14 @@ fn streaming_serves_correctly_on_every_variant() {
 
 #[test]
 fn every_policy_serves_the_same_functional_results() {
-    let requests = benchmark_trace(24, 4);
+    let requests = benchmark_trace(24, 4, 0xD15C, 2.0, None);
     let mut reference: Option<ServeReport> = None;
     for policy in DispatchPolicy::ALL {
         let mut runtime = Cluster::new(FuVariant::V4, 1, 3)
             .unwrap()
             .with_policy(policy);
-        let report = runtime.serve(requests.clone()).unwrap();
-        assert_eq!(report.policy(), policy);
-        verify_report(&requests, &report);
+        let report = runtime.serve_audited(&requests).unwrap();
+        check_outputs(&requests, &report).unwrap();
         assert_eq!(report.metrics().requests, 24);
         assert_eq!(report.metrics().tile_requests.iter().sum::<usize>(), 24);
         if let Some(reference) = &reference {
@@ -113,7 +74,7 @@ fn a_live_producer_thread_streams_through_backpressure() {
     // A 4-slot ingest buffer in front of a 40-request burst: the producer
     // thread must block on submit and the loop must drain everything in
     // order, with results identical to the batch shim.
-    let requests = benchmark_trace(40, 3);
+    let requests = benchmark_trace(40, 3, 0xD15C, 2.0, None);
     let mut runtime = Cluster::new(FuVariant::V4, 1, 4)
         .unwrap()
         .with_ingest_capacity(4);
@@ -124,7 +85,8 @@ fn a_live_producer_thread_streams_through_backpressure() {
             }
         })
         .unwrap();
-    let batch = runtime.serve(requests.clone()).unwrap();
+    audit(&requests, &streamed).unwrap();
+    let batch = runtime.serve_audited(&requests).unwrap();
     assert_eq!(streamed.outcomes().len(), 40);
     for (lhs, rhs) in streamed.outcomes().iter().zip(batch.outcomes()) {
         assert_eq!(lhs.request_id, rhs.request_id);
@@ -139,7 +101,7 @@ fn try_submit_surfaces_backpressure_to_the_producer() {
     // first try_submit finds no waiting receiver only after the loop has
     // picked up the first request, so eventually some try_submit must see
     // Backpressure; blocking submit still gets everything through.
-    let requests = benchmark_trace(6, 2);
+    let requests = benchmark_trace(6, 2, 0xD15C, 2.0, None);
     let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_ingest_capacity(0);
@@ -164,6 +126,7 @@ fn try_submit_surfaces_backpressure_to_the_producer() {
             saw_backpressure_tx.send(saw).unwrap();
         })
         .unwrap();
+    audit(&requests, &report).unwrap();
     assert_eq!(report.outcomes().len(), 6);
     // With a rendezvous channel, at least one non-blocking submit races the
     // loop; don't assert it (timing-dependent), just that the signal works.
@@ -184,35 +147,17 @@ fn admission_control_rejects_queue_overflow_per_policy() {
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(3);
-        let report = runtime.serve(requests.clone()).unwrap();
+        let report = runtime.serve_audited(&requests).unwrap();
         assert_eq!(report.outcomes().len(), 4, "{policy}");
         assert_eq!(report.rejected().len(), 12, "{policy}");
         assert_eq!(report.metrics().rejects, 12);
         assert_eq!(report.metrics().peak_queue_depth, 3);
         assert_eq!(report.metrics().tile_peak_queue, vec![3]);
-        let mut ids: Vec<u64> = report
-            .outcomes()
-            .iter()
-            .map(|o| o.request_id)
-            .chain(report.rejected().iter().map(|r| r.id))
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..16).collect::<Vec<u64>>(), "{policy}");
         for rejected in report.rejected() {
             assert_eq!(rejected.kernel.as_ref(), "gradient");
             assert_eq!(rejected.arrival_us, 0.0);
         }
     }
-}
-
-/// Modeled completion time of one cold request (switch + service), used to
-/// scale deadlines so tests are robust to timing-model changes.
-fn probe_service_us(spec: &KernelSpec, workload: &Workload) -> f64 {
-    let mut runtime = Cluster::new(FuVariant::V4, 1, 1).unwrap();
-    let report = runtime
-        .serve(vec![Request::new(0, spec.clone(), workload.clone()).at(0.0)])
-        .unwrap();
-    report.outcomes()[0].completion_us
 }
 
 #[test]
@@ -223,7 +168,10 @@ fn deadline_misses_are_counted_per_policy_under_overload() {
     // must account for every deadline carried.
     let spec = KernelSpec::from_benchmark(Benchmark::Chebyshev).unwrap();
     let workload = Workload::random(1, 32, 5);
-    let service_us = probe_service_us(&spec, &workload);
+    let service_us = service_us(
+        FuVariant::V4,
+        Request::new(0, spec.clone(), workload.clone()),
+    );
     let requests: Vec<Request> = (0..8)
         .map(|i| {
             Request::new(i, spec.clone(), workload.clone())
@@ -235,26 +183,16 @@ fn deadline_misses_are_counted_per_policy_under_overload() {
         let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
             .unwrap()
             .with_policy(policy);
-        let report = runtime.serve(requests.clone()).unwrap();
+        // The audit holds each miss flag to the modeled timeline and the
+        // miss count to the flags.
+        let report = runtime.serve_audited(&requests).unwrap();
         let metrics = report.metrics();
         assert_eq!(metrics.deadline_requests, 8, "{policy}");
-        let misses = report
-            .outcomes()
-            .iter()
-            .filter(|o| o.missed_deadline)
-            .count();
-        assert_eq!(metrics.deadline_misses, misses, "{policy}");
+        let misses = metrics.deadline_misses;
         assert!(
             (metrics.deadline_miss_rate() - misses as f64 / 8.0).abs() < 1e-12,
             "{policy}"
         );
-        for outcome in report.outcomes() {
-            assert_eq!(
-                outcome.missed_deadline,
-                outcome.completion_us > outcome.deadline_us.unwrap(),
-                "{policy}: miss flag must reflect the modeled timeline"
-            );
-        }
     }
 }
 
@@ -267,7 +205,10 @@ fn deadline_aware_policies_beat_fifo_on_an_overloaded_queue() {
     // deadlines than kernel affinity.
     let spec = KernelSpec::from_benchmark(Benchmark::Chebyshev).unwrap();
     let workload = Workload::random(1, 24, 9);
-    let service_us = probe_service_us(&spec, &workload);
+    let service_us = service_us(
+        FuVariant::V4,
+        Request::new(0, spec.clone(), workload.clone()),
+    );
     let mut requests: Vec<Request> = (0..8)
         .map(|i| {
             Request::new(i, spec.clone(), workload.clone())
@@ -285,7 +226,7 @@ fn deadline_aware_policies_beat_fifo_on_an_overloaded_queue() {
     }
     let mut affinity = Cluster::new(FuVariant::V4, 1, 1).unwrap();
     let fifo_misses = affinity
-        .serve(requests.clone())
+        .serve_audited(&requests)
         .unwrap()
         .metrics()
         .deadline_misses;
@@ -293,7 +234,8 @@ fn deadline_aware_policies_beat_fifo_on_an_overloaded_queue() {
     let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
         .unwrap()
         .with_policy(DispatchPolicy::SlackAware);
-    let misses = runtime.serve(requests).unwrap().metrics().deadline_misses;
+    let misses = runtime.serve_audited(&requests).unwrap();
+    let misses = misses.metrics().deadline_misses;
     assert!(
         misses < fifo_misses,
         "slack-aware: {misses} misses vs FIFO's {fifo_misses}"

@@ -7,6 +7,8 @@
 //! cluster serve under any fault plan, or of any pipelines, returns its
 //! report or a typed error.
 
+mod support;
+
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
@@ -14,93 +16,12 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::prelude::*;
 
+use support::{audit, audit_pipelines, cluster, random_trace, service_us, Audited, SAXPY};
 use tm_overlay::runtime::{FlashCrowd, Scenario, ScenarioConfig};
 use tm_overlay::{
     Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, PipelineRequest, PipelineStage,
-    Request, RoutePolicy, ServeReport, Session, SloClass, Workload,
+    Request, RoutePolicy, Session, SloClass, Workload,
 };
-
-const SAXPY: &str = "kernel saxpy(a, x, y) { out r = a * x + y; }";
-const POLY: &str = "kernel poly(x) { out y = (x * x + 3) * x; }";
-
-/// A random mixed-kernel trace: non-decreasing arrivals, random workload
-/// sizes and a coin-flip deadline per request.
-fn random_trace(seed: u64, count: usize, deadline_scale_us: f64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let saxpy = KernelSpec::from_source("saxpy", SAXPY);
-    let poly = KernelSpec::from_source("poly", POLY);
-    let mut clock_us = 0.0;
-    (0..count)
-        .map(|i| {
-            clock_us += rng.gen_range(0..=20u64) as f64 * 0.1;
-            let (spec, inputs) = if rng.gen_bool(0.5) {
-                (saxpy.clone(), 3)
-            } else {
-                (poly.clone(), 1)
-            };
-            let blocks = rng.gen_range(1..=4usize);
-            let workload = Workload::random(inputs, blocks, seed ^ i as u64);
-            let mut request = Request::new(i as u64, spec, workload).at(clock_us);
-            if rng.gen_bool(0.5) {
-                let budget = rng.gen_range(1..=30u64) as f64 * 0.1 * deadline_scale_us;
-                request = request.with_deadline(clock_us + budget);
-            }
-            request
-        })
-        .collect()
-}
-
-/// Submitted ids must be partitioned exactly between outcomes and rejects.
-fn assert_conservation(requests: &[Request], report: &ServeReport) -> Result<(), TestCaseError> {
-    let mut ids: Vec<u64> = report
-        .outcomes()
-        .iter()
-        .map(|o| o.request_id)
-        .chain(report.rejected().iter().map(|r| r.id))
-        .collect();
-    ids.sort_unstable();
-    let submitted: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    prop_assert_eq!(ids, submitted);
-    // Outcomes keep submission order (ids are assigned in order here).
-    let outcome_ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
-    let mut sorted = outcome_ids.clone();
-    sorted.sort_unstable();
-    prop_assert_eq!(outcome_ids, sorted);
-    Ok(())
-}
-
-/// Per tile, served requests must form non-overlapping busy intervals in
-/// non-decreasing virtual time, each starting no earlier than its arrival.
-fn assert_timeline(
-    requests: &[Request],
-    report: &ServeReport,
-    tiles: usize,
-) -> Result<(), TestCaseError> {
-    let arrival_of = |id: u64| requests.iter().find(|r| r.id == id).unwrap().arrival_us;
-    for tile in 0..tiles {
-        let mut spans: Vec<(f64, f64, u64)> = report
-            .outcomes()
-            .iter()
-            .filter(|o| o.tile == tile)
-            .map(|o| (o.start_us, o.completion_us, o.request_id))
-            .collect();
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let mut previous_end = 0.0_f64;
-        for (start, completion, id) in spans {
-            prop_assert!(
-                start >= arrival_of(id),
-                "request {id} started at {start} before its arrival"
-            );
-            prop_assert!(completion > start, "request {id} has an empty busy span");
-            prop_assert!(
-                start >= previous_end - 1e-9,
-                "tile {tile} ran two requests at once (start {start} < previous end {previous_end})"
-            );
-            previous_end = completion;
-        }
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -119,12 +40,7 @@ proptest! {
             .unwrap()
             .with_policy(policy)
             .with_admission_limit(limit);
-        let report = runtime.serve(requests.clone()).unwrap();
-        assert_conservation(&requests, &report)?;
-        prop_assert_eq!(
-            report.metrics().requests + report.metrics().rejects,
-            count
-        );
+        runtime.serve_audited(&requests)?;
     }
 
     /// The virtual timeline is physically consistent: per-tile busy spans
@@ -140,14 +56,7 @@ proptest! {
         let mut runtime = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(policy);
-        let report = runtime.serve(requests.clone()).unwrap();
-        assert_conservation(&requests, &report)?;
-        assert_timeline(&requests, &report, tiles)?;
-        // Latency figures must be consistent with the spans.
-        for outcome in report.outcomes() {
-            prop_assert!((outcome.latency_us - (outcome.queued_us
-                + (outcome.completion_us - outcome.start_us))).abs() < 1e-9);
-        }
+        runtime.serve_audited(&requests)?;
     }
 
     /// On a single-tenant trace (one kernel, uniform service), slack-aware
@@ -166,14 +75,8 @@ proptest! {
         let workload = Workload::random(3, 3, seed);
         // Probe the uniform service time so deadline budgets scale with the
         // timing model instead of hard-coding microseconds.
-        let service_us = {
-            let mut probe = Cluster::new(FuVariant::V4, 1, 1).unwrap();
-            probe
-                .serve(vec![Request::new(0, spec.clone(), workload.clone()).at(0.0)])
-                .unwrap()
-                .outcomes()[0]
-                .completion_us
-        };
+        let service_us =
+            service_us(FuVariant::V4, Request::new(0, spec.clone(), workload.clone()));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let mut clock_us = 0.0;
         let requests: Vec<Request> = (0..count)
@@ -187,13 +90,12 @@ proptest! {
             .collect();
 
         let mut affinity = Cluster::new(FuVariant::V4, 1, tiles).unwrap();
-        let fifo = affinity.serve(requests.clone()).unwrap();
+        let fifo = affinity.serve_audited(&requests)?;
         let mut edf = Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(DispatchPolicy::SlackAware);
-        let edf_report = edf.serve(requests.clone()).unwrap();
+        let edf_report = edf.serve_audited(&requests)?;
 
-        assert_conservation(&requests, &edf_report)?;
         prop_assert_eq!(fifo.metrics().deadline_requests, count);
         prop_assert_eq!(edf_report.metrics().deadline_requests, count);
         if fifo.metrics().deadline_misses == 0 {
@@ -240,7 +142,7 @@ fn in_time<T: Send + 'static>(
 /// A fault plan of `events` random events on a `devices`-device fleet.
 /// Half the plans are `wild`: times anywhere, NaN and ±∞ included and in no
 /// order, and device ids up to two past the fleet.
-fn random_plan(rng: &mut StdRng, events: usize, devices: usize) -> FaultPlan {
+fn wild_plan(rng: &mut StdRng, events: usize, devices: usize) -> FaultPlan {
     let wild = rng.gen_bool(0.5);
     (0..events).fold(FaultPlan::new(), |plan, _| {
         let time_us = if wild {
@@ -306,7 +208,7 @@ proptest! {
 
     /// Any fault plan — NaN, infinite and out-of-order times, devices past
     /// the fleet — makes a cluster serve either fail with a typed error or
-    /// account for every request, served or rejected.
+    /// pass the audit.
     #[test]
     fn any_fault_plan_serves_or_fails_with_a_typed_error(
         seed in any::<u64>(),
@@ -314,25 +216,23 @@ proptest! {
         devices in 1usize..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = random_plan(&mut rng, events, devices);
+        let plan = wild_plan(&mut rng, events, devices);
         let shown = format!("{plan:?}");
         let requests = random_trace(seed, 12, 3.0);
         let served = in_time(move || {
-            Cluster::new(FuVariant::V4, devices, 2)
-                .unwrap()
-                .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+            cluster(devices, 2, RoutePolicy::PowerOfTwoChoices)
                 .with_fault_plan(plan)
-                .serve(requests)
-                .map(|report| report.outcomes().len() + report.rejected().len())
+                .serve(requests.clone())
+                .map(|report| audit(&requests, &report))
         });
         prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
-        if let Ok(Ok(accounted)) = served {
-            prop_assert!(accounted == 12, "{shown}: {accounted} of 12 requests accounted");
+        if let Ok(Ok(Err(failed))) = served {
+            prop_assert!(false, "{shown}: {failed:?}");
         }
     }
 
     /// Any pipelines served through a cluster, with or without a fault
-    /// plan, give a report or a typed error. A fifth of them are wild:
+    /// plan, give a report that passes the audit or a typed error. A fifth of them are wild:
     /// empty stage lists, dependencies on themselves, on later stages or
     /// past the end, NaN, infinite and out-of-order arrivals.
     #[test]
@@ -378,7 +278,7 @@ proptest! {
             Session::new(1),
             Session::new(2).with_slo(SloClass::BestEffort),
         ];
-        let plan = random_plan(&mut rng, faults, 2);
+        let plan = wild_plan(&mut rng, faults, 2);
         let shown = format!("{pipelines:?} {plan:?}");
         let served = in_time(move || {
             let mut cluster = Cluster::new(FuVariant::V4, 2, 2).unwrap();
@@ -386,12 +286,12 @@ proptest! {
                 cluster = cluster.with_fault_plan(plan);
             }
             cluster
-                .serve_pipelines(pipelines, &sessions)
-                .map(|report| report.pipelines.len())
+                .serve_pipelines(pipelines.clone(), &sessions)
+                .map(|report| audit_pipelines(&pipelines, &sessions, &report))
         });
         prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
-        if let Ok(Ok(pipelines)) = served {
-            prop_assert!(pipelines == count, "{shown}: {pipelines} of {count} pipelines reported");
+        if let Ok(Ok(Err(failed))) = served {
+            prop_assert!(false, "{shown}: {failed:?}");
         }
     }
 }
