@@ -514,14 +514,9 @@ pub fn percentile_by_selection(values: &mut [f64], p: f64) -> f64 {
             };
             // Held to its two order statistics: equal neighbours can round
             // one ulp past them, which would put a p99 above the maximum.
-            let value = low_value * (1.0 - weight) + high_value * weight;
-            if value > high_value {
-                high_value
-            } else if value < low_value {
-                low_value
-            } else {
-                value
-            }
+            (low_value * (1.0 - weight) + high_value * weight)
+                .min(high_value)
+                .max(low_value)
         }
     }
 }

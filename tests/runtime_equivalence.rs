@@ -244,16 +244,21 @@ fn is_route(kind: &SpanKind) -> bool {
 }
 
 /// A 1-device fleet serve routed every arrival (to device 0), and but for
-/// those routes it is the plain tier's serve, bit for bit.
+/// those routes it is the plain tier's serve, bit for bit. The one device
+/// row is the whole story: no transfers and no host loads.
 fn assert_fleet_matches_plain(
     fleet: &ServeReport,
     plain: &ServeReport,
 ) -> Result<(), TestCaseError> {
-    let routes = fleet.trace().unwrap().events().iter();
-    prop_assert!(
-        routes.filter(|e| is_route(&e.kind)).count() > 0,
-        "nothing was routed"
-    );
+    let routes = |report: &ServeReport| {
+        let events = report.trace().unwrap().events().iter();
+        events.filter(|e| is_route(&e.kind)).count()
+    };
+    prop_assert!(routes(fleet) > 0, "nothing was routed");
+    prop_assert!(routes(plain) == 0, "the plain tier routed");
+    prop_assert_eq!(fleet.device_metrics().len(), 1);
+    let device = &fleet.device_metrics()[0];
+    prop_assert_eq!((device.transfers_in, device.host_loads), (0, 0));
     assert_serves_identical(fleet, plain, &[Known::Spans(is_route)])
 }
 

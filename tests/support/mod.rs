@@ -602,6 +602,7 @@ pub fn audit_pipelines(
 /// for its request (ids unique).
 pub fn check_outputs(requests: &[Request], report: &ServeReport) -> Result<(), TestCaseError> {
     let request_of: HashMap<u64, &Request> = requests.iter().map(|r| (r.id, r)).collect();
+    prop_assert!(request_of.len() == requests.len(), "ids must be unique");
     for outcome in report.outcomes() {
         let request = request_of[&outcome.request_id];
         let dfg = request.kernel.dfg(&LowerOptions::default()).unwrap();
@@ -620,12 +621,14 @@ pub enum Known {
     StageBatched,
     /// Spans of the kinds this picks out are in one trace only.
     Spans(fn(&SpanKind) -> bool),
+    /// Only the first serve was traced.
+    TracedFirstOnly,
 }
 
 /// Two serves decided and computed the same: every outcome to the bit
 /// (outputs included), the rejects, the metrics, the per-device rows, the
-/// replication counters and, when both were traced, the spans — but for
-/// the differences `known` states.
+/// replication counters, whether each was traced and, when both were, the
+/// spans — but for the differences `known` states.
 pub fn assert_serves_identical(
     a: &ServeReport,
     b: &ServeReport,
@@ -656,6 +659,12 @@ pub fn assert_serves_identical(
     prop_assert_eq!(&metrics, b.metrics());
     prop_assert_eq!(a.device_metrics(), b.device_metrics());
     prop_assert_eq!(a.replication(), b.replication());
+    let traced = (a.trace().is_some(), b.trace().is_some());
+    if known.iter().any(|k| matches!(k, Known::TracedFirstOnly)) {
+        prop_assert_eq!(traced, (true, false));
+    } else {
+        prop_assert!(traced.0 == traced.1, "one serve lost its trace");
+    }
     if let (Some(lhs), Some(rhs)) = (a.trace(), b.trace()) {
         let in_one = |e: &&TraceEvent| known.iter().any(|k| k.picks(&e.kind));
         let kept = |trace: &Trace| -> Vec<TraceEvent> {
