@@ -78,6 +78,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::metrics::{self, BatchStats, DeviceMetrics, ReplicationStats, RuntimeMetrics};
 use crate::obs;
+use crate::request::IntakeCheck;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
     power_of_two_pair_eligible, Acquisition, ExclusionSet, RoutePolicy, Routed, TransferModel,
@@ -567,9 +568,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] for an empty trace, invalid or
-    /// out-of-order arrival times, or any compile/simulation failure. A
-    /// failed serve leaves the cluster as warm as it found it.
+    /// Returns [`RuntimeError::NoRequests`] for an empty trace, the intake
+    /// check's error for the first request with an invalid or out-of-order
+    /// arrival ([`InvalidArrival`](RuntimeError::InvalidArrival),
+    /// [`OutOfOrderArrival`](RuntimeError::OutOfOrderArrival)), a deadline
+    /// that is not finite ([`InvalidDeadline`](RuntimeError::InvalidDeadline))
+    /// or an id already submitted
+    /// ([`DuplicateRequestId`](RuntimeError::DuplicateRequestId)), or any
+    /// compile/simulation failure. A failed serve leaves the cluster as warm
+    /// as it found it.
     pub fn serve<I>(&mut self, requests: I) -> Result<ServeReport, RuntimeError>
     where
         I: IntoIterator<Item = Request>,
@@ -590,11 +597,13 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] when nothing was submitted, for invalid or
-    /// out-of-order arrival times, or for any compile/simulation failure: a
-    /// compile failure when the failing request is pulled off the stream, a
-    /// simulation failure at the failing request's admission (a request
-    /// admission control rejects is never simulated).
+    /// Returns [`RuntimeError::NoRequests`] when nothing was submitted, the
+    /// intake check's error for the first submission [`serve`](Cluster::serve)
+    /// would refuse (an invalid or out-of-order arrival, a deadline that is
+    /// not finite, an id already submitted), or any compile/simulation
+    /// failure: a compile failure when the failing request is pulled off the
+    /// stream, a simulation failure at the failing request's admission (a
+    /// request admission control rejects is never simulated).
     pub fn serve_stream<F>(&mut self, feed: F) -> Result<ServeReport, RuntimeError>
     where
         F: FnOnce(Submitter) + Send,
@@ -1057,7 +1066,7 @@ impl Cluster {
                     .push(event.time_us, EventKind::Fault { fault: index });
             }
         }
-        let mut horizon_us = 0.0_f64;
+        let mut check = IntakeCheck::default();
         let mut ingest_open = true;
 
         loop {
@@ -1072,30 +1081,17 @@ impl Cluster {
                 && state
                     .events
                     .peek_time_us()
-                    .is_none_or(|time| time > horizon_us)
+                    .is_none_or(|time| time > check.horizon_us)
             {
                 let Some(mut request) = ingest.recv() else {
                     // Every submitter is gone: the trace is complete.
                     ingest_open = false;
-                    horizon_us = f64::INFINITY;
+                    check.horizon_us = f64::INFINITY;
                     break;
                 };
                 loop {
+                    check.admit(&request, |id| intake.iter().any(|row| row.request.id == id))?;
                     let arrival_us = request.arrival_us;
-                    if !arrival_us.is_finite() || arrival_us < 0.0 {
-                        return Err(RuntimeError::InvalidArrival {
-                            request: request.id,
-                            arrival_us,
-                        });
-                    }
-                    if arrival_us < horizon_us {
-                        return Err(RuntimeError::OutOfOrderArrival {
-                            request: request.id,
-                            arrival_us,
-                            horizon_us,
-                        });
-                    }
-                    horizon_us = arrival_us;
                     // The kernel's home shard is its compile authority:
                     // the artifact is built (or found) in the home
                     // device's store; other devices adopt the image
@@ -2027,17 +2023,19 @@ mod tests {
             .map(|i| benchmark_chain(i, i % 2, 3, i as f64 * 5.0))
             .collect();
         let sessions = [Session::new(0), Session::new(1).with_slo(SloClass::Latency)];
-        let report = cluster.serve_pipelines(pipelines, &sessions).unwrap();
+        let report = cluster
+            .serve_pipelines(pipelines.clone(), &sessions)
+            .unwrap();
         assert_eq!(report.pipelines.len(), 6);
         assert_eq!(report.completed(), 6);
         // Every stage is one cluster outcome: 6 pipelines × 3 stages.
         assert_eq!(report.cluster.outcomes().len(), 18);
         // Dependency order: each stage of a chain starts no earlier than
         // its predecessor's completion.
-        for pipeline in &report.pipelines {
+        for (submitted, pipeline) in pipelines.iter().zip(&report.pipelines) {
             let by_stage: Vec<&RequestOutcome> = (0..pipeline.stages)
                 .map(|stage| {
-                    let id = (pipeline.id << 16) | stage as u64;
+                    let id = submitted.stage_request_id(stage);
                     report
                         .cluster
                         .outcomes()
@@ -2094,8 +2092,8 @@ mod tests {
 
     #[test]
     fn single_stage_standard_pipelines_match_the_plain_serve_bitwise() {
-        let requests = benchmark_trace(12, 4, 0xC105);
-        let pipelines: Vec<PipelineRequest> = requests
+        let trace = benchmark_trace(12, 4, 0xC105);
+        let pipelines: Vec<PipelineRequest> = trace
             .iter()
             .map(|request| {
                 PipelineRequest::new(request.id, request.id % 3)
@@ -2104,6 +2102,14 @@ mod tests {
                         request.kernel.clone(),
                         request.workload.clone(),
                     ))
+            })
+            .collect();
+        let requests: Vec<Request> = trace
+            .into_iter()
+            .zip(&pipelines)
+            .map(|(request, pipeline)| Request {
+                id: pipeline.stage_request_id(0),
+                ..request
             })
             .collect();
         let sessions: Vec<Session> = (0..3).map(Session::new).collect();
@@ -2310,7 +2316,7 @@ mod tests {
     /// Serves a long trace, a short one, the long one under a tight
     /// admission limit (so the outcome drain meets requests that never
     /// started) and
-    /// a stream of doubly-submitted shared requests on one cluster, each
+    /// a stream of shared requests on one cluster, each
     /// report held to the one a twin returns that lives through the same
     /// serves (its kernel-image stores and memo are as warm) but has its
     /// tables thrown away before each.
@@ -2342,12 +2348,11 @@ mod tests {
         let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
         assert_eq!(ids, admitted_ids(&long, report.rejected()), "intake order");
 
-        // The producer keeps its share of every request and submits
-        // each twice: the loop has to copy out of the `Arc`.
+        // The producer keeps its share of every request it submits: the
+        // loop has to copy out of the `Arc`.
         let shared: Vec<Arc<Request>> = short.iter().cloned().map(Arc::new).collect();
         let feed = |submitter: Submitter| {
             for request in &shared {
-                submitter.submit(Arc::clone(request)).unwrap();
                 submitter.submit(Arc::clone(request)).unwrap();
             }
         };
@@ -2357,8 +2362,7 @@ mod tests {
         twin.tables = LoopTables::default();
         assert_eq!(decided(&report), decided(&twin.serve_stream(feed).unwrap()));
         let ids: Vec<u64> = report.outcomes().iter().map(|o| o.request_id).collect();
-        let twice: Vec<u64> = short.iter().flat_map(|r| [r.id, r.id]).collect();
-        assert_eq!(ids, twice, "intake order");
+        assert_eq!(ids, admitted_ids(&short, &[]), "intake order");
         assert!(
             shared.iter().all(|request| Arc::strong_count(request) == 1),
             "nothing of a request outlives its serve"

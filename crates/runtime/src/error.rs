@@ -38,6 +38,20 @@ pub enum RuntimeError {
         /// The latest arrival time already accepted.
         horizon_us: f64,
     },
+    /// A request's (or a pipeline's) deadline was not finite.
+    InvalidDeadline {
+        /// The offending request id, or pipeline id for a pipeline's
+        /// deadline.
+        request: u64,
+        /// The deadline supplied.
+        deadline_us: f64,
+    },
+    /// A request id was submitted twice in one serve. A pipeline's stage
+    /// ids are packed from its id, so a repeated pipeline id lands here too.
+    DuplicateRequestId {
+        /// The repeated request id.
+        request: u64,
+    },
     /// A fault plan failed validation (non-finite time, device out of
     /// range, or a non-positive link multiplier).
     InvalidFaultPlan {
@@ -45,8 +59,9 @@ pub enum RuntimeError {
         reason: String,
     },
     /// A pipeline request failed DAG validation (empty, a dependency out of
-    /// range / self-loop / duplicate, a cycle, or an id that overflows the
-    /// packed per-stage request-id layout).
+    /// range / self-loop / duplicate, a cycle, more stages than the packed
+    /// per-stage request-id layout holds, or an id of 2⁴⁸ or more, which
+    /// overflows it).
     InvalidPipeline {
         /// The offending pipeline id.
         pipeline: u64,
@@ -88,6 +103,13 @@ impl fmt::Display for RuntimeError {
                 "request {request} arrived at {arrival_us} us, before the already-streamed \
                  horizon {horizon_us} us (submissions must be in non-decreasing arrival order)"
             ),
+            RuntimeError::InvalidDeadline {
+                request,
+                deadline_us,
+            } => write!(f, "request {request} has invalid deadline {deadline_us} us"),
+            RuntimeError::DuplicateRequestId { request } => {
+                write!(f, "request id {request} was submitted twice in one serve")
+            }
             RuntimeError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }

@@ -3,9 +3,13 @@
 //!
 //! A [`Request`] is also the unit the session tier lowers onto: every stage
 //! of a [`PipelineRequest`](crate::PipelineRequest) becomes one `Request`
-//! (id `(pipeline << 16) | stage` for multi-stage pipelines), so the whole
-//! DAG machinery of [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines)
-//! rides on the single-request event loop unchanged.
+//! (id `(pipeline << 16) | stage`), so the whole DAG machinery of
+//! [`Cluster::serve_pipelines`](crate::Cluster::serve_pipelines) rides on
+//! the single-request event loop unchanged.
+//!
+//! Every serve checks each request it pulls once, in submission order, with
+//! the one intake check here (`IntakeCheck`): batch, stream and pipeline
+//! stages alike.
 
 use std::fmt;
 use std::sync::Arc;
@@ -127,7 +131,8 @@ impl fmt::Display for KernelSpec {
 /// absolute completion deadline the metrics check each outcome against.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Caller-chosen identifier, echoed in the outcome.
+    /// Caller-chosen identifier, echoed in the outcome. Unique within a
+    /// serve.
     pub id: u64,
     /// The kernel to run.
     pub kernel: KernelSpec,
@@ -194,6 +199,78 @@ impl Request {
             }
         }
         (u128::from(a) << 64) | u128::from(b)
+    }
+}
+
+/// The intake check every serve runs on each request it pulls: the arrival
+/// is finite, non-negative and no earlier than the one before it, the
+/// deadline, if set, is finite, and the id is new to the serve.
+#[derive(Debug, Default)]
+pub(crate) struct IntakeCheck {
+    /// The latest arrival taken in (`∞` once the ingest has closed): no
+    /// later submission may arrive earlier, so the event loop may fire
+    /// every event up to it.
+    pub(crate) horizon_us: f64,
+    /// The largest id taken in, if any. An ascending id is new on this one
+    /// comparison.
+    max_id: Option<u64>,
+}
+
+impl IntakeCheck {
+    /// Checks `request` and takes it in. `taken` says whether an id is
+    /// already in the serve's intake; only an id that does not ascend asks.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidArrival`], [`RuntimeError::OutOfOrderArrival`],
+    /// [`RuntimeError::InvalidDeadline`] or
+    /// [`RuntimeError::DuplicateRequestId`], naming the request.
+    pub(crate) fn admit(
+        &mut self,
+        request: &Request,
+        taken: impl FnOnce(u64) -> bool,
+    ) -> Result<(), RuntimeError> {
+        let (id, arrival_us) = (request.id, request.arrival_us);
+        if !arrival_us.is_finite() || arrival_us < 0.0 {
+            return Err(RuntimeError::InvalidArrival {
+                request: id,
+                arrival_us,
+            });
+        }
+        if arrival_us < self.horizon_us {
+            return Err(RuntimeError::OutOfOrderArrival {
+                request: id,
+                arrival_us,
+                horizon_us: self.horizon_us,
+            });
+        }
+        check_deadline(id, request.deadline_us)?;
+        match self.max_id {
+            Some(max) if id <= max => {
+                if taken(id) {
+                    return Err(RuntimeError::DuplicateRequestId { request: id });
+                }
+            }
+            _ => self.max_id = Some(id),
+        }
+        self.horizon_us = arrival_us;
+        Ok(())
+    }
+}
+
+/// A deadline, when set, must be finite: a NaN one could never be missed,
+/// yet it would count among the deadlines a serve reports a miss rate over.
+///
+/// # Errors
+///
+/// [`RuntimeError::InvalidDeadline`] naming `request`.
+pub(crate) fn check_deadline(request: u64, deadline_us: Option<f64>) -> Result<(), RuntimeError> {
+    match deadline_us {
+        Some(deadline_us) if !deadline_us.is_finite() => Err(RuntimeError::InvalidDeadline {
+            request,
+            deadline_us,
+        }),
+        _ => Ok(()),
     }
 }
 

@@ -9,16 +9,16 @@
 //! is computed so the cluster's event loop can flatten the stages into its
 //! intake without ever re-walking the graph.
 //!
-//! Every stage is served as one [`Request`](crate::Request). A single-stage
-//! pipeline's request keeps the pipeline's id, arrival and deadline, so it
-//! is the request [`Cluster::serve`] would be given; it is still admitted
-//! under its session's weighted-fair share (see the
+//! Every stage is served as one [`Request`](crate::Request), whose id packs
+//! the pipeline id above the stage index
+//! ([`PipelineRequest::stage_request_id`]), single-stage pipelines
+//! included: distinct pipeline ids give distinct stage ids. A single-stage
+//! pipeline's request keeps the pipeline's arrival and deadline; it is
+//! admitted under its session's weighted-fair share (see the
 //! [`session`](crate::session) module docs).
-//!
-//! [`Cluster::serve`]: crate::Cluster::serve
 
 use crate::error::RuntimeError;
-use crate::request::KernelSpec;
+use crate::request::{check_deadline, KernelSpec};
 use overlay_sim::Workload;
 
 /// Default activation payload a stage hands its successors when the caller
@@ -83,9 +83,9 @@ impl PipelineStage {
 /// run deadline-free.
 #[derive(Debug, Clone)]
 pub struct PipelineRequest {
-    /// Caller-chosen identifier, echoed per stage into outcomes. Must fit in
-    /// 48 bits when the pipeline has more than one stage (stage ids are
-    /// packed into the low `STAGE_ID_BITS` (16) bits of per-stage request ids).
+    /// Caller-chosen identifier, echoed per stage into outcomes. Must be
+    /// below 2⁴⁸ and unique within a serve: each stage's request id packs it
+    /// above the stage index, in the low `STAGE_ID_BITS` (16) bits.
     pub id: u64,
     /// The tenant [`Session`](crate::session::Session) this pipeline belongs
     /// to, by id. Sessions carry the SLO class.
@@ -152,21 +152,10 @@ impl PipelineRequest {
         pipeline
     }
 
-    /// Whether the pipeline is a single stage, whose one request keeps the
-    /// pipeline id.
-    pub fn is_single_stage(&self) -> bool {
-        self.stages.len() == 1
-    }
-
-    /// The synthesized request id for `stage`: the pipeline id for
-    /// single-stage pipelines, else the pipeline id shifted past
+    /// The synthesized request id for `stage`: the pipeline id shifted past
     /// `STAGE_ID_BITS` (16) with the stage index in the low bits.
     pub fn stage_request_id(&self, stage: usize) -> u64 {
-        if self.is_single_stage() {
-            self.id
-        } else {
-            (self.id << STAGE_ID_BITS) | stage as u64
-        }
+        (self.id << STAGE_ID_BITS) | stage as u64
     }
 
     /// Validates the DAG and returns its stages in a deterministic
@@ -177,8 +166,9 @@ impl PipelineRequest {
     ///
     /// [`RuntimeError::InvalidPipeline`] when the pipeline is empty, an edge
     /// is out of range / a self-loop / duplicated, the graph has a cycle, or
-    /// a multi-stage pipeline's id or stage count overflows the packed
-    /// request-id layout.
+    /// the id or stage count overflows the packed request-id layout;
+    /// [`RuntimeError::InvalidDeadline`] when the deadline is set but not
+    /// finite.
     pub fn validate(&self) -> Result<Vec<usize>, RuntimeError> {
         let invalid = |reason: String| RuntimeError::InvalidPipeline {
             pipeline: self.id,
@@ -188,21 +178,22 @@ impl PipelineRequest {
         if n == 0 {
             return Err(invalid("pipeline has no stages".into()));
         }
-        if n > 1 {
-            if n > 1 << STAGE_ID_BITS {
-                return Err(invalid(format!(
-                    "pipeline has {n} stages; at most {} fit the packed stage-id layout",
-                    1usize << STAGE_ID_BITS
-                )));
-            }
-            if self.id >> (64 - STAGE_ID_BITS) != 0 {
-                return Err(invalid(format!(
-                    "multi-stage pipeline id {} does not fit in {} bits",
-                    self.id,
-                    64 - STAGE_ID_BITS
-                )));
-            }
+        if n > 1 << STAGE_ID_BITS {
+            return Err(invalid(format!(
+                "pipeline has {n} stages; at most {} fit the packed stage-id layout",
+                1usize << STAGE_ID_BITS
+            )));
         }
+        if self.id >> (64 - STAGE_ID_BITS) != 0 {
+            return Err(invalid(format!(
+                "pipeline id {} does not fit in {} bits",
+                self.id,
+                64 - STAGE_ID_BITS
+            )));
+        }
+        // A best-effort pipeline's deadline reaches no stage request, so the
+        // serve's intake check would never see it.
+        check_deadline(self.id, self.deadline_us)?;
         // Arity checks and in-degree counting in one pass.
         let mut in_degree = vec![0usize; n];
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -272,9 +263,6 @@ impl PipelineRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Request;
-    use crate::session::driver::SessionDriver;
-    use std::collections::BTreeMap;
 
     fn kernel(tag: u64) -> KernelSpec {
         KernelSpec::from_source(
@@ -335,38 +323,12 @@ mod tests {
             wide_id.validate().is_err(),
             "id overflows the packed layout"
         );
-    }
-
-    /// The request `Cluster::serve` would be given for a single-stage
-    /// pipeline: its id, arrival and deadline, and its one stage's kernel.
-    fn plain_request(pipeline: &PipelineRequest) -> Request {
-        let stage = &pipeline.stages[0];
-        let request = Request::new(pipeline.id, stage.kernel.clone(), stage.workload.clone())
-            .at(pipeline.arrival_us);
-        match pipeline.deadline_us {
-            Some(deadline) => request.with_deadline(deadline),
-            None => request,
-        }
-    }
-
-    #[test]
-    fn single_stage_pipelines_lower_to_the_identical_plain_request() {
-        let pipeline = PipelineRequest::new(9, 3)
-            .at(125.0)
-            .with_deadline(500.0)
-            .stage(stage(0).emits(1 << 20));
-        assert!(pipeline.is_single_stage());
-        assert_eq!(pipeline.stage_request_id(0), 9, "id survives lowering");
-        let topos = [pipeline.validate().unwrap()];
-        let (_, requests) =
-            SessionDriver::build(std::slice::from_ref(&pipeline), &topos, &BTreeMap::new());
-        let [request] = requests.as_slice() else {
-            panic!("one stage, one request: {requests:?}");
-        };
-        let plain = plain_request(&pipeline);
-        assert_eq!(request.id, plain.id);
-        assert_eq!(request.arrival_us.to_bits(), plain.arrival_us.to_bits());
-        assert_eq!(request.deadline_us, plain.deadline_us);
-        assert_eq!(request.kernel.fingerprint(), plain.kernel.fingerprint());
+        // A single stage's id is packed too.
+        let single = |id| PipelineRequest::new(id, 0).stage(stage(0));
+        assert!(single((1 << 48) - 1).validate().is_ok());
+        assert!(matches!(
+            single(1 << 48).validate(),
+            Err(RuntimeError::InvalidPipeline { pipeline, .. }) if pipeline == 1 << 48
+        ));
     }
 }

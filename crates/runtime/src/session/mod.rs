@@ -29,7 +29,7 @@
 //! waiting stages, its [`SloClass::weight`] over the weights of the
 //! sessions in the batch. A batch of single-stage, all-standard pipelines
 //! follows that rule too; with no limit it serves its stages exactly as
-//! [`Cluster::serve`] serves the same requests.
+//! [`Cluster::serve`] serves the same requests under the stages' packed ids.
 //!
 //! [`Cluster::serve`]: crate::Cluster::serve
 //! [`Cluster::serve_pipelines`]: crate::Cluster::serve_pipelines
@@ -143,9 +143,12 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidPipeline`] for a malformed DAG,
-    /// [`RuntimeError::NoRequests`] for an empty batch, and any
-    /// compile/simulation failure the underlying serve can raise.
+    /// Returns [`RuntimeError::NoRequests`] for an empty batch,
+    /// [`PipelineRequest::validate`]'s error for a malformed DAG, an id of
+    /// 2⁴⁸ or more or a deadline that is not finite,
+    /// [`RuntimeError::DuplicateRequestId`] for a pipeline id submitted twice,
+    /// and any error the underlying [`serve`](Cluster::serve) can raise for
+    /// its stage requests, which every pipeline's arrival reaches.
     pub fn serve_pipelines(
         &mut self,
         pipelines: Vec<PipelineRequest>,

@@ -402,7 +402,6 @@ fn main() -> Result<()> {
         .map(|i| {
             let session = i % 3;
             let arrival = i as f64 * pipeline_horizon_us / 24.0;
-            // Ids start at 1 so the packed stage ids stay collision-free.
             let mut pipeline = PipelineRequest::new(i + 1, session).at(arrival);
             for stage in 0..3usize {
                 let (spec, inputs, blocks) = &specs[(i as usize + 2 * stage) % specs.len()];

@@ -16,8 +16,9 @@ use support::{
 };
 use tm_overlay::runtime::{RequestOutcome, RuntimeError};
 use tm_overlay::{
-    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, PipelineRequest, Request,
-    RoutePolicy, RuntimeMetrics, ServeReport, Session, TraceConfig, TransferModel, Workload,
+    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, PipelineRequest, PipelineStage,
+    Request, RoutePolicy, RuntimeMetrics, ServeReport, Session, SloClass, TraceConfig,
+    TransferModel, Workload,
 };
 
 #[test]
@@ -198,22 +199,101 @@ fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
     assert_eq!(batch.metrics(), streamed.metrics());
 }
 
+/// The one intake check, on a 1-device and a 3-device cluster, through
+/// `serve`, `serve_stream` and `serve_pipelines`: each bad input fails the
+/// serve with its typed error, naming the offending id and value; ids that
+/// descend but do not repeat serve.
 #[test]
-fn cluster_serves_reject_bad_arrivals_with_typed_errors() {
-    let build = || cluster(3, 2, RoutePolicy::KernelHash);
-    let mut invalid = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
-    invalid[5] = invalid[5].clone().at(f64::NAN);
-    assert!(matches!(
-        build().serve(invalid),
-        Err(RuntimeError::InvalidArrival { request: 5, .. })
-    ));
-
-    let mut regressing = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
-    regressing[6] = regressing[6].clone().at(0.5);
-    assert!(matches!(
-        build().serve(regressing),
-        Err(RuntimeError::OutOfOrderArrival { request: 6, .. })
-    ));
+fn bad_intake_fails_every_serve_with_a_typed_error() {
+    use RuntimeError::*;
+    let trace = || benchmark_trace(8, 2, 0xCAFE, 1.0, Some(5_000.0));
+    let with = |index: usize, edit: &dyn Fn(Request) -> Request| {
+        let mut requests = trace();
+        requests[index] = edit(requests[index].clone());
+        requests
+    };
+    let descending = || {
+        let mut requests = trace();
+        for (i, request) in requests.iter_mut().enumerate() {
+            request.id = 7 - i as u64;
+        }
+        requests
+    };
+    let mut repeated_descending = descending();
+    repeated_descending[5].id = 5;
+    let mut cases = vec![
+        (Vec::new(), NoRequests),
+        (repeated_descending, DuplicateRequestId { request: 5 }),
+        (
+            with(4, &|r| Request { id: 2, ..r }),
+            DuplicateRequestId { request: 2 },
+        ),
+        (
+            with(6, &|r| r.at(0.5)),
+            OutOfOrderArrival {
+                request: 6,
+                arrival_us: 0.5,
+                horizon_us: 5.0,
+            },
+        ),
+    ];
+    for arrival_us in [f64::NAN, -1.0, f64::INFINITY] {
+        let error = InvalidArrival {
+            request: 5,
+            arrival_us,
+        };
+        cases.push((with(5, &|r| r.at(arrival_us)), error));
+    }
+    for deadline_us in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let error = InvalidDeadline {
+            request: 3,
+            deadline_us,
+        };
+        cases.push((with(3, &|r| r.with_deadline(deadline_us)), error));
+    }
+    // Each pipeline is one best-effort stage, whose deadline reaches no
+    // stage request.
+    let (spec, inputs) = suite_kernel(Benchmark::Gradient);
+    let single = |id: u64| {
+        let stage = PipelineStage::new(spec.clone(), Workload::random(inputs, 1, id));
+        PipelineRequest::new(id, 0).at(id as f64).stage(stage)
+    };
+    let sessions = [Session::new(0).with_slo(SloClass::BestEffort)];
+    let mut pipeline_cases = vec![(
+        vec![single(0), single(1), single(1)],
+        DuplicateRequestId { request: 1 << 16 },
+    )];
+    for deadline_us in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let error = InvalidDeadline {
+            request: 1,
+            deadline_us,
+        };
+        let due = vec![single(0), single(1).with_deadline(deadline_us)];
+        pipeline_cases.push((due, error));
+    }
+    let shown = |result: Result<ServeReport, RuntimeError>| format!("{:?}", result.err());
+    for devices in [1, 3] {
+        let build = || cluster(devices, 2, RoutePolicy::KernelHash);
+        build().serve_audited(&descending()).unwrap();
+        for (requests, error) in &cases {
+            let expected = format!("{:?}", Some(error));
+            assert_eq!(shown(build().serve(requests.clone())), expected);
+            let streamed = build().serve_stream(|submitter| {
+                for request in requests {
+                    // A failed serve closes the channel: stop at the refusal.
+                    if submitter.submit(request.clone()).is_err() {
+                        break;
+                    }
+                }
+            });
+            assert_eq!(shown(streamed), expected, "streamed");
+        }
+        for (pipelines, error) in &pipeline_cases {
+            let served = build().serve_pipelines(pipelines.clone(), &sessions);
+            let expected = format!("{:?}", Some(error));
+            assert_eq!(shown(served.map(|report| report.cluster)), expected);
+        }
+    }
 }
 
 /// Sharding one 256-tile row-NoC into 4 × 64-tile devices at least doubles

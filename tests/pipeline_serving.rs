@@ -22,6 +22,8 @@
 
 mod support;
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -31,7 +33,7 @@ use support::{
 };
 use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
+    explain, BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec,
     PipelineRequest, PipelineStage, Request, RoutePolicy, Session, SloClass, TraceConfig, Workload,
 };
 
@@ -80,9 +82,7 @@ fn random_chains(seed: u64, count: usize, sessions: u64) -> Vec<PipelineRequest>
             clock_us += rng.gen_range(0..=30u64) as f64 * 0.1;
             let depth = rng.gen_range(1..=4usize);
             let session = rng.gen_range(0..sessions);
-            // Ids start at 1: pipeline 0's packed stage ids (0 << 16 | s)
-            // would collide with the single-stage pipelines' plain ids.
-            let mut pipeline = PipelineRequest::new(i as u64 + 1, session).at(clock_us);
+            let mut pipeline = PipelineRequest::new(i as u64, session).at(clock_us);
             for stage in 0..depth {
                 let (spec, inputs) = &specs[(i + stage) % specs.len()];
                 let workload = Workload::random(*inputs, 2, seed ^ (i as u64) ^ stage as u64);
@@ -127,11 +127,10 @@ fn a_diamond_dag_respects_dependencies_and_commits_in_order() {
     assert_eq!(report.stages[1].served, 2, "both arms sit at depth 1");
 }
 
-#[test]
-fn commits_within_a_session_follow_submission_order() {
+/// Session 9's pipeline 0, a deep chain, and pipeline 1, a trivial single
+/// stage that finishes long before it.
+fn deep_and_quick() -> [PipelineRequest; 2] {
     let specs = specs();
-    // Pipeline 0 is a deep chain; pipeline 1 is a trivial single stage that
-    // finishes long before it. In-order commit must hold 1 back.
     let deep = PipelineRequest::chain(
         0,
         9,
@@ -144,9 +143,15 @@ fn commits_within_a_session_follow_submission_order() {
         specs[1].0.clone(),
         Workload::random(1, 1, 99),
     ));
+    [deep, quick]
+}
+
+#[test]
+fn commits_within_a_session_follow_submission_order() {
+    // In-order commit must hold the quick pipeline back.
     let mut cluster = cluster(2, 1, RoutePolicy::LeastLoaded);
     let report = cluster
-        .serve_pipelines_audited(&[deep, quick], &[Session::new(9)])
+        .serve_pipelines_audited(&deep_and_quick(), &[Session::new(9)])
         .unwrap();
     assert_eq!(report.completed(), 2);
     let [first, second] = &report.pipelines[..] else {
@@ -166,6 +171,31 @@ fn commits_within_a_session_follow_submission_order() {
         second.commit_us > second.finish_us,
         "the quick pipeline waited"
     );
+}
+
+/// Every stage id packs its pipeline's id, so a chain's stage 1 and a
+/// single-stage pipeline 1 report apart, and each one's latency breakdown
+/// reads its own spans alone.
+#[test]
+fn a_chain_and_a_single_stage_pipeline_report_apart() {
+    let report = cluster(2, 1, RoutePolicy::LeastLoaded)
+        .with_tracing(TraceConfig::enabled())
+        .serve_pipelines_audited(&deep_and_quick(), &[Session::new(9)])
+        .unwrap();
+    let outcomes = report.cluster.outcomes();
+    let ids: HashSet<u64> = outcomes.iter().map(|o| o.request_id).collect();
+    assert_eq!((ids.len(), outcomes.len()), (5, 5), "{ids:?}");
+    let rows = explain(report.cluster.trace().unwrap());
+    for outcome in outcomes {
+        let id = outcome.request_id;
+        let row = rows.for_request(id).unwrap();
+        assert_eq!(
+            row.latency_us.to_bits(),
+            outcome.latency_us.to_bits(),
+            "{id}"
+        );
+        assert_eq!((row.displaced_us, row.requeues), (0.0, 0), "{id}");
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 
 mod support;
 
+use std::collections::HashSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
@@ -125,6 +126,31 @@ fn edge_f64(rng: &mut StdRng, bound: f64) -> f64 {
     }
 }
 
+/// `count` submission ids: from 0, straddling 2⁴⁸ or ending at `u64::MAX`;
+/// ascending or descending; and a third of the time one id repeated.
+fn edge_ids(rng: &mut StdRng, count: usize) -> Vec<u64> {
+    let first = match rng.gen_range(0..3u32) {
+        0 => 0,
+        1 => (1 << 48) - count as u64 / 2,
+        _ => u64::MAX - (count as u64).saturating_sub(1),
+    };
+    let mut ids: Vec<u64> = (0..count as u64).map(|i| first + i).collect();
+    if rng.gen_bool(0.5) {
+        ids.reverse();
+    }
+    if count > 1 && rng.gen_bool(0.3) {
+        let from = rng.gen_range(0..count);
+        ids[(from + rng.gen_range(1..count)) % count] = ids[from];
+    }
+    ids
+}
+
+/// Whether some id in `ids` repeats.
+fn repeats(ids: impl Iterator<Item = u64>) -> bool {
+    let mut seen = HashSet::new();
+    !ids.into_iter().all(|id| seen.insert(id))
+}
+
 /// What `work` returns, computed on a thread of its own, or why it did not
 /// come back within ten seconds.
 fn in_time<T: Send + 'static>(
@@ -207,8 +233,8 @@ proptest! {
     }
 
     /// Any fault plan — NaN, infinite and out-of-order times, devices past
-    /// the fleet — makes a cluster serve either fail with a typed error or
-    /// pass the audit.
+    /// the fleet — over any ids ([`edge_ids`]) makes a cluster serve either
+    /// fail with a typed error or pass the audit; repeated ids always fail.
     #[test]
     fn any_fault_plan_serves_or_fails_with_a_typed_error(
         seed in any::<u64>(),
@@ -217,8 +243,12 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = wild_plan(&mut rng, events, devices);
-        let shown = format!("{plan:?}");
-        let requests = random_trace(seed, 12, 3.0);
+        let mut requests = random_trace(seed, 12, 3.0);
+        for (request, id) in requests.iter_mut().zip(edge_ids(&mut rng, 12)) {
+            request.id = id;
+        }
+        let repeated = repeats(requests.iter().map(|r| r.id));
+        let shown = format!("{plan:?} {:?}", requests.iter().map(|r| r.id).collect::<Vec<_>>());
         let served = in_time(move || {
             cluster(devices, 2, RoutePolicy::PowerOfTwoChoices)
                 .with_fault_plan(plan)
@@ -226,15 +256,18 @@ proptest! {
                 .map(|report| audit(&requests, &report))
         });
         prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
-        if let Ok(Ok(Err(failed))) = served {
-            prop_assert!(false, "{shown}: {failed:?}");
+        match served {
+            Ok(Ok(Err(failed))) => prop_assert!(false, "{shown}: {failed:?}"),
+            Ok(Ok(Ok(()))) => prop_assert!(!repeated, "{shown}: a repeated id served"),
+            _ => {}
         }
     }
 
     /// Any pipelines served through a cluster, with or without a fault
-    /// plan, give a report that passes the audit or a typed error. A fifth of them are wild:
-    /// empty stage lists, dependencies on themselves, on later stages or
-    /// past the end, NaN, infinite and out-of-order arrivals.
+    /// plan, give a report that passes the audit or a typed error; repeated
+    /// ids always fail. A fifth of them are wild: empty stage lists,
+    /// dependencies on themselves, on later stages or past the end, NaN,
+    /// infinite and out-of-order arrivals. Their ids are [`edge_ids`].
     #[test]
     fn any_pipelines_serve_or_fail_with_a_typed_error(
         seed in any::<u64>(),
@@ -244,7 +277,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let saxpy = KernelSpec::from_source("saxpy", SAXPY);
         let mut clock_us = 0.0;
-        let pipelines: Vec<PipelineRequest> = (0..count as u64)
+        let ids = edge_ids(&mut rng, count);
+        let repeated = repeats(ids.iter().copied());
+        let pipelines: Vec<PipelineRequest> = ids
+            .into_iter()
             .map(|id| {
                 let wild = rng.gen_bool(0.2);
                 clock_us += rng.gen_range(0..20u64) as f64;
@@ -290,8 +326,10 @@ proptest! {
                 .map(|report| audit_pipelines(&pipelines, &sessions, &report))
         });
         prop_assert!(served.is_ok(), "{shown}: the serve: {}", served.unwrap_err());
-        if let Ok(Ok(Err(failed))) = served {
-            prop_assert!(false, "{shown}: {failed:?}");
+        match served {
+            Ok(Ok(Err(failed))) => prop_assert!(false, "{shown}: {failed:?}"),
+            Ok(Ok(Ok(()))) => prop_assert!(!repeated, "{shown}: a repeated id served"),
+            _ => {}
         }
     }
 }

@@ -290,11 +290,8 @@ pub fn audit(requests: &[Request], report: &ServeReport) -> Result<(), TestCaseE
 /// cannot take, against no device: per-device rejects may then fall short
 /// of the total.
 ///
-/// An id may be submitted twice (a multi-stage pipeline's packed stage ids
-/// can equal a single-stage pipeline's id): an outcome takes the first
-/// unaccounted submission of its id past the previous outcome's, a reject
-/// the first at all. Returns each submission's position in `outcomes`,
-/// `None` for a reject.
+/// A serve takes each id once, so each outcome and reject is found by id.
+/// Returns each submission's position in `outcomes`, `None` for a reject.
 pub fn audit_parts(
     requests: &[Request],
     parts: Parts,
@@ -302,18 +299,15 @@ pub fn audit_parts(
 ) -> Result<Vec<Option<usize>>, TestCaseError> {
     let (outcomes, rejected) = (parts.outcomes, parts.rejected);
     let (metrics, devices) = (parts.metrics, parts.devices);
-    let mut submissions: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (index, request) in requests.iter().enumerate() {
-        submissions.entry(request.id).or_default().push(index);
-    }
+    let ids = requests.iter().map(|request| request.id);
+    let index_of: HashMap<u64, usize> = ids.zip(0..).collect();
+    prop_assert!(index_of.len() == requests.len(), "ids must be unique");
     let mut served = vec![None; requests.len()];
     let mut seen = vec![false; requests.len()];
-    let mut account = |id: u64, after: Option<usize>| -> Result<usize, TestCaseError> {
-        let submitted = submissions.get(&id).map_or(&[][..], Vec::as_slice);
-        let mut unseen = submitted.iter().copied().filter(|&i| !seen[i]).peekable();
-        prop_assert!(unseen.peek().is_some(), "{id} accounted for twice");
-        let index = unseen.find(|&i| Some(i) > after);
-        let index = index.ok_or_else(|| TestCaseError::fail(format!("{id} out of order")))?;
+    let mut account = |id: u64| -> Result<usize, TestCaseError> {
+        let index = index_of.get(&id).copied();
+        let index = index.ok_or_else(|| TestCaseError::fail(format!("{id} never submitted")))?;
+        prop_assert!(!seen[index], "{id} accounted for twice");
         seen[index] = true;
         Ok(index)
     };
@@ -321,7 +315,8 @@ pub fn audit_parts(
     let mut previous = None;
     for (position, outcome) in outcomes.iter().enumerate() {
         let id = outcome.request_id;
-        let index = account(id, previous)?;
+        let index = account(id)?;
+        prop_assert!(Some(index) > previous, "{id} out of order");
         (previous, served[index]) = (Some(index), Some(position));
         let request = &requests[index];
         let (arrival, start, end) = (request.arrival_us, outcome.start_us, outcome.completion_us);
@@ -337,7 +332,7 @@ pub fn audit_parts(
         prop_assert!(outcome.tile < tiles.unwrap_or(0), "{id} ran on no tile");
     }
     for reject in rejected {
-        let request = &requests[account(reject.id, None)?];
+        let request = &requests[account(reject.id)?];
         prop_assert_eq!(&*reject.kernel, request.kernel.name());
         prop_assert_eq!(reject.arrival_us.to_bits(), request.arrival_us.to_bits());
         prop_assert_eq!(bits(reject.deadline_us), bits(request.deadline_us));
