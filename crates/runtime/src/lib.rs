@@ -1129,6 +1129,32 @@ mod tests {
     }
 
     #[test]
+    fn invalid_traces_are_rejected() {
+        let mut runtime = Cluster::new(FuVariant::V4, 1, 2).unwrap();
+        assert!(matches!(
+            runtime.serve(Vec::new()),
+            Err(RuntimeError::NoRequests)
+        ));
+        let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
+        let bad = Request::new(9, spec.clone(), Workload::ramp(5, 2)).at(f64::NAN);
+        assert!(matches!(
+            runtime.serve(vec![bad]),
+            Err(RuntimeError::InvalidArrival { request: 9, .. })
+        ));
+        // The online loop needs non-decreasing arrivals to be deterministic.
+        let first = Request::new(0, spec.clone(), Workload::ramp(5, 2)).at(10.0);
+        let stale = Request::new(1, spec, Workload::ramp(5, 2)).at(5.0);
+        assert!(matches!(
+            runtime.serve(vec![first, stale]),
+            Err(RuntimeError::OutOfOrderArrival {
+                request: 1,
+                horizon_us: h,
+                ..
+            }) if h == 10.0
+        ));
+    }
+
+    #[test]
     fn simulation_failures_surface_the_failing_request() {
         let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
         let good = Request::new(0, spec.clone(), Workload::ramp(5, 4));

@@ -199,6 +199,24 @@ fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
     assert_eq!(batch.metrics(), streamed.metrics());
 }
 
+#[test]
+fn cluster_serves_reject_bad_arrivals_with_typed_errors() {
+    let build = || cluster(3, 2, RoutePolicy::KernelHash);
+    let mut invalid = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
+    invalid[5] = invalid[5].clone().at(f64::NAN);
+    assert!(matches!(
+        build().serve(invalid),
+        Err(RuntimeError::InvalidArrival { request: 5, .. })
+    ));
+
+    let mut regressing = benchmark_trace(8, 4, 0xCAFE, 1.0, Some(5_000.0));
+    regressing[6] = regressing[6].clone().at(0.5);
+    assert!(matches!(
+        build().serve(regressing),
+        Err(RuntimeError::OutOfOrderArrival { request: 6, .. })
+    ));
+}
+
 /// The one intake check, on a 1-device and a 3-device cluster, through
 /// `serve`, `serve_stream` and `serve_pipelines`: each bad input fails the
 /// serve with its typed error, naming the offending id and value; ids that
