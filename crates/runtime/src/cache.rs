@@ -4,7 +4,7 @@
 //! repeated tenant requests — same kernel, same workload — skip the
 //! cycle-accurate simulation entirely).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
@@ -73,6 +73,9 @@ impl Hasher for FnvHasher {
 
 /// [`HashMap`] keyed through [`FnvHasher`] — the runtime's hot-path map type.
 pub type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+
+/// `HashSet` keyed through [`FnvHasher`].
+pub(crate) type FnvHashSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 
 /// Identity of one compiled artifact: kernel content hash + overlay variant +
 /// mapped depth (0 when the depth follows the kernel, as it does for the

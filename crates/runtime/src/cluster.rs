@@ -67,6 +67,7 @@
 //! # }
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use overlay_arch::{FuVariant, NocConfig, TileComposition};
@@ -81,13 +82,14 @@ use crate::obs;
 use crate::request::IntakeCheck;
 use crate::route::{
     cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
-    power_of_two_pair_eligible, Acquisition, ExclusionSet, RoutePolicy, Routed, TransferModel,
+    power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet, RoutePolicy, Routed,
+    TransferModel,
 };
 use crate::{
-    prepare_request, with_feeder, BatchConfig, DispatchPolicy, Dispatcher, InFlight, Ingest,
-    KernelCache, KernelKey, LoopTables, PrepContext, RejectedRequest, ReplicationConfig, Request,
-    RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults, Start, Submitter, TilePool,
-    RESERVED_DEPTHS,
+    prepare_request, with_feeder, BatchConfig, DispatchPolicy, DispatchRequest, Dispatcher,
+    InFlight, Ingest, Intake, KernelCache, KernelEntry, KernelKey, LoopTables, PrepContext,
+    RejectedRequest, ReplicationConfig, Request, RequestOutcome, RuntimeError, ServeReport,
+    SimMemo, SimResults, Start, Submitter, TilePool, RESERVED_DEPTHS,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -157,9 +159,6 @@ struct ClusterState<'t> {
     /// Per intake index: where and when the request started, if it did.
     starts: &'t mut Vec<Option<Start>>,
     rejected: Vec<RejectedRequest>,
-    /// What the serve derives once per kernel, from preparation to
-    /// simulation.
-    prep: PrepContext,
     sim: SimResults<'t>,
     /// What the optional tiers do at each phase of the loop.
     tiers: Tiers<'t>,
@@ -672,30 +671,26 @@ impl Cluster {
     fn commit_acquisition(
         &mut self,
         device: usize,
-        info: &InFlight,
+        kernel: &KernelEntry,
         acquisition: Acquisition,
         state: &mut ClusterState,
     ) -> f64 {
+        let lone = self.num_devices() == 1;
+        let store = &mut self.devices[device].cache;
         match acquisition {
             Acquisition::Resident => {
-                if self.num_devices() > 1 {
-                    self.devices[device]
-                        .cache
-                        .get_or_share(info.view.key, &info.kernel);
+                if !lone {
+                    store.get_or_share(kernel.key, &kernel.kernel);
                 }
                 0.0
             }
             Acquisition::HostLoad { cost_us } => {
-                self.devices[device]
-                    .cache
-                    .get_or_share(info.view.key, &info.kernel);
+                store.get_or_share(kernel.key, &kernel.kernel);
                 state.tallies[device].host_loads += 1;
                 cost_us
             }
             Acquisition::Transfer { cost_us, bytes, .. } => {
-                self.devices[device]
-                    .cache
-                    .get_or_share(info.view.key, &info.kernel);
+                store.get_or_share(kernel.key, &kernel.kernel);
                 state.tallies[device].transfers += 1;
                 state.tallies[device].transfer_bytes += bytes as u64;
                 cost_us
@@ -704,21 +699,23 @@ impl Cluster {
     }
 
     /// The `(completion, needs switch, evicts warm, device)` estimate for
-    /// serving `info` on `device`, acquisition cost included — the
-    /// cross-device comparison key power-of-two routing minimizes. Returns
-    /// the acquisition alongside so the winner's is not recomputed.
+    /// serving `view`, whose kernel image is `image_bytes`, on `device`,
+    /// acquisition cost included — the cross-device comparison key
+    /// power-of-two routing minimizes. Returns the acquisition alongside so
+    /// the winner's is not recomputed.
     fn completion_estimate(
         &self,
         device: usize,
-        info: &InFlight,
+        view: &DispatchRequest,
+        image_bytes: usize,
         now_us: f64,
     ) -> ((f64, bool, bool, usize), Acquisition) {
-        let acquisition = self.peek_acquisition(device, info.view.key, info.image_bytes);
+        let acquisition = self.peek_acquisition(device, view.key, image_bytes);
         let (completion, needs_switch, evicts_warm, _tile) =
             self.devices[device].pool.earliest_candidate_indexed(
-                info.view.key,
-                info.view.est_exec_us,
-                info.view.switch_us + acquisition.cost_us(),
+                view.key,
+                view.est_exec_us,
+                view.switch_us + acquisition.cost_us(),
                 now_us,
             );
         ((completion, needs_switch, evicts_warm, device), acquisition)
@@ -739,7 +736,7 @@ impl Cluster {
     fn route_device_excluding(
         &self,
         index: usize,
-        info: &InFlight,
+        intake: Intake<'_>,
         now_us: f64,
         exclusions: &ExclusionSet,
         probe: &mut obs::Probe,
@@ -748,12 +745,12 @@ impl Cluster {
         let strict = |device: usize| self.fault.available(device) && !exclusions.contains(device);
         let relaxed = |device: usize| self.fault.available(device);
         let picked = self
-            .pick_eligible(info, now_us, strict, &mut route)
+            .pick_eligible(index, intake, now_us, strict, &mut route)
             .or_else(|| {
                 if exclusions.is_empty() {
                     None // relaxed == strict; nothing new to try
                 } else {
-                    self.pick_eligible(info, now_us, relaxed, &mut route)
+                    self.pick_eligible(index, intake, now_us, relaxed, &mut route)
                 }
             });
         let (device, acquisition) = picked?;
@@ -766,7 +763,8 @@ impl Cluster {
     /// runs once strictly and once relaxed.
     fn pick_eligible(
         &self,
-        info: &InFlight,
+        index: usize,
+        intake: Intake<'_>,
         now_us: f64,
         eligible: impl Fn(usize) -> bool + Copy,
         route: &mut obs::RouteMark,
@@ -775,40 +773,37 @@ impl Cluster {
         if devices == 1 {
             return eligible(0).then_some((0, Acquisition::Resident));
         }
+        let (key, bytes) = {
+            let kernel = intake.kernel(index);
+            (kernel.key, kernel.image_bytes)
+        };
         match self.route {
-            RoutePolicy::KernelHash => {
-                kernel_home_eligible(info.view.key.fingerprint, devices, eligible).map(|device| {
-                    (
-                        device,
-                        self.peek_acquisition(device, info.view.key, info.image_bytes),
-                    )
-                })
-            }
-            RoutePolicy::LeastLoaded => self.least_loaded(eligible).map(|device| {
-                (
-                    device,
-                    self.peek_acquisition(device, info.view.key, info.image_bytes),
+            RoutePolicy::KernelHash => kernel_home_eligible(key.fingerprint, devices, eligible)
+                .map(|device| (device, self.peek_acquisition(device, key, bytes))),
+            RoutePolicy::LeastLoaded => self
+                .least_loaded(eligible)
+                .map(|device| (device, self.peek_acquisition(device, key, bytes))),
+            RoutePolicy::PowerOfTwoChoices => {
+                let id = intake.rows[index].id;
+                let view = intake.view(index);
+                power_of_two_pair_eligible(key.fingerprint, id, devices, eligible).map(
+                    |(first, second)| {
+                        let (a, a_acquisition) =
+                            self.completion_estimate(first, &view, bytes, now_us);
+                        let (b, b_acquisition) =
+                            self.completion_estimate(second, &view, bytes, now_us);
+                        route.weigh(a.3, a.0);
+                        if second != first {
+                            route.weigh(b.3, b.0);
+                        }
+                        if b < a {
+                            (b.3, b_acquisition)
+                        } else {
+                            (a.3, a_acquisition)
+                        }
+                    },
                 )
-            }),
-            RoutePolicy::PowerOfTwoChoices => power_of_two_pair_eligible(
-                info.view.key.fingerprint,
-                info.request.id,
-                devices,
-                eligible,
-            )
-            .map(|(first, second)| {
-                let (a, a_acquisition) = self.completion_estimate(first, info, now_us);
-                let (b, b_acquisition) = self.completion_estimate(second, info, now_us);
-                route.weigh(a.3, a.0);
-                if second != first {
-                    route.weigh(b.3, b.0);
-                }
-                if b < a {
-                    (b.3, b_acquisition)
-                } else {
-                    (a.3, a_acquisition)
-                }
-            }),
+            }
         }
     }
 
@@ -819,14 +814,14 @@ impl Cluster {
     /// is dead or draining), counts in the cluster-total rejects but against
     /// no device's [`DeviceMetrics::rejects`] — there is no device to blame —
     /// so per-device rejects need not sum to the cluster total.
-    fn reject(&self, index: usize, now_us: f64, intake: &[InFlight], state: &mut ClusterState) {
+    fn reject(&self, index: usize, now_us: f64, rows: &[InFlight], state: &mut ClusterState) {
         let record = |index: usize| {
-            let request = &intake[index].request;
+            let row = &rows[index];
             RejectedRequest {
-                id: request.id,
-                kernel: request.kernel.shared_name(),
-                arrival_us: request.arrival_us,
-                deadline_us: request.deadline_us,
+                id: row.id,
+                kernel: Arc::clone(&row.name),
+                arrival_us: row.arrival_us,
+                deadline_us: row.deadline_us,
             }
         };
         state.rejected.push(record(index));
@@ -1014,7 +1009,7 @@ impl Cluster {
         tables: &mut LoopTables,
         tiers: Tiers<'_>,
     ) -> Result<ClusterLoopOutput, RuntimeError> {
-        let prep = PrepContext::for_pool(&self.devices[0].pool)?;
+        let mut prep = PrepContext::for_pool(&self.devices[0].pool)?;
         let devices = self.num_devices();
         let total_tiles = self.total_tiles();
         let dispatch = self.policy();
@@ -1033,7 +1028,7 @@ impl Cluster {
         // Kills must know what to abandon, and the tiers which request a
         // tile-free event completes; the plain tier has neither.
         let run_slots = if FLEET { total_tiles } else { 0 };
-        let intake = &mut tables.intake;
+        let rows = &mut tables.intake;
         let mut state = ClusterState {
             queues: (0..total_tiles)
                 .map(|_| TileQueue::new(dispatch, self.batching.enabled()))
@@ -1042,7 +1037,6 @@ impl Cluster {
             events: EventQueue::new(),
             starts: &mut tables.starts,
             rejected: Vec::new(),
-            prep,
             sim: SimResults::new(&mut tables.ready),
             tiers,
             runs: vec![0; total_tiles],
@@ -1090,7 +1084,7 @@ impl Cluster {
                     break;
                 };
                 loop {
-                    check.admit(&request, |id| intake.iter().any(|row| row.request.id == id))?;
+                    check.admit(&request, || rows.iter().map(|row| row.id))?;
                     let arrival_us = request.arrival_us;
                     // The kernel's home shard is its compile authority:
                     // the artifact is built (or found) in the home
@@ -1107,13 +1101,8 @@ impl Cluster {
                     } else {
                         0
                     };
-                    let index = intake.len();
-                    prepare_request(
-                        &mut self.devices[home].cache,
-                        &mut state.prep,
-                        request,
-                        intake,
-                    )?;
+                    let index = rows.len();
+                    prepare_request(&mut self.devices[home].cache, &mut prep, request, rows)?;
                     // Arrivals enter in non-decreasing time order: the
                     // monotone lane appends instead of heap-sifting.
                     state
@@ -1139,6 +1128,10 @@ impl Cluster {
                 break;
             };
             let now_us = event.time_us;
+            let intake = Intake {
+                rows,
+                kernels: &prep.kernels,
+            };
             let bookkeeping = state.probe.begin();
             let waiting = self.waiting_count::<FLEET>();
             state.queue_area_us += waiting as f64 * (now_us - state.last_event_us);
@@ -1150,7 +1143,6 @@ impl Cluster {
 
             match event.kind {
                 EventKind::Arrival { index } => {
-                    let info = &intake[index];
                     // Sessions and replication make a fleet serve (see
                     // `run_serve`): the plain tier has no gate, no push, no
                     // fair share and no queue count to keep.
@@ -1164,7 +1156,7 @@ impl Cluster {
                         Gate::Park => continue,
                         Gate::Reject => {
                             state.probe.shed(index, now_us);
-                            self.reject(index, now_us, intake, &mut state);
+                            self.reject(index, now_us, intake.rows, &mut state);
                             continue;
                         }
                     }
@@ -1173,13 +1165,14 @@ impl Cluster {
                     // plain device holds every image it compiles: nothing to
                     // decide.
                     if FLEET {
-                        state.tiers.push(self, info, now_us, &mut state.probe);
+                        let kernel = intake.kernel(index);
+                        state.tiers.push(self, kernel, now_us, &mut state.probe);
                     }
                     let route = state.probe.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
                             index,
-                            info,
+                            intake,
                             now_us,
                             &state.routed[index].exclusions,
                             &mut state.probe,
@@ -1231,7 +1224,7 @@ impl Cluster {
                     let route = state.probe.begin();
                     let routed = self.route_device_excluding(
                         index,
-                        &intake[index],
+                        intake,
                         now_us,
                         &state.routed[index].exclusions,
                         &mut state.probe,
@@ -1245,7 +1238,7 @@ impl Cluster {
             }
         }
 
-        if intake.is_empty() {
+        if rows.is_empty() {
             return Err(RuntimeError::NoRequests);
         }
         let events_fired = state.events.fired();
@@ -1253,14 +1246,12 @@ impl Cluster {
         queue_depth_hist.record_counts(state.depths);
         // The makespan is the last event's time — the final tile-free.
         let observed = state.probe.finish(
-            intake
-                .iter()
-                .map(|info| (info.request.id, info.request.arrival_us)),
+            rows.iter().map(|row| (row.id, row.arrival_us)),
             FLEET.then(|| self.route.label()),
             state.last_event_us,
         );
-        let served = intake.len().saturating_sub(state.rejected.len());
-        let outcomes = state.sim.into_outcomes(intake, state.starts, served);
+        let served = rows.len().saturating_sub(state.rejected.len());
+        let outcomes = state.sim.into_outcomes(rows, state.starts, served);
         let (batch, replication) = state.tiers.finish();
         Ok(ClusterLoopOutput {
             outcomes,
@@ -1294,26 +1285,28 @@ impl Cluster {
         routed: Option<(usize, Acquisition)>,
         route: Option<Instant>,
         fresh: bool,
-        intake: &[InFlight],
+        intake: Intake<'_>,
         state: &mut ClusterState,
     ) -> Result<(), RuntimeError> {
         let now_us = state.events.now_us();
-        let info = &intake[index];
         let Some(mut routed) = routed else {
             // Every device is dead or draining: nothing can take the
             // request. Shed it like an admission reject (it is one — the
             // cluster has no capacity).
             state.probe.end(obs::Stage::Route, route);
             state.probe.shed(index, now_us);
-            self.reject(index, now_us, intake, state);
+            self.reject(index, now_us, intake.rows, state);
             return Ok(());
         };
-        let mut view = info.view;
+        // The tile queue keys on the request's own view; placement also
+        // weighs what routing adds to its switch.
+        let queued = intake.view(index);
+        let mut view = queued;
         if FLEET {
             // The tiers may override the load-driven choice, and price into
             // the routing row what the final device adds to the switch.
             let row = &mut state.routed[index];
-            routed = state.tiers.reroute(self, index, routed, info, row);
+            routed = state.tiers.reroute(self, index, routed, intake, row);
             view.switch_us = view.switch_us + routed.1.cost_us() + row.activation_us;
         }
         let (device, acquisition) = routed;
@@ -1324,15 +1317,15 @@ impl Cluster {
         state.probe.end(obs::Stage::Route, route);
         let tile = self.global_tile::<FLEET>(device, local_tile);
         let starts_now = !self.devices[device].pool.states()[local_tile].running;
-        if fresh && !self.admit::<FLEET>(index, device, starts_now, intake, state) {
+        if fresh && !self.admit::<FLEET>(index, device, starts_now, intake.rows, state) {
             return Ok(());
         }
         if FLEET {
-            let acquire_us = self.commit_acquisition(device, info, acquisition, state);
+            let kernel = intake.kernel(index);
+            let acquire_us = self.commit_acquisition(device, kernel, acquisition, state);
             let row = &mut state.routed[index];
             row.acquire_us = acquire_us;
             row.acquire_src = acquisition.source();
-            row.acquire_bytes = acquisition.bytes();
             let activation_us = row.activation_us;
             state
                 .tiers
@@ -1340,7 +1333,7 @@ impl Cluster {
         }
         if fresh {
             let (memo, probe) = (&mut self.sim_memo, &mut state.probe);
-            state.sim.source(index, info, memo, probe)?;
+            state.sim.source(index, intake, memo, probe)?;
         } else {
             // A started-then-killed request may still carry the taken flag
             // from its first life; clear it so the new queue entry is live.
@@ -1353,8 +1346,8 @@ impl Cluster {
         let scan = state.probe.begin();
         self.devices[device]
             .pool
-            .enqueue(local_tile, info.view.key, info.view.est_exec_us);
-        state.queues[tile].push(index, &info.view);
+            .enqueue(local_tile, queued.key, queued.est_exec_us);
+        state.queues[tile].push(index, &queued);
         if FLEET {
             state.tiers.queued(index, true);
         }
@@ -1379,7 +1372,7 @@ impl Cluster {
         index: usize,
         device: usize,
         starts_now: bool,
-        intake: &[InFlight],
+        rows: &[InFlight],
         state: &mut ClusterState,
     ) -> bool {
         let now_us = state.events.now_us();
@@ -1392,7 +1385,7 @@ impl Cluster {
             return true;
         }
         state.tallies[device].rejects += 1;
-        self.reject(index, now_us, intake, state);
+        self.reject(index, now_us, rows, state);
         false
     }
 
@@ -1407,7 +1400,7 @@ impl Cluster {
         &mut self,
         device: usize,
         local_tile: usize,
-        intake: &[InFlight],
+        intake: Intake<'_>,
         state: &mut ClusterState,
     ) {
         let tile = self.global_tile::<FLEET>(device, local_tile);
@@ -1425,7 +1418,7 @@ impl Cluster {
         // The deadline-feasibility guard must see what the choice will
         // actually be charged: its switch *plus* the image-acquisition and
         // activation-transfer delays committed at its arrival.
-        let mut choice_view = intake[choice].view;
+        let mut choice_view = intake.view(choice);
         if FLEET {
             let row = &state.routed[choice];
             choice_view.switch_us = choice_view.switch_us + row.acquire_us + row.activation_us;
@@ -1434,11 +1427,11 @@ impl Cluster {
             freed,
             now_us,
             &choice_view,
-            intake[choice].request.arrival_us,
+            intake.rows[choice].arrival_us,
             |key| {
                 queue
                     .oldest_for_kernel(key, state.taken)
-                    .map(|i| (i, intake[i].view.est_exec_us))
+                    .map(|i| (i, intake.rows[i].est_exec_us))
             },
         );
         let index = picked.unwrap_or(choice);
@@ -1451,7 +1444,7 @@ impl Cluster {
         // honest for later placements. The dequeue and the charge are one
         // combined pool transition (a single index update).
         let remaining_tail = queue.tail_key(state.taken);
-        let est_us = intake[index].view.est_exec_us;
+        let est_us = intake.rows[index].est_exec_us;
         state.probe.end(obs::Stage::Scan, scan);
         self.start_request::<FLEET>(
             device,
@@ -1473,25 +1466,25 @@ impl Cluster {
         device: usize,
         local_tile: usize,
         index: usize,
-        intake: &[InFlight],
+        intake: Intake<'_>,
         state: &mut ClusterState,
         from_queue: Option<(f64, Option<KernelKey>)>,
     ) {
         let now_us = state.events.now_us();
         let tile = self.global_tile::<FLEET>(device, local_tile);
-        let info = &intake[index];
+        let (row, kernel) = (&intake.rows[index], intake.kernel(index));
         let serving = &mut self.devices[device];
         let exec_cycles =
             state.sim.run(index).metrics().total_cycles + serving.pool.roundtrip_cycles(local_tile);
-        let exec_us = exec_cycles as f64 / info.fmax_mhz;
+        let exec_us = exec_cycles as f64 / kernel.fmax_mhz;
         // The image acquisition (inter-device transfer or host load)
         // resolved at the arrival event is charged ahead of the context
         // switch, as is the inter-stage activation transfer on a pipeline
         // serve; a request whose tile does not switch pays none of them.
-        let mut switch_us = info.view.switch_us;
+        let mut switch_us = kernel.switch_us;
         if FLEET {
-            let row = &state.routed[index];
-            switch_us = switch_us + row.acquire_us + row.activation_us;
+            let routed = &state.routed[index];
+            switch_us = switch_us + routed.acquire_us + routed.activation_us;
         }
         serving.busy_tiles += 1;
         let charged = match from_queue {
@@ -1499,39 +1492,43 @@ impl Cluster {
                 local_tile,
                 est_us,
                 remaining_tail,
-                info.view.key,
+                kernel.key,
                 now_us,
                 switch_us,
                 exec_us,
             ),
             None => serving
                 .pool
-                .charge(local_tile, info.view.key, now_us, switch_us, exec_us),
+                .charge(local_tile, kernel.key, now_us, switch_us, exec_us),
         };
         // A switch opens a new same-kernel run; a warm start extends it.
         let run_len = &mut state.runs[tile];
         *run_len = if charged.switched { 1 } else { *run_len + 1 };
         let run_len = *run_len;
-        let request = &info.request;
-        let latency_us = charged.completion_us - request.arrival_us;
+        let latency_us = charged.completion_us - row.arrival_us;
         state.tallies[device].latency_hist.record(latency_us);
         let start = Start {
-            device,
-            tile: local_tile,
+            device: device as u32,
+            tile: local_tile as u32,
             start_us: charged.start_us,
             completion_us: charged.completion_us,
             switched: charged.switched,
-            missed_deadline: request
+            missed_deadline: row
                 .deadline_us
                 .is_some_and(|deadline| charged.completion_us > deadline),
         };
         // The acquisition is only paid (and only spanned) as part of a
-        // context switch — a warm tile rides the resident image free.
-        let row = FLEET.then(|| &state.routed[index]);
-        let switch_us = info.view.switch_us;
+        // context switch — a warm tile rides the resident image free. A
+        // transfer moves the whole image over the link.
+        let routed = FLEET.then(|| {
+            let routed = &state.routed[index];
+            let moved = routed.acquire_src == AcquireSource::Transfer;
+            (routed, if moved { kernel.image_bytes as u64 } else { 0 })
+        });
+        let switch_us = kernel.switch_us;
         state
             .probe
-            .started(index, &start, latency_us, run_len, switch_us, row);
+            .started(index, &start, latency_us, run_len, switch_us, routed);
         state.starts[index] = Some(start);
         if FLEET {
             // Kills must know what to abandon, and stale completions of
@@ -1578,7 +1575,7 @@ impl Cluster {
         let mut latency_sum = 0.0_f64;
         latencies.reserve(requests);
         for outcome in outcomes {
-            invocations += outcome.sim.blocks;
+            invocations += outcome.sim().blocks;
             makespan_us = makespan_us.max(outcome.completion_us);
             latency_sum += outcome.latency_us;
             latencies.push(outcome.latency_us);

@@ -25,7 +25,7 @@ use crate::obs;
 use crate::route::{cheapest_acquisition, Acquisition, Routed};
 use crate::session::driver::SessionDriver;
 use crate::session::SloClass;
-use crate::InFlight;
+use crate::{Intake, KernelEntry};
 
 /// What the arrival gate does with a request whose arrival event fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,18 +117,18 @@ impl<'d> Tiers<'d> {
     }
 
     /// Replication (see the [`replicator`](crate::control::replicator)
-    /// module), at every arrival the gate lets through: once the kernel's
-    /// rate estimate is hot, its image goes onto the least-loaded devices
-    /// without it, ahead of the routing that follows.
+    /// module), at every arrival the gate lets through: once the rate
+    /// estimate of the request's `kernel` is hot, its image goes onto the
+    /// least-loaded devices without it, ahead of the routing that follows.
     #[inline]
     pub(crate) fn push(
         &mut self,
         cluster: &mut Cluster,
-        info: &InFlight,
+        kernel: &KernelEntry,
         now_us: f64,
         probe: &mut obs::Probe,
     ) {
-        let key = info.view.key;
+        let key = kernel.key;
         let config = *self.replicator.config();
         if !config.enabled() || !self.replicator.observe(key, now_us) {
             return;
@@ -165,7 +165,7 @@ impl<'d> Tiers<'d> {
                 }
             }
             if has_room {
-                self.push_replica(cluster, device, key, &info.kernel, now_us, probe);
+                self.push_replica(cluster, device, key, &kernel.kernel, now_us, probe);
             }
         }
     }
@@ -181,7 +181,7 @@ impl<'d> Tiers<'d> {
         cluster: &Cluster,
         index: usize,
         (routed, acquisition): (usize, Acquisition),
-        info: &InFlight,
+        intake: Intake<'_>,
         row: &mut Routed,
     ) -> (usize, Acquisition) {
         let Some(driver) = &self.session else {
@@ -202,10 +202,11 @@ impl<'d> Tiers<'d> {
             // The queueing penalty of following the data: the difference in
             // waiting depth, scaled by this stage's estimated service time.
             let waiting = |device: usize| cluster.devices[device].pool.total_waiting() as f64;
-            let penalty = (waiting(target) - waiting(routed)) * info.view.est_exec_us;
+            let penalty = (waiting(target) - waiting(routed)) * intake.rows[index].est_exec_us;
             let savings = choice.2 - target_bill;
             if savings > 0.0 && savings >= penalty {
-                let acquisition = cluster.peek_acquisition(target, info.view.key, info.image_bytes);
+                let kernel = intake.kernel(index);
+                let acquisition = cluster.peek_acquisition(target, kernel.key, kernel.image_bytes);
                 choice = (target, acquisition, target_bill);
             }
         }

@@ -206,12 +206,11 @@ mod tests {
         let routed = Routed {
             acquire_us: 0.5,
             acquire_src: AcquireSource::Transfer,
-            acquire_bytes: 64,
             activation_us: 0.25,
             ..Routed::default()
         };
         let start = ran((1, 0), 2.0, 7.0, true);
-        probe.started(0, &start, 7.0, 1, 0.25, Some(&routed));
+        probe.started(0, &start, 7.0, 1, 0.25, Some((&routed, 64)));
         let report = explain(&probe.into_trace(&[(7, 0.0)], None));
         assert_eq!(report.rows().len(), 1);
         let row = report.for_request(7).unwrap();

@@ -221,7 +221,8 @@ impl Probe {
     /// Request `index` started as `start` records, `latency_us` after its
     /// arrival, as the `run_len`-th of its tile's same-kernel run.
     /// `switch_us` is its instruction reload and `routed` the fleet tier's
-    /// routing row, with the acquisition and activation a switch also pays.
+    /// routing row, with the acquisition and activation a switch also pays,
+    /// and the image bytes the acquisition moves over the link.
     pub(crate) fn started(
         &mut self,
         index: usize,
@@ -229,26 +230,26 @@ impl Probe {
         latency_us: f64,
         run_len: usize,
         switch_us: f64,
-        routed: Option<&Routed>,
+        routed: Option<(&Routed, u64)>,
     ) {
         if let Some(trace) = &mut self.trace {
             let resident = Routed::default();
-            let routed = routed.unwrap_or(&resident);
+            let (row, acquire_bytes) = routed.unwrap_or((&resident, 0));
             trace.starts.push(TileStart {
                 index,
                 at: *start,
                 run_len,
                 switch_us,
-                acquire_us: routed.acquire_us,
-                acquire_source: routed.acquire_src,
-                acquire_bytes: routed.acquire_bytes,
-                activation_us: routed.activation_us,
+                acquire_us: row.acquire_us,
+                acquire_source: row.acquire_src,
+                acquire_bytes,
+                activation_us: row.activation_us,
             });
         }
         let class = self.classes.get(index).copied().unwrap_or_default();
         if let Some(series) = &mut self.series {
             let transferred = start.switched
-                && routed.is_some_and(|row| row.acquire_src == AcquireSource::Transfer);
+                && routed.is_some_and(|(row, _)| row.acquire_src == AcquireSource::Transfer);
             series.note_start(start, class, latency_us, transferred);
         }
     }
@@ -319,8 +320,8 @@ pub(super) mod tests {
     ) -> Start {
         let missed_deadline = false;
         Start {
-            device,
-            tile,
+            device: device as u32,
+            tile: tile as u32,
             start_us,
             completion_us,
             switched,

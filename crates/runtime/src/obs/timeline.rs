@@ -231,7 +231,7 @@ impl Series {
     ) {
         let (start_us, completion_us) = (start.start_us, start.completion_us);
         let (slot, missed) = (class.index(), start.missed_deadline);
-        let lane = &mut self.lanes[start.device];
+        let lane = &mut self.lanes[start.device as usize];
         if let Some(window) = lane.cached(start_us, completion_us) {
             window.commit(slot, latency_us, missed, transferred);
             if start_us < completion_us {

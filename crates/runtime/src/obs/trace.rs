@@ -528,8 +528,8 @@ fn lifecycle(id: u64, arrival_us: f64, start: &TileStart, out: &mut Vec<TraceEve
             time_us,
             dur_us,
             request_id: Some(id),
-            device: start.at.device,
-            tile: Some(start.at.tile),
+            device: start.at.device as usize,
+            tile: Some(start.at.tile as usize),
             kind,
         });
     };
@@ -725,11 +725,10 @@ mod tests {
             let routed = Routed {
                 acquire_us: 1.0,
                 acquire_src,
-                acquire_bytes,
                 ..Routed::default()
             };
             let start = ran((0, 0), 1.0, 4.0, true);
-            probe.started(index, &start, 4.0, 1, 0.5, Some(&routed));
+            probe.started(index, &start, 4.0, 1, 0.5, Some((&routed, acquire_bytes)));
         });
         for (id, (source, bytes)) in rows.into_iter().enumerate() {
             let acquire = trace.spans_for(id as u64)[3];
@@ -742,8 +741,9 @@ mod tests {
     #[test]
     fn device_and_tile_ids_round_trip_at_the_28_bit_limit() {
         // Ids at and past the 28 bits a packed record once held are kept
-        // whole.
-        for place in [((1 << 28) - 1, (1 << 28) - 2), (usize::MAX, usize::MAX - 1)] {
+        // whole, up to the 32 bits a start holds.
+        let top = u32::MAX as usize;
+        for place in [((1 << 28) - 1, (1 << 28) - 2), (top, top - 1)] {
             let trace = plain(&[(1, 0.0)], |probe, index| {
                 probe.started(index, &ran(place, 0.0, 1.0, false), 1.0, 1, 0.5, None);
             });
@@ -866,7 +866,7 @@ mod tests {
             ..Routed::default()
         };
         let start = ran((4, 0), 1.0, 3.0, true);
-        probe.started(0, &start, 3.0, 1, 0.25, Some(&routed));
+        probe.started(0, &start, 3.0, 1, 0.25, Some((&routed, 0)));
         probe.routed(1, 2.0, 0, weighing(&[]));
         probe.admitted(1, 0, 2.0, false);
         let trace = probe.into_trace(&[(11, 0.0), (12, 2.0)], Some("hash"));
@@ -907,7 +907,7 @@ mod tests {
             ..Routed::default()
         };
         let start = ran((1, 2), 1.0, 4.0, true);
-        probe.started(0, &start, 4.0, 1, 0.25, Some(&routed));
+        probe.started(0, &start, 4.0, 1, 0.25, Some((&routed, 0)));
         probe.replica_pushed(9.0, 0, 8);
         let mut trace = probe.into_trace(&[(7, 0.0)], None);
         trace.alerts = vec![burn.clone(), clear.clone()];

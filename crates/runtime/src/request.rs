@@ -18,6 +18,7 @@ use overlay_dfg::{dot, Dfg};
 use overlay_frontend::{compile_kernel_with, Benchmark, LowerOptions};
 use overlay_sim::Workload;
 
+use crate::cache::FnvHashSet;
 use crate::error::RuntimeError;
 
 /// FNV-1a over `bytes`, used to fingerprint kernel definitions.
@@ -181,25 +182,30 @@ impl Request {
     /// of scope. Equal workloads digest alike; the cost is a few
     /// multiply-xor operations per input word at submission time.
     pub fn workload_digest(&self) -> u128 {
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut mix = |word: u64| {
-            a ^= word;
-            a = a.wrapping_mul(0x0000_0100_0000_01B3);
-            a ^= a >> 29;
-            b = b
-                .wrapping_add(word ^ 0xd6e8_feb8_6659_fd93)
-                .rotate_left(23)
-                .wrapping_mul(0x2545_f491_4f6c_dd1d);
-        };
-        for record in self.workload.records() {
-            mix(record.len() as u64);
-            for value in record {
-                mix(u64::from(value.as_u32()));
-            }
-        }
-        (u128::from(a) << 64) | u128::from(b)
+        workload_digest(&self.workload)
     }
+}
+
+/// [`Request::workload_digest`] of a request carrying `workload`.
+pub(crate) fn workload_digest(workload: &Workload) -> u128 {
+    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut b: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut mix = |word: u64| {
+        a ^= word;
+        a = a.wrapping_mul(0x0000_0100_0000_01B3);
+        a ^= a >> 29;
+        b = b
+            .wrapping_add(word ^ 0xd6e8_feb8_6659_fd93)
+            .rotate_left(23)
+            .wrapping_mul(0x2545_f491_4f6c_dd1d);
+    };
+    for record in workload.records() {
+        mix(record.len() as u64);
+        for value in record {
+            mix(u64::from(value.as_u32()));
+        }
+    }
+    (u128::from(a) << 64) | u128::from(b)
 }
 
 /// The intake check every serve runs on each request it pulls: the arrival
@@ -211,24 +217,28 @@ pub(crate) struct IntakeCheck {
     /// later submission may arrive earlier, so the event loop may fire
     /// every event up to it.
     pub(crate) horizon_us: f64,
-    /// The largest id taken in, if any. An ascending id is new on this one
-    /// comparison.
+    /// The largest id taken in, if any. While ids ascend, each is new on
+    /// this one comparison.
     max_id: Option<u64>,
+    /// Every id taken in, from the first that did not ascend on (`None`
+    /// until then).
+    seen: Option<FnvHashSet<u64>>,
 }
 
 impl IntakeCheck {
-    /// Checks `request` and takes it in. `taken` says whether an id is
-    /// already in the serve's intake; only an id that does not ascend asks.
+    /// Checks `request` and takes it in. `taken` lists the ids already in
+    /// the serve's intake; it is read once, by the first id that does not
+    /// ascend, to seed the set every later id is checked against.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidArrival`], [`RuntimeError::OutOfOrderArrival`],
     /// [`RuntimeError::InvalidDeadline`] or
     /// [`RuntimeError::DuplicateRequestId`], naming the request.
-    pub(crate) fn admit(
+    pub(crate) fn admit<I: Iterator<Item = u64>>(
         &mut self,
         request: &Request,
-        taken: impl FnOnce(u64) -> bool,
+        taken: impl FnOnce() -> I,
     ) -> Result<(), RuntimeError> {
         let (id, arrival_us) = (request.id, request.arrival_us);
         if !arrival_us.is_finite() || arrival_us < 0.0 {
@@ -245,14 +255,15 @@ impl IntakeCheck {
             });
         }
         check_deadline(id, request.deadline_us)?;
-        match self.max_id {
-            Some(max) if id <= max => {
-                if taken(id) {
-                    return Err(RuntimeError::DuplicateRequestId { request: id });
-                }
-            }
-            _ => self.max_id = Some(id),
+        let new = match (&mut self.seen, self.max_id) {
+            (Some(seen), _) => seen.insert(id),
+            (None, Some(max)) if id <= max => self.seen.insert(taken().collect()).insert(id),
+            (None, _) => true,
+        };
+        if !new {
+            return Err(RuntimeError::DuplicateRequestId { request: id });
         }
+        self.max_id = self.max_id.max(Some(id));
         self.horizon_us = arrival_us;
         Ok(())
     }
@@ -317,6 +328,37 @@ mod tests {
         assert_eq!(request.arrival_us, 125.0);
         assert_eq!(request.deadline_us, Some(500.0));
         assert_eq!(request.workload.len(), 4);
+    }
+
+    /// An id that does not ascend is checked against a set seeded once
+    /// from the intake, not by a scan of it: 50 000 descending ids read the
+    /// ids already taken in once in all (about n²/2 times while each
+    /// scanned), and a repeat among them is still refused.
+    #[test]
+    fn descending_ids_read_the_intake_ids_once() {
+        use std::cell::Cell;
+        let spec = KernelSpec::from_source("saxpy", SAXPY);
+        let workload = Workload::ramp(3, 1);
+        let mut check = IntakeCheck::default();
+        let mut intake: Vec<u64> = Vec::new();
+        let reads = Cell::new(0usize);
+        let read = |_: &u64| reads.set(reads.get() + 1);
+        for id in (0..50_000u64).rev() {
+            let request = Request::new(id, spec.clone(), workload.clone());
+            let taken = || intake.iter().copied().inspect(read);
+            check.admit(&request, taken).unwrap();
+            intake.push(id);
+        }
+        assert_eq!(reads.get(), 1, "only the id before the first descent");
+        let taken = || intake.iter().copied().inspect(read);
+        let repeat = Request::new(25_000, spec.clone(), workload.clone());
+        assert!(matches!(
+            check.admit(&repeat, taken),
+            Err(RuntimeError::DuplicateRequestId { request: 25_000 })
+        ));
+        let fresh = Request::new(50_000, spec, workload);
+        check.admit(&fresh, taken).unwrap();
+        assert_eq!(reads.get(), 1);
     }
 
     #[test]

@@ -205,14 +205,6 @@ impl Acquisition {
             Acquisition::Transfer { .. } => AcquireSource::Transfer,
         }
     }
-
-    /// Image bytes moved over the inter-device link (0 off-link).
-    pub(crate) fn bytes(&self) -> u64 {
-        match *self {
-            Acquisition::Transfer { bytes, .. } => bytes as u64,
-            _ => 0,
-        }
-    }
 }
 
 /// Where a routed request's kernel image comes from.
@@ -241,10 +233,10 @@ impl AcquireSource {
 #[derive(Debug, Default)]
 pub(crate) struct Routed {
     /// The image-acquisition delay resolved at arrival, with where the image
-    /// comes from and the bytes it moves over the link for the acquire span.
+    /// comes from (a transfer moves the kernel's whole image over the link,
+    /// so the row need not keep its bytes).
     pub(crate) acquire_us: f64,
     pub(crate) acquire_src: AcquireSource,
-    pub(crate) acquire_bytes: u64,
     /// Devices a fault displaced the request off — routing avoids them
     /// while any other serviceable device exists.
     pub(crate) exclusions: ExclusionSet,

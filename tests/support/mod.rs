@@ -359,7 +359,7 @@ pub fn audit_parts(
     prop_assert_eq!(metrics.deadline_requests, due);
     let shed_due = rejected.iter().filter(|r| r.deadline_us.is_some()).count();
     prop_assert_eq!(metrics.rejected_deadlines, shed_due);
-    let blocks: usize = outcomes.iter().map(|o| o.sim.blocks).sum();
+    let blocks: usize = outcomes.iter().map(|o| o.sim().blocks).sum();
     prop_assert_eq!(metrics.invocations, blocks);
     let latencies = || outcomes.iter().map(|o| o.latency_us);
     let end = max_of(outcomes.iter().map(|o| o.completion_us));
@@ -638,7 +638,7 @@ pub fn assert_serves_identical(
         prop_assert_eq!((lhs.request_id, &lhs.kernel), (rhs.request_id, &rhs.kernel));
         prop_assert_eq!((tile_of(lhs), lhs.switched), (tile_of(rhs), rhs.switched));
         prop_assert_eq!((times(lhs), due(lhs)), (times(rhs), due(rhs)));
-        prop_assert_eq!(lhs.sim, rhs.sim);
+        prop_assert_eq!(lhs.sim(), rhs.sim());
         prop_assert!(
             lhs.outputs() == rhs.outputs(),
             "{}'s outputs",
