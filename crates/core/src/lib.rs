@@ -20,7 +20,7 @@
 //! [`CompiledKernel`]), [`Overlay`] (a configured overlay instance that
 //! executes compiled kernels and reports performance) and [`Cluster`] (the
 //! serving runtime: one or more tile arrays behind one event loop, with
-//! kernel-hash / least-loaded / power-of-two routing and a transfer-cost
+//! kernel-hash or power-of-two routing and a transfer-cost
 //! model between them).
 //!
 //! # Quickstart
@@ -125,13 +125,12 @@ pub use report::{compare_variants, VariantResult};
 pub use overlay_arch::{FuVariant, OverlayConfig};
 pub use overlay_frontend::Benchmark;
 pub use overlay_runtime::{
-    explain, Attribution, AttributionReport, BatchConfig, BatchStats, BurnAlert, ClassMetrics,
-    Cluster, DeviceMetrics, DispatchPolicy, FaultEvent, FaultKind, FaultPlan, FlashCrowd,
-    KernelSpec, LogHistogram, PipelineOutcome, PipelineReport, PipelineRequest, PipelineStage,
-    ProfileStats, ReplicationConfig, ReplicationStats, Request, RoutePolicy, RuntimeMetrics,
-    Scenario, ScenarioArrival, ScenarioConfig, ServeReport, Session, SloClass, SloConfig,
-    SloObjective, SloReport, StageMetrics, SubmitError, Submitter, TelemetryConfig, TimeSeries,
-    Trace, TraceConfig, TransferModel,
+    explain, Attribution, AttributionReport, BatchConfig, BatchStats, ClassMetrics, Cluster,
+    DeviceMetrics, DispatchPolicy, FaultEvent, FaultKind, FaultPlan, FlashCrowd, KernelSpec,
+    LogHistogram, PipelineOutcome, PipelineReport, PipelineRequest, PipelineStage, ProfileStats,
+    Request, RoutePolicy, RuntimeMetrics, Scenario, ScenarioArrival, ScenarioConfig, ServeReport,
+    Session, SloClass, StageMetrics, SubmitError, Submitter, TelemetryConfig, TimeSeries, Trace,
+    TraceConfig,
 };
 // Kept, hidden, for the frozen benchmark harness only.
 #[doc(hidden)]

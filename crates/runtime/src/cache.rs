@@ -267,30 +267,11 @@ impl KernelCache {
         self.lru.entries.contains_key(key)
     }
 
-    /// Returns the cached artifact for `key` without touching the LRU
-    /// order or the hit/miss counters — the replication layer's way to
-    /// read a surviving holder's store when re-homing replicas off a dead
-    /// device.
-    pub fn peek(&self, key: &KernelKey) -> Option<Arc<Kernel>> {
-        self.lru
-            .entries
-            .get(key)
-            .map(|(kernel, _)| Arc::clone(kernel))
-    }
-
     /// Drops every entry but preserves the accumulated counters — a device
     /// kill wipes the store mid-serve, and the hits and misses recorded so
     /// far still happened.
     pub fn wipe(&mut self) {
         self.lru.entries.clear();
-    }
-
-    /// Removes `key`'s entry, if resident. This is a *policy* removal (the
-    /// replication layer demoting a cold replica), not a capacity eviction —
-    /// it does not count in [`CacheStats::evictions`]. Shared `Arc`s held
-    /// elsewhere stay valid.
-    pub fn remove(&mut self, key: &KernelKey) -> bool {
-        self.lru.entries.remove(key).is_some()
     }
 
     /// Number of resident compiled kernels.
@@ -528,7 +509,9 @@ mod tests {
         assert_eq!(plan.steady_ii(), Some(kernel.compiled().ii));
         let mut peer = KernelCache::new(1).unwrap();
         assert!(!peer.get_or_share(key(1), &kernel));
-        let adopted = peer.peek(&key(1)).unwrap();
+        let adopted = peer
+            .get_or_compile(key(1), || panic!("must not recompile"))
+            .unwrap();
         assert!(std::ptr::eq(adopted.plan().unwrap(), plan));
     }
 

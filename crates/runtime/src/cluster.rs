@@ -5,14 +5,15 @@
 //! wraps its own [`TilePool`] (with its PR 3 residency index), its own
 //! [`KernelCache`] acting as the device-local kernel-image store, and its
 //! own [`Dispatcher`]. Every arrival is **routed** to a device by a
-//! [`RoutePolicy`] (stable kernel-hash sharding, least-loaded by live
-//! per-device load summaries, or power-of-two-choices over completion
-//! estimates) and then **placed** on a tile by that device's dispatcher.
+//! [`RoutePolicy`] (stable kernel-hash sharding or power-of-two-choices
+//! over completion estimates) and then **placed** on a tile by that
+//! device's dispatcher.
 //!
 //! Moving a kernel to a device that has never hosted it is not free: the
-//! [`TransferModel`] charges either a host load (the "local cold load") or
-//! an inter-device transfer from the nearest device already holding the
-//! image — whichever is cheaper — and that acquisition delay is threaded
+//! transfer model (see [`route`](crate::route)) charges either a host load
+//! (the "local cold load") or an inter-device transfer from the nearest
+//! device already holding the image — whichever is cheaper — and that
+//! acquisition delay is threaded
 //! into the completion estimates routing and placement compare, and into
 //! the switch phase the winning tile actually charges. Per-device
 //! [`DeviceMetrics`] report utilization, queue depth, cache hit rate and
@@ -24,17 +25,17 @@
 //! time). The one event loop here runs fixed phases — intake, admit,
 //! route, run, commit — and is compiled per serve from one choice, made
 //! once, from what the serve can observe: its tier. `plain` for one
-//! device with no fault plan installed, no pipeline and replication off,
-//! where every routing and fault step folds away at compile time; `fleet`
-//! for everything else. Every fleet serve arms the fault state, from no
-//! events when no plan is installed, so a fault-free fleet serve *is* the
+//! device with no fault plan installed and no pipeline, where every
+//! routing and fault step folds away at compile time; `fleet` for
+//! everything else. Every fleet serve arms the fault state, from no events
+//! when no plan is installed, so a fault-free fleet serve *is* the
 //! empty-plan serve and routing, transfer pricing and fault accounting each
-//! have one implementation. Batching, replication and a pipeline's session
-//! tier are not named here: each phase where one acts calls the serve's
-//! crate-private `control::Tiers`, whose methods do nothing while their
-//! tier is off. `tests/runtime_equivalence.rs` holds a
-//! one-device cluster forced onto the fleet tier (by an empty plan) to the
-//! plain tier **bitwise** on randomized traces.
+//! have one implementation. Batching and a pipeline's session tier are not
+//! named here: each phase where one acts calls the serve's crate-private
+//! `control::Tiers`, whose methods do nothing while their tier is off.
+//! `tests/runtime_equivalence.rs` holds a one-device cluster forced onto
+//! the fleet tier (by an empty plan) to the plain tier **bitwise** on
+//! randomized traces.
 //!
 //! # Example
 //!
@@ -77,19 +78,18 @@ use crate::control::{FreedTile, Gate, Tiers};
 use crate::dispatch::TileQueue;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::metrics::{self, BatchStats, DeviceMetrics, ReplicationStats, RuntimeMetrics};
+use crate::metrics::{self, BatchStats, DeviceMetrics, RuntimeMetrics};
 use crate::obs;
 use crate::request::IntakeCheck;
 use crate::route::{
-    cheapest_acquisition, kernel_home, kernel_home_eligible, least_loaded_eligible,
-    power_of_two_pair_eligible, AcquireSource, Acquisition, ExclusionSet, RoutePolicy, Routed,
-    TransferModel,
+    cheapest_acquisition, kernel_home, kernel_home_eligible, power_of_two_pair_eligible,
+    AcquireSource, Acquisition, ExclusionSet, Exclusions, RoutePolicy, Routed, TransferModel,
 };
 use crate::{
     prepare_request, with_feeder, BatchConfig, DispatchPolicy, DispatchRequest, Dispatcher,
     InFlight, Ingest, Intake, KernelCache, KernelEntry, KernelKey, LoopTables, PrepContext,
-    RejectedRequest, ReplicationConfig, Request, RequestOutcome, RuntimeError, ServeReport,
-    SimMemo, SimResults, Start, Submitter, TilePool, RESERVED_DEPTHS,
+    RejectedRequest, Request, RequestOutcome, RuntimeError, ServeReport, SimMemo, SimResults,
+    Start, Submitter, TilePool, RESERVED_DEPTHS,
 };
 
 /// One NoC tile array inside a [`Cluster`]: a [`TilePool`] (with its
@@ -101,9 +101,6 @@ pub struct Device {
     pub(crate) pool: TilePool,
     pub(crate) cache: KernelCache,
     dispatcher: Dispatcher,
-    /// Tiles currently executing a request — the busy component of the
-    /// device's load summary.
-    busy_tiles: usize,
 }
 
 impl Device {
@@ -120,12 +117,6 @@ impl Device {
     /// The device-local kernel store (counters accumulate across serves).
     pub fn cache(&self) -> &KernelCache {
         &self.cache
-    }
-
-    /// The device's load summary: `(waiting requests, busy tiles, id)` —
-    /// least-loaded is the minimum.
-    pub(crate) fn load_key(&self) -> (usize, usize, usize) {
-        (self.pool.total_waiting(), self.busy_tiles, self.id)
     }
 }
 
@@ -170,6 +161,9 @@ struct ClusterState<'t> {
     last_event_us: f64,
     /// Per intake index, fleet tier only: what routing decided.
     routed: &'t mut Vec<Routed>,
+    /// Fleet tier only: the devices each displaced request was displaced
+    /// off, which routing avoids.
+    exclusions: Exclusions,
     tallies: Vec<DeviceTally>,
     /// The one recorder every observation family reads the loop through.
     probe: obs::Probe,
@@ -193,7 +187,6 @@ struct ClusterLoopOutput {
     queue_area_us: f64,
     events_fired: u64,
     batch: BatchStats,
-    replication: ReplicationStats,
     tallies: Vec<DeviceTally>,
     queue_depth_hist: obs::LogHistogram,
     observed: obs::Observed,
@@ -209,13 +202,11 @@ struct ClusterLoopOutput {
 pub struct Cluster {
     pub(crate) devices: Vec<Device>,
     route: RoutePolicy,
-    transfer: TransferModel,
     sim_memo: SimMemo,
     ingest_capacity: usize,
     admission_limit: usize,
     batching: BatchConfig,
-    replication: ReplicationConfig,
-    /// Tracing, profiling, telemetry and SLO tracking (each off by default).
+    /// Tracing, profiling and telemetry (each off by default).
     observing: obs::Observing,
     /// The per-intake tables, kept across serves so their storage (and its
     /// warmed pages) amortizes, and empty between serves.
@@ -289,18 +280,15 @@ impl Cluster {
                 cache: KernelCache::new(Self::DEFAULT_CACHE_CAPACITY)
                     .expect("default capacity is non-zero"),
                 dispatcher: Dispatcher::default(),
-                busy_tiles: 0,
             })
             .collect();
         Cluster {
             devices,
             route: RoutePolicy::default(),
-            transfer: TransferModel::default(),
             sim_memo: SimMemo::new(Self::DEFAULT_SIM_MEMO_CAPACITY),
             ingest_capacity: Self::DEFAULT_INGEST_CAPACITY,
             admission_limit: usize::MAX,
             batching: BatchConfig::disabled(),
-            replication: ReplicationConfig::disabled(),
             observing: obs::Observing::default(),
             tables: LoopTables::default(),
             tiles_per_device,
@@ -322,13 +310,6 @@ impl Cluster {
     #[must_use]
     pub fn with_route_policy(mut self, route: RoutePolicy) -> Self {
         self.route = route;
-        self
-    }
-
-    /// Overrides the inter-device/host transfer timing model.
-    #[must_use]
-    pub fn with_transfer_model(mut self, transfer: TransferModel) -> Self {
-        self.transfer = transfer;
         self
     }
 
@@ -388,16 +369,6 @@ impl Cluster {
         self
     }
 
-    /// Configures rate-driven kernel replication: hot kernels (by the
-    /// per-kernel EWMA the routing tier feeds) have their images pushed to
-    /// the least-loaded devices ahead of demand, and cold pushed replicas
-    /// are demoted under store pressure. Disabled by default.
-    #[must_use]
-    pub fn with_replication(mut self, config: ReplicationConfig) -> Self {
-        self.replication = config;
-        self
-    }
-
     /// Configures request-span tracing: every serve keeps the rows its
     /// spans are made from and hands the [`Trace`](obs::Trace) back on
     /// [`ServeReport::trace`], every request's lifecycle spans in it. The
@@ -429,20 +400,6 @@ impl Cluster {
     #[must_use]
     pub fn with_telemetry(mut self, config: obs::TelemetryConfig) -> Self {
         self.observing.telemetry = config;
-        self
-    }
-
-    /// Configures SLO objectives: against the windowed telemetry series the
-    /// serve tracks per-class error-budget burn rates, fires/clears
-    /// multi-window burn alerts (as [`SloBurn`](obs::SpanKind::SloBurn) /
-    /// [`SloClear`](obs::SpanKind::SloClear) trace spans when tracing is on)
-    /// and reports an [`SloReport`](obs::SloReport) on
-    /// [`ServeReport::slo`]. Needs [`with_telemetry`](Cluster::with_telemetry);
-    /// the default [`SloConfig::disabled`](obs::SloConfig::disabled) tracks
-    /// nothing.
-    #[must_use]
-    pub fn with_slo(mut self, config: obs::SloConfig) -> Self {
-        self.observing.slo = config;
         self
     }
 
@@ -502,11 +459,6 @@ impl Cluster {
         self.route
     }
 
-    /// The active transfer model.
-    pub fn transfer_model(&self) -> TransferModel {
-        self.transfer
-    }
-
     /// The bound of the streaming ingest channel.
     pub fn ingest_capacity(&self) -> usize {
         self.ingest_capacity
@@ -520,11 +472,6 @@ impl Cluster {
     /// The active same-kernel batching configuration.
     pub fn batching(&self) -> BatchConfig {
         self.batching
-    }
-
-    /// The active replication configuration.
-    pub fn replication_config(&self) -> ReplicationConfig {
-        self.replication
     }
 
     /// The active tracing configuration.
@@ -612,21 +559,10 @@ impl Cluster {
         })
     }
 
-    /// The least-loaded device `eligible` accepts — O(devices) over the
-    /// live per-device load summaries.
-    pub(crate) fn least_loaded(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
-        least_loaded_eligible(self.devices.iter().map(Device::load_key), eligible)
-    }
-
-    /// The transfer model in force right now: the configured one, slowed by
-    /// the fault tier's fleet-wide link multiplier when degradation is
-    /// active.
+    /// The transfer model in force right now: the one model, slowed by the
+    /// fault tier's fleet-wide link multiplier when degradation is active.
     pub(crate) fn active_transfer(&self) -> TransferModel {
-        if self.fault.link_multiplier == 1.0 {
-            self.transfer
-        } else {
-            self.transfer.degraded(self.fault.link_multiplier)
-        }
+        TransferModel::new().degraded(self.fault.link_multiplier)
     }
 
     /// How `device` would obtain `key`'s compiled image, without mutating
@@ -780,9 +716,6 @@ impl Cluster {
         match self.route {
             RoutePolicy::KernelHash => kernel_home_eligible(key.fingerprint, devices, eligible)
                 .map(|device| (device, self.peek_acquisition(device, key, bytes))),
-            RoutePolicy::LeastLoaded => self
-                .least_loaded(eligible)
-                .map(|device| (device, self.peek_acquisition(device, key, bytes))),
             RoutePolicy::PowerOfTwoChoices => {
                 let id = intake.rows[index].id;
                 let view = intake.view(index);
@@ -833,7 +766,7 @@ impl Cluster {
 
     /// Applies scheduled fault `fault_index` at `now_us`: flips the fleet
     /// flags, records the fault span, and performs the structural reaction
-    /// (evacuation, requeues, replica re-homing).
+    /// (evacuation and requeues).
     fn apply_fault(&mut self, fault_index: usize, now_us: f64, state: &mut ClusterState) {
         let kind = self.fault.apply(fault_index, now_us);
         state.probe.fault(now_us, kind);
@@ -850,10 +783,9 @@ impl Cluster {
     /// The structural reaction to a kill (`kill`) or a drain of `device`.
     /// Both displace every queued request. A kill also abandons the running
     /// ones (progress counted as lost work, start withdrawn — the simulation
-    /// stays sourced for the retry), rewinds the tile timelines, wipes the
-    /// kernel store and lets the tiers re-home what they placed there. A
-    /// drain lets running work finish and keeps the store warm for the
-    /// undrain.
+    /// stays sourced for the retry), rewinds the tile timelines and wipes
+    /// the kernel store. A drain lets running work finish and keeps the
+    /// store warm for the undrain.
     fn evacuate(&mut self, device: usize, kill: bool, now_us: f64, state: &mut ClusterState) {
         let base = device * self.tiles_per_device;
         for tile in base..base + self.tiles_per_device {
@@ -880,9 +812,7 @@ impl Cluster {
             return;
         }
         evacuated.pool.evacuate(now_us);
-        evacuated.busy_tiles = 0;
         evacuated.cache.wipe();
-        state.tiers.killed(self, device, now_us, &mut state.probe);
     }
 
     /// Displacement bookkeeping shared by kill and drain: the losing
@@ -899,7 +829,7 @@ impl Cluster {
         ran: bool,
         state: &mut ClusterState,
     ) {
-        state.routed[index].exclusions.insert(from_device);
+        state.exclusions.insert(index, from_device);
         self.fault.device_mut(from_device).requeues += 1;
         state.events.push(now_us, EventKind::Requeue { index });
         state.probe.requeued(index, now_us, from_device, ran);
@@ -916,13 +846,10 @@ impl Cluster {
         ingest: Ingest,
         pipelines: Option<Tiers<'_>>,
     ) -> Result<ServeReport, RuntimeError> {
-        // One device with nothing to route around, no stage to park and no
-        // image to push serves on the plain tier; everything else is a
-        // fleet. An installed plan, even an empty one, makes a fleet.
-        let fleet = self.num_devices() > 1
-            || self.fault_plan.is_some()
-            || pipelines.is_some()
-            || self.replication.enabled();
+        // One device with nothing to route around and no stage to park
+        // serves on the plain tier; everything else is a fleet. An installed
+        // plan, even an empty one, makes a fleet.
+        let fleet = self.num_devices() > 1 || self.fault_plan.is_some() || pipelines.is_some();
         let tiers = pipelines.unwrap_or_else(|| Tiers::new(self, None));
         // Every fleet serve validates and arms the fault schedule before the
         // loop starts — from no events when no plan is installed.
@@ -932,7 +859,6 @@ impl Cluster {
         }
         for device in &mut self.devices {
             device.pool.reset();
-            device.busy_tiles = 0;
         }
         let cache_before: Vec<CacheStats> = self.devices.iter().map(|d| d.cache.stats()).collect();
         let memo_before = self.sim_memo.stats();
@@ -953,7 +879,6 @@ impl Cluster {
                 rejected: output.rejected,
                 metrics,
                 devices,
-                replication: output.replication,
                 observed: output.observed,
             }
         });
@@ -1044,6 +969,7 @@ impl Cluster {
             queue_area_us: 0.0,
             last_event_us: 0.0,
             routed: &mut tables.routed,
+            exclusions: Exclusions::default(),
             tallies: vec![DeviceTally::default(); devices],
             probe,
             depths: &mut tables.depths,
@@ -1143,9 +1069,9 @@ impl Cluster {
 
             match event.kind {
                 EventKind::Arrival { index } => {
-                    // Sessions and replication make a fleet serve (see
-                    // `run_serve`): the plain tier has no gate, no push, no
-                    // fair share and no queue count to keep.
+                    // Sessions make a fleet serve (see `run_serve`): the
+                    // plain tier has no gate, no fair share and no queue
+                    // count to keep.
                     let gate = if FLEET {
                         state.tiers.gate(index)
                     } else {
@@ -1160,21 +1086,16 @@ impl Cluster {
                             continue;
                         }
                     }
-                    // The tiers' push ahead of demand, then the route to a
-                    // device (resolving how it gets the kernel image). One
-                    // plain device holds every image it compiles: nothing to
-                    // decide.
-                    if FLEET {
-                        let kernel = intake.kernel(index);
-                        state.tiers.push(self, kernel, now_us, &mut state.probe);
-                    }
+                    // The route to a device (resolving how it gets the
+                    // kernel image). One plain device holds every image it
+                    // compiles: nothing to decide.
                     let route = state.probe.begin();
                     let routed = if FLEET {
                         self.route_device_excluding(
                             index,
                             intake,
                             now_us,
-                            &state.routed[index].exclusions,
+                            state.exclusions.of(index),
                             &mut state.probe,
                         )
                     } else {
@@ -1207,7 +1128,6 @@ impl Cluster {
                             state.tiers.completed(index, device, now_us, events, probe);
                         }
                     }
-                    self.devices[device].busy_tiles -= 1;
                     self.devices[device].pool.release(local_tile);
                     if !state.queues[tile].is_empty() {
                         self.start_next::<FLEET>(device, local_tile, intake, &mut state);
@@ -1226,7 +1146,7 @@ impl Cluster {
                         index,
                         intake,
                         now_us,
-                        &state.routed[index].exclusions,
+                        state.exclusions.of(index),
                         &mut state.probe,
                     );
                     self.place_routed::<FLEET>(index, routed, route, false, intake, &mut state)?;
@@ -1252,7 +1172,7 @@ impl Cluster {
         );
         let served = rows.len().saturating_sub(state.rejected.len());
         let outcomes = state.sim.into_outcomes(rows, state.starts, served);
-        let (batch, replication) = state.tiers.finish();
+        let batch = state.tiers.finish();
         Ok(ClusterLoopOutput {
             outcomes,
             rejected: state.rejected,
@@ -1260,7 +1180,6 @@ impl Cluster {
             queue_area_us: state.queue_area_us,
             events_fired,
             batch,
-            replication,
             tallies: state.tallies,
             queue_depth_hist,
             observed,
@@ -1305,8 +1224,10 @@ impl Cluster {
         if FLEET {
             // The tiers may override the load-driven choice, and price into
             // the routing row what the final device adds to the switch.
-            let row = &mut state.routed[index];
-            routed = state.tiers.reroute(self, index, routed, intake, row);
+            let (row, exclusions) = (&mut state.routed[index], state.exclusions.of(index));
+            routed = state
+                .tiers
+                .reroute(self, index, routed, intake, exclusions, row);
             view.switch_us = view.switch_us + routed.1.cost_us() + row.activation_us;
         }
         let (device, acquisition) = routed;
@@ -1486,7 +1407,6 @@ impl Cluster {
             let routed = &state.routed[index];
             switch_us = switch_us + routed.acquire_us + routed.activation_us;
         }
-        serving.busy_tiles += 1;
         let charged = match from_queue {
             Some((est_us, remaining_tail)) => serving.pool.start_queued(
                 local_tile,
@@ -1742,8 +1662,7 @@ mod tests {
         let cluster = Cluster::new(FuVariant::V3, 3, 2)
             .unwrap()
             .with_policy(DispatchPolicy::SlackAware)
-            .with_route_policy(RoutePolicy::LeastLoaded)
-            .with_transfer_model(TransferModel::free())
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
             .with_cache_capacity(8)
             .unwrap()
             .with_admission_limit(5);
@@ -1752,8 +1671,7 @@ mod tests {
         assert_eq!(cluster.total_tiles(), 6);
         assert_eq!(cluster.variant(), FuVariant::V3);
         assert_eq!(cluster.policy(), DispatchPolicy::SlackAware);
-        assert_eq!(cluster.route_policy(), RoutePolicy::LeastLoaded);
-        assert_eq!(cluster.transfer_model(), TransferModel::free());
+        assert_eq!(cluster.route_policy(), RoutePolicy::PowerOfTwoChoices);
         assert_eq!(cluster.admission_limit(), 5);
         for (id, device) in cluster.devices().iter().enumerate() {
             assert_eq!(device.id(), id);
@@ -1782,65 +1700,26 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_routing_spreads_a_burst_across_devices() {
-        // 8 simultaneous single-kernel arrivals on 4 single-tile devices:
-        // kernel-hash piles them on one device, least-loaded fans them out.
-        let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
-        let burst: Vec<Request> = (0..8)
-            .map(|i| Request::new(i, spec.clone(), Workload::random(5, 64, i)).at(0.0))
-            .collect();
-        let mut hashed = Cluster::new(FuVariant::V4, 4, 1).unwrap();
-        let hashed_report = hashed.serve(burst.clone()).unwrap();
-        let hashed_devices: std::collections::HashSet<usize> =
-            hashed_report.outcomes().iter().map(|o| o.device).collect();
-        assert_eq!(hashed_devices.len(), 1, "one kernel, one shard");
-
-        let mut balanced = Cluster::new(FuVariant::V4, 4, 1)
-            .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded);
-        let balanced_report = balanced.serve(burst).unwrap();
-        let balanced_devices: std::collections::HashSet<usize> = balanced_report
-            .outcomes()
-            .iter()
-            .map(|o| o.device)
-            .collect();
-        assert_eq!(balanced_devices.len(), 4, "burst fans out over all devices");
-        // Spreading a kernel off its home shard moves its image.
-        assert_eq!(
-            balanced_report.transfers() + balanced_report.host_loads(),
-            3,
-            "three devices acquired the image"
-        );
-        assert!(
-            balanced_report.metrics().makespan_us < hashed_report.metrics().makespan_us,
-            "balancing the burst must finish earlier"
-        );
-    }
-
-    #[test]
     fn transfers_beat_host_loads_when_the_link_is_cheaper() {
-        // Same spread-out burst, but with a free host path: no transfers.
+        // A burst power-of-two routing spreads, first over the default
+        // link, then with the link priced out from the start: no transfers.
         let spec = KernelSpec::from_benchmark(Benchmark::Gradient).unwrap();
         let burst: Vec<Request> = (0..8)
             .map(|i| Request::new(i, spec.clone(), Workload::random(5, 4, i)).at(0.0))
             .collect();
         let mut linked = Cluster::new(FuVariant::V4, 4, 1)
             .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded);
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices);
         let linked_report = linked.serve(burst.clone()).unwrap();
         assert!(linked_report.transfers() > 0, "default link beats the host");
         assert!(linked_report.transfer_bytes() > 0);
 
         let mut hosted = Cluster::new(FuVariant::V4, 4, 1)
             .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
-            .with_transfer_model(TransferModel {
-                host_latency_us: 0.0,
-                host_us_per_byte: 0.0,
-                ..TransferModel::new()
-            });
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
+            .with_fault_plan(FaultPlan::new().degrade_links(0.0, 1.0e12));
         let hosted_report = hosted.serve(burst).unwrap();
-        assert_eq!(hosted_report.transfers(), 0, "free host loads win");
+        assert_eq!(hosted_report.transfers(), 0, "host loads win");
         assert_eq!(hosted_report.host_loads(), 3);
     }
 
@@ -1889,16 +1768,19 @@ mod tests {
     /// images (home shard included), while a 1-device cluster under the
     /// same eviction pressure still never acquires — the fleet tier (an
     /// empty fault plan puts `single` there) stays bitwise equivalent to
-    /// the plain one an unplanned one-device cluster serves on.
+    /// the plain one an unplanned one-device cluster serves on. The fleet
+    /// serves the trace as one burst: spaced out, power-of-two routing keeps
+    /// every request on the home that just compiled its kernel.
     #[test]
     fn tiny_stores_reacquire_evicted_images_and_one_device_stays_exempt() {
         let trace = benchmark_trace(16, 4, 0xC105);
+        let burst: Vec<Request> = trace.iter().cloned().map(|r| r.at(0.0)).collect();
         let mut thrashing = Cluster::new(FuVariant::V4, 2, 1)
             .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
             .with_cache_capacity(1)
             .unwrap();
-        let report = thrashing.serve(trace.clone()).unwrap();
+        let report = thrashing.serve(burst).unwrap();
         assert_eq!(report.outcomes().len(), 16);
         assert!(
             report.transfers() + report.host_loads() > 2,
@@ -1931,7 +1813,7 @@ mod tests {
             .collect();
         let mut cluster = Cluster::new(FuVariant::V4, 2, 1)
             .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
             .with_admission_limit(2);
         let report = cluster.serve(burst).unwrap();
         // 2 start immediately (one per device), 2 wait, the rest shed.
@@ -2186,7 +2068,7 @@ mod tests {
         let sessions: Vec<Session> = (0..6).map(Session::new).collect();
         let mut cluster = Cluster::new(FuVariant::V4, 3, 1)
             .unwrap()
-            .with_route_policy(RoutePolicy::LeastLoaded)
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
             .with_fault_plan(FaultPlan::new().kill(40.0, 1));
         let report = cluster.serve_pipelines(pipelines, &sessions).unwrap();
         // The kill displaces resident stages but never un-completes
@@ -2373,7 +2255,7 @@ mod tests {
         reused_tables_match_fresh_ones(|| {
             Cluster::new(FuVariant::V4, 4, 2)
                 .unwrap()
-                .with_route_policy(RoutePolicy::LeastLoaded)
+                .with_route_policy(RoutePolicy::PowerOfTwoChoices)
         });
     }
 

@@ -128,7 +128,7 @@ mod tests {
             Some((99usize, 10.0))
         });
         assert_eq!(diverted, None);
-        assert_eq!(batcher.finish().0, BatchStats::default());
+        assert_eq!(batcher.finish(), BatchStats::default());
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
             }),
             Some(7)
         );
-        let stats = batcher.finish().0;
+        let stats = batcher.finish();
         assert_eq!(stats.batched_requests, 1);
         assert_eq!(stats.switches_avoided, 1);
         assert_eq!(stats.batches_formed, 1);
@@ -193,7 +193,7 @@ mod tests {
             })
             .is_some());
         // Two separate capped runs, each with one diversion = two batches.
-        assert_eq!(batcher.finish().0.batches_formed, 2);
+        assert_eq!(batcher.finish().batches_formed, 2);
     }
 
     #[test]

@@ -1,31 +1,28 @@
-//! The optional tiers of a serve: same-kernel batching, rate-driven
-//! replication and a pipeline serve's session driver, in one [`Tiers`] that
-//! every serve's event loop holds. The loop's phases (intake, admit, route,
-//! run, commit) are fixed and call a `Tiers` method at each phase where a
-//! tier acts; each method does nothing while its tier is off. The methods
-//! the loop calls per request are inlined, so an off tier costs a field
-//! test, not a call. Replication and sessions run only on fleet serves, and
-//! the plain tier's loop does not call their methods.
+//! The optional tiers of a serve: same-kernel batching and a pipeline
+//! serve's session driver, in one [`Tiers`] that every serve's event loop
+//! holds. The loop's phases (intake, admit, route, run, commit) are fixed
+//! and call a `Tiers` method at each phase where a tier acts; each method
+//! does nothing while its tier is off. The methods the loop calls per
+//! request are inlined, so an off tier costs a field test, not a call.
+//! Sessions run only on fleet serves, and the plain tier's loop does not
+//! call their methods.
 //!
 //! `Tiers` is part of the cluster, not a layer over it: its methods read and
 //! edit the cluster's devices (kernel stores, pool depths, fault flags) as
 //! the loop does. What it separates is naming — the loop calls the phases,
 //! and only this module knows which tier acts in each.
 
-use std::sync::Arc;
-
-use crate::cache::{Kernel, KernelKey};
-use crate::cluster::{Cluster, Device};
-use crate::control::replicator::Replicator;
+use crate::cache::KernelKey;
+use crate::cluster::Cluster;
 use crate::control::BatchConfig;
 use crate::dispatch::DispatchRequest;
 use crate::event::{EventKind, EventQueue};
-use crate::metrics::{BatchStats, ReplicationStats};
+use crate::metrics::BatchStats;
 use crate::obs;
-use crate::route::{cheapest_acquisition, Acquisition, Routed};
+use crate::route::{Acquisition, ExclusionSet, Routed};
 use crate::session::driver::SessionDriver;
 use crate::session::SloClass;
-use crate::{Intake, KernelEntry};
+use crate::Intake;
 
 /// What the arrival gate does with a request whose arrival event fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,9 +49,9 @@ pub(crate) struct FreedTile {
     pub(crate) resident: Option<KernelKey>,
 }
 
-/// A serve's tiers: same-kernel batching, rate-driven replication and, on a
-/// pipeline serve, the session driver it borrows from the caller for the
-/// serve. Each acts only where it is on.
+/// A serve's tiers: same-kernel batching and, on a pipeline serve, the
+/// session driver it borrows from the caller for the serve. Each acts only
+/// where it is on.
 #[derive(Debug)]
 pub(crate) struct Tiers<'d> {
     batching: BatchConfig,
@@ -62,7 +59,6 @@ pub(crate) struct Tiers<'d> {
     /// batch.
     formed: Vec<Option<usize>>,
     batch: BatchStats,
-    replicator: Replicator,
     session: Option<&'d mut SessionDriver>,
 }
 
@@ -73,30 +69,8 @@ impl<'d> Tiers<'d> {
             batching: cluster.batching(),
             formed: vec![None; cluster.total_tiles()],
             batch: BatchStats::default(),
-            replicator: Replicator::new(cluster.replication_config(), cluster.num_devices()),
             session,
         }
-    }
-
-    /// Pushes `kernel`'s image (under `key`) onto `device`'s store, priced
-    /// as the cheapest transfer a demand fetch would pay and accounted as
-    /// prefetch traffic off the critical path.
-    fn push_replica(
-        &mut self,
-        cluster: &mut Cluster,
-        device: usize,
-        key: KernelKey,
-        kernel: &Arc<Kernel>,
-        now_us: f64,
-        probe: &mut obs::Probe,
-    ) {
-        let bytes = kernel.compiled().program.config_bytes();
-        let transfer = cluster.active_transfer();
-        let cost_us =
-            cheapest_acquisition(&transfer, cluster.holders(key), device, bytes).cost_us();
-        cluster.devices[device].cache.get_or_share(key, kernel);
-        self.replicator.note_pushed(device, key, bytes, cost_us);
-        probe.replica_pushed(now_us, device, bytes as u64);
     }
 
     /// Every request's SLO class by intake index (pipeline serves only).
@@ -116,65 +90,13 @@ impl<'d> Tiers<'d> {
             .map_or(Gate::Proceed, |driver| driver.on_arrival(index))
     }
 
-    /// Replication (see the [`replicator`](crate::control::replicator)
-    /// module), at every arrival the gate lets through: once the rate
-    /// estimate of the request's `kernel` is hot, its image goes onto the
-    /// least-loaded devices without it, ahead of the routing that follows.
-    #[inline]
-    pub(crate) fn push(
-        &mut self,
-        cluster: &mut Cluster,
-        kernel: &KernelEntry,
-        now_us: f64,
-        probe: &mut obs::Probe,
-    ) {
-        let key = kernel.key;
-        let config = *self.replicator.config();
-        if !config.enabled() || !self.replicator.observe(key, now_us) {
-            return;
-        }
-        let mut by_load: Vec<(usize, usize, usize)> = cluster
-            .devices
-            .iter()
-            .filter(|device| cluster.fault.available(device.id()))
-            .map(Device::load_key)
-            .collect();
-        by_load.sort_unstable();
-        for (_, _, device) in by_load.into_iter().take(config.fanout) {
-            let cache = &mut cluster.devices[device].cache;
-            if cache.contains(&key) {
-                continue;
-            }
-            // A push onto a full store must free a slot by demoting one of
-            // replication's own cooled replicas; if no tracked replica is
-            // demotable, the push is skipped — a prefetch must never let LRU
-            // blindly evict the device's home image or hot working set.
-            let mut has_room = cache.len() < cache.capacity();
-            while !has_room {
-                let Some(victim) = self.replicator.demotion_candidate(device, now_us) else {
-                    break;
-                };
-                if cache.remove(&victim) {
-                    self.replicator.note_demoted(device, victim);
-                    probe.replica_demoted(now_us, device);
-                    has_room = true;
-                } else {
-                    // Demand LRU already evicted this replica; just stop
-                    // tracking it and try the next candidate.
-                    self.replicator.forget(device, victim);
-                }
-            }
-            if has_room {
-                self.push_replica(cluster, device, key, &kernel.kernel, now_us, probe);
-            }
-        }
-    }
-
-    /// Stage affinity, after the fleet's routing: the producer device of the stage's heaviest input
-    /// wins over the routed one if the activation savings outweigh the
-    /// extra queueing there. The final device's activation bill goes into
-    /// `row`, priced against the producers' current liveness (a dead
-    /// producer's output restores from the host checkpoint).
+    /// Stage affinity, after the fleet's routing: the producer device of the
+    /// stage's heaviest input wins over the routed one if the activation
+    /// savings outweigh the extra queueing there. The final device's
+    /// activation bill goes into `row`, priced against the producers'
+    /// current liveness (a dead producer's output restores from the host
+    /// checkpoint). A producer the request was displaced off (`exclusions`)
+    /// is never followed.
     #[inline(always)]
     pub(crate) fn reroute(
         &self,
@@ -182,6 +104,7 @@ impl<'d> Tiers<'d> {
         index: usize,
         (routed, acquisition): (usize, Acquisition),
         intake: Intake<'_>,
+        exclusions: &ExclusionSet,
         row: &mut Routed,
     ) -> (usize, Acquisition) {
         let Some(driver) = &self.session else {
@@ -194,7 +117,7 @@ impl<'d> Tiers<'d> {
         let affinity = driver.affinity_target(index).filter(|&target| {
             target != routed
                 && target < cluster.num_devices()
-                && !row.exclusions.contains(target)
+                && !exclusions.contains(target)
                 && cluster.fault.available(target)
         });
         if let Some(target) = affinity {
@@ -329,40 +252,8 @@ impl<'d> Tiers<'d> {
             .map_or_else(Vec::new, |driver| driver.note_rejected(index, now_us))
     }
 
-    /// A device was killed, its work displaced and its store wiped. Each
-    /// replica replication had pushed there and a surviving store still
-    /// holds is pushed onto the least-loaded live device with a free slot
-    /// that does not hold it — the same adoption path and accounting as a
-    /// rate-driven push.
-    pub(crate) fn killed(
-        &mut self,
-        cluster: &mut Cluster,
-        dead: usize,
-        now_us: f64,
-        probe: &mut obs::Probe,
-    ) {
-        for key in self.replicator.drain_device(dead) {
-            let Some(artifact) = cluster
-                .holders(key)
-                .find(|&holder| holder != dead)
-                .and_then(|holder| cluster.devices[holder].cache.peek(&key))
-            else {
-                continue; // no surviving holder to source the image from
-            };
-            let Some(target) = cluster.least_loaded(|id| {
-                let cache = &cluster.devices[id].cache;
-                cluster.fault.available(id)
-                    && !cache.contains(&key)
-                    && cache.len() < cache.capacity()
-            }) else {
-                continue; // everyone holds it or no store has a free slot
-            };
-            self.push_replica(cluster, target, key, &artifact, now_us, probe);
-        }
-    }
-
-    /// The serve ended: its batching and replication counters.
-    pub(crate) fn finish(self) -> (BatchStats, ReplicationStats) {
-        (self.batch, self.replicator.stats())
+    /// The serve ended: its batching counters.
+    pub(crate) fn finish(self) -> BatchStats {
+        self.batch
     }
 }

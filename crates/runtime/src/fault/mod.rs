@@ -13,9 +13,7 @@
 //!   running requests are abandoned (their progress counted as lost work),
 //!   its queued requests are displaced, and both requeue through the
 //!   routing tier with the dead device in their per-request exclusion set.
-//!   Its kernel store is wiped (a revived device comes back cold) and the
-//!   [`Replicator`](crate::ReplicationConfig)'s replicas re-home to a
-//!   surviving holder.
+//!   Its kernel store is wiped (a revived device comes back cold).
 //! * **[`Drain`](FaultKind::Drain)** — graceful: the device stops admitting
 //!   (every routing policy skips it) but
 //!   running work finishes; queued-but-not-started requests requeue
@@ -24,15 +22,15 @@
 //!   — the device rejoins routing (cold after a kill, warm after a drain);
 //!   its downtime is charged to the per-device availability metric.
 //! * **[`DegradeLinks`](FaultKind::DegradeLinks)** — the inter-device link
-//!   is slowed by a multiplier
-//!   ([`TransferModel::degraded`](crate::TransferModel::degraded)): peer
-//!   transfers get pricier and acquisition shifts toward host loads, in
-//!   both the charged costs and the completion estimates routing compares.
+//!   is slowed by a multiplier (the [`route`](crate::route) module's
+//!   transfer model, degraded): peer transfers get pricier and acquisition
+//!   shifts toward host loads, in both the charged costs and the completion
+//!   estimates routing compares.
 //!
 //! With no plan installed (the default) nothing is scheduled: a fleet serve
 //! arms its fault state from no events and every device stays available,
 //! so the serve is bitwise identical to one under an empty plan — pinned
-//! across all three routing policies by the `tests/runtime_equivalence.rs`
+//! across both routing policies by the `tests/runtime_equivalence.rs`
 //! proptests. The zero-loss invariant under
 //! faults — every admitted request appears exactly once in outcomes or
 //! rejects as long as one device survives — is pinned by

@@ -50,10 +50,8 @@
 //!   count;
 //! * the **control plane** ([`control`]) — optional same-kernel batching
 //!   over the tile-free queue drain ([`BatchConfig`],
-//!   [`Cluster::with_batching`]) and, across devices, rate-driven kernel
-//!   replication ahead of demand ([`ReplicationConfig`],
-//!   [`Cluster::with_replication`]). Both are off by default and leave the
-//!   serve bitwise identical to the un-batched event loop when off.
+//!   [`Cluster::with_batching`]), off by default and bitwise identical to
+//!   the un-batched event loop when off.
 //!
 //! # Example
 //!
@@ -118,25 +116,22 @@ pub mod submit;
 
 pub use cache::{CacheStats, Kernel, KernelCache, KernelKey, SimKey, SimMemo};
 pub use obs::{
-    explain, Attribution, AttributionReport, BurnAlert, BurnSample, ClassWindow, LogHistogram,
-    ProfileStats, SloConfig, SloObjective, SloReport, SloStatus, SpanKind, TelemetryConfig,
-    TimeSeries, Trace, TraceConfig, TraceEvent, WindowStats,
+    explain, Attribution, AttributionReport, ClassWindow, LogHistogram, ProfileStats, SpanKind,
+    TelemetryConfig, TimeSeries, Trace, TraceConfig, TraceEvent, WindowStats,
 };
 
 use cache::FnvHashMap;
 pub use cluster::{Cluster, Device};
-pub use control::{BatchConfig, RateEstimator, ReplicationConfig};
+pub use control::BatchConfig;
 pub use dispatch::{DispatchPolicy, DispatchRequest, Dispatcher};
 pub use error::RuntimeError;
 pub use fault::scenario::{FlashCrowd, Scenario, ScenarioArrival, ScenarioConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use metrics::{
-    BatchStats, ClassMetrics, DeviceMetrics, ReplicationStats, RuntimeMetrics, StageMetrics,
-};
+pub use metrics::{BatchStats, ClassMetrics, DeviceMetrics, RuntimeMetrics, StageMetrics};
 pub use pool::{ChargeOutcome, TilePool, TileState};
 use request::workload_digest;
 pub use request::{KernelSpec, Request};
-pub use route::{RoutePolicy, TransferModel};
+pub use route::RoutePolicy;
 pub use session::{
     PipelineOutcome, PipelineReport, PipelineRequest, PipelineStage, ReorderBuffer, Session,
     SloClass,
@@ -254,7 +249,6 @@ pub struct ServeReport {
     rejected: Vec<RejectedRequest>,
     metrics: RuntimeMetrics,
     devices: Vec<DeviceMetrics>,
-    replication: ReplicationStats,
     observed: obs::Observed,
 }
 
@@ -331,12 +325,6 @@ impl ServeReport {
         self.devices.iter().map(|d| d.availability).collect()
     }
 
-    /// The replication layer's counters for this serve (all zero while
-    /// replication is disabled, the default).
-    pub fn replication(&self) -> ReplicationStats {
-        self.replication
-    }
-
     /// Every request's lifecycle spans, when the serve ran with
     /// [`Cluster::with_tracing`] enabled: the trace is built from the rows
     /// the serve kept, on first access to [`events`](obs::Trace::events).
@@ -354,12 +342,6 @@ impl ServeReport {
     /// [`Cluster::with_telemetry`] enabled.
     pub fn telemetry(&self) -> Option<&obs::TimeSeries> {
         self.observed.telemetry.as_ref()
-    }
-
-    /// The SLO burn-rate tracking, when the serve ran with both
-    /// [`Cluster::with_telemetry`] and [`Cluster::with_slo`] enabled.
-    pub fn slo(&self) -> Option<&obs::SloReport> {
-        self.observed.slo.as_ref()
     }
 }
 
@@ -608,7 +590,7 @@ pub(crate) struct Start {
 /// for its kernel is in the serve's kernel table ([`PrepContext`]), which an
 /// intake row names by slot. A request costs 80 bytes of intake row, a
 /// 32-byte start, an 8-byte run slot and a flag, and on the fleet tier a
-/// 48-byte routing row.
+/// 24-byte routing row (a displaced request's exclusions are kept apart).
 #[derive(Debug, Default)]
 pub(crate) struct LoopTables {
     /// Per intake index: the request's own facts ([`InFlight`]).
@@ -847,15 +829,16 @@ mod tests {
     /// (168 bytes while it copied the key, artifact, frequency, switch cost
     /// and image size), a start is all the loop keeps until the outcome is
     /// built (40 bytes with `usize` device and tile), a fleet routing row
-    /// keeps no image size (56 bytes while it did) and an outcome keeps its
-    /// metrics only in its run (144 bytes while it copied them).
+    /// keeps no image size (56 bytes while it did) and no exclusion set (48
+    /// bytes while every row carried one) and an outcome keeps its metrics
+    /// only in its run (144 bytes while it copied them).
     #[test]
     fn per_request_rows_stay_slim() {
         use std::mem::size_of;
         let sizes = [
             ("InFlight", size_of::<InFlight>(), 80),
             ("Option<Start>", size_of::<Option<Start>>(), 32),
-            ("Routed", size_of::<route::Routed>(), 48),
+            ("Routed", size_of::<route::Routed>(), 24),
             ("RequestOutcome", size_of::<RequestOutcome>(), 104),
         ];
         for (row, size, bound) in sizes {

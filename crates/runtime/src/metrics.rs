@@ -353,43 +353,10 @@ impl fmt::Display for ClassMetrics {
     }
 }
 
-/// Counters of the rate-driven replication layer
-/// ([`ReplicationConfig`](crate::ReplicationConfig)) for one cluster serve.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReplicationStats {
-    /// Kernel images pushed ahead of demand onto other devices.
-    pub replicas_pushed: usize,
-    /// Pushed replicas demoted (removed) from a pressured device store
-    /// after their kernel went cold.
-    pub replicas_demoted: usize,
-    /// Bytes of kernel image prefetched by replication pushes.
-    pub bytes_prefetched: u64,
-    /// Modeled time of the prefetch traffic (cheapest
-    /// [`TransferModel`](crate::TransferModel) source per push) — carried by
-    /// the otherwise-idle link, off the request critical path.
-    pub prefetch_us: f64,
-    /// Distinct kernels that crossed the hot threshold during the serve.
-    pub hot_kernels: usize,
-}
-
-impl fmt::Display for ReplicationStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} replica(s) pushed ({} B, {:.2} us prefetch), {} demoted, {} hot kernel(s)",
-            self.replicas_pushed,
-            self.bytes_prefetched,
-            self.prefetch_us,
-            self.replicas_demoted,
-            self.hot_kernels
-        )
-    }
-}
-
 /// One device's slice of a [`Cluster`](crate::Cluster) serve: the same
 /// utilization / queue / cache / deadline figures [`RuntimeMetrics`] reports
 /// pool-wide, keyed by device id, plus the cross-device transfer traffic the
-/// [`TransferModel`](crate::TransferModel) charged.
+/// transfer model (see [`route`](crate::route)) charged.
 ///
 /// Latency percentiles are per-device; the cluster-wide percentiles in the
 /// report's [`RuntimeMetrics`] totals are taken over every outcome. Both
@@ -419,10 +386,7 @@ pub struct DeviceMetrics {
     /// Per-tile request counts.
     pub tile_requests: Vec<usize>,
     /// This device's kernel-store counters (compiles at the home shard,
-    /// image adoptions from peers, lookups either way). Replication pushes
-    /// adopt through the same store path, so each prefetched image counts
-    /// as one store miss here — compare with
-    /// [`ReplicationStats::replicas_pushed`] when replication is on.
+    /// image adoptions from peers, lookups either way).
     pub cache: CacheStats,
     /// Served requests on this device whose completion exceeded their
     /// deadline.
@@ -573,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_replication_stats_display() {
+    fn batch_stats_display() {
         let batch = BatchStats {
             batches_formed: 2,
             batched_requests: 9,
@@ -592,18 +556,7 @@ mod tests {
             staged.to_string(),
             "2 batch(es), 9 batched request(s), 9 switch(es) avoided (4 pipeline stage(s))"
         );
-        let replication = ReplicationStats {
-            replicas_pushed: 3,
-            replicas_demoted: 1,
-            bytes_prefetched: 768,
-            prefetch_us: 1.25,
-            hot_kernels: 2,
-        };
-        let text = replication.to_string();
-        assert!(text.contains("3 replica(s) pushed (768 B, 1.25 us prefetch)"));
-        assert!(text.contains("1 demoted, 2 hot kernel(s)"));
         assert_eq!(BatchStats::default(), BatchStats::default());
-        assert_eq!(ReplicationStats::default().replicas_pushed, 0);
     }
 
     #[test]

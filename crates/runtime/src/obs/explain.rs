@@ -207,7 +207,6 @@ mod tests {
             acquire_us: 0.5,
             acquire_src: AcquireSource::Transfer,
             activation_us: 0.25,
-            ..Routed::default()
         };
         let start = ran((1, 0), 2.0, 7.0, true);
         probe.started(0, &start, 7.0, 1, 0.25, Some((&routed, 64)));

@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use crate::metrics::{ClassMetrics, DeviceMetrics, RuntimeMetrics};
 
 use super::profile::ProfileStats;
-use super::slo::SloReport;
 use super::timeline::TimeSeries;
 use super::trace::{SpanKind, Trace, TraceEvent};
 
@@ -107,7 +106,6 @@ fn args_of(event: &TraceEvent) -> String {
             fields.push(format!("\"source\":\"{}\"", json_escape(source)));
             fields.push(format!("\"bytes\":{bytes}"));
         }
-        SpanKind::Prefetch { bytes } => fields.push(format!("\"bytes\":{bytes}")),
         SpanKind::Batch { run_len } => fields.push(format!("\"run_len\":{run_len}")),
         SpanKind::DrainPhase { begin } => fields.push(format!("\"begin\":{begin}")),
         SpanKind::LinkDegrade { multiplier } => {
@@ -121,10 +119,6 @@ fn args_of(event: &TraceEvent) -> String {
         SpanKind::SloAdmit { class, admitted } => {
             fields.push(format!("\"slo_class\":\"{}\"", class.label()));
             fields.push(format!("\"admitted\":{admitted}"));
-        }
-        SpanKind::SloBurn { class, window } | SpanKind::SloClear { class, window } => {
-            fields.push(format!("\"slo_class\":\"{}\"", class.label()));
-            fields.push(format!("\"window\":{window}"));
         }
         _ => {}
     }
@@ -146,19 +140,17 @@ fn args_of(event: &TraceEvent) -> String {
 /// `profile` is given, process 0 carries one host-time lane per stage —
 /// the ns/event attribution laid out next to the virtual timeline.
 pub fn perfetto_trace_json(trace: &Trace, profile: Option<&ProfileStats>, label: &str) -> String {
-    perfetto_trace_json_with_telemetry(trace, profile, None, None, label)
+    perfetto_trace_json_with_telemetry(trace, profile, None, label)
 }
 
 /// [`perfetto_trace_json`] plus a top-level `"telemetry"` section carrying
-/// the windowed [`TimeSeries`] (and, when SLO objectives were tracked, the
-/// per-class burn samples and alerts) — the same artifact CI archives, now
+/// the windowed [`TimeSeries`] — the same artifact CI archives, now
 /// chartable without re-running the serve. The extra key is ignored by
 /// Perfetto and passes [`validate_chrome_trace`] unchanged.
 pub fn perfetto_trace_json_with_telemetry(
     trace: &Trace,
     profile: Option<&ProfileStats>,
     telemetry: Option<&TimeSeries>,
-    slo: Option<&SloReport>,
     label: &str,
 ) -> String {
     let mut events: Vec<String> = Vec::new();
@@ -279,7 +271,7 @@ pub fn perfetto_trace_json_with_telemetry(
     }
     json.push_str("  ],\n");
     if let Some(series) = telemetry {
-        let _ = writeln!(json, "  \"telemetry\": {},", telemetry_json(series, slo));
+        let _ = writeln!(json, "  \"telemetry\": {},", telemetry_json(series));
     }
     let _ = writeln!(json, "  \"displayTimeUnit\": \"ms\",");
     let _ = writeln!(
@@ -291,9 +283,9 @@ pub fn perfetto_trace_json_with_telemetry(
     json
 }
 
-/// Renders the windowed time-series (and optional SLO tracking) as the JSON
-/// object embedded under the artifact's top-level `"telemetry"` key.
-fn telemetry_json(series: &TimeSeries, slo: Option<&SloReport>) -> String {
+/// Renders the windowed time-series as the JSON object embedded under the
+/// artifact's top-level `"telemetry"` key.
+fn telemetry_json(series: &TimeSeries) -> String {
     let mut out = String::new();
     out.push('{');
     let _ = write!(
@@ -344,61 +336,6 @@ fn telemetry_json(series: &TimeSeries, slo: Option<&SloReport>) -> String {
         out.push_str("]}");
     }
     out.push(']');
-    if let Some(report) = slo {
-        out.push_str(",\"slo\":[");
-        for (index, status) in report.classes.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"slo_class\":\"{}\",\"target_miss_rate\":{},\"fast_windows\":{},\
-                 \"slow_windows\":{},\"burn_threshold\":{},\"budget_consumed\":{},\
-                 \"samples\":[",
-                status.objective.class.label(),
-                num(status.objective.target_miss_rate),
-                status.objective.fast_windows,
-                status.objective.slow_windows,
-                num(status.objective.burn_threshold),
-                num(status.budget_consumed),
-            );
-            for (i, sample) in status.samples.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"window\":{},\"time_us\":{},\"fast_burn\":{},\"slow_burn\":{},\
-                     \"alerting\":{}}}",
-                    sample.window,
-                    num(sample.time_us),
-                    num(sample.fast_burn),
-                    num(sample.slow_burn),
-                    sample.alerting,
-                );
-            }
-            out.push_str("],\"alerts\":[");
-            for (i, alert) in status.alerts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let cleared_window = alert
-                    .cleared_window
-                    .map_or("null".into(), |w| w.to_string());
-                let cleared_us = alert.cleared_us.map_or("null".into(), num);
-                let _ = write!(
-                    out,
-                    "{{\"fired_window\":{},\"fired_us\":{},\"cleared_window\":{cleared_window},\
-                     \"cleared_us\":{cleared_us},\"peak_fast_burn\":{}}}",
-                    alert.fired_window,
-                    num(alert.fired_us),
-                    num(alert.peak_fast_burn),
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-    }
     out.push('}');
     out
 }
@@ -494,14 +431,12 @@ pub fn prometheus_text(metrics: &RuntimeMetrics) -> String {
 }
 
 /// [`prometheus_text`] plus the labeled breakdowns a cluster serve carries:
-/// per-device series under a `device="…"` label, per-SLO-class series under
-/// `slo_class="…"`, and — when SLO objectives were tracked — the burn-rate
-/// gauges the alerts fired on.
+/// per-device series under a `device="…"` label and per-SLO-class series
+/// under `slo_class="…"`.
 pub fn prometheus_text_labeled(
     metrics: &RuntimeMetrics,
     devices: &[DeviceMetrics],
     classes: &[ClassMetrics],
-    slo: Option<&SloReport>,
 ) -> String {
     let mut out = prometheus_text(metrics);
 
@@ -607,44 +542,6 @@ pub fn prometheus_text_labeled(
         class_rows(&|c| num(c.p99_latency_us)),
     );
 
-    if let Some(report) = slo {
-        let status_rows = |value: &dyn Fn(&super::slo::SloStatus) -> String| {
-            report
-                .classes
-                .iter()
-                .map(|s| {
-                    (
-                        format!("slo_class=\"{}\"", s.objective.class.label()),
-                        value(s),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        series(
-            "tm_slo_budget_consumed",
-            "gauge",
-            "Whole-serve deadline miss-rate over the class's error budget.",
-            status_rows(&|s| num(s.budget_consumed)),
-        );
-        series(
-            "tm_slo_burn_alerts_total",
-            "counter",
-            "Burn-rate alerts fired per SLO class.",
-            status_rows(&|s| s.alerts.len().to_string()),
-        );
-        series(
-            "tm_slo_peak_fast_burn",
-            "gauge",
-            "Largest fast-window burn rate observed per SLO class.",
-            status_rows(&|s| {
-                num(s
-                    .samples
-                    .iter()
-                    .map(|sample| sample.fast_burn)
-                    .fold(0.0, f64::max))
-            }),
-        );
-    }
     out
 }
 

@@ -3,12 +3,9 @@
 use std::time::Instant;
 
 use super::profile::{ProfileStats, Stage};
-use super::slo::{burn_spans, evaluate_slo};
 use super::timeline::Series;
-use super::trace::{
-    counter, device_event, CounterName, Logged, RouteMark, SpanKind, Step, TileStart, Trace,
-};
-use super::{SloConfig, SloReport, TelemetryConfig, TimeSeries, TraceConfig};
+use super::trace::{device_event, Logged, RouteMark, SpanKind, Step, TileStart, Trace};
+use super::{TelemetryConfig, TimeSeries, TraceConfig};
 use crate::fault::FaultKind;
 use crate::route::{AcquireSource, Routed};
 use crate::session::SloClass;
@@ -21,7 +18,6 @@ pub(crate) struct Observing {
     pub(crate) tracing: TraceConfig,
     pub(crate) profiling: bool,
     pub(crate) telemetry: TelemetryConfig,
-    pub(crate) slo: SloConfig,
 }
 
 /// What a serve observed: one report per family that was on.
@@ -30,7 +26,6 @@ pub(crate) struct Observed {
     pub(crate) trace: Option<Trace>,
     pub(crate) profile: Option<ProfileStats>,
     pub(crate) telemetry: Option<TimeSeries>,
-    pub(crate) slo: Option<SloReport>,
 }
 
 /// The event loop's one way to observe a serve: each method reports one
@@ -41,7 +36,6 @@ pub(crate) struct Probe {
     trace: Option<Trace>,
     profile: Option<ProfileStats>,
     series: Option<Series>,
-    slo: SloConfig,
     /// Per intake index, on a traced or telemetered pipeline serve: the
     /// stage's SLO class — the one place a request's class is worked out.
     /// Empty otherwise: every request is Standard, and no admission spans a
@@ -80,7 +74,6 @@ impl Probe {
             trace,
             profile: observing.profiling.then(ProfileStats::default),
             series,
-            slo: observing.slo.clone(),
             classes,
         }
     }
@@ -186,18 +179,6 @@ impl Probe {
         }
     }
 
-    /// Replication pushed a `bytes`-sized image onto `device` ahead of
-    /// demand.
-    pub(crate) fn replica_pushed(&mut self, time_us: f64, device: usize, bytes: u64) {
-        self.on_device(time_us, device, SpanKind::Prefetch { bytes });
-        self.on_device(time_us, device, counter(CounterName::ReplicaPushed));
-    }
-
-    /// Replication demoted one of its pushed images from `device`.
-    pub(crate) fn replica_demoted(&mut self, time_us: f64, device: usize) {
-        self.on_device(time_us, device, counter(CounterName::ReplicaDemoted));
-    }
-
     /// A scheduled fault fired.
     pub(crate) fn fault(&mut self, time_us: f64, fault: FaultKind) {
         let kind = match fault {
@@ -255,31 +236,24 @@ impl Probe {
     }
 
     /// What the serve observed, once its last event at `makespan_us` has
-    /// fired: the series assembled, SLO burn evaluated against it, and the
-    /// trace completed with `requests`' `(id, arrival µs)` in intake order,
-    /// the fleet's routing `policy` and the burn alerts.
+    /// fired: the series assembled, and the trace completed with
+    /// `requests`' `(id, arrival µs)` in intake order and the fleet's
+    /// routing `policy`.
     pub(crate) fn finish(
         self,
         requests: impl Iterator<Item = (u64, f64)>,
         policy: Option<&'static str>,
         makespan_us: f64,
     ) -> Observed {
-        let telemetry = self.series.map(|series| series.assemble(makespan_us));
-        let slo = telemetry
-            .as_ref()
-            .filter(|_| self.slo.is_enabled())
-            .map(|series| evaluate_slo(series, &self.slo));
         let trace = self.trace.map(|mut trace| {
             trace.requests = requests.collect();
             trace.policy = policy;
-            trace.alerts = slo.as_ref().map_or_else(Vec::new, burn_spans);
             trace
         });
         Observed {
             trace,
             profile: self.profile,
-            telemetry,
-            slo,
+            telemetry: self.series.map(|series| series.assemble(makespan_us)),
         }
     }
 }

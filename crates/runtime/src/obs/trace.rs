@@ -5,9 +5,8 @@
 //! decision anyway: a time-stamped per-request log (every admission verdict,
 //! every routing decision on the fleet tier, and the rare events —
 //! displacements, sheds, stage readiness and activation transfers), one row
-//! per tile start, and the device-level events (fault transitions, memo
-//! hits, replica pushes and demotions), plus the SLO burn alerts evaluated
-//! at serve end. An untraced serve keeps none of them. Nothing is bounded
+//! per tile start, and the device-level events (fault transitions and memo
+//! hits). An untraced serve keeps none of them. Nothing is bounded
 //! and nothing is dropped: every request's spans are in the trace.
 //!
 //! [`Trace::events`] builds the typed [`TraceEvent`]s from those rows once,
@@ -16,9 +15,8 @@
 //! admission → [SLO admission] → [reject | activation transfers → queue wait
 //! → batch → acquire → activation → context switch → run → commit]), a
 //! displaced attempt's spans and its requeue ahead of the retry's; then the
-//! device-level events (memo hits, replica pushes and demotions with their
-//! prefetches, fault transitions) by time, ties by device and then span
-//! label; then the SLO burn alerts in the order the tracker raised them.
+//! device-level events (memo hits and fault transitions) by time, ties by
+//! device and then span label.
 //! Times are virtual microseconds, the same clock the
 //! [`EventQueue`](crate::event) runs on.
 
@@ -55,13 +53,9 @@ impl TraceConfig {
     }
 }
 
-/// Which control-plane counter a [`SpanKind::Counter`] event samples.
+/// Which counter a [`SpanKind::Counter`] event samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterName {
-    /// A kernel image was pushed ahead of demand by the replicator.
-    ReplicaPushed,
-    /// A pushed replica was demoted from a pressured device store.
-    ReplicaDemoted,
     /// A request's simulation was answered from the memo.
     MemoHit,
 }
@@ -70,8 +64,6 @@ impl CounterName {
     /// The counter's export name.
     pub fn label(&self) -> &'static str {
         match self {
-            CounterName::ReplicaPushed => "replicas_pushed",
-            CounterName::ReplicaDemoted => "replicas_demoted",
             CounterName::MemoHit => "sim_memo_hits",
         }
     }
@@ -85,7 +77,7 @@ pub struct RouteChoice {
     /// The chosen device.
     pub chosen: usize,
     /// `(device, estimated completion µs)` for each candidate weighed;
-    /// empty for policies that never estimate (hash, least-loaded).
+    /// empty for a policy that never estimates (kernel hash).
     pub candidates: Vec<(usize, f64)>,
 }
 
@@ -112,12 +104,6 @@ pub enum SpanKind {
         /// Where the image came from (`"transfer"` or `"host"`).
         source: &'static str,
         /// Image bytes moved (0 for host loads).
-        bytes: u64,
-    },
-    /// A replication push moving an image ahead of demand (instant,
-    /// device-level, off the request critical path).
-    Prefetch {
-        /// Image bytes prefetched.
         bytes: u64,
     },
     /// The tile's instruction-reload context switch for this request.
@@ -188,23 +174,6 @@ pub enum SpanKind {
     /// critical path, between image acquisition and the context switch
     /// (pipeline serves only).
     Activation,
-    /// An SLO error-budget burn alert fired: the class's fast- and
-    /// slow-window burn rates both crossed the objective's threshold at
-    /// this window close (instant, device 0).
-    SloBurn {
-        /// The alerting SLO class.
-        class: SloClass,
-        /// The telemetry window index the alert fired at.
-        window: u64,
-    },
-    /// A previously fired burn alert cleared: the fast-window burn rate
-    /// dropped back under threshold (instant, device 0).
-    SloClear {
-        /// The recovering SLO class.
-        class: SloClass,
-        /// The telemetry window index the alert cleared at.
-        window: u64,
-    },
 }
 
 impl SpanKind {
@@ -216,7 +185,6 @@ impl SpanKind {
             SpanKind::RouteChoice(_) => "route",
             SpanKind::QueueWait => "queue-wait",
             SpanKind::Acquire { .. } => "acquire",
-            SpanKind::Prefetch { .. } => "prefetch",
             SpanKind::ContextSwitch => "context-switch",
             SpanKind::Batch { .. } => "batch",
             SpanKind::Run => "run",
@@ -232,8 +200,6 @@ impl SpanKind {
             SpanKind::StageTransfer { .. } => "stage-transfer",
             SpanKind::SloAdmit { .. } => "slo-admit",
             SpanKind::Activation => "activation",
-            SpanKind::SloBurn { .. } => "slo-burn",
-            SpanKind::SloClear { .. } => "slo-clear",
         }
     }
 }
@@ -249,7 +215,7 @@ pub struct TraceEvent {
     pub time_us: f64,
     /// Span duration, virtual microseconds (0 for instants).
     pub dur_us: f64,
-    /// The request this span belongs to (`None` for counters/prefetches).
+    /// The request this span belongs to (`None` for device-level events).
     pub request_id: Option<u64>,
     /// The device the span happened on.
     pub device: usize,
@@ -353,8 +319,6 @@ pub struct Trace {
     /// simulation. A warm serve hits on every request, so a hit costs a
     /// byte; its counter sample is derived at the request's admission.
     pub(super) memo_hits: Vec<bool>,
-    /// SLO burn alerts, appended at serve end.
-    pub(super) alerts: Vec<TraceEvent>,
     pub(super) events: OnceLock<Vec<TraceEvent>>,
 }
 
@@ -368,8 +332,7 @@ impl Trace {
     /// Every span, built on the first call from the rows the serve kept:
     /// each request's spans in intake order, each in lifecycle order (a
     /// displaced attempt and its requeue ahead of the retry); then the
-    /// device-level events by time, ties by device and then label; then
-    /// the SLO burn alerts as they were raised.
+    /// device-level events by time, ties by device and then label.
     pub fn events(&self) -> &[TraceEvent] {
         self.events.get_or_init(|| self.derive())
     }
@@ -410,12 +373,12 @@ impl Trace {
             }
         }
         out.extend(self.device_events.iter().cloned());
-        // Each counter's running total, in the order its samples were noted.
-        let mut totals = [0; 3];
+        // The counter's running total, in the order its samples were noted.
+        let mut total = 0;
         for event in &mut out[device_level..] {
-            if let SpanKind::Counter { name, value } = &mut event.kind {
-                totals[*name as usize] += 1;
-                *value = totals[*name as usize];
+            if let SpanKind::Counter { value, .. } = &mut event.kind {
+                total += 1;
+                *value = total;
             }
         }
         out[device_level..].sort_by(|a, b| {
@@ -424,7 +387,6 @@ impl Trace {
                 .then(a.device.cmp(&b.device))
                 .then(a.kind.label().cmp(b.kind.label()))
         });
-        out.extend(self.alerts.iter().cloned());
         out
     }
 
@@ -636,9 +598,6 @@ mod tests {
             probe.memo_hit(index);
         }
         probe.admitted(2, 0, 3.0, false);
-        probe.replica_pushed(0.5, 1, 64);
-        probe.replica_demoted(0.75, 1);
-        probe.replica_pushed(4.0, 0, 32);
         let trace = probe.into_trace(&[(7, 1.0), (8, 1.0), (9, 3.0)], None);
         let counters: Vec<(f64, usize, &str, u64)> = trace
             .events()
@@ -650,13 +609,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let expected = [
-            (0.5, 1, "replicas_pushed", 1),
-            (0.75, 1, "replicas_demoted", 1),
-            (1.0, 0, "sim_memo_hits", 2),
-            (2.0, 1, "sim_memo_hits", 1),
-            (4.0, 0, "replicas_pushed", 2),
-        ];
+        let expected = [(1.0, 0, "sim_memo_hits", 2), (2.0, 1, "sim_memo_hits", 1)];
         assert_eq!(counters, expected);
     }
 
@@ -817,14 +770,11 @@ mod tests {
                 source: "host",
                 bytes: 0,
             },
-            SpanKind::Prefetch { bytes: 0 },
             SpanKind::ContextSwitch,
             SpanKind::Batch { run_len: 2 },
             SpanKind::Run,
             SpanKind::Commit,
             SpanKind::Reject,
-            counter(CounterName::ReplicaPushed),
-            counter(CounterName::ReplicaDemoted),
             counter(CounterName::MemoHit),
             SpanKind::DeviceDown,
             SpanKind::DeviceUp,
@@ -838,8 +788,6 @@ mod tests {
                 admitted: true,
             },
             SpanKind::Activation,
-            SpanKind::SloBurn { class, window: 0 },
-            SpanKind::SloClear { class, window: 0 },
         ];
         let labels: std::collections::BTreeSet<&str> = kinds.iter().map(SpanKind::label).collect();
         assert_eq!(labels.len(), kinds.len());
@@ -893,12 +841,8 @@ mod tests {
 
     #[test]
     fn telemetry_spans_round_trip() {
-        // The activation span sits ahead of the switch on its tile; burn
-        // alerts come last, as the tracker raised them, after every
-        // device-level event whatever their times.
-        let (class, window) = (SloClass::Standard, 17);
-        let burn = device_event(3.0, 0, SpanKind::SloBurn { class, window });
-        let clear = device_event(5.0, 0, SpanKind::SloClear { class, window });
+        // The activation span sits ahead of the switch on its tile; the
+        // device-level events come after every request's spans.
         let mut probe = Probe::tracing();
         probe.admitted(0, 1, 0.0, true);
         probe.memo_hit(0);
@@ -908,15 +852,11 @@ mod tests {
         };
         let start = ran((1, 2), 1.0, 4.0, true);
         probe.started(0, &start, 4.0, 1, 0.25, Some((&routed, 0)));
-        probe.replica_pushed(9.0, 0, 8);
-        let mut trace = probe.into_trace(&[(7, 0.0)], None);
-        trace.alerts = vec![burn.clone(), clear.clone()];
+        let trace = probe.into_trace(&[(7, 0.0)], None);
         let activation = trace.spans_for(7)[3];
         assert_eq!(activation.kind, SpanKind::Activation);
         assert_eq!((activation.time_us, activation.dur_us), (1.0, 0.5));
         let events = trace.events();
-        let tail = "sim_memo_hits prefetch replicas_pushed slo-burn slo-clear";
-        assert_eq!(labels(&events[events.len() - 5..]), tail);
-        assert_eq!(events[events.len() - 2..], [burn, clear]);
+        assert_eq!(labels(&events[events.len() - 1..]), "sim_memo_hits");
     }
 }

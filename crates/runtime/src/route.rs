@@ -3,21 +3,19 @@
 //!
 //! A [`Cluster`](crate::Cluster) adds one decision *above* tile placement:
 //! every arrival is first routed to a device, and only then does that
-//! device's [`Dispatcher`](crate::Dispatcher) pick a tile. Three policies
-//! cover the classic sharding trade-offs:
+//! device's [`Dispatcher`](crate::Dispatcher) pick a tile. Two policies
+//! cover the classic sharding trade-off:
 //!
 //! * [`RoutePolicy::KernelHash`] — a stable shard by kernel content: every
 //!   request for kernel `k` lands on `hash(k) mod devices`, so each device
 //!   only ever hosts its own kernel subset (maximum residency, zero
 //!   balancing);
-//! * [`RoutePolicy::LeastLoaded`] — the device with the fewest waiting
-//!   requests (ties: fewest busy tiles, then lowest id), a minimum over
-//!   the devices' live load summaries;
 //! * [`RoutePolicy::PowerOfTwoChoices`] — two deterministically-hashed
 //!   candidate devices, compared by *estimated completion* (each answered
 //!   from that device's residency index, with the transfer-adjusted switch
 //!   cost), taking the better. The classic load-balancing compromise:
-//!   almost as balanced as least-loaded, almost as sticky as hashing.
+//!   nearly as balanced as probing every device, almost as sticky as
+//!   hashing.
 //!
 //! # The transfer model
 //!
@@ -33,6 +31,10 @@
 //!   image: `hops · hop_latency_us + bytes · link_us_per_byte`, counted in
 //!   the per-device transfer metrics.
 //!
+//! The prices are fixed (a ~10 GB/s link against a host DMA path with ~10×
+//! the per-byte cost); only a fault plan's link degradation changes them,
+//! slowing the link while the host path keeps its price.
+//!
 //! The acquisition delay is charged into the request's switch phase and —
 //! crucially — into the completion *estimates* routing and placement
 //! compare, so sending a kernel to a device where it is cold correctly
@@ -40,19 +42,20 @@
 //! where it is warm. A single-device cluster never acquires anything
 //! (images enter the store at compile time).
 //!
-//! The same [`TransferModel`] prices the session tier's *activation*
-//! transfers: when consecutive stages of a
-//! [`PipelineRequest`](crate::PipelineRequest) land on different devices,
-//! the producer's output bytes cross the same linear link (`hops ·
-//! hop_latency_us + bytes · link_us_per_byte`), and a stage whose producer
-//! died restores its inputs from the host checkpoint at host-load rates.
-//! Stage-affinity routing, always on for pipeline serves, may override
-//! the policy's pick with the producer's device when the modeled transfer
-//! saving outweighs the queueing penalty — kernel-image acquisition is then
-//! re-priced for the overridden device, so both costs always describe the
-//! device the stage actually runs on.
+//! The same model prices the session tier's *activation* transfers: when
+//! consecutive stages of a [`PipelineRequest`](crate::PipelineRequest) land
+//! on different devices, the producer's output bytes cross the same linear
+//! link (`hops · hop_latency_us + bytes · link_us_per_byte`), and a stage
+//! whose producer died restores its inputs from the host checkpoint at
+//! host-load rates. Stage-affinity routing, always on for pipeline serves,
+//! may override the policy's pick with the producer's device when the
+//! modeled transfer saving outweighs the queueing penalty — kernel-image
+//! acquisition is then re-priced for the overridden device, so both costs
+//! always describe the device the stage actually runs on.
 
 use std::fmt;
+
+use crate::cache::FnvHashMap;
 
 /// How a [`Cluster`](crate::Cluster) routes each arrival to a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -61,9 +64,6 @@ pub enum RoutePolicy {
     /// land on the same device (deterministic under resubmission).
     #[default]
     KernelHash,
-    /// The device with the fewest waiting requests (ties: fewest busy
-    /// tiles, then lowest id).
-    LeastLoaded,
     /// Two hash-sampled candidate devices, compared by estimated completion
     /// (transfer cost included); the better one wins.
     PowerOfTwoChoices,
@@ -71,17 +71,12 @@ pub enum RoutePolicy {
 
 impl RoutePolicy {
     /// Every policy, in documentation order.
-    pub const ALL: [RoutePolicy; 3] = [
-        RoutePolicy::KernelHash,
-        RoutePolicy::LeastLoaded,
-        RoutePolicy::PowerOfTwoChoices,
-    ];
+    pub const ALL: [RoutePolicy; 2] = [RoutePolicy::KernelHash, RoutePolicy::PowerOfTwoChoices];
 
     /// The policy's export label (what trace route-choice spans carry).
     pub fn label(&self) -> &'static str {
         match self {
             RoutePolicy::KernelHash => "kernel-hash",
-            RoutePolicy::LeastLoaded => "least-loaded",
             RoutePolicy::PowerOfTwoChoices => "power-of-two",
         }
     }
@@ -89,11 +84,7 @@ impl RoutePolicy {
 
 impl fmt::Display for RoutePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutePolicy::KernelHash => f.write_str("kernel-hash"),
-            RoutePolicy::LeastLoaded => f.write_str("least-loaded"),
-            RoutePolicy::PowerOfTwoChoices => f.write_str("power-of-two"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -101,27 +92,28 @@ impl fmt::Display for RoutePolicy {
 /// inter-device link (per-hop latency plus per-byte cost) against a host
 /// load path (fixed latency plus a slower per-byte cost).
 ///
-/// The defaults model a ~10 GB/s device-to-device serial link with 0.5 µs
-/// per-hop setup against a host DMA path with ~10× the per-byte cost and a
-/// 5 µs driver round trip — so pulling a kernel that is warm on a neighbor
-/// device beats reloading it from the host, and both are visible next to
-/// the [`ReconfigModel`](overlay_arch::ReconfigModel) switch costs they
+/// The model (see [`new`](TransferModel::new)) is a ~10 GB/s
+/// device-to-device serial link with 0.5 µs per-hop setup against a host
+/// DMA path with ~10× the per-byte cost and a 5 µs driver round trip — so
+/// pulling a kernel that is warm on a neighbor device beats reloading it
+/// from the host, and both are visible next to the
+/// [`ReconfigModel`](overlay_arch::ReconfigModel) switch costs they
 /// precede.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferModel {
+pub(crate) struct TransferModel {
     /// Per-hop link latency between adjacent devices, microseconds.
-    pub hop_latency_us: f64,
+    pub(crate) hop_latency_us: f64,
     /// Per-byte cost on the inter-device link, microseconds.
-    pub link_us_per_byte: f64,
+    pub(crate) link_us_per_byte: f64,
     /// Fixed latency of a host load, microseconds.
-    pub host_latency_us: f64,
+    pub(crate) host_latency_us: f64,
     /// Per-byte cost of a host load, microseconds.
-    pub host_us_per_byte: f64,
+    pub(crate) host_us_per_byte: f64,
 }
 
 impl TransferModel {
-    /// The default model (see the type-level docs).
-    pub const fn new() -> Self {
+    /// The one model every cluster prices with (see the type-level docs).
+    pub(crate) const fn new() -> Self {
         TransferModel {
             hop_latency_us: 0.5,
             link_us_per_byte: 1.0e-4,
@@ -130,25 +122,14 @@ impl TransferModel {
         }
     }
 
-    /// A zero-cost model: transfers and host loads are free (useful to
-    /// isolate routing behavior from acquisition costs).
-    pub const fn free() -> Self {
-        TransferModel {
-            hop_latency_us: 0.0,
-            link_us_per_byte: 0.0,
-            host_latency_us: 0.0,
-            host_us_per_byte: 0.0,
-        }
-    }
-
     /// Cost of moving `bytes` over `hops` inter-device links (pipelined:
     /// the per-byte cost is paid once, the latency per hop).
-    pub fn link_transfer_us(&self, hops: usize, bytes: usize) -> f64 {
+    pub(crate) fn link_transfer_us(&self, hops: usize, bytes: usize) -> f64 {
         hops as f64 * self.hop_latency_us + bytes as f64 * self.link_us_per_byte
     }
 
     /// Cost of loading `bytes` from the host.
-    pub fn host_load_us(&self, bytes: usize) -> f64 {
+    pub(crate) fn host_load_us(&self, bytes: usize) -> f64 {
         self.host_latency_us + bytes as f64 * self.host_us_per_byte
     }
 
@@ -158,18 +139,12 @@ impl TransferModel {
     /// link and keeps its price, so a saturated multiplier prices every
     /// peer out and acquisition falls back to host loads.
     #[must_use]
-    pub fn degraded(&self, multiplier: f64) -> Self {
+    pub(crate) fn degraded(&self, multiplier: f64) -> Self {
         TransferModel {
             hop_latency_us: self.hop_latency_us * multiplier,
             link_us_per_byte: self.link_us_per_byte * multiplier,
             ..*self
         }
-    }
-}
-
-impl Default for TransferModel {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -237,9 +212,6 @@ pub(crate) struct Routed {
     /// so the row need not keep its bytes).
     pub(crate) acquire_us: f64,
     pub(crate) acquire_src: AcquireSource,
-    /// Devices a fault displaced the request off — routing avoids them
-    /// while any other serviceable device exists.
-    pub(crate) exclusions: ExclusionSet,
     /// The inter-stage activation delay priced at the routing commit (zero
     /// without a session driver).
     pub(crate) activation_us: f64,
@@ -248,9 +220,8 @@ pub(crate) struct Routed {
 /// The cheapest way for `target` to acquire a `bytes`-sized kernel image,
 /// given the devices whose stores currently hold it: a transfer from the
 /// nearest holding peer over the linear link, or the host-load path —
-/// whichever is cheaper (peer ties break toward the lowest id). Shared by
-/// demand acquisition (charged into the requester's switch phase) and the
-/// replication layer's prefetch-cost accounting.
+/// whichever is cheaper (peer ties break toward the lowest id), charged
+/// into the requester's switch phase.
 pub(crate) fn cheapest_acquisition(
     transfer: &TransferModel,
     holders: impl Iterator<Item = usize>,
@@ -325,6 +296,25 @@ impl ExclusionSet {
     }
 }
 
+/// The exclusion sets of one serve's displaced requests, by intake index.
+/// Only a request a fault displaced has a set; every other request reads an
+/// empty one, so the per-request routing rows carry none.
+#[derive(Debug, Default)]
+pub(crate) struct Exclusions(FnvHashMap<usize, ExclusionSet>);
+
+impl Exclusions {
+    /// Excludes `device` for request `index` from now on.
+    pub(crate) fn insert(&mut self, index: usize, device: usize) {
+        self.0.entry(index).or_default().insert(device);
+    }
+
+    /// The devices request `index` was displaced off.
+    pub(crate) fn of(&self, index: usize) -> &ExclusionSet {
+        static NONE: ExclusionSet = ExclusionSet { words: Vec::new() };
+        self.0.get(&index).unwrap_or(&NONE)
+    }
+}
+
 /// The kernel's home under stable sharding, restricted to eligible devices:
 /// the first eligible device scanning cyclically upward from
 /// [`kernel_home`]. With every device eligible this *is* `kernel_home` (the
@@ -371,19 +361,6 @@ pub(crate) fn power_of_two_pair_eligible(
             ))
         }
     }
-}
-
-/// The least-loaded eligible device: the minimum `(waiting, busy_tiles,
-/// id)` load key among the eligible devices, in whatever order the keys
-/// come. `None` when no device is eligible.
-pub(crate) fn least_loaded_eligible(
-    load_keys: impl Iterator<Item = (usize, usize, usize)>,
-    eligible: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    load_keys
-        .filter(|&(_, _, id)| eligible(id))
-        .min()
-        .map(|(_, _, id)| id)
 }
 
 #[cfg(test)]
@@ -437,17 +414,13 @@ mod tests {
         assert!(model.link_transfer_us(1, 200) > model.link_transfer_us(1, 100));
         // A one-hop transfer of a small image beats the host load.
         assert!(model.link_transfer_us(1, 512) < model.host_load_us(512));
-        let free = TransferModel::free();
-        assert_eq!(free.link_transfer_us(3, 4096), 0.0);
-        assert_eq!(free.host_load_us(4096), 0.0);
-        assert_eq!(TransferModel::default(), TransferModel::new());
     }
 
     #[test]
     fn policies_display_and_default() {
         assert_eq!(RoutePolicy::default(), RoutePolicy::KernelHash);
         let names: Vec<String> = RoutePolicy::ALL.iter().map(|p| p.to_string()).collect();
-        assert_eq!(names, vec!["kernel-hash", "least-loaded", "power-of-two"]);
+        assert_eq!(names, vec!["kernel-hash", "power-of-two"]);
     }
 
     #[test]
@@ -486,6 +459,13 @@ mod tests {
         assert!(!set.contains(2));
         assert!(!set.contains(131));
         assert_eq!(set, set.clone());
+        // A serve's side table: only a displaced request has a set.
+        let mut displaced = Exclusions::default();
+        assert!(displaced.of(7).is_empty());
+        displaced.insert(7, 3);
+        displaced.insert(7, 130);
+        assert!(displaced.of(7).contains(3) && displaced.of(7).contains(130));
+        assert!(displaced.of(8).is_empty());
     }
 
     #[test]
@@ -552,29 +532,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn least_loaded_eligible_skips_to_the_first_eligible_key() {
-        // Device-id order, as the cluster hands the keys over.
-        let keys = [(1usize, 0usize, 0usize), (3, 1, 1), (0, 0, 2)];
-        // Everything eligible: the overall minimum wins, as without faults.
-        assert_eq!(
-            least_loaded_eligible(keys.iter().copied(), |_| true),
-            Some(2)
-        );
-        // Minimum excluded: the next-least-loaded key.
-        assert_eq!(
-            least_loaded_eligible(keys.iter().copied(), |d| d != 2),
-            Some(0)
-        );
-        assert_eq!(
-            least_loaded_eligible(keys.iter().copied(), |d| d == 1),
-            Some(1)
-        );
-        // Nothing eligible (or no devices): the all-excluded path.
-        assert_eq!(least_loaded_eligible(keys.iter().copied(), |_| false), None);
-        assert_eq!(least_loaded_eligible(std::iter::empty(), |_| true), None);
     }
 
     #[test]

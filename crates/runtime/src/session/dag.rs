@@ -42,7 +42,7 @@ pub struct PipelineStage {
     /// stage consumes. Empty for root stages.
     pub deps: Vec<usize>,
     /// Bytes of activation data this stage produces for each consumer —
-    /// what the [`TransferModel`](crate::TransferModel) prices when a
+    /// what the transfer model (see [`route`](crate::route)) prices when a
     /// consumer lands on a different device.
     pub output_bytes: u64,
 }

@@ -10,10 +10,9 @@
 //!   routing/admission path; the completion of its last dependency releases
 //!   it back as a same-instant arrival event;
 //! * **activation pricing** — when consecutive stages land on different
-//!   devices, the producer's output bytes ride the
-//!   [`TransferModel`](crate::TransferModel) link (or the host checkpoint
-//!   path when the producer device has died) and the cost is charged ahead
-//!   of the consumer's context switch;
+//!   devices, the producer's output bytes ride the inter-device link (or
+//!   the host checkpoint path when the producer device has died) and the
+//!   cost is charged ahead of the consumer's context switch;
 //! * **stage affinity** — routing overrides its load-driven choice with
 //!   the producer device of the heaviest input whenever the activation
 //!   savings beat the queueing penalty;

@@ -18,7 +18,7 @@
 //! the event loop's phases, the serve's tiers (`control::Tiers`) add a
 //! stage-completion edge (a committing stage releases the successors whose
 //! inputs are now all ready), price inter-stage activations with the
-//! existing [`TransferModel`](crate::TransferModel) when consecutive stages
+//! [`route`](crate::route) module's transfer model when consecutive stages
 //! land on different devices, and teach routing *stage affinity* — keep a
 //! pipeline's next stage near its producer's output unless queue load says
 //! otherwise.
@@ -131,7 +131,7 @@ impl Cluster {
     /// [`Session`]s (see the [`session`](crate::session) module docs): each
     /// pipeline's DAG is validated up front, its stages flow through the
     /// normal route/admit/place machinery with dependency parking, stage
-    /// affinity, [`TransferModel`](crate::TransferModel)-priced inter-stage activations and
+    /// affinity, inter-stage activations priced by the transfer model and
     /// weighted-fair SLO admission, and the outcomes commit in submission
     /// order per session through a reorder buffer.
     ///

@@ -8,16 +8,15 @@
 //!    tenant's deadlines than FIFO affinity;
 //! 3. an admission limit sheds load and caps the waiting queue;
 //! 4. four devices cut the deadline misses of one, and kernel-hash routing
-//!    never moves an image;
-//! 5. batching cuts switches and replication pushes hot images ahead of
-//!    demand;
+//!    never moves an image and switches no more than power-of-two routing;
+//! 5. batching cuts switches;
 //! 6. tracing is transparent, and its Perfetto export lands in
 //!    `target/serving_trace.json`;
 //! 7. scenario traffic survives a kill and a drain with nothing lost;
 //! 8. pipelines under SLO classes survive a kill, and stage affinity keeps
 //!    stages next to their producers until a producer's device drains;
-//! 9. telemetry and SLO tracking are transparent, latency attribution
-//!    reconciles, and the combined export lands in
+//! 9. telemetry is transparent, latency attribution reconciles, and the
+//!    combined export lands in
 //!    `target/serving_telemetry_trace.json`.
 //!
 //! Every outcome of every serve is checked against the DFG reference
@@ -35,9 +34,8 @@ use tm_overlay::runtime::obs::{
 use tm_overlay::runtime::RequestOutcome;
 use tm_overlay::{
     explain, BatchConfig, Benchmark, Cluster, DispatchPolicy, FaultPlan, FlashCrowd, FuVariant,
-    KernelSpec, PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Scenario,
-    ScenarioConfig, ServeReport, Session, SloClass, SloConfig, SloObjective, TelemetryConfig,
-    TraceConfig, Workload,
+    KernelSpec, PipelineRequest, PipelineStage, Request, RoutePolicy, Scenario, ScenarioConfig,
+    ServeReport, Session, SloClass, TelemetryConfig, TraceConfig, Workload,
 };
 
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
@@ -249,7 +247,7 @@ fn main() -> Result<()> {
     );
     assert_eq!(single.metrics().makespan_us, fifo.metrics().makespan_us);
     let sharded = stream(fleet(4, RoutePolicy::KernelHash)?, &overload)?;
-    let balanced = stream(fleet(4, RoutePolicy::LeastLoaded)?, &overload)?;
+    let balanced = stream(fleet(4, RoutePolicy::PowerOfTwoChoices)?, &overload)?;
     assert!(
         sharded.metrics().deadline_misses < single.metrics().deadline_misses,
         "4x the capacity must cut the deadline misses ({} vs {})",
@@ -264,15 +262,14 @@ fn main() -> Result<()> {
     );
     assert_eq!(sharded.transfers(), 0, "sharded kernels never leave home");
     println!(
-        "act 4: 1 -> 4 devices: deadline misses {} -> {} (kernel-hash) / {} (least-loaded)",
+        "act 4: 1 -> 4 devices: deadline misses {} -> {} (kernel-hash) / {} (power-of-two)",
         single.metrics().deadline_misses,
         sharded.metrics().deadline_misses,
         balanced.metrics().deadline_misses,
     );
 
     // Act 5: the control plane. Batching over act 4's single device drains
-    // its deep mixed queues as same-kernel runs; on the four-device
-    // least-loaded fleet, hot kernels also replicate ahead of demand.
+    // its deep mixed queues as same-kernel runs.
     let batched = fleet(1, RoutePolicy::KernelHash)?.with_batching(BatchConfig::with_max_batch(8));
     let batched = stream(batched, &overload)?;
     assert!(
@@ -285,22 +282,18 @@ fn main() -> Result<()> {
         batched.metrics().switch_count,
         single.metrics().switch_count
     );
-    let controlled_fleet = || -> Result<Cluster> {
-        Ok(fleet(4, RoutePolicy::LeastLoaded)?
-            .with_batching(BatchConfig::with_max_batch(8))
-            .with_replication(ReplicationConfig::new(3, 3.0, 20.0)))
-    };
-    let controlled = stream(controlled_fleet()?, &overload)?;
-    assert!(
-        controlled.replication().replicas_pushed > 0,
-        "hot tenants must replicate ahead of demand on the overload"
-    );
     println!(
-        "act 5: batching {} -> {} switches; {} replica push(es)",
+        "act 5: batching {} -> {} switches",
         single.metrics().switch_count,
         batched.metrics().switch_count,
-        controlled.replication().replicas_pushed,
     );
+
+    // The four-device power-of-two fleet with batching, which acts 6 and 9
+    // observe.
+    let controlled_fleet = || -> Result<Cluster> {
+        Ok(fleet(4, RoutePolicy::PowerOfTwoChoices)?.with_batching(BatchConfig::with_max_batch(8)))
+    };
+    let controlled = stream(controlled_fleet()?, &overload)?;
 
     // Act 6: tracing, with its Perfetto export.
     let traced = controlled_fleet()?.with_tracing(TraceConfig::enabled());
@@ -356,7 +349,7 @@ fn main() -> Result<()> {
         .drain(duration_us * 0.45, 2)
         .undrain(duration_us * 0.75, 2);
     let faulted = stream(
-        fleet(4, RoutePolicy::LeastLoaded)?.with_fault_plan(plan),
+        fleet(4, RoutePolicy::PowerOfTwoChoices)?.with_fault_plan(plan),
         &scenario_trace,
     )?;
     assert_eq!(
@@ -479,13 +472,12 @@ fn main() -> Result<()> {
         drained.activation_transfers(),
     );
 
-    // Act 9: act 5's fleet once more with windowed telemetry (two service
-    // times a window), an SLO objective and latency attribution.
+    // Act 9: act 6's fleet once more with windowed telemetry (two service
+    // times a window) and latency attribution.
     let window_us = 2.0 * service_us;
     let telemetered = controlled_fleet()?
         .with_tracing(TraceConfig::enabled())
-        .with_telemetry(TelemetryConfig::windowed(window_us))
-        .with_slo(SloConfig::disabled().with_objective(SloObjective::new(SloClass::Standard, 0.1)));
+        .with_telemetry(TelemetryConfig::windowed(window_us));
     let telemetered = stream(telemetered, &overload)?;
     assert_eq!(
         telemetered.metrics(),
@@ -498,10 +490,6 @@ fn main() -> Result<()> {
         telemetered.outcomes().len() as u64,
         "every completion lands in exactly one window"
     );
-    let slo = telemetered.slo().expect("an SLO objective was configured");
-    let status = slo
-        .class(SloClass::Standard)
-        .expect("the standard class is tracked");
     let trace = telemetered.trace().expect("tracing was enabled");
     let attribution = explain(trace);
     assert_eq!(attribution.rows().len(), telemetered.outcomes().len());
@@ -510,15 +498,14 @@ fn main() -> Result<()> {
         "every attribution must sum back to its request's latency"
     );
     println!(
-        "act 9: {} windows, {:.2}x of the standard class's miss budget consumed",
+        "act 9: {} windows, {} requests' latency attributed",
         series.windows.len(),
-        status.budget_consumed,
+        attribution.rows().len(),
     );
     let telemetry_json = perfetto_trace_json_with_telemetry(
         trace,
         None,
         telemetered.telemetry(),
-        telemetered.slo(),
         "serving act 9: telemetered cluster",
     );
     write_trace("serving_telemetry_trace.json", &telemetry_json)?;

@@ -16,9 +16,9 @@ use support::{
 };
 use tm_overlay::runtime::{RequestOutcome, RuntimeError};
 use tm_overlay::{
-    Benchmark, Cluster, DispatchPolicy, FuVariant, KernelSpec, PipelineRequest, PipelineStage,
-    Request, RoutePolicy, RuntimeMetrics, ServeReport, Session, SloClass, TraceConfig,
-    TransferModel, Workload,
+    Benchmark, Cluster, DispatchPolicy, FaultPlan, FuVariant, KernelSpec, PipelineRequest,
+    PipelineStage, Request, RoutePolicy, RuntimeMetrics, ServeReport, Session, SloClass,
+    TraceConfig, Workload,
 };
 
 #[test]
@@ -43,7 +43,7 @@ fn feed_forward_clusters_serve_correctly_too() {
     let requests = benchmark_trace(16, 4, 0xCAFE, 100.0, Some(1e9));
     let mut cluster = Cluster::new(FuVariant::V1, 2, 2)
         .unwrap()
-        .with_route_policy(RoutePolicy::LeastLoaded);
+        .with_route_policy(RoutePolicy::PowerOfTwoChoices);
     let report = cluster.serve_audited(&requests).unwrap();
     check_outputs(&requests, &report).unwrap();
     assert!(
@@ -53,14 +53,14 @@ fn feed_forward_clusters_serve_correctly_too() {
 }
 
 #[test]
-fn kernel_hash_sharding_switches_less_than_least_loaded_balancing() {
+fn kernel_hash_sharding_switches_less_than_power_of_two_balancing() {
     // 4 kernels over 4 devices: sharding gives each device (at most) its
     // own kernel subset, so it context-switches less than load balancing,
     // which keeps cycling all kernels through all devices.
     let requests = benchmark_trace(64, 6, 0xCAFE, 0.25, Some(5_000.0));
     let serve = |route: RoutePolicy| cluster(4, 1, route).serve_audited(&requests).unwrap();
     let sharded = serve(RoutePolicy::KernelHash);
-    let balanced = serve(RoutePolicy::LeastLoaded);
+    let balanced = serve(RoutePolicy::PowerOfTwoChoices);
     assert!(
         sharded.metrics().switch_count < balanced.metrics().switch_count,
         "sharding must switch less: {} vs {}",
@@ -76,7 +76,7 @@ fn transfer_accounting_matches_first_off_home_placements() {
     // the image exactly once (link transfer or host load) while the store
     // has room; transfers report their bytes.
     let requests = benchmark_trace(48, 4, 0xCAFE, 0.5, Some(1e9));
-    let mut cluster = cluster(3, 2, RoutePolicy::LeastLoaded);
+    let mut cluster = cluster(3, 2, RoutePolicy::PowerOfTwoChoices);
     let report = cluster.serve_audited(&requests).unwrap();
     check_outputs(&requests, &report).unwrap();
     let served_pairs: HashSet<(usize, String)> = report
@@ -120,7 +120,7 @@ fn more_devices_shed_an_overload() {
         Cluster::new(FuVariant::V4, devices, 2)
             .unwrap()
             .with_policy(DispatchPolicy::SlackAware)
-            .with_route_policy(RoutePolicy::LeastLoaded)
+            .with_route_policy(RoutePolicy::PowerOfTwoChoices)
             .serve_audited(&requests)
             .unwrap()
     };
@@ -138,24 +138,19 @@ fn more_devices_shed_an_overload() {
 
 #[test]
 fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() {
-    // With a prohibitive link+host model, power-of-two's completion
-    // estimates see the acquisition cost and lean toward the device already
-    // holding each kernel; with a free model the same trace spreads at
-    // least as widely.
+    // With the link priced out from the start, every acquisition is a
+    // host load and power-of-two's completion estimates see that cost and
+    // lean toward the device already holding each kernel; with the default
+    // link the same trace spreads at least as widely.
     let requests = benchmark_trace(40, 4, 0xCAFE, 0.5, Some(1e9));
-    let serve = |transfer: TransferModel| {
+    let serve = |plan: FaultPlan| {
         cluster(4, 1, RoutePolicy::PowerOfTwoChoices)
-            .with_transfer_model(transfer)
+            .with_fault_plan(plan)
             .serve_audited(&requests)
             .unwrap()
     };
-    let expensive = serve(TransferModel {
-        hop_latency_us: 10_000.0,
-        link_us_per_byte: 1.0,
-        host_latency_us: 50_000.0,
-        host_us_per_byte: 1.0,
-    });
-    let free = serve(TransferModel::free());
+    let expensive = serve(FaultPlan::new().degrade_links(0.0, 1.0e12));
+    let linked = serve(FaultPlan::new());
     let spread = |report: &ServeReport| {
         report
             .outcomes()
@@ -165,14 +160,14 @@ fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() 
             .len()
     };
     assert!(
-        spread(&expensive) <= spread(&free),
+        spread(&expensive) <= spread(&linked),
         "a prohibitive transfer model must not spread kernels wider \
          ({} vs {} (device, kernel) pairs)",
         spread(&expensive),
-        spread(&free)
+        spread(&linked)
     );
     check_outputs(&requests, &expensive).unwrap();
-    check_outputs(&requests, &free).unwrap();
+    check_outputs(&requests, &linked).unwrap();
 }
 
 #[test]
@@ -319,9 +314,10 @@ fn bad_intake_fails_every_serve_with_a_typed_error() {
 /// ingress↔tile round trip on a 1×256 torus row is ~258 cycles, on a 1×64
 /// row ~66, so at 1-block workloads the shorter rows win outright.
 /// 1 024 requests of the two lightest kernels arrive at ρ = 2 against the
-/// 256 tiles, with deadlines at eight service times; both sides route
-/// least-loaded, so shard imbalance cannot mask the interconnect effect,
-/// and each serves an 8-request warm-up first, as a warm fleet would.
+/// 256 tiles, with deadlines at eight service times; both sides route by
+/// power-of-two choices, so shard imbalance cannot mask the interconnect
+/// effect, and each serves an 8-request warm-up first, as a warm fleet
+/// would.
 #[test]
 fn four_devices_of_64_tiles_serve_an_overload_twice_as_fast_as_one_of_256() {
     let suite = [Benchmark::Gradient, Benchmark::Chebyshev];
@@ -329,7 +325,7 @@ fn four_devices_of_64_tiles_serve_an_overload_twice_as_fast_as_one_of_256() {
     let service_us = service_us(FuVariant::V4, trace(1, 1.0, 1e9).remove(0));
     let requests = trace(1024, service_us / 512.0, 8.0 * service_us);
     let serve = |devices: usize, tiles: usize| {
-        let mut cluster = cluster(devices, tiles, RoutePolicy::LeastLoaded);
+        let mut cluster = cluster(devices, tiles, RoutePolicy::PowerOfTwoChoices);
         cluster.serve_audited(&requests[..8]).unwrap();
         let report = cluster.serve_audited(&requests).unwrap();
         let metrics = report.metrics();
@@ -339,7 +335,7 @@ fn four_devices_of_64_tiles_serve_an_overload_twice_as_fast_as_one_of_256() {
     let (single_events, single) = serve(1, 256);
     let (quad_events, quad) = serve(4, 64);
     assert_eq!((single_events, quad_events), (2048, 2048));
-    // 321.2 M vs 827.9 M events/s when written: 2.58x.
+    // 321.2 M vs 726.5 M events/s when written: 2.26x.
     assert!(
         quad >= 2.0 * single,
         "4x64 serves {quad:.0} ev/s, 1x256 {single:.0}: {:.2}x, not >= 2x",

@@ -1,20 +1,18 @@
-//! Control-plane integration suite: same-kernel batching and rate-driven
-//! replication, end to end through the public `Cluster` API, from one
-//! device up.
+//! Control-plane integration suite: same-kernel batching, end to end
+//! through the public `Cluster` API, from one device up.
 //!
 //! The equivalence proptests (`tests/runtime_equivalence.rs`) pin the
 //! *disabled* control plane to bitwise-identical baseline behavior; this
 //! suite exercises the *enabled* behavior: batching groups interleaved
 //! kernels and cuts context switches (honoring the run cap, the staleness
-//! bound and deadline feasibility), and replication pushes hot kernel
-//! images ahead of demand and demotes cold replicas under store pressure.
+//! bound and deadline feasibility).
 
 mod support;
 
 use support::{check_outputs, cluster, service_us, suite_kernel as spec, Audited};
 use tm_overlay::{
-    BatchConfig, Benchmark, Cluster, FuVariant, KernelSpec, ReplicationConfig, Request,
-    RoutePolicy, ServeReport, TransferModel, Workload,
+    BatchConfig, Benchmark, Cluster, FuVariant, KernelSpec, Request, RoutePolicy, ServeReport,
+    Workload,
 };
 
 /// `count` requests alternating between two kernels, all arriving at t = 0
@@ -174,12 +172,12 @@ fn feasible_deadlines_win_over_batching() {
 
 #[test]
 fn cluster_batching_mirrors_the_runtime_layer() {
-    // 3 devices against the 2-kernel alternation: the periods are coprime,
-    // so least-loaded routing hands every device an interleaved queue.
+    // 3 devices against the 2-kernel alternation: power-of-two routing
+    // spreads the burst, so every device gets an interleaved queue.
     let requests = interleaved_burst(24, 4);
-    let mut plain = cluster(3, 1, RoutePolicy::LeastLoaded);
-    let mut batched =
-        cluster(3, 1, RoutePolicy::LeastLoaded).with_batching(BatchConfig::with_max_batch(16));
+    let mut plain = cluster(3, 1, RoutePolicy::PowerOfTwoChoices);
+    let mut batched = cluster(3, 1, RoutePolicy::PowerOfTwoChoices)
+        .with_batching(BatchConfig::with_max_batch(16));
     let baseline = plain.serve_audited(&requests).unwrap();
     let report = batched.serve_audited(&requests).unwrap();
     assert!(report.metrics().batch.switches_avoided > 0);
@@ -187,93 +185,16 @@ fn cluster_batching_mirrors_the_runtime_layer() {
     assert_eq!(report.outcomes().len(), baseline.outcomes().len());
 }
 
-/// A hot kernel's image is pushed ahead of demand: the pushes land before
-/// routing spreads the kernel, so the demand path charges fewer transfers
-/// and the serve finishes no later.
+/// Batching on a skewed-tenant ρ = 2 overload of a 4 × 4 power-of-two
+/// fleet: one hot tenant takes ~70 % of 1 024 requests after sitting out
+/// the first tenth, three cold tenants share the rest, and block counts
+/// cycling 1–3 × 4 keep every tile's queue kernel-interleaved. On V4 tiles
+/// (cheap, frequent instruction reloads) batching cuts context switches
+/// ≥ 3×; on V1 tiles every switch is a millisecond PCAP reload, so
+/// switches are already rare and stay put. Each fleet serves an 8-request
+/// warm-up first.
 #[test]
-fn replication_pushes_hot_images_ahead_of_demand() {
-    let (hot, inputs) = spec(Benchmark::Gradient);
-    let requests: Vec<Request> = (0..32)
-        .map(|i| {
-            Request::new(i, hot.clone(), Workload::random(inputs, 16, i % 4)).at(i as f64 * 0.5)
-        })
-        .collect();
-    let build = || cluster(4, 1, RoutePolicy::LeastLoaded);
-    let baseline = build().serve_audited(&requests).unwrap();
-    let mut replicated_cluster = build().with_replication(ReplicationConfig::new(3, 2.0, 1000.0));
-    let report = replicated_cluster.serve_audited(&requests).unwrap();
-
-    let stats = report.replication();
-    assert!(stats.replicas_pushed >= 1, "the hot kernel replicates");
-    assert!(stats.bytes_prefetched > 0);
-    assert!(stats.prefetch_us > 0.0);
-    assert_eq!(stats.hot_kernels, 1);
-    assert_eq!(baseline.replication().replicas_pushed, 0);
-    // Demand acquisitions (charged to requests) drop: warm replicas were
-    // already there when routing spread the load.
-    assert!(
-        report.transfers() + report.host_loads() < baseline.transfers() + baseline.host_loads(),
-        "prefetch must absorb demand acquisitions ({}+{} vs {}+{})",
-        report.transfers(),
-        report.host_loads(),
-        baseline.transfers(),
-        baseline.host_loads()
-    );
-    // With one kernel the routing decisions are load-only, so cheaper
-    // acquisition can only help the makespan.
-    assert!(report.metrics().makespan_us <= baseline.metrics().makespan_us);
-}
-
-#[test]
-fn cold_replicas_are_demoted_under_store_pressure() {
-    let (first, first_inputs) = spec(Benchmark::Gradient);
-    let (second, second_inputs) = spec(Benchmark::Chebyshev);
-    // Phase 1: kernel A is hot and replicates everywhere. Phase 2 (after a
-    // long quiet gap that cools A): kernel B becomes hot; with capacity-1
-    // stores every B push lands on a full store whose only entry may be the
-    // stale A replica — the replicator demotes it instead of trusting LRU.
-    let mut requests: Vec<Request> = (0..12)
-        .map(|i| {
-            Request::new(i, first.clone(), Workload::random(first_inputs, 4, i % 2))
-                .at(i as f64 * 2.0)
-        })
-        .collect();
-    requests.extend((0..12).map(|i| {
-        Request::new(
-            100 + i,
-            second.clone(),
-            Workload::random(second_inputs, 4, i % 2),
-        )
-        .at(1.0e6 + i as f64 * 2.0)
-    }));
-    // 5 devices with fanout 4 and capacity-1 stores: wherever the two
-    // kernels' home shards land, at least one phase-2 push targets a store
-    // whose only entry is a stale *pushed* phase-1 replica.
-    let mut cluster = cluster(5, 1, RoutePolicy::LeastLoaded)
-        .with_cache_capacity(1)
-        .unwrap()
-        .with_replication(ReplicationConfig::new(4, 2.0, 100.0));
-    let report = cluster.serve_audited(&requests).unwrap();
-    let stats = report.replication();
-    assert_eq!(stats.hot_kernels, 2, "both phases cross the threshold");
-    assert!(stats.replicas_pushed >= 2);
-    assert!(
-        stats.replicas_demoted >= 1,
-        "phase 2 pushes must demote phase 1's cold replicas, got {stats:?}"
-    );
-    assert_eq!(report.outcomes().len(), 24);
-}
-
-/// The full control plane on a skewed-tenant ρ = 2 overload of a 4 × 4
-/// least-loaded fleet: one hot tenant takes ~70 % of 1 024 requests after
-/// sitting out the first tenth, three cold tenants share the rest, and
-/// block counts cycling 1–3 × 4 keep every tile's queue kernel-interleaved.
-/// On V4 tiles (cheap, frequent instruction reloads) batching plus
-/// replication cuts context switches ≥ 3×; on V1 tiles every switch is a
-/// millisecond PCAP reload, so switches are already rare and stay put.
-/// Each fleet serves an 8-request warm-up first.
-#[test]
-fn batching_and_replication_cut_switches_on_a_skewed_overload() {
+fn batching_cuts_switches_on_a_skewed_overload() {
     let suite = [
         Benchmark::Gradient, // hot
         Benchmark::Chebyshev,
@@ -302,70 +223,30 @@ fn batching_and_replication_cut_switches_on_a_skewed_overload() {
             })
             .collect()
     };
-    // (variant, [baseline, batch, batch+repl] switches, replicas pushed)
-    let expected = [
-        (FuVariant::V4, [388, 118, 111], 3),
-        (FuVariant::V1, [16, 16, 16], 2),
-    ];
-    for (variant, switches, pushed) in expected {
+    // (variant, [baseline, batch] switches)
+    let expected = [(FuVariant::V4, [292, 92]), (FuVariant::V1, [12, 12])];
+    for (variant, switches) in expected {
         let service_us = service_us(variant, trace(1, 1.0, 1e9).remove(0));
         let spacing_us = service_us / 32.0;
         let requests = trace(1024, spacing_us, 8.0 * service_us);
-        let run = |batch: bool, replicate: bool| {
+        let run = |batch: bool| {
             let mut cluster = Cluster::new(variant, 4, 4)
                 .unwrap()
-                .with_route_policy(RoutePolicy::LeastLoaded);
+                .with_route_policy(RoutePolicy::PowerOfTwoChoices);
             if batch {
                 cluster = cluster.with_batching(BatchConfig::with_max_batch(32));
             }
-            if replicate {
-                // Push hot images to every other device; the EWMA window
-                // spans ~64 arrivals, so only the hot tenant turns hot.
-                cluster =
-                    cluster.with_replication(ReplicationConfig::new(3, 3.0, 64.0 * spacing_us));
-            }
             cluster.serve_audited(&requests[..8]).unwrap();
             let report = cluster.serve_audited(&requests).unwrap();
-            (
-                report.metrics().switch_count,
-                report.replication().replicas_pushed,
-            )
+            report.metrics().switch_count
         };
-        let baseline = run(false, false);
-        let batched = run(true, false);
-        let controlled = run(true, true);
-        assert_eq!(
-            [baseline.0, batched.0, controlled.0],
-            switches,
-            "{variant} switches"
-        );
-        assert_eq!(
-            [baseline.1, batched.1, controlled.1],
-            [0, 0, pushed],
-            "{variant} pushes"
-        );
+        let (baseline, batched) = (run(false), run(true));
+        assert_eq!([baseline, batched], switches, "{variant} switches");
         if variant == FuVariant::V4 {
             assert!(
-                baseline.0 >= 3 * controlled.0,
-                "the control plane must cut V4 switches >= 3x"
+                baseline >= 3 * batched,
+                "batching must cut V4 switches >= 3x"
             );
         }
     }
-}
-
-#[test]
-fn replication_with_an_unreachable_threshold_never_pushes() {
-    let (hot, inputs) = spec(Benchmark::Gradient);
-    let requests: Vec<Request> = (0..16)
-        .map(|i| Request::new(i, hot.clone(), Workload::random(inputs, 4, i % 4)).at(i as f64))
-        .collect();
-    let mut cluster = cluster(4, 1, RoutePolicy::LeastLoaded)
-        .with_transfer_model(TransferModel::new())
-        .with_replication(ReplicationConfig::new(3, 1.0e9, 100.0));
-    assert_eq!(cluster.replication_config().fanout, 3);
-    let report = cluster.serve_audited(&requests).unwrap();
-    assert_eq!(report.replication().replicas_pushed, 0);
-    assert_eq!(report.replication().hot_kernels, 0);
-    // Demand still spreads the kernel the old way.
-    assert!(report.transfers() + report.host_loads() > 0);
 }

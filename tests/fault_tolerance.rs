@@ -14,28 +14,40 @@
 
 mod support;
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use support::{
     cluster, dsl_kernels, pressure_trace, random_plan, random_trace, service_us, suite_trace,
     Audited,
 };
+use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    Benchmark, FaultPlan, FuVariant, Request, RoutePolicy, Scenario, ScenarioConfig, SloClass,
-    SloConfig, SloObjective, TelemetryConfig, Workload,
+    Benchmark, FaultPlan, FuVariant, Request, RoutePolicy, Scenario, ScenarioConfig, TraceConfig,
+    Workload,
 };
 
 #[test]
 fn a_killed_device_stops_serving_and_its_work_relocates() {
     let requests = pressure_trace(48, 0.4, 11);
-    let baseline = cluster(3, 2, RoutePolicy::LeastLoaded)
+    let baseline = cluster(3, 2, RoutePolicy::PowerOfTwoChoices)
         .serve_audited(&requests)
         .unwrap();
     assert_eq!(baseline.outcomes().len(), 48);
-    let kill_at = baseline.metrics().makespan_us * 0.3;
+    // Device 0 dies halfway through the first run it starts from 30 % of
+    // the makespan on, so the kill always has in-flight work to displace.
+    let from_us = baseline.metrics().makespan_us * 0.3;
+    let run = baseline
+        .outcomes()
+        .iter()
+        .filter(|o| o.device == 0 && o.start_us >= from_us)
+        .min_by(|a, b| a.start_us.total_cmp(&b.start_us))
+        .expect("device 0 serves after 30 % of the makespan");
+    let kill_at = (run.start_us + run.completion_us) / 2.0;
 
-    let mut faulty =
-        cluster(3, 2, RoutePolicy::LeastLoaded).with_fault_plan(FaultPlan::new().kill(kill_at, 0));
+    let mut faulty = cluster(3, 2, RoutePolicy::PowerOfTwoChoices)
+        .with_fault_plan(FaultPlan::new().kill(kill_at, 0));
     let report = faulty.serve_audited(&requests).unwrap();
 
     // Nothing lost: the survivors absorb everything.
@@ -65,15 +77,72 @@ fn a_killed_device_stops_serving_and_its_work_relocates() {
     assert_eq!(device.faults, 1);
 }
 
+/// A device killed and revived at one instant is alive again when its
+/// displaced work re-enters routing, since requeues fire after every fault
+/// of their instant. Kernel-hash routing would send that work straight back
+/// to its home; each displaced request's exclusions keep it off the device
+/// that failed it, so all of it finishes on the survivor, while later
+/// arrivals find the revived device again.
+#[test]
+fn work_displaced_by_a_kill_and_revive_at_one_instant_finishes_elsewhere() {
+    let requests = pressure_trace(48, 0.4, 11);
+    let build = || cluster(2, 2, RoutePolicy::KernelHash);
+    let baseline = build().serve_audited(&requests).unwrap();
+    let from_us = baseline.metrics().makespan_us * 0.3;
+    let run = baseline
+        .outcomes()
+        .iter()
+        .filter(|o| o.device == 0 && o.start_us >= from_us)
+        .min_by(|a, b| a.start_us.total_cmp(&b.start_us))
+        .expect("device 0 serves after 30 % of the makespan");
+    let at_us = (run.start_us + run.completion_us) / 2.0;
+
+    let report = build()
+        .with_fault_plan(FaultPlan::new().kill(at_us, 0).revive(at_us, 0))
+        .with_tracing(TraceConfig::enabled())
+        .serve_audited(&requests)
+        .unwrap();
+    assert!(report.rejected().is_empty());
+    let displaced: HashSet<u64> = report
+        .trace()
+        .expect("tracing was enabled")
+        .events()
+        .iter()
+        .filter(|event| event.kind == SpanKind::Requeue)
+        .filter_map(|event| event.request_id)
+        .collect();
+    assert!(
+        displaced.contains(&run.request_id),
+        "the kill displaced work"
+    );
+    assert_eq!(displaced.len(), report.requeues());
+    for outcome in report.outcomes() {
+        if displaced.contains(&outcome.request_id) {
+            assert_eq!(
+                outcome.device, 1,
+                "request {} went back to the device that failed it",
+                outcome.request_id
+            );
+        }
+    }
+    assert!(
+        report
+            .outcomes()
+            .iter()
+            .any(|o| o.device == 0 && o.start_us >= at_us),
+        "the revived device serves again"
+    );
+}
+
 #[test]
 fn a_draining_device_finishes_resident_work_but_admits_nothing_new() {
     let requests = pressure_trace(40, 0.4, 7);
-    let baseline = cluster(2, 2, RoutePolicy::LeastLoaded)
+    let baseline = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .serve_audited(&requests)
         .unwrap();
     let drain_at = baseline.metrics().makespan_us * 0.3;
 
-    let mut faulty = cluster(2, 2, RoutePolicy::LeastLoaded)
+    let mut faulty = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .with_fault_plan(FaultPlan::new().drain(drain_at, 1));
     let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.rejected().is_empty(), "device 0 stayed serviceable");
@@ -102,18 +171,18 @@ fn a_draining_device_finishes_resident_work_but_admits_nothing_new() {
 #[test]
 fn a_revived_device_rejoins_the_fleet_and_serves_again() {
     let requests = pressure_trace(60, 0.4, 3);
-    let baseline = cluster(2, 1, RoutePolicy::LeastLoaded)
+    let baseline = cluster(2, 1, RoutePolicy::PowerOfTwoChoices)
         .serve_audited(&requests)
         .unwrap();
     let makespan = baseline.metrics().makespan_us;
     let (kill_at, revive_at) = (makespan * 0.2, makespan * 0.4);
 
-    let mut faulty = cluster(2, 1, RoutePolicy::LeastLoaded)
+    let mut faulty = cluster(2, 1, RoutePolicy::PowerOfTwoChoices)
         .with_fault_plan(FaultPlan::new().kill(kill_at, 0).revive(revive_at, 0));
     let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.rejected().is_empty());
     // The revived device picks work back up: with one tile per device and
-    // sustained pressure, least-loaded routing must use it again.
+    // sustained pressure, power-of-two routing must use it again.
     assert!(
         report
             .outcomes()
@@ -153,15 +222,15 @@ fn a_fully_dead_fleet_rejects_instead_of_losing_requests() {
 
 #[test]
 fn degraded_links_stretch_cross_device_acquisitions() {
-    // Least-loaded routing bounces the shared kernels across both devices,
+    // Power-of-two routing bounces the shared kernels across both devices,
     // so images move over the interconnect; a 50x link multiplier makes
     // those transfers visibly longer without changing what completes.
     let requests = pressure_trace(36, 0.3, 9);
-    let plain = cluster(2, 1, RoutePolicy::LeastLoaded)
+    let plain = cluster(2, 1, RoutePolicy::PowerOfTwoChoices)
         .serve_audited(&requests)
         .unwrap();
     assert!(plain.transfers() > 0, "the trace must exercise transfers");
-    let mut slowed = cluster(2, 1, RoutePolicy::LeastLoaded)
+    let mut slowed = cluster(2, 1, RoutePolicy::PowerOfTwoChoices)
         .with_fault_plan(FaultPlan::new().degrade_links(0.0, 50.0));
     let report = slowed.serve_audited(&requests).unwrap();
     assert!(
@@ -238,14 +307,12 @@ fn scenario_traffic_survives_a_rolling_upgrade() {
 
 /// Elastic recovery after losing a quarter of the fleet. 3 072 deadline
 /// requests over six suite kernels arrive at ρ = 0.6 against an 8 × 16
-/// least-loaded fleet; devices 0 and 1 die 40 % into the healthy makespan
+/// power-of-two fleet; devices 0 and 1 die 40 % into the healthy makespan
 /// and come back at 70 %. Nothing is lost. The deadline-miss rate, bucketed
 /// into 64 completion windows and smoothed over three, returns within ten
 /// points of the healthy steady rate no later than a quarter of the
 /// makespan after the revive (windows past the last arrival are drain-phase
-/// stragglers and do not count). On the telemetry lens (four-service-time
-/// windows, a Standard-class 10.5 % objective) the burn alert fires within
-/// one window of the kill and clears only after the revive.
+/// stragglers and do not count).
 #[test]
 fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
     const COUNT: usize = 3072;
@@ -265,7 +332,7 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
     let last_arrival_us = (COUNT - 1) as f64 * spacing_us;
 
     // The healthy steady rate: past the cold-store warm-up, before arrivals stop.
-    let healthy = cluster(8, 16, RoutePolicy::LeastLoaded)
+    let healthy = cluster(8, 16, RoutePolicy::PowerOfTwoChoices)
         .serve_audited(&requests)
         .unwrap();
     let healthy_makespan_us = healthy.metrics().makespan_us;
@@ -278,7 +345,7 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
     let steady_rate = steady.iter().filter(|&&missed| missed).count() as f64 / steady.len() as f64;
     let kill_at = 0.4 * healthy_makespan_us;
     let revive_at = 0.7 * healthy_makespan_us;
-    let report = cluster(8, 16, RoutePolicy::LeastLoaded)
+    let report = cluster(8, 16, RoutePolicy::PowerOfTwoChoices)
         .with_fault_plan(
             FaultPlan::new()
                 .kill(kill_at, 0)
@@ -286,14 +353,9 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
                 .revive(revive_at, 0)
                 .revive(revive_at, 1),
         )
-        .with_telemetry(TelemetryConfig::windowed(4.0 * service_us))
-        .with_slo(
-            SloConfig::disabled()
-                .with_objective(SloObjective::new(SloClass::Standard, 0.105).with_windows(1, 2)),
-        )
         .serve_audited(&requests)
         .unwrap();
-    assert_eq!(report.requeues(), 24);
+    assert_eq!(report.requeues(), 26);
 
     // Recovery: the first window from the revive on after which every
     // loaded window's smoothed miss rate stays within 10 points of steady.
@@ -335,24 +397,6 @@ fn the_fleet_recovers_from_losing_a_quarter_of_its_devices() {
         "recovered {recovery_us:.2} us after the revive, bound {:.2} us",
         0.25 * makespan_us
     );
-
-    let series = report.telemetry().expect("telemetry was enabled");
-    let status = report
-        .slo()
-        .expect("an SLO objective was configured")
-        .class(SloClass::Standard)
-        .expect("the standard class is tracked");
-    // The cold-store warm-up may fire and clear an alert of its own; the
-    // outage's is the first one at or after the kill.
-    let alert = status
-        .alerts
-        .iter()
-        .find(|alert| alert.fired_us >= kill_at)
-        .expect("the kill must burn the error budget");
-    let kill_window = (kill_at / series.window_us) as usize;
-    assert!(alert.fired_window <= kill_window + 1);
-    assert!(alert.cleared_us.expect("the outage alert never cleared") > revive_at);
-    assert_eq!((alert.fired_window, alert.cleared_window), (5, Some(9)));
 }
 
 proptest! {
@@ -364,7 +408,7 @@ proptest! {
     #[test]
     fn no_request_is_lost_under_any_fault_schedule(
         (seed, count, devices, tiles) in (any::<u64>(), 8usize..28, 2usize..5, 1usize..3),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
         horizon_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 3.0);
@@ -381,7 +425,7 @@ proptest! {
     #[test]
     fn fault_state_does_not_leak_across_serves(
         (seed, count) in (any::<u64>(), 6usize..16),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 3.0);
         let route = RoutePolicy::ALL[route_pick];

@@ -16,9 +16,8 @@
 //!   well-formed output (the Chrome trace validator accepts the Perfetto
 //!   JSON; the Prometheus text carries the histogram series).
 //! * The same lens discipline extends to the continuous-telemetry tier:
-//!   windowed time-series and SLO burn-rate tracking change no outcome and
-//!   no trace byte (beyond the burn/clear instants appended after the last
-//!   serve event), and [`explain`] decodes every served request's spans
+//!   windowed time-series change no outcome and no trace byte, and
+//!   [`explain`] decodes every served request's spans
 //!   back into an additive latency breakdown that reconciles with its
 //!   modeled latency — including through fault displacement and pipeline
 //!   activations.
@@ -36,43 +35,28 @@ use tm_overlay::runtime::obs::{
     perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text,
     prometheus_text_labeled, validate_chrome_trace,
 };
-use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
     explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, LogHistogram,
-    PipelineRequest, PipelineStage, ReplicationConfig, Request, RoutePolicy, Session, SloClass,
-    SloConfig, SloObjective, TelemetryConfig, TraceConfig, Workload,
+    PipelineRequest, PipelineStage, Request, RoutePolicy, Session, SloClass, TelemetryConfig,
+    TraceConfig, Workload,
 };
-
-/// The burn and clear instants an SLO tracker appends to a trace.
-fn is_slo_alert(kind: &SpanKind) -> bool {
-    matches!(kind, SpanKind::SloBurn { .. } | SpanKind::SloClear { .. })
-}
-
-/// A Standard-class objective with a tight miss-rate target and a short
-/// fast/slow burn pair — deadline-heavy traces can fire it, quiet ones
-/// cannot.
-fn slo_objectives() -> SloConfig {
-    SloConfig::disabled()
-        .with_objective(SloObjective::new(SloClass::Standard, 0.05).with_windows(1, 2))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Observability — off *or on* — never changes a serve: the
     /// default-built cluster, the explicitly-disabled one and the one with
-    /// every family on (tracing, profiling, telemetry and SLO tracking)
-    /// agree bitwise, on one device and on a fleet of two to four under
-    /// every routing policy, with or without a fault plan and replication —
-    /// so the fleet's route marks, requeues, faults and replica pushes and
-    /// demotions change nothing either.
+    /// every family on (tracing, profiling and telemetry) agree bitwise, on
+    /// one device and on a fleet of two to four under every routing policy,
+    /// with or without a fault plan — so the fleet's route marks, requeues
+    /// and faults change nothing either.
     #[test]
     fn observability_is_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0..DispatchPolicy::ALL.len(),
         limit_pick in 0usize..3,
-        (devices, route_pick) in (1usize..5, 0usize..3),
-        (faulty, replicated) in (any::<bool>(), any::<bool>()),
+        (devices, route_pick) in (1usize..5, 0..RoutePolicy::ALL.len()),
+        faulty in any::<bool>(),
     ) {
         let requests = random_trace(seed, count, 3.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -87,9 +71,6 @@ proptest! {
             if faulty {
                 cluster = cluster.with_fault_plan(random_plan(seed, devices, horizon_us));
             }
-            if replicated {
-                cluster = cluster.with_replication(ReplicationConfig::new(2, 3.0, 20.0));
-            }
             cluster
         };
         let baseline = build().serve_audited(&requests)?;
@@ -101,14 +82,12 @@ proptest! {
             .with_tracing(TraceConfig::enabled())
             .with_profiling(true)
             .with_telemetry(TelemetryConfig::windowed(2.0))
-            .with_slo(slo_objectives())
             .serve_audited(&requests)?;
         prop_assert!(baseline.trace().is_none());
         prop_assert!(disabled.trace().is_none());
         prop_assert!(instrumented.trace().is_some());
         prop_assert!(instrumented.profile().is_some());
         prop_assert!(instrumented.telemetry().is_some());
-        prop_assert!(instrumented.slo().is_some());
         assert_serves_identical(&disabled, &baseline, &[])?;
         assert_serves_identical(&instrumented, &baseline, &[Known::TracedFirstOnly])?;
     }
@@ -132,13 +111,13 @@ proptest! {
     }
 
     /// The same audit on a multi-device cluster with the full control plane
-    /// on — routing, image transfers, batching and replication all leave
-    /// span timelines that still tile `[arrival, completion]` exactly.
+    /// on — routing, image transfers and batching all leave span timelines
+    /// that still tile `[arrival, completion]` exactly.
     #[test]
     fn cluster_spans_reconcile_with_modeled_latency(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
         policy_pick in 0..DispatchPolicy::ALL.len(),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 4.0);
         let policy = DispatchPolicy::ALL[policy_pick];
@@ -148,7 +127,6 @@ proptest! {
             .with_policy(policy)
             .with_route_policy(route)
             .with_batching(BatchConfig::with_max_batch(4))
-            .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
             .with_tracing(TraceConfig::enabled());
         let report = cluster.serve_audited(&requests)?;
         prop_assert!(report.trace().is_some(), "tracing was enabled");
@@ -202,12 +180,10 @@ proptest! {
         prop_assert!((merged.sum() - whole.sum()).abs() <= 1e-9 * whole.sum().abs().max(1.0));
     }
 
-    /// The continuous-telemetry tier is a lens too: windowed time-series and
-    /// SLO burn tracking change no outcome, metric or reject — and no trace
-    /// byte beyond the burn/clear instants the tracker appends after the
-    /// serve's own events.
+    /// The continuous-telemetry tier is a lens too: windowed time-series
+    /// change no outcome, metric, reject or trace byte.
     #[test]
-    fn telemetry_and_slo_are_functionally_transparent(
+    fn telemetry_is_functionally_transparent(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0..DispatchPolicy::ALL.len(),
     ) {
@@ -221,26 +197,10 @@ proptest! {
         let telemetered = build()
             .with_telemetry(TelemetryConfig::windowed(2.0))
             .serve_audited(&requests)?;
-        let tracked = build()
-            .with_telemetry(TelemetryConfig::windowed(2.0))
-            .with_slo(slo_objectives())
-            .serve_audited(&requests)?;
         prop_assert!(baseline.telemetry().is_none());
-        prop_assert!(baseline.slo().is_none());
         prop_assert!(telemetered.telemetry().is_some());
-        prop_assert!(telemetered.slo().is_none());
-        prop_assert!(tracked.slo().is_some());
-        // Telemetry alone adds no trace event; the SLO tracker appends only
-        // burn/clear instants, strictly after the serve's own events.
+        // Telemetry adds no trace event.
         assert_serves_identical(&telemetered, &baseline, &[])?;
-        assert_serves_identical(&tracked, &baseline, &[Known::Spans(is_slo_alert)])?;
-        let base_events = baseline.trace().unwrap().events();
-        let slo_events = tracked.trace().unwrap().events();
-        prop_assert!(slo_events.len() >= base_events.len());
-        prop_assert_eq!(&slo_events[..base_events.len()], base_events);
-        for event in &slo_events[base_events.len()..] {
-            prop_assert!(is_slo_alert(&event.kind));
-        }
         // The series covers the whole serve: dense windows from 0 through
         // the makespan, and every served request commits into exactly one.
         let series = telemetered.telemetry().unwrap();
@@ -254,17 +214,16 @@ proptest! {
 
     /// [`explain`] decodes the trace back into one additive row per served
     /// request, reconciling with the modeled latency under the full control
-    /// plane (routing, image transfers, batching, replication).
+    /// plane (routing, image transfers, batching).
     #[test]
     fn attribution_reconciles_for_every_request(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..24, 2usize..5, 1usize..3),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
     ) {
         let requests = random_trace(seed, count, 4.0);
         let route = RoutePolicy::ALL[route_pick];
         let mut cluster = cluster(devices, tiles, route)
             .with_batching(BatchConfig::with_max_batch(4))
-            .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
             .with_tracing(TraceConfig::enabled());
         let report = cluster.serve_audited(&requests)?;
         let attribution = explain(report.trace().expect("tracing was enabled"));
@@ -329,7 +288,6 @@ fn exporters_emit_wellformed_output() {
     let requests = random_trace(0x0b5e7ab1e, 24, 3.0);
     let mut cluster = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .with_batching(BatchConfig::with_max_batch(4))
-        .with_replication(ReplicationConfig::new(2, 3.0, 20.0))
         .with_tracing(TraceConfig::enabled())
         .with_profiling(true);
     let report = cluster.serve_audited(&requests).unwrap();
@@ -385,8 +343,8 @@ fn a_long_traced_serve_keeps_every_span() {
 /// spans survive the Perfetto export and its validator.
 #[test]
 fn fault_displacement_is_attributed_and_exports() {
-    // Bursts of 8 on 6 tiles: queues form everywhere, so the kill always
-    // has queued and in-flight work to displace (the fault-suite idiom).
+    // Bursts of 8 on 6 tiles: queues form everywhere (the fault-suite
+    // idiom).
     let requests: Vec<Request> = pressure_trace(48, 0.4, 0xD15)
         .into_iter()
         .map(|request| {
@@ -394,15 +352,22 @@ fn fault_displacement_is_attributed_and_exports() {
             request.with_deadline(deadline_us)
         })
         .collect();
-    let build = || cluster(3, 2, RoutePolicy::LeastLoaded);
+    let build = || cluster(3, 2, RoutePolicy::PowerOfTwoChoices);
     let baseline = build().serve_audited(&requests).unwrap();
     let makespan_us = baseline.metrics().makespan_us;
-    let kill_at = makespan_us * 0.3;
+    // Device 0 dies halfway through the first run it starts from 30 % of
+    // the makespan on, so the kill always has in-flight work to displace.
+    let run = baseline
+        .outcomes()
+        .iter()
+        .filter(|o| o.device == 0 && o.start_us >= makespan_us * 0.3)
+        .min_by(|a, b| a.start_us.total_cmp(&b.start_us))
+        .expect("device 0 serves after 30 % of the makespan");
+    let kill_at = (run.start_us + run.completion_us) / 2.0;
     let mut faulty = build()
         .with_fault_plan(FaultPlan::new().kill(kill_at, 0).revive(kill_at * 2.0, 0))
         .with_tracing(TraceConfig::enabled())
-        .with_telemetry(TelemetryConfig::windowed(makespan_us / 16.0))
-        .with_slo(slo_objectives());
+        .with_telemetry(TelemetryConfig::windowed(makespan_us / 16.0));
     let report = faulty.serve_audited(&requests).unwrap();
     assert!(report.requeues() > 0, "the kill must displace work");
 
@@ -431,7 +396,6 @@ fn fault_displacement_is_attributed_and_exports() {
     // the metrics already expose.
     let series = report.telemetry().expect("telemetry was enabled");
     assert!(series.total_served() >= report.outcomes().len() as u64);
-    assert!(report.slo().is_some());
 
     // The fault-tier spans render in Perfetto and survive the validator,
     // telemetry section included.
@@ -439,7 +403,6 @@ fn fault_displacement_is_attributed_and_exports() {
         report.trace().unwrap(),
         None,
         report.telemetry(),
-        report.slo(),
         "fault observability",
     );
     let validation = validate_chrome_trace(&json).expect("trace must validate");
@@ -482,8 +445,7 @@ fn pipeline_spans_export_and_reconcile() {
     let mut cluster = cluster(2, 2, RoutePolicy::KernelHash)
         .with_fault_plan(FaultPlan::new().drain(1.0, 0))
         .with_tracing(TraceConfig::enabled())
-        .with_telemetry(TelemetryConfig::windowed(1.0))
-        .with_slo(slo_objectives());
+        .with_telemetry(TelemetryConfig::windowed(1.0));
     let report = cluster
         .serve_pipelines_audited(&pipelines, &sessions)
         .unwrap();
@@ -503,7 +465,6 @@ fn pipeline_spans_export_and_reconcile() {
         trace,
         None,
         report.cluster.telemetry(),
-        report.cluster.slo(),
         "pipeline observability",
     );
     let validation = validate_chrome_trace(&json).expect("trace must validate");
@@ -514,27 +475,23 @@ fn pipeline_spans_export_and_reconcile() {
     }
 }
 
-/// The labeled Prometheus exposition is the plain one plus per-device,
-/// per-class and SLO burn series.
+/// The labeled Prometheus exposition is the plain one plus per-device and
+/// per-class series.
 #[test]
 fn labeled_prometheus_exposition_carries_device_and_class_series() {
     let requests = random_trace(0x1abe1ed, 24, 3.0);
     let mut cluster = cluster(2, 2, RoutePolicy::PowerOfTwoChoices)
         .with_tracing(TraceConfig::enabled())
-        .with_telemetry(TelemetryConfig::windowed(2.0))
-        .with_slo(slo_objectives());
+        .with_telemetry(TelemetryConfig::windowed(2.0));
     let report = cluster.serve_audited(&requests).unwrap();
     let plain = prometheus_text(report.metrics());
-    let labeled =
-        prometheus_text_labeled(report.metrics(), report.device_metrics(), &[], report.slo());
+    let labeled = prometheus_text_labeled(report.metrics(), report.device_metrics(), &[]);
     assert!(labeled.starts_with(&plain), "the plain text is a prefix");
     for needle in [
         "tm_device_requests_total{device=\"0\"}",
         "tm_device_requests_total{device=\"1\"}",
         "tm_device_utilization{device=\"0\"}",
         "tm_device_availability{device=\"1\"}",
-        "tm_slo_budget_consumed{slo_class=\"standard\"}",
-        "tm_slo_peak_fast_burn{slo_class=\"standard\"}",
     ] {
         assert!(
             labeled.contains(needle),

@@ -1,8 +1,8 @@
 //! Cross-tier equivalence property suite. There is one event loop, compiled
-//! in two tiers: `plain` (one device, no fault plan, no session driver,
-//! replication off — what `Cluster::new(variant, 1, tiles)` runs) and
-//! `fleet`. Wherever both can serve the same configuration they must
-//! produce **identical** results on every trace — same tile choices, same outcomes (to the bit,
+//! in two tiers: `plain` (one device, no fault plan, no session driver —
+//! what `Cluster::new(variant, 1, tiles)` runs) and `fleet`. Wherever both
+//! can serve the same configuration they must produce **identical** results
+//! on every trace — same tile choices, same outcomes (to the bit,
 //! including modeled timestamps), same rejects, same metrics, the same trace
 //! but for the fleet's route-choice spans — across all four `DispatchPolicy`
 //! variants, with and without admission pressure, batching and PCAP pools.
@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use support::{assert_serves_identical, random_trace, Audited, Known};
 use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, ReplicationConfig, RoutePolicy,
-    ServeReport, TraceConfig,
+    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, RoutePolicy, ServeReport,
+    TraceConfig,
 };
 
 /// A traced 1-device [`Cluster`] on the plain tier and one configured like
@@ -90,7 +90,7 @@ proptest! {
     fn a_one_device_cluster_reproduces_runtime_exactly(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
         policy_pick in 0..DispatchPolicy::ALL.len(),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
         limit_pick in 0usize..3,
     ) {
         let requests = random_trace(seed, count, 3.0);
@@ -105,10 +105,10 @@ proptest! {
         assert_fleet_matches_plain(&report, &reference)?;
     }
 
-    /// The control plane at its disabled settings (`max_batch = 1`,
-    /// replication off) is bitwise identical to the pre-control-plane
-    /// runtime: explicitly configuring the disabled `BatchConfig` /
-    /// `ReplicationConfig` must reproduce the default-built cluster on
+    /// The control plane at its disabled setting (`max_batch = 1`) is
+    /// bitwise identical to the pre-control-plane runtime: explicitly
+    /// configuring the disabled `BatchConfig` must reproduce the
+    /// default-built cluster on
     /// either tier exactly — outcomes, timestamps, rejects and the full
     /// metrics struct (including all-zero batch counters) — under every
     /// policy and admission pressure.
@@ -140,14 +140,10 @@ proptest! {
         // explicitly still reproduces the runtime bit for bit.
         let (mut reference, cluster) =
             runtime_and_one_device_fleet(FuVariant::V4, tiles, policy, limit);
-        let mut cluster = cluster
-            .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 })
-            .with_replication(ReplicationConfig::disabled());
+        let mut cluster = cluster.with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
         let report = cluster.serve_audited(&requests)?;
         let runtime_report = reference.serve_audited(&requests)?;
         assert_fleet_matches_plain(&report, &runtime_report)?;
-        prop_assert_eq!(report.replication().replicas_pushed, 0);
-        prop_assert_eq!(report.replication().bytes_prefetched, 0);
     }
 
     /// A batched 1-device fleet mirrors the batched runtime — on the fleet
@@ -277,7 +273,7 @@ proptest! {
     fn an_empty_fault_plan_is_bitwise_identical_to_no_plan(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
         policy_pick in 0..DispatchPolicy::ALL.len(),
-        route_pick in 0usize..3,
+        route_pick in 0..RoutePolicy::ALL.len(),
         limit_pick in 0usize..3,
         batch_pick in 0usize..2,
     ) {
