@@ -538,8 +538,11 @@ impl Cluster {
     /// submitter) and every admitted request has completed.
     ///
     /// Requests must be submitted in non-decreasing arrival order — that is
-    /// what lets the loop prove no earlier event can still arrive and makes
-    /// the whole serve deterministic for a given submission order.
+    /// what lets the loop prove no earlier event can still arrive. The loop
+    /// pulls each request at the same point of its event sequence as
+    /// [`serve`](Cluster::serve) would, so every serve, batch or streamed,
+    /// is a pure function of its submission order: a stream serve equals the
+    /// batch serve of the same sequence, however the feeder's timing falls.
     ///
     /// # Errors
     ///
@@ -991,59 +994,50 @@ impl Cluster {
 
         loop {
             // The horizon-ruled submission pull: requests are pulled (and
-            // prepared) until the earliest pending event is at or before
-            // the horizon and therefore safe to fire. After each blocking
-            // pull, whatever else is already buffered is drained in the
-            // same pass — pulling ahead of the horizon is always sound (it
-            // only schedules future arrival events) and amortizes the
-            // channel synchronization across a whole burst.
+            // prepared) one at a time until the earliest pending event is at
+            // or before the horizon and therefore safe to fire. Every serve,
+            // batch or streamed, prepares request k at the same point of the
+            // event sequence.
             while ingest_open
                 && state
                     .events
                     .peek_time_us()
                     .is_none_or(|time| time > check.horizon_us)
             {
-                let Some(mut request) = ingest.recv() else {
+                let Some(request) = ingest.recv() else {
                     // Every submitter is gone: the trace is complete.
                     ingest_open = false;
                     check.horizon_us = f64::INFINITY;
                     break;
                 };
-                loop {
-                    check.admit(&request, || rows.iter().map(|row| row.id))?;
-                    let arrival_us = request.arrival_us;
-                    // The kernel's home shard is its compile authority:
-                    // the artifact is built (or found) in the home
-                    // device's store; other devices adopt the image
-                    // when routing first sends the kernel their way.
-                    // A dead home must not hold the image (its store is
-                    // conceptually gone), so authority walks to the next
-                    // living device — or stays put when the whole fleet
-                    // is down.
-                    let home = if FLEET {
-                        let fingerprint = request.kernel.fingerprint();
-                        kernel_home_eligible(fingerprint, devices, |d| self.fault.alive(d))
-                            .unwrap_or_else(|| kernel_home(fingerprint, devices))
-                    } else {
-                        0
-                    };
-                    let index = rows.len();
-                    prepare_request(&mut self.devices[home].cache, &mut prep, request, rows)?;
-                    // Arrivals enter in non-decreasing time order: the
-                    // monotone lane appends instead of heap-sifting.
-                    state
-                        .events
-                        .push_monotone(arrival_us, EventKind::Arrival { index });
-                    state.starts.push(None);
-                    state.taken.push(false);
-                    state.sim.push_slot();
-                    if FLEET {
-                        state.routed.push(Routed::default());
-                    }
-                    match ingest.try_recv() {
-                        Some(buffered) => request = buffered,
-                        None => break,
-                    }
+                check.admit(&request, || rows.iter().map(|row| row.id))?;
+                let arrival_us = request.arrival_us;
+                // The kernel's home shard is its compile authority: the
+                // artifact is built (or found) in the home device's store;
+                // other devices adopt the image when routing first sends the
+                // kernel their way. A dead home must not hold the image (its
+                // store is conceptually gone), so authority walks to the
+                // next living device — or stays put when the whole fleet is
+                // down.
+                let home = if FLEET {
+                    let fingerprint = request.kernel.fingerprint();
+                    kernel_home_eligible(fingerprint, devices, |d| self.fault.alive(d))
+                        .unwrap_or_else(|| kernel_home(fingerprint, devices))
+                } else {
+                    0
+                };
+                let index = rows.len();
+                prepare_request(&mut self.devices[home].cache, &mut prep, request, rows)?;
+                // Arrivals enter in non-decreasing time order: the monotone
+                // lane appends instead of heap-sifting.
+                state
+                    .events
+                    .push_monotone(arrival_us, EventKind::Arrival { index });
+                state.starts.push(None);
+                state.taken.push(false);
+                state.sim.push_slot();
+                if FLEET {
+                    state.routed.push(Routed::default());
                 }
             }
             let Some(event) = state.events.pop() else {
@@ -1827,34 +1821,6 @@ mod tests {
                 .sum::<usize>(),
             8
         );
-    }
-
-    #[test]
-    fn streamed_and_batch_cluster_serves_agree() {
-        // Two *fresh* clusters: acquisition decisions depend on the kernel
-        // stores, which persist across serves on one cluster.
-        let requests = benchmark_trace(12, 4, 0xC105);
-        let cluster = || {
-            Cluster::new(FuVariant::V4, 2, 2)
-                .unwrap()
-                .with_route_policy(RoutePolicy::PowerOfTwoChoices)
-        };
-        let batch = cluster().serve(requests.clone()).unwrap();
-        let streamed = cluster()
-            .serve_stream(|submitter| {
-                for request in &requests {
-                    submitter.submit(request.clone()).unwrap();
-                }
-            })
-            .unwrap();
-        assert_eq!(batch.outcomes().len(), streamed.outcomes().len());
-        for (lhs, rhs) in batch.outcomes().iter().zip(streamed.outcomes()) {
-            assert_eq!(lhs.request_id, rhs.request_id);
-            assert_eq!(lhs.device, rhs.device);
-            assert_eq!(lhs.tile, rhs.tile);
-            assert_eq!(lhs.completion_us, rhs.completion_us);
-        }
-        assert_eq!(batch.metrics(), streamed.metrics());
     }
 
     #[test]

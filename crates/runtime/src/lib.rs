@@ -140,6 +140,7 @@ pub use session::{
 pub use shim::{ClusterReport, Runtime};
 pub use submit::{SubmitError, Submitter};
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -541,7 +542,11 @@ where
     let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Arc<Request>>(capacity);
     thread::scope(|scope| {
         scope.spawn(move || feed(Submitter::new(ingest_tx)));
-        serve(Ingest::Stream(ingest_rx))
+        serve(Ingest::Stream {
+            rx: ingest_rx,
+            buffered: VecDeque::new(),
+            capacity,
+        })
     })
 }
 
@@ -752,7 +757,15 @@ fn simulate(kernel: &Kernel, workload: &Workload) -> Result<SimRun, SimError> {
 /// the trace, a streamed one out of its `Arc` — or, when the submitter kept
 /// a share, is cloned shallowly (three reference-count bumps).
 pub(crate) enum Ingest {
-    Stream(mpsc::Receiver<Arc<Request>>),
+    Stream {
+        rx: mpsc::Receiver<Arc<Request>>,
+        /// Submissions taken off the channel and not yet pulled: at most one
+        /// blocking receive plus the channel's capacity.
+        buffered: VecDeque<Arc<Request>>,
+        /// The channel's bound: how many already-sent submissions a refill
+        /// takes after its blocking receive.
+        capacity: usize,
+    },
     Batch(std::vec::IntoIter<Request>),
 }
 
@@ -761,17 +774,32 @@ impl Ingest {
     /// for a live stream. Sizes the per-intake tables once up front.
     pub(crate) fn expected(&self) -> usize {
         match self {
-            Ingest::Stream(_) => 0,
+            Ingest::Stream { .. } => 0,
             Ingest::Batch(iter) => iter.len(),
         }
     }
 
     /// Blocking pull of the next submission; `None` means the trace is
-    /// complete. The pull that drains a batch frees its buffer: every
-    /// request has moved into the intake table by then.
+    /// complete. The loop's one way to pull: it asks for request k at the
+    /// same point of the event sequence however the trace arrives. A stream
+    /// refills its buffer only when it is empty — one blocking receive,
+    /// then whatever was already sent, up to the channel's capacity — so one
+    /// channel synchronization serves a whole burst. The pull that drains a
+    /// batch frees its buffer: every request has moved into the intake table
+    /// by then.
     pub(crate) fn recv(&mut self) -> Option<Request> {
         match self {
-            Ingest::Stream(rx) => rx.recv().ok().map(Arc::unwrap_or_clone),
+            Ingest::Stream {
+                rx,
+                buffered,
+                capacity,
+            } => {
+                if buffered.is_empty() {
+                    buffered.push_back(rx.recv().ok()?);
+                    buffered.extend(rx.try_iter().take(*capacity));
+                }
+                buffered.pop_front().map(Arc::unwrap_or_clone)
+            }
             Ingest::Batch(iter) => {
                 let next = iter.next();
                 if iter.len() == 0 {
@@ -779,18 +807,6 @@ impl Ingest {
                 }
                 next
             }
-        }
-    }
-
-    /// Non-blocking pull of an already-available submission, letting the
-    /// loop drain the stream buffer in batches instead of paying one
-    /// channel synchronization per request. Batch ingest always answers
-    /// `None`: with no channel to amortize, pulling strictly by the horizon
-    /// rule keeps the event heap small.
-    pub(crate) fn try_recv(&mut self) -> Option<Request> {
-        match self {
-            Ingest::Stream(rx) => rx.try_recv().ok().map(Arc::unwrap_or_clone),
-            Ingest::Batch(_) => None,
         }
     }
 }
@@ -937,28 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_stream_from_a_live_producer_matches_the_batch_shim() {
-        let requests = benchmark_trace(10, 4, 0xFEED);
-        let mut runtime = Cluster::new(FuVariant::V4, 1, 3).unwrap();
-        let batch = runtime.serve(requests.clone()).unwrap();
-        let streamed = runtime
-            .serve_stream(|submitter| {
-                for request in &requests {
-                    submitter.submit(request.clone()).unwrap();
-                }
-            })
-            .unwrap();
-        assert_eq!(batch.outcomes().len(), streamed.outcomes().len());
-        for (lhs, rhs) in batch.outcomes().iter().zip(streamed.outcomes()) {
-            assert_eq!(lhs.request_id, rhs.request_id);
-            assert_eq!(lhs.tile, rhs.tile);
-            assert_eq!(lhs.completion_us, rhs.completion_us);
-            assert_eq!(lhs.outputs(), rhs.outputs());
-        }
-        assert_eq!(batch.metrics().makespan_us, streamed.metrics().makespan_us);
-    }
-
-    #[test]
     fn feed_forward_pools_charge_pcap_scale_switches() {
         // On a V1 pool every kernel swap costs ~1 ms of PCAP time, so a
         // single tile cycling through 4 kernels pays milliseconds of
@@ -1078,9 +1072,9 @@ mod tests {
 
     #[test]
     fn memo_counter_tracks_are_a_function_of_the_input() {
-        // Which counter a repeat lands on depends on nothing but the trace:
-        // two fresh traced serves of the burst record identical counter
-        // tracks, all seven repeats as `sim_memo_hits`.
+        // The memo-hit track depends on nothing but the trace: two fresh
+        // traced serves of the burst record it identically, one sample per
+        // repeat.
         let counter_track = || {
             let mut runtime = Cluster::new(FuVariant::V4, 1, 1)
                 .unwrap()
@@ -1091,9 +1085,7 @@ mod tests {
                 .events()
                 .iter()
                 .filter_map(|event| match event.kind {
-                    SpanKind::Counter { name, value } => {
-                        Some((event.time_us.to_bits(), name.label(), value))
-                    }
+                    SpanKind::MemoHits { value } => Some((event.time_us.to_bits(), value)),
                     _ => None,
                 })
                 .collect::<Vec<_>>()
@@ -1101,8 +1093,7 @@ mod tests {
         let first = counter_track();
         assert_eq!(first, counter_track());
         assert_eq!(first.len(), 7, "one counter event per repeat");
-        assert!(first.iter().all(|&(_, label, _)| label == "sim_memo_hits"));
-        assert_eq!(first.last().unwrap().2, 7, "the running total ends at 7");
+        assert_eq!(first.last().unwrap().1, 7, "the running total ends at 7");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   [`ProfileStats`] rides along.
 //! * [`prometheus_text`] renders a [`RuntimeMetrics`] snapshot in the
 //!   Prometheus text exposition format, including the log-bucketed
-//!   histograms as cumulative `_bucket{le="…"}` series.
+//!   histograms as cumulative `_bucket{le="…"}` series, and the per-device
+//!   and per-SLO-class rows it is given as labeled series.
 //! * [`validate_chrome_trace`] re-parses an emitted trace with a minimal
 //!   hand-rolled JSON reader (the workspace deliberately carries no serde)
 //!   and checks the invariants CI enforces: it parses, it has non-empty
@@ -214,12 +215,12 @@ pub fn perfetto_trace_json_with_telemetry(
                 events.push(end);
                 continue;
             }
-            SpanKind::Counter { name, value } => {
+            SpanKind::MemoHits { value } => {
                 let _ = write!(
                     out,
                     "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\
                      \"args\":{{\"value\":{value}}}}}",
-                    name.label(),
+                    event.kind.label(),
                     num(event.time_us),
                 );
                 events.push(out);
@@ -340,12 +341,19 @@ fn telemetry_json(series: &TimeSeries) -> String {
     out
 }
 
-/// Renders a metrics snapshot in the Prometheus text exposition format.
+/// Renders a serve's metrics in the Prometheus text exposition format.
 ///
 /// Counters and gauges cover the aggregate fields; the log-bucketed latency
 /// and queue-depth histograms expose cumulative `_bucket{le="…"}` series
 /// with `_sum`/`_count`, ready for a scrape endpoint to serve verbatim.
-pub fn prometheus_text(metrics: &RuntimeMetrics) -> String {
+/// Then come the labeled breakdowns: per-device series under a
+/// `device="…"` label and per-SLO-class series under `slo_class="…"`. An
+/// empty slice writes none of its series.
+pub fn prometheus_text(
+    metrics: &RuntimeMetrics,
+    devices: &[DeviceMetrics],
+    classes: &[ClassMetrics],
+) -> String {
     let mut out = String::new();
     let mut scalar = |name: &str, kind: &str, help: &str, value: String| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -427,18 +435,6 @@ pub fn prometheus_text(metrics: &RuntimeMetrics) -> String {
         "Total waiting count sampled at every event-loop step.",
         &metrics.queue_depth_hist,
     );
-    out
-}
-
-/// [`prometheus_text`] plus the labeled breakdowns a cluster serve carries:
-/// per-device series under a `device="…"` label and per-SLO-class series
-/// under `slo_class="…"`.
-pub fn prometheus_text_labeled(
-    metrics: &RuntimeMetrics,
-    devices: &[DeviceMetrics],
-    classes: &[ClassMetrics],
-) -> String {
-    let mut out = prometheus_text(metrics);
 
     let mut series = |name: &str, kind: &str, help: &str, rows: Vec<(String, String)>| {
         if rows.is_empty() {

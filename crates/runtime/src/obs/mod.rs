@@ -34,11 +34,11 @@ mod trace;
 pub use explain::{explain, Attribution, AttributionReport};
 pub use export::{
     parse_json, perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text,
-    prometheus_text_labeled, validate_chrome_trace, JsonValue, TraceValidation,
+    validate_chrome_trace, JsonValue, TraceValidation,
 };
 pub use hist::{percentile_from_parts, LogHistogram, SUB_BUCKETS_PER_OCTAVE};
 pub(crate) use probe::{Observed, Observing, Probe};
 pub use profile::{ProfileStats, Stage, STAGE_COUNT};
 pub use timeline::{ClassWindow, TelemetryConfig, TimeSeries, WindowStats};
 pub(crate) use trace::RouteMark;
-pub use trace::{CounterName, RouteChoice, SpanKind, Trace, TraceConfig, TraceEvent};
+pub use trace::{RouteChoice, SpanKind, Trace, TraceConfig, TraceEvent};

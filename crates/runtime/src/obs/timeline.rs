@@ -467,12 +467,6 @@ impl TimeSeries {
     pub fn total_served(&self) -> u64 {
         self.windows.iter().map(|w| w.served).sum()
     }
-
-    /// The per-window deadline miss-rates, in window order — the series the
-    /// fault-recovery bench charts through a kill.
-    pub fn miss_rates(&self) -> Vec<f64> {
-        self.windows.iter().map(WindowStats::miss_rate).collect()
-    }
 }
 
 #[cfg(test)]
@@ -584,6 +578,6 @@ mod tests {
             series.windows[1].classes[SloClass::BestEffort.index()].rejects,
             1
         );
-        assert_eq!(series.miss_rates(), vec![0.0, 0.0]);
+        assert_eq!(series.windows[1].miss_rate(), 0.0, "a reject is no miss");
     }
 }

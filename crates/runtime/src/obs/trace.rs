@@ -53,22 +53,6 @@ impl TraceConfig {
     }
 }
 
-/// Which counter a [`SpanKind::Counter`] event samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterName {
-    /// A request's simulation was answered from the memo.
-    MemoHit,
-}
-
-impl CounterName {
-    /// The counter's export name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CounterName::MemoHit => "sim_memo_hits",
-        }
-    }
-}
-
 /// The cluster router's weighed decision for one request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteChoice {
@@ -120,12 +104,10 @@ pub enum SpanKind {
     Commit,
     /// The request was rejected by admission control (instant).
     Reject,
-    /// A control-plane counter sample: `value` is the running total at this
-    /// virtual time.
-    Counter {
-        /// Which counter.
-        name: CounterName,
-        /// The counter's cumulative value after this event.
+    /// A simulation answered from the memo, sampled at its request's
+    /// admission (counter, device-level).
+    MemoHits {
+        /// The serve's memo hits so far, this one included.
         value: u64,
     },
     /// A device died abruptly (instant, device-level): its queued and
@@ -190,7 +172,7 @@ impl SpanKind {
             SpanKind::Run => "run",
             SpanKind::Commit => "commit",
             SpanKind::Reject => "reject",
-            SpanKind::Counter { name, .. } => name.label(),
+            SpanKind::MemoHits { .. } => "sim_memo_hits",
             SpanKind::DeviceDown => "device-down",
             SpanKind::DeviceUp => "device-up",
             SpanKind::DrainPhase { .. } => "drain",
@@ -312,8 +294,8 @@ pub struct Trace {
     pub(super) steps: Vec<Step>,
     /// What each routing decision weighed, in the order they were taken.
     pub(super) routes: Vec<RouteMark>,
-    /// Device-level events as they happened; the counters' running totals
-    /// are filled in when the spans are built.
+    /// The faults, as they happened. Memo-hit samples are derived from
+    /// `memo_hits` and numbered when the spans are built.
     pub(super) device_events: Vec<TraceEvent>,
     /// Per intake index: whether the memo answered the request's
     /// simulation. A warm serve hits on every request, so a hit costs a
@@ -368,7 +350,7 @@ impl Trace {
         for step in &self.steps {
             let admitted = matches!(step.what, Logged::Admitted(true, _));
             if admitted && self.memo_hits.get(step.index) == Some(&true) {
-                let hit = counter(CounterName::MemoHit);
+                let hit = SpanKind::MemoHits { value: 0 };
                 out.push(device_event(step.time_us, step.device, hit));
             }
         }
@@ -376,7 +358,7 @@ impl Trace {
         // The counter's running total, in the order its samples were noted.
         let mut total = 0;
         for event in &mut out[device_level..] {
-            if let SpanKind::Counter { value, .. } = &mut event.kind {
+            if let SpanKind::MemoHits { value } = &mut event.kind {
                 total += 1;
                 *value = total;
             }
@@ -456,12 +438,6 @@ pub(crate) fn device_event(time_us: f64, device: usize, kind: SpanKind) -> Trace
         tile: None,
         kind,
     }
-}
-
-/// A counter sample; its running total is filled in when the spans are
-/// built.
-pub(super) fn counter(name: CounterName) -> SpanKind {
-    SpanKind::Counter { name, value: 0 }
 }
 
 /// `rows` in request order, each request's in the order they were kept.
@@ -599,17 +575,15 @@ mod tests {
         }
         probe.admitted(2, 0, 3.0, false);
         let trace = probe.into_trace(&[(7, 1.0), (8, 1.0), (9, 3.0)], None);
-        let counters: Vec<(f64, usize, &str, u64)> = trace
+        let counters: Vec<(f64, usize, u64)> = trace
             .events()
             .iter()
             .filter_map(|event| match event.kind {
-                SpanKind::Counter { name, value } => {
-                    Some((event.time_us, event.device, name.label(), value))
-                }
+                SpanKind::MemoHits { value } => Some((event.time_us, event.device, value)),
                 _ => None,
             })
             .collect();
-        let expected = [(1.0, 0, "sim_memo_hits", 2), (2.0, 1, "sim_memo_hits", 1)];
+        let expected = [(1.0, 0, 2), (2.0, 1, 1)];
         assert_eq!(counters, expected);
     }
 
@@ -755,7 +729,6 @@ mod tests {
         // Labels are what the device-level order breaks its ties by and
         // what every exporter writes, so no two kinds may share one.
         let class = SloClass::Standard;
-        let counter = |name| SpanKind::Counter { name, value: 1 };
         let route = RouteChoice {
             policy: "hash",
             chosen: 0,
@@ -775,7 +748,7 @@ mod tests {
             SpanKind::Run,
             SpanKind::Commit,
             SpanKind::Reject,
-            counter(CounterName::MemoHit),
+            SpanKind::MemoHits { value: 1 },
             SpanKind::DeviceDown,
             SpanKind::DeviceUp,
             SpanKind::DrainPhase { begin: true },

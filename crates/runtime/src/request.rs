@@ -95,12 +95,6 @@ impl KernelSpec {
         &self.name
     }
 
-    /// The kernel name as its shared allocation — what the runtime stamps
-    /// onto outcomes without per-request string copies.
-    pub fn shared_name(&self) -> Arc<str> {
-        Arc::clone(&self.name)
-    }
-
     /// Content fingerprint: equal for equal definitions.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint

@@ -51,13 +51,6 @@ impl SubmitError {
             SubmitError::Backpressure(request) | SubmitError::Closed(request) => request,
         }
     }
-
-    /// Consumes the error, returning the request for a retry.
-    pub fn into_request(self) -> Arc<Request> {
-        match self {
-            SubmitError::Backpressure(request) | SubmitError::Closed(request) => request,
-        }
-    }
 }
 
 impl fmt::Display for SubmitError {
@@ -141,7 +134,6 @@ mod tests {
         assert!(matches!(err, SubmitError::Backpressure(_)));
         assert_eq!(err.request().id, 1);
         assert!(err.to_string().contains("full"));
-        assert_eq!(err.into_request().id, 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use proptest::prelude::TestCaseError;
 
 use support::{
-    audit, audit_parts, audit_pipelines, benchmark_trace, check_outputs, cluster, service_us,
+    audit_parts, audit_pipelines, benchmark_trace, check_outputs, cluster, service_us,
     suite_kernel, suite_trace, Audited, Parts,
 };
 use tm_overlay::runtime::{RequestOutcome, RuntimeError};
@@ -168,30 +168,6 @@ fn expensive_transfer_models_discourage_off_home_placement_under_power_of_two() 
     );
     check_outputs(&requests, &expensive).unwrap();
     check_outputs(&requests, &linked).unwrap();
-}
-
-#[test]
-fn cluster_streaming_matches_batch_and_reports_backpressure_free_ingest() {
-    let requests = benchmark_trace(20, 4, 0xCAFE, 1.0, Some(1e9));
-    let build = || cluster(2, 2, RoutePolicy::KernelHash).with_ingest_capacity(2);
-    let batch = build().serve_audited(&requests).unwrap();
-    let streamed = build()
-        .serve_stream(|submitter| {
-            for request in &requests {
-                submitter.submit(request.clone()).unwrap();
-            }
-        })
-        .unwrap();
-    audit(&requests, &streamed).unwrap();
-    assert_eq!(batch.outcomes().len(), streamed.outcomes().len());
-    for (lhs, rhs) in batch.outcomes().iter().zip(streamed.outcomes()) {
-        assert_eq!(lhs.request_id, rhs.request_id);
-        assert_eq!(lhs.device, rhs.device);
-        assert_eq!(lhs.tile, rhs.tile);
-        assert_eq!(lhs.completion_us, rhs.completion_us);
-        assert_eq!(lhs.outputs(), rhs.outputs());
-    }
-    assert_eq!(batch.metrics(), streamed.metrics());
 }
 
 #[test]

@@ -32,8 +32,7 @@ use support::{
     Audited, Known,
 };
 use tm_overlay::runtime::obs::{
-    perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text,
-    prometheus_text_labeled, validate_chrome_trace,
+    perfetto_trace_json, perfetto_trace_json_with_telemetry, prometheus_text, validate_chrome_trace,
 };
 use tm_overlay::{
     explain, BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, LogHistogram,
@@ -304,7 +303,7 @@ fn exporters_emit_wellformed_output() {
 
     // The Prometheus exposition carries the counters and both histogram
     // series with their sum/count pairs.
-    let text = prometheus_text(report.metrics());
+    let text = prometheus_text(report.metrics(), &[], &[]);
     for needle in [
         "# TYPE tm_requests_total counter",
         "# TYPE tm_request_latency_microseconds histogram",
@@ -475,8 +474,8 @@ fn pipeline_spans_export_and_reconcile() {
     }
 }
 
-/// The labeled Prometheus exposition is the plain one plus per-device and
-/// per-class series.
+/// The Prometheus exposition given a serve's device rows is the one given
+/// none plus per-device series.
 #[test]
 fn labeled_prometheus_exposition_carries_device_and_class_series() {
     let requests = random_trace(0x1abe1ed, 24, 3.0);
@@ -484,9 +483,12 @@ fn labeled_prometheus_exposition_carries_device_and_class_series() {
         .with_tracing(TraceConfig::enabled())
         .with_telemetry(TelemetryConfig::windowed(2.0));
     let report = cluster.serve_audited(&requests).unwrap();
-    let plain = prometheus_text(report.metrics());
-    let labeled = prometheus_text_labeled(report.metrics(), report.device_metrics(), &[]);
-    assert!(labeled.starts_with(&plain), "the plain text is a prefix");
+    let plain = prometheus_text(report.metrics(), &[], &[]);
+    let labeled = prometheus_text(report.metrics(), report.device_metrics(), &[]);
+    assert!(
+        labeled.starts_with(&plain),
+        "the unlabeled text is a prefix"
+    );
     for needle in [
         "tm_device_requests_total{device=\"0\"}",
         "tm_device_requests_total{device=\"1\"}",

@@ -4,7 +4,7 @@
 //! can serve the same configuration they must produce **identical** results
 //! on every trace — same tile choices, same outcomes (to the bit,
 //! including modeled timestamps), same rejects, same metrics, the same trace
-//! but for the fleet's route-choice spans — across all four `DispatchPolicy`
+//! but for the fleet's route-choice spans — across both `DispatchPolicy`
 //! variants, with and without admission pressure, batching and PCAP pools.
 //! Any divergence is a bug, not a tolerable approximation.
 //!
@@ -13,12 +13,15 @@
 //! ever fires) and must reproduce the plain one-device [`Cluster`] bitwise
 //! on the same randomized traces; and `RoutePolicy::KernelHash` must assign
 //! every request of a kernel to the same device on every resubmission.
+//!
+//! A streamed serve is the batch serve of its submission order, bitwise,
+//! on any fleet, fault plan, store size and ingest bound.
 
 mod support;
 
 use proptest::prelude::*;
 
-use support::{assert_serves_identical, random_trace, Audited, Known};
+use support::{assert_serves_identical, audit, random_plan, random_trace, Audited, Known};
 use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
     BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, RoutePolicy, ServeReport,
@@ -303,5 +306,40 @@ proptest! {
         let a2 = plain.serve_audited(&requests)?;
         let b2 = pinned.serve_audited(&requests)?;
         assert_serves_identical(&a2, &b2, &[])?;
+    }
+
+    /// A streamed serve is the batch serve of its submission order, bit for
+    /// bit and span for span, however the feeder races the loop and
+    /// whatever the ingest channel's bound: every serve pulls request k at
+    /// the same point of its event sequence, so which store a compile warms
+    /// and which device a fault leaves a kernel's home on never depend on
+    /// host timing.
+    #[test]
+    fn a_streamed_serve_equals_the_batch_serve_of_its_sequence(
+        (seed, count, devices, tiles) in (any::<u64>(), 4usize..24, 1usize..5, 1usize..4),
+        (route_pick, cache_pick, ingest_pick) in (0..RoutePolicy::ALL.len(), 0usize..3, 0usize..3),
+        faulted in any::<bool>(),
+    ) {
+        let requests = random_trace(seed, count, 3.0);
+        let build = || {
+            let cluster = Cluster::new(FuVariant::V4, devices, tiles)
+                .unwrap()
+                .with_route_policy(RoutePolicy::ALL[route_pick])
+                .with_cache_capacity([1, 2, 64][cache_pick])
+                .unwrap()
+                .with_ingest_capacity([0, 2, 64][ingest_pick])
+                .with_tracing(TraceConfig::enabled());
+            match faulted {
+                true => cluster.with_fault_plan(random_plan(seed ^ 1, devices, 20.0)),
+                false => cluster,
+            }
+        };
+        let batch = build().serve_audited(&requests)?;
+        let streamed = build().serve_stream(|submitter| {
+            let _ = requests.iter().try_for_each(|r| submitter.submit(r.clone()));
+        });
+        let streamed = streamed.map_err(|e| TestCaseError::fail(e.to_string()))?;
+        audit(&requests, &streamed)?;
+        assert_serves_identical(&batch, &streamed, &[])?;
     }
 }

@@ -3,7 +3,7 @@
 //! checked against the DFG reference evaluator (mirroring `end_to_end.rs`
 //! for the batch compiler flow).
 //!
-//! Covers every FU variant, all four dispatch policies, the
+//! Covers every FU variant, both dispatch policies, the
 //! admission-control reject path, ingest backpressure and deadline-miss
 //! accounting.
 
@@ -66,32 +66,6 @@ fn every_policy_serves_the_same_functional_results() {
         } else {
             reference = Some(report);
         }
-    }
-}
-
-#[test]
-fn a_live_producer_thread_streams_through_backpressure() {
-    // A 4-slot ingest buffer in front of a 40-request burst: the producer
-    // thread must block on submit and the loop must drain everything in
-    // order, with results identical to the batch shim.
-    let requests = benchmark_trace(40, 3, 0xD15C, 2.0, None);
-    let mut runtime = Cluster::new(FuVariant::V4, 1, 4)
-        .unwrap()
-        .with_ingest_capacity(4);
-    let streamed = runtime
-        .serve_stream(|submitter| {
-            for request in &requests {
-                submitter.submit(request.clone()).unwrap();
-            }
-        })
-        .unwrap();
-    audit(&requests, &streamed).unwrap();
-    let batch = runtime.serve_audited(&requests).unwrap();
-    assert_eq!(streamed.outcomes().len(), 40);
-    for (lhs, rhs) in streamed.outcomes().iter().zip(batch.outcomes()) {
-        assert_eq!(lhs.request_id, rhs.request_id);
-        assert_eq!(lhs.tile, rhs.tile);
-        assert_eq!(lhs.completion_us, rhs.completion_us);
     }
 }
 
