@@ -33,9 +33,11 @@
 //! have one implementation. Batching and a pipeline's session tier are not
 //! named here: each phase where one acts calls the serve's crate-private
 //! `control::Tiers`, whose methods do nothing while their tier is off.
-//! `tests/runtime_equivalence.rs` holds a one-device cluster forced onto
-//! the fleet tier (by an empty plan) to the plain tier **bitwise** on
-//! randomized traces.
+//! Both tiers are held **bitwise** to one reference serve,
+//! `tests/support/reference.rs`, on randomized traces
+//! (`tests/runtime_equivalence.rs`) and on every case of a small scope
+//! (`tests/small_scope.rs`); a one-device cluster reaches the fleet tier
+//! through an empty plan.
 //!
 //! # Example
 //!
@@ -196,8 +198,7 @@ struct ClusterLoopOutput {
 /// one event loop.
 ///
 /// See the [crate-level documentation](crate) for the moving parts and a
-/// streaming example, and the [module-level documentation](self) for
-/// routing across devices.
+/// streaming example.
 #[derive(Debug)]
 pub struct Cluster {
     pub(crate) devices: Vec<Device>,

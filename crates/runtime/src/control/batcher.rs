@@ -23,8 +23,8 @@
 //!   already unmeetable either way no longer blocks the batch.
 //!
 //! With `max_batch = 1` (the default) batching never intervenes and the
-//! runtime is bitwise identical to the un-batched event loop — pinned by
-//! the `tests/runtime_equivalence.rs` proptests.
+//! runtime is bitwise identical to the un-batched event loop — both are
+//! held to the reference serve of `tests/support/reference.rs`.
 
 /// Configuration of the same-kernel batching layer.
 #[derive(Debug, Clone, Copy, PartialEq)]

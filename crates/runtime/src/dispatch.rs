@@ -18,22 +18,24 @@
 //!    switch) is correctly seen as less urgent than one that must pay a
 //!    reload first.
 //!
-//! # Indexed decisions, linear references
+//! # Indexed decisions, one reference
 //!
 //! Placement is answered from the [`TilePool`]'s residency index in a
 //! handful of first-entry lookups, and tile queues drain through a `TileQueue` — a per-policy
 //! ordered structure (FIFO deque or per-kernel slack buckets) that pops in
 //! O(log depth) instead of an O(depth) scan-and-remove. The event loop has
-//! no other path.
+//! no other path, and this file keeps no second copy of either decision.
 //!
-//! The original linear scans survive only as test-only, decision-level
-//! references the unit tests compare against, one decision at a time:
-//! `Dispatcher::earliest_completion_linear` for placement and
-//! `Dispatcher::select_next` for queue ordering. [`SlackAware`] ties on
-//! *exactly* equal adjusted slack prefer the request needing no switch over
-//! pure FIFO order; the reference and the incremental heaps compare the
-//! same `(adjusted, base, position)` key, which keeps them bit-for-bit
-//! agreed without floating-point re-association hazards.
+//! Their definitions live in the dev-only reference serve,
+//! `tests/support/reference.rs`: placement as the minimum of `(completion,
+//! needs switch, evicts warm, tile)` over every tile, queue order as the
+//! oldest waiter or the minimum of `(adjusted slack, slack, intake index)`
+//! over every waiter. Every serve is held to it bitwise, by a proptest in
+//! `tests/runtime_equivalence.rs` and an exhaustive small-scope enumeration
+//! in `tests/small_scope.rs`. [`SlackAware`] ties on *exactly* equal
+//! adjusted slack prefer the request needing no switch, then the lowest
+//! intake index; the buckets compare the same `(adjusted, base, index)`
+//! key, so no floating-point re-association separates the two.
 //!
 //! [`SlackAware`]: DispatchPolicy::SlackAware
 //!
@@ -130,21 +132,6 @@ impl DispatchRequest {
     fn slack_base(&self) -> f64 {
         self.deadline_us.unwrap_or(f64::INFINITY) - self.est_exec_us
     }
-
-    /// The slack selection key against `resident`: `(adjusted, base)` where
-    /// `adjusted` subtracts the switch cost the tile would pay. The `base`
-    /// component breaks adjusted ties in favor of the request that needs no
-    /// switch (then FIFO order breaks exact ties).
-    #[cfg(test)]
-    fn slack_key(&self, resident: Option<KernelKey>) -> (TimeKey, TimeKey) {
-        let base = self.slack_base();
-        let adjusted = if resident == Some(self.key) {
-            base
-        } else {
-            base - self.switch_us
-        };
-        (TimeKey(adjusted), TimeKey(base))
-    }
 }
 
 /// Makes per-event placement and queue-ordering decisions under a
@@ -170,76 +157,6 @@ impl Dispatcher {
     /// `now_us`. Both policies place at the earliest estimated completion.
     pub fn place(&mut self, request: &DispatchRequest, now_us: f64, pool: &TilePool) -> usize {
         pool.place_earliest_indexed(request.key, request.est_exec_us, request.switch_us, now_us)
-    }
-
-    /// The linear-scan reference for earliest-completion placement:
-    /// every tile's completion for `request` is estimated as its backlog
-    /// (running + queued work) plus any required context switch against the
-    /// kernel the tile will be hosting once that backlog drains. Completion
-    /// ties are broken by preferring (in order) a tile that needs no switch,
-    /// a cold tile over evicting another warm kernel, and the lowest index —
-    /// so equal-latency choices never spend switch time or kernel residency
-    /// gratuitously, and decisions stay deterministic.
-    ///
-    /// [`TilePool::place_earliest_indexed`] answers the same query from the
-    /// residency index without the scan; the unit tests hold the two to
-    /// identical answers on every decision.
-    #[cfg(test)]
-    pub(crate) fn earliest_completion_linear(
-        request: &DispatchRequest,
-        now_us: f64,
-        pool: &TilePool,
-    ) -> usize {
-        let mut best = (f64::INFINITY, true, true, usize::MAX);
-        for state in pool.states() {
-            let projected = state.projected_resident();
-            let needs_switch = projected != Some(request.key);
-            let evicts_warm = needs_switch && projected.is_some();
-            let start = state.available_us.max(now_us) + state.queued_est_us;
-            let switch = if needs_switch { request.switch_us } else { 0.0 };
-            let completion = start + switch + request.est_exec_us;
-            let candidate = (completion, needs_switch, evicts_warm, state.index);
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        best.3
-    }
-
-    /// The linear-scan queue-ordering reference: the position in `queue`
-    /// (held in submission order) of the request `tile` should run next.
-    ///
-    /// Returns 0 (FIFO) for kernel affinity and for an empty queue;
-    /// slack-aware picks the least [`slack`](DispatchRequest::slack_us)
-    /// (ties prefer the request whose kernel is already resident). Exact
-    /// ties fall back to FIFO. The event loop answers the same query from
-    /// `TileQueue`'s incrementally-ordered structure; the unit tests hold
-    /// the two to identical answers.
-    #[cfg(test)]
-    pub(crate) fn select_next(&self, tile: &TileState, queue: &[DispatchRequest]) -> usize {
-        match self.policy {
-            DispatchPolicy::KernelAffinity => 0,
-            DispatchPolicy::SlackAware => {
-                Self::argmin_by(queue, |request| request.slack_key(tile.resident))
-            }
-        }
-    }
-
-    /// Position of the minimum of `urgency` over `queue`, first-wins on ties
-    /// (FIFO). Returns 0 for an empty queue.
-    #[cfg(test)]
-    fn argmin_by(
-        queue: &[DispatchRequest],
-        urgency: impl Fn(&DispatchRequest) -> (TimeKey, TimeKey),
-    ) -> usize {
-        let mut best: Option<((TimeKey, TimeKey), usize)> = None;
-        for (position, request) in queue.iter().enumerate() {
-            let value = urgency(request);
-            if best.is_none_or(|(current, _)| value < current) {
-                best = Some((value, position));
-            }
-        }
-        best.map_or(0, |(_, position)| position)
     }
 }
 
@@ -308,11 +225,6 @@ impl TileQueue {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.live
     }
 
     /// Appends an arriving request (by intake index, with its cached
@@ -397,22 +309,6 @@ impl TileQueue {
         debug_assert!(!taken[index], "an entry is taken at most once");
         taken[index] = true;
         self.live -= 1;
-    }
-
-    /// Removes and returns the intake index the freed tile (hosting
-    /// `resident`) runs next, flagging it in `taken` —
-    /// [`peek_next`](Self::peek_next) + [`take`](Self::take). (The event
-    /// loops peek and take separately so the batching layer can intervene;
-    /// this composition is kept for the selection-equivalence tests.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is empty.
-    #[cfg(test)]
-    pub(crate) fn pop_next(&mut self, resident: Option<KernelKey>, taken: &mut [bool]) -> usize {
-        let index = self.peek_next(resident, taken);
-        self.take(index, taken);
-        index
     }
 
     /// The oldest live waiter for `kernel` (FIFO within the kernel), if any
@@ -501,23 +397,6 @@ mod tests {
         TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, tiles).unwrap()
     }
 
-    /// `dispatcher`'s placement of `request` — checked against the linear
-    /// reference on the way.
-    fn place_checked(
-        dispatcher: &mut Dispatcher,
-        request: &DispatchRequest,
-        now_us: f64,
-        pool: &TilePool,
-    ) -> usize {
-        let tile = dispatcher.place(request, now_us, pool);
-        assert_eq!(
-            tile,
-            Dispatcher::earliest_completion_linear(request, now_us, pool),
-            "indexed placement diverged from the linear reference"
-        );
-        tile
-    }
-
     /// Replays a trace through place + charge + release, as the event loop
     /// would with every tile draining instantly (no queueing).
     fn place_all(
@@ -532,7 +411,7 @@ mod tests {
                     p.release(tile);
                 }
             }
-            let tile = place_checked(dispatcher, req, *arrival, &p);
+            let tile = dispatcher.place(req, *arrival, &p);
             p.charge(tile, req.key, *arrival, req.switch_us, req.est_exec_us);
             tiles.push(tile);
         }
@@ -554,23 +433,6 @@ mod tests {
         assert_eq!(tiles[0], 0, "first kernel takes the lowest index");
     }
 
-    /// Indexed and linear placement agree on every decision of an
-    /// interleaved, contended trace (switch costs at both the instruction-
-    /// reload and the PCAP scale).
-    #[test]
-    fn scan_modes_place_identically() {
-        let trace: Vec<(f64, DispatchRequest)> = (0..64u64)
-            .map(|i| {
-                let mut req = request(i % 5);
-                req.est_exec_us = 5.0 + (i % 7) as f64;
-                req.switch_us = if i % 3 == 0 { 1000.0 } else { 0.25 };
-                (i as f64 * 3.0, req)
-            })
-            .collect();
-        // `place_all` holds every decision to the linear reference.
-        place_all(&mut Dispatcher::new(DispatchPolicy::KernelAffinity), &trace);
-    }
-
     #[test]
     fn affinity_prefers_the_resident_tile_over_an_expensive_swap() {
         // Tile 0 hosts kernel 1 and is busy until t=5; tile 1 is idle but
@@ -584,7 +446,7 @@ mod tests {
         let mut p = pool(2);
         p.charge(0, key(1), 0.0, 0.0, 5.0);
         let mut dispatcher = Dispatcher::new(DispatchPolicy::KernelAffinity);
-        assert_eq!(place_checked(&mut dispatcher, &expensive, 0.0, &p), 0);
+        assert_eq!(dispatcher.place(&expensive, 0.0, &p), 0);
     }
 
     #[test]
@@ -600,18 +462,31 @@ mod tests {
         }
         let mut dispatcher = Dispatcher::new(DispatchPolicy::KernelAffinity);
         assert_eq!(
-            place_checked(&mut dispatcher, &request(1), 0.0, &p),
+            dispatcher.place(&request(1), 0.0, &p),
             1,
             "queued backlog outweighs residency"
         );
     }
 
+    /// The intake index a `policy` queue of `views` (intake indices in
+    /// order) runs next on a tile holding `resident`.
+    fn next_of(
+        policy: DispatchPolicy,
+        resident: Option<KernelKey>,
+        views: &[DispatchRequest],
+    ) -> usize {
+        let mut queue = TileQueue::new(policy, false);
+        for (index, view) in views.iter().enumerate() {
+            queue.push(index, view);
+        }
+        queue.peek_next(resident, &vec![false; views.len()])
+    }
+
     #[test]
     fn fifo_policies_always_take_the_oldest_queued_request() {
-        let p = pool(1);
         let queue = [with_deadline(1, 5.0), with_deadline(2, 1.0)];
         assert_eq!(
-            Dispatcher::new(DispatchPolicy::KernelAffinity).select_next(&p.states()[0], &queue),
+            next_of(DispatchPolicy::KernelAffinity, None, &queue),
             0,
             "kernel affinity drains FIFO"
         );
@@ -622,15 +497,14 @@ mod tests {
         // Two requests with the same deadline and service time; the tile
         // hosts kernel 1, so kernel 2 must pay a switch and has less slack.
         let mut p = pool(1);
-        p.states_mut()[0].resident = Some(key(1));
-        let dispatcher = Dispatcher::new(DispatchPolicy::SlackAware);
+        p.charge(0, key(1), 0.0, 0.0, 5.0);
         let resident = with_deadline(1, 100.0);
         let cold = DispatchRequest {
             switch_us: 20.0,
             ..with_deadline(2, 100.0)
         };
         assert_eq!(
-            dispatcher.select_next(&p.states()[0], &[resident, cold]),
+            next_of(DispatchPolicy::SlackAware, Some(key(1)), &[resident, cold]),
             1,
             "the swap eats 20 us of kernel 2's slack"
         );
@@ -643,9 +517,6 @@ mod tests {
     /// wins (no gratuitous switch); exact full ties fall back to FIFO.
     #[test]
     fn slack_ties_prefer_the_resident_kernel_then_fifo() {
-        let mut p = pool(1);
-        p.states_mut()[0].resident = Some(key(2));
-        let dispatcher = Dispatcher::new(DispatchPolicy::SlackAware);
         // Request 1 (cold, switch 20): adjusted slack 100-10-20 = 70.
         // Request 2 (resident): deadline 80 gives the same 80-10 = 70.
         let cold = DispatchRequest {
@@ -653,84 +524,15 @@ mod tests {
             ..with_deadline(1, 100.0)
         };
         let resident = with_deadline(2, 80.0);
+        let slack_aware =
+            |views: &[DispatchRequest]| next_of(DispatchPolicy::SlackAware, Some(key(2)), views);
         assert_eq!(
-            dispatcher.select_next(&p.states()[0], &[cold, resident]),
+            slack_aware(&[cold, resident]),
             1,
             "equal slack resolves to the no-switch request"
         );
         // Identical requests: FIFO.
-        assert_eq!(
-            dispatcher.select_next(&p.states()[0], &[cold, cold]),
-            0,
-            "exact ties drain FIFO"
-        );
-    }
-
-    /// The indexed tile queue pops the same request the linear argmin picks,
-    /// across policies, including after mid-queue removals — and its
-    /// per-kernel FIFO (the batcher's divert candidate) names the first
-    /// linear position holding that kernel, however the `take`s interleave.
-    #[test]
-    fn tile_queue_matches_the_linear_selection_reference() {
-        let mut p = pool(1);
-        p.states_mut()[0].resident = Some(key(2));
-        let views = [
-            with_deadline(1, 90.0),
-            request(2),
-            with_deadline(2, 95.0),
-            with_deadline(3, 40.0),
-            request(1),
-            with_deadline(2, 40.0),
-        ];
-        for policy in DispatchPolicy::ALL {
-            let dispatcher = Dispatcher::new(policy);
-            let mut queue = TileQueue::new(policy, true);
-            let mut taken = vec![false; views.len()];
-            for (index, view) in views.iter().enumerate() {
-                queue.push(index, view);
-            }
-            assert_eq!(queue.len(), views.len());
-            // Mirror of the linear queue: (intake index, view), FIFO order.
-            let mut linear: Vec<(usize, DispatchRequest)> =
-                views.iter().copied().enumerate().collect();
-            let mut step = 0;
-            while !queue.is_empty() {
-                for fingerprint in 0..5 {
-                    let oldest = linear
-                        .iter()
-                        .find(|(_, view)| view.key == key(fingerprint))
-                        .map(|&(index, _)| index);
-                    assert_eq!(
-                        queue.oldest_for_kernel(key(fingerprint), &taken),
-                        oldest,
-                        "{policy} oldest waiter of kernel {fingerprint} diverged"
-                    );
-                }
-                // Every other step is a batching divert: the oldest waiter
-                // of the resident kernel jumps the policy's choice.
-                let diverted = (step % 2 == 1)
-                    .then(|| linear.iter().position(|(_, view)| view.key == key(2)))
-                    .flatten();
-                step += 1;
-                if let Some(position) = diverted {
-                    let (index, _) = linear.remove(position);
-                    queue.take(index, &mut taken);
-                } else {
-                    let linear_views: Vec<DispatchRequest> =
-                        linear.iter().map(|&(_, view)| view).collect();
-                    let position = dispatcher.select_next(&p.states()[0], &linear_views);
-                    let (expected, _) = linear.remove(position);
-                    let got = queue.pop_next(p.states()[0].resident, &mut taken);
-                    assert_eq!(got, expected, "{policy} diverged");
-                }
-                assert_eq!(
-                    queue.tail_key(&taken),
-                    linear.last().map(|&(_, view)| view.key),
-                    "{policy} tail projection diverged"
-                );
-            }
-            assert_eq!(queue.oldest_for_kernel(key(2), &taken), None);
-        }
+        assert_eq!(slack_aware(&[cold, cold]), 0, "exact ties drain FIFO");
     }
 
     #[test]

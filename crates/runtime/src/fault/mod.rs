@@ -29,9 +29,9 @@
 //!
 //! With no plan installed (the default) nothing is scheduled: a fleet serve
 //! arms its fault state from no events and every device stays available,
-//! so the serve is bitwise identical to one under an empty plan — pinned
-//! across both routing policies by the `tests/runtime_equivalence.rs`
-//! proptests. The zero-loss invariant under
+//! so the serve is bitwise identical to one under an empty plan — both are
+//! held to the reference serve of `tests/support/reference.rs`, which also
+//! restates every fault's reaction. The zero-loss invariant under
 //! faults — every admitted request appears exactly once in outcomes or
 //! rejects as long as one device survives — is pinned by
 //! `tests/fault_tolerance.rs`.

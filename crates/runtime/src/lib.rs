@@ -48,7 +48,7 @@
 //!   utilization, cache and memo hit rates, context-switch totals, queue
 //!   depths, admission rejects, deadline miss rates and the host-side event
 //!   count;
-//! * the **control plane** ([`control`]) — optional same-kernel batching
+//! * the **control plane** — optional same-kernel batching
 //!   over the tile-free queue drain ([`BatchConfig`],
 //!   [`Cluster::with_batching`]), off by default and bitwise identical to
 //!   the un-batched event loop when off.
@@ -98,21 +98,21 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
-pub mod cluster;
-pub mod control;
-pub mod dispatch;
-pub mod error;
+mod cache;
+mod cluster;
+mod control;
+mod dispatch;
+mod error;
 pub mod event;
-pub mod fault;
-pub mod metrics;
+mod fault;
+mod metrics;
 pub mod obs;
-pub mod pool;
-pub mod request;
-pub mod route;
-pub mod session;
+mod pool;
+mod request;
+mod route;
+mod session;
 mod shim;
-pub mod submit;
+mod submit;
 
 pub use cache::{CacheStats, Kernel, KernelCache, KernelKey, SimKey, SimMemo};
 pub use obs::{

@@ -356,11 +356,11 @@ impl fmt::Display for ClassMetrics {
 /// One device's slice of a [`Cluster`](crate::Cluster) serve: the same
 /// utilization / queue / cache / deadline figures [`RuntimeMetrics`] reports
 /// pool-wide, keyed by device id, plus the cross-device transfer traffic the
-/// transfer model (see [`route`](crate::route)) charged.
+/// transfer model charged.
 ///
 /// Latency percentiles are per-device; the cluster-wide percentiles in the
 /// report's [`RuntimeMetrics`] totals are taken over every outcome. Both
-/// come from [`percentile_by_selection`].
+/// are exact order statistics, found by selection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceMetrics {
     /// The device id (index into the cluster).

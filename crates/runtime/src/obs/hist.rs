@@ -224,9 +224,8 @@ impl LogHistogram {
     }
 
     /// Linear-interpolated percentile (`p` in 0..=1) at bucket resolution —
-    /// the same `rank = p·(n−1)` / lerp construction as
-    /// [`percentile_by_selection`](crate::metrics::percentile_by_selection),
-    /// with order statistics replaced by their bucket representatives.
+    /// the same `rank = p·(n−1)` / lerp construction as the serve's exact
+    /// percentiles, with order statistics replaced by their bucket representatives.
     /// Returns 0 when empty (matching the exact paths).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_from_parts(&[self], p)

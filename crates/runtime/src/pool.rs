@@ -568,7 +568,7 @@ impl TilePool {
 
     /// The linear-scan recomputation of [`total_waiting`](Self::total_waiting):
     /// the reference the maintained counter is checked against.
-    pub fn total_waiting_scan(&self) -> usize {
+    fn total_waiting_scan(&self) -> usize {
         self.states.iter().map(|s| s.queue_depth).sum()
     }
 
@@ -752,14 +752,6 @@ impl TilePool {
         self.index.check(&self.states);
     }
 
-    /// Mutable access for unit tests. Mutations made through this bypass the
-    /// residency index — the event loop must use the pool-level transition
-    /// methods instead.
-    #[cfg(test)]
-    pub(crate) fn states_mut(&mut self) -> &mut [TileState] {
-        &mut self.states
-    }
-
     /// Clears all dynamic state (resident kernels, timelines, counters) and
     /// rebuilds the residency index.
     pub fn reset(&mut self) {
@@ -826,8 +818,8 @@ mod tests {
 
     #[test]
     fn charging_requests_advances_the_timeline_and_counts_switches() {
-        let mut pool = TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, 1).unwrap();
-        let tile = &mut pool.states_mut()[0];
+        let pool = TilePool::with_tiles(FuVariant::V4, TileComposition::Parallel, 1).unwrap();
+        let tile = &mut pool.states()[0].clone();
         // Cold start: switch charged.
         let outcome = tile.charge(key(1), 0.0, 0.25, 10.0);
         assert_eq!(outcome.start_us, 0.0);
@@ -961,8 +953,11 @@ mod tests {
         pool.dequeue(0, 1.0, None);
     }
 
-    /// The linear earliest-completion reference the indexed query must match
-    /// bit-for-bit (mirrors `Dispatcher::earliest_completion_linear`).
+    /// The linear earliest-completion scan the indexed query must match bit
+    /// for bit, with the whole candidate tuple: the placement rule of the
+    /// reference serve (`tests/support/reference.rs`), kept here because
+    /// the serves it is checked on never reach the 64-, 65- and 130-tile
+    /// bitset word boundaries this file's churn test does.
     fn candidate_linear(
         pool: &TilePool,
         key: KernelKey,

@@ -42,14 +42,14 @@ pub struct PipelineStage {
     /// stage consumes. Empty for root stages.
     pub deps: Vec<usize>,
     /// Bytes of activation data this stage produces for each consumer —
-    /// what the transfer model (see [`route`](crate::route)) prices when a
-    /// consumer lands on a different device.
+    /// what the inter-device transfer model prices when a consumer lands on
+    /// a different device.
     pub output_bytes: u64,
 }
 
 impl PipelineStage {
-    /// A root stage (no dependencies) emitting
-    /// [`DEFAULT_ACTIVATION_BYTES`] of activations.
+    /// A root stage (no dependencies) emitting one 4 KiB output tile of
+    /// activations.
     pub fn new(kernel: KernelSpec, workload: Workload) -> Self {
         PipelineStage {
             kernel,

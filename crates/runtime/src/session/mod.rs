@@ -39,7 +39,7 @@ pub(crate) mod driver;
 pub mod sched;
 pub mod slo;
 
-pub use dag::{PipelineRequest, PipelineStage, DEFAULT_ACTIVATION_BYTES};
+pub use dag::{PipelineRequest, PipelineStage};
 pub use sched::ReorderBuffer;
 pub use slo::{Session, SloClass};
 
@@ -128,7 +128,7 @@ impl PipelineReport {
 
 impl Cluster {
     /// Serves a batch of multi-kernel [`PipelineRequest`]s under tenant
-    /// [`Session`]s (see the [`session`](crate::session) module docs): each
+    /// [`Session`]s: each
     /// pipeline's DAG is validated up front, its stages flow through the
     /// normal route/admit/place machinery with dependency parking, stage
     /// affinity, inter-stage activations priced by the transfer model and

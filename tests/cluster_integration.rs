@@ -10,8 +10,9 @@ use std::fmt::Write as _;
 
 use proptest::prelude::TestCaseError;
 
+use support::reference::Facts;
 use support::{
-    audit_parts, audit_pipelines, benchmark_trace, check_outputs, cluster, service_us,
+    audit_parts, audit_pipelines, benchmark_trace, check_outputs, check_serve, cluster, service_us,
     suite_kernel, suite_trace, Audited, Parts,
 };
 use tm_overlay::runtime::{RequestOutcome, RuntimeError};
@@ -72,43 +73,14 @@ fn kernel_hash_sharding_switches_less_than_power_of_two_balancing() {
 
 #[test]
 fn transfer_accounting_matches_first_off_home_placements() {
-    // Every (device, kernel) pair seen off the kernel's home shard acquires
-    // the image exactly once (link transfer or host load) while the store
-    // has room; transfers report their bytes.
+    // Every image acquisition (link transfer or host load) and its bytes
+    // are counted where the reference serve counts them, and balancing a
+    // 4-kernel trace over 3 devices must move images.
     let requests = benchmark_trace(48, 4, 0xCAFE, 0.5, Some(1e9));
-    let mut cluster = cluster(3, 2, RoutePolicy::PowerOfTwoChoices);
-    let report = cluster.serve_audited(&requests).unwrap();
+    let cluster = cluster(3, 2, RoutePolicy::PowerOfTwoChoices);
+    let report = check_serve(cluster, &requests, &mut Facts::default()).unwrap();
     check_outputs(&requests, &report).unwrap();
-    let served_pairs: HashSet<(usize, String)> = report
-        .outcomes()
-        .iter()
-        .map(|o| (o.device, o.kernel.to_string()))
-        .collect();
-    let distinct_kernels: HashSet<String> = report
-        .outcomes()
-        .iter()
-        .map(|o| o.kernel.to_string())
-        .collect();
-    // Each kernel's home shard holds its image for free (it compiled
-    // there); every other (device, kernel) pair acquires exactly once while
-    // the stores have room. The home may or may not have served requests,
-    // hence the one-per-kernel slack in the lower bound.
-    let acquisitions = report.transfers() + report.host_loads();
-    assert!(
-        acquisitions <= served_pairs.len()
-            && acquisitions + distinct_kernels.len() >= served_pairs.len(),
-        "acquisitions {} outside [{}, {}]",
-        acquisitions,
-        served_pairs.len() - distinct_kernels.len(),
-        served_pairs.len()
-    );
-    assert!(
-        acquisitions > 0,
-        "balancing a 4-kernel trace over 3 devices must move images"
-    );
-    if report.transfers() > 0 {
-        assert!(report.transfer_bytes() > 0);
-    }
+    assert!(report.transfers() + report.host_loads() > 0);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Control-plane integration suite: same-kernel batching, end to end
 //! through the public `Cluster` API, from one device up.
 //!
-//! The equivalence proptests (`tests/runtime_equivalence.rs`) pin the
-//! *disabled* control plane to bitwise-identical baseline behavior; this
+//! The reference serve (`tests/support/reference.rs`) pins every batching
+//! decision, the *disabled* control plane's included, bitwise; this
 //! suite exercises the *enabled* behavior: batching groups interleaved
 //! kernels and cuts context switches (honoring the run cap, the staleness
 //! bound and deadline feasibility).

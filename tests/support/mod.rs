@@ -2,8 +2,9 @@
 //! one audit every successful serve goes through ([`audit`] and
 //! [`audit_pipelines`]; [`Audited`] serves and audits in one call), the
 //! output check against the DFG reference evaluator ([`check_outputs`]),
-//! the one comparator of two serves ([`assert_serves_identical`]) and the
-//! trace and fault-plan generators ([`random_trace`], [`random_plan`],
+//! the one comparator of two serves ([`assert_serves_identical`]), the
+//! reference serve every serve is held to ([`reference`], through
+//! [`check_serve`]) and the trace and fault-plan generators ([`random_trace`], [`random_plan`],
 //! [`benchmark_trace`], [`pressure_trace`]).
 //!
 //! Every check returns a `TestCaseError` rather than panicking, so a
@@ -12,6 +13,8 @@
 
 // Each suite compiles the whole module but uses only part of it.
 #![allow(dead_code)]
+
+pub mod reference;
 
 use std::collections::HashMap;
 
@@ -678,5 +681,53 @@ impl Known {
     /// Whether a span of `kind` is in one trace only.
     fn picks(&self, kind: &SpanKind) -> bool {
         matches!(self, Known::Spans(picks) if picks(kind))
+    }
+}
+
+/// Serves `requests` on `cluster`, which must be fresh, audits the report
+/// and holds what it decided to the reference serve of the cluster's
+/// configuration, bit for bit.
+pub fn check_serve(
+    mut cluster: Cluster,
+    requests: &[Request],
+    facts: &mut reference::Facts,
+) -> Result<ServeReport, TestCaseError> {
+    let expected = reference::serve(&cluster, requests, facts);
+    let report = cluster.serve_audited(requests)?;
+    prop_assert_eq!(decided(&report), expected);
+    Ok(report)
+}
+
+/// What `report` decided, in the reference serve's terms.
+fn decided(report: &ServeReport) -> reference::Served {
+    let outcomes = report.outcomes().iter().map(|o| reference::Started {
+        id: o.request_id,
+        device: o.device,
+        tile: o.tile,
+        start_bits: o.start_us.to_bits(),
+        end_bits: o.completion_us.to_bits(),
+        switched: o.switched,
+        missed: o.missed_deadline,
+    });
+    let devices = report
+        .device_metrics()
+        .iter()
+        .map(|d| reference::DeviceCounts {
+            rejects: d.rejects,
+            transfers: d.transfers_in,
+            transfer_bytes: d.transfer_bytes_in,
+            host_loads: d.host_loads,
+            requeues: d.requeues_out,
+            faults: d.faults,
+            lost_work_bits: d.lost_work_us.to_bits(),
+            store: (d.cache.hits, d.cache.misses, d.cache.evictions),
+            tile_requests: d.tile_requests.clone(),
+            switches: d.switch_count,
+        });
+    reference::Served {
+        outcomes: outcomes.collect(),
+        rejected: report.rejected().iter().map(|r| r.id).collect(),
+        devices: devices.collect(),
+        batch: report.metrics().batch,
     }
 }
