@@ -8,7 +8,10 @@
 //! across both `DispatchPolicy` and both `RoutePolicy` variants, finite and
 //! infinite admission limits, batching, image stores that evict, random
 //! fault plans and PCAP pools. Any divergence is a bug, not a tolerable
-//! approximation.
+//! approximation. Six smaller properties aim the same check at one axis
+//! each — admission pressure, PCAP pools, routing on one device, the
+//! disabled and the enabled control plane, an empty fault plan — and serve
+//! a one-device cluster on both tiers.
 //!
 //! Batching never changes what a request computes,
 //! `RoutePolicy::KernelHash` assigns every request of a kernel to the same
@@ -22,10 +25,41 @@ use proptest::prelude::*;
 
 use support::reference::Facts;
 use support::{assert_serves_identical, audit, check_serve, random_plan, random_trace, Audited};
+use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
-    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, RoutePolicy, ServeReport,
+    BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, Request, RoutePolicy, ServeReport,
     TraceConfig,
 };
+
+/// Serves `requests` on both tiers of the traced one-device cluster `build`
+/// makes — as built (the plain tier) and forced onto the fleet tier by an
+/// empty fault plan — and holds each to the reference serve. Only the fleet
+/// tier routes, and its one device never acquires an image. Returns the
+/// fleet serve.
+fn check_both_tiers(
+    build: impl Fn() -> Cluster,
+    requests: &[Request],
+) -> Result<ServeReport, TestCaseError> {
+    let mut facts = Facts::default();
+    let traced = || build().with_tracing(TraceConfig::enabled());
+    let plain = check_serve(traced(), requests, &mut facts)?;
+    let fleet = check_serve(
+        traced().with_fault_plan(FaultPlan::new()),
+        requests,
+        &mut facts,
+    )?;
+    let routes = |report: &ServeReport| {
+        let events = report.trace().unwrap().events().iter();
+        events
+            .filter(|e| matches!(e.kind, SpanKind::RouteChoice(_)))
+            .count()
+    };
+    prop_assert!(routes(&plain) == 0, "the plain tier routed");
+    prop_assert!(routes(&fleet) > 0, "nothing was routed");
+    let device = &fleet.device_metrics()[0];
+    prop_assert_eq!((device.transfers_in, device.host_loads), (0, 0));
+    Ok(fleet)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -72,6 +106,142 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Admission pressure: both tiers bound the waiting count as the
+    /// reference does, so every reject decision is the reference's at every
+    /// limit — including 0, where only a request that starts at once is
+    /// admitted.
+    #[test]
+    fn admission_rejects_are_identical_under_pressure(
+        (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+        limit in 0usize..6,
+    ) {
+        let requests = random_trace(seed, count, 2.0);
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick])
+            .with_admission_limit(limit);
+        let report = check_both_tiers(build, &requests)?;
+        prop_assert!(report.metrics().rejects + report.outcomes().len() == count);
+    }
+
+    /// The feed-forward variants flip the switch-cost scale to PCAP
+    /// milliseconds, changing which placements tie — both tiers must track
+    /// that as the reference does.
+    #[test]
+    fn equivalence_holds_on_pcap_pools(
+        (seed, count, tiles) in (any::<u64>(), 4usize..16, 2usize..5),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+    ) {
+        let requests = random_trace(seed, count, 50.0);
+        let build = || Cluster::new(FuVariant::V1, 1, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick]);
+        check_both_tiers(build, &requests)?;
+    }
+
+    /// A one-device cluster is the reference serve on either tier, bit for
+    /// bit, under every (dispatch policy × routing policy) combination and
+    /// admission limit, with device 0 stamped on every outcome.
+    #[test]
+    fn a_one_device_cluster_reproduces_runtime_exactly(
+        (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+        route_pick in 0..RoutePolicy::ALL.len(),
+        limit_pick in 0usize..3,
+    ) {
+        let requests = random_trace(seed, count, 3.0);
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick])
+            .with_route_policy(RoutePolicy::ALL[route_pick])
+            .with_admission_limit([usize::MAX, 4, 1][limit_pick]);
+        let report = check_both_tiers(build, &requests)?;
+        prop_assert!(report.outcomes().iter().all(|o| o.device == 0));
+    }
+
+    /// The control plane at its disabled setting (`max_batch = 1`) is the
+    /// default-built cluster: pinning the disabled `BatchConfig` explicitly
+    /// serves the reference on either tier, forms no batch and avoids no
+    /// switch, under every policy and admission pressure.
+    #[test]
+    fn disabled_control_plane_is_bitwise_identical_to_the_baseline(
+        (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+        limit_pick in 0usize..3,
+    ) {
+        let requests = random_trace(seed, count, 3.0);
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick])
+            .with_admission_limit([usize::MAX, 4, 1][limit_pick])
+            .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
+        let report = check_both_tiers(build, &requests)?;
+        prop_assert_eq!(report.metrics().batch.batches_formed, 0);
+        prop_assert_eq!(report.metrics().batch.switches_avoided, 0);
+    }
+
+    /// A batched one-device cluster is the batched reference on either tier
+    /// — on the fleet tier the batching guard also weighs the (zero)
+    /// acquisition and activation delays, so both tiers must name the
+    /// reference's same-kernel candidate at every diversion under every
+    /// dispatch policy and staleness bound.
+    #[test]
+    fn a_batched_one_device_cluster_reproduces_the_batched_runtime(
+        (seed, count, tiles) in (any::<u64>(), 8usize..24, 1usize..4),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+        max_batch in 2usize..6,
+        hold_pick in 0usize..3,
+    ) {
+        let requests = random_trace(seed, count, 3.0);
+        let hold_us = [f64::INFINITY, 50.0, 2.0][hold_pick];
+        let build = || Cluster::new(FuVariant::V4, 1, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick])
+            .with_batching(BatchConfig::with_max_batch(max_batch).with_max_hold_us(hold_us));
+        check_both_tiers(build, &requests)?;
+    }
+
+    /// An installed-but-empty [`FaultPlan`] fires nothing: the fault
+    /// machinery engages on the empty-plan serve, yet with every device
+    /// permanently eligible both serves are the reference serve, every
+    /// device stays available, and a warm resubmission of the two is still
+    /// the same serve, span for span. (From two devices up, where both
+    /// serves run the fleet tier; one device is the tier properties above.)
+    #[test]
+    fn an_empty_fault_plan_is_bitwise_identical_to_no_plan(
+        (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
+        policy_pick in 0..DispatchPolicy::ALL.len(),
+        route_pick in 0..RoutePolicy::ALL.len(),
+        limit_pick in 0usize..3,
+        batch_pick in 0usize..2,
+    ) {
+        let requests = random_trace(seed, count, 4.0);
+        let batching = [BatchConfig::disabled(), BatchConfig::with_max_batch(3)][batch_pick];
+        let build = || Cluster::new(FuVariant::V4, devices, tiles)
+            .unwrap()
+            .with_policy(DispatchPolicy::ALL[policy_pick])
+            .with_route_policy(RoutePolicy::ALL[route_pick])
+            .with_admission_limit([usize::MAX, 4, 1][limit_pick])
+            .with_batching(batching)
+            .with_tracing(TraceConfig::enabled());
+        let mut facts = Facts::default();
+        let a = check_serve(build(), &requests, &mut facts)?;
+        let pinned = build().with_fault_plan(FaultPlan::new());
+        prop_assert!(pinned.fault_plan().is_some_and(FaultPlan::is_empty));
+        let b = check_serve(pinned, &requests, &mut facts)?;
+        assert_serves_identical(&a, &b, &[])?;
+        prop_assert_eq!(b.lost_work_us(), 0.0);
+        prop_assert_eq!(b.availability(), vec![1.0; devices]);
+        // Warm resubmission stays pinned too.
+        let (mut plain, mut pinned) = (build(), build().with_fault_plan(FaultPlan::new()));
+        plain.serve_audited(&requests)?;
+        pinned.serve_audited(&requests)?;
+        let a2 = plain.serve_audited(&requests)?;
+        let b2 = pinned.serve_audited(&requests)?;
+        assert_serves_identical(&a2, &b2, &[])?;
+    }
 
     /// Batching reorders *when* requests run, never *what* they compute:
     /// with unconstrained admission the batched serve completes the same
