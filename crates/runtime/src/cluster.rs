@@ -34,10 +34,10 @@
 //! named here: each phase where one acts calls the serve's crate-private
 //! `control::Tiers`, whose methods do nothing while their tier is off.
 //! Both tiers are held **bitwise** to one reference serve,
-//! `tests/support/reference.rs`, on randomized traces
-//! (`tests/runtime_equivalence.rs`) and on every case of a small scope
-//! (`tests/small_scope.rs`); a one-device cluster reaches the fleet tier
-//! through an empty plan.
+//! `tests/support/reference.rs`, on random traces and on every case of a
+//! small scope (`tests/runtime_equivalence.rs`, `tests/small_scope.rs`), and
+//! to each other on what it does not model; a one-device cluster reaches the
+//! fleet tier through an empty plan.
 //!
 //! # Example
 //!

@@ -10,31 +10,36 @@
 //! fault plans and PCAP pools. Any divergence is a bug, not a tolerable
 //! approximation. Six smaller properties aim the same check at one axis
 //! each — admission pressure, PCAP pools, routing on one device, the
-//! disabled and the enabled control plane, an empty fault plan — and serve
-//! a one-device cluster on both tiers.
+//! disabled and the enabled control plane, an empty fault plan — and also
+//! hold the two tiers (or the two plans) to each other on what the
+//! reference does not model: the full metrics, results, outputs and trace,
+//! the fleet's route-choice spans aside.
 //!
-//! Batching never changes what a request computes,
-//! `RoutePolicy::KernelHash` assigns every request of a kernel to the same
-//! device on every resubmission, and a streamed serve is the batch serve of
-//! its submission order, bitwise, on any fleet, fault plan, store size and
-//! ingest bound.
-
 mod support;
 
 use proptest::prelude::*;
 
 use support::reference::Facts;
-use support::{assert_serves_identical, audit, check_serve, random_plan, random_trace, Audited};
+use support::{
+    assert_serves_identical, audit, check_serve, random_plan, random_trace, Audited, Known,
+};
 use tm_overlay::runtime::SpanKind;
 use tm_overlay::{
     BatchConfig, Cluster, DispatchPolicy, FaultPlan, FuVariant, Request, RoutePolicy, ServeReport,
     TraceConfig,
 };
 
+/// The routing decisions only the fleet tier takes.
+fn is_route(kind: &SpanKind) -> bool {
+    matches!(kind, SpanKind::RouteChoice(_))
+}
+
 /// Serves `requests` on both tiers of the traced one-device cluster `build`
 /// makes — as built (the plain tier) and forced onto the fleet tier by an
 /// empty fault plan — and holds each to the reference serve. Only the fleet
-/// tier routes, and its one device never acquires an image. Returns the
+/// tier routes, its one device never acquires an image, and but for those
+/// routes the two serves are identical in every field the reference does
+/// not model too: the full metrics, results, outputs and trace. Returns the
 /// fleet serve.
 fn check_both_tiers(
     build: impl Fn() -> Cluster,
@@ -50,14 +55,14 @@ fn check_both_tiers(
     )?;
     let routes = |report: &ServeReport| {
         let events = report.trace().unwrap().events().iter();
-        events
-            .filter(|e| matches!(e.kind, SpanKind::RouteChoice(_)))
-            .count()
+        events.filter(|e| is_route(&e.kind)).count()
     };
     prop_assert!(routes(&plain) == 0, "the plain tier routed");
     prop_assert!(routes(&fleet) > 0, "nothing was routed");
+    prop_assert_eq!(fleet.device_metrics().len(), 1);
     let device = &fleet.device_metrics()[0];
     prop_assert_eq!((device.transfers_in, device.host_loads), (0, 0));
+    assert_serves_identical(&fleet, &plain, &[Known::Spans(is_route)])?;
     Ok(fleet)
 }
 
@@ -163,8 +168,10 @@ proptest! {
 
     /// The control plane at its disabled setting (`max_batch = 1`) is the
     /// default-built cluster: pinning the disabled `BatchConfig` explicitly
-    /// serves the reference on either tier, forms no batch and avoids no
-    /// switch, under every policy and admission pressure.
+    /// serves the reference on either tier and is the unpinned serve bit for
+    /// bit — outcomes, rejects, the full metrics and the trace — forming no
+    /// batch and avoiding no switch, under every policy and admission
+    /// pressure.
     #[test]
     fn disabled_control_plane_is_bitwise_identical_to_the_baseline(
         (seed, count, tiles) in (any::<u64>(), 4usize..20, 1usize..5),
@@ -175,9 +182,11 @@ proptest! {
         let build = || Cluster::new(FuVariant::V4, 1, tiles)
             .unwrap()
             .with_policy(DispatchPolicy::ALL[policy_pick])
-            .with_admission_limit([usize::MAX, 4, 1][limit_pick])
-            .with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
-        let report = check_both_tiers(build, &requests)?;
+            .with_admission_limit([usize::MAX, 4, 1][limit_pick]);
+        let baseline = check_both_tiers(build, &requests)?;
+        let pinned = || build().with_batching(BatchConfig { max_batch: 1, max_hold_us: 0.0 });
+        let report = check_both_tiers(pinned, &requests)?;
+        assert_serves_identical(&report, &baseline, &[])?;
         prop_assert_eq!(report.metrics().batch.batches_formed, 0);
         prop_assert_eq!(report.metrics().batch.switches_avoided, 0);
     }
@@ -272,8 +281,10 @@ proptest! {
     }
 
     /// Kernel-hash routing is a pure function of the kernel: resubmitting
-    /// the same trace to a warm cluster routes every request to the device
-    /// the reference serve of a fresh one does.
+    /// the same trace — to the same, now warm, cluster or a fresh one —
+    /// routes every request to the device the reference serve of a fresh
+    /// one does, and one kernel never spans two devices, so no serve
+    /// transfers an image and the warm one loads none from the host.
     #[test]
     fn kernel_hash_routing_is_deterministic_under_resubmission(
         (seed, count, devices, tiles) in (any::<u64>(), 6usize..20, 2usize..5, 1usize..3),
@@ -286,12 +297,22 @@ proptest! {
             .with_route_policy(RoutePolicy::KernelHash);
         let fresh = check_serve(build(), &requests, &mut Facts::default())?;
         let mut cluster = build();
-        cluster.serve_audited(&requests)?;
+        let first = cluster.serve_audited(&requests)?;
         let resubmitted = cluster.serve_audited(&requests)?;
         let routes = |report: &ServeReport| -> Vec<(u64, usize)> {
             report.outcomes().iter().map(|o| (o.request_id, o.device)).collect()
         };
+        prop_assert_eq!(routes(&first), routes(&fresh));
         prop_assert_eq!(routes(&resubmitted), routes(&fresh));
+        for report in [&first, &resubmitted, &fresh] {
+            let mut device_of = std::collections::HashMap::new();
+            for outcome in report.outcomes() {
+                let device = *device_of.entry(outcome.kernel.to_string()).or_insert(outcome.device);
+                prop_assert_eq!(device, outcome.device);
+            }
+            prop_assert_eq!(report.transfers(), 0);
+        }
+        prop_assert_eq!(resubmitted.host_loads(), 0);
     }
 
     /// A streamed serve is the batch serve of its submission order, bit for
